@@ -30,43 +30,7 @@ use ssj_partition::{
 use std::time::Instant;
 
 #[cfg(feature = "count-allocs")]
-mod alloc_counter {
-    //! Thread-local allocation counter installed as the global allocator.
-    //! It only counts allocation events; all real work is delegated to the
-    //! system allocator. `try_with` keeps it safe during TLS teardown.
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
-
-    thread_local! {
-        static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    struct CountingAlloc;
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-            System.alloc(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-
-    #[global_allocator]
-    static GLOBAL: CountingAlloc = CountingAlloc;
-
-    /// Allocation events observed on this thread so far.
-    pub fn allocations() -> u64 {
-        ALLOCS.with(|c| c.get())
-    }
-}
+use ssj_bench::alloc_counter;
 
 const M: usize = 8;
 const BUILD_WORKERS: usize = 4;

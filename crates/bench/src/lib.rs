@@ -12,6 +12,8 @@
 
 #![warn(missing_docs)]
 
+#[cfg(feature = "count-allocs")]
+pub mod alloc_counter;
 pub mod report;
 pub mod traffic;
 

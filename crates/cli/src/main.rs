@@ -20,7 +20,7 @@ use ssj_json::{write_documents_jsonl, Dictionary, DocId, Document, DocumentReade
 use ssj_partition::PartitionerKind;
 use ssj_runtime::RunError;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::time::Instant;
 
 fn main() {
@@ -90,9 +90,8 @@ fn load_docs(args: &Args, dict: &Dictionary) -> Result<Vec<Document>, String> {
     match args.get("input") {
         Some(path) => {
             let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-            let reader = DocumentReader::new(BufReader::new(file), dict.clone(), 0);
-            reader
-                .collect::<Result<Vec<_>, _>>()
+            DocumentReader::new(file, dict.clone(), 0)
+                .read_all()
                 .map_err(|e| format!("{path}: {e}"))
         }
         None => generate_docs(args, dict),
@@ -450,6 +449,15 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let metrics_on = !args.flag("no-metrics");
     let cfg = pipeline_config(args, metrics_on)?;
     let dict = Dictionary::new();
+    // Every process of a `--workers N` group loads the whole input, so the
+    // leader starts the others before it loads: they all load at once
+    // instead of one after the other. (If loading fails, dropping the group
+    // kills them.)
+    let group = if cfg.workers > 1 && args.get("worker-id").is_none() {
+        Some(WorkerGroup::launch(cfg.workers)?)
+    } else {
+        None
+    };
     let docs = load_docs(args, &dict)?;
     let n = docs.len();
 
@@ -475,10 +483,9 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     }
 
     let t0 = Instant::now();
-    let report = if cfg.workers > 1 {
-        run_group_leader(cfg, &dict, docs)?
-    } else {
-        run_topology(cfg, &dict, docs).map_err(|e| e.to_string())?
+    let report = match group {
+        Some(group) => group.run(cfg, &dict, docs)?,
+        None => run_topology(cfg, &dict, docs).map_err(|e| e.to_string())?,
     };
     let elapsed = t0.elapsed();
     if let Some(path) = args.get("metrics-out") {
@@ -528,112 +535,161 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 /// canonical form `ssj_bench::testutil::RunWindows` uses, so two files are
 /// byte-comparable.
 fn write_joins(path: &str, report: &TopologyRunReport) -> Result<(), String> {
-    let file = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-    let mut out = BufWriter::new(file);
-    let io = |e: io::Error| format!("write {path}: {e}");
+    let mut file = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
+    // One window's line, built by hand (a pair per `write!` costs more than
+    // sorting them) and written in one go.
+    let mut line = Vec::new();
     for (w, pairs) in report.joins_per_window.iter().enumerate() {
         let mut pairs: Vec<(u64, u64)> = pairs.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
         pairs.sort_unstable();
         pairs.dedup();
-        write!(out, "{w}:").map_err(io)?;
+        line.clear();
+        push_decimal(&mut line, w as u64);
+        line.push(b':');
         for (a, b) in pairs {
-            write!(out, " {a}-{b}").map_err(io)?;
+            line.push(b' ');
+            push_decimal(&mut line, a);
+            line.push(b'-');
+            push_decimal(&mut line, b);
         }
-        writeln!(out).map_err(io)?;
+        line.push(b'\n');
+        file.write_all(&line)
+            .map_err(|e| format!("write {path}: {e}"))?;
     }
-    out.flush().map_err(io)
+    Ok(())
+}
+
+/// Append `n` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// How many times the leader relaunches the whole group after a transport
 /// failure (a peer process dying mid-run) before giving up.
 const GROUP_ATTEMPTS: u32 = 3;
 
-/// Leader (worker 0) of a multi-process `--workers N` run: spawn workers
-/// `1..N` as child processes of this same binary with the internal flags
-/// appended, run the local shard over the Unix-socket mesh, and — mirroring
-/// the task supervisor one level up — relaunch the whole group with a fresh
-/// attempt number when a peer dies mid-run (`RunError::Transport`). Window
-/// state is rebuilt from the replayed stream, so a relaunched run's output
-/// is identical to an undisturbed one.
-fn run_group_leader(
-    cfg: StreamJoinConfig,
-    dict: &Dictionary,
-    docs: Vec<Document>,
-) -> Result<TopologyRunReport, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("resolve own executable: {e}"))?;
-    let base: Vec<String> = std::env::args().skip(1).collect();
-    let dir = std::env::temp_dir().join(format!("ssj-group-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let mut last = String::new();
-    for attempt in 0..GROUP_ATTEMPTS {
-        let mut children = Vec::new();
-        for w in 1..cfg.workers {
-            match std::process::Command::new(&exe)
-                .args(&base)
+/// The other processes of a multi-process `--workers N` run, as the leader
+/// (worker 0) holds them: workers `1..N`, child processes of this same
+/// binary with the internal flags appended, meeting over Unix sockets in
+/// `dir`. Dropping the group kills whatever is still running and removes
+/// the directory.
+struct WorkerGroup {
+    exe: std::path::PathBuf,
+    /// This process's own arguments, which every worker repeats.
+    base: Vec<String>,
+    dir: std::path::PathBuf,
+    workers: usize,
+    children: Vec<std::process::Child>,
+}
+
+impl WorkerGroup {
+    /// Start the workers of attempt 0.
+    fn launch(workers: usize) -> Result<Self, String> {
+        let exe = std::env::current_exe().map_err(|e| format!("resolve own executable: {e}"))?;
+        let dir = std::env::temp_dir().join(format!("ssj-group-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+        let mut group = WorkerGroup {
+            exe,
+            base: std::env::args().skip(1).collect(),
+            dir,
+            workers,
+            children: Vec::new(),
+        };
+        group.spawn(0)?;
+        Ok(group)
+    }
+
+    fn spawn(&mut self, attempt: u32) -> Result<(), String> {
+        for w in 1..self.workers {
+            let child = std::process::Command::new(&self.exe)
+                .args(&self.base)
                 .arg("--worker-id")
                 .arg(w.to_string())
                 .arg("--socket-dir")
-                .arg(&dir)
+                .arg(&self.dir)
                 .arg("--attempt")
                 .arg(attempt.to_string())
                 .stdout(std::process::Stdio::null())
                 .spawn()
-            {
-                Ok(child) => children.push(child),
-                Err(e) => {
-                    for mut c in children {
-                        let _ = c.kill();
-                        let _ = c.wait();
-                    }
-                    let _ = std::fs::remove_dir_all(&dir);
-                    return Err(format!("spawn worker {w}: {e}"));
-                }
-            }
+                .map_err(|e| format!("spawn worker {w}: {e}"))?;
+            self.children.push(child);
         }
-        let dr = DistRuntime {
-            workers: cfg.workers,
-            my_worker: 0,
-            socket_dir: dir.clone(),
-            attempt,
-        };
-        match run_topology_distributed(cfg.clone(), dict, docs.clone(), &dr) {
-            Ok(report) => {
-                for (w, mut c) in (1..).zip(children) {
-                    match c.wait() {
-                        Ok(status) if !status.success() => {
-                            eprintln!("warning: worker {w} exited with {status}")
-                        }
-                        Ok(_) => {}
-                        Err(e) => eprintln!("warning: wait for worker {w}: {e}"),
-                    }
-                }
-                let _ = std::fs::remove_dir_all(&dir);
-                return Ok(report);
-            }
-            // A peer died (or its link broke): kill the survivors and
-            // relaunch the group under the next attempt's socket names.
-            Err(RunError::Transport(errs)) => {
-                for mut c in children {
-                    let _ = c.kill();
-                    let _ = c.wait();
-                }
-                last = errs.join("; ");
-                eprintln!("group attempt {attempt} failed: {last}; relaunching");
-            }
-            Err(e) => {
-                for mut c in children {
-                    let _ = c.kill();
-                    let _ = c.wait();
-                }
-                let _ = std::fs::remove_dir_all(&dir);
-                return Err(e.to_string());
-            }
+        Ok(())
+    }
+
+    fn kill(&mut self) {
+        for mut child in self.children.drain(..) {
+            let _ = child.kill();
+            let _ = child.wait();
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
-    Err(format!(
-        "group run failed after {GROUP_ATTEMPTS} attempts: {last}"
-    ))
+
+    /// Run the local shard over the mesh and — mirroring the task
+    /// supervisor one level up — relaunch the whole group under a fresh
+    /// attempt number when a peer dies mid-run (`RunError::Transport`).
+    /// Window state is rebuilt from the replayed stream, so a relaunched
+    /// run's output is identical to an undisturbed one.
+    fn run(
+        mut self,
+        cfg: StreamJoinConfig,
+        dict: &Dictionary,
+        docs: Vec<Document>,
+    ) -> Result<TopologyRunReport, String> {
+        let mut last = String::new();
+        for attempt in 0..GROUP_ATTEMPTS {
+            if attempt > 0 {
+                self.spawn(attempt)?;
+            }
+            let dr = DistRuntime {
+                workers: cfg.workers,
+                my_worker: 0,
+                socket_dir: self.dir.clone(),
+                attempt,
+            };
+            match run_topology_distributed(cfg.clone(), dict, docs.clone(), &dr) {
+                Ok(report) => {
+                    for (w, mut child) in (1..).zip(self.children.drain(..)) {
+                        match child.wait() {
+                            Ok(status) if !status.success() => {
+                                eprintln!("warning: worker {w} exited with {status}")
+                            }
+                            Ok(_) => {}
+                            Err(e) => eprintln!("warning: wait for worker {w}: {e}"),
+                        }
+                    }
+                    return Ok(report);
+                }
+                // A peer died (or its link broke): kill the survivors and
+                // relaunch the group under the next attempt's socket names.
+                Err(RunError::Transport(errs)) => {
+                    self.kill();
+                    last = errs.join("; ");
+                    eprintln!("group attempt {attempt} failed: {last}; relaunching");
+                }
+                Err(e) => return Err(e.to_string()),
+            }
+        }
+        Err(format!(
+            "group run failed after {GROUP_ATTEMPTS} attempts: {last}"
+        ))
+    }
+}
+
+impl Drop for WorkerGroup {
+    fn drop(&mut self) {
+        self.kill();
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //! and have no conflicting values for shared attributes* — is a single merge
 //! scan over two sorted slices, `O(|d1| + |d2|)`.
 
-use crate::flatten::{flatten_value, unflatten};
+use crate::flatten::{unflatten, Flattener};
 use crate::intern::{AttrId, AvpId, Dictionary, Pair};
-use crate::parser::{parse, ParseError};
+use crate::parser::ParseError;
 use crate::{Scalar, Value};
 use std::fmt;
 use std::sync::Arc;
@@ -91,21 +91,26 @@ impl Document {
     /// Returns `None` when the root is not an object or flattens to zero
     /// pairs — the paper excludes attribute-less documents from the join.
     pub fn from_value(id: DocId, value: &Value, dict: &Dictionary) -> Option<Self> {
-        let flat = flatten_value(value)?;
-        if flat.is_empty() {
-            return None;
-        }
-        let pairs = flat
-            .into_iter()
-            .map(|(path, scalar)| dict.intern(&path, scalar))
-            .collect();
-        Some(Self::from_pairs(id, pairs))
+        let mut flat = Flattener::default();
+        flat.value(value)
+            .then(|| Self::from_flattened(id, &flat, "", dict))
     }
 
-    /// Parse JSON text and intern it in one step.
+    /// Parse JSON text and intern it in one step: the tokenizer feeds the
+    /// flattener directly, no [`Value`] is built.
     pub fn from_json(id: DocId, text: &str, dict: &Dictionary) -> Result<Self, DocError> {
-        let value = parse(text).map_err(DocError::Parse)?;
-        Self::from_value(id, &value, dict).ok_or(DocError::NotADocument)
+        let mut flat = Flattener::default();
+        if !flat.text(text).map_err(DocError::Parse)? {
+            return Err(DocError::NotADocument);
+        }
+        Ok(Self::from_flattened(id, &flat, text, dict))
+    }
+
+    /// Intern the leaves `flat` holds for `text` (see [`Flattener::leaves`]).
+    fn from_flattened(id: DocId, flat: &Flattener, text: &str, dict: &Dictionary) -> Self {
+        let mut pairs = Vec::new();
+        dict.intern_leaves(flat.leaves(text), &mut pairs);
+        Self::from_pairs(id, pairs)
     }
 
     /// The document's id.

@@ -85,6 +85,14 @@ pub fn hash_u64(word: u64) -> u64 {
     h.finish()
 }
 
+/// Hash a string's bytes with the Fx scheme.
+#[inline]
+pub(crate) fn hash_str(s: &str) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(s.as_bytes());
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

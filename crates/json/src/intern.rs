@@ -8,45 +8,50 @@
 //! Ids are dense and allocation-ordered, so `Vec`-indexed side tables keyed by
 //! id are cheap everywhere else.
 //!
+//! # Layout: every string is stored once
+//!
+//! A `Table` is an append-only reverse store (`id → name`, `id → (attr,
+//! scalar)`, per-attribute distinct-value counts) plus two `IdIndex`es that
+//! map a key's hash back to its id. The indexes hold no keys, only ids and
+//! 32 bits of each key's hash; a probe compares the key it was given against
+//! the reverse store. So a lookup takes a *borrowed* key — `&str`, or
+//! `(AttrId, ScalarRef)` — and a hit is one hash and one probe with no
+//! allocation. The store keeps names and string values back to back in one
+//! text buffer, so a miss is an append: no allocation of its own either,
+//! beyond the buffers' amortised growth. Callers with many keys in hand (a
+//! document's leaves, a block's new keys) look them up 32 at a time,
+//! step by step across the batch (`Table::find_avps`), because in a table
+//! larger than the cache a lookup is a chain of misses and only misses of
+//! different keys can overlap.
+//!
 //! # Concurrency and locking protocol
 //!
-//! The dictionary is split to keep parser threads from serialising on one
-//! big lock:
+//! One `RwLock` guards the whole table. A hit takes it shared; a miss drops
+//! it, takes it exclusively and probes again (another thread may have added
+//! the key in between) before appending, so an id seen through an index is
+//! always resolvable through the store. There is one lock, so there is no
+//! lock order.
 //!
-//! * **Forward maps** (`name → AttrId`, `(AttrId, Scalar) → AvpId`) are
-//!   hash-striped over [`SHARDS`] independent `RwLock`ed maps. The common
-//!   *hit* takes exactly one shard **read** lock: hash the key, lock its
-//!   shard shared, look up, return. A *miss* upgrades by re-locking the same
-//!   shard exclusively and re-checking (another thread may have interned the
-//!   key between the two locks) before allocating.
-//! * **Reverse store** (`id → name / attr / scalar`, plus per-attribute
-//!   distinct-value counts) is one append-only table behind its own
-//!   `RwLock`. New ids are allocated by appending under the store's write
-//!   lock *while holding the shard write lock*, and published to the shard
-//!   map only afterwards — so any id observed through a forward map is
-//!   already resolvable through the store.
-//! * **Lock order** is always shard → store; no path takes two shard locks
-//!   at once, so the scheme cannot deadlock.
-//! * **Per-thread hot cache**: each thread keeps a small
-//!   `(AttrId, Scalar) → AvpId` map, valid for one dictionary *generation*
-//!   (a process-unique id minted per `Dictionary`). Interned pairs are
-//!   immutable, so cached mappings never go stale; a repeat `intern_avp`
-//!   of a hot pair touches no lock at all.
+//! That is enough because nothing interns on a hot parallel path any more.
+//! Bulk ingest (`crate::io`) gives every parser thread a private `Table` per
+//! block of input and folds the finished blocks into the shared dictionary in
+//! file order with `Dictionary::absorb`: one exclusive acquisition per
+//! block, by one thread. What is left are occasional callers — the
+//! generators, [`Document::from_value`](crate::Document::from_value), the
+//! wire codec for ids above its watermark, the assigners' one synthetic pair
+//! per document — and the reverse getters, which were always behind a single
+//! lock. (Earlier versions striped the forward maps over 16 locks and kept a
+//! per-thread cache of hot pairs for the parser threads that no longer come
+//! here; EXPERIMENTS.md, "Document ingest", has the measurement that retired
+//! both.)
 
-use crate::hash::{FxHashMap, FxHasher};
+use crate::hash::{hash_str, FxHasher};
+use crate::scalar::ScalarRef;
 use crate::Scalar;
 use parking_lot::RwLock;
-use std::cell::RefCell;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Number of independent lock stripes for the forward maps.
-pub const SHARDS: usize = 16;
-
-/// Entries kept per thread in the hot pair cache before it is reset.
-const HOT_CACHE_CAP: usize = 8192;
 
 /// Dense id of an interned attribute (flattened JSON path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -95,55 +100,310 @@ pub struct Pair {
     pub avp: AvpId,
 }
 
-/// The append-only reverse store: everything indexed by dense id.
+/// The append-only reverse store: everything indexed by dense id. Names
+/// and string values sit back to back in one buffer, so adding one is an
+/// append, not an allocation of its own.
 #[derive(Default)]
-struct Store {
-    attr_names: Vec<String>,
+pub(crate) struct Store {
+    text: String,
+    attr_names: Vec<Span>,
     /// Per-attribute count of distinct values seen so far.
     attr_distinct: Vec<u32>,
-    avp_attr: Vec<AttrId>,
-    avp_scalar: Vec<Scalar>,
+    avps: Vec<StoredPair>,
 }
 
-struct Shared {
-    /// Forward map stripes: attribute name → id.
-    attr_shards: [RwLock<FxHashMap<String, AttrId>>; SHARDS],
-    /// Forward map stripes: (attribute, value) → pair id.
-    avp_shards: [RwLock<FxHashMap<(AttrId, Scalar), AvpId>>; SHARDS],
-    store: RwLock<Store>,
-    /// Process-unique generation — keys the per-thread hot caches.
-    generation: u64,
+/// A piece of [`Store::text`].
+#[derive(Clone, Copy)]
+struct Span {
+    start: usize,
+    len: usize,
 }
 
-impl Default for Shared {
-    fn default() -> Self {
-        static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
-        Shared {
-            attr_shards: std::array::from_fn(|_| RwLock::new(FxHashMap::default())),
-            avp_shards: std::array::from_fn(|_| RwLock::new(FxHashMap::default())),
-            store: RwLock::new(Store::default()),
-            generation: NEXT_GENERATION.fetch_add(1, Ordering::Relaxed),
+#[derive(Clone, Copy)]
+struct StoredPair {
+    attr: AttrId,
+    value: StoredScalar,
+}
+
+/// A [`Scalar`] whose string is in [`Store::text`].
+#[derive(Clone, Copy)]
+enum StoredScalar {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Str(Span),
+}
+
+impl Store {
+    fn str(&self, span: Span) -> &str {
+        &self.text[span.start..span.start + span.len]
+    }
+
+    fn push_str(&mut self, s: &str) -> Span {
+        let start = self.text.len();
+        self.text.push_str(s);
+        Span {
+            start,
+            len: s.len(),
         }
+    }
+
+    fn attr_name(&self, id: AttrId) -> &str {
+        self.str(self.attr_names[id.index()])
+    }
+
+    fn value(&self, id: AvpId) -> ScalarRef<'_> {
+        self.scalar(self.avps[id.index()].value)
+    }
+
+    fn scalar(&self, stored: StoredScalar) -> ScalarRef<'_> {
+        match stored {
+            StoredScalar::Null => ScalarRef::Null,
+            StoredScalar::Bool(b) => ScalarRef::Bool(b),
+            StoredScalar::Int(i) => ScalarRef::Int(i),
+            StoredScalar::Float(f) => ScalarRef::Float(f),
+            StoredScalar::Str(span) => ScalarRef::Str(self.str(span)),
+        }
+    }
+
+    /// Attributes plus pairs held.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.attr_names.len() + self.avps.len()
     }
 }
 
-/// Per-thread pair cache: the generation of the dictionary it belongs to
-/// plus its hot `(AttrId, Scalar) → AvpId` mappings.
-type HotPairCache = (u64, FxHashMap<(AttrId, Scalar), AvpId>);
+/// Hash → id index by open addressing with linear probing. A slot is
+/// `(hash's high 32 bits) << 32 | (id + 1)`, zero when free; the same 32
+/// bits choose the home slot, so growing needs no key.
+#[derive(Default)]
+struct IdIndex {
+    /// Power-of-two length (or empty), at most half full.
+    slots: Vec<u64>,
+    len: usize,
+}
 
-thread_local! {
-    /// Hot `(AttrId, Scalar) → AvpId` mappings of the dictionary generation
-    /// this thread touched last. Read-mostly: a hit costs no lock.
-    static HOT_PAIRS: RefCell<HotPairCache> = RefCell::new((0, FxHashMap::default()));
+impl IdIndex {
+    /// The id among those stored under `hash` for which `is_key` holds.
+    #[inline]
+    fn find(&self, hash: u64, is_key: impl Fn(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let tag = hash >> 32;
+        let mut at = tag as usize & mask;
+        loop {
+            let slot = self.slots[at];
+            if slot == 0 {
+                return None;
+            }
+            let id = (slot as u32).wrapping_sub(1);
+            if slot >> 32 == tag && is_key(id) {
+                return Some(id);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The slot a probe for `hash` looks at first (0: the index is empty).
+    #[inline]
+    fn home_slot(&self, hash: u64) -> u64 {
+        match self.slots.len() {
+            0 => 0,
+            len => self.slots[(hash >> 32) as usize & (len - 1)],
+        }
+    }
+
+    /// Add `id` under `hash`; the key must not be present.
+    fn insert(&mut self, hash: u64, id: u32) {
+        if (self.len + 1) * 2 > self.slots.len() {
+            let grown = vec![0; (self.slots.len() * 2).max(16)];
+            for slot in std::mem::replace(&mut self.slots, grown) {
+                if slot != 0 {
+                    self.place(slot);
+                }
+            }
+        }
+        self.place(hash >> 32 << 32 | (u64::from(id) + 1));
+        self.len += 1;
+    }
+
+    fn place(&mut self, slot: u64) {
+        let mask = self.slots.len() - 1;
+        let mut at = (slot >> 32) as usize & mask;
+        while self.slots[at] != 0 {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = slot;
+    }
+
+    /// Forget every id, keeping the allocation.
+    fn clear(&mut self) {
+        self.slots.fill(0);
+        self.len = 0;
+    }
 }
 
 #[inline]
-fn shard_of<K: Hash + ?Sized>(key: &K) -> usize {
+fn hash_avp(attr: AttrId, value: ScalarRef<'_>) -> u64 {
     let mut h = FxHasher::default();
-    key.hash(&mut h);
-    // Low bits of Fx output correlate with the map's bucket choice; mix in
-    // the high bits so stripe choice and bucket choice stay independent.
-    (h.finish() >> 7) as usize & (SHARDS - 1)
+    h.write_u32(attr.0);
+    value.hash(&mut h);
+    h.finish()
+}
+
+/// How many lookups [`Table::find_avps`] takes through each step together:
+/// more than the cache misses one core sustains at once, and enough for the
+/// leaves of a typical wide document to go in one batch (measured on the
+/// 448 k-pair nbData dictionary: 32 is ~1.4x faster than 16, 64 no better).
+const LOOKAHEAD: usize = 32;
+
+/// The next dense id of a store column holding `len` entries.
+fn next_id(len: usize) -> u32 {
+    // `u32::MAX` itself stays free: `IdIndex` stores `id + 1`.
+    u32::try_from(len)
+        .ok()
+        .filter(|&id| id < u32::MAX)
+        .expect("a dictionary holds fewer than 2^32 - 1 entries")
+}
+
+/// An interning table without a lock: the state behind a [`Dictionary`],
+/// and on its own the private table of one ingest worker.
+#[derive(Default)]
+pub(crate) struct Table {
+    store: Store,
+    attrs: IdIndex,
+    avps: IdIndex,
+}
+
+impl Table {
+    fn find_attr(&self, name: &str) -> Option<AttrId> {
+        self.attrs
+            .find(hash_str(name), |id| {
+                self.store.attr_name(AttrId(id)) == name
+            })
+            .map(AttrId)
+    }
+
+    fn find_avp(&self, attr: AttrId, value: ScalarRef<'_>) -> Option<AvpId> {
+        self.avps
+            .find(hash_avp(attr, value), |id| {
+                self.store.avps[id as usize].attr == attr && self.store.value(AvpId(id)) == value
+            })
+            .map(AvpId)
+    }
+
+    /// [`find_avp`](Self::find_avp) for up to [`LOOKAHEAD`] keys at once.
+    ///
+    /// One lookup in a table that has outgrown the cache is a chain of
+    /// dependent misses: index slot, then the stored pair, then its text.
+    /// Done key after key the chains run back to back. Here each step is
+    /// taken for all keys before the next step of any, so the misses of a
+    /// step are independent loads the processor overlaps. Keys whose home
+    /// slot is taken by another key fall back to the ordinary probe.
+    fn find_avps(&self, keys: &[(AttrId, ScalarRef<'_>)], found: &mut [Option<AvpId>]) {
+        assert!(keys.len() <= LOOKAHEAD && keys.len() == found.len());
+        let mut slots = [0u64; LOOKAHEAD];
+        let mut same_tag = [false; LOOKAHEAD];
+        for (i, &(attr, value)) in keys.iter().enumerate() {
+            let hash = hash_avp(attr, value);
+            slots[i] = self.avps.home_slot(hash);
+            same_tag[i] = slots[i] >> 32 == hash >> 32;
+        }
+        let mut stored = [None; LOOKAHEAD];
+        for i in 0..keys.len() {
+            if slots[i] != 0 && same_tag[i] {
+                stored[i] = Some(self.store.avps[(slots[i] as u32 - 1) as usize]);
+            }
+        }
+        for (i, &(attr, value)) in keys.iter().enumerate() {
+            found[i] = match stored[i] {
+                _ if slots[i] == 0 => None, // nothing hashes here: absent
+                Some(pair) if pair.attr == attr && self.store.scalar(pair.value) == value => {
+                    Some(AvpId(slots[i] as u32 - 1))
+                }
+                _ => self.find_avp(attr, value),
+            };
+        }
+    }
+
+    fn find_pair(&self, attr_name: &str, value: ScalarRef<'_>) -> Option<Pair> {
+        let attr = self.find_attr(attr_name)?;
+        let avp = self.find_avp(attr, value)?;
+        Some(Pair { attr, avp })
+    }
+
+    /// Find or add an attribute.
+    fn attr(&mut self, name: &str) -> AttrId {
+        if let Some(id) = self.find_attr(name) {
+            return id;
+        }
+        let id = next_id(self.store.attr_names.len());
+        self.attrs.insert(hash_str(name), id);
+        let name = self.store.push_str(name);
+        self.store.attr_names.push(name);
+        self.store.attr_distinct.push(0);
+        AttrId(id)
+    }
+
+    /// Find or add a pair. Panics when `attr` is not of this table.
+    fn avp(&mut self, attr: AttrId, value: ScalarRef<'_>) -> AvpId {
+        match self.find_avp(attr, value) {
+            Some(id) => id,
+            None => self.add_avp(attr, value),
+        }
+    }
+
+    /// Add a pair known to be absent.
+    fn add_avp(&mut self, attr: AttrId, value: ScalarRef<'_>) -> AvpId {
+        let id = next_id(self.store.avps.len());
+        self.store.attr_distinct[attr.index()] += 1;
+        self.avps.insert(hash_avp(attr, value), id);
+        let value = match value {
+            ScalarRef::Null => StoredScalar::Null,
+            ScalarRef::Bool(b) => StoredScalar::Bool(b),
+            ScalarRef::Int(i) => StoredScalar::Int(i),
+            ScalarRef::Float(f) => StoredScalar::Float(f),
+            ScalarRef::Str(s) => StoredScalar::Str(self.store.push_str(s)),
+        };
+        self.store.avps.push(StoredPair { attr, value });
+        AvpId(id)
+    }
+
+    /// Find or add `(attribute name, value)`.
+    pub(crate) fn pair(&mut self, attr_name: &str, value: ScalarRef<'_>) -> Pair {
+        let attr = self.attr(attr_name);
+        let avp = self.avp(attr, value);
+        Pair { attr, avp }
+    }
+
+    /// Move everything interned so far out, in id order, leaving the table
+    /// empty (its indexes keep their allocations for the next block).
+    pub(crate) fn take_store(&mut self) -> Store {
+        self.attrs.clear();
+        self.avps.clear();
+        std::mem::take(&mut self.store)
+    }
+}
+
+/// Where the ids of an absorbed [`Store`] ended up: indexed by the absorbed
+/// store's ids, holding the dictionary's.
+pub(crate) struct Translation {
+    attrs: Vec<AttrId>,
+    avps: Vec<AvpId>,
+}
+
+impl Translation {
+    /// The dictionary's pair for a pair of the absorbed store.
+    #[inline]
+    pub(crate) fn pair(&self, local: Pair) -> Pair {
+        Pair {
+            attr: self.attrs[local.attr.index()],
+            avp: self.avps[local.avp.index()],
+        }
+    }
 }
 
 /// The shared attribute / attribute-value-pair dictionary.
@@ -151,7 +411,7 @@ fn shard_of<K: Hash + ?Sized>(key: &K) -> usize {
 /// Cloning is cheap (an `Arc` clone); all clones observe the same ids.
 #[derive(Clone, Default)]
 pub struct Dictionary {
-    inner: Arc<Shared>,
+    inner: Arc<RwLock<Table>>,
 }
 
 impl Dictionary {
@@ -162,140 +422,146 @@ impl Dictionary {
 
     /// Intern an attribute name, returning its stable id.
     pub fn intern_attr(&self, name: &str) -> AttrId {
-        let shard = &self.inner.attr_shards[shard_of(name)];
-        // Hit path: exactly one shard read lock.
-        if let Some(&id) = shard.read().get(name) {
+        if let Some(id) = self.inner.read().find_attr(name) {
             return id;
         }
-        let mut map = shard.write();
-        // Re-check: the key may have been interned between the two locks.
-        if let Some(&id) = map.get(name) {
-            return id;
-        }
-        let id = {
-            let mut store = self.inner.store.write();
-            let id = AttrId(store.attr_names.len() as u32);
-            store.attr_names.push(name.to_owned());
-            store.attr_distinct.push(0);
-            id
-        };
-        map.insert(name.to_owned(), id);
-        id
+        self.inner.write().attr(name)
     }
 
     /// Intern an attribute-value pair, returning a [`Pair`].
     pub fn intern_avp(&self, attr: AttrId, value: Scalar) -> Pair {
-        let generation = self.inner.generation;
-        let key = (attr, value);
-        // Lock-free hit on this thread's hot cache.
-        let cached = HOT_PAIRS.with(|c| {
-            let c = c.borrow();
-            (c.0 == generation)
-                .then(|| c.1.get(&key).copied())
-                .flatten()
-        });
-        if let Some(avp) = cached {
-            return Pair { attr, avp };
-        }
-        let shard = &self.inner.avp_shards[shard_of(&key)];
-        // NB: bind the read result first — a `match shard.read().get(..)`
-        // scrutinee would keep the read guard alive into the write arm.
-        let hit = shard.read().get(&key).copied();
+        // NB: bind the read result first — an `if let` on the guarded
+        // expression would keep the read guard alive into the write.
+        let hit = self.inner.read().find_avp(attr, value.as_ref());
         let avp = match hit {
-            // Hit path: one shard read lock.
             Some(avp) => avp,
-            None => {
-                let mut map = shard.write();
-                match map.get(&key).copied() {
-                    Some(avp) => avp,
-                    None => {
-                        let avp = {
-                            let mut store = self.inner.store.write();
-                            let avp = AvpId(store.avp_attr.len() as u32);
-                            store.avp_attr.push(attr);
-                            store.avp_scalar.push(key.1.clone());
-                            store.attr_distinct[attr.index()] += 1;
-                            avp
-                        };
-                        map.insert(key.clone(), avp);
-                        avp
-                    }
-                }
-            }
+            None => self.inner.write().avp(attr, value.as_ref()),
         };
-        HOT_PAIRS.with(|c| {
-            let mut c = c.borrow_mut();
-            if c.0 != generation {
-                // The thread switched dictionaries: restart the cache.
-                c.0 = generation;
-                c.1.clear();
-            } else if c.1.len() >= HOT_CACHE_CAP {
-                c.1.clear();
-            }
-            c.1.insert(key, avp);
-        });
         Pair { attr, avp }
     }
 
     /// Intern an `(attribute name, value)` pair in one step.
     pub fn intern(&self, attr_name: &str, value: Scalar) -> Pair {
-        let attr = self.intern_attr(attr_name);
-        self.intern_avp(attr, value)
+        let hit = self.inner.read().find_pair(attr_name, value.as_ref());
+        match hit {
+            Some(pair) => pair,
+            None => self.inner.write().pair(attr_name, value.as_ref()),
+        }
+    }
+
+    /// Intern the leaves of one document, in order, appending a [`Pair`]
+    /// per leaf to `out`: one shared acquisition for the leaves already
+    /// known and, only if some are new, one exclusive acquisition for those.
+    pub(crate) fn intern_leaves<'a>(
+        &self,
+        leaves: impl Iterator<Item = (&'a str, ScalarRef<'a>)> + Clone,
+        out: &mut Vec<Pair>,
+    ) {
+        // No pair has these ids: see `next_id`.
+        const UNKNOWN: Pair = Pair {
+            attr: AttrId(u32::MAX),
+            avp: AvpId(u32::MAX),
+        };
+        let first = out.len();
+        {
+            let table = self.inner.read();
+            let mut rest = leaves.clone();
+            loop {
+                // An unknown attribute stays `u32::MAX`, which no pair has.
+                let mut keys = [(UNKNOWN.attr, ScalarRef::Null); LOOKAHEAD];
+                let mut n = 0;
+                for (path, value) in rest.by_ref().take(LOOKAHEAD) {
+                    keys[n] = (table.find_attr(path).unwrap_or(UNKNOWN.attr), value);
+                    n += 1;
+                }
+                if n == 0 {
+                    break;
+                }
+                let mut found = [None; LOOKAHEAD];
+                table.find_avps(&keys[..n], &mut found[..n]);
+                out.extend(
+                    keys.iter()
+                        .zip(found)
+                        .take(n)
+                        .map(|(&(attr, _), avp)| avp.map_or(UNKNOWN, |avp| Pair { attr, avp })),
+                );
+            }
+        }
+        if out[first..].contains(&UNKNOWN) {
+            let mut table = self.inner.write();
+            for (pair, (path, value)) in out[first..].iter_mut().zip(leaves) {
+                if *pair == UNKNOWN {
+                    *pair = table.pair(path, value);
+                }
+            }
+        }
+    }
+
+    /// Intern everything in `block`, in its id order, under one exclusive
+    /// acquisition, and return where each of its ids went. (`block`'s keys
+    /// are distinct, so one found absent stays absent until it is added.)
+    pub(crate) fn absorb(&self, block: &Store) -> Translation {
+        let mut table = self.inner.write();
+        let attrs: Vec<AttrId> = block
+            .attr_names
+            .iter()
+            .map(|&name| table.attr(block.str(name)))
+            .collect();
+        let mut avps = Vec::with_capacity(block.avps.len());
+        for run in block.avps.chunks(LOOKAHEAD) {
+            let mut keys = [(AttrId(0), ScalarRef::Null); LOOKAHEAD];
+            for (key, pair) in keys.iter_mut().zip(run) {
+                *key = (attrs[pair.attr.index()], block.scalar(pair.value));
+            }
+            let mut found = [None; LOOKAHEAD];
+            table.find_avps(&keys[..run.len()], &mut found[..run.len()]);
+            for (&(attr, value), found) in keys.iter().zip(found).take(run.len()) {
+                avps.push(found.unwrap_or_else(|| table.add_avp(attr, value)));
+            }
+        }
+        Translation { attrs, avps }
     }
 
     /// Look up a pair without interning; `None` when unseen.
     pub fn lookup(&self, attr_name: &str, value: &Scalar) -> Option<Pair> {
-        let attr = self.inner.attr_shards[shard_of(attr_name)]
-            .read()
-            .get(attr_name)
-            .copied()?;
-        let key = (attr, value.clone());
-        let avp = self.inner.avp_shards[shard_of(&key)]
-            .read()
-            .get(&key)
-            .copied()?;
-        Some(Pair { attr, avp })
+        self.inner.read().find_pair(attr_name, value.as_ref())
     }
 
     /// The attribute name for `id`. Panics on foreign ids.
     pub fn attr_name(&self, id: AttrId) -> String {
-        self.inner.store.read().attr_names[id.index()].clone()
+        self.inner.read().store.attr_name(id).to_owned()
     }
 
     /// The attribute an interned pair belongs to.
     pub fn avp_attr(&self, id: AvpId) -> AttrId {
-        self.inner.store.read().avp_attr[id.index()]
+        self.inner.read().store.avps[id.index()].attr
     }
 
     /// The scalar value of an interned pair.
     pub fn avp_scalar(&self, id: AvpId) -> Scalar {
-        self.inner.store.read().avp_scalar[id.index()].clone()
+        self.inner.read().store.value(id).to_owned()
     }
 
     /// Render an interned pair as `attr:value` (diagnostics, examples).
     pub fn render_avp(&self, id: AvpId) -> String {
-        let store = self.inner.store.read();
-        let attr = store.avp_attr[id.index()];
-        format!(
-            "{}:{}",
-            store.attr_names[attr.index()],
-            store.avp_scalar[id.index()]
-        )
+        let store = &self.inner.read().store;
+        let attr = store.avps[id.index()].attr;
+        format!("{}:{}", store.attr_name(attr), store.value(id).to_owned())
     }
 
     /// Number of distinct values interned for `attr` so far.
     pub fn attr_distinct_values(&self, attr: AttrId) -> usize {
-        self.inner.store.read().attr_distinct[attr.index()] as usize
+        self.inner.read().store.attr_distinct[attr.index()] as usize
     }
 
     /// Total number of interned attributes.
     pub fn attr_count(&self) -> usize {
-        self.inner.store.read().attr_names.len()
+        self.inner.read().store.attr_names.len()
     }
 
     /// Total number of interned attribute-value pairs.
     pub fn avp_count(&self) -> usize {
-        self.inner.store.read().avp_attr.len()
+        self.inner.read().store.avps.len()
     }
 
     /// Export the whole dictionary as a JSON value:
@@ -303,21 +569,21 @@ impl Dictionary {
     /// Importing the export yields identical ids, so snapshots of id-based
     /// structures (partition tables, FP-trees) stay valid.
     pub fn export(&self) -> crate::Value {
-        let store = self.inner.store.read();
+        let store = &self.inner.read().store;
         let attrs = crate::Value::Array(
             store
                 .attr_names
                 .iter()
-                .map(|n| crate::Value::Str(n.clone()))
+                .map(|&name| crate::Value::Str(store.str(name).to_owned()))
                 .collect(),
         );
         let avps = crate::Value::Array(
-            store
-                .avp_attr
-                .iter()
-                .zip(&store.avp_scalar)
-                .map(|(attr, scalar)| {
-                    crate::Value::Array(vec![crate::Value::Int(attr.0 as i64), scalar.to_value()])
+            (0..store.avps.len())
+                .map(|id| {
+                    let id = AvpId(id as u32);
+                    let attr = store.avps[id.index()].attr;
+                    let value = store.value(id).to_owned().to_value();
+                    crate::Value::Array(vec![crate::Value::Int(attr.0 as i64), value])
                 })
                 .collect(),
         );
@@ -370,10 +636,10 @@ impl Dictionary {
 
 impl fmt::Debug for Dictionary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let store = self.inner.store.read();
+        let store = &self.inner.read().store;
         f.debug_struct("Dictionary")
             .field("attrs", &store.attr_names.len())
-            .field("avps", &store.avp_attr.len())
+            .field("avps", &store.avps.len())
             .finish()
     }
 }
@@ -457,10 +723,10 @@ mod tests {
         assert_eq!(d.avp_count(), 50);
     }
 
-    /// Many attributes and values spread over every stripe, interned from
-    /// several racing threads: ids must come out dense and consistent.
+    /// Many attributes and values interned from several racing threads: ids
+    /// must come out dense and consistent.
     #[test]
-    fn concurrent_sharded_interning_is_dense_and_consistent() {
+    fn concurrent_interning_is_dense_and_consistent() {
         let d = Dictionary::new();
         let handles: Vec<_> = (0..8)
             .map(|t| {
@@ -495,14 +761,13 @@ mod tests {
         }
     }
 
-    /// The thread-local hot cache must not leak mappings across distinct
-    /// dictionaries used by the same thread.
+    /// Distinct dictionaries used by the same thread share nothing.
     #[test]
-    fn hot_cache_is_per_dictionary_generation() {
+    fn dictionaries_are_independent() {
         let d1 = Dictionary::new();
         let d2 = Dictionary::new();
         // Same (attr, value) key in both dictionaries, interleaved on one
-        // thread; a stale cache would return d1's id for d2.
+        // thread.
         let a1 = d1.intern("k", Scalar::Int(1));
         let b1 = d2.intern("other", Scalar::Str("pad".into()));
         let b2 = d2.intern("k", Scalar::Int(1));
@@ -513,6 +778,96 @@ mod tests {
         assert_eq!(d2.avp_scalar(b2.avp), Scalar::Int(1));
         assert_eq!(d1.avp_count(), 1);
         assert_eq!(d2.avp_count(), 2);
+    }
+}
+
+#[cfg(test)]
+mod bulk_tests {
+    use super::*;
+
+    /// Absorbing private tables in order numbers everything as interning
+    /// the same keys one by one in that order would.
+    #[test]
+    fn absorbing_blocks_in_order_equals_interning_in_order() {
+        let keys = |block: usize| {
+            (0..300usize).map(move |i| {
+                let attr = format!("attr{}", (i * 7 + block) % 23);
+                let value = match i % 4 {
+                    0 => Scalar::Int((i % 50) as i64),
+                    1 => Scalar::Str(format!("v{}", (i + block * 11) % 90)),
+                    2 => Scalar::Float((i % 9) as f64 / 2.0),
+                    _ => Scalar::Bool(i % 8 == 3),
+                };
+                (attr, value)
+            })
+        };
+        let one_by_one = Dictionary::new();
+        let absorbed = Dictionary::new();
+        let mut private = Table::default();
+        for block in 0..5 {
+            let expected: Vec<Pair> = keys(block)
+                .map(|(attr, value)| one_by_one.intern(&attr, value))
+                .collect();
+            let local: Vec<Pair> = keys(block)
+                .map(|(attr, value)| private.pair(&attr, value.as_ref()))
+                .collect();
+            let translation = absorbed.absorb(&private.take_store());
+            let translated: Vec<Pair> = local.iter().map(|&p| translation.pair(p)).collect();
+            assert_eq!(translated, expected, "block {block}");
+        }
+        assert_eq!(absorbed.export(), one_by_one.export());
+        for a in 0..23 {
+            assert_eq!(
+                absorbed.attr_distinct_values(AttrId(a)),
+                one_by_one.attr_distinct_values(AttrId(a))
+            );
+        }
+    }
+
+    /// A document wider than one lookup batch, with a repeated leaf, first
+    /// all new, then half known, then all known: as one-by-one interning.
+    #[test]
+    fn leaves_intern_like_one_by_one_across_batches() {
+        let leaves = |from: usize| {
+            let mut leaves: Vec<(String, Scalar)> = (from..from + 2 * LOOKAHEAD + 5)
+                .map(|i| (format!("attr{}", i % 50), Scalar::Str(format!("v{i}"))))
+                .collect();
+            leaves.push(leaves[3].clone());
+            leaves
+        };
+        let (batched, one_by_one) = (Dictionary::new(), Dictionary::new());
+        for from in [0, LOOKAHEAD + 2, LOOKAHEAD + 2] {
+            let leaves = leaves(from);
+            let mut pairs = Vec::new();
+            batched.intern_leaves(
+                leaves.iter().map(|(attr, v)| (attr.as_str(), v.as_ref())),
+                &mut pairs,
+            );
+            let expected: Vec<Pair> = leaves
+                .iter()
+                .map(|(attr, v)| one_by_one.intern(attr, v.clone()))
+                .collect();
+            assert_eq!(pairs, expected);
+        }
+        assert_eq!(batched.export(), one_by_one.export());
+    }
+
+    /// The index finds every key again across many doublings, and keys
+    /// whose hashes agree in the stored 32 bits are told apart by the store.
+    #[test]
+    fn index_survives_growth_and_tag_collisions() {
+        let mut index = IdIndex::default();
+        let hash = |id: u32| u64::from(id % 64) << 32 | u64::from(id); // 64 distinct tags only
+        for id in 0..5000 {
+            assert_eq!(index.find(hash(id), |found| found == id), None);
+            index.insert(hash(id), id);
+        }
+        for id in 0..5000 {
+            assert_eq!(index.find(hash(id), |found| found == id), Some(id));
+        }
+        assert!(index.slots.len() >= 2 * 5000);
+        index.clear();
+        assert_eq!(index.find(hash(7), |found| found == 7), None);
     }
 }
 

@@ -3,13 +3,20 @@
 //! Real document streams arrive as newline-delimited JSON (the format
 //! Twitter's APIs and most log shippers emit, cf. §I). [`JsonLinesReader`]
 //! turns any `BufRead` into an iterator of parsed [`Value`]s without loading
-//! the whole input; [`DocumentReader`] goes one step further and interns
-//! straight into [`Document`]s. [`write_jsonl`] is the inverse.
+//! the whole input; [`DocumentReader`] goes from the bytes straight to
+//! interned [`Document`]s, a block at a time or on all cores at once.
+//! [`write_jsonl`] is the inverse.
 
 use crate::document::{DocError, DocId, Document};
+use crate::flatten::Flattener;
+use crate::intern::{Pair, Store, Table, Translation};
 use crate::parser::{parse, ParseError};
 use crate::{Dictionary, Value};
-use std::io::{self, BufRead, Write};
+use parking_lot::Mutex;
+use std::collections::BTreeMap;
+use std::io::{self, BufRead, Read, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
 
 /// An error while reading a JSON Lines stream.
 #[derive(Debug)]
@@ -101,49 +108,493 @@ impl<R: BufRead> Iterator for JsonLinesReader<R> {
     }
 }
 
-/// Iterator of interned [`Document`]s from newline-delimited JSON. Ids are
-/// assigned sequentially starting at `first_id`.
-pub struct DocumentReader<R> {
-    inner: JsonLinesReader<R>,
-    dict: Dictionary,
-    next_id: u64,
-    /// Skip lines that are valid JSON but not usable documents (arrays,
-    /// scalars, empty objects) instead of erroring. Defaults to `false`.
-    pub lenient: bool,
+/// Bytes of input per block: the unit of parallel work and of read-ahead.
+/// Large enough that a block's private table absorbs most repeats of a
+/// value before they reach the shared dictionary, small enough that a
+/// few-megabyte file still splits into work for every core.
+const BLOCK_BYTES: usize = 256 * 1024;
+
+/// Blocks read ahead of the oldest unfinished one, per worker. Bounds
+/// memory: the loader never holds more input than this, whatever the file.
+const BLOCKS_IN_FLIGHT_PER_WORKER: usize = 3;
+
+/// Cuts a byte stream into blocks of whole lines.
+struct BlockReader<R> {
+    reader: R,
+    /// The start of a line whose end was not in the previous block.
+    carry: Vec<u8>,
+    block_bytes: usize,
+    at_end: bool,
+    /// A failed read, due after the whole lines read before it.
+    failure: Option<io::Error>,
 }
 
-impl<R: BufRead> DocumentReader<R> {
-    /// Wrap a buffered reader, interning through `dict`.
-    pub fn new(reader: R, dict: Dictionary, first_id: u64) -> Self {
-        DocumentReader {
-            inner: JsonLinesReader::new(reader),
-            dict,
-            next_id: first_id,
-            lenient: false,
+impl<R: Read> BlockReader<R> {
+    fn new(reader: R, block_bytes: usize) -> Self {
+        BlockReader {
+            reader,
+            carry: Vec::new(),
+            block_bytes,
+            at_end: false,
+            failure: None,
+        }
+    }
+
+    /// The next block: about `block_bytes` long (longer only when a single
+    /// line is), never empty, ending with a newline unless the input ends
+    /// without one. `None` at the end of the input.
+    fn next_block(&mut self) -> io::Result<Option<Vec<u8>>> {
+        if self.at_end {
+            return self.failure.take().map_or(Ok(None), Err);
+        }
+        let mut block = std::mem::take(&mut self.carry);
+        // No newline in `block[..searched]`.
+        let mut searched = 0;
+        loop {
+            let want = match self.block_bytes.saturating_sub(block.len()) {
+                0 => self.block_bytes, // a line longer than a block: keep going
+                short => short,
+            };
+            block.reserve(want);
+            let read = (&mut self.reader).take(want as u64).read_to_end(&mut block);
+            let got = match read {
+                Ok(got) => got,
+                // As with `read_line`: the lines that arrived whole still
+                // count, the torn one is lost, then the error is reported.
+                Err(e) => {
+                    self.at_end = true;
+                    let whole = block.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+                    block.truncate(whole);
+                    if block.is_empty() {
+                        return Err(e);
+                    }
+                    self.failure = Some(e);
+                    return Ok(Some(block));
+                }
+            };
+            if got < want {
+                self.at_end = true;
+                return Ok((!block.is_empty()).then_some(block));
+            }
+            if let Some(newline) = block[searched..].iter().rposition(|&b| b == b'\n') {
+                self.carry = block.split_off(searched + newline + 1);
+                return Ok(Some(block));
+            }
+            searched = block.len();
         }
     }
 }
 
-impl<R: BufRead> Iterator for DocumentReader<R> {
+/// One block after the first stage: its documents over a table private to
+/// the block, which numbers attributes and pairs in order of first
+/// appearance.
+struct Tokenised {
+    keys: Store,
+    /// The documents' pairs (private ids), in leaf order, one document
+    /// after the other.
+    pairs: Vec<Pair>,
+    /// Where each document ends in `pairs`.
+    ends: Vec<usize>,
+    /// Lines consumed: all of the block's, or up to the failing one.
+    lines: u64,
+    failure: Option<Failure>,
+}
+
+/// Why a block stopped early; `line` is 1-based within the block.
+enum Failure {
+    Parse { line: u64, error: ParseError },
+    NotADocument { line: u64 },
+    InvalidUtf8,
+}
+
+/// The first stage, run by a worker on one block at a time: tokenise each
+/// line straight into leaves and intern those in a private table.
+#[derive(Default)]
+struct Tokeniser {
+    flat: Flattener,
+    table: Table,
+}
+
+impl Tokeniser {
+    fn tokenise(&mut self, block: &[u8], lenient: bool) -> Tokenised {
+        // Lines are judged in order, so text before an invalid byte is
+        // still read; the line holding the byte is the one that fails, as
+        // it does for `BufRead::read_line`.
+        let (text, invalid) = match std::str::from_utf8(block) {
+            Ok(text) => (text, false),
+            Err(e) => {
+                let valid = std::str::from_utf8(&block[..e.valid_up_to()]);
+                (valid.expect("checked up to here"), true)
+            }
+        };
+        let mut out = Tokenised {
+            keys: Store::default(),
+            pairs: Vec::new(),
+            ends: Vec::new(),
+            lines: 0,
+            failure: None,
+        };
+        let mut rest = text;
+        while !rest.is_empty() {
+            let line = match rest.find('\n') {
+                Some(newline) => {
+                    let line = &rest[..newline];
+                    rest = &rest[newline + 1..];
+                    line
+                }
+                // What precedes an invalid byte on its line is not a line.
+                None if invalid => break,
+                None => std::mem::take(&mut rest),
+            };
+            out.lines += 1;
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            match self.flat.text(line) {
+                Ok(true) => {
+                    for (path, value) in self.flat.leaves(line) {
+                        out.pairs.push(self.table.pair(path, value));
+                    }
+                    out.ends.push(out.pairs.len());
+                }
+                Ok(false) if lenient => {}
+                Ok(false) => {
+                    out.failure = Some(Failure::NotADocument { line: out.lines });
+                    break;
+                }
+                Err(error) => {
+                    out.failure = Some(Failure::Parse {
+                        line: out.lines,
+                        error,
+                    });
+                    break;
+                }
+            }
+        }
+        if invalid && out.failure.is_none() {
+            out.lines += 1;
+            out.failure = Some(Failure::InvalidUtf8);
+        }
+        out.keys = self.table.take_store();
+        out
+    }
+}
+
+/// One block after the second stage: its documents still in private ids,
+/// with the translation to the dictionary's and its first document's id.
+struct Unfinished {
+    pairs: Vec<Pair>,
+    ends: Vec<usize>,
+    translation: Translation,
+    first_id: u64,
+}
+
+/// The second stage, run on the blocks in input order by one thread: fold
+/// a block's keys into the dictionary and number its documents and lines.
+struct Merger {
+    dict: Dictionary,
+    next_id: u64,
+    lines: u64,
+}
+
+impl Merger {
+    /// Returns the block ready for the last stage, and the block's failure
+    /// if it had one (its documents before the failing line are still good).
+    fn merge(&mut self, block: Tokenised) -> (Unfinished, Option<JsonLinesError>) {
+        let failure = block.failure.map(|failure| match failure {
+            Failure::Parse { line, error } => JsonLinesError::Parse {
+                line: self.lines + line,
+                error,
+            },
+            Failure::NotADocument { line } => JsonLinesError::NotADocument {
+                line: self.lines + line,
+            },
+            Failure::InvalidUtf8 => JsonLinesError::Io(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )),
+        });
+        self.lines += block.lines;
+        let first_id = self.next_id;
+        self.next_id += block.ends.len() as u64;
+        let unfinished = Unfinished {
+            translation: self.dict.absorb(&block.keys),
+            pairs: block.pairs,
+            ends: block.ends,
+            first_id,
+        };
+        (unfinished, failure)
+    }
+}
+
+/// The last stage, run by a worker: rewrite a block's documents to the
+/// dictionary's ids, which also puts their pairs in the final order.
+fn finish(block: Unfinished) -> Vec<Document> {
+    let mut start = 0;
+    (block.first_id..)
+        .zip(&block.ends)
+        .map(|(id, &end)| {
+            let pairs = block.pairs[start..end]
+                .iter()
+                .map(|&pair| block.translation.pair(pair))
+                .collect();
+            start = end;
+            Document::from_pairs(DocId(id), pairs)
+        })
+        .collect()
+}
+
+/// Interned [`Document`]s from newline-delimited JSON. Ids are assigned
+/// sequentially starting at `first_id`; blank lines are skipped.
+///
+/// The input is cut into blocks of whole lines and every block goes through
+/// three stages: *tokenise* (each line straight to leaves, interned in a
+/// table private to the block), *merge* (the block's new keys folded into
+/// the shared dictionary, blocks strictly in input order) and *finish* (the
+/// documents rewritten to dictionary ids). As an [`Iterator`] the reader does
+/// this one block at a time on the calling thread and never holds more than
+/// a block of input. [`read_all`](Self::read_all) runs the first and last
+/// stage of several blocks at once on worker threads. Because a private
+/// table numbers keys in order of first appearance and blocks merge in
+/// input order, both number attributes, pairs and documents exactly as
+/// reading the input line by line would, whatever the block size and the
+/// number of threads; and both report the failure of the lowest failing
+/// line (DESIGN.md §4j).
+pub struct DocumentReader<R> {
+    blocks: BlockReader<R>,
+    tokeniser: Tokeniser,
+    merger: Merger,
+    /// Documents of the last block read, not yet yielded.
+    ready: std::vec::IntoIter<Document>,
+    /// The last block's failure, due once `ready` is drained.
+    failure: Option<JsonLinesError>,
+    finished: bool,
+    /// Skip lines that are valid JSON but not usable documents (arrays,
+    /// scalars, empty objects) instead of erroring. Defaults to `false`.
+    pub lenient: bool,
+    /// Make the worker that tokenises this block panic.
+    #[cfg(test)]
+    panic_in_block: Option<u64>,
+}
+
+impl<R: Read> DocumentReader<R> {
+    /// Wrap a reader, interning through `dict`. The reader needs no
+    /// buffering of its own: it is read a block at a time.
+    pub fn new(reader: R, dict: Dictionary, first_id: u64) -> Self {
+        DocumentReader {
+            blocks: BlockReader::new(reader, BLOCK_BYTES),
+            tokeniser: Tokeniser::default(),
+            merger: Merger {
+                dict,
+                next_id: first_id,
+                lines: 0,
+            },
+            ready: Vec::new().into_iter(),
+            failure: None,
+            finished: false,
+            lenient: false,
+            #[cfg(test)]
+            panic_in_block: None,
+        }
+    }
+
+    /// Read the rest of the input with one worker thread per available
+    /// core. Same documents, ids and error as collecting the iterator.
+    pub fn read_all(self) -> Result<Vec<Document>, JsonLinesError> {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.read_all_with(workers, BLOCK_BYTES)
+    }
+
+    /// [`read_all`](Self::read_all) with a given number of worker threads
+    /// (none are started for `0` or `1`) and block size. The result does
+    /// not depend on either; tests and benchmarks vary them to show it.
+    pub fn read_all_with(
+        mut self,
+        workers: usize,
+        block_bytes: usize,
+    ) -> Result<Vec<Document>, JsonLinesError> {
+        self.blocks.block_bytes = block_bytes.max(1);
+        if workers <= 1 {
+            return self.collect();
+        }
+        let mut docs: Vec<Document> = self.ready.by_ref().collect();
+        if let Some(failure) = self.failure.take() {
+            return Err(failure);
+        }
+        if !self.finished {
+            for block in self.read_blocks_on(workers)? {
+                docs.extend(block);
+            }
+        }
+        Ok(docs)
+    }
+
+    /// The threaded pipeline: this thread reads and merges, `workers`
+    /// threads tokenise and finish. Returns the documents block by block.
+    fn read_blocks_on(&mut self, workers: usize) -> Result<Vec<Vec<Document>>, JsonLinesError> {
+        let setup = WorkerSetup {
+            lenient: self.lenient,
+            #[cfg(test)]
+            panic_in_block: self.panic_in_block,
+        };
+        let (job_tx, job_rx) = mpsc::channel();
+        let job_rx = Mutex::new(job_rx);
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                let (job_rx, done_tx) = (&job_rx, done_tx.clone());
+                scope.spawn(move || work(job_rx, done_tx, setup));
+            }
+            drop(done_tx);
+            // `job_tx` goes out of use with this call, which is what lets
+            // the workers (and with them the scope) end, error or not.
+            self.coordinate(job_tx, done_rx, workers * BLOCKS_IN_FLIGHT_PER_WORKER)
+        })
+    }
+
+    fn coordinate(
+        &mut self,
+        jobs: mpsc::Sender<Job>,
+        done: mpsc::Receiver<Done>,
+        max_in_flight: usize,
+    ) -> Result<Vec<Vec<Document>>, JsonLinesError> {
+        let worker_died =
+            || JsonLinesError::Io(io::Error::other("a document-ingest worker thread panicked"));
+        let mut finished: Vec<Vec<Document>> = Vec::new();
+        // Tokenised blocks that arrived ahead of their turn to merge.
+        let mut early: BTreeMap<u64, Tokenised> = BTreeMap::new();
+        let (mut next_read, mut next_merge) = (0u64, 0u64);
+        let mut in_flight = 0;
+        let mut input_done = false;
+        // A failed read counts as a failure of the lines after everything
+        // read before it: it is reported if nothing earlier fails.
+        let mut read_failure = None;
+        loop {
+            while !input_done && in_flight < max_in_flight {
+                match self.blocks.next_block() {
+                    Ok(Some(bytes)) => {
+                        let job = Job::Tokenise(next_read, bytes);
+                        jobs.send(job).map_err(|_| worker_died())?;
+                        next_read += 1;
+                        in_flight += 1;
+                    }
+                    Ok(None) => input_done = true,
+                    Err(e) => {
+                        input_done = true;
+                        read_failure = Some(e);
+                    }
+                }
+            }
+            if in_flight == 0 {
+                break;
+            }
+            match done.recv().map_err(|_| worker_died())? {
+                Done::Panicked => return Err(worker_died()),
+                Done::Tokenised(seq, block) => {
+                    early.insert(seq, block);
+                    while let Some(block) = early.remove(&next_merge) {
+                        let (unfinished, failure) = self.merger.merge(block);
+                        if let Some(failure) = failure {
+                            return Err(failure);
+                        }
+                        let job = Job::Finish(next_merge, unfinished);
+                        jobs.send(job).map_err(|_| worker_died())?;
+                        next_merge += 1;
+                    }
+                }
+                Done::Finished(seq, docs) => {
+                    let seq = seq as usize;
+                    if finished.len() <= seq {
+                        finished.resize_with(seq + 1, Vec::new);
+                    }
+                    finished[seq] = docs;
+                    in_flight -= 1;
+                }
+            }
+        }
+        self.finished = true;
+        match read_failure {
+            Some(e) => Err(e.into()),
+            None => Ok(finished),
+        }
+    }
+}
+
+/// What the coordinating thread asks of a worker; the number is the
+/// block's position in the input.
+enum Job {
+    Tokenise(u64, Vec<u8>),
+    Finish(u64, Unfinished),
+}
+
+/// What a worker reports back.
+enum Done {
+    Tokenised(u64, Tokenised),
+    Finished(u64, Vec<Document>),
+    /// The job panicked; the worker is gone.
+    Panicked,
+}
+
+#[derive(Clone, Copy)]
+struct WorkerSetup {
+    lenient: bool,
+    #[cfg(test)]
+    panic_in_block: Option<u64>,
+}
+
+/// A worker thread: take jobs until the coordinator hangs up. A panic in a
+/// job is reported instead of unwinding the thread, so that the coordinator
+/// fails with an error rather than waiting for a block that never comes.
+fn work(jobs: &Mutex<mpsc::Receiver<Job>>, done: mpsc::Sender<Done>, setup: WorkerSetup) {
+    let mut tokeniser = Tokeniser::default();
+    loop {
+        // Waiting inside the lock is fine: whoever waits holds it, and the
+        // others have nothing better to do than wait for the lock.
+        let Ok(job) = jobs.lock().recv() else {
+            return;
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| match job {
+            Job::Tokenise(seq, bytes) => {
+                #[cfg(test)]
+                assert_ne!(setup.panic_in_block, Some(seq), "injected worker panic");
+                Done::Tokenised(seq, tokeniser.tokenise(&bytes, setup.lenient))
+            }
+            Job::Finish(seq, block) => Done::Finished(seq, finish(block)),
+        }));
+        let panicked = outcome.is_err();
+        if done.send(outcome.unwrap_or(Done::Panicked)).is_err() || panicked {
+            return;
+        }
+    }
+}
+
+impl<R: Read> Iterator for DocumentReader<R> {
     type Item = Result<Document, JsonLinesError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            let value = match self.inner.next()? {
-                Ok(v) => v,
-                Err(e) => return Some(Err(e)),
-            };
-            let id = DocId(self.next_id);
-            match Document::from_value(id, &value, &self.dict) {
-                Some(doc) => {
-                    self.next_id += 1;
-                    return Some(Ok(doc));
+            if let Some(doc) = self.ready.next() {
+                return Some(Ok(doc));
+            }
+            if let Some(failure) = self.failure.take() {
+                self.finished = true;
+                return Some(Err(failure));
+            }
+            if self.finished {
+                return None;
+            }
+            match self.blocks.next_block() {
+                Ok(Some(bytes)) => {
+                    let block = self.tokeniser.tokenise(&bytes, self.lenient);
+                    let (unfinished, failure) = self.merger.merge(block);
+                    self.ready = finish(unfinished).into_iter();
+                    self.failure = failure;
                 }
-                None if self.lenient => continue,
-                None => {
-                    return Some(Err(JsonLinesError::NotADocument {
-                        line: self.inner.line(),
-                    }))
+                Ok(None) => self.finished = true,
+                Err(e) => {
+                    self.finished = true;
+                    return Some(Err(e.into()));
                 }
             }
         }
@@ -262,6 +713,178 @@ mod tests {
         reader.lenient = true;
         let docs: Result<Vec<Document>, _> = reader.collect();
         assert_eq!(docs.unwrap().len(), 2);
+    }
+
+    #[test]
+    fn blocks_are_whole_lines_whatever_the_block_size() {
+        let input =
+            "{\"a\":1}\r\n\n{\"long\":\"0123456789012345678901234567890123456789\"}\n{\"b\":2}";
+        for block_bytes in 1..input.len() + 2 {
+            let mut blocks = BlockReader::new(Cursor::new(input), block_bytes);
+            let mut joined = Vec::new();
+            while let Some(block) = blocks.next_block().unwrap() {
+                assert!(!block.is_empty());
+                joined.extend_from_slice(&block);
+                // Every block but the input's last ends a line.
+                assert!(block.ends_with(b"\n") || joined.len() == input.len());
+            }
+            assert_eq!(joined, input.as_bytes(), "block_bytes {block_bytes}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_worker_is_an_error_not_a_hang() {
+        let input = "{\"a\":1}\n".repeat(64);
+        for block in [0, 5] {
+            let mut reader = DocumentReader::new(Cursor::new(&input), Dictionary::new(), 0);
+            reader.panic_in_block = Some(block);
+            match reader.read_all_with(3, 8) {
+                Err(JsonLinesError::Io(e)) => assert!(e.to_string().contains("panicked"), "{e}"),
+                other => panic!("expected an I/O error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_read_loses_to_an_earlier_bad_line() {
+        /// Yields `good`, then fails.
+        struct Failing<'a>(&'a [u8]);
+        impl Read for Failing<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                if self.0.is_empty() {
+                    return Err(io::Error::other("disk on fire"));
+                }
+                let n = buf.len().min(self.0.len());
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        for workers in [1, 3] {
+            let bad_line =
+                DocumentReader::new(Failing(b"{\"a\":1}\n{oops\n"), Dictionary::new(), 0);
+            assert!(matches!(
+                bad_line.read_all_with(workers, 4),
+                Err(JsonLinesError::Parse { line: 2, .. })
+            ));
+            let good_lines = DocumentReader::new(Failing(b"{\"a\":1}\n"), Dictionary::new(), 0);
+            assert!(matches!(
+                good_lines.read_all_with(workers, 4),
+                Err(JsonLinesError::Io(_))
+            ));
+        }
+    }
+
+    /// Not a test: prints what each stage of loading `$SSJ_PROFILE_INPUT`
+    /// costs on one thread (the numbers of EXPERIMENTS.md §ingest).
+    /// `SSJ_PROFILE_INPUT=f.jsonl cargo test --release -p ssj-json --lib stage_profile -- --ignored --nocapture`
+    #[test]
+    #[ignore]
+    fn stage_profile() {
+        use std::time::Instant;
+        let path = std::env::var("SSJ_PROFILE_INPUT").expect("set SSJ_PROFILE_INPUT");
+        let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
+        let block_bytes: usize =
+            std::env::var("SSJ_PROFILE_BLOCK").map_or(BLOCK_BYTES, |v| v.parse().unwrap());
+
+        let t = Instant::now();
+        let mut blocks = BlockReader::new(std::fs::File::open(&path).unwrap(), block_bytes);
+        let blocks: Vec<Vec<u8>> = std::iter::from_fn(|| blocks.next_block().unwrap()).collect();
+        println!("read      {:8.1} ms  ({} blocks)", ms(t), blocks.len());
+
+        let t = Instant::now();
+        let mut flat = Flattener::default();
+        let mut leaves = 0;
+        for block in &blocks {
+            for line in std::str::from_utf8(block).unwrap().lines() {
+                assert!(flat.text(line.trim()).unwrap());
+                leaves += flat.leaves(line.trim()).count();
+            }
+        }
+        println!(
+            "tokenise  {:8.1} ms  ({leaves} leaves, no interning)",
+            ms(t)
+        );
+
+        let t = Instant::now();
+        let mut tokeniser = Tokeniser::default();
+        let tokenised: Vec<Tokenised> = blocks
+            .iter()
+            .map(|block| tokeniser.tokenise(block, false))
+            .collect();
+        let keys: usize = tokenised.iter().map(|b| b.keys.len()).sum();
+        println!("  + intern{:8.1} ms  ({keys} block-local keys)", ms(t));
+
+        let t = Instant::now();
+        let scratch = Dictionary::new();
+        for block in &tokenised {
+            scratch.absorb(&block.keys);
+        }
+        println!(
+            "merge     {:8.1} ms  ({} pairs in the dictionary)",
+            ms(t),
+            scratch.avp_count()
+        );
+        let t = Instant::now();
+        for block in &tokenised {
+            scratch.absorb(&block.keys);
+        }
+        println!("  again   {:8.1} ms  (every key already known)", ms(t));
+        let mut merger = Merger {
+            dict: Dictionary::new(),
+            next_id: 0,
+            lines: 0,
+        };
+        let unfinished: Vec<Unfinished> = tokenised
+            .into_iter()
+            .map(|block| merger.merge(block).0)
+            .collect();
+
+        let t = Instant::now();
+        let docs: usize = unfinished
+            .into_iter()
+            .map(|block| finish(block).len())
+            .sum();
+        println!("finish    {:8.1} ms  ({docs} documents)", ms(t));
+
+        for workers in [1, 2] {
+            let t = Instant::now();
+            let file = std::fs::File::open(&path).unwrap();
+            let docs = DocumentReader::new(file, Dictionary::new(), 0)
+                .read_all_with(workers, block_bytes)
+                .unwrap();
+            println!(
+                "load      {:8.1} ms  ({workers} worker(s), {} documents)",
+                ms(t),
+                docs.len()
+            );
+        }
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        let t = Instant::now();
+        let values: Vec<Value> = text.lines().map(|l| parse(l).unwrap()).collect();
+        println!("parse     {:8.1} ms  (to Value trees)", ms(t));
+        let dict = Dictionary::new();
+        let t = Instant::now();
+        let n = values
+            .iter()
+            .filter_map(|v| Document::from_value(DocId(0), v, &dict))
+            .count();
+        println!(
+            "from_value{:8.1} ms  ({n} documents, {:.0} ns/doc)",
+            ms(t),
+            ms(t) * 1e6 / n as f64
+        );
+        let t = Instant::now();
+        let n = values
+            .iter()
+            .filter_map(|v| Document::from_value(DocId(0), v, &dict))
+            .count();
+        println!(
+            "  again   {:8.1} ms  ({n} documents, {:.0} ns/doc)",
+            ms(t),
+            ms(t) * 1e6 / n as f64
+        );
     }
 
     #[test]

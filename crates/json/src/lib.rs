@@ -2,8 +2,10 @@
 //!
 //! The foundation of the schema-free stream-join system: a from-scratch JSON
 //! parser and serializer, nested-value flattening to attribute-value pairs,
-//! global interning of attributes and pairs to dense ids, and the immutable
-//! [`Document`] type with the paper's O(n+m) natural-join compatibility test.
+//! global interning of attributes and pairs to dense ids, the immutable
+//! [`Document`] type with the paper's O(n+m) natural-join compatibility test,
+//! and [`DocumentReader`], which takes JSON Lines bytes to documents in one
+//! pass on every core.
 //!
 //! ```
 //! use ssj_json::{Dictionary, DocId, Document};
@@ -36,5 +38,5 @@ pub use io::{
     JsonLinesReader,
 };
 pub use parser::{parse, parse_stream, ParseError};
-pub use scalar::Scalar;
+pub use scalar::{Scalar, ScalarRef};
 pub use value::Value;

@@ -4,7 +4,16 @@
 //! last-wins rule. Numbers parse to [`Value::Int`] when they are plain
 //! integers that fit `i64`, otherwise to [`Value::Float`]. Errors carry the
 //! byte offset plus line/column for diagnostics.
+//!
+//! There is one tokenizer and it builds nothing itself: it reports what it
+//! reads to a `Sink`, in document order. [`parse`] plugs in a sink that
+//! builds a [`Value`] tree; document ingest plugs in the flattening sink of
+//! [`mod@crate::flatten`], which goes from text to attribute-value pairs without
+//! a tree in between. Both therefore accept and reject exactly the same
+//! texts, with the same error positions.
 
+use crate::scalar::ScalarRef;
+use crate::value::insert_field;
 use crate::Value;
 use std::fmt;
 
@@ -35,26 +44,23 @@ impl std::error::Error for ParseError {}
 
 /// Parse one complete JSON value from `input`; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser::new(input);
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos < p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
-    Ok(v)
+    let mut tree = TreeSink::default();
+    Parser::new(input, &mut tree).document()?;
+    Ok(tree.take())
 }
 
 /// Parse a stream of whitespace/newline-separated JSON values (e.g. JSON Lines).
 pub fn parse_stream(input: &str) -> Result<Vec<Value>, ParseError> {
-    let mut p = Parser::new(input);
+    let mut tree = TreeSink::default();
+    let mut p = Parser::new(input, &mut tree);
     let mut out = Vec::new();
     loop {
         p.skip_ws();
         if p.pos >= p.bytes.len() {
             break;
         }
-        out.push(p.value()?);
+        p.value()?;
+        out.push(p.sink.take());
     }
     Ok(out)
 }
@@ -63,19 +69,154 @@ pub fn parse_stream(input: &str) -> Result<Vec<Value>, ParseError> {
 /// call stack; unbounded depth would let `[[[[...` overflow it.
 const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
+/// What the tokenizer reports, in document order. Calls nest properly:
+/// every `begin_*` is closed by its `end_*` unless the parse fails, in which
+/// case the sink is left mid-document and must be discarded or reset.
+pub(crate) trait Sink {
+    /// A `{` was read.
+    fn begin_object(&mut self);
+    /// The unescaped key of the member whose value follows.
+    fn key(&mut self, key: &str);
+    /// The `}` matching the innermost open object.
+    fn end_object(&mut self);
+    /// A `[` was read.
+    fn begin_array(&mut self);
+    /// The next element of the innermost open array follows.
+    fn element(&mut self);
+    /// The `]` matching the innermost open array.
+    fn end_array(&mut self);
+    /// A leaf value. For a string without escapes, `at` is the offset at
+    /// which the string's contents sit verbatim in the input, so a sink
+    /// that holds the input can keep an offset instead of a copy.
+    fn scalar(&mut self, value: ScalarRef<'_>, at: Option<usize>);
+}
+
+/// The sink behind [`parse`]: builds the [`Value`] tree.
+#[derive(Default)]
+struct TreeSink {
+    /// The containers still open, outermost first.
+    open: Vec<Open>,
+    root: Option<Value>,
+}
+
+enum Open {
+    Object {
+        fields: Vec<(String, Value)>,
+        /// Set by `key`, consumed by the member's value.
+        key: Option<String>,
+    },
+    Array(Vec<Value>),
+}
+
+impl TreeSink {
+    /// A value is complete: hand it to the container it belongs to.
+    fn attach(&mut self, value: Value) {
+        match self.open.last_mut() {
+            None => self.root = Some(value),
+            Some(Open::Array(items)) => items.push(value),
+            Some(Open::Object { fields, key }) => {
+                let key = key.take().expect("the parser names every member");
+                insert_field(fields, key, value); // last-wins on duplicate keys
+            }
+        }
+    }
+
+    /// The finished root value.
+    fn take(&mut self) -> Value {
+        self.root.take().expect("a value was parsed")
+    }
+}
+
+impl Sink for TreeSink {
+    fn begin_object(&mut self) {
+        self.open.push(Open::Object {
+            fields: Vec::new(),
+            key: None,
+        });
+    }
+
+    fn key(&mut self, name: &str) {
+        if let Some(Open::Object { key, .. }) = self.open.last_mut() {
+            *key = Some(name.to_owned());
+        }
+    }
+
+    fn end_object(&mut self) {
+        if let Some(Open::Object { fields, .. }) = self.open.pop() {
+            self.attach(Value::Object(fields));
+        }
+    }
+
+    fn begin_array(&mut self) {
+        self.open.push(Open::Array(Vec::new()));
+    }
+
+    fn element(&mut self) {}
+
+    fn end_array(&mut self) {
+        if let Some(Open::Array(items)) = self.open.pop() {
+            self.attach(Value::Array(items));
+        }
+    }
+
+    fn scalar(&mut self, value: ScalarRef<'_>, _at: Option<usize>) {
+        self.attach(match value {
+            ScalarRef::Null => Value::Null,
+            ScalarRef::Bool(b) => Value::Bool(b),
+            ScalarRef::Int(i) => Value::Int(i),
+            ScalarRef::Float(f) => Value::Float(f),
+            ScalarRef::Str(s) => Value::Str(s.to_owned()),
+        });
+    }
+}
+
+/// The contents of the string literal `Parser::string` just read, given its
+/// result `at` and the position `end` just past the closing quote. (A free
+/// function over the parser's fields, so the sink stays borrowable.)
+fn string_contents<'x>(
+    text: &'x str,
+    unescaped: &'x str,
+    at: Option<usize>,
+    end: usize,
+) -> &'x str {
+    match at {
+        Some(start) => &text[start..end - 1],
+        None => unescaped,
+    }
+}
+
+/// The tokenizer. Drives `sink` with what it reads from `text`.
+pub(crate) struct Parser<'a, 's, S> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
+    /// Contents of the last string literal that had escapes.
+    unescaped: String,
+    sink: &'s mut S,
 }
 
-impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
+impl<'a, 's, S: Sink> Parser<'a, 's, S> {
+    pub(crate) fn new(input: &'a str, sink: &'s mut S) -> Self {
         Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
             depth: 0,
+            unescaped: String::new(),
+            sink,
         }
+    }
+
+    /// One complete value with optional whitespace around it and nothing else.
+    pub(crate) fn document(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        self.value()?;
+        self.skip_ws();
+        if self.pos < self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(())
     }
 
     fn err(&self, message: impl Into<String>) -> ParseError {
@@ -125,7 +266,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, ParseError> {
+    fn value(&mut self) -> Result<(), ParseError> {
         if self.depth >= MAX_DEPTH {
             return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
         }
@@ -133,51 +274,62 @@ impl<'a> Parser<'a> {
             None => Err(self.err("unexpected end of input")),
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
+            Some(b'"') => {
+                let at = self.string()?;
+                let s = string_contents(self.text, &self.unescaped, at, self.pos);
+                self.sink.scalar(ScalarRef::Str(s), at);
+                Ok(())
+            }
+            Some(b't') => self.literal("true", ScalarRef::Bool(true)),
+            Some(b'f') => self.literal("false", ScalarRef::Bool(false)),
+            Some(b'n') => self.literal("null", ScalarRef::Null),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
         }
     }
 
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
+    fn literal(&mut self, word: &str, value: ScalarRef<'_>) -> Result<(), ParseError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            self.sink.scalar(value, None);
+            Ok(())
         } else {
             Err(self.err(format!("invalid literal, expected '{word}'")))
         }
     }
 
-    fn object(&mut self) -> Result<Value, ParseError> {
+    fn object(&mut self) -> Result<(), ParseError> {
         self.depth += 1;
         let result = self.object_inner();
         self.depth -= 1;
         result
     }
 
-    fn object_inner(&mut self) -> Result<Value, ParseError> {
+    fn object_inner(&mut self) -> Result<(), ParseError> {
         self.expect(b'{')?;
-        let mut obj = Value::object();
+        self.sink.begin_object();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(obj);
+            self.sink.end_object();
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let at = self.string()?;
+            self.sink
+                .key(string_contents(self.text, &self.unescaped, at, self.pos));
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value()?;
-            obj.insert(key, val); // last-wins on duplicate keys
+            self.value()?;
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(obj),
+                Some(b'}') => {
+                    self.sink.end_object();
+                    return Ok(());
+                }
                 _ => {
                     self.pos = self.pos.saturating_sub(1);
                     return Err(self.err("expected ',' or '}' in object"));
@@ -186,28 +338,33 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, ParseError> {
+    fn array(&mut self) -> Result<(), ParseError> {
         self.depth += 1;
         let result = self.array_inner();
         self.depth -= 1;
         result
     }
 
-    fn array_inner(&mut self) -> Result<Value, ParseError> {
+    fn array_inner(&mut self) -> Result<(), ParseError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
+        self.sink.begin_array();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Array(items));
+            self.sink.end_array();
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            self.sink.element();
+            self.value()?;
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b']') => return Ok(Value::Array(items)),
+                Some(b']') => {
+                    self.sink.end_array();
+                    return Ok(());
+                }
                 _ => {
                     self.pos = self.pos.saturating_sub(1);
                     return Err(self.err("expected ',' or ']' in array"));
@@ -216,65 +373,83 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// Advance over bytes that stand for themselves inside a string literal.
+    fn skip_plain(&mut self) {
+        while let Some(b) = self.peek() {
+            if b == b'"' || b == b'\\' || b < 0x20 {
+                break;
+            }
+            self.pos += 1;
+        }
+    }
+
+    /// Read a string literal. Without escapes its contents are a slice of
+    /// the input and `Some(start offset)` is returned; with escapes they are
+    /// decoded into `self.unescaped` and `None` is returned. Either way
+    /// [`string_contents`] yields them.
+    fn string(&mut self) -> Result<Option<usize>, ParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        self.skip_plain();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Some(start));
+        }
+        // `skip_plain` stops at ASCII bytes only, so every slice of `text`
+        // taken below starts and ends on a character boundary.
+        self.unescaped.clear();
+        self.unescaped.push_str(&self.text[start..self.pos]);
         loop {
-            let start = self.pos;
-            // Fast path: copy a run of plain bytes at once.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            if self.pos > start {
-                // Safe: input was a &str, and we only stopped at ASCII bounds.
-                out.push_str(
-                    std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8 inside string"))?,
-                );
-            }
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{08}'),
-                    Some(b'f') => out.push('\u{0C}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let cp = self.hex4()?;
-                        let ch = if (0xD800..0xDC00).contains(&cp) {
-                            // High surrogate: require a following \uXXXX low surrogate.
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return Err(self.err("unpaired surrogate in \\u escape"));
-                            }
-                            let lo = self.hex4()?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(self.err("invalid low surrogate in \\u escape"));
-                            }
-                            let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                            char::from_u32(c).ok_or_else(|| self.err("invalid surrogate pair"))?
-                        } else if (0xDC00..0xE000).contains(&cp) {
-                            return Err(self.err("unpaired low surrogate in \\u escape"));
-                        } else {
-                            char::from_u32(cp).ok_or_else(|| self.err("invalid \\u escape"))?
-                        };
-                        out.push(ch);
-                    }
-                    _ => return Err(self.err("invalid escape sequence")),
-                },
+                Some(b'"') => return Ok(None),
+                Some(b'\\') => {
+                    let ch = self.escape()?;
+                    self.unescaped.push(ch);
+                }
                 Some(b) if b < 0x20 => {
                     return Err(self.err("unescaped control character in string"))
                 }
-                Some(_) => unreachable!("fast path consumed plain bytes"),
+                Some(_) => unreachable!("skip_plain consumed plain bytes"),
             }
+            let run = self.pos;
+            self.skip_plain();
+            self.unescaped.push_str(&self.text[run..self.pos]);
         }
+    }
+
+    /// Decode the escape sequence after a backslash.
+    fn escape(&mut self) -> Result<char, ParseError> {
+        Ok(match self.bump() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{08}',
+            Some(b'f') => '\u{0C}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let cp = self.hex4()?;
+                if (0xD800..0xDC00).contains(&cp) {
+                    // High surrogate: require a following \uXXXX low surrogate.
+                    if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+                        return Err(self.err("unpaired surrogate in \\u escape"));
+                    }
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate in \\u escape"));
+                    }
+                    let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                    char::from_u32(c).ok_or_else(|| self.err("invalid surrogate pair"))?
+                } else if (0xDC00..0xE000).contains(&cp) {
+                    return Err(self.err("unpaired low surrogate in \\u escape"));
+                } else {
+                    char::from_u32(cp).ok_or_else(|| self.err("invalid \\u escape"))?
+                }
+            }
+            _ => return Err(self.err("invalid escape sequence")),
+        })
     }
 
     fn hex4(&mut self) -> Result<u32, ParseError> {
@@ -294,7 +469,7 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Value, ParseError> {
+    fn number(&mut self) -> Result<(), ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -333,16 +508,21 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        if !is_float {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Int(i));
-            }
-            // Integer overflow: fall through to float.
-        }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| self.err("number out of range"))
+        let text = &self.text[start..self.pos];
+        let int = if is_float {
+            None
+        } else {
+            text.parse::<i64>().ok() // too large for i64: degrade to a float
+        };
+        let value = match int {
+            Some(i) => ScalarRef::Int(i),
+            None => ScalarRef::Float(
+                text.parse::<f64>()
+                    .map_err(|_| self.err("number out of range"))?,
+            ),
+        };
+        self.sink.scalar(value, None);
+        Ok(())
     }
 }
 

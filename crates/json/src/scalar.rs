@@ -23,6 +23,77 @@ pub enum Scalar {
     Str(String),
 }
 
+/// A borrowed view of a [`Scalar`]: the same five cases with the string
+/// borrowed. This is what dictionary lookups take, so that probing for a
+/// value read out of a line of JSON text needs no owned `String`.
+#[derive(Debug, Clone, Copy)]
+pub enum ScalarRef<'a> {
+    /// JSON `null`.
+    Null,
+    /// JSON boolean.
+    Bool(bool),
+    /// Integral number.
+    Int(i64),
+    /// Non-integral number; compared like [`Scalar::Float`].
+    Float(f64),
+    /// String.
+    Str(&'a str),
+}
+
+impl ScalarRef<'_> {
+    /// Copy into an owned [`Scalar`] (allocates for strings only).
+    pub fn to_owned(self) -> Scalar {
+        match self {
+            ScalarRef::Null => Scalar::Null,
+            ScalarRef::Bool(b) => Scalar::Bool(b),
+            ScalarRef::Int(i) => Scalar::Int(i),
+            ScalarRef::Float(f) => Scalar::Float(f),
+            ScalarRef::Str(s) => Scalar::Str(s.to_owned()),
+        }
+    }
+}
+
+impl PartialEq for ScalarRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (*self, *other) {
+            (ScalarRef::Null, ScalarRef::Null) => true,
+            (ScalarRef::Bool(a), ScalarRef::Bool(b)) => a == b,
+            (ScalarRef::Int(a), ScalarRef::Int(b)) => a == b,
+            (ScalarRef::Float(a), ScalarRef::Float(b)) => {
+                Scalar::float_bits(a) == Scalar::float_bits(b)
+            }
+            (ScalarRef::Str(a), ScalarRef::Str(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for ScalarRef<'_> {}
+
+impl Hash for ScalarRef<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match *self {
+            ScalarRef::Null => state.write_u8(0),
+            ScalarRef::Bool(b) => {
+                state.write_u8(1);
+                state.write_u8(b as u8);
+            }
+            ScalarRef::Int(i) => {
+                state.write_u8(2);
+                state.write_u64(i as u64);
+            }
+            ScalarRef::Float(f) => {
+                state.write_u8(3);
+                state.write_u64(Scalar::float_bits(f));
+            }
+            ScalarRef::Str(s) => {
+                state.write_u8(4);
+                s.hash(state);
+            }
+        }
+    }
+}
+
 impl Scalar {
     /// Canonical bit pattern used for float equality/hashing.
     fn float_bits(f: f64) -> u64 {
@@ -32,6 +103,17 @@ impl Scalar {
             0 // normalize -0.0 to +0.0
         } else {
             f.to_bits()
+        }
+    }
+
+    /// Borrow as a [`ScalarRef`].
+    pub fn as_ref(&self) -> ScalarRef<'_> {
+        match self {
+            Scalar::Null => ScalarRef::Null,
+            Scalar::Bool(b) => ScalarRef::Bool(*b),
+            Scalar::Int(i) => ScalarRef::Int(*i),
+            Scalar::Float(f) => ScalarRef::Float(*f),
+            Scalar::Str(s) => ScalarRef::Str(s),
         }
     }
 
@@ -72,14 +154,7 @@ impl Scalar {
 
 impl PartialEq for Scalar {
     fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Scalar::Null, Scalar::Null) => true,
-            (Scalar::Bool(a), Scalar::Bool(b)) => a == b,
-            (Scalar::Int(a), Scalar::Int(b)) => a == b,
-            (Scalar::Float(a), Scalar::Float(b)) => Self::float_bits(*a) == Self::float_bits(*b),
-            (Scalar::Str(a), Scalar::Str(b)) => a == b,
-            _ => false,
-        }
+        self.as_ref() == other.as_ref()
     }
 }
 
@@ -87,25 +162,7 @@ impl Eq for Scalar {}
 
 impl Hash for Scalar {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        match self {
-            Scalar::Null => state.write_u8(0),
-            Scalar::Bool(b) => {
-                state.write_u8(1);
-                state.write_u8(*b as u8);
-            }
-            Scalar::Int(i) => {
-                state.write_u8(2);
-                state.write_u64(*i as u64);
-            }
-            Scalar::Float(f) => {
-                state.write_u8(3);
-                state.write_u64(Self::float_bits(*f));
-            }
-            Scalar::Str(s) => {
-                state.write_u8(4);
-                s.hash(state);
-            }
-        }
+        self.as_ref().hash(state)
     }
 }
 

@@ -36,14 +36,7 @@ impl Value {
     /// Insert (or overwrite) a field of an object. Panics on non-objects.
     pub fn insert(&mut self, key: impl Into<String>, value: Value) -> &mut Self {
         match self {
-            Value::Object(fields) => {
-                let key = key.into();
-                if let Some(slot) = fields.iter_mut().find(|(k, _)| *k == key) {
-                    slot.1 = value;
-                } else {
-                    fields.push((key, value));
-                }
-            }
+            Value::Object(fields) => insert_field(fields, key.into(), value),
             other => panic!("Value::insert on non-object {other:?}"),
         }
         self
@@ -149,6 +142,16 @@ impl Value {
                 out.push('}');
             }
         }
+    }
+}
+
+/// Insert into an object's field list, last-wins: a repeated key keeps its
+/// first position and takes the new value.
+pub(crate) fn insert_field(fields: &mut Vec<(String, Value)>, key: String, value: Value) {
+    if let Some(slot) = fields.iter_mut().find(|(k, _)| *k == key) {
+        slot.1 = value;
+    } else {
+        fields.push((key, value));
     }
 }
 

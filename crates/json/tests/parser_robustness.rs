@@ -2,43 +2,11 @@
 //! arbitrary input, and valid values must round-trip through text and
 //! through flattening.
 
-use proptest::collection::vec;
+mod common;
+
+use common::{has_empty_container, value_strategy};
 use proptest::prelude::*;
-use ssj_json::{flatten_value, parse, unflatten, Dictionary, DocId, Document, Value};
-
-/// True when the tree contains an empty object/array anywhere below an
-/// object or array (those cannot survive flatten → unflatten).
-fn has_empty_container(v: &Value) -> bool {
-    match v {
-        Value::Array(items) => items.is_empty() || items.iter().any(has_empty_container),
-        Value::Object(fields) => {
-            fields.is_empty() || fields.iter().any(|(_, v)| has_empty_container(v))
-        }
-        _ => false,
-    }
-}
-
-fn value_strategy() -> impl Strategy<Value = Value> {
-    let leaf = prop_oneof![
-        Just(Value::Null),
-        any::<bool>().prop_map(Value::Bool),
-        any::<i64>().prop_map(Value::Int),
-        (-1e12f64..1e12f64).prop_map(Value::Float),
-        any::<String>().prop_map(Value::Str),
-    ];
-    leaf.prop_recursive(4, 32, 5, |inner| {
-        prop_oneof![
-            vec(inner.clone(), 0..5).prop_map(Value::Array),
-            vec(("[a-zA-Z_][a-zA-Z0-9_]{0,8}", inner), 0..5).prop_map(|fields| {
-                let mut obj = Value::object();
-                for (k, v) in fields {
-                    obj.insert(k, v);
-                }
-                obj
-            }),
-        ]
-    })
-}
+use ssj_json::{flatten_value, parse, unflatten, Dictionary, DocId, Document};
 
 proptest! {
     /// Arbitrary UTF-8 never panics the parser (it may of course error).

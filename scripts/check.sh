@@ -38,6 +38,11 @@ stage "clippy" cargo clippy --workspace --all-targets -- -D warnings
 
 stage "test" cargo test -q
 
+# Fused kernel == parse + from_value, chunk-parallel loader == line-at-a-time
+# reader for every block size and 1-4 workers, lowest bad line wins,
+# arbitrary bytes never panic or hang.
+stage "ingest equivalence" cargo test -q -p ssj-json --test ingest_equivalence
+
 # Fault injection + supervised recovery, legacy + pooled.
 stage "chaos smoke" cargo test -q -p ssj-runtime --test chaos
 stage "partitioner differential" cargo test -q -p ssj-partition --test cross_partitioners
@@ -97,6 +102,11 @@ stage "bench_spill gate" ./target/release/bench_spill --check BENCH_spill.json
 # cells recovers byte-identical, shed counters conserved across replay.
 stage "replication equivalence" cargo test -q -p ssj-core --test replication_equivalence
 stage "replication chaos" cargo test -q -p ssj-core --test replication_chaos
+
+# The end-to-end benchmark on 10 % streams: fails when a pinned input or
+# `--joins-out` hash (benchmark/expected.json), the brute-force oracle or an
+# in-process cross-check breaks.
+stage "benchmark smoke" benchmark/run.sh --smoke
 
 CURRENT_STAGE="(done)"
 echo "==> all checks passed"
