@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ssj_bench::DataSet;
-use ssj_join::{fpjoin, IncrementalSlidingJoiner, SlidingJoiner, WindowSpec};
+use ssj_join::{fpjoin, SlidingJoiner, WindowSpec};
 
 fn bench_sliding(c: &mut Criterion) {
     let (_dict, docs) = DataSet::RwData.generate(4000, 42);
@@ -39,18 +39,6 @@ fn bench_sliding(c: &mut Criterion) {
     group.bench_function("sliding_8x125", |b| {
         b.iter(|| {
             let mut joiner = SlidingJoiner::new(WindowSpec::sliding(125, 8));
-            let mut partners = 0usize;
-            for d in &docs {
-                partners += joiner.insert_and_probe(d.clone()).len();
-            }
-            partners
-        })
-    });
-
-    // True per-document sliding: tombstoned evictions + periodic rebuilds.
-    group.bench_function("incremental_1000", |b| {
-        b.iter(|| {
-            let mut joiner = IncrementalSlidingJoiner::new(1000, 0.5);
             let mut partners = 0usize;
             for d in &docs {
                 partners += joiner.insert_and_probe(d.clone()).len();

@@ -18,7 +18,7 @@
 use crate::config::StreamJoinConfig;
 use crate::msg::{HotSpec, Msg, TableMsg};
 use crate::spill::{BlockCache, Segment, SpillSettings, SpillStore};
-use ssj_join::FpTree;
+use ssj_join::{FpTree, JoinAlgo};
 use ssj_json::{AvpId, Dictionary, DocRef, FxHashSet};
 use ssj_partition::{
     association_groups_parallel, batch_views, fingerprint_view, merge_and_assign, Expansion,
@@ -1031,10 +1031,7 @@ impl Bolt<Msg> for Assigner {
 #[allow(clippy::large_enum_variant)]
 enum FrozenPane {
     /// In-memory arena: documents + FP-tree for cross-chunk probing.
-    Resident {
-        docs: Vec<ssj_json::Document>,
-        tree: FpTree,
-    },
+    Resident { docs: Vec<DocRef>, tree: FpTree },
     /// Tiered out: only the segment header (Bloom summary + block index)
     /// stays resident; probes lazily read blocks back through the cache.
     Spilled { segment: Arc<Segment> },
@@ -1061,7 +1058,7 @@ impl FrozenPane {
     #[allow(clippy::too_many_arguments)]
     fn probe(
         &self,
-        docs: &[ssj_json::Document],
+        docs: &[DocRef],
         scratch: &mut ssj_join::ProbeScratch,
         probe_buf: &mut Vec<ssj_json::DocId>,
         cache: &mut BlockCache,
@@ -1070,8 +1067,9 @@ impl FrozenPane {
     ) {
         match self {
             FrozenPane::Resident { tree, .. } => {
+                // A frozen chunk never holds a later chunk's document.
                 for d in docs {
-                    ssj_join::fp_probe_into(tree, d, true, scratch, probe_buf);
+                    ssj_join::fp_probe_absent(tree, d, true, scratch, probe_buf);
                     pairs.extend(probe_buf.iter().map(|&p| (p, d.id())));
                 }
             }
@@ -1100,13 +1098,13 @@ impl FrozenPane {
     }
 }
 
-/// Snapshot form of one chunk: resident docs travel whole (trees are
-/// rebuilt on restore), spilled chunks travel as segment manifests — the
-/// `Arc` keeps the file alive across the crash, so recovery replays
-/// cheaply without re-serializing window state.
+/// Snapshot form of one chunk: resident docs travel as shared handles
+/// (trees are rebuilt on restore), spilled chunks travel as segment
+/// manifests — the `Arc` keeps the file alive across the crash, so recovery
+/// replays cheaply without re-serializing window state.
 #[derive(Clone)]
 enum ChunkManifest {
-    Resident(Vec<ssj_json::Document>),
+    Resident(Vec<DocRef>),
     Spilled(Arc<Segment>),
 }
 
@@ -1116,6 +1114,30 @@ enum ChunkManifest {
 #[derive(Clone)]
 struct JoinerState {
     frozen: Vec<Vec<ChunkManifest>>,
+}
+
+/// Deep copies of shared documents, for the few consumers that take owned
+/// ones: segment files, the NLJ/HBJ baselines and snapshot restore.
+fn owned(docs: &[DocRef]) -> Vec<ssj_json::Document> {
+    docs.iter().map(|d| (**d).clone()).collect()
+}
+
+/// Join one deduplicated chunk within itself with `algo`, appending its
+/// pairs to `pairs`. FPJ builds the chunk's tree exactly once — the join's
+/// own tree is handed back sealed; the baselines build one only to `freeze`.
+fn join_chunk(
+    batch: &mut ssj_join::BatchJoiner,
+    algo: JoinAlgo,
+    docs: &[DocRef],
+    freeze: bool,
+    pairs: &mut Vec<(ssj_json::DocId, ssj_json::DocId)>,
+) -> Option<FpTree> {
+    if algo == JoinAlgo::FpTree {
+        return Some(batch.join_and_freeze(docs, pairs));
+    }
+    let docs = owned(docs);
+    pairs.append(&mut batch.join_batch(algo, &docs));
+    freeze.then(|| FpTree::build(&docs))
 }
 
 /// Joiner bolt (§V): local window join.
@@ -1157,9 +1179,12 @@ pub struct Joiner {
     spill: Option<SpillStore>,
     /// Chunks of the open pane sealed so far (spill mode only).
     sealed: Vec<FrozenPane>,
-    /// Ids seen in the open pane across chunks (spill-mode dedup; the
-    /// resident path dedups at the boundary instead).
+    /// Ids seen in the open pane: duplicates can arrive when an updated
+    /// table re-routes a pair the broadcast path already delivered; one
+    /// copy per document is kept. Cleared at every pane boundary.
     pane_seen: FxHashSet<u64>,
+    /// Pairs the previous pane emitted — the next pane's reservation.
+    last_pairs: usize,
     /// Deduplicated docs sealed into the open pane so far.
     pane_docs: usize,
     /// Join pairs accumulated by chunk seals of the open pane.
@@ -1188,6 +1213,7 @@ impl Joiner {
             spill: None,
             sealed: Vec::new(),
             pane_seen: FxHashSet::default(),
+            last_pairs: 0,
             pane_docs: 0,
             pending: Vec::new(),
             open_bytes: 0,
@@ -1210,12 +1236,8 @@ impl Joiner {
             return;
         };
         self.open_bytes = 0;
-        let mut docs: Vec<ssj_json::Document> = Vec::new();
-        for d in self.buffer.drain(..) {
-            if self.pane_seen.insert(d.id().0) {
-                docs.push((*d).clone());
-            }
-        }
+        let mut docs = std::mem::take(&mut self.buffer);
+        docs.retain(|d| self.pane_seen.insert(d.id().0));
         if docs.is_empty() {
             return;
         }
@@ -1223,7 +1245,9 @@ impl Joiner {
         let inst = self.inst.as_deref();
         let t0 = inst.filter(|i| i.enabled()).map(|_| Instant::now());
         // Within-chunk pairs with the configured algorithm...
-        let mut pairs = self.batch.join_batch(self.config.join_algo, &docs);
+        let pairs = &mut self.pending;
+        let tree = join_chunk(&mut self.batch, self.config.join_algo, &docs, true, pairs)
+            .expect("join_chunk freezes on request");
         // ...then chunk-spanning pairs: probe every earlier chunk, frozen
         // panes (oldest first) before this pane's earlier seals.
         for chunk in self
@@ -1237,15 +1261,13 @@ impl Joiner {
                 &mut self.probe_scratch,
                 &mut self.probe_buf,
                 &mut store.cache,
-                &mut pairs,
+                pairs,
                 inst,
             );
         }
         if let Some(t0) = t0 {
             self.probe_ns_acc += t0.elapsed().as_nanos() as u64;
         }
-        self.pending.append(&mut pairs);
-        let tree = FpTree::build(&docs);
         self.sealed.push(FrozenPane::Resident { docs, tree });
 
         // Budget enforcement: spill oldest resident chunks (oldest frozen
@@ -1277,7 +1299,7 @@ impl Joiner {
                 unreachable!()
             };
             let segment = store
-                .write_segment(std::mem::take(docs))
+                .write_segment(owned(docs))
                 .expect("spill: failed to write segment");
             spilled_bytes += segment.bytes();
             spilled_runs += 1;
@@ -1453,44 +1475,45 @@ impl Bolt<Msg> for Joiner {
             self.on_punct_spill(window, out);
             return;
         }
-        // Duplicates can arrive when an updated table re-routes a pair the
-        // broadcast path already delivered; keep one copy per document.
-        let mut seen: FxHashSet<u64> = FxHashSet::default();
-        let docs: Vec<ssj_json::Document> = self
-            .buffer
-            .iter()
-            .filter(|d| seen.insert(d.id().0))
-            .map(|d| (**d).clone())
-            .collect();
+        let mut docs = std::mem::take(&mut self.buffer);
+        docs.retain(|d| self.pane_seen.insert(d.id().0));
+        self.pane_seen.clear();
         let t0 = self
             .inst
             .as_deref()
             .filter(|i| i.enabled())
             .map(|_| Instant::now());
+        let sliding = self.config.panes_per_window() > 1;
         // Within-pane pairs with the configured algorithm (for tumbling
         // windows the pane IS the window and this is the entire join)...
-        let mut pairs = self.batch.join_batch(self.config.join_algo, &docs);
+        let mut pairs = Vec::with_capacity(self.last_pairs);
+        let tree = join_chunk(
+            &mut self.batch,
+            self.config.join_algo,
+            &docs,
+            sliding,
+            &mut pairs,
+        );
         // ...plus, for sliding windows, pane-spanning pairs: probe each new
         // document against every frozen pane's FP-tree. Frozen partners are
         // the earlier documents, so pairs keep (earlier, later) order.
         // Without a budget every pane is exactly one resident chunk.
-        for pane in &self.frozen {
-            for chunk in pane {
-                let FrozenPane::Resident { tree, .. } = chunk else {
-                    unreachable!("spilled chunk without a spill store")
-                };
-                for d in &docs {
-                    ssj_join::fp_probe_into(
-                        tree,
-                        d,
-                        true,
-                        &mut self.probe_scratch,
-                        &mut self.probe_buf,
-                    );
-                    pairs.extend(self.probe_buf.iter().map(|&p| (p, d.id())));
-                }
+        for chunk in self.frozen.iter().flatten() {
+            let FrozenPane::Resident { tree, .. } = chunk else {
+                unreachable!("spilled chunk without a spill store")
+            };
+            for d in &docs {
+                ssj_join::fp_probe_absent(
+                    tree,
+                    d,
+                    true,
+                    &mut self.probe_scratch,
+                    &mut self.probe_buf,
+                );
+                pairs.extend(self.probe_buf.iter().map(|&p| (p, d.id())));
             }
         }
+        self.last_pairs = pairs.len();
         if let Some(inst) = &self.inst {
             inst.counter("join_pairs").add(pairs.len() as u64);
             inst.counter("window_docs").add(docs.len() as u64);
@@ -1510,17 +1533,23 @@ impl Bolt<Msg> for Joiner {
             docs: docs.len(),
             pairs,
         });
-        // Slide: freeze the pane and evict the one leaving the lookback —
-        // O(pane) work. Tumbling (1 pane) keeps nothing, exactly as before.
-        if self.config.panes_per_window() > 1 {
-            let tree = FpTree::build(&docs);
-            self.frozen
-                .push_back(vec![FrozenPane::Resident { docs, tree }]);
-            while self.frozen.len() >= self.config.panes_per_window() {
-                self.frozen.pop_front();
+        // Slide: freeze the pane under the tree its own join built and evict
+        // the one leaving the lookback — O(pane) work. Tumbling (1 pane)
+        // keeps nothing but the buffer's allocation.
+        match tree {
+            Some(tree) if sliding => {
+                self.buffer = Vec::with_capacity(docs.len());
+                self.frozen
+                    .push_back(vec![FrozenPane::Resident { docs, tree }]);
+                while self.frozen.len() >= self.config.panes_per_window() {
+                    self.frozen.pop_front();
+                }
+            }
+            _ => {
+                docs.clear();
+                self.buffer = docs;
             }
         }
-        self.buffer.clear();
     }
 
     // The frozen pane ring spans punctuations, so replay of the open pane
@@ -1561,7 +1590,7 @@ impl Bolt<Msg> for Joiner {
                 pane.iter()
                     .map(|manifest| match manifest {
                         ChunkManifest::Resident(docs) => FrozenPane::Resident {
-                            tree: FpTree::build(docs),
+                            tree: FpTree::build(&owned(docs)),
                             docs: docs.clone(),
                         },
                         ChunkManifest::Spilled(segment) => FrozenPane::Spilled {

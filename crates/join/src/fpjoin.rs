@@ -15,6 +15,10 @@
 //!    path shares at least one pair with the probe — the correction the
 //!    paper's remark after Algorithm 3 requires.
 //!
+//! A leaf's unexpanded tail (see [`crate::fptree`]) is walked as the chain
+//! of single-child nodes it stands for: stop at the first conflict, count
+//! shared pairs, report the leaf's documents if the path shares any.
+//!
 //! # Zero-allocation probing
 //!
 //! The hot entry point is [`probe_into`]: it takes a reusable
@@ -25,12 +29,14 @@
 //! allocating conveniences over it.
 
 use crate::fptree::{FpTree, NodeId};
-use ssj_json::{AttrId, AvpId, DocId, Document};
+use crate::order::{AttrOrder, OrderScratch};
+use ssj_json::{AttrId, AvpId, DocId, Document, Pair};
+use std::borrow::Borrow;
 
 /// Statistics of one probe — used by tests and the ablation benches.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeStats {
-    /// Nodes visited during the DFS (excluding fast-path hops).
+    /// Arena nodes visited during the DFS (excluding fast-path hops).
     pub visited: u64,
     /// Subtrees pruned due to a value conflict.
     pub pruned: u64,
@@ -84,14 +90,22 @@ impl ProbeScratch {
         let i = attr.index();
         (i < self.stamp.len() && self.stamp[i] == self.epoch).then(|| self.avp[i])
     }
+
+    /// Extend a path sharing `shared` pairs with the probe by `label`:
+    /// the new shared count, or `None` on a value conflict.
+    #[inline]
+    fn step(&self, shared: u32, label: Pair) -> Option<u32> {
+        match self.probe_avp(label.attr) {
+            Some(avp) if avp == label.avp.0 => Some(shared + 1),
+            Some(_) => None,
+            None => Some(shared),
+        }
+    }
 }
 
 /// Find all join partners of `probe` in `tree`, using the fast path.
 pub fn probe(tree: &FpTree, probe_doc: &Document) -> Vec<DocId> {
-    let mut scratch = ProbeScratch::new();
-    let mut out = Vec::new();
-    probe_into(tree, probe_doc, true, &mut scratch, &mut out);
-    out
+    probe_with_stats(tree, probe_doc, true).0
 }
 
 /// As [`probe`], but optionally disabling the fast path (ablation) and
@@ -110,7 +124,24 @@ pub fn probe_with_stats(
 /// Find all join partners of `probe_doc` in `tree`, writing them into `out`
 /// (cleared first). `scratch` carries the DFS stack and conflict table
 /// across calls; reusing both makes the steady-state probe allocation-free.
+/// The probing document itself is never reported, even when it is stored in
+/// `tree`.
 pub fn probe_into(
+    tree: &FpTree,
+    probe_doc: &Document,
+    fast_path: bool,
+    scratch: &mut ProbeScratch,
+    out: &mut Vec<DocId>,
+) -> ProbeStats {
+    let stats = probe_absent(tree, probe_doc, fast_path, scratch, out);
+    out.retain(|&d| d != probe_doc.id());
+    stats
+}
+
+/// [`probe_into`] for a probe document known not to be stored in `tree`
+/// (a batch join probes before it inserts; a frozen pane never holds a
+/// later pane's document): skips the scan that drops the probe's own id.
+pub fn probe_absent(
     tree: &FpTree,
     probe_doc: &Document,
     fast_path: bool,
@@ -121,59 +152,46 @@ pub fn probe_into(
     scratch.load(probe_doc);
     let mut stats = ProbeStats::default();
     let order = tree.order();
-    let num = order.ubiquitous();
     let mut start = NodeId::ROOT;
     let mut shared = 0u32;
 
-    if fast_path && num > 0 {
+    if fast_path {
         // The first `num` ranks of the order are exactly the ubiquitous
         // attributes, so the probe's pair for each level is one table load
         // away — no reordering needed. The fast path applies only while the
         // probe carries every ubiquitous attribute; on the first miss we
         // fall back to the general traversal from wherever we got to
         // (sound: levels walked so far matched exactly).
-        for &attr in order.attrs().iter().take(num) {
+        for &attr in order.attrs().iter().take(order.ubiquitous()) {
             let Some(avp) = scratch.probe_avp(attr) else {
                 // Probe lacks this ubiquitous attribute: no conflict is
                 // possible on it, so all children below `start` remain
                 // candidates — handled by the general traversal.
                 break;
             };
-            match tree.child(start, AvpId(avp)) {
-                Some(child) => {
-                    start = child;
-                    shared += 1;
-                    stats.fast_levels += 1;
-                    // Documents ending inside the ubiquitous prefix match
-                    // the probe exactly on every attribute they carry.
-                    out.extend_from_slice(tree.docs(start));
-                }
-                None => {
-                    // Every stored document carries this attribute with
-                    // some other value — all conflict with the probe.
-                    out.retain(|&d| d != probe_doc.id());
-                    return stats;
-                }
+            // No such child: every stored document carries this attribute
+            // with some other value — all conflict with the probe.
+            let Some(child) = tree.child(start, AvpId(avp)) else {
+                return stats;
+            };
+            start = child;
+            shared += 1;
+            stats.fast_levels += 1;
+            if !tree.tail(start).is_empty() {
+                // The rest of the ubiquitous prefix sits in this leaf's
+                // tail; the tail walk checks it pair by pair.
+                report_leaf(tree, start, shared, scratch, out);
+                return stats;
             }
+            // Documents ending inside the ubiquitous prefix match the
+            // probe exactly on every attribute they carry.
+            out.extend_from_slice(tree.docs(start));
         }
     }
 
-    traverse(tree, start, shared, scratch, out, &mut stats);
-    out.retain(|&d| d != probe_doc.id());
-    stats
-}
-
-/// Algorithm 3 with the shared-pair counter of the paper's remark, run as
-/// an explicit-stack DFS over the scratch buffer (no recursion, no per-call
-/// allocation).
-fn traverse(
-    tree: &FpTree,
-    start: NodeId,
-    shared: u32,
-    scratch: &mut ProbeScratch,
-    out: &mut Vec<DocId>,
-    stats: &mut ProbeStats,
-) {
+    // Algorithm 3 with the shared-pair counter of the paper's remark, run
+    // as an explicit-stack DFS over the scratch buffer (no recursion, no
+    // per-call allocation).
     debug_assert!(scratch.stack.is_empty());
     scratch.stack.push((start, shared));
     while let Some((node, shared)) = scratch.stack.pop() {
@@ -181,40 +199,81 @@ fn traverse(
         while let Some(child) = child_it {
             child_it = tree.next_sibling(child);
             stats.visited += 1;
-            let label = tree.pair(child);
-            let new_shared = match scratch.probe_avp(label.attr) {
-                Some(avp) if avp == label.avp.0 => shared + 1,
-                Some(_) => {
-                    // Conflicting value: every document under `child` carries
-                    // the conflicting pair — prune the subtree (Alg. 3, l. 5-7).
-                    stats.pruned += 1;
-                    continue;
-                }
-                None => shared,
+            let Some(shared) = scratch.step(shared, tree.pair(child)) else {
+                // Conflicting value: every document under `child` carries the
+                // conflicting pair — prune the subtree (Alg. 3, l. 5-7).
+                stats.pruned += 1;
+                continue;
             };
-            if new_shared > 0 {
-                out.extend_from_slice(tree.docs(child));
+            if tree.first_child(child).is_some() {
+                if shared > 0 {
+                    out.extend_from_slice(tree.docs(child));
+                }
+                scratch.stack.push((child, shared));
+            } else if !report_leaf(tree, child, shared, scratch, out) {
+                stats.pruned += 1;
             }
-            scratch.stack.push((child, new_shared));
         }
     }
+    stats
 }
 
-/// Join an entire batch the way a Joiner does for one tumbling window:
-/// probe each document against the documents before it, then insert it.
-/// Each joinable pair is reported exactly once, as `(earlier, later)`.
-pub fn join_batch(docs: &[Document]) -> (FpTree, Vec<(DocId, DocId)>) {
-    let order = crate::order::AttrOrder::compute(docs);
+/// Walk `leaf`'s tail from a path sharing `shared` pairs with the probe and
+/// report the leaf's documents unless the tail conflicts or nothing is
+/// shared. Returns `false` on a conflict.
+#[inline]
+fn report_leaf(
+    tree: &FpTree,
+    leaf: NodeId,
+    shared: u32,
+    scratch: &ProbeScratch,
+    out: &mut Vec<DocId>,
+) -> bool {
+    let total = tree
+        .tail(leaf)
+        .iter()
+        .try_fold(shared, |shared, &pair| scratch.step(shared, pair));
+    if total.is_some_and(|t| t > 0) {
+        out.extend_from_slice(tree.docs(leaf));
+    }
+    total.is_some()
+}
+
+/// Working memory of [`join_batch_into`], reused across batches: probe
+/// scratch, partner buffer and the attribute-order counters.
+#[derive(Debug, Default)]
+pub struct JoinScratch {
+    probe: ProbeScratch,
+    partners: Vec<DocId>,
+    order: OrderScratch,
+}
+
+/// Join an entire batch the way a Joiner does for one pane: probe each
+/// document against the documents before it, then insert it. Each joinable
+/// pair is appended to `pairs` exactly once, as `(earlier, later)`; the
+/// sealed tree over the whole batch is handed back so a sliding pane can be
+/// frozen without building it a second time. Document ids must be distinct.
+pub fn join_batch_into<D: Borrow<Document>>(
+    docs: &[D],
+    scratch: &mut JoinScratch,
+    pairs: &mut Vec<(DocId, DocId)>,
+) -> FpTree {
+    let order = AttrOrder::compute_with(docs.iter().map(Borrow::borrow), &mut scratch.order);
     let mut tree = FpTree::new(order);
-    let mut scratch = ProbeScratch::new();
-    let mut partners = Vec::new();
-    let mut pairs = Vec::new();
     for doc in docs {
-        probe_into(&tree, doc, true, &mut scratch, &mut partners);
-        pairs.extend(partners.iter().map(|&p| (p, doc.id())));
+        let doc = doc.borrow();
+        probe_absent(&tree, doc, true, &mut scratch.probe, &mut scratch.partners);
+        pairs.extend(scratch.partners.iter().map(|&p| (p, doc.id())));
         tree.insert(doc);
     }
     tree.seal();
+    tree
+}
+
+/// [`join_batch_into`] with fresh scratch and a fresh result vector.
+pub fn join_batch(docs: &[Document]) -> (FpTree, Vec<(DocId, DocId)>) {
+    let mut pairs = Vec::new();
+    let tree = join_batch_into(docs, &mut JoinScratch::default(), &mut pairs);
     (tree, pairs)
 }
 

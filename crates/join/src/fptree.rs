@@ -1,16 +1,40 @@
-//! The FP-tree document store (§V-A).
+//! The FP-tree document store (§V-A), with lazily expanded leaf tails.
 //!
-//! A cache-friendly structure-of-arrays arena over attribute-value pairs,
-//! ordered by a frozen [`AttrOrder`]. Node fields live in parallel vectors
-//! (label, parent, depth, branch, first-child, next-sibling, header chain),
-//! so hot traversals touch dense homogeneous memory instead of chasing
-//! per-node heap objects. Children are linked first-child/next-sibling;
-//! exact child lookup during insertion goes through a single open-addressed
-//! map keyed by `(parent, label)`. Each node is labelled with one interned
-//! pair, carries the ids of the documents whose insertion path *terminates*
-//! there (exactly as in the paper's Fig. 4), and is chained into a header
-//! list connecting equally-labelled nodes, as in the original FP-tree of
-//! Han et al. Every root-to-leaf path is a *branch* with a unique branch id.
+//! Nodes live in one arena (`Vec<Node>`, 36 bytes each), children linked
+//! first-child/next-sibling, exact child lookup during insertion through a
+//! single open-addressed map keyed by `(parent, label)`. Every node is
+//! labelled with one interned pair and carries the ids of the documents
+//! whose insertion path *terminates* there, exactly as in the paper's
+//! Fig. 4 — with one difference in how the path below the last *shared*
+//! node is stored.
+//!
+//! # Lazy tails
+//!
+//! In the textbook tree every document drags a private chain of one-child
+//! nodes behind the point where it stops sharing a prefix with any other
+//! document. Here a path is materialised only as deep as it is shared: a
+//! *leaf* additionally owns a **tail**, an `(offset, len)` slice of one
+//! shared `Pair` pool holding the rest of its documents' rank-ordered path.
+//! The leaf's documents logically terminate at the end of the tail. Internal
+//! nodes never have a tail and stay single-label, so the §V-B fast path and
+//! the Algorithm 3 DFS run unchanged above the leaves; a probe walks a tail
+//! as the chain it stands for.
+//!
+//! Inserting a document that reaches a leaf with a tail expands the tail one
+//! node at a time only while the document agrees with it, then parks both
+//! remainders as tails of two new leaves:
+//!
+//! * the document **equals** the tail — it joins the leaf's document list;
+//! * it **ends inside** the tail (possibly before its first pair) — the
+//!   agreed prefix becomes real nodes, the document terminates at the last
+//!   of them, the old documents move one node further down with the rest of
+//!   the tail;
+//! * it **diverges** (possibly at the first pair) or **outruns** the tail —
+//!   the agreed prefix becomes real nodes and each side gets its own leaf.
+//!
+//! [`FpTree::node_count`] and [`FpTree::approx_bytes`] report the arena as
+//! stored; [`crate::TreeStats`] and [`FpTree::render`] present the paper's
+//! logical tree with every tail expanded.
 //!
 //! # Document storage
 //!
@@ -18,14 +42,15 @@
 //! pool ([`FpTree::docs`] returns `&[DocId]` directly out of it). Appends go
 //! in place while a slice has spare capacity or sits at the pool's end;
 //! otherwise the slice is relocated to the end with geometric
-//! over-allocation, leaving a hole. [`FpTree::seal`] compacts the holes away
-//! once a window's build completes, so frozen trees store doc ids densely in
-//! node order — the order probes walk them.
+//! over-allocation, leaving a hole. Expanding a tail leaves a hole in the
+//! pair pool the same way. [`FpTree::seal`] compacts both pools once a
+//! window's build completes, so frozen trees store doc ids and tails densely
+//! in node order.
 
 use crate::order::AttrOrder;
 use ssj_json::{DocId, Document, FxHashMap, Pair};
 
-/// Sentinel for "no node" in the intrusive child/sibling/header links.
+/// Sentinel for "no node" in the intrusive child/sibling links.
 const NIL: u32 = u32::MAX;
 
 /// Index of a node in the tree arena. `NodeId::ROOT` is the synthetic root.
@@ -42,70 +67,75 @@ impl NodeId {
     }
 }
 
-/// An FP-tree over one window of documents, stored as parallel arrays.
+/// One arena node. A node with `tail_len > 0` has no children.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// The node's pair; undefined for the root.
+    label: Pair,
+    first_child: u32,
+    next_sibling: u32,
+    /// The unexpanded rest of this leaf's path, a slice of `FpTree::tails`.
+    tail_off: u32,
+    tail_len: u32,
+    /// Documents terminating here (after the tail), a slice of `FpTree::pool`.
+    doc_off: u32,
+    doc_len: u32,
+    doc_cap: u32,
+}
+
+impl Node {
+    fn new(label: Pair, next_sibling: u32) -> Self {
+        Node {
+            label,
+            first_child: NIL,
+            next_sibling,
+            tail_off: 0,
+            tail_len: 0,
+            doc_off: 0,
+            doc_len: 0,
+            doc_cap: 0,
+        }
+    }
+}
+
+/// An FP-tree over one window of documents.
 #[derive(Debug)]
 pub struct FpTree {
     order: AttrOrder,
-    /// Node labels; undefined for the root.
-    label: Vec<Pair>,
-    parent: Vec<u32>,
-    depth: Vec<u32>,
-    /// Id of the branch each node extended when created.
-    branch: Vec<u32>,
-    first_child: Vec<u32>,
-    next_sibling: Vec<u32>,
-    /// Next node with the same label (header-table chain); `NIL` at chain end.
-    next_same_label: Vec<u32>,
+    nodes: Vec<Node>,
     /// Exact child lookup: `(parent << 32 | avp) → node`.
     child_index: FxHashMap<u64, u32>,
-    /// Header table: label → (first, last) chain nodes.
-    header: FxHashMap<u32, (u32, u32)>,
+    /// Shared pool backing every leaf's tail.
+    tails: Vec<Pair>,
     /// Shared pool backing every node's document list.
     pool: Vec<DocId>,
-    doc_off: Vec<u32>,
-    doc_len: Vec<u32>,
-    doc_cap: Vec<u32>,
     doc_count: usize,
-    next_branch: u32,
-    /// Documents removed since construction (tombstoned paths).
-    removed: u64,
-    /// Reused by `insert`/`remove` so steady-state updates don't allocate.
+    /// Reused by `insert` so steady-state updates don't allocate.
     reorder_buf: Vec<Pair>,
 }
 
 impl FpTree {
     /// Create an empty tree governed by `order`.
     pub fn new(order: AttrOrder) -> Self {
+        let root = Pair {
+            attr: ssj_json::AttrId(u32::MAX),
+            avp: ssj_json::AvpId(u32::MAX),
+        };
         FpTree {
             order,
-            label: vec![Pair {
-                attr: ssj_json::AttrId(u32::MAX),
-                avp: ssj_json::AvpId(u32::MAX),
-            }],
-            parent: vec![0],
-            depth: vec![0],
-            branch: vec![0],
-            first_child: vec![NIL],
-            next_sibling: vec![NIL],
-            next_same_label: vec![NIL],
+            nodes: vec![Node::new(root, NIL)],
             child_index: FxHashMap::default(),
-            header: FxHashMap::default(),
+            tails: Vec::new(),
             pool: Vec::new(),
-            doc_off: vec![0],
-            doc_len: vec![0],
-            doc_cap: vec![0],
             doc_count: 0,
-            next_branch: 0,
-            removed: 0,
             reorder_buf: Vec::new(),
         }
     }
 
     /// Build a tree for a batch: compute the attribute order, insert every
-    /// document, then [`seal`](FpTree::seal) the document pool.
+    /// document, then [`seal`](FpTree::seal) the pools.
     pub fn build(docs: &[Document]) -> Self {
-        let order = AttrOrder::compute(docs);
-        let mut tree = FpTree::new(order);
+        let mut tree = FpTree::new(AttrOrder::compute(docs));
         for doc in docs {
             tree.insert(doc);
         }
@@ -119,76 +149,114 @@ impl FpTree {
         &self.order
     }
 
-    /// Approximate heap footprint of the tree arena in bytes: the SoA node
-    /// vectors, the document pool, and the hash indexes (counted at entry
-    /// size, ignoring table load factor). Used by the out-of-core tiering
-    /// layer for budget accounting — an estimate, not an allocator
+    /// Approximate heap footprint of the tree as stored, in bytes: the node
+    /// arena, the document and tail pools, and the child index (counted at
+    /// entry size, ignoring table load factor). Used by the out-of-core
+    /// tiering layer for budget accounting — an estimate, not an allocator
     /// measurement.
     pub fn approx_bytes(&self) -> usize {
-        let nodes = self.label.len();
-        let soa = nodes
-            * (std::mem::size_of::<Pair>()      // label
-                + 5 * std::mem::size_of::<u32>() // parent/depth/branch/first_child/next_sibling
-                + std::mem::size_of::<u32>()); // next_same_label
-        let pool = self.pool.len() * std::mem::size_of::<DocId>()
-            + (self.doc_off.len() + self.doc_len.len() + self.doc_cap.len())
-                * std::mem::size_of::<u32>();
-        let maps = self.child_index.len()
-            * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>())
-            + self.header.len() * (std::mem::size_of::<u64>() + 2 * std::mem::size_of::<u32>());
-        std::mem::size_of::<FpTree>() + soa + pool + maps
+        std::mem::size_of::<FpTree>()
+            + self.nodes.len() * std::mem::size_of::<Node>()
+            + self.pool.len() * std::mem::size_of::<DocId>()
+            + self.tails.len() * std::mem::size_of::<Pair>()
+            + self.child_index.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>())
     }
 
-    /// Insert one document; returns the terminal node of its path.
+    /// Insert one document; returns the arena node holding its id (for a
+    /// leaf with a tail the document logically terminates below it).
     pub fn insert(&mut self, doc: &Document) -> NodeId {
-        let mut ordered = std::mem::take(&mut self.reorder_buf);
-        self.order.reorder_into(doc, &mut ordered);
+        let mut path = std::mem::take(&mut self.reorder_buf);
+        self.order.reorder_into(doc, &mut path);
         let mut node = 0u32;
-        let mut extended = false;
-        for &pair in &ordered {
-            let key = child_key(node, pair.avp.0);
-            match self.child_index.get(&key) {
-                Some(&child) => node = child,
-                None => {
-                    node = self.add_child(node, pair);
-                    extended = true;
-                }
+        let mut at = 0;
+        let terminal = loop {
+            let n = self.nodes[node as usize];
+            if n.tail_len > 0 {
+                break self.insert_below_tail(node, &path[at..]);
             }
-        }
-        self.reorder_buf = ordered;
-        if extended {
-            self.next_branch += 1;
-        }
-        self.push_doc(node, doc.id());
+            let Some(&pair) = path.get(at) else {
+                break node;
+            };
+            let child = (n.first_child != NIL)
+                .then(|| self.child_index.get(&child_key(node, pair.avp.0)).copied())
+                .flatten();
+            match child {
+                Some(child) => {
+                    node = child;
+                    at += 1;
+                }
+                None => break self.add_leaf(node, &path[at..]),
+            }
+        };
+        self.reorder_buf = path;
+        self.push_doc(terminal, doc.id());
         self.doc_count += 1;
-        NodeId(node)
+        NodeId(terminal)
+    }
+
+    /// `leaf` carries a tail and a new document arrives with `rest` still
+    /// to place. Expands the tail while both agree and returns the node the
+    /// new document's id belongs at (see the module docs for the cases).
+    fn insert_below_tail(&mut self, leaf: u32, rest: &[Pair]) -> u32 {
+        let Node {
+            tail_off,
+            tail_len,
+            doc_off,
+            doc_len,
+            doc_cap,
+            ..
+        } = self.nodes[leaf as usize];
+        let (off, len) = (tail_off as usize, tail_len as usize);
+        let agreed = self.tails[off..off + len]
+            .iter()
+            .zip(rest)
+            .take_while(|(t, r)| t.avp == r.avp)
+            .count();
+        if agreed == len && agreed == rest.len() {
+            return leaf;
+        }
+        // The leaf turns internal; its documents travel down with the tail.
+        let n = &mut self.nodes[leaf as usize];
+        (n.tail_len, n.doc_off, n.doc_len, n.doc_cap) = (0, 0, 0, 0);
+        let mut cur = leaf;
+        for i in 0..agreed {
+            cur = self.add_child(cur, self.tails[off + i]);
+        }
+        let old = if agreed < len {
+            let old = self.add_child(cur, self.tails[off + agreed]);
+            let n = &mut self.nodes[old as usize];
+            n.tail_off = (off + agreed + 1) as u32;
+            n.tail_len = (len - agreed - 1) as u32;
+            old
+        } else {
+            cur
+        };
+        let n = &mut self.nodes[old as usize];
+        (n.doc_off, n.doc_len, n.doc_cap) = (doc_off, doc_len, doc_cap);
+        if agreed < rest.len() {
+            self.add_leaf(cur, &rest[agreed..])
+        } else {
+            cur
+        }
     }
 
     fn add_child(&mut self, parent: u32, pair: Pair) -> u32 {
-        let id = self.label.len() as u32;
-        self.label.push(pair);
-        self.parent.push(parent);
-        self.depth.push(self.depth[parent as usize] + 1);
-        self.branch.push(self.next_branch);
-        self.first_child.push(NIL);
+        let id = self.nodes.len() as u32;
         // Prepend to the parent's child chain (reverse insertion order).
-        self.next_sibling.push(self.first_child[parent as usize]);
-        self.first_child[parent as usize] = id;
-        self.next_same_label.push(NIL);
-        self.doc_off.push(0);
-        self.doc_len.push(0);
-        self.doc_cap.push(0);
+        let p = &mut self.nodes[parent as usize];
+        let sibling = std::mem::replace(&mut p.first_child, id);
+        self.nodes.push(Node::new(pair, sibling));
         self.child_index.insert(child_key(parent, pair.avp.0), id);
-        // Maintain the header chain of equally-labelled nodes.
-        match self.header.get_mut(&pair.avp.0) {
-            Some((_, tail)) => {
-                self.next_same_label[*tail as usize] = id;
-                *tail = id;
-            }
-            None => {
-                self.header.insert(pair.avp.0, (id, id));
-            }
-        }
+        id
+    }
+
+    /// New leaf under `parent` labelled `path[0]` with `path[1..]` as tail.
+    fn add_leaf(&mut self, parent: u32, path: &[Pair]) -> u32 {
+        let id = self.add_child(parent, path[0]);
+        let n = &mut self.nodes[id as usize];
+        n.tail_off = self.tails.len() as u32;
+        n.tail_len = (path.len() - 1) as u32;
+        self.tails.extend_from_slice(&path[1..]);
         id
     }
 
@@ -196,119 +264,58 @@ impl FpTree {
     /// slice has spare capacity or ends the pool, otherwise relocate it to
     /// the pool's end with geometric over-allocation (amortised O(1)).
     fn push_doc(&mut self, node: u32, doc: DocId) {
-        let i = node as usize;
-        let (off, len, cap) = (self.doc_off[i], self.doc_len[i], self.doc_cap[i]);
-        if len < cap {
-            self.pool[(off + len) as usize] = doc;
-            self.doc_len[i] = len + 1;
-        } else if (off + len) as usize == self.pool.len() {
+        let n = &mut self.nodes[node as usize];
+        if n.doc_len < n.doc_cap {
+            self.pool[(n.doc_off + n.doc_len) as usize] = doc;
+        } else if n.doc_len == 0 || (n.doc_off + n.doc_len) as usize == self.pool.len() {
+            if n.doc_len == 0 {
+                n.doc_off = self.pool.len() as u32;
+            }
             self.pool.push(doc);
-            self.doc_len[i] = len + 1;
-            self.doc_cap[i] = len + 1;
+            n.doc_cap = n.doc_len + 1;
         } else {
-            let new_off = self.pool.len() as u32;
-            let new_cap = (2 * len + 1).max(4);
-            self.pool.reserve(new_cap as usize);
-            self.pool
-                .extend_from_within(off as usize..(off + len) as usize);
+            let (off, len) = (n.doc_off as usize, n.doc_len as usize);
+            n.doc_off = self.pool.len() as u32;
+            n.doc_cap = (2 * n.doc_len + 1).max(4);
+            let end = (n.doc_off + n.doc_cap) as usize;
+            self.pool.reserve(n.doc_cap as usize);
+            self.pool.extend_from_within(off..off + len);
             self.pool.push(doc);
             // Pad the reserved tail so later appends can write in place.
-            self.pool
-                .resize((new_off + new_cap) as usize, DocId(u64::MAX));
-            self.doc_off[i] = new_off;
-            self.doc_len[i] = len + 1;
-            self.doc_cap[i] = new_cap;
+            self.pool.resize(end, DocId(u64::MAX));
         }
+        self.nodes[node as usize].doc_len += 1;
     }
 
-    /// Compact the shared document pool: drop relocation holes and spare
-    /// capacity, laying every node's slice out densely in node order. Called
-    /// by [`build`](FpTree::build) when a window closes; safe (and cheap) to
-    /// call again at any time.
+    /// Compact both shared pools: drop relocation holes, spare capacity and
+    /// expanded tail prefixes, laying every node's slices out densely in
+    /// node order. Called by [`build`](FpTree::build) when a window closes;
+    /// safe (and cheap) to call again at any time.
     pub fn seal(&mut self) {
-        let mut packed = Vec::with_capacity(self.doc_count);
-        for i in 0..self.doc_len.len() {
-            let off = self.doc_off[i] as usize;
-            let len = self.doc_len[i] as usize;
-            self.doc_off[i] = packed.len() as u32;
-            self.doc_cap[i] = len as u32;
-            packed.extend_from_slice(&self.pool[off..off + len]);
+        let mut pool = Vec::with_capacity(self.doc_count);
+        let live_tails = self.nodes.iter().map(|n| n.tail_len as usize).sum();
+        let mut tails = Vec::with_capacity(live_tails);
+        for n in &mut self.nodes {
+            let (off, len) = (n.doc_off as usize, n.doc_len as usize);
+            n.doc_off = pool.len() as u32;
+            n.doc_cap = n.doc_len;
+            pool.extend_from_slice(&self.pool[off..off + len]);
+            let (off, len) = (n.tail_off as usize, n.tail_len as usize);
+            n.tail_off = tails.len() as u32;
+            tails.extend_from_slice(&self.tails[off..off + len]);
         }
-        self.pool = packed;
-    }
-
-    /// Remove one previously inserted document (the "tree updates" the
-    /// paper defers for sliding windows, §V-A). Walks the document's path
-    /// and deletes its id from the terminal node's list. Nodes are *not*
-    /// physically pruned — empty branches are tombstones that probes skip
-    /// naturally (their doc lists are empty); call [`FpTree::tombstone_ratio`]
-    /// to decide when a rebuild pays off.
-    ///
-    /// Returns `false` when the document is not in the tree (wrong path or
-    /// id not present).
-    pub fn remove(&mut self, doc: &Document) -> bool {
-        let mut ordered = std::mem::take(&mut self.reorder_buf);
-        self.order.reorder_into(doc, &mut ordered);
-        let mut node = 0u32;
-        let mut found = true;
-        for &pair in &ordered {
-            match self.child_index.get(&child_key(node, pair.avp.0)) {
-                Some(&child) => node = child,
-                None => {
-                    found = false;
-                    break;
-                }
-            }
-        }
-        self.reorder_buf = ordered;
-        if !found {
-            return false;
-        }
-        let i = node as usize;
-        let (off, len) = (self.doc_off[i] as usize, self.doc_len[i] as usize);
-        let slice = &mut self.pool[off..off + len];
-        match slice.iter().position(|&d| d == doc.id()) {
-            Some(pos) => {
-                slice.swap(pos, len - 1);
-                self.doc_len[i] = (len - 1) as u32;
-                self.doc_count -= 1;
-                self.removed += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Fraction of all insertions that have since been removed — when this
-    /// grows large, rebuilding the tree reclaims the tombstoned branches.
-    pub fn tombstone_ratio(&self) -> f64 {
-        let total = self.doc_count + self.removed as usize;
-        if total == 0 {
-            0.0
-        } else {
-            self.removed as f64 / total as f64
-        }
+        self.pool = pool;
+        self.tails = tails;
     }
 
     /// The label of `node` (undefined for the root).
     #[inline]
     pub fn pair(&self, node: NodeId) -> Pair {
-        self.label[node.index()]
+        self.nodes[node.index()].label
     }
 
-    /// The parent of `node`.
-    #[inline]
-    pub fn parent(&self, node: NodeId) -> NodeId {
-        NodeId(self.parent[node.index()])
-    }
-
-    /// Depth of `node` (root = 0).
-    #[inline]
-    pub fn depth(&self, node: NodeId) -> u32 {
-        self.depth[node.index()]
-    }
-
-    /// Child of `node` labelled with pair id `avp`, if present.
+    /// Child of `node` labelled with pair id `avp`, if materialised (a
+    /// leaf's tail holds pairs, not children).
     #[inline]
     pub fn child(&self, node: NodeId, avp: ssj_json::AvpId) -> Option<NodeId> {
         self.child_index
@@ -319,50 +326,38 @@ impl FpTree {
     /// First child of `node` in the sibling chain, if any.
     #[inline]
     pub fn first_child(&self, node: NodeId) -> Option<NodeId> {
-        link(self.first_child[node.index()])
+        link(self.nodes[node.index()].first_child)
     }
 
     /// Next sibling of `node`, if any.
     #[inline]
     pub fn next_sibling(&self, node: NodeId) -> Option<NodeId> {
-        link(self.next_sibling[node.index()])
+        link(self.nodes[node.index()].next_sibling)
     }
 
     /// Iterate the children of `node` (reverse insertion order).
     pub fn children(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let mut cur = self.first_child[node.index()];
+        let mut cur = self.first_child(node);
         std::iter::from_fn(move || {
-            if cur == NIL {
-                None
-            } else {
-                let id = cur;
-                cur = self.next_sibling[id as usize];
-                Some(NodeId(id))
-            }
+            let id = cur?;
+            cur = self.next_sibling(id);
+            Some(id)
         })
     }
 
-    /// Documents terminating at `node`.
+    /// The unexpanded rest of the path below leaf `node`, in rank order;
+    /// empty for internal nodes and for leaves whose path ends at the node.
+    #[inline]
+    pub fn tail(&self, node: NodeId) -> &[Pair] {
+        let n = &self.nodes[node.index()];
+        &self.tails[n.tail_off as usize..(n.tail_off + n.tail_len) as usize]
+    }
+
+    /// Documents terminating at `node` (below its tail, if it has one).
     #[inline]
     pub fn docs(&self, node: NodeId) -> &[DocId] {
-        let i = node.index();
-        let off = self.doc_off[i] as usize;
-        &self.pool[off..off + self.doc_len[i] as usize]
-    }
-
-    /// First node carrying label `avp` (header table entry).
-    pub fn header_first(&self, avp: ssj_json::AvpId) -> Option<NodeId> {
-        self.header.get(&avp.0).map(|&(head, _)| NodeId(head))
-    }
-
-    /// Follow the header chain from a node to the next equally-labelled one.
-    pub fn next_same_label(&self, node: NodeId) -> Option<NodeId> {
-        link(self.next_same_label[node.index()])
-    }
-
-    /// The branch id assigned when `node` was created.
-    pub fn branch(&self, node: NodeId) -> u32 {
-        self.branch[node.index()]
+        let n = &self.nodes[node.index()];
+        &self.pool[n.doc_off as usize..(n.doc_off + n.doc_len) as usize]
     }
 
     /// Number of inserted documents.
@@ -371,33 +366,38 @@ impl FpTree {
         self.doc_count
     }
 
-    /// Number of nodes including the root.
+    /// Number of arena nodes including the root (tails not expanded).
     pub fn node_count(&self) -> usize {
-        self.label.len()
+        self.nodes.len()
     }
 
-    /// Number of distinct branches (root-to-leaf paths created so far).
-    pub fn branch_count(&self) -> usize {
-        self.next_branch as usize
-    }
-
-    /// Maximum node depth — useful to verify the compression the paper
-    /// relies on for "deep trees" with few distinct frequent values.
+    /// Maximum depth of the logical tree (tails expanded) — useful to
+    /// verify the compression the paper relies on for "deep trees" with few
+    /// distinct frequent values.
     pub fn max_depth(&self) -> u32 {
-        self.depth.iter().copied().max().unwrap_or(0)
+        let mut max = 0;
+        self.walk(|node, depth| max = max.max(depth + self.tail(node).len() as u32));
+        max
+    }
+
+    /// Visit every non-root arena node with its depth (root = 0).
+    pub(crate) fn walk(&self, mut visit: impl FnMut(NodeId, u32)) {
+        let mut stack: Vec<(NodeId, u32)> = self.children(NodeId::ROOT).map(|c| (c, 1)).collect();
+        while let Some((node, depth)) = stack.pop() {
+            visit(node, depth);
+            stack.extend(self.children(node).map(|c| (c, depth + 1)));
+        }
     }
 
     /// All `(node, doc)` pairs — diagnostics and tests.
     pub fn iter_docs(&self) -> impl Iterator<Item = (NodeId, DocId)> + '_ {
-        (0..self.label.len()).flat_map(move |i| {
-            self.docs(NodeId(i as u32))
-                .iter()
-                .map(move |&d| (NodeId(i as u32), d))
-        })
+        (0..self.nodes.len() as u32)
+            .flat_map(move |i| self.docs(NodeId(i)).iter().map(move |&d| (NodeId(i), d)))
     }
 
-    /// ASCII rendering of the tree (labels via `dict`, document ids in
-    /// brackets), for debugging and documentation:
+    /// ASCII rendering of the logical tree (labels via `dict`, document ids
+    /// in brackets, tails drawn as the chains they stand for), for debugging
+    /// and documentation:
     ///
     /// ```text
     /// root
@@ -433,7 +433,6 @@ impl FpTree {
         out: &mut String,
     ) {
         use std::fmt::Write;
-        let branch = if last { "└─ " } else { "├─ " };
         let docs = self.docs(node);
         let doc_list = if docs.is_empty() {
             String::new()
@@ -441,15 +440,25 @@ impl FpTree {
             let ids: Vec<String> = docs.iter().map(|d| d.to_string()).collect();
             format!(" [{}]", ids.join(", "))
         };
-        let _ = writeln!(
-            out,
-            "{prefix}{branch}{}{doc_list}",
-            dict.render_avp(self.pair(node).avp)
-        );
-        let next_prefix = format!("{prefix}{}", if last { "   " } else { "│  " });
+        // The node's own label, then its tail as a chain of only children;
+        // the documents sit at the end of that chain.
+        let tail = self.tail(node);
+        let mut prefix = prefix.to_string();
+        let mut last = last;
+        for (i, pair) in std::iter::once(&self.pair(node)).chain(tail).enumerate() {
+            let branch = if last { "└─ " } else { "├─ " };
+            let docs = if i == tail.len() {
+                doc_list.as_str()
+            } else {
+                ""
+            };
+            let _ = writeln!(out, "{prefix}{branch}{}{docs}", dict.render_avp(pair.avp));
+            prefix.push_str(if last { "   " } else { "│  " });
+            last = true;
+        }
         let children = self.sorted_children(node);
         for (i, child) in children.iter().enumerate() {
-            self.render_node(dict, *child, &next_prefix, i + 1 == children.len(), out);
+            self.render_node(dict, *child, &prefix, i + 1 == children.len(), out);
         }
     }
 }
@@ -473,21 +482,28 @@ mod tests {
     use super::*;
     use ssj_json::{Dictionary, DocId, Document};
 
+    fn docs(dict: &Dictionary, srcs: &[&str]) -> Vec<Document> {
+        srcs.iter()
+            .enumerate()
+            .map(|(i, s)| Document::from_json(DocId(i as u64 + 1), s, dict).unwrap())
+            .collect()
+    }
+
     fn table1(dict: &Dictionary) -> Vec<Document> {
-        [
-            r#"{"a":3,"b":7,"c":1}"#,
-            r#"{"a":3,"b":8}"#,
-            r#"{"a":3,"b":7}"#,
-            r#"{"b":8,"c":2}"#,
-        ]
-        .iter()
-        .enumerate()
-        .map(|(i, s)| Document::from_json(DocId(i as u64 + 1), s, dict).unwrap())
-        .collect()
+        docs(
+            dict,
+            &[
+                r#"{"a":3,"b":7,"c":1}"#,
+                r#"{"a":3,"b":8}"#,
+                r#"{"a":3,"b":7}"#,
+                r#"{"b":8,"c":2}"#,
+            ],
+        )
     }
 
     /// The tree of the paper's Fig. 4: root → {b:7 → a:3 [d3] → c:1 [d1],
-    /// b:8 → a:3 [d2], b:8 → c:2 [d4]}.
+    /// b:8 → a:3 [d2], b:8 → c:2 [d4]}. Every path is shared up to its last
+    /// node here, so no tail survives the build.
     #[test]
     fn paper_table1_tree_shape() {
         let dict = Dictionary::new();
@@ -523,44 +539,83 @@ mod tests {
         assert_eq!(tree.docs(nc2), &[DocId(4)]);
         assert!(tree.docs(nb7).is_empty());
         assert!(tree.docs(nb8).is_empty());
+        assert!(tree.iter_docs().all(|(n, _)| tree.tail(n).is_empty()));
     }
 
     #[test]
-    fn header_chain_links_equal_labels() {
+    fn identical_documents_share_a_leaf_and_its_tail() {
         let dict = Dictionary::new();
-        let docs = table1(&dict);
+        let docs = docs(&dict, &[r#"{"x":1,"y":2}"#, r#"{"y":2,"x":1}"#]);
         let tree = FpTree::build(&docs);
-        let a3 = dict.lookup("a", &ssj_json::Scalar::Int(3)).unwrap();
-        let first = tree.header_first(a3.avp).unwrap();
-        let second = tree.next_same_label(first).unwrap();
-        assert_eq!(tree.pair(first).avp, a3.avp);
-        assert_eq!(tree.pair(second).avp, a3.avp);
-        assert!(tree.next_same_label(second).is_none());
-        assert_ne!(first, second);
-    }
-
-    #[test]
-    fn identical_documents_share_a_path() {
-        let dict = Dictionary::new();
-        let docs = vec![
-            Document::from_json(DocId(1), r#"{"x":1,"y":2}"#, &dict).unwrap(),
-            Document::from_json(DocId(2), r#"{"y":2,"x":1}"#, &dict).unwrap(),
-        ];
-        let tree = FpTree::build(&docs);
-        // Only root + 2 nodes; both docs at the same terminal node.
-        assert_eq!(tree.node_count(), 3);
+        // Root + one leaf; the second pair is the leaf's tail.
+        assert_eq!(tree.node_count(), 2);
+        assert_eq!(tree.max_depth(), 2);
         let terminal = tree.iter_docs().map(|(n, _)| n).next().expect("has docs");
         assert_eq!(tree.docs(terminal), &[DocId(1), DocId(2)]);
+        assert_eq!(tree.tail(terminal).len(), 1);
     }
 
+    /// The three insert cases at a leaf with a tail, each checked on the
+    /// arena and on the rendered logical tree.
     #[test]
-    fn branch_count_tracks_distinct_paths() {
+    fn tail_expands_only_as_deep_as_it_is_shared() {
         let dict = Dictionary::new();
-        let docs = table1(&dict);
-        let tree = FpTree::build(&docs);
-        // d1 creates branch 1; d2 branch 2; d3 reuses d1's prefix (extends
-        // nothing new: b:7→a:3 already exists) — no new branch; d4 branch 3.
-        assert_eq!(tree.branch_count(), 3);
+        // Every attribute is in every doc of the first batch → order a,b,c,d.
+        let base = docs(&dict, &[r#"{"a":1,"b":1,"c":1,"d":1}"#]);
+        let order = AttrOrder::compute(&base);
+        let leaf_of = |tree: &FpTree, id: u64| {
+            tree.iter_docs()
+                .find(|&(_, d)| d == DocId(id))
+                .map(|(n, _)| n)
+                .unwrap()
+        };
+        let doc = |id: u64, s: &str| Document::from_json(DocId(id), s, &dict).unwrap();
+
+        // Ends inside the tail: a,b shared → 2 real nodes, old doc keeps c→d.
+        let mut tree = FpTree::new(order.clone());
+        tree.insert(&base[0]);
+        assert_eq!(tree.node_count(), 2);
+        tree.insert(&doc(2, r#"{"a":1,"b":1}"#));
+        assert_eq!(tree.node_count(), 4);
+        assert!(tree.tail(leaf_of(&tree, 2)).is_empty());
+        assert_eq!(tree.tail(leaf_of(&tree, 1)).len(), 1);
+        assert_eq!(tree.max_depth(), 4);
+
+        // Ends before the tail's first pair: the leaf itself keeps the doc.
+        let mut tree = FpTree::new(order.clone());
+        tree.insert(&base[0]);
+        let at = tree.insert(&doc(2, r#"{"a":1}"#));
+        assert_eq!(tree.node_count(), 3);
+        assert_eq!(tree.docs(at), &[DocId(2)]);
+        assert_eq!(tree.tail(leaf_of(&tree, 1)).len(), 2);
+
+        // Diverges at the first tail pair: two leaves under the old one.
+        let mut tree = FpTree::new(order.clone());
+        tree.insert(&base[0]);
+        tree.insert(&doc(2, r#"{"a":1,"b":2,"c":1}"#));
+        assert_eq!(tree.node_count(), 4);
+        assert_eq!(tree.tail(leaf_of(&tree, 1)).len(), 2);
+        assert_eq!(tree.tail(leaf_of(&tree, 2)).len(), 1);
+
+        // Diverges at the last tail pair; then a third doc equals a tail.
+        let mut tree = FpTree::new(order.clone());
+        tree.insert(&base[0]);
+        tree.insert(&doc(2, r#"{"a":1,"b":1,"c":1,"d":2}"#));
+        assert_eq!(tree.node_count(), 6);
+        tree.insert(&doc(3, r#"{"a":1,"b":1,"c":1,"d":2}"#));
+        assert_eq!(tree.node_count(), 6);
+        assert_eq!(tree.docs(leaf_of(&tree, 3)), &[DocId(2), DocId(3)]);
+
+        // Outruns the tail: the old docs end on the last expanded node.
+        let mut tree = FpTree::new(order);
+        tree.insert(&doc(1, r#"{"a":1,"b":1}"#));
+        tree.insert(&doc(2, r#"{"a":1,"b":1,"c":1,"d":1}"#));
+        assert_eq!(tree.node_count(), 4);
+        assert!(tree.tail(leaf_of(&tree, 1)).is_empty());
+        assert_eq!(tree.tail(leaf_of(&tree, 2)).len(), 1);
+        let rendered = tree.render(&dict);
+        assert!(rendered.contains("b:1 [d1]"), "{rendered}");
+        assert!(rendered.contains("d:1 [d2]"), "{rendered}");
     }
 
     #[test]
@@ -580,10 +635,12 @@ mod tests {
         let node = tree.insert(&late);
         assert_eq!(tree.docs(node), &[DocId(99)]);
         assert_eq!(tree.doc_count(), 5);
-        // zz is unseen by the order; it must sort after all ranked attrs.
-        assert_eq!(tree.depth(node), 2);
-        let parent = tree.parent(node);
-        assert_eq!(dict.attr_name(tree.pair(parent).attr), "b");
+        // zz is unseen by the order; it must sort after all ranked attrs,
+        // i.e. directly under b:7.
+        let b7 = dict.lookup("b", &ssj_json::Scalar::Int(7)).unwrap();
+        let nb7 = tree.child(NodeId::ROOT, b7.avp).unwrap();
+        assert!(tree.children(nb7).any(|c| c == node));
+        assert_eq!(dict.attr_name(tree.pair(node).attr), "zz");
     }
 
     /// Doc slices must stay correct across the pool's relocation and
@@ -618,47 +675,31 @@ mod tests {
             seen
         };
         assert_eq!(terminals.len(), 8);
-        for path in 0..8u64 {
-            let d = &docs[path as usize];
-            let node = tree.insert(d); // re-locate terminal via insert path
-            let mut got = tree.docs(node).to_vec();
-            let removed = tree.remove(d); // undo the probe insert
-            assert!(removed);
-            got.pop();
-            assert_eq!(got, expect(path), "path {path}");
+        assert_eq!(tree.pool.len(), tree.doc_count());
+        for (path, &node) in terminals.iter().enumerate() {
+            assert_eq!(tree.docs(node), expect(path as u64), "path {path}");
         }
-        // Seal compacts to exactly doc_count entries, slices intact.
+        // Appending after the seal relocates again; a second seal compacts.
+        for path in 0..8u64 {
+            let again = Document::from_pairs(DocId(100 + path), docs[path as usize].pairs().into());
+            let node = tree.insert(&again);
+            let mut want = expect(path);
+            want.push(DocId(100 + path));
+            assert_eq!(tree.docs(node), want, "grown path {path}");
+        }
         tree.seal();
         assert_eq!(tree.pool.len(), tree.doc_count());
-        for path in 0..8u64 {
-            let d = &docs[path as usize];
-            let node = tree.insert(d);
-            let mut got = tree.docs(node).to_vec();
-            assert!(tree.remove(d));
-            got.pop();
-            assert_eq!(got, expect(path), "sealed path {path}");
+        assert_eq!(tree.tails.len(), 8);
+        for (path, &node) in terminals.iter().enumerate() {
+            assert_eq!(tree.docs(node).len(), 10, "sealed path {path}");
+            assert_eq!(tree.tail(node).len(), 1);
         }
     }
-}
-
-#[cfg(test)]
-mod render_tests {
-    use super::*;
-    use ssj_json::{Dictionary, DocId, Document};
 
     #[test]
     fn render_matches_fig4_structure() {
         let dict = Dictionary::new();
-        let docs: Vec<Document> = [
-            r#"{"a":3,"b":7,"c":1}"#,
-            r#"{"a":3,"b":8}"#,
-            r#"{"a":3,"b":7}"#,
-            r#"{"b":8,"c":2}"#,
-        ]
-        .iter()
-        .enumerate()
-        .map(|(i, s)| Document::from_json(DocId(i as u64 + 1), s, &dict).unwrap())
-        .collect();
+        let docs = table1(&dict);
         let tree = FpTree::build(&docs);
         let rendered = tree.render(&dict);
         assert!(rendered.starts_with("root\n"), "{rendered}");
@@ -673,5 +714,18 @@ mod render_tests {
             .filter(|l| l.starts_with("├─") || l.starts_with("└─"))
             .collect();
         assert_eq!(top_level.len(), 2, "{rendered}");
+    }
+
+    /// A tail renders as the chain of only children it stands for.
+    #[test]
+    fn render_expands_tails() {
+        let dict = Dictionary::new();
+        let docs = docs(&dict, &[r#"{"x":1,"y":2,"z":3}"#]);
+        let tree = FpTree::build(&docs);
+        assert_eq!(tree.node_count(), 2);
+        assert_eq!(
+            tree.render(&dict),
+            "root\n└─ x:1\n   └─ y:2\n      └─ z:3 [d1]\n"
+        );
     }
 }

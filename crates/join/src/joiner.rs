@@ -5,8 +5,9 @@
 //! dispatches. [`split_timings`] measures the FP-tree's two phases
 //! ("Creation" and "Join" in Fig. 11a/b) separately.
 
-use crate::{fpjoin, hbj, nlj};
+use crate::{fpjoin, hbj, nlj, FpTree};
 use ssj_json::{DocId, Document};
+use std::borrow::Borrow;
 use std::time::{Duration, Instant};
 
 /// The local natural-join algorithms evaluated in §VII-E-5.
@@ -54,13 +55,13 @@ pub fn join_batch(algo: JoinAlgo, docs: &[Document]) -> Vec<(DocId, DocId)> {
     BatchJoiner::new().join_batch(algo, docs)
 }
 
-/// Per-worker batch-join state: the probe scratch and partner buffer live
-/// here so consecutive windows handled by one worker (e.g. a Joiner bolt)
-/// reuse the same allocations instead of re-growing them every window.
+/// Per-worker batch-join state: the probe scratch, partner buffer and
+/// attribute-order counters live here so consecutive windows handled by one
+/// worker (e.g. a Joiner bolt) reuse the same allocations instead of
+/// re-growing them every window.
 #[derive(Debug, Default)]
 pub struct BatchJoiner {
-    scratch: fpjoin::ProbeScratch,
-    partners: Vec<DocId>,
+    scratch: fpjoin::JoinScratch,
 }
 
 impl BatchJoiner {
@@ -73,20 +74,24 @@ impl BatchJoiner {
     pub fn join_batch(&mut self, algo: JoinAlgo, docs: &[Document]) -> Vec<(DocId, DocId)> {
         match algo {
             JoinAlgo::FpTree => {
-                let order = crate::order::AttrOrder::compute(docs);
-                let mut tree = crate::fptree::FpTree::new(order);
                 let mut pairs = Vec::new();
-                for doc in docs {
-                    fpjoin::probe_into(&tree, doc, true, &mut self.scratch, &mut self.partners);
-                    // Probe precedes insert, so every partner is earlier.
-                    pairs.extend(self.partners.iter().map(|&p| (p, doc.id())));
-                    tree.insert(doc);
-                }
+                self.join_and_freeze(docs, &mut pairs);
                 pairs
             }
             JoinAlgo::Nlj => nlj::join_batch(docs),
             JoinAlgo::Hbj => hbj::join_batch(docs),
         }
+    }
+
+    /// FPJ over one pane with this worker's scratch: appends the pane's
+    /// pairs to `pairs` and returns its sealed tree, ready to be frozen
+    /// (see [`fpjoin::join_batch_into`]).
+    pub fn join_and_freeze<D: Borrow<Document>>(
+        &mut self,
+        docs: &[D],
+        pairs: &mut Vec<(DocId, DocId)>,
+    ) -> FpTree {
+        fpjoin::join_batch_into(docs, &mut self.scratch, pairs)
     }
 }
 
@@ -107,7 +112,7 @@ pub fn split_timings(algo: JoinAlgo, docs: &[Document]) -> JoinTimings {
     match algo {
         JoinAlgo::FpTree => {
             let t0 = Instant::now();
-            let tree = crate::fptree::FpTree::build(docs);
+            let tree = FpTree::build(docs);
             let creation = t0.elapsed();
             let t1 = Instant::now();
             let mut pairs = 0usize;

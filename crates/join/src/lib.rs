@@ -32,7 +32,6 @@
 pub mod fpjoin;
 pub mod fptree;
 pub mod hbj;
-pub mod header_probe;
 pub mod joiner;
 pub mod nlj;
 pub mod order;
@@ -41,13 +40,12 @@ pub mod tree_stats;
 pub mod windowspec;
 
 pub use fpjoin::{
-    join_batch as fp_join_batch, probe as fp_probe, probe_into as fp_probe_into, ProbeScratch,
-    ProbeStats,
+    join_batch as fp_join_batch, probe as fp_probe, probe_absent as fp_probe_absent,
+    probe_into as fp_probe_into, ProbeScratch, ProbeStats,
 };
 pub use fptree::{FpTree, NodeId};
-pub use header_probe::probe_via_header;
 pub use joiner::{join_batch, split_timings, BatchJoiner, JoinAlgo, JoinTimings};
 pub use order::AttrOrder;
-pub use sliding::{IncrementalSlidingJoiner, SlidingJoiner};
+pub use sliding::SlidingJoiner;
 pub use tree_stats::TreeStats;
 pub use windowspec::{WindowError, WindowSpec};

@@ -7,7 +7,7 @@
 //! batch are *ubiquitous* — they occupy the first [`AttrOrder::ubiquitous`]
 //! ranks and enable the FPTreeJoin fast path of §V-B.
 
-use ssj_json::{AttrId, Document, FxHashMap, FxHashSet, Pair};
+use ssj_json::{AttrId, Document, Pair};
 
 /// A frozen attribute ordering computed from one batch (window) of documents.
 #[derive(Debug, Clone)]
@@ -23,37 +23,71 @@ pub struct AttrOrder {
     docs: usize,
 }
 
+/// Counters of [`AttrOrder::compute_with`], reused across batches so a
+/// worker's steady state allocates only the order it returns. Both tables
+/// are dense: `counts` is indexed by attribute id, `seen` is a bitmap over
+/// pair ids (an `AvpId` identifies attribute *and* value, so one bit per
+/// pair counts distinct values without a per-attribute set). The bitmap is
+/// sized by the largest pair id met — one bit per dictionary entry, e.g.
+/// 56 KB for a 448 k-pair dictionary — and is cleared per batch.
+#[derive(Debug, Default)]
+pub struct OrderScratch {
+    /// Per attribute: documents of the batch carrying it, and its distinct
+    /// values within the batch.
+    counts: Vec<(u32, u32)>,
+    seen: Vec<u64>,
+}
+
 impl AttrOrder {
     /// Compute the ordering from a batch of documents.
     pub fn compute<'a, I>(docs: I) -> Self
     where
         I: IntoIterator<Item = &'a Document>,
     {
-        let mut doc_freq: FxHashMap<AttrId, u32> = FxHashMap::default();
-        let mut values: FxHashMap<AttrId, FxHashSet<u32>> = FxHashMap::default();
+        Self::compute_with(docs, &mut OrderScratch::default())
+    }
+
+    /// [`compute`](AttrOrder::compute) with caller-provided counters.
+    pub fn compute_with<'a, I>(docs: I, scratch: &mut OrderScratch) -> Self
+    where
+        I: IntoIterator<Item = &'a Document>,
+    {
+        let OrderScratch { counts, seen } = scratch;
+        counts.fill((0, 0));
+        seen.fill(0);
         let mut n_docs = 0usize;
         for doc in docs {
             n_docs += 1;
+            // A document holds at most one pair per attribute, so counting
+            // pairs counts documents.
             for &Pair { attr, avp } in doc.pairs() {
-                *doc_freq.entry(attr).or_insert(0) += 1;
-                values.entry(attr).or_default().insert(avp.0);
+                let (a, word, bit) = (attr.index(), avp.0 as usize / 64, 1u64 << (avp.0 % 64));
+                if a >= counts.len() {
+                    counts.resize(a + 1, (0, 0));
+                }
+                if word >= seen.len() {
+                    seen.resize(word + 1, 0);
+                }
+                let (freq, distinct) = &mut counts[a];
+                *freq += 1;
+                *distinct += u32::from(seen[word] & bit == 0);
+                seen[word] |= bit;
             }
         }
-        let mut attrs: Vec<AttrId> = doc_freq.keys().copied().collect();
-        attrs.sort_by(|a, b| {
-            let fa = doc_freq[a];
-            let fb = doc_freq[b];
-            // Descending frequency, then ascending distinct values, then id.
-            fb.cmp(&fa)
-                .then_with(|| values[a].len().cmp(&values[b].len()))
-                .then_with(|| a.cmp(b))
+        let mut attrs: Vec<AttrId> = (0..counts.len() as u32)
+            .map(AttrId)
+            .filter(|a| counts[a.index()].0 > 0)
+            .collect();
+        // Descending frequency, then ascending distinct values, then id.
+        attrs.sort_unstable_by_key(|a| {
+            let (freq, distinct) = counts[a.index()];
+            (u32::MAX - freq, distinct, *a)
         });
         let ubiquitous = attrs
             .iter()
-            .take_while(|a| doc_freq[a] as usize == n_docs && n_docs > 0)
+            .take_while(|a| counts[a.index()].0 as usize == n_docs)
             .count();
-        let max_id = attrs.iter().map(|a| a.index()).max().map_or(0, |m| m + 1);
-        let mut rank = vec![u32::MAX; max_id];
+        let mut rank = vec![u32::MAX; counts.len()];
         for (r, attr) in attrs.iter().enumerate() {
             rank[attr.index()] = r as u32;
         }

@@ -1,7 +1,6 @@
 //! Structural statistics of an FP-tree — the compression and shape numbers
 //! behind the paper's storage claims ("compactly storing the documents",
-//! §V-A) and behind choosing a probe strategy (deep-narrow trees favour the
-//! top-down fast path, shallow-wide ones the header chains).
+//! §V-A).
 
 use crate::fptree::{FpTree, NodeId};
 
@@ -28,28 +27,27 @@ pub struct TreeStats {
 }
 
 impl TreeStats {
-    /// Compute the statistics of `tree`.
+    /// Compute the statistics of `tree`'s logical shape: a leaf's tail
+    /// counts as the chain of single-child nodes it stands for, so the
+    /// numbers are those of the paper's fully expanded tree.
     pub fn of(tree: &FpTree) -> TreeStats {
-        let nodes = tree.node_count().saturating_sub(1);
+        let mut nodes = 0usize;
         let mut levels: Vec<usize> = Vec::new();
-        let mut stack: Vec<NodeId> = tree.children(NodeId::ROOT).collect();
-        while let Some(node) = stack.pop() {
-            let depth = tree.depth(node) as usize;
-            if levels.len() < depth {
-                levels.resize(depth, 0);
-            }
-            levels[depth - 1] += 1;
-            stack.extend(tree.children(node));
-        }
         let mut pairs = 0usize;
-        let mut doc_depth_sum = 0u64;
-        let mut docs = 0usize;
-        for (node, _doc) in tree.iter_docs() {
-            docs += 1;
-            let d = tree.depth(node) as usize;
-            pairs += d;
-            doc_depth_sum += d as u64;
-        }
+        // Pair-less documents terminate at the root, which `walk` skips.
+        let mut docs = tree.docs(NodeId::ROOT).len();
+        tree.walk(|node, depth| {
+            let bottom = depth as usize + tree.tail(node).len();
+            if levels.len() < bottom {
+                levels.resize(bottom, 0);
+            }
+            for level in &mut levels[depth as usize - 1..bottom] {
+                *level += 1;
+            }
+            nodes += bottom + 1 - depth as usize;
+            docs += tree.docs(node).len();
+            pairs += bottom * tree.docs(node).len();
+        });
         TreeStats {
             docs,
             nodes,
@@ -59,11 +57,11 @@ impl TreeStats {
             } else {
                 pairs as f64 / nodes as f64
             },
-            max_depth: tree.max_depth(),
+            max_depth: levels.len() as u32,
             mean_doc_depth: if docs == 0 {
                 0.0
             } else {
-                doc_depth_sum as f64 / docs as f64
+                pairs as f64 / docs as f64
             },
             ubiquitous: tree.order().ubiquitous(),
             levels,

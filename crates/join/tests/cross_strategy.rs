@@ -1,10 +1,9 @@
 //! Large randomized cross-checks: all join strategies (top-down FPTreeJoin
-//! with and without the fast path, header-chain probing, NLJ, HBJ, sliding
-//! panes) must produce identical results on sizeable mixed batches.
+//! with and without the fast path, NLJ, HBJ, sliding panes) must produce identical results on sizeable mixed batches.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ssj_join::{fpjoin, hbj, nlj, probe_via_header, FpTree, JoinAlgo, SlidingJoiner};
+use ssj_join::{fpjoin, hbj, nlj, FpTree, JoinAlgo, SlidingJoiner};
 use ssj_json::{Dictionary, DocId, Document, Scalar};
 
 /// A mixed batch: log-like docs with hubs, conflicts, and unique tails.
@@ -54,17 +53,11 @@ fn five_hundred_docs_all_strategies_agree() {
     // Probe APIs over the full tree.
     let tree = FpTree::build(&docs);
     let mut via_probe = Vec::new();
-    let mut via_header = Vec::new();
     let mut via_slow = Vec::new();
     for d in &docs {
         for p in fpjoin::probe(&tree, d) {
             if p < d.id() {
                 via_probe.push((p, d.id()));
-            }
-        }
-        for p in probe_via_header(&tree, d) {
-            if p < d.id() {
-                via_header.push((p, d.id()));
             }
         }
         for p in fpjoin::probe_with_stats(&tree, d, false).0 {
@@ -74,10 +67,8 @@ fn five_hundred_docs_all_strategies_agree() {
         }
     }
     via_probe.sort();
-    via_header.sort();
     via_slow.sort();
     assert_eq!(via_probe, reference, "fast-path probe");
-    assert_eq!(via_header, reference, "header-chain probe");
     assert_eq!(via_slow, reference, "no-fast-path probe");
 
     // Sliding window with a single giant pane == tumbling.

@@ -43,6 +43,15 @@ stage "test" cargo test -q
 # arbitrary bytes never panic or hang.
 stage "ingest equivalence" cargo test -q -p ssj-json --test ingest_equivalence
 
+# Lazy-tail FP-tree == NLJ oracle on prefix-heavy batches (tail equal /
+# ends inside / diverges, foreign probes, post-seal inserts), logical shape ==
+# prefix tree, dense attribute order == hash-map reference.
+stage "lazy-tail differential" cargo test -q -p ssj-join --test lazy_tail
+
+# Count-allocs build, 0 allocs per steady-state probe; test mode runs every
+# bench body once and leaves BENCH_fptree.json alone.
+stage "fptree alloc audit" cargo test -q -p ssj-bench --features count-allocs --bench fptree
+
 # Fault injection + supervised recovery, legacy + pooled.
 stage "chaos smoke" cargo test -q -p ssj-runtime --test chaos
 stage "partitioner differential" cargo test -q -p ssj-partition --test cross_partitioners

@@ -116,6 +116,41 @@ fn threaded_topology_matches_pipeline_results() {
     }
 }
 
+/// Tier-1 runs only this package, so this is its one pass through the
+/// Joiner's freeze path: every pane is frozen under the tree its own join
+/// built and probed by the seven panes after it. Fixed seed; the truth is
+/// brute force over the whole stream, filtered to pairs whose documents are
+/// less than a window apart and keyed by the later document's pane.
+#[test]
+fn sliding_topology_matches_pane_filtered_brute_force() {
+    const PANE: usize = 64;
+    const PANES: usize = 8;
+    let dict = Dictionary::new();
+    let config = ServerLogConfig {
+        seed: 14,
+        ..ServerLogConfig::default()
+    };
+    let docs = ServerLogGen::new(config, dict.clone()).take_docs(PANE * 12);
+    let cfg = StreamJoinConfig::default()
+        .with_m(4)
+        .with_window_spec(WindowSpec::sliding(PANE, PANES))
+        .with_expansion(false)
+        .build()
+        .unwrap();
+    let report = run_topology(cfg, &dict, docs.clone()).expect("run");
+
+    let mut truth: Vec<FxHashSet<(u64, u64)>> = vec![FxHashSet::default(); docs.len() / PANE];
+    for (i, a) in docs.iter().enumerate() {
+        for (j, b) in docs.iter().enumerate().skip(i + 1) {
+            if j / PANE - i / PANE < PANES && a.joins_with(b) {
+                truth[j / PANE].insert((a.id().0, b.id().0));
+            }
+        }
+    }
+    assert!(truth.iter().skip(PANES).all(|pane| !pane.is_empty()));
+    assert_eq!(report.joins_per_window, truth);
+}
+
 #[test]
 fn topology_scales_joiner_count() {
     for m in [1usize, 2, 6] {

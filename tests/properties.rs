@@ -200,21 +200,6 @@ proptest! {
     }
 
     #[test]
-    fn header_probe_matches_topdown(specs in vec(doc_strategy(), 1..25)) {
-        let dict = Dictionary::new();
-        let docs = materialize(&specs, &dict);
-        let tree = FpTree::build(&docs);
-        for d in &docs {
-            let mut via_header =
-                schema_free_stream_joins::ssj_join::probe_via_header(&tree, d);
-            let mut topdown = fpjoin::probe(&tree, d);
-            via_header.sort();
-            topdown.sort();
-            prop_assert_eq!(via_header, topdown);
-        }
-    }
-
-    #[test]
     fn fast_path_never_changes_results(specs in vec(doc_strategy(), 1..25)) {
         let dict = Dictionary::new();
         let docs = materialize(&specs, &dict);
