@@ -12,8 +12,8 @@
 //!   share a pair with it; broadcasts documents with uncovered pairs to
 //!   guarantee the exact join result; tracks per-window quality and signals
 //!   the Merger when it degrades past θ.
-//! * **Joiner** (m): buffers its window share and computes the local join
-//!   at the boundary with the configured algorithm.
+//! * **Joiner** (m): joins its window share as it arrives, in micro-batches,
+//!   and emits the pane's pairs at the boundary.
 
 use crate::config::StreamJoinConfig;
 use crate::msg::{HotSpec, Msg, TableMsg};
@@ -1020,11 +1020,19 @@ impl Bolt<Msg> for Assigner {
     }
 }
 
-/// One sealed chunk of a Joiner pane: either a resident arena (the pane's
-/// deduplicated documents plus the FP-tree frozen over them) or a spilled
-/// immutable segment file with only its compact header in memory
-/// (DESIGN.md §4i). Without a memory budget every pane is exactly one
-/// resident chunk — the pre-tiering layout.
+/// How many arrivals a [`Joiner`] collects before one `drain` joins them.
+/// 1 walks every frozen tree once per document; 256 walks each once per
+/// micro-batch (tree-major, the tree stays cache-hot) and still leaves a
+/// boundary at most 255 documents to join. Swept on the repository
+/// benchmark at 1 / 64 / 256 / 1024 (EXPERIMENTS.md "Join on arrival"): 64
+/// closes 0.13 ms sooner, 256 moves ~6 % more documents on `rw-tumbling`,
+/// 1024 adds 0.5–1.1 ms of close for ~3 % more throughput.
+pub const ARRIVAL_BATCH: usize = 256;
+
+/// One sealed chunk of a Joiner pane: either a resident arena (the chunk's
+/// deduplicated documents plus the FP-tree over them) or a spilled immutable
+/// segment file with only its compact header in memory (DESIGN.md §4i).
+/// Without a memory budget every pane is exactly one resident chunk.
 // Resident is much larger than Spilled, but a chunk ring holds only a
 // handful of entries and probing goes straight through the tree — boxing
 // would buy nothing except an extra hop on the hot path.
@@ -1055,25 +1063,25 @@ impl FrozenPane {
     /// on the Bloom summary and linearly scan cached/read-back blocks with
     /// `Document::joins_with` — the exact predicate the FP-tree probe
     /// implements, so the partner set is identical either way.
-    #[allow(clippy::too_many_arguments)]
     fn probe(
         &self,
         docs: &[DocRef],
         scratch: &mut ssj_join::ProbeScratch,
         probe_buf: &mut Vec<ssj_json::DocId>,
-        cache: &mut BlockCache,
+        cache: Option<&mut BlockCache>,
         pairs: &mut Vec<(ssj_json::DocId, ssj_json::DocId)>,
         inst: Option<&TaskInstruments>,
     ) {
         match self {
             FrozenPane::Resident { tree, .. } => {
-                // A frozen chunk never holds a later chunk's document.
+                // A sealed chunk never holds a later chunk's document.
                 for d in docs {
                     ssj_join::fp_probe_absent(tree, d, true, scratch, probe_buf);
                     pairs.extend(probe_buf.iter().map(|&p| (p, d.id())));
                 }
             }
             FrozenPane::Spilled { segment } => {
+                let cache = cache.expect("spilled chunk without a spill store");
                 let timed = inst.is_some_and(|i| i.enabled());
                 for d in docs {
                     if !segment.may_contain_any(d) {
@@ -1094,6 +1102,14 @@ impl FrozenPane {
                     pairs.extend(probe_buf.iter().map(|&p| (p, d.id())));
                 }
             }
+        }
+    }
+
+    /// Segment id of a spilled chunk (keys the block cache).
+    fn segment_id(&self) -> Option<u64> {
+        match self {
+            FrozenPane::Spilled { segment } => Some(segment.id()),
+            FrozenPane::Resident { .. } => None,
         }
     }
 }
@@ -1122,77 +1138,60 @@ fn owned(docs: &[DocRef]) -> Vec<ssj_json::Document> {
     docs.iter().map(|d| (**d).clone()).collect()
 }
 
-/// Join one deduplicated chunk within itself with `algo`, appending its
-/// pairs to `pairs`. FPJ builds the chunk's tree exactly once — the join's
-/// own tree is handed back sealed; the baselines build one only to `freeze`.
-fn join_chunk(
-    batch: &mut ssj_join::BatchJoiner,
-    algo: JoinAlgo,
-    docs: &[DocRef],
-    freeze: bool,
-    pairs: &mut Vec<(ssj_json::DocId, ssj_json::DocId)>,
-) -> Option<FpTree> {
-    if algo == JoinAlgo::FpTree {
-        return Some(batch.join_and_freeze(docs, pairs));
-    }
-    let docs = owned(docs);
-    pairs.append(&mut batch.join_batch(algo, &docs));
-    freeze.then(|| FpTree::build(&docs))
-}
-
-/// Joiner bolt (§V): local window join.
+/// Joiner bolt (§V): local window join, computed as the documents arrive.
 ///
-/// Tumbling windows join the buffered pane and drop it. Sliding windows
-/// reuse [`ssj_join::SlidingJoiner`]'s pane-chaining design at the bolt
-/// level: the newest `panes_per_window - 1` filled panes stay frozen;
-/// each pane boundary joins the open pane internally, probes it against
-/// every frozen pane, then freezes it and evicts the oldest — O(pane)
-/// eviction, never a window rebuild.
+/// Arrivals are collected into micro-batches of [`ARRIVAL_BATCH`]; one
+/// `drain` per micro-batch (and one for the remainder at the boundary)
+/// drops duplicates, probes every earlier chunk with the whole micro-batch,
+/// then probes and inserts each document into the open pane's FP-tree
+/// ([`ssj_join::OpenPane`], ordered by the previous pane). A punctuation
+/// therefore has at most one micro-batch left to join: it emits the pane's
+/// pairs and rotates the ring. Tumbling windows drop the pane; sliding
+/// windows freeze it next to the newest `panes_per_window - 1` and evict
+/// the oldest — O(pane) eviction, never a window rebuild.
 ///
-/// With a memory budget (`--mem-budget`, DESIGN.md §4i) the open pane is
-/// additionally sealed in *chunks*: when the buffered share reaches the
-/// chunk target, the chunk is deduplicated, joined within itself, probed
-/// against every earlier chunk (sealed earlier in this pane or frozen in
-/// the ring), and frozen; the oldest resident chunks then spill to sorted
-/// segment files until the resident footprint fits the budget. The pair
-/// set is invariant under chunking — each unordered pair is found exactly
-/// once, either inside its chunk's batch join or when the later chunk
-/// seals and probes the earlier one.
+/// The NLJ/HBJ baselines (`--algo`, Fig. 11) have no incremental index:
+/// their open chunk is only buffered and joined when it is sealed.
+///
+/// With a memory budget (`--mem-budget`, DESIGN.md §4i) the open tree is
+/// additionally sealed as a *chunk* of the open pane whenever the share
+/// that arrived since the last seal reaches the chunk target; the oldest
+/// resident chunks then spill to sorted segment files until the resident
+/// footprint fits the budget. The pair set is invariant under chunking —
+/// each unordered pair is found exactly once, when its later document is
+/// drained against the chunk (sealed or open) holding the earlier one.
 pub struct Joiner {
     config: StreamJoinConfig,
     task: usize,
-    buffer: Vec<DocRef>,
+    /// Arrivals not joined yet — at most [`ARRIVAL_BATCH`].
+    arrivals: Vec<DocRef>,
+    /// The open chunk, joined on arrival (FPJ only), and its documents
+    /// (only when `keeps_docs`).
+    open: ssj_join::OpenPane,
+    open_docs: Vec<DocRef>,
+    /// Chunks of the open pane sealed so far (spill mode only).
+    sealed: Vec<FrozenPane>,
     /// Frozen panes still inside the sliding lookback, oldest first; empty
     /// for tumbling windows. One chunk per pane without a budget.
     frozen: VecDeque<Vec<FrozenPane>>,
-    /// Probe scratch persisted across windows: steady-state probing in this
-    /// bolt allocates nothing once the buffers have warmed up.
-    batch: ssj_join::BatchJoiner,
-    /// Reused working memory for cross-pane probes.
+    /// Pairs of the open pane found so far.
+    pairs: Vec<(ssj_json::DocId, ssj_json::DocId)>,
+    /// Reused working memory for probes of sealed chunks.
     probe_scratch: ssj_join::ProbeScratch,
     probe_buf: Vec<ssj_json::DocId>,
     /// Deployment spill settings; `None` when `mem_budget == 0`.
     spill_settings: Option<Arc<SpillSettings>>,
     /// Per-task spill machinery, created in `prepare` (needs the task
-    /// index for segment names). `None` when `mem_budget == 0`: the
-    /// budget-0 hot path is exactly the pre-tiering code.
+    /// index for segment names). `None` when `mem_budget == 0`.
     spill: Option<SpillStore>,
-    /// Chunks of the open pane sealed so far (spill mode only).
-    sealed: Vec<FrozenPane>,
-    /// Ids seen in the open pane: duplicates can arrive when an updated
-    /// table re-routes a pair the broadcast path already delivered; one
-    /// copy per document is kept. Cleared at every pane boundary.
+    /// Ids drained into the open pane: duplicates can arrive when an
+    /// updated table re-routes a pair the broadcast path already delivered;
+    /// one copy per document is kept. Cleared at every pane boundary.
     pane_seen: FxHashSet<u64>,
-    /// Pairs the previous pane emitted — the next pane's reservation.
-    last_pairs: usize,
-    /// Deduplicated docs sealed into the open pane so far.
-    pane_docs: usize,
-    /// Join pairs accumulated by chunk seals of the open pane.
-    pending: Vec<(ssj_json::DocId, ssj_json::DocId)>,
-    /// Approximate bytes buffered since the last chunk seal.
+    /// Approximate bytes arrived since the last chunk seal.
     open_bytes: u64,
-    /// Probe/join time accumulated across this pane's chunk seals
-    /// (instrument-gated), flushed into `probe_ns` at the boundary.
+    /// Join time accumulated across this pane's drains (instrument-gated),
+    /// flushed into `probe_ns` at the boundary.
     probe_ns_acc: u64,
     inst: Option<Arc<TaskInstruments>>,
 }
@@ -1204,18 +1203,17 @@ impl Joiner {
         Joiner {
             config,
             task: 0,
-            buffer: Vec::new(),
+            arrivals: Vec::with_capacity(ARRIVAL_BATCH),
+            open: ssj_join::OpenPane::new(),
+            open_docs: Vec::new(),
+            sealed: Vec::new(),
             frozen: VecDeque::new(),
-            batch: ssj_join::BatchJoiner::new(),
+            pairs: Vec::new(),
             probe_scratch: ssj_join::ProbeScratch::new(),
             probe_buf: Vec::new(),
             spill_settings: spill,
             spill: None,
-            sealed: Vec::new(),
             pane_seen: FxHashSet::default(),
-            last_pairs: 0,
-            pane_docs: 0,
-            pending: Vec::new(),
             open_bytes: 0,
             probe_ns_acc: 0,
             inst: None,
@@ -1228,50 +1226,95 @@ impl Joiner {
         self.spill_settings.is_some() || self.spill.is_some()
     }
 
-    /// Seal the buffered share of the open pane as one chunk: dedup, join
-    /// within the chunk, probe all earlier state, freeze resident, then
-    /// spill oldest resident chunks until the budget holds.
-    fn seal_chunk(&mut self) {
+    /// Whether a later seal needs the open chunk's documents: to freeze
+    /// them (sliding), to spill them, or for a baseline's join. A resident
+    /// tumbling FPJ pane does not — its tree holds ids — and lets each
+    /// micro-batch go as soon as it is joined, so the boundary has no
+    /// pane's worth of `Arc`s to release either.
+    fn keeps_docs(&self) -> bool {
+        self.config.panes_per_window() > 1
+            || self.spill.is_some()
+            || self.config.join_algo != JoinAlgo::FpTree
+    }
+
+    /// Spill mode: the share arrived since the last seal fills a chunk.
+    fn chunk_full(&self) -> bool {
+        self.spill
+            .as_ref()
+            .is_some_and(|s| self.open_bytes >= s.settings().chunk_target())
+    }
+
+    /// Join the collected arrivals: drop duplicates, probe every earlier
+    /// chunk — frozen panes oldest first, then this pane's seals — with the
+    /// whole micro-batch (tree-major: one tree stays hot), then probe and
+    /// insert each document into the open tree.
+    fn drain(&mut self) {
+        let mut docs = std::mem::take(&mut self.arrivals);
+        docs.retain(|d| self.pane_seen.insert(d.id().0));
+        if !docs.is_empty() {
+            let inst = self.inst.as_deref();
+            let t0 = inst.filter(|i| i.enabled()).map(|_| Instant::now());
+            let mut cache = self.spill.as_mut().map(|s| &mut s.cache);
+            for chunk in self.frozen.iter().flatten().chain(&self.sealed) {
+                chunk.probe(
+                    &docs,
+                    &mut self.probe_scratch,
+                    &mut self.probe_buf,
+                    cache.as_deref_mut(),
+                    &mut self.pairs,
+                    inst,
+                );
+            }
+            if self.config.join_algo == JoinAlgo::FpTree {
+                for d in &docs {
+                    self.open.join(d, &mut self.pairs);
+                }
+            }
+            if let Some(t0) = t0 {
+                self.probe_ns_acc += t0.elapsed().as_nanos() as u64;
+            }
+            if self.keeps_docs() {
+                self.open_docs.append(&mut docs);
+            }
+        }
+        docs.clear();
+        self.arrivals = docs;
+        if self.chunk_full() {
+            self.seal_open(true);
+            self.tier();
+        }
+    }
+
+    /// Close the open chunk; `keep` seals it as a resident chunk of the
+    /// open pane. The baselines join their buffered chunk here.
+    fn seal_open(&mut self, keep: bool) {
+        self.open_bytes = 0;
+        let tree = if self.config.join_algo == JoinAlgo::FpTree {
+            self.open.close(keep)
+        } else {
+            let t0 = Instant::now();
+            let docs = owned(&self.open_docs);
+            self.pairs
+                .append(&mut ssj_join::join_batch(self.config.join_algo, &docs));
+            self.probe_ns_acc += t0.elapsed().as_nanos() as u64;
+            (keep && !docs.is_empty()).then(|| FpTree::build(&docs))
+        };
+        match tree {
+            Some(tree) => self.sealed.push(FrozenPane::Resident {
+                docs: std::mem::take(&mut self.open_docs),
+                tree,
+            }),
+            None => self.open_docs.clear(),
+        }
+    }
+
+    /// Spill mode, after a seal or a ring rotation: spill the oldest
+    /// resident chunks (oldest frozen pane first, then this pane's seals)
+    /// until resident state fits the budget, then service the compactor.
+    fn tier(&mut self) {
         let Some(store) = self.spill.as_mut() else {
             return;
         };
-        self.open_bytes = 0;
-        let mut docs = std::mem::take(&mut self.buffer);
-        docs.retain(|d| self.pane_seen.insert(d.id().0));
-        if docs.is_empty() {
-            return;
-        }
-        self.pane_docs += docs.len();
-        let inst = self.inst.as_deref();
-        let t0 = inst.filter(|i| i.enabled()).map(|_| Instant::now());
-        // Within-chunk pairs with the configured algorithm...
-        let pairs = &mut self.pending;
-        let tree = join_chunk(&mut self.batch, self.config.join_algo, &docs, true, pairs)
-            .expect("join_chunk freezes on request");
-        // ...then chunk-spanning pairs: probe every earlier chunk, frozen
-        // panes (oldest first) before this pane's earlier seals.
-        for chunk in self
-            .frozen
-            .iter()
-            .flat_map(|pane| pane.iter())
-            .chain(self.sealed.iter())
-        {
-            chunk.probe(
-                &docs,
-                &mut self.probe_scratch,
-                &mut self.probe_buf,
-                &mut store.cache,
-                pairs,
-                inst,
-            );
-        }
-        if let Some(t0) = t0 {
-            self.probe_ns_acc += t0.elapsed().as_nanos() as u64;
-        }
-        self.sealed.push(FrozenPane::Resident { docs, tree });
-
-        // Budget enforcement: spill oldest resident chunks (oldest frozen
-        // pane first, then this pane's seals) until resident state fits.
         let budget = store.settings().budget;
         let mut spilled_bytes = 0u64;
         let mut spilled_runs = 0u64;
@@ -1279,8 +1322,8 @@ impl Joiner {
             let resident: u64 = self
                 .frozen
                 .iter()
-                .flat_map(|pane| pane.iter())
-                .chain(self.sealed.iter())
+                .flatten()
+                .chain(&self.sealed)
                 .map(FrozenPane::resident_bytes)
                 .sum();
             if resident <= budget {
@@ -1289,8 +1332,8 @@ impl Joiner {
             let Some(chunk) = self
                 .frozen
                 .iter_mut()
-                .flat_map(|pane| pane.iter_mut())
-                .chain(self.sealed.iter_mut())
+                .flatten()
+                .chain(&mut self.sealed)
                 .find(|c| matches!(c, FrozenPane::Resident { .. }))
             else {
                 break; // headers alone exceed the budget; nothing to do
@@ -1305,7 +1348,7 @@ impl Joiner {
             spilled_runs += 1;
             *chunk = FrozenPane::Spilled { segment };
         }
-        if let Some(inst) = inst {
+        if let Some(inst) = &self.inst {
             if spilled_runs > 0 {
                 inst.counter("spill_bytes").add(spilled_bytes);
                 inst.counter("spill_segments").add(spilled_runs);
@@ -1333,10 +1376,7 @@ impl Joiner {
                 let positions: Vec<usize> = pane
                     .iter()
                     .enumerate()
-                    .filter(|(_, c)| {
-                        matches!(c, FrozenPane::Spilled { segment }
-                            if res.input_ids.contains(&segment.id()))
-                    })
+                    .filter(|(_, c)| c.segment_id().is_some_and(|id| res.input_ids.contains(&id)))
                     .map(|(i, _)| i)
                     .collect();
                 if positions.len() != res.input_ids.len() {
@@ -1383,60 +1423,6 @@ impl Joiner {
             }
         }
     }
-
-    /// Pane boundary under tiering: seal the remainder, emit the pane's
-    /// accumulated pairs, rotate the chunk ring.
-    fn on_punct_spill(&mut self, window: u64, out: &mut Outbox<Msg>) {
-        self.seal_chunk();
-        let pairs = std::mem::take(&mut self.pending);
-        let docs = self.pane_docs;
-        if let Some(inst) = &self.inst {
-            inst.counter("join_pairs").add(pairs.len() as u64);
-            inst.counter("window_docs").add(docs as u64);
-            inst.histogram("probe_pairs").record_ns(pairs.len() as u64);
-            if inst.enabled() {
-                let dt = std::time::Duration::from_nanos(self.probe_ns_acc);
-                inst.histogram("probe_ns").record_ns(self.probe_ns_acc);
-                inst.trace(TraceKind::Probe, window, dt);
-            }
-            if let Some(store) = &mut self.spill {
-                let (hits, misses) = store.cache.take_counters();
-                inst.counter("block_cache_hits").add(hits);
-                inst.counter("block_cache_misses").add(misses);
-            }
-        }
-        self.probe_ns_acc = 0;
-        out.emit(Msg::JoinStats {
-            window,
-            joiner: self.task,
-            docs,
-            pairs,
-        });
-        let sealed = std::mem::take(&mut self.sealed);
-        if self.config.panes_per_window() > 1 {
-            self.frozen.push_back(sealed);
-            while self.frozen.len() >= self.config.panes_per_window() {
-                if let (Some(pane), Some(store)) = (self.frozen.pop_front(), self.spill.as_mut()) {
-                    let dead: Vec<u64> = pane
-                        .iter()
-                        .filter_map(|c| match c {
-                            FrozenPane::Spilled { segment } => Some(segment.id()),
-                            FrozenPane::Resident { .. } => None,
-                        })
-                        .collect();
-                    if !dead.is_empty() {
-                        store.cache.evict_segments(&dead);
-                    }
-                }
-            }
-        }
-        self.pane_seen.clear();
-        self.pane_docs = 0;
-        self.open_bytes = 0;
-        self.buffer.clear();
-        self.drain_compactions();
-        self.maybe_request_compaction();
-    }
 }
 
 impl Bolt<Msg> for Joiner {
@@ -1456,108 +1442,81 @@ impl Bolt<Msg> for Joiner {
 
     fn execute(&mut self, msg: Msg, _out: &mut Outbox<Msg>) {
         if let Msg::Doc(doc) = msg {
-            match &self.spill {
-                // Budget 0: push, nothing else — the pre-tiering hot path.
-                None => self.buffer.push(doc),
-                Some(store) => {
-                    self.open_bytes += doc.approx_bytes() as u64;
-                    self.buffer.push(doc);
-                    if self.open_bytes >= store.settings().chunk_target() {
-                        self.seal_chunk();
-                    }
-                }
+            self.open_bytes += doc.approx_bytes() as u64;
+            self.arrivals.push(doc);
+            if self.arrivals.len() >= ARRIVAL_BATCH || self.chunk_full() {
+                self.drain();
             }
         }
     }
 
+    /// Pane boundary: join the remainder, emit the pane's pairs, rotate the
+    /// ring. A tumbling window is the 1-pane ring — the pane it pushes is
+    /// the one it evicts.
     fn on_punct(&mut self, window: u64, out: &mut Outbox<Msg>) {
-        if self.spill.is_some() {
-            self.on_punct_spill(window, out);
-            return;
-        }
-        let mut docs = std::mem::take(&mut self.buffer);
-        docs.retain(|d| self.pane_seen.insert(d.id().0));
-        self.pane_seen.clear();
         let t0 = self
             .inst
             .as_deref()
             .filter(|i| i.enabled())
             .map(|_| Instant::now());
-        let sliding = self.config.panes_per_window() > 1;
-        // Within-pane pairs with the configured algorithm (for tumbling
-        // windows the pane IS the window and this is the entire join)...
-        let mut pairs = Vec::with_capacity(self.last_pairs);
-        let tree = join_chunk(
-            &mut self.batch,
-            self.config.join_algo,
-            &docs,
-            sliding,
-            &mut pairs,
-        );
-        // ...plus, for sliding windows, pane-spanning pairs: probe each new
-        // document against every frozen pane's FP-tree. Frozen partners are
-        // the earlier documents, so pairs keep (earlier, later) order.
-        // Without a budget every pane is exactly one resident chunk.
-        for chunk in self.frozen.iter().flatten() {
-            let FrozenPane::Resident { tree, .. } = chunk else {
-                unreachable!("spilled chunk without a spill store")
-            };
-            for d in &docs {
-                ssj_join::fp_probe_absent(
-                    tree,
-                    d,
-                    true,
-                    &mut self.probe_scratch,
-                    &mut self.probe_buf,
-                );
-                pairs.extend(self.probe_buf.iter().map(|&p| (p, d.id())));
-            }
-        }
-        self.last_pairs = pairs.len();
+        self.drain();
+        self.seal_open(self.config.panes_per_window() > 1);
+        let docs = self.pane_seen.len();
+        self.pane_seen.clear();
+        let reserve = self.pairs.len();
+        let pairs = std::mem::replace(&mut self.pairs, Vec::with_capacity(reserve));
         if let Some(inst) = &self.inst {
             inst.counter("join_pairs").add(pairs.len() as u64);
-            inst.counter("window_docs").add(docs.len() as u64);
+            inst.counter("window_docs").add(docs as u64);
             // Per-window probe load in candidate pairs: the deterministic
             // straggler measure — unlike probe_ns it is immune to CPU
             // contention, so benchmarks can gate on it reproducibly.
             inst.histogram("probe_pairs").record_ns(pairs.len() as u64);
-            if let Some(t0) = t0 {
-                let dt = t0.elapsed();
-                inst.histogram("probe_ns").record_ns(dt.as_nanos() as u64);
+            if inst.enabled() {
+                let dt = std::time::Duration::from_nanos(self.probe_ns_acc);
+                inst.histogram("probe_ns").record_ns(self.probe_ns_acc);
                 inst.trace(TraceKind::Probe, window, dt);
             }
+            if let Some(store) = &mut self.spill {
+                let (hits, misses) = store.cache.take_counters();
+                inst.counter("block_cache_hits").add(hits);
+                inst.counter("block_cache_misses").add(misses);
+            }
         }
+        self.probe_ns_acc = 0;
         out.emit(Msg::JoinStats {
             window,
             joiner: self.task,
-            docs: docs.len(),
+            docs,
             pairs,
         });
-        // Slide: freeze the pane under the tree its own join built and evict
-        // the one leaving the lookback — O(pane) work. Tumbling (1 pane)
-        // keeps nothing but the buffer's allocation.
-        match tree {
-            Some(tree) if sliding => {
-                self.buffer = Vec::with_capacity(docs.len());
-                self.frozen
-                    .push_back(vec![FrozenPane::Resident { docs, tree }]);
-                while self.frozen.len() >= self.config.panes_per_window() {
-                    self.frozen.pop_front();
-                }
+        self.frozen.push_back(std::mem::take(&mut self.sealed));
+        while self.frozen.len() >= self.config.panes_per_window() {
+            let dead = self.frozen.pop_front();
+            if let Some(store) = self.spill.as_mut() {
+                let ids: Vec<u64> = dead
+                    .iter()
+                    .flatten()
+                    .filter_map(FrozenPane::segment_id)
+                    .collect();
+                store.cache.evict_segments(&ids);
             }
-            _ => {
-                docs.clear();
-                self.buffer = docs;
-            }
+        }
+        self.tier();
+        if let (Some(inst), Some(t0)) = (&self.inst, t0) {
+            // What a boundary still costs: one remainder drain + the seal.
+            inst.histogram("close_ns")
+                .record_ns(t0.elapsed().as_nanos() as u64);
         }
     }
 
     // The frozen pane ring spans punctuations, so replay of the open pane
     // alone cannot rebuild it — it must be captured. Spilled chunks are
-    // captured as segment manifests (the Arc keeps the file alive); the
-    // open buffer, sealed open-pane chunks, and pending pairs ARE rebuilt
-    // by replay and the probe scratch is only a warm cache; none of those
-    // are snapshotted. Tumbling windows snapshot an empty ring.
+    // captured as segment manifests (the Arc keeps the file alive). The open
+    // pane — arrivals, open tree, sealed chunks, pairs — IS rebuilt by
+    // replay; so is the attribute order it runs under, which affects only
+    // the rebuilt tree's shape, never its pairs. Tumbling windows snapshot
+    // an empty ring.
     fn snapshot(&self) -> Option<BoltState> {
         Some(Box::new(JoinerState {
             frozen: self
@@ -1579,6 +1538,8 @@ impl Bolt<Msg> for Joiner {
         }))
     }
 
+    // Called on a fresh instance: the open pane starts empty, under the
+    // empty order, and replay refills it.
     fn restore(&mut self, state: &BoltState) -> Result<(), String> {
         let s = state
             .downcast_ref::<JoinerState>()
@@ -1600,13 +1561,6 @@ impl Bolt<Msg> for Joiner {
                     .collect()
             })
             .collect();
-        self.buffer.clear();
-        self.sealed.clear();
-        self.pane_seen.clear();
-        self.pane_docs = 0;
-        self.pending.clear();
-        self.open_bytes = 0;
-        self.probe_ns_acc = 0;
         Ok(())
     }
 }

@@ -109,14 +109,26 @@ fn build_faulted(
     // Punctuation is pane-granular: tumbling windows punctuate per window
     // (the 1-pane case), sliding windows per pane (DESIGN.md §4g).
     let window = config.pane_docs();
-    let msgs: Vec<Msg> = docs.into_iter().map(|d| Msg::Doc(Arc::new(d))).collect();
+    let msgs = reader_msgs(docs);
     build_custom(
         config,
         dict,
-        move |_| Box::new(VecSpout::with_punctuation(msgs.clone(), window)),
+        move |_| Box::new(VecSpout::with_punctuation(msgs(), window)),
         move |_| Box::new(reporter.clone()),
         plan,
     )
+}
+
+/// The reader's stream as messages, built once and *moved* into the spout:
+/// the topology has one reader task and spouts are never restarted, so the
+/// spout factory runs once and takes ownership instead of cloning.
+fn reader_msgs(docs: Vec<Document>) -> impl Fn() -> Vec<Msg> + Send + 'static {
+    let msgs: Vec<Msg> = docs.into_iter().map(|d| Msg::Doc(Arc::new(d))).collect();
+    let msgs = Mutex::new(Some(msgs));
+    move || {
+        let mut slot = msgs.lock().expect("the slot is only ever locked here");
+        slot.take().expect("the reader spout is built once")
+    }
 }
 
 /// The Fig. 2 topology with a pluggable reader spout and reporter bolt —
@@ -327,7 +339,7 @@ pub fn run_topology_paced(
     let schedule = Arc::new(schedule);
     let anchor: Arc<OnceLock<Instant>> = Arc::new(OnceLock::new());
     let lat_out: Arc<Mutex<Vec<(u64, HistogramSnapshot)>>> = Arc::new(Mutex::new(Vec::new()));
-    let msgs: Vec<Msg> = docs.into_iter().map(|d| Msg::Doc(Arc::new(d))).collect();
+    let msgs = reader_msgs(docs);
     let spout_schedule = Arc::clone(&schedule);
     let spout_anchor = Arc::clone(&anchor);
     let rep_out = Arc::clone(&lat_out);
@@ -337,7 +349,7 @@ pub fn run_topology_paced(
         dict,
         move |_| {
             Box::new(PacedSpout::new(
-                msgs.clone(),
+                msgs(),
                 spout_schedule.as_ref().clone(),
                 pane,
                 Arc::clone(&spout_anchor),

@@ -7,16 +7,17 @@
 
 use proptest::prelude::*;
 use ssj_bench::testutil::assert_runs_equal;
+use ssj_core::components::ARRIVAL_BATCH;
 use ssj_core::{run_topology, run_topology_chaos, StreamJoinConfig, WindowSpec};
 use ssj_json::{Dictionary, DocId, Document};
 use ssj_runtime::FaultPlan;
 
 const PANE: usize = 40;
 const PANES: usize = 3;
-const N: usize = PANE * 7; // seven panes: crashes land well inside the run
+const RUN_PANES: usize = 7; // crashes land well inside the run
 
-fn stream(dict: &Dictionary, seed: u64) -> Vec<Document> {
-    (0..N as u64)
+fn stream(dict: &Dictionary, seed: u64, n: usize) -> Vec<Document> {
+    (0..n as u64)
         .map(|i| {
             let x = i.wrapping_mul(seed | 1);
             let json = if i.is_multiple_of(7) {
@@ -34,10 +35,10 @@ fn stream(dict: &Dictionary, seed: u64) -> Vec<Document> {
         .collect()
 }
 
-fn chaos_cfg() -> StreamJoinConfig {
+fn chaos_cfg(pane: usize) -> StreamJoinConfig {
     StreamJoinConfig::default()
         .with_m(3)
-        .with_window_spec(WindowSpec::sliding(PANE, PANES))
+        .with_window_spec(WindowSpec::sliding(pane, PANES))
         .with_partition_creators(2)
         .with_assigners(2)
         .with_expansion(false)
@@ -52,9 +53,20 @@ fn chaos_cfg() -> StreamJoinConfig {
 /// leave the pane-keyed join output identical to the fault-free run, and
 /// the supervisor must actually have recovered something.
 fn assert_crash_recovers(seed: u64, comp: &'static str, task: usize, window: u64, tuple: u64) {
-    let cfg = chaos_cfg();
+    assert_crash_recovers_with(PANE, seed, comp, task, window, tuple);
+}
+
+fn assert_crash_recovers_with(
+    pane: usize,
+    seed: u64,
+    comp: &'static str,
+    task: usize,
+    window: u64,
+    tuple: u64,
+) {
+    let cfg = chaos_cfg(pane);
     let dict = Dictionary::new();
-    let docs = stream(&dict, seed);
+    let docs = stream(&dict, seed, pane * RUN_PANES);
     let clean = run_topology(cfg.clone(), &dict, docs.clone()).unwrap();
 
     let plan = FaultPlan::new().crash(comp, task, window, tuple);
@@ -78,6 +90,20 @@ fn joiner_crash_mid_pane_recovers_pane_ring() {
 #[test]
 fn joiner_crash_at_pane_boundary_recovers_pane_ring() {
     assert_crash_recovers(12, "joiner", 0, 4, 0);
+}
+
+/// A joiner joins on arrival, so a crash deep inside a pane lands *after*
+/// whole micro-batches were probed, inserted into the open tree and turned
+/// into pairs. Replay must rebuild exactly that — the restored joiner starts
+/// its open pane over under the empty attribute order, not the one the
+/// crashed incarnation ran under, which may change the rebuilt tree's shape
+/// but not one pair. The crash fires only if the task really received more
+/// than `ARRIVAL_BATCH` tuples in that pane.
+#[test]
+fn joiner_crash_after_a_joined_micro_batch_recovers() {
+    let tuple = ARRIVAL_BATCH as u64 + 40;
+    assert_crash_recovers_with(2 * ARRIVAL_BATCH, 15, "joiner", 2, 3, tuple);
+    assert_crash_recovers_with(2 * ARRIVAL_BATCH, 15, "joiner", 0, 1, tuple);
 }
 
 /// The creator's cross-pane state is the incremental group index plus the

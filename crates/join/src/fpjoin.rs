@@ -7,7 +7,9 @@
 //!    only *ubiquitous* attributes (present in every stored document). The
 //!    probe's value for each of them selects exactly one child per level —
 //!    every sibling branch conflicts on that attribute and is pruned
-//!    wholesale.
+//!    wholesale. `num` is [`FpTree::ubiquitous`], a fact the tree maintains
+//!    about the documents it stores, so the fast path stays exact under an
+//!    order computed from some other batch ([`OpenPane`]).
 //! 2. **Traversal** (Algorithm 3): below the ubiquitous levels, a DFS visits
 //!    children, pruning a whole subtree when the child's attribute exists in
 //!    the probe with a *different* value (a conflict), and counting shared
@@ -151,18 +153,17 @@ pub fn probe_absent(
     out.clear();
     scratch.load(probe_doc);
     let mut stats = ProbeStats::default();
-    let order = tree.order();
     let mut start = NodeId::ROOT;
     let mut shared = 0u32;
 
     if fast_path {
-        // The first `num` ranks of the order are exactly the ubiquitous
-        // attributes, so the probe's pair for each level is one table load
-        // away — no reordering needed. The fast path applies only while the
-        // probe carries every ubiquitous attribute; on the first miss we
-        // fall back to the general traversal from wherever we got to
-        // (sound: levels walked so far matched exactly).
-        for &attr in order.attrs().iter().take(order.ubiquitous()) {
+        // Every stored document carries the first `tree.ubiquitous()` ranks
+        // of the order, so the probe's pair for each level is one table
+        // load away — no reordering needed. The fast path applies only
+        // while the probe carries every ubiquitous attribute; on the first
+        // miss we fall back to the general traversal from wherever we got
+        // to (sound: levels walked so far matched exactly).
+        for &attr in tree.order().attrs().iter().take(tree.ubiquitous()) {
             let Some(avp) = scratch.probe_avp(attr) else {
                 // Probe lacks this ubiquitous attribute: no conflict is
                 // possible on it, so all children below `start` remain
@@ -239,7 +240,7 @@ fn report_leaf(
     total.is_some()
 }
 
-/// Working memory of [`join_batch_into`], reused across batches: probe
+/// Working memory of a probe-then-insert join, reused across batches: probe
 /// scratch, partner buffer and the attribute-order counters.
 #[derive(Debug, Default)]
 pub struct JoinScratch {
@@ -248,11 +249,21 @@ pub struct JoinScratch {
     order: OrderScratch,
 }
 
-/// Join an entire batch the way a Joiner does for one pane: probe each
-/// document against the documents before it, then insert it. Each joinable
-/// pair is appended to `pairs` exactly once, as `(earlier, later)`; the
-/// sealed tree over the whole batch is handed back so a sliding pane can be
-/// frozen without building it a second time. Document ids must be distinct.
+impl JoinScratch {
+    /// The §V step: report `doc`'s partners among the documents already in
+    /// `tree` as `(earlier, doc)`, then store it.
+    fn join_insert(&mut self, tree: &mut FpTree, doc: &Document, pairs: &mut Vec<(DocId, DocId)>) {
+        probe_absent(tree, doc, true, &mut self.probe, &mut self.partners);
+        pairs.extend(self.partners.iter().map(|&p| (p, doc.id())));
+        tree.insert(doc);
+    }
+}
+
+/// Join an entire batch at once: probe each document against the documents
+/// before it, then insert it, under the batch's own attribute order. Each
+/// joinable pair is appended to `pairs` exactly once, as `(earlier, later)`;
+/// the sealed tree over the whole batch is handed back. Document ids must be
+/// distinct.
 pub fn join_batch_into<D: Borrow<Document>>(
     docs: &[D],
     scratch: &mut JoinScratch,
@@ -261,13 +272,61 @@ pub fn join_batch_into<D: Borrow<Document>>(
     let order = AttrOrder::compute_with(docs.iter().map(Borrow::borrow), &mut scratch.order);
     let mut tree = FpTree::new(order);
     for doc in docs {
-        let doc = doc.borrow();
-        probe_absent(&tree, doc, true, &mut scratch.probe, &mut scratch.partners);
-        pairs.extend(scratch.partners.iter().map(|&p| (p, doc.id())));
-        tree.insert(doc);
+        scratch.join_insert(&mut tree, doc.borrow(), pairs);
     }
     tree.seal();
     tree
+}
+
+/// A pane joined while it fills — the Joiner bolt's open pane. Documents are
+/// probed and inserted as they arrive, so nothing is left to join when the
+/// pane closes. The tree cannot be ordered by documents it has not seen yet:
+/// it is governed by the order of the *previous* pane (the empty order for
+/// the first), while the counters of the next order are fed on insert.
+/// Exactness never depends on how well that order fits — [`FpTree`] tracks
+/// its own fast-path depth — only the tree's compactness does.
+#[derive(Debug, Default)]
+pub struct OpenPane {
+    tree: FpTree,
+    scratch: JoinScratch,
+}
+
+impl OpenPane {
+    /// An empty pane under the empty order.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append `doc`'s pairs with the documents already in the pane to
+    /// `pairs` as `(earlier, doc)`, then store it. Ids must be distinct.
+    pub fn join(&mut self, doc: &Document, pairs: &mut Vec<(DocId, DocId)>) {
+        self.scratch.join_insert(&mut self.tree, doc, pairs);
+        self.scratch.order.observe(doc);
+    }
+
+    /// The pane's tree so far.
+    pub fn tree(&self) -> &FpTree {
+        &self.tree
+    }
+
+    /// Close the pane and open the next one, empty, under the order of the
+    /// documents this one held (one sort over the attribute list). `keep`
+    /// hands the sealed tree back, for a sliding window to freeze; otherwise
+    /// its arenas are reused. An empty pane teaches nothing and keeps its
+    /// order.
+    pub fn close(&mut self, keep: bool) -> Option<FpTree> {
+        if self.tree.doc_count() == 0 {
+            return None;
+        }
+        let order = self.scratch.order.finish();
+        if !keep {
+            self.tree.reset(order);
+            return None;
+        }
+        let mut tree = std::mem::replace(&mut self.tree, FpTree::new(order));
+        tree.seal();
+        Some(tree)
+    }
 }
 
 /// [`join_batch_into`] with fresh scratch and a fresh result vector.
@@ -507,7 +566,7 @@ mod tests {
         let refs: Vec<&str> = srcs.iter().map(String::as_str).collect();
         let ds = docs(&dict, &refs);
         let tree = FpTree::build(&ds);
-        assert_eq!(tree.order().ubiquitous(), 3);
+        assert_eq!(tree.ubiquitous(), 3);
         for d in &ds {
             let (got, stats) = probe_with_stats(&tree, d, true);
             assert_eq!(stats.fast_levels, 3);

@@ -84,6 +84,15 @@ struct Node {
 }
 
 impl Node {
+    /// The synthetic root; its label is never read.
+    fn root() -> Self {
+        let label = Pair {
+            attr: ssj_json::AttrId(u32::MAX),
+            avp: ssj_json::AvpId(u32::MAX),
+        };
+        Node::new(label, NIL)
+    }
+
     fn new(label: Pair, next_sibling: u32) -> Self {
         Node {
             label,
@@ -110,26 +119,48 @@ pub struct FpTree {
     /// Shared pool backing every node's document list.
     pool: Vec<DocId>,
     doc_count: usize,
+    /// Leading ranks of `order` carried by every stored document — the
+    /// depth of the §V-B fast path. See [`FpTree::ubiquitous`].
+    ubiquitous: usize,
     /// Reused by `insert` so steady-state updates don't allocate.
     reorder_buf: Vec<Pair>,
 }
 
+impl Default for FpTree {
+    /// An empty tree under the empty order.
+    fn default() -> Self {
+        FpTree::new(AttrOrder::default())
+    }
+}
+
 impl FpTree {
-    /// Create an empty tree governed by `order`.
+    /// Create an empty tree governed by `order`. The order need not come
+    /// from the documents the tree will store: any order yields exact
+    /// probes, a representative one yields a compact tree.
     pub fn new(order: AttrOrder) -> Self {
-        let root = Pair {
-            attr: ssj_json::AttrId(u32::MAX),
-            avp: ssj_json::AvpId(u32::MAX),
-        };
         FpTree {
+            ubiquitous: order.ubiquitous(),
             order,
-            nodes: vec![Node::new(root, NIL)],
+            nodes: vec![Node::root()],
             child_index: FxHashMap::default(),
             tails: Vec::new(),
             pool: Vec::new(),
             doc_count: 0,
             reorder_buf: Vec::new(),
         }
+    }
+
+    /// Empty the tree and put it under `order`, keeping every arena's
+    /// capacity — a tumbling pane reuses one tree.
+    pub fn reset(&mut self, order: AttrOrder) {
+        self.nodes.clear();
+        self.nodes.push(Node::root());
+        self.child_index.clear();
+        self.tails.clear();
+        self.pool.clear();
+        self.doc_count = 0;
+        self.ubiquitous = order.ubiquitous();
+        self.order = order;
     }
 
     /// Build a tree for a batch: compute the attribute order, insert every
@@ -147,6 +178,19 @@ impl FpTree {
     #[inline]
     pub fn order(&self) -> &AttrOrder {
         &self.order
+    }
+
+    /// How many leading ranks of the order every stored document carries:
+    /// the levels the §V-B fast path may descend by exact child lookup.
+    /// [`AttrOrder::ubiquitous`] is only the order's *prediction* — exact
+    /// for [`build`](FpTree::build), whose order comes from the stored
+    /// documents, a guess for a tree governed by another batch's order. The
+    /// count starts at the prediction and [`insert`](FpTree::insert) cuts
+    /// it back to the first rank a document lacks, so probes read the fact
+    /// from the tree and never from the order.
+    #[inline]
+    pub fn ubiquitous(&self) -> usize {
+        self.ubiquitous
     }
 
     /// Approximate heap footprint of the tree as stored, in bytes: the node
@@ -167,6 +211,15 @@ impl FpTree {
     pub fn insert(&mut self, doc: &Document) -> NodeId {
         let mut path = std::mem::take(&mut self.reorder_buf);
         self.order.reorder_into(doc, &mut path);
+        // The path is in rank order, so the document carries ranks `0..k`
+        // exactly when its first `k` pairs are the order's first `k`
+        // attributes.
+        self.ubiquitous = path
+            .iter()
+            .zip(self.order.attrs())
+            .take(self.ubiquitous)
+            .take_while(|(pair, attr)| pair.attr == **attr)
+            .count();
         let mut node = 0u32;
         let mut at = 0;
         let terminal = loop {

@@ -41,7 +41,7 @@ pub mod windowspec;
 
 pub use fpjoin::{
     join_batch as fp_join_batch, probe as fp_probe, probe_absent as fp_probe_absent,
-    probe_into as fp_probe_into, ProbeScratch, ProbeStats,
+    probe_into as fp_probe_into, OpenPane, ProbeScratch, ProbeStats,
 };
 pub use fptree::{FpTree, NodeId};
 pub use joiner::{join_batch, split_timings, BatchJoiner, JoinAlgo, JoinTimings};

@@ -10,7 +10,8 @@
 use ssj_json::{AttrId, Document, Pair};
 
 /// A frozen attribute ordering computed from one batch (window) of documents.
-#[derive(Debug, Clone)]
+/// The default is the empty order: every attribute unseen, ranked by id.
+#[derive(Debug, Clone, Default)]
 pub struct AttrOrder {
     /// `rank[attr.index()]` = position of the attribute in the global order;
     /// `u32::MAX` for attributes unseen in the batch.
@@ -23,57 +24,52 @@ pub struct AttrOrder {
     docs: usize,
 }
 
-/// Counters of [`AttrOrder::compute_with`], reused across batches so a
-/// worker's steady state allocates only the order it returns. Both tables
-/// are dense: `counts` is indexed by attribute id, `seen` is a bitmap over
-/// pair ids (an `AvpId` identifies attribute *and* value, so one bit per
-/// pair counts distinct values without a per-attribute set). The bitmap is
-/// sized by the largest pair id met — one bit per dictionary entry, e.g.
-/// 56 KB for a 448 k-pair dictionary — and is cleared per batch.
+/// The counters an [`AttrOrder`] is computed from, reused across batches so
+/// a worker's steady state allocates only the order it returns. Feed
+/// documents one at a time with [`observe`](OrderScratch::observe) — a
+/// streaming joiner does so as it inserts them — and
+/// [`finish`](OrderScratch::finish) the batch. Both tables are dense:
+/// `counts` is indexed by attribute id, `seen` is a bitmap over pair ids (an
+/// `AvpId` identifies attribute *and* value, so one bit per pair counts
+/// distinct values without a per-attribute set). The bitmap is sized by the
+/// largest pair id met — one bit per dictionary entry, e.g. 56 KB for a
+/// 448 k-pair dictionary — and is cleared per batch.
 #[derive(Debug, Default)]
 pub struct OrderScratch {
     /// Per attribute: documents of the batch carrying it, and its distinct
     /// values within the batch.
     counts: Vec<(u32, u32)>,
     seen: Vec<u64>,
+    /// Documents observed since the last `finish`.
+    docs: usize,
 }
 
-impl AttrOrder {
-    /// Compute the ordering from a batch of documents.
-    pub fn compute<'a, I>(docs: I) -> Self
-    where
-        I: IntoIterator<Item = &'a Document>,
-    {
-        Self::compute_with(docs, &mut OrderScratch::default())
+impl OrderScratch {
+    /// Count one document of the current batch.
+    pub fn observe(&mut self, doc: &Document) {
+        let OrderScratch { counts, seen, docs } = self;
+        *docs += 1;
+        // A document holds at most one pair per attribute, so counting
+        // pairs counts documents.
+        for &Pair { attr, avp } in doc.pairs() {
+            let (a, word, bit) = (attr.index(), avp.0 as usize / 64, 1u64 << (avp.0 % 64));
+            if a >= counts.len() {
+                counts.resize(a + 1, (0, 0));
+            }
+            if word >= seen.len() {
+                seen.resize(word + 1, 0);
+            }
+            let (freq, distinct) = &mut counts[a];
+            *freq += 1;
+            *distinct += u32::from(seen[word] & bit == 0);
+            seen[word] |= bit;
+        }
     }
 
-    /// [`compute`](AttrOrder::compute) with caller-provided counters.
-    pub fn compute_with<'a, I>(docs: I, scratch: &mut OrderScratch) -> Self
-    where
-        I: IntoIterator<Item = &'a Document>,
-    {
-        let OrderScratch { counts, seen } = scratch;
-        counts.fill((0, 0));
-        seen.fill(0);
-        let mut n_docs = 0usize;
-        for doc in docs {
-            n_docs += 1;
-            // A document holds at most one pair per attribute, so counting
-            // pairs counts documents.
-            for &Pair { attr, avp } in doc.pairs() {
-                let (a, word, bit) = (attr.index(), avp.0 as usize / 64, 1u64 << (avp.0 % 64));
-                if a >= counts.len() {
-                    counts.resize(a + 1, (0, 0));
-                }
-                if word >= seen.len() {
-                    seen.resize(word + 1, 0);
-                }
-                let (freq, distinct) = &mut counts[a];
-                *freq += 1;
-                *distinct += u32::from(seen[word] & bit == 0);
-                seen[word] |= bit;
-            }
-        }
+    /// The order of the documents observed since the last `finish`; the
+    /// counters are left cleared for the next batch.
+    pub fn finish(&mut self) -> AttrOrder {
+        let OrderScratch { counts, seen, docs } = self;
         let mut attrs: Vec<AttrId> = (0..counts.len() as u32)
             .map(AttrId)
             .filter(|a| counts[a.index()].0 > 0)
@@ -85,18 +81,44 @@ impl AttrOrder {
         });
         let ubiquitous = attrs
             .iter()
-            .take_while(|a| counts[a.index()].0 as usize == n_docs)
+            .take_while(|a| counts[a.index()].0 as usize == *docs)
             .count();
         let mut rank = vec![u32::MAX; counts.len()];
         for (r, attr) in attrs.iter().enumerate() {
             rank[attr.index()] = r as u32;
         }
-        AttrOrder {
+        let order = AttrOrder {
             rank,
             by_rank: attrs,
             ubiquitous,
-            docs: n_docs,
+            docs: *docs,
+        };
+        counts.fill((0, 0));
+        seen.fill(0);
+        *docs = 0;
+        order
+    }
+}
+
+impl AttrOrder {
+    /// Compute the ordering from a batch of documents.
+    pub fn compute<'a, I>(docs: I) -> Self
+    where
+        I: IntoIterator<Item = &'a Document>,
+    {
+        Self::compute_with(docs, &mut OrderScratch::default())
+    }
+
+    /// [`compute`](AttrOrder::compute) with caller-provided counters (which
+    /// must hold no unfinished batch).
+    pub fn compute_with<'a, I>(docs: I, scratch: &mut OrderScratch) -> Self
+    where
+        I: IntoIterator<Item = &'a Document>,
+    {
+        for doc in docs {
+            scratch.observe(doc);
         }
+        scratch.finish()
     }
 
     /// Rank of `attr`; `u32::MAX` when the attribute was unseen in the batch
@@ -111,8 +133,11 @@ impl AttrOrder {
         &self.by_rank
     }
 
-    /// Number of attributes that appear in every document of the batch —
-    /// the `num` input of FPTreeJoin (Algorithm 2).
+    /// Number of attributes that appear in every document of the batch the
+    /// order was computed from. For a tree over that same batch this is the
+    /// `num` input of FPTreeJoin (Algorithm 2); for a tree holding other
+    /// documents it is a prediction, and [`crate::FpTree::ubiquitous`] is
+    /// the count probes use.
     #[inline]
     pub fn ubiquitous(&self) -> usize {
         self.ubiquitous

@@ -63,7 +63,7 @@ impl TreeStats {
             } else {
                 pairs as f64 / docs as f64
             },
-            ubiquitous: tree.order().ubiquitous(),
+            ubiquitous: tree.ubiquitous(),
             levels,
         }
     }

@@ -115,8 +115,8 @@ proptest! {
     }
 
     /// Inserting into a sealed tree keeps expanding tails correctly; the
-    /// late documents need not carry the ubiquitous attributes, so (as a
-    /// caller must) probe with the fast path off.
+    /// late documents need not carry the attributes the build found
+    /// ubiquitous — the tree shortens its fast path itself.
     #[test]
     fn inserts_after_seal_match_nlj(
         specs in vec(spec(), 1..16),
@@ -132,8 +132,10 @@ proptest! {
         prop_assert_eq!(tree.doc_count(), all.len());
         for round in 0..2 {
             for d in &all {
-                let got = fpjoin::probe_with_stats(&tree, d, false).0;
-                prop_assert_eq!(sorted(got), sorted(nlj::probe(&all, d)), "round {} probe {}", round, d.id());
+                for fast in [true, false] {
+                    let got = fpjoin::probe_with_stats(&tree, d, fast).0;
+                    prop_assert_eq!(sorted(got), sorted(nlj::probe(&all, d)), "round {} fast={} probe {}", round, fast, d.id());
+                }
             }
             tree.seal();
         }

@@ -10,10 +10,12 @@
 //! ```
 //!
 //! A joiner's share of a pane is emulated by a deterministic sample of
-//! `SSJ_PROFILE_SHARE` of its documents (1.0: a broadcast pane). Only calls
-//! that exist before and after PR 14 are used, so the same file prices both.
+//! `SSJ_PROFILE_SHARE` of its documents (1.0: a broadcast pane). The last
+//! column joins each pane on arrival ([`OpenPane`], tree ordered by the pane
+//! before) and reports how many arena nodes that stale order costs against
+//! the batch-ordered tree.
 
-use ssj_join::{fpjoin, AttrOrder, FpTree};
+use ssj_join::{fpjoin, AttrOrder, FpTree, OpenPane};
 use ssj_json::{Dictionary, DocId, Document};
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -45,11 +47,13 @@ fn pane_profile() {
     let copies: usize = panes.iter().map(Vec::len).sum();
 
     // Three passes; the minimum per column is reported.
-    let mut best = [f64::MAX; 5];
-    let (mut nodes, mut bytes, mut pairs) = (0usize, 0usize, 0usize);
+    let mut best = [f64::MAX; 6];
+    let (mut nodes, mut live_nodes, mut bytes, mut pairs) = (0usize, 0usize, 0usize, 0usize);
     for _ in 0..3 {
-        let mut t = [0u128; 5];
-        (nodes, bytes, pairs) = (0, 0, 0);
+        let mut t = [0u128; 6];
+        (nodes, live_nodes, bytes, pairs) = (0, 0, 0, 0);
+        let mut open = OpenPane::new();
+        let mut live_pairs = Vec::new();
         let mut ring: VecDeque<FpTree> = VecDeque::new();
         let mut scratch = fpjoin::ProbeScratch::new();
         let mut partners: Vec<DocId> = Vec::new();
@@ -87,6 +91,16 @@ fn pane_profile() {
             t[4] += t0.elapsed().as_nanos();
             assert_eq!(rebuilt.node_count(), joined.node_count());
 
+            let t0 = Instant::now();
+            live_pairs.clear();
+            for d in p {
+                open.join(d, &mut live_pairs);
+            }
+            let live = open.close(true);
+            t[5] += t0.elapsed().as_nanos();
+            assert_eq!(live_pairs.len(), found.len());
+            live_nodes += live.map_or(0, |t| t.node_count() - 1);
+
             if frozen_panes > 0 {
                 ring.push_back(joined);
                 if ring.len() > frozen_panes {
@@ -98,7 +112,7 @@ fn pane_profile() {
             *b = b.min(t as f64 / copies as f64);
         }
     }
-    let [order, insert, join, frozen, build] = best;
+    let [order, insert, join, frozen, build, live] = best;
     println!(
         "{path}: {} panes of {pane} x share {share} = {:.0} docs/pane, {frozen_panes} frozen",
         panes.len(),
@@ -107,12 +121,14 @@ fn pane_profile() {
     println!(
         "per routed copy, ns: order {order:.0} | insert+seal {insert:.0} | join_batch {join:.0} \
          (probe-before-insert ~{:.0}) | {frozen_panes} frozen probes {frozen:.0} | \
-         FpTree::build {build:.0}",
+         FpTree::build {build:.0} | open pane (join on arrival + close) {live:.0}",
         join - order - insert
     );
     println!(
-        "arena nodes/doc {:.2} | tree bytes/doc {:.1} | avps/doc {:.2} | pairs found {pairs}",
+        "arena nodes/doc {:.2} (open pane, previous pane's order: {:.2}) | tree bytes/doc {:.1} | \
+         avps/doc {:.2} | pairs found {pairs}",
         nodes as f64 / copies as f64,
+        live_nodes as f64 / copies as f64,
         bytes as f64 / copies as f64,
         panes.iter().flatten().map(Document::len).sum::<usize>() as f64 / copies as f64,
     );

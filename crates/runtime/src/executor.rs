@@ -676,9 +676,11 @@ impl<M: Clone> Outbox<M> {
     }
 
     /// Emit `msg` to every non-direct subscription, routed per grouping.
-    /// Each delivery clones; callers stream `Arc`-wrapped payloads, so a
-    /// clone is a reference-count bump. Delivery may be deferred until the
-    /// target's buffer fills, the next punctuation/EOS, or [`Outbox::flush`].
+    /// The last subscription takes `msg` itself, every delivery before it a
+    /// clone — so a message with one subscriber (a joiner's window result,
+    /// megabytes of pairs) is moved, never copied. Delivery may be deferred
+    /// until the target's buffer fills, the next punctuation/EOS, or
+    /// [`Outbox::flush`].
     pub fn emit(&mut self, msg: M) {
         let Outbox {
             my_global,
@@ -701,14 +703,20 @@ impl<M: Clone> Outbox<M> {
         let (from, bs, to) = (*my_global, *batch_size, *send_timeout);
         let sched = sched.as_deref();
         let fences = fences.as_deref().filter(|f| f.any_fenced());
-        for edge in edges.iter_mut() {
+        let last = edges
+            .iter()
+            .rposition(|e| !matches!(e.grouping, Grouping::Direct));
+        let mut msg = Some(msg);
+        for (i, edge) in edges.iter_mut().enumerate() {
+            // Taken by the last non-direct edge: only direct ones remain.
+            let Some(m) = msg.as_ref() else { break };
             let n = edge.targets.len();
             let target = match &edge.grouping {
                 Grouping::Direct => continue,
                 // Whole batches round-robin across the subscriber's tasks:
                 // the cursor advances when the current target's batch ships.
                 Grouping::Shuffle => edge.cursor,
-                Grouping::Fields(key) => (key(&msg) % n as u64) as usize,
+                Grouping::Fields(key) => (key(m) % n as u64) as usize,
                 Grouping::Global => 0,
                 Grouping::All => {
                     for t in 0..n {
@@ -720,7 +728,7 @@ impl<M: Clone> Outbox<M> {
                         }
                         edge.push(
                             t,
-                            msg.clone(),
+                            m.clone(),
                             from,
                             bs,
                             emitted,
@@ -748,9 +756,14 @@ impl<M: Clone> Outbox<M> {
                     }
                 },
             };
+            let owned = if Some(i) == last {
+                msg.take().expect("checked at the top of the loop")
+            } else {
+                m.clone()
+            };
             edge.push(
                 target,
-                msg.clone(),
+                owned,
                 from,
                 bs,
                 emitted,

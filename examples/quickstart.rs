@@ -59,7 +59,7 @@ fn main() {
         "  tree: {} nodes, depth {}, {} ubiquitous attribute(s)",
         tree.node_count(),
         tree.max_depth(),
-        tree.order().ubiquitous()
+        tree.ubiquitous()
     );
     for line in tree.render(&dict).lines() {
         println!("  {line}");

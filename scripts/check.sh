@@ -48,6 +48,12 @@ stage "ingest equivalence" cargo test -q -p ssj-json --test ingest_equivalence
 # prefix tree, dense attribute order == hash-map reference.
 stage "lazy-tail differential" cargo test -q -p ssj-join --test lazy_tail
 
+# FP-tree under another batch's order (the Joiner's open pane runs under the
+# previous pane's) == NLJ oracle, fast path on and off: a predicted-ubiquitous
+# attribute missing from a stored document, attributes the order never saw,
+# the empty order; counters fed on insert == AttrOrder::compute.
+stage "stale-order differential" cargo test -q -p ssj-join --test stale_order
+
 # Count-allocs build, 0 allocs per steady-state probe; test mode runs every
 # bench body once and leaves BENCH_fptree.json alone.
 stage "fptree alloc audit" cargo test -q -p ssj-bench --features count-allocs --bench fptree
@@ -70,7 +76,8 @@ stage "distributed equivalence" cargo test -q -p ssj-core --test distributed_equ
 stage "distributed CLI" cargo test -q -p ssj-cli --test distributed
 
 # Pane-chained runtime == oracle == brute force, route-cache expiry on
-# pane eviction, crash-and-recover inside a sliding run.
+# pane eviction, crash-and-recover inside a sliding run (incl. a joiner
+# crashed after whole micro-batches were joined into its open tree).
 stage "sliding equivalence" cargo test -q -p ssj-core --test sliding_equivalence
 stage "route-cache expiry" cargo test -q -p ssj-core --test route_cache_expiry
 stage "sliding chaos" cargo test -q -p ssj-core --test sliding_chaos

@@ -151,6 +151,62 @@ fn sliding_topology_matches_pane_filtered_brute_force() {
     assert_eq!(report.joins_per_window, truth);
 }
 
+/// Tier-1's pass through the Joiner's arrival path proper: panes of three
+/// micro-batches, so every joiner drains mid-pane, seals or resets an open
+/// tree that was filled across drains, and runs each pane under the order
+/// of the one before — on a stream whose attribute mix shifts under that
+/// order. In pane 2 `Location`, ubiquitous until then, vanishes from every
+/// fifth document (the carried-over fast-path depth is wrong); in pane 3 a
+/// `Trace` attribute appears that no earlier order ranked. Tumbling and
+/// 4-pane sliding, against pane-filtered brute force.
+#[test]
+fn joins_on_arrival_across_micro_batches_and_shifting_attributes() {
+    use schema_free_stream_joins::ssj_core::components::ARRIVAL_BATCH;
+    use schema_free_stream_joins::ssj_json::DocId;
+    const PANE: usize = 3 * ARRIVAL_BATCH;
+    let dict = Dictionary::new();
+    let docs: Vec<Document> = (0..5 * PANE as u64)
+        .map(|i| {
+            let (pane, x) = (i as usize / PANE, i.wrapping_mul(0x9E37_79B9) >> 7);
+            let mut json = format!(r#"{{"Severity":"s{}","User":"u{}""#, x % 3, x % 7);
+            if !(pane == 2 && i % 5 == 0) {
+                json += &format!(r#","Location":"l{}""#, x % 5);
+            }
+            if pane >= 3 && i % 3 == 0 {
+                json += &format!(r#","Trace":"t{}""#, x % 4);
+            }
+            Document::from_json(DocId(i), &(json + "}"), &dict).unwrap()
+        })
+        .collect();
+    for panes in [1usize, 4] {
+        let spec = match panes {
+            1 => WindowSpec::tumbling(PANE),
+            _ => WindowSpec::sliding(PANE, panes),
+        };
+        let cfg = StreamJoinConfig::default()
+            .with_m(4)
+            .with_window_spec(spec)
+            .with_expansion(false)
+            .build()
+            .unwrap();
+        let report = run_topology(cfg, &dict, docs.clone()).expect("run");
+        for (w, held) in report.docs_per_joiner.iter().enumerate() {
+            let most = held.iter().max().copied().unwrap_or(0);
+            assert!(most > ARRIVAL_BATCH, "pane {w}: no joiner drained mid-pane");
+        }
+        let mut truth: Vec<FxHashSet<(u64, u64)>> = vec![FxHashSet::default(); 5];
+        for (i, a) in docs.iter().enumerate() {
+            for (j, b) in docs.iter().enumerate().skip(i + 1) {
+                if j / PANE - i / PANE < panes && a.joins_with(b) {
+                    truth[j / PANE].insert((a.id().0, b.id().0));
+                }
+            }
+        }
+        assert!(truth.iter().all(|pane| !pane.is_empty()));
+        assert_eq!(report.joins_per_window, truth, "{panes} pane(s) per window");
+    }
+}
+
 #[test]
 fn topology_scales_joiner_count() {
     for m in [1usize, 2, 6] {
