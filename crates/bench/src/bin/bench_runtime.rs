@@ -7,10 +7,8 @@
 //!   micro-batching amortizes.
 //! * **join** — the real Fig. 2 join topology on nbData, batched vs
 //!   unbatched.
-//! * **sched** — the join topology at m ∈ {4, 16, 64} joiners, pooled
-//!   work-stealing executor vs legacy thread-per-task. `--check` also
-//!   gates the paired ratios: pooled must be ≥1.5x legacy at m=64 and
-//!   within 5% of legacy at m=4.
+//! * **sched** — the unbatched join topology at m ∈ {4, 16, 64} joiners:
+//!   the scheduling cost of m ≫ cores tasks on the work-stealing pool.
 //! * **sliding** — the join topology covering the same window span chained
 //!   from 1, 4, or 16 panes. `--check` gates the 16-pane run at ≥0.3x the
 //!   1-pane run, the observable consequence of O(pane) eviction.
@@ -32,9 +30,7 @@
 
 use ssj_bench::report::{best_of, check_against, parse_section, write_report, Measurement};
 use ssj_bench::DataSet;
-use ssj_core::{
-    run_topology, run_topology_distributed, DistRuntime, SchedulerKind, StreamJoinConfig,
-};
+use ssj_core::{run_topology, run_topology_distributed, DistRuntime, StreamJoinConfig};
 use ssj_runtime::{fn_bolt, run, Bolt, Grouping, Outbox, TopologyBuilder, VecSpout};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -137,23 +133,20 @@ fn join_run(docs_n: usize, window: usize, batch: usize, metrics: bool) -> Measur
     }
 }
 
-/// Scheduler comparison (DESIGN.md §4e): the real join topology at `m`
-/// joiners under the pooled work-stealing executor vs legacy
-/// thread-per-task. At m=64 the legacy mode runs ~75 OS threads — far past
-/// any laptop's core count — while the pool stays at one worker per core.
+/// Scheduling cost (DESIGN.md §4e): the real join topology at `m` joiners.
+/// At m=64 some 75 tasks share one pool worker per core — the m ≫ cores
+/// regime the end-to-end benchmark (m=4) cannot see.
 ///
 /// Runs unbatched (batch=1): scheduling cost is paid per envelope, so this
-/// is the configuration where executor differences are visible rather than
-/// amortized away. Batching amortization is the chain suite's measurement,
-/// not this one's.
-fn sched_run(docs_n: usize, window: usize, m: usize, kind: SchedulerKind) -> Measurement {
+/// is the configuration where it is visible rather than amortized away.
+/// Batching amortization is the chain suite's measurement, not this one's.
+fn sched_run(docs_n: usize, window: usize, m: usize) -> Measurement {
     let (dict, docs) = DataSet::NbData.generate(docs_n, 42);
     let cfg = StreamJoinConfig::default()
         .with_m(m)
         .with_window_spec(ssj_core::WindowSpec::tumbling(window))
         .with_expansion(false)
         .with_batch_size(1)
-        .with_scheduler(kind)
         .build()
         .unwrap();
     let start = Instant::now();
@@ -165,7 +158,7 @@ fn sched_run(docs_n: usize, window: usize, m: usize, kind: SchedulerKind) -> Mea
         "join topology lost windows"
     );
     Measurement {
-        id: format!("sched/{kind}/m={m}"),
+        id: format!("sched/m={m}"),
         tuples_per_sec: docs_n as f64 / secs,
         tuples: docs_n as u64,
         secs,
@@ -307,18 +300,16 @@ fn transport_suite(name: &str, reps: usize, join_n: usize) -> Vec<Measurement> {
     out
 }
 
-/// Pooled-vs-legacy measurements at m ∈ {4, 16, 64}.
+/// Unbatched join measurements at m ∈ {4, 16, 64}.
 fn sched_suite(name: &str, reps: usize, join_n: usize) -> Vec<Measurement> {
     let mut out = Vec::new();
     for &m in &[4usize, 16, 64] {
-        for kind in [SchedulerKind::ThreadPerTask, SchedulerKind::Pooled] {
-            let meas = best_of(reps, || sched_run(join_n, join_n / 3, m, kind));
-            println!(
-                "{name}: {} -> {:.0} docs/s ({} docs in {:.3}s)",
-                meas.id, meas.tuples_per_sec, meas.tuples, meas.secs
-            );
-            out.push(meas);
-        }
+        let meas = best_of(reps, || sched_run(join_n, join_n / 3, m));
+        println!(
+            "{name}: {} -> {:.0} docs/s ({} docs in {:.3}s)",
+            meas.id, meas.tuples_per_sec, meas.tuples, meas.secs
+        );
+        out.push(meas);
     }
     out
 }
@@ -398,10 +389,9 @@ fn overhead_gate(ratio: f64) -> i32 {
 
 fn smoke() -> Vec<Measurement> {
     // Five reps and a fairly large chain keep the fastest run stable enough
-    // for the 20% regression gate on a shared machine. The scheduler pairs
-    // use fewer reps but a longer stream: the ratio only stabilizes once
-    // per-window scheduling costs dominate fixed startup, and the legacy
-    // m=64 runs are slow by design (that is the point of the comparison).
+    // for the 20% regression gate on a shared machine. The scheduler rows
+    // use fewer reps but a longer stream: the rate only stabilizes once
+    // per-window scheduling costs dominate fixed startup.
     let mut s = run_suite("smoke", 5, 400_000, &[1, 32], 4_500);
     s.extend(sched_suite("smoke", 3, 12_000));
     s.extend(transport_suite("smoke", 3, 12_000));
@@ -427,17 +417,6 @@ fn speedup_summary(ms: &[Measurement]) {
     }
     if let (Some(b1), Some(b64)) = (rate("join/nbData/batch=1"), rate("join/nbData/batch=64")) {
         println!("join speedup batch=64 vs batch=1: {:.2}x", b64 / b1);
-    }
-    for m in [4usize, 16, 64] {
-        if let (Some(legacy), Some(pooled)) = (
-            rate(&format!("sched/legacy/m={m}")),
-            rate(&format!("sched/pooled/m={m}")),
-        ) {
-            println!(
-                "sched speedup pooled vs legacy at m={m}: {:.2}x",
-                pooled / legacy
-            );
-        }
     }
     if let (Some(inproc), Some(socket)) = (
         rate("transport/inproc/batch=64"),
@@ -480,29 +459,6 @@ fn check(baseline_path: &str) -> i32 {
         failed = true;
     }
     let rate = |id: &str| fresh.iter().find(|m| m.id == id).map(|m| m.tuples_per_sec);
-    // Scheduler win conditions, measured on fresh paired runs of this same
-    // session (ISSUE 6): the pooled executor must deliver >= 1.5x the
-    // legacy thread-per-task join throughput at m=64 (m >> cores), and must
-    // not regress by more than 5% at m=4 (m ~ cores).
-    for (m, floor) in [(64usize, 1.5f64), (4, 0.95)] {
-        match (
-            rate(&format!("sched/legacy/m={m}")),
-            rate(&format!("sched/pooled/m={m}")),
-        ) {
-            (Some(legacy), Some(pooled)) => {
-                let ratio = pooled / legacy;
-                println!("check sched pooled/legacy at m={m}: {ratio:.3}x (floor {floor}x)");
-                if ratio < floor {
-                    eprintln!("pooled scheduler below the {floor}x floor at m={m}: {ratio:.3}x");
-                    failed = true;
-                }
-            }
-            _ => {
-                eprintln!("scheduler measurements missing from the fresh smoke suite");
-                failed = true;
-            }
-        }
-    }
     // Sliding-window eviction gate (ISSUE 8): chaining the same window span
     // from 16 panes instead of 1 must keep >= 0.3x the throughput. O(pane)
     // eviction makes each of the 16x-more-frequent boundaries 16x cheaper,

@@ -99,20 +99,12 @@ const DEGRADED: FlagSpec = flag(
     "degraded",
     "fence retry-exhausted tasks and route around them",
 );
-const SCHEDULER: FlagSpec = opt(
-    "scheduler",
-    Some("pooled"),
-    "task scheduler: pooled|legacy (legacy = thread-per-task, deprecated)",
-);
 const POOL_WORKERS: FlagSpec = opt(
     "pool-workers",
     Some("0"),
-    "pooled-scheduler worker threads (0 = one per core)",
+    "pool worker threads scheduling the bolt tasks (0 = one per core)",
 );
-const PIN_CORES: FlagSpec = flag(
-    "pin-cores",
-    "pin pooled workers to CPU cores (Linux; needs --scheduler pooled)",
-);
+const PIN_CORES: FlagSpec = flag("pin-cores", "pin pool workers to CPU cores (Linux)");
 const REPLICATE_HOT: FlagSpec = flag(
     "replicate-hot",
     "replicate hot association groups across joiners (needs --no-expansion)",
@@ -271,7 +263,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             RETRIES,
             BACKOFF_MS,
             DEGRADED,
-            SCHEDULER,
             POOL_WORKERS,
             PIN_CORES,
             MEM_BUDGET,
@@ -306,7 +297,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             RETRIES,
             BACKOFF_MS,
             DEGRADED,
-            SCHEDULER,
             POOL_WORKERS,
             PIN_CORES,
             MEM_BUDGET,
@@ -516,7 +506,6 @@ mod tests {
         }
         assert!(text.contains("--metrics-out"));
         assert!(text.contains("[default: 1500]"));
-        assert!(text.contains("--scheduler"));
         assert!(text.contains("--pool-workers"));
         assert!(text.contains("--pin-cores"));
     }
@@ -572,21 +561,15 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_flags_parse_on_topology_and_run() {
-        let a = parse(&[
-            "run",
-            "--scheduler",
-            "legacy",
-            "--pool-workers",
-            "4",
-            "--pin-cores",
-        ]);
-        assert_eq!(a.get("scheduler"), Some("legacy"));
+    fn pool_flags_parse_on_topology_and_run() {
+        let a = parse(&["run", "--pool-workers", "4", "--pin-cores"]);
         assert_eq!(a.get_or("pool-workers", 0usize).unwrap(), 4);
         assert!(a.flag("pin-cores"));
-        assert_eq!(
-            parse(&["topology", "--scheduler", "pooled"]).get("scheduler"),
-            Some("pooled")
-        );
+        assert!(parse(&["topology", "--pin-cores"]).flag("pin-cores"));
+        // One executor: there is no scheduler to choose.
+        for cmd in ["run", "topology"] {
+            let err = Args::parse([cmd.into(), "--scheduler".into(), "legacy".into()]).unwrap_err();
+            assert!(err.contains("--scheduler"), "{err}");
+        }
     }
 }

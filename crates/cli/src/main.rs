@@ -12,7 +12,7 @@ mod args;
 use args::Args;
 use ssj_core::{
     run_topology, run_topology_distributed, CsvSink, DistRuntime, HumanSummarySink, JsonlSink,
-    Pipeline, ReportSink, SchedulerKind, StreamJoinConfig, TopologyRunReport,
+    Pipeline, ReportSink, StreamJoinConfig, TopologyRunReport,
 };
 use ssj_data::{NoBenchConfig, NoBenchGen, ServerLogConfig, ServerLogGen, TweetConfig, TweetGen};
 use ssj_join::JoinAlgo;
@@ -205,7 +205,6 @@ fn pipeline_config(args: &Args, metrics: bool) -> Result<StreamJoinConfig, Strin
         .with_retries(args.get_or("retries", 0)?)
         .with_backoff_ms(args.get_or("backoff-ms", 20)?)
         .with_degraded(args.flag("degraded"))
-        .with_scheduler(args.get_or("scheduler", SchedulerKind::Pooled)?)
         .with_pool_workers(args.get_or("pool-workers", 0)?)
         .with_pin_cores(args.flag("pin-cores"))
         .with_workers(args.get_or("workers", 1)?)

@@ -60,15 +60,12 @@ pub struct StreamJoinConfig {
     /// around it instead of failing the whole run (sacrifices that task's
     /// share of the result — see DESIGN.md §4d).
     pub degraded: bool,
-    /// Task scheduler for the runtime executor (DESIGN.md §4e). Pooled is
-    /// the default; thread-per-task survives as the `legacy` escape hatch.
-    pub scheduler: SchedulerKind,
-    /// Worker threads for the pooled scheduler (0 = auto: one per available
-    /// core, clamped to the number of pool-scheduled tasks). Ignored under
-    /// the legacy scheduler.
+    /// Worker threads of the pool that schedules the bolt tasks (DESIGN.md
+    /// §4e; 0 = auto: one per available core, capped at the number of
+    /// bolt tasks).
     pub pool_workers: usize,
-    /// Pin pooled workers to CPU cores, worker `w` to core `w mod cores`
-    /// (Linux only; a no-op elsewhere). Requires the pooled scheduler.
+    /// Pin pool workers to CPU cores, worker `w` to core `w mod cores`
+    /// (Linux only; a no-op elsewhere).
     pub pin_cores: bool,
     /// Process-group size for shared-nothing scale-out (DESIGN.md §4f).
     /// 1 (the default) runs everything in this process; `N > 1` shards the
@@ -104,42 +101,6 @@ pub struct StreamJoinConfig {
     pub spill_dir: Option<PathBuf>,
 }
 
-/// Which executor schedules bolt tasks (DESIGN.md §4e).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Fixed pool of work-stealing workers cooperatively scheduling bolts;
-    /// `m ≫ cores` runs without thread oversubscription.
-    #[default]
-    Pooled,
-    /// One OS thread per task. Deprecated: kept as an escape hatch
-    /// (`--scheduler legacy`) for debugging and A/B benchmarking; large
-    /// topologies degenerate into context-switch churn under it.
-    ThreadPerTask,
-}
-
-impl fmt::Display for SchedulerKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SchedulerKind::Pooled => "pooled",
-            SchedulerKind::ThreadPerTask => "legacy",
-        })
-    }
-}
-
-impl std::str::FromStr for SchedulerKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "pooled" => Ok(SchedulerKind::Pooled),
-            "legacy" | "threaded" => Ok(SchedulerKind::ThreadPerTask),
-            other => Err(format!(
-                "unknown scheduler '{other}' (expected pooled|legacy)"
-            )),
-        }
-    }
-}
-
 impl Default for StreamJoinConfig {
     fn default() -> Self {
         StreamJoinConfig {
@@ -158,7 +119,6 @@ impl Default for StreamJoinConfig {
             retries: 0,
             backoff_ms: 20,
             degraded: false,
-            scheduler: SchedulerKind::Pooled,
             pool_workers: 0,
             pin_cores: false,
             workers: 1,
@@ -188,9 +148,6 @@ pub enum ConfigError {
     ThetaOutOfRange(f64),
     /// The transport micro-batch must hold at least 1 message.
     ZeroBatchSize,
-    /// `pin_cores` requires the pooled scheduler — there is no meaningful
-    /// core to pin a thread-per-task run's unbounded thread count to.
-    PinCoresWithoutPool,
     /// `pool_workers` exceeds the sanity cap (1024); carries the rejected
     /// value. 0 means auto, so any real machine fits well under the cap.
     PoolWorkersOutOfRange(usize),
@@ -227,9 +184,6 @@ impl fmt::Display for ConfigError {
                 write!(f, "theta {t} out of range (expected 0.0..=10.0)")
             }
             ConfigError::ZeroBatchSize => f.write_str("batch_size must be at least 1"),
-            ConfigError::PinCoresWithoutPool => {
-                f.write_str("pin_cores requires the pooled scheduler (not --scheduler legacy)")
-            }
             ConfigError::PoolWorkersOutOfRange(n) => {
                 write!(f, "pool_workers {n} out of range (expected 0..=1024)")
             }
@@ -281,12 +235,6 @@ macro_rules! builder_setters {
             let mut b = self.into_builder();
             b.cfg.m = m;
             b
-        }
-
-        /// Override the tumbling-window size in documents.
-        #[deprecated(note = "use with_window_spec(WindowSpec::tumbling(docs)) instead")]
-        pub fn with_window(self, docs: usize) -> ConfigBuilder {
-            self.with_window_spec(WindowSpec::tumbling(docs))
         }
 
         /// Override the window shape (tumbling or pane-chained sliding).
@@ -389,21 +337,14 @@ macro_rules! builder_setters {
             b
         }
 
-        /// Override the task scheduler (pooled vs legacy thread-per-task).
-        pub fn with_scheduler(self, s: SchedulerKind) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.scheduler = s;
-            b
-        }
-
-        /// Override the pooled scheduler's worker count (0 = auto).
+        /// Override the pool's worker count (0 = auto).
         pub fn with_pool_workers(self, n: usize) -> ConfigBuilder {
             let mut b = self.into_builder();
             b.cfg.pool_workers = n;
             b
         }
 
-        /// Enable or disable pinning pooled workers to CPU cores.
+        /// Enable or disable pinning pool workers to CPU cores.
         pub fn with_pin_cores(self, on: bool) -> ConfigBuilder {
             let mut b = self.into_builder();
             b.cfg.pin_cores = on;
@@ -506,9 +447,6 @@ impl StreamJoinConfig {
         }
         if self.batch_size == 0 {
             return Err(ConfigError::ZeroBatchSize);
-        }
-        if self.pin_cores && self.scheduler != SchedulerKind::Pooled {
-            return Err(ConfigError::PinCoresWithoutPool);
         }
         if self.pool_workers > 1024 {
             return Err(ConfigError::PoolWorkersOutOfRange(self.pool_workers));
@@ -655,28 +593,17 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_knobs_validate_and_parse() {
+    fn pool_knobs_validate() {
         let c = StreamJoinConfig::default();
-        assert_eq!(c.scheduler, SchedulerKind::Pooled);
         assert_eq!(c.pool_workers, 0);
         assert!(!c.pin_cores);
 
         let c = StreamJoinConfig::default()
-            .with_scheduler(SchedulerKind::ThreadPerTask)
             .with_pool_workers(8)
             .build()
             .unwrap();
-        assert_eq!(c.scheduler, SchedulerKind::ThreadPerTask);
         assert_eq!(c.pool_workers, 8);
 
-        assert_eq!(
-            StreamJoinConfig::default()
-                .with_scheduler(SchedulerKind::ThreadPerTask)
-                .with_pin_cores(true)
-                .build()
-                .unwrap_err(),
-            ConfigError::PinCoresWithoutPool
-        );
         assert_eq!(
             StreamJoinConfig::default()
                 .with_pool_workers(4096)
@@ -684,16 +611,11 @@ mod tests {
                 .unwrap_err(),
             ConfigError::PoolWorkersOutOfRange(4096)
         );
-        // Pinning under the pooled scheduler is fine.
-        StreamJoinConfig::default()
+        let c = StreamJoinConfig::default()
             .with_pin_cores(true)
             .build()
             .unwrap();
-
-        assert_eq!("pooled".parse(), Ok(SchedulerKind::Pooled));
-        assert_eq!("legacy".parse(), Ok(SchedulerKind::ThreadPerTask));
-        assert!("fibers".parse::<SchedulerKind>().is_err());
-        assert_eq!(SchedulerKind::ThreadPerTask.to_string(), "legacy");
+        assert!(c.pin_cores);
     }
 
     #[test]
@@ -771,21 +693,16 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_window_shim_maps_to_tumbling() {
-        #[allow(deprecated)]
+    fn window_shape_accessors() {
         let c = StreamJoinConfig::default()
-            .with_window(123)
+            .with_window_spec(WindowSpec::tumbling(123))
             .build()
             .unwrap();
-        assert_eq!(c.window, WindowSpec::tumbling(123));
-        assert_eq!(c.window_docs(), 123);
+        assert!(!c.is_sliding());
         assert_eq!(c.pane_docs(), 123);
         assert_eq!(c.panes_per_window(), 1);
-        assert!(!c.is_sliding());
-    }
+        assert_eq!(c.window_docs(), 123);
 
-    #[test]
-    fn sliding_config_accessors() {
         let c = StreamJoinConfig::default()
             .with_expansion(false)
             .with_window_spec(WindowSpec::sliding(150, 4))

@@ -43,7 +43,7 @@ pub mod topology;
 pub mod window;
 pub mod wire;
 
-pub use config::{ConfigBuilder, ConfigError, SchedulerKind, StreamJoinConfig};
+pub use config::{ConfigBuilder, ConfigError, StreamJoinConfig};
 pub use msg::{HotSpec, Msg, TableMsg};
 pub use pipeline::{ground_truth_pairs, Pipeline, PipelineReport, WindowReport};
 pub use spill::{SpillSettings, SpillStore};

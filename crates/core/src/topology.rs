@@ -19,7 +19,7 @@
 //! been deployed yet).
 
 use crate::components::{Assigner, Joiner, Merger, PartitionCreator};
-use crate::config::{SchedulerKind, StreamJoinConfig};
+use crate::config::StreamJoinConfig;
 use crate::msg::Msg;
 use crate::spill::SpillSettings;
 use crate::wire::{dict_epoch, MsgCodec};
@@ -27,7 +27,7 @@ use ssj_json::{Dictionary, DocId, Document, FxHashMap, FxHashSet};
 use ssj_runtime::{
     join_group, metrics::Histogram, run, run_distributed, Bolt, CollectorBolt, CollectorHandle,
     FaultPlan, GroupSetup, Grouping, HistogramSnapshot, Outbox, PacedSpout, RunError, RunReport,
-    SchedulerMode, Spout, TopologyBuilder, VecSpout,
+    Spout, TopologyBuilder, VecSpout,
 };
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -181,13 +181,8 @@ fn build_custom(
         .channel_capacity(capacity)
         .batch_size(batch)
         .metrics(config.metrics)
-        .scheduler(match config.scheduler {
-            SchedulerKind::Pooled => SchedulerMode::Pooled {
-                workers: config.pool_workers,
-                pin_cores: config.pin_cores,
-            },
-            SchedulerKind::ThreadPerTask => SchedulerMode::ThreadPerTask,
-        })
+        .pool_workers(config.pool_workers)
+        .pin_cores(config.pin_cores)
         .recovery(
             ssj_runtime::RecoveryPolicy::default()
                 .retries(config.retries)

@@ -2,22 +2,21 @@
 //! streams of any skew, the full Fig. 2 topology with `replicate_hot` on
 //! produces per-window join output byte-identical to the unreplicated run
 //! and exact versus the brute-force nested-loop oracle — across batch
-//! sizes and both schedulers (DESIGN.md §4h).
+//! sizes (DESIGN.md §4h).
 
 use proptest::prelude::*;
 use ssj_bench::testutil::{assert_runs_equal, RunWindows};
 use ssj_bench::traffic::{sessionized_docs, skewed_docs, SkewConfig};
 use ssj_bench::DataSet;
-use ssj_core::{ground_truth_pairs, run_topology, SchedulerKind, StreamJoinConfig};
+use ssj_core::{ground_truth_pairs, run_topology, StreamJoinConfig};
 
-fn cfg(per_window: usize, m: usize, batch: usize, scheduler: SchedulerKind) -> StreamJoinConfig {
+fn cfg(per_window: usize, m: usize, batch: usize) -> StreamJoinConfig {
     StreamJoinConfig::default()
         .with_m(m)
         .with_window_spec(ssj_core::WindowSpec::tumbling(per_window))
         .with_assigners(2)
         .with_expansion(false)
         .with_batch_size(batch)
-        .with_scheduler(scheduler)
         .with_pool_workers(2)
         .build()
         .unwrap()
@@ -27,24 +26,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The tentpole property: replicated ≡ unreplicated ≡ brute force, for
-    /// Zipf s ∈ {0, 0.9, 1.2} × batch ∈ {1, 64} × both schedulers.
+    /// Zipf s ∈ {0, 0.9, 1.2} × batch ∈ {1, 64}.
     #[test]
     fn replicated_join_output_matches_unreplicated(
         seed in 0u64..1 << 40,
         s_pick in 0usize..3,
         batch_big in any::<bool>(),
-        pooled in any::<bool>(),
         m in 3usize..7,
         hot_factor_low in any::<bool>(),
         closed_world in any::<bool>(),
     ) {
         let s = [0.0, 0.9, 1.2][s_pick];
         let batch = if batch_big { 64 } else { 1 };
-        let scheduler = if pooled {
-            SchedulerKind::Pooled
-        } else {
-            SchedulerKind::ThreadPerTask
-        };
         // A low threshold flags many groups hot (stress the replica
         // routing); the default flags only true outliers.
         let hot_factor = if hot_factor_low { 1.2 } else { 4.0 };
@@ -59,10 +52,10 @@ proptest! {
             skewed_docs(DataSet::RwData, nwin * per_window, skew)
         };
 
-        let base_cfg = cfg(per_window, m, batch, scheduler);
+        let base_cfg = cfg(per_window, m, batch);
         let base = run_topology(base_cfg, &dict, docs.clone()).unwrap();
 
-        let rep_cfg = cfg(per_window, m, batch, scheduler)
+        let rep_cfg = cfg(per_window, m, batch)
             .with_replicate_hot(true)
             .with_hot_factor(hot_factor)
             .build()

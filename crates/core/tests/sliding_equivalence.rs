@@ -9,10 +9,7 @@
 
 use proptest::prelude::*;
 use ssj_bench::testutil::{assert_runs_equal, RunWindows};
-use ssj_core::{
-    run_topology, run_topology_distributed, DistRuntime, SchedulerKind, StreamJoinConfig,
-    WindowSpec,
-};
+use ssj_core::{run_topology, run_topology_distributed, DistRuntime, StreamJoinConfig, WindowSpec};
 use ssj_join::SlidingJoiner;
 use ssj_json::{Dictionary, DocId, Document};
 use std::path::PathBuf;
@@ -82,8 +79,8 @@ fn brute_force_windows(docs: &[Document], spec: WindowSpec) -> RunWindows {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// THE tentpole property: across batch sizes and schedulers, the
-    /// distributed sliding runtime ≡ SlidingJoiner oracle ≡ brute force.
+    /// THE tentpole property: across batch sizes, the distributed sliding
+    /// runtime ≡ SlidingJoiner oracle ≡ brute force.
     #[test]
     fn sliding_runtime_matches_oracle_and_brute_force(
         seed in 0u64..1 << 40,
@@ -101,15 +98,12 @@ proptest! {
         assert_runs_equal(&oracle, &brute);
 
         for batch in [1usize, 64] {
-            for sched in [SchedulerKind::Pooled, SchedulerKind::ThreadPerTask] {
-                let cfg = sliding_cfg(spec, m)
-                    .with_batch_size(batch)
-                    .with_scheduler(sched)
-                    .build()
-                    .unwrap();
-                let report = run_topology(cfg, &dict, docs.clone()).unwrap();
-                assert_runs_equal(&report, &oracle);
-            }
+            let cfg = sliding_cfg(spec, m)
+                .with_batch_size(batch)
+                .build()
+                .unwrap();
+            let report = run_topology(cfg, &dict, docs.clone()).unwrap();
+            assert_runs_equal(&report, &oracle);
         }
     }
 }

@@ -4,14 +4,13 @@
 //! byte-identical per-window join output to the fully-resident run.
 //!
 //! The matrix covers tumbling and sliding windows, batch sizes 1 and 64,
-//! both schedulers, the creator's batch path (expansion on), and a
-//! recovered crash. Every spilled run asserts `spill_bytes > 0` (the tier
+//! the creator's batch path (expansion on), and a recovered crash. Every spilled run asserts `spill_bytes > 0` (the tier
 //! actually engaged — a trivially-passing test would be one that never
 //! spilled), and every resident run asserts `spill_bytes == 0` (budget 0
 //! provably installs nothing).
 
 use ssj_bench::testutil::assert_runs_equal;
-use ssj_core::{run_topology, run_topology_chaos, SchedulerKind, StreamJoinConfig, WindowSpec};
+use ssj_core::{run_topology, run_topology_chaos, StreamJoinConfig, WindowSpec};
 use ssj_json::{Dictionary, DocId, Document};
 use ssj_runtime::FaultPlan;
 use std::path::PathBuf;
@@ -50,7 +49,6 @@ fn spill_dir(tag: &str) -> PathBuf {
 fn cfg(
     spec: WindowSpec,
     batch: usize,
-    sched: SchedulerKind,
     expansion: bool,
     budget: u64,
     tag: &str,
@@ -61,7 +59,6 @@ fn cfg(
         .with_partition_creators(2)
         .with_assigners(2)
         .with_batch_size(batch)
-        .with_scheduler(sched)
         .with_expansion(expansion);
     let b = if budget > 0 {
         b.with_mem_budget(budget).with_spill_dir(spill_dir(tag))
@@ -76,7 +73,6 @@ fn cfg(
 fn assert_spilled_matches_resident(
     spec: WindowSpec,
     batch: usize,
-    sched: SchedulerKind,
     expansion: bool,
     seed: u64,
     tag: &str,
@@ -84,7 +80,7 @@ fn assert_spilled_matches_resident(
     let dict = Dictionary::new();
     let docs = stream(&dict, seed);
 
-    let resident_cfg = cfg(spec, batch, sched, expansion, 0, tag);
+    let resident_cfg = cfg(spec, batch, expansion, 0, tag);
     let resident = run_topology(resident_cfg, &dict, docs.clone()).unwrap();
     assert_eq!(
         resident.runtime.counter_total("spill_bytes"),
@@ -92,7 +88,7 @@ fn assert_spilled_matches_resident(
         "{tag}: budget 0 must never spill"
     );
 
-    let spilled_cfg = cfg(spec, batch, sched, expansion, BUDGET, tag);
+    let spilled_cfg = cfg(spec, batch, expansion, BUDGET, tag);
     let spilled = run_topology(spilled_cfg, &dict, docs).unwrap();
     assert!(
         spilled.runtime.counter_total("spill_bytes") > 0,
@@ -108,53 +104,25 @@ fn assert_spilled_matches_resident(
 }
 
 #[test]
-fn tumbling_batch1_pooled_expansion_matches() {
+fn tumbling_batch1_expansion_matches() {
     // Expansion on → the creator takes its batch path, so *its* buffered
     // window view spills and is read back wholesale at the boundary.
-    assert_spilled_matches_resident(
-        WindowSpec::tumbling(PANE),
-        1,
-        SchedulerKind::Pooled,
-        true,
-        21,
-        "tb1pe",
-    );
+    assert_spilled_matches_resident(WindowSpec::tumbling(PANE), 1, true, 21, "tb1pe");
 }
 
 #[test]
-fn tumbling_batch64_threaded_matches() {
-    assert_spilled_matches_resident(
-        WindowSpec::tumbling(PANE),
-        64,
-        SchedulerKind::ThreadPerTask,
-        false,
-        22,
-        "tb64t",
-    );
+fn tumbling_batch64_matches() {
+    assert_spilled_matches_resident(WindowSpec::tumbling(PANE), 64, false, 22, "tb64t");
 }
 
 #[test]
-fn sliding_batch1_threaded_matches() {
-    assert_spilled_matches_resident(
-        WindowSpec::sliding(PANE, 3),
-        1,
-        SchedulerKind::ThreadPerTask,
-        false,
-        23,
-        "sb1t",
-    );
+fn sliding_batch1_matches() {
+    assert_spilled_matches_resident(WindowSpec::sliding(PANE, 3), 1, false, 23, "sb1t");
 }
 
 #[test]
-fn sliding_batch64_pooled_matches() {
-    assert_spilled_matches_resident(
-        WindowSpec::sliding(PANE, 3),
-        64,
-        SchedulerKind::Pooled,
-        false,
-        24,
-        "sb64p",
-    );
+fn sliding_batch64_matches() {
+    assert_spilled_matches_resident(WindowSpec::sliding(PANE, 3), 64, false, 24, "sb64p");
 }
 
 /// A joiner crashed mid-pane under a spilling budget recovers (segment
@@ -165,14 +133,7 @@ fn spilled_crash_recovery_matches_resident() {
     let dict = Dictionary::new();
     let docs = stream(&dict, 25);
 
-    let resident_cfg = cfg(
-        WindowSpec::sliding(PANE, 3),
-        8,
-        SchedulerKind::Pooled,
-        false,
-        0,
-        "chaos",
-    );
+    let resident_cfg = cfg(WindowSpec::sliding(PANE, 3), 8, false, 0, "chaos");
     let resident = run_topology(resident_cfg, &dict, docs.clone()).unwrap();
 
     let spilled_cfg = {

@@ -1,19 +1,13 @@
 //! The executor: crossbeam channels for tuple transport, punctuation
-//! alignment, and end-of-stream termination, under one of two scheduling
-//! modes ([`crate::SchedulerMode`]):
-//!
-//! * **Thread-per-task** (legacy): one OS thread per task, blocking
-//!   receives over a once-built `Select`.
-//! * **Pooled** (`crate::sched`, DESIGN.md §4e): a fixed pool of
-//!   work-stealing workers cooperatively schedules bolt tasks; spouts (and
-//!   all bolts when the recovery policy sets a receive timeout) keep
-//!   dedicated threads. Every successful send notifies the receiving task
-//!   through the scheduler hub, replacing blocking receives with an
-//!   edge-triggered ready queue. Forward channels whose producers include a
-//!   bolt become unbounded in this mode, so a cooperative task never blocks
-//!   its worker on a send (spout ingress stays bounded — backpressure at
-//!   the source is preserved); a consequence is that bolt-side send
-//!   timeouts cannot fire under the pool.
+//! alignment, and end-of-stream termination, scheduled one way (DESIGN.md
+//! §4e): every bolt task is a cooperative [`CoopBolt`] state machine run by
+//! a fixed pool of work-stealing workers (`crate::sched`), and every spout
+//! task keeps a dedicated thread — its bounded forward sends are the
+//! topology's ingress backpressure and may block. Every successful send
+//! notifies the receiving task through the scheduler hub (an edge-triggered
+//! ready queue in place of blocking receives). Forward channels whose
+//! producers include a bolt are unbounded, so a cooperative task never
+//! blocks its worker on a send; spout-fed channels stay bounded.
 //!
 //! Semantics:
 //! * Delivery is reliable and in order per (sender task, receiver task) —
@@ -45,15 +39,11 @@ use crate::metrics::{
     TraceEvent, TraceKind, WindowSnapshot,
 };
 use crate::sched::{self, Hub, StepOutcome, TaskStep};
-use crate::topology::{
-    BoltFactory, Component, ComponentKind, Grouping, SchedulerMode, Subscription, Topology,
-};
+use crate::topology::{BoltFactory, Component, ComponentKind, Grouping, Subscription, Topology};
 use crate::transport::{self, Group, ReaderPlan, WireItem};
 use crate::wire::WireCodec;
 use crate::{Bolt, BoltState, Spout, SpoutEmit, TaskInfo};
-use crossbeam::channel::{
-    bounded, unbounded, Receiver, RecvTimeoutError, Select, SendTimeoutError, Sender, TryRecvError,
-};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -105,40 +95,6 @@ impl<M: Clone> Clone for Envelope<M> {
             Envelope::Batch(ms, f) => Envelope::Batch(ms.clone(), *f),
             Envelope::Punct(p, f) => Envelope::Punct(*p, *f),
             Envelope::Eos(f) => Envelope::Eos(*f),
-        }
-    }
-}
-
-/// Per-task throughput counters in the legacy flat shape, reconstructed
-/// from the metrics registry by [`RunReport::legacy_tasks`]. New code should
-/// read [`TaskSnapshot`]s from [`RunReport::tasks`] instead.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TaskMetrics {
-    /// Component name.
-    pub component: String,
-    /// Task index within the component.
-    pub task: usize,
-    /// Data messages received.
-    pub received: u64,
-    /// Data messages emitted (counting each delivered copy).
-    pub emitted: u64,
-    /// Data envelopes (batches) sent; an unbatched send counts as a batch
-    /// of one, so `emitted / batches` is the average batch size.
-    pub batches: u64,
-    /// Punctuations processed.
-    pub puncts: u64,
-    /// Time spent inside user code (`execute` / `on_punct` / spout `next`),
-    /// excluding channel waits — the task's *busy* time.
-    pub busy: std::time::Duration,
-}
-
-impl TaskMetrics {
-    /// Average messages per sent data envelope (0 when nothing was sent).
-    pub fn avg_batch_size(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.emitted as f64 / self.batches as f64
         }
     }
 }
@@ -237,7 +193,7 @@ impl RunReport {
 
     /// Total fault events recorded across the run: every `faults_*` counter
     /// (injected crashes, drops, delays, stalls, fences, skipped work,
-    /// reroutes, channel timeouts) summed over all tasks.
+    /// reroutes) summed over all tasks.
     pub fn total_faults(&self) -> u64 {
         self.prefix_total("faults_")
     }
@@ -256,22 +212,6 @@ impl RunReport {
             .filter(|(n, _)| n.starts_with(prefix))
             .map(|(_, v)| v)
             .sum()
-    }
-
-    /// The final per-task counters in the legacy flat [`TaskMetrics`] shape.
-    pub fn legacy_tasks(&self) -> Vec<TaskMetrics> {
-        self.tasks
-            .iter()
-            .map(|t| TaskMetrics {
-                component: t.component.clone(),
-                task: t.task,
-                received: t.counter("received"),
-                emitted: t.counter("emitted"),
-                batches: t.counter("batches"),
-                puncts: t.counter("puncts"),
-                busy: Duration::from_nanos(t.counter("busy_ns")),
-            })
-            .collect()
     }
 
     /// Write the report as JSON lines: one record per `(window, task)`, one
@@ -390,66 +330,38 @@ pub(crate) enum EdgeTx<M> {
     },
 }
 
-/// Send with an optional bounded-retry timeout: each expiry counts into
-/// `timeout_hits` and doubles the wait (capped at 64x) rather than blocking
-/// forever on a wedged downstream. Under the pooled scheduler, `notify`
-/// carries `(hub, target global)` and a successful send marks the receiving
-/// task ready — the single choke point every envelope delivery funnels
-/// through.
-fn send_env<M>(
-    tx: &EdgeTx<M>,
-    env: Envelope<M>,
-    timeout: Option<Duration>,
-    timeout_hits: &mut u64,
-    notify: Option<(&Hub, usize)>,
-) -> bool {
-    let tx = match tx {
-        EdgeTx::Local(tx) => tx,
+/// Deliver one envelope and, on success, mark the receiving task ready on
+/// the scheduler hub — the single choke point every envelope delivery
+/// funnels through. A local send blocks only on a full spout-fed channel
+/// (ingress backpressure); `false` means the receiver is gone.
+fn send_env<M>(tx: &EdgeTx<M>, env: Envelope<M>, hub: &Hub, target_global: usize) -> bool {
+    match tx {
+        EdgeTx::Local(tx) => {
+            let ok = tx.send(env).is_ok();
+            if ok {
+                hub.notify(target_global);
+            }
+            ok
+        }
+        // The writer queue is unbounded and drained unconditionally (even
+        // on a dead link), so remote sends never block a worker and never
+        // fail while the run is live — emitted counts stay deterministic
+        // regardless of peer health. Backpressure is applied at the
+        // *receiving* side, where the reader's blocking forward into a
+        // bounded local channel stalls the socket. Notification happens on
+        // the receiving worker's hub.
         EdgeTx::Remote {
             tx,
             target,
             feedback,
-        } => {
-            // The writer queue is unbounded and drained unconditionally
-            // (even on a dead link), so remote sends never block a worker
-            // and never fail while the run is live — emitted counts stay
-            // deterministic regardless of peer health. Backpressure is
-            // applied at the *receiving* side, where the reader's blocking
-            // forward into a bounded local channel stalls the socket.
-            // Notification happens on the receiving worker's hub.
-            return tx
-                .send(WireItem::Env {
-                    target: *target,
-                    feedback: *feedback,
-                    env,
-                })
-                .is_ok();
-        }
-    };
-    let ok = match timeout {
-        None => tx.send(env).is_ok(),
-        Some(base) => {
-            let mut env = env;
-            let mut cur = base;
-            loop {
-                match tx.send_timeout(env, cur) {
-                    Ok(()) => break true,
-                    Err(SendTimeoutError::Timeout(e)) => {
-                        env = e;
-                        *timeout_hits += 1;
-                        cur = (cur * 2).min(base * 64);
-                    }
-                    Err(SendTimeoutError::Disconnected(_)) => break false,
-                }
-            }
-        }
-    };
-    if ok {
-        if let Some((hub, target)) = notify {
-            hub.notify(target);
-        }
+        } => tx
+            .send(WireItem::Env {
+                target: *target,
+                feedback: *feedback,
+                env,
+            })
+            .is_ok(),
     }
-    ok
 }
 
 /// One outgoing subscription as seen by a producer task.
@@ -486,17 +398,14 @@ impl<M> OutEdge<M> {
         batch_size: usize,
         emitted: &mut u64,
         batches: &mut u64,
-        timeout: Option<Duration>,
-        timeout_hits: &mut u64,
-        sched: Option<&Hub>,
+        hub: &Hub,
     ) {
         if batch_size <= 1 || self.feedback {
             if send_env(
                 &self.targets[target],
                 Envelope::Data(msg, from),
-                timeout,
-                timeout_hits,
-                sched.map(|h| (h, self.target_globals[target])),
+                hub,
+                self.target_globals[target],
             ) {
                 *emitted += 1;
                 *batches += 1;
@@ -518,9 +427,7 @@ impl<M> OutEdge<M> {
                 from,
                 emitted,
                 batches,
-                timeout,
-                timeout_hits,
-                sched,
+                hub,
             );
         }
     }
@@ -536,12 +443,9 @@ impl<M> OutEdge<M> {
         from: usize,
         emitted: &mut u64,
         batches: &mut u64,
-        timeout: Option<Duration>,
-        timeout_hits: &mut u64,
-        sched: Option<&Hub>,
+        hub: &Hub,
     ) {
         let buf = &mut bufs[target];
-        let notify = sched.map(|h| (h, globals[target]));
         match buf.len() {
             0 => {}
             1 => {
@@ -549,9 +453,8 @@ impl<M> OutEdge<M> {
                 if send_env(
                     &targets[target],
                     Envelope::Data(msg, from),
-                    timeout,
-                    timeout_hits,
-                    notify,
+                    hub,
+                    globals[target],
                 ) {
                     *emitted += 1;
                     *batches += 1;
@@ -562,9 +465,8 @@ impl<M> OutEdge<M> {
                 if send_env(
                     &targets[target],
                     Envelope::Batch(full, from),
-                    timeout,
-                    timeout_hits,
-                    notify,
+                    hub,
+                    globals[target],
                 ) {
                     *emitted += n as u64;
                     *batches += 1;
@@ -574,16 +476,13 @@ impl<M> OutEdge<M> {
     }
 
     /// Ship every pending buffer of this edge.
-    #[allow(clippy::too_many_arguments)]
     fn flush_all(
         &mut self,
         from: usize,
         batch_size: usize,
         emitted: &mut u64,
         batches: &mut u64,
-        timeout: Option<Duration>,
-        timeout_hits: &mut u64,
-        sched: Option<&Hub>,
+        hub: &Hub,
     ) {
         if self.bufs.iter().all(Vec::is_empty) {
             return;
@@ -598,9 +497,7 @@ impl<M> OutEdge<M> {
                 from,
                 emitted,
                 batches,
-                timeout,
-                timeout_hits,
-                sched,
+                hub,
             );
         }
     }
@@ -638,10 +535,6 @@ pub struct Outbox<M> {
     /// Replay watermark; `punct_seq < replay_until` means output is
     /// suppressed. Equal outside replay.
     replay_until: u64,
-    /// Send timeout from the recovery policy (None = block forever).
-    send_timeout: Option<Duration>,
-    /// Send-timeout expiries (published as `faults_send_timeouts`).
-    timeout_hits: u64,
     /// Degraded-mode fence table (None unless the policy enables it).
     fences: Option<Arc<FenceState>>,
     /// Messages rerouted around fenced tasks (`faults_rerouted`).
@@ -649,9 +542,9 @@ pub struct Outbox<M> {
     /// Messages dropped because every candidate target was fenced, or a
     /// direct-grouped target was fenced (`faults_fenced_drops`).
     fenced_drops: u64,
-    /// Pooled-scheduler hub (None under thread-per-task): every successful
-    /// send notifies the receiving task's ready state through it.
-    sched: Option<Arc<Hub>>,
+    /// The scheduler hub: every successful send marks the receiving task
+    /// ready through it.
+    sched: Arc<Hub>,
 }
 
 impl<M: Clone> Outbox<M> {
@@ -690,8 +583,6 @@ impl<M: Clone> Outbox<M> {
             batches,
             punct_seq,
             replay_until,
-            send_timeout,
-            timeout_hits,
             fences,
             rerouted,
             fenced_drops,
@@ -700,8 +591,8 @@ impl<M: Clone> Outbox<M> {
         if *punct_seq < *replay_until {
             return; // replaying an already-delivered prefix
         }
-        let (from, bs, to) = (*my_global, *batch_size, *send_timeout);
-        let sched = sched.as_deref();
+        let (from, bs) = (*my_global, *batch_size);
+        let sched: &Hub = sched;
         let fences = fences.as_deref().filter(|f| f.any_fenced());
         let last = edges
             .iter()
@@ -726,17 +617,7 @@ impl<M: Clone> Outbox<M> {
                                 continue;
                             }
                         }
-                        edge.push(
-                            t,
-                            m.clone(),
-                            from,
-                            bs,
-                            emitted,
-                            batches,
-                            to,
-                            timeout_hits,
-                            sched,
-                        );
+                        edge.push(t, m.clone(), from, bs, emitted, batches, sched);
                     }
                     continue;
                 }
@@ -761,17 +642,7 @@ impl<M: Clone> Outbox<M> {
             } else {
                 m.clone()
             };
-            edge.push(
-                target,
-                owned,
-                from,
-                bs,
-                emitted,
-                batches,
-                to,
-                timeout_hits,
-                sched,
-            );
+            edge.push(target, owned, from, bs, emitted, batches, sched);
             if matches!(edge.grouping, Grouping::Shuffle)
                 && (bs <= 1 || edge.feedback || edge.bufs[target].is_empty())
             {
@@ -792,8 +663,6 @@ impl<M: Clone> Outbox<M> {
             batches,
             punct_seq,
             replay_until,
-            send_timeout,
-            timeout_hits,
             fences,
             fenced_drops,
             sched,
@@ -802,7 +671,7 @@ impl<M: Clone> Outbox<M> {
         if *punct_seq < *replay_until {
             return;
         }
-        let sched = sched.as_deref();
+        let sched: &Hub = sched;
         let fences = fences.as_deref().filter(|f| f.any_fenced());
         for edge in edges.iter_mut() {
             if matches!(edge.grouping, Grouping::Direct) && task < edge.targets.len() {
@@ -819,8 +688,6 @@ impl<M: Clone> Outbox<M> {
                     *batch_size,
                     emitted,
                     batches,
-                    *send_timeout,
-                    timeout_hits,
                     sched,
                 );
             }
@@ -831,31 +698,16 @@ impl<M: Clone> Outbox<M> {
     /// flushes at `batch_size`, punctuation, and EOS; call this to bound
     /// latency mid-window (e.g. before blocking on external work).
     pub fn flush(&mut self) {
-        let Outbox {
-            my_global,
-            edges,
-            batch_size,
-            emitted,
-            batches,
-            punct_seq,
-            replay_until,
-            send_timeout,
-            timeout_hits,
-            sched,
-            ..
-        } = self;
-        if *punct_seq < *replay_until {
+        if self.replaying() {
             return;
         }
-        for edge in edges.iter_mut() {
+        for edge in self.edges.iter_mut() {
             edge.flush_all(
-                *my_global,
-                *batch_size,
-                emitted,
-                batches,
-                *send_timeout,
-                timeout_hits,
-                sched.as_deref(),
+                self.my_global,
+                self.batch_size,
+                &mut self.emitted,
+                &mut self.batches,
+                &self.sched,
             );
         }
     }
@@ -872,48 +724,18 @@ impl<M: Clone> Outbox<M> {
         }
         self.punct_seq += 1;
         self.flush();
-        let Outbox {
-            my_global,
-            edges,
-            send_timeout,
-            timeout_hits,
-            sched,
-            ..
-        } = self;
-        let sched = sched.as_deref();
-        for edge in edges.iter_mut() {
+        for edge in &self.edges {
             for (t, &g) in edge.targets.iter().zip(&edge.target_globals) {
-                let _ = send_env(
-                    t,
-                    Envelope::Punct(p, *my_global),
-                    *send_timeout,
-                    timeout_hits,
-                    sched.map(|h| (h, g)),
-                );
+                let _ = send_env(t, Envelope::Punct(p, self.my_global), &self.sched, g);
             }
         }
     }
 
     fn eos(&mut self) {
         self.flush();
-        let Outbox {
-            my_global,
-            edges,
-            send_timeout,
-            timeout_hits,
-            sched,
-            ..
-        } = self;
-        let sched = sched.as_deref();
-        for edge in edges.iter_mut() {
+        for edge in &self.edges {
             for (t, &g) in edge.targets.iter().zip(&edge.target_globals) {
-                let _ = send_env(
-                    t,
-                    Envelope::Eos(*my_global),
-                    *send_timeout,
-                    timeout_hits,
-                    sched.map(|h| (h, g)),
-                );
+                let _ = send_env(t, Envelope::Eos(self.my_global), &self.sched, g);
             }
         }
     }
@@ -1019,9 +841,6 @@ struct TaskWiring<M> {
     /// Window-close notifications to the collector thread (present only
     /// when full metrics collection is on).
     notify: Option<Sender<u64>>,
-    /// The bolt's factory (None for spouts): supervised restarts rebuild
-    /// the instance from it.
-    factory: Option<BoltFactory<M>>,
     /// Faults from the run's plan aimed at this task.
     faults: TaskFaults,
     /// The run's recovery policy.
@@ -1037,7 +856,13 @@ struct TaskWiring<M> {
 /// histograms on the hot path, published into the shared [`TaskInstruments`]
 /// only at window boundaries and at end of stream.
 struct TaskMeter {
-    stats: TaskMetrics,
+    /// Data messages received.
+    received: u64,
+    /// Punctuations processed.
+    puncts: u64,
+    /// Time spent inside user code (`execute` / `on_punct` / spout `next`),
+    /// excluding channel waits.
+    busy: Duration,
     handle_hist: LocalHistogram,
     close_hist: LocalHistogram,
     inst: Arc<TaskInstruments>,
@@ -1049,13 +874,11 @@ struct TaskMeter {
 }
 
 impl TaskMeter {
-    fn new(info: &TaskInfo, inst: Arc<TaskInstruments>) -> Self {
+    fn new(inst: Arc<TaskInstruments>) -> Self {
         TaskMeter {
-            stats: TaskMetrics {
-                component: info.component.clone(),
-                task: info.task_index,
-                ..TaskMetrics::default()
-            },
+            received: 0,
+            puncts: 0,
+            busy: Duration::ZERO,
             handle_hist: LocalHistogram::new(),
             close_hist: LocalHistogram::new(),
             enabled: inst.enabled(),
@@ -1077,11 +900,11 @@ impl TaskMeter {
     /// Publish all task-local state into the shared instrument set.
     fn publish(&self, emitted: u64, batches: u64) {
         self.inst.publish_core(
-            self.stats.received,
+            self.received,
             emitted,
             batches,
-            self.stats.puncts,
-            self.stats.busy.as_nanos() as u64,
+            self.puncts,
+            self.busy.as_nanos() as u64,
         );
         if self.enabled {
             self.inst
@@ -1111,7 +934,9 @@ impl TaskMeter {
 
 enum TaskKind<M> {
     Spout(Box<dyn Spout<M>>),
-    Bolt(Box<dyn Bolt<M>>),
+    /// The instance plus its factory: supervised restarts rebuild the bolt
+    /// from it.
+    Bolt(Box<dyn Bolt<M>>, BoltFactory<M>),
 }
 
 /// The bolt swapped in for a fenced task in degraded mode: discards data
@@ -1128,19 +953,17 @@ impl<M: Send> Bolt<M> for DiscardBolt {
     }
 }
 
-/// Nudges a dedicated-thread task's pooled downstream when the thread exits
-/// (normally or by panic) so they observe its dropped senders — pooled tasks
-/// never block in `recv`, so a disconnect is only visible on a wakeup.
+/// Nudges a spout's pooled downstream when its thread exits (normally or by
+/// panic) so they observe its dropped senders — pooled tasks never block in
+/// `recv`, so a disconnect is only visible on a wakeup.
 struct RetireGuard {
-    hub: Option<Arc<Hub>>,
+    hub: Arc<Hub>,
     global: usize,
 }
 
 impl Drop for RetireGuard {
     fn drop(&mut self) {
-        if let Some(hub) = &self.hub {
-            hub.retire_external(self.global);
-        }
+        self.hub.retire_external(self.global);
     }
 }
 
@@ -1214,7 +1037,8 @@ fn run_inner<M: Clone + Send + 'static>(
         trace_capacity,
         fault_plan,
         recovery,
-        scheduler,
+        pool_workers,
+        pin_cores,
         shed,
     } = topology;
     let mut registry = MetricsRegistry::new(MetricsConfig {
@@ -1243,38 +1067,25 @@ fn run_inner<M: Clone + Send + 'static>(
     let local: Vec<bool> = placement.iter().map(|&w| w == my_worker).collect();
     let n_local = local.iter().filter(|&&l| l).count();
 
-    // Pooled-scheduler task classification (DESIGN.md §4e). Spouts always
-    // get a dedicated thread: their bounded forward sends are the
-    // topology's ingress backpressure and may block. Bolts are
-    // pool-scheduled, except when the recovery policy sets a receive
-    // timeout — its idle-detection semantics need a blocking timed receive,
-    // so such runs keep dedicated threads everywhere (the pool engages only
-    // when it has at least one task).
+    // Who runs where (DESIGN.md §4e): every local bolt task is scheduled on
+    // the pool; spouts get a dedicated thread each, because their bounded
+    // forward sends are the topology's ingress backpressure and may block.
+    // Remote tasks run in their own process — here they are neither, and
+    // notifying them is a no-op. A process that hosts no bolt (a spout-only
+    // topology, a group member whose placement gives it none) resolves to
+    // zero workers and an already-shut-down hub.
     let is_spout: Vec<bool> = components
         .iter()
         .map(|c| matches!(c.kind, ComponentKind::Spout(_)))
         .collect();
-    let pool_requested = matches!(scheduler, SchedulerMode::Pooled { .. });
-    let mut pooled_flags: Vec<bool> = Vec::with_capacity(total);
+    let mut pooled: Vec<bool> = Vec::with_capacity(total);
     for (ci, c) in components.iter().enumerate() {
-        let pooled = pool_requested && !is_spout[ci] && recovery.recv_timeout.is_none();
         for task in 0..c.parallelism {
-            // Remote tasks run in their own process; here they are neither
-            // pooled nor threaded, and notifying them is a no-op.
-            pooled_flags.push(pooled && local[base[ci] + task]);
+            pooled.push(!is_spout[ci] && local[base[ci] + task]);
         }
     }
-    let n_pooled = pooled_flags.iter().filter(|&&p| p).count();
-    let use_pool = n_pooled > 0;
-    let (req_workers, pin_cores) = match scheduler {
-        SchedulerMode::Pooled { workers, pin_cores } => (workers, pin_cores),
-        SchedulerMode::ThreadPerTask => (0, false),
-    };
-    let n_workers = if use_pool {
-        sched::resolve_workers(req_workers, n_pooled)
-    } else {
-        0
-    };
+    let n_pooled = pooled.iter().filter(|&&p| p).count();
+    let n_workers = sched::resolve_workers(pool_workers, n_pooled);
 
     // Two channels per task: a *bounded* one for forward traffic (the
     // forward graph is a DAG, so bounded sends give deadlock-free
@@ -1283,12 +1094,12 @@ fn run_inner<M: Clone + Send + 'static>(
     // per channel) and an *unbounded* one for feedback control traffic
     // (bounding a cycle could deadlock).
     //
-    // Under the pool, a bolt's send must never block its worker (a blocked
-    // worker would strand every task queued behind it), so any forward
-    // channel fed by a pool-scheduled bolt becomes unbounded; only
-    // spout-fed channels keep the bounded ingress backpressure. In-flight
-    // data stays proportional to window contents because bolts only emit
-    // in response to input the spout boundary already throttles.
+    // A bolt's send must never block its pool worker (a blocked worker
+    // would strand every task queued behind it), so any forward channel
+    // fed by a bolt is unbounded; only purely spout-fed channels keep the
+    // bounded ingress backpressure. In-flight data stays proportional to
+    // window contents because bolts only emit in response to input the
+    // spout boundary already throttles.
     let mut bolt_fed: Vec<bool> = vec![false; components.len()];
     for (ci, c) in components.iter().enumerate() {
         for s in &c.subscriptions {
@@ -1304,7 +1115,7 @@ fn run_inner<M: Clone + Send + 'static>(
     let mut fb_receivers: Vec<Option<Receiver<Envelope<M>>>> = Vec::with_capacity(total);
     for (ci, c) in components.iter().enumerate() {
         for _ in 0..c.parallelism {
-            let (tx, rx) = if use_pool && bolt_fed[ci] {
+            let (tx, rx) = if bolt_fed[ci] {
                 unbounded()
             } else {
                 bounded(cap)
@@ -1372,29 +1183,22 @@ fn run_inner<M: Clone + Send + 'static>(
     let par: Vec<usize> = components.iter().map(|c| c.parallelism).collect();
 
     // The pool's shared hub: task state machines, the injector, and the
-    // parking protocol. Every outbox (dedicated-thread producers included)
-    // carries it so each successful send notifies its pool-scheduled
-    // target; notifications to dedicated tasks are no-ops.
-    let hub: Option<Arc<Hub>> = use_pool.then(|| {
-        let mut downstream: Vec<Vec<usize>> = Vec::with_capacity(total);
-        let mut labels: Vec<String> = Vec::with_capacity(total);
-        for (ci, c) in components.iter().enumerate() {
-            let targets: Vec<usize> = out_edges[ci]
-                .iter()
-                .flat_map(|(_, target_ci, _)| (0..par[*target_ci]).map(|t| base[*target_ci] + t))
-                .collect();
-            for task in 0..c.parallelism {
-                downstream.push(targets.clone());
-                labels.push(format!("{}[{}]", c.name, task));
-            }
+    // parking protocol. Every outbox (the spouts' included) carries it so
+    // each successful send notifies its pool-scheduled target;
+    // notifications to spouts and remote tasks are no-ops.
+    let mut downstream: Vec<Vec<usize>> = Vec::with_capacity(total);
+    let mut labels: Vec<String> = Vec::with_capacity(total);
+    for (ci, c) in components.iter().enumerate() {
+        let targets: Vec<usize> = out_edges[ci]
+            .iter()
+            .flat_map(|(_, target_ci, _)| (0..par[*target_ci]).map(|t| base[*target_ci] + t))
+            .collect();
+        for task in 0..c.parallelism {
+            downstream.push(targets.clone());
+            labels.push(format!("{}[{}]", c.name, task));
         }
-        Arc::new(Hub::new(
-            pooled_flags.clone(),
-            downstream,
-            labels,
-            n_workers,
-        ))
-    });
+    }
+    let hub = Arc::new(Hub::new(pooled, downstream, labels, n_workers));
 
     let mut wirings: Vec<TaskWiring<M>> = Vec::with_capacity(total);
     for (ci, c) in components.into_iter().enumerate() {
@@ -1457,16 +1261,14 @@ fn run_inner<M: Clone + Send + 'static>(
                 batches: 0,
                 punct_seq: 0,
                 replay_until: 0,
-                send_timeout: recovery.send_timeout,
-                timeout_hits: 0,
                 fences: fences.clone(),
                 rerouted: 0,
                 fenced_drops: 0,
-                sched: hub.clone(),
+                sched: Arc::clone(&hub),
             };
-            let (instance, factory) = match &kind {
-                ComponentKind::Spout(f) => (TaskKind::Spout(f(task)), None),
-                ComponentKind::Bolt(f) => (TaskKind::Bolt(f(task)), Some(Arc::clone(f))),
+            let instance = match &kind {
+                ComponentKind::Spout(f) => TaskKind::Spout(f(task)),
+                ComponentKind::Bolt(f) => TaskKind::Bolt(f(task), Arc::clone(f)),
             };
             wirings.push(TaskWiring {
                 info: TaskInfo {
@@ -1482,7 +1284,6 @@ fn run_inner<M: Clone + Send + 'static>(
                 kind: instance,
                 inst: registry.register(&name, task),
                 notify: None, // filled in below once the collector exists
-                factory,
                 faults: fault_plan.for_task(&name, task),
                 policy: recovery.clone(),
                 fences: fences.clone(),
@@ -1591,30 +1392,23 @@ fn run_inner<M: Clone + Send + 'static>(
         None
     };
 
-    // Partition tasks: pooled bodies install into the hub, the rest get
-    // dedicated threads. Installation and pool spawning happen *before* any
-    // dedicated thread starts, so a producer's first notification can never
-    // claim a not-yet-installed body.
-    let mut dedicated: Vec<TaskWiring<M>> = Vec::with_capacity(total - n_pooled);
+    // Bolt bodies install into the hub, spouts get dedicated threads.
+    // Installation and pool spawning happen *before* any spout thread
+    // starts, so a producer's first notification can never claim a
+    // not-yet-installed body.
+    let mut spouts: Vec<TaskWiring<M>> = Vec::new();
     for wiring in wirings {
-        // `wirings` holds only locally hosted tasks, so its positional index
-        // is NOT the global task id once peers host part of the topology.
-        let global = wiring.outbox.my_global;
-        if pooled_flags[global] {
-            let hub = hub.as_ref().expect("pooled task without a hub");
-            hub.install(global, Box::new(CoopBolt::new(wiring)));
+        if matches!(wiring.kind, TaskKind::Spout(_)) {
+            spouts.push(wiring);
         } else {
-            dedicated.push(wiring);
+            // `wirings` holds only locally hosted tasks, so its positional
+            // index is NOT the global task id once peers host part of the
+            // topology.
+            hub.install(wiring.outbox.my_global, Box::new(CoopBolt::new(wiring)));
         }
     }
-    let pool_handles = match &hub {
-        Some(h) => {
-            let handles = sched::spawn_pool(h, n_workers, pin_cores, sched_insts);
-            h.seed();
-            handles
-        }
-        None => Vec::new(),
-    };
+    let pool_handles = sched::spawn_pool(&hub, n_workers, pin_cores, sched_insts);
+    hub.seed();
 
     // Link threads come up after pooled bodies are installed: a reader's
     // first notification must never hit a not-yet-installed body. (Frames
@@ -1641,7 +1435,7 @@ fn run_inner<M: Clone + Send + 'static>(
             let plan = reader_plans[w].take().expect("reader plan present");
             let rcodec = Arc::clone(&d.codec);
             let errors = Arc::clone(&transport_errors);
-            let rhub = hub.clone();
+            let rhub = Arc::clone(&hub);
             transport_handles.push(
                 std::thread::Builder::new()
                     .name(format!("wire-rx-{w}"))
@@ -1653,22 +1447,22 @@ fn run_inner<M: Clone + Send + 'static>(
         }
     }
 
-    let mut handles = Vec::with_capacity(dedicated.len());
-    for wiring in dedicated {
+    let mut handles = Vec::with_capacity(spouts.len());
+    for wiring in spouts {
         let label = format!("{}[{}]", wiring.info.component, wiring.info.task_index);
         let global = wiring.outbox.my_global;
-        let hub = hub.clone();
+        let hub = Arc::clone(&hub);
         let handle = std::thread::Builder::new()
             .name(label.clone())
             .spawn(move || {
                 // Declared before the wiring is consumed so it drops last:
                 // the nudge must follow the senders' drop — including when
-                // `run_task` unwinds — for pooled downstream to observe the
+                // `run_spout` unwinds — for pooled downstream to observe the
                 // disconnect when they wake.
                 let _retire = RetireGuard { hub, global };
-                run_task(wiring)
+                run_spout(wiring)
             })
-            .expect("spawn task thread");
+            .expect("spawn spout thread");
         handles.push((global, label, handle));
     }
 
@@ -1681,11 +1475,8 @@ fn run_inner<M: Clone + Send + 'static>(
     for handle in pool_handles {
         handle.join().expect("pool worker thread panicked");
     }
-    if let Some(h) = &hub {
-        panicked.extend(h.panicked_labels());
-    }
-    // Report in global task order, matching the legacy executor's
-    // spawn-order reporting regardless of which side a task ran on.
+    panicked.extend(hub.panicked_labels());
+    // Report in global task order, whichever kind of thread a task ran on.
     panicked.sort();
     let panicked: Vec<String> = panicked.into_iter().map(|(_, label)| label).collect();
     // Every local task is done and its outbox dropped: all `Close` frames
@@ -1696,7 +1487,7 @@ fn run_inner<M: Clone + Send + 'static>(
     for handle in transport_handles {
         handle.join().expect("transport thread panicked");
     }
-    // All task threads and pooled bodies are gone, so all notify senders are
+    // All spout threads and pooled bodies are gone, so all notify senders are
     // dropped and the collector terminates even after a panic.
     let windows = collector
         .map(|h| h.join().expect("collector thread panicked"))
@@ -1885,11 +1676,11 @@ impl<M: Clone> Aligner<M> {
             // Feedback edge: data flows immediately, control is ignored.
             match env {
                 Envelope::Data(msg, _) => {
-                    m.stats.received += 1;
+                    m.received += 1;
                     bolt.execute(msg, out);
                 }
                 Envelope::Batch(msgs, _) => {
-                    m.stats.received += msgs.len() as u64;
+                    m.received += msgs.len() as u64;
                     for msg in msgs {
                         bolt.execute(msg, out);
                     }
@@ -1923,11 +1714,11 @@ impl<M: Clone> Aligner<M> {
     ) {
         match env {
             Envelope::Data(msg, _) => {
-                m.stats.received += 1;
+                m.received += 1;
                 bolt.execute(msg, out);
             }
             Envelope::Batch(msgs, _) => {
-                m.stats.received += msgs.len() as u64;
+                m.received += msgs.len() as u64;
                 for msg in msgs {
                     bolt.execute(msg, out);
                 }
@@ -1973,7 +1764,7 @@ impl<M: Clone> Aligner<M> {
         self.punct_counts.remove(&p);
         // Close-to-emit span: window work plus output flush.
         let t0 = m.enabled.then(Instant::now);
-        m.stats.puncts += 1;
+        m.puncts += 1;
         bolt.on_punct(p, out);
         out.punctuate(p);
         if let Some(t0) = t0 {
@@ -2074,14 +1865,14 @@ fn process_timed<M: Clone>(
     notify: &Option<Sender<u64>>,
 ) -> bool {
     let t0 = Instant::now();
-    let before = meter.stats.received;
+    let before = meter.received;
     let done = align.handle(env, bolt, out, meter);
     let dt = t0.elapsed();
-    meter.stats.busy += dt;
+    meter.busy += dt;
     if meter.enabled {
         meter
             .handle_hist
-            .record_scaled(dt.as_nanos() as u64, meter.stats.received - before);
+            .record_scaled(dt.as_nanos() as u64, meter.received - before);
         if !meter.closed.is_empty() {
             meter.flush_windows(out.emitted, out.batches, rx.len(), notify);
         }
@@ -2434,319 +2225,52 @@ impl<M: Clone + Send + 'static> Supervisor<M> {
     }
 }
 
-/// The supervised bolt receive loop: optional receive timeouts with
-/// exponential backoff, fault injection, guarded processing, and restart
-/// from snapshots on panic.
-#[allow(clippy::too_many_arguments)]
-fn run_supervised_bolt<M: Clone + Send + 'static>(
-    bolt: &mut Box<dyn Bolt<M>>,
-    sup: &mut Supervisor<M>,
-    align: &mut Aligner<M>,
-    rx: &Receiver<Envelope<M>>,
-    fb_rx: &Receiver<Envelope<M>>,
-    outbox: &mut Outbox<M>,
-    has_feedback_upstream: bool,
-    meter: &mut TaskMeter,
-    notify: &Option<Sender<u64>>,
-    shed: &mut Option<Shedder<M>>,
-) {
-    let mut fwd_open = true;
-    let mut fb_open = has_feedback_upstream;
-    let mut sel = Select::new();
-    let fwd_idx = sel.recv(rx);
-    let fb_idx = sel.recv(fb_rx);
-    let base_to = sup.policy.recv_timeout;
-    let mut cur_to = base_to;
-    while fwd_open {
-        if !fb_open {
-            let env = match base_to {
-                None => match rx.recv() {
-                    Ok(e) => e,
-                    Err(_) => {
-                        fwd_open = false;
-                        continue;
-                    }
-                },
-                Some(base) => match rx.recv_timeout(cur_to.unwrap_or(base)) {
-                    Ok(e) => {
-                        cur_to = Some(base);
-                        e
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        sup.inst.counter("faults_recv_timeouts").inc();
-                        cur_to = Some((cur_to.unwrap_or(base) * 2).min(base * 64));
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        fwd_open = false;
-                        continue;
-                    }
-                },
-            };
-            if shed.as_mut().is_some_and(|s| s.consider(&env, rx.len())) {
-                continue; // dropped before the fault clock and replay log
-            }
-            if sup.step(env, bolt, align, outbox, meter, rx, notify) {
-                break; // all forward upstreams at EOS
-            }
-            continue;
-        }
-        let op = match base_to {
-            None => sel.select(),
-            Some(base) => match sel.select_timeout(cur_to.unwrap_or(base)) {
-                Ok(op) => {
-                    cur_to = Some(base);
-                    op
-                }
-                Err(_) => {
-                    sup.inst.counter("faults_recv_timeouts").inc();
-                    cur_to = Some((cur_to.unwrap_or(base) * 2).min(base * 64));
-                    continue;
-                }
-            },
-        };
-        let idx = op.index();
-        if idx == fwd_idx {
-            match op.recv(rx) {
-                Ok(env) => {
-                    if shed.as_mut().is_some_and(|s| s.consider(&env, rx.len())) {
-                        continue;
-                    }
-                    if sup.step(env, bolt, align, outbox, meter, rx, notify) {
-                        break; // all forward upstreams at EOS
-                    }
-                }
-                Err(_) => fwd_open = false,
-            }
-        } else if idx == fb_idx {
-            match op.recv(fb_rx) {
-                Ok(env) => {
-                    let _ = sup.step(env, bolt, align, outbox, meter, rx, notify);
-                }
-                Err(_) => fb_open = false,
-            }
-        }
-    }
-}
-
-fn run_task<M: Clone + Send + 'static>(w: TaskWiring<M>) {
+/// A spout task's dedicated thread: pull emissions until `Done`, shipping
+/// data, punctuation and finally EOS through the outbox.
+fn run_spout<M: Clone + Send + 'static>(w: TaskWiring<M>) {
     let TaskWiring {
-        info,
-        rx,
-        fb_rx,
         mut outbox,
-        forward_upstreams,
-        has_feedback_upstream,
         kind,
         inst,
         notify,
-        factory,
-        faults,
-        policy,
-        fences,
-        mut shed,
+        ..
     } = w;
-    let mut meter = TaskMeter::new(&info, inst);
-
-    match kind {
-        TaskKind::Spout(mut spout) => loop {
-            let t0 = Instant::now();
-            let emission = spout.next();
-            meter.stats.busy += t0.elapsed();
-            match emission {
-                SpoutEmit::Message(msg) => {
-                    outbox.emit(msg);
-                }
-                SpoutEmit::Punctuate(p) => {
-                    let t0 = meter.enabled.then(Instant::now);
-                    meter.stats.puncts += 1;
-                    outbox.punctuate(p);
-                    if let Some(t0) = t0 {
-                        meter.window_closed(p, t0.elapsed());
-                        meter.flush_windows(outbox.emitted, outbox.batches, 0, &notify);
-                    }
-                }
-                SpoutEmit::Done => {
-                    outbox.eos();
-                    break;
+    let TaskKind::Spout(mut spout) = kind else {
+        unreachable!("bolts are pool-scheduled, never given a thread");
+    };
+    let mut meter = TaskMeter::new(inst);
+    loop {
+        let t0 = Instant::now();
+        let emission = spout.next();
+        meter.busy += t0.elapsed();
+        match emission {
+            SpoutEmit::Message(msg) => {
+                outbox.emit(msg);
+            }
+            SpoutEmit::Punctuate(p) => {
+                let t0 = meter.enabled.then(Instant::now);
+                meter.puncts += 1;
+                outbox.punctuate(p);
+                if let Some(t0) = t0 {
+                    meter.window_closed(p, t0.elapsed());
+                    meter.flush_windows(outbox.emitted, outbox.batches, 0, &notify);
                 }
             }
-        },
-        TaskKind::Bolt(mut bolt) => {
-            bolt.attach_instruments(&meter.inst);
-            bolt.prepare(&info);
-            // Supervision engages only when the policy arms it or a fault
-            // targets this task; otherwise the pre-supervision hot path
-            // runs unchanged (no log clones, no catch_unwind, no close
-            // tracking).
-            let supervised = (policy.armed() || !faults.is_empty()) && factory.is_some();
-            if supervised {
-                let mut align = Aligner::new(&forward_upstreams, true);
-                let retries = policy.retries;
-                let mut sup = Supervisor {
-                    factory: factory.expect("supervised bolt has a factory"),
-                    policy,
-                    faults,
-                    fences,
-                    info: info.clone(),
-                    inst: Arc::clone(&meter.inst),
-                    forward_upstreams: forward_upstreams.clone(),
-                    my_global: outbox.my_global,
-                    window: 0,
-                    tuples_at: HashMap::new(),
-                    log: Vec::new(),
-                    snapshot: None,
-                    snap_window: 0,
-                    snap_punct_seq: 0,
-                    retries_left: retries,
-                    attempts: 0,
-                    delayed: VecDeque::new(),
-                    envelopes_seen: 0,
-                    fenced: false,
-                };
-                run_supervised_bolt(
-                    &mut bolt,
-                    &mut sup,
-                    &mut align,
-                    &rx,
-                    &fb_rx,
-                    &mut outbox,
-                    has_feedback_upstream,
-                    &mut meter,
-                    &notify,
-                    &mut shed,
-                );
-                bolt.finish(&mut outbox);
+            SpoutEmit::Done => {
                 outbox.eos();
-                if has_feedback_upstream {
-                    // Post-EOS feedback drain runs unsupervised: injected
-                    // faults only target the windowed phase, and replaying
-                    // across our own EOS would re-emit after the EOS token.
-                    while let Ok(envelope) = fb_rx.recv() {
-                        let _ = process_timed(
-                            envelope,
-                            bolt.as_mut(),
-                            &mut align,
-                            &mut outbox,
-                            &mut meter,
-                            &rx,
-                            &notify,
-                        );
-                        align.just_closed.clear();
-                    }
-                }
-            } else {
-                let mut align = Aligner::new(&forward_upstreams, false);
-                let mut fwd_open = true;
-                let mut fb_open = has_feedback_upstream;
-                macro_rules! step {
-                    ($envelope:expr) => {
-                        process_timed(
-                            $envelope,
-                            bolt.as_mut(),
-                            &mut align,
-                            &mut outbox,
-                            &mut meter,
-                            &rx,
-                            &notify,
-                        )
-                    };
-                }
-                // The selector over the forward (bounded) and feedback
-                // (unbounded) channels is built ONCE, outside the receive
-                // loop — rebuilding it per message was a measurable
-                // per-tuple cost. It is only consulted while both channels
-                // are live; with a single live channel the loop below falls
-                // back to a plain `recv`.
-                let mut sel = Select::new();
-                let fwd_idx = sel.recv(&rx);
-                let fb_idx = sel.recv(&fb_rx);
-                while fwd_open {
-                    if !fb_open {
-                        // Hot path (no feedback upstream, or feedback
-                        // senders already gone): single-channel blocking
-                        // receive.
-                        match rx.recv() {
-                            Ok(envelope) => {
-                                if shed
-                                    .as_mut()
-                                    .is_some_and(|s| s.consider(&envelope, rx.len()))
-                                {
-                                    continue;
-                                }
-                                if step!(envelope) {
-                                    break; // all forward upstreams at EOS
-                                }
-                            }
-                            // All forward senders gone (e.g. upstream
-                            // panicked).
-                            Err(_) => fwd_open = false,
-                        }
-                        continue;
-                    }
-                    let op = sel.select();
-                    let idx = op.index();
-                    if idx == fwd_idx {
-                        match op.recv(&rx) {
-                            Ok(envelope) => {
-                                if shed
-                                    .as_mut()
-                                    .is_some_and(|s| s.consider(&envelope, rx.len()))
-                                {
-                                    continue;
-                                }
-                                if step!(envelope) {
-                                    break; // all forward upstreams at EOS
-                                }
-                            }
-                            Err(_) => fwd_open = false,
-                        }
-                    } else if idx == fb_idx {
-                        match op.recv(&fb_rx) {
-                            Ok(envelope) => {
-                                let _ = step!(envelope);
-                            }
-                            Err(_) => fb_open = false,
-                        }
-                    }
-                }
-                bolt.finish(&mut outbox);
-                outbox.eos();
-                if has_feedback_upstream {
-                    // Control loops may still be sending while their own
-                    // shutdown propagates; drain and process those messages
-                    // so adaptive state and counters stay exact. Feedback
-                    // senders terminate on forward EOS and drop the
-                    // channel, ending this loop. (Feedback edges must
-                    // therefore not form cycles among themselves.)
-                    while let Ok(envelope) = fb_rx.recv() {
-                        let _ = step!(envelope);
-                    }
-                }
+                break;
             }
         }
     }
-
-    if let Some(sh) = &shed {
-        sh.publish(&meter.inst);
-    }
-    publish_final_metrics(&mut meter, &outbox);
+    publish_final_metrics(&meter, &outbox);
     // `notify` (if any) drops here; the collector ends once every task's
     // sender is gone.
 }
 
-/// End-of-task metric publication shared by the legacy thread path and the
-/// pooled task body: fold outbox totals and fault counters into the shared
+/// End-of-task metric publication shared by spout threads and pooled bolt
+/// bodies: fold outbox totals and fault counters into the shared
 /// instruments and publish all task-local state.
-fn publish_final_metrics<M>(meter: &mut TaskMeter, outbox: &Outbox<M>) {
-    meter.stats.emitted = outbox.emitted;
-    meter.stats.batches = outbox.batches;
-    if outbox.timeout_hits > 0 {
-        meter
-            .inst
-            .counter("faults_send_timeouts")
-            .add(outbox.timeout_hits);
-    }
+fn publish_final_metrics<M>(meter: &TaskMeter, outbox: &Outbox<M>) {
     if outbox.rerouted > 0 {
         meter.inst.counter("faults_rerouted").add(outbox.rerouted);
     }
@@ -2762,19 +2286,15 @@ fn publish_final_metrics<M>(meter: &mut TaskMeter, outbox: &Outbox<M>) {
     meter.publish(outbox.emitted, outbox.batches);
 }
 
-/// A bolt task under the pooled scheduler (DESIGN.md §4e): the same
-/// machinery as the bolt arm of [`run_task`] — aligner, meter, optional
-/// supervisor — reshaped into a resumable [`TaskStep`] state machine driven
-/// by non-blocking receives.
+/// A bolt task (DESIGN.md §4e): aligner, meter and optional supervisor as a
+/// resumable [`TaskStep`] state machine driven by non-blocking receives.
 ///
-/// Phase progression mirrors the legacy thread exactly:
-/// `Receive` (windowed phase: feedback and forward envelopes, supervised if
-/// armed) → `Drain` (after the forward EOS quorum or disconnect: flush the
-/// bolt, send EOS, absorb residual feedback traffic unsupervised) → `Done`
-/// (publish final metrics, retire). Dropping the body — on retirement or
-/// after a terminal panic — drops its receivers and outbox senders, which is
-/// what downstream and upstream observe as EOS, exactly like a legacy
-/// thread's stack unwinding.
+/// Phases: `Receive` (windowed phase: feedback and forward envelopes,
+/// supervised if armed) → `Drain` (after the forward EOS quorum or
+/// disconnect: flush the bolt, send EOS, absorb residual feedback traffic
+/// unsupervised) → `Done` (publish final metrics, retire). Dropping the
+/// body — on retirement or after a terminal panic — drops its receivers and
+/// outbox senders, which is what downstream and upstream observe as EOS.
 struct CoopBolt<M> {
     info: TaskInfo,
     rx: Receiver<Envelope<M>>,
@@ -2814,22 +2334,24 @@ impl<M: Clone + Send + 'static> CoopBolt<M> {
             kind,
             inst,
             notify,
-            factory,
             faults,
             policy,
             fences,
             shed,
         } = w;
-        let TaskKind::Bolt(bolt) = kind else {
+        let TaskKind::Bolt(bolt, factory) = kind else {
             unreachable!("spouts are never pool-scheduled");
         };
-        let meter = TaskMeter::new(&info, inst);
-        let supervised = (policy.armed() || !faults.is_empty()) && factory.is_some();
+        let meter = TaskMeter::new(inst);
+        // Supervision engages only when the policy arms it or a fault
+        // targets this task; otherwise the plain path runs (no log clones,
+        // no catch_unwind, no close tracking).
+        let supervised = policy.armed() || !faults.is_empty();
         let align = Aligner::new(&forward_upstreams, supervised);
         let sup = if supervised {
             let retries = policy.retries;
             Some(Supervisor {
-                factory: factory.expect("supervised bolt has a factory"),
+                factory,
                 policy,
                 faults,
                 fences,
@@ -2924,7 +2446,7 @@ impl<M: Clone + Send + 'static> TaskStep for CoopBolt<M> {
                             Ok(env) => {
                                 budget -= 1;
                                 // Result ignored: feedback never carries the
-                                // EOS quorum (mirrors the legacy select arm).
+                                // EOS quorum.
                                 let _ = self.handle(env);
                                 continue;
                             }
@@ -2958,10 +2480,16 @@ impl<M: Clone + Send + 'static> TaskStep for CoopBolt<M> {
                     match self.fb_rx.try_recv() {
                         Ok(env) => {
                             budget -= 1;
-                            // Post-EOS feedback drains unsupervised (see
-                            // `run_task`): faults target the windowed phase
-                            // only, and replaying across our own EOS would
-                            // re-emit after the EOS token.
+                            // Control loops may still be sending while
+                            // their own shutdown propagates; process those
+                            // messages so adaptive state and counters stay
+                            // exact. Feedback senders terminate on forward
+                            // EOS and drop the channel, ending this phase
+                            // (so feedback edges must not form cycles among
+                            // themselves). The drain runs unsupervised:
+                            // faults target the windowed phase only, and
+                            // replaying across our own EOS would re-emit
+                            // after the EOS token.
                             let _ = process_timed(
                                 env,
                                 self.bolt.as_mut(),
@@ -2978,7 +2506,7 @@ impl<M: Clone + Send + 'static> TaskStep for CoopBolt<M> {
                             if let Some(sh) = &self.shed {
                                 sh.publish(&self.meter.inst);
                             }
-                            publish_final_metrics(&mut self.meter, &self.outbox);
+                            publish_final_metrics(&self.meter, &self.outbox);
                             self.phase = CoopPhase::Done;
                         }
                     }
@@ -2992,8 +2520,8 @@ impl<M: Clone + Send + 'static> TaskStep for CoopBolt<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fn_bolt;
     use crate::metrics::{MetricsConfig, MetricsRegistry};
-    use crate::{fn_bolt, TaskInfo};
 
     fn test_outbox() -> Outbox<u64> {
         Outbox {
@@ -3004,22 +2532,15 @@ mod tests {
             batches: 0,
             punct_seq: 0,
             replay_until: 0,
-            send_timeout: None,
-            timeout_hits: 0,
             fences: None,
             rerouted: 0,
             fenced_drops: 0,
-            sched: None,
+            sched: Arc::new(Hub::new(Vec::new(), Vec::new(), Vec::new(), 0)),
         }
     }
 
     fn test_meter(reg: &mut MetricsRegistry) -> TaskMeter {
-        let info = TaskInfo {
-            component: "aligner".to_string(),
-            task_index: 0,
-            parallelism: 1,
-        };
-        TaskMeter::new(&info, reg.register("aligner", 0))
+        TaskMeter::new(reg.register("aligner", 0))
     }
 
     /// A transport reader synthesizes EOS for a dead peer's tasks, which can
@@ -3081,9 +2602,9 @@ mod tests {
         assert_eq!(al.alive(), 2);
         // Both survivors must still punctuate to close a window.
         assert!(!al.handle(Envelope::Punct(3, 7), bolt.as_mut(), &mut out, &mut m));
-        assert_eq!(m.stats.puncts, 0);
+        assert_eq!(m.puncts, 0);
         assert!(!al.handle(Envelope::Punct(3, 9), bolt.as_mut(), &mut out, &mut m));
-        assert_eq!(m.stats.puncts, 1);
+        assert_eq!(m.puncts, 1);
         assert!(!al.handle(Envelope::Eos(7), bolt.as_mut(), &mut out, &mut m));
         assert!(al.handle(Envelope::Eos(9), bolt.as_mut(), &mut out, &mut m));
     }

@@ -19,9 +19,9 @@
 //!
 //! [`RecoveryPolicy`] configures the supervisor in the executor: bounded
 //! retry-with-backoff restarts from the last window-aligned
-//! [`Bolt::snapshot`](crate::Bolt::snapshot), receive/send timeouts with
-//! exponential backoff, and the degraded mode that fences a task whose
-//! retries are exhausted and reroutes fields groupings over the survivors.
+//! [`Bolt::snapshot`](crate::Bolt::snapshot), and the degraded mode that
+//! fences a task whose retries are exhausted and reroutes fields groupings
+//! over the survivors.
 
 use std::cell::Cell;
 use std::panic;
@@ -213,9 +213,9 @@ impl FaultPlan {
 
 /// How the executor supervises tasks and reacts to failures.
 ///
-/// The default policy is inert: no retries, no degraded mode, no timeouts
-/// — a panicking bolt kills the run exactly as it did before supervision
-/// existed, and the hot path pays nothing.
+/// The default policy is inert: no retries, no degraded mode — a panicking
+/// bolt kills the run exactly as it did before supervision existed, and the
+/// hot path pays nothing.
 #[derive(Debug, Clone)]
 pub struct RecoveryPolicy {
     /// Restarts granted per task before the failure is terminal.
@@ -226,13 +226,6 @@ pub struct RecoveryPolicy {
     /// After retry exhaustion, fence the task and route around it instead
     /// of killing the topology.
     pub degraded: bool,
-    /// Receive-side timeout: a supervised task blocked on its inputs wakes
-    /// up, counts `faults_recv_timeouts`, backs off exponentially and
-    /// retries rather than blocking forever.
-    pub recv_timeout: Option<Duration>,
-    /// Send-side timeout: a full downstream channel is retried with
-    /// exponential backoff, counting `faults_send_timeouts` per expiry.
-    pub send_timeout: Option<Duration>,
 }
 
 impl Default for RecoveryPolicy {
@@ -241,8 +234,6 @@ impl Default for RecoveryPolicy {
             retries: 0,
             backoff: Duration::from_millis(20),
             degraded: false,
-            recv_timeout: None,
-            send_timeout: None,
         }
     }
 }
@@ -271,22 +262,10 @@ impl RecoveryPolicy {
         self
     }
 
-    /// Set the receive timeout for supervised tasks.
-    pub fn recv_timeout(mut self, timeout: Duration) -> Self {
-        self.recv_timeout = Some(timeout);
-        self
-    }
-
-    /// Set the send timeout for output channels.
-    pub fn send_timeout(mut self, timeout: Duration) -> Self {
-        self.send_timeout = Some(timeout);
-        self
-    }
-
-    /// True when any supervision machinery (retry, degraded routing, or
-    /// timeouts) is switched on.
+    /// True when any supervision machinery (retry or degraded routing) is
+    /// switched on.
     pub(crate) fn armed(&self) -> bool {
-        self.retries > 0 || self.degraded || self.recv_timeout.is_some()
+        self.retries > 0 || self.degraded
     }
 
     /// Backoff before restart attempt `attempt` (1-based), exponentially

@@ -3,9 +3,10 @@
 //! The substrate the paper runs on (Apache Storm, §III-B), rebuilt from
 //! scratch: topologies of **spouts** and **bolts** with per-component
 //! parallelism and the Storm stream groupings (*shuffle*, *fields*, *all*,
-//! *direct*, *global*), executed as one thread per task over crossbeam
-//! channels. Window boundaries travel as aligned punctuations; control
-//! loops (Merger → Assigner → Merger in Fig. 2) use feedback edges.
+//! *direct*, *global*), executed over crossbeam channels — one thread per
+//! spout task, every bolt task on a fixed work-stealing pool. Window
+//! boundaries travel as aligned punctuations; control loops (Merger →
+//! Assigner → Merger in Fig. 2) use feedback edges.
 //!
 //! Forward-edge transport is micro-batched: producers buffer up to
 //! [`TopologyBuilder::batch_size`] messages per target and ship them as one
@@ -43,15 +44,13 @@ pub mod topology;
 pub mod transport;
 pub mod wire;
 
-pub use executor::{run, run_distributed, Outbox, RunError, RunReport, TaskMetrics};
+pub use executor::{run, run_distributed, Outbox, RunError, RunReport};
 pub use fault::{FaultKind, FaultPanic, FaultPlan, FaultSpec, RecoveryPolicy};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, TaskInstruments, TaskSnapshot, TraceEvent,
     TraceKind, WindowSnapshot,
 };
-pub use topology::{
-    BoltHandle, Grouping, SchedulerMode, ShedPredicate, Topology, TopologyBuilder, TopologyError,
-};
+pub use topology::{BoltHandle, Grouping, ShedPredicate, Topology, TopologyBuilder, TopologyError};
 pub use transport::{join_group, Group, GroupSetup};
 pub use wire::WireCodec;
 
@@ -1056,32 +1055,6 @@ mod shed_tests {
     }
 
     #[test]
-    fn shed_on_pooled_scheduler_conserves() {
-        let t = TopologyBuilder::new()
-            .scheduler(SchedulerMode::Pooled {
-                workers: 2,
-                pin_cores: false,
-            })
-            .spout("src", 1, |_| {
-                Box::new(VecSpout::with_punctuation((0..400).collect(), 100))
-            })
-            .bolt("slow", 1, |_| {
-                fn_bolt(|_x: i32, _out: &mut Outbox<i32>| {
-                    std::thread::sleep(std::time::Duration::from_micros(100));
-                })
-            })
-            .subscribe("src", Grouping::Shuffle)
-            .done()
-            .shed("slow", 1, |_m: &i32| true)
-            .build()
-            .unwrap();
-        let report = run(t).unwrap();
-        let (offered, dropped, passed) = shed_sums(&report, "slow");
-        assert_eq!(offered, 400);
-        assert_eq!(offered, dropped + passed);
-    }
-
-    #[test]
     fn shed_target_must_be_a_bolt() {
         let t = TopologyBuilder::new()
             .spout("src", 1, |_| VecSpout::boxed(vec![1]))
@@ -1198,8 +1171,105 @@ mod busy_tests {
             .build()
             .unwrap();
         let report = run(t).unwrap();
-        let legacy = report.legacy_tasks();
-        let worker = legacy.iter().find(|t| t.component == "worker").unwrap();
-        assert!(worker.busy > std::time::Duration::ZERO);
+        let worker = report
+            .tasks
+            .iter()
+            .find(|t| t.component == "worker")
+            .unwrap();
+        assert!(worker.counter("busy_ns") > 0);
+        assert_eq!(worker.counter("received"), report.received("worker"));
+        assert_eq!(report.received("worker"), 200);
+        assert_eq!(report.emitted("src"), 200);
+    }
+}
+
+/// Processes that host no bolt: the pool has no task, so no worker may be
+/// spawned and nothing may wait for one.
+#[cfg(test)]
+mod no_bolt_tests {
+    use super::*;
+    use crate::wire::{put_varint, Cursor, WireError};
+
+    #[test]
+    fn zero_pooled_tasks_resolve_to_zero_workers() {
+        assert_eq!(sched::resolve_workers(0, 0), 0);
+        assert_eq!(sched::resolve_workers(8, 0), 0);
+        assert_eq!(sched::resolve_workers(8, 3), 3);
+        assert_eq!(sched::resolve_workers(2, 3), 2);
+        assert!((1..=3).contains(&sched::resolve_workers(0, 3)));
+    }
+
+    #[test]
+    fn spout_only_topology_runs_to_completion() {
+        let t = TopologyBuilder::new()
+            .metrics(true)
+            .spout("src", 2, |_| {
+                Box::new(VecSpout::with_punctuation((0..50u64).collect(), 10))
+            })
+            .build()
+            .unwrap();
+        let report = run(t).unwrap();
+        // Nothing subscribes, so nothing is delivered — but both tasks ran
+        // their streams out, and no pool worker row exists.
+        assert_eq!(report.emitted("src"), 0);
+        assert_eq!(report.component_counter("src", "puncts"), 10);
+        assert!(report.tasks.iter().all(|t| t.component == "src"));
+        assert_eq!(report.windows.len(), 5);
+    }
+
+    struct U64Codec;
+
+    impl WireCodec<u64> for U64Codec {
+        fn encode(&self, msg: &u64, out: &mut Vec<u8>) {
+            put_varint(out, *msg);
+        }
+        fn decode(&self, cur: &mut Cursor) -> Result<u64, WireError> {
+            cur.varint()
+        }
+    }
+
+    /// A 2-member group where member 0 hosts only the spout and member 1
+    /// only the bolt: one process with no pooled task, one with no spout
+    /// thread. Both must start, move every tuple and retire.
+    #[test]
+    fn group_member_without_a_bolt_runs_to_completion() {
+        const N: u64 = 500;
+        let dir = std::env::temp_dir().join(format!("ssj-no-bolt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let members: Vec<_> = (0..2)
+            .map(|w| {
+                let dir = dir.clone();
+                std::thread::spawn(move || {
+                    let group = join_group(&GroupSetup {
+                        workers: 2,
+                        my_worker: w,
+                        socket_dir: dir,
+                        attempt: 0,
+                        topo_fingerprint: 1,
+                        dict_epoch: 0,
+                    })
+                    .unwrap();
+                    let t = TopologyBuilder::new()
+                        .batch_size(16)
+                        .spout("src", 1, |_| {
+                            Box::new(VecSpout::with_punctuation((0..N).collect(), 100))
+                        })
+                        .bolt("sink", 1, |_| fn_bolt(|_x: u64, _out| {}))
+                        .subscribe("src", Grouping::Shuffle)
+                        .done()
+                        .build()
+                        .unwrap();
+                    let place = |c: &str, _task: usize| usize::from(c == "sink");
+                    run_distributed(t, Arc::new(U64Codec), group, &place).unwrap()
+                })
+            })
+            .collect();
+        let reports: Vec<RunReport> = members.into_iter().map(|h| h.join().unwrap()).collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(reports[0].emitted("src"), N);
+        assert!(reports[0].tasks.iter().all(|t| t.component != "scheduler"));
+        assert_eq!(reports[1].received("sink"), N);
+        assert_eq!(reports[1].component_counter("sink", "puncts"), 5);
     }
 }

@@ -1,6 +1,6 @@
-//! The pooled work-stealing scheduler (DESIGN.md §4e): a fixed set of
-//! optionally core-pinned worker threads cooperatively scheduling many bolt
-//! tasks, so `m ≫ cores` joiners run without one-OS-thread-per-task
+//! The work-stealing scheduler (DESIGN.md §4e): a fixed set of optionally
+//! core-pinned worker threads cooperatively scheduling every bolt task, so
+//! `m ≫ cores` joiners run without one-OS-thread-per-task
 //! oversubscription.
 //!
 //! Architecture:
@@ -82,9 +82,9 @@ struct Parker {
 pub(crate) struct Hub {
     /// Per global task: scheduling state (see the `const` states above).
     states: Vec<AtomicU8>,
-    /// Per global task: scheduled on the pool? Dedicated-thread tasks
-    /// (spouts, recv-timeout bolts) are woken by their channel condvars
-    /// instead, so notifications to them are no-ops.
+    /// Per global task: scheduled on the pool (a bolt hosted by this
+    /// process)? Spouts never receive and remote tasks are notified on
+    /// their own process's hub, so notifications to them are no-ops.
     pooled: Vec<bool>,
     /// Per global task: the type-erased body, present while live. The state
     /// machine gives the claiming worker exclusive access, so the mutex is
@@ -189,16 +189,15 @@ impl Hub {
         }
     }
 
-    /// A dedicated-thread task (spout or recv-timeout bolt) exited: nudge
-    /// its pooled downstream so they observe the channel disconnect.
+    /// A spout thread exited: nudge its pooled downstream so they observe
+    /// the channel disconnect.
     pub(crate) fn retire_external(&self, global: usize) {
         for &d in &self.downstream[global] {
             self.notify(d);
         }
     }
 
-    /// Labels of pooled tasks that panicked, in global task order (matching
-    /// the legacy executor's spawn-order reporting).
+    /// Labels of pooled tasks that panicked, in global task order.
     pub(crate) fn panicked_labels(&self) -> Vec<(usize, String)> {
         let mut v = self.panicked.lock().unwrap().clone();
         v.sort();
@@ -291,14 +290,15 @@ mod affinity {
 }
 
 /// Resolve a requested worker count: 0 means auto (the machine's available
-/// parallelism); the result is clamped to the number of pooled tasks so
-/// tiny topologies don't spawn idle workers.
+/// parallelism); the result is capped at the number of pooled tasks so
+/// tiny topologies don't spawn idle workers — a process that hosts no bolt
+/// gets no worker at all.
 pub(crate) fn resolve_workers(requested: usize, pooled_tasks: usize) -> usize {
     let auto = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     let n = if requested == 0 { auto } else { requested };
-    n.clamp(1, pooled_tasks.max(1))
+    n.min(pooled_tasks)
 }
 
 /// Spawn the worker pool. `insts[w]` is worker `w`'s instrument set for the
@@ -396,8 +396,7 @@ fn worker_loop(
 /// Claim task `t`, run one step, and resolve its post-step state. Panics
 /// unwinding out of a step are terminal for that task: the body is dropped
 /// (disconnecting its channels) and the label recorded for
-/// [`crate::RunError::TaskPanicked`], exactly like a dying task thread
-/// under the legacy executor.
+/// [`crate::RunError::TaskPanicked`].
 fn run_one(hub: &Hub, t: usize, local: &Worker<usize>) {
     if hub.states[t]
         .compare_exchange(QUEUED, RUNNING, Ordering::AcqRel, Ordering::Acquire)

@@ -109,29 +109,6 @@ pub(crate) struct Component<M> {
     pub subscriptions: Vec<Subscription<M>>,
 }
 
-/// How the executor maps tasks onto OS threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerMode {
-    /// One OS thread per task (the original executor). The library default:
-    /// existing embedders see byte-identical scheduling. Deprecated for
-    /// large topologies — `m ≫ cores` joiners degenerate into
-    /// context-switch churn; prefer [`SchedulerMode::Pooled`].
-    #[default]
-    ThreadPerTask,
-    /// A fixed pool of workers cooperatively schedules bolt tasks over
-    /// per-worker work-stealing deques (DESIGN.md §4e). Spouts (and every
-    /// bolt when the recovery policy sets a receive timeout) keep dedicated
-    /// threads; all other bolts become pooled tasks, so hundreds of tasks
-    /// run without oversubscription.
-    Pooled {
-        /// Worker threads; 0 = auto (the machine's available parallelism).
-        workers: usize,
-        /// Pin worker `i` to core `i % cores` (Linux only; ignored
-        /// elsewhere).
-        pin_cores: bool,
-    },
-}
-
 /// Errors detected while building or validating a topology.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologyError {
@@ -194,7 +171,8 @@ pub struct TopologyBuilder<M> {
     trace_capacity: usize,
     fault_plan: FaultPlan,
     recovery: RecoveryPolicy,
-    scheduler: SchedulerMode,
+    pool_workers: usize,
+    pin_cores: bool,
     shed: Vec<ShedSpec<M>>,
 }
 
@@ -208,7 +186,8 @@ impl<M> Default for TopologyBuilder<M> {
             trace_capacity: 4096,
             fault_plan: FaultPlan::new(),
             recovery: RecoveryPolicy::default(),
-            scheduler: SchedulerMode::default(),
+            pool_workers: 0,
+            pin_cores: false,
             shed: Vec::new(),
         }
     }
@@ -268,7 +247,7 @@ impl<M> TopologyBuilder<M> {
     }
 
     /// Set the [`RecoveryPolicy`] the executor supervises bolts with:
-    /// retry budget, restart backoff, degraded mode, and channel timeouts.
+    /// retry budget, restart backoff, and degraded mode.
     /// The default policy is inert — no supervision, panics propagate as
     /// before.
     pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
@@ -301,14 +280,18 @@ impl<M> TopologyBuilder<M> {
         self
     }
 
-    /// Choose the [`SchedulerMode`] (default [`SchedulerMode::ThreadPerTask`]
-    /// for embedder compatibility). Pooled scheduling changes which forward
-    /// channels are bounded — channels fed by bolt producers become
-    /// unbounded so cooperative tasks never block a worker on a send —
-    /// but window contents, supervision, and fault-injection coordinates
-    /// are identical under either mode.
-    pub fn scheduler(mut self, mode: SchedulerMode) -> Self {
-        self.scheduler = mode;
+    /// Worker threads of the pool that schedules the bolt tasks (DESIGN.md
+    /// §4e); 0 (the default) = auto: the machine's available parallelism,
+    /// capped at the number of bolt tasks.
+    pub fn pool_workers(mut self, workers: usize) -> Self {
+        self.pool_workers = workers;
+        self
+    }
+
+    /// Pin pool worker `i` to core `i % cores` (default off; Linux only,
+    /// ignored elsewhere).
+    pub fn pin_cores(mut self, on: bool) -> Self {
+        self.pin_cores = on;
         self
     }
 
@@ -416,7 +399,8 @@ impl<M> TopologyBuilder<M> {
             trace_capacity: self.trace_capacity,
             fault_plan: self.fault_plan,
             recovery: self.recovery,
-            scheduler: self.scheduler,
+            pool_workers: self.pool_workers,
+            pin_cores: self.pin_cores,
             shed: self.shed,
         })
     }
@@ -504,7 +488,8 @@ pub struct Topology<M> {
     pub(crate) trace_capacity: usize,
     pub(crate) fault_plan: FaultPlan,
     pub(crate) recovery: RecoveryPolicy,
-    pub(crate) scheduler: SchedulerMode,
+    pub(crate) pool_workers: usize,
+    pub(crate) pin_cores: bool,
     pub(crate) shed: Vec<ShedSpec<M>>,
 }
 

@@ -398,7 +398,7 @@ pub(crate) fn reader_loop<M: Send + 'static>(
     mut stream: UnixStream,
     codec: Arc<dyn WireCodec<M>>,
     mut plan: ReaderPlan<M>,
-    hub: Option<Arc<Hub>>,
+    hub: Arc<Hub>,
     errors: Arc<Mutex<Vec<String>>>,
     insts: Arc<TaskInstruments>,
     peer: usize,
@@ -407,11 +407,7 @@ pub(crate) fn reader_loop<M: Send + 'static>(
     let frames_recv = insts.counter("frames_recv");
     let deserialize_ns = insts.counter("deserialize_ns");
     let disconnects = insts.counter("peer_disconnects");
-    let notify = |target: usize| {
-        if let Some(h) = &hub {
-            h.notify(target);
-        }
-    };
+    let notify = |target: usize| hub.notify(target);
     let mut scratch = Vec::new();
     let mut clean = true;
     loop {

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use ssj_bench::testutil::{assert_runs_equal, assert_windows_equal, RunWindows};
 use ssj_runtime::{
     run, Bolt, BoltState, FaultPlan, Grouping, Outbox, RecoveryPolicy, RunError, RunReport,
-    SchedulerMode, TaskInfo, TopologyBuilder, VecSpout,
+    TaskInfo, TopologyBuilder, VecSpout,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -143,18 +143,18 @@ fn chaos_run(
     plan: FaultPlan,
     policy: RecoveryPolicy,
 ) -> Result<(RunWindows, Vec<u64>, RunReport), RunError> {
-    chaos_run_on(n, window, batch, plan, policy, SchedulerMode::ThreadPerTask)
+    chaos_run_on(n, window, batch, plan, policy, 0)
 }
 
-/// [`chaos_run`] under an explicit scheduler: the pooled variants assert
-/// that cooperative scheduling leaves recovery semantics byte-identical.
+/// [`chaos_run`] with an explicit pool size (0 = one worker per core):
+/// recovery semantics must not depend on how many workers share the tasks.
 fn chaos_run_on(
     n: u64,
     window: usize,
     batch: usize,
     plan: FaultPlan,
     policy: RecoveryPolicy,
-    sched: SchedulerMode,
+    workers: usize,
 ) -> Result<(RunWindows, Vec<u64>, RunReport), RunError> {
     assert!(window.is_multiple_of(2) && n.is_multiple_of(window as u64));
     let shared: Shared = Arc::new(Mutex::new(BTreeMap::new()));
@@ -167,7 +167,7 @@ fn chaos_run_on(
         .batch_size(batch)
         .fault_plan(plan)
         .recovery(policy)
-        .scheduler(sched)
+        .pool_workers(workers)
         .spout("src", 2, move |task| {
             let items = if task == 0 {
                 evens.clone()
@@ -234,17 +234,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// THE acceptance property: a single recovered crash — any supervised
-    /// stage, any window/tuple coordinate, batch 1 or 64 — leaves every
-    /// window's join output AND the joiners' cross-window counters exactly
-    /// equal to the fault-free run.
+    /// stage, any window/tuple coordinate, batch 1 or 64, 1/2/8 pool
+    /// workers — leaves every window's join output AND the joiners'
+    /// cross-window counters exactly equal to the fault-free run.
     #[test]
     fn crash_once_recovers_exactly(
         seed in 0u64..1 << 40,
         comp_pick in 0usize..3,
         crash_window in 0u64..4,
+        workers_pick in 0usize..3,
         batch_big in any::<bool>(),
     ) {
         let batch = if batch_big { 64 } else { 1 };
+        let workers = [1usize, 2, 8][workers_pick];
         // Tuple coordinates bounded by each component's per-window share so
         // most cases actually fire (the sink sees 3 Stats per window).
         let (comp, par, max_tuple) =
@@ -253,7 +255,8 @@ proptest! {
         let tuple = seed % max_tuple as u64;
         let plan = FaultPlan::new().crash(comp, task, crash_window, tuple);
         let (base, base_cum) = baseline(N, WINDOW, batch);
-        let (got, cum, report) = chaos_run(N, WINDOW, batch, plan, quick_policy(3)).unwrap();
+        let (got, cum, report) =
+            chaos_run_on(N, WINDOW, batch, plan, quick_policy(3), workers).unwrap();
         assert_runs_equal(&base, &got);
         assert_windows_equal("cumulative docs", &base_cum, &cum);
         let crashes = report.counter_total("faults_crashes");
@@ -327,7 +330,8 @@ fn repeated_crash_without_degraded_fails_cleanly() {
 #[test]
 fn unsupervised_crash_still_propagates() {
     // No retries, no degraded mode: a targeted fault behaves like any
-    // other panic — the pre-recovery contract is unchanged.
+    // other panic — it surfaces through `RunError::TaskPanicked` under the
+    // task's `component[task]` label.
     let plan = FaultPlan::new().crash("relay", 0, 0, 0);
     let err = chaos_run(N, WINDOW, 64, plan, RecoveryPolicy::default()).unwrap_err();
     let RunError::TaskPanicked(tasks) = err else {
@@ -374,14 +378,21 @@ fn stall_fault_only_slows_the_task() {
 }
 
 #[test]
-fn timeout_policies_are_benign() {
-    let policy = RecoveryPolicy::default()
-        .recv_timeout(Duration::from_millis(1))
-        .send_timeout(Duration::from_millis(5));
+fn fault_free_run_is_identical_across_pool_sizes() {
     let (base, base_cum) = baseline(N, WINDOW, 64);
-    let (got, cum, _) = chaos_run(N, WINDOW, 64, FaultPlan::new(), policy).unwrap();
-    assert_runs_equal(&base, &got);
-    assert_windows_equal("cumulative docs", &base_cum, &cum);
+    for workers in [1usize, 2, 8] {
+        let (got, cum, _) = chaos_run_on(
+            N,
+            WINDOW,
+            64,
+            FaultPlan::new(),
+            RecoveryPolicy::default(),
+            workers,
+        )
+        .unwrap();
+        assert_runs_equal(&base, &got);
+        assert_windows_equal("cumulative docs", &base_cum, &cum);
+    }
 }
 
 #[test]
@@ -465,133 +476,4 @@ fn windows_keep_closing_after_an_upstream_eos() {
             assert_eq!(w, &expect, "supervised={supervised}: window {i}");
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Pooled-scheduler chaos: crash, recovery, fencing, and panic propagation
-// must be byte-identical to the thread-per-task executor (DESIGN.md §4e).
-// ---------------------------------------------------------------------------
-
-fn pooled(workers: usize) -> SchedulerMode {
-    SchedulerMode::Pooled {
-        workers,
-        pin_cores: false,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The pooled acceptance property: a recovered crash under the pool —
-    /// any supervised stage, any coordinate, any worker count — matches both
-    /// the fault-free run and the thread-per-task recovered run exactly.
-    #[test]
-    fn pooled_crash_once_recovers_exactly(
-        seed in 0u64..1 << 40,
-        comp_pick in 0usize..3,
-        crash_window in 0u64..4,
-        workers_pick in 0usize..3,
-        batch_big in any::<bool>(),
-    ) {
-        let batch = if batch_big { 64 } else { 1 };
-        let workers = [1usize, 2, 8][workers_pick];
-        let (comp, par, max_tuple) =
-            [("relay", 2, 20), ("joiner", 3, 6), ("sink", 1, 3)][comp_pick];
-        let task = (seed % par as u64) as usize;
-        let tuple = seed % max_tuple as u64;
-        let mk_plan = || FaultPlan::new().crash(comp, task, crash_window, tuple);
-        let (base, base_cum) = baseline(N, WINDOW, batch);
-        let (legacy, legacy_cum, _) =
-            chaos_run(N, WINDOW, batch, mk_plan(), quick_policy(3)).unwrap();
-        let (got, cum, report) =
-            chaos_run_on(N, WINDOW, batch, mk_plan(), quick_policy(3), pooled(workers)).unwrap();
-        assert_runs_equal(&base, &got);
-        assert_runs_equal(&legacy, &got);
-        assert_windows_equal("cumulative docs", &base_cum, &cum);
-        assert_windows_equal("cumulative docs vs legacy", &legacy_cum, &cum);
-        let crashes = report.counter_total("faults_crashes");
-        if crashes > 0 {
-            prop_assert!(
-                report.counter_total("recoveries_succeeded") >= 1,
-                "crashed {crashes}× under the pool but never recovered"
-            );
-        }
-    }
-}
-
-#[test]
-fn pooled_fault_free_run_matches_legacy() {
-    for workers in [1usize, 2, 8] {
-        let (base, base_cum) = baseline(N, WINDOW, 64);
-        let (got, cum, _) = chaos_run_on(
-            N,
-            WINDOW,
-            64,
-            FaultPlan::new(),
-            RecoveryPolicy::default(),
-            pooled(workers),
-        )
-        .unwrap();
-        assert_runs_equal(&base, &got);
-        assert_windows_equal("cumulative docs", &base_cum, &cum);
-    }
-}
-
-#[test]
-fn pooled_crash_is_recovered_and_counted() {
-    let plan = FaultPlan::new().crash("joiner", 1, 1, 2);
-    let (base, base_cum) = baseline(N, WINDOW, 64);
-    let (got, cum, report) = chaos_run_on(N, WINDOW, 64, plan, quick_policy(2), pooled(2)).unwrap();
-    assert_runs_equal(&base, &got);
-    assert_windows_equal("cumulative docs", &base_cum, &cum);
-    assert_eq!(report.counter_total("faults_crashes"), 1);
-    assert_eq!(report.counter_total("recoveries_attempted"), 1);
-    assert_eq!(report.counter_total("recoveries_succeeded"), 1);
-    assert!(report.counter_total("recoveries_replayed") >= 1);
-}
-
-#[test]
-fn pooled_repeated_crash_degrades_cleanly() {
-    // Degraded-mode fencing under the pool: the fenced joiner's share is
-    // sacrificed, every window still closes, no invented pairs.
-    let plan = FaultPlan::new().crash_repeating("joiner", 1, 1, 2);
-    let policy = quick_policy(2).degraded(true);
-    let (base, _) = baseline(N, WINDOW, 64);
-    let (got, _, report) = chaos_run_on(N, WINDOW, 64, plan, policy, pooled(2)).unwrap();
-    assert_eq!(got.windows.len(), base.windows.len());
-    for (w, (g, b)) in got.windows.iter().zip(&base.windows).enumerate() {
-        let missing: Vec<_> = g.iter().filter(|p| !b.contains(p)).collect();
-        assert!(
-            missing.is_empty(),
-            "window {w}: degraded pooled run invented pairs {missing:?}"
-        );
-    }
-    assert_eq!(report.counter_total("faults_crashes"), 3);
-    assert_eq!(report.counter_total("faults_fenced"), 1);
-    assert!(report.counter_total("faults_skipped") > 0);
-}
-
-#[test]
-fn pooled_unsupervised_crash_still_propagates() {
-    // A terminal panic in a cooperative task must surface through
-    // `RunError::TaskPanicked` with the same label a dying thread produced.
-    let plan = FaultPlan::new().crash("relay", 0, 0, 0);
-    let err = chaos_run_on(N, WINDOW, 64, plan, RecoveryPolicy::default(), pooled(2)).unwrap_err();
-    let RunError::TaskPanicked(tasks) = err else {
-        panic!("expected TaskPanicked, got {err}");
-    };
-    assert!(tasks.iter().any(|t| t.contains("relay")), "{tasks:?}");
-}
-
-#[test]
-fn pooled_retry_exhaustion_fails_cleanly() {
-    let plan = FaultPlan::new().crash_repeating("joiner", 1, 1, 2);
-    let err = chaos_run_on(N, WINDOW, 64, plan, quick_policy(1), pooled(1)).unwrap_err();
-    let RunError::TaskPanicked(tasks) = err else {
-        panic!("expected TaskPanicked, got {err}");
-    };
-    assert!(
-        tasks.iter().any(|t| t.contains("joiner")),
-        "panic should name the joiner: {tasks:?}"
-    );
 }

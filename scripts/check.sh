@@ -58,11 +58,12 @@ stage "stale-order differential" cargo test -q -p ssj-join --test stale_order
 # bench body once and leaves BENCH_fptree.json alone.
 stage "fptree alloc audit" cargo test -q -p ssj-bench --features count-allocs --bench fptree
 
-# Fault injection + supervised recovery, legacy + pooled.
+# Fault injection + supervised recovery across pool sizes 1/2/8.
 stage "chaos smoke" cargo test -q -p ssj-runtime --test chaos
 stage "partitioner differential" cargo test -q -p ssj-partition --test cross_partitioners
 
-# Pooled == thread-per-task join output; metric conservation laws.
+# Pool == brute-force join output for any worker count; metric
+# conservation laws and the scheduler_* counter family.
 stage "scheduler equivalence" cargo test -q -p ssj-core --test sched_equivalence
 stage "metrics conservation" cargo test -q -p ssj-runtime --test metrics_conservation
 
@@ -83,7 +84,7 @@ stage "route-cache expiry" cargo test -q -p ssj-core --test route_cache_expiry
 stage "sliding chaos" cargo test -q -p ssj-core --test sliding_chaos
 
 # Spilled == resident join output across window shapes, batch sizes,
-# schedulers, and a recovered crash; budget 0 provably installs nothing.
+# and a recovered crash; budget 0 provably installs nothing.
 stage "spill equivalence" cargo test -q -p ssj-core --test spill_equivalence
 
 stage "bench_partition build" cargo build --release -q -p ssj-bench --bin bench_partition
@@ -94,9 +95,9 @@ stage "bench_partition gate" ./target/release/bench_partition --check BENCH_part
 stage "routing alloc audit" cargo run --release -q -p ssj-bench --features count-allocs --bin bench_partition -- --audit
 
 stage "bench_runtime build" cargo build --release -q -p ssj-bench --bin bench_runtime
-# Throughput vs committed baseline incl. scheduler gates: 20% regression
-# on sched/*, transport/{inproc,socket} and sliding/* ids, pooled/legacy
-# >= 1.5x at m=64, >= 0.95x at m=4, sliding 16-pane >= 0.3x 1-pane.
+# Throughput vs committed baseline: 20% regression on every id (chain/*,
+# join/*, sched/m=*, transport/{inproc,socket}, sliding/*), sliding
+# 16-pane >= 0.3x 1-pane.
 stage "bench_runtime gate" ./target/release/bench_runtime --check BENCH_runtime.json
 
 # Join smoke, metrics on vs off, >5% fails.

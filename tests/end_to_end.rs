@@ -2,7 +2,8 @@
 //! deterministic pipeline) against ground truth on both datasets.
 
 use schema_free_stream_joins::ssj_core::{
-    ground_truth_pairs, run_topology, Pipeline, StreamJoinConfig, WindowSpec,
+    ground_truth_pairs, run_topology, run_topology_chaos, run_topology_distributed, DistRuntime,
+    Pipeline, StreamJoinConfig, WindowSpec,
 };
 use schema_free_stream_joins::ssj_data::{
     NoBenchConfig, NoBenchGen, ServerLogConfig, ServerLogGen,
@@ -10,6 +11,7 @@ use schema_free_stream_joins::ssj_data::{
 use schema_free_stream_joins::ssj_join::JoinAlgo;
 use schema_free_stream_joins::ssj_json::{Dictionary, Document, FxHashSet};
 use schema_free_stream_joins::ssj_partition::PartitionerKind;
+use schema_free_stream_joins::ssj_runtime::FaultPlan;
 
 fn serverlog(dict: &Dictionary, n: usize) -> Vec<Document> {
     ServerLogGen::new(ServerLogConfig::default(), dict.clone()).take_docs(n)
@@ -114,6 +116,82 @@ fn threaded_topology_matches_pipeline_results() {
         let report = pipeline.process_window(&docs[w * 150..(w + 1) * 150]);
         assert_eq!(report.unique_join_pairs, truth.len(), "pipeline window {w}");
     }
+}
+
+/// Tier-1's one pass through supervised recovery: a joiner crashed in the
+/// middle of window 1 is rebuilt from its window-0 snapshot and replayed,
+/// and every window still equals brute force.
+#[test]
+fn crashed_joiner_recovers_to_ground_truth() {
+    let dict = Dictionary::new();
+    let docs = serverlog(&dict, 450);
+    let cfg = StreamJoinConfig::default()
+        .with_m(4)
+        .with_window_spec(WindowSpec::tumbling(150))
+        .with_partition_creators(2)
+        .with_assigners(2)
+        .with_retries(2)
+        .with_backoff_ms(1)
+        .build()
+        .unwrap();
+    let plan = FaultPlan::new().crash("joiner", 1, 1, 5);
+    let report = run_topology_chaos(cfg, &dict, docs.clone(), plan).expect("run");
+    assert!(
+        report.runtime.total_faults() >= 1,
+        "the planned crash never fired"
+    );
+    assert!(report.runtime.total_recoveries() >= 1);
+    assert_eq!(report.joins_per_window.len(), 3);
+    for (w, got) in report.joins_per_window.iter().enumerate() {
+        let truth = ground_truth_pairs(&docs[w * 150..(w + 1) * 150]);
+        assert_eq!(got, &truth, "window {w}");
+    }
+}
+
+/// Tier-1's one pass through the socket mesh: a 2-member group (threads
+/// standing in for processes — own dictionary each, talking only over the
+/// Unix sockets) produces the single-process run's joins.
+#[test]
+fn two_member_group_matches_single_process() {
+    let cfg = StreamJoinConfig::default()
+        .with_m(3)
+        .with_window_spec(WindowSpec::tumbling(150))
+        .with_partition_creators(2)
+        .with_assigners(2)
+        .with_workers(2)
+        .build()
+        .unwrap();
+    let dict = Dictionary::new();
+    let solo_cfg = cfg.clone().with_workers(1).build().unwrap();
+    let solo = run_topology(solo_cfg, &dict, serverlog(&dict, 450)).expect("solo run");
+
+    let dir = std::env::temp_dir().join(format!("ssj-e2e-group-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let members: Vec<_> = (0..2)
+        .map(|w| {
+            let (cfg, dir) = (cfg.clone(), dir.clone());
+            std::thread::spawn(move || {
+                let dict = Dictionary::new();
+                let docs = serverlog(&dict, 450);
+                let dr = DistRuntime {
+                    workers: 2,
+                    my_worker: w,
+                    socket_dir: dir,
+                    attempt: 0,
+                };
+                run_topology_distributed(cfg, &dict, docs, &dr)
+            })
+        })
+        .collect();
+    let reports: Vec<_> = members.into_iter().map(|h| h.join().unwrap()).collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    let reports: Vec<_> = reports
+        .into_iter()
+        .map(|r| r.expect("group member run"))
+        .collect();
+    // The reporter lives on member 0.
+    assert_eq!(reports[0].joins_per_window, solo.joins_per_window);
+    assert!(solo.joins_per_window.iter().any(|w| !w.is_empty()));
 }
 
 /// Tier-1 runs only this package, so this is its one pass through the
