@@ -186,24 +186,23 @@ pub fn ideal_experiment(kind: PartitionerKind, m: usize, scale: Scale) -> Partit
 
 pub mod testutil {
     //! Reusable run-equivalence assertions for integration, recovery, and
-    //! chaos tests: canonicalize a run's per-window join output and compare
-    //! two runs window by window with a readable diff.
+    //! chaos tests: compare two runs' canonical per-window join output
+    //! window by window with a readable diff.
 
-    use ssj_core::TopologyRunReport;
+    use ssj_core::{canonicalize, TopologyRunReport};
     use std::fmt::Debug;
 
-    /// Canonical per-window join output: `windows[w]` holds the window's
-    /// unique `(min, max)` document-id pairs, sorted.
+    /// Per-window join output in the topology's canonical form
+    /// ([`canonicalize`]), one `Vec` per window in window order.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct RunWindows {
-        /// Sorted unique pairs, one `Vec` per window in window order.
+        /// Sorted unique `(min, max)` pairs per window.
         pub windows: Vec<Vec<(u64, u64)>>,
     }
 
     impl RunWindows {
-        /// Canonicalize raw per-window pair collections (order and
-        /// duplicates are normalized away; each pair is flipped to
-        /// `(min, max)`).
+        /// Bring an oracle's raw per-window pair collections into the
+        /// canonical form a run reports.
         pub fn from_pairs<I>(windows: I) -> RunWindows
         where
             I: IntoIterator,
@@ -212,50 +211,37 @@ pub mod testutil {
             let windows = windows
                 .into_iter()
                 .map(|w| {
-                    let mut pairs: Vec<(u64, u64)> =
-                        w.into_iter().map(|(a, b)| (a.min(b), a.max(b))).collect();
-                    pairs.sort_unstable();
-                    pairs.dedup();
+                    let mut pairs = w.into_iter().collect();
+                    canonicalize(&mut pairs);
                     pairs
                 })
                 .collect();
             RunWindows { windows }
         }
-
-        /// Canonicalize a full topology run.
-        pub fn from_report(report: &TopologyRunReport) -> RunWindows {
-            RunWindows::from_pairs(
-                report
-                    .joins_per_window
-                    .iter()
-                    .map(|w| w.iter().copied().collect::<Vec<_>>()),
-            )
-        }
     }
 
     /// Anything comparable as canonical per-window join output.
     pub trait AsRunWindows {
-        /// The canonical view of this run.
-        fn run_windows(&self) -> RunWindows;
+        /// The canonical per-window pairs of this run.
+        fn run_windows(&self) -> &[Vec<(u64, u64)>];
     }
 
     impl AsRunWindows for RunWindows {
-        fn run_windows(&self) -> RunWindows {
-            self.clone()
+        fn run_windows(&self) -> &[Vec<(u64, u64)>] {
+            &self.windows
         }
     }
 
     impl AsRunWindows for TopologyRunReport {
-        fn run_windows(&self) -> RunWindows {
-            RunWindows::from_report(self)
+        fn run_windows(&self) -> &[Vec<(u64, u64)>] {
+            &self.joins_per_window
         }
     }
 
     /// Assert that two runs produced identical join output in every window;
     /// panics with the first differing window and both sides' pairs.
     pub fn assert_runs_equal(a: &impl AsRunWindows, b: &impl AsRunWindows) {
-        let (a, b) = (a.run_windows(), b.run_windows());
-        assert_windows_equal("join pairs", &a.windows, &b.windows);
+        assert_windows_equal("join pairs", a.run_windows(), b.run_windows());
     }
 
     /// Generic per-window equality with a readable per-window diff:

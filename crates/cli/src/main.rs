@@ -10,17 +10,19 @@
 mod args;
 
 use args::Args;
+use parking_lot::Mutex;
 use ssj_core::{
-    run_topology, run_topology_distributed, CsvSink, DistRuntime, HumanSummarySink, JsonlSink,
-    Pipeline, ReportSink, StreamJoinConfig, TopologyRunReport,
+    run_topology, run_topology_distributed, run_topology_with, CsvSink, DistRuntime,
+    HumanSummarySink, JsonlSink, Pipeline, Reader, ReportSink, StreamJoinConfig, WindowResult,
 };
 use ssj_data::{NoBenchConfig, NoBenchGen, ServerLogConfig, ServerLogGen, TweetConfig, TweetGen};
 use ssj_join::JoinAlgo;
-use ssj_json::{write_documents_jsonl, Dictionary, DocId, Document, DocumentReader};
+use ssj_json::{write_documents_jsonl, Dictionary, DocId, DocRef, Document, DocumentReader};
 use ssj_partition::PartitionerKind;
-use ssj_runtime::RunError;
+use ssj_runtime::{FaultPlan, RunError, RunReport};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -448,17 +450,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let metrics_on = !args.flag("no-metrics");
     let cfg = pipeline_config(args, metrics_on)?;
     let dict = Dictionary::new();
-    // Every process of a `--workers N` group loads the whole input, so the
-    // leader starts the others before it loads: they all load at once
-    // instead of one after the other. (If loading fails, dropping the group
-    // kills them.)
-    let group = if cfg.workers > 1 && args.get("worker-id").is_none() {
-        Some(WorkerGroup::launch(cfg.workers)?)
-    } else {
-        None
-    };
-    let docs = load_docs(args, &dict)?;
-    let n = docs.len();
 
     // Worker-process path: this process was spawned by a group leader with
     // the internal flags. Run the local shard and exit quietly — the leader
@@ -477,85 +468,113 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             socket_dir: std::path::PathBuf::from(dir),
             attempt: args.get_or("attempt", 0u32)?,
         };
-        run_topology_distributed(cfg, &dict, docs, &dr).map_err(|e| e.to_string())?;
+        run_topology_distributed(cfg, &dict, load_docs(args, &dict)?, &dr)
+            .map_err(|e| e.to_string())?;
         return Ok(());
     }
 
+    // Created before any work, so an unwritable path fails here.
+    let joins_out = Arc::new(Mutex::new(JoinsOut::start(args.get("joins-out"))?));
+    // Every process of a `--workers N` group loads the whole input, so the
+    // leader starts the others before it loads: they all load at once
+    // instead of one after the other. (If loading fails, dropping the group
+    // kills them.) A solo run is the group of one.
+    let group = WorkerGroup::launch(cfg.workers)?;
+    // Shared handles: the reader and every group relaunch clone only those.
+    let docs: Vec<DocRef> = load_docs(args, &dict)?.into_iter().map(Arc::new).collect();
+    let n = docs.len();
+
     let t0 = Instant::now();
-    let report = match group {
-        Some(group) => group.run(cfg, &dict, docs)?,
-        None => run_topology(cfg, &dict, docs).map_err(|e| e.to_string())?,
-    };
+    let runtime = group.run(cfg, &dict, docs, &joins_out)?;
     let elapsed = t0.elapsed();
     if let Some(path) = args.get("metrics-out") {
         let file = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
         let mut out = BufWriter::new(file);
-        report
-            .runtime
+        runtime
             .write_jsonl(&mut out)
             .and_then(|()| out.flush())
             .map_err(|e| format!("write {path}: {e}"))?;
         eprintln!(
             "wrote {} window snapshots, {} task records, {} trace events to {path}",
-            report.runtime.windows.len(),
-            report.runtime.tasks.len(),
-            report.runtime.trace.len()
+            runtime.windows.len(),
+            runtime.tasks.len(),
+            runtime.trace.len()
         );
     }
-    print!("{}", report.runtime.summary_table());
-    let faults = report.runtime.total_faults();
+    print!("{}", runtime.summary_table());
+    let faults = runtime.total_faults();
     if faults > 0 {
         println!(
             "faults: {} ({} crashes, {} recoveries attempted, {} succeeded, {} tasks fenced)",
             faults,
-            report.runtime.counter_total("faults_crashes"),
-            report.runtime.counter_total("recoveries_attempted"),
-            report.runtime.counter_total("recoveries_succeeded"),
-            report.runtime.counter_total("faults_fenced"),
+            runtime.counter_total("faults_crashes"),
+            runtime.counter_total("recoveries_attempted"),
+            runtime.counter_total("recoveries_succeeded"),
+            runtime.counter_total("faults_fenced"),
         );
     }
-    let joins: usize = report.joins_per_window.iter().map(|w| w.len()).sum();
+    let mut out = joins_out.lock();
     println!(
         "{} documents, {} windows, {} join pairs in {:.3}s ({:.0} docs/s)",
         n,
-        report.joins_per_window.len(),
-        joins,
+        out.windows,
+        out.pairs,
         elapsed.as_secs_f64(),
         n as f64 / elapsed.as_secs_f64().max(1e-9)
     );
-    if let Some(path) = args.get("joins-out") {
-        write_joins(path, &report)?;
-    }
-    Ok(())
+    out.failed.take().map_or(Ok(()), Err)
 }
 
-/// Write canonical per-window join output: one `w: a-b a-b ...` line per
-/// window, pairs flipped to `(min, max)`, sorted, deduplicated — the same
-/// canonical form `ssj_bench::testutil::RunWindows` uses, so two files are
-/// byte-comparable.
-fn write_joins(path: &str, report: &TopologyRunReport) -> Result<(), String> {
-    let mut file = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-    // One window's line, built by hand (a pair per `write!` costs more than
-    // sorting them) and written in one go.
-    let mut line = Vec::new();
-    for (w, pairs) in report.joins_per_window.iter().enumerate() {
-        let mut pairs: Vec<(u64, u64)> = pairs.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        line.clear();
-        push_decimal(&mut line, w as u64);
+/// The sink of `ssj run`: counts the windows the reporter hands over and
+/// their pairs, and keeps nothing else of them. With `--joins-out` it first
+/// appends the window to that file as one `w: a-b a-b ...` line, in its
+/// canonical form (two files are byte-comparable).
+struct JoinsOut {
+    /// `--joins-out`: the path and the open file.
+    file: Option<(String, File)>,
+    windows: usize,
+    pairs: usize,
+    /// The first write error: no line is written after it (none after a gap).
+    failed: Option<String>,
+}
+
+impl JoinsOut {
+    /// Counts at zero, the file created empty — again for every relaunched
+    /// group attempt, so nothing a dead attempt wrote or counted survives.
+    fn start(path: Option<&str>) -> Result<JoinsOut, String> {
+        let file = match path {
+            Some(p) => Some(File::create(p).map_err(|e| format!("create {p}: {e}"))?),
+            None => None,
+        };
+        Ok(JoinsOut {
+            file: path.map(str::to_owned).zip(file),
+            windows: 0,
+            pairs: 0,
+            failed: None,
+        })
+    }
+
+    fn window(&mut self, w: WindowResult) {
+        self.windows += 1;
+        self.pairs += w.pairs.len();
+        let (Some((path, file)), None) = (&mut self.file, &self.failed) else {
+            return;
+        };
+        // Built by hand: a pair per `write!` costs more than sorting them.
+        let mut line = Vec::with_capacity(8 + 16 * w.pairs.len());
+        push_decimal(&mut line, w.window);
         line.push(b':');
-        for (a, b) in pairs {
+        for (a, b) in w.pairs {
             line.push(b' ');
             push_decimal(&mut line, a);
             line.push(b'-');
             push_decimal(&mut line, b);
         }
         line.push(b'\n');
-        file.write_all(&line)
-            .map_err(|e| format!("write {path}: {e}"))?;
+        if let Err(e) = file.write_all(&line) {
+            self.failed = Some(format!("write {path}: {e}"));
+        }
     }
-    Ok(())
 }
 
 /// Append `n` in decimal.
@@ -596,7 +615,9 @@ impl WorkerGroup {
     fn launch(workers: usize) -> Result<Self, String> {
         let exe = std::env::current_exe().map_err(|e| format!("resolve own executable: {e}"))?;
         let dir = std::env::temp_dir().join(format!("ssj-group-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+        if workers > 1 {
+            std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+        }
         let mut group = WorkerGroup {
             exe,
             base: std::env::args().skip(1).collect(),
@@ -636,17 +657,21 @@ impl WorkerGroup {
     /// Run the local shard over the mesh and — mirroring the task
     /// supervisor one level up — relaunch the whole group under a fresh
     /// attempt number when a peer dies mid-run (`RunError::Transport`).
-    /// Window state is rebuilt from the replayed stream, so a relaunched
-    /// run's output is identical to an undisturbed one.
+    /// Window state is rebuilt from the replayed stream and `--joins-out`
+    /// started over, so a relaunched run's output equals an undisturbed one.
     fn run(
         mut self,
         cfg: StreamJoinConfig,
         dict: &Dictionary,
-        docs: Vec<Document>,
-    ) -> Result<TopologyRunReport, String> {
+        docs: Vec<DocRef>,
+        joins_out: &Arc<Mutex<JoinsOut>>,
+    ) -> Result<RunReport, String> {
         let mut last = String::new();
         for attempt in 0..GROUP_ATTEMPTS {
             if attempt > 0 {
+                let mut out = joins_out.lock();
+                let path = out.file.take().map(|(path, _)| path);
+                *out = JoinsOut::start(path.as_deref())?;
                 self.spawn(attempt)?;
             }
             let dr = DistRuntime {
@@ -655,7 +680,12 @@ impl WorkerGroup {
                 socket_dir: self.dir.clone(),
                 attempt,
             };
-            match run_topology_distributed(cfg.clone(), dict, docs.clone(), &dr) {
+            let reader = Reader::Docs(docs.clone());
+            let sink = {
+                let joins_out = Arc::clone(joins_out);
+                move |w| joins_out.lock().window(w)
+            };
+            match run_topology_with(cfg.clone(), dict, reader, FaultPlan::new(), Some(&dr), sink) {
                 Ok(report) => {
                     for (w, mut child) in (1..).zip(self.children.drain(..)) {
                         match child.wait() {

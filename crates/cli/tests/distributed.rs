@@ -2,49 +2,24 @@
 //! `run --workers 2` process group (leader + one spawned worker talking
 //! over Unix sockets) must produce per-window join output byte-identical
 //! to the plain single-process run — including when one worker process is
-//! killed mid-run and the leader relaunches the group.
+//! killed mid-run and the leader relaunches the group. The output compared
+//! is the `--joins-out` file itself, which the reporter's sink writes window
+//! by window while the run is going.
 
 use proptest::prelude::*;
-use ssj_bench::testutil::{assert_runs_equal, RunWindows};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::Command;
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_ssj")
 }
 
-/// Parse a `--joins-out` file (`w: a-b a-b ...` per window) back into the
-/// canonical per-window form.
-fn read_joins(path: &Path) -> RunWindows {
-    let text = std::fs::read_to_string(path).expect("read joins file");
-    let mut windows: Vec<(usize, Vec<(u64, u64)>)> = Vec::new();
-    for line in text.lines() {
-        let (w, rest) = line.split_once(':').expect("malformed joins line");
-        let pairs = rest
-            .split_whitespace()
-            .map(|p| {
-                let (a, b) = p.split_once('-').expect("malformed pair");
-                (a.parse().unwrap(), b.parse().unwrap())
-            })
-            .collect();
-        windows.push((w.parse().unwrap(), pairs));
-    }
-    windows.sort_by_key(|(w, _)| *w);
-    assert!(
-        windows.iter().enumerate().all(|(i, (w, _))| i == *w),
-        "joins file has missing or duplicate windows"
-    );
-    RunWindows::from_pairs(windows.into_iter().map(|(_, pairs)| pairs))
-}
-
 fn out_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ssj-cli-dist-{}-{tag}.txt", std::process::id()))
 }
 
-/// Run `ssj run` with the given stream/topology parameters and return the
-/// canonicalized join output.
-fn run_ssj(seed: u64, m: usize, workers: usize, kill: Option<&str>, tag: &str) -> RunWindows {
-    let path = out_path(tag);
+/// `ssj run` over the 600-document, 3-window stream of `seed`.
+fn ssj_run(seed: u64, m: usize, workers: usize, joins_out: &str) -> Command {
     let mut cmd = Command::new(bin());
     cmd.args(["run", "--dataset", "rwdata", "--count", "600"])
         .args(["--seed", &seed.to_string()])
@@ -52,17 +27,31 @@ fn run_ssj(seed: u64, m: usize, workers: usize, kill: Option<&str>, tag: &str) -
         .args(["--window", "200", "--creators", "2", "--assigners", "2"])
         .args(["--batch", "16", "--no-metrics"])
         .args(["--workers", &workers.to_string()])
-        .args(["--joins-out", path.to_str().unwrap()])
+        .args(["--joins-out", joins_out])
+        .env_remove("SSJ_KILL_WORKER")
         .stdout(std::process::Stdio::null());
-    match kill {
+    cmd
+}
+
+/// Run it and return the `--joins-out` file exactly as the reporter's sink
+/// streamed it: one `w: a-b a-b ...` line per window, in window order.
+fn run_ssj(seed: u64, m: usize, workers: usize, kill: Option<&str>, tag: &str) -> String {
+    let path = out_path(tag);
+    let mut cmd = ssj_run(seed, m, workers, path.to_str().unwrap());
+    if let Some(spec) = kill {
         // Scoped to this run only: the spec names one (worker, attempt).
-        Some(spec) => cmd.env("SSJ_KILL_WORKER", spec),
-        None => cmd.env_remove("SSJ_KILL_WORKER"),
-    };
+        cmd.env("SSJ_KILL_WORKER", spec);
+    }
     let status = cmd.status().expect("launch ssj");
     assert!(status.success(), "ssj run failed: {status}");
-    let joins = read_joins(&path);
+    let joins = std::fs::read_to_string(&path).expect("read joins file");
     let _ = std::fs::remove_file(&path);
+    let windows: Vec<&str> = joins
+        .split_inclusive('\n')
+        .map(|line| line.split_once(':').expect("malformed joins line").0)
+        .collect();
+    assert_eq!(windows, ["0", "1", "2"], "one line per window, ascending");
+    assert!(joins.ends_with('\n'), "last line cut short");
     joins
 }
 
@@ -75,7 +64,7 @@ proptest! {
     fn two_process_run_matches_single_process(seed in 0u64..1 << 32, m in 2usize..5) {
         let solo = run_ssj(seed, m, 1, None, &format!("solo-{seed}-{m}"));
         let group = run_ssj(seed, m, 2, None, &format!("group-{seed}-{m}"));
-        assert_runs_equal(&solo, &group);
+        prop_assert!(solo == group, "solo:\n{solo}\ngroup:\n{group}");
     }
 }
 
@@ -85,6 +74,38 @@ proptest! {
 #[test]
 fn killed_worker_recovers_with_identical_output() {
     let solo = run_ssj(99, 3, 1, None, "solo-kill");
+    let group = run_ssj(99, 3, 2, None, "group-nokill");
     let recovered = run_ssj(99, 3, 2, Some("1:0"), "group-kill");
-    assert_runs_equal(&solo, &recovered);
+    assert_eq!(solo, group);
+    assert_eq!(
+        solo, recovered,
+        "a dead attempt's lines survived the relaunch"
+    );
+}
+
+/// `--joins-out` is created before any work, so a path that cannot be
+/// created fails the command up front; a write error later (here: a full
+/// device) is reported once the run is over — exit 1 and `write <path>`,
+/// not a panic inside the reporter and not a silently short file.
+#[test]
+fn joins_out_failures_are_named_errors() {
+    let run = |path: &str| {
+        let out = ssj_run(5, 3, 1, path).output().expect("launch ssj");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (code, stderr) = run("/nonexistent-dir/joins.txt");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("error: create /nonexistent-dir/joins.txt"),
+        "{stderr}"
+    );
+    if std::path::Path::new("/dev/full").exists() {
+        let (code, stderr) = run("/dev/full");
+        assert_eq!(code, Some(1), "{stderr}");
+        assert!(stderr.contains("error: write /dev/full"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
 }

@@ -6,8 +6,10 @@
 //! * [`pipeline`] — the deterministic window-by-window driver used by the
 //!   experiment harness (same component logic, bit-reproducible results);
 //! * [`components`] / [`topology`] — the threaded Fig. 2 topology
-//!   (JsonReader → PartitionCreators → Merger → Assigners → Joiners) on the
-//!   Storm-like `ssj-runtime`;
+//!   (JsonReader → PartitionCreators → Merger → Assigners → Joiners →
+//!   Reporter) on the Storm-like `ssj-runtime`: one runner
+//!   ([`run_topology_with`]) whose Reporter folds each window once, as it
+//!   closes, into a [`WindowResult`] for the run's sink;
 //! * [`msg`] — the tuple type those components exchange.
 //!
 //! ```
@@ -50,8 +52,9 @@ pub use spill::{SpillSettings, SpillStore};
 pub use ssj_join::{WindowError, WindowSpec};
 pub use stats::{CsvSink, HumanSummarySink, JsonlSink, ReportSink};
 pub use topology::{
-    materialize_joins, placement_for, run_topology, run_topology_chaos, run_topology_distributed,
-    run_topology_paced, topology_dot, DistRuntime, LatencyReport, TopologyRunReport,
+    canonicalize, materialize_joins, placement_for, run_topology, run_topology_chaos,
+    run_topology_distributed, run_topology_paced, run_topology_with, topology_dot, DistRuntime,
+    LatencyReport, Reader, TopologyRunReport, WindowResult,
 };
 pub use window::{slide_windows, windows, SegmentSpec, Windower};
 pub use wire::MsgCodec;

@@ -430,13 +430,15 @@ impl Pipeline {
     }
 }
 
-/// Ground-truth join pairs of one window (NLJ over all documents) — used by
-/// tests to verify the partitioning preserves the exact join result.
-pub fn ground_truth_pairs(docs: &[Document]) -> FxHashSet<(u64, u64)> {
-    ssj_join::nlj::join_batch(docs)
+/// Ground-truth join pairs of one window (NLJ over all documents, canonical
+/// form) — tests verify with it that partitioning preserves the exact join.
+pub fn ground_truth_pairs(docs: &[Document]) -> Vec<(u64, u64)> {
+    let mut pairs = ssj_join::nlj::join_batch(docs)
         .into_iter()
         .map(|(a, b)| (a.0, b.0))
-        .collect()
+        .collect();
+    crate::topology::canonicalize(&mut pairs);
+    pairs
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Assembling the Fig. 2 topology on the Storm-like runtime.
+//! Assembling the Fig. 2 topology on the Storm-like runtime, and its one
+//! result path.
 //!
 //! ```text
 //!            shuffle                    global
@@ -9,7 +10,7 @@
 //!                                               │  ▲                  │
 //!                 feedback (updates, repartition)│  │                  │ global
 //!                                               ▼  │                  ▼
-//!                                             Merger              Reporter
+//!                                             Merger              Reporter ──► sink
 //! ```
 //!
 //! Forward edges form a DAG; the Assigner → Merger control traffic rides a
@@ -17,65 +18,81 @@
 //! semantics: the Assigner routes window *k* documents with the table the
 //! Merger computed from window *k−1* (window 0 is broadcast — no table has
 //! been deployed yet).
+//!
+//! Results leave the topology as the stream goes: when a window's
+//! punctuation aligns, the Reporter folds its `JoinStats` once into a
+//! [`WindowResult`], hands it to the run's sink and forgets it.
+//! [`run_topology_with`] is the one runner; [`run_topology`] and its siblings
+//! are that runner with a sink that collects a [`TopologyRunReport`].
 
 use crate::components::{Assigner, Joiner, Merger, PartitionCreator};
 use crate::config::StreamJoinConfig;
 use crate::msg::Msg;
 use crate::spill::SpillSettings;
 use crate::wire::{dict_epoch, MsgCodec};
-use ssj_json::{Dictionary, DocId, Document, FxHashMap, FxHashSet};
+use parking_lot::Mutex;
+use ssj_json::{Dictionary, DocId, DocRef, Document, FxHashMap};
 use ssj_runtime::{
-    join_group, metrics::Histogram, run, run_distributed, Bolt, CollectorBolt, CollectorHandle,
-    FaultPlan, GroupSetup, Grouping, HistogramSnapshot, Outbox, PacedSpout, RunError, RunReport,
-    Spout, TopologyBuilder, VecSpout,
+    join_group, metrics::Histogram, run, run_distributed, Bolt, FaultPlan, GroupSetup, Grouping,
+    HistogramSnapshot, Outbox, PacedSpout, RunError, RunReport, Spout, TaskInstruments,
+    TopologyBuilder, VecSpout,
 };
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Results of one full topology run.
+/// One closed window (pane, under a sliding spec), as the run's sink gets it.
+#[derive(Debug)]
+pub struct WindowResult {
+    /// Window (punctuation) id.
+    pub window: u64,
+    /// The window's join pairs in canonical form ([`canonicalize`]).
+    pub pairs: Vec<(u64, u64)>,
+    /// Documents each joiner held in this window.
+    pub docs_per_joiner: Vec<usize>,
+    /// Candidate pairs each joiner produced, before the global dedup: its
+    /// probe load (what hot-group replication spreads), exact unlike timings.
+    pub pairs_per_joiner: Vec<usize>,
+    /// [`Reader::Paced`] runs: every tuple's latency from its *intended*
+    /// arrival to the window's `m`-th `JoinStats` reaching the reporter, so
+    /// queueing delay is charged to the tuples that waited.
+    pub latency: Option<HistogramSnapshot>,
+}
+
+/// The canonical form of a window's join result, and the only place it is
+/// produced: pairs flipped to `(min, max)`, sorted, unique. Results in this
+/// form compare with `==` and, written out, byte for byte.
+pub fn canonicalize(pairs: &mut Vec<(u64, u64)>) {
+    for p in pairs.iter_mut() {
+        *p = (p.0.min(p.1), p.0.max(p.1));
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+}
+
+/// One full topology run: its [`WindowResult`]s side by side.
 #[derive(Debug)]
 pub struct TopologyRunReport {
     /// Runtime task metrics (received / emitted per task).
     pub runtime: RunReport,
-    /// Unique join pairs per window, in window order.
-    pub joins_per_window: Vec<FxHashSet<(u64, u64)>>,
-    /// Documents held per joiner per window (window → joiner → docs).
+    /// [`WindowResult::pairs`] per window.
+    pub joins_per_window: Vec<Vec<(u64, u64)>>,
+    /// [`WindowResult::docs_per_joiner`] per window.
     pub docs_per_joiner: Vec<Vec<usize>>,
-    /// Candidate pairs produced per joiner per window, before global
-    /// dedup (window → joiner → pairs). This is each joiner's probe load —
-    /// the quantity hot-group replication spreads — and it is exact and
-    /// deterministic per seed, unlike wall-clock probe timings.
+    /// [`WindowResult::pairs_per_joiner`] per window.
     pub pairs_per_joiner: Vec<Vec<usize>>,
 }
 
-impl TopologyRunReport {
-    /// All unique join pairs of the whole run.
-    pub fn all_pairs(&self) -> FxHashSet<(u64, u64)> {
-        let mut out = FxHashSet::default();
-        for w in &self.joins_per_window {
-            out.extend(w.iter().copied());
-        }
-        out
-    }
-}
-
 /// Materialize join pairs as merged result documents (the natural-join
-/// output tuples): for each `(a, b)` pair whose both sides are present in
-/// `docs`, produce `a ⋈ b` with a fresh id starting at `first_id`. Pairs
-/// referencing unknown ids are skipped.
-pub fn materialize_joins(
-    pairs: &FxHashSet<(u64, u64)>,
-    docs: &[Document],
-    first_id: u64,
-) -> Vec<Document> {
+/// output tuples): for each `(a, b)` of `pairs`, in the order given, whose
+/// both sides are present in `docs`, produce `a ⋈ b` with a fresh id
+/// starting at `first_id`. Pairs referencing unknown ids are skipped.
+pub fn materialize_joins(pairs: &[(u64, u64)], docs: &[Document], first_id: u64) -> Vec<Document> {
     let by_id: FxHashMap<u64, &Document> = docs.iter().map(|d| (d.id().0, d)).collect();
-    let mut sorted: Vec<(u64, u64)> = pairs.iter().copied().collect();
-    sorted.sort_unstable();
-    let mut out = Vec::with_capacity(sorted.len());
+    let mut out = Vec::with_capacity(pairs.len());
     let mut id = first_id;
-    for (a, b) in sorted {
-        if let (Some(da), Some(db)) = (by_id.get(&a), by_id.get(&b)) {
+    for (a, b) in pairs {
+        if let (Some(da), Some(db)) = (by_id.get(a), by_id.get(b)) {
             out.push(da.merge(db, DocId(id)));
             id += 1;
         }
@@ -83,65 +100,131 @@ pub fn materialize_joins(
     out
 }
 
+type RawPairs = Vec<(DocId, DocId)>;
+
+/// The Fig. 2 Reporter: accumulates a window's `JoinStats` and, when the
+/// window's punctuation aligns (every joiner has reported it), folds them
+/// into the [`WindowResult`], gives that to the sink and keeps nothing.
+///
+/// A supervised restart builds a fresh `Reporter` around the same sink.
+/// Delivered windows lie before the restart's snapshot and are not replayed,
+/// the open window's `JoinStats` are: the sink sees every window once. A
+/// restarted *joiner* may repeat its `JoinStats` for the window it was in;
+/// counts are kept per joiner and pairs deduplicated, so nothing changes.
+struct Reporter<S> {
+    m: usize,
+    pane: usize,
+    sink: Arc<Mutex<S>>,
+    /// Paced runs: document `i` is due `schedule[i]` ns after the anchor,
+    /// which the reader sets at its first emission.
+    schedule: Option<Arc<Vec<u64>>>,
+    anchor: Arc<OnceLock<Instant>>,
+    /// Per open window: the joiners' pair lists, held as they arrived so a
+    /// `JoinStats` costs nothing before the latency stamp; the result so far.
+    open: FxHashMap<u64, (Vec<RawPairs>, WindowResult)>,
+    inst: Option<Arc<TaskInstruments>>,
+}
+
+impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
+    fn attach_instruments(&mut self, inst: &Arc<TaskInstruments>) {
+        self.inst = Some(Arc::clone(inst));
+    }
+
+    fn execute(&mut self, msg: Msg, _out: &mut Outbox<Msg>) {
+        let Msg::JoinStats {
+            window,
+            joiner,
+            docs,
+            pairs,
+        } = msg
+        else {
+            return;
+        };
+        let (raw, open) = self.open.entry(window).or_insert_with(|| {
+            let result = WindowResult {
+                window,
+                pairs: Vec::new(),
+                docs_per_joiner: vec![0; self.m],
+                pairs_per_joiner: vec![0; self.m],
+                latency: None,
+            };
+            (Vec::new(), result)
+        });
+        open.docs_per_joiner[joiner] = docs;
+        open.pairs_per_joiner[joiner] = pairs.len();
+        raw.push(pairs);
+        // Complete with the `m`-th report: the fold and the sink that follow
+        // are not part of a tuple's latency.
+        let paced = (raw.len() == self.m, &self.schedule, self.anchor.get());
+        let (true, Some(schedule), Some(anchor)) = paced else {
+            return;
+        };
+        let now = anchor.elapsed().as_nanos() as u64;
+        let lo = (window as usize * self.pane).min(schedule.len());
+        let hi = (lo + self.pane).min(schedule.len());
+        let h = Histogram::new();
+        for &due in &schedule[lo..hi] {
+            h.record_ns(now.saturating_sub(due));
+        }
+        open.latency = Some(h.snapshot());
+    }
+
+    fn on_punct(&mut self, window: u64, _out: &mut Outbox<Msg>) {
+        let Some((raw, mut result)) = self.open.remove(&window) else {
+            return;
+        };
+        let t0 = Instant::now();
+        result.pairs.reserve(raw.iter().map(Vec::len).sum());
+        for pairs in &raw {
+            result.pairs.extend(pairs.iter().map(|(a, b)| (a.0, b.0)));
+        }
+        canonicalize(&mut result.pairs);
+        if let Some(inst) = &self.inst {
+            // emitted / unique is the replication-driven duplicate ratio.
+            let emitted: usize = result.pairs_per_joiner.iter().sum();
+            inst.counter("pairs_emitted").add(emitted as u64);
+            inst.counter("pairs_unique").add(result.pairs.len() as u64);
+            inst.histogram("fold_ns").record(t0.elapsed());
+        }
+        (self.sink.lock())(result);
+    }
+}
+
 /// Render the Fig. 2 topology (for the given configuration) as Graphviz
 /// DOT without running it.
 pub fn topology_dot(config: StreamJoinConfig) -> String {
-    let dict = Dictionary::new();
-    build(config, &dict, Vec::new(), CollectorBolt::new()).to_dot()
+    let (dict, reader) = (Dictionary::new(), Reader::Docs(Vec::new()));
+    build(&config, &dict, reader, FaultPlan::new(), |_| {}).to_dot()
 }
 
+/// The Fig. 2 topology, reading from `reader` and reporting to `sink`.
 fn build(
-    config: StreamJoinConfig,
+    config: &StreamJoinConfig,
     dict: &Dictionary,
-    docs: Vec<Document>,
-    reporter: CollectorBolt<Msg>,
-) -> ssj_runtime::Topology<Msg> {
-    build_faulted(config, dict, docs, reporter, FaultPlan::new())
-}
-
-fn build_faulted(
-    config: StreamJoinConfig,
-    dict: &Dictionary,
-    docs: Vec<Document>,
-    reporter: CollectorBolt<Msg>,
+    reader: Reader,
     plan: FaultPlan,
+    sink: impl FnMut(WindowResult) + Send + 'static,
 ) -> ssj_runtime::Topology<Msg> {
     // Punctuation is pane-granular: tumbling windows punctuate per window
     // (the 1-pane case), sliding windows per pane (DESIGN.md §4g).
     let window = config.pane_docs();
-    let msgs = reader_msgs(docs);
-    build_custom(
-        config,
-        dict,
-        move |_| Box::new(VecSpout::with_punctuation(msgs(), window)),
-        move |_| Box::new(reporter.clone()),
-        plan,
-    )
-}
-
-/// The reader's stream as messages, built once and *moved* into the spout:
-/// the topology has one reader task and spouts are never restarted, so the
-/// spout factory runs once and takes ownership instead of cloning.
-fn reader_msgs(docs: Vec<Document>) -> impl Fn() -> Vec<Msg> + Send + 'static {
-    let msgs: Vec<Msg> = docs.into_iter().map(|d| Msg::Doc(Arc::new(d))).collect();
-    let msgs = Mutex::new(Some(msgs));
-    move || {
-        let mut slot = msgs.lock().expect("the slot is only ever locked here");
-        slot.take().expect("the reader spout is built once")
-    }
-}
-
-/// The Fig. 2 topology with a pluggable reader spout and reporter bolt —
-/// the paced latency harness swaps in [`PacedSpout`] and a latency-aware
-/// reporter without duplicating the wiring.
-fn build_custom(
-    config: StreamJoinConfig,
-    dict: &Dictionary,
-    spout: impl Fn(usize) -> Box<dyn Spout<Msg>> + Send + 'static,
-    reporter: impl Fn(usize) -> Box<dyn Bolt<Msg>> + Send + Sync + 'static,
-    plan: FaultPlan,
-) -> ssj_runtime::Topology<Msg> {
-    let window = config.pane_docs();
+    let msgs = |docs: Vec<DocRef>| docs.into_iter().map(Msg::Doc).collect::<Vec<_>>();
+    let anchor = Arc::default();
+    let (reader, schedule): (Box<dyn Spout<Msg>>, _) = match reader {
+        Reader::Docs(docs) => (
+            Box::new(VecSpout::with_punctuation(msgs(docs), window)),
+            None,
+        ),
+        Reader::Paced(docs, schedule) => {
+            let spout = PacedSpout::new(msgs(docs), schedule.clone(), window, Arc::clone(&anchor));
+            (Box::new(spout), Some(Arc::new(schedule)))
+        }
+        Reader::Spout(spout) => (spout, None),
+    };
+    // The one reader task is never restarted, so the spout is *moved* into
+    // it; a supervised restart rebuilds the reporter around the same sink.
+    let reader = Mutex::new(Some(reader));
+    let (m, sink) = (config.m, Arc::new(Mutex::new(sink)));
     let dict_creator = dict.clone();
     let dict_assigner = dict.clone();
     // Out-of-core tiering (DESIGN.md §4i): with a non-zero budget the
@@ -200,7 +283,12 @@ fn build_custom(
         });
     }
     builder
-        .spout("reader", 1, spout)
+        .spout("reader", 1, move |_| {
+            reader
+                .lock()
+                .take()
+                .expect("the reader spout is built once")
+        })
         .bolt("creator", config.partition_creators, move |_| {
             Box::new(PartitionCreator::new(
                 creator_cfg.clone(),
@@ -229,18 +317,167 @@ fn build_custom(
         })
         .subscribe("assigner", Grouping::Direct)
         .done()
-        .bolt("reporter", 1, reporter)
+        .bolt("reporter", 1, move |_| {
+            Box::new(Reporter {
+                m,
+                pane: window,
+                sink: Arc::clone(&sink),
+                schedule: schedule.clone(),
+                anchor: Arc::clone(&anchor),
+                open: FxHashMap::default(),
+                inst: None,
+            })
+        })
         .subscribe("joiner", Grouping::Global)
         .done()
         .build()
         .expect("Fig. 2 topology is valid")
 }
 
+/// Where a run's documents come from. Every variant punctuates each
+/// `config.pane_docs()` documents and once more after a partial pane.
+pub enum Reader {
+    /// Replay the documents as fast as the topology takes them.
+    Docs(Vec<DocRef>),
+    /// Open-loop pacing ([`PacedSpout`]): document `i` enters `schedule[i]`
+    /// ns after the first; fills [`WindowResult::latency`].
+    Paced(Vec<DocRef>, Vec<u64>),
+    /// Test seam, not API: a test-built reader spout (root
+    /// `tests/end_to_end.rs` gates one to observe incremental delivery).
+    #[doc(hidden)]
+    Spout(Box<dyn Spout<Msg>>),
+}
+
+/// Run the stream-join topology and hand every window's result to `sink`
+/// as the window closes — one call per window, in window order, while later
+/// windows are still being read and joined. All topology parallelism comes
+/// from `config` (`partition_creators`, `assigners`, `m` joiners).
+///
+/// `plan` injects deterministic faults: chaos tests crash supervised tasks
+/// mid-run and assert the recovered output is identical to the fault-free
+/// run (set `config.retries > 0` to arm window-boundary snapshots).
+///
+/// With `group`, this process runs its shard as one member of a
+/// multi-process group. Every worker must pass the *same* `config`, `dict`
+/// content and documents (enforced by the handshake's topology fingerprint
+/// and dictionary epoch). Tasks are placed by [`placement_for`]; edges
+/// crossing workers become Unix-socket links carrying the [`MsgCodec`] wire
+/// format. Only worker 0, which hosts the reporter, has its sink called.
+pub fn run_topology_with(
+    config: StreamJoinConfig,
+    dict: &Dictionary,
+    reader: Reader,
+    plan: FaultPlan,
+    group: Option<&DistRuntime>,
+    sink: impl FnMut(WindowResult) + Send + 'static,
+) -> Result<RunReport, RunError> {
+    config.validate().expect("invalid configuration");
+    let topology = build(&config, dict, reader, plan, sink);
+    let Some(dr) = group.filter(|dr| dr.workers > 1) else {
+        return run(topology);
+    };
+    assert_eq!(config.workers, dr.workers, "config/group size mismatch");
+    let setup = GroupSetup {
+        workers: dr.workers,
+        my_worker: dr.my_worker,
+        socket_dir: dr.socket_dir.clone(),
+        attempt: dr.attempt,
+        topo_fingerprint: topo_fingerprint(&config),
+        dict_epoch: dict_epoch(dict),
+    };
+    let group = join_group(&setup)
+        .map_err(|e| RunError::Transport(vec![format!("worker {}: {e}", dr.my_worker)]))?;
+    // Chaos hook for the kill-and-recover differential test: abort this
+    // process *after* the handshake, so peers observe a mid-run disconnect
+    // rather than a failed join.
+    if let Ok(kill) = std::env::var("SSJ_KILL_WORKER") {
+        if kill == format!("{}:{}", dr.my_worker, dr.attempt) {
+            std::process::abort();
+        }
+    }
+    let workers = dr.workers;
+    let codec = Arc::new(MsgCodec::new(dict));
+    run_distributed(topology, codec, group, &|component, task| {
+        placement_for(component, task, workers)
+    })
+}
+
+/// [`run_topology_with`], every window's result collected.
+fn run_collecting(
+    config: StreamJoinConfig,
+    dict: &Dictionary,
+    reader: Reader,
+    plan: FaultPlan,
+    group: Option<&DistRuntime>,
+) -> Result<(TopologyRunReport, LatencyReport), RunError> {
+    let windows = Arc::new(Mutex::new(Vec::new()));
+    let sink = {
+        let windows = Arc::clone(&windows);
+        move |w| windows.lock().push(w)
+    };
+    let runtime = run_topology_with(config, dict, reader, plan, group, sink)?;
+    let mut report = TopologyRunReport {
+        runtime,
+        joins_per_window: Vec::new(),
+        docs_per_joiner: Vec::new(),
+        pairs_per_joiner: Vec::new(),
+    };
+    let mut per_window = Vec::new();
+    for w in std::mem::take(&mut *windows.lock()) {
+        report.joins_per_window.push(w.pairs);
+        report.docs_per_joiner.push(w.docs_per_joiner);
+        report.pairs_per_joiner.push(w.pairs_per_joiner);
+        per_window.extend(w.latency.map(|h| (w.window, h)));
+    }
+    Ok((report, LatencyReport { per_window }))
+}
+
+/// Run the stream-join topology over `docs` and gather every window's result.
+pub fn run_topology(
+    config: StreamJoinConfig,
+    dict: &Dictionary,
+    docs: Vec<Document>,
+) -> Result<TopologyRunReport, RunError> {
+    run_topology_chaos(config, dict, docs, FaultPlan::new())
+}
+
+/// [`run_topology`] with deterministic fault injection.
+pub fn run_topology_chaos(
+    config: StreamJoinConfig,
+    dict: &Dictionary,
+    docs: Vec<Document>,
+    plan: FaultPlan,
+) -> Result<TopologyRunReport, RunError> {
+    let reader = Reader::Docs(docs.into_iter().map(Arc::new).collect());
+    run_collecting(config, dict, reader, plan, None).map(|(report, _)| report)
+}
+
+/// [`run_topology_chaos`] over a [`Reader::Paced`], with its per-pane latencies.
+pub fn run_topology_paced(
+    config: StreamJoinConfig,
+    dict: &Dictionary,
+    docs: Vec<Document>,
+    schedule: Vec<u64>,
+    plan: FaultPlan,
+) -> Result<(TopologyRunReport, LatencyReport), RunError> {
+    let reader = Reader::Paced(docs.into_iter().map(Arc::new).collect(), schedule);
+    run_collecting(config, dict, reader, plan, None)
+}
+
+/// [`run_topology`] as one member of a multi-process group; only worker
+/// 0's report carries join results, other workers return empty windows.
+pub fn run_topology_distributed(
+    config: StreamJoinConfig,
+    dict: &Dictionary,
+    docs: Vec<Document>,
+    dr: &DistRuntime,
+) -> Result<TopologyRunReport, RunError> {
+    let reader = Reader::Docs(docs.into_iter().map(Arc::new).collect());
+    run_collecting(config, dict, reader, FaultPlan::new(), Some(dr)).map(|(report, _)| report)
+}
+
 /// Per-pane end-to-end latency distributions from a paced run
-/// ([`run_topology_paced`]). Latency of a tuple is measured from its
-/// *intended* (scheduled) arrival to the moment the reporter holds the
-/// pane's last `JoinStats` — open-loop accounting, so queueing delay in an
-/// overloaded topology is charged to the tuples that waited.
+/// ([`run_topology_paced`]): every [`WindowResult::latency`], in pane order.
 #[derive(Debug, Clone)]
 pub struct LatencyReport {
     /// `(pane id, latency histogram)` in pane order.
@@ -273,187 +510,6 @@ impl LatencyReport {
             }
         }
         0
-    }
-}
-
-/// The reporter of a paced run: collects `JoinStats` like the plain
-/// [`CollectorBolt`] reporter and, once the `m`-th joiner reported a pane,
-/// records every tuple of that pane's end-to-end latency against the
-/// arrival schedule.
-struct LatencyReporter {
-    inner: CollectorBolt<Msg>,
-    m: usize,
-    pane: usize,
-    schedule: Arc<Vec<u64>>,
-    anchor: Arc<OnceLock<Instant>>,
-    seen: FxHashMap<u64, usize>,
-    out: Arc<Mutex<Vec<(u64, HistogramSnapshot)>>>,
-}
-
-impl Bolt<Msg> for LatencyReporter {
-    fn execute(&mut self, msg: Msg, out: &mut Outbox<Msg>) {
-        if let Msg::JoinStats { window, .. } = &msg {
-            let w = *window;
-            let seen = self.seen.entry(w).or_insert(0);
-            *seen += 1;
-            if *seen == self.m {
-                if let Some(anchor) = self.anchor.get() {
-                    let now = anchor.elapsed().as_nanos() as u64;
-                    let h = Histogram::new();
-                    let lo = (w as usize) * self.pane;
-                    let hi = (lo + self.pane).min(self.schedule.len());
-                    for i in lo..hi {
-                        h.record_ns(now.saturating_sub(self.schedule[i]));
-                    }
-                    self.out.lock().unwrap().push((w, h.snapshot()));
-                }
-            }
-        }
-        self.inner.execute(msg, out);
-    }
-}
-
-/// [`run_topology_chaos`] with an open-loop paced reader: document `i`
-/// enters the topology `schedule[i]` nanoseconds after the first emission
-/// (see [`PacedSpout`]), and the reporter measures per-pane end-to-end
-/// latency from the *intended* arrivals. Join results are folded exactly
-/// as in [`run_topology`]; the latency report rides alongside.
-pub fn run_topology_paced(
-    config: StreamJoinConfig,
-    dict: &Dictionary,
-    docs: Vec<Document>,
-    schedule: Vec<u64>,
-    plan: FaultPlan,
-) -> Result<(TopologyRunReport, LatencyReport), RunError> {
-    config.validate().expect("invalid configuration");
-    assert_eq!(docs.len(), schedule.len(), "one arrival time per document");
-    let collector = CollectorBolt::new();
-    let handle: CollectorHandle<Msg> = collector.handle();
-    let pane = config.pane_docs();
-    let m = config.m;
-    let schedule = Arc::new(schedule);
-    let anchor: Arc<OnceLock<Instant>> = Arc::new(OnceLock::new());
-    let lat_out: Arc<Mutex<Vec<(u64, HistogramSnapshot)>>> = Arc::new(Mutex::new(Vec::new()));
-    let msgs = reader_msgs(docs);
-    let spout_schedule = Arc::clone(&schedule);
-    let spout_anchor = Arc::clone(&anchor);
-    let rep_out = Arc::clone(&lat_out);
-    let rep_anchor = Arc::clone(&anchor);
-    let topology = build_custom(
-        config.clone(),
-        dict,
-        move |_| {
-            Box::new(PacedSpout::new(
-                msgs(),
-                spout_schedule.as_ref().clone(),
-                pane,
-                Arc::clone(&spout_anchor),
-            ))
-        },
-        move |_| {
-            Box::new(LatencyReporter {
-                inner: collector.clone(),
-                m,
-                pane,
-                schedule: Arc::clone(&schedule),
-                anchor: Arc::clone(&rep_anchor),
-                seen: FxHashMap::default(),
-                out: Arc::clone(&rep_out),
-            })
-        },
-        plan,
-    );
-    let runtime = run(topology)?;
-    let report = fold_join_stats(&config, runtime, handle);
-    let mut per_window = lat_out.lock().unwrap().clone();
-    per_window.sort_by_key(|(w, _)| *w);
-    Ok((report, LatencyReport { per_window }))
-}
-
-/// Run the full stream-join topology over `docs` and gather every window's
-/// join result.
-///
-/// The reader punctuates every `config.pane_docs()` documents (one pane =
-/// one window for tumbling specs); all topology
-/// parallelism comes from `config` (`partition_creators`, `assigners`,
-/// `m` joiners).
-pub fn run_topology(
-    config: StreamJoinConfig,
-    dict: &Dictionary,
-    docs: Vec<Document>,
-) -> Result<TopologyRunReport, RunError> {
-    run_topology_chaos(config, dict, docs, FaultPlan::new())
-}
-
-/// [`run_topology`] with deterministic fault injection: chaos tests crash
-/// supervised tasks mid-run and assert the recovered output is
-/// byte-identical to the fault-free run. Set `config.retries > 0` so the
-/// supervisor arms window-boundary snapshots.
-pub fn run_topology_chaos(
-    config: StreamJoinConfig,
-    dict: &Dictionary,
-    docs: Vec<Document>,
-    plan: FaultPlan,
-) -> Result<TopologyRunReport, RunError> {
-    config.validate().expect("invalid configuration");
-    let reporter = CollectorBolt::new();
-    let handle: CollectorHandle<Msg> = reporter.handle();
-    let topology = build_faulted(config.clone(), dict, docs, reporter, plan);
-    let runtime = run(topology)?;
-    Ok(fold_join_stats(&config, runtime, handle))
-}
-
-/// Fold the reporter's JoinStats messages into per-window results.
-fn fold_join_stats(
-    config: &StreamJoinConfig,
-    runtime: RunReport,
-    handle: CollectorHandle<Msg>,
-) -> TopologyRunReport {
-    let mut by_window: FxHashMap<u64, FxHashSet<(u64, u64)>> = FxHashMap::default();
-    let mut docs_by_window: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-    let mut pairs_by_window: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-    for msg in handle.take() {
-        if let Msg::JoinStats {
-            window,
-            joiner,
-            docs,
-            pairs,
-        } = msg
-        {
-            by_window.entry(window).or_default().extend(
-                pairs
-                    .iter()
-                    .map(|(a, b): &(DocId, DocId)| (a.0.min(b.0), a.0.max(b.0))),
-            );
-            let slot = docs_by_window
-                .entry(window)
-                .or_insert_with(|| vec![0; config.m]);
-            slot[joiner] = docs;
-            let slot = pairs_by_window
-                .entry(window)
-                .or_insert_with(|| vec![0; config.m]);
-            slot[joiner] = pairs.len();
-        }
-    }
-    let mut windows: Vec<u64> = by_window.keys().copied().collect();
-    windows.sort();
-    let joins_per_window = windows
-        .iter()
-        .map(|w| by_window.remove(w).unwrap_or_default())
-        .collect();
-    let docs_per_joiner = windows
-        .iter()
-        .map(|w| docs_by_window.remove(w).unwrap_or_default())
-        .collect();
-    let pairs_per_joiner = windows
-        .iter()
-        .map(|w| pairs_by_window.remove(w).unwrap_or_default())
-        .collect();
-    TopologyRunReport {
-        runtime,
-        joins_per_window,
-        docs_per_joiner,
-        pairs_per_joiner,
     }
 }
 
@@ -507,55 +563,6 @@ fn topo_fingerprint(config: &StreamJoinConfig) -> u64 {
         h = ssj_runtime::wire::fnv1a(&f.to_le_bytes(), h);
     }
     h
-}
-
-/// Run this process's shard of the stream-join topology as one member of a
-/// multi-process group.
-///
-/// Every worker must call this with the *same* `config`, `dict` content and
-/// `docs` (the deploy-time contract — enforced by the handshake's topology
-/// fingerprint and dictionary epoch). Tasks are placed by [`placement_for`];
-/// edges crossing workers become Unix-socket links carrying the [`MsgCodec`]
-/// wire format. The reporter lives on worker 0, so only worker 0's report
-/// carries join results; other workers return empty windows.
-pub fn run_topology_distributed(
-    config: StreamJoinConfig,
-    dict: &Dictionary,
-    docs: Vec<Document>,
-    dr: &DistRuntime,
-) -> Result<TopologyRunReport, RunError> {
-    config.validate().expect("invalid configuration");
-    assert_eq!(config.workers, dr.workers, "config/group size mismatch");
-    if dr.workers == 1 {
-        return run_topology(config, dict, docs);
-    }
-    let reporter = CollectorBolt::new();
-    let handle: CollectorHandle<Msg> = reporter.handle();
-    let topology = build(config.clone(), dict, docs, reporter);
-    let codec = MsgCodec::new(dict);
-    let setup = GroupSetup {
-        workers: dr.workers,
-        my_worker: dr.my_worker,
-        socket_dir: dr.socket_dir.clone(),
-        attempt: dr.attempt,
-        topo_fingerprint: topo_fingerprint(&config),
-        dict_epoch: dict_epoch(dict),
-    };
-    let group = join_group(&setup)
-        .map_err(|e| RunError::Transport(vec![format!("worker {}: {e}", dr.my_worker)]))?;
-    // Chaos hook for the kill-and-recover differential test: abort this
-    // process *after* the handshake, so peers observe a mid-run disconnect
-    // rather than a failed join.
-    if let Ok(kill) = std::env::var("SSJ_KILL_WORKER") {
-        if kill == format!("{}:{}", dr.my_worker, dr.attempt) {
-            std::process::abort();
-        }
-    }
-    let workers = dr.workers;
-    let runtime = run_distributed(topology, Arc::new(codec), group, &|component, task| {
-        placement_for(component, task, workers)
-    })?;
-    Ok(fold_join_stats(&config, runtime, handle))
 }
 
 #[cfg(test)]
@@ -714,9 +721,7 @@ mod materialize_tests {
             Document::from_json(DocId(1), r#"{"a":1,"b":2}"#, &dict).unwrap(),
             Document::from_json(DocId(2), r#"{"a":1,"c":3}"#, &dict).unwrap(),
         ];
-        let mut pairs = FxHashSet::default();
-        pairs.insert((1u64, 2u64));
-        pairs.insert((1u64, 99u64)); // unknown side: skipped
+        let pairs = [(1u64, 2u64), (1u64, 99u64)]; // unknown side: skipped
         let merged = materialize_joins(&pairs, &docs, 1000);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].id(), DocId(1000));

@@ -8,9 +8,13 @@
 use proptest::prelude::*;
 use ssj_bench::testutil::assert_runs_equal;
 use ssj_core::components::ARRIVAL_BATCH;
-use ssj_core::{run_topology, run_topology_chaos, StreamJoinConfig, WindowSpec};
+use ssj_core::{
+    ground_truth_pairs, run_topology, run_topology_chaos, run_topology_with, Reader,
+    StreamJoinConfig, WindowSpec,
+};
 use ssj_json::{Dictionary, DocId, Document};
 use ssj_runtime::FaultPlan;
+use std::sync::{Arc, Mutex};
 
 const PANE: usize = 40;
 const PANES: usize = 3;
@@ -36,9 +40,13 @@ fn stream(dict: &Dictionary, seed: u64, n: usize) -> Vec<Document> {
 }
 
 fn chaos_cfg(pane: usize) -> StreamJoinConfig {
+    chaos_cfg_for(WindowSpec::sliding(pane, PANES))
+}
+
+fn chaos_cfg_for(spec: WindowSpec) -> StreamJoinConfig {
     StreamJoinConfig::default()
         .with_m(3)
-        .with_window_spec(WindowSpec::sliding(pane, PANES))
+        .with_window_spec(spec)
         .with_partition_creators(2)
         .with_assigners(2)
         .with_expansion(false)
@@ -120,8 +128,65 @@ fn assigner_crash_mid_pane_recovers_retained_tables() {
     assert_crash_recovers(14, "assigner", 1, 3, 5);
 }
 
+/// The reporter's sink is the world outside the topology: a window handed
+/// to it cannot be taken back. Crash the reporter on its `tuple`-th
+/// `JoinStats` of pane `window` — mid-window: some joiners have reported,
+/// the punctuation has not aligned — and the sink must still see every pane
+/// exactly once, in order, equal to the fault-free run and to brute force
+/// (a pane's pairs are those of its window whose later document is in it).
+fn assert_reporter_crash_delivers_once(spec: WindowSpec, seed: u64, window: u64, tuple: u64) {
+    let (pane, cfg) = (spec.pane_docs(), chaos_cfg_for(spec));
+    let dict = Dictionary::new();
+    let docs = stream(&dict, seed, pane * RUN_PANES);
+    let clean = run_topology(cfg.clone(), &dict, docs.clone()).unwrap();
+
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = {
+        let seen = Arc::clone(&seen);
+        move |w: ssj_core::WindowResult| seen.lock().unwrap().push((w.window, w.pairs))
+    };
+    let reader = Reader::Docs(docs.iter().cloned().map(Arc::new).collect());
+    let plan = FaultPlan::new().crash("reporter", 0, window, tuple);
+    let runtime = run_topology_with(cfg, &dict, reader, plan, None, sink).unwrap();
+    assert!(
+        runtime.total_faults() > 0 && runtime.total_recoveries() > 0,
+        "reporter crash at w={window},t={tuple} never fired"
+    );
+
+    let seen = std::mem::take(&mut *seen.lock().unwrap());
+    let ids: Vec<u64> = seen.iter().map(|(w, _)| *w).collect();
+    assert_eq!(ids, (0..RUN_PANES as u64).collect::<Vec<_>>());
+    for ((p, got), clean) in seen.iter().zip(&clean.joins_per_window) {
+        assert_eq!(got, clean, "pane {p} differs from the fault-free run");
+        let p = *p as usize;
+        let first = (p + 1).saturating_sub(spec.panes_per_window()) * pane;
+        let mut truth = ground_truth_pairs(&docs[first..(p + 1) * pane]);
+        truth.retain(|&(_, later)| later as usize / pane == p);
+        assert_eq!(got, &truth, "pane {p} differs from brute force");
+    }
+}
+
+#[test]
+fn reporter_crash_mid_window_delivers_every_window_once() {
+    assert_reporter_crash_delivers_once(WindowSpec::tumbling(PANE), 16, 2, 1);
+    assert_reporter_crash_delivers_once(WindowSpec::sliding(PANE, 4), 17, 3, 2);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Any single reporter crash — either window shape, any pane, any of the
+    /// pane's `m = 3` `JoinStats` — still delivers every pane exactly once.
+    #[test]
+    fn any_reporter_crash_delivers_every_window_once(
+        seed in 0u64..1 << 32,
+        sliding in any::<bool>(),
+        window in 1u64..6,
+        tuple in 0u64..3,
+    ) {
+        let spec = if sliding { WindowSpec::sliding(PANE, 4) } else { WindowSpec::tumbling(PANE) };
+        assert_reporter_crash_delivers_once(spec, seed, window, tuple);
+    }
 
     /// Any single supervised crash — any sliding component, pane, and
     /// tuple offset — recovers byte-identically.

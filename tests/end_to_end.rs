@@ -2,8 +2,8 @@
 //! deterministic pipeline) against ground truth on both datasets.
 
 use schema_free_stream_joins::ssj_core::{
-    ground_truth_pairs, run_topology, run_topology_chaos, run_topology_distributed, DistRuntime,
-    Pipeline, StreamJoinConfig, WindowSpec,
+    canonicalize, ground_truth_pairs, run_topology, run_topology_chaos, run_topology_distributed,
+    DistRuntime, Pipeline, StreamJoinConfig, WindowSpec,
 };
 use schema_free_stream_joins::ssj_data::{
     NoBenchConfig, NoBenchGen, ServerLogConfig, ServerLogGen,
@@ -99,7 +99,7 @@ fn threaded_topology_matches_pipeline_results() {
         .unwrap();
 
     // Ground truth per window.
-    let truths: Vec<FxHashSet<(u64, u64)>> = (0..3)
+    let truths: Vec<Vec<(u64, u64)>> = (0..3)
         .map(|w| ground_truth_pairs(&docs[w * 150..(w + 1) * 150]))
         .collect();
 
@@ -194,6 +194,22 @@ fn two_member_group_matches_single_process() {
     assert!(solo.joins_per_window.iter().any(|w| !w.is_empty()));
 }
 
+/// Brute force over the whole stream: every joinable pair whose documents
+/// are less than `panes` panes apart, keyed by the later document's pane,
+/// each pane in canonical form.
+fn pane_filtered_brute_force(docs: &[Document], pane: usize, panes: usize) -> Vec<Vec<(u64, u64)>> {
+    let mut truth = vec![Vec::new(); docs.len() / pane];
+    for (i, a) in docs.iter().enumerate() {
+        for (j, b) in docs.iter().enumerate().skip(i + 1) {
+            if j / pane - i / pane < panes && a.joins_with(b) {
+                truth[j / pane].push((a.id().0, b.id().0));
+            }
+        }
+    }
+    truth.iter_mut().for_each(canonicalize);
+    truth
+}
+
 /// Tier-1 runs only this package, so this is its one pass through the
 /// Joiner's freeze path: every pane is frozen under the tree its own join
 /// built and probed by the seven panes after it. Fixed seed; the truth is
@@ -217,14 +233,7 @@ fn sliding_topology_matches_pane_filtered_brute_force() {
         .unwrap();
     let report = run_topology(cfg, &dict, docs.clone()).expect("run");
 
-    let mut truth: Vec<FxHashSet<(u64, u64)>> = vec![FxHashSet::default(); docs.len() / PANE];
-    for (i, a) in docs.iter().enumerate() {
-        for (j, b) in docs.iter().enumerate().skip(i + 1) {
-            if j / PANE - i / PANE < PANES && a.joins_with(b) {
-                truth[j / PANE].insert((a.id().0, b.id().0));
-            }
-        }
-    }
+    let truth = pane_filtered_brute_force(&docs, PANE, PANES);
     assert!(truth.iter().skip(PANES).all(|pane| !pane.is_empty()));
     assert_eq!(report.joins_per_window, truth);
 }
@@ -272,14 +281,7 @@ fn joins_on_arrival_across_micro_batches_and_shifting_attributes() {
             let most = held.iter().max().copied().unwrap_or(0);
             assert!(most > ARRIVAL_BATCH, "pane {w}: no joiner drained mid-pane");
         }
-        let mut truth: Vec<FxHashSet<(u64, u64)>> = vec![FxHashSet::default(); 5];
-        for (i, a) in docs.iter().enumerate() {
-            for (j, b) in docs.iter().enumerate().skip(i + 1) {
-                if j / PANE - i / PANE < panes && a.joins_with(b) {
-                    truth[j / PANE].insert((a.id().0, b.id().0));
-                }
-            }
-        }
+        let truth = pane_filtered_brute_force(&docs, PANE, panes);
         assert!(truth.iter().all(|pane| !pane.is_empty()));
         assert_eq!(report.joins_per_window, truth, "{panes} pane(s) per window");
     }
@@ -408,5 +410,129 @@ fn event_time_windows_drive_the_pipeline() {
     for w in &ws {
         let report = pipeline.process_window(w);
         assert_eq!(report.unique_join_pairs, ground_truth_pairs(w).len());
+    }
+}
+
+/// The one result path, driven directly: `run_topology_with` hands the sink
+/// each window once, in window order, already canonical, with the joiners'
+/// pre-dedup counts — and does so *while the stream is still being read*.
+/// The reader below will not emit the last window before the sink has seen
+/// window 0 (it gives up after 30 s, which the final assertion reports), so
+/// a result path that held results until end-of-stream cannot pass.
+#[test]
+fn results_leave_the_topology_window_by_window() {
+    use schema_free_stream_joins::ssj_core::{run_topology_with, Msg, Reader, WindowResult};
+    use schema_free_stream_joins::ssj_runtime::{Spout, SpoutEmit, VecSpout};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Arc, Mutex};
+    use std::time::Duration;
+
+    const PANE: usize = 120;
+    const WINDOWS: usize = 8;
+
+    /// Counts emissions and stops before document `hold_at` until released.
+    struct GatedReader {
+        inner: VecSpout<Msg>,
+        emitted: Arc<AtomicUsize>,
+        hold_at: usize,
+        held: bool,
+        release: mpsc::Receiver<()>,
+    }
+    impl Spout<Msg> for GatedReader {
+        fn next(&mut self) -> SpoutEmit<Msg> {
+            if !self.held && self.emitted.load(Ordering::SeqCst) == self.hold_at {
+                self.held = true;
+                let _ = self.release.recv_timeout(Duration::from_secs(30));
+            }
+            let emission = self.inner.next();
+            if let SpoutEmit::Message(_) = emission {
+                self.emitted.fetch_add(1, Ordering::SeqCst);
+            }
+            emission
+        }
+    }
+
+    for spec in [WindowSpec::tumbling(PANE), WindowSpec::sliding(PANE, 4)] {
+        let dict = Dictionary::new();
+        let docs = serverlog(&dict, PANE * WINDOWS);
+        let cfg = StreamJoinConfig::default()
+            .with_m(4)
+            .with_window_spec(spec)
+            .with_expansion(false)
+            .with_metrics(true)
+            .build()
+            .unwrap();
+        let msgs = docs
+            .iter()
+            .cloned()
+            .map(|d| Msg::Doc(Arc::new(d)))
+            .collect();
+        let emitted = Arc::new(AtomicUsize::new(0));
+        let (released, release) = mpsc::channel();
+        let reader = GatedReader {
+            inner: VecSpout::with_punctuation(msgs, PANE),
+            emitted: Arc::clone(&emitted),
+            hold_at: PANE * (WINDOWS - 1),
+            held: false,
+            release,
+        };
+        // Per sink call: the result, and how far the reader had got.
+        let calls: Arc<Mutex<Vec<(WindowResult, usize)>>> = Arc::default();
+        let sink = {
+            let (calls, emitted) = (Arc::clone(&calls), Arc::clone(&emitted));
+            move |w: WindowResult| {
+                let _ = released.send(());
+                let at = emitted.load(Ordering::SeqCst);
+                calls.lock().unwrap().push((w, at));
+            }
+        };
+        let reader = Reader::Spout(Box::new(reader));
+        let runtime =
+            run_topology_with(cfg, &dict, reader, FaultPlan::new(), None, sink).expect("run");
+
+        let calls = std::mem::take(&mut *calls.lock().unwrap());
+        let ids: Vec<u64> = calls.iter().map(|(w, _)| w.window).collect();
+        assert_eq!(ids, (0..WINDOWS as u64).collect::<Vec<_>>(), "{spec:?}");
+        let truth = pane_filtered_brute_force(&docs, PANE, spec.panes_per_window());
+        let (mut emitted_pairs, mut unique_pairs) = (0, 0);
+        for ((w, _), truth) in calls.iter().zip(&truth) {
+            assert!(
+                w.pairs.windows(2).all(|p| p[0] < p[1]) && w.pairs.iter().all(|(a, b)| a < b),
+                "{spec:?} window {}: not canonical",
+                w.window
+            );
+            assert_eq!(&w.pairs, truth, "{spec:?} window {}", w.window);
+            assert_eq!(w.docs_per_joiner.len(), 4);
+            emitted_pairs += w.pairs_per_joiner.iter().sum::<usize>() as u64;
+            unique_pairs += w.pairs.len() as u64;
+        }
+        assert!(unique_pairs > 0 && emitted_pairs >= unique_pairs);
+        // The joiners' own count of what they sent, and the reporter's
+        // instruments, agree with what the sink was told.
+        assert_eq!(
+            runtime.component_counter("joiner", "join_pairs"),
+            emitted_pairs
+        );
+        assert_eq!(
+            runtime.component_counter("reporter", "pairs_emitted"),
+            emitted_pairs
+        );
+        assert_eq!(
+            runtime.component_counter("reporter", "pairs_unique"),
+            unique_pairs
+        );
+        let folds = runtime
+            .tasks
+            .iter()
+            .find(|t| t.component == "reporter")
+            .and_then(|t| t.histogram("fold_ns"))
+            .map(|h| h.count);
+        assert_eq!(folds, Some(WINDOWS as u64), "{spec:?}: one fold per window");
+        assert!(
+            calls[0].1 <= PANE * (WINDOWS - 1),
+            "{spec:?}: window 0 was delivered only after the reader had emitted {} of {} documents",
+            calls[0].1,
+            PANE * WINDOWS
+        );
     }
 }
