@@ -125,6 +125,14 @@ fn paced_run(
         dropped + passed,
         "{id}: shed counters must be conserved"
     );
+    // The cold path's traffic: how often the θ-signal fired, how often the
+    // creators rebuilt groups for it (the bootstrap counts once per creator).
+    let rt = &report.runtime;
+    println!(
+        "{id}: repartition_signals {}, group_computations {}",
+        rt.component_counter("assigner", "repartition_signals"),
+        rt.component_counter("creator", "group_computations"),
+    );
 
     let row = LatencyRow {
         id: id.to_string(),

@@ -1,33 +1,32 @@
-//! Partitioning-pipeline benchmark: group build (sequential vs sharded),
-//! incremental association-group maintenance vs from-scratch rebuilds,
-//! Merger consolidation, and document routing (legacy allocating `route()`
-//! vs the zero-alloc `route_into()` + fingerprint-cache fast path).
+//! Partitioning-pipeline benchmark: the from-scratch group build a
+//! PartitionCreator runs when a (re)partitioning is pending, Merger
+//! consolidation, and document routing (legacy allocating `route()` vs the
+//! zero-alloc `route_into()` + fingerprint-cache fast path).
 //!
 //! Modes:
-//! * no args: run the smoke *and* full suites, verify the two tentpole
-//!   claims (incremental ≥ 2x on steady-state delta windows; fast routing
-//!   beats legacy routing), and write `BENCH_partition.json` at the
+//! * no args: run the smoke *and* full suites, verify the claim that fast
+//!   routing beats legacy routing, and write `BENCH_partition.json` at the
 //!   repository root;
-//! * `--smoke`: only the fast suite, same file, same claim checks;
+//! * `--smoke`: only the fast suite, same file, same claim check;
 //! * `--check FILE`: rerun the smoke suite (twice if need be), print every
-//!   rate next to the baseline's in FILE, and exit non-zero if one of the
-//!   two in-process ratios (incremental over from-scratch, fast over legacy
-//!   routing) stays below 0.75x of the baseline's. It does *not* run the
-//!   claim checks: only the two modes above enforce the tentpole claims;
+//!   rate next to the baseline's in FILE, and exit non-zero if the
+//!   in-process ratio of fast over legacy routing stays below 0.75x of the
+//!   baseline's. It does *not* run the claim check: only the two modes
+//!   above enforce it;
 //! * `--audit` (requires `--features count-allocs`): route a warmed
 //!   workload and exit non-zero if the route path performs any heap
 //!   allocation per document.
 //!
 //! The JSON is one measurement per line (see `ssj_bench::report`); for the
-//! `incr/*/delta` and `route/*/fast` rows the `avg_batch` field carries the
-//! speedup factor over the corresponding baseline row.
+//! `route/*/fast` rows the `avg_batch` field carries the speedup factor
+//! over the corresponding legacy row.
 
-use ssj_bench::report::{best_of, parse_section, write_report, Measurement};
+use ssj_bench::report::{best_of, check_ratios, write_report, Measurement};
 use ssj_bench::DataSet;
 use ssj_json::AvpId;
 use ssj_partition::{
-    assign_groups, association_groups, association_groups_sharded, fingerprint_view,
-    merge_and_assign, GroupIndex, PartitionTable, RouteOutcome, RouteScratch, View,
+    assign_groups, association_groups, fingerprint_view, merge_and_assign, PartitionTable,
+    RouteOutcome, RouteScratch, View,
 };
 use std::time::Instant;
 
@@ -35,7 +34,6 @@ use std::time::Instant;
 use ssj_bench::alloc_counter;
 
 const M: usize = 8;
-const BUILD_WORKERS: usize = 4;
 
 /// Partitioning views of `n` dataset documents.
 fn dataset_views(dataset: DataSet, n: usize) -> Vec<View> {
@@ -53,9 +51,9 @@ fn measure(id: String, items: u64, secs: f64, secondary: f64) -> Measurement {
     }
 }
 
-/// Sequential and sharded from-scratch group builds.
-fn group_build(dataset: DataSet, views: &[View], reps: usize) -> Vec<Measurement> {
-    let seq = best_of(reps, || {
+/// The from-scratch group build over one window share.
+fn group_build(dataset: DataSet, views: &[View], reps: usize) -> Measurement {
+    best_of(reps, || {
         let t0 = Instant::now();
         let groups = association_groups(views);
         measure(
@@ -64,88 +62,7 @@ fn group_build(dataset: DataSet, views: &[View], reps: usize) -> Vec<Measurement
             t0.elapsed().as_secs_f64(),
             groups.len() as f64,
         )
-    });
-    let par = best_of(reps, || {
-        let t0 = Instant::now();
-        let groups = association_groups_sharded(views, BUILD_WORKERS);
-        measure(
-            format!("groups/{}/parallel={BUILD_WORKERS}", dataset.label()),
-            views.len() as u64,
-            t0.elapsed().as_secs_f64(),
-            groups.len() as f64,
-        )
-    });
-    vec![seq, par]
-}
-
-/// Steady-state delta windows: a large live population with a small churn
-/// per derive. Incremental maintenance reuses the untouched groups; the
-/// from-scratch baseline rebuilds docsets + equivalence groups every time.
-fn incremental_churn(
-    dataset: DataSet,
-    views: &[View],
-    population: usize,
-    churn: usize,
-    steps: usize,
-    reps: usize,
-) -> Vec<Measurement> {
-    assert!(views.len() >= population + churn * steps);
-
-    // Incremental path: push/expire deltas, derive after each.
-    let delta = best_of(reps, || {
-        let mut idx = GroupIndex::new();
-        let mut live: std::collections::VecDeque<u32> =
-            views[..population].iter().map(|v| idx.push(v)).collect();
-        let mut next = population;
-        idx.association_groups(); // warm: the initial build is not a delta
-        let t0 = Instant::now();
-        let mut groups = 0usize;
-        for _ in 0..steps {
-            for _ in 0..churn {
-                idx.expire(live.pop_front().expect("live view"));
-                live.push_back(idx.push(&views[next]));
-                next += 1;
-            }
-            groups += idx.association_groups().len();
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        assert!(groups > 0);
-        measure(
-            format!("incr/{}/delta", dataset.label()),
-            steps as u64,
-            secs,
-            0.0,
-        )
-    });
-
-    // From-scratch baseline over the identical window sequence.
-    let scratch = best_of(reps, || {
-        let mut window: Vec<View> = views[..population].to_vec();
-        let mut next = population;
-        let t0 = Instant::now();
-        let mut groups = 0usize;
-        for _ in 0..steps {
-            window.drain(..churn);
-            window.extend_from_slice(&views[next..next + churn]);
-            next += churn;
-            groups += association_groups(&window).len();
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        assert!(groups > 0);
-        measure(
-            format!("incr/{}/scratch", dataset.label()),
-            steps as u64,
-            secs,
-            0.0,
-        )
-    });
-
-    let speedup = delta.tuples_per_sec / scratch.tuples_per_sec;
-    let delta = Measurement {
-        avg_batch: speedup,
-        ..delta
-    };
-    vec![scratch, delta]
+    })
 }
 
 /// Merger consolidation of per-creator local groups.
@@ -255,9 +172,6 @@ fn route_bench(dataset: DataSet, views: &[View], passes: usize, reps: usize) -> 
 
 struct SuiteSize {
     group_views: usize,
-    population: usize,
-    churn: usize,
-    steps: usize,
     route_passes: usize,
     reps: usize,
 }
@@ -266,18 +180,12 @@ struct SuiteSize {
 // gate on a shared machine (same policy as bench_runtime's smoke suite).
 const SMOKE: SuiteSize = SuiteSize {
     group_views: 2_000,
-    population: 2_000,
-    churn: 20,
-    steps: 25,
     route_passes: 20,
     reps: 5,
 };
 
 const FULL: SuiteSize = SuiteSize {
     group_views: 6_000,
-    population: 5_000,
-    churn: 50,
-    steps: 40,
     route_passes: 40,
     reps: 3,
 };
@@ -285,28 +193,10 @@ const FULL: SuiteSize = SuiteSize {
 fn run_suite(name: &str, size: &SuiteSize) -> Vec<Measurement> {
     let mut out = Vec::new();
     for dataset in DataSet::all() {
-        let views = dataset_views(
-            dataset,
-            size.group_views
-                .max(size.population + size.churn * size.steps),
-        );
-        let group_views = &views[..size.group_views.min(views.len())];
-        out.extend(group_build(dataset, group_views, size.reps));
-        out.extend(incremental_churn(
-            dataset,
-            &views,
-            size.population,
-            size.churn,
-            size.steps,
-            size.reps,
-        ));
-        out.push(merge_bench(dataset, group_views, size.reps));
-        out.extend(route_bench(
-            dataset,
-            group_views,
-            size.route_passes,
-            size.reps,
-        ));
+        let views = dataset_views(dataset, size.group_views);
+        out.push(group_build(dataset, &views, size.reps));
+        out.push(merge_bench(dataset, &views, size.reps));
+        out.extend(route_bench(dataset, &views, size.route_passes, size.reps));
     }
     for m in &out {
         println!(
@@ -325,26 +215,13 @@ fn run_suite(name: &str, size: &SuiteSize) -> Vec<Measurement> {
     out
 }
 
-/// The two tentpole claims, applied to a suite's measurements. Returns
-/// `false` (after printing why) if either fails.
+/// The routing claim, applied to a suite's measurements. Returns `false`
+/// (after printing why) if it fails.
 fn verify_claims(ms: &[Measurement]) -> bool {
     let find = |id: &str| ms.iter().find(|m| m.id == id);
     let mut ok = true;
     for dataset in DataSet::all() {
         let l = dataset.label();
-        if let Some(delta) = find(&format!("incr/{l}/delta")) {
-            println!(
-                "claim incr/{l}: incremental {:.2}x from-scratch",
-                delta.avg_batch
-            );
-            if delta.avg_batch < 2.0 {
-                eprintln!(
-                    "CLAIM FAILED: incr/{l} speedup {:.2}x < 2x",
-                    delta.avg_batch
-                );
-                ok = false;
-            }
-        }
         if let Some(fast) = find(&format!("route/{l}/fast")) {
             println!("claim route/{l}: fast {:.2}x legacy", fast.avg_batch);
             if fast.avg_batch < 1.0 {
@@ -361,98 +238,19 @@ fn verify_claims(ms: &[Measurement]) -> bool {
 
 const REPORT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_partition.json");
 
-/// How far below the committed baseline's an in-process ratio may fall, the
-/// better of [`CHECK_RUNS`] runs counting. Single `--check` runs of unchanged
-/// code on one host landed at 0.73–1.28x of the baseline's ratios
-/// (EXPERIMENTS.md "One result path"), one sample of 36 below 0.75x.
-const RATIO_FLOOR: f64 = 0.75;
-
-/// Smoke runs `--check` makes at most; the second only if the first left a
-/// ratio under the floor.
-const CHECK_RUNS: usize = 2;
-
-/// The two ratios a suite measures inside one process, minutes apart at
-/// most, per dataset: incremental over from-scratch derives, fast over
-/// legacy routing. A missing row makes its ratio NaN, which passes no floor.
-fn ratios(rows: &[(String, f64)]) -> Vec<(String, f64)> {
-    let rate = |id: &str| {
-        let row = rows.iter().find(|(row, _)| row == id);
-        row.map_or(f64::NAN, |&(_, rate)| rate)
-    };
-    let mut out = Vec::new();
-    for dataset in DataSet::all() {
-        let l = dataset.label();
-        for (num, den) in [
-            ("incr/{}/delta", "incr/{}/scratch"),
-            ("route/{}/fast", "route/{}/legacy"),
-        ] {
-            let (num, den) = (num.replace("{}", l), den.replace("{}", l));
-            out.push((format!("{num} over {den}"), rate(&num) / rate(&den)));
-        }
-    }
-    out
-}
-
-/// `--check`: fresh smoke runs against the committed baseline. Gated are the
-/// [`ratios`] only, against [`RATIO_FLOOR`] of the baseline's. The absolute
-/// rates are printed and nothing more: the baseline's were recorded on
-/// another day's host, and this one's slow spells moved five of them past
-/// any sensible floor with the partition code untouched. The tentpole claims
-/// (incremental ≥ 2x, fast ≥ legacy: [`verify_claims`]) are *not* checked
-/// here — the full and `--smoke` runs enforce them when a baseline is
-/// recorded.
+/// `--check`: the ratio a suite measures inside one process, per dataset —
+/// fast over legacy routing — against the committed baseline's. The routing
+/// claim (fast ≥ legacy: [`verify_claims`]) is *not* checked here — the full
+/// and `--smoke` runs enforce it when a baseline is recorded.
 fn check(baseline_path: &str) -> i32 {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return 2;
-        }
-    };
-    let baseline = parse_section(&text, "smoke");
-    if baseline.is_empty() {
-        eprintln!("no smoke measurements found in {baseline_path}");
-        return 2;
-    }
-    let base = ratios(&baseline);
-    // NaN until a run measured the ratio: `NaN.max(x)` is `x`.
-    let mut best = vec![f64::NAN; base.len()];
-    let holds = |best: &[f64]| {
-        let floors = base.iter().map(|(_, base)| RATIO_FLOOR * base);
-        best.iter().zip(floors).all(|(now, floor)| *now >= floor)
-    };
-    for _ in 0..CHECK_RUNS {
-        let fresh: Vec<(String, f64)> = run_suite("smoke", &SMOKE)
-            .into_iter()
-            .map(|m| (m.id, m.tuples_per_sec))
-            .collect();
-        for (id, now) in &fresh {
-            if let Some((_, base)) = baseline.iter().find(|(row, _)| row == id) {
-                let x = now / base;
-                println!("report {id}: baseline {base:.0}/s, now {now:.0}/s ({x:.2}x)");
-            }
-        }
-        for (best, (_, now)) in best.iter_mut().zip(ratios(&fresh)) {
-            *best = best.max(now);
-        }
-        if holds(&best) {
-            break;
-        }
-    }
-    for ((what, base), now) in base.iter().zip(&best) {
-        let verdict = if *now >= RATIO_FLOOR * base {
-            "ok"
-        } else {
-            "REGRESSION"
-        };
-        println!("check {what}: baseline {base:.2}x, best now {now:.2}x {verdict}");
-    }
-    if holds(&best) {
-        0
-    } else {
-        eprintln!("partitioning ratios regressed versus {baseline_path}");
-        1
-    }
+    let pairs: Vec<(String, String)> = DataSet::all()
+        .iter()
+        .map(|d| {
+            let l = d.label();
+            (format!("route/{l}/fast"), format!("route/{l}/legacy"))
+        })
+        .collect();
+    check_ratios(baseline_path, &pairs, || run_suite("smoke", &SMOKE))
 }
 
 /// Allocation audit: the route fast path must not touch the heap once the

@@ -187,10 +187,120 @@ pub fn ideal_experiment(kind: PartitionerKind, m: usize, scale: Scale) -> Partit
 pub mod testutil {
     //! Reusable run-equivalence assertions for integration, recovery, and
     //! chaos tests: compare two runs' canonical per-window join output
-    //! window by window with a readable diff.
+    //! window by window with a readable diff. Plus what the tests of the
+    //! §VI-A feedback loop share: [`shifting_stream`], on which a θ signal
+    //! must fire, and [`run_lockstep`], which makes its timing deterministic.
 
-    use ssj_core::{canonicalize, TopologyRunReport};
+    use ssj_core::{canonicalize, run_topology_with, Msg, Reader, TopologyRunReport, WindowResult};
+    use ssj_json::{Dictionary, DocId, Document};
+    use ssj_runtime::{FaultPlan, RunError, Spout, SpoutEmit, VecSpout};
     use std::fmt::Debug;
+    use std::sync::{mpsc, Arc, Mutex};
+    use std::time::Duration;
+
+    /// A stream whose value vocabulary shifts mid-run — the situation the
+    /// θ-threshold exists for, in its cleanest form: `panes * pane_docs`
+    /// documents with ids `0..`; those of pane `shift_at` and later draw
+    /// their values from a second vocabulary. Every pane before the shift is
+    /// the same multiset of documents (the routing quality the Assigners
+    /// measure is constant, so nothing is signalled by accident); a table
+    /// computed before the shift knows none of the later values, so every
+    /// later document is broadcast until the partitions are recomputed.
+    ///
+    /// A document carries a `Host` and a `Rack` that determine each other
+    /// (8 values) and a `Mode` (2 values — with `m > 2` it forces §VI-B
+    /// expansion); two documents join exactly when they agree on all three.
+    /// Consecutive document pairs are identical, so two round-robin
+    /// consumers see the same mix.
+    pub fn shifting_stream(
+        dict: &Dictionary,
+        panes: usize,
+        pane_docs: usize,
+        shift_at: usize,
+    ) -> Vec<Document> {
+        (0..(panes * pane_docs) as u64)
+            .map(|i| {
+                let era = if (i as usize) / pane_docs < shift_at {
+                    'a'
+                } else {
+                    'b'
+                };
+                let j = i % pane_docs as u64 / 2;
+                let (host, mode) = (j % 8, j / 8 % 2);
+                let json = format!(
+                    r#"{{"Host":"{era}h{host}","Rack":"{era}r{host}","Mode":"{era}m{mode}"}}"#
+                );
+                Document::from_json(DocId(i), &json, dict).expect("generated JSON is valid")
+            })
+            .collect()
+    }
+
+    /// Replays the stream one pane at a time: after each punctuation it
+    /// waits for the token [`run_lockstep`]'s sink sends per result.
+    struct LockstepReader {
+        inner: VecSpout<Msg>,
+        delivered: mpsc::Receiver<()>,
+        closing: bool,
+    }
+
+    impl Spout<Msg> for LockstepReader {
+        fn next(&mut self) -> SpoutEmit<Msg> {
+            if std::mem::take(&mut self.closing) {
+                // A lost result must fail the test, not turn the run back
+                // into the race this reader exists to remove.
+                self.delivered
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("lock-step: the closed pane never reached the sink");
+            }
+            let emission = self.inner.next();
+            self.closing = matches!(emission, SpoutEmit::Punctuate(_));
+            emission
+        }
+    }
+
+    /// [`ssj_core::run_topology_chaos`] in lock-step with its results: pane
+    /// `p + 1` is read only once pane `p` has reached the sink. A free-
+    /// running reader lets the creators run panes ahead of the Assigners
+    /// (whose inbox, fed by the Merger, is unbounded), so *when* a
+    /// repartition signal lands is a race; here it lands before the next
+    /// pane, every run.
+    pub fn run_lockstep(
+        config: ssj_core::StreamJoinConfig,
+        dict: &Dictionary,
+        docs: Vec<Document>,
+        plan: FaultPlan,
+    ) -> Result<TopologyRunReport, RunError> {
+        let pane = config.pane_docs();
+        let msgs = docs.into_iter().map(|d| Msg::Doc(Arc::new(d))).collect();
+        let (delivered_tx, delivered) = mpsc::channel();
+        let reader = LockstepReader {
+            inner: VecSpout::with_punctuation(msgs, pane),
+            delivered,
+            closing: false,
+        };
+        let results: Arc<Mutex<Vec<WindowResult>>> = Arc::default();
+        let sink = {
+            let results = Arc::clone(&results);
+            move |w| {
+                results.lock().unwrap().push(w);
+                let _ = delivered_tx.send(());
+            }
+        };
+        let reader = Reader::Spout(Box::new(reader));
+        let runtime = run_topology_with(config, dict, reader, plan, None, sink)?;
+        let mut report = TopologyRunReport {
+            runtime,
+            joins_per_window: Vec::new(),
+            docs_per_joiner: Vec::new(),
+            pairs_per_joiner: Vec::new(),
+        };
+        for w in std::mem::take(&mut *results.lock().unwrap()) {
+            report.joins_per_window.push(w.pairs);
+            report.docs_per_joiner.push(w.docs_per_joiner);
+            report.pairs_per_joiner.push(w.pairs_per_joiner);
+        }
+        Ok(report)
+    }
 
     /// Per-window join output in the topology's canonical form
     /// ([`canonicalize`]), one `Vec` per window in window order.
@@ -265,6 +375,25 @@ pub mod testutil {
     #[cfg(test)]
     mod tests {
         use super::*;
+
+        #[test]
+        fn panes_repeat_until_the_vocabulary_shifts() {
+            let dict = Dictionary::new();
+            let docs = shifting_stream(&dict, 4, 32, 2);
+            let pairs = |p: usize| -> Vec<Vec<_>> {
+                docs[p * 32..(p + 1) * 32]
+                    .iter()
+                    .map(|d| d.avps().collect())
+                    .collect()
+            };
+            assert_eq!(pairs(0), pairs(1));
+            assert_eq!(pairs(2), pairs(3));
+            // No pair survives the shift, so nothing joins across it.
+            assert!(docs[..64]
+                .iter()
+                .all(|a| docs[64..].iter().all(|b| !a.joins_with(b))));
+            assert!(docs[0].joins_with(&docs[1]) && !docs[0].joins_with(&docs[2]));
+        }
 
         #[test]
         fn canonicalization_flips_sorts_and_dedups() {

@@ -100,30 +100,91 @@ pub fn extract_num(line: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Compare a fresh run against a baseline section with a relative-rate
-/// floor; prints one line per id and returns `false` on any regression or
-/// missing id. `min_ratio` 0.8 = the standard 20% gate.
-pub fn check_against(baseline: &[(String, f64)], fresh: &[Measurement], min_ratio: f64) -> bool {
-    let mut ok = true;
-    for (id, base_rate) in baseline {
-        let Some(m) = fresh.iter().find(|m| &m.id == id) else {
-            eprintln!("baseline id {id} missing from fresh run");
-            ok = false;
-            continue;
-        };
-        let ratio = m.tuples_per_sec / base_rate;
-        let verdict = if ratio < min_ratio {
-            ok = false;
-            "REGRESSION"
-        } else {
-            "ok"
-        };
-        println!(
-            "check {id}: baseline {base_rate:.0}/s, now {:.0}/s ({ratio:.2}x) {verdict}",
-            m.tuples_per_sec
-        );
+/// How far below the committed baseline's an in-process ratio may fall, the
+/// better of [`CHECK_RUNS`] runs counting. Single `bench_partition --check`
+/// runs of unchanged code on one host landed at 0.73–1.28x of the baseline's
+/// ratios (EXPERIMENTS.md "One result path"), one sample of 36 below 0.75x.
+pub const RATIO_FLOOR: f64 = 0.75;
+
+/// Smoke runs [`check_ratios`] makes at most; the second only if the first
+/// left a ratio under the floor.
+pub const CHECK_RUNS: usize = 2;
+
+/// `rows[num] / rows[den]` per pair. A missing row makes its ratio NaN,
+/// which passes no floor.
+fn ratios(rows: &[(String, f64)], pairs: &[(String, String)]) -> Vec<f64> {
+    let rate = |id: &str| {
+        let row = rows.iter().find(|(row, _)| row == id);
+        row.map_or(f64::NAN, |&(_, rate)| rate)
+    };
+    pairs.iter().map(|(n, d)| rate(n) / rate(d)).collect()
+}
+
+/// `--check`: fresh smoke runs of `suite` against the committed baseline in
+/// `baseline_path`. Gated are only the `pairs` — `(numerator, denominator)`
+/// row ids whose rates one run of the suite measures seconds apart in one
+/// process — each ratio against [`RATIO_FLOOR`] of the baseline's. The
+/// absolute rates are printed as `report` lines and nothing more: a
+/// baseline's were recorded on another day's host, and a slow spell of this
+/// one moves them past any sensible floor with the code untouched. Returns
+/// the process exit code.
+pub fn check_ratios(
+    baseline_path: &str,
+    pairs: &[(String, String)],
+    mut suite: impl FnMut() -> Vec<Measurement>,
+) -> i32 {
+    let text = match std::fs::read_to_string(baseline_path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("cannot read baseline {baseline_path}: {e}");
+            return 2;
+        }
+    };
+    let baseline = parse_section(&text, "smoke");
+    if baseline.is_empty() {
+        eprintln!("no smoke measurements found in {baseline_path}");
+        return 2;
     }
-    ok
+    let base = ratios(&baseline, pairs);
+    // NaN until a run measured the ratio: `NaN.max(x)` is `x`.
+    let mut best = vec![f64::NAN; base.len()];
+    let holds = |best: &[f64]| {
+        best.iter()
+            .zip(&base)
+            .all(|(now, b)| *now >= RATIO_FLOOR * b)
+    };
+    for _ in 0..CHECK_RUNS {
+        let fresh: Vec<(String, f64)> = suite()
+            .into_iter()
+            .map(|m| (m.id, m.tuples_per_sec))
+            .collect();
+        for (id, now) in &fresh {
+            if let Some((_, base)) = baseline.iter().find(|(row, _)| row == id) {
+                let x = now / base;
+                println!("report {id}: baseline {base:.0}/s, now {now:.0}/s ({x:.2}x)");
+            }
+        }
+        for (best, now) in best.iter_mut().zip(ratios(&fresh, pairs)) {
+            *best = best.max(now);
+        }
+        if holds(&best) {
+            break;
+        }
+    }
+    for (((num, den), base), now) in pairs.iter().zip(&base).zip(&best) {
+        let verdict = if *now >= RATIO_FLOOR * base {
+            "ok"
+        } else {
+            "REGRESSION"
+        };
+        println!("check {num} over {den}: baseline {base:.2}x, best now {now:.2}x {verdict}");
+    }
+    if holds(&best) {
+        0
+    } else {
+        eprintln!("in-process ratios regressed versus {baseline_path}");
+        1
+    }
 }
 
 #[cfg(test)]
@@ -162,10 +223,39 @@ mod tests {
     }
 
     #[test]
-    fn check_against_flags_regressions() {
-        let base = vec![("x".to_string(), 100.0)];
-        assert!(check_against(&base, &[m("x", 90.0)], 0.8));
-        assert!(!check_against(&base, &[m("x", 50.0)], 0.8));
-        assert!(!check_against(&base, &[m("y", 100.0)], 0.8));
+    fn check_ratios_gates_the_pairs_only() {
+        let path = std::env::temp_dir().join(format!("ssj-ratios-{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        write_report(
+            path,
+            "t",
+            &[("smoke", &[m("fast", 200.0), m("slow", 100.0)])],
+        );
+        let pairs = [("fast".to_string(), "slow".to_string())];
+        // Both rows at a tenth of the baseline's rate, ratio intact: passes.
+        let steady = || vec![m("fast", 20.0), m("slow", 10.0)];
+        assert_eq!(check_ratios(path, &pairs, steady), 0);
+        // The second run counts when the first left the ratio under the floor.
+        let runs = std::cell::Cell::new(0);
+        let recovering = || {
+            runs.set(runs.get() + 1);
+            vec![
+                m("fast", if runs.get() == 1 { 120.0 } else { 190.0 }),
+                m("slow", 100.0),
+            ]
+        };
+        assert_eq!(check_ratios(path, &pairs, recovering), 0);
+        assert_eq!(runs.get(), 2);
+        // Ratio halved in every run, or a row missing: fails.
+        assert_eq!(
+            check_ratios(path, &pairs, || vec![m("fast", 100.0), m("slow", 100.0)]),
+            1
+        );
+        assert_eq!(check_ratios(path, &pairs, || vec![m("slow", 100.0)]), 1);
+        assert_eq!(
+            check_ratios("/nonexistent/baseline.json", &pairs, steady),
+            2
+        );
+        std::fs::remove_file(path).unwrap();
     }
 }

@@ -75,11 +75,6 @@ const THETA: FlagSpec = opt("theta", Some("0.2"), "repartitioning threshold");
 const DELTA: FlagSpec = opt("delta", Some("3"), "unseen-pair update threshold");
 const CREATORS: FlagSpec = opt("creators", Some("2"), "PartitionCreator parallelism");
 const ASSIGNERS: FlagSpec = opt("assigners", Some("6"), "Assigner parallelism");
-const BUILD_WORKERS: FlagSpec = opt(
-    "build-workers",
-    Some("2"),
-    "group-build worker threads per PartitionCreator",
-);
 const BATCH: FlagSpec = opt("batch", Some("64"), "transport micro-batch size (1 = off)");
 const ALGO: FlagSpec = opt("algo", Some("fpj"), "local join algorithm: fpj|nlj|hbj");
 const NO_EXPANSION: FlagSpec = flag("no-expansion", "disable attribute-value expansion");
@@ -192,7 +187,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             DELTA,
             CREATORS,
             ASSIGNERS,
-            BUILD_WORKERS,
             BATCH,
             ALGO,
             opt(
@@ -253,7 +247,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             DELTA,
             CREATORS,
             ASSIGNERS,
-            BUILD_WORKERS,
             BATCH,
             ALGO,
             NO_EXPANSION,
@@ -287,7 +280,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             DELTA,
             CREATORS,
             ASSIGNERS,
-            BUILD_WORKERS,
             BATCH,
             ALGO,
             NO_EXPANSION,

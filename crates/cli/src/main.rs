@@ -191,14 +191,14 @@ fn pipeline_config(args: &Args, metrics: bool) -> Result<StreamJoinConfig, Strin
                 .parse::<PartitionerKind>()?,
         )
         .with_join(args.get("algo").unwrap_or("fpj").parse()?)
-        // Sliding windows expire pane-by-pane, which is incompatible with
-        // whole-window attribute expansion — expansion is forced off there
-        // (`ConfigError::SlidingWithExpansion` would reject it anyway).
+        // A sliding Assigner routes with the tables of every pane still in
+        // the lookback, and those cannot mix expansions — expansion is forced
+        // off there (`ConfigError::SlidingWithExpansion` would reject it
+        // anyway).
         .with_expansion(!args.flag("no-expansion") && !window.is_sliding())
         .with_delta(args.get_or("delta", 3)?)
         .with_partition_creators(args.get_or("creators", 2)?)
         .with_assigners(args.get_or("assigners", 6)?)
-        .with_build_workers(args.get_or("build-workers", 2)?)
         .with_batch_size(args.get_or("batch", 64)?)
         .with_metrics(metrics)
         .with_replicate_hot(args.flag("replicate-hot"))

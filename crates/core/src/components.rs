@@ -1,9 +1,9 @@
 //! The bolts of the Fig. 2 topology.
 //!
-//! * **PartitionCreator** (n): buffers its shuffle-share of each window and,
-//!   at the window boundary, runs phase 1 of the partitioning algorithm
-//!   (equivalence → association groups) on it, forwarding the local groups
-//!   to the Merger.
+//! * **PartitionCreator** (n): keeps its shuffle-share of the window and,
+//!   at a boundary where a (re)partitioning is pending, runs phase 1 of the
+//!   partitioning algorithm (equivalence → association groups) on it,
+//!   forwarding the local groups to the Merger.
 //! * **Merger** (1): consolidates local groups into the global partitions
 //!   (subset merging + duplicate elimination + greedy placement) and
 //!   broadcasts the table to the Assigners. Handles δ-update requests and
@@ -21,8 +21,8 @@ use crate::spill::{BlockCache, Segment, SpillSettings, SpillStore};
 use ssj_join::{FpTree, JoinAlgo};
 use ssj_json::{AvpId, Dictionary, DocRef, FxHashSet};
 use ssj_partition::{
-    association_groups_parallel, batch_views, fingerprint_view, merge_and_assign, Expansion,
-    GroupIndex, RepartitionPolicy, RouteOutcome, RouteScratch, RoutingStats, UnseenTracker, View,
+    association_groups, batch_views, fingerprint_view, merge_and_assign, Expansion,
+    RepartitionPolicy, RouteOutcome, RouteScratch, RoutingStats, UnseenTracker, View,
     WindowQuality,
 };
 use ssj_runtime::{Bolt, BoltState, Outbox, TaskInfo, TaskInstruments, TraceKind};
@@ -30,63 +30,53 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// One pane of a creator's shuffle share: the documents still on the heap
+/// and, under a memory budget, the runs sealed from the pane before them
+/// (DESIGN.md §4i). Arrival order is `runs` in seal order, then `docs`.
+#[derive(Default)]
+struct CreatorPane {
+    runs: Vec<Arc<Segment>>,
+    docs: Vec<DocRef>,
+}
+
 /// PartitionCreator bolt (§IV-A phase 1).
 ///
 /// Runs the (expensive) association-group computation only when asked: on
 /// the very first window, and whenever an Assigner has signalled a
 /// repartition (§VI-A: "they inform the Partition Creators and the Merger
 /// that in the next window a recalculation of the partitions should be
-/// performed").
-///
-/// Two build paths:
-///
-/// * **Incremental** (expansion off): every arriving document's view is
-///   pushed straight into a persistent [`GroupIndex`], amortizing the
-///   docset/fingerprint work across the window instead of paying it
-///   stop-the-world at the boundary. A computing boundary then only
-///   refreshes the dirty fingerprints and runs the merge scan; afterwards
-///   the window's views are expired (tumbling windows don't overlap).
-/// * **Batch** (expansion on): expansion redefines all views wholesale
-///   (synthetic pairs depend on the whole window), so the creator buffers
-///   documents as before and runs the sharded parallel group build
-///   ([`association_groups_parallel`]) with `config.build_workers` threads.
+/// performed"). Between computations a document costs one push of its
+/// shared handle: the creator keeps its share of the lookback as a ring of
+/// panes (tumbling is the 1-pane ring) and builds views and groups from
+/// scratch, over exactly the retained panes, at a boundary that has a
+/// computation pending.
 pub struct PartitionCreator {
     config: StreamJoinConfig,
     dict: Dictionary,
     task: usize,
-    buffer: Vec<DocRef>,
-    /// Persistent group index for the incremental path.
-    index: GroupIndex,
-    /// Index ids of the views pushed in the current pane.
-    window_ids: Vec<u32>,
-    /// Ids of filled panes still inside the sliding lookback (newest last);
-    /// holds at most `panes_per_window - 1` panes, so it stays empty for
-    /// tumbling windows.
-    pane_ring: VecDeque<Vec<u32>>,
-    /// Reusable view buffer for the incremental push path.
-    view_buf: Vec<AvpId>,
+    /// The open pane of this creator's shuffle share.
+    open: CreatorPane,
+    /// Closed panes still inside the lookback, oldest first: at most
+    /// `panes_per_window - 1`, so empty for tumbling windows. Shared so a
+    /// recovery snapshot copies handles, not documents.
+    ring: VecDeque<Arc<CreatorPane>>,
     /// Compute local groups at the next window boundary.
     compute_pending: bool,
     /// Deployment spill settings; `None` when `mem_budget == 0`.
     spill_settings: Option<Arc<SpillSettings>>,
     /// Per-task spill machinery (created in `prepare`); `None` at budget 0.
     spill: Option<SpillStore>,
-    /// Batch path only: sealed runs of this window's buffered share,
-    /// read back wholesale at a computing boundary (DESIGN.md §4i). The
-    /// incremental path never spills — the `GroupIndex` holds compact
-    /// views, not document pools.
-    spill_runs: Vec<Arc<Segment>>,
     /// Approximate bytes buffered since the last run was sealed.
     open_bytes: u64,
     inst: Option<Arc<TaskInstruments>>,
 }
 
 /// Pane-boundary snapshot of the [`PartitionCreator`]'s cross-pane state.
+/// A spilled run travels as its handle, which keeps the file alive.
 #[derive(Clone)]
 struct CreatorState {
     compute_pending: bool,
-    index: GroupIndex,
-    pane_ring: VecDeque<Vec<u32>>,
+    ring: VecDeque<Arc<CreatorPane>>,
 }
 
 impl PartitionCreator {
@@ -101,66 +91,57 @@ impl PartitionCreator {
             config,
             dict,
             task: 0,
-            buffer: Vec::new(),
-            index: GroupIndex::new(),
-            window_ids: Vec::new(),
-            pane_ring: VecDeque::new(),
-            view_buf: Vec::new(),
+            open: CreatorPane::default(),
+            ring: VecDeque::new(),
             compute_pending: true, // bootstrap window
             spill_settings: spill,
             spill: None,
-            spill_runs: Vec::new(),
             open_bytes: 0,
             inst: None,
         }
     }
 
-    /// Whether this creator maintains the incremental index (expansion off).
-    /// Sliding windows always take this path (enforced by config validation:
-    /// expansion cannot expire a single pane).
-    fn incremental(&self) -> bool {
-        !self.config.expansion
-    }
-
-    /// Batch path: seal the buffered share as one sorted run and drop the
-    /// heap copies. Read back wholesale at the next computing boundary.
+    /// Seal the open pane's heap documents as one sorted run and let go of
+    /// the handles; a no-op without a memory budget.
     fn seal_run(&mut self) {
         let Some(store) = &self.spill else { return };
         self.open_bytes = 0;
-        if self.buffer.is_empty() {
+        if self.open.docs.is_empty() {
             return;
         }
-        let docs: Vec<ssj_json::Document> = self.buffer.drain(..).map(|d| (*d).clone()).collect();
         let segment = store
-            .write_segment(docs)
+            .write_segment(std::mem::take(&mut self.open.docs))
             .expect("spill: failed to write creator segment");
         if let Some(inst) = &self.inst {
             inst.counter("spill_bytes").add(segment.bytes());
             inst.counter("spill_segments").inc();
         }
-        self.spill_runs.push(segment);
+        self.open.runs.push(segment);
     }
 
-    /// The window's documents for the batch group build: spilled runs read
-    /// back in seal order (lossless — raw interned ids, same dictionary
-    /// epoch), then whatever is still buffered.
-    fn batch_window_docs(&self) -> Vec<ssj_json::Document> {
-        let mut docs = Vec::with_capacity(self.spilled_docs() + self.buffer.len());
-        for seg in &self.spill_runs {
-            docs.extend(
-                seg.read_all()
-                    .expect("spill: failed to read creator segment"),
-            );
-            if let Some(inst) = &self.inst {
-                inst.counter("segment_reads").add(seg.block_count() as u64);
+    /// This creator's share of the lookback: the retained panes oldest
+    /// first, then the open one.
+    fn lookback(&self) -> impl Iterator<Item = &CreatorPane> {
+        self.ring.iter().map(|p| &**p).chain([&self.open])
+    }
+
+    /// Hand `f` the share in arrival order, a chunk at a time: resident
+    /// documents through their shared handles, a spilled run read back
+    /// (lossless — raw interned ids, same dictionary epoch) and dropped
+    /// again before the next one is read.
+    fn for_each_chunk(&self, mut f: impl FnMut(&[DocRef])) {
+        for pane in self.lookback() {
+            for seg in &pane.runs {
+                let run = seg
+                    .read_all()
+                    .expect("spill: failed to read creator segment");
+                if let Some(inst) = &self.inst {
+                    inst.counter("segment_reads").add(seg.block_count() as u64);
+                }
+                f(&run.into_iter().map(Arc::new).collect::<Vec<_>>());
             }
+            f(&pane.docs);
         }
-        docs.extend(self.buffer.iter().map(|d| (**d).clone()));
-        docs
-    }
-
-    fn spilled_docs(&self) -> usize {
-        self.spill_runs.iter().map(|s| s.doc_count()).sum()
     }
 }
 
@@ -182,23 +163,18 @@ impl Bolt<Msg> for PartitionCreator {
     fn execute(&mut self, msg: Msg, _out: &mut Outbox<Msg>) {
         match msg {
             Msg::Doc(doc) => {
-                if self.incremental() {
-                    self.view_buf.clear();
-                    self.view_buf.extend(doc.avps());
-                    let id = self.index.push(&self.view_buf);
-                    self.window_ids.push(id);
-                } else {
-                    match &self.spill {
-                        None => self.buffer.push(doc),
-                        Some(store) => {
-                            self.open_bytes += doc.approx_bytes() as u64;
-                            let target = store.settings().chunk_target();
-                            self.buffer.push(doc);
-                            if self.open_bytes >= target {
-                                self.seal_run();
-                            }
-                        }
-                    }
+                self.open_bytes += doc.approx_bytes() as u64;
+                self.open.docs.push(doc);
+                // The open pane's heap documents are all a creator keeps
+                // resident, so they may fill the whole budget before they
+                // are sealed (a joiner seals at a quarter of it: its sealed
+                // chunks stay resident until tiering evicts them).
+                if self
+                    .spill
+                    .as_ref()
+                    .is_some_and(|s| self.open_bytes >= s.settings().budget)
+                {
+                    self.seal_run();
                 }
             }
             Msg::Repartition => self.compute_pending = true,
@@ -207,44 +183,40 @@ impl Bolt<Msg> for PartitionCreator {
     }
 
     fn on_punct(&mut self, window: u64, out: &mut Outbox<Msg>) {
-        let have_docs = if self.incremental() {
-            // Older panes still in the lookback keep the index non-empty
-            // even when this pane's shuffle share happens to be empty.
-            !self.window_ids.is_empty() || !self.pane_ring.is_empty()
-        } else {
-            !self.buffer.is_empty() || !self.spill_runs.is_empty()
-        };
-        if self.compute_pending && have_docs {
+        let share: usize = self
+            .lookback()
+            .map(|p| p.docs.len() + p.runs.iter().map(|s| s.doc_count()).sum::<usize>())
+            .sum();
+        // An empty share keeps the computation pending.
+        if self.compute_pending && share > 0 {
             let t0 = self
                 .inst
                 .as_deref()
                 .filter(|i| i.enabled())
                 .map(|_| Instant::now());
-            let (groups, expansion) = if self.incremental() {
-                (self.index.association_groups(), None)
+            let mut views: Vec<View> = Vec::with_capacity(share);
+            let mut expansion = None;
+            if self.config.expansion {
+                // §VI-B picks the chain from statistics over the whole
+                // share, so it is needed at once — one pane: config
+                // validation keeps expansion to tumbling windows.
+                let mut docs = Vec::with_capacity(share);
+                self.for_each_chunk(|chunk| docs.extend_from_slice(chunk));
+                expansion = Expansion::detect(&docs, &self.dict, self.config.m);
+                let expanded = batch_views(&docs, expansion.as_ref(), &self.dict);
+                views.extend(expanded.into_iter().flatten());
             } else {
-                // replicate_hot implies expansion off (config validation),
-                // so the batch path below never flags hot groups.
-                let docs = self.batch_window_docs();
-                let expansion = Expansion::detect(&docs, &self.dict, self.config.m);
-                let views: Vec<View> = batch_views(&docs, expansion.as_ref(), &self.dict)
-                    .into_iter()
-                    .flatten()
-                    .collect();
-                (
-                    association_groups_parallel(&views, self.config.build_workers),
-                    expansion,
-                )
-            };
+                // Views are all the build needs: under a budget at most
+                // one run of documents is on the heap next to them.
+                self.for_each_chunk(|chunk| {
+                    views.extend(chunk.iter().map(|d| d.avps().collect::<View>()));
+                });
+            }
+            let groups = association_groups(&views);
+            // replicate_hot implies expansion off (config validation), so
+            // hot groups are never flagged over synthetic pairs.
             let hot = if self.config.replicate_hot {
-                // This creator's shuffle share of the lookback: the open
-                // pane plus any retained panes (the ring updates below).
-                let window_docs = if self.incremental() {
-                    self.window_ids.len() + self.pane_ring.iter().map(Vec::len).sum::<usize>()
-                } else {
-                    self.buffer.len() + self.spilled_docs()
-                };
-                hot_groups(&groups, window_docs, self.config.hot_factor, self.config.m)
+                hot_groups(&groups, share, self.config.hot_factor, self.config.m)
             } else {
                 Vec::new()
             };
@@ -258,71 +230,49 @@ impl Bolt<Msg> for PartitionCreator {
             self.compute_pending = false;
             if let Some(inst) = &self.inst {
                 inst.counter("group_computations").inc();
-                if self.incremental() {
-                    let stats = self.index.stats();
-                    inst.counter("groups_reused").add(stats.reused_groups);
-                }
+                inst.counter("group_build_docs").add(share as u64);
                 if let Some(t0) = t0 {
-                    let dt = t0.elapsed().as_nanos() as u64;
-                    inst.histogram("groups_ns").record_ns(dt);
-                    inst.histogram("partition_build_ns").record_ns(dt);
+                    inst.histogram("groups_ns")
+                        .record_ns(t0.elapsed().as_nanos() as u64);
                 }
             }
         }
-        if self.incremental() {
-            // The filled pane joins the ring; panes falling out of the
-            // `panes_per_window` lookback expire from the index — O(pane)
-            // work, never a window rebuild. A tumbling window is the 1-pane
-            // case: the pane expires immediately, exactly as before.
-            let deltas = self.window_ids.len() as u64 * 2; // push + expire
-            self.pane_ring
-                .push_back(std::mem::take(&mut self.window_ids));
-            while self.pane_ring.len() >= self.config.panes_per_window() {
-                for id in self.pane_ring.pop_front().unwrap_or_default() {
-                    self.index.expire(id);
-                }
-            }
-            if let Some(inst) = &self.inst {
-                inst.counter("group_deltas").add(deltas);
-                // Pane-expiry observability for the out-of-core story: the
-                // incremental index is the creator's only cross-pane state,
-                // and it holds compact views, never document pools — which
-                // is why it is not tiered (DESIGN.md §4i).
-                inst.gauge("index_bytes")
-                    .set(self.index.approx_bytes() as i64);
-            }
+        // The filled pane joins the ring and the pane that falls out of the
+        // `panes_per_window` lookback leaves it, taking its runs along
+        // (segment files unlink with their last handle). A tumbling window
+        // is the 1-pane case: the pane it pushes is the one it evicts. A
+        // pane that stays is sealed whole, so under a budget the ring holds
+        // run headers only and nothing but the open pane counts against it.
+        if self.config.panes_per_window() > 1 {
+            self.seal_run();
         }
-        // Window consumed: drop any spilled runs with the heap buffer (the
-        // batch path recomputes per window; segment files unlink here).
-        self.spill_runs.clear();
         self.open_bytes = 0;
-        self.buffer.clear();
+        self.ring
+            .push_back(Arc::new(std::mem::take(&mut self.open)));
+        while self.ring.len() >= self.config.panes_per_window() {
+            self.ring.pop_front();
+        }
     }
 
-    // Cross-pane state: the compute flag plus — for sliding windows — the
-    // incremental index and the pane ring (they span punctuations, so replay
-    // of the open pane alone cannot rebuild them). The open pane's buffer
-    // and ids ARE rebuilt by replay and deliberately not captured.
+    // Cross-pane state: the compute flag and the ring of closed panes (they
+    // span punctuations, so replay of the open pane alone cannot rebuild
+    // them). The open pane IS rebuilt by replay and deliberately not
+    // captured.
     fn snapshot(&self) -> Option<BoltState> {
         Some(Box::new(CreatorState {
             compute_pending: self.compute_pending,
-            index: self.index.clone(),
-            pane_ring: self.pane_ring.clone(),
+            ring: self.ring.clone(),
         }))
     }
 
+    // Called on a fresh instance: the open pane starts empty and replay
+    // refills it.
     fn restore(&mut self, state: &BoltState) -> Result<(), String> {
         let s = state
             .downcast_ref::<CreatorState>()
             .ok_or_else(|| "PartitionCreator snapshot type mismatch".to_string())?;
         self.compute_pending = s.compute_pending;
-        self.buffer.clear();
-        self.index = s.index.clone();
-        self.pane_ring = s.pane_ring.clone();
-        self.window_ids.clear();
-        // Open-window spill runs are rebuilt by replay, like the buffer.
-        self.spill_runs.clear();
-        self.open_bytes = 0;
+        self.ring = s.ring.clone();
         Ok(())
     }
 }
@@ -1133,7 +1083,7 @@ struct JoinerState {
 }
 
 /// Deep copies of shared documents, for the few consumers that take owned
-/// ones: segment files, the NLJ/HBJ baselines and snapshot restore.
+/// ones: the NLJ/HBJ baselines and snapshot restore.
 fn owned(docs: &[DocRef]) -> Vec<ssj_json::Document> {
     docs.iter().map(|d| (**d).clone()).collect()
 }
@@ -1342,7 +1292,7 @@ impl Joiner {
                 unreachable!()
             };
             let segment = store
-                .write_segment(owned(docs))
+                .write_segment(std::mem::take(docs))
                 .expect("spill: failed to write segment");
             spilled_bytes += segment.bytes();
             spilled_runs += 1;

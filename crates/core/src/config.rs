@@ -41,9 +41,6 @@ pub struct StreamJoinConfig {
     pub partition_creators: usize,
     /// Parallelism of the Assigner component.
     pub assigners: usize,
-    /// Worker threads for the sharded association-group build inside each
-    /// PartitionCreator (1 = sequential).
-    pub build_workers: usize,
     /// Micro-batch size for forward-edge transport in the runtime
     /// (`TopologyBuilder::batch_size`); 1 disables batching.
     pub batch_size: usize,
@@ -76,7 +73,7 @@ pub struct StreamJoinConfig {
     /// association groups whose load exceeds [`Self::hot_factor`] times the
     /// mean partition share, and the Merger spreads their documents over a
     /// triangle of replica cells instead of a single partition. Requires
-    /// the incremental partitioning path (`expansion = false`) and `m >= 3`.
+    /// `expansion = false` and `m >= 3`.
     pub replicate_hot: bool,
     /// Hotness threshold: a group is hot when its load exceeds
     /// `hot_factor × (pane load / m)`. Only meaningful with
@@ -113,7 +110,6 @@ impl Default for StreamJoinConfig {
             expansion: true,
             partition_creators: 2,
             assigners: 6,
-            build_workers: 2,
             batch_size: 64,
             metrics: false,
             retries: 0,
@@ -138,9 +134,10 @@ pub enum ConfigError {
     ZeroPartitions,
     /// The window shape is invalid; carries the [`WindowError`] detail.
     Window(WindowError),
-    /// Sliding windows require the incremental partitioning path, which
-    /// attribute-value expansion bypasses (expansion recomputes views
-    /// wholesale per window and cannot expire a single pane).
+    /// Sliding windows require expansion off: an Assigner routes each
+    /// document with the tables of every pane still in the lookback, and
+    /// tables built under different expansions (each redefines the views
+    /// wholesale) cannot be combined.
     SlidingWithExpansion,
     /// Every component needs at least one task.
     ZeroParallelism,
@@ -162,8 +159,9 @@ pub enum ConfigError {
     /// 3 replica cells and routes through partition bitmasks, so it needs
     /// `3 <= m <= 64`; carries the rejected `m`.
     ReplicateHotNeedsPartitions(usize),
-    /// Hot-group replication detects hot groups from the incremental
-    /// `GroupIndex` statistics, which attribute-value expansion bypasses.
+    /// Hot-group replication is defined and tested for un-expanded views
+    /// only: its hotness bar and replica-cell routing (DESIGN.md §4h) have
+    /// never been run over synthetic pairs.
     ReplicateHotWithExpansion,
     /// A spill directory was configured without a memory budget; the dir
     /// is only read when `mem_budget > 0`, so this is almost certainly a
@@ -177,7 +175,7 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroPartitions => f.write_str("m must be at least 1"),
             ConfigError::Window(e) => write!(f, "invalid window: {e}"),
             ConfigError::SlidingWithExpansion => f.write_str(
-                "sliding windows require expansion off (pane expiry needs the incremental path)",
+                "sliding windows require expansion off (retained pane tables cannot mix expansions)",
             ),
             ConfigError::ZeroParallelism => f.write_str("component parallelism must be at least 1"),
             ConfigError::ThetaOutOfRange(t) => {
@@ -197,7 +195,7 @@ impl fmt::Display for ConfigError {
                 write!(f, "replicate_hot needs 3 <= m <= 64 (got m = {m})")
             }
             ConfigError::ReplicateHotWithExpansion => f.write_str(
-                "replicate_hot requires expansion off (hot groups come from the incremental path)",
+                "replicate_hot requires expansion off (replica cells are untested over expanded views)",
             ),
             ConfigError::SpillDirWithoutBudget => f.write_str(
                 "spill_dir is only used with a non-zero mem_budget (set --mem-budget too)",
@@ -290,14 +288,6 @@ macro_rules! builder_setters {
         pub fn with_assigners(self, n: usize) -> ConfigBuilder {
             let mut b = self.into_builder();
             b.cfg.assigners = n;
-            b
-        }
-
-        /// Override the group-build worker count inside each
-        /// PartitionCreator.
-        pub fn with_build_workers(self, n: usize) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.build_workers = n;
             b
         }
 
@@ -439,7 +429,7 @@ impl StreamJoinConfig {
         if self.window.is_sliding() && self.expansion {
             return Err(ConfigError::SlidingWithExpansion);
         }
-        if self.partition_creators == 0 || self.assigners == 0 || self.build_workers == 0 {
+        if self.partition_creators == 0 || self.assigners == 0 {
             return Err(ConfigError::ZeroParallelism);
         }
         if !(0.0..=10.0).contains(&self.theta) {
@@ -519,7 +509,6 @@ mod tests {
             .with_expansion(false)
             .with_partition_creators(3)
             .with_assigners(4)
-            .with_build_workers(4)
             .with_metrics(true)
             .build()
             .unwrap();
@@ -531,7 +520,6 @@ mod tests {
         assert!(!c.expansion);
         assert_eq!(c.partition_creators, 3);
         assert_eq!(c.assigners, 4);
-        assert_eq!(c.build_workers, 4);
         assert!(c.metrics);
     }
 
@@ -556,8 +544,8 @@ mod tests {
                 .unwrap_err(),
             ConfigError::Window(WindowError::ZeroPane)
         );
-        // Sliding panes need the incremental partitioning path, so
-        // expansion (on by default) must be rejected with it.
+        // Retained pane tables cannot mix expansions, so expansion (on by
+        // default) must be rejected with a sliding window.
         assert_eq!(
             StreamJoinConfig::default()
                 .with_window_spec(WindowSpec::sliding(100, 4))
@@ -568,13 +556,6 @@ mod tests {
         assert_eq!(
             StreamJoinConfig::default()
                 .with_assigners(0)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroParallelism
-        );
-        assert_eq!(
-            StreamJoinConfig::default()
-                .with_build_workers(0)
                 .build()
                 .unwrap_err(),
             ConfigError::ZeroParallelism
@@ -651,7 +632,7 @@ mod tests {
                 .unwrap_err(),
             ConfigError::ReplicateHotNeedsPartitions(2)
         );
-        // Expansion bypasses the incremental stats hot detection feeds on.
+        // Replication is only defined over un-expanded views.
         assert_eq!(
             StreamJoinConfig::default()
                 .with_replicate_hot(true)

@@ -23,8 +23,8 @@
 use crate::config::StreamJoinConfig;
 use ssj_json::{Dictionary, Document, FxHashSet};
 use ssj_partition::{
-    association_groups_parallel, batch_views, merge_and_assign, Expansion, PartitionTable,
-    PartitionerKind, RepartitionPolicy, Route, RoutingStats, UnseenTracker, View, WindowQuality,
+    association_groups, batch_views, merge_and_assign, Expansion, PartitionTable, PartitionerKind,
+    RepartitionPolicy, Route, RoutingStats, UnseenTracker, View, WindowQuality,
 };
 
 /// Per-window outcome.
@@ -267,10 +267,7 @@ impl Pipeline {
                 for (i, v) in usable.into_iter().enumerate() {
                     chunks[i % n].push(v);
                 }
-                let locals: Vec<_> = chunks
-                    .iter()
-                    .map(|chunk| association_groups_parallel(chunk, self.config.build_workers))
-                    .collect();
+                let locals: Vec<_> = chunks.iter().map(|c| association_groups(c)).collect();
                 merge_and_assign(locals, self.config.m)
             }
             kind => kind.create(&usable, self.config.m),

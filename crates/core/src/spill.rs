@@ -31,6 +31,7 @@
 
 use ssj_json::{AttrId, AvpId, DocId, Document, Pair};
 use ssj_runtime::wire::{put_varint, Cursor};
+use std::borrow::Borrow;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -100,18 +101,20 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// Serialize `docs` into a new segment file under `dir` and return the
-    /// resident header. Documents are sorted by id; the input order does
-    /// not matter. The write path ends by re-opening the finished file
-    /// through [`Segment::open`], so every spill also exercises the decode
-    /// path symmetrically.
-    pub fn write(
+    /// Serialize `docs` — owned, or shared handles ([`ssj_json::DocRef`]),
+    /// which are only read through — into a new segment file under `dir`
+    /// and return the resident header. Documents are sorted by id; the
+    /// input order does not matter. The write path ends by re-opening the
+    /// finished file through [`Segment::open`], so every spill also
+    /// exercises the decode path symmetrically.
+    pub fn write<D: Borrow<Document>>(
         dir: &Path,
         label: &str,
         epoch: u64,
-        mut docs: Vec<Document>,
+        mut docs: Vec<D>,
     ) -> io::Result<Segment> {
-        docs.sort_by_key(|d| d.id());
+        docs.sort_by_key(|d| d.borrow().id());
+        let docs: Vec<&Document> = docs.iter().map(Borrow::borrow).collect();
         let id = NEXT_SEGMENT_ID.fetch_add(1, Ordering::Relaxed);
         let path = dir.join(format!("ssj-{}-{label}-{id}.seg", std::process::id()));
 
@@ -606,7 +609,7 @@ impl SpillStore {
     }
 
     /// Serialize `docs` into a fresh segment under the configured dir.
-    pub fn write_segment(&self, docs: Vec<Document>) -> io::Result<Arc<Segment>> {
+    pub fn write_segment<D: Borrow<Document>>(&self, docs: Vec<D>) -> io::Result<Arc<Segment>> {
         Segment::write(&self.settings.dir, &self.label, self.settings.epoch, docs).map(Arc::new)
     }
 

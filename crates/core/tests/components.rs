@@ -1,8 +1,13 @@
 //! Component-level behaviour of the Fig. 2 topology, observed through the
 //! runtime's per-component counters.
 
-use ssj_core::{run_topology, StreamJoinConfig};
+use ssj_bench::testutil::shifting_stream;
+use ssj_core::components::PartitionCreator;
+use ssj_core::{run_topology, Msg, StreamJoinConfig, WindowSpec};
 use ssj_json::{Dictionary, DocId, Document};
+use ssj_partition::{association_groups, batch_views, Expansion, GroupIndex, View};
+use ssj_runtime::{CollectorBolt, Grouping, TopologyBuilder, VecSpout};
+use std::sync::Arc;
 
 /// A perfectly stable stream: the same distribution in every window.
 fn stable_stream(dict: &Dictionary, windows: usize, per_window: usize) -> Vec<Document> {
@@ -140,5 +145,147 @@ fn single_creator_single_assigner_still_exact() {
     for (w, found) in report.joins_per_window.iter().enumerate() {
         let truth = ssj_core::ground_truth_pairs(&docs[w * 60..(w + 1) * 60]);
         assert_eq!(found, &truth, "window {w}");
+    }
+}
+
+/// The one group build, differentially. A `PartitionCreator` bolt is driven
+/// directly — 13 panes of a stream whose vocabulary shifts at pane 6, a
+/// `Repartition` injected as the first message of pane 7 — and must send
+/// local groups exactly twice: the bootstrap over pane 0, and at boundary 7
+/// over the views of exactly the last `panes_per_window` panes. Not the open
+/// pane alone, not the stream so far. With expansion off the same groups
+/// must come out of a `GroupIndex` fed the same pushes and expiries — what
+/// the creator sent before it was given one build path.
+#[test]
+fn creator_builds_over_exactly_its_lookback() {
+    const PANE: usize = 60;
+    const RUN_PANES: usize = 13;
+    const SIGNAL: usize = 7;
+    for (spec, expansion) in [
+        (WindowSpec::tumbling(PANE), true),
+        (WindowSpec::tumbling(PANE), false),
+        (WindowSpec::sliding(PANE, 4), false),
+    ] {
+        let what = format!("{spec:?}, expansion {expansion}");
+        let panes = spec.panes_per_window();
+        assert!(RUN_PANES >= 3 * panes);
+        let dict = Dictionary::new();
+        // A pane is PANE messages: the signal takes one document's place.
+        let docs = shifting_stream(&dict, RUN_PANES, PANE, SIGNAL - 1);
+        let msgs: Vec<Msg> = docs
+            .iter()
+            .enumerate()
+            .map(|(i, d)| match i == SIGNAL * PANE {
+                true => Msg::Repartition,
+                false => Msg::Doc(Arc::new(d.clone())),
+            })
+            .collect();
+        let in_panes = |lo: usize, hi: usize| -> Vec<Document> {
+            let held = |i: &usize| *i != SIGNAL * PANE;
+            (lo * PANE..hi * PANE)
+                .filter(held)
+                .map(|i| docs[i].clone())
+                .collect()
+        };
+
+        let cfg = StreamJoinConfig::default()
+            .with_m(4)
+            .with_window_spec(spec)
+            .with_expansion(expansion)
+            .build()
+            .unwrap();
+        let sink = CollectorBolt::new();
+        let sent = sink.handle();
+        let (creator_cfg, creator_dict) = (cfg.clone(), dict.clone());
+        let topology = TopologyBuilder::new()
+            .spout("reader", 1, move |_| {
+                Box::new(VecSpout::with_punctuation(msgs.clone(), PANE))
+            })
+            .bolt("creator", 1, move |_| {
+                let (cfg, dict) = (creator_cfg.clone(), creator_dict.clone());
+                Box::new(PartitionCreator::new(cfg, dict, None))
+            })
+            .subscribe("reader", Grouping::Shuffle)
+            .done()
+            .bolt("sink", 1, move |_| Box::new(sink.clone()))
+            .subscribe("creator", Grouping::Global)
+            .done()
+            .build()
+            .unwrap();
+        let report = ssj_runtime::run(topology).unwrap();
+
+        // From scratch over a lookback: the expansion chain, the groups.
+        let scratch = |lookback: &[Document]| {
+            let detected = match expansion {
+                true => Expansion::detect(lookback, &dict, cfg.m),
+                false => None,
+            };
+            let views: Vec<View> = batch_views(lookback, detected.as_ref(), &dict)
+                .into_iter()
+                .flatten()
+                .collect();
+            let chain = detected.map(|e| (e.chain, e.synth_attr));
+            (chain, association_groups(&views))
+        };
+        let sent: Vec<_> = sent
+            .take()
+            .into_iter()
+            .map(|msg| match msg {
+                Msg::LocalGroups {
+                    window,
+                    groups,
+                    expansion,
+                    ..
+                } => (window, (expansion.map(|e| (e.chain, e.synth_attr)), groups)),
+                other => panic!("{what}: creator sent {other:?}"),
+            })
+            .collect();
+        let lookbacks = [in_panes(0, 1), in_panes(SIGNAL + 1 - panes, SIGNAL + 1)];
+        assert_eq!(sent.len(), 2, "{what}");
+        // `Mode` has two values per vocabulary: both builds must expand.
+        assert!(sent
+            .iter()
+            .all(|(_, (chain, _))| chain.is_some() == expansion));
+        assert_eq!(sent[0], (0, scratch(&lookbacks[0])), "{what}");
+        assert_eq!(sent[1], (SIGNAL as u64, scratch(&lookbacks[1])), "{what}");
+        assert_eq!(
+            report.component_counter("creator", "group_build_docs") as usize,
+            lookbacks[0].len() + lookbacks[1].len(),
+            "{what}"
+        );
+        // The second build is neither of the two wrong lookbacks.
+        if panes > 1 {
+            assert_ne!(sent[1].1, scratch(&in_panes(SIGNAL, SIGNAL + 1)), "{what}");
+        }
+        assert_ne!(sent[1].1, scratch(&in_panes(0, SIGNAL + 1)), "{what}");
+
+        if !expansion {
+            // The parent's path: every view pushed on arrival, a pane expired
+            // when it leaves the lookback, groups derived at the same two
+            // boundaries.
+            let mut index = GroupIndex::new();
+            let mut ring = std::collections::VecDeque::new();
+            let mut derived = Vec::new();
+            for p in 0..=SIGNAL {
+                let ids: Vec<u32> = in_panes(p, p + 1)
+                    .iter()
+                    .map(|d| index.push(&d.avps().collect::<View>()))
+                    .collect();
+                if p == 0 || p == SIGNAL {
+                    derived.push(index.association_groups());
+                }
+                ring.push_back(ids);
+                while ring.len() >= panes {
+                    for id in ring.pop_front().unwrap() {
+                        index.expire(id);
+                    }
+                }
+            }
+            let groups: Vec<_> = sent.into_iter().map(|(_, (_, groups))| groups).collect();
+            assert_eq!(
+                groups, derived,
+                "{what}: differs from the incremental index"
+            );
+        }
     }
 }

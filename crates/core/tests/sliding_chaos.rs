@@ -2,11 +2,11 @@
 //! a pane boundary must recover to output byte-identical to the fault-free
 //! run. This is the proof that [`ssj_core::components`]' snapshots capture
 //! every piece of *cross-pane* state — the Joiner's frozen pane ring, the
-//! PartitionCreator's group index + pane ring, and the Assigner's retained
+//! PartitionCreator's ring of retained panes, and the Assigner's retained
 //! pane tables — because post-crash replay rebuilds only the open pane.
 
 use proptest::prelude::*;
-use ssj_bench::testutil::assert_runs_equal;
+use ssj_bench::testutil::{assert_runs_equal, run_lockstep, shifting_stream};
 use ssj_core::components::ARRIVAL_BATCH;
 use ssj_core::{
     ground_truth_pairs, run_topology, run_topology_chaos, run_topology_with, Reader,
@@ -114,11 +114,80 @@ fn joiner_crash_after_a_joined_micro_batch_recovers() {
     assert_crash_recovers_with(2 * ARRIVAL_BATCH, 15, "joiner", 0, 1, tuple);
 }
 
-/// The creator's cross-pane state is the incremental group index plus the
-/// pane ring of expirable view ids.
+/// The creator's cross-pane state is the ring of panes it retains for the
+/// next group build. Nothing reads the ring on this stream after the
+/// bootstrap; `creator_crash_before_a_repartition_*` below does.
 #[test]
-fn creator_crash_mid_pane_recovers_group_index() {
+fn creator_crash_mid_pane_recovers_pane_ring() {
     assert_crash_recovers(13, "creator", 0, 3, 5);
+}
+
+/// Brute force for pane `p`: the pairs of its window whose later document
+/// lies in the pane.
+fn pane_truth(docs: &[Document], pane: usize, panes: usize, p: usize) -> Vec<(u64, u64)> {
+    let first = (p + 1).saturating_sub(panes) * pane;
+    let mut truth = ground_truth_pairs(&docs[first..(p + 1) * pane]);
+    truth.retain(|&(_, later)| later as usize / pane == p);
+    truth
+}
+
+/// A creator crashed between the bootstrap and a repartition must come back
+/// holding its whole lookback: the vocabulary shifts at pane 5, both
+/// Assigners signal, and at boundary 6 each creator builds groups over its
+/// half of the 4 retained panes — `group_build_docs` says how many documents
+/// that was, for the restored creator as for the other. Lock-step, δ off and
+/// `batch_size` 1 as in root `vocabulary_shift_forces_a_repartition`.
+fn assert_creator_crash_keeps_the_lookback(task: usize, window: u64, tuple: u64) {
+    const PANE: usize = 64;
+    const LOOKBACK: usize = 4;
+    let cfg = StreamJoinConfig::default()
+        .with_m(4)
+        .with_window_spec(WindowSpec::sliding(PANE, LOOKBACK))
+        .with_partition_creators(2)
+        .with_assigners(2)
+        .with_expansion(false)
+        .with_delta(u32::MAX)
+        .with_batch_size(1)
+        .with_retries(2)
+        .with_backoff_ms(1)
+        .build()
+        .unwrap();
+    let dict = Dictionary::new();
+    let docs = shifting_stream(&dict, 10, PANE, 5);
+    let clean = run_lockstep(cfg.clone(), &dict, docs.clone(), FaultPlan::new()).unwrap();
+    let plan = FaultPlan::new().crash("creator", task, window, tuple);
+    let faulted = run_lockstep(cfg, &dict, docs.clone(), plan).unwrap();
+    assert!(
+        faulted.runtime.total_faults() > 0 && faulted.runtime.total_recoveries() > 0,
+        "creator[{task}] crash at w={window},t={tuple} never fired"
+    );
+    for run in [&clean, &faulted] {
+        for c in run
+            .runtime
+            .tasks
+            .iter()
+            .filter(|t| t.component == "creator")
+        {
+            assert_eq!(c.counter("group_computations"), 2, "creator {}", c.task);
+            assert_eq!(
+                c.counter("group_build_docs") as usize,
+                PANE / 2 + LOOKBACK * PANE / 2,
+                "creator {} lost part of its lookback",
+                c.task
+            );
+        }
+    }
+    assert_runs_equal(&clean, &faulted);
+    for (p, got) in faulted.joins_per_window.iter().enumerate() {
+        assert_eq!(got, &pane_truth(&docs, PANE, LOOKBACK, p), "pane {p}");
+    }
+}
+
+/// Pane 3, mid-pane: three panes are in the ring, the build is three
+/// boundaries away.
+#[test]
+fn creator_crash_before_a_repartition_keeps_the_lookback() {
+    assert_creator_crash_keeps_the_lookback(1, 3, 9);
 }
 
 /// The assigner's cross-pane state includes the retained pane tables that
@@ -158,10 +227,7 @@ fn assert_reporter_crash_delivers_once(spec: WindowSpec, seed: u64, window: u64,
     assert_eq!(ids, (0..RUN_PANES as u64).collect::<Vec<_>>());
     for ((p, got), clean) in seen.iter().zip(&clean.joins_per_window) {
         assert_eq!(got, clean, "pane {p} differs from the fault-free run");
-        let p = *p as usize;
-        let first = (p + 1).saturating_sub(spec.panes_per_window()) * pane;
-        let mut truth = ground_truth_pairs(&docs[first..(p + 1) * pane]);
-        truth.retain(|&(_, later)| later as usize / pane == p);
+        let truth = pane_truth(&docs, pane, spec.panes_per_window(), *p as usize);
         assert_eq!(got, &truth, "pane {p} differs from brute force");
     }
 }
@@ -186,6 +252,18 @@ proptest! {
     ) {
         let spec = if sliding { WindowSpec::sliding(PANE, 4) } else { WindowSpec::tumbling(PANE) };
         assert_reporter_crash_delivers_once(spec, seed, window, tuple);
+    }
+
+    /// Any single creator crash between the bootstrap (boundary 0) and the
+    /// repartition build (boundary 6), either creator, any tuple of its
+    /// 32-document share: the build still covers the whole lookback.
+    #[test]
+    fn any_creator_crash_before_a_repartition_keeps_the_lookback(
+        task in 0usize..2,
+        window in 1u64..7,
+        tuple in 0u64..32,
+    ) {
+        assert_creator_crash_keeps_the_lookback(task, window, tuple);
     }
 
     /// Any single supervised crash — any sliding component, pane, and

@@ -4,12 +4,14 @@
 //! byte-identical per-window join output to the fully-resident run.
 //!
 //! The matrix covers tumbling and sliding windows, batch sizes 1 and 64,
-//! the creator's batch path (expansion on), and a recovered crash. Every spilled run asserts `spill_bytes > 0` (the tier
+//! expansion on and off, a forced repartition that reads the creators'
+//! spilled lookback back, and a recovered crash. Every spilled run asserts
+//! `spill_bytes > 0` (the tier
 //! actually engaged — a trivially-passing test would be one that never
 //! spilled), and every resident run asserts `spill_bytes == 0` (budget 0
 //! provably installs nothing).
 
-use ssj_bench::testutil::assert_runs_equal;
+use ssj_bench::testutil::{assert_runs_equal, run_lockstep, shifting_stream};
 use ssj_core::{run_topology, run_topology_chaos, StreamJoinConfig, WindowSpec};
 use ssj_json::{Dictionary, DocId, Document};
 use ssj_runtime::FaultPlan;
@@ -105,8 +107,8 @@ fn assert_spilled_matches_resident(
 
 #[test]
 fn tumbling_batch1_expansion_matches() {
-    // Expansion on → the creator takes its batch path, so *its* buffered
-    // window view spills and is read back wholesale at the boundary.
+    // The creators' share of the bootstrap window spills too, and is read
+    // back wholesale at the boundary for the one group build.
     assert_spilled_matches_resident(WindowSpec::tumbling(PANE), 1, true, 21, "tb1pe");
 }
 
@@ -123,6 +125,68 @@ fn sliding_batch1_matches() {
 #[test]
 fn sliding_batch64_matches() {
     assert_spilled_matches_resident(WindowSpec::sliding(PANE, 3), 64, false, 24, "sb64p");
+}
+
+/// The creators' retained panes under a budget: the vocabulary shifts at
+/// pane 5 (root `vocabulary_shift_forces_a_repartition`, same lock-step
+/// setup), so at boundary 6 each creator builds groups a second time, over
+/// its half of a 4-pane lookback that by then lives in sealed runs only.
+/// The runs are read back, the groups — hence tables, hence routing and join
+/// output — are those of the resident run.
+#[test]
+fn sliding_repartition_reads_the_creators_spilled_lookback() {
+    // A creator's half pane is 1.3x the budget: one run sealed mid-pane,
+    // one at the boundary.
+    const PANE: usize = 96;
+    const LOOKBACK: usize = 4;
+    let run = |budget: u64| {
+        let dict = Dictionary::new();
+        let docs = shifting_stream(&dict, 10, PANE, 5);
+        let cfg = cfg(
+            WindowSpec::sliding(PANE, LOOKBACK),
+            1,
+            false,
+            budget,
+            "repart",
+        )
+        .with_delta(u32::MAX)
+        .build()
+        .unwrap();
+        run_lockstep(cfg, &dict, docs, FaultPlan::new()).unwrap()
+    };
+    let (resident, spilled) = (run(0), run(BUDGET));
+    for (report, budgeted) in [(&resident, false), (&spilled, true)] {
+        for c in report
+            .runtime
+            .tasks
+            .iter()
+            .filter(|t| t.component == "creator")
+        {
+            assert_eq!(c.counter("group_computations"), 2, "creator {}", c.task);
+            assert_eq!(
+                c.counter("group_build_docs") as usize,
+                PANE / 2 + LOOKBACK * PANE / 2,
+                "creator {} did not scan its whole lookback",
+                c.task
+            );
+            // Every pane was sealed in two runs, and the second build read
+            // those of the three retained panes back.
+            assert_eq!(
+                c.counter("spill_segments") >= 2 * 10,
+                budgeted,
+                "creator {}",
+                c.task
+            );
+            assert_eq!(
+                c.counter("segment_reads") >= 2 * (LOOKBACK as u64 - 1),
+                budgeted,
+                "creator {}",
+                c.task
+            );
+        }
+    }
+    assert_runs_equal(&resident, &spilled);
+    let _ = std::fs::remove_dir_all(spill_dir("repart"));
 }
 
 /// A joiner crashed mid-pane under a spilling budget recovers (segment

@@ -16,6 +16,7 @@
 
 use crate::groups::View;
 use ssj_json::{AttrId, Dictionary, Document, FxHashMap, FxHashSet};
+use std::borrow::Borrow;
 
 /// A detected expansion: the chain of combined attributes and the synthetic
 /// attribute their concatenated values intern under.
@@ -32,7 +33,8 @@ pub struct Expansion {
 
 impl Expansion {
     /// Detect whether expansion is needed for `docs` given `m` partitions;
-    /// `None` when no disabling attribute exists.
+    /// `None` when no disabling attribute exists. Takes owned documents or
+    /// shared handles ([`ssj_json::DocRef`]) alike.
     ///
     /// ```
     /// use ssj_partition::Expansion;
@@ -50,7 +52,11 @@ impl Expansion {
     /// let exp = Expansion::detect(&docs, &dict, 8).expect("flag limits m");
     /// assert_eq!(dict.attr_name(exp.synth_attr), "flag+grp");
     /// ```
-    pub fn detect(docs: &[Document], dict: &Dictionary, m: usize) -> Option<Expansion> {
+    pub fn detect<D: Borrow<Document>>(
+        docs: &[D],
+        dict: &Dictionary,
+        m: usize,
+    ) -> Option<Expansion> {
         if docs.is_empty() || m <= 1 {
             return None;
         }
@@ -58,7 +64,7 @@ impl Expansion {
         let mut freq: FxHashMap<AttrId, usize> = FxHashMap::default();
         let mut distinct: FxHashMap<AttrId, FxHashSet<u32>> = FxHashMap::default();
         for d in docs {
-            for p in d.pairs() {
+            for p in d.borrow().pairs() {
                 *freq.entry(p.attr).or_insert(0) += 1;
                 distinct.entry(p.attr).or_default().insert(p.avp.0);
             }
@@ -104,7 +110,7 @@ impl Expansion {
 
         let missing = docs
             .iter()
-            .filter(|d| chain.iter().any(|&a| !d.has_attr(a)))
+            .filter(|d| chain.iter().any(|&a| !(*d).borrow().has_attr(a)))
             .count();
         let name = chain
             .iter()
@@ -176,25 +182,25 @@ impl Expansion {
 /// Build partitioning views for a batch: expanded when possible, `None`
 /// (broadcast) when a chained attribute is missing. Without an expansion the
 /// view is simply the document's own pairs.
-pub fn batch_views(
-    docs: &[Document],
+pub fn batch_views<D: Borrow<Document>>(
+    docs: &[D],
     expansion: Option<&Expansion>,
     dict: &Dictionary,
 ) -> Vec<Option<View>> {
     docs.iter()
         .map(|d| match expansion {
-            Some(e) => e.view(d, dict),
-            None => Some(d.avps().collect()),
+            Some(e) => e.view(d.borrow(), dict),
+            None => Some(d.borrow().avps().collect()),
         })
         .collect()
 }
 
-fn combined_distinct(docs: &[Document], chain: &[AttrId]) -> usize {
+fn combined_distinct<D: Borrow<Document>>(docs: &[D], chain: &[AttrId]) -> usize {
     let mut seen: FxHashSet<Vec<u32>> = FxHashSet::default();
     'outer: for d in docs {
         let mut key = Vec::with_capacity(chain.len());
         for &a in chain {
-            match d.pair_for_attr(a) {
+            match d.borrow().pair_for_attr(a) {
                 Some(p) => key.push(p.avp.0),
                 None => continue 'outer,
             }

@@ -78,23 +78,12 @@ pub(crate) fn collect_docsets(views: &[View]) -> FxHashMap<AvpId, Vec<u32>> {
 /// but lookups hash 16 bytes instead of the whole document set and no
 /// docset is ever moved or cloned into a map key.
 pub(crate) fn group_by_docset(docsets: FxHashMap<AvpId, Vec<u32>>) -> Vec<EquivalenceGroup> {
-    group_by_docset_fp(docsets.into_iter().map(|(avp, docs)| {
-        let fp = crate::fingerprint::fingerprint_docs(&docs);
-        (avp, docs, fp)
-    }))
-}
-
-/// [`group_by_docset`] over pre-fingerprinted `(avp, docset, fp)` triples —
-/// the parallel build computes the fingerprints on worker threads.
-pub(crate) fn group_by_docset_fp(
-    triples: impl Iterator<Item = (AvpId, Vec<u32>, crate::fingerprint::Fp128)>,
-) -> Vec<EquivalenceGroup> {
-    use crate::fingerprint::Fp128;
+    use crate::fingerprint::{fingerprint_docs, Fp128};
     // fp → indices into `groups`; collisions resolved by docset equality.
     let mut buckets: FxHashMap<Fp128, Vec<u32>> = FxHashMap::default();
     let mut groups: Vec<EquivalenceGroup> = Vec::new();
-    for (avp, docs, fp) in triples {
-        let bucket = buckets.entry(fp).or_default();
+    for (avp, docs) in docsets {
+        let bucket = buckets.entry(fingerprint_docs(&docs)).or_default();
         match bucket.iter().find(|&&gi| groups[gi as usize].docs == docs) {
             Some(&gi) => groups[gi as usize].avps.push(avp),
             None => {
@@ -171,9 +160,9 @@ pub fn association_groups(views: &[View]) -> Vec<AssociationGroup> {
 }
 
 /// Algorithm 1's implies-merge scan over already-computed equivalence
-/// groups. Shared by the batch path, the incremental
-/// [`GroupIndex`](crate::incremental::GroupIndex), and the parallel build,
-/// so all three produce identical association groups by construction.
+/// groups. Shared by the batch path and the incremental
+/// [`GroupIndex`](crate::incremental::GroupIndex), so both produce
+/// identical association groups by construction.
 pub fn association_groups_from(egs: Vec<EquivalenceGroup>) -> Vec<AssociationGroup> {
     let mut refs: Vec<EgRef> = egs
         .iter()
@@ -274,9 +263,7 @@ impl DocIndex {
 /// groups: `absorber[j]` is the group `j` was folded into, or
 /// [`NOT_ABSORBED`]. Each group is absorbed by its *smallest* implying
 /// group; that group is itself never absorbed (its own smallest implier
-/// would be a smaller implier of `j`, a contradiction), which is what lets
-/// the parallel scan reproduce this table without the sequential
-/// `absorbed` bookkeeping.
+/// would be a smaller implier of `j`, a contradiction).
 pub(crate) fn sequential_absorbers(egs: &[EgRef], by_doc: &DocIndex) -> Vec<u32> {
     let mut absorber = vec![NOT_ABSORBED; egs.len()];
     for i in 0..egs.len() {
@@ -301,8 +288,7 @@ pub(crate) fn sequential_absorbers(egs: &[EgRef], by_doc: &DocIndex) -> Vec<u32>
 }
 
 /// Fold absorbed groups into their absorbers and emit the association
-/// groups in ascending leader order — a pure function of `(egs, absorber)`,
-/// shared by the sequential and parallel builds.
+/// groups in ascending leader order — a pure function of `(egs, absorber)`.
 pub(crate) fn assemble_groups(egs: &[EgRef], absorber: &[u32]) -> Vec<AssociationGroup> {
     // `(absorber, member)` pairs sorted by absorber: each leader's members
     // form one contiguous run, in the same ascending-j order the old

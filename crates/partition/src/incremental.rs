@@ -45,8 +45,7 @@ struct Slot {
     avps: Vec<AvpId>,
 }
 
-/// Counters describing how much work the index actually did — surfaced as
-/// the `group_deltas` / `groups_reused` metrics of the PartitionCreator.
+/// Counters describing how much work the index actually did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// Views inserted over the index's lifetime.
@@ -119,10 +118,7 @@ impl GroupIndex {
 
     /// Approximate heap footprint in bytes: live views, docsets, the
     /// fingerprint buckets, and the cached group slots (hash maps counted
-    /// at entry size, ignoring table load factor). Surfaced by the
-    /// PartitionCreator's `index_bytes` gauge so the out-of-core layer
-    /// (DESIGN.md §4i) can show the incremental index stays compact —
-    /// which is why pane expiry frees it in place instead of spilling it.
+    /// at entry size, ignoring table load factor).
     pub fn approx_bytes(&self) -> usize {
         let entry = |payload: usize| payload + std::mem::size_of::<u64>();
         let live: usize = self

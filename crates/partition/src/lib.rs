@@ -33,7 +33,6 @@ pub mod groups;
 pub mod hashpart;
 pub mod incremental;
 pub mod merger;
-pub mod parallel;
 pub mod partitions;
 pub mod quality;
 pub mod sc;
@@ -49,7 +48,6 @@ pub use groups::{
 pub use hashpart::HashPartitioner;
 pub use incremental::{GroupIndex, IndexStats};
 pub use merger::{consolidate, merge_and_assign};
-pub use parallel::{association_groups_parallel, association_groups_sharded};
 pub use partitions::{
     assign_groups, route_batch, PartitionTable, Route, RouteOutcome, RouteScratch, RoutingStats,
 };

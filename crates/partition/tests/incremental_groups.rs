@@ -1,6 +1,6 @@
 //! Differential tests for the fast partitioning pipeline.
 //!
-//! Three equivalences, each held across randomized inputs:
+//! Two equivalences, each held across randomized inputs:
 //!
 //! 1. **Incremental ≡ batch**: a [`GroupIndex`] driven through a random
 //!    interleaving of pushes, expiries, and derives produces exactly the
@@ -9,17 +9,15 @@
 //!    produces. Equivalence groups agree modulo the order-preserving
 //!    document-id relabeling (the index hands out monotone ids, the batch
 //!    uses 0-based indices).
-//! 2. **Parallel ≡ sequential**: the sharded build is byte-identical to the
-//!    sequential one for any worker count.
-//! 3. **`route_into` ≡ `route`**: the zero-alloc mask fast path (with and
+//! 2. **`route_into` ≡ `route`**: the zero-alloc mask fast path (with and
 //!    without the fingerprint cache) returns the same targets as the
 //!    allocating `route`, including the `m > 64` fallback.
 
 use proptest::prelude::*;
 use ssj_json::AvpId;
 use ssj_partition::{
-    assign_groups, association_groups, association_groups_sharded, equivalence_groups,
-    fingerprint_view, GroupIndex, PartitionTable, RouteScratch, View,
+    assign_groups, association_groups, equivalence_groups, fingerprint_view, GroupIndex,
+    PartitionTable, RouteScratch, View,
 };
 
 /// Deterministic pseudo-random views over a small vocabulary (the same LCG
@@ -119,24 +117,7 @@ proptest! {
         assert_matches_batch(&mut idx, &live)?;
     }
 
-    /// Equivalence 2: the sharded build is byte-identical to the
-    /// sequential one for any worker count (forced below the size cutoff).
-    #[test]
-    fn sharded_build_matches_sequential(
-        seed in 0u64..u64::MAX,
-        docs in 2usize..80,
-        vocab in 3u32..24,
-        max_len in 1usize..6,
-        workers in 2usize..9,
-    ) {
-        let views = gen_views(seed, docs, vocab, max_len);
-        prop_assert_eq!(
-            association_groups_sharded(&views, workers),
-            association_groups(&views)
-        );
-    }
-
-    /// Equivalence 3a: the mask fast path agrees with `route` on every
+    /// Equivalence 2a: the mask fast path agrees with `route` on every
     /// view — creation-batch views (all pairs known) and unseen ones.
     #[test]
     fn route_into_matches_route(
@@ -181,7 +162,7 @@ proptest! {
         }
     }
 
-    /// Equivalence 3b: above 64 machines the bitmask no longer fits and
+    /// Equivalence 2b: above 64 machines the bitmask no longer fits and
     /// `route_into` takes the sort-dedup fallback — still identical.
     #[test]
     fn route_into_matches_route_beyond_mask_width(

@@ -79,13 +79,15 @@ stage "distributed CLI" cargo test -q -p ssj-cli --test distributed
 
 # Pane-chained runtime == oracle == brute force, route-cache expiry on
 # pane eviction, crash-and-recover inside a sliding run (incl. a joiner
-# crashed after whole micro-batches were joined into its open tree).
+# crashed after whole micro-batches were joined into its open tree, and a
+# creator crashed between the bootstrap and a repartition).
 stage "sliding equivalence" cargo test -q -p ssj-core --test sliding_equivalence
 stage "route-cache expiry" cargo test -q -p ssj-core --test route_cache_expiry
 stage "sliding chaos" cargo test -q -p ssj-core --test sliding_chaos
 
-# Spilled == resident join output across window shapes, batch sizes,
-# and a recovered crash; budget 0 provably installs nothing.
+# Spilled == resident join output across window shapes, batch sizes, a
+# repartition built from the creators' spilled lookback, and a recovered
+# crash; budget 0 provably installs nothing.
 stage "spill equivalence" cargo test -q -p ssj-core --test spill_equivalence
 
 # The reporter hands each window to the run's sink once, in order, canonical,
@@ -97,20 +99,32 @@ result_path() {
 }
 stage "result path" result_path
 
+# A repartition that fires: a vocabulary shift makes the Assigners signal,
+# every creator builds groups a second time over its whole lookback (tumbling
+# with and without expansion, sliding), a second table is deployed, output ==
+# brute force; a creator bolt's LocalGroups == association_groups over exactly
+# its retained panes == what a GroupIndex derives from the same deltas.
+repartition_path() {
+    cargo test -q --test end_to_end vocabulary_shift_forces_a_repartition
+    cargo test -q -p ssj-core --test components creator_builds_over_exactly_its_lookback
+}
+stage "repartition path" repartition_path
+
 stage "bench_partition build" cargo build --release -q -p ssj-bench --bin bench_partition
-# Partitioning smoke bench: the in-process ratios (incremental vs from-scratch
-# derives, fast vs legacy routing) >= 0.75x the committed baseline's, best of
-# two runs; absolute rates are printed, not gated, and the >= 2x / >= 1x claims
-# are enforced by the run that records a baseline, not here.
+# Partitioning smoke bench: the in-process ratio of fast over legacy routing
+# >= 0.75x the committed baseline's, best of two runs; absolute rates are
+# printed, not gated, and the >= 1x claim is enforced by the run that records a
+# baseline, not here.
 stage "bench_partition gate" ./target/release/bench_partition --check BENCH_partition.json
 
 # Count-allocs build, 0 allocs/route.
 stage "routing alloc audit" cargo run --release -q -p ssj-bench --features count-allocs --bin bench_partition -- --audit
 
 stage "bench_runtime build" cargo build --release -q -p ssj-bench --bin bench_runtime
-# Throughput vs committed baseline: 20% regression on every id (chain/*,
-# join/*, sched/m=*, transport/{inproc,socket}, sliding/*), sliding
-# 16-pane >= 0.3x 1-pane.
+# Runtime smoke bench: three in-process ratios (16-pane over 1-pane sliding,
+# socket over in-process transport, batch 32 over batch 1 chain) >= 0.75x the
+# committed baseline's, best of two runs; absolute rates are printed, not
+# gated.
 stage "bench_runtime gate" ./target/release/bench_runtime --check BENCH_runtime.json
 
 # Join smoke, metrics on vs off, >5% fails.

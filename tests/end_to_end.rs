@@ -12,6 +12,7 @@ use schema_free_stream_joins::ssj_join::JoinAlgo;
 use schema_free_stream_joins::ssj_json::{Dictionary, Document, FxHashSet};
 use schema_free_stream_joins::ssj_partition::PartitionerKind;
 use schema_free_stream_joins::ssj_runtime::FaultPlan;
+use ssj_bench::testutil::{run_lockstep, shifting_stream};
 
 fn serverlog(dict: &Dictionary, n: usize) -> Vec<Document> {
     ServerLogGen::new(ServerLogConfig::default(), dict.clone()).take_docs(n)
@@ -287,6 +288,89 @@ fn joins_on_arrival_across_micro_batches_and_shifting_attributes() {
     }
 }
 
+/// The rare path: a repartition that fires. The value vocabulary changes at
+/// pane 5 of 10, so the bootstrap table knows none of the later pairs, every
+/// document of pane 5 is broadcast, and both Assigners see replication jump
+/// past θ over the (constant) baseline of panes 1–4. Both creators then
+/// build groups a second time — at boundary 6, over their share of the whole
+/// lookback, not of one pane — and the Merger deploys a second table that
+/// routes the new vocabulary from pane 7 on. The run is in lock-step so the
+/// signals reach the creators before pane 6 does, every time. δ-updates are
+/// off (`delta` = max): they would teach the old table the new pairs one by
+/// one, and a table refreshed that way resets the baseline in a race with
+/// the θ signal. `batch_size` 1 makes the shuffle per-document, so each
+/// creator holds exactly half of every pane.
+#[test]
+fn vocabulary_shift_forces_a_repartition() {
+    const PANE: usize = 128;
+    const RUN_PANES: usize = 10;
+    const SHIFT: usize = 5;
+    const M: usize = 4;
+    let dict = Dictionary::new();
+    let docs = shifting_stream(&dict, RUN_PANES, PANE, SHIFT);
+    for (spec, expansion) in [
+        (WindowSpec::tumbling(PANE), true),
+        (WindowSpec::tumbling(PANE), false),
+        (WindowSpec::sliding(PANE, 4), false),
+    ] {
+        let what = format!("{spec:?}, expansion {expansion}");
+        let cfg = StreamJoinConfig::default()
+            .with_m(M)
+            .with_window_spec(spec)
+            .with_expansion(expansion)
+            .with_partition_creators(2)
+            .with_assigners(2)
+            .with_delta(u32::MAX)
+            .with_batch_size(1)
+            .build()
+            .unwrap();
+        let report = run_lockstep(cfg, &dict, docs.clone(), FaultPlan::new()).expect("run");
+        let rt = &report.runtime;
+
+        let signals = rt.component_counter("assigner", "repartition_signals");
+        assert_eq!(signals, 2, "{what}: one signal per assigner");
+        let creators: Vec<_> = rt
+            .tasks
+            .iter()
+            .filter(|t| t.component == "creator")
+            .collect();
+        assert_eq!(creators.len(), 2);
+        for c in &creators {
+            assert_eq!(
+                c.counter("group_computations"),
+                2,
+                "{what}: creator {}",
+                c.task
+            );
+            // The bootstrap scans this creator's half of pane 0, the second
+            // build its half of every pane in the lookback.
+            assert_eq!(
+                c.counter("group_build_docs") as usize,
+                PANE / 2 + spec.panes_per_window() * PANE / 2,
+                "{what}: creator {} did not scan its whole lookback",
+                c.task
+            );
+        }
+        let tables = rt.component_counter("merger", "table_broadcasts");
+        assert_eq!(tables, 2, "{what}: tables deployed");
+        // The second table took effect: panes 5 and 6 went to every joiner,
+        // from pane 7 on documents are routed again.
+        let copies = |p: usize| report.docs_per_joiner[p].iter().sum::<usize>();
+        assert_eq!(
+            (copies(SHIFT), copies(SHIFT + 1)),
+            (M * PANE, M * PANE),
+            "{what}"
+        );
+        for p in SHIFT + 2..RUN_PANES {
+            assert!(copies(p) < M * PANE, "{what}: pane {p} still broadcast");
+        }
+
+        let truth = pane_filtered_brute_force(&docs, PANE, spec.panes_per_window());
+        assert!(truth.iter().all(|pane| !pane.is_empty()));
+        assert_eq!(report.joins_per_window, truth, "{what}");
+    }
+}
+
 #[test]
 fn topology_scales_joiner_count() {
     for m in [1usize, 2, 6] {
@@ -481,8 +565,9 @@ fn results_leave_the_topology_window_by_window() {
         let sink = {
             let (calls, emitted) = (Arc::clone(&calls), Arc::clone(&emitted));
             move |w: WindowResult| {
-                let _ = released.send(());
+                // Read the reader's position before letting it go on.
                 let at = emitted.load(Ordering::SeqCst);
+                let _ = released.send(());
                 calls.lock().unwrap().push((w, at));
             }
         };
