@@ -10,8 +10,8 @@
 //!
 //! The skew generators overlay a `HotKey` attribute on the existing
 //! datasets (§VII-B), with values drawn from a Zipfian rank distribution:
-//! rank 0 concentrates load on one association group, which is what the
-//! hot-group replication path (DESIGN.md §4h) responds to.
+//! rank 0 concentrates load on one association group, so the one joiner
+//! that group is placed on carries its quadratic join (DESIGN.md §4h).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -214,16 +214,16 @@ pub fn skewed_docs(
 /// `cfg.keys` sessions (Zipf-distributed over the ranks), carries the
 /// session pair plus a handful of session-namespaced filler attributes.
 ///
-/// Two properties matter for the replication experiments:
+/// Two properties matter for the skew experiments:
 ///
 /// * The vocabulary is tiny and fixed, so a routing table built over any
 ///   window prefix covers the whole stream — no unknown-pair broadcasts,
-///   which means skew-aware replica routing actually engages (the open
-///   datasets' novelty churn makes every view partially unknown and
-///   forces the exactness broadcast instead).
+///   so documents really are routed by the table (the open datasets'
+///   novelty churn makes every view partially unknown and forces the
+///   exactness broadcast instead).
 /// * Filler values are namespaced by session, so documents join exactly
 ///   within their session: the hot session IS the hot association group,
-///   and its quadratic probe load is what replication spreads.
+///   and its quadratic probe load lands on the joiner it is placed on.
 ///
 /// `cfg.attach` is the probability a document carries filler pairs at all
 /// (a bare session pair still joins). Deterministic under `cfg.seed`.

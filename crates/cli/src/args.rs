@@ -100,20 +100,6 @@ const POOL_WORKERS: FlagSpec = opt(
     "pool worker threads scheduling the bolt tasks (0 = one per core)",
 );
 const PIN_CORES: FlagSpec = flag("pin-cores", "pin pool workers to CPU cores (Linux)");
-const REPLICATE_HOT: FlagSpec = flag(
-    "replicate-hot",
-    "replicate hot association groups across joiners (needs --no-expansion)",
-);
-const HOT_FACTOR: FlagSpec = opt(
-    "hot-factor",
-    Some("4.0"),
-    "hot when group load > FACTOR x window docs / m (with --replicate-hot)",
-);
-const SHED_BUDGET: FlagSpec = opt(
-    "shed-budget",
-    Some("0"),
-    "shed probe-only joiner input above this queue depth (0 = never shed)",
-);
 const MEM_BUDGET: FlagSpec = opt(
     "mem-budget",
     Some("0"),
@@ -242,7 +228,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             WINDOW,
             PANE,
             SLIDE,
-            PARTITIONER,
             THETA,
             DELTA,
             CREATORS,
@@ -250,9 +235,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             BATCH,
             ALGO,
             NO_EXPANSION,
-            REPLICATE_HOT,
-            HOT_FACTOR,
-            SHED_BUDGET,
             RETRIES,
             BACKOFF_MS,
             DEGRADED,
@@ -275,7 +257,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             WINDOW,
             PANE,
             SLIDE,
-            PARTITIONER,
             THETA,
             DELTA,
             CREATORS,
@@ -283,9 +264,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             BATCH,
             ALGO,
             NO_EXPANSION,
-            REPLICATE_HOT,
-            HOT_FACTOR,
-            SHED_BUDGET,
             RETRIES,
             BACKOFF_MS,
             DEGRADED,
@@ -469,19 +447,21 @@ mod tests {
     }
 
     #[test]
-    fn skew_flags_parse_on_topology_and_run() {
-        let a = parse(&["run", "--replicate-hot", "--hot-factor", "1.5"]);
-        assert!(a.flag("replicate-hot"));
-        assert_eq!(a.get_or("hot-factor", 4.0).unwrap(), 1.5);
-        let t = parse(&["topology", "--shed-budget", "128"]);
-        assert_eq!(t.get_or("shed-budget", 0usize).unwrap(), 128);
-        // Shedding and replication are runtime policies: the batch
-        // pipeline has no queues to shed from and no replica routing.
-        assert!(Args::parse(["pipeline".into(), "--replicate-hot".into()]).is_err());
-        assert!(Args::parse(["pipeline".into(), "--shed-budget".into(), "8".into()]).is_err());
-        for f in ["--replicate-hot", "--hot-factor", "--shed-budget"] {
-            assert!(usage().contains(f), "usage misses {f}");
+    fn partitioner_only_where_it_is_read() {
+        // The topology's bolts always partition with AG, so `run` and
+        // `topology` reject `--partitioner` instead of ignoring it.
+        for cmd in ["run", "topology"] {
+            let err = Args::parse([cmd.into(), "--partitioner".into(), "sc".into()]).unwrap_err();
+            assert!(err.starts_with("unknown option --partitioner"), "{err}");
         }
+        assert_eq!(
+            parse(&["pipeline", "--partitioner", "sc"]).get("partitioner"),
+            Some("sc")
+        );
+        assert_eq!(
+            parse(&["partition", "--partitioner", "ds"]).get("partitioner"),
+            Some("ds")
+        );
     }
 
     #[test]

@@ -201,9 +201,6 @@ fn pipeline_config(args: &Args, metrics: bool) -> Result<StreamJoinConfig, Strin
         .with_assigners(args.get_or("assigners", 6)?)
         .with_batch_size(args.get_or("batch", 64)?)
         .with_metrics(metrics)
-        .with_replicate_hot(args.flag("replicate-hot"))
-        .with_hot_factor(args.get_or("hot-factor", 4.0)?)
-        .with_shed_budget(args.get_or("shed-budget", 0)?)
         .with_retries(args.get_or("retries", 0)?)
         .with_backoff_ms(args.get_or("backoff-ms", 20)?)
         .with_degraded(args.flag("degraded"))

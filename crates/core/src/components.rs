@@ -16,7 +16,7 @@
 //!   and emits the pane's pairs at the boundary.
 
 use crate::config::StreamJoinConfig;
-use crate::msg::{HotSpec, Msg, TableMsg};
+use crate::msg::{Msg, TableMsg};
 use crate::spill::{BlockCache, Segment, SpillSettings, SpillStore};
 use ssj_join::{FpTree, JoinAlgo};
 use ssj_json::{AvpId, Dictionary, DocRef, FxHashSet};
@@ -212,20 +212,11 @@ impl Bolt<Msg> for PartitionCreator {
                     views.extend(chunk.iter().map(|d| d.avps().collect::<View>()));
                 });
             }
-            let groups = association_groups(&views);
-            // replicate_hot implies expansion off (config validation), so
-            // hot groups are never flagged over synthetic pairs.
-            let hot = if self.config.replicate_hot {
-                hot_groups(&groups, share, self.config.hot_factor, self.config.m)
-            } else {
-                Vec::new()
-            };
             out.emit(Msg::LocalGroups {
                 window,
                 creator: self.task,
-                groups,
+                groups: association_groups(&views),
                 expansion,
-                hot,
             });
             self.compute_pending = false;
             if let Some(inst) = &self.inst {
@@ -282,90 +273,7 @@ impl Bolt<Msg> for PartitionCreator {
 struct MergerState {
     table: ssj_partition::PartitionTable,
     expansion: Option<Expansion>,
-    hot: Vec<HotSpec>,
     dirty: bool,
-}
-
-/// Flag hot association groups (DESIGN.md §4h): a group is hot when its
-/// load exceeds `hot_factor` times the fair per-partition share of the
-/// pane's *documents* — `hot_factor · window_docs / m`. The denominator is
-/// deliberately the document count, not the sum of group loads: a document
-/// whose pairs span several groups counts once per group in the load sum,
-/// which would inflate the threshold with the grouping's fragmentation and
-/// let a group owning half the pane pass as cold. Returns every member
-/// pair of each hot group, tagged with the group's load.
-fn hot_groups(
-    groups: &[ssj_partition::AssociationGroup],
-    window_docs: usize,
-    hot_factor: f64,
-    m: usize,
-) -> Vec<(AvpId, u64)> {
-    if window_docs == 0 {
-        return Vec::new();
-    }
-    let threshold = hot_factor * window_docs as f64 / m as f64;
-    let mut hot = Vec::new();
-    for g in groups {
-        if g.load as f64 > threshold {
-            hot.extend(g.avps.iter().map(|&a| (a, g.load as u64)));
-        }
-    }
-    hot
-}
-
-/// Replica buckets for hot pairs at `m` partitions: the largest `r ≤ 4`
-/// whose `r·(r+1)/2` cells fit into `m`. A pure function of `m`, so every
-/// run with the same config replicates identically.
-fn replica_count(m: usize) -> u32 {
-    let mut r = 2;
-    for cand in [3u32, 4] {
-        if HotSpec::cell_count(cand) <= m {
-            r = cand;
-        }
-    }
-    r
-}
-
-/// Place each hot pair's replica cells round-robin over the partitions in
-/// ascending declared-load order, bumping the declared loads so the base
-/// table's balance accounting sees the replicated work. Deterministic:
-/// `hot` must arrive sorted; ties in load break by partition index.
-fn place_hot_cells(
-    hot: &[(AvpId, u64)],
-    m: usize,
-    table: &mut ssj_partition::PartitionTable,
-) -> Vec<HotSpec> {
-    if hot.is_empty() {
-        return Vec::new();
-    }
-    let r = replica_count(m);
-    let ncells = HotSpec::cell_count(r);
-    let mut order: Vec<u32> = (0..m as u32).collect();
-    order.sort_by_key(|&p| (table.declared_load(p), p));
-    let mut next = 0usize;
-    let mut specs: Vec<HotSpec> = hot
-        .iter()
-        .map(|&(avp, load)| {
-            let cells: Vec<u32> = (0..ncells)
-                .map(|_| {
-                    let p = order[next % m];
-                    next += 1;
-                    p
-                })
-                .collect();
-            let share = (load as usize / ncells).max(1);
-            for &c in &cells {
-                table.bump_load(c, share);
-            }
-            HotSpec {
-                avp,
-                replicas: r,
-                cells,
-            }
-        })
-        .collect();
-    specs.sort_by_key(|h| h.avp);
-    specs
 }
 
 /// Window-boundary snapshot of the [`Assigner`]'s cross-window state.
@@ -381,12 +289,11 @@ struct AssignerState {
 }
 
 /// One creator's window contribution buffered by the [`Merger`]:
-/// `(creator, groups, expansion, hot pairs)`.
+/// `(creator, groups, expansion)`.
 type PendingGroups = (
     usize,
     Vec<ssj_partition::AssociationGroup>,
     Option<Expansion>,
-    Vec<(AvpId, u64)>,
 );
 
 /// Merger bolt (§IV-A consolidation + §VI-A updates). Exactly one instance.
@@ -399,9 +306,6 @@ pub struct Merger {
     pending: Vec<PendingGroups>,
     table: ssj_partition::PartitionTable,
     expansion: Option<Expansion>,
-    /// Deployed replica-cell placements for hot pairs, sorted by pair
-    /// (empty unless `config.replicate_hot`).
-    hot: Vec<HotSpec>,
     /// Table changed through updates since the last broadcast.
     dirty: bool,
     inst: Option<Arc<TaskInstruments>>,
@@ -414,16 +318,10 @@ impl Merger {
             table: ssj_partition::PartitionTable::empty(config.m),
             pending: Vec::new(),
             expansion: None,
-            hot: Vec::new(),
             dirty: false,
             inst: None,
             config,
         }
-    }
-
-    /// Whether `avp` is currently replicated (sorted-list lookup).
-    fn is_hot(&self, avp: AvpId) -> bool {
-        self.hot.binary_search_by_key(&avp, |h| h.avp).is_ok()
     }
 
     fn trace_table(&self, window: u64) {
@@ -452,16 +350,11 @@ impl Bolt<Msg> for Merger {
                 creator,
                 groups,
                 expansion,
-                hot,
                 ..
             } => {
-                self.pending.push((creator, groups, expansion, hot));
+                self.pending.push((creator, groups, expansion));
             }
-            // Hot pairs are deliberately absent from the base table; a
-            // δ-update must not re-add one a stale assigner asks about.
-            Msg::UpdateRequest(avp)
-                if self.table.partitions_of(avp).is_empty() && !self.is_hot(avp) =>
-            {
+            Msg::UpdateRequest(avp) if self.table.partitions_of(avp).is_empty() => {
                 let p = self.table.least_loaded();
                 self.table.add_avp(p, avp);
                 self.table.bump_load(p, 1);
@@ -479,58 +372,18 @@ impl Bolt<Msg> for Merger {
     fn on_punct(&mut self, window: u64, out: &mut Outbox<Msg>) {
         if !self.pending.is_empty() {
             // Deterministic creator order.
-            self.pending.sort_by_key(|(c, _, _, _)| *c);
-            // Union the creators' hot flags (summing loads), then strip hot
-            // pairs from the base groups: a hot pair routes exclusively via
-            // its replica cells, and a second base placement would only
-            // re-concentrate its load on one partition.
-            let mut hot_loads: Vec<(AvpId, u64)> = Vec::new();
-            for (_, _, _, h) in &self.pending {
-                for &(avp, load) in h {
-                    match hot_loads.iter_mut().find(|(a, _)| *a == avp) {
-                        Some((_, l)) => *l += load,
-                        None => hot_loads.push((avp, load)),
-                    }
-                }
-            }
-            hot_loads.sort_by_key(|&(avp, load)| (std::cmp::Reverse(load), avp));
-            let hot_set: FxHashSet<AvpId> = hot_loads.iter().map(|&(a, _)| a).collect();
-            let locals: Vec<Vec<ssj_partition::AssociationGroup>> = self
-                .pending
-                .iter()
-                .map(|(_, gs, _, _)| {
-                    if hot_set.is_empty() {
-                        return gs.clone();
-                    }
-                    gs.iter()
-                        .filter_map(|g| {
-                            let avps: Vec<AvpId> = g
-                                .avps
-                                .iter()
-                                .copied()
-                                .filter(|a| !hot_set.contains(a))
-                                .collect();
-                            if avps.is_empty() {
-                                None
-                            } else {
-                                Some(ssj_partition::AssociationGroup { avps, load: g.load })
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
+            self.pending.sort_by_key(|(c, _, _)| *c);
+            let locals = self.pending.iter().map(|(_, gs, _)| gs.clone()).collect();
             self.table = merge_and_assign(locals, self.config.m);
-            self.hot = place_hot_cells(&hot_loads, self.config.m, &mut self.table);
             // Adopt the first creator's expansion proposal (creators see
             // shuffle-shares of the same window, so they virtually always
             // agree on the disabling/combining chain).
-            self.expansion = self.pending.iter().find_map(|(_, _, e, _)| e.clone());
+            self.expansion = self.pending.iter().find_map(|(_, _, e)| e.clone());
             self.dirty = false;
             out.emit(Msg::Table(Arc::new(TableMsg {
                 window,
                 table: self.table.clone(),
                 expansion: self.expansion.clone(),
-                hot: self.hot.clone(),
             })));
             self.trace_table(window);
         } else if self.dirty {
@@ -539,7 +392,6 @@ impl Bolt<Msg> for Merger {
                 window,
                 table: self.table.clone(),
                 expansion: self.expansion.clone(),
-                hot: self.hot.clone(),
             })));
             self.trace_table(window);
         }
@@ -552,7 +404,6 @@ impl Bolt<Msg> for Merger {
         Some(Box::new(MergerState {
             table: self.table.clone(),
             expansion: self.expansion.clone(),
-            hot: self.hot.clone(),
             dirty: self.dirty,
         }))
     }
@@ -563,7 +414,6 @@ impl Bolt<Msg> for Merger {
             .ok_or_else(|| "Merger snapshot type mismatch".to_string())?;
         self.table = s.table.clone();
         self.expansion = s.expansion.clone();
-        self.hot = s.hot.clone();
         self.dirty = s.dirty;
         self.pending.clear();
         Ok(())
@@ -608,14 +458,7 @@ pub struct Assigner {
     update_reqs: usize,
     routes_cached: usize,
     cache_misses: usize,
-    hot_routed: usize,
     inst: Option<Arc<TaskInstruments>>,
-}
-
-/// Whether any pair of `view` is replicated under `t` (cheap gate: the
-/// common case is an empty hot list, one `is_empty` check per table).
-fn touches_hot(t: &TableMsg, view: &[AvpId]) -> bool {
-    !t.hot.is_empty() && view.iter().any(|&a| t.hot_spec(a).is_some())
 }
 
 impl Assigner {
@@ -639,64 +482,11 @@ impl Assigner {
             update_reqs: 0,
             routes_cached: 0,
             cache_misses: 0,
-            hot_routed: 0,
             inst: None,
             config,
             dict,
         }
     }
-}
-
-/// Route a document that touches at least one replicated hot pair — under
-/// the current table or a retained one. The mask depends on the document
-/// id (replica buckets), so this path never consults or fills the
-/// view-fingerprint cache. Returns `false` (broadcast) when the view has
-/// an unknown non-hot pair, exactly like the base path; a broadcast
-/// reaches every cell, so hot coverage is preserved.
-#[allow(clippy::too_many_arguments)]
-fn route_hot(
-    t: &TableMsg,
-    retired: &VecDeque<(Arc<TableMsg>, u64)>,
-    view: &[AvpId],
-    doc_id: u64,
-    unseen: &mut UnseenTracker,
-    scratch: &mut RouteScratch,
-    update_reqs: &mut usize,
-    out: &mut Outbox<Msg>,
-) -> bool {
-    let mut mask = 0u64;
-    let mut unknown = false;
-    for &avp in view {
-        if let Some(spec) = t.hot_spec(avp) {
-            mask |= spec.bucket_mask(spec.bucket_of(doc_id));
-        } else {
-            let am = t.table.avp_mask(avp);
-            if am == 0 {
-                unknown = true;
-                if unseen.observe(avp) {
-                    *update_reqs += 1;
-                    out.emit(Msg::UpdateRequest(avp));
-                }
-            } else {
-                mask |= am;
-            }
-        }
-    }
-    if unknown || mask == 0 {
-        return false;
-    }
-    // Retained pane tables (sliding only) contribute extra targets,
-    // including their own replica cells for pairs hot under them.
-    for (rt, _) in retired {
-        for &avp in view {
-            match rt.hot_spec(avp) {
-                Some(spec) => mask |= spec.bucket_mask(spec.bucket_of(doc_id)),
-                None => mask |= rt.table.avp_mask(avp),
-            }
-        }
-    }
-    scratch.set_targets_from_mask(mask);
-    true
 }
 
 impl Bolt<Msg> for Assigner {
@@ -723,100 +513,75 @@ impl Bolt<Msg> for Assigner {
                 // broadcast (no table yet, expansion failed, unknown pair,
                 // or nothing matched).
                 let matched = match &self.current {
-                    Some(t) if have_view => {
-                        if touches_hot(t, &self.view_buf)
-                            || self
-                                .retired
-                                .iter()
-                                .any(|(rt, _)| touches_hot(rt, &self.view_buf))
-                        {
-                            // Replicated pair: id-dependent bucket routing,
-                            // uncached (DESIGN.md §4h). Only reachable with
-                            // replicate_hot on, which implies m <= 64.
-                            let hit = route_hot(
-                                t,
-                                &self.retired,
-                                &self.view_buf,
-                                doc.id().0,
-                                &mut self.unseen,
-                                &mut self.scratch,
-                                &mut self.update_reqs,
-                                out,
-                            );
-                            if hit {
-                                self.hot_routed += 1;
-                            }
-                            hit
-                        } else if t.table.mask_supported() {
-                            // Fast path: one u64 OR per pair, where a zero
-                            // pair mask doubles as the unknown-pair test.
-                            // Repeated view shapes hit the fingerprint cache
-                            // and skip the table walk entirely; only fully
-                            // known views are cached, so δ-tracking sees
-                            // every unknown pair exactly as before.
-                            let fp = fingerprint_view(self.view_buf.iter().copied());
-                            if let Some(mask) = self.scratch.cache_get(fp) {
-                                self.routes_cached += 1;
-                                self.scratch.set_targets_from_mask(mask);
-                                true
-                            } else {
-                                self.cache_misses += 1;
-                                let mut mask = 0u64;
-                                let mut unknown = false;
-                                for &avp in &self.view_buf {
-                                    let am = t.table.avp_mask(avp);
-                                    if am == 0 {
-                                        unknown = true;
-                                        if self.unseen.observe(avp) {
-                                            self.update_reqs += 1;
-                                            out.emit(Msg::UpdateRequest(avp));
-                                        }
-                                    }
-                                    mask |= am;
-                                }
-                                if unknown || mask == 0 {
-                                    false
-                                } else {
-                                    // Retained pane tables (sliding only)
-                                    // add targets so a pane-spanning pair
-                                    // meets wherever its earlier document
-                                    // was routed; they never influence the
-                                    // broadcast/unknown decision above.
-                                    for (rt, _) in &self.retired {
-                                        mask |= rt.table.view_mask(&self.view_buf);
-                                    }
-                                    self.scratch.cache_put(fp, mask);
-                                    self.scratch.set_targets_from_mask(mask);
-                                    true
-                                }
-                            }
+                    Some(t) if have_view && t.table.mask_supported() => {
+                        // Fast path: one u64 OR per pair, where a zero
+                        // pair mask doubles as the unknown-pair test.
+                        // Repeated view shapes hit the fingerprint cache
+                        // and skip the table walk entirely; only fully
+                        // known views are cached, so δ-tracking sees
+                        // every unknown pair exactly as before.
+                        let fp = fingerprint_view(self.view_buf.iter().copied());
+                        if let Some(mask) = self.scratch.cache_get(fp) {
+                            self.routes_cached += 1;
+                            self.scratch.set_targets_from_mask(mask);
+                            true
                         } else {
-                            // m > 64: no bitmasks; explicit unknown scan,
-                            // then the reusable sort/dedup fallback.
+                            self.cache_misses += 1;
+                            let mut mask = 0u64;
                             let mut unknown = false;
                             for &avp in &self.view_buf {
-                                if t.table.partitions_of(avp).is_empty() {
+                                let am = t.table.avp_mask(avp);
+                                if am == 0 {
                                     unknown = true;
                                     if self.unseen.observe(avp) {
                                         self.update_reqs += 1;
                                         out.emit(Msg::UpdateRequest(avp));
                                     }
                                 }
+                                mask |= am;
                             }
-                            let matched = !unknown
-                                && t.table.route_into(&self.view_buf, &mut self.scratch)
-                                    == RouteOutcome::Matched;
-                            if matched {
+                            if unknown || mask == 0 {
+                                false
+                            } else {
+                                // Retained pane tables (sliding only)
+                                // add targets so a pane-spanning pair
+                                // meets wherever its earlier document
+                                // was routed; they never influence the
+                                // broadcast/unknown decision above.
                                 for (rt, _) in &self.retired {
-                                    for &avp in &self.view_buf {
-                                        self.scratch.merge_targets(
-                                            rt.table.partitions_of(avp).iter().copied(),
-                                        );
-                                    }
+                                    mask |= rt.table.view_mask(&self.view_buf);
+                                }
+                                self.scratch.cache_put(fp, mask);
+                                self.scratch.set_targets_from_mask(mask);
+                                true
+                            }
+                        }
+                    }
+                    Some(t) if have_view => {
+                        // m > 64: no bitmasks; explicit unknown scan,
+                        // then the reusable sort/dedup fallback.
+                        let mut unknown = false;
+                        for &avp in &self.view_buf {
+                            if t.table.partitions_of(avp).is_empty() {
+                                unknown = true;
+                                if self.unseen.observe(avp) {
+                                    self.update_reqs += 1;
+                                    out.emit(Msg::UpdateRequest(avp));
                                 }
                             }
-                            matched
                         }
+                        let matched = !unknown
+                            && t.table.route_into(&self.view_buf, &mut self.scratch)
+                                == RouteOutcome::Matched;
+                        if matched {
+                            for (rt, _) in &self.retired {
+                                for &avp in &self.view_buf {
+                                    self.scratch
+                                        .merge_targets(rt.table.partitions_of(avp).iter().copied());
+                                }
+                            }
+                        }
+                        matched
                     }
                     _ => false,
                 };
@@ -865,7 +630,6 @@ impl Bolt<Msg> for Assigner {
             inst.counter("routes_cached").add(self.routes_cached as u64);
             inst.counter("route_cache_misses")
                 .add(self.cache_misses as u64);
-            inst.counter("hot_routed").add(self.hot_routed as u64);
         }
         if self.docs > 0 {
             let quality = WindowQuality::from_stats(&RoutingStats {
@@ -907,7 +671,6 @@ impl Bolt<Msg> for Assigner {
         self.update_reqs = 0;
         self.routes_cached = 0;
         self.cache_misses = 0;
-        self.hot_routed = 0;
         self.per_machine.iter_mut().for_each(|c| *c = 0);
         // Pane boundary: retire tables whose last routed pane fell out of
         // the lookback. Cached route masks are unions over the retained
@@ -963,7 +726,6 @@ impl Bolt<Msg> for Assigner {
         self.update_reqs = 0;
         self.routes_cached = 0;
         self.cache_misses = 0;
-        self.hot_routed = 0;
         self.scratch = RouteScratch::new();
         self.view_buf.clear();
         Ok(())

@@ -31,7 +31,9 @@ pub struct StreamJoinConfig {
     pub theta: f64,
     /// Unseen-pair update threshold `δ` (§VI-A).
     pub delta: u32,
-    /// Partitioning algorithm (AG / SC / DS).
+    /// Partitioning algorithm (AG / SC / DS / hash). Read only by the
+    /// synchronous `Pipeline` (and so by `ssj pipeline` / `ssj partition`);
+    /// the topology's bolts always partition with AG.
     pub partitioner: PartitionerKind,
     /// Local join algorithm at the Joiners (FPJ / NLJ / HBJ).
     pub join_algo: JoinAlgo,
@@ -69,21 +71,6 @@ pub struct StreamJoinConfig {
     /// topology's tasks across `N` worker processes linked by Unix-socket
     /// transports.
     pub workers: usize,
-    /// Hot-group replication (DESIGN.md §4h): PartitionCreators flag
-    /// association groups whose load exceeds [`Self::hot_factor`] times the
-    /// mean partition share, and the Merger spreads their documents over a
-    /// triangle of replica cells instead of a single partition. Requires
-    /// `expansion = false` and `m >= 3`.
-    pub replicate_hot: bool,
-    /// Hotness threshold: a group is hot when its load exceeds
-    /// `hot_factor × (pane load / m)`. Only meaningful with
-    /// [`Self::replicate_hot`].
-    pub hot_factor: f64,
-    /// Load-shedding input-queue budget for the Joiners (0 = shedding off,
-    /// the default). When a joiner's queue depth exceeds the budget,
-    /// probe-only work (documents) is dropped and counted under `shed_*`;
-    /// control traffic and table state are never shed (DESIGN.md §4h).
-    pub shed_budget: usize,
     /// Out-of-core window state (DESIGN.md §4i): per-stateful-task memory
     /// budget in bytes for sealed pane/window state. `0` (the default)
     /// disables tiering entirely — no spill store is installed and the hot
@@ -118,9 +105,6 @@ impl Default for StreamJoinConfig {
             pool_workers: 0,
             pin_cores: false,
             workers: 1,
-            replicate_hot: false,
-            hot_factor: 4.0,
-            shed_budget: 0,
             mem_budget: 0,
             spill_dir: None,
         }
@@ -151,18 +135,6 @@ pub enum ConfigError {
     /// `workers` must lie in `1..=64` (a process group needs at least this
     /// process, and the mesh is all-pairs); carries the rejected value.
     WorkersOutOfRange(usize),
-    /// `hot_factor` must lie in `(1, 1000]`; carries the rejected value.
-    /// At 1.0 or below every group clears the mean-share bar and
-    /// "hotness" loses its meaning.
-    HotFactorOutOfRange(f64),
-    /// Hot-group replication spreads a group over a triangle of at least
-    /// 3 replica cells and routes through partition bitmasks, so it needs
-    /// `3 <= m <= 64`; carries the rejected `m`.
-    ReplicateHotNeedsPartitions(usize),
-    /// Hot-group replication is defined and tested for un-expanded views
-    /// only: its hotness bar and replica-cell routing (DESIGN.md §4h) have
-    /// never been run over synthetic pairs.
-    ReplicateHotWithExpansion,
     /// A spill directory was configured without a memory budget; the dir
     /// is only read when `mem_budget > 0`, so this is almost certainly a
     /// misconfiguration (the caller expected spilling and got none).
@@ -188,15 +160,6 @@ impl fmt::Display for ConfigError {
             ConfigError::WorkersOutOfRange(n) => {
                 write!(f, "workers {n} out of range (expected 1..=64)")
             }
-            ConfigError::HotFactorOutOfRange(h) => {
-                write!(f, "hot_factor {h} out of range (expected > 1.0, <= 1000)")
-            }
-            ConfigError::ReplicateHotNeedsPartitions(m) => {
-                write!(f, "replicate_hot needs 3 <= m <= 64 (got m = {m})")
-            }
-            ConfigError::ReplicateHotWithExpansion => f.write_str(
-                "replicate_hot requires expansion off (replica cells are untested over expanded views)",
-            ),
             ConfigError::SpillDirWithoutBudget => f.write_str(
                 "spill_dir is only used with a non-zero mem_budget (set --mem-budget too)",
             ),
@@ -348,27 +311,6 @@ macro_rules! builder_setters {
             b
         }
 
-        /// Enable or disable hot-group replication (DESIGN.md §4h).
-        pub fn with_replicate_hot(self, on: bool) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.replicate_hot = on;
-            b
-        }
-
-        /// Override the hotness threshold multiplier.
-        pub fn with_hot_factor(self, factor: f64) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.hot_factor = factor;
-            b
-        }
-
-        /// Override the joiner load-shedding queue budget (0 = off).
-        pub fn with_shed_budget(self, budget: usize) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.shed_budget = budget;
-            b
-        }
-
         /// Override the per-task memory budget in bytes for sealed window
         /// state (0 = out-of-core tiering off, DESIGN.md §4i).
         pub fn with_mem_budget(self, bytes: u64) -> ConfigBuilder {
@@ -443,17 +385,6 @@ impl StreamJoinConfig {
         }
         if !(1..=64).contains(&self.workers) {
             return Err(ConfigError::WorkersOutOfRange(self.workers));
-        }
-        if !(self.hot_factor > 1.0 && self.hot_factor <= 1000.0) {
-            return Err(ConfigError::HotFactorOutOfRange(self.hot_factor));
-        }
-        if self.replicate_hot {
-            if !(3..=64).contains(&self.m) {
-                return Err(ConfigError::ReplicateHotNeedsPartitions(self.m));
-            }
-            if self.expansion {
-                return Err(ConfigError::ReplicateHotWithExpansion);
-            }
         }
         if self.spill_dir.is_some() && self.mem_budget == 0 {
             return Err(ConfigError::SpillDirWithoutBudget);
@@ -597,49 +528,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(c.pin_cores);
-    }
-
-    #[test]
-    fn replication_and_shedding_knobs_validate() {
-        let c = StreamJoinConfig::default();
-        assert!(!c.replicate_hot);
-        assert_eq!(c.shed_budget, 0);
-
-        let c = StreamJoinConfig::default()
-            .with_expansion(false)
-            .with_replicate_hot(true)
-            .with_hot_factor(2.5)
-            .with_shed_budget(512)
-            .build()
-            .unwrap();
-        assert!(c.replicate_hot);
-        assert!((c.hot_factor - 2.5).abs() < 1e-12);
-        assert_eq!(c.shed_budget, 512);
-
-        assert_eq!(
-            StreamJoinConfig::default()
-                .with_hot_factor(1.0)
-                .build()
-                .unwrap_err(),
-            ConfigError::HotFactorOutOfRange(1.0)
-        );
-        assert_eq!(
-            StreamJoinConfig::default()
-                .with_expansion(false)
-                .with_m(2)
-                .with_replicate_hot(true)
-                .build()
-                .unwrap_err(),
-            ConfigError::ReplicateHotNeedsPartitions(2)
-        );
-        // Replication is only defined over un-expanded views.
-        assert_eq!(
-            StreamJoinConfig::default()
-                .with_replicate_hot(true)
-                .build()
-                .unwrap_err(),
-            ConfigError::ReplicateHotWithExpansion
-        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod window;
 pub mod wire;
 
 pub use config::{ConfigBuilder, ConfigError, StreamJoinConfig};
-pub use msg::{HotSpec, Msg, TableMsg};
+pub use msg::{Msg, TableMsg};
 pub use pipeline::{ground_truth_pairs, Pipeline, PipelineReport, WindowReport};
 pub use spill::{SpillSettings, SpillStore};
 pub use ssj_join::{WindowError, WindowSpec};

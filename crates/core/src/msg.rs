@@ -22,10 +22,6 @@ pub enum Msg {
         groups: Vec<AssociationGroup>,
         /// The creator's locally detected attribute expansion, if enabled.
         expansion: Option<Expansion>,
-        /// Pairs of hot association groups with the group's load, flagged
-        /// when hot-group replication is on (DESIGN.md §4h). Empty
-        /// otherwise.
-        hot: Vec<(AvpId, u64)>,
     },
     /// The consolidated partition table broadcast by the Merger.
     Table(Arc<TableMsg>),
@@ -55,69 +51,6 @@ pub struct TableMsg {
     pub table: PartitionTable,
     /// The attribute expansion routing must apply, if any.
     pub expansion: Option<Expansion>,
-    /// Replica-cell placements for hot pairs, sorted by `avp` (empty when
-    /// hot-group replication is off). Hot pairs are excluded from the base
-    /// table; routing consults this list first.
-    pub hot: Vec<HotSpec>,
-}
-
-impl TableMsg {
-    /// The replica-cell spec for `avp`, if it is hot in this table.
-    pub fn hot_spec(&self, avp: AvpId) -> Option<&HotSpec> {
-        self.hot
-            .binary_search_by_key(&avp, |h| h.avp)
-            .ok()
-            .map(|i| &self.hot[i])
-    }
-}
-
-/// Replica-cell placement of one hot pair (PanJoin-style sub-squares,
-/// DESIGN.md §4h).
-///
-/// Documents carrying the pair are hashed into `replicas` buckets by id;
-/// bucket `b` is sent to every cell `(i, j)` with `i == b` or `j == b`, so
-/// any two buckets meet in exactly the cell `(min, max)` — a superset of
-/// the single-partition co-location the base table would give, at
-/// `replicas` sends per document instead of one partition holding the
-/// whole group.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HotSpec {
-    /// The hot attribute-value pair.
-    pub avp: AvpId,
-    /// Bucket count `r` (≥ 2).
-    pub replicas: u32,
-    /// Partition of each cell `(i, j)`, `i ≤ j < r`, in row-major order:
-    /// cell `(i, j)` lives at index `i·(2r − i + 1)/2 + (j − i)`; length
-    /// `r·(r+1)/2`.
-    pub cells: Vec<u32>,
-}
-
-impl HotSpec {
-    /// Number of cells a spec with `r` replicas has.
-    pub fn cell_count(r: u32) -> usize {
-        (r * (r + 1) / 2) as usize
-    }
-
-    /// Row-major index of cell `(i, j)`; requires `i ≤ j < replicas`.
-    pub fn cell_index(&self, i: u32, j: u32) -> usize {
-        debug_assert!(i <= j && j < self.replicas);
-        (i * (2 * self.replicas - i + 1) / 2 + (j - i)) as usize
-    }
-
-    /// The bucket a document id hashes into.
-    pub fn bucket_of(&self, doc_id: u64) -> u32 {
-        (doc_id % self.replicas as u64) as u32
-    }
-
-    /// Partitions holding bucket `b`'s cells (row `b` + column `b`).
-    pub fn bucket_partitions(&self, b: u32) -> impl Iterator<Item = u32> + '_ {
-        (0..self.replicas).map(move |x| self.cells[self.cell_index(x.min(b), x.max(b))])
-    }
-
-    /// Bitmask over partitions for bucket `b` (valid for `m ≤ 64`).
-    pub fn bucket_mask(&self, b: u32) -> u64 {
-        self.bucket_partitions(b).fold(0u64, |m, p| m | (1u64 << p))
-    }
 }
 
 impl std::fmt::Debug for Msg {

@@ -50,8 +50,9 @@ pub struct WindowResult {
     pub pairs: Vec<(u64, u64)>,
     /// Documents each joiner held in this window.
     pub docs_per_joiner: Vec<usize>,
-    /// Candidate pairs each joiner produced, before the global dedup: its
-    /// probe load (what hot-group replication spreads), exact unlike timings.
+    /// Pairs each joiner reported, before the global dedup (a pair whose
+    /// documents meet on several joiners counts on each): its probe output,
+    /// exact unlike timings.
     pub pairs_per_joiner: Vec<usize>,
     /// [`Reader::Paced`] runs: every tuple's latency from its *intended*
     /// arrival to the window's `m`-th `JoinStats` reaching the reporter, so
@@ -180,7 +181,7 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
         }
         canonicalize(&mut result.pairs);
         if let Some(inst) = &self.inst {
-            // emitted / unique is the replication-driven duplicate ratio.
+            // emitted / unique: how often a pair is found on several joiners.
             let emitted: usize = result.pairs_per_joiner.iter().sum();
             inst.counter("pairs_emitted").add(emitted as u64);
             inst.counter("pairs_unique").add(result.pairs.len() as u64);
@@ -259,7 +260,7 @@ fn build(
     let share = (window / config.assigners.max(1)).clamp(16, 1024);
     let batch = config.batch_size.min((share / 4).max(1));
     let capacity = (share / batch).max(4);
-    let mut builder = TopologyBuilder::new()
+    TopologyBuilder::new()
         .fault_plan(plan)
         .channel_capacity(capacity)
         .batch_size(batch)
@@ -271,18 +272,7 @@ fn build(
                 .retries(config.retries)
                 .backoff(std::time::Duration::from_millis(config.backoff_ms.max(1)))
                 .degraded(config.degraded),
-        );
-    if config.shed_budget > 0 {
-        // Overload protection on the joiners (DESIGN.md §4h): only
-        // document probes are sheddable; tables, group exchanges, and
-        // JoinStats (control and result state) always pass. Off by
-        // default — with `shed_budget == 0` no shedder is installed and
-        // the receive path is byte-identical to before.
-        builder = builder.shed("joiner", config.shed_budget, |m: &Msg| {
-            matches!(m, Msg::Doc(_))
-        });
-    }
-    builder
+        )
         .spout("reader", 1, move |_| {
             reader
                 .lock()

@@ -217,7 +217,6 @@ impl WireCodec<Msg> for MsgCodec {
                 creator,
                 groups,
                 expansion,
-                hot,
             } => {
                 out.push(TAG_LOCAL_GROUPS);
                 put_varint(out, *window);
@@ -231,11 +230,6 @@ impl WireCodec<Msg> for MsgCodec {
                     }
                 }
                 self.put_expansion(out, expansion);
-                put_varint(out, hot.len() as u64);
-                for &(avp, load) in hot {
-                    self.put_avp(out, avp);
-                    put_varint(out, load);
-                }
             }
             Msg::Table(t) => {
                 out.push(TAG_TABLE);
@@ -251,14 +245,6 @@ impl WireCodec<Msg> for MsgCodec {
                     }
                 }
                 self.put_expansion(out, &t.expansion);
-                put_varint(out, t.hot.len() as u64);
-                for h in &t.hot {
-                    self.put_avp(out, h.avp);
-                    put_varint(out, h.replicas as u64);
-                    for &cell in &h.cells {
-                        put_varint(out, cell as u64);
-                    }
-                }
             }
             Msg::UpdateRequest(avp) => {
                 out.push(TAG_UPDATE_REQUEST);
@@ -318,22 +304,11 @@ impl WireCodec<Msg> for MsgCodec {
                     }
                     groups.push(AssociationGroup { avps, load });
                 }
-                let expansion = self.get_expansion(c)?;
-                let nh = c.varint()? as usize;
-                if nh > c.remaining() {
-                    return Err(WireError::Truncated);
-                }
-                let mut hot = Vec::with_capacity(nh);
-                for _ in 0..nh {
-                    let avp = self.get_pair(c)?.avp;
-                    hot.push((avp, c.varint()?));
-                }
                 Ok(Msg::LocalGroups {
                     window,
                     creator,
                     groups,
-                    expansion,
-                    hot,
+                    expansion: self.get_expansion(c)?,
                 })
             }
             TAG_TABLE => {
@@ -354,34 +329,10 @@ impl WireCodec<Msg> for MsgCodec {
                     }
                     table.bump_load(p, load);
                 }
-                let expansion = self.get_expansion(c)?;
-                let nh = c.varint()? as usize;
-                if nh > c.remaining() {
-                    return Err(WireError::Truncated);
-                }
-                let mut hot = Vec::with_capacity(nh);
-                for _ in 0..nh {
-                    let avp = self.get_pair(c)?.avp;
-                    let replicas = c.varint()? as u32;
-                    let ncells = crate::msg::HotSpec::cell_count(replicas);
-                    if !(2..=8).contains(&replicas) || ncells > c.remaining() {
-                        return Err(WireError::Truncated);
-                    }
-                    let mut cells = Vec::with_capacity(ncells);
-                    for _ in 0..ncells {
-                        cells.push(c.varint()? as u32);
-                    }
-                    hot.push(crate::msg::HotSpec {
-                        avp,
-                        replicas,
-                        cells,
-                    });
-                }
                 Ok(Msg::Table(Arc::new(TableMsg {
                     window,
                     table,
-                    expansion,
-                    hot,
+                    expansion: self.get_expansion(c)?,
                 })))
             }
             TAG_UPDATE_REQUEST => Ok(Msg::UpdateRequest(self.get_pair(c)?.avp)),

@@ -52,7 +52,6 @@ fn table_for(m: usize, window: u64, avp: AvpId, partition: u32) -> Msg {
         window,
         table,
         expansion: None,
-        hot: Vec::new(),
     }))
 }
 

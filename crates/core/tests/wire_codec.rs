@@ -250,7 +250,6 @@ fn control_plane_messages_roundtrip() {
         creator: 1,
         groups: groups.clone(),
         expansion: None,
-        hot: vec![(p0.avp, 17), (p2.avp, 3)],
     };
     let mut buf = Vec::new();
     codec.encode(&msg, &mut buf);
@@ -260,7 +259,6 @@ fn control_plane_messages_roundtrip() {
         creator,
         groups: g2,
         expansion,
-        hot,
     } = codec.decode(&mut c).unwrap()
     else {
         panic!("kind changed");
@@ -272,7 +270,6 @@ fn control_plane_messages_roundtrip() {
     assert_eq!(g2[0].avps, groups[0].avps);
     assert_eq!(g2[0].load, 17);
     assert_eq!(g2[1].avps, groups[1].avps);
-    assert_eq!(hot, vec![(p0.avp, 17), (p2.avp, 3)]);
 
     let mut table = PartitionTable::empty(3);
     table.add_avp(0, p0.avp);
@@ -280,16 +277,10 @@ fn control_plane_messages_roundtrip() {
     table.add_avp(2, p2.avp);
     table.bump_load(0, 12);
     table.bump_load(2, 4);
-    let hot_specs = vec![ssj_core::HotSpec {
-        avp: p1.avp,
-        replicas: 2,
-        cells: vec![0, 2, 1],
-    }];
     let msg = Msg::Table(Arc::new(TableMsg {
         window: 9,
         table: table.clone(),
         expansion: None,
-        hot: hot_specs.clone(),
     }));
     let mut buf = Vec::new();
     codec.encode(&msg, &mut buf);
@@ -300,7 +291,6 @@ fn control_plane_messages_roundtrip() {
     c.finish().unwrap();
     assert_eq!(t2.window, 9);
     assert_eq!(t2.table, table);
-    assert_eq!(t2.hot, hot_specs);
 
     let msg = Msg::UpdateRequest(p1.avp);
     let mut buf = Vec::new();

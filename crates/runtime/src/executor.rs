@@ -769,62 +769,6 @@ impl<M> Drop for Outbox<M> {
     }
 }
 
-/// Queue-depth load shedder on one bolt's forward input (installed via
-/// [`crate::TopologyBuilder::shed`]). Consulted immediately after each
-/// forward receive, *before* the supervisor's fault clock and replay log
-/// see the envelope — a shed envelope is invisible to recovery, so replay
-/// after a crash never resurrects dropped work. Only envelopes whose
-/// messages all satisfy the predicate are ever dropped; punctuation and
-/// EOS always pass, so window alignment is untouched.
-struct Shedder<M> {
-    budget: usize,
-    predicate: crate::topology::ShedPredicate<M>,
-    offered: u64,
-    dropped: u64,
-    passed: u64,
-}
-
-impl<M> Shedder<M> {
-    fn new(spec: &crate::topology::ShedSpec<M>) -> Self {
-        Shedder {
-            budget: spec.budget,
-            predicate: Arc::clone(&spec.predicate),
-            offered: 0,
-            dropped: 0,
-            passed: 0,
-        }
-    }
-
-    /// Account `env` against the observed queue `depth`; true = drop it.
-    fn consider(&mut self, env: &Envelope<M>, depth: usize) -> bool {
-        let n = env.data_len();
-        if n == 0 {
-            return false;
-        }
-        self.offered += n;
-        let drop = depth > self.budget
-            && match env {
-                Envelope::Data(m, _) => (self.predicate)(m),
-                Envelope::Batch(msgs, _) => msgs.iter().all(|m| (self.predicate)(m)),
-                _ => false,
-            };
-        if drop {
-            self.dropped += n;
-        } else {
-            self.passed += n;
-        }
-        drop
-    }
-
-    /// Fold the conservation counters into the task's instruments
-    /// (offered = dropped + passed, counting messages).
-    fn publish(&self, inst: &TaskInstruments) {
-        inst.counter("shed_offered").add(self.offered);
-        inst.counter("shed_dropped").add(self.dropped);
-        inst.counter("shed_passed").add(self.passed);
-    }
-}
-
 struct TaskWiring<M> {
     info: TaskInfo,
     rx: Receiver<Envelope<M>>,
@@ -847,9 +791,6 @@ struct TaskWiring<M> {
     policy: RecoveryPolicy,
     /// Degraded-mode fence table (present only when the policy enables it).
     fences: Option<Arc<FenceState>>,
-    /// Load shedder on the forward input (None for spouts and unshedded
-    /// bolts — the common case).
-    shed: Option<Shedder<M>>,
 }
 
 /// The executor's task-local metering state: plain (non-atomic) counters and
@@ -1039,7 +980,6 @@ fn run_inner<M: Clone + Send + 'static>(
         recovery,
         pool_workers,
         pin_cores,
-        shed,
     } = topology;
     let mut registry = MetricsRegistry::new(MetricsConfig {
         enabled: metrics_on,
@@ -1287,10 +1227,6 @@ fn run_inner<M: Clone + Send + 'static>(
                 faults: fault_plan.for_task(&name, task),
                 policy: recovery.clone(),
                 fences: fences.clone(),
-                shed: shed
-                    .iter()
-                    .find(|spec| spec.component == name)
-                    .map(Shedder::new),
             });
         }
     }
@@ -2313,7 +2249,6 @@ struct CoopBolt<M> {
     /// their panics hit the worker's `catch_unwind` like any user code).
     started: bool,
     phase: CoopPhase,
-    shed: Option<Shedder<M>>,
 }
 
 enum CoopPhase {
@@ -2337,7 +2272,6 @@ impl<M: Clone + Send + 'static> CoopBolt<M> {
             faults,
             policy,
             fences,
-            shed,
         } = w;
         let TaskKind::Bolt(bolt, factory) = kind else {
             unreachable!("spouts are never pool-scheduled");
@@ -2387,7 +2321,6 @@ impl<M: Clone + Send + 'static> CoopBolt<M> {
             fb_open: has_feedback_upstream,
             started: false,
             phase: CoopPhase::Receive,
-            shed,
         }
     }
 
@@ -2457,13 +2390,6 @@ impl<M: Clone + Send + 'static> TaskStep for CoopBolt<M> {
                     match self.rx.try_recv() {
                         Ok(env) => {
                             budget -= 1;
-                            if self
-                                .shed
-                                .as_mut()
-                                .is_some_and(|s| s.consider(&env, self.rx.len()))
-                            {
-                                continue;
-                            }
                             if self.handle(env) {
                                 self.enter_drain();
                             }
@@ -2503,9 +2429,6 @@ impl<M: Clone + Send + 'static> TaskStep for CoopBolt<M> {
                         }
                         Err(TryRecvError::Empty) => return StepOutcome::Idle,
                         Err(TryRecvError::Disconnected) => {
-                            if let Some(sh) = &self.shed {
-                                sh.publish(&self.meter.inst);
-                            }
                             publish_final_metrics(&self.meter, &self.outbox);
                             self.phase = CoopPhase::Done;
                         }

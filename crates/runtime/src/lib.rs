@@ -50,7 +50,7 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, TaskInstruments, TaskSnapshot, TraceEvent,
     TraceKind, WindowSnapshot,
 };
-pub use topology::{BoltHandle, Grouping, ShedPredicate, Topology, TopologyBuilder, TopologyError};
+pub use topology::{BoltHandle, Grouping, Topology, TopologyBuilder, TopologyError};
 pub use transport::{join_group, Group, GroupSetup};
 pub use wire::WireCodec;
 
@@ -954,121 +954,6 @@ mod batch_tests {
             .unwrap();
         let report = run(t).unwrap();
         assert_eq!(report.received_per_task("bcast"), vec![10, 10, 10]);
-    }
-}
-
-#[cfg(test)]
-mod shed_tests {
-    use super::*;
-
-    fn shed_sums(report: &RunReport, component: &str) -> (u64, u64, u64) {
-        let sum = |name: &str| -> u64 {
-            report
-                .tasks
-                .iter()
-                .filter(|t| t.component == component)
-                .map(|t| t.counter(name))
-                .sum()
-        };
-        (sum("shed_offered"), sum("shed_dropped"), sum("shed_passed"))
-    }
-
-    #[test]
-    fn shed_counters_conserved_under_overload() {
-        // A blasting spout against a bolt that sleeps per message: the
-        // queue stays deep, so a zero budget must shed. Exactly how many
-        // drop is timing-dependent; conservation is not.
-        let t = TopologyBuilder::new()
-            .channel_capacity(8)
-            .spout("src", 1, |_| {
-                Box::new(VecSpout::with_punctuation((0..400).collect(), 100))
-            })
-            .bolt("slow", 1, |_| {
-                fn_bolt(|_x: i32, _out: &mut Outbox<i32>| {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                })
-            })
-            .subscribe("src", Grouping::Shuffle)
-            .done()
-            .shed("slow", 0, |_m: &i32| true)
-            .build()
-            .unwrap();
-        let report = run(t).unwrap();
-        let (offered, dropped, passed) = shed_sums(&report, "slow");
-        assert_eq!(offered, 400, "every data message is accounted");
-        assert_eq!(offered, dropped + passed, "conservation");
-        assert!(dropped > 0, "zero budget under overload must shed");
-        assert_eq!(
-            report.received("slow"),
-            passed,
-            "bolt saw only passed messages"
-        );
-    }
-
-    #[test]
-    fn shed_with_slack_budget_drops_nothing() {
-        let t = TopologyBuilder::new()
-            .spout("src", 1, |_| {
-                Box::new(VecSpout::with_punctuation((0..200).collect(), 50))
-            })
-            .bolt("work", 1, |_| fn_bolt(|_x: i32, _out: &mut Outbox<i32>| {}))
-            .subscribe("src", Grouping::Shuffle)
-            .done()
-            .shed("work", usize::MAX, |_m: &i32| true)
-            .build()
-            .unwrap();
-        let report = run(t).unwrap();
-        let (offered, dropped, passed) = shed_sums(&report, "work");
-        assert_eq!(offered, 200);
-        assert_eq!(dropped, 0);
-        assert_eq!(passed, 200);
-    }
-
-    #[test]
-    fn shed_respects_predicate() {
-        // Only even messages are sheddable; odd ones always pass even with
-        // a zero budget and a saturated queue.
-        let seen = Arc::new(Mutex::new(Vec::<i32>::new()));
-        let s2 = Arc::clone(&seen);
-        let t = TopologyBuilder::new()
-            .channel_capacity(4)
-            .spout("src", 1, |_| VecSpout::boxed((0..300).collect()))
-            .bolt("slow", 1, move |_| {
-                let s = Arc::clone(&s2);
-                fn_bolt(move |x: i32, _out: &mut Outbox<i32>| {
-                    std::thread::sleep(std::time::Duration::from_micros(100));
-                    s.lock().push(x);
-                })
-            })
-            .subscribe("src", Grouping::Shuffle)
-            .done()
-            .shed("slow", 0, |m: &i32| m % 2 == 0)
-            .build()
-            .unwrap();
-        run(t).unwrap();
-        let got = seen.lock();
-        let odd = (0..300).filter(|x| x % 2 == 1).count();
-        assert!(
-            got.iter().filter(|x| *x % 2 == 1).count() == odd,
-            "no odd message may be shed"
-        );
-    }
-
-    #[test]
-    fn shed_target_must_be_a_bolt() {
-        let t = TopologyBuilder::new()
-            .spout("src", 1, |_| VecSpout::boxed(vec![1]))
-            .bolt("work", 1, |_| fn_bolt(|_: i32, _| {}))
-            .subscribe("src", Grouping::Shuffle)
-            .done()
-            .shed("src", 0, |_m: &i32| true)
-            .build();
-        assert!(matches!(t, Err(TopologyError::ShedTarget(_))));
-        let t = TopologyBuilder::new()
-            .spout("src", 1, |_| VecSpout::boxed(vec![1]))
-            .shed("ghost", 0, |_m: &i32| true)
-            .build();
-        assert!(matches!(t, Err(TopologyError::ShedTarget(_))));
     }
 }
 

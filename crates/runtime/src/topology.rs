@@ -69,27 +69,6 @@ pub(crate) struct Subscription<M> {
     pub feedback: bool,
 }
 
-/// Predicate selecting the messages a load shedder may drop (see
-/// [`TopologyBuilder::shed`]).
-pub type ShedPredicate<M> = Arc<dyn Fn(&M) -> bool + Send + Sync>;
-
-/// A load-shedding policy installed on one component's forward input.
-pub(crate) struct ShedSpec<M> {
-    pub component: String,
-    pub budget: usize,
-    pub predicate: ShedPredicate<M>,
-}
-
-impl<M> Clone for ShedSpec<M> {
-    fn clone(&self) -> Self {
-        ShedSpec {
-            component: self.component.clone(),
-            budget: self.budget,
-            predicate: Arc::clone(&self.predicate),
-        }
-    }
-}
-
 /// Factory producing one spout instance per task.
 pub type SpoutFactory<M> = Box<dyn Fn(usize) -> Box<dyn Spout<M>> + Send>;
 /// Factory producing one bolt instance per task. Shared (`Arc`) so the
@@ -129,8 +108,6 @@ pub enum TopologyError {
     ZeroParallelism(String),
     /// A component subscribed to itself on a forward edge.
     SelfLoop(String),
-    /// A shed policy targets a component that is not a bolt.
-    ShedTarget(String),
 }
 
 impl fmt::Display for TopologyError {
@@ -153,9 +130,6 @@ impl fmt::Display for TopologyError {
             TopologyError::SelfLoop(c) => {
                 write!(f, "component '{c}' has a forward self-subscription")
             }
-            TopologyError::ShedTarget(c) => {
-                write!(f, "shed policy targets '{c}', which is not a bolt")
-            }
         }
     }
 }
@@ -173,7 +147,6 @@ pub struct TopologyBuilder<M> {
     recovery: RecoveryPolicy,
     pool_workers: usize,
     pin_cores: bool,
-    shed: Vec<ShedSpec<M>>,
 }
 
 impl<M> Default for TopologyBuilder<M> {
@@ -188,7 +161,6 @@ impl<M> Default for TopologyBuilder<M> {
             recovery: RecoveryPolicy::default(),
             pool_workers: 0,
             pin_cores: false,
-            shed: Vec::new(),
         }
     }
 }
@@ -252,31 +224,6 @@ impl<M> TopologyBuilder<M> {
     /// before.
     pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
         self.recovery = policy;
-        self
-    }
-
-    /// Install a load shedder on `component`'s forward input queue: once
-    /// the queue holds more than `budget` envelopes, arriving data
-    /// envelopes whose messages *all* satisfy `predicate` are dropped
-    /// before the bolt (or its supervisor) sees them. Punctuation, EOS,
-    /// feedback traffic, and mixed envelopes always pass, so window
-    /// alignment and control loops are untouched; under supervision a shed
-    /// envelope never enters the replay log, so a recovered task does not
-    /// resurrect dropped work. The task publishes `shed_offered`,
-    /// `shed_dropped`, and `shed_passed` counters (offered = dropped +
-    /// passed, counting messages, not envelopes). With no shed policies
-    /// installed (the default) the receive path is unchanged.
-    pub fn shed(
-        mut self,
-        component: impl Into<String>,
-        budget: usize,
-        predicate: impl Fn(&M) -> bool + Send + Sync + 'static,
-    ) -> Self {
-        self.shed.push(ShedSpec {
-            component: component.into(),
-            budget,
-            predicate: Arc::new(predicate),
-        });
         self
     }
 
@@ -347,12 +294,6 @@ impl<M> TopologyBuilder<M> {
         if !has_spout {
             return Err(TopologyError::NoSpout);
         }
-        for spec in &self.shed {
-            match index.get(&spec.component) {
-                Some(&i) if matches!(self.components[i].kind, ComponentKind::Bolt(_)) => {}
-                _ => return Err(TopologyError::ShedTarget(spec.component.clone())),
-            }
-        }
         for c in &self.components {
             for s in &c.subscriptions {
                 if !index.contains_key(&s.source) {
@@ -401,7 +342,6 @@ impl<M> TopologyBuilder<M> {
             recovery: self.recovery,
             pool_workers: self.pool_workers,
             pin_cores: self.pin_cores,
-            shed: self.shed,
         })
     }
 }
@@ -490,7 +430,6 @@ pub struct Topology<M> {
     pub(crate) recovery: RecoveryPolicy,
     pub(crate) pool_workers: usize,
     pub(crate) pin_cores: bool,
-    pub(crate) shed: Vec<ShedSpec<M>>,
 }
 
 impl<M> Topology<M> {
