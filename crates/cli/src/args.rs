@@ -172,8 +172,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             THETA,
             DELTA,
             CREATORS,
-            ASSIGNERS,
-            BATCH,
             ALGO,
             opt(
                 "window-by",
@@ -462,6 +460,19 @@ mod tests {
             parse(&["partition", "--partitioner", "ds"]).get("partitioner"),
             Some("ds")
         );
+    }
+
+    #[test]
+    fn topology_knobs_only_where_they_are_read() {
+        // The pipeline drives one Router with no transport: `--assigners`
+        // and `--batch` shape the topology only.
+        for f in ["--assigners", "--batch"] {
+            let err = Args::parse(["pipeline".into(), f.into(), "2".into()]).unwrap_err();
+            assert!(err.starts_with(&format!("unknown option {f}")), "{err}");
+            for cmd in ["run", "topology"] {
+                assert_eq!(parse(&[cmd, f, "2"]).get(&f[2..]), Some("2"));
+            }
+        }
     }
 
     #[test]

@@ -331,16 +331,16 @@ fn cmd_route(args: &Args) -> Result<(), String> {
     let docs = load_docs(args, &dict)?;
     let m = table.m();
     let mut broadcasts = 0usize;
+    let mut scratch = ssj_partition::RouteScratch::new();
     let stdout = io::stdout();
     let mut out = BufWriter::new(stdout.lock());
     for d in &docs {
         let view: Vec<ssj_json::AvpId> = d.avps().collect();
-        let route = table.route(&view);
-        if route.is_broadcast() {
+        if table.route_into(&view, &mut scratch).is_broadcast() {
             broadcasts += 1;
             writeln!(out, "{} -> broadcast", d.id()).map_err(|e| e.to_string())?;
         } else {
-            writeln!(out, "{} -> {:?}", d.id(), route.targets(m)).map_err(|e| e.to_string())?;
+            writeln!(out, "{} -> {:?}", d.id(), scratch.targets()).map_err(|e| e.to_string())?;
         }
     }
     out.flush().map_err(|e| e.to_string())?;

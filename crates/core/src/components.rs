@@ -6,25 +6,20 @@
 //!   forwarding the local groups to the Merger.
 //! * **Merger** (1): consolidates local groups into the global partitions
 //!   (subset merging + duplicate elimination + greedy placement) and
-//!   broadcasts the table to the Assigners. Handles δ-update requests and
-//!   repartition signals arriving on feedback edges.
-//! * **Assigner** (n): routes each document to the Joiners whose partitions
-//!   share a pair with it; broadcasts documents with uncovered pairs to
-//!   guarantee the exact join result; tracks per-window quality and signals
-//!   the Merger when it degrades past θ.
+//!   broadcasts the table to the Assigners; applies the Assigners' δ-update
+//!   requests and broadcasts the refreshed table at the next boundary.
 //! * **Joiner** (m): joins its window share as it arrives, in micro-batches,
 //!   and emits the pane's pairs at the boundary.
+//!
+//! The Assigner, and the routing and adaptation logic the deterministic
+//! pipeline shares with it, live in [`crate::assign`].
 
 use crate::config::StreamJoinConfig;
 use crate::msg::{Msg, TableMsg};
 use crate::spill::{BlockCache, Segment, SpillSettings, SpillStore};
 use ssj_join::{FpTree, JoinAlgo};
-use ssj_json::{AvpId, Dictionary, DocRef, FxHashSet};
-use ssj_partition::{
-    association_groups, batch_views, fingerprint_view, merge_and_assign, Expansion,
-    RepartitionPolicy, RouteOutcome, RouteScratch, RoutingStats, UnseenTracker, View,
-    WindowQuality,
-};
+use ssj_json::{Dictionary, DocRef, FxHashSet};
+use ssj_partition::{association_groups, batch_views, merge_and_assign, Expansion, View};
 use ssj_runtime::{Bolt, BoltState, Outbox, TaskInfo, TaskInstruments, TraceKind};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -268,24 +263,17 @@ impl Bolt<Msg> for PartitionCreator {
     }
 }
 
-/// Window-boundary snapshot of the [`Merger`]'s cross-window state.
-#[derive(Clone)]
+/// The [`Merger`]'s cross-window state, and its recovery snapshot.
+#[derive(Clone, Default)]
 struct MergerState {
-    table: ssj_partition::PartitionTable,
-    expansion: Option<Expansion>,
-    dirty: bool,
-}
-
-/// Window-boundary snapshot of the [`Assigner`]'s cross-window state.
-#[derive(Clone)]
-struct AssignerState {
-    current: Option<Arc<TableMsg>>,
-    retired: VecDeque<(Arc<TableMsg>, u64)>,
-    pane: u64,
-    unseen: UnseenTracker,
-    baseline: Option<WindowQuality>,
-    table_fresh: bool,
-    signalled: bool,
+    /// The last table broadcast. A δ-refresh repeats its window id, the
+    /// window the partitions were built at ([`TableMsg::window`]).
+    deployed: Option<Arc<TableMsg>>,
+    /// The δ-updates applied since, to a copy of the deployed table taken
+    /// at the first of them — during a pane, so the boundary that
+    /// broadcasts the refresh (and that every Assigner's close waits on)
+    /// copies nothing.
+    updated: Option<ssj_partition::PartitionTable>,
 }
 
 /// One creator's window contribution buffered by the [`Merger`]:
@@ -304,10 +292,7 @@ pub struct Merger {
     config: StreamJoinConfig,
     /// Groups received for the current window, per creator.
     pending: Vec<PendingGroups>,
-    table: ssj_partition::PartitionTable,
-    expansion: Option<Expansion>,
-    /// Table changed through updates since the last broadcast.
-    dirty: bool,
+    state: MergerState,
     inst: Option<Arc<TaskInstruments>>,
 }
 
@@ -315,19 +300,10 @@ impl Merger {
     /// The single Merger task.
     pub fn new(config: StreamJoinConfig) -> Self {
         Merger {
-            table: ssj_partition::PartitionTable::empty(config.m),
+            state: MergerState::default(),
             pending: Vec::new(),
-            expansion: None,
-            dirty: false,
             inst: None,
             config,
-        }
-    }
-
-    fn trace_table(&self, window: u64) {
-        if let Some(inst) = &self.inst {
-            inst.counter("table_broadcasts").inc();
-            inst.trace(TraceKind::Table, window, std::time::Duration::ZERO);
         }
     }
 }
@@ -354,13 +330,17 @@ impl Bolt<Msg> for Merger {
             } => {
                 self.pending.push((creator, groups, expansion));
             }
-            Msg::UpdateRequest(avp) if self.table.partitions_of(avp).is_empty() => {
-                let p = self.table.least_loaded();
-                self.table.add_avp(p, avp);
-                self.table.bump_load(p, 1);
-                self.dirty = true;
-                if let Some(inst) = &self.inst {
-                    inst.counter("delta_updates").inc();
+            Msg::UpdateRequest(avp) => {
+                let s = &mut self.state;
+                let Some(deployed) = &s.deployed else { return };
+                if !deployed.table.partitions_of(avp).is_empty() {
+                    return;
+                }
+                let table = s.updated.get_or_insert_with(|| deployed.table.clone());
+                if table.apply_update(avp) {
+                    if let Some(inst) = &self.inst {
+                        inst.counter("delta_updates").inc();
+                    }
                 }
             }
             // Repartition signals go to the PartitionCreators (which decide
@@ -369,365 +349,57 @@ impl Bolt<Msg> for Merger {
         }
     }
 
+    /// A rebuild when groups arrived, else a δ-refresh when updates did.
     fn on_punct(&mut self, window: u64, out: &mut Outbox<Msg>) {
-        if !self.pending.is_empty() {
+        let s = &mut self.state;
+        let table = if !self.pending.is_empty() {
             // Deterministic creator order.
             self.pending.sort_by_key(|(c, _, _)| *c);
-            let locals = self.pending.iter().map(|(_, gs, _)| gs.clone()).collect();
-            self.table = merge_and_assign(locals, self.config.m);
             // Adopt the first creator's expansion proposal (creators see
             // shuffle-shares of the same window, so they virtually always
             // agree on the disabling/combining chain).
-            self.expansion = self.pending.iter().find_map(|(_, _, e)| e.clone());
-            self.dirty = false;
-            out.emit(Msg::Table(Arc::new(TableMsg {
+            let expansion = self.pending.iter().find_map(|(_, _, e)| e.clone());
+            let locals = self.pending.drain(..).map(|(_, gs, _)| gs).collect();
+            s.updated = None;
+            TableMsg {
                 window,
-                table: self.table.clone(),
-                expansion: self.expansion.clone(),
-            })));
-            self.trace_table(window);
-        } else if self.dirty {
-            self.dirty = false;
-            out.emit(Msg::Table(Arc::new(TableMsg {
-                window,
-                table: self.table.clone(),
-                expansion: self.expansion.clone(),
-            })));
-            self.trace_table(window);
+                table: merge_and_assign(locals, self.config.m),
+                expansion,
+            }
+        } else if let Some(table) = s.updated.take() {
+            let last = s
+                .deployed
+                .as_ref()
+                .expect("updates follow a deployed table");
+            TableMsg {
+                window: last.window,
+                table,
+                expansion: last.expansion.clone(),
+            }
+        } else {
+            return;
+        };
+        let table = Arc::new(table);
+        s.deployed = Some(Arc::clone(&table));
+        out.emit(Msg::Table(table));
+        if let Some(inst) = &self.inst {
+            inst.counter("table_broadcasts").inc();
+            inst.trace(TraceKind::Table, window, std::time::Duration::ZERO);
         }
-        self.pending.clear();
     }
 
     // The deployed table survives crashes; per-window `pending` groups are
     // reconstructed by replay.
     fn snapshot(&self) -> Option<BoltState> {
-        Some(Box::new(MergerState {
-            table: self.table.clone(),
-            expansion: self.expansion.clone(),
-            dirty: self.dirty,
-        }))
+        Some(Box::new(self.state.clone()))
     }
 
     fn restore(&mut self, state: &BoltState) -> Result<(), String> {
         let s = state
             .downcast_ref::<MergerState>()
             .ok_or_else(|| "Merger snapshot type mismatch".to_string())?;
-        self.table = s.table.clone();
-        self.expansion = s.expansion.clone();
-        self.dirty = s.dirty;
+        self.state = s.clone();
         self.pending.clear();
-        Ok(())
-    }
-}
-
-/// Assigner bolt (§III-A component 3).
-pub struct Assigner {
-    config: StreamJoinConfig,
-    dict: Dictionary,
-    current: Option<Arc<TableMsg>>,
-    /// Sliding windows only: tables superseded while some pane they routed
-    /// is still inside the `panes_per_window` lookback, tagged with the last
-    /// pane they were current in. The current table alone governs the
-    /// broadcast / unknown-pair / δ decisions; retained tables contribute
-    /// *extra* route targets, which is what makes pane-spanning pairs exact
-    /// (DESIGN.md §4g). Empty for tumbling windows.
-    retired: VecDeque<(Arc<TableMsg>, u64)>,
-    /// The pane currently being routed (= punctuations seen so far).
-    pane: u64,
-    unseen: UnseenTracker,
-    policy: RepartitionPolicy,
-    /// Quality of the first window fully routed with the current table —
-    /// the §VI-A baseline the θ-threshold compares against.
-    baseline: Option<WindowQuality>,
-    /// The running window was (partly) routed before the current table
-    /// arrived; skip it as a baseline.
-    table_fresh: bool,
-    /// A repartition was already signalled for the current table.
-    signalled: bool,
-    /// Reusable routing buffers + view-fingerprint route cache: the steady
-    /// state document path performs zero heap allocations (audited by
-    /// `bench_partition --audit`).
-    scratch: RouteScratch,
-    /// Reusable view buffer (the pairs of the document being routed).
-    view_buf: Vec<AvpId>,
-    // Per-window local routing counters.
-    per_machine: Vec<usize>,
-    sends: usize,
-    broadcasts: usize,
-    docs: usize,
-    update_reqs: usize,
-    routes_cached: usize,
-    cache_misses: usize,
-    inst: Option<Arc<TaskInstruments>>,
-}
-
-impl Assigner {
-    /// One assigner task.
-    pub fn new(config: StreamJoinConfig, dict: Dictionary) -> Self {
-        Assigner {
-            unseen: UnseenTracker::new(config.delta),
-            policy: RepartitionPolicy::new(config.theta),
-            baseline: None,
-            table_fresh: false,
-            signalled: false,
-            current: None,
-            retired: VecDeque::new(),
-            pane: 0,
-            scratch: RouteScratch::new(),
-            view_buf: Vec::new(),
-            per_machine: vec![0; config.m],
-            sends: 0,
-            broadcasts: 0,
-            docs: 0,
-            update_reqs: 0,
-            routes_cached: 0,
-            cache_misses: 0,
-            inst: None,
-            config,
-            dict,
-        }
-    }
-}
-
-impl Bolt<Msg> for Assigner {
-    fn attach_instruments(&mut self, inst: &Arc<TaskInstruments>) {
-        self.inst = Some(Arc::clone(inst));
-    }
-
-    fn execute(&mut self, msg: Msg, out: &mut Outbox<Msg>) {
-        match msg {
-            Msg::Doc(doc) => {
-                self.docs += 1;
-                let m = self.config.m;
-                // Build the routing view into the reusable buffer (no
-                // allocation once the buffer has warmed up).
-                let have_view = match self.current.as_ref().and_then(|t| t.expansion.as_ref()) {
-                    Some(e) => e.view_into(&doc, &self.dict, &mut self.view_buf),
-                    None => {
-                        self.view_buf.clear();
-                        self.view_buf.extend(doc.avps());
-                        true
-                    }
-                };
-                // matched = targets are in the scratch buffer; otherwise
-                // broadcast (no table yet, expansion failed, unknown pair,
-                // or nothing matched).
-                let matched = match &self.current {
-                    Some(t) if have_view && t.table.mask_supported() => {
-                        // Fast path: one u64 OR per pair, where a zero
-                        // pair mask doubles as the unknown-pair test.
-                        // Repeated view shapes hit the fingerprint cache
-                        // and skip the table walk entirely; only fully
-                        // known views are cached, so δ-tracking sees
-                        // every unknown pair exactly as before.
-                        let fp = fingerprint_view(self.view_buf.iter().copied());
-                        if let Some(mask) = self.scratch.cache_get(fp) {
-                            self.routes_cached += 1;
-                            self.scratch.set_targets_from_mask(mask);
-                            true
-                        } else {
-                            self.cache_misses += 1;
-                            let mut mask = 0u64;
-                            let mut unknown = false;
-                            for &avp in &self.view_buf {
-                                let am = t.table.avp_mask(avp);
-                                if am == 0 {
-                                    unknown = true;
-                                    if self.unseen.observe(avp) {
-                                        self.update_reqs += 1;
-                                        out.emit(Msg::UpdateRequest(avp));
-                                    }
-                                }
-                                mask |= am;
-                            }
-                            if unknown || mask == 0 {
-                                false
-                            } else {
-                                // Retained pane tables (sliding only)
-                                // add targets so a pane-spanning pair
-                                // meets wherever its earlier document
-                                // was routed; they never influence the
-                                // broadcast/unknown decision above.
-                                for (rt, _) in &self.retired {
-                                    mask |= rt.table.view_mask(&self.view_buf);
-                                }
-                                self.scratch.cache_put(fp, mask);
-                                self.scratch.set_targets_from_mask(mask);
-                                true
-                            }
-                        }
-                    }
-                    Some(t) if have_view => {
-                        // m > 64: no bitmasks; explicit unknown scan,
-                        // then the reusable sort/dedup fallback.
-                        let mut unknown = false;
-                        for &avp in &self.view_buf {
-                            if t.table.partitions_of(avp).is_empty() {
-                                unknown = true;
-                                if self.unseen.observe(avp) {
-                                    self.update_reqs += 1;
-                                    out.emit(Msg::UpdateRequest(avp));
-                                }
-                            }
-                        }
-                        let matched = !unknown
-                            && t.table.route_into(&self.view_buf, &mut self.scratch)
-                                == RouteOutcome::Matched;
-                        if matched {
-                            for (rt, _) in &self.retired {
-                                for &avp in &self.view_buf {
-                                    self.scratch
-                                        .merge_targets(rt.table.partitions_of(avp).iter().copied());
-                                }
-                            }
-                        }
-                        matched
-                    }
-                    _ => false,
-                };
-                if matched {
-                    for &p in self.scratch.targets() {
-                        self.per_machine[p as usize] += 1;
-                        self.sends += 1;
-                        out.emit_direct(p as usize, Msg::Doc(Arc::clone(&doc)));
-                    }
-                } else {
-                    self.broadcasts += 1;
-                    for p in 0..m {
-                        self.per_machine[p] += 1;
-                        self.sends += 1;
-                        out.emit_direct(p, Msg::Doc(Arc::clone(&doc)));
-                    }
-                }
-            }
-            Msg::Table(t) => {
-                // Sliding windows: the superseded table routed panes that
-                // are still inside the lookback — retain it (tagged with
-                // the last pane it was current in) so its route targets
-                // keep contributing until those panes evict.
-                if self.config.is_sliding() {
-                    if let Some(old) = self.current.take() {
-                        self.retired.push_back((old, self.pane));
-                    }
-                }
-                self.current = Some(t);
-                self.unseen.reset();
-                self.baseline = None;
-                self.table_fresh = true;
-                self.signalled = false;
-                // Cached routes reference the old table.
-                self.scratch.invalidate_cache();
-            }
-            _ => {}
-        }
-    }
-
-    fn on_punct(&mut self, window: u64, out: &mut Outbox<Msg>) {
-        if let Some(inst) = &self.inst {
-            inst.counter("routed_sends").add(self.sends as u64);
-            inst.counter("broadcast_docs").add(self.broadcasts as u64);
-            inst.counter("update_requests").add(self.update_reqs as u64);
-            inst.counter("routes_cached").add(self.routes_cached as u64);
-            inst.counter("route_cache_misses")
-                .add(self.cache_misses as u64);
-        }
-        if self.docs > 0 {
-            let quality = WindowQuality::from_stats(&RoutingStats {
-                per_machine: std::mem::replace(&mut self.per_machine, vec![0; self.config.m]),
-                total_sends: self.sends,
-                broadcasts: self.broadcasts,
-                docs: self.docs,
-            });
-            if self.table_fresh {
-                // This window straddled a table change; its stats mix two
-                // routings and must not become the baseline.
-                self.table_fresh = false;
-            } else {
-                match &self.baseline {
-                    None => self.baseline = Some(quality),
-                    Some(base) => {
-                        if !self.signalled && self.policy.should_repartition(base, &quality) {
-                            // One signal per deployed table: creators will
-                            // recompute and the merger will broadcast a new
-                            // one, which rearms the detector.
-                            self.signalled = true;
-                            out.emit(Msg::Repartition);
-                            if let Some(inst) = &self.inst {
-                                inst.counter("repartition_signals").inc();
-                                inst.trace(
-                                    TraceKind::Repartition,
-                                    window,
-                                    std::time::Duration::ZERO,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        self.sends = 0;
-        self.broadcasts = 0;
-        self.docs = 0;
-        self.update_reqs = 0;
-        self.routes_cached = 0;
-        self.cache_misses = 0;
-        self.per_machine.iter_mut().for_each(|c| *c = 0);
-        // Pane boundary: retire tables whose last routed pane fell out of
-        // the lookback. Cached route masks are unions over the retained
-        // set, so any expiry must also drop the cache — a stale union mask
-        // must never route to a partition only an evicted pane's table
-        // justified.
-        self.pane = window + 1;
-        let lookback = self.config.panes_per_window() as u64;
-        let mut expired = false;
-        while self
-            .retired
-            .front()
-            .is_some_and(|(_, last)| last + lookback <= self.pane)
-        {
-            self.retired.pop_front();
-            expired = true;
-        }
-        if expired {
-            self.scratch.invalidate_cache();
-        }
-    }
-
-    // The deployed table (plus retained pane tables), δ-tracker, and
-    // θ-baseline survive crashes; the per-window routing counters are
-    // rebuilt by replay.
-    fn snapshot(&self) -> Option<BoltState> {
-        Some(Box::new(AssignerState {
-            current: self.current.clone(),
-            retired: self.retired.clone(),
-            pane: self.pane,
-            unseen: self.unseen.clone(),
-            baseline: self.baseline,
-            table_fresh: self.table_fresh,
-            signalled: self.signalled,
-        }))
-    }
-
-    fn restore(&mut self, state: &BoltState) -> Result<(), String> {
-        let s = state
-            .downcast_ref::<AssignerState>()
-            .ok_or_else(|| "Assigner snapshot type mismatch".to_string())?;
-        self.current = s.current.clone();
-        self.retired = s.retired.clone();
-        self.pane = s.pane;
-        self.unseen = s.unseen.clone();
-        self.baseline = s.baseline;
-        self.table_fresh = s.table_fresh;
-        self.signalled = s.signalled;
-        self.per_machine = vec![0; self.config.m];
-        self.sends = 0;
-        self.broadcasts = 0;
-        self.docs = 0;
-        self.update_reqs = 0;
-        self.routes_cached = 0;
-        self.cache_misses = 0;
-        self.scratch = RouteScratch::new();
-        self.view_buf.clear();
         Ok(())
     }
 }

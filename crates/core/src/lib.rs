@@ -3,8 +3,11 @@
 //! Ties the substrates together into the paper's system:
 //!
 //! * [`config`] — all tunables with the paper's defaults (§VII-D);
+//! * [`assign`] — the Assigner and its [`assign::Router`], the one copy of
+//!   the routing and §VI-A adaptation logic;
 //! * [`pipeline`] — the deterministic window-by-window driver used by the
-//!   experiment harness (same component logic, bit-reproducible results);
+//!   experiment harness: the topology's cadence through the same Router,
+//!   synchronously, so results are bit-reproducible;
 //! * [`components`] / [`topology`] — the threaded Fig. 2 topology
 //!   (JsonReader → PartitionCreators → Merger → Assigners → Joiners →
 //!   Reporter) on the Storm-like `ssj-runtime`: one runner
@@ -35,6 +38,7 @@
 
 #![warn(missing_docs)]
 
+pub mod assign;
 pub mod components;
 pub mod config;
 pub mod msg;
@@ -56,5 +60,5 @@ pub use topology::{
     run_topology_distributed, run_topology_paced, run_topology_with, topology_dot, DistRuntime,
     LatencyReport, Reader, TopologyRunReport, WindowResult,
 };
-pub use window::{slide_windows, windows, SegmentSpec, Windower};
+pub use window::{windows, SegmentSpec, Windower};
 pub use wire::MsgCodec;

@@ -45,7 +45,8 @@ pub enum Msg {
 /// The Merger's broadcast: the deployed table and the active expansion.
 #[derive(Debug)]
 pub struct TableMsg {
-    /// Window id the table was (re)computed at.
+    /// Window id the partitions were built at. A δ-refresh repeats its
+    /// build's id, so a new id means a rebuild ([`crate::assign`]).
     pub window: u64,
     /// The partition table.
     pub table: PartitionTable,

@@ -1,31 +1,37 @@
 //! The deterministic window-by-window pipeline driver.
 //!
-//! Runs the *same component logic* as the threaded Fig. 2 topology, but
-//! synchronously, so experiment results are bit-reproducible. The cadence
-//! per tumbling window `k`:
+//! Runs the topology's cadence synchronously, through the same code, so
+//! experiment results are bit-reproducible and are the numbers the running
+//! system would produce. One [`Router`] — the Assigner's — sees what an
+//! Assigner of a lock-step run sees, window `k` after window `k`:
 //!
-//! 1. **Partition creation** (window 0, and whenever a repartition is
-//!    pending): detect attribute expansion if enabled, split the window
-//!    across the PartitionCreators, compute local association groups, and
-//!    consolidate them at the Merger (§IV-A). The SC and DS competitors are
-//!    centralized algorithms and create their partitions from the full
-//!    window directly.
-//! 2. **Assignment**: route every document of the window with the current
-//!    table. Documents matching no partition are broadcast (§VI-A);
-//!    table-unknown pairs are counted and, at the δ-th sighting, added to
-//!    the least-loaded partition (the Merger's update path).
-//! 3. **Quality**: compute replication / Gini / max-processing-load; compare
-//!    against the baseline measured right after the last creation and set
-//!    the repartition flag when either degraded by more than θ.
+//! 1. **Assignment**: every document of window `k` is routed with the table
+//!    deployed at the close of `k − 1` (window 0 has none: it is broadcast).
+//!    Documents with pairs the table does not know are broadcast too
+//!    (§VI-A); a pair's δ-th sighting becomes an update request.
+//! 2. **Merger**, at the close of `k`: a partition build from window `k`'s
+//!    own documents at the close of window 0 and at the close of `k` after a
+//!    θ signal at `k − 1` (§IV-A — AG builds local groups per
+//!    PartitionCreator share and consolidates them; SC, DS and HASH are
+//!    centralized); otherwise the pairs requested during `k − 1` — an
+//!    Assigner sends them as it closes a pane, so they reach the Merger
+//!    during the next one — are applied ([`PartitionTable::apply_update`])
+//!    and deployed as one δ-refresh.
+//! 3. **Quality**: the Router closes the pane — replication / Gini /
+//!    max processing load, whether they degraded past θ against the
+//!    baseline taken right after the last build, and the pane's requests.
 //! 4. **Join**: each machine joins its window batch locally (§V); unique
 //!    result pairs are counted globally.
 
+use crate::assign::Router;
 use crate::config::StreamJoinConfig;
-use ssj_json::{Dictionary, Document, FxHashSet};
+use crate::msg::TableMsg;
+use ssj_json::{AvpId, Dictionary, Document, FxHashSet};
 use ssj_partition::{
     association_groups, batch_views, merge_and_assign, Expansion, PartitionTable, PartitionerKind,
-    RepartitionPolicy, Route, RoutingStats, UnseenTracker, View, WindowQuality,
+    View, WindowQuality,
 };
+use std::sync::Arc;
 
 /// Per-window outcome.
 #[derive(Debug, Clone)]
@@ -34,10 +40,13 @@ pub struct WindowReport {
     pub window: usize,
     /// Routing quality of this window.
     pub quality: WindowQuality,
-    /// Whether partitions were recomputed *at the start of* this window
-    /// (never true for window 0 — initial creation is not a repartition).
+    /// Copies of the window's documents each machine received.
+    pub docs_per_joiner: Vec<usize>,
+    /// Partitions were rebuilt at the close of this window after a θ signal
+    /// (never window 0: the bootstrap build is not a repartition).
     pub repartitioned: bool,
-    /// δ-triggered single-pair table updates performed during the window.
+    /// Pairs the last window requested, added to the table at the close of
+    /// this one.
     pub updates: usize,
     /// Join pairs summed over machines (duplicates across machines count).
     pub join_pairs: usize,
@@ -53,48 +62,43 @@ pub struct PipelineReport {
 }
 
 impl PipelineReport {
-    /// Mean replication over all windows.
+    /// Mean replication over the windows routed with a table (all but 0).
     pub fn mean_replication(&self) -> f64 {
-        mean(self.windows.iter().map(|w| w.quality.replication))
+        self.mean(|q| q.replication)
     }
 
-    /// Mean Gini load balance over all windows.
+    /// Mean Gini load balance over the windows routed with a table.
     pub fn mean_load_balance(&self) -> f64 {
-        mean(self.windows.iter().map(|w| w.quality.load_balance))
+        self.mean(|q| q.load_balance)
     }
 
-    /// Mean maximal processing load over all windows.
+    /// Mean maximal processing load over the windows routed with a table.
     pub fn mean_max_load(&self) -> f64 {
-        mean(self.windows.iter().map(|w| w.quality.max_processing_load))
+        self.mean(|q| q.max_processing_load)
     }
 
-    /// Fraction of windows (after the first) that began with a repartition —
-    /// Fig. 9's "Repartitions (%)" divided by 100.
+    /// Fraction of windows (after the first) that repartitioned — Fig. 9's
+    /// "Repartitions (%)" divided by 100.
     pub fn repartition_fraction(&self) -> f64 {
-        if self.windows.len() <= 1 {
-            return 0.0;
-        }
-        let n = self.windows.len() - 1;
-        let r = self.windows.iter().filter(|w| w.repartitioned).count();
-        r as f64 / n as f64
+        self.mean_routed(|w| if w.repartitioned { 1.0 } else { 0.0 })
     }
 
     /// Total unique join pairs over the run.
     pub fn total_unique_joins(&self) -> usize {
         self.windows.iter().map(|w| w.unique_join_pairs).sum()
     }
-}
 
-fn mean(it: impl Iterator<Item = f64>) -> f64 {
-    let (mut sum, mut n) = (0.0, 0usize);
-    for x in it {
-        sum += x;
-        n += 1;
+    fn mean(&self, metric: impl Fn(&WindowQuality) -> f64) -> f64 {
+        self.mean_routed(|w| metric(&w.quality))
     }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
+
+    /// Mean of `f` over windows 1.., 0 when there are none.
+    fn mean_routed(&self, f: impl Fn(&WindowReport) -> f64) -> f64 {
+        let routed = self.windows.get(1..).unwrap_or_default();
+        if routed.is_empty() {
+            return 0.0;
+        }
+        routed.iter().map(f).sum::<f64>() / routed.len() as f64
     }
 }
 
@@ -102,12 +106,17 @@ fn mean(it: impl Iterator<Item = f64>) -> f64 {
 pub struct Pipeline {
     config: StreamJoinConfig,
     dict: Dictionary,
+    /// The Assigner's state.
+    router: Router,
+    /// The Merger's: the table as built and δ-updated, and its expansion.
     table: PartitionTable,
     expansion: Option<Expansion>,
-    unseen: UnseenTracker,
-    policy: RepartitionPolicy,
-    baseline: Option<WindowQuality>,
-    repartition_pending: bool,
+    /// The window the table was built at.
+    built: u64,
+    /// The last window signalled θ: build at the close of this one.
+    rebuild: bool,
+    /// The last window's δ-update requests: apply at the close of this one.
+    requests: Vec<AvpId>,
     window_idx: usize,
     /// Skip the (expensive) local joins — the partitioning figures only
     /// need routing statistics.
@@ -119,12 +128,12 @@ impl Pipeline {
     pub fn new(config: StreamJoinConfig, dict: Dictionary) -> Self {
         config.validate().expect("invalid configuration");
         Pipeline {
+            router: Router::new(&config),
             table: PartitionTable::empty(config.m),
             expansion: None,
-            unseen: UnseenTracker::new(config.delta),
-            policy: RepartitionPolicy::new(config.theta),
-            baseline: None,
-            repartition_pending: false,
+            built: 0,
+            rebuild: false,
+            requests: Vec::new(),
             window_idx: 0,
             compute_joins: true,
             config,
@@ -137,116 +146,73 @@ impl Pipeline {
         &self.table
     }
 
-    /// The currently active attribute expansion, if any.
-    pub fn expansion(&self) -> Option<&Expansion> {
-        self.expansion.as_ref()
-    }
-
     /// Process one tumbling window of documents.
     pub fn process_window(&mut self, docs: &[Document]) -> WindowReport {
         let m = self.config.m;
-        let creating = self.window_idx == 0 || self.repartition_pending;
-        let repartitioned = creating && self.window_idx > 0;
-
-        if creating {
-            self.create_partitions(docs);
-        }
-
-        // Assignment with δ-threshold updates.
-        let views = batch_views(docs, self.expansion.as_ref(), &self.dict);
-        let mut per_machine = vec![0usize; m];
-        let mut total_sends = 0usize;
-        let mut broadcasts = 0usize;
-        let mut updates = 0usize;
-        let mut targets_per_doc: Vec<Vec<u32>> = Vec::with_capacity(docs.len());
-        for view in &views {
-            let route = match view {
-                Some(v) => {
-                    // Track pairs the table does not know; the δ-th sighting
-                    // adds the pair to the least-loaded partition (§VI-A).
-                    let mut unknown = false;
-                    for avp in v {
-                        if self.table.partitions_of(*avp).is_empty() {
-                            if self.unseen.observe(*avp) {
-                                let p = self.table.least_loaded();
-                                self.table.add_avp(p, *avp);
-                                self.table.bump_load(p, 1);
-                                self.unseen.clear(*avp);
-                                updates += 1;
-                            } else {
-                                unknown = true;
-                            }
+        let window = self.window_idx as u64;
+        let mut machine_docs: Vec<Vec<Document>> = vec![Vec::new(); m];
+        for doc in docs {
+            let targets = self.router.route(doc, &self.dict);
+            if self.compute_joins {
+                match targets {
+                    Some(targets) => {
+                        for &t in targets {
+                            machine_docs[t as usize].push(doc.clone());
                         }
                     }
-                    if unknown {
-                        // The paper's exactness guarantee: a document whose
-                        // pairs are not all covered could join a partner
-                        // through an uncovered pair — emit it to all Joiners.
-                        Route::Broadcast
-                    } else {
-                        self.table.route(v)
-                    }
+                    None => machine_docs.iter_mut().for_each(|b| b.push(doc.clone())),
                 }
-                // Expansion could not build the synthetic value (§VI-B).
-                None => Route::Broadcast,
-            };
-            if route.is_broadcast() {
-                broadcasts += 1;
             }
-            let targets = route.targets(m);
-            for &t in &targets {
-                per_machine[t as usize] += 1;
-                total_sends += 1;
-            }
-            targets_per_doc.push(targets);
         }
-        let stats = RoutingStats {
-            per_machine,
-            total_sends,
-            broadcasts,
-            docs: docs.len(),
-        };
-        let quality = WindowQuality::from_stats(&stats);
 
-        match &self.baseline {
-            None => self.baseline = Some(quality),
-            Some(base) => {
-                if self.policy.should_repartition(base, &quality) {
-                    self.repartition_pending = true;
-                }
+        let repartitioned = self.rebuild;
+        let mut updates = 0;
+        if window == 0 || repartitioned {
+            self.create_partitions(docs);
+            self.built = window;
+            self.deploy();
+        } else {
+            updates = self
+                .requests
+                .iter()
+                .filter(|&&avp| self.table.apply_update(avp))
+                .count();
+            if updates > 0 {
+                self.deploy();
             }
         }
+        let close = self.router.close_pane(window);
+        self.rebuild = close.signal;
+        self.requests = close.requests;
 
         // Local joins.
-        let (join_pairs, unique_join_pairs) = if self.compute_joins {
-            let mut machine_docs: Vec<Vec<Document>> = vec![Vec::new(); m];
-            for (doc, targets) in docs.iter().zip(&targets_per_doc) {
-                for &t in targets {
-                    machine_docs[t as usize].push(doc.clone());
-                }
-            }
-            let mut total = 0usize;
-            let mut unique: FxHashSet<(u64, u64)> = FxHashSet::default();
-            for batch in &machine_docs {
-                let pairs = ssj_join::join_batch(self.config.join_algo, batch);
-                total += pairs.len();
-                unique.extend(pairs.iter().map(|(a, b)| (a.0, b.0)));
-            }
-            (total, unique.len())
-        } else {
-            (0, 0)
-        };
+        let mut join_pairs = 0;
+        let mut unique: FxHashSet<(u64, u64)> = FxHashSet::default();
+        for batch in &machine_docs {
+            let pairs = ssj_join::join_batch(self.config.join_algo, batch);
+            join_pairs += pairs.len();
+            unique.extend(pairs.iter().map(|(a, b)| (a.0, b.0)));
+        }
 
-        let report = WindowReport {
-            window: self.window_idx,
-            quality,
+        self.window_idx += 1;
+        WindowReport {
+            window: window as usize,
+            quality: close.quality,
+            docs_per_joiner: close.counts.stats.per_machine,
             repartitioned,
             updates,
             join_pairs,
-            unique_join_pairs,
-        };
-        self.window_idx += 1;
-        report
+            unique_join_pairs: unique.len(),
+        }
+    }
+
+    /// Hand the Router the Merger's table, as the Merger's broadcast does.
+    fn deploy(&mut self) {
+        self.router.deploy(Arc::new(TableMsg {
+            window: self.built,
+            table: self.table.clone(),
+            expansion: self.expansion.clone(),
+        }));
     }
 
     fn create_partitions(&mut self, docs: &[Document]) {
@@ -272,134 +238,6 @@ impl Pipeline {
             }
             kind => kind.create(&usable, self.config.m),
         };
-        self.unseen.reset();
-        self.baseline = None;
-        self.repartition_pending = false;
-    }
-
-    /// Snapshot the pipeline's adaptive state — the deployed partition
-    /// table, the active expansion, the baseline quality and the window
-    /// counter — together with the dictionary, as one JSON value. Restoring
-    /// with [`Pipeline::restore`] resumes routing without a bootstrap
-    /// window. (The δ-tracker's partial counts are deliberately excluded:
-    /// below-threshold pairs are rare by definition and re-counting them is
-    /// the conservative choice after a failure.)
-    pub fn snapshot(&self) -> ssj_json::Value {
-        use ssj_json::Value;
-        let mut out = Value::object();
-        out.insert("dictionary", self.dict.export());
-        out.insert("table", self.table.export());
-        out.insert("window", Value::Int(self.window_idx as i64));
-        if let Some(exp) = &self.expansion {
-            let mut e = Value::object();
-            e.insert(
-                "chain",
-                Value::Array(exp.chain.iter().map(|a| Value::Int(a.0 as i64)).collect()),
-            );
-            e.insert("synth_attr", Value::Int(exp.synth_attr.0 as i64));
-            e.insert("pna", Value::Float(exp.pna));
-            out.insert("expansion", e);
-        }
-        if let Some(b) = &self.baseline {
-            let mut q = Value::object();
-            q.insert("replication", Value::Float(b.replication));
-            q.insert("load_balance", Value::Float(b.load_balance));
-            q.insert("max_processing_load", Value::Float(b.max_processing_load));
-            q.insert("broadcast_fraction", Value::Float(b.broadcast_fraction));
-            out.insert("baseline", q);
-        }
-        out
-    }
-
-    /// Rebuild a pipeline from a [`snapshot`](Self::snapshot). The returned
-    /// pipeline shares the restored dictionary (exposed via
-    /// [`Pipeline::dictionary`]); feed it documents interned through that
-    /// dictionary.
-    pub fn restore(config: StreamJoinConfig, snapshot: &ssj_json::Value) -> Result<Self, String> {
-        use ssj_json::Value;
-        config.validate()?;
-        let dict = Dictionary::import(
-            snapshot
-                .get("dictionary")
-                .ok_or("snapshot missing 'dictionary'")?,
-        )?;
-        let table =
-            PartitionTable::import(snapshot.get("table").ok_or("snapshot missing 'table'")?)?;
-        if table.m() != config.m {
-            return Err(format!(
-                "snapshot has m={}, configuration wants m={}",
-                table.m(),
-                config.m
-            ));
-        }
-        let window_idx = snapshot
-            .get("window")
-            .and_then(Value::as_int)
-            .filter(|&w| w >= 0)
-            .ok_or("snapshot missing 'window'")? as usize;
-        let expansion = match snapshot.get("expansion") {
-            None => None,
-            Some(e) => {
-                let chain = match e.get("chain") {
-                    Some(Value::Array(items)) => items
-                        .iter()
-                        .map(|v| {
-                            v.as_int()
-                                .filter(|&x| x >= 0)
-                                .map(|x| ssj_json::AttrId(x as u32))
-                                .ok_or("invalid attr id in expansion chain")
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                    _ => return Err("expansion missing 'chain'".into()),
-                };
-                let synth_attr = e
-                    .get("synth_attr")
-                    .and_then(Value::as_int)
-                    .filter(|&x| x >= 0)
-                    .ok_or("expansion missing 'synth_attr'")?;
-                let pna = match e.get("pna") {
-                    Some(Value::Float(f)) => *f,
-                    Some(Value::Int(i)) => *i as f64,
-                    _ => 0.0,
-                };
-                Some(Expansion {
-                    chain,
-                    synth_attr: ssj_json::AttrId(synth_attr as u32),
-                    pna,
-                })
-            }
-        };
-        let baseline = snapshot.get("baseline").map(|q| {
-            let f = |k: &str| match q.get(k) {
-                Some(Value::Float(f)) => *f,
-                Some(Value::Int(i)) => *i as f64,
-                _ => 0.0,
-            };
-            WindowQuality {
-                replication: f("replication"),
-                load_balance: f("load_balance"),
-                max_processing_load: f("max_processing_load"),
-                broadcast_fraction: f("broadcast_fraction"),
-            }
-        });
-        Ok(Pipeline {
-            table,
-            expansion,
-            unseen: UnseenTracker::new(config.delta),
-            policy: RepartitionPolicy::new(config.theta),
-            baseline,
-            repartition_pending: false,
-            window_idx,
-            compute_joins: true,
-            config,
-            dict,
-        })
-    }
-
-    /// The dictionary this pipeline interns through (needed to feed a
-    /// restored pipeline documents with matching pair ids).
-    pub fn dictionary(&self) -> &Dictionary {
-        &self.dict
     }
 
     /// Drive an entire stream, chunking it into tumbling windows of
@@ -500,15 +338,18 @@ mod tests {
                 .build()
                 .unwrap();
             let mut p = Pipeline::new(cfg, dict.clone());
-            let docs = window(&dict, 500, 30);
-            let report = p.process_window(&docs);
-            let truth = ground_truth_pairs(&docs);
-            assert_eq!(
-                report.unique_join_pairs,
-                truth.len(),
-                "{} loses join results",
-                kind.name()
-            );
+            // Window 0 is broadcast; window 1 is routed with its table.
+            for base in [500, 530] {
+                let docs = window(&dict, base, 30);
+                let report = p.process_window(&docs);
+                let truth = ground_truth_pairs(&docs);
+                assert_eq!(
+                    report.unique_join_pairs,
+                    truth.len(),
+                    "{} loses join results",
+                    kind.name()
+                );
+            }
         }
     }
 
@@ -521,9 +362,17 @@ mod tests {
             .build()
             .unwrap();
         let mut p = Pipeline::new(cfg, dict.clone());
+        // No table yet: everything is broadcast.
         let r = p.process_window(&window(&dict, 0, 50));
+        assert_eq!(r.quality.replication, 4.0);
+        assert_eq!(r.docs_per_joiner, vec![50; 4]);
+        let r = p.process_window(&window(&dict, 50, 50));
         assert!(r.quality.replication >= 1.0);
-        assert!(r.quality.replication <= 4.0);
+        assert!(r.quality.replication < 4.0);
+        assert_eq!(
+            r.docs_per_joiner.iter().sum::<usize>() as f64,
+            50.0 * r.quality.replication
+        );
     }
 
     #[test]
@@ -538,12 +387,16 @@ mod tests {
             .unwrap();
         let mut p = Pipeline::new(cfg, dict.clone());
         p.compute_joins = false;
-        // Window 0 establishes partitions on users u0..u4.
-        p.process_window(&window(&dict, 0, 30));
+        // Window 0 establishes partitions on users u0..u4; window 1, routed
+        // with them, is the baseline.
+        let mut reports = vec![
+            p.process_window(&window(&dict, 0, 30)),
+            p.process_window(&window(&dict, 30, 30)),
+        ];
         // Later windows use entirely new attribute values → broadcasts →
-        // replication explodes → repartition must fire.
-        let mut saw_repartition = false;
-        for w in 1..5 {
+        // replication explodes → window 2 signals, and the partitions are
+        // rebuilt from window 3's documents at its close.
+        for w in 2..6 {
             let docs: Vec<Document> = (0..30u64)
                 .map(|i| {
                     doc(
@@ -553,10 +406,14 @@ mod tests {
                     )
                 })
                 .collect();
-            let r = p.process_window(&docs);
-            saw_repartition |= r.repartitioned;
+            reports.push(p.process_window(&docs));
         }
-        assert!(saw_repartition, "drift never triggered a repartition");
+        let repartitioned: Vec<usize> = reports
+            .iter()
+            .filter(|r| r.repartitioned)
+            .map(|r| r.window)
+            .collect();
+        assert_eq!(repartitioned, vec![3], "drift must rebuild exactly once");
     }
 
     #[test]
@@ -592,16 +449,22 @@ mod tests {
         let mut p = Pipeline::new(cfg, dict.clone());
         p.compute_joins = false;
         p.process_window(&window(&dict, 0, 20));
-        // A new pair recurring ≥ δ (=3) times must be added to the table.
-        let docs: Vec<Document> = (0..20u64)
-            .map(|i| doc(&dict, 1000 + i, r#"{"Brand":"new"}"#))
-            .collect();
-        let r = p.process_window(&docs);
-        assert!(r.updates >= 1, "δ update never fired");
-        let pair = dict
-            .lookup("Brand", &ssj_json::Scalar::Str("new".into()))
-            .unwrap();
-        assert!(!p.table().partitions_of(pair.avp).is_empty());
+        // A new pair recurring ≥ δ (=3) times is requested in window 1,
+        // added at the close of window 2 and routed in window 3.
+        let docs = |w: u64| -> Vec<Document> {
+            (0..20u64)
+                .map(|i| doc(&dict, w * 1000 + i, r#"{"Brand":"new"}"#))
+                .collect()
+        };
+        let pair = dict.intern("Brand", ssj_json::Scalar::Str("new".into()));
+        let r = p.process_window(&docs(1));
+        assert_eq!(r.updates, 0);
+        assert!(p.table().partitions_of(pair.avp).is_empty());
+        let r = p.process_window(&docs(2));
+        assert_eq!((r.updates, r.quality.broadcast_fraction), (1, 1.0));
+        assert_eq!(p.table().partitions_of(pair.avp).len(), 1);
+        let r = p.process_window(&docs(3));
+        assert_eq!((r.updates, r.quality.replication), (0, 1.0));
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //! [`run_topology_with`] is the one runner; [`run_topology`] and its siblings
 //! are that runner with a sink that collects a [`TopologyRunReport`].
 
-use crate::components::{Assigner, Joiner, Merger, PartitionCreator};
+use crate::assign::Assigner;
+use crate::components::{Joiner, Merger, PartitionCreator};
 use crate::config::StreamJoinConfig;
 use crate::msg::Msg;
 use crate::spill::SpillSettings;

@@ -1,24 +1,15 @@
-//! Window segmentation of a document stream.
+//! Window segmentation of a document stream for the batch harness.
 //!
 //! The paper uses time-based tumbling windows ("the daily produced amount as
 //! the number of documents produced every 3 minutes", §VII-B); the harness
-//! maps those to document counts. Two layers of policy live here:
-//!
-//! * [`WindowSpec`] (the shared spec from `ssj-join`) — count-based tumbling
-//!   or pane-chained sliding windows. [`Windower::new`] consumes it and
-//!   yields one window per *slide*: for tumbling, disjoint chunks; for
-//!   sliding, each pane boundary yields the full window (the newest
-//!   `panes_per_window` panes, overlapping with its predecessor).
-//! * [`SegmentSpec`] — stream segmentation for the batch harness:
-//!   [`SegmentSpec::Count`] closes after `n` documents,
-//!   [`SegmentSpec::ByAttribute`] closes when the integer value of a
-//!   designated attribute crosses a multiple of `width` (e.g. an
-//!   epoch-seconds field with `width = 180` gives the paper's 3-minute
-//!   windows). Documents lacking the attribute stay in the current window.
+//! maps those to document counts. [`SegmentSpec`] picks the policy:
+//! [`SegmentSpec::Count`] closes after `n` documents,
+//! [`SegmentSpec::ByAttribute`] closes when the integer value of a
+//! designated attribute crosses a multiple of `width` (e.g. an epoch-seconds
+//! field with `width = 180` gives the paper's 3-minute windows). Documents
+//! lacking the attribute stay in the current window.
 
-use ssj_join::WindowSpec;
 use ssj_json::{AttrId, Dictionary, Document, Scalar};
-use std::collections::VecDeque;
 
 /// Stream segmentation policy for the batch harness (CLI `--window-by`).
 #[derive(Debug, Clone)]
@@ -37,21 +28,14 @@ pub enum SegmentSpec {
 
 /// Iterator adapter producing whole windows from a document stream.
 pub struct Windower<I> {
-    stream: I,
+    stream: std::iter::Fuse<I>,
     spec: Spec,
+    dict: Dictionary,
     buf: Vec<Document>,
-    done: bool,
 }
 
 enum Spec {
     Count(usize),
-    /// Pane-chained sliding: emit the full window at every pane boundary;
-    /// `ring` holds the newest `panes - 1` completed panes.
-    Panes {
-        pane: usize,
-        panes: usize,
-        ring: VecDeque<Vec<Document>>,
-    },
     ByAttribute {
         attr: AttrId,
         width: i64,
@@ -60,30 +44,6 @@ enum Spec {
 }
 
 impl<I: Iterator<Item = Document>> Windower<I> {
-    /// Window `stream` per the shared [`WindowSpec`]: tumbling chunks, or —
-    /// for sliding specs — one overlapping window per pane boundary.
-    ///
-    /// # Panics
-    /// When `spec` fails [`WindowSpec::validate`].
-    pub fn new(stream: I, spec: WindowSpec, _dict: &Dictionary) -> Self {
-        spec.validate().expect("invalid WindowSpec");
-        let spec = if spec.is_sliding() {
-            Spec::Panes {
-                pane: spec.pane_docs(),
-                panes: spec.panes_per_window(),
-                ring: VecDeque::new(),
-            }
-        } else {
-            Spec::Count(spec.pane_docs())
-        };
-        Windower {
-            stream,
-            spec,
-            buf: Vec::new(),
-            done: false,
-        }
-    }
-
     /// Segment `stream` per `spec`, interning the attribute through `dict`.
     ///
     /// # Panics
@@ -104,19 +64,59 @@ impl<I: Iterator<Item = Document>> Windower<I> {
             }
         };
         Windower {
-            stream,
+            stream: stream.fuse(),
             spec,
+            dict: dict.clone(),
             buf: Vec::new(),
-            done: false,
         }
     }
+}
 
-    fn bucket_of(doc: &Document, attr: AttrId, width: i64, dict: &Dictionary) -> Option<i64> {
-        let pair = doc.pair_for_attr(attr)?;
-        match dict.avp_scalar(pair.avp) {
-            Scalar::Int(v) => Some(v.div_euclid(width)),
-            _ => None,
+impl<I: Iterator<Item = Document>> Iterator for Windower<I> {
+    type Item = Vec<Document>;
+
+    fn next(&mut self) -> Option<Vec<Document>> {
+        for doc in self.stream.by_ref() {
+            match &mut self.spec {
+                Spec::Count(n) => {
+                    self.buf.push(doc);
+                    if self.buf.len() == *n {
+                        return Some(std::mem::take(&mut self.buf));
+                    }
+                }
+                Spec::ByAttribute {
+                    attr,
+                    width,
+                    current,
+                } => {
+                    let bucket = doc.pair_for_attr(*attr).and_then(|pair| {
+                        match self.dict.avp_scalar(pair.avp) {
+                            Scalar::Int(v) => Some(v.div_euclid(*width)),
+                            _ => None,
+                        }
+                    });
+                    match (bucket, *current) {
+                        (Some(b), Some(c)) if b != c => {
+                            // Boundary crossed: close the window, start the
+                            // next with this document.
+                            *current = Some(b);
+                            let closed = std::mem::replace(&mut self.buf, vec![doc]);
+                            if !closed.is_empty() {
+                                return Some(closed);
+                            }
+                        }
+                        (Some(b), _) => {
+                            *current = Some(b);
+                            self.buf.push(doc);
+                        }
+                        // No usable event time: current window.
+                        (None, _) => self.buf.push(doc),
+                    }
+                }
+            }
         }
+        // End of stream: a partial window still closes, once.
+        (!self.buf.is_empty()).then(|| std::mem::take(&mut self.buf))
     }
 }
 
@@ -126,111 +126,7 @@ pub fn windows(
     spec: SegmentSpec,
     dict: &Dictionary,
 ) -> Vec<Vec<Document>> {
-    drain(Windower::segmented(stream.into_iter(), spec, dict), dict)
-}
-
-/// Eagerly produce every per-slide window of `stream` under the shared
-/// [`WindowSpec`] — for sliding specs the windows overlap, pane-quantized
-/// exactly like the runtime's Joiner ring.
-pub fn slide_windows(
-    stream: impl IntoIterator<Item = Document>,
-    spec: WindowSpec,
-    dict: &Dictionary,
-) -> Vec<Vec<Document>> {
-    drain(Windower::new(stream.into_iter(), spec, dict), dict)
-}
-
-fn drain<I: Iterator<Item = Document>>(
-    inner: Windower<I>,
-    dict: &Dictionary,
-) -> Vec<Vec<Document>> {
-    let mut out = Vec::new();
-    let mut w = WindowerOwned {
-        inner,
-        dict: dict.clone(),
-    };
-    while let Some(win) = w.next_window() {
-        out.push(win);
-    }
-    out
-}
-
-struct WindowerOwned<I: Iterator<Item = Document>> {
-    inner: Windower<I>,
-    dict: Dictionary,
-}
-
-impl<I: Iterator<Item = Document>> WindowerOwned<I> {
-    fn next_window(&mut self) -> Option<Vec<Document>> {
-        let w = &mut self.inner;
-        if w.done {
-            return None;
-        }
-        loop {
-            match w.stream.next() {
-                None => {
-                    w.done = true;
-                    if w.buf.is_empty() {
-                        return None;
-                    }
-                    // A trailing partial pane still closes a (partial)
-                    // window spanning the retained ring.
-                    if let Spec::Panes { ring, .. } = &mut w.spec {
-                        let mut win: Vec<Document> = ring.iter().flatten().cloned().collect();
-                        win.append(&mut w.buf);
-                        return Some(win);
-                    }
-                    return Some(std::mem::take(&mut w.buf));
-                }
-                Some(doc) => match &mut w.spec {
-                    Spec::Count(n) => {
-                        w.buf.push(doc);
-                        if w.buf.len() == *n {
-                            return Some(std::mem::take(&mut w.buf));
-                        }
-                    }
-                    Spec::Panes { pane, panes, ring } => {
-                        w.buf.push(doc);
-                        if w.buf.len() == *pane {
-                            let closed = std::mem::take(&mut w.buf);
-                            let mut win: Vec<Document> = ring.iter().flatten().cloned().collect();
-                            win.extend(closed.iter().cloned());
-                            ring.push_back(closed);
-                            while ring.len() >= *panes {
-                                ring.pop_front();
-                            }
-                            return Some(win);
-                        }
-                    }
-                    Spec::ByAttribute {
-                        attr,
-                        width,
-                        current,
-                    } => {
-                        let bucket = Windower::<I>::bucket_of(&doc, *attr, *width, &self.dict);
-                        match (bucket, *current) {
-                            (Some(b), Some(c)) if b != c => {
-                                // Boundary crossed: close the window, start
-                                // the next with this document.
-                                *current = Some(b);
-                                let closed = std::mem::take(&mut w.buf);
-                                w.buf.push(doc);
-                                if !closed.is_empty() {
-                                    return Some(closed);
-                                }
-                            }
-                            (Some(b), _) => {
-                                *current = Some(b);
-                                w.buf.push(doc);
-                            }
-                            // No usable event time: current window.
-                            (None, _) => w.buf.push(doc),
-                        }
-                    }
-                },
-            }
-        }
-    }
+    Windower::segmented(stream.into_iter(), spec, dict).collect()
 }
 
 #[cfg(test)]
@@ -253,37 +149,6 @@ mod tests {
         let ws = windows(docs, SegmentSpec::Count(10), &dict);
         let sizes: Vec<usize> = ws.iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![10, 10, 5]);
-    }
-
-    #[test]
-    fn tumbling_spec_matches_count_segmentation() {
-        let dict = Dictionary::new();
-        let docs: Vec<Document> = (0..25).map(|i| doc(&dict, i, None)).collect();
-        let ws = slide_windows(docs, WindowSpec::tumbling(10), &dict);
-        let sizes: Vec<usize> = ws.iter().map(Vec::len).collect();
-        assert_eq!(sizes, vec![10, 10, 5]);
-    }
-
-    #[test]
-    fn sliding_spec_yields_overlapping_pane_windows() {
-        let dict = Dictionary::new();
-        let docs: Vec<Document> = (0..10).map(|i| doc(&dict, i, None)).collect();
-        // Panes of 2, window of 3 panes: slide k spans panes [k-2, k].
-        let ws = slide_windows(docs, WindowSpec::sliding(2, 3), &dict);
-        let ids: Vec<Vec<u64>> = ws
-            .iter()
-            .map(|w| w.iter().map(|d| d.id().0).collect())
-            .collect();
-        assert_eq!(
-            ids,
-            vec![
-                vec![0, 1],
-                vec![0, 1, 2, 3],
-                vec![0, 1, 2, 3, 4, 5],
-                vec![2, 3, 4, 5, 6, 7],
-                vec![4, 5, 6, 7, 8, 9],
-            ]
-        );
     }
 
     #[test]

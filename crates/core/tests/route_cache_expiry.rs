@@ -9,7 +9,7 @@
 //! sequence (tables deployed by hand, punctuation at exact points) and
 //! observes the routed targets directly.
 
-use ssj_core::components::Assigner;
+use ssj_core::assign::Assigner;
 use ssj_core::{Msg, StreamJoinConfig, TableMsg, WindowSpec};
 use ssj_json::{AvpId, Dictionary, DocId, Document};
 use ssj_partition::PartitionTable;

@@ -135,7 +135,7 @@ fn pane_truth(docs: &[Document], pane: usize, panes: usize, p: usize) -> Vec<(u6
 /// holding its whole lookback: the vocabulary shifts at pane 5, both
 /// Assigners signal, and at boundary 6 each creator builds groups over its
 /// half of the 4 retained panes — `group_build_docs` says how many documents
-/// that was, for the restored creator as for the other. Lock-step, δ off and
+/// that was, for the restored creator as for the other. Lock-step and
 /// `batch_size` 1 as in root `vocabulary_shift_forces_a_repartition`.
 fn assert_creator_crash_keeps_the_lookback(task: usize, window: u64, tuple: u64) {
     const PANE: usize = 64;
@@ -146,7 +146,6 @@ fn assert_creator_crash_keeps_the_lookback(task: usize, window: u64, tuple: u64)
         .with_partition_creators(2)
         .with_assigners(2)
         .with_expansion(false)
-        .with_delta(u32::MAX)
         .with_batch_size(1)
         .with_retries(2)
         .with_backoff_ms(1)

@@ -148,10 +148,7 @@ fn sliding_repartition_reads_the_creators_spilled_lookback() {
             false,
             budget,
             "repart",
-        )
-        .with_delta(u32::MAX)
-        .build()
-        .unwrap();
+        );
         run_lockstep(cfg, &dict, docs, FaultPlan::new()).unwrap()
     };
     let (resident, spilled) = (run(0), run(BUDGET));

@@ -7,7 +7,7 @@
 //! and the quality metrics / adaptation thresholds of §VI-A and §VII-C.
 //!
 //! ```
-//! use ssj_partition::{AgPartitioner, Partitioner};
+//! use ssj_partition::{AgPartitioner, Partitioner, RouteOutcome, RouteScratch};
 //! use ssj_json::{Dictionary, Scalar};
 //!
 //! let dict = Dictionary::new();
@@ -20,7 +20,8 @@
 //!     vec![avp("A", 7), avp("C", 4)],
 //! ];
 //! let table = AgPartitioner.create(&views, 2);
-//! assert!(!table.route(&views[0]).is_broadcast());
+//! let mut scratch = RouteScratch::new();
+//! assert_eq!(table.route_into(&views[0], &mut scratch), RouteOutcome::Matched);
 //! ```
 
 #![warn(missing_docs)]

@@ -38,24 +38,6 @@ impl Route {
         }
     }
 
-    /// Visit every target machine without materializing a vector —
-    /// broadcasts iterate `0..m` directly.
-    #[inline]
-    pub fn for_each_target(&self, m: usize, mut f: impl FnMut(u32)) {
-        match self {
-            Route::To(t) => {
-                for &p in t {
-                    f(p);
-                }
-            }
-            Route::Broadcast => {
-                for p in 0..m as u32 {
-                    f(p);
-                }
-            }
-        }
-    }
-
     /// True when the route is a broadcast.
     pub fn is_broadcast(&self) -> bool {
         matches!(self, Route::Broadcast)
@@ -202,7 +184,7 @@ impl PartitionTable {
         self.m
     }
 
-    /// Add `avp` to partition `p` (the Merger's single-pair update, §VI-A).
+    /// Add `avp` to partition `p` (declared loads are left alone).
     pub fn add_avp(&mut self, p: u32, avp: AvpId) {
         let entry = self.index.entry(avp).or_default();
         if !entry.contains(&p) {
@@ -249,17 +231,30 @@ impl PartitionTable {
         self.loads[p as usize]
     }
 
-    /// The partition with the smallest declared load — the Merger's target
-    /// for single-pair updates (§VI-A).
-    pub fn least_loaded(&self) -> u32 {
+    /// The partition with the smallest declared load (the first on ties).
+    fn least_loaded(&self) -> u32 {
         (0..self.m as u32)
             .min_by_key(|&p| self.loads[p as usize])
             .expect("m > 0")
     }
 
-    /// Increase the declared load of `p` (used when updates add pairs).
+    /// Increase the declared load of `p`.
     pub fn bump_load(&mut self, p: u32, by: usize) {
         self.loads[p as usize] += by;
+    }
+
+    /// The Merger's single-pair update (§VI-A): put a pair the table does
+    /// not know into the least-loaded partition and count one unit of load
+    /// there. `false`, and no change, when the pair is known already —
+    /// several Assigners may ask for the same one.
+    pub fn apply_update(&mut self, avp: AvpId) -> bool {
+        if !self.partitions_of(avp).is_empty() {
+            return false;
+        }
+        let p = self.least_loaded();
+        self.add_avp(p, avp);
+        self.bump_load(p, 1);
+        true
     }
 
     /// Number of distinct pairs across all partitions.
@@ -273,7 +268,9 @@ impl PartitionTable {
     }
 
     /// Route one document view: all partitions sharing at least one pair,
-    /// or [`Route::Broadcast`] when nothing matches.
+    /// or [`Route::Broadcast`] when nothing matches. An allocating
+    /// reference: tests hold [`route_into`](Self::route_into), the path
+    /// routing takes, equal to it; nothing else calls it.
     pub fn route(&self, view: &[AvpId]) -> Route {
         let mut targets: Vec<u32> = Vec::new();
         for avp in view {
@@ -416,16 +413,6 @@ impl PartitionTable {
         }
         Ok(table)
     }
-
-    /// Which fraction of the view's pairs are known to the table — the
-    /// Assigner's novelty signal.
-    pub fn known_fraction(&self, view: &[AvpId]) -> f64 {
-        if view.is_empty() {
-            return 1.0;
-        }
-        let known = view.iter().filter(|a| self.index.contains_key(a)).count();
-        known as f64 / view.len() as f64
-    }
 }
 
 /// Greedy load-balanced placement of association groups onto `m` partitions
@@ -438,9 +425,7 @@ pub fn assign_groups(mut groups: Vec<AssociationGroup>, m: usize) -> PartitionTa
     for group in groups {
         // The least-loaded partition; the first m groups therefore land on
         // the m initially-empty partitions exactly as the paper describes.
-        let p = (0..m as u32)
-            .min_by_key(|&p| table.loads[p as usize])
-            .expect("m > 0");
+        let p = table.least_loaded();
         for avp in group.avps {
             table.add_avp(p, avp);
         }
@@ -561,10 +546,16 @@ mod tests {
     }
 
     #[test]
-    fn known_fraction() {
-        let table = assign_groups(vec![ag(&[1, 2], 2)], 2);
-        assert_eq!(table.known_fraction(&[AvpId(1), AvpId(9)]), 0.5);
-        assert_eq!(table.known_fraction(&[]), 1.0);
+    fn apply_update_fills_the_least_loaded_partition_once() {
+        let mut table = assign_groups(vec![ag(&[1], 5), ag(&[2], 2)], 2);
+        let light = table.partitions_of(AvpId(2))[0];
+        assert!(table.apply_update(AvpId(9)));
+        assert_eq!(table.partitions_of(AvpId(9)), &[light]);
+        assert_eq!(table.declared_load(light), 3);
+        // Known pairs — old or just added — are left alone.
+        assert!(!table.apply_update(AvpId(9)));
+        assert!(!table.apply_update(AvpId(1)));
+        assert_eq!(table.declared_load(light), 3);
     }
 
     #[test]
@@ -658,16 +649,6 @@ mod tests {
         assert_eq!(scratch.targets(), &[0, 5, 7]);
         scratch.set_targets_from_mask(0);
         assert!(scratch.targets().is_empty());
-    }
-
-    #[test]
-    fn for_each_target_visits_route() {
-        let mut seen = Vec::new();
-        Route::To(vec![1, 3]).for_each_target(5, |p| seen.push(p));
-        assert_eq!(seen, vec![1, 3]);
-        seen.clear();
-        Route::Broadcast.for_each_target(3, |p| seen.push(p));
-        assert_eq!(seen, vec![0, 1, 2]);
     }
 
     #[test]

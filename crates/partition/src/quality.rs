@@ -73,7 +73,8 @@ impl WindowQuality {
 }
 
 /// δ-threshold tracking of previously unseen attribute-value pairs (§VI-A):
-/// a pair becomes an *update candidate* once seen `delta` times.
+/// a pair becomes an *update candidate* once seen `delta` times since the
+/// partitions were built.
 #[derive(Debug, Clone)]
 pub struct UnseenTracker {
     delta: u32,
@@ -97,19 +98,9 @@ impl UnseenTracker {
         *c == self.delta
     }
 
-    /// Forget a pair once the Merger has incorporated it.
-    pub fn clear(&mut self, avp: AvpId) {
-        self.counts.remove(&avp);
-    }
-
-    /// Drop all state (used at repartition boundaries).
+    /// Drop all state (on a rebuilt table).
     pub fn reset(&mut self) {
         self.counts.clear();
-    }
-
-    /// Number of pairs currently below the threshold.
-    pub fn pending(&self) -> usize {
-        self.counts.len()
     }
 }
 
@@ -202,9 +193,8 @@ mod tests {
         assert!(!t.observe(avp));
         assert!(t.observe(avp)); // third sighting
         assert!(!t.observe(avp)); // fires exactly once
-        assert_eq!(t.pending(), 1);
-        t.clear(avp);
-        assert_eq!(t.pending(), 0);
+        t.reset();
+        assert!(!t.observe(avp)); // counts again from scratch
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use schema_free_stream_joins::ssj_join::{fpjoin, fptree::FpTree};
 use schema_free_stream_joins::ssj_json::{Dictionary, DocId, Document};
 use schema_free_stream_joins::ssj_partition::{
-    association_groups, AgPartitioner, Partitioner, View,
+    association_groups, AgPartitioner, Partitioner, RouteScratch, View,
 };
 
 fn main() {
@@ -106,7 +106,10 @@ fn main() {
         );
     }
     let table = AgPartitioner.create(&views, 2);
+    let mut scratch = RouteScratch::new();
     for v in &views {
-        println!("  view {:?} -> machines {:?}", v, table.route(v).targets(2));
+        // Every view of the creation batch matches a partition.
+        table.route_into(v, &mut scratch);
+        println!("  view {:?} -> machines {:?}", v, scratch.targets());
     }
 }

@@ -99,16 +99,28 @@ result_path() {
 }
 stage "result path" result_path
 
-# A repartition that fires: a vocabulary shift makes the Assigners signal,
-# every creator builds groups a second time over its whole lookback (tumbling
-# with and without expansion, sliding), a second table is deployed, output ==
-# brute force; a creator bolt's LocalGroups == association_groups over exactly
-# its retained panes == what a GroupIndex derives from the same deltas.
+# A repartition that fires: a vocabulary shift makes the Assigners signal at
+# the default δ, every creator builds groups a second time over its whole
+# lookback (tumbling with and without expansion, sliding), a second table is
+# deployed, output == brute force; the pipeline routes every window like a
+# lock-step topology and repartitions where it does; a creator bolt's
+# LocalGroups == association_groups over exactly its retained panes == what a
+# GroupIndex derives from the same deltas.
 repartition_path() {
     cargo test -q --test end_to_end vocabulary_shift_forces_a_repartition
+    cargo test -q --test end_to_end pipeline_routes_like_the_lockstep_topology
     cargo test -q -p ssj-core --test components creator_builds_over_exactly_its_lookback
 }
 stage "repartition path" repartition_path
+
+# Figs. 6-10 come from the pipeline, which drives the Assigner's Router on
+# the topology's cadence: the committed figures.txt is exactly their stdout
+# (Fig. 11 is wall-clock and lives in EXPERIMENTS.md only).
+figures() {
+    cargo build --release -q -p ssj-bench --bin figures
+    ./target/release/figures fig6 fig7 fig8 fig9 fig10 | diff figures.txt -
+}
+stage "figures" figures
 
 stage "bench_partition build" cargo build --release -q -p ssj-bench --bin bench_partition
 # Partitioning smoke bench: the in-process ratio of fast over legacy routing

@@ -12,7 +12,7 @@ use schema_free_stream_joins::ssj_join::JoinAlgo;
 use schema_free_stream_joins::ssj_json::{Dictionary, Document, FxHashSet};
 use schema_free_stream_joins::ssj_partition::PartitionerKind;
 use schema_free_stream_joins::ssj_runtime::FaultPlan;
-use ssj_bench::testutil::{run_lockstep, shifting_stream};
+use ssj_bench::testutil::{assert_windows_equal, run_lockstep, shifting_stream};
 
 fn serverlog(dict: &Dictionary, n: usize) -> Vec<Document> {
     ServerLogGen::new(ServerLogConfig::default(), dict.clone()).take_docs(n)
@@ -291,15 +291,14 @@ fn joins_on_arrival_across_micro_batches_and_shifting_attributes() {
 /// The rare path: a repartition that fires. The value vocabulary changes at
 /// pane 5 of 10, so the bootstrap table knows none of the later pairs, every
 /// document of pane 5 is broadcast, and both Assigners see replication jump
-/// past θ over the (constant) baseline of panes 1–4. Both creators then
-/// build groups a second time — at boundary 6, over their share of the whole
-/// lookback, not of one pane — and the Merger deploys a second table that
-/// routes the new vocabulary from pane 7 on. The run is in lock-step so the
-/// signals reach the creators before pane 6 does, every time. δ-updates are
-/// off (`delta` = max): they would teach the old table the new pairs one by
-/// one, and a table refreshed that way resets the baseline in a race with
-/// the θ signal. `batch_size` 1 makes the shuffle per-document, so each
-/// creator holds exactly half of every pane.
+/// past θ over the (constant) baseline of panes 1–4. As they close pane 5
+/// they signal and ask the Merger for the new pairs (δ = 3). Both creators
+/// build groups a second time — at boundary 6, over their share of the
+/// whole lookback, not of one pane — so the Merger's boundary 6 deploys a
+/// rebuild rather than the δ-refresh, and from pane 7 on documents are
+/// routed again. The run is in lock-step so the signals and requests reach
+/// their targets before pane 6 does, every time; `batch_size` 1 makes the
+/// shuffle per-document, so each creator holds exactly half of every pane.
 #[test]
 fn vocabulary_shift_forces_a_repartition() {
     const PANE: usize = 128;
@@ -320,7 +319,6 @@ fn vocabulary_shift_forces_a_repartition() {
             .with_expansion(expansion)
             .with_partition_creators(2)
             .with_assigners(2)
-            .with_delta(u32::MAX)
             .with_batch_size(1)
             .build()
             .unwrap();
@@ -351,10 +349,16 @@ fn vocabulary_shift_forces_a_repartition() {
                 c.task
             );
         }
+        // The bootstrap and the rebuild. In between, the Merger applied each
+        // pair of the new vocabulary once — 8 hosts, 8 racks, 2 modes, or
+        // the 24 pairs of the expansion's views — and the rebuild
+        // superseded them before they were broadcast on their own.
         let tables = rt.component_counter("merger", "table_broadcasts");
         assert_eq!(tables, 2, "{what}: tables deployed");
-        // The second table took effect: panes 5 and 6 went to every joiner,
-        // from pane 7 on documents are routed again.
+        let updates = rt.component_counter("merger", "delta_updates");
+        assert_eq!(updates, if expansion { 24 } else { 18 }, "{what}");
+        // The rebuild took effect: panes 5 and 6 went to every joiner, from
+        // pane 7 on documents are routed again.
         let copies = |p: usize| report.docs_per_joiner[p].iter().sum::<usize>();
         assert_eq!(
             (copies(SHIFT), copies(SHIFT + 1)),
@@ -368,6 +372,62 @@ fn vocabulary_shift_forces_a_repartition() {
         let truth = pane_filtered_brute_force(&docs, PANE, spec.panes_per_window());
         assert!(truth.iter().all(|pane| !pane.is_empty()));
         assert_eq!(report.joins_per_window, truth, "{what}");
+    }
+}
+
+/// The figures' pipeline against the running system: the Pipeline routes every
+/// window through the Assigner's `Router` on the topology's cadence, so a
+/// lock-step run with one creator and one assigner sends each joiner the
+/// same copies of every window, signals θ after the windows the Pipeline
+/// repartitions behind, and rebuilds as often. On a vocabulary shift (one
+/// repartition) and on a server-log stream (δ-updates every window).
+#[test]
+fn pipeline_routes_like_the_lockstep_topology() {
+    use schema_free_stream_joins::ssj_runtime::TraceKind;
+    const PANE: usize = 128;
+    const M: usize = 4;
+    let dict = Dictionary::new();
+    // With the windows each stream repartitions behind.
+    let streams = [
+        ("shifting", shifting_stream(&dict, 10, PANE, 5), vec![6]),
+        ("serverlog", serverlog(&dict, 10 * PANE), vec![]),
+    ];
+    for (what, docs, repartitioned) in streams {
+        let cfg = StreamJoinConfig::default()
+            .with_m(M)
+            .with_window_spec(WindowSpec::tumbling(PANE))
+            .with_partition_creators(1)
+            .with_assigners(1)
+            .with_batch_size(1)
+            .with_metrics(true)
+            .build()
+            .unwrap();
+        let mut pipeline = Pipeline::new(cfg.clone(), dict.clone());
+        pipeline.compute_joins = false;
+        let windows = pipeline.run(docs.clone()).windows;
+        let topo = run_lockstep(cfg, &dict, docs, FaultPlan::new()).expect("run");
+
+        let copies: Vec<_> = windows.iter().map(|w| w.docs_per_joiner.clone()).collect();
+        assert_windows_equal(what, &copies, &topo.docs_per_joiner);
+        let rt = &topo.runtime;
+        let rebuilt: Vec<u64> = windows
+            .iter()
+            .filter(|w| w.repartitioned)
+            .map(|w| w.window as u64)
+            .collect();
+        assert_eq!(rebuilt, repartitioned, "{what}");
+        let signalled: Vec<u64> = rt
+            .trace
+            .iter()
+            .filter(|e| e.kind == TraceKind::Repartition && e.window + 1 < windows.len() as u64)
+            .map(|e| e.window + 1)
+            .collect();
+        assert_eq!(rebuilt, signalled, "{what}: repartitioned windows");
+        assert_eq!(
+            rt.component_counter("creator", "group_computations"),
+            1 + rebuilt.len() as u64,
+            "{what}: builds"
+        );
     }
 }
 
