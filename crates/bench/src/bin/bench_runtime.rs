@@ -1,8 +1,8 @@
 //! End-to-end runtime throughput benchmark for the batched transport.
 //!
 //! Two workloads:
-//! * **chain** — a spout → shuffle map stage → fields-grouped aggregation
-//!   stage, pure transport with trivial per-message work, measured at
+//! * **chain** — a spout → shuffle map stage → shuffle aggregation stage,
+//!   pure transport with trivial per-message work, measured at
 //!   several batch sizes. This isolates the per-envelope costs the
 //!   micro-batching amortizes.
 //! * **join** — the real Fig. 2 join topology on nbData, batched vs
@@ -50,7 +50,8 @@ impl Bolt<u64> for SumBolt {
     }
 }
 
-/// spout → map x3 (shuffle) → sum x3 (fields): transport-bound chain.
+/// spout → map x3 (shuffle) → sum x3 (shuffle): transport-bound chain. The
+/// total does not depend on which sum task gets each tuple.
 fn chain_run(n: u64, batch: usize) -> Measurement {
     let total = Arc::new(AtomicU64::new(0));
     let t2 = Arc::clone(&total);
@@ -70,7 +71,7 @@ fn chain_run(n: u64, batch: usize) -> Measurement {
                 total: Arc::clone(&t2),
             })
         })
-        .subscribe("map", Grouping::Fields(Arc::new(|x: &u64| *x)))
+        .subscribe("map", Grouping::Shuffle)
         .done()
         .build()
         .unwrap();

@@ -90,10 +90,6 @@ const RETRIES: FlagSpec = opt(
     "supervised-recovery retry budget per task (0 = off)",
 );
 const BACKOFF_MS: FlagSpec = opt("backoff-ms", Some("20"), "base recovery backoff in ms");
-const DEGRADED: FlagSpec = flag(
-    "degraded",
-    "fence retry-exhausted tasks and route around them",
-);
 const POOL_WORKERS: FlagSpec = opt(
     "pool-workers",
     Some("0"),
@@ -235,7 +231,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             NO_EXPANSION,
             RETRIES,
             BACKOFF_MS,
-            DEGRADED,
             POOL_WORKERS,
             PIN_CORES,
             MEM_BUDGET,
@@ -264,7 +259,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             NO_EXPANSION,
             RETRIES,
             BACKOFF_MS,
-            DEGRADED,
             POOL_WORKERS,
             PIN_CORES,
             MEM_BUDGET,
@@ -460,6 +454,16 @@ mod tests {
             parse(&["partition", "--partitioner", "ds"]).get("partitioner"),
             Some("ds")
         );
+    }
+
+    #[test]
+    fn degraded_mode_is_gone() {
+        // A task out of retries always fails the run; there is no flag that
+        // fences it and keeps going with a smaller result.
+        for cmd in ["run", "topology"] {
+            let err = Args::parse([cmd.into(), "--degraded".into()]).unwrap_err();
+            assert!(err.starts_with("unknown option --degraded"), "{err}");
+        }
     }
 
     #[test]

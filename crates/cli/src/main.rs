@@ -203,7 +203,6 @@ fn pipeline_config(args: &Args, metrics: bool) -> Result<StreamJoinConfig, Strin
         .with_metrics(metrics)
         .with_retries(args.get_or("retries", 0)?)
         .with_backoff_ms(args.get_or("backoff-ms", 20)?)
-        .with_degraded(args.flag("degraded"))
         .with_pool_workers(args.get_or("pool-workers", 0)?)
         .with_pin_cores(args.flag("pin-cores"))
         .with_workers(args.get_or("workers", 1)?)
@@ -502,12 +501,11 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let faults = runtime.total_faults();
     if faults > 0 {
         println!(
-            "faults: {} ({} crashes, {} recoveries attempted, {} succeeded, {} tasks fenced)",
+            "faults: {} ({} crashes, {} recoveries attempted, {} succeeded)",
             faults,
             runtime.counter_total("faults_crashes"),
             runtime.counter_total("recoveries_attempted"),
             runtime.counter_total("recoveries_succeeded"),
-            runtime.counter_total("faults_fenced"),
         );
     }
     let mut out = joins_out.lock();

@@ -109,3 +109,51 @@ fn joins_out_failures_are_named_errors() {
         assert!(!stderr.contains("panicked"), "{stderr}");
     }
 }
+
+/// A `--input` file that ends mid-document, or carries one malformed line,
+/// fails the run before any window closes — solo and as a 2-process group:
+/// exit 1 with the offending line named, no panic, and no window line in
+/// `--joins-out`.
+#[test]
+fn bad_input_is_a_named_error_before_any_window() {
+    let lines: Vec<String> = (0..300)
+        .map(|i| format!("{{\"a\":{},\"b\":\"x{}\"}}", i % 5, i % 3))
+        .collect();
+    let truncated = format!("{}\n{}", lines.join("\n"), &lines[0][..7]);
+    let mut malformed = lines.clone();
+    malformed[149] = "{\"a\": 1, oops}".into();
+    let malformed = malformed.join("\n") + "\n";
+    for (tag, text, line) in [("truncated", truncated, 301), ("malformed", malformed, 150)] {
+        let input = out_path(&format!("{tag}-input"));
+        std::fs::write(&input, text).expect("write input");
+        for workers in [1, 2] {
+            let joins = out_path(&format!("{tag}-{workers}"));
+            let out = Command::new(bin())
+                .args(["run", "--input", input.to_str().unwrap()])
+                .args(["--m", "3", "--window", "100", "--no-metrics"])
+                .args(["--workers", &workers.to_string()])
+                .args(["--joins-out", joins.to_str().unwrap()])
+                .env_remove("SSJ_KILL_WORKER")
+                .output()
+                .expect("launch ssj");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{tag}, {workers} workers: {stderr}"
+            );
+            assert!(
+                stderr.contains(&format!("line {line}: JSON parse error")),
+                "{tag}, {workers} workers: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{stderr}");
+            let written = std::fs::read_to_string(&joins).unwrap_or_default();
+            let _ = std::fs::remove_file(&joins);
+            assert!(
+                written.is_empty(),
+                "{tag}, {workers} workers wrote {written:?}"
+            );
+        }
+        let _ = std::fs::remove_file(&input);
+    }
+}

@@ -55,10 +55,6 @@ pub struct StreamJoinConfig {
     /// Base backoff between recovery attempts, in milliseconds (doubles per
     /// consecutive attempt, capped at 64×).
     pub backoff_ms: u64,
-    /// Degraded mode: when a task exhausts its retries, fence it and route
-    /// around it instead of failing the whole run (sacrifices that task's
-    /// share of the result — see DESIGN.md §4d).
-    pub degraded: bool,
     /// Worker threads of the pool that schedules the bolt tasks (DESIGN.md
     /// §4e; 0 = auto: one per available core, capped at the number of
     /// bolt tasks).
@@ -101,7 +97,6 @@ impl Default for StreamJoinConfig {
             metrics: false,
             retries: 0,
             backoff_ms: 20,
-            degraded: false,
             pool_workers: 0,
             pin_cores: false,
             workers: 1,
@@ -279,14 +274,6 @@ macro_rules! builder_setters {
         pub fn with_backoff_ms(self, ms: u64) -> ConfigBuilder {
             let mut b = self.into_builder();
             b.cfg.backoff_ms = ms;
-            b
-        }
-
-        /// Enable or disable degraded mode (fence retry-exhausted tasks and
-        /// route around them instead of failing the run).
-        pub fn with_degraded(self, on: bool) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.degraded = on;
             b
         }
 

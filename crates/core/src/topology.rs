@@ -271,8 +271,7 @@ fn build(
         .recovery(
             ssj_runtime::RecoveryPolicy::default()
                 .retries(config.retries)
-                .backoff(std::time::Duration::from_millis(config.backoff_ms.max(1)))
-                .degraded(config.degraded),
+                .backoff(std::time::Duration::from_millis(config.backoff_ms.max(1))),
         )
         .spout("reader", 1, move |_| {
             reader
@@ -387,7 +386,7 @@ pub fn run_topology_with(
         }
     }
     let workers = dr.workers;
-    let codec = Arc::new(MsgCodec::new(dict));
+    let codec = Arc::new(MsgCodec::new(dict).with_m(config.m));
     run_distributed(topology, codec, group, &|component, task| {
         placement_for(component, task, workers)
     })

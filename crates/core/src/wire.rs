@@ -18,6 +18,12 @@
 //! handshake and in every Data/Batch frame; a disagreement (different
 //! dataset, different interning order) is rejected at decode time as
 //! [`WireError::EpochMismatch`] instead of silently joining on wrong pairs.
+//!
+//! A run's codec also knows the run's `m` ([`MsgCodec::with_m`]): the two
+//! peer-supplied values its tasks index by — a `JoinStats` joiner id and a
+//! `Table`'s partition count — are rejected as [`WireError::OutOfRange`] when
+//! they exceed it, so a corrupt frame ends the run in a transport error
+//! instead of a panic.
 
 use crate::msg::{Msg, TableMsg};
 use ssj_json::{AttrId, AvpId, Dictionary, DocId, Document, Pair, Scalar};
@@ -55,6 +61,8 @@ pub struct MsgCodec {
     /// Pair ids below this travel as bare symbols.
     avp_watermark: u32,
     epoch: u64,
+    /// Joiners (= partitions) of the run; `usize::MAX` accepts any.
+    m: usize,
 }
 
 impl MsgCodec {
@@ -67,7 +75,16 @@ impl MsgCodec {
             dict: dict.clone(),
             attr_watermark,
             avp_watermark,
+            m: usize::MAX,
         }
+    }
+
+    /// The run's codec: accept only joiner ids below `m` and tables of at
+    /// most `m` partitions, since the Reporter and the Assigners index by
+    /// them.
+    pub fn with_m(mut self, m: usize) -> MsgCodec {
+        self.m = m;
+        self
     }
 
     fn put_attr(&self, out: &mut Vec<u8>, attr: AttrId) {
@@ -314,6 +331,7 @@ impl WireCodec<Msg> for MsgCodec {
             TAG_TABLE => {
                 let window = c.varint()?;
                 let m = c.varint()? as usize;
+                at_most("table partitions", m, self.m)?;
                 if m > c.remaining() {
                     return Err(WireError::Truncated);
                 }
@@ -340,6 +358,7 @@ impl WireCodec<Msg> for MsgCodec {
             TAG_JOIN_STATS => {
                 let window = c.varint()?;
                 let joiner = c.varint()? as usize;
+                at_most("joiner", joiner, self.m.saturating_sub(1))?;
                 let docs = c.varint()? as usize;
                 let n = c.varint()? as usize;
                 if n > c.remaining() {
@@ -359,6 +378,18 @@ impl WireCodec<Msg> for MsgCodec {
             t => Err(WireError::BadTag(t)),
         }
     }
+}
+
+/// Reject a peer-supplied `value` above `max` as [`WireError::OutOfRange`].
+fn at_most(field: &'static str, value: usize, max: usize) -> Result<(), WireError> {
+    if value > max {
+        return Err(WireError::OutOfRange {
+            field,
+            value: value as u64,
+            max: max as u64,
+        });
+    }
+    Ok(())
 }
 
 /// Fingerprint the full content of `dict` — attribute names in id order,

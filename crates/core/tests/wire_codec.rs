@@ -1,12 +1,12 @@
 //! Round-trip property tests for the §4f binary wire codec: random
 //! documents and frames of every payload kind survive encode → decode
-//! bit-exactly, dictionary-epoch mismatches are rejected, and truncated
-//! frames are errors, never panics.
+//! bit-exactly, dictionary-epoch mismatches are rejected, and truncated,
+//! byte-flipped or arbitrary frames are errors, never panics.
 
 use proptest::prelude::*;
 use ssj_core::{Msg, MsgCodec, TableMsg};
 use ssj_json::{Dictionary, DocId, Document, Scalar};
-use ssj_partition::{AssociationGroup, PartitionTable};
+use ssj_partition::{AssociationGroup, Expansion, PartitionTable};
 use ssj_runtime::wire::{decode_frame, encode_frame, Cursor, Frame, Payload, WireError};
 use ssj_runtime::WireCodec;
 use std::sync::Arc;
@@ -55,6 +55,67 @@ fn roundtrip(codec: &MsgCodec, frame: &Frame<Msg>) -> Frame<Msg> {
     encode_frame(frame, codec, &mut buf);
     // Strip the u32 length prefix: decode_frame takes the frame body.
     decode_frame(&buf[4..], codec).expect("roundtrip decode")
+}
+
+/// Joiners of the run the fuzzed codec belongs to.
+const M: usize = 4;
+
+/// One Data frame body (length prefix stripped) per `Msg` tag — Doc,
+/// LocalGroups, Table, UpdateRequest, Repartition, JoinStats — with
+/// snapshot symbols and post-snapshot (inline) ones mixed in.
+fn every_tag_body(dict: &Dictionary, codec: &MsgCodec) -> Vec<Vec<u8>> {
+    let known = dict.intern("attr0", Scalar::Int(0));
+    let late = dict.intern("late", Scalar::Str("x".into()));
+    let float = dict.intern("late_f", Scalar::Float(-2.5));
+    let mut table = PartitionTable::empty(M);
+    table.add_avp(0, known.avp);
+    table.add_avp(3, late.avp);
+    table.bump_load(3, 9);
+    let msgs = [
+        Msg::Doc(Arc::new(Document::from_pairs(
+            DocId(7),
+            vec![known, late, float],
+        ))),
+        Msg::LocalGroups {
+            window: 3,
+            creator: 1,
+            groups: vec![AssociationGroup {
+                avps: vec![known.avp, late.avp],
+                load: 5,
+            }],
+            expansion: Some(Expansion {
+                chain: vec![known.attr, late.attr],
+                synth_attr: float.attr,
+                pna: 0.25,
+            }),
+        },
+        Msg::Table(Arc::new(TableMsg {
+            window: 2,
+            table,
+            expansion: None,
+        })),
+        Msg::UpdateRequest(late.avp),
+        Msg::Repartition,
+        Msg::JoinStats {
+            window: 4,
+            joiner: M - 1,
+            docs: 2,
+            pairs: vec![(DocId(1), DocId(2))],
+        },
+    ];
+    msgs.into_iter()
+        .map(|msg| {
+            let frame = Frame {
+                target: 5,
+                from: 2,
+                feedback: false,
+                payload: Payload::Data(msg),
+            };
+            let mut buf = Vec::new();
+            encode_frame(&frame, codec, &mut buf);
+            buf.split_off(4)
+        })
+        .collect()
 }
 
 proptest! {
@@ -172,6 +233,94 @@ proptest! {
             );
         }
     }
+}
+
+/// Any byte, with the ones that make long varints (huge counts and ids) and
+/// zero lengths as likely as the rest together.
+fn wire_byte() -> impl Strategy<Value = u8> {
+    prop_oneof![any::<u8>(), Just(0xff), Just(0x80), Just(0)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Whatever a peer sends, `decode_frame` returns a frame or a
+    /// `WireError`, never a panic. Inputs: arbitrary bodies, bare and behind
+    /// a valid Data header (so they reach the message codec), and truncated,
+    /// byte-flipped or junk-tailed encodings of all six `Msg` tags.
+    #[test]
+    fn decode_never_panics(
+        junk in proptest::collection::vec(wire_byte(), 0..96),
+        tag in 0usize..6,
+        cut in 0usize..1 << 16,
+        flips in proptest::collection::vec((0usize..1 << 16, 1u8..=255), 1..4),
+    ) {
+        let dict = seeded_dict(30);
+        let codec = MsgCodec::new(&dict).with_m(M);
+        let _ = decode_frame::<Msg>(&junk, &codec);
+        let mut behind_header = vec![1, 5, 2, 0]; // Data, target, from, flags
+        behind_header.extend_from_slice(&codec.epoch().to_le_bytes());
+        behind_header.extend_from_slice(&junk);
+        let _ = decode_frame::<Msg>(&behind_header, &codec);
+
+        let body = every_tag_body(&dict, &codec).swap_remove(tag);
+        prop_assert!(decode_frame::<Msg>(&body, &codec).is_ok(), "tag {tag} must decode intact");
+        let prefix = &body[..cut % body.len()];
+        let _ = decode_frame::<Msg>(prefix, &codec);
+        let _ = decode_frame::<Msg>(&[prefix, &junk[..]].concat(), &codec);
+        let mut flipped = body.clone();
+        for &(at, mask) in &flips {
+            let i = at % flipped.len();
+            flipped[i] ^= mask;
+        }
+        let _ = decode_frame::<Msg>(&flipped, &codec);
+    }
+}
+
+/// The run's codec rejects the two peer-supplied values its tasks index by:
+/// a `JoinStats` from a joiner `>= m` (the Reporter's per-joiner slot) and a
+/// `Table` wider than `m` (the Assigner's per-machine counts). The unbounded
+/// codec of `MsgCodec::new` still accepts both.
+#[test]
+fn run_codec_rejects_out_of_range_indices() {
+    let dict = seeded_dict(10);
+    let bounded = MsgCodec::new(&dict).with_m(M);
+    let unbounded = MsgCodec::new(&dict);
+    let stats = |joiner| Msg::JoinStats {
+        window: 0,
+        joiner,
+        docs: 1,
+        pairs: Vec::new(),
+    };
+    let wide = Msg::Table(Arc::new(TableMsg {
+        window: 0,
+        table: PartitionTable::empty(M + 1),
+        expansion: None,
+    }));
+    let decode = |codec: &MsgCodec, msg: &Msg| {
+        let mut buf = Vec::new();
+        codec.encode(msg, &mut buf);
+        codec.decode(&mut Cursor::new(&buf))
+    };
+    assert!(decode(&bounded, &stats(M - 1)).is_ok());
+    assert_eq!(
+        decode(&bounded, &stats(M)).unwrap_err(),
+        WireError::OutOfRange {
+            field: "joiner",
+            value: M as u64,
+            max: M as u64 - 1,
+        }
+    );
+    assert_eq!(
+        decode(&bounded, &wide).unwrap_err(),
+        WireError::OutOfRange {
+            field: "table partitions",
+            value: M as u64 + 1,
+            max: M as u64,
+        }
+    );
+    assert!(decode(&unbounded, &stats(M)).is_ok());
+    assert!(decode(&unbounded, &wide).is_ok());
 }
 
 /// Two dictionaries seeded identically produce codecs with equal epochs;

@@ -33,7 +33,7 @@
 //! Feedback edges bypass batching entirely — control loops (δ-updates,
 //! repartition signals) stay low-latency.
 
-use crate::fault::{self, FaultAction, FaultPanic, RecoveryPolicy, TaskFaults};
+use crate::fault::{self, FaultPanic, RecoveryPolicy, TaskFaults};
 use crate::metrics::{
     self, LocalHistogram, MetricsConfig, MetricsRegistry, TaskInstruments, TaskSnapshot,
     TraceEvent, TraceKind, WindowSnapshot,
@@ -47,7 +47,6 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -192,8 +191,8 @@ impl RunReport {
     }
 
     /// Total fault events recorded across the run: every `faults_*` counter
-    /// (injected crashes, drops, delays, stalls, fences, skipped work,
-    /// reroutes) summed over all tasks.
+    /// (injected or organic crashes of supervised tasks) summed over all
+    /// tasks.
     pub fn total_faults(&self) -> u64 {
         self.prefix_total("faults_")
     }
@@ -280,39 +279,6 @@ impl fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Shared fence flags for degraded mode: one per global task, raised when a
-/// task's retries are exhausted. Producers consult them to route around the
-/// dead task; the `any` flag keeps the no-fence hot path to a single
-/// relaxed load.
-pub(crate) struct FenceState {
-    flags: Vec<AtomicBool>,
-    any: AtomicBool,
-}
-
-impl FenceState {
-    fn new(total: usize) -> Self {
-        FenceState {
-            flags: (0..total).map(|_| AtomicBool::new(false)).collect(),
-            any: AtomicBool::new(false),
-        }
-    }
-
-    fn fence(&self, global: usize) {
-        self.flags[global].store(true, Ordering::Release);
-        self.any.store(true, Ordering::Release);
-    }
-
-    #[inline]
-    fn any_fenced(&self) -> bool {
-        self.any.load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    fn is_fenced(&self, global: usize) -> bool {
-        self.flags[global].load(Ordering::Relaxed)
-    }
-}
-
 /// One end of an edge as seen by a producer: either the in-process channel
 /// of a task on this worker, or the writer queue of the socket link to the
 /// peer process hosting it. Producers route by global task id either way —
@@ -366,11 +332,11 @@ fn send_env<M>(tx: &EdgeTx<M>, env: Envelope<M>, hub: &Hub, target_global: usize
 
 /// One outgoing subscription as seen by a producer task.
 struct OutEdge<M> {
-    grouping: Grouping<M>,
+    grouping: Grouping,
     /// Sender to each task of the subscribing component (local channel or
     /// socket writer queue, per placement).
     targets: Vec<EdgeTx<M>>,
-    /// Global task id behind each sender (fence lookups in degraded mode).
+    /// Global task id behind each sender (the hub notifies it on delivery).
     target_globals: Vec<usize>,
     /// Pending messages per target; flushed at `batch_size`, punctuation,
     /// EOS, and [`Outbox::flush`]. Unused (left unallocated) on the
@@ -501,21 +467,6 @@ impl<M> OutEdge<M> {
             );
         }
     }
-
-    /// Degraded-mode routing: if `target` is fenced, take the next live
-    /// task in ring order (deterministic rehash over the survivors — equal
-    /// fields-grouping keys keep landing together). `None` when every
-    /// target is fenced.
-    fn route_live(&self, target: usize, fences: &FenceState) -> Option<usize> {
-        let n = self.targets.len();
-        for off in 0..n {
-            let t = (target + off) % n;
-            if !fences.is_fenced(self.target_globals[t]) {
-                return Some(t);
-            }
-        }
-        None
-    }
 }
 
 /// The producer-side API handed to spouts and bolts.
@@ -535,13 +486,6 @@ pub struct Outbox<M> {
     /// Replay watermark; `punct_seq < replay_until` means output is
     /// suppressed. Equal outside replay.
     replay_until: u64,
-    /// Degraded-mode fence table (None unless the policy enables it).
-    fences: Option<Arc<FenceState>>,
-    /// Messages rerouted around fenced tasks (`faults_rerouted`).
-    rerouted: u64,
-    /// Messages dropped because every candidate target was fenced, or a
-    /// direct-grouped target was fenced (`faults_fenced_drops`).
-    fenced_drops: u64,
     /// The scheduler hub: every successful send marks the receiving task
     /// ready through it.
     sched: Arc<Hub>,
@@ -583,9 +527,6 @@ impl<M: Clone> Outbox<M> {
             batches,
             punct_seq,
             replay_until,
-            fences,
-            rerouted,
-            fenced_drops,
             sched,
         } = self;
         if *punct_seq < *replay_until {
@@ -593,49 +534,24 @@ impl<M: Clone> Outbox<M> {
         }
         let (from, bs) = (*my_global, *batch_size);
         let sched: &Hub = sched;
-        let fences = fences.as_deref().filter(|f| f.any_fenced());
-        let last = edges
-            .iter()
-            .rposition(|e| !matches!(e.grouping, Grouping::Direct));
+        let last = edges.iter().rposition(|e| e.grouping != Grouping::Direct);
         let mut msg = Some(msg);
         for (i, edge) in edges.iter_mut().enumerate() {
             // Taken by the last non-direct edge: only direct ones remain.
             let Some(m) = msg.as_ref() else { break };
             let n = edge.targets.len();
-            let target = match &edge.grouping {
+            let target = match edge.grouping {
                 Grouping::Direct => continue,
                 // Whole batches round-robin across the subscriber's tasks:
                 // the cursor advances when the current target's batch ships.
                 Grouping::Shuffle => edge.cursor,
-                Grouping::Fields(key) => (key(m) % n as u64) as usize,
                 Grouping::Global => 0,
                 Grouping::All => {
                     for t in 0..n {
-                        if let Some(f) = fences {
-                            if f.is_fenced(edge.target_globals[t]) {
-                                *fenced_drops += 1;
-                                continue;
-                            }
-                        }
                         edge.push(t, m.clone(), from, bs, emitted, batches, sched);
                     }
                     continue;
                 }
-            };
-            let target = match fences {
-                None => target,
-                Some(f) => match edge.route_live(target, f) {
-                    Some(t) => {
-                        if t != target {
-                            *rerouted += 1;
-                        }
-                        t
-                    }
-                    None => {
-                        *fenced_drops += 1;
-                        continue;
-                    }
-                },
             };
             let owned = if Some(i) == last {
                 msg.take().expect("checked at the top of the loop")
@@ -643,7 +559,7 @@ impl<M: Clone> Outbox<M> {
                 m.clone()
             };
             edge.push(target, owned, from, bs, emitted, batches, sched);
-            if matches!(edge.grouping, Grouping::Shuffle)
+            if edge.grouping == Grouping::Shuffle
                 && (bs <= 1 || edge.feedback || edge.bufs[target].is_empty())
             {
                 edge.cursor = if target + 1 == n { 0 } else { target + 1 };
@@ -651,44 +567,21 @@ impl<M: Clone> Outbox<M> {
         }
     }
 
-    /// Emit `msg` to task `task` of every direct-grouped subscription. In
-    /// degraded mode a fenced direct target drops the message (the producer
-    /// chose that exact task; rerouting would break direct semantics).
+    /// Emit `msg` to task `task` of every direct-grouped subscription.
     pub fn emit_direct(&mut self, task: usize, msg: M) {
-        let Outbox {
-            my_global,
-            edges,
-            batch_size,
-            emitted,
-            batches,
-            punct_seq,
-            replay_until,
-            fences,
-            fenced_drops,
-            sched,
-            ..
-        } = self;
-        if *punct_seq < *replay_until {
+        if self.replaying() {
             return;
         }
-        let sched: &Hub = sched;
-        let fences = fences.as_deref().filter(|f| f.any_fenced());
-        for edge in edges.iter_mut() {
-            if matches!(edge.grouping, Grouping::Direct) && task < edge.targets.len() {
-                if let Some(f) = fences {
-                    if f.is_fenced(edge.target_globals[task]) {
-                        *fenced_drops += 1;
-                        continue;
-                    }
-                }
+        for edge in self.edges.iter_mut() {
+            if edge.grouping == Grouping::Direct && task < edge.targets.len() {
                 edge.push(
                     task,
                     msg.clone(),
-                    *my_global,
-                    *batch_size,
-                    emitted,
-                    batches,
-                    sched,
+                    self.my_global,
+                    self.batch_size,
+                    &mut self.emitted,
+                    &mut self.batches,
+                    &self.sched,
                 );
             }
         }
@@ -789,8 +682,6 @@ struct TaskWiring<M> {
     faults: TaskFaults,
     /// The run's recovery policy.
     policy: RecoveryPolicy,
-    /// Degraded-mode fence table (present only when the policy enables it).
-    fences: Option<Arc<FenceState>>,
 }
 
 /// The executor's task-local metering state: plain (non-atomic) counters and
@@ -880,20 +771,6 @@ enum TaskKind<M> {
     Bolt(Box<dyn Bolt<M>>, BoltFactory<M>),
 }
 
-/// The bolt swapped in for a fenced task in degraded mode: discards data
-/// (counting it as `faults_skipped`) while the surrounding machinery keeps
-/// aligning and forwarding punctuation/EOS, so downstream windows still
-/// close. It runs no user code and therefore cannot re-panic.
-struct DiscardBolt {
-    skipped: Arc<metrics::Counter>,
-}
-
-impl<M: Send> Bolt<M> for DiscardBolt {
-    fn execute(&mut self, _msg: M, _out: &mut Outbox<M>) {
-        self.skipped.inc();
-    }
-}
-
 /// Nudges a spout's pooled downstream when its thread exits (normally or by
 /// panic) so they observe its dropped senders — pooled tasks never block in
 /// `recv`, so a disconnect is only visible on a wakeup.
@@ -975,7 +852,6 @@ fn run_inner<M: Clone + Send + 'static>(
         channel_capacity,
         batch_size,
         metrics: metrics_on,
-        trace_capacity,
         fault_plan,
         recovery,
         pool_workers,
@@ -983,7 +859,7 @@ fn run_inner<M: Clone + Send + 'static>(
     } = topology;
     let mut registry = MetricsRegistry::new(MetricsConfig {
         enabled: metrics_on,
-        trace_capacity,
+        ..MetricsConfig::default()
     });
 
     // Global task numbering: components in order, tasks within.
@@ -1086,7 +962,7 @@ fn run_inner<M: Clone + Send + 'static>(
     }
 
     // Outgoing edges per component: (grouping, subscriber component index).
-    let mut out_edges: Vec<Vec<(Grouping<M>, usize, bool)>> = vec![Vec::new(); components.len()];
+    let mut out_edges: Vec<Vec<(Grouping, usize, bool)>> = vec![Vec::new(); components.len()];
     for (ci, c) in components.iter().enumerate() {
         for Subscription {
             source,
@@ -1095,7 +971,7 @@ fn run_inner<M: Clone + Send + 'static>(
         } in &c.subscriptions
         {
             let si = index[source];
-            out_edges[si].push((grouping.clone(), ci, *feedback));
+            out_edges[si].push((*grouping, ci, *feedback));
         }
     }
 
@@ -1114,10 +990,6 @@ fn run_inner<M: Clone + Send + 'static>(
             }
         }
     }
-
-    // Degraded mode shares one fence table across every producer.
-    let fences: Option<Arc<FenceState>> =
-        recovery.degraded.then(|| Arc::new(FenceState::new(total)));
 
     // Build task wirings.
     let par: Vec<usize> = components.iter().map(|c| c.parallelism).collect();
@@ -1162,7 +1034,7 @@ fn run_inner<M: Clone + Send + 'static>(
                     // this to advance without re-checking.
                     debug_assert!(n > 0, "edge to component {target_ci} has no target tasks");
                     OutEdge {
-                        grouping: grouping.clone(),
+                        grouping: *grouping,
                         targets: (0..n)
                             .map(|t| {
                                 let g = base[*target_ci] + t;
@@ -1201,9 +1073,6 @@ fn run_inner<M: Clone + Send + 'static>(
                 batches: 0,
                 punct_seq: 0,
                 replay_until: 0,
-                fences: fences.clone(),
-                rerouted: 0,
-                fenced_drops: 0,
                 sched: Arc::clone(&hub),
             };
             let instance = match &kind {
@@ -1226,7 +1095,6 @@ fn run_inner<M: Clone + Send + 'static>(
                 notify: None, // filled in below once the collector exists
                 faults: fault_plan.for_task(&name, task),
                 policy: recovery.clone(),
-                fences: fences.clone(),
             });
         }
     }
@@ -1816,18 +1684,16 @@ fn process_timed<M: Clone>(
     done
 }
 
-/// Per-task supervision state: the fault-injection clock, the replay log
-/// since the last window-aligned snapshot, the snapshot itself, the retry
-/// budget, and fault-delayed envelopes.
+/// Per-task supervision state: the crash-injection clock, the replay log
+/// since the last window-aligned snapshot, the snapshot itself, and the
+/// retry budget.
 struct Supervisor<M> {
     factory: BoltFactory<M>,
     policy: RecoveryPolicy,
     faults: TaskFaults,
-    fences: Option<Arc<FenceState>>,
     info: TaskInfo,
     inst: Arc<TaskInstruments>,
     forward_upstreams: Vec<usize>,
-    my_global: usize,
     /// Logical clock: completed alignments, and per-window data-tuple
     /// counts (the coordinate system of [`crate::FaultPlan`]). A data
     /// envelope ticks the window it will be *delivered* in — `window` plus
@@ -1846,16 +1712,33 @@ struct Supervisor<M> {
     snap_punct_seq: u64,
     retries_left: u32,
     attempts: u32,
-    /// Fault-delayed envelopes: `(due-at envelope count, envelope)`.
-    delayed: VecDeque<(u64, Envelope<M>)>,
-    envelopes_seen: u64,
-    /// Fenced in degraded mode: the bolt is a [`DiscardBolt`], fault
-    /// injection is off, and no further snapshots are taken.
-    fenced: bool,
 }
 
 impl<M: Clone + Send + 'static> Supervisor<M> {
-    /// Feed one received envelope through fault injection and the guarded
+    /// Advance the crash clock over one envelope, keyed by the window it
+    /// will be delivered in; `Some(window)` when an armed crash fires on it.
+    /// Only data envelopes tick the clock.
+    fn tick(&mut self, env: &Envelope<M>, align: &mut Aligner<M>) -> Option<u64> {
+        let n = env.data_len();
+        if n == 0 {
+            return None;
+        }
+        let window = self.window + align.puncts_ahead_of(env.source_task());
+        let tuple = self.tuples_at.entry(window).or_insert(0);
+        let fired = self.faults.on_data(window, *tuple, n);
+        *tuple += n;
+        fired.then_some(window)
+    }
+
+    fn crash_payload(&self, window: u64) -> FaultPanic {
+        FaultPanic {
+            component: self.info.component.clone(),
+            task: self.info.task_index,
+            window,
+        }
+    }
+
+    /// Feed one received envelope through crash injection and the guarded
     /// processing path. Returns `true` once all forward upstreams are done.
     #[allow(clippy::too_many_arguments)]
     fn step(
@@ -1868,73 +1751,13 @@ impl<M: Clone + Send + 'static> Supervisor<M> {
         rx: &Receiver<Envelope<M>>,
         notify: &Option<Sender<u64>>,
     ) -> bool {
-        self.envelopes_seen += 1;
-        // Release fault-delayed envelopes: the due ones, and all of them
-        // ahead of a control token so window boundaries stay exact.
-        if !self.delayed.is_empty() {
-            let control = matches!(env, Envelope::Punct(..) | Envelope::Eos(_));
-            let seen = self.envelopes_seen;
-            let mut due = Vec::new();
-            let mut held = VecDeque::new();
-            while let Some((at, e)) = self.delayed.pop_front() {
-                if control || at <= seen {
-                    due.push(e);
-                } else {
-                    held.push_back((at, e));
-                }
-            }
-            self.delayed = held;
-            for e in due {
-                if self.guarded(e, bolt, align, out, meter, rx, notify) {
-                    return true;
-                }
-            }
-        }
-        // Fault injection fires on data envelopes only (never once fenced),
-        // keyed by the window the envelope will be delivered in.
-        let n = env.data_len();
-        if n > 0 {
-            let window = self.window + align.puncts_ahead_of(env.source_task());
-            let tuple = self.tuples_at.entry(window).or_insert(0);
-            let action = if self.fenced || self.faults.is_empty() {
-                None
-            } else {
-                self.faults.on_data(window, *tuple, n)
-            };
-            *tuple += n;
-            match action {
-                None => {}
-                Some(FaultAction::Drop) => {
-                    self.inst.counter("faults_dropped").add(n);
-                    return false;
-                }
-                Some(FaultAction::Delay(hold)) => {
-                    self.inst.counter("faults_delayed").inc();
-                    self.delayed
-                        .push_back((self.envelopes_seen + hold.max(1), env));
-                    return false;
-                }
-                Some(FaultAction::Stall(spins)) => {
-                    self.inst.counter("faults_stalls").inc();
-                    let mut acc = 0u64;
-                    for i in 0..spins {
-                        acc = std::hint::black_box(acc.wrapping_add(i));
-                    }
-                    std::hint::black_box(acc);
-                }
-                Some(FaultAction::Crash) => {
-                    // Log first so replay re-processes this envelope (a
-                    // one-shot trigger is already marked fired and will not
-                    // re-kill the restarted task).
-                    self.log.push(env);
-                    let payload: Box<dyn std::any::Any + Send> = Box::new(FaultPanic {
-                        component: self.info.component.clone(),
-                        task: self.info.task_index,
-                        window,
-                    });
-                    return self.recover(payload, bolt, align, out, meter, rx, notify);
-                }
-            }
+        if let Some(window) = self.tick(&env, align) {
+            // Log first so replay re-processes this envelope (a one-shot
+            // trigger is already marked fired and will not re-kill the
+            // restarted task).
+            self.log.push(env);
+            let payload = Box::new(self.crash_payload(window));
+            return self.recover(payload, bolt, align, out, meter, rx, notify);
         }
         self.guarded(env, bolt, align, out, meter, rx, notify)
     }
@@ -1954,7 +1777,7 @@ impl<M: Clone + Send + 'static> Supervisor<M> {
         self.log.push(env.clone());
         // Only silence the default panic report when this panic will be
         // handled; a terminal panic prints exactly as unsupervised code.
-        let handled = self.retries_left > 0 || self.policy.degraded;
+        let handled = self.retries_left > 0;
         let go = AssertUnwindSafe(|| {
             let done = process_timed(env, bolt.as_mut(), align, out, meter, rx, notify);
             // Boundary bookkeeping runs inside the guard: the post-boundary
@@ -1992,22 +1815,18 @@ impl<M: Clone + Send + 'static> Supervisor<M> {
             let floor = self.window;
             self.tuples_at.retain(|&w, _| w >= floor);
             align.just_closed.clear();
-            if self.fenced {
-                self.log.clear();
-            } else {
-                self.snapshot = bolt.snapshot();
-                self.snap_window = self.window;
-                self.snap_punct_seq = out.punct_seq;
-                self.log = align.pending_envelopes();
-            }
+            self.snapshot = bolt.snapshot();
+            self.snap_window = self.window;
+            self.snap_punct_seq = out.punct_seq;
+            self.log = align.pending_envelopes();
             align.drain(bolt.as_mut(), out, meter);
         }
     }
 
     /// Bounded retry-with-backoff: rebuild the bolt from its factory,
     /// restore the last window-aligned snapshot, and replay the log. On
-    /// exhaustion, either degrade (fence and keep the topology alive) or
-    /// let the panic propagate as an unsupervised one would.
+    /// exhaustion the panic propagates as an unsupervised one would, and
+    /// the run ends in [`RunError::TaskPanicked`].
     #[allow(clippy::too_many_arguments)]
     fn recover(
         &mut self,
@@ -2022,9 +1841,6 @@ impl<M: Clone + Send + 'static> Supervisor<M> {
         loop {
             self.inst.counter("faults_crashes").inc();
             if self.retries_left == 0 {
-                if self.policy.degraded {
-                    return self.degrade(bolt, align, out, meter, rx, notify);
-                }
                 resume_unwind(payload);
             }
             self.retries_left -= 1;
@@ -2074,7 +1890,7 @@ impl<M: Clone + Send + 'static> Supervisor<M> {
         self.inst
             .counter("recoveries_replayed")
             .add(old_log.len() as u64);
-        let handled = self.retries_left > 0 || self.policy.degraded;
+        let handled = self.retries_left > 0;
         let progress = std::cell::Cell::new(0usize);
         let go = AssertUnwindSafe(|| {
             let mut done = false;
@@ -2082,27 +1898,10 @@ impl<M: Clone + Send + 'static> Supervisor<M> {
                 // Invariant on panic: `self.log` plus `old_log[progress..]`
                 // is the exact post-snapshot history, each envelope once.
                 progress.set(i);
-                // Repeating crash faults re-fire during replay — that is
-                // how a persistent failure exhausts its retries. Re-fires
-                // of drop/delay/stall are ignored: the envelope's effect
-                // is already part of the history being rebuilt.
-                let n = env.data_len();
-                if n > 0 {
-                    let window = self.window + align.puncts_ahead_of(env.source_task());
-                    let tuple = self.tuples_at.entry(window).or_insert(0);
-                    let action = if self.fenced || self.faults.is_empty() {
-                        None
-                    } else {
-                        self.faults.on_data(window, *tuple, n)
-                    };
-                    *tuple += n;
-                    if let Some(FaultAction::Crash) = action {
-                        std::panic::panic_any(FaultPanic {
-                            component: self.info.component.clone(),
-                            task: self.info.task_index,
-                            window,
-                        });
-                    }
+                // Repeating crashes re-fire during replay — that is how a
+                // persistent failure exhausts its retries.
+                if let Some(window) = self.tick(env, align) {
+                    std::panic::panic_any(self.crash_payload(window));
                 }
                 self.log.push(env.clone());
                 progress.set(i + 1);
@@ -2130,34 +1929,6 @@ impl<M: Clone + Send + 'static> Supervisor<M> {
                 Err(p)
             }
         }
-    }
-
-    /// Retry budget exhausted with degraded mode on: fence this task, swap
-    /// in a [`DiscardBolt`], and rebuild alignment by replay, so
-    /// punctuation and EOS keep flowing and the topology terminates
-    /// cleanly. Skipped work is counted, not silently lost.
-    fn degrade(
-        &mut self,
-        bolt: &mut Box<dyn Bolt<M>>,
-        align: &mut Aligner<M>,
-        out: &mut Outbox<M>,
-        meter: &mut TaskMeter,
-        rx: &Receiver<Envelope<M>>,
-        notify: &Option<Sender<u64>>,
-    ) -> bool {
-        self.fenced = true;
-        if let Some(f) = &self.fences {
-            f.fence(self.my_global);
-        }
-        self.inst.counter("faults_fenced").inc();
-        *bolt = Box::new(DiscardBolt {
-            skipped: self.inst.counter("faults_skipped"),
-        });
-        self.snapshot = None;
-        // An Err is unreachable here (the discard bolt runs no user code and
-        // fault injection is off once fenced); keep the task alive regardless.
-        self.replay(bolt, align, out, meter, rx, notify)
-            .unwrap_or_default()
     }
 }
 
@@ -2204,18 +1975,9 @@ fn run_spout<M: Clone + Send + 'static>(w: TaskWiring<M>) {
 }
 
 /// End-of-task metric publication shared by spout threads and pooled bolt
-/// bodies: fold outbox totals and fault counters into the shared
-/// instruments and publish all task-local state.
+/// bodies: fold outbox totals into the shared instruments and publish all
+/// task-local state.
 fn publish_final_metrics<M>(meter: &TaskMeter, outbox: &Outbox<M>) {
-    if outbox.rerouted > 0 {
-        meter.inst.counter("faults_rerouted").add(outbox.rerouted);
-    }
-    if outbox.fenced_drops > 0 {
-        meter
-            .inst
-            .counter("faults_fenced_drops")
-            .add(outbox.fenced_drops);
-    }
     if meter.enabled {
         meter.inst.trace(TraceKind::Eos, u64::MAX, Duration::ZERO);
     }
@@ -2271,7 +2033,6 @@ impl<M: Clone + Send + 'static> CoopBolt<M> {
             notify,
             faults,
             policy,
-            fences,
         } = w;
         let TaskKind::Bolt(bolt, factory) = kind else {
             unreachable!("spouts are never pool-scheduled");
@@ -2288,11 +2049,9 @@ impl<M: Clone + Send + 'static> CoopBolt<M> {
                 factory,
                 policy,
                 faults,
-                fences,
                 info: info.clone(),
                 inst: Arc::clone(&meter.inst),
                 forward_upstreams,
-                my_global: outbox.my_global,
                 window: 0,
                 tuples_at: HashMap::new(),
                 log: Vec::new(),
@@ -2301,9 +2060,6 @@ impl<M: Clone + Send + 'static> CoopBolt<M> {
                 snap_punct_seq: 0,
                 retries_left: retries,
                 attempts: 0,
-                delayed: VecDeque::new(),
-                envelopes_seen: 0,
-                fenced: false,
             })
         } else {
             None
@@ -2455,9 +2211,6 @@ mod tests {
             batches: 0,
             punct_seq: 0,
             replay_until: 0,
-            fences: None,
-            rerouted: 0,
-            fenced_drops: 0,
             sched: Arc::new(Hub::new(Vec::new(), Vec::new(), Vec::new(), 0)),
         }
     }

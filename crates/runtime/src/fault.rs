@@ -1,8 +1,8 @@
-//! Deterministic fault injection and the recovery policy that counters it.
+//! Deterministic crash injection and the recovery policy that counters it.
 //!
 //! A [`FaultPlan`] is attached to a topology via
 //! [`TopologyBuilder::fault_plan`](crate::TopologyBuilder::fault_plan) and
-//! fires faults at *logical coordinates* of a task's input stream — never
+//! crashes tasks at *logical coordinates* of a task's input stream — never
 //! from a clock. A coordinate is `(component, task, window, tuple)` where
 //! `window` counts punctuation alignments the task has completed and
 //! `tuple` counts data tuples of that window. A data envelope is
@@ -19,40 +19,17 @@
 //!
 //! [`RecoveryPolicy`] configures the supervisor in the executor: bounded
 //! retry-with-backoff restarts from the last window-aligned
-//! [`Bolt::snapshot`](crate::Bolt::snapshot), and the degraded mode that
-//! fences a task whose retries are exhausted and reroutes fields groupings
-//! over the survivors.
+//! [`Bolt::snapshot`](crate::Bolt::snapshot). A task that runs out of
+//! retries fails the run with
+//! [`RunError::TaskPanicked`](crate::RunError::TaskPanicked), exactly like an
+//! unsupervised panic: a window is either exact or the run ends in an error.
 
 use std::cell::Cell;
 use std::panic;
 use std::sync::Once;
 use std::time::Duration;
 
-/// What a fault does when its trigger coordinate is reached.
-///
-/// Crash faults apply to any envelope; drop/delay/stall only ever fire on
-/// data envelopes — control tokens (punctuation, EOS) are never injected
-/// against, otherwise alignment itself would wedge and no recovery
-/// mechanism could be exercised deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Panic inside the task (caught by the supervisor when retries are
-    /// configured; propagates like an organic bolt panic otherwise).
-    Crash,
-    /// Silently discard the triggering data envelope (simulates lossy
-    /// transport; intentionally *violates* exactness — see DESIGN.md §4d).
-    Drop,
-    /// Hold the triggering data envelope back for the given number of
-    /// subsequently received envelopes, then process it late. Held
-    /// envelopes are always released before the next control token so
-    /// window boundaries stay exact.
-    Delay(u64),
-    /// Busy-spin for the given number of iterations before processing the
-    /// envelope — a deterministic straggler, no clock involved.
-    Stall(u64),
-}
-
-/// A single armed fault at a task-local stream coordinate.
+/// A single armed crash at a task-local stream coordinate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Component name the fault targets.
@@ -62,24 +39,22 @@ pub struct FaultSpec {
     /// Window coordinate: number of completed punctuation alignments.
     pub window: u64,
     /// Tuple coordinate: data tuples of the window, counted in receive
-    /// order. The fault fires on the envelope *containing* this tuple (a
+    /// order. The crash fires on the envelope *containing* this tuple (a
     /// micro-batch fires as a unit).
     pub tuple: u64,
-    /// What happens at the coordinate.
-    pub kind: FaultKind,
     /// `false` fires once ever (surviving restarts and replay); `true`
     /// re-fires every time the coordinate is reached — a repeating crash
     /// re-kills the task during replay and exhausts its retries.
     pub repeat: bool,
 }
 
-/// A deterministic schedule of faults for one topology run.
+/// A deterministic schedule of crashes for one topology run.
 ///
 /// ```
-/// use ssj_runtime::{FaultPlan, FaultKind};
+/// use ssj_runtime::FaultPlan;
 /// let plan = FaultPlan::new()
 ///     .crash("joiner", 1, 0, 7)
-///     .fault("merger", 0, 1, 3, FaultKind::Stall(10_000), false);
+///     .crash_repeating("merger", 0, 1, 3);
 /// assert_eq!(plan.specs().len(), 2);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -93,22 +68,12 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Arm an arbitrary fault at `(component, task, window, tuple)`.
-    pub fn fault(
-        mut self,
-        component: &str,
-        task: usize,
-        window: u64,
-        tuple: u64,
-        kind: FaultKind,
-        repeat: bool,
-    ) -> Self {
+    fn arm(mut self, component: &str, task: usize, window: u64, tuple: u64, repeat: bool) -> Self {
         self.specs.push(FaultSpec {
             component: component.to_string(),
             task,
             window,
             tuple,
-            kind,
             repeat,
         });
         self
@@ -117,43 +82,13 @@ impl FaultPlan {
     /// Arm a one-shot crash (fires once, never again — including during
     /// replay after the restart it causes).
     pub fn crash(self, component: &str, task: usize, window: u64, tuple: u64) -> Self {
-        self.fault(component, task, window, tuple, FaultKind::Crash, false)
+        self.arm(component, task, window, tuple, false)
     }
 
     /// Arm a crash that re-fires every time its coordinate is reached;
     /// replay re-hits the coordinate, so this exhausts the retry budget.
     pub fn crash_repeating(self, component: &str, task: usize, window: u64, tuple: u64) -> Self {
-        self.fault(component, task, window, tuple, FaultKind::Crash, true)
-    }
-
-    /// Arm a one-shot envelope drop at the coordinate.
-    pub fn drop_envelope(self, component: &str, task: usize, window: u64, tuple: u64) -> Self {
-        self.fault(component, task, window, tuple, FaultKind::Drop, false)
-    }
-
-    /// Arm a one-shot delay: the envelope at the coordinate is processed
-    /// `hold` received-envelopes later (but before the next control token).
-    pub fn delay(self, component: &str, task: usize, window: u64, tuple: u64, hold: u64) -> Self {
-        self.fault(
-            component,
-            task,
-            window,
-            tuple,
-            FaultKind::Delay(hold),
-            false,
-        )
-    }
-
-    /// Arm a one-shot deterministic stall of `spins` busy-loop iterations.
-    pub fn stall(self, component: &str, task: usize, window: u64, tuple: u64, spins: u64) -> Self {
-        self.fault(
-            component,
-            task,
-            window,
-            tuple,
-            FaultKind::Stall(spins),
-            false,
-        )
+        self.arm(component, task, window, tuple, true)
     }
 
     /// Arm a one-shot crash at a pseudorandom coordinate derived from
@@ -182,7 +117,7 @@ impl FaultPlan {
         self.crash(component, task, window, tuple)
     }
 
-    /// All armed fault specs, in insertion order.
+    /// All armed crash specs, in insertion order.
     pub fn specs(&self) -> &[FaultSpec] {
         &self.specs
     }
@@ -192,7 +127,7 @@ impl FaultPlan {
         self.specs.is_empty()
     }
 
-    /// Extract the faults aimed at one task, as runtime-armed state.
+    /// Extract the crashes aimed at one task, as runtime-armed state.
     pub(crate) fn for_task(&self, component: &str, task: usize) -> TaskFaults {
         TaskFaults {
             armed: self
@@ -202,7 +137,6 @@ impl FaultPlan {
                 .map(|s| ArmedFault {
                     window: s.window,
                     tuple: s.tuple,
-                    kind: s.kind,
                     repeat: s.repeat,
                     fired: false,
                 })
@@ -213,9 +147,9 @@ impl FaultPlan {
 
 /// How the executor supervises tasks and reacts to failures.
 ///
-/// The default policy is inert: no retries, no degraded mode — a panicking
-/// bolt kills the run exactly as it did before supervision existed, and the
-/// hot path pays nothing.
+/// The default policy is inert: no retries — a panicking bolt kills the run
+/// exactly as it did before supervision existed, and the hot path pays
+/// nothing.
 #[derive(Debug, Clone)]
 pub struct RecoveryPolicy {
     /// Restarts granted per task before the failure is terminal.
@@ -223,9 +157,6 @@ pub struct RecoveryPolicy {
     /// Base backoff slept before restart attempt `n` (scaled `2^(n-1)`,
     /// capped at 64x).
     pub backoff: Duration,
-    /// After retry exhaustion, fence the task and route around it instead
-    /// of killing the topology.
-    pub degraded: bool,
 }
 
 impl Default for RecoveryPolicy {
@@ -233,7 +164,6 @@ impl Default for RecoveryPolicy {
         Self {
             retries: 0,
             backoff: Duration::from_millis(20),
-            degraded: false,
         }
     }
 }
@@ -256,16 +186,9 @@ impl RecoveryPolicy {
         self
     }
 
-    /// Enable or disable degraded (fence-and-reroute) mode.
-    pub fn degraded(mut self, degraded: bool) -> Self {
-        self.degraded = degraded;
-        self
-    }
-
-    /// True when any supervision machinery (retry or degraded routing) is
-    /// switched on.
+    /// True when supervised restarts are switched on.
     pub(crate) fn armed(&self) -> bool {
-        self.retries > 0 || self.degraded
+        self.retries > 0
     }
 
     /// Backoff before restart attempt `attempt` (1-based), exponentially
@@ -276,29 +199,15 @@ impl RecoveryPolicy {
     }
 }
 
-/// What the injection layer tells the supervisor to do with an envelope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FaultAction {
-    /// Panic now (unwinds with a [`FaultPanic`] payload).
-    Crash,
-    /// Discard the envelope.
-    Drop,
-    /// Hold the envelope for this many received envelopes.
-    Delay(u64),
-    /// Busy-spin this many iterations, then process normally.
-    Stall(u64),
-}
-
 #[derive(Debug, Clone)]
 struct ArmedFault {
     window: u64,
     tuple: u64,
-    kind: FaultKind,
     repeat: bool,
     fired: bool,
 }
 
-/// Per-task armed fault state plus the logical-coordinate clock.
+/// The crashes armed against one task.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TaskFaults {
     armed: Vec<ArmedFault>,
@@ -310,34 +219,22 @@ impl TaskFaults {
     }
 
     /// Consult the plan for a data envelope spanning tuple coordinates
-    /// `[first_tuple, first_tuple + count)` of window `window`. At most one
-    /// fault fires per envelope; crashes win over the rest.
-    pub(crate) fn on_data(
-        &mut self,
-        window: u64,
-        first_tuple: u64,
-        count: u64,
-    ) -> Option<FaultAction> {
-        let mut action = None;
-        for f in &mut self.armed {
-            if f.fired && !f.repeat {
-                continue;
-            }
-            if f.window == window && f.tuple >= first_tuple && f.tuple < first_tuple + count {
+    /// `[first_tuple, first_tuple + count)` of window `window`: `true` when
+    /// a crash fires on it.
+    pub(crate) fn on_data(&mut self, window: u64, first_tuple: u64, count: u64) -> bool {
+        let hit = self.armed.iter_mut().find(|f| {
+            (f.repeat || !f.fired)
+                && f.window == window
+                && f.tuple >= first_tuple
+                && f.tuple < first_tuple + count
+        });
+        match hit {
+            Some(f) => {
                 f.fired = true;
-                let a = match f.kind {
-                    FaultKind::Crash => FaultAction::Crash,
-                    FaultKind::Drop => FaultAction::Drop,
-                    FaultKind::Delay(n) => FaultAction::Delay(n),
-                    FaultKind::Stall(n) => FaultAction::Stall(n),
-                };
-                if a == FaultAction::Crash {
-                    return Some(a);
-                }
-                action.get_or_insert(a);
+                true
             }
+            None => false,
         }
-        action
     }
 }
 
@@ -362,8 +259,8 @@ static HOOK: Once = Once::new();
 /// Run `f` with the default panic message suppressed on this thread —
 /// used around `catch_unwind` when the supervisor *will* handle the
 /// unwind, so injected crashes don't spray backtraces over test output.
-/// Unhandled panics (no retries left, no degraded mode) are not wrapped
-/// and print exactly as before.
+/// Unhandled panics (no retries left) are not wrapped and print exactly as
+/// before.
 pub(crate) fn quiet_panics<R>(f: impl FnOnce() -> R) -> R {
     HOOK.call_once(|| {
         let prev = panic::take_hook();
@@ -392,31 +289,31 @@ mod tests {
     fn one_shot_fault_fires_once() {
         let plan = FaultPlan::new().crash("b", 0, 1, 3);
         let mut tf = plan.for_task("b", 0);
-        assert_eq!(tf.on_data(0, 3, 1), None);
-        assert_eq!(tf.on_data(1, 0, 3), None);
-        assert_eq!(tf.on_data(1, 3, 1), Some(FaultAction::Crash));
-        assert_eq!(tf.on_data(1, 3, 1), None);
+        assert!(!tf.on_data(0, 3, 1));
+        assert!(!tf.on_data(1, 0, 3));
+        assert!(tf.on_data(1, 3, 1));
+        assert!(!tf.on_data(1, 3, 1));
     }
 
     #[test]
     fn batch_envelope_fires_when_coordinate_inside_range() {
-        let plan = FaultPlan::new().drop_envelope("b", 2, 0, 10);
+        let plan = FaultPlan::new().crash("b", 2, 0, 10);
         let mut tf = plan.for_task("b", 2);
-        assert_eq!(tf.on_data(0, 0, 10), None);
-        assert_eq!(tf.on_data(0, 10, 64), Some(FaultAction::Drop));
+        assert!(!tf.on_data(0, 0, 10));
+        assert!(tf.on_data(0, 10, 64));
     }
 
     #[test]
     fn repeating_fault_refires() {
         let plan = FaultPlan::new().crash_repeating("b", 0, 0, 0);
         let mut tf = plan.for_task("b", 0);
-        assert_eq!(tf.on_data(0, 0, 1), Some(FaultAction::Crash));
-        assert_eq!(tf.on_data(0, 0, 1), Some(FaultAction::Crash));
+        assert!(tf.on_data(0, 0, 1));
+        assert!(tf.on_data(0, 0, 1));
     }
 
     #[test]
     fn faults_filtered_per_task() {
-        let plan = FaultPlan::new().crash("b", 1, 0, 0).stall("c", 0, 0, 0, 5);
+        let plan = FaultPlan::new().crash("b", 1, 0, 0).crash("c", 0, 0, 0);
         assert!(plan.for_task("b", 0).is_empty());
         assert!(!plan.for_task("b", 1).is_empty());
         assert!(!plan.for_task("c", 0).is_empty());
@@ -451,6 +348,5 @@ mod tests {
         let p = RecoveryPolicy::default();
         assert!(!p.armed());
         assert!(RecoveryPolicy::new().retries(1).armed());
-        assert!(RecoveryPolicy::new().degraded(true).armed());
     }
 }

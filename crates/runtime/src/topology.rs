@@ -3,10 +3,10 @@
 //! Mirrors the Storm concepts of §III-B: a topology is a graph of **spouts**
 //! (stream sources) and **bolts** (processors), each instantiated as
 //! `parallelism` independent *tasks*. Bolts subscribe to the output stream
-//! of other components under one of the groupings Storm offers:
+//! of other components under one of the Storm groupings the Fig. 2
+//! topology wires:
 //!
 //! * **shuffle** — round-robin across the subscriber's tasks;
-//! * **fields** — hash of a key extracted from the message;
 //! * **all** — replicate to every task;
 //! * **direct** — the *producer* names the receiving task;
 //! * **global** — everything to task 0.
@@ -23,12 +23,11 @@ use std::fmt;
 use std::sync::Arc;
 
 /// How a subscription distributes messages over the subscriber's tasks.
-pub enum Grouping<M> {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Grouping {
     /// Round-robin (Storm randomizes; round-robin gives the same balance
     /// deterministically).
     Shuffle,
-    /// Hash the extracted key; equal keys reach the same task.
-    Fields(Arc<dyn Fn(&M) -> u64 + Send + Sync>),
     /// Replicate to all tasks.
     All,
     /// Producer picks the task via `Outbox::emit_direct`.
@@ -37,35 +36,10 @@ pub enum Grouping<M> {
     Global,
 }
 
-impl<M> Clone for Grouping<M> {
-    fn clone(&self) -> Self {
-        match self {
-            Grouping::Shuffle => Grouping::Shuffle,
-            Grouping::Fields(f) => Grouping::Fields(Arc::clone(f)),
-            Grouping::All => Grouping::All,
-            Grouping::Direct => Grouping::Direct,
-            Grouping::Global => Grouping::Global,
-        }
-    }
-}
-
-impl<M> fmt::Debug for Grouping<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Grouping::Shuffle => "Shuffle",
-            Grouping::Fields(_) => "Fields",
-            Grouping::All => "All",
-            Grouping::Direct => "Direct",
-            Grouping::Global => "Global",
-        })
-    }
-}
-
 /// A subscription of one component to another's output stream.
-#[derive(Clone)]
-pub(crate) struct Subscription<M> {
+pub(crate) struct Subscription {
     pub source: String,
-    pub grouping: Grouping<M>,
+    pub grouping: Grouping,
     pub feedback: bool,
 }
 
@@ -85,7 +59,7 @@ pub(crate) struct Component<M> {
     pub name: String,
     pub parallelism: usize,
     pub kind: ComponentKind<M>,
-    pub subscriptions: Vec<Subscription<M>>,
+    pub subscriptions: Vec<Subscription>,
 }
 
 /// Errors detected while building or validating a topology.
@@ -142,7 +116,6 @@ pub struct TopologyBuilder<M> {
     channel_capacity: usize,
     batch_size: usize,
     metrics: bool,
-    trace_capacity: usize,
     fault_plan: FaultPlan,
     recovery: RecoveryPolicy,
     pool_workers: usize,
@@ -156,7 +129,6 @@ impl<M> Default for TopologyBuilder<M> {
             channel_capacity: 1024,
             batch_size: 1,
             metrics: false,
-            trace_capacity: 4096,
             fault_plan: FaultPlan::new(),
             recovery: RecoveryPolicy::default(),
             pool_workers: 0,
@@ -201,25 +173,16 @@ impl<M> TopologyBuilder<M> {
         self
     }
 
-    /// Capacity of the window-lifecycle trace ring (default 4096 events);
-    /// when full, the oldest events are evicted. Only relevant with
-    /// [`TopologyBuilder::metrics`] enabled.
-    pub fn trace_capacity(mut self, events: usize) -> Self {
-        self.trace_capacity = events.max(1);
-        self
-    }
-
-    /// Attach a deterministic [`FaultPlan`]: injected crashes, envelope
-    /// drops/delays, and stalls fire at the plan's logical stream
-    /// coordinates when the topology runs. An empty plan (the default)
-    /// injects nothing and costs nothing.
+    /// Attach a deterministic [`FaultPlan`]: injected crashes fire at the
+    /// plan's logical stream coordinates when the topology runs. An empty
+    /// plan (the default) injects nothing and costs nothing.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
         self
     }
 
     /// Set the [`RecoveryPolicy`] the executor supervises bolts with:
-    /// retry budget, restart backoff, and degraded mode.
+    /// retry budget and restart backoff.
     /// The default policy is inert — no supervision, panics propagate as
     /// before.
     pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
@@ -337,7 +300,6 @@ impl<M> TopologyBuilder<M> {
             channel_capacity: self.channel_capacity,
             batch_size: self.batch_size,
             metrics: self.metrics,
-            trace_capacity: self.trace_capacity,
             fault_plan: self.fault_plan,
             recovery: self.recovery,
             pool_workers: self.pool_workers,
@@ -383,7 +345,7 @@ pub struct BoltHandle<M> {
 
 impl<M> BoltHandle<M> {
     /// Subscribe the bolt to `source`'s stream under `grouping`.
-    pub fn subscribe(mut self, source: impl Into<String>, grouping: Grouping<M>) -> Self {
+    pub fn subscribe(mut self, source: impl Into<String>, grouping: Grouping) -> Self {
         self.builder
             .components
             .last_mut()
@@ -398,7 +360,7 @@ impl<M> BoltHandle<M> {
     }
 
     /// Subscribe via a feedback (control-loop) edge.
-    pub fn subscribe_feedback(mut self, source: impl Into<String>, grouping: Grouping<M>) -> Self {
+    pub fn subscribe_feedback(mut self, source: impl Into<String>, grouping: Grouping) -> Self {
         self.builder
             .components
             .last_mut()
@@ -425,7 +387,6 @@ pub struct Topology<M> {
     pub(crate) channel_capacity: usize,
     pub(crate) batch_size: usize,
     pub(crate) metrics: bool,
-    pub(crate) trace_capacity: usize,
     pub(crate) fault_plan: FaultPlan,
     pub(crate) recovery: RecoveryPolicy,
     pub(crate) pool_workers: usize,

@@ -87,6 +87,16 @@ pub enum WireError {
     },
     /// A frame length prefix beyond [`MAX_FRAME_LEN`].
     FrameTooLarge(usize),
+    /// A peer-supplied index or count the receiving run cannot hold (a
+    /// joiner id or a partition count beyond the run's `m`).
+    OutOfRange {
+        /// Which value.
+        field: &'static str,
+        /// The decoded value.
+        value: u64,
+        /// The largest value the run accepts.
+        max: u64,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -109,6 +119,9 @@ impl fmt::Display for WireError {
                 write!(f, "wire version mismatch: local {expected}, peer {got}")
             }
             WireError::FrameTooLarge(n) => write!(f, "frame length {n} exceeds cap"),
+            WireError::OutOfRange { field, value, max } => {
+                write!(f, "{field} {value} out of range (at most {max})")
+            }
         }
     }
 }

@@ -1,8 +1,9 @@
 //! Chaos suite: deterministic fault injection and supervised recovery.
 //!
 //! The chaos topology is a miniature of the paper's Fig. 2 shape —
-//! two-task spout → relay (shuffle) → keyed pair-join (fields) → sink
-//! (global) — with every stage crash-recoverable: the joiner carries
+//! two-task spout → relay (shuffle) → keyed pair-join (direct, the relay
+//! picks the joiner by key as Fig. 2's Assigner does) → sink (global) —
+//! with every stage crash-recoverable: the joiner carries
 //! cross-window state through `Bolt::snapshot`/`restore`, mid-window
 //! duplicates are absorbed by id-dedup (joiner) and idempotent inserts
 //! (sink), exactly like the real components. The core property: per-window
@@ -36,12 +37,18 @@ enum Cm {
     },
 }
 
-/// Identity relay — a cheap supervised stage to crash in front of the join.
+/// Joiner tasks of the chaos topology.
+const JOINERS: u64 = 3;
+
+/// Keyed relay — a cheap supervised stage to crash in front of the join:
+/// sends each document straight to the joiner that owns its key.
 struct Relay;
 
 impl Bolt<Cm> for Relay {
     fn execute(&mut self, msg: Cm, out: &mut Outbox<Cm>) {
-        out.emit(msg);
+        if let Cm::Doc { key, .. } = msg {
+            out.emit_direct((key % JOINERS) as usize, msg);
+        }
     }
 }
 
@@ -179,14 +186,8 @@ fn chaos_run_on(
         .bolt("relay", 2, |_| Box::new(Relay))
         .subscribe("src", Grouping::Shuffle)
         .done()
-        .bolt("joiner", 3, |_| Box::new(PairJoiner::new()))
-        .subscribe(
-            "relay",
-            Grouping::Fields(Arc::new(|m: &Cm| match m {
-                Cm::Doc { key, .. } => *key,
-                _ => 0,
-            })),
-        )
+        .bolt("joiner", JOINERS as usize, |_| Box::new(PairJoiner::new()))
+        .subscribe("relay", Grouping::Direct)
         .done()
         .bolt("sink", 1, move |_| {
             Box::new(Sink {
@@ -286,36 +287,7 @@ fn single_crash_is_recovered_and_counted() {
 }
 
 #[test]
-fn repeated_crash_exhausts_retries_and_degrades() {
-    let plan = FaultPlan::new().crash_repeating("joiner", 1, 1, 2);
-    let policy = quick_policy(2).degraded(true);
-    let (base, _, _) =
-        chaos_run(N, WINDOW, 64, FaultPlan::new(), RecoveryPolicy::default()).unwrap();
-    let (got, _, report) = chaos_run(N, WINDOW, 64, plan, policy).unwrap();
-    // Clean degraded termination: every window still closes…
-    assert_eq!(got.windows.len(), base.windows.len());
-    // …and the surviving joiners' output is a subset of the full result.
-    for (w, (g, b)) in got.windows.iter().zip(&base.windows).enumerate() {
-        let missing: Vec<_> = g.iter().filter(|p| !b.contains(p)).collect();
-        assert!(
-            missing.is_empty(),
-            "window {w}: degraded run invented pairs {missing:?}"
-        );
-    }
-    // Initial crash + one re-crash per replay attempt.
-    assert_eq!(report.counter_total("faults_crashes"), 3);
-    assert_eq!(report.counter_total("recoveries_attempted"), 2);
-    assert_eq!(report.counter_total("recoveries_succeeded"), 0);
-    assert_eq!(report.counter_total("faults_fenced"), 1);
-    assert!(
-        report.counter_total("faults_skipped") > 0,
-        "discard bolt counts skips"
-    );
-    assert!(report.total_faults() >= 4);
-}
-
-#[test]
-fn repeated_crash_without_degraded_fails_cleanly() {
+fn repeated_crash_exhausts_retries_and_fails_cleanly() {
     let plan = FaultPlan::new().crash_repeating("joiner", 1, 1, 2);
     let err = chaos_run(N, WINDOW, 64, plan, quick_policy(1)).unwrap_err();
     let RunError::TaskPanicked(tasks) = err else {
@@ -329,7 +301,7 @@ fn repeated_crash_without_degraded_fails_cleanly() {
 
 #[test]
 fn unsupervised_crash_still_propagates() {
-    // No retries, no degraded mode: a targeted fault behaves like any
+    // No retries: a targeted fault behaves like any
     // other panic — it surfaces through `RunError::TaskPanicked` under the
     // task's `component[task]` label.
     let plan = FaultPlan::new().crash("relay", 0, 0, 0);
@@ -338,43 +310,6 @@ fn unsupervised_crash_still_propagates() {
         panic!("expected TaskPanicked, got {err}");
     };
     assert!(tasks.iter().any(|t| t.contains("relay")), "{tasks:?}");
-}
-
-#[test]
-fn drop_fault_loses_data_but_terminates() {
-    let plan = FaultPlan::new().drop_envelope("relay", 0, 0, 3);
-    let (base, _) = baseline(N, WINDOW, 1);
-    let (got, _, report) = chaos_run(N, WINDOW, 1, plan, quick_policy(0)).unwrap();
-    assert_eq!(report.counter_total("faults_dropped"), 1);
-    assert_eq!(got.windows.len(), base.windows.len());
-    for (w, (g, b)) in got.windows.iter().zip(&base.windows).enumerate() {
-        assert!(
-            g.iter().all(|p| b.contains(p)),
-            "window {w}: dropped-input run invented pairs"
-        );
-    }
-}
-
-#[test]
-fn delay_fault_reorders_within_the_window_only() {
-    // Delayed envelopes are force-released ahead of the next control token,
-    // so window contents — and thus join output — are preserved exactly.
-    let plan = FaultPlan::new().delay("relay", 0, 1, 2, 5);
-    let (base, base_cum) = baseline(N, WINDOW, 1);
-    let (got, cum, report) = chaos_run(N, WINDOW, 1, plan, quick_policy(0)).unwrap();
-    assert_eq!(report.counter_total("faults_delayed"), 1);
-    assert_runs_equal(&base, &got);
-    assert_windows_equal("cumulative docs", &base_cum, &cum);
-}
-
-#[test]
-fn stall_fault_only_slows_the_task() {
-    let plan = FaultPlan::new().stall("joiner", 0, 0, 1, 10_000);
-    let (base, base_cum) = baseline(N, WINDOW, 64);
-    let (got, cum, report) = chaos_run(N, WINDOW, 64, plan, quick_policy(0)).unwrap();
-    assert_eq!(report.counter_total("faults_stalls"), 1);
-    assert_runs_equal(&base, &got);
-    assert_windows_equal("cumulative docs", &base_cum, &cum);
 }
 
 #[test]

@@ -58,7 +58,8 @@ stage "stale-order differential" cargo test -q -p ssj-join --test stale_order
 # bench body once and leaves BENCH_fptree.json alone.
 stage "fptree alloc audit" cargo test -q -p ssj-bench --features count-allocs --bench fptree
 
-# Fault injection + supervised recovery across pool sizes 1/2/8.
+# Crash injection + supervised recovery across pool sizes 1/2/8; a task out
+# of retries fails the run (crashes are the only injected fault).
 stage "chaos smoke" cargo test -q -p ssj-runtime --test chaos
 stage "partitioner differential" cargo test -q -p ssj-partition --test cross_partitioners
 
@@ -70,9 +71,12 @@ stage "metrics conservation" cargo test -q -p ssj-runtime --test metrics_conserv
 # Every reported quantile within 12.5% of the exact order statistic.
 stage "histogram accuracy" cargo test -q -p ssj-runtime --test histogram_error
 
-# Wire codec, socket groups == single process, 2-worker Unix-socket CLI
-# run incl. a killed-and-relaunched worker: the streamed --joins-out files
-# byte-identical, one line per window; --joins-out failures are named errors.
+# Wire codec round trips plus a decode fuzz (arbitrary bodies, truncated or
+# byte-flipped encodings of every Msg tag: an error, never a panic; a joiner
+# id or table width beyond the run's m is a named error), socket groups ==
+# single process, 2-worker Unix-socket CLI run incl. a killed-and-relaunched
+# worker: the streamed --joins-out files byte-identical, one line per window;
+# --joins-out failures and a truncated or malformed --input are named errors.
 stage "wire codec" cargo test -q -p ssj-core --test wire_codec
 stage "distributed equivalence" cargo test -q -p ssj-core --test distributed_equivalence
 stage "distributed CLI" cargo test -q -p ssj-cli --test distributed
