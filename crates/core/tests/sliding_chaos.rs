@@ -1,13 +1,13 @@
 //! Sliding-window crash recovery: a supervised task crashed mid-pane or at
 //! a pane boundary must recover to output byte-identical to the fault-free
-//! run. This is the proof that [`ssj_core::components`]' snapshots capture
+//! run. This is the proof that the bolts' snapshots capture
 //! every piece of *cross-pane* state — the Joiner's frozen pane ring, the
 //! PartitionCreator's ring of retained panes, and the Assigner's retained
 //! pane tables — because post-crash replay rebuilds only the open pane.
 
 use proptest::prelude::*;
 use ssj_bench::testutil::{assert_runs_equal, run_lockstep, shifting_stream};
-use ssj_core::components::ARRIVAL_BATCH;
+use ssj_core::joiner::ARRIVAL_BATCH;
 use ssj_core::{
     ground_truth_pairs, run_topology, run_topology_chaos, run_topology_with, Reader,
     StreamJoinConfig, WindowSpec,
