@@ -6,7 +6,7 @@ use ssj_partition::PartitionerKind;
 use std::fmt;
 use std::path::PathBuf;
 
-/// All tunables of the topology and pipeline, with the paper's defaults
+/// All tunables of the topology, with the paper's defaults
 /// (`m = 8`, `w = 6`, `θ = 0.2`, `δ = 3`, six Assigners).
 ///
 /// Construct via the builder — `StreamJoinConfig::default().with_m(4)`
@@ -31,9 +31,9 @@ pub struct StreamJoinConfig {
     pub theta: f64,
     /// Unseen-pair update threshold `δ` (§VI-A).
     pub delta: u32,
-    /// Partitioning algorithm (AG / SC / DS / hash). Read only by the
-    /// synchronous `Pipeline` (and so by `ssj pipeline` / `ssj partition`);
-    /// the topology's bolts always partition with AG.
+    /// Partitioning algorithm (AG / SC / DS / hash). AG builds local groups
+    /// at the creators; the others build centrally at the Merger. Only the
+    /// figures and `ssj pipeline` choose it: `ssj run` always uses AG.
     pub partitioner: PartitionerKind,
     /// Local join algorithm at the Joiners (FPJ / NLJ / HBJ).
     pub join_algo: JoinAlgo,

@@ -13,13 +13,13 @@
 //! * [`ssj_partition`] — AG / SC / DS partitioners, attribute expansion,
 //!   quality metrics;
 //! * [`ssj_runtime`] — the Storm-like topology runtime;
-//! * [`ssj_core`] — the Fig. 2 topology and the deterministic pipeline;
+//! * [`ssj_core`] — the Fig. 2 topology, free-running or in lock-step;
 //! * [`ssj_data`] — workload generators.
 //!
 //! End to end in a few lines:
 //!
 //! ```
-//! use schema_free_stream_joins::ssj_core::{Pipeline, StreamJoinConfig, WindowSpec};
+//! use schema_free_stream_joins::ssj_core::{run_topology, StreamJoinConfig, WindowSpec};
 //! use schema_free_stream_joins::ssj_data::{ServerLogConfig, ServerLogGen};
 //! use schema_free_stream_joins::ssj_json::Dictionary;
 //!
@@ -29,11 +29,12 @@
 //!
 //! // …joined exactly across 4 partitions, windows of 200 documents.
 //! let cfg = StreamJoinConfig::default().with_m(4).with_window_spec(WindowSpec::tumbling(200)).build().unwrap();
-//! let report = Pipeline::new(cfg, dict).run(docs);
+//! let report = run_topology(cfg, &dict, docs).unwrap();
 //!
-//! assert_eq!(report.windows.len(), 2);
-//! assert!(report.total_unique_joins() > 0);
-//! assert!(report.mean_replication() >= 1.0);
+//! assert_eq!(report.joins_per_window.len(), 2);
+//! assert!(report.joins_per_window.iter().any(|pairs| !pairs.is_empty()));
+//! let quality = report.routing[1].quality(&report.docs_per_joiner[1]);
+//! assert!(quality.replication >= 1.0);
 //! ```
 
 pub use ssj_core;

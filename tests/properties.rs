@@ -3,7 +3,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use schema_free_stream_joins::ssj_core::{
-    ground_truth_pairs, Pipeline, StreamJoinConfig, WindowSpec,
+    ground_truth_pairs, run_topology_lockstep, StreamJoinConfig, WindowSpec,
 };
 use schema_free_stream_joins::ssj_join::{fpjoin, FpTree, JoinAlgo};
 use schema_free_stream_joins::ssj_json::{
@@ -12,6 +12,7 @@ use schema_free_stream_joins::ssj_json::{
 use schema_free_stream_joins::ssj_partition::{
     association_groups, consolidate, gini, AssociationGroup, PartitionerKind,
 };
+use schema_free_stream_joins::ssj_runtime::FaultPlan;
 
 // ---------------------------------------------------------------------
 // Strategies
@@ -404,13 +405,15 @@ proptest! {
         let kind = PartitionerKind::all()[kind_idx];
         let cfg = StreamJoinConfig::default()
             .with_m(m)
-            .with_window_spec(WindowSpec::tumbling(1000)) // windows driven manually below
+            .with_window_spec(WindowSpec::tumbling(1000)) // one pane per window below
             .with_partitioner(kind)
             .with_expansion(expansion)
+            .with_assigners(1)
+            .with_batch_size(1)
             .build()
             .unwrap();
-        let mut pipeline = Pipeline::new(cfg, dict.clone());
         let mut id = 0u64;
+        let mut panes = Vec::new();
         for specs in &windows {
             let docs: Vec<Document> = specs
                 .iter()
@@ -425,11 +428,14 @@ proptest! {
                     Document::from_pairs(DocId(id), pairs)
                 })
                 .collect();
-            let report = pipeline.process_window(&docs);
-            let truth = ground_truth_pairs(&docs);
+            panes.push(docs);
+        }
+        let report = run_topology_lockstep(cfg, &dict, panes.clone(), FaultPlan::new()).unwrap();
+        prop_assert_eq!(report.joins_per_window.len(), panes.len());
+        for (docs, found) in panes.iter().zip(&report.joins_per_window) {
             prop_assert_eq!(
-                report.unique_join_pairs,
-                truth.len(),
+                found,
+                &ground_truth_pairs(docs),
                 "{} m={} expansion={}: wrong join result",
                 kind.name(),
                 m,
