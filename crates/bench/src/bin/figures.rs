@@ -8,11 +8,14 @@
 //! ```
 //!
 //! Output is a plain-text table per sub-figure: rows are the x-axis of the
-//! paper's plot, columns the competing algorithms.
+//! paper's plot, columns the competing algorithms. Every number comes from
+//! the lock-step Fig. 2 topology (`ssj_bench::measure`).
 
 use ssj_bench::{ideal_experiment, partition_experiment, print_table, DataSet, Scale};
+use ssj_core::RunSummary;
 use ssj_join::{split_timings, JoinAlgo};
 use ssj_partition::PartitionerKind;
+use std::collections::HashMap;
 
 const MS: [usize; 4] = [5, 8, 10, 20];
 const WS: [usize; 3] = [3, 6, 9];
@@ -60,12 +63,20 @@ fn main() {
         "scale: {} docs/minute, {} windows per run, join-scale {}",
         scale.docs_per_minute, scale.windows, scale.join_scale
     );
+    // Figs. 6–9 plot the same runs: each (dataset, algorithm, m, w, θ) runs
+    // once.
+    let mut done = HashMap::new();
+    let mut runs = |dataset, kind, m, w, theta: f64| -> RunSummary {
+        let key = (dataset, kind, m, w, theta.to_bits());
+        let run = || partition_experiment(dataset, kind, m, w, theta, scale);
+        done.entry(key).or_insert_with(run).clone()
+    };
     for fig in figures {
         match fig.as_str() {
-            "fig6" => partition_figure(scale, Metric::Replication),
-            "fig7" => partition_figure(scale, Metric::LoadBalance),
-            "fig8" => partition_figure(scale, Metric::MaxLoad),
-            "fig9" => fig9(scale),
+            "fig6" => partition_figure(&mut runs, Metric::Replication),
+            "fig7" => partition_figure(&mut runs, Metric::LoadBalance),
+            "fig8" => partition_figure(&mut runs, Metric::MaxLoad),
+            "fig9" => fig9(&mut runs),
             "fig10" => fig10(scale),
             "fig11" => fig11(scale),
             other => eprintln!("unknown figure '{other}' (expected fig6..fig11)"),
@@ -89,18 +100,21 @@ impl Metric {
         }
     }
 
-    fn pick(self, m: &ssj_bench::PartitionMeasurement) -> f64 {
+    fn pick(self, m: &RunSummary) -> f64 {
         match self {
-            Metric::Replication => m.replication,
-            Metric::LoadBalance => m.load_balance,
-            Metric::MaxLoad => m.max_load,
+            Metric::Replication => m.mean_replication(),
+            Metric::LoadBalance => m.mean_load_balance(),
+            Metric::MaxLoad => m.mean_max_load(),
         }
     }
 }
 
 /// Figs. 6/7/8: (a) varying m rwData, (b) varying w rwData, (c) varying m
 /// nbData, (d) varying w nbData.
-fn partition_figure(scale: Scale, metric: Metric) {
+fn partition_figure(
+    runs: &mut impl FnMut(DataSet, PartitionerKind, usize, usize, f64) -> RunSummary,
+    metric: Metric,
+) {
     for dataset in DataSet::all() {
         // Varying partitions, w=6, θ=0.2.
         let columns: Vec<(&str, Vec<f64>)> = PartitionerKind::all()
@@ -108,7 +122,7 @@ fn partition_figure(scale: Scale, metric: Metric) {
             .map(|&kind| {
                 let vals: Vec<f64> = MS
                     .iter()
-                    .map(|&m| metric.pick(&partition_experiment(dataset, kind, m, 6, 0.2, scale)))
+                    .map(|&m| metric.pick(&runs(dataset, kind, m, 6, 0.2)))
                     .collect();
                 (kind.name(), vals)
             })
@@ -130,7 +144,7 @@ fn partition_figure(scale: Scale, metric: Metric) {
             .map(|&kind| {
                 let vals: Vec<f64> = WS
                     .iter()
-                    .map(|&w| metric.pick(&partition_experiment(dataset, kind, 8, w, 0.2, scale)))
+                    .map(|&w| metric.pick(&runs(dataset, kind, 8, w, 0.2)))
                     .collect();
                 (kind.name(), vals)
             })
@@ -149,16 +163,14 @@ fn partition_figure(scale: Scale, metric: Metric) {
 }
 
 /// Fig. 9: repartition percentage vs θ, m=8, w=6.
-fn fig9(scale: Scale) {
+fn fig9(runs: &mut impl FnMut(DataSet, PartitionerKind, usize, usize, f64) -> RunSummary) {
     for dataset in DataSet::all() {
         let columns: Vec<(&str, Vec<f64>)> = PartitionerKind::all()
             .iter()
             .map(|&kind| {
                 let vals: Vec<f64> = THETAS
                     .iter()
-                    .map(|&theta| {
-                        partition_experiment(dataset, kind, 8, 6, theta, scale).repartitions_pct
-                    })
+                    .map(|&theta| runs(dataset, kind, 8, 6, theta).repartition_fraction() * 100.0)
                     .collect();
                 (kind.name(), vals)
             })
@@ -174,7 +186,7 @@ fn fig9(scale: Scale) {
 
 /// Fig. 10: ideal execution — replication / Gini / max load vs m.
 fn fig10(scale: Scale) {
-    let mut per_kind: Vec<(&str, Vec<ssj_bench::PartitionMeasurement>)> = Vec::new();
+    let mut per_kind: Vec<(&str, Vec<RunSummary>)> = Vec::new();
     for kind in PartitionerKind::all() {
         let ms: Vec<_> = MS
             .iter()
@@ -182,24 +194,14 @@ fn fig10(scale: Scale) {
             .collect();
         per_kind.push((kind.name(), ms));
     }
-    for (sub, title, pick) in [
-        ("a", "Replication (avg)", 0usize),
-        ("b", "Load balance (Gini)", 1),
-        ("c", "Max processing load (avg)", 2),
+    for (sub, title, metric) in [
+        ("a", "Replication (avg)", Metric::Replication),
+        ("b", "Load balance (Gini)", Metric::LoadBalance),
+        ("c", "Max processing load (avg)", Metric::MaxLoad),
     ] {
         let columns: Vec<(&str, Vec<f64>)> = per_kind
             .iter()
-            .map(|(name, ms)| {
-                let vals: Vec<f64> = ms
-                    .iter()
-                    .map(|m| match pick {
-                        0 => m.replication,
-                        1 => m.load_balance,
-                        _ => m.max_load,
-                    })
-                    .collect();
-                (*name, vals)
-            })
+            .map(|(name, ms)| (*name, ms.iter().map(|m| metric.pick(m)).collect()))
             .collect();
         print_table(
             &format!("Fig. 10{sub} — Ideal execution: {title} [w=6, θ=0.2]"),

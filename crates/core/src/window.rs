@@ -1,17 +1,17 @@
-//! Window segmentation of a document stream for the batch harness.
+//! Window segmentation of a document stream for `ssj pipeline`.
 //!
 //! The paper uses time-based tumbling windows ("the daily produced amount as
-//! the number of documents produced every 3 minutes", §VII-B); the harness
-//! maps those to document counts. [`SegmentSpec`] picks the policy:
-//! [`SegmentSpec::Count`] closes after `n` documents,
+//! the number of documents produced every 3 minutes", §VII-B); the
+//! reproduction maps those to document counts. [`SegmentSpec`] picks the
+//! policy: [`SegmentSpec::Count`] closes after `n` documents,
 //! [`SegmentSpec::ByAttribute`] closes when the integer value of a
 //! designated attribute crosses a multiple of `width` (e.g. an epoch-seconds
 //! field with `width = 180` gives the paper's 3-minute windows). Documents
 //! lacking the attribute stay in the current window.
 
-use ssj_json::{AttrId, Dictionary, Document, Scalar};
+use ssj_json::{Dictionary, Document, Scalar};
 
-/// Stream segmentation policy for the batch harness (CLI `--window-by`).
+/// Stream segmentation policy (CLI `--window-by`).
 #[derive(Debug, Clone)]
 pub enum SegmentSpec {
     /// Close after this many documents.
@@ -26,107 +26,52 @@ pub enum SegmentSpec {
     },
 }
 
-/// Iterator adapter producing whole windows from a document stream.
-pub struct Windower<I> {
-    stream: std::iter::Fuse<I>,
-    spec: Spec,
-    dict: Dictionary,
-    buf: Vec<Document>,
-}
-
-enum Spec {
-    Count(usize),
-    ByAttribute {
-        attr: AttrId,
-        width: i64,
-        current: Option<i64>,
-    },
-}
-
-impl<I: Iterator<Item = Document>> Windower<I> {
-    /// Segment `stream` per `spec`, interning the attribute through `dict`.
-    ///
-    /// # Panics
-    /// When the count or width is zero.
-    pub fn segmented(stream: I, spec: SegmentSpec, dict: &Dictionary) -> Self {
-        let spec = match spec {
-            SegmentSpec::Count(n) => {
-                assert!(n > 0, "window size must be positive");
-                Spec::Count(n)
-            }
-            SegmentSpec::ByAttribute { attr, width } => {
-                assert!(width > 0, "window width must be positive");
-                Spec::ByAttribute {
-                    attr: dict.intern_attr(&attr),
-                    width,
-                    current: None,
-                }
-            }
-        };
-        Windower {
-            stream: stream.fuse(),
-            spec,
-            dict: dict.clone(),
-            buf: Vec::new(),
-        }
-    }
-}
-
-impl<I: Iterator<Item = Document>> Iterator for Windower<I> {
-    type Item = Vec<Document>;
-
-    fn next(&mut self) -> Option<Vec<Document>> {
-        for doc in self.stream.by_ref() {
-            match &mut self.spec {
-                Spec::Count(n) => {
-                    self.buf.push(doc);
-                    if self.buf.len() == *n {
-                        return Some(std::mem::take(&mut self.buf));
-                    }
-                }
-                Spec::ByAttribute {
-                    attr,
-                    width,
-                    current,
-                } => {
-                    let bucket = doc.pair_for_attr(*attr).and_then(|pair| {
-                        match self.dict.avp_scalar(pair.avp) {
-                            Scalar::Int(v) => Some(v.div_euclid(*width)),
-                            _ => None,
-                        }
-                    });
-                    match (bucket, *current) {
-                        (Some(b), Some(c)) if b != c => {
-                            // Boundary crossed: close the window, start the
-                            // next with this document.
-                            *current = Some(b);
-                            let closed = std::mem::replace(&mut self.buf, vec![doc]);
-                            if !closed.is_empty() {
-                                return Some(closed);
-                            }
-                        }
-                        (Some(b), _) => {
-                            *current = Some(b);
-                            self.buf.push(doc);
-                        }
-                        // No usable event time: current window.
-                        (None, _) => self.buf.push(doc),
-                    }
-                }
-            }
-        }
-        // End of stream: a partial window still closes, once.
-        (!self.buf.is_empty()).then(|| std::mem::take(&mut self.buf))
-    }
-}
-
-/// Segment an entire stream eagerly (convenience for tests/harness).
+/// Segment a stream into whole windows per `spec`, interning the event-time
+/// attribute through `dict`. A partial last window still closes, once.
+///
+/// # Panics
+/// When the count or width is zero.
 pub fn windows(
     stream: impl IntoIterator<Item = Document>,
     spec: SegmentSpec,
     dict: &Dictionary,
 ) -> Vec<Vec<Document>> {
-    Windower::segmented(stream.into_iter(), spec, dict).collect()
+    let (mut out, mut buf) = (Vec::new(), Vec::new());
+    match spec {
+        SegmentSpec::Count(n) => {
+            assert!(n > 0, "window size must be positive");
+            for doc in stream {
+                buf.push(doc);
+                if buf.len() == n {
+                    out.push(std::mem::take(&mut buf));
+                }
+            }
+        }
+        SegmentSpec::ByAttribute { attr, width } => {
+            assert!(width > 0, "window width must be positive");
+            let attr = dict.intern_attr(&attr);
+            let mut current = None;
+            for doc in stream {
+                let bucket =
+                    doc.pair_for_attr(attr)
+                        .and_then(|pair| match dict.avp_scalar(pair.avp) {
+                            Scalar::Int(v) => Some(v.div_euclid(width)),
+                            _ => None,
+                        });
+                // A boundary crossed closes the window; a document without
+                // a usable event time stays in the current one.
+                if bucket.is_some() && current.is_some() && bucket != current && !buf.is_empty() {
+                    out.push(std::mem::take(&mut buf));
+                }
+                current = bucket.or(current);
+                buf.push(doc);
+            }
+        }
+    }
+    if !buf.is_empty() {
+        out.push(buf);
+    }
+    out
 }
 
 #[cfg(test)]

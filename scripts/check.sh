@@ -74,7 +74,8 @@ stage "histogram accuracy" cargo test -q -p ssj-runtime --test histogram_error
 # Wire codec round trips plus a decode fuzz (arbitrary bodies, truncated or
 # byte-flipped encodings of every Msg tag: an error, never a panic; a joiner
 # id or table width beyond the run's m is a named error), socket groups ==
-# single process, 2-worker Unix-socket CLI run incl. a killed-and-relaunched
+# single process (also under SC, whose creators ship documents to the
+# Merger), 2-worker Unix-socket CLI run incl. a killed-and-relaunched
 # worker: the streamed --joins-out files byte-identical, one line per window;
 # --joins-out failures and a truncated or malformed --input are named errors.
 stage "wire codec" cargo test -q -p ssj-core --test wire_codec
@@ -96,30 +97,32 @@ stage "spill equivalence" cargo test -q -p ssj-core --test spill_equivalence
 
 # The reporter hands each window to the run's sink once, in order, canonical,
 # while the stream is still being read — also across a reporter crashed
-# mid-window (tumbling and sliding).
+# mid-window (tumbling and sliding); a lock-step run whose reporter dies ends
+# in the reporter's error within seconds.
 result_path() {
     cargo test -q --test end_to_end results_leave_the_topology_window_by_window
     cargo test -q -p ssj-core --test sliding_chaos reporter_crash
+    cargo test -q -p ssj-core --test lockstep reporter_crash
 }
 stage "result path" result_path
 
 # A repartition that fires: a vocabulary shift makes the Assigners signal at
 # the default δ, every creator builds groups a second time over its whole
 # lookback (tumbling with and without expansion, sliding), a second table is
-# deployed, output == brute force; the pipeline routes every window like a
-# lock-step topology and repartitions where it does; a creator bolt's
-# LocalGroups == association_groups over exactly its retained panes == what a
-# GroupIndex derives from the same deltas.
+# deployed, output == brute force; the lock-step pipeline that makes the
+# figures rebuilds exactly one window after the one that signalled; a
+# creator bolt's LocalGroups == association_groups over exactly its retained
+# panes == what a GroupIndex derives from the same deltas.
 repartition_path() {
     cargo test -q --test end_to_end vocabulary_shift_forces_a_repartition
-    cargo test -q --test end_to_end pipeline_routes_like_the_lockstep_topology
+    cargo test -q -p ssj-core --test lockstep drifting_stream_triggers_repartition
     cargo test -q -p ssj-core --test components creator_builds_over_exactly_its_lookback
 }
 stage "repartition path" repartition_path
 
-# Figs. 6-10 come from the pipeline, which drives the Assigner's Router on
-# the topology's cadence: the committed figures.txt is exactly their stdout
-# (Fig. 11 is wall-clock and lives in EXPERIMENTS.md only).
+# Figs. 6-10 come from the lock-step Fig. 2 topology (one Assigner, batch
+# 1): the committed figures.txt is exactly their stdout (Fig. 11 is
+# wall-clock and lives in EXPERIMENTS.md only).
 figures() {
     cargo build --release -q -p ssj-bench --bin figures
     ./target/release/figures fig6 fig7 fig8 fig9 fig10 | diff figures.txt -
