@@ -29,8 +29,8 @@
 
 use ssj_bench::report::{best_of, check_ratios, write_report, Measurement};
 use ssj_bench::DataSet;
-use ssj_core::{run_topology, run_topology_distributed, DistRuntime, StreamJoinConfig};
-use ssj_runtime::{fn_bolt, run, Bolt, Grouping, Outbox, TopologyBuilder, VecSpout};
+use ssj_core::{run_topology, run_topology_collect, DistRuntime, Reader, StreamJoinConfig};
+use ssj_runtime::{fn_bolt, run, Bolt, FaultPlan, Grouping, Outbox, TopologyBuilder, VecSpout};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -205,7 +205,8 @@ fn transport_run(docs_n: usize, window: usize, socket: bool) -> Measurement {
                         socket_dir: dir,
                         attempt: 0,
                     };
-                    run_topology_distributed(cfg, &dict, docs, &dr).unwrap()
+                    let reader = Reader::Docs(docs.into_iter().map(Arc::new).collect());
+                    run_topology_collect(cfg, &dict, reader, FaultPlan::new(), Some(&dr)).unwrap()
                 })
             })
             .collect();

@@ -190,16 +190,87 @@ pub fn ideal_experiment(kind: PartitionerKind, m: usize, scale: Scale) -> RunSum
 }
 
 pub mod testutil {
-    //! Reusable run-equivalence assertions for integration, recovery, and
-    //! chaos tests: compare two runs' canonical per-window join output
-    //! window by window with a readable diff. Plus what the tests of the
-    //! §VI-A feedback loop share: [`shifting_stream`], on which a θ signal
-    //! must fire, and [`run_lockstep`], which makes its timing deterministic.
+    //! What the differential tests share: the brute-force [`oracle`] every
+    //! run is compared with, run-equivalence assertions with a readable
+    //! per-window diff, the [`churn_stream`] most of them join, and what the
+    //! tests of the §VI-A feedback loop need: [`shifting_stream`], on which
+    //! a θ signal must fire, and [`lockstep_reader`], which makes its timing
+    //! deterministic.
 
-    use ssj_core::{canonicalize, run_topology_lockstep, TopologyRunReport};
+    use ssj_core::{canonicalize, Reader, TopologyRunReport, WindowSpec};
     use ssj_json::{Dictionary, DocId, Document};
-    use ssj_runtime::{FaultPlan, RunError};
     use std::fmt::Debug;
+    use std::sync::Arc;
+
+    /// The shape of a [`churn_stream`].
+    #[derive(Debug, Clone, Copy)]
+    pub struct Churn {
+        /// Multiplier seed: document `i` draws its values from
+        /// `x = i * (seed | 1)`.
+        pub seed: u64,
+        /// Every `fresh_every`-th document carries a fresh pair instead of
+        /// the common `user` / `sev` pairs.
+        pub fresh_every: u64,
+        /// `Some(w)`: the stream is cut into windows of `w` documents, `i`
+        /// restarts in each, window `k` keys its fresh pairs `w{k}` and adds
+        /// `k * window_shift` to `x`. `None`: `i` is the stream position and
+        /// the fresh pairs are `fresh{x % 5}`.
+        pub window: Option<usize>,
+        /// See [`Churn::window`].
+        pub window_shift: u64,
+    }
+
+    /// A joinable stream with churn: `n` documents with ids `0..n`, each a
+    /// `grp` of three plus either a `user` / `sev` pair or (every
+    /// `fresh_every`-th) a fresh pair that keeps the δ-tracker and the
+    /// repartition feedback loop busy.
+    pub fn churn_stream(dict: &Dictionary, n: usize, churn: Churn) -> Vec<Document> {
+        (0..n as u64)
+            .map(|id| {
+                let (k, i) = match churn.window {
+                    Some(w) => (id / w as u64, id % w as u64),
+                    None => (0, id),
+                };
+                let x = i
+                    .wrapping_mul(churn.seed | 1)
+                    .wrapping_add(k * churn.window_shift);
+                let json = if !i.is_multiple_of(churn.fresh_every) {
+                    format!(
+                        r#"{{"user":"u{}","sev":"s{}","grp":{}}}"#,
+                        x % 6,
+                        x % 4,
+                        x % 3
+                    )
+                } else if churn.window.is_some() {
+                    format!(r#"{{"w{k}":"fresh{}","grp":{}}}"#, x % 4, x % 3)
+                } else {
+                    format!(r#"{{"fresh{}":"x{}","grp":{}}}"#, x % 5, x % 4, x % 3)
+                };
+                Document::from_json(DocId(id), &json, dict).expect("generated JSON is valid")
+            })
+            .collect()
+    }
+
+    /// The brute-force join a run of `docs` under `spec` must report: every
+    /// joinable pair of documents less than `spec.panes_per_window()` panes
+    /// apart (panes cut by stream position), attributed to the pane of its
+    /// later document — the pane the run reports it in. Tumbling is the
+    /// one-pane case: each window's pairs.
+    pub fn oracle(docs: &[Document], spec: WindowSpec) -> RunWindows {
+        let (pane, lookback) = (spec.pane_docs(), spec.panes_per_window());
+        RunWindows::from_pairs(docs.chunks(pane).enumerate().map(|(p, later)| {
+            let mut pairs = Vec::new();
+            let first = p.saturating_sub(lookback - 1) * pane;
+            for (j, b) in later.iter().enumerate() {
+                for a in &docs[first..p * pane + j] {
+                    if a.joins_with(b) {
+                        pairs.push((a.id().0, b.id().0));
+                    }
+                }
+            }
+            pairs
+        }))
+    }
 
     /// A stream whose value vocabulary shifts mid-run — the situation the
     /// θ-threshold exists for, in its cleanest form: `panes * pane_docs`
@@ -238,16 +309,15 @@ pub mod testutil {
             .collect()
     }
 
-    /// [`run_topology_lockstep`] over `docs` cut into the config's panes:
-    /// pane `p + 1` is read only once pane `p` has reached the sink.
-    pub fn run_lockstep(
-        config: ssj_core::StreamJoinConfig,
-        dict: &Dictionary,
-        docs: Vec<Document>,
-        plan: FaultPlan,
-    ) -> Result<TopologyRunReport, RunError> {
-        let panes = docs.chunks(config.pane_docs()).map(<[Document]>::to_vec);
-        run_topology_lockstep(config, dict, panes.collect(), plan)
+    /// A [`Reader::Lockstep`] over `panes`: pane `p + 1` is read only once
+    /// pane `p` has reached the sink.
+    pub fn lockstep_reader<'a>(panes: impl IntoIterator<Item = &'a [Document]>) -> Reader {
+        let panes = panes.into_iter();
+        Reader::Lockstep(
+            panes
+                .map(|p| p.iter().cloned().map(Arc::new).collect())
+                .collect(),
+        )
     }
 
     /// Per-window join output in the topology's canonical form

@@ -57,7 +57,7 @@ const DATASET: FlagSpec = opt(
 const INPUT: FlagSpec = opt("input", None, "read documents from a JSON Lines file");
 const COUNT: FlagSpec = opt("count", Some("10000"), "documents to generate");
 const SEED: FlagSpec = opt("seed", Some("42"), "generator seed");
-const M: FlagSpec = opt("m", Some("8"), "partitions = Joiner instances");
+const M: FlagSpec = opt("m", Some("8"), "partitions = Joiner instances (1-64)");
 const WINDOW: FlagSpec = opt("window", Some("1500"), "documents per tumbling window");
 const PANE: FlagSpec = opt(
     "pane",

@@ -12,8 +12,7 @@ mod args;
 use args::Args;
 use parking_lot::Mutex;
 use ssj_core::{
-    run_topology_distributed, run_topology_with, DistRuntime, Format, Reader, ReportSink,
-    StreamJoinConfig, WindowResult,
+    run_topology_with, DistRuntime, Format, Reader, ReportSink, StreamJoinConfig, WindowResult,
 };
 use ssj_data::{NoBenchConfig, NoBenchGen, ServerLogConfig, ServerLogGen, TweetConfig, TweetGen};
 use ssj_join::JoinAlgo;
@@ -274,6 +273,9 @@ fn cmd_pipeline(args: &Args) -> Result<(), String> {
 
 fn cmd_partition(args: &Args) -> Result<(), String> {
     let m: usize = args.get_or("m", 8)?;
+    if !(1..=ssj_partition::MAX_PARTITIONS).contains(&m) {
+        return Err(ssj_core::ConfigError::PartitionsOutOfRange(m).to_string());
+    }
     let kind: PartitionerKind = args.get("partitioner").unwrap_or("ag").parse()?;
     let dict = Dictionary::new();
     let docs = load_docs(args, &dict)?;
@@ -332,7 +334,8 @@ fn cmd_route(args: &Args) -> Result<(), String> {
     )?;
     let table = ssj_partition::PartitionTable::import(
         snapshot.get("table").ok_or("snapshot missing 'table'")?,
-    )?;
+    )
+    .map_err(|e| format!("{path}: snapshot table: {e}"))?;
     let docs = load_docs(args, &dict)?;
     let m = table.m();
     let mut broadcasts = 0usize;
@@ -437,8 +440,17 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             socket_dir: std::path::PathBuf::from(dir),
             attempt: args.get_or("attempt", 0u32)?,
         };
-        run_topology_distributed(cfg, &dict, load_docs(args, &dict)?, &dr)
-            .map_err(|e| e.to_string())?;
+        let docs = load_docs(args, &dict)?.into_iter().map(Arc::new).collect();
+        // Only worker 0 hosts the reporter, so the sink is never called here.
+        run_topology_with(
+            cfg,
+            &dict,
+            Reader::Docs(docs),
+            FaultPlan::new(),
+            Some(&dr),
+            |_| {},
+        )
+        .map_err(|e| e.to_string())?;
         return Ok(());
     }
 

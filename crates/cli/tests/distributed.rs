@@ -157,3 +157,45 @@ fn bad_input_is_a_named_error_before_any_window() {
         let _ = std::fs::remove_file(&input);
     }
 }
+
+/// `m` is capped at 64 (a partition set is one `u64` mask): `run`,
+/// `pipeline` and `partition` reject `--m 65` as they reject `--m 0`, and
+/// `route` rejects a saved snapshot whose table claims 2^40 partitions
+/// before allocating anything — exit 1 with the error named, never a panic
+/// or an abort.
+#[test]
+fn out_of_range_m_is_a_named_error() {
+    let ssj = |args: &[&str]| {
+        let out = Command::new(bin())
+            .args(args)
+            .env_remove("SSJ_KILL_WORKER")
+            .output()
+            .expect("launch ssj");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        (out.status.code(), stderr)
+    };
+    for cmd in ["run", "pipeline", "partition"] {
+        for m in ["0", "65"] {
+            let (code, stderr) = ssj(&[cmd, "--count", "100", "--m", m]);
+            assert_eq!(code, Some(1), "{cmd} --m {m}: {stderr}");
+            let named = format!("error: m {m} out of range (expected 1..=64)");
+            assert!(stderr.contains(&named), "{cmd} --m {m}: {stderr}");
+        }
+    }
+    let snapshot = out_path("snapshot");
+    let path = snapshot.to_str().unwrap();
+    let (code, stderr) = ssj(&["partition", "--count", "100", "--m", "4", "--save", path]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let saved = std::fs::read_to_string(&snapshot).expect("read snapshot");
+    assert!(saved.contains(r#""table":{"m":4,"#), "{saved}");
+    let huge = saved.replace(r#""table":{"m":4,"#, r#""table":{"m":1099511627776,"#);
+    std::fs::write(&snapshot, huge).expect("write snapshot");
+    let (code, stderr) = ssj(&["route", "--load", path, "--count", "10"]);
+    let _ = std::fs::remove_file(&snapshot);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("snapshot table: 'm' 1099511627776 out of range (expected 1..=64)"),
+        "{stderr}"
+    );
+}

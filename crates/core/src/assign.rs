@@ -35,8 +35,7 @@ use crate::config::StreamJoinConfig;
 use crate::msg::{Msg, PaneRouting, TableMsg};
 use ssj_json::{AvpId, Dictionary, Document};
 use ssj_partition::{
-    fingerprint_view, RepartitionPolicy, RouteOutcome, RouteScratch, RoutingStats, UnseenTracker,
-    WindowQuality,
+    fingerprint_view, RepartitionPolicy, RouteScratch, RoutingStats, UnseenTracker, WindowQuality,
 };
 use ssj_runtime::{Bolt, BoltState, Outbox, TaskInstruments, TraceKind};
 use std::collections::VecDeque;
@@ -49,7 +48,7 @@ pub struct PaneCounts {
     pub stats: RoutingStats,
     /// Routes answered by the fingerprint cache.
     pub routes_cached: usize,
-    /// Fully routed views that missed the cache (mask path only).
+    /// Views routed against a table that missed the cache.
     pub cache_misses: usize,
 }
 
@@ -179,12 +178,11 @@ impl Router {
             }
         };
         let matched = match &self.current {
-            Some(t) if have_view && t.table.mask_supported() => {
-                // Fast path: one u64 OR per pair, where a zero pair mask
-                // doubles as the unknown-pair test. Repeated view shapes hit
-                // the fingerprint cache and skip the table walk entirely;
-                // only fully known views are cached, so δ-tracking sees
-                // every unknown pair.
+            Some(t) if have_view => {
+                // One u64 OR per pair, where a zero pair mask doubles as the
+                // unknown-pair test. Repeated view shapes hit the fingerprint
+                // cache and skip the table walk entirely; only fully known
+                // views are cached, so δ-tracking sees every unknown pair.
                 let fp = fingerprint_view(self.view_buf.iter().copied());
                 if let Some(mask) = self.scratch.cache_get(fp) {
                     c.routes_cached += 1;
@@ -219,31 +217,6 @@ impl Router {
                         true
                     }
                 }
-            }
-            Some(t) if have_view => {
-                // m > 64: no bitmasks; explicit unknown scan, then the
-                // reusable sort/dedup fallback.
-                let mut unknown = false;
-                for &avp in &self.view_buf {
-                    if t.table.partitions_of(avp).is_empty() {
-                        unknown = true;
-                        if self.unseen.observe(avp) {
-                            self.requests.push(avp);
-                        }
-                    }
-                }
-                let matched = !unknown
-                    && t.table.route_into(&self.view_buf, &mut self.scratch)
-                        == RouteOutcome::Matched;
-                if matched {
-                    for (rt, _) in &self.retired {
-                        for &avp in &self.view_buf {
-                            self.scratch
-                                .merge_targets(rt.table.partitions_of(avp).iter().copied());
-                        }
-                    }
-                }
-                matched
             }
             _ => false,
         };

@@ -2,7 +2,7 @@
 
 use ssj_join::JoinAlgo;
 use ssj_join::{WindowError, WindowSpec};
-use ssj_partition::PartitionerKind;
+use ssj_partition::{PartitionerKind, MAX_PARTITIONS};
 use std::fmt;
 use std::path::PathBuf;
 
@@ -109,8 +109,10 @@ impl Default for StreamJoinConfig {
 /// Why a [`ConfigBuilder::build`] was rejected.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
-    /// `m` (partitions / Joiners) must be at least 1.
-    ZeroPartitions,
+    /// `m` (partitions / Joiners) must lie in `1..=64`
+    /// ([`MAX_PARTITIONS`]: a partition set is one `u64` mask); carries the
+    /// rejected value.
+    PartitionsOutOfRange(usize),
     /// The window shape is invalid; carries the [`WindowError`] detail.
     Window(WindowError),
     /// Sliding windows require expansion off: an Assigner routes each
@@ -139,7 +141,9 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::ZeroPartitions => f.write_str("m must be at least 1"),
+            ConfigError::PartitionsOutOfRange(m) => {
+                write!(f, "m {m} out of range (expected 1..={MAX_PARTITIONS})")
+            }
             ConfigError::Window(e) => write!(f, "invalid window: {e}"),
             ConfigError::SlidingWithExpansion => f.write_str(
                 "sliding windows require expansion off (retained pane tables cannot mix expansions)",
@@ -351,8 +355,8 @@ impl StreamJoinConfig {
     /// of [`ConfigBuilder::build`] always pass; this re-check exists for
     /// configs restored from external state (snapshots, deserialization).
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.m == 0 {
-            return Err(ConfigError::ZeroPartitions);
+        if !(1..=MAX_PARTITIONS).contains(&self.m) {
+            return Err(ConfigError::PartitionsOutOfRange(self.m));
         }
         self.window.validate()?;
         if self.window.is_sliding() && self.expansion {
@@ -443,10 +447,13 @@ mod tests {
 
     #[test]
     fn invalid_configs_rejected_with_typed_errors() {
-        assert_eq!(
-            StreamJoinConfig::default().with_m(0).build().unwrap_err(),
-            ConfigError::ZeroPartitions
-        );
+        for m in [0, 65] {
+            assert_eq!(
+                StreamJoinConfig::default().with_m(m).build().unwrap_err(),
+                ConfigError::PartitionsOutOfRange(m)
+            );
+        }
+        StreamJoinConfig::default().with_m(64).build().unwrap();
         assert_eq!(
             StreamJoinConfig::default()
                 .with_window_spec(WindowSpec::tumbling(0))
@@ -574,6 +581,6 @@ mod tests {
     fn config_error_converts_to_string() {
         let e = StreamJoinConfig::default().with_m(0).build().unwrap_err();
         let s: String = e.into();
-        assert!(s.contains("m must be"), "{s}");
+        assert!(s.contains("m 0 out of range (expected 1..=64)"), "{s}");
     }
 }

@@ -17,9 +17,10 @@
 //! * [`msg`] — the tuple type those components exchange.
 //!
 //! ```
-//! use ssj_core::{run_topology_lockstep, StreamJoinConfig};
+//! use ssj_core::{run_topology_collect, Reader, StreamJoinConfig};
 //! use ssj_json::{Dictionary, DocId, Document};
 //! use ssj_runtime::FaultPlan;
+//! use std::sync::Arc;
 //!
 //! let dict = Dictionary::new();
 //! let docs: Vec<Document> = (0..20u64)
@@ -34,8 +35,12 @@
 //!     .with_window_spec(ssj_core::WindowSpec::tumbling(10))
 //!     .build()
 //!     .unwrap();
-//! let panes = docs.chunks(10).map(<[Document]>::to_vec).collect();
-//! let report = run_topology_lockstep(cfg, &dict, panes, FaultPlan::new()).unwrap();
+//! let panes = docs
+//!     .chunks(10)
+//!     .map(|pane| pane.iter().cloned().map(Arc::new).collect())
+//!     .collect();
+//! let reader = Reader::Lockstep(panes);
+//! let report = run_topology_collect(cfg, &dict, reader, FaultPlan::new(), None).unwrap();
 //! assert_eq!(report.joins_per_window.len(), 2);
 //! ```
 
@@ -60,9 +65,8 @@ pub use ssj_join::{WindowError, WindowSpec};
 pub use stats::{Format, ReportSink, RunSummary};
 pub use topology::{
     canonicalize, ground_truth_pairs, materialize_joins, placement_for, run_topology,
-    run_topology_chaos, run_topology_distributed, run_topology_lockstep, run_topology_paced,
-    run_topology_with, topology_dot, DistRuntime, LatencyReport, Reader, TopologyRunReport,
-    WindowResult,
+    run_topology_collect, run_topology_paced, run_topology_with, topology_dot, DistRuntime,
+    LatencyReport, Reader, TopologyRunReport, WindowResult,
 };
 pub use window::{windows, SegmentSpec};
 pub use wire::MsgCodec;

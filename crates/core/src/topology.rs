@@ -24,8 +24,8 @@
 //! [`WindowResult`], hands it to the run's sink and forgets it. The
 //! Assigners and the Merger send the Reporter the pane's routing counts, so
 //! a result also carries the pane's routing quality.
-//! [`run_topology_with`] is the one runner; [`run_topology`] and its siblings
-//! are that runner with a sink that collects a [`TopologyRunReport`].
+//! [`run_topology_with`] is the one runner; [`run_topology_collect`] is that
+//! runner with a sink that collects a [`TopologyRunReport`].
 //!
 //! [`Reader::Lockstep`] makes a run deterministic: it reads pane `p + 1` only
 //! once pane `p` has reached the sink, so every θ signal and δ-request of
@@ -109,6 +109,9 @@ pub fn ground_truth_pairs(docs: &[Document]) -> Vec<(u64, u64)> {
 pub struct TopologyRunReport {
     /// Runtime task metrics (received / emitted per task).
     pub runtime: RunReport,
+    /// [`WindowResult::window`] of every window, in the order the sink got
+    /// them.
+    pub windows: Vec<u64>,
     /// [`WindowResult::pairs`] per window.
     pub joins_per_window: Vec<Vec<(u64, u64)>>,
     /// [`WindowResult::docs_per_joiner`] per window.
@@ -117,6 +120,8 @@ pub struct TopologyRunReport {
     pub pairs_per_joiner: Vec<Vec<usize>>,
     /// [`WindowResult::routing`] per window.
     pub routing: Vec<PaneRouting>,
+    /// [`WindowResult::latency`] of every paced window.
+    pub latency: LatencyReport,
 }
 
 /// Materialize join pairs as merged result documents (the natural-join
@@ -504,14 +509,16 @@ pub fn run_topology_with(
     })
 }
 
-/// [`run_topology_with`], every window's result collected.
-fn run_collecting(
+/// [`run_topology_with`], every window's result collected into one
+/// [`TopologyRunReport`]: the one collecting run, whatever the reader, the
+/// fault plan or the group. Only worker 0 of a group collects windows.
+pub fn run_topology_collect(
     config: StreamJoinConfig,
     dict: &Dictionary,
     reader: Reader,
     plan: FaultPlan,
     group: Option<&DistRuntime>,
-) -> Result<(TopologyRunReport, LatencyReport), RunError> {
+) -> Result<TopologyRunReport, RunError> {
     let windows = Arc::new(Mutex::new(Vec::new()));
     let sink = {
         let windows = Arc::clone(&windows);
@@ -520,20 +527,25 @@ fn run_collecting(
     let runtime = run_topology_with(config, dict, reader, plan, group, sink)?;
     let mut report = TopologyRunReport {
         runtime,
+        windows: Vec::new(),
         joins_per_window: Vec::new(),
         docs_per_joiner: Vec::new(),
         pairs_per_joiner: Vec::new(),
         routing: Vec::new(),
+        latency: LatencyReport::default(),
     };
-    let mut per_window = Vec::new();
     for w in std::mem::take(&mut *windows.lock()) {
+        report.windows.push(w.window);
         report.joins_per_window.push(w.pairs);
         report.docs_per_joiner.push(w.docs_per_joiner);
         report.pairs_per_joiner.push(w.pairs_per_joiner);
         report.routing.push(w.routing);
-        per_window.extend(w.latency.map(|h| (w.window, h)));
+        report
+            .latency
+            .per_window
+            .extend(w.latency.map(|h| (w.window, h)));
     }
-    Ok((report, LatencyReport { per_window }))
+    Ok(report)
 }
 
 /// Run the stream-join topology over `docs` and gather every window's result.
@@ -542,35 +554,12 @@ pub fn run_topology(
     dict: &Dictionary,
     docs: Vec<Document>,
 ) -> Result<TopologyRunReport, RunError> {
-    run_topology_chaos(config, dict, docs, FaultPlan::new())
-}
-
-/// [`run_topology`] with deterministic fault injection.
-pub fn run_topology_chaos(
-    config: StreamJoinConfig,
-    dict: &Dictionary,
-    docs: Vec<Document>,
-    plan: FaultPlan,
-) -> Result<TopologyRunReport, RunError> {
     let reader = Reader::Docs(docs.into_iter().map(Arc::new).collect());
-    run_collecting(config, dict, reader, plan, None).map(|(report, _)| report)
+    run_topology_collect(config, dict, reader, FaultPlan::new(), None)
 }
 
-/// [`run_topology_chaos`] over a [`Reader::Lockstep`] of `panes`.
-pub fn run_topology_lockstep(
-    config: StreamJoinConfig,
-    dict: &Dictionary,
-    panes: Vec<Vec<Document>>,
-    plan: FaultPlan,
-) -> Result<TopologyRunReport, RunError> {
-    let panes = panes
-        .into_iter()
-        .map(|pane| pane.into_iter().map(Arc::new).collect())
-        .collect();
-    run_collecting(config, dict, Reader::Lockstep(panes), plan, None).map(|(report, _)| report)
-}
-
-/// [`run_topology_chaos`] over a [`Reader::Paced`], with its per-pane latencies.
+/// [`run_topology_collect`] over a [`Reader::Paced`], with its per-pane
+/// latencies.
 pub fn run_topology_paced(
     config: StreamJoinConfig,
     dict: &Dictionary,
@@ -579,24 +568,14 @@ pub fn run_topology_paced(
     plan: FaultPlan,
 ) -> Result<(TopologyRunReport, LatencyReport), RunError> {
     let reader = Reader::Paced(docs.into_iter().map(Arc::new).collect(), schedule);
-    run_collecting(config, dict, reader, plan, None)
-}
-
-/// [`run_topology`] as one member of a multi-process group; only worker
-/// 0's report carries join results, other workers return empty windows.
-pub fn run_topology_distributed(
-    config: StreamJoinConfig,
-    dict: &Dictionary,
-    docs: Vec<Document>,
-    dr: &DistRuntime,
-) -> Result<TopologyRunReport, RunError> {
-    let reader = Reader::Docs(docs.into_iter().map(Arc::new).collect());
-    run_collecting(config, dict, reader, FaultPlan::new(), Some(dr)).map(|(report, _)| report)
+    let mut report = run_topology_collect(config, dict, reader, plan, None)?;
+    let latency = std::mem::take(&mut report.latency);
+    Ok((report, latency))
 }
 
 /// Per-pane end-to-end latency distributions from a paced run
 /// ([`run_topology_paced`]): every [`WindowResult::latency`], in pane order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LatencyReport {
     /// `(pane id, latency histogram)` in pane order.
     pub per_window: Vec<(u64, HistogramSnapshot)>,

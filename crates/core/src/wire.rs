@@ -23,11 +23,12 @@
 //! peer-supplied values its tasks index by — a `JoinStats` joiner id and a
 //! `Table`'s partition count — are rejected as [`WireError::OutOfRange`] when
 //! they exceed it, so a corrupt frame ends the run in a transport error
-//! instead of a panic.
+//! instead of a panic. Without a run, [`MsgCodec::new`] bounds them by
+//! [`MAX_PARTITIONS`], so no decoded table is ever wider than that.
 
 use crate::msg::{Msg, PaneRouting, TableMsg};
 use ssj_json::{AttrId, AvpId, Dictionary, DocId, Document, Pair, Scalar};
-use ssj_partition::{AssociationGroup, Expansion, PartitionTable};
+use ssj_partition::{AssociationGroup, Expansion, PartitionTable, MAX_PARTITIONS};
 use ssj_runtime::wire::{fnv1a, put_str, put_varint, put_zigzag, Cursor, WireError};
 use ssj_runtime::WireCodec;
 use std::sync::Arc;
@@ -62,7 +63,8 @@ pub struct MsgCodec {
     /// Pair ids below this travel as bare symbols.
     avp_watermark: u32,
     epoch: u64,
-    /// Joiners (= partitions) of the run; `usize::MAX` accepts any.
+    /// Joiners (= partitions) of the run; [`MAX_PARTITIONS`] until
+    /// [`with_m`](Self::with_m) narrows it.
     m: usize,
 }
 
@@ -76,7 +78,7 @@ impl MsgCodec {
             dict: dict.clone(),
             attr_watermark,
             avp_watermark,
-            m: usize::MAX,
+            m: MAX_PARTITIONS,
         }
     }
 

@@ -145,10 +145,8 @@ fn single_creator_single_assigner_still_exact() {
     cfg.partition_creators = 1;
     cfg.assigners = 1;
     let report = run_topology(cfg, &dict, docs.clone()).unwrap();
-    for (w, found) in report.joins_per_window.iter().enumerate() {
-        let truth = ssj_core::ground_truth_pairs(&docs[w * 60..(w + 1) * 60]);
-        assert_eq!(found, &truth, "window {w}");
-    }
+    let truth = ssj_bench::testutil::oracle(&docs, WindowSpec::tumbling(60));
+    assert_eq!(report.joins_per_window, truth.windows);
 }
 
 /// The one group build, differentially. A `PartitionCreator` bolt is driven

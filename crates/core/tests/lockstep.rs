@@ -6,9 +6,9 @@
 //! close of `k + 1` and routed in `k + 2`. Every window carries its routing
 //! quality, and its join output equals brute force.
 
+use ssj_bench::testutil::{lockstep_reader, oracle};
 use ssj_core::{
-    ground_truth_pairs, run_topology, run_topology_lockstep, StreamJoinConfig, TopologyRunReport,
-    WindowSpec,
+    run_topology, run_topology_collect, StreamJoinConfig, TopologyRunReport, WindowSpec,
 };
 use ssj_join::JoinAlgo;
 use ssj_json::{Dictionary, DocId, Document};
@@ -44,7 +44,8 @@ fn pipeline_config(cfg: ssj_core::ConfigBuilder) -> StreamJoinConfig {
 }
 
 fn run(cfg: StreamJoinConfig, dict: &Dictionary, windows: Vec<Vec<Document>>) -> TopologyRunReport {
-    run_topology_lockstep(cfg, dict, windows, FaultPlan::new()).expect("run")
+    let reader = lockstep_reader(windows.iter().map(Vec::as_slice));
+    run_topology_collect(cfg, dict, reader, FaultPlan::new(), None).expect("run")
 }
 
 fn quality(r: &TopologyRunReport, w: usize) -> WindowQuality {
@@ -69,14 +70,11 @@ fn exactness_every_joinable_pair_colocated() {
     );
     let windows: Vec<_> = (0..3).map(|w| window(&dict, w * 1000, 40)).collect();
     let report = run(cfg, &dict, windows.clone());
-    for (w, docs) in windows.iter().enumerate() {
-        // The distributed join found exactly the ground-truth pairs.
-        assert_eq!(
-            report.joins_per_window[w],
-            ground_truth_pairs(docs),
-            "window {w}: join incomplete or inflated"
-        );
-    }
+    let truth = oracle(&windows.concat(), WindowSpec::tumbling(40));
+    assert_eq!(
+        report.joins_per_window, truth.windows,
+        "join incomplete or inflated"
+    );
 }
 
 #[test]
@@ -92,14 +90,13 @@ fn all_partitioners_preserve_exactness() {
         // Window 0 is broadcast; window 1 is routed with its table.
         let windows: Vec<_> = [500, 530].map(|base| window(&dict, base, 30)).into();
         let report = run(cfg, &dict, windows.clone());
-        for (w, docs) in windows.iter().enumerate() {
-            assert_eq!(
-                report.joins_per_window[w],
-                ground_truth_pairs(docs),
-                "{} loses join results",
-                kind.name()
-            );
-        }
+        let truth = oracle(&windows.concat(), WindowSpec::tumbling(30));
+        assert_eq!(
+            report.joins_per_window,
+            truth.windows,
+            "{} loses join results",
+            kind.name()
+        );
     }
 }
 
@@ -226,7 +223,7 @@ fn partial_last_window_closes() {
             .with_window_spec(WindowSpec::tumbling(10)),
     );
     let docs = window(&dict, 0, 25);
-    let report = ssj_bench::testutil::run_lockstep(cfg, &dict, docs, FaultPlan::new()).unwrap();
+    let report = run(cfg, &dict, docs.chunks(10).map(<[_]>::to_vec).collect());
     assert_eq!(report.joins_per_window.len(), 3); // 10 + 10 + 5
     let routed: Vec<usize> = report.routing.iter().map(|r| r.docs).collect();
     assert_eq!(routed, vec![10, 10, 5]);
@@ -290,15 +287,16 @@ fn reporter_crash_ends_a_lockstep_run() {
             .with_backoff_ms(1);
         let plan = FaultPlan::new().crash("reporter", 0, 1, 0);
         let t0 = Instant::now();
-        let run = run_topology_lockstep(pipeline_config(cfg), &dict, windows.clone(), plan);
+        let reader = lockstep_reader(windows.iter().map(Vec::as_slice));
+        let run = run_topology_collect(pipeline_config(cfg), &dict, reader, plan, None);
         assert!(t0.elapsed() < Duration::from_secs(10), "{:?}", t0.elapsed());
         match run {
             Err(RunError::TaskPanicked(tasks)) if retries == 0 => {
                 assert_eq!(tasks, vec!["reporter[0]".to_string()])
             }
             Ok(report) if retries > 0 => {
-                let truth: Vec<_> = windows.iter().map(|w| ground_truth_pairs(w)).collect();
-                assert_eq!(report.joins_per_window, truth);
+                let truth = oracle(&windows.concat(), WindowSpec::tumbling(20));
+                assert_eq!(report.joins_per_window, truth.windows);
                 assert!(report.runtime.total_recoveries() >= 1);
             }
             other => panic!("retries {retries}: {other:?}"),

@@ -259,8 +259,9 @@ proptest! {
 
     /// Whatever a peer sends, `decode_frame` returns a frame or a
     /// `WireError`, never a panic. Inputs: arbitrary bodies, bare and behind
-    /// a valid Data header (so they reach the message codec), and truncated,
-    /// byte-flipped or junk-tailed encodings of all seven `Msg` tags.
+    /// a valid Data header (so they reach the message codec), truncated,
+    /// byte-flipped or junk-tailed encodings of all seven `Msg` tags, and a
+    /// `Table` 65 partitions wide.
     #[test]
     fn decode_never_panics(
         junk in proptest::collection::vec(wire_byte(), 0..96),
@@ -287,19 +288,33 @@ proptest! {
             flipped[i] ^= mask;
         }
         let _ = decode_frame::<Msg>(&flipped, &codec);
+
+        // A Table one wider than any run allows (Table tag, window 2, 65
+        // partitions): a named error even for the default codec, and any
+        // cut of it never panics.
+        let default = MsgCodec::new(&dict);
+        let epoch = default.epoch().to_le_bytes();
+        let wide = [&[1, 5, 2, 0][..], &epoch, &[2, 2, 65], &junk].concat();
+        let rejected = matches!(
+            decode_frame::<Msg>(&wide, &default),
+            Err(WireError::OutOfRange { value: 65, max: 64, .. })
+        );
+        prop_assert!(rejected, "a 65-partition table must be out of range");
+        let _ = decode_frame::<Msg>(&wide[..cut % wide.len()], &default);
     }
 }
 
 /// The run's codec rejects the two peer-supplied values its tasks index by:
 /// a `JoinStats` from a joiner `>= m` (the Reporter's per-joiner slot) and a
-/// `Table` wider than `m` (the Assigner's per-machine counts). The unbounded
-/// codec of `MsgCodec::new` still accepts both. A `Routing` carries no task
+/// `Table` wider than `m` (the Assigner's per-machine counts). The default
+/// codec of `MsgCodec::new`, bounded only by the 64-partition cap, accepts
+/// both. A `Routing` carries no task
 /// index (the Reporter sums the counts), so the run's codec takes any.
 #[test]
 fn run_codec_rejects_out_of_range_indices() {
     let dict = seeded_dict(10);
     let bounded = MsgCodec::new(&dict).with_m(M);
-    let unbounded = MsgCodec::new(&dict);
+    let default = MsgCodec::new(&dict);
     let stats = |joiner| Msg::JoinStats {
         window: 0,
         joiner,
@@ -338,8 +353,8 @@ fn run_codec_rejects_out_of_range_indices() {
         routing: ROUTING,
     };
     assert!(decode(&bounded, &counts).is_ok());
-    assert!(decode(&unbounded, &stats(M)).is_ok());
-    assert!(decode(&unbounded, &wide).is_ok());
+    assert!(decode(&default, &stats(M)).is_ok());
+    assert!(decode(&default, &wide).is_ok());
 }
 
 /// Two dictionaries seeded identically produce codecs with equal epochs;

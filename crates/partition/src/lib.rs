@@ -51,6 +51,7 @@ pub use incremental::{GroupIndex, IndexStats};
 pub use merger::{consolidate, merge_and_assign};
 pub use partitions::{
     assign_groups, route_batch, PartitionTable, Route, RouteOutcome, RouteScratch, RoutingStats,
+    MAX_PARTITIONS,
 };
 pub use quality::{gini, RepartitionPolicy, UnseenTracker, WindowQuality};
 pub use sc::ScPartitioner;

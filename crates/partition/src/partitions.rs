@@ -62,6 +62,11 @@ impl RouteOutcome {
     }
 }
 
+/// The most partitions a table holds: a partition set is one `u64` mask
+/// (bit `p` ⇔ partition `p`), which covers every deployment the paper
+/// considers.
+pub const MAX_PARTITIONS: usize = 64;
+
 /// Number of slots in the direct-mapped route cache (power of two).
 const ROUTE_CACHE_SLOTS: usize = 256;
 
@@ -137,8 +142,9 @@ impl RouteScratch {
         self.cache.iter_mut().for_each(|slot| *slot = None);
     }
 
-    /// Append extra route targets (e.g. from a retained sliding-window
-    /// table) and restore the sorted/deduplicated invariant of the buffer.
+    /// Append extra route targets and restore the sorted/deduplicated
+    /// invariant of the buffer (the benchmark's replay adds a retained
+    /// sliding-window table's targets this way).
     pub fn merge_targets(&mut self, extra: impl IntoIterator<Item = u32>) {
         let before = self.targets.len();
         self.targets.extend(extra);
@@ -161,15 +167,20 @@ pub struct PartitionTable {
     /// Pairs per partition (diagnostics and the Merger's update path).
     members: Vec<Vec<AvpId>>,
     /// Pair → bitmask of partitions carrying it, maintained alongside
-    /// `index` whenever `m ≤ 64` (bit `p` ⇔ partition `p`). Routing then
-    /// reduces to OR-ing one `u64` per pair, and a zero mask doubles as the
-    /// "pair unknown" test — one lookup answers both questions.
+    /// `index` (bit `p` ⇔ partition `p`). Routing reduces to OR-ing one
+    /// `u64` per pair, and a zero mask doubles as the "pair unknown" test —
+    /// one lookup answers both questions.
     masks: FxHashMap<AvpId, u64>,
 }
 
 impl PartitionTable {
-    /// An empty table of `m` partitions (routes everything to Broadcast).
+    /// An empty table of `m ≤` [`MAX_PARTITIONS`] partitions (routes
+    /// everything to Broadcast).
     pub fn empty(m: usize) -> Self {
+        assert!(
+            m <= MAX_PARTITIONS,
+            "{m} partitions exceed {MAX_PARTITIONS}"
+        );
         PartitionTable {
             m,
             index: FxHashMap::default(),
@@ -190,21 +201,11 @@ impl PartitionTable {
         if !entry.contains(&p) {
             entry.push(p);
             self.members[p as usize].push(avp);
-            if self.m <= 64 {
-                *self.masks.entry(avp).or_insert(0) |= 1u64 << p;
-            }
+            *self.masks.entry(avp).or_insert(0) |= 1u64 << p;
         }
     }
 
-    /// Whether the bitmask fast path is available (`m ≤ 64`, so a partition
-    /// set fits one `u64`).
-    #[inline]
-    pub fn mask_supported(&self) -> bool {
-        self.m <= 64
-    }
-
     /// Bitmask of the partitions carrying `avp` (0 ⇔ the pair is unknown).
-    /// Only meaningful when [`mask_supported`](Self::mask_supported).
     #[inline]
     pub fn avp_mask(&self, avp: AvpId) -> u64 {
         self.masks.get(&avp).copied().unwrap_or(0)
@@ -286,33 +287,17 @@ impl PartitionTable {
         Route::To(targets)
     }
 
-    /// Allocation-free [`route`](Self::route): writes the sorted,
-    /// deduplicated targets into `scratch` instead of returning a fresh
-    /// vector. For `m ≤ 64` the match set is accumulated as a single `u64`
-    /// bitmask (one hash lookup per pair, no sort); larger clusters fall
-    /// back to sort+dedup inside the reusable buffer. Both paths produce
-    /// exactly the targets [`route`](Self::route) would.
+    /// Allocation-free [`route`](Self::route): the match set is accumulated
+    /// as a single `u64` bitmask (one hash lookup per pair, no sort) and
+    /// decoded into `scratch`'s sorted, deduplicated targets — exactly the
+    /// targets [`route`](Self::route) would return.
     pub fn route_into(&self, view: &[AvpId], scratch: &mut RouteScratch) -> RouteOutcome {
-        if self.mask_supported() {
-            let mask = self.view_mask(view);
-            if mask == 0 {
-                scratch.targets.clear();
-                return RouteOutcome::Broadcast;
-            }
-            scratch.set_targets_from_mask(mask);
-        } else {
+        let mask = self.view_mask(view);
+        if mask == 0 {
             scratch.targets.clear();
-            for avp in view {
-                if let Some(ps) = self.index.get(avp) {
-                    scratch.targets.extend_from_slice(ps);
-                }
-            }
-            if scratch.targets.is_empty() {
-                return RouteOutcome::Broadcast;
-            }
-            scratch.targets.sort_unstable();
-            scratch.targets.dedup();
+            return RouteOutcome::Broadcast;
         }
+        scratch.set_targets_from_mask(mask);
         RouteOutcome::Matched
     }
 
@@ -379,14 +364,20 @@ impl PartitionTable {
         out
     }
 
-    /// Rebuild a table from an [`export`](Self::export)ed value.
+    /// Rebuild a table from an [`export`](Self::export)ed value. Its `m` is
+    /// checked against [`MAX_PARTITIONS`] before anything is allocated.
     pub fn import(value: &ssj_json::Value) -> Result<PartitionTable, String> {
         use ssj_json::Value;
         let m = value
             .get("m")
             .and_then(Value::as_int)
-            .filter(|&m| m > 0)
-            .ok_or("missing or invalid 'm'")? as usize;
+            .ok_or("missing or invalid 'm'")?;
+        if !(1..=MAX_PARTITIONS as i64).contains(&m) {
+            return Err(format!(
+                "'m' {m} out of range (expected 1..={MAX_PARTITIONS})"
+            ));
+        }
+        let m = m as usize;
         let mut table = PartitionTable::empty(m);
         let partitions = match value.get("partitions") {
             Some(Value::Array(items)) if items.len() == m => items,
@@ -597,26 +588,8 @@ mod tests {
     }
 
     #[test]
-    fn route_into_matches_route_beyond_mask_width() {
-        // m = 70 > 64 disables the bitmask path; the fallback must still
-        // agree with route().
-        let groups: Vec<AssociationGroup> = (0..70).map(|a| ag(&[a], 1)).collect();
-        let table = assign_groups(groups, 70);
-        assert!(!table.mask_supported());
-        let mut scratch = RouteScratch::new();
-        let view = vec![AvpId(69), AvpId(3), AvpId(3), AvpId(12)];
-        assert_eq!(table.route_into(&view, &mut scratch), RouteOutcome::Matched);
-        assert_eq!(table.route(&view), Route::To(scratch.targets().to_vec()));
-        assert_eq!(
-            table.route_into(&[AvpId(999)], &mut scratch),
-            RouteOutcome::Broadcast
-        );
-    }
-
-    #[test]
     fn masks_mirror_index() {
         let table = assign_groups(vec![ag(&[1, 2], 4), ag(&[3], 2)], 2);
-        assert!(table.mask_supported());
         for id in 0..5u32 {
             let avp = AvpId(id);
             let from_index: u64 = table
@@ -703,6 +676,9 @@ mod persist_tests {
         for bad in [
             "{}",
             r#"{"m":0,"partitions":[]}"#,
+            // Checked before the table is allocated: no 8 TiB vector.
+            r#"{"m":1099511627776,"partitions":[]}"#,
+            r#"{"m":65,"partitions":[]}"#,
             r#"{"m":2,"partitions":[]}"#,
             r#"{"m":1,"partitions":[{"avps":[1]}]}"#,
             r#"{"m":1,"partitions":[{"load":1,"avps":[-3]}]}"#,

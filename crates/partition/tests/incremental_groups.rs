@@ -9,9 +9,9 @@
 //!    produces. Equivalence groups agree modulo the order-preserving
 //!    document-id relabeling (the index hands out monotone ids, the batch
 //!    uses 0-based indices).
-//! 2. **`route_into` ≡ `route`**: the zero-alloc mask fast path (with and
+//! 2. **`route_into` ≡ `route`**: the zero-alloc mask path (with and
 //!    without the fingerprint cache) returns the same targets as the
-//!    allocating `route`, including the `m > 64` fallback.
+//!    allocating `route`.
 
 use proptest::prelude::*;
 use ssj_json::AvpId;
@@ -117,7 +117,7 @@ proptest! {
         assert_matches_batch(&mut idx, &live)?;
     }
 
-    /// Equivalence 2a: the mask fast path agrees with `route` on every
+    /// Equivalence 2: the mask path agrees with `route` on every
     /// view — creation-batch views (all pairs known) and unseen ones.
     #[test]
     fn route_into_matches_route(
@@ -129,7 +129,6 @@ proptest! {
     ) {
         let views = gen_views(seed, docs, vocab, max_len);
         let table = assign_groups(association_groups(&views), m);
-        prop_assert!(table.mask_supported());
         let mut probes = views;
         // Unseen and half-seen probes exercise the broadcast outcome.
         probes.push(vec![AvpId(vocab + 100)]);
@@ -159,24 +158,6 @@ proptest! {
             } else {
                 assert_route_agrees(&table, view, &mut scratch)?;
             }
-        }
-    }
-
-    /// Equivalence 2b: above 64 machines the bitmask no longer fits and
-    /// `route_into` takes the sort-dedup fallback — still identical.
-    #[test]
-    fn route_into_matches_route_beyond_mask_width(
-        seed in 0u64..u64::MAX,
-        docs in 4usize..24,
-        vocab in 3u32..16,
-        m in 65usize..80,
-    ) {
-        let views = gen_views(seed, docs, vocab, 5);
-        let table = assign_groups(association_groups(&views), m);
-        prop_assert!(!table.mask_supported());
-        let mut scratch = RouteScratch::new();
-        for view in &views {
-            assert_route_agrees(&table, view, &mut scratch)?;
         }
     }
 }

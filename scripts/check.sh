@@ -63,9 +63,15 @@ stage "fptree alloc audit" cargo test -q -p ssj-bench --features count-allocs --
 stage "chaos smoke" cargo test -q -p ssj-runtime --test chaos
 stage "partitioner differential" cargo test -q -p ssj-partition --test cross_partitioners
 
-# Pool == brute-force join output for any worker count; metric
-# conservation laws and the scheduler_* counter family.
-stage "scheduler equivalence" cargo test -q -p ssj-core --test sched_equivalence
+# The one differential harness: every topology run == the brute-force
+# oracle, pane for pane — any window shape, m (up to 64), batch, pool size,
+# partitioner, reader, socket-linked group, spill budget or recovered crash
+# (joiner after a joined micro-batch, creator before a repartition, reporter
+# mid-window); a group, budget or crash run also == the same case without
+# it; sampled axis table plus pinned regressions.
+stage "differential harness" cargo test -q -p ssj-core --test differential
+
+# Metric conservation laws and the scheduler_* counter family.
 stage "metrics conservation" cargo test -q -p ssj-runtime --test metrics_conservation
 
 # Every reported quantile within 12.5% of the exact order statistic.
@@ -73,27 +79,16 @@ stage "histogram accuracy" cargo test -q -p ssj-runtime --test histogram_error
 
 # Wire codec round trips plus a decode fuzz (arbitrary bodies, truncated or
 # byte-flipped encodings of every Msg tag: an error, never a panic; a joiner
-# id or table width beyond the run's m is a named error), socket groups ==
-# single process (also under SC, whose creators ship documents to the
-# Merger), 2-worker Unix-socket CLI run incl. a killed-and-relaunched
-# worker: the streamed --joins-out files byte-identical, one line per window;
-# --joins-out failures and a truncated or malformed --input are named errors.
+# id or table width beyond the run's m — or beyond 64 — is a named error),
+# 2-worker Unix-socket CLI run incl. a killed-and-relaunched worker: the
+# streamed --joins-out files byte-identical, one line per window;
+# --joins-out failures, a truncated or malformed --input, an m outside
+# 1..=64 and a snapshot table claiming more partitions are named errors.
 stage "wire codec" cargo test -q -p ssj-core --test wire_codec
-stage "distributed equivalence" cargo test -q -p ssj-core --test distributed_equivalence
 stage "distributed CLI" cargo test -q -p ssj-cli --test distributed
 
-# Pane-chained runtime == oracle == brute force, route-cache expiry on
-# pane eviction, crash-and-recover inside a sliding run (incl. a joiner
-# crashed after whole micro-batches were joined into its open tree, and a
-# creator crashed between the bootstrap and a repartition).
-stage "sliding equivalence" cargo test -q -p ssj-core --test sliding_equivalence
+# Route-cache expiry on pane eviction.
 stage "route-cache expiry" cargo test -q -p ssj-core --test route_cache_expiry
-stage "sliding chaos" cargo test -q -p ssj-core --test sliding_chaos
-
-# Spilled == resident join output across window shapes, batch sizes, a
-# repartition built from the creators' spilled lookback, and a recovered
-# crash; budget 0 provably installs nothing.
-stage "spill equivalence" cargo test -q -p ssj-core --test spill_equivalence
 
 # The reporter hands each window to the run's sink once, in order, canonical,
 # while the stream is still being read — also across a reporter crashed
@@ -101,7 +96,7 @@ stage "spill equivalence" cargo test -q -p ssj-core --test spill_equivalence
 # in the reporter's error within seconds.
 result_path() {
     cargo test -q --test end_to_end results_leave_the_topology_window_by_window
-    cargo test -q -p ssj-core --test sliding_chaos reporter_crash
+    cargo test -q -p ssj-core --test differential reporter_crash
     cargo test -q -p ssj-core --test lockstep reporter_crash
 }
 stage "result path" result_path

@@ -2,8 +2,8 @@
 //! lock-step topology) against ground truth on both datasets.
 
 use schema_free_stream_joins::ssj_core::{
-    canonicalize, ground_truth_pairs, run_topology, run_topology_chaos, run_topology_distributed,
-    run_topology_lockstep, DistRuntime, StreamJoinConfig, TopologyRunReport, WindowSpec,
+    ground_truth_pairs, run_topology, run_topology_collect, DistRuntime, Reader, StreamJoinConfig,
+    TopologyRunReport, WindowSpec,
 };
 use schema_free_stream_joins::ssj_data::{
     NoBenchConfig, NoBenchGen, ServerLogConfig, ServerLogGen,
@@ -12,7 +12,8 @@ use schema_free_stream_joins::ssj_join::JoinAlgo;
 use schema_free_stream_joins::ssj_json::{Dictionary, Document, FxHashSet};
 use schema_free_stream_joins::ssj_partition::PartitionerKind;
 use schema_free_stream_joins::ssj_runtime::FaultPlan;
-use ssj_bench::testutil::{run_lockstep, shifting_stream};
+use ssj_bench::testutil::{lockstep_reader, oracle, shifting_stream};
+use std::sync::Arc;
 
 fn serverlog(dict: &Dictionary, n: usize) -> Vec<Document> {
     ServerLogGen::new(ServerLogConfig::default(), dict.clone()).take_docs(n)
@@ -34,7 +35,8 @@ fn pipeline(
         batch_size: 1,
         ..cfg
     };
-    run_topology_lockstep(cfg, dict, windows, FaultPlan::new()).expect("run")
+    let reader = lockstep_reader(windows.iter().map(Vec::as_slice));
+    run_topology_collect(cfg, dict, reader, FaultPlan::new(), None).expect("run")
 }
 
 /// `docs` cut into windows of `n`.
@@ -54,15 +56,13 @@ fn pipeline_is_exact_on_server_logs_for_all_partitioners() {
             .build()
             .unwrap();
         let report = pipeline(cfg, &dict, windows_of(&docs, 200));
-        for w in 0..3 {
-            let truth = ground_truth_pairs(&docs[w * 200..(w + 1) * 200]);
-            assert_eq!(
-                report.joins_per_window[w],
-                truth,
-                "{}: window {w} lost or invented join results",
-                kind.name()
-            );
-        }
+        let truth = oracle(&docs, WindowSpec::tumbling(200)).windows;
+        assert_eq!(
+            report.joins_per_window,
+            truth,
+            "{}: lost or invented join results",
+            kind.name()
+        );
     }
 }
 
@@ -77,10 +77,8 @@ fn pipeline_is_exact_on_nobench_with_expansion() {
         .build()
         .unwrap();
     let report = pipeline(cfg, &dict, windows_of(&docs, 200));
-    for w in 0..2 {
-        let truth = ground_truth_pairs(&docs[w * 200..(w + 1) * 200]);
-        assert_eq!(report.joins_per_window[w], truth, "window {w}");
-    }
+    let truth = oracle(&docs, WindowSpec::tumbling(200)).windows;
+    assert_eq!(report.joins_per_window, truth);
 }
 
 #[test]
@@ -116,23 +114,12 @@ fn threaded_topology_matches_pipeline_results() {
         .build()
         .unwrap();
 
-    // Ground truth per window.
-    let truths: Vec<Vec<(u64, u64)>> = (0..3)
-        .map(|w| ground_truth_pairs(&docs[w * 150..(w + 1) * 150]))
-        .collect();
-
-    // Threaded topology.
+    let truth = oracle(&docs, WindowSpec::tumbling(150)).windows;
+    assert_eq!(truth.len(), 3);
     let topo = run_topology(cfg.clone(), &dict, docs.clone()).expect("run");
-    assert_eq!(topo.joins_per_window.len(), 3);
-    for (w, truth) in truths.iter().enumerate() {
-        assert_eq!(&topo.joins_per_window[w], truth, "topology window {w}");
-    }
-
-    // The lock-step pipeline.
+    assert_eq!(topo.joins_per_window, truth, "threaded topology");
     let report = pipeline(cfg, &dict, windows_of(&docs, 150));
-    for (w, truth) in truths.iter().enumerate() {
-        assert_eq!(&report.joins_per_window[w], truth, "pipeline window {w}");
-    }
+    assert_eq!(report.joins_per_window, truth, "lock-step pipeline");
 }
 
 /// Tier-1's one pass through supervised recovery: a joiner crashed in the
@@ -152,17 +139,16 @@ fn crashed_joiner_recovers_to_ground_truth() {
         .build()
         .unwrap();
     let plan = FaultPlan::new().crash("joiner", 1, 1, 5);
-    let report = run_topology_chaos(cfg, &dict, docs.clone(), plan).expect("run");
+    let reader = Reader::Docs(docs.iter().cloned().map(Arc::new).collect());
+    let report = run_topology_collect(cfg, &dict, reader, plan, None).expect("run");
     assert!(
         report.runtime.total_faults() >= 1,
         "the planned crash never fired"
     );
     assert!(report.runtime.total_recoveries() >= 1);
     assert_eq!(report.joins_per_window.len(), 3);
-    for (w, got) in report.joins_per_window.iter().enumerate() {
-        let truth = ground_truth_pairs(&docs[w * 150..(w + 1) * 150]);
-        assert_eq!(got, &truth, "window {w}");
-    }
+    let truth = oracle(&docs, WindowSpec::tumbling(150)).windows;
+    assert_eq!(report.joins_per_window, truth);
 }
 
 /// Tier-1's one pass through the socket mesh: a 2-member group (threads
@@ -196,7 +182,8 @@ fn two_member_group_matches_single_process() {
                     socket_dir: dir,
                     attempt: 0,
                 };
-                run_topology_distributed(cfg, &dict, docs, &dr)
+                let reader = Reader::Docs(docs.into_iter().map(Arc::new).collect());
+                run_topology_collect(cfg, &dict, reader, FaultPlan::new(), Some(&dr))
             })
         })
         .collect();
@@ -209,22 +196,6 @@ fn two_member_group_matches_single_process() {
     // The reporter lives on member 0.
     assert_eq!(reports[0].joins_per_window, solo.joins_per_window);
     assert!(solo.joins_per_window.iter().any(|w| !w.is_empty()));
-}
-
-/// Brute force over the whole stream: every joinable pair whose documents
-/// are less than `panes` panes apart, keyed by the later document's pane,
-/// each pane in canonical form.
-fn pane_filtered_brute_force(docs: &[Document], pane: usize, panes: usize) -> Vec<Vec<(u64, u64)>> {
-    let mut truth = vec![Vec::new(); docs.len() / pane];
-    for (i, a) in docs.iter().enumerate() {
-        for (j, b) in docs.iter().enumerate().skip(i + 1) {
-            if j / pane - i / pane < panes && a.joins_with(b) {
-                truth[j / pane].push((a.id().0, b.id().0));
-            }
-        }
-    }
-    truth.iter_mut().for_each(canonicalize);
-    truth
 }
 
 /// Tier-1 runs only this package, so this is its one pass through the
@@ -250,7 +221,7 @@ fn sliding_topology_matches_pane_filtered_brute_force() {
         .unwrap();
     let report = run_topology(cfg, &dict, docs.clone()).expect("run");
 
-    let truth = pane_filtered_brute_force(&docs, PANE, PANES);
+    let truth = oracle(&docs, WindowSpec::sliding(PANE, PANES)).windows;
     assert!(truth.iter().skip(PANES).all(|pane| !pane.is_empty()));
     assert_eq!(report.joins_per_window, truth);
 }
@@ -298,7 +269,7 @@ fn joins_on_arrival_across_micro_batches_and_shifting_attributes() {
             let most = held.iter().max().copied().unwrap_or(0);
             assert!(most > ARRIVAL_BATCH, "pane {w}: no joiner drained mid-pane");
         }
-        let truth = pane_filtered_brute_force(&docs, PANE, panes);
+        let truth = oracle(&docs, spec).windows;
         assert!(truth.iter().all(|pane| !pane.is_empty()));
         assert_eq!(report.joins_per_window, truth, "{panes} pane(s) per window");
     }
@@ -338,7 +309,8 @@ fn vocabulary_shift_forces_a_repartition() {
             .with_batch_size(1)
             .build()
             .unwrap();
-        let report = run_lockstep(cfg, &dict, docs.clone(), FaultPlan::new()).expect("run");
+        let reader = lockstep_reader(docs.chunks(PANE));
+        let report = run_topology_collect(cfg, &dict, reader, FaultPlan::new(), None).expect("run");
         let rt = &report.runtime;
 
         let signals = rt.component_counter("assigner", "repartition_signals");
@@ -385,7 +357,7 @@ fn vocabulary_shift_forces_a_repartition() {
             assert!(copies(p) < M * PANE, "{what}: pane {p} still broadcast");
         }
 
-        let truth = pane_filtered_brute_force(&docs, PANE, spec.panes_per_window());
+        let truth = oracle(&docs, spec).windows;
         assert!(truth.iter().all(|pane| !pane.is_empty()));
         assert_eq!(report.joins_per_window, truth, "{what}");
     }
@@ -402,8 +374,8 @@ fn topology_scales_joiner_count() {
             .build()
             .unwrap();
         let report = run_topology(cfg, &dict, docs.clone()).expect("run");
-        let truth0 = ground_truth_pairs(&docs[..100]);
-        assert_eq!(report.joins_per_window[0], truth0, "m={m}");
+        let truth = oracle(&docs, WindowSpec::tumbling(100)).windows;
+        assert_eq!(report.joins_per_window[0], truth[0], "m={m}");
     }
 }
 
@@ -598,7 +570,7 @@ fn results_leave_the_topology_window_by_window() {
         let calls = std::mem::take(&mut *calls.lock().unwrap());
         let ids: Vec<u64> = calls.iter().map(|(w, _)| w.window).collect();
         assert_eq!(ids, (0..WINDOWS as u64).collect::<Vec<_>>(), "{spec:?}");
-        let truth = pane_filtered_brute_force(&docs, PANE, spec.panes_per_window());
+        let truth = oracle(&docs, spec).windows;
         let (mut emitted_pairs, mut unique_pairs) = (0, 0);
         for ((w, _), truth) in calls.iter().zip(&truth) {
             assert!(

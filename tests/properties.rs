@@ -3,7 +3,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use schema_free_stream_joins::ssj_core::{
-    ground_truth_pairs, run_topology_lockstep, StreamJoinConfig, WindowSpec,
+    ground_truth_pairs, run_topology_collect, StreamJoinConfig, WindowSpec,
 };
 use schema_free_stream_joins::ssj_join::{fpjoin, FpTree, JoinAlgo};
 use schema_free_stream_joins::ssj_json::{
@@ -430,7 +430,8 @@ proptest! {
                 .collect();
             panes.push(docs);
         }
-        let report = run_topology_lockstep(cfg, &dict, panes.clone(), FaultPlan::new()).unwrap();
+        let reader = ssj_bench::testutil::lockstep_reader(panes.iter().map(Vec::as_slice));
+        let report = run_topology_collect(cfg, &dict, reader, FaultPlan::new(), None).unwrap();
         prop_assert_eq!(report.joins_per_window.len(), panes.len());
         for (docs, found) in panes.iter().zip(&report.joins_per_window) {
             prop_assert_eq!(
