@@ -1,15 +1,16 @@
 //! Thread-local allocation counter installed as the global allocator of
 //! every bench and binary of this package when it is built with
 //! `--features count-allocs` (the zero-allocation audits of `fptree`,
-//! `bench_partition` and `json_layer`). It only counts allocation events;
-//! all real work is delegated to the system allocator. `try_with` keeps it
-//! safe during TLS teardown.
+//! `bench_partition` and `json_layer`). It only counts allocation and free
+//! events; all real work is delegated to the system allocator. `try_with`
+//! keeps it safe during TLS teardown.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static FREES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
@@ -24,6 +25,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = FREES.try_with(|c| c.set(c.get() + 1));
         // SAFETY: `ptr` came from `System.alloc`/`realloc` with this layout.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -41,4 +43,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Allocation events observed on this thread so far.
 pub fn allocations() -> u64 {
     ALLOCS.with(|c| c.get())
+}
+
+/// Free events observed on this thread so far.
+pub fn frees() -> u64 {
+    FREES.with(|c| c.get())
 }

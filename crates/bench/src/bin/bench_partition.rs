@@ -15,7 +15,9 @@
 //!   above enforce it;
 //! * `--audit` (requires `--features count-allocs`): route a warmed
 //!   workload and exit non-zero if the route path performs any heap
-//!   allocation per document.
+//!   allocation per document, or if cloning or dropping a `PartitionTable`
+//!   (5 k and 50 k pairs) allocates or frees more than `m` plus a constant
+//!   blocks.
 //!
 //! The JSON is one measurement per line (see `ssj_bench::report`); for the
 //! `route/*/fast` rows the `avg_batch` field carries the speedup factor
@@ -261,7 +263,9 @@ fn check(baseline_path: &str) -> i32 {
 }
 
 /// Allocation audit: the route fast path must not touch the heap once the
-/// scratch and cache are warm.
+/// scratch and cache are warm, and a table copy or drop (the Merger's
+/// δ-refresh, the Assigner swapping tables) must cost O(m) heap blocks
+/// whatever the pair count.
 fn audit() -> i32 {
     #[cfg(not(feature = "count-allocs"))]
     {
@@ -281,14 +285,55 @@ fn audit() -> i32 {
         let allocs = alloc_counter::allocations() - before;
         assert!(sends > 0);
         println!("audit: {allocs} allocations across {routes} warmed routes");
-        if allocs == 0 {
+        let mut ok = allocs == 0;
+        if ok {
             println!("route path is allocation-free");
-            0
         } else {
             eprintln!("route path allocated {allocs} times in {routes} routes");
-            1
         }
+        // Loads, the member list, the mask map and the SC order: a handful
+        // of blocks beside the m member vectors.
+        use ssj_partition::MAX_PARTITIONS;
+        let bound = MAX_PARTITIONS as u64 + 8;
+        for pairs in [5_000, 50_000] {
+            let table = wide_table(pairs);
+            let before = alloc_counter::allocations();
+            let copy = table.clone();
+            let allocs = alloc_counter::allocations() - before;
+            let before = alloc_counter::frees();
+            drop(copy);
+            let frees = alloc_counter::frees() - before;
+            println!(
+                "audit: a {pairs}-pair table at m = {MAX_PARTITIONS} clones in {allocs} \
+                 allocations and drops in {frees} frees (bound {bound})"
+            );
+            if allocs > bound || frees > bound {
+                eprintln!("a {pairs}-pair table copy or drop is not O(m)");
+                ok = false;
+            }
+        }
+        i32::from(!ok)
     }
+}
+
+/// A table of `pairs` pairs over 64 partitions, groups of five, with every
+/// tenth pair also on a second partition (SC-style).
+#[cfg(feature = "count-allocs")]
+fn wide_table(pairs: u32) -> PartitionTable {
+    use ssj_partition::{AssociationGroup, MAX_PARTITIONS};
+    let groups = (0..pairs / 5)
+        .map(|g| AssociationGroup {
+            avps: (g * 5..g * 5 + 5).map(AvpId).collect(),
+            load: 1 + g as usize % 7,
+        })
+        .collect();
+    let mut table = assign_groups(groups, MAX_PARTITIONS);
+    for a in (0..pairs).step_by(10) {
+        let p = table.partitions_of(AvpId(a))[0];
+        table.add_avp((p + 1) % MAX_PARTITIONS as u32, AvpId(a));
+    }
+    assert_eq!(table.pair_count(), pairs as usize);
+    table
 }
 
 fn main() {

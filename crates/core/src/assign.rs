@@ -327,8 +327,9 @@ impl Bolt<Msg> for Assigner {
 
     fn on_punct(&mut self, window: u64, out: &mut Outbox<Msg>) {
         let close = self.router.close_pane(window);
-        for &avp in &close.requests {
-            out.emit(Msg::UpdateRequest(avp));
+        let requests = close.requests.len();
+        if requests > 0 {
+            out.emit(Msg::UpdateRequest(close.requests));
         }
         if close.signal {
             out.emit(Msg::Repartition);
@@ -347,8 +348,7 @@ impl Bolt<Msg> for Assigner {
             inst.counter("routed_sends").add(c.stats.total_sends as u64);
             inst.counter("broadcast_docs")
                 .add(c.stats.broadcasts as u64);
-            inst.counter("update_requests")
-                .add(close.requests.len() as u64);
+            inst.counter("update_requests").add(requests as u64);
             inst.counter("routes_cached").add(c.routes_cached as u64);
             inst.counter("route_cache_misses")
                 .add(c.cache_misses as u64);

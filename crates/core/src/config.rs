@@ -188,126 +188,58 @@ pub struct ConfigBuilder {
     cfg: StreamJoinConfig,
 }
 
+/// `with_*` overrides of one config field each.
+macro_rules! setters {
+    ($($(#[$doc:meta])* $name:ident($field:ident: $ty:ty);)*) => {
+        $(
+            $(#[$doc])*
+            pub fn $name(self, $field: $ty) -> ConfigBuilder {
+                let mut b = self.into_builder();
+                b.cfg.$field = $field;
+                b
+            }
+        )*
+    };
+}
+
 macro_rules! builder_setters {
     () => {
-        /// Override `m` (partitions / Joiner instances).
-        pub fn with_m(self, m: usize) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.m = m;
-            b
-        }
-
-        /// Override the window shape (tumbling or pane-chained sliding).
-        pub fn with_window_spec(self, spec: WindowSpec) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.window = spec;
-            b
-        }
-
-        /// Override the repartitioning threshold `θ`.
-        pub fn with_theta(self, theta: f64) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.theta = theta;
-            b
-        }
-
-        /// Override the unseen-pair update threshold `δ`.
-        pub fn with_delta(self, delta: u32) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.delta = delta;
-            b
-        }
-
-        /// Override the partitioning algorithm.
-        pub fn with_partitioner(self, p: PartitionerKind) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.partitioner = p;
-            b
-        }
-
-        /// Override the local join algorithm.
-        pub fn with_join(self, j: JoinAlgo) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.join_algo = j;
-            b
-        }
-
-        /// Override attribute-value expansion.
-        pub fn with_expansion(self, on: bool) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.expansion = on;
-            b
-        }
-
-        /// Override the PartitionCreator parallelism.
-        pub fn with_partition_creators(self, n: usize) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.partition_creators = n;
-            b
-        }
-
-        /// Override the Assigner parallelism.
-        pub fn with_assigners(self, n: usize) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.assigners = n;
-            b
-        }
-
-        /// Override the transport micro-batch size.
-        pub fn with_batch_size(self, n: usize) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.batch_size = n;
-            b
-        }
-
-        /// Enable or disable full metrics collection.
-        pub fn with_metrics(self, on: bool) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.metrics = on;
-            b
-        }
-
-        /// Override the supervised-recovery retry budget per bolt task.
-        pub fn with_retries(self, retries: u32) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.retries = retries;
-            b
-        }
-
-        /// Override the base recovery backoff in milliseconds.
-        pub fn with_backoff_ms(self, ms: u64) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.backoff_ms = ms;
-            b
-        }
-
-        /// Override the pool's worker count (0 = auto).
-        pub fn with_pool_workers(self, n: usize) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.pool_workers = n;
-            b
-        }
-
-        /// Enable or disable pinning pool workers to CPU cores.
-        pub fn with_pin_cores(self, on: bool) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.pin_cores = on;
-            b
-        }
-
-        /// Override the process-group size for shared-nothing scale-out.
-        pub fn with_workers(self, n: usize) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.workers = n;
-            b
-        }
-
-        /// Override the per-task memory budget in bytes for sealed window
-        /// state (0 = out-of-core tiering off, DESIGN.md §4i).
-        pub fn with_mem_budget(self, bytes: u64) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.mem_budget = bytes;
-            b
+        setters! {
+            /// Override `m` (partitions / Joiner instances).
+            with_m(m: usize);
+            /// Override the window shape (tumbling or pane-chained sliding).
+            with_window_spec(window: WindowSpec);
+            /// Override the repartitioning threshold `θ`.
+            with_theta(theta: f64);
+            /// Override the unseen-pair update threshold `δ`.
+            with_delta(delta: u32);
+            /// Override the partitioning algorithm.
+            with_partitioner(partitioner: PartitionerKind);
+            /// Override the local join algorithm.
+            with_join(join_algo: JoinAlgo);
+            /// Override attribute-value expansion.
+            with_expansion(expansion: bool);
+            /// Override the PartitionCreator parallelism.
+            with_partition_creators(partition_creators: usize);
+            /// Override the Assigner parallelism.
+            with_assigners(assigners: usize);
+            /// Override the transport micro-batch size.
+            with_batch_size(batch_size: usize);
+            /// Enable or disable full metrics collection.
+            with_metrics(metrics: bool);
+            /// Override the supervised-recovery retry budget per bolt task.
+            with_retries(retries: u32);
+            /// Override the base recovery backoff in milliseconds.
+            with_backoff_ms(backoff_ms: u64);
+            /// Override the pool's worker count (0 = auto).
+            with_pool_workers(pool_workers: usize);
+            /// Enable or disable pinning pool workers to CPU cores.
+            with_pin_cores(pin_cores: bool);
+            /// Override the process-group size for shared-nothing scale-out.
+            with_workers(workers: usize);
+            /// Override the per-task memory budget in bytes for sealed window
+            /// state (0 = out-of-core tiering off, DESIGN.md §4i).
+            with_mem_budget(mem_budget: u64);
         }
 
         /// Override the directory spilled segment files are written to.

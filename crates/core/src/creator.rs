@@ -45,6 +45,9 @@ pub struct PartitionCreator {
     /// `panes_per_window - 1`, so empty for tumbling windows. Shared so a
     /// recovery snapshot copies handles, not documents.
     ring: VecDeque<Arc<CreatorPane>>,
+    /// The pane the last boundary evicted, freed on the next message so
+    /// the boundary frees nothing (a tumbling creator is its last holder).
+    evicted: Option<Arc<CreatorPane>>,
     /// Compute local groups at the next window boundary.
     compute_pending: bool,
     /// Deployment spill settings; `None` when `mem_budget == 0`.
@@ -78,6 +81,7 @@ impl PartitionCreator {
             task: 0,
             open: CreatorPane::default(),
             ring: VecDeque::new(),
+            evicted: None,
             compute_pending: true, // bootstrap window
             spill_settings: spill,
             spill: None,
@@ -146,6 +150,7 @@ impl Bolt<Msg> for PartitionCreator {
     }
 
     fn execute(&mut self, msg: Msg, _out: &mut Outbox<Msg>) {
+        self.evicted = None;
         match msg {
             Msg::Doc(doc) => {
                 self.open_bytes += doc.approx_bytes() as u64;
@@ -224,19 +229,20 @@ impl Bolt<Msg> for PartitionCreator {
             }
         }
         // The filled pane joins the ring and the pane that falls out of the
-        // `panes_per_window` lookback leaves it, taking its runs along
-        // (segment files unlink with their last handle). A tumbling window
-        // is the 1-pane case: the pane it pushes is the one it evicts. A
-        // pane that stays is sealed whole, so under a budget the ring holds
-        // run headers only and nothing but the open pane counts against it.
+        // `panes_per_window` lookback leaves it, taking its runs along on the
+        // next message (segment files unlink with their last handle). A
+        // tumbling window is the 1-pane case: the pane it pushes is the one
+        // it evicts. A pane that stays is sealed whole, so under a budget the
+        // ring holds run headers only and nothing but the open pane counts
+        // against it.
         if self.config.panes_per_window() > 1 {
             self.seal_run();
         }
         self.open_bytes = 0;
         self.ring
             .push_back(Arc::new(std::mem::take(&mut self.open)));
-        while self.ring.len() >= self.config.panes_per_window() {
-            self.ring.pop_front();
+        if self.ring.len() >= self.config.panes_per_window() {
+            self.evicted = self.ring.pop_front();
         }
     }
 

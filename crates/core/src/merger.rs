@@ -18,9 +18,10 @@ struct MergerState {
     /// window the partitions were built at ([`TableMsg::window`]).
     deployed: Option<Arc<TableMsg>>,
     /// The δ-updates applied since, to a copy of the deployed table taken
-    /// at the first of them — during a pane, so the boundary that
-    /// broadcasts the refresh (and that every Assigner's close waits on)
-    /// copies nothing.
+    /// at the first of them. The Assigners send them with their pane's
+    /// close, so the first often arrives with the boundary that broadcasts
+    /// the refresh: the copy is on the close path, and the flat table keeps
+    /// it at O(m) allocations.
     updated: Option<PartitionTable>,
 }
 
@@ -117,17 +118,16 @@ impl Bolt<Msg> for Merger {
                 self.pending.push((creator, groups, expansion));
             }
             Msg::Doc(doc) => self.docs.push(doc),
-            Msg::UpdateRequest(avp) => {
+            Msg::UpdateRequest(avps) => {
                 let s = &mut self.state;
                 let Some(deployed) = &s.deployed else { return };
-                if !deployed.table.partitions_of(avp).is_empty() {
+                if avps.iter().all(|&a| deployed.table.avp_mask(a) != 0) {
                     return;
                 }
                 let table = s.updated.get_or_insert_with(|| deployed.table.clone());
-                if table.apply_update(avp) {
-                    if let Some(inst) = &self.inst {
-                        inst.counter("delta_updates").inc();
-                    }
+                let applied = avps.into_iter().filter(|&a| table.apply_update(a)).count();
+                if let Some(inst) = &self.inst {
+                    inst.counter("delta_updates").add(applied as u64);
                 }
             }
             // Repartition signals go to the PartitionCreators (which decide

@@ -25,8 +25,9 @@ pub enum Msg {
     },
     /// The consolidated partition table broadcast by the Merger.
     Table(Arc<TableMsg>),
-    /// An Assigner asking the Merger to add a δ-frequent unseen pair.
-    UpdateRequest(AvpId),
+    /// An Assigner asking the Merger, as it closes a pane, to add the
+    /// δ-frequent unseen pairs the pane met, in sighting order (never empty).
+    UpdateRequest(Vec<AvpId>),
     /// An Assigner signalling that partition quality degraded past θ.
     Repartition,
     /// One pane's routing counts for the Reporter: an Assigner's as it
@@ -117,7 +118,7 @@ impl std::fmt::Debug for Msg {
                 groups.len()
             ),
             Msg::Table(t) => write!(f, "Table(w={})", t.window),
-            Msg::UpdateRequest(a) => write!(f, "UpdateRequest({a})"),
+            Msg::UpdateRequest(avps) => write!(f, "UpdateRequest(n={})", avps.len()),
             Msg::Repartition => write!(f, "Repartition"),
             Msg::Routing { window, routing } => write!(f, "Routing(w={window}, {routing:?})"),
             Msg::JoinStats {

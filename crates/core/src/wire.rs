@@ -196,10 +196,7 @@ impl MsgCodec {
         match c.u8()? {
             0 => Ok(None),
             1 => {
-                let n = c.varint()? as usize;
-                if n > c.remaining() {
-                    return Err(WireError::Truncated);
-                }
+                let n = count(c)?;
                 let mut chain = Vec::with_capacity(n);
                 for _ in 0..n {
                     chain.push(self.get_attr(c)?);
@@ -266,9 +263,12 @@ impl WireCodec<Msg> for MsgCodec {
                 }
                 self.put_expansion(out, &t.expansion);
             }
-            Msg::UpdateRequest(avp) => {
+            Msg::UpdateRequest(avps) => {
                 out.push(TAG_UPDATE_REQUEST);
-                self.put_avp(out, *avp);
+                put_varint(out, avps.len() as u64);
+                for &avp in avps {
+                    self.put_avp(out, avp);
+                }
             }
             Msg::Repartition => out.push(TAG_REPARTITION),
             Msg::Routing { window, routing } => {
@@ -303,10 +303,7 @@ impl WireCodec<Msg> for MsgCodec {
         match c.u8()? {
             TAG_DOC => {
                 let id = DocId(c.varint()?);
-                let n = c.varint()? as usize;
-                if n > c.remaining() {
-                    return Err(WireError::Truncated);
-                }
+                let n = count(c)?;
                 let mut pairs = Vec::with_capacity(n);
                 for _ in 0..n {
                     pairs.push(self.get_pair(c)?);
@@ -316,17 +313,11 @@ impl WireCodec<Msg> for MsgCodec {
             TAG_LOCAL_GROUPS => {
                 let window = c.varint()?;
                 let creator = c.varint()? as usize;
-                let n = c.varint()? as usize;
-                if n > c.remaining() {
-                    return Err(WireError::Truncated);
-                }
+                let n = count(c)?;
                 let mut groups = Vec::with_capacity(n);
                 for _ in 0..n {
                     let load = c.varint()? as usize;
-                    let k = c.varint()? as usize;
-                    if k > c.remaining() {
-                        return Err(WireError::Truncated);
-                    }
+                    let k = count(c)?;
                     let mut avps = Vec::with_capacity(k);
                     for _ in 0..k {
                         avps.push(self.get_pair(c)?.avp);
@@ -350,10 +341,7 @@ impl WireCodec<Msg> for MsgCodec {
                 let mut table = PartitionTable::empty(m);
                 for p in 0..m as u32 {
                     let load = c.varint()? as usize;
-                    let k = c.varint()? as usize;
-                    if k > c.remaining() {
-                        return Err(WireError::Truncated);
-                    }
+                    let k = count(c)?;
                     for _ in 0..k {
                         table.add_avp(p, self.get_pair(c)?.avp);
                     }
@@ -365,17 +353,21 @@ impl WireCodec<Msg> for MsgCodec {
                     expansion: self.get_expansion(c)?,
                 })))
             }
-            TAG_UPDATE_REQUEST => Ok(Msg::UpdateRequest(self.get_pair(c)?.avp)),
+            TAG_UPDATE_REQUEST => {
+                // Grown as the pairs decode, never sized by the peer's count.
+                let mut avps = Vec::new();
+                for _ in 0..count(c)? {
+                    avps.push(self.get_pair(c)?.avp);
+                }
+                Ok(Msg::UpdateRequest(avps))
+            }
             TAG_REPARTITION => Ok(Msg::Repartition),
             TAG_JOIN_STATS => {
                 let window = c.varint()?;
                 let joiner = c.varint()? as usize;
                 at_most("joiner", joiner, self.m.saturating_sub(1))?;
                 let docs = c.varint()? as usize;
-                let n = c.varint()? as usize;
-                if n > c.remaining() {
-                    return Err(WireError::Truncated);
-                }
+                let n = count(c)?;
                 let mut pairs = Vec::with_capacity(n);
                 for _ in 0..n {
                     pairs.push((DocId(c.varint()?), DocId(c.varint()?)));
@@ -400,6 +392,17 @@ impl WireCodec<Msg> for MsgCodec {
             t => Err(WireError::BadTag(t)),
         }
     }
+}
+
+/// A peer-supplied element count. Every element takes at least one byte, so
+/// a count the rest of the frame cannot hold is [`WireError::Truncated`]:
+/// nothing is ever sized beyond the frame by it.
+fn count(c: &mut Cursor) -> Result<usize, WireError> {
+    let n = c.varint()? as usize;
+    if n > c.remaining() {
+        return Err(WireError::Truncated);
+    }
+    Ok(n)
 }
 
 /// Reject a peer-supplied `value` above `max` as [`WireError::OutOfRange`].

@@ -290,3 +290,107 @@ fn creator_builds_over_exactly_its_lookback() {
         }
     }
 }
+
+/// `(after a boundary?, live documents per pane)`, in handling order.
+type LiveLog = Arc<std::sync::Mutex<Vec<(bool, Vec<usize>)>>>;
+
+/// A [`PartitionCreator`] that, after every message and boundary, counts
+/// which of the stream's documents are still alive.
+struct Watched {
+    inner: PartitionCreator,
+    docs: Arc<Vec<std::sync::Weak<Document>>>,
+    log: LiveLog,
+    pane: usize,
+}
+
+impl Watched {
+    fn record(&self, boundary: bool) {
+        let live = self
+            .docs
+            .chunks(self.pane)
+            .map(|pane| pane.iter().filter(|d| d.strong_count() > 0).count())
+            .collect();
+        self.log.lock().unwrap().push((boundary, live));
+    }
+}
+
+impl ssj_runtime::Bolt<Msg> for Watched {
+    fn execute(&mut self, msg: Msg, out: &mut ssj_runtime::Outbox<Msg>) {
+        self.inner.execute(msg, out);
+        self.record(false);
+    }
+
+    fn on_punct(&mut self, window: u64, out: &mut ssj_runtime::Outbox<Msg>) {
+        self.inner.on_punct(window, out);
+        self.record(true);
+    }
+}
+
+/// A creator's boundary frees nothing: the pane that leaves its lookback is
+/// let go of on the next message, not while the punctuation waits. Tumbling
+/// evicts the pane it just closed; sliding evicts the oldest one and leaves
+/// the panes still in the lookback alone.
+#[test]
+fn a_creator_frees_its_evicted_pane_on_the_next_message() {
+    const PANE: usize = 5;
+    for spec in [WindowSpec::tumbling(PANE), WindowSpec::sliding(PANE, 3)] {
+        let panes = spec.panes_per_window();
+        let dict = Dictionary::new();
+        let docs: Vec<Arc<Document>> = stable_stream(&dict, 5, PANE)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        let weak = Arc::new(docs.iter().map(Arc::downgrade).collect::<Vec<_>>());
+        let msgs: Vec<Msg> = docs.into_iter().map(Msg::Doc).collect();
+        let cfg = StreamJoinConfig::default()
+            .with_m(2)
+            .with_window_spec(spec)
+            .with_expansion(false)
+            .build()
+            .unwrap();
+        let log = LiveLog::default();
+        let (watch_log, watch_docs) = (Arc::clone(&log), Arc::clone(&weak));
+        let topology = TopologyBuilder::new()
+            .batch_size(1)
+            .spout("reader", 1, move |_| {
+                Box::new(VecSpout::with_punctuation(msgs.clone(), PANE))
+            })
+            .bolt("creator", 1, move |_| {
+                Box::new(Watched {
+                    inner: PartitionCreator::new(cfg.clone(), dict.clone(), None),
+                    docs: Arc::clone(&watch_docs),
+                    log: Arc::clone(&watch_log),
+                    pane: PANE,
+                })
+            })
+            .subscribe("reader", Grouping::Shuffle)
+            .done()
+            .build()
+            .unwrap();
+        ssj_runtime::run(topology).unwrap();
+
+        let log = log.lock().unwrap();
+        let (mut boundaries, mut first_after) = (0usize, false);
+        for (boundary, live) in log.iter() {
+            if *boundary {
+                // The pane this boundary evicts is still whole.
+                if let Some(evicted) = (boundaries + 1).checked_sub(panes) {
+                    assert_eq!(live[evicted], PANE, "{spec:?}: boundary {boundaries}");
+                }
+                boundaries += 1;
+                first_after = true;
+                continue;
+            }
+            if std::mem::take(&mut first_after) {
+                // The next message after boundary `b - 1`: panes that left
+                // the lookback are gone, the ones still in it are whole.
+                for (p, &n) in live.iter().enumerate().take(boundaries) {
+                    let kept = p + panes > boundaries;
+                    let want = if kept { PANE } else { 0 };
+                    assert_eq!(n, want, "{spec:?}: pane {p} after boundary {boundaries}");
+                }
+            }
+        }
+        assert!(boundaries >= 4, "{spec:?}: {boundaries} boundaries");
+    }
+}

@@ -103,7 +103,7 @@ fn every_tag_body(dict: &Dictionary, codec: &MsgCodec) -> Vec<Vec<u8>> {
             table,
             expansion: None,
         })),
-        Msg::UpdateRequest(late.avp),
+        Msg::UpdateRequest(vec![late.avp, known.avp, float.avp]),
         Msg::Repartition,
         Msg::JoinStats {
             window: 4,
@@ -301,6 +301,15 @@ proptest! {
         );
         prop_assert!(rejected, "a 65-partition table must be out of range");
         let _ = decode_frame::<Msg>(&wide[..cut % wide.len()], &default);
+
+        // An UpdateRequest whose count promises more pairs than the frame
+        // holds (up to 2^63): Truncated, without sizing anything by it.
+        let mut lying = vec![1, 5, 2, 0];
+        lying.extend_from_slice(&codec.epoch().to_le_bytes());
+        lying.push(3); // UpdateRequest tag
+        ssj_runtime::wire::put_varint(&mut lying, (cut as u64 + 1) << 47);
+        lying.extend_from_slice(&junk);
+        prop_assert!(decode_frame::<Msg>(&lying, &codec).is_err(), "a lying count must fail");
     }
 }
 
@@ -475,14 +484,19 @@ fn control_plane_messages_roundtrip() {
     assert_eq!(t2.window, 9);
     assert_eq!(t2.table, table);
 
-    let msg = Msg::UpdateRequest(p1.avp);
+    // A pane's δ-requests travel as one list, in sighting order, with
+    // snapshot and post-snapshot pairs mixed.
+    let late = dict.intern("late", Scalar::Str("y".into()));
+    let requests = vec![p1.avp, late.avp, p0.avp];
+    let msg = Msg::UpdateRequest(requests.clone());
     let mut buf = Vec::new();
     codec.encode(&msg, &mut buf);
     let mut c = Cursor::new(&buf);
-    let Msg::UpdateRequest(avp) = codec.decode(&mut c).unwrap() else {
+    let Msg::UpdateRequest(avps) = codec.decode(&mut c).unwrap() else {
         panic!("kind changed");
     };
-    assert_eq!(avp, p1.avp);
+    c.finish().unwrap();
+    assert_eq!(avps, requests);
 
     let mut buf = Vec::new();
     codec.encode(&Msg::Repartition, &mut buf);

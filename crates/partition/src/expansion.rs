@@ -172,11 +172,6 @@ impl Expansion {
         buf.push(synth.avp);
         true
     }
-
-    /// The paper's replication estimate for broadcast fallback: `pna · m`.
-    pub fn estimated_extra_replication(&self, m: usize) -> f64 {
-        self.pna * m as f64
-    }
 }
 
 /// Build partitioning views for a batch: expanded when possible, `None`
@@ -333,7 +328,6 @@ mod tests {
         }
         let exp = Expansion::detect(&docs, &dict, 8).unwrap();
         assert!((exp.pna - 0.2).abs() < 1e-9, "pna = {}", exp.pna);
-        assert!((exp.estimated_extra_replication(8) - 1.6).abs() < 1e-9);
     }
 
     #[test]

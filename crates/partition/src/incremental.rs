@@ -22,7 +22,7 @@
 //! the relabeling.
 
 use crate::fingerprint::{fingerprint_docs, Fp128};
-use crate::groups::{merge_refs, AssociationGroup, EgRef, EquivalenceGroup, View};
+use crate::groups::{merge_refs, AssociationGroup, EgRef, EquivalenceGroup};
 use crate::partitions::{assign_groups, PartitionTable};
 use ssj_json::{AvpId, FxHashMap, FxHashSet};
 
@@ -342,17 +342,9 @@ impl GroupIndex {
     }
 
     /// Derive association groups and place them onto `m` partitions —
-    /// identical to `assign_groups(association_groups(live_views), m)`.
+    /// identical to `assign_groups` of the live views' association groups.
     pub fn derive_table(&mut self, m: usize) -> PartitionTable {
         assign_groups(self.association_groups(), m)
-    }
-
-    /// The live views in ascending document-id order — what a from-scratch
-    /// batch computation over the index's population would be given.
-    pub fn live_views(&self) -> Vec<View> {
-        let mut ids: Vec<u32> = self.live.keys().copied().collect();
-        ids.sort_unstable();
-        ids.iter().map(|id| self.live[id].clone()).collect()
     }
 
     /// Renumber live documents to 0..n when the id space is exhausted.
@@ -387,7 +379,7 @@ impl GroupIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::groups::association_groups;
+    use crate::groups::{association_groups, View};
     use ssj_json::{Dictionary, Scalar};
 
     fn views(dict: &Dictionary, specs: &[&[(&str, i64)]]) -> Vec<View> {

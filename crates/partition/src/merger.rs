@@ -31,44 +31,49 @@ pub fn consolidate(locals: Vec<Vec<AssociationGroup>>) -> Vec<AssociationGroup> 
     });
 
     // Step 1: drop groups fully contained in an already-kept group, folding
-    // their load into the superset (those documents match it anyway).
+    // their load into the first such superset (those documents match it
+    // anyway). A superset holds every pair of the group, so it is on the
+    // shortest of their posting lists (kept indices, ascending): the first
+    // superset there is the first one in kept order.
     let mut kept: Vec<AssociationGroup> = Vec::new();
-    'outer: for g in groups {
-        for k in kept.iter_mut() {
-            if is_subset(&g.avps, &k.avps) {
-                k.load = k.load.max(g.load);
-                continue 'outer;
-            }
+    let mut postings: FxHashMap<AvpId, Vec<u32>> = FxHashMap::default();
+    for g in groups {
+        let shortest = g
+            .avps
+            .iter()
+            .map(|a| postings.get(a).map_or(&[][..], Vec::as_slice))
+            .min_by_key(|list| list.len());
+        let superset = match shortest {
+            Some(list) => list
+                .iter()
+                .find(|&&k| is_subset(&g.avps, &kept[k as usize].avps)),
+            // An empty group is a subset of every group.
+            None => kept.first().map(|_| &0),
+        };
+        if let Some(&k) = superset {
+            let k = &mut kept[k as usize];
+            k.load = k.load.max(g.load);
+            continue;
+        }
+        for &a in &g.avps {
+            postings.entry(a).or_default().push(kept.len() as u32);
         }
         kept.push(g);
     }
 
-    // Step 2: a pair in two groups is removed from the group with more
-    // elements (ties: the later one). `owner` maps pair → (kept index, len).
+    // Step 2: a pair in several groups stays only in the one with the
+    // fewest elements (ties: the earliest).
     let mut owner: FxHashMap<AvpId, usize> = FxHashMap::default();
-    let mut remove: Vec<Vec<AvpId>> = vec![Vec::new(); kept.len()];
     for (gi, g) in kept.iter().enumerate() {
         for &avp in &g.avps {
-            match owner.get(&avp) {
-                None => {
-                    owner.insert(avp, gi);
-                }
-                Some(&prev) => {
-                    // Remove from the larger group.
-                    if kept[prev].avps.len() > g.avps.len() {
-                        remove[prev].push(avp);
-                        owner.insert(avp, gi);
-                    } else {
-                        remove[gi].push(avp);
-                    }
-                }
+            let o = owner.entry(avp).or_insert(gi);
+            if kept[*o].avps.len() > g.avps.len() {
+                *o = gi;
             }
         }
     }
-    for (g, rm) in kept.iter_mut().zip(remove) {
-        if !rm.is_empty() {
-            g.avps.retain(|a| !rm.contains(a));
-        }
+    for (gi, g) in kept.iter_mut().enumerate() {
+        g.avps.retain(|a| owner[a] == gi);
     }
     kept.retain(|g| !g.avps.is_empty());
     kept
@@ -171,6 +176,78 @@ mod tests {
                 !table.partitions_of(AvpId(p)).is_empty(),
                 "pair {p} unrouted"
             );
+        }
+    }
+
+    /// `consolidate` as it was before posting lists: every group scanned
+    /// against every kept group, and each shared pair removed as it is
+    /// met. The quadratic reference the fast version must equal.
+    fn consolidate_by_scan(locals: Vec<Vec<AssociationGroup>>) -> Vec<AssociationGroup> {
+        let mut groups: Vec<AssociationGroup> = locals.into_iter().flatten().collect();
+        for g in &mut groups {
+            g.avps.sort();
+            g.avps.dedup();
+        }
+        groups.sort_by(|a, b| {
+            b.avps
+                .len()
+                .cmp(&a.avps.len())
+                .then_with(|| a.avps.cmp(&b.avps))
+        });
+        let mut kept: Vec<AssociationGroup> = Vec::new();
+        'outer: for g in groups {
+            for k in kept.iter_mut() {
+                if is_subset(&g.avps, &k.avps) {
+                    k.load = k.load.max(g.load);
+                    continue 'outer;
+                }
+            }
+            kept.push(g);
+        }
+        let mut owner: FxHashMap<AvpId, usize> = FxHashMap::default();
+        let mut remove: Vec<Vec<AvpId>> = vec![Vec::new(); kept.len()];
+        for (gi, g) in kept.iter().enumerate() {
+            for &avp in &g.avps {
+                match owner.get(&avp) {
+                    None => {
+                        owner.insert(avp, gi);
+                    }
+                    Some(&prev) => {
+                        if kept[prev].avps.len() > g.avps.len() {
+                            remove[prev].push(avp);
+                            owner.insert(avp, gi);
+                        } else {
+                            remove[gi].push(avp);
+                        }
+                    }
+                }
+            }
+        }
+        for (g, rm) in kept.iter_mut().zip(remove) {
+            if !rm.is_empty() {
+                g.avps.retain(|a| !rm.contains(a));
+            }
+        }
+        kept.retain(|g| !g.avps.is_empty());
+        kept
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn posting_lists_consolidate_like_the_scan(
+            locals in proptest::collection::vec(
+                proptest::collection::vec(
+                    (proptest::collection::vec(0u32..24, 0..7), 0usize..9),
+                    0..16,
+                ),
+                0..4,
+            ),
+        ) {
+            let locals: Vec<Vec<AssociationGroup>> = locals
+                .into_iter()
+                .map(|gs| gs.into_iter().map(|(avps, load)| ag(&avps, load)).collect())
+                .collect();
+            proptest::prop_assert_eq!(consolidate(locals.clone()), consolidate_by_scan(locals));
         }
     }
 

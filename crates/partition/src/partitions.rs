@@ -155,22 +155,32 @@ impl RouteScratch {
     }
 }
 
-/// The deployed set of `m` partitions.
+/// `PARTITION_IDS[p] == p`: what [`PartitionTable::partitions_of`] returns
+/// for a pair on one partition is a slice of it.
+static PARTITION_IDS: [u32; MAX_PARTITIONS] = [
+    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25,
+    26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49,
+    50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63,
+];
+
+/// The deployed set of `m` partitions. Flat: no pair owns a heap block, so
+/// a copy or a drop allocates or frees O(m) blocks whatever the pair count.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PartitionTable {
     m: usize,
-    /// Pair → partitions carrying it. A single entry for AG/DS (their
-    /// partitions are disjoint); possibly several for SC.
-    index: FxHashMap<AvpId, Vec<u32>>,
     /// Declared load per partition (from group loads at creation time).
     loads: Vec<usize>,
-    /// Pairs per partition (diagnostics and the Merger's update path).
+    /// Pairs per partition (diagnostics, export and the wire).
     members: Vec<Vec<AvpId>>,
-    /// Pair → bitmask of partitions carrying it, maintained alongside
-    /// `index` (bit `p` ⇔ partition `p`). Routing reduces to OR-ing one
-    /// `u64` per pair, and a zero mask doubles as the "pair unknown" test —
-    /// one lookup answers both questions.
+    /// Pair → bitmask of the partitions carrying it (bit `p` ⇔ partition
+    /// `p`), the table's only pair → partition map. Routing reduces to
+    /// OR-ing one `u64` per pair, and a zero mask doubles as the "pair
+    /// unknown" test — one lookup answers both questions.
     masks: FxHashMap<AvpId, u64>,
+    /// A pair on several partitions (SC) → where `order` lists them, in the
+    /// order they were added.
+    spans: FxHashMap<AvpId, u32>,
+    order: Vec<u32>,
 }
 
 impl PartitionTable {
@@ -183,10 +193,9 @@ impl PartitionTable {
         );
         PartitionTable {
             m,
-            index: FxHashMap::default(),
             loads: vec![0; m],
             members: vec![Vec::new(); m],
-            masks: FxHashMap::default(),
+            ..PartitionTable::default()
         }
     }
 
@@ -197,11 +206,21 @@ impl PartitionTable {
 
     /// Add `avp` to partition `p` (declared loads are left alone).
     pub fn add_avp(&mut self, p: u32, avp: AvpId) {
-        let entry = self.index.entry(avp).or_default();
-        if !entry.contains(&p) {
-            entry.push(p);
-            self.members[p as usize].push(avp);
-            *self.masks.entry(avp).or_insert(0) |= 1u64 << p;
+        let mask = self.masks.entry(avp).or_insert(0);
+        let had = std::mem::replace(mask, *mask | 1u64 << p);
+        if had & 1u64 << p != 0 {
+            return;
+        }
+        self.members[p as usize].push(avp);
+        if had != 0 {
+            // A further partition (SC): the pair's run moves to the end of
+            // `order`, leaving the old run unused, and grows there.
+            let k = had.count_ones() as usize;
+            match self.spans.insert(avp, self.order.len() as u32) {
+                Some(s) => self.order.extend_from_within(s as usize..s as usize + k),
+                None => self.order.push(had.trailing_zeros()),
+            }
+            self.order.push(p);
         }
     }
 
@@ -217,9 +236,15 @@ impl PartitionTable {
         view.iter().fold(0u64, |m, &a| m | self.avp_mask(a))
     }
 
-    /// The partitions that carry `avp`.
+    /// The partitions that carry `avp`, in the order they were added.
     pub fn partitions_of(&self, avp: AvpId) -> &[u32] {
-        self.index.get(&avp).map_or(&[], Vec::as_slice)
+        let mask = self.avp_mask(avp);
+        let p = mask.trailing_zeros() as usize;
+        match mask.count_ones() as usize {
+            0 => &[],
+            1 => &PARTITION_IDS[p..=p],
+            k => &self.order[self.spans[&avp] as usize..][..k],
+        }
     }
 
     /// Pairs assigned to partition `p`.
@@ -249,7 +274,7 @@ impl PartitionTable {
     /// there. `false`, and no change, when the pair is known already —
     /// several Assigners may ask for the same one.
     pub fn apply_update(&mut self, avp: AvpId) -> bool {
-        if !self.partitions_of(avp).is_empty() {
+        if self.avp_mask(avp) != 0 {
             return false;
         }
         let p = self.least_loaded();
@@ -260,12 +285,12 @@ impl PartitionTable {
 
     /// Number of distinct pairs across all partitions.
     pub fn pair_count(&self) -> usize {
-        self.index.len()
+        self.masks.len()
     }
 
     /// True when no pair is assigned anywhere.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.masks.is_empty()
     }
 
     /// Route one document view: all partitions sharing at least one pair,
@@ -274,10 +299,8 @@ impl PartitionTable {
     /// routing takes, equal to it; nothing else calls it.
     pub fn route(&self, view: &[AvpId]) -> Route {
         let mut targets: Vec<u32> = Vec::new();
-        for avp in view {
-            if let Some(ps) = self.index.get(avp) {
-                targets.extend_from_slice(ps);
-            }
+        for &avp in view {
+            targets.extend_from_slice(self.partitions_of(avp));
         }
         if targets.is_empty() {
             return Route::Broadcast;
@@ -568,7 +591,11 @@ mod tests {
 
     #[test]
     fn route_into_matches_route_on_mask_path() {
-        let table = assign_groups(vec![ag(&[1, 2], 4), ag(&[3], 2), ag(&[4, 5], 1)], 3);
+        let mut table = assign_groups(vec![ag(&[1, 2], 4), ag(&[3], 2), ag(&[4, 5], 1)], 3);
+        // SC-style pairs on several partitions.
+        table.add_avp(2, AvpId(1));
+        table.add_avp(0, AvpId(1));
+        table.add_avp(1, AvpId(5));
         let mut scratch = RouteScratch::new();
         for view in [
             vec![AvpId(1)],
@@ -588,20 +615,47 @@ mod tests {
     }
 
     #[test]
-    fn masks_mirror_index() {
+    fn partitions_of_derives_from_the_mask() {
+        // AG and DS place a pair once: one partition, the mask's bit.
+        use crate::Partitioner;
         let table = assign_groups(vec![ag(&[1, 2], 4), ag(&[3], 2)], 2);
-        for id in 0..5u32 {
-            let avp = AvpId(id);
-            let from_index: u64 = table
-                .partitions_of(avp)
-                .iter()
-                .fold(0, |m, &p| m | 1u64 << p);
-            assert_eq!(table.avp_mask(avp), from_index, "pair {id}");
+        let views: Vec<View> = [[1, 2], [2, 3], [4, 5], [6, 4]]
+            .iter()
+            .map(|v| v.iter().map(|&a| AvpId(a)).collect())
+            .collect();
+        let ds = crate::DsPartitioner.create(&views, 3);
+        for (t, top) in [(&table, 5u32), (&ds, 7)] {
+            for id in 0..top {
+                let avp = AvpId(id);
+                let ps = t.partitions_of(avp);
+                assert_eq!(ps.len(), (t.avp_mask(avp) != 0) as usize, "pair {id}");
+                let from_list: u64 = ps.iter().fold(0, |m, &p| m | 1u64 << p);
+                assert_eq!(t.avp_mask(avp), from_list, "pair {id}");
+            }
         }
+        assert_eq!(ds.pair_count(), 6);
         assert_eq!(
             table.view_mask(&[AvpId(1), AvpId(3)]),
             table.avp_mask(AvpId(1)) | table.avp_mask(AvpId(3))
         );
+        // SC places a pair on several partitions, in any order: it keeps
+        // that order, also when other pairs grew in between.
+        let mut sc = PartitionTable::empty(64);
+        sc.add_avp(5, AvpId(1));
+        sc.add_avp(2, AvpId(1));
+        sc.add_avp(63, AvpId(2));
+        sc.add_avp(0, AvpId(2));
+        sc.add_avp(9, AvpId(1));
+        sc.add_avp(2, AvpId(1));
+        sc.add_avp(7, AvpId(2));
+        sc.add_avp(3, AvpId(3));
+        assert_eq!(sc.partitions_of(AvpId(1)), &[5, 2, 9]);
+        assert_eq!(sc.partitions_of(AvpId(2)), &[63, 0, 7]);
+        assert_eq!(sc.partitions_of(AvpId(3)), &[3]);
+        assert_eq!(sc.avp_mask(AvpId(1)), 1 << 5 | 1 << 2 | 1 << 9);
+        assert_eq!(sc.members(2), &[AvpId(1)]);
+        assert_eq!(sc.pair_count(), 3);
+        assert_eq!(sc.clone(), sc);
     }
 
     #[test]
@@ -648,7 +702,11 @@ mod persist_tests {
 
     #[test]
     fn export_import_preserves_routing() {
-        let table = assign_groups(vec![ag(&[1, 2], 10), ag(&[3], 5), ag(&[4, 5, 6], 8)], 3);
+        let mut table = assign_groups(vec![ag(&[1, 2], 10), ag(&[3], 5), ag(&[4, 5, 6], 8)], 3);
+        // An SC-style pair on two partitions, added in ascending order (an
+        // export lists partitions in order, so an import adds them so).
+        table.add_avp(0, AvpId(7));
+        table.add_avp(2, AvpId(7));
         let text = table.export().to_json();
         let reread = ssj_json::parse(&text).unwrap();
         let table2 = PartitionTable::import(&reread).unwrap();
