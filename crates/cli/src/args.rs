@@ -84,12 +84,6 @@ const METRICS_OUT: FlagSpec = opt(
     "write per-window metrics + trace as JSON lines to FILE",
 );
 const NO_METRICS: FlagSpec = flag("no-metrics", "disable histogram/trace collection");
-const RETRIES: FlagSpec = opt(
-    "retries",
-    Some("0"),
-    "supervised-recovery retry budget per task (0 = off)",
-);
-const BACKOFF_MS: FlagSpec = opt("backoff-ms", Some("20"), "base recovery backoff in ms");
 const POOL_WORKERS: FlagSpec = opt(
     "pool-workers",
     Some("0"),
@@ -228,8 +222,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             BATCH,
             ALGO,
             NO_EXPANSION,
-            RETRIES,
-            BACKOFF_MS,
             POOL_WORKERS,
             PIN_CORES,
             MEM_BUDGET,
@@ -428,8 +420,8 @@ mod tests {
 
     #[test]
     fn degraded_mode_is_gone() {
-        // A task out of retries always fails the run; there is no flag that
-        // fences it and keeps going with a smaller result.
+        // A run out of attempts always fails; there is no flag that fences
+        // a task and keeps going with a smaller result.
         let err = Args::parse(["run".into(), "--degraded".into()]).unwrap_err();
         assert!(err.starts_with("unknown option --degraded"), "{err}");
     }

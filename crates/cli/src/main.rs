@@ -12,7 +12,8 @@ mod args;
 use args::Args;
 use parking_lot::Mutex;
 use ssj_core::{
-    run_topology_with, DistRuntime, Format, Reader, ReportSink, StreamJoinConfig, WindowResult,
+    run_topology_relaunching, run_topology_with, DistRuntime, Format, Reader, ReportSink,
+    StreamJoinConfig, WindowResult,
 };
 use ssj_data::{NoBenchConfig, NoBenchGen, ServerLogConfig, ServerLogGen, TweetConfig, TweetGen};
 use ssj_join::JoinAlgo;
@@ -199,8 +200,6 @@ fn pipeline_config(args: &Args, metrics: bool) -> Result<StreamJoinConfig, Strin
         .with_assigners(args.get_or("assigners", 6)?)
         .with_batch_size(args.get_or("batch", 64)?)
         .with_metrics(metrics)
-        .with_retries(args.get_or("retries", 0)?)
-        .with_backoff_ms(args.get_or("backoff-ms", 20)?)
         .with_pool_workers(args.get_or("pool-workers", 0)?)
         .with_pin_cores(args.flag("pin-cores"))
         .with_workers(args.get_or("workers", 1)?)
@@ -461,7 +460,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     // instead of one after the other. (If loading fails, dropping the group
     // kills them.) A solo run is the group of one.
     let group = WorkerGroup::launch(cfg.workers)?;
-    // Shared handles: the reader and every group relaunch clone only those.
     let docs: Vec<DocRef> = load_docs(args, &dict)?.into_iter().map(Arc::new).collect();
     let n = docs.len();
 
@@ -483,16 +481,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         );
     }
     print!("{}", runtime.summary_table());
-    let faults = runtime.total_faults();
-    if faults > 0 {
-        println!(
-            "faults: {} ({} crashes, {} recoveries attempted, {} succeeded)",
-            faults,
-            runtime.counter_total("faults_crashes"),
-            runtime.counter_total("recoveries_attempted"),
-            runtime.counter_total("recoveries_succeeded"),
-        );
-    }
     let mut out = joins_out.lock();
     println!(
         "{} documents, {} windows, {} join pairs in {:.3}s ({:.0} docs/s)",
@@ -519,8 +507,9 @@ struct JoinsOut {
 }
 
 impl JoinsOut {
-    /// Counts at zero, the file created empty — again for every relaunched
-    /// group attempt, so nothing a dead attempt wrote or counted survives.
+    /// Counts at zero, the file created empty. A line, once written, is
+    /// never rewritten: a resumed run hands the sink only windows it has not
+    /// had.
     fn start(path: Option<&str>) -> Result<JoinsOut, String> {
         let file = match path {
             Some(p) => Some(File::create(p).map_err(|e| format!("create {p}: {e}"))?),
@@ -571,10 +560,6 @@ fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
     }
     out.extend_from_slice(&digits[at..]);
 }
-
-/// How many times the leader relaunches the whole group after a transport
-/// failure (a peer process dying mid-run) before giving up.
-const GROUP_ATTEMPTS: u32 = 3;
 
 /// The other processes of a multi-process `--workers N` run, as the leader
 /// (worker 0) holds them: workers `1..N`, child processes of this same
@@ -634,11 +619,9 @@ impl WorkerGroup {
         }
     }
 
-    /// Run the local shard over the mesh and — mirroring the task
-    /// supervisor one level up — relaunch the whole group under a fresh
-    /// attempt number when a peer dies mid-run (`RunError::Transport`).
-    /// Window state is rebuilt from the replayed stream and `--joins-out`
-    /// started over, so a relaunched run's output equals an undisturbed one.
+    /// Run the local shard over the mesh (the whole topology when solo).
+    /// A failed attempt resumes at its first undelivered window; a group
+    /// is relaunched for it, under the next attempt's socket names.
     fn run(
         mut self,
         cfg: StreamJoinConfig,
@@ -646,51 +629,34 @@ impl WorkerGroup {
         docs: Vec<DocRef>,
         joins_out: &Arc<Mutex<JoinsOut>>,
     ) -> Result<RunReport, String> {
-        let mut last = String::new();
-        for attempt in 0..GROUP_ATTEMPTS {
-            if attempt > 0 {
-                let mut out = joins_out.lock();
-                let path = out.file.take().map(|(path, _)| path);
-                *out = JoinsOut::start(path.as_deref())?;
-                self.spawn(attempt)?;
-            }
-            let dr = DistRuntime {
-                workers: cfg.workers,
-                my_worker: 0,
-                socket_dir: self.dir.clone(),
-                attempt,
-            };
-            let reader = Reader::Docs(docs.clone());
-            let sink = {
-                let joins_out = Arc::clone(joins_out);
-                move |w| joins_out.lock().window(w)
-            };
-            match run_topology_with(cfg.clone(), dict, reader, FaultPlan::new(), Some(&dr), sink) {
-                Ok(report) => {
-                    for (w, mut child) in (1..).zip(self.children.drain(..)) {
-                        match child.wait() {
-                            Ok(status) if !status.success() => {
-                                eprintln!("warning: worker {w} exited with {status}")
-                            }
-                            Ok(_) => {}
-                            Err(e) => eprintln!("warning: wait for worker {w}: {e}"),
-                        }
-                    }
-                    return Ok(report);
+        let leader = DistRuntime {
+            workers: cfg.workers,
+            my_worker: 0,
+            socket_dir: self.dir.clone(),
+            attempt: 0,
+        };
+        let sink = {
+            let joins_out = Arc::clone(joins_out);
+            move |w| joins_out.lock().window(w)
+        };
+        let mut relaunch = |attempt: u32, failure: &RunError| {
+            eprintln!("attempt {} failed: {failure}; relaunching", attempt - 1);
+            self.kill();
+            self.spawn(attempt)
+        };
+        let reader = Reader::Docs(docs);
+        let report = run_topology_relaunching(cfg, dict, reader, &leader, &mut relaunch, sink)
+            .map_err(|e| e.to_string())?;
+        for (w, mut child) in (1..).zip(self.children.drain(..)) {
+            match child.wait() {
+                Ok(status) if !status.success() => {
+                    eprintln!("warning: worker {w} exited with {status}")
                 }
-                // A peer died (or its link broke): kill the survivors and
-                // relaunch the group under the next attempt's socket names.
-                Err(RunError::Transport(errs)) => {
-                    self.kill();
-                    last = errs.join("; ");
-                    eprintln!("group attempt {attempt} failed: {last}; relaunching");
-                }
-                Err(e) => return Err(e.to_string()),
+                Ok(_) => {}
+                Err(e) => eprintln!("warning: wait for worker {w}: {e}"),
             }
         }
-        Err(format!(
-            "group run failed after {GROUP_ATTEMPTS} attempts: {last}"
-        ))
+        Ok(report)
     }
 }
 

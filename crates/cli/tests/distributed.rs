@@ -110,6 +110,30 @@ fn joins_out_failures_are_named_errors() {
     }
 }
 
+/// A `--spill-dir` that cannot be created fails the run before any work,
+/// solo and as a 2-process group: exit 1 naming the directory, no panic,
+/// and no attempt retried.
+#[test]
+fn unusable_spill_dir_is_a_named_error() {
+    for workers in ["1", "2"] {
+        let out = Command::new(bin())
+            .args(["run", "--count", "2000", "--window", "200", "--m", "3"])
+            .args(["--mem-budget", "1000", "--spill-dir", "/proc/nope/x"])
+            .args(["--no-metrics", "--workers", workers])
+            .env_remove("SSJ_KILL_WORKER")
+            .output()
+            .expect("launch ssj");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{workers} workers: {stderr}");
+        assert!(
+            stderr.contains("error: create spill directory /proc/nope/x"),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(!stderr.contains("relaunching"), "{stderr}");
+    }
+}
+
 /// A `--input` file that ends mid-document, or carries one malformed line,
 /// fails the run before any window closes — solo and as a 2-process group:
 /// exit 1 with the offending line named, no panic, and no window line in

@@ -37,7 +37,7 @@ use ssj_json::{AvpId, Dictionary, Document};
 use ssj_partition::{
     fingerprint_view, RepartitionPolicy, RouteScratch, RoutingStats, UnseenTracker, WindowQuality,
 };
-use ssj_runtime::{Bolt, BoltState, Outbox, TaskInstruments, TraceKind};
+use ssj_runtime::{Bolt, Outbox, TaskInstruments, TraceKind};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -81,9 +81,7 @@ pub struct PaneClose {
     pub counts: PaneCounts,
 }
 
-/// The Assigner's routing and adaptation state. `Clone` is the bolt's
-/// recovery snapshot.
-#[derive(Clone)]
+/// The Assigner's routing and adaptation state.
 pub struct Router {
     m: usize,
     /// `panes_per_window`: how long a superseded table keeps routing.
@@ -357,24 +355,6 @@ impl Bolt<Msg> for Assigner {
                 inst.trace(TraceKind::Repartition, window, std::time::Duration::ZERO);
             }
         }
-    }
-
-    // The whole router survives a crash; its pane counts and requests are
-    // empty at the boundary the snapshot is taken at, and replay refills
-    // them for the open pane.
-    fn snapshot(&self) -> Option<BoltState> {
-        Some(Box::new(self.router.clone()))
-    }
-
-    fn restore(&mut self, state: &BoltState) -> Result<(), String> {
-        let router = state
-            .downcast_ref::<Router>()
-            .ok_or_else(|| "Assigner snapshot type mismatch".to_string())?;
-        self.router = Router {
-            scratch: RouteScratch::new(),
-            ..router.clone()
-        };
-        Ok(())
     }
 }
 

@@ -49,12 +49,6 @@ pub struct StreamJoinConfig {
     /// Enable full metrics collection in the runtime: latency histograms,
     /// the window-lifecycle trace, and per-punctuation registry snapshots.
     pub metrics: bool,
-    /// Supervised-recovery retry budget per bolt task (0 = supervision off:
-    /// a task panic aborts the run, exactly as before recovery existed).
-    pub retries: u32,
-    /// Base backoff between recovery attempts, in milliseconds (doubles per
-    /// consecutive attempt, capped at 64×).
-    pub backoff_ms: u64,
     /// Worker threads of the pool that schedules the bolt tasks (DESIGN.md
     /// §4e; 0 = auto: one per available core, capped at the number of
     /// bolt tasks).
@@ -95,8 +89,6 @@ impl Default for StreamJoinConfig {
             assigners: 6,
             batch_size: 64,
             metrics: false,
-            retries: 0,
-            backoff_ms: 20,
             pool_workers: 0,
             pin_cores: false,
             workers: 1,
@@ -227,10 +219,6 @@ macro_rules! builder_setters {
             with_batch_size(batch_size: usize);
             /// Enable or disable full metrics collection.
             with_metrics(metrics: bool);
-            /// Override the supervised-recovery retry budget per bolt task.
-            with_retries(retries: u32);
-            /// Override the base recovery backoff in milliseconds.
-            with_backoff_ms(backoff_ms: u64);
             /// Override the pool's worker count (0 = auto).
             with_pool_workers(pool_workers: usize);
             /// Enable or disable pinning pool workers to CPU cores.

@@ -10,7 +10,7 @@ use crate::msg::Msg;
 use crate::spill::{Segment, SpillSettings, SpillStore};
 use ssj_json::{Dictionary, DocRef};
 use ssj_partition::{association_groups, batch_views, Expansion, PartitionerKind, View};
-use ssj_runtime::{Bolt, BoltState, Outbox, TaskInfo, TaskInstruments};
+use ssj_runtime::{Bolt, Outbox, TaskInfo, TaskInstruments};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -42,12 +42,11 @@ pub struct PartitionCreator {
     /// The open pane of this creator's shuffle share.
     open: CreatorPane,
     /// Closed panes still inside the lookback, oldest first: at most
-    /// `panes_per_window - 1`, so empty for tumbling windows. Shared so a
-    /// recovery snapshot copies handles, not documents.
-    ring: VecDeque<Arc<CreatorPane>>,
+    /// `panes_per_window - 1`, so empty for tumbling windows.
+    ring: VecDeque<CreatorPane>,
     /// The pane the last boundary evicted, freed on the next message so
-    /// the boundary frees nothing (a tumbling creator is its last holder).
-    evicted: Option<Arc<CreatorPane>>,
+    /// the boundary frees nothing.
+    evicted: Option<CreatorPane>,
     /// Compute local groups at the next window boundary.
     compute_pending: bool,
     /// Deployment spill settings; `None` when `mem_budget == 0`.
@@ -57,14 +56,6 @@ pub struct PartitionCreator {
     /// Approximate bytes buffered since the last run was sealed.
     open_bytes: u64,
     inst: Option<Arc<TaskInstruments>>,
-}
-
-/// Pane-boundary snapshot of the [`PartitionCreator`]'s cross-pane state.
-/// A spilled run travels as its handle, which keeps the file alive.
-#[derive(Clone)]
-struct CreatorState {
-    compute_pending: bool,
-    ring: VecDeque<Arc<CreatorPane>>,
 }
 
 impl PartitionCreator {
@@ -111,7 +102,7 @@ impl PartitionCreator {
     /// This creator's share of the lookback: the retained panes oldest
     /// first, then the open one.
     fn lookback(&self) -> impl Iterator<Item = &CreatorPane> {
-        self.ring.iter().map(|p| &**p).chain([&self.open])
+        self.ring.iter().chain([&self.open])
     }
 
     /// Hand `f` the share in arrival order, a chunk at a time: resident
@@ -239,32 +230,9 @@ impl Bolt<Msg> for PartitionCreator {
             self.seal_run();
         }
         self.open_bytes = 0;
-        self.ring
-            .push_back(Arc::new(std::mem::take(&mut self.open)));
+        self.ring.push_back(std::mem::take(&mut self.open));
         if self.ring.len() >= self.config.panes_per_window() {
             self.evicted = self.ring.pop_front();
         }
-    }
-
-    // Cross-pane state: the compute flag and the ring of closed panes (they
-    // span punctuations, so replay of the open pane alone cannot rebuild
-    // them). The open pane IS rebuilt by replay and deliberately not
-    // captured.
-    fn snapshot(&self) -> Option<BoltState> {
-        Some(Box::new(CreatorState {
-            compute_pending: self.compute_pending,
-            ring: self.ring.clone(),
-        }))
-    }
-
-    // Called on a fresh instance: the open pane starts empty and replay
-    // refills it.
-    fn restore(&mut self, state: &BoltState) -> Result<(), String> {
-        let s = state
-            .downcast_ref::<CreatorState>()
-            .ok_or_else(|| "PartitionCreator snapshot type mismatch".to_string())?;
-        self.compute_pending = s.compute_pending;
-        self.ring = s.ring.clone();
-        Ok(())
     }
 }

@@ -6,7 +6,7 @@ use crate::msg::Msg;
 use crate::spill::{BlockCache, Segment, SpillSettings, SpillStore};
 use ssj_join::{FpTree, JoinAlgo};
 use ssj_json::{DocRef, FxHashSet};
-use ssj_runtime::{Bolt, BoltState, Outbox, TaskInfo, TaskInstruments, TraceKind};
+use ssj_runtime::{Bolt, Outbox, TaskInfo, TaskInstruments, TraceKind};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -105,26 +105,8 @@ impl FrozenPane {
     }
 }
 
-/// Snapshot form of one chunk: resident docs travel as shared handles
-/// (trees are rebuilt on restore), spilled chunks travel as segment
-/// manifests — the `Arc` keeps the file alive across the crash, so recovery
-/// replays cheaply without re-serializing window state.
-#[derive(Clone)]
-enum ChunkManifest {
-    Resident(Vec<DocRef>),
-    Spilled(Arc<Segment>),
-}
-
-/// Pane-boundary snapshot of the [`Joiner`]'s frozen pane ring: per pane,
-/// the manifests of its chunks. FP-trees are rebuilt deterministically on
-/// restore ([`FpTree::build`] is a pure function of the chunk's documents).
-#[derive(Clone)]
-struct JoinerState {
-    frozen: Vec<Vec<ChunkManifest>>,
-}
-
-/// Deep copies of shared documents, for the few consumers that take owned
-/// ones: the NLJ/HBJ baselines and snapshot restore.
+/// Deep copies of shared documents, for the NLJ/HBJ baselines, which take
+/// owned ones.
 fn owned(docs: &[DocRef]) -> Vec<ssj_json::Document> {
     docs.iter().map(|d| (**d).clone()).collect()
 }
@@ -499,60 +481,6 @@ impl Bolt<Msg> for Joiner {
             inst.histogram("close_ns")
                 .record_ns(t0.elapsed().as_nanos() as u64);
         }
-    }
-
-    // The frozen pane ring spans punctuations, so replay of the open pane
-    // alone cannot rebuild it — it must be captured. Spilled chunks are
-    // captured as segment manifests (the Arc keeps the file alive). The open
-    // pane — arrivals, open tree, sealed chunks, pairs — IS rebuilt by
-    // replay; so is the attribute order it runs under, which affects only
-    // the rebuilt tree's shape, never its pairs. Tumbling windows snapshot
-    // an empty ring.
-    fn snapshot(&self) -> Option<BoltState> {
-        Some(Box::new(JoinerState {
-            frozen: self
-                .frozen
-                .iter()
-                .map(|pane| {
-                    pane.iter()
-                        .map(|chunk| match chunk {
-                            FrozenPane::Resident { docs, .. } => {
-                                ChunkManifest::Resident(docs.clone())
-                            }
-                            FrozenPane::Spilled { segment } => {
-                                ChunkManifest::Spilled(Arc::clone(segment))
-                            }
-                        })
-                        .collect()
-                })
-                .collect(),
-        }))
-    }
-
-    // Called on a fresh instance: the open pane starts empty, under the
-    // empty order, and replay refills it.
-    fn restore(&mut self, state: &BoltState) -> Result<(), String> {
-        let s = state
-            .downcast_ref::<JoinerState>()
-            .ok_or_else(|| "Joiner snapshot type mismatch".to_string())?;
-        self.frozen = s
-            .frozen
-            .iter()
-            .map(|pane| {
-                pane.iter()
-                    .map(|manifest| match manifest {
-                        ChunkManifest::Resident(docs) => FrozenPane::Resident {
-                            tree: FpTree::build(&owned(docs)),
-                            docs: docs.clone(),
-                        },
-                        ChunkManifest::Spilled(segment) => FrozenPane::Spilled {
-                            segment: Arc::clone(segment),
-                        },
-                    })
-                    .collect()
-            })
-            .collect();
-        Ok(())
     }
 }
 

@@ -65,8 +65,9 @@ pub use ssj_join::{WindowError, WindowSpec};
 pub use stats::{Format, ReportSink, RunSummary};
 pub use topology::{
     canonicalize, ground_truth_pairs, materialize_joins, placement_for, run_topology,
-    run_topology_collect, run_topology_paced, run_topology_with, topology_dot, DistRuntime,
-    LatencyReport, Reader, TopologyRunReport, WindowResult,
+    run_topology_collect, run_topology_paced, run_topology_relaunching, run_topology_with,
+    topology_dot, DistRuntime, LatencyReport, Reader, TopologyRunReport, WindowResult,
+    RUN_ATTEMPTS,
 };
 pub use window::{windows, SegmentSpec};
 pub use wire::MsgCodec;

@@ -8,11 +8,11 @@ use crate::config::StreamJoinConfig;
 use crate::msg::{Msg, PaneRouting, TableMsg};
 use ssj_json::{Dictionary, DocRef};
 use ssj_partition::{batch_views, merge_and_assign, Expansion, PartitionTable, View};
-use ssj_runtime::{Bolt, BoltState, Outbox, TaskInfo, TaskInstruments, TraceKind};
+use ssj_runtime::{Bolt, Outbox, TaskInfo, TaskInstruments, TraceKind};
 use std::sync::Arc;
 
-/// The [`Merger`]'s cross-window state, and its recovery snapshot.
-#[derive(Clone, Default)]
+/// The [`Merger`]'s cross-window state.
+#[derive(Default)]
 struct MergerState {
     /// The last table broadcast. A δ-refresh repeats its window id, the
     /// window the partitions were built at ([`TableMsg::window`]).
@@ -181,21 +181,5 @@ impl Bolt<Msg> for Merger {
             }
         }
         out.emit(Msg::Routing { window, routing });
-    }
-
-    // The deployed table survives crashes; per-window `pending` shares are
-    // reconstructed by replay.
-    fn snapshot(&self) -> Option<BoltState> {
-        Some(Box::new(self.state.clone()))
-    }
-
-    fn restore(&mut self, state: &BoltState) -> Result<(), String> {
-        let s = state
-            .downcast_ref::<MergerState>()
-            .ok_or_else(|| "Merger snapshot type mismatch".to_string())?;
-        self.state = s.clone();
-        self.pending.clear();
-        self.docs.clear();
-        Ok(())
     }
 }

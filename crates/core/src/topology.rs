@@ -146,22 +146,16 @@ type RawPairs = Vec<(DocId, DocId)>;
 /// The Fig. 2 Reporter: accumulates a window's `JoinStats` and, when the
 /// window's punctuation aligns (every joiner has reported it), folds them
 /// into the [`WindowResult`], gives that to the sink and keeps nothing.
-///
-/// A supervised restart builds a fresh `Reporter` around the same sink.
-/// Delivered windows lie before the restart's snapshot and are not replayed,
-/// the open window's `JoinStats` are: the sink sees every window once. A
-/// restarted *joiner* may repeat its `JoinStats` for the window it was in;
-/// counts are kept per joiner and pairs deduplicated, so nothing changes.
 struct Reporter<S> {
     m: usize,
     pane: usize,
-    sink: Arc<Mutex<S>>,
+    sink: S,
     /// [`Reader::Lockstep`] runs: one token per window handed to the sink.
-    /// Only live Reporters hold it, so the reader learns when none is left.
-    delivered: Option<Arc<mpsc::Sender<()>>>,
+    /// It goes with the Reporter, so the reader learns when none is left.
+    delivered: Option<mpsc::Sender<()>>,
     /// Paced runs: document `i` is due `schedule[i]` ns after the anchor,
     /// which the reader sets at its first emission.
-    schedule: Option<Arc<Vec<u64>>>,
+    schedule: Option<Vec<u64>>,
     anchor: Arc<OnceLock<Instant>>,
     /// Per open window: the joiners' pair lists, held as they arrived so a
     /// `JoinStats` costs nothing before the latency stamp; the result so far.
@@ -198,8 +192,7 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
                 pairs,
                 ..
             } => (joiner, docs, pairs),
-            // Each Assigner and the Merger report a pane once: a restarted
-            // one replays only what it has not delivered.
+            // Each Assigner and the Merger report a pane once.
             Msg::Routing { routing, .. } => return result.routing += routing,
             _ => return,
         };
@@ -239,7 +232,7 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
             inst.counter("pairs_unique").add(result.pairs.len() as u64);
             inst.histogram("fold_ns").record(t0.elapsed());
         }
-        (self.sink.lock())(result);
+        (self.sink)(result);
         if let Some(delivered) = &self.delivered {
             let _ = delivered.send(());
         }
@@ -250,7 +243,7 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
 /// DOT without running it.
 pub fn topology_dot(config: StreamJoinConfig) -> String {
     let (dict, reader) = (Dictionary::new(), Reader::Docs(Vec::new()));
-    build(&config, &dict, reader, FaultPlan::new(), |_| {}).to_dot()
+    build(&config, &dict, reader, FaultPlan::new(), None, |_| {}).to_dot()
 }
 
 /// The Fig. 2 topology, reading from `reader` and reporting to `sink`.
@@ -259,6 +252,7 @@ fn build(
     dict: &Dictionary,
     reader: Reader,
     plan: FaultPlan,
+    spill: Option<Arc<SpillSettings>>,
     sink: impl FnMut(WindowResult) + Send + 'static,
 ) -> ssj_runtime::Topology<Msg> {
     // Punctuation is pane-granular: tumbling windows punctuate per window
@@ -274,11 +268,11 @@ fn build(
         ),
         Reader::Paced(docs, schedule) => {
             let spout = PacedSpout::new(msgs(docs), schedule.clone(), window, Arc::clone(&anchor));
-            (Box::new(spout), Some(Arc::new(schedule)))
+            (Box::new(spout), Some(schedule))
         }
         Reader::Lockstep(panes) => {
             let (tx, delivered_rx) = mpsc::channel();
-            delivered = Some(Arc::new(tx));
+            delivered = Some(tx);
             let emissions: Vec<_> = (0..)
                 .zip(panes)
                 .flat_map(|(p, pane)| {
@@ -295,31 +289,21 @@ fn build(
         }
         Reader::Spout(spout) => (spout, None),
     };
-    // The first Reporter takes the token sender, a restarted one shares it
-    // with the instance it replaces: once no Reporter is left, the sender
-    // is gone and a lock-step reader stops waiting.
-    let later = delivered.as_ref().map(Arc::downgrade);
-    let delivered = Mutex::new(delivered);
-    // The one reader task is never restarted, so the spout is *moved* into
-    // it; a supervised restart rebuilds the reporter around the same sink.
+    // The reader and the Reporter are one task each, built once: they are
+    // moved into their tasks.
     let reader = Mutex::new(Some(reader));
-    let (m, sink) = (config.m, Arc::new(Mutex::new(sink)));
+    let reporter = Mutex::new(Some(Reporter {
+        m: config.m,
+        pane: window,
+        sink,
+        delivered,
+        schedule,
+        anchor,
+        open: FxHashMap::default(),
+        inst: None,
+    }));
     let dict_creator = dict.clone();
     let dict_assigner = dict.clone();
-    // Out-of-core tiering (DESIGN.md §4i): with a non-zero budget the
-    // stateful bolts get shared spill settings — segment files are stamped
-    // with the dictionary's content epoch, exactly like socket frames, so
-    // a file can never be decoded against a different interning epoch.
-    // With `mem_budget == 0` nothing is installed at all.
-    let spill = (config.mem_budget > 0).then(|| {
-        let dir = config.resolved_spill_dir();
-        std::fs::create_dir_all(&dir).expect("spill: cannot create --spill-dir");
-        Arc::new(SpillSettings {
-            budget: config.mem_budget,
-            dir,
-            epoch: dict_epoch(dict),
-        })
-    });
     let creator_cfg = config.clone();
     let creator_spill = spill.clone();
     let merger_cfg = config.clone();
@@ -346,11 +330,6 @@ fn build(
         .metrics(config.metrics)
         .pool_workers(config.pool_workers)
         .pin_cores(config.pin_cores)
-        .recovery(
-            ssj_runtime::RecoveryPolicy::default()
-                .retries(config.retries)
-                .backoff(std::time::Duration::from_millis(config.backoff_ms.max(1))),
-        )
         .spout("reader", 1, move |_| {
             reader
                 .lock()
@@ -386,19 +365,7 @@ fn build(
         .subscribe("assigner", Grouping::Direct)
         .done()
         .bolt("reporter", 1, move |_| {
-            Box::new(Reporter {
-                m,
-                pane: window,
-                sink: Arc::clone(&sink),
-                delivered: delivered
-                    .lock()
-                    .take()
-                    .or_else(|| later.as_ref()?.upgrade()),
-                schedule: schedule.clone(),
-                anchor: Arc::clone(&anchor),
-                open: FxHashMap::default(),
-                inst: None,
-            })
+            Box::new(reporter.lock().take().expect("the reporter is built once"))
         })
         .subscribe("joiner", Grouping::Global)
         // Each pane's routing counts.
@@ -407,6 +374,28 @@ fn build(
         .done()
         .build()
         .expect("Fig. 2 topology is valid")
+}
+
+/// Out-of-core tiering (DESIGN.md §4i): with a non-zero budget the stateful
+/// bolts get shared spill settings, the directory created — segment files
+/// are stamped with the dictionary's content epoch, exactly like socket
+/// frames, so a file can never be decoded against a different interning
+/// epoch. With `mem_budget == 0` nothing is installed at all.
+fn spill_settings(
+    config: &StreamJoinConfig,
+    dict: &Dictionary,
+) -> Result<Option<Arc<SpillSettings>>, RunError> {
+    if config.mem_budget == 0 {
+        return Ok(None);
+    }
+    let dir = config.resolved_spill_dir();
+    std::fs::create_dir_all(&dir)
+        .map_err(|e| RunError::Setup(format!("create spill directory {}: {e}", dir.display())))?;
+    Ok(Some(Arc::new(SpillSettings {
+        budget: config.mem_budget,
+        dir,
+        epoch: dict_epoch(dict),
+    })))
 }
 
 /// Where a run's documents come from. Every variant but
@@ -427,9 +416,29 @@ pub enum Reader {
     /// deliver a pane; the run then returns the Reporter's error.
     Lockstep(Vec<Vec<DocRef>>),
     /// Test seam, not API: a test-built reader spout (root
-    /// `tests/end_to_end.rs` gates one to observe incremental delivery).
+    /// `tests/end_to_end.rs` gates one to observe incremental delivery). It
+    /// cannot start at a later pane, so a run over it is not resumed.
     #[doc(hidden)]
     Spout(Box<dyn Spout<Msg>>),
+}
+
+impl Reader {
+    /// The reader of an attempt that starts at pane `p` of `pane` documents:
+    /// documents `[p·pane..]`, the paced schedule rebased to its first due
+    /// time, lock-step panes `[p..]`. `None` for [`Reader::Spout`].
+    fn at_pane(&self, p: usize, pane: usize) -> Option<Reader> {
+        Some(match self {
+            Reader::Docs(docs) => Reader::Docs(docs[(p * pane).min(docs.len())..].to_vec()),
+            Reader::Paced(docs, schedule) => {
+                let at = (p * pane).min(docs.len());
+                let first = schedule.get(at).copied().unwrap_or(0);
+                let rebased = schedule[at..].iter().map(|t| t.saturating_sub(first));
+                Reader::Paced(docs[at..].to_vec(), rebased.collect())
+            }
+            Reader::Lockstep(panes) => Reader::Lockstep(panes[p.min(panes.len())..].to_vec()),
+            Reader::Spout(_) => return None,
+        })
+    }
 }
 
 /// The [`Reader::Lockstep`] spout: each pane's documents and punctuation,
@@ -455,14 +464,53 @@ impl Spout<Msg> for LockstepSpout {
     }
 }
 
+/// How many times a run is attempted before its failure is final: the
+/// first attempt and two resumes.
+pub const RUN_ATTEMPTS: u32 = 3;
+
+/// The pane a failed run resumes at, once the sink has been given windows
+/// `0..delivered`: the first pane of the first undelivered window's
+/// lookback, `max(0, delivered − (panes_per_window − 1))`.
+fn resume_pane(delivered: u64, panes_per_window: usize) -> u64 {
+    delivered.saturating_sub(panes_per_window as u64 - 1)
+}
+
+/// The sink side of a run across its attempts: the first window the sink
+/// has not been given, and the sink.
+struct Delivery<S> {
+    next: u64,
+    sink: S,
+}
+
+impl<S: FnMut(WindowResult)> Delivery<S> {
+    /// Window `w` of an attempt whose reader started at pane `start` is
+    /// window `w + start` of the run. One the sink already has — a warm-up
+    /// window of a resumed attempt — is dropped.
+    fn deliver(&mut self, start: u64, mut w: WindowResult) {
+        w.window += start;
+        if w.window >= self.next {
+            self.next = w.window + 1;
+            (self.sink)(w);
+        }
+    }
+}
+
 /// Run the stream-join topology and hand every window's result to `sink`
 /// as the window closes — one call per window, in window order, while later
 /// windows are still being read and joined. All topology parallelism comes
 /// from `config` (`partition_creators`, `assigners`, `m` joiners).
 ///
-/// `plan` injects deterministic faults: chaos tests crash supervised tasks
-/// mid-run and assert the recovered output is identical to the fault-free
-/// run (set `config.retries > 0` to arm window-boundary snapshots).
+/// A failed attempt — a task panicked ([`RunError::TaskPanicked`]) or a
+/// peer died ([`RunError::Transport`]) — is resumed, up to
+/// [`RUN_ATTEMPTS`] attempts: the topology is built afresh and its reader
+/// starts at the first pane of the first undelivered window's lookback. A window's
+/// pairs depend only on its panes, so the resumed windows are exact; the
+/// ones the sink already has are dropped (DESIGN.md §4d). A run over a
+/// [`Reader::Spout`], or a group member's run, is not resumed (see
+/// [`run_topology_relaunching`]).
+///
+/// `plan` injects deterministic crashes ([`FaultPlan::for_attempt`]): tests
+/// crash tasks mid-run and assert the resumed output equals the plain run.
 ///
 /// With `group`, this process runs its shard as one member of a
 /// multi-process group. Every worker must pass the *same* `config`, `dict`
@@ -478,9 +526,107 @@ pub fn run_topology_with(
     group: Option<&DistRuntime>,
     sink: impl FnMut(WindowResult) + Send + 'static,
 ) -> Result<RunReport, RunError> {
+    run_resuming(config, dict, reader, plan, group, None, sink)
+}
+
+/// [`run_topology_with`] as worker 0 of a group it can relaunch. Before
+/// attempt `n ≥ 1`, `relaunch(n, failure)` replaces the other members: it
+/// stops the survivors and starts fresh ones that join under attempt
+/// `leader.attempt + n`. Then the leader resumes. A solo `leader`
+/// (`workers == 1`) never calls it.
+pub fn run_topology_relaunching(
+    config: StreamJoinConfig,
+    dict: &Dictionary,
+    reader: Reader,
+    leader: &DistRuntime,
+    relaunch: &mut dyn FnMut(u32, &RunError) -> Result<(), String>,
+    sink: impl FnMut(WindowResult) + Send + 'static,
+) -> Result<RunReport, RunError> {
+    let plan = FaultPlan::new();
+    run_resuming(
+        config,
+        dict,
+        reader,
+        plan,
+        Some(leader),
+        Some(relaunch),
+        sink,
+    )
+}
+
+/// A group leader's relaunch step (see [`run_topology_relaunching`]).
+type Relaunch<'a> = &'a mut dyn FnMut(u32, &RunError) -> Result<(), String>;
+
+/// The one recovery loop behind [`run_topology_with`] and
+/// [`run_topology_relaunching`].
+fn run_resuming(
+    config: StreamJoinConfig,
+    dict: &Dictionary,
+    reader: Reader,
+    plan: FaultPlan,
+    group: Option<&DistRuntime>,
+    mut relaunch: Option<Relaunch>,
+    sink: impl FnMut(WindowResult) + Send + 'static,
+) -> Result<RunReport, RunError> {
     config.validate().expect("invalid configuration");
-    let topology = build(&config, dict, reader, plan, sink);
-    let Some(dr) = group.filter(|dr| dr.workers > 1) else {
+    let spill = spill_settings(&config, dict)?;
+    let group = group.filter(|dr| dr.workers > 1);
+    let delivery = Arc::new(Mutex::new(Delivery { next: 0, sink }));
+    let attempt_sink = |start: u64| {
+        let delivery = Arc::clone(&delivery);
+        move |w| delivery.lock().deliver(start, w)
+    };
+    // A run resumes when all of it can be rebuilt: the reader at any pane,
+    // a group's other members by relaunching them.
+    if matches!(reader, Reader::Spout(_)) || (group.is_some() && relaunch.is_none()) {
+        let topology = build(&config, dict, reader, plan, spill, attempt_sink(0));
+        return run_attempt(&config, dict, topology, group);
+    }
+    let mut attempt = 0;
+    loop {
+        let delivered = delivery.lock().next;
+        let start = resume_pane(delivered, config.panes_per_window());
+        let reader = reader
+            .at_pane(start as usize, config.pane_docs())
+            .expect("a resumable reader");
+        let plan = plan.for_attempt(attempt);
+        let topology = build(
+            &config,
+            dict,
+            reader,
+            plan,
+            spill.clone(),
+            attempt_sink(start),
+        );
+        let member = group.map(|dr| DistRuntime {
+            attempt: dr.attempt + attempt,
+            ..dr.clone()
+        });
+        match run_attempt(&config, dict, topology, member.as_ref()) {
+            Ok(mut report) => {
+                report.attempts = attempt + 1;
+                report.resumed = (attempt > 0).then_some((delivered, start));
+                return Ok(report);
+            }
+            Err(e) if attempt + 1 < RUN_ATTEMPTS => {
+                attempt += 1;
+                if let (Some(relaunch), Some(_)) = (relaunch.as_mut(), group) {
+                    relaunch(attempt, &e).map_err(RunError::Setup)?;
+                }
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Run one attempt's topology, alone or as this process's shard of `group`.
+fn run_attempt(
+    config: &StreamJoinConfig,
+    dict: &Dictionary,
+    topology: ssj_runtime::Topology<Msg>,
+    group: Option<&DistRuntime>,
+) -> Result<RunReport, RunError> {
+    let Some(dr) = group else {
         return run(topology);
     };
     assert_eq!(config.workers, dr.workers, "config/group size mismatch");
@@ -489,7 +635,7 @@ pub fn run_topology_with(
         my_worker: dr.my_worker,
         socket_dir: dr.socket_dir.clone(),
         attempt: dr.attempt,
-        topo_fingerprint: topo_fingerprint(&config),
+        topo_fingerprint: topo_fingerprint(config),
         dict_epoch: dict_epoch(dict),
     };
     let group = join_group(&setup)
@@ -636,9 +782,9 @@ pub struct DistRuntime {
     pub my_worker: usize,
     /// Directory holding the group's Unix sockets.
     pub socket_dir: PathBuf,
-    /// Launch attempt (bumped by the leader when re-running after a worker
-    /// death); namespaces the socket files so stale sockets of a previous
-    /// attempt cannot cross-connect.
+    /// Launch attempt (bumped by the leader when it relaunches the group
+    /// after a failed attempt); namespaces the socket files so stale sockets
+    /// of a previous attempt cannot cross-connect.
     pub attempt: u32,
 }
 
@@ -807,6 +953,86 @@ mod tests {
                 assert_eq!(h.buckets.iter().map(|&(_, c)| c).sum::<u64>(), h.count);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod resume_tests {
+    use super::*;
+
+    fn result(window: u64) -> WindowResult {
+        WindowResult {
+            window,
+            pairs: Vec::new(),
+            docs_per_joiner: Vec::new(),
+            pairs_per_joiner: Vec::new(),
+            routing: PaneRouting::default(),
+            latency: None,
+        }
+    }
+
+    #[test]
+    fn tumbling_resumes_at_the_first_undelivered_window() {
+        for d in [0, 1, 7] {
+            assert_eq!(resume_pane(d, 1), d);
+        }
+    }
+
+    #[test]
+    fn sliding_resumes_at_its_lookback_clamped_at_zero() {
+        assert_eq!(resume_pane(9, 4), 6);
+        assert_eq!(resume_pane(3, 4), 0);
+        assert_eq!(resume_pane(1, 8), 0);
+        assert_eq!(resume_pane(0, 8), 0);
+    }
+
+    /// Attempt 0 delivers windows 0..5 and fails; attempt 1 of a 4-pane
+    /// window starts at pane 2, so its windows 0..3 (2, 3, 4 of the run)
+    /// are dropped and the rest arrive once, in order.
+    #[test]
+    fn dropped_windows_never_reach_the_sink() {
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let sink = {
+            let got = Arc::clone(&got);
+            move |w: WindowResult| got.lock().push(w.window)
+        };
+        let mut delivery = Delivery { next: 0, sink };
+        for w in 0..5 {
+            delivery.deliver(0, result(w));
+        }
+        let start = resume_pane(delivery.next, 4);
+        assert_eq!(start, 2);
+        for w in 0..8 {
+            delivery.deliver(start, result(w));
+        }
+        assert_eq!(*got.lock(), (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_reader_starts_at_a_pane_by_slicing() {
+        let dict = Dictionary::new();
+        let docs: Vec<DocRef> = (0..5u64)
+            .map(|i| Arc::new(Document::from_json(DocId(i), r#"{"a":1}"#, &dict).unwrap()))
+            .collect();
+        let ids = |docs: &[DocRef]| docs.iter().map(|d| d.id().0).collect::<Vec<_>>();
+        let Some(Reader::Docs(tail)) = Reader::Docs(docs.clone()).at_pane(1, 2) else {
+            panic!("docs")
+        };
+        assert_eq!(ids(&tail), [2, 3, 4]);
+        let paced = Reader::Paced(docs.clone(), vec![5, 15, 25, 35, 45]);
+        let Some(Reader::Paced(tail, schedule)) = paced.at_pane(1, 2) else {
+            panic!("paced")
+        };
+        assert_eq!((ids(&tail), schedule), (vec![2, 3, 4], vec![0, 10, 20]));
+        let panes = Reader::Lockstep(docs.chunks(2).map(<[_]>::to_vec).collect());
+        let Some(Reader::Lockstep(tail)) = panes.at_pane(2, 2) else {
+            panic!("lockstep")
+        };
+        assert_eq!(tail.len(), 1);
+        assert_eq!(ids(&tail[0]), [4]);
+        assert!(Reader::Spout(Box::new(VecSpout::new(Vec::new())))
+            .at_pane(0, 2)
+            .is_none());
     }
 }
 

@@ -1,12 +1,12 @@
 //! Component-level behaviour of the Fig. 2 topology, observed through the
 //! runtime's per-component counters.
 
-use ssj_bench::testutil::shifting_stream;
+use ssj_bench::testutil::{lockstep_reader, shifting_stream};
 use ssj_core::creator::PartitionCreator;
-use ssj_core::{run_topology, Msg, StreamJoinConfig, WindowSpec};
+use ssj_core::{run_topology, run_topology_collect, Msg, StreamJoinConfig, WindowSpec};
 use ssj_json::{Dictionary, DocId, Document};
 use ssj_partition::{association_groups, batch_views, Expansion, GroupIndex, View};
-use ssj_runtime::{CollectorBolt, Grouping, TopologyBuilder, VecSpout};
+use ssj_runtime::{CollectorBolt, FaultPlan, Grouping, TopologyBuilder, VecSpout};
 use std::sync::Arc;
 
 /// A perfectly stable stream: the same distribution in every window.
@@ -82,13 +82,17 @@ fn creators_compute_only_when_needed_on_stable_streams() {
     );
 }
 
+/// Run in lock-step: a free-running reader lets the creators close panes
+/// before the Assigners' θ signals and δ-requests of the pane before reach
+/// them, so how many of those the Merger hears is a race.
 #[test]
 fn drift_makes_assigners_signal_and_creators_recompute() {
     let dict = Dictionary::new();
     let docs = drifting_stream(&dict, 5, 100);
     let mut cfg = config(3, 100);
     cfg.theta = 0.1;
-    let report = run_topology(cfg, &dict, docs).unwrap();
+    let reader = lockstep_reader(docs.chunks(100));
+    let report = run_topology_collect(cfg, &dict, reader, FaultPlan::new(), None).unwrap();
     // Drift forces repartition signals; creators then send fresh groups in
     // later windows, so the merger hears far more than the bootstrap pair
     // (and the Assigners' routing counts, 2 × 5).

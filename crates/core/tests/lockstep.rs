@@ -272,34 +272,37 @@ fn routed_copies_equal_the_joiners_documents() {
     }
 }
 
-/// A lock-step reader whose Reporter died waits for no more results: the run
-/// ends within seconds in the Reporter's own error, and the reader does not
-/// panic. A restarted Reporter takes over the reader's tokens instead.
+/// A lock-step reader whose Reporter died waits for no more results: the
+/// attempt ends within seconds, and the reader does not panic. A one-shot
+/// crash is resumed and every window equals the oracle; a crash that
+/// fires in every attempt ends the run in the Reporter's own error.
 #[test]
 fn reporter_crash_ends_a_lockstep_run() {
     let dict = Dictionary::new();
     let windows: Vec<_> = (0..4).map(|w| window(&dict, w * 20, 20)).collect();
-    for retries in [0, 2] {
+    for repeating in [false, true] {
         let cfg = StreamJoinConfig::default()
             .with_m(2)
-            .with_window_spec(WindowSpec::tumbling(20))
-            .with_retries(retries)
-            .with_backoff_ms(1);
-        let plan = FaultPlan::new().crash("reporter", 0, 1, 0);
+            .with_window_spec(WindowSpec::tumbling(20));
+        let plan = if repeating {
+            FaultPlan::new().crash_repeating("reporter", 0, 1, 0)
+        } else {
+            FaultPlan::new().crash("reporter", 0, 1, 0)
+        };
         let t0 = Instant::now();
         let reader = lockstep_reader(windows.iter().map(Vec::as_slice));
         let run = run_topology_collect(pipeline_config(cfg), &dict, reader, plan, None);
         assert!(t0.elapsed() < Duration::from_secs(10), "{:?}", t0.elapsed());
         match run {
-            Err(RunError::TaskPanicked(tasks)) if retries == 0 => {
+            Err(RunError::TaskPanicked(tasks)) if repeating => {
                 assert_eq!(tasks, vec!["reporter[0]".to_string()])
             }
-            Ok(report) if retries > 0 => {
+            Ok(report) if !repeating => {
                 let truth = oracle(&windows.concat(), WindowSpec::tumbling(20));
                 assert_eq!(report.joins_per_window, truth.windows);
-                assert!(report.runtime.total_recoveries() >= 1);
+                assert_eq!(report.runtime.attempts, 2);
             }
-            other => panic!("retries {retries}: {other:?}"),
+            other => panic!("repeating {repeating}: {other:?}"),
         }
     }
 }

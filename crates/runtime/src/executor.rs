@@ -20,8 +20,9 @@
 //! * **End of stream**: when every spout finishes, EOS tokens flow along
 //!   forward edges; a bolt task finishes after EOS from all forward
 //!   upstream tasks. Feedback edges carry data but never gate termination.
-//! * A panicking task is reported in [`RunError::TaskPanicked`]; remaining
-//!   tasks drain and shut down (disconnected channels count as EOS).
+//! * A panicking task is reported in [`RunError::TaskPanicked`] and aborts
+//!   the run: the remaining tasks stop at their next step, so no window
+//!   closes without the dead task's share.
 //!
 //! Transport batching: tuples crossing a forward edge are accumulated in
 //! per-target output buffers and shipped as one [`Envelope::Batch`] once
@@ -33,20 +34,19 @@
 //! Feedback edges bypass batching entirely — control loops (δ-updates,
 //! repartition signals) stay low-latency.
 
-use crate::fault::{self, FaultPanic, RecoveryPolicy, TaskFaults};
+use crate::fault::{self, FaultPanic, TaskFaults};
 use crate::metrics::{
     self, LocalHistogram, MetricsConfig, MetricsRegistry, TaskInstruments, TaskSnapshot,
     TraceEvent, TraceKind, WindowSnapshot,
 };
 use crate::sched::{self, Hub, StepOutcome, TaskStep};
-use crate::topology::{BoltFactory, Component, ComponentKind, Grouping, Subscription, Topology};
+use crate::topology::{Component, ComponentKind, Grouping, Subscription, Topology};
 use crate::transport::{self, Group, ReaderPlan, WireItem};
 use crate::wire::WireCodec;
-use crate::{Bolt, BoltState, Spout, SpoutEmit, TaskInfo};
+use crate::{Bolt, Spout, SpoutEmit, TaskInfo};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -85,19 +85,6 @@ impl<M> Envelope<M> {
     }
 }
 
-// Cloning supports the supervisor's replay log; payloads are `Arc`-wrapped
-// in real topologies, so a clone is reference-count bumps.
-impl<M: Clone> Clone for Envelope<M> {
-    fn clone(&self) -> Self {
-        match self {
-            Envelope::Data(m, f) => Envelope::Data(m.clone(), *f),
-            Envelope::Batch(ms, f) => Envelope::Batch(ms.clone(), *f),
-            Envelope::Punct(p, f) => Envelope::Punct(*p, *f),
-            Envelope::Eos(f) => Envelope::Eos(*f),
-        }
-    }
-}
-
 /// The outcome of a completed run: final per-task instrument snapshots, the
 /// per-punctuation time series collected while the run was live (empty
 /// unless [`TopologyBuilder::metrics`](crate::TopologyBuilder::metrics) was
@@ -116,6 +103,14 @@ pub struct RunReport {
     /// spills should show this staying near the configured budget while
     /// `spill_bytes` grows.
     pub peak_rss: u64,
+    /// Attempts a driver that re-runs failed topologies made: 1 unless an
+    /// attempt failed (see `ssj_core::run_topology_with`). The report's
+    /// other fields are the last attempt's.
+    pub attempts: u32,
+    /// The last attempt's resume, when there was one: the first window the
+    /// sink had not been given, and the punctuation the attempt's reader
+    /// started at (as a window of the whole run).
+    pub resumed: Option<(u64, u64)>,
 }
 
 /// Peak resident-set size (`VmHWM`) of the current process in bytes; 0 when
@@ -190,29 +185,6 @@ impl RunReport {
         self.sum(component, name)
     }
 
-    /// Total fault events recorded across the run: every `faults_*` counter
-    /// (injected or organic crashes of supervised tasks) summed over all
-    /// tasks.
-    pub fn total_faults(&self) -> u64 {
-        self.prefix_total("faults_")
-    }
-
-    /// Total recovery events recorded across the run: every `recoveries_*`
-    /// counter (attempted/succeeded restarts, replayed envelopes) summed
-    /// over all tasks.
-    pub fn total_recoveries(&self) -> u64 {
-        self.prefix_total("recoveries_")
-    }
-
-    fn prefix_total(&self, prefix: &str) -> u64 {
-        self.tasks
-            .iter()
-            .flat_map(|t| t.counters.iter())
-            .filter(|(n, _)| n.starts_with(prefix))
-            .map(|(_, v)| v)
-            .sum()
-    }
-
     /// Write the report as JSON lines: one record per `(window, task)`, one
     /// final record per task, one run-level memory record, then one record
     /// per retained trace event.
@@ -258,10 +230,13 @@ pub enum RunError {
     /// One or more tasks panicked; the payload lists `component[task]`.
     TaskPanicked(Vec<String>),
     /// The transport layer failed: handshake rejection, a peer process
-    /// dying mid-run, or a corrupt/mismatched frame. Survivors complete
-    /// their windows (the quorum shrinks), then the run reports this so a
-    /// group leader can re-run the attempt.
+    /// dying mid-run, or a corrupt/mismatched frame. The survivors stop
+    /// (no window closes without the dead peer's share) and the run
+    /// reports this for its driver to resume.
     Transport(Vec<String>),
+    /// The run could not be set up (a spill directory that cannot be
+    /// created, a group that cannot be relaunched): nothing more ran.
+    Setup(String),
 }
 
 impl fmt::Display for RunError {
@@ -273,6 +248,7 @@ impl fmt::Display for RunError {
             RunError::Transport(errs) => {
                 write!(f, "transport failed: {}", errs.join("; "))
             }
+            RunError::Setup(e) => f.write_str(e),
         }
     }
 }
@@ -477,41 +453,12 @@ pub struct Outbox<M> {
     batch_size: usize,
     emitted: u64,
     batches: u64,
-    /// Monotone count of `punctuate` calls. During post-crash replay it is
-    /// rewound to the snapshot's value and all output is suppressed until
-    /// it catches back up to `replay_until` — the already-delivered prefix
-    /// (data and punctuation tokens alike) is not re-sent, so downstream
-    /// window boundaries stay exact.
-    punct_seq: u64,
-    /// Replay watermark; `punct_seq < replay_until` means output is
-    /// suppressed. Equal outside replay.
-    replay_until: u64,
     /// The scheduler hub: every successful send marks the receiving task
     /// ready through it.
     sched: Arc<Hub>,
 }
 
 impl<M: Clone> Outbox<M> {
-    /// Output suppressed: a supervised replay is rebuilding bolt state over
-    /// an already-delivered output prefix.
-    #[inline]
-    fn replaying(&self) -> bool {
-        self.punct_seq < self.replay_until
-    }
-
-    /// Enter replay mode: discard the crashed incarnation's unshipped
-    /// buffers (replay regenerates them) and suppress output until the
-    /// punctuation sequence catches back up to what was already delivered.
-    fn begin_replay(&mut self, snap_punct_seq: u64) {
-        for edge in &mut self.edges {
-            for buf in &mut edge.bufs {
-                buf.clear();
-            }
-        }
-        self.replay_until = self.punct_seq;
-        self.punct_seq = snap_punct_seq;
-    }
-
     /// Emit `msg` to every non-direct subscription, routed per grouping.
     /// The last subscription takes `msg` itself, every delivery before it a
     /// clone — so a message with one subscriber (a joiner's window result,
@@ -525,13 +472,8 @@ impl<M: Clone> Outbox<M> {
             batch_size,
             emitted,
             batches,
-            punct_seq,
-            replay_until,
             sched,
         } = self;
-        if *punct_seq < *replay_until {
-            return; // replaying an already-delivered prefix
-        }
         let (from, bs) = (*my_global, *batch_size);
         let sched: &Hub = sched;
         let last = edges.iter().rposition(|e| e.grouping != Grouping::Direct);
@@ -569,9 +511,6 @@ impl<M: Clone> Outbox<M> {
 
     /// Emit `msg` to task `task` of every direct-grouped subscription.
     pub fn emit_direct(&mut self, task: usize, msg: M) {
-        if self.replaying() {
-            return;
-        }
         for edge in self.edges.iter_mut() {
             if edge.grouping == Grouping::Direct && task < edge.targets.len() {
                 edge.push(
@@ -591,9 +530,6 @@ impl<M: Clone> Outbox<M> {
     /// flushes at `batch_size`, punctuation, and EOS; call this to bound
     /// latency mid-window (e.g. before blocking on external work).
     pub fn flush(&mut self) {
-        if self.replaying() {
-            return;
-        }
         for edge in self.edges.iter_mut() {
             edge.flush_all(
                 self.my_global,
@@ -609,13 +545,6 @@ impl<M: Clone> Outbox<M> {
     /// flush before sending the token so per-channel FIFO keeps windows
     /// exactly as an unbatched run would see them.
     fn punctuate(&mut self, p: u64) {
-        if self.replaying() {
-            // This window's output (data and token) was delivered by the
-            // crashed incarnation; advance the sequence without re-sending.
-            self.punct_seq += 1;
-            return;
-        }
-        self.punct_seq += 1;
         self.flush();
         for edge in &self.edges {
             for (t, &g) in edge.targets.iter().zip(&edge.target_globals) {
@@ -640,9 +569,15 @@ impl<M: Clone> Outbox<M> {
 // which the peer's reader counts down before dropping its local sender
 // clone for that channel. Without this, cross-process *feedback* edges
 // would keep both processes' feedback drains alive in a shutdown cycle.
-// Runs on normal completion and on unwind alike, mirroring channel drops.
+// Runs on normal completion and on unwind alike, mirroring channel drops —
+// except in an aborted run: without its `Close` frames the peer sees the
+// link end with closes outstanding, as if this process had died, and its
+// run fails too instead of finishing without this process's share.
 impl<M> Drop for Outbox<M> {
     fn drop(&mut self) {
+        if self.sched.aborted() {
+            return;
+        }
         for edge in &self.edges {
             for t in &edge.targets {
                 if let EdgeTx::Remote {
@@ -680,8 +615,6 @@ struct TaskWiring<M> {
     notify: Option<Sender<u64>>,
     /// Faults from the run's plan aimed at this task.
     faults: TaskFaults,
-    /// The run's recovery policy.
-    policy: RecoveryPolicy,
 }
 
 /// The executor's task-local metering state: plain (non-atomic) counters and
@@ -766,14 +699,13 @@ impl TaskMeter {
 
 enum TaskKind<M> {
     Spout(Box<dyn Spout<M>>),
-    /// The instance plus its factory: supervised restarts rebuild the bolt
-    /// from it.
-    Bolt(Box<dyn Bolt<M>>, BoltFactory<M>),
+    Bolt(Box<dyn Bolt<M>>),
 }
 
 /// Nudges a spout's pooled downstream when its thread exits (normally or by
 /// panic) so they observe its dropped senders — pooled tasks never block in
-/// `recv`, so a disconnect is only visible on a wakeup.
+/// `recv`, so a disconnect is only visible on a wakeup. A panic aborts the
+/// run, as a bolt's does.
 struct RetireGuard {
     hub: Arc<Hub>,
     global: usize,
@@ -781,6 +713,9 @@ struct RetireGuard {
 
 impl Drop for RetireGuard {
     fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.hub.abort();
+        }
         self.hub.retire_external(self.global);
     }
 }
@@ -809,9 +744,8 @@ struct DistCtx<M> {
 /// boundaries survive the wire — so punctuation alignment, EOS termination,
 /// and per-window contents are exactly those of the single-process run.
 ///
-/// A peer process dying mid-run shrinks the punctuation/EOS quorum (its
-/// reader synthesizes EOS) so survivors complete cleanly, and the run
-/// returns [`RunError::Transport`] for the group leader to retry.
+/// A peer process dying mid-run stops this process's tasks, and the run
+/// returns [`RunError::Transport`] for its driver to resume.
 pub fn run_distributed<M: Clone + Send + 'static>(
     topology: Topology<M>,
     codec: Arc<dyn WireCodec<M>>,
@@ -853,7 +787,6 @@ fn run_inner<M: Clone + Send + 'static>(
         batch_size,
         metrics: metrics_on,
         fault_plan,
-        recovery,
         pool_workers,
         pin_cores,
     } = topology;
@@ -1071,13 +1004,11 @@ fn run_inner<M: Clone + Send + 'static>(
                 batch_size,
                 emitted: 0,
                 batches: 0,
-                punct_seq: 0,
-                replay_until: 0,
                 sched: Arc::clone(&hub),
             };
             let instance = match &kind {
                 ComponentKind::Spout(f) => TaskKind::Spout(f(task)),
-                ComponentKind::Bolt(f) => TaskKind::Bolt(f(task), Arc::clone(f)),
+                ComponentKind::Bolt(f) => TaskKind::Bolt(f(task)),
             };
             wirings.push(TaskWiring {
                 info: TaskInfo {
@@ -1094,7 +1025,6 @@ fn run_inner<M: Clone + Send + 'static>(
                 inst: registry.register(&name, task),
                 notify: None, // filled in below once the collector exists
                 faults: fault_plan.for_task(&name, task),
-                policy: recovery.clone(),
             });
         }
     }
@@ -1113,7 +1043,6 @@ fn run_inner<M: Clone + Send + 'static>(
             }
             let mut fwd_closes = vec![0usize; total];
             let mut fb_closes = vec![0usize; total];
-            let mut eos_pairs: Vec<(usize, usize)> = Vec::new();
             for (ci, edges) in out_edges.iter().enumerate() {
                 for (_, target_ci, feedback) in edges {
                     for task in 0..par[ci] {
@@ -1130,14 +1059,11 @@ fn run_inner<M: Clone + Send + 'static>(
                                 fb_closes[tg] += 1;
                             } else {
                                 fwd_closes[tg] += 1;
-                                eos_pairs.push((pg, tg));
                             }
                         }
                     }
                 }
             }
-            eos_pairs.sort_unstable();
-            eos_pairs.dedup();
             let fwd = (0..total)
                 .map(|g| (fwd_closes[g] > 0).then(|| fwd_senders[g].clone()))
                 .collect();
@@ -1149,7 +1075,6 @@ fn run_inner<M: Clone + Send + 'static>(
                 fb,
                 fwd_closes,
                 fb_closes,
-                eos_pairs,
             });
         }
     }
@@ -1311,6 +1236,8 @@ fn run_inner<M: Clone + Send + 'static>(
         windows,
         trace: registry.trace().events(),
         peak_rss: peak_rss_bytes(),
+        attempts: 1,
+        resumed: None,
     })
 }
 
@@ -1345,11 +1272,6 @@ struct UpstreamState<M> {
     /// Punctuations processed but not yet aligned; `> 0` means *blocked* —
     /// envelopes from this upstream are buffered, not processed.
     ahead: u32,
-    /// The outstanding (processed but un-aligned) punctuation id. Because
-    /// an upstream blocks after one unaligned punctuation, `ahead <= 1` and
-    /// at most one id is outstanding; the supervisor's pending-envelope
-    /// dump needs it, since a processed punctuation is no longer in `queue`.
-    pending_punct: Option<u64>,
     /// Buffered envelopes while blocked, FIFO.
     queue: VecDeque<Envelope<M>>,
     /// Already enqueued in the aligner's ready queue.
@@ -1373,8 +1295,6 @@ struct UpstreamState<M> {
 /// envelope instead of a scan over all upstreams per step.
 struct Aligner<M> {
     states: Vec<UpstreamState<M>>,
-    /// Global upstream task id per slot (pending-envelope dump).
-    globals: Vec<usize>,
     /// Global upstream task id → slot in `states`.
     index_of: HashMap<usize, usize>,
     /// `(global, slot)` of the last sender seen.
@@ -1388,27 +1308,20 @@ struct Aligner<M> {
     closed_count: usize,
     /// Slots that became unblocked while holding buffered envelopes.
     ready: VecDeque<usize>,
-    /// Window ids aligned during the current receive step, recorded only
-    /// when `track_closes` is set (the supervisor snapshots at these
-    /// boundaries); cleared by the supervisor after each step.
-    just_closed: Vec<u64>,
-    track_closes: bool,
 }
 
 impl<M: Clone> Aligner<M> {
-    fn new(forward_upstreams: &[usize], track_closes: bool) -> Self {
+    fn new(forward_upstreams: &[usize]) -> Self {
         Aligner {
             states: forward_upstreams
                 .iter()
                 .map(|_| UpstreamState {
                     ahead: 0,
-                    pending_punct: None,
                     queue: VecDeque::new(),
                     in_ready: false,
                     closed: false,
                 })
                 .collect(),
-            globals: forward_upstreams.to_vec(),
             index_of: forward_upstreams
                 .iter()
                 .enumerate()
@@ -1420,8 +1333,6 @@ impl<M: Clone> Aligner<M> {
             eos_seen: 0,
             closed_count: 0,
             ready: VecDeque::new(),
-            just_closed: Vec::new(),
-            track_closes,
         }
     }
 
@@ -1497,13 +1408,7 @@ impl<M: Clone> Aligner<M> {
             self.states[slot].queue.push_back(env);
         } else {
             self.process(slot, env, bolt, out, m);
-            // Supervised tasks drain in `Supervisor::after_step` instead:
-            // the boundary snapshot and replay log must be captured while
-            // the unblocked envelopes are still queued, or a crash right
-            // after the boundary would lose them.
-            if !self.track_closes {
-                self.drain(bolt, out, m);
-            }
+            self.drain(bolt, out, m);
         }
         self.eos_seen == self.needed
     }
@@ -1529,7 +1434,6 @@ impl<M: Clone> Aligner<M> {
             }
             Envelope::Punct(p, _) => {
                 self.states[slot].ahead += 1;
-                self.states[slot].pending_punct = Some(p);
                 let c = self.punct_counts.entry(p).or_insert(0);
                 *c += 1;
                 // Alignment needs the punctuation from every *live*
@@ -1540,11 +1444,9 @@ impl<M: Clone> Aligner<M> {
                 }
             }
             Envelope::Eos(_) => {
-                // Idempotent per upstream: a transport reader synthesizes
-                // EOS when a peer process dies, which can duplicate an EOS
-                // the peer already delivered (real EOS sent, `Close` not
-                // yet). Counting the duplicate would satisfy the
-                // termination quorum early and truncate surviving inputs.
+                // Idempotent per upstream: counting a duplicate EOS would
+                // satisfy the termination quorum early and truncate the
+                // inputs still open.
                 if !self.states[slot].closed {
                     self.states[slot].closed = true;
                     self.eos_seen += 1;
@@ -1574,19 +1476,13 @@ impl<M: Clone> Aligner<M> {
         if let Some(t0) = t0 {
             m.window_closed(p, t0.elapsed());
         }
-        if self.track_closes {
-            self.just_closed.push(p);
-        }
         // Retire each upstream's oldest outstanding punctuation;
         // upstreams that held buffered envelopes become ready.
         for (i, st) in self.states.iter_mut().enumerate() {
             st.ahead = st.ahead.saturating_sub(1);
-            if st.ahead == 0 {
-                st.pending_punct = None;
-                if !st.queue.is_empty() && !st.in_ready {
-                    st.in_ready = true;
-                    self.ready.push_back(i);
-                }
+            if st.ahead == 0 && !st.queue.is_empty() && !st.in_ready {
+                st.in_ready = true;
+                self.ready.push_back(i);
             }
         }
     }
@@ -1615,30 +1511,6 @@ impl<M: Clone> Aligner<M> {
         }
     }
 
-    /// Snapshot the in-flight input state for the supervisor's replay log:
-    /// per upstream, a synthesized punctuation for the outstanding id (it
-    /// was consumed from the queue when processed), then the buffered
-    /// envelopes, or a synthesized EOS for a closed upstream. Replaying
-    /// these through a fresh aligner reconstructs blocking, quorum, and
-    /// EOS accounting exactly.
-    fn pending_envelopes(&self) -> Vec<Envelope<M>> {
-        let mut pending = Vec::new();
-        for (slot, st) in self.states.iter().enumerate() {
-            let global = self.globals[slot];
-            if st.closed {
-                pending.push(Envelope::Eos(global));
-                continue;
-            }
-            if let Some(p) = st.pending_punct {
-                pending.push(Envelope::Punct(p, global));
-            }
-            for env in &st.queue {
-                pending.push(env.clone());
-            }
-        }
-        pending
-    }
-
     /// Replay buffered envelopes from upstreams that are no longer blocked;
     /// an alignment completed during replay can enqueue further upstreams.
     fn drain(&mut self, bolt: &mut dyn Bolt<M>, out: &mut Outbox<M>, m: &mut TaskMeter) {
@@ -1657,8 +1529,7 @@ impl<M: Clone> Aligner<M> {
 /// One receive step: time the envelope into busy and the handle histogram
 /// (scaled to the tuples it carried), and run the window-boundary
 /// bookkeeping when the step closed windows. Returns `true` once every
-/// forward upstream delivered EOS. May unwind out of bolt user code — the
-/// supervised path wraps it in `catch_unwind`.
+/// forward upstream delivered EOS. May unwind out of bolt user code.
 fn process_timed<M: Clone>(
     env: Envelope<M>,
     bolt: &mut dyn Bolt<M>,
@@ -1684,254 +1555,6 @@ fn process_timed<M: Clone>(
     done
 }
 
-/// Per-task supervision state: the crash-injection clock, the replay log
-/// since the last window-aligned snapshot, the snapshot itself, and the
-/// retry budget.
-struct Supervisor<M> {
-    factory: BoltFactory<M>,
-    policy: RecoveryPolicy,
-    faults: TaskFaults,
-    info: TaskInfo,
-    inst: Arc<TaskInstruments>,
-    forward_upstreams: Vec<usize>,
-    /// Logical clock: completed alignments, and per-window data-tuple
-    /// counts (the coordinate system of [`crate::FaultPlan`]). A data
-    /// envelope ticks the window it will be *delivered* in — `window` plus
-    /// its own upstream's unaligned punctuations — so the attribution is
-    /// deterministic per upstream even when a slow edge's punctuation
-    /// arrives after faster edges have already run ahead. Keys below
-    /// `window` are pruned at each boundary.
-    window: u64,
-    tuples_at: HashMap<u64, u64>,
-    /// Envelopes received since the last snapshot; replayed after restart.
-    log: Vec<Envelope<M>>,
-    /// Latest window-aligned [`Bolt::snapshot`], with the logical window
-    /// and output punctuation sequence it was taken at.
-    snapshot: Option<BoltState>,
-    snap_window: u64,
-    snap_punct_seq: u64,
-    retries_left: u32,
-    attempts: u32,
-}
-
-impl<M: Clone + Send + 'static> Supervisor<M> {
-    /// Advance the crash clock over one envelope, keyed by the window it
-    /// will be delivered in; `Some(window)` when an armed crash fires on it.
-    /// Only data envelopes tick the clock.
-    fn tick(&mut self, env: &Envelope<M>, align: &mut Aligner<M>) -> Option<u64> {
-        let n = env.data_len();
-        if n == 0 {
-            return None;
-        }
-        let window = self.window + align.puncts_ahead_of(env.source_task());
-        let tuple = self.tuples_at.entry(window).or_insert(0);
-        let fired = self.faults.on_data(window, *tuple, n);
-        *tuple += n;
-        fired.then_some(window)
-    }
-
-    fn crash_payload(&self, window: u64) -> FaultPanic {
-        FaultPanic {
-            component: self.info.component.clone(),
-            task: self.info.task_index,
-            window,
-        }
-    }
-
-    /// Feed one received envelope through crash injection and the guarded
-    /// processing path. Returns `true` once all forward upstreams are done.
-    #[allow(clippy::too_many_arguments)]
-    fn step(
-        &mut self,
-        env: Envelope<M>,
-        bolt: &mut Box<dyn Bolt<M>>,
-        align: &mut Aligner<M>,
-        out: &mut Outbox<M>,
-        meter: &mut TaskMeter,
-        rx: &Receiver<Envelope<M>>,
-        notify: &Option<Sender<u64>>,
-    ) -> bool {
-        if let Some(window) = self.tick(&env, align) {
-            // Log first so replay re-processes this envelope (a one-shot
-            // trigger is already marked fired and will not re-kill the
-            // restarted task).
-            self.log.push(env);
-            let payload = Box::new(self.crash_payload(window));
-            return self.recover(payload, bolt, align, out, meter, rx, notify);
-        }
-        self.guarded(env, bolt, align, out, meter, rx, notify)
-    }
-
-    /// Process one envelope under `catch_unwind`; recover on panic.
-    #[allow(clippy::too_many_arguments)]
-    fn guarded(
-        &mut self,
-        env: Envelope<M>,
-        bolt: &mut Box<dyn Bolt<M>>,
-        align: &mut Aligner<M>,
-        out: &mut Outbox<M>,
-        meter: &mut TaskMeter,
-        rx: &Receiver<Envelope<M>>,
-        notify: &Option<Sender<u64>>,
-    ) -> bool {
-        self.log.push(env.clone());
-        // Only silence the default panic report when this panic will be
-        // handled; a terminal panic prints exactly as unsupervised code.
-        let handled = self.retries_left > 0;
-        let go = AssertUnwindSafe(|| {
-            let done = process_timed(env, bolt.as_mut(), align, out, meter, rx, notify);
-            // Boundary bookkeeping runs inside the guard: the post-boundary
-            // drain executes bolt user code, and a panic there must be
-            // recoverable too.
-            self.after_step(bolt, align, out, meter);
-            done
-        });
-        let result = if handled {
-            fault::quiet_panics(|| catch_unwind(go))
-        } else {
-            catch_unwind(go)
-        };
-        match result {
-            Ok(done) => done,
-            Err(payload) => self.recover(payload, bolt, align, out, meter, rx, notify),
-        }
-    }
-
-    /// Window-boundary bookkeeping: at every completed alignment, take a
-    /// fresh snapshot and reset the replay log to the aligner's pending
-    /// input — everything earlier is covered by the snapshot. Only then
-    /// drain the envelopes the boundary unblocked (they are already in the
-    /// new log, so a later crash replays them); draining may close further
-    /// windows, hence the loop.
-    fn after_step(
-        &mut self,
-        bolt: &mut Box<dyn Bolt<M>>,
-        align: &mut Aligner<M>,
-        out: &mut Outbox<M>,
-        meter: &mut TaskMeter,
-    ) {
-        while !align.just_closed.is_empty() {
-            self.window += align.just_closed.len() as u64;
-            let floor = self.window;
-            self.tuples_at.retain(|&w, _| w >= floor);
-            align.just_closed.clear();
-            self.snapshot = bolt.snapshot();
-            self.snap_window = self.window;
-            self.snap_punct_seq = out.punct_seq;
-            self.log = align.pending_envelopes();
-            align.drain(bolt.as_mut(), out, meter);
-        }
-    }
-
-    /// Bounded retry-with-backoff: rebuild the bolt from its factory,
-    /// restore the last window-aligned snapshot, and replay the log. On
-    /// exhaustion the panic propagates as an unsupervised one would, and
-    /// the run ends in [`RunError::TaskPanicked`].
-    #[allow(clippy::too_many_arguments)]
-    fn recover(
-        &mut self,
-        mut payload: Box<dyn std::any::Any + Send>,
-        bolt: &mut Box<dyn Bolt<M>>,
-        align: &mut Aligner<M>,
-        out: &mut Outbox<M>,
-        meter: &mut TaskMeter,
-        rx: &Receiver<Envelope<M>>,
-        notify: &Option<Sender<u64>>,
-    ) -> bool {
-        loop {
-            self.inst.counter("faults_crashes").inc();
-            if self.retries_left == 0 {
-                resume_unwind(payload);
-            }
-            self.retries_left -= 1;
-            self.attempts += 1;
-            self.inst.counter("recoveries_attempted").inc();
-            std::thread::sleep(self.policy.backoff_for(self.attempts));
-            *bolt = (self.factory)(self.info.task_index);
-            bolt.attach_instruments(&self.inst);
-            bolt.prepare(&self.info);
-            if let Some(snap) = &self.snapshot {
-                if let Err(e) = bolt.restore(snap) {
-                    payload = Box::new(format!("snapshot restore failed: {e}"));
-                    continue;
-                }
-            }
-            match self.replay(bolt, align, out, meter, rx, notify) {
-                Ok(done) => {
-                    self.inst.counter("recoveries_succeeded").inc();
-                    return done;
-                }
-                Err(p) => payload = p, // crashed again during replay
-            }
-        }
-    }
-
-    /// Rebuild aligner and bolt state by replaying the log from the
-    /// snapshot point. Output is suppressed over the already-delivered
-    /// prefix (see [`Outbox::begin_replay`]): re-closed windows re-emit
-    /// neither data nor punctuation, and only emissions past the last
-    /// delivered punctuation flow again — downstream windows stay exact,
-    /// at the price of at-least-once delivery *within* the window the
-    /// crash interrupted.
-    fn replay(
-        &mut self,
-        bolt: &mut Box<dyn Bolt<M>>,
-        align: &mut Aligner<M>,
-        out: &mut Outbox<M>,
-        meter: &mut TaskMeter,
-        rx: &Receiver<Envelope<M>>,
-        notify: &Option<Sender<u64>>,
-    ) -> Result<bool, Box<dyn std::any::Any + Send>> {
-        *align = Aligner::new(&self.forward_upstreams, true);
-        out.begin_replay(self.snap_punct_seq);
-        self.window = self.snap_window;
-        self.tuples_at.clear();
-        let old_log = std::mem::take(&mut self.log);
-        self.inst
-            .counter("recoveries_replayed")
-            .add(old_log.len() as u64);
-        let handled = self.retries_left > 0;
-        let progress = std::cell::Cell::new(0usize);
-        let go = AssertUnwindSafe(|| {
-            let mut done = false;
-            for (i, env) in old_log.iter().enumerate() {
-                // Invariant on panic: `self.log` plus `old_log[progress..]`
-                // is the exact post-snapshot history, each envelope once.
-                progress.set(i);
-                // Repeating crashes re-fire during replay — that is how a
-                // persistent failure exhausts its retries.
-                if let Some(window) = self.tick(env, align) {
-                    std::panic::panic_any(self.crash_payload(window));
-                }
-                self.log.push(env.clone());
-                progress.set(i + 1);
-                if process_timed(env.clone(), bolt.as_mut(), align, out, meter, rx, notify) {
-                    done = true;
-                }
-                self.after_step(bolt, align, out, meter);
-            }
-            done
-        });
-        let result = if handled {
-            fault::quiet_panics(|| catch_unwind(go))
-        } else {
-            catch_unwind(go)
-        };
-        match result {
-            Ok(done) => Ok(done),
-            Err(p) => {
-                // Keep the unprocessed tail for the next attempt: the
-                // processed prefix is already re-covered by the (possibly
-                // advanced) snapshot + rebuilt log.
-                for env in &old_log[progress.get()..] {
-                    self.log.push(env.clone());
-                }
-                Err(p)
-            }
-        }
-    }
-}
-
 /// A spout task's dedicated thread: pull emissions until `Done`, shipping
 /// data, punctuation and finally EOS through the outbox.
 fn run_spout<M: Clone + Send + 'static>(w: TaskWiring<M>) {
@@ -1947,6 +1570,10 @@ fn run_spout<M: Clone + Send + 'static>(w: TaskWiring<M>) {
     };
     let mut meter = TaskMeter::new(inst);
     loop {
+        // A task panicked: the run is over, stop reading.
+        if outbox.sched.aborted() {
+            return;
+        }
         let t0 = Instant::now();
         let emission = spout.next();
         meter.busy += t0.elapsed();
@@ -1984,14 +1611,15 @@ fn publish_final_metrics<M>(meter: &TaskMeter, outbox: &Outbox<M>) {
     meter.publish(outbox.emitted, outbox.batches);
 }
 
-/// A bolt task (DESIGN.md §4e): aligner, meter and optional supervisor as a
+/// A bolt task (DESIGN.md §4e): aligner, meter and crash clock as a
 /// resumable [`TaskStep`] state machine driven by non-blocking receives.
 ///
-/// Phases: `Receive` (windowed phase: feedback and forward envelopes,
-/// supervised if armed) → `Drain` (after the forward EOS quorum or
-/// disconnect: flush the bolt, send EOS, absorb residual feedback traffic
-/// unsupervised) → `Done` (publish final metrics, retire). Dropping the
-/// body — on retirement or after a terminal panic — drops its receivers and
+/// Phases: `Receive` (windowed phase: feedback and forward envelopes, the
+/// crash clock ticking if a fault targets the task) → `Drain` (after the
+/// forward EOS quorum or disconnect: flush the bolt, send EOS, absorb
+/// residual feedback traffic) → `Done` (publish final metrics, retire).
+/// Once any task has panicked every body retires at its next step. Dropping
+/// the body — on retirement or after a panic — drops its receivers and
 /// outbox senders, which is what downstream and upstream observe as EOS.
 struct CoopBolt<M> {
     info: TaskInfo,
@@ -2002,8 +1630,8 @@ struct CoopBolt<M> {
     meter: TaskMeter,
     notify: Option<Sender<u64>>,
     bolt: Box<dyn Bolt<M>>,
-    /// Present when the recovery policy or a fault plan arms supervision.
-    sup: Option<Supervisor<M>>,
+    /// Crashes the run's fault plan aims at this task (usually none).
+    faults: TaskFaults,
     /// Feedback senders still connected (starts false without feedback
     /// upstreams, so the windowed phase never polls the channel).
     fb_open: bool,
@@ -2032,77 +1660,52 @@ impl<M: Clone + Send + 'static> CoopBolt<M> {
             inst,
             notify,
             faults,
-            policy,
         } = w;
-        let TaskKind::Bolt(bolt, factory) = kind else {
+        let TaskKind::Bolt(bolt) = kind else {
             unreachable!("spouts are never pool-scheduled");
-        };
-        let meter = TaskMeter::new(inst);
-        // Supervision engages only when the policy arms it or a fault
-        // targets this task; otherwise the plain path runs (no log clones,
-        // no catch_unwind, no close tracking).
-        let supervised = policy.armed() || !faults.is_empty();
-        let align = Aligner::new(&forward_upstreams, supervised);
-        let sup = if supervised {
-            let retries = policy.retries;
-            Some(Supervisor {
-                factory,
-                policy,
-                faults,
-                info: info.clone(),
-                inst: Arc::clone(&meter.inst),
-                forward_upstreams,
-                window: 0,
-                tuples_at: HashMap::new(),
-                log: Vec::new(),
-                snapshot: None,
-                snap_window: 0,
-                snap_punct_seq: 0,
-                retries_left: retries,
-                attempts: 0,
-            })
-        } else {
-            None
         };
         CoopBolt {
             info,
             rx,
             fb_rx,
             outbox,
-            align,
-            meter,
+            align: Aligner::new(&forward_upstreams),
+            meter: TaskMeter::new(inst),
             notify,
             bolt,
-            sup,
+            faults,
             fb_open: has_feedback_upstream,
             started: false,
             phase: CoopPhase::Receive,
         }
     }
 
-    /// Feed one envelope through the supervised or plain path; true when
+    /// Feed one envelope through the crash clock and the aligner; true when
     /// every forward upstream has reached EOS.
     fn handle(&mut self, env: Envelope<M>) -> bool {
-        match &mut self.sup {
-            Some(sup) => sup.step(
-                env,
-                &mut self.bolt,
-                &mut self.align,
-                &mut self.outbox,
-                &mut self.meter,
-                &self.rx,
-                &self.notify,
-            ),
-            None => process_timed(
-                env,
-                self.bolt.as_mut(),
-                &mut self.align,
-                &mut self.outbox,
-                &mut self.meter,
-                &self.rx,
-                &self.notify,
-            ),
+        let n = env.data_len();
+        if n > 0 && !self.faults.is_empty() {
+            // The window the envelope is delivered in: the windows closed
+            // so far plus its own upstream's unaligned punctuations.
+            let closed = self.meter.puncts;
+            let window = closed + self.align.puncts_ahead_of(env.source_task());
+            if self.faults.on_data(closed, window, n) {
+                fault::crash(FaultPanic {
+                    component: self.info.component.clone(),
+                    task: self.info.task_index,
+                    window,
+                });
+            }
         }
+        process_timed(
+            env,
+            self.bolt.as_mut(),
+            &mut self.align,
+            &mut self.outbox,
+            &mut self.meter,
+            &self.rx,
+            &self.notify,
+        )
     }
 
     /// The forward side closed (EOS quorum or disconnect): flush user state,
@@ -2120,6 +1723,9 @@ impl<M: Clone + Send + 'static> TaskStep for CoopBolt<M> {
             self.started = true;
             self.bolt.attach_instruments(&self.meter.inst);
             self.bolt.prepare(&self.info);
+        }
+        if self.outbox.sched.aborted() {
+            return StepOutcome::Done;
         }
         let mut budget = sched::TICK_BUDGET;
         loop {
@@ -2168,10 +1774,8 @@ impl<M: Clone + Send + 'static> TaskStep for CoopBolt<M> {
                             // exact. Feedback senders terminate on forward
                             // EOS and drop the channel, ending this phase
                             // (so feedback edges must not form cycles among
-                            // themselves). The drain runs unsupervised:
-                            // faults target the windowed phase only, and
-                            // replaying across our own EOS would re-emit
-                            // after the EOS token.
+                            // themselves). Faults target the windowed phase
+                            // only.
                             let _ = process_timed(
                                 env,
                                 self.bolt.as_mut(),
@@ -2181,7 +1785,6 @@ impl<M: Clone + Send + 'static> TaskStep for CoopBolt<M> {
                                 &self.rx,
                                 &self.notify,
                             );
-                            self.align.just_closed.clear();
                         }
                         Err(TryRecvError::Empty) => return StepOutcome::Idle,
                         Err(TryRecvError::Disconnected) => {
@@ -2209,8 +1812,6 @@ mod tests {
             batch_size: 1,
             emitted: 0,
             batches: 0,
-            punct_seq: 0,
-            replay_until: 0,
             sched: Arc::new(Hub::new(Vec::new(), Vec::new(), Vec::new(), 0)),
         }
     }
@@ -2248,7 +1849,7 @@ mod tests {
             closed: c,
         });
 
-        let mut al = Aligner::<u64>::new(&[10, 11], false);
+        let mut al = Aligner::<u64>::new(&[10, 11]);
         // Upstream 10 punctuates window 1; quorum is 2, so it stays open.
         assert!(!al.handle(Envelope::Punct(1, 10), bolt.as_mut(), &mut out, &mut m));
         assert!(closed.lock().unwrap().is_empty());
@@ -2272,7 +1873,7 @@ mod tests {
         let mut out = test_outbox();
         let mut m = test_meter(&mut reg);
         let mut bolt = fn_bolt::<u64, _>(|_msg, _out| {});
-        let mut al = Aligner::<u64>::new(&[7, 8, 9], false);
+        let mut al = Aligner::<u64>::new(&[7, 8, 9]);
         assert!(!al.handle(Envelope::Eos(8), bolt.as_mut(), &mut out, &mut m));
         assert!(!al.handle(Envelope::Eos(8), bolt.as_mut(), &mut out, &mut m));
         assert_eq!(al.alive(), 2);

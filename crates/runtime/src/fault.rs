@@ -1,4 +1,4 @@
-//! Deterministic crash injection and the recovery policy that counters it.
+//! Deterministic crash injection.
 //!
 //! A [`FaultPlan`] is attached to a topology via
 //! [`TopologyBuilder::fault_plan`](crate::TopologyBuilder::fault_plan) and
@@ -17,17 +17,16 @@
 //! [`FaultPlan::crash_somewhere`] derives a coordinate from a seed so
 //! property tests can sweep crash sites.
 //!
-//! [`RecoveryPolicy`] configures the supervisor in the executor: bounded
-//! retry-with-backoff restarts from the last window-aligned
-//! [`Bolt::snapshot`](crate::Bolt::snapshot). A task that runs out of
-//! retries fails the run with
-//! [`RunError::TaskPanicked`](crate::RunError::TaskPanicked), exactly like an
-//! unsupervised panic: a window is either exact or the run ends in an error.
+//! A crash is a panic with a [`FaultPanic`] payload: the task dies, the run
+//! stops and ends in [`RunError::TaskPanicked`](crate::RunError::TaskPanicked),
+//! like any panic. The runtime recovers nothing itself; a driver that
+//! re-runs a failed topology (`ssj-core` resumes it at its first undelivered
+//! window) asks [`FaultPlan::for_attempt`] which crashes its next attempt
+//! meets.
 
-use std::cell::Cell;
+use std::collections::HashMap;
 use std::panic;
 use std::sync::Once;
-use std::time::Duration;
 
 /// A single armed crash at a task-local stream coordinate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,9 +41,8 @@ pub struct FaultSpec {
     /// order. The crash fires on the envelope *containing* this tuple (a
     /// micro-batch fires as a unit).
     pub tuple: u64,
-    /// `false` fires once ever (surviving restarts and replay); `true`
-    /// re-fires every time the coordinate is reached — a repeating crash
-    /// re-kills the task during replay and exhausts its retries.
+    /// `false` fires in a run's first attempt only; `true` in every
+    /// attempt, so a driver that re-runs the topology runs out of attempts.
     pub repeat: bool,
 }
 
@@ -79,14 +77,13 @@ impl FaultPlan {
         self
     }
 
-    /// Arm a one-shot crash (fires once, never again — including during
-    /// replay after the restart it causes).
+    /// Arm a one-shot crash: it fires in the first attempt of a run only.
     pub fn crash(self, component: &str, task: usize, window: u64, tuple: u64) -> Self {
         self.arm(component, task, window, tuple, false)
     }
 
-    /// Arm a crash that re-fires every time its coordinate is reached;
-    /// replay re-hits the coordinate, so this exhausts the retry budget.
+    /// Arm a crash that fires in every attempt of a run, so it exhausts a
+    /// driver's attempts.
     pub fn crash_repeating(self, component: &str, task: usize, window: u64, tuple: u64) -> Self {
         self.arm(component, task, window, tuple, true)
     }
@@ -127,6 +124,20 @@ impl FaultPlan {
         self.specs.is_empty()
     }
 
+    /// The plan attempt `attempt` of a re-run topology meets: every crash
+    /// in attempt 0, the repeating ones after. A coordinate is local to the
+    /// attempt (its windows count from the attempt's first punctuation).
+    pub fn for_attempt(&self, attempt: u32) -> FaultPlan {
+        FaultPlan {
+            specs: self
+                .specs
+                .iter()
+                .filter(|s| attempt == 0 || s.repeat)
+                .cloned()
+                .collect(),
+        }
+    }
+
     /// Extract the crashes aimed at one task, as runtime-armed state.
     pub(crate) fn for_task(&self, component: &str, task: usize) -> TaskFaults {
         TaskFaults {
@@ -134,83 +145,18 @@ impl FaultPlan {
                 .specs
                 .iter()
                 .filter(|s| s.component == component && s.task == task)
-                .map(|s| ArmedFault {
-                    window: s.window,
-                    tuple: s.tuple,
-                    repeat: s.repeat,
-                    fired: false,
-                })
+                .map(|s| (s.window, s.tuple))
                 .collect(),
+            tuples_at: HashMap::new(),
         }
     }
 }
 
-/// How the executor supervises tasks and reacts to failures.
-///
-/// The default policy is inert: no retries — a panicking bolt kills the run
-/// exactly as it did before supervision existed, and the hot path pays
-/// nothing.
-#[derive(Debug, Clone)]
-pub struct RecoveryPolicy {
-    /// Restarts granted per task before the failure is terminal.
-    pub retries: u32,
-    /// Base backoff slept before restart attempt `n` (scaled `2^(n-1)`,
-    /// capped at 64x).
-    pub backoff: Duration,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        Self {
-            retries: 0,
-            backoff: Duration::from_millis(20),
-        }
-    }
-}
-
-impl RecoveryPolicy {
-    /// The inert default policy (no supervision).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the per-task restart budget.
-    pub fn retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Set the base restart backoff.
-    pub fn backoff(mut self, backoff: Duration) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
-    /// True when supervised restarts are switched on.
-    pub(crate) fn armed(&self) -> bool {
-        self.retries > 0
-    }
-
-    /// Backoff before restart attempt `attempt` (1-based), exponentially
-    /// scaled and capped at 64x the base.
-    pub(crate) fn backoff_for(&self, attempt: u32) -> Duration {
-        let factor = 1u32 << attempt.saturating_sub(1).min(6);
-        self.backoff.saturating_mul(factor)
-    }
-}
-
-#[derive(Debug, Clone)]
-struct ArmedFault {
-    window: u64,
-    tuple: u64,
-    repeat: bool,
-    fired: bool,
-}
-
-/// The crashes armed against one task.
-#[derive(Debug, Clone, Default)]
+/// The crashes armed against one task, as `(window, tuple)`, and the
+/// task's crash clock: data tuples counted per window they are delivered in.
 pub(crate) struct TaskFaults {
-    armed: Vec<ArmedFault>,
+    armed: Vec<(u64, u64)>,
+    tuples_at: HashMap<u64, u64>,
 }
 
 impl TaskFaults {
@@ -218,28 +164,21 @@ impl TaskFaults {
         self.armed.is_empty()
     }
 
-    /// Consult the plan for a data envelope spanning tuple coordinates
-    /// `[first_tuple, first_tuple + count)` of window `window`: `true` when
-    /// a crash fires on it.
-    pub(crate) fn on_data(&mut self, window: u64, first_tuple: u64, count: u64) -> bool {
-        let hit = self.armed.iter_mut().find(|f| {
-            (f.repeat || !f.fired)
-                && f.window == window
-                && f.tuple >= first_tuple
-                && f.tuple < first_tuple + count
-        });
-        match hit {
-            Some(f) => {
-                f.fired = true;
-                true
-            }
-            None => false,
-        }
+    /// Count a data envelope of `count` tuples delivered in window `window`,
+    /// once `closed` windows have closed (earlier counts are dropped):
+    /// `true` when an armed crash fires on it.
+    pub(crate) fn on_data(&mut self, closed: u64, window: u64, count: u64) -> bool {
+        self.tuples_at.retain(|&w, _| w >= closed);
+        let tuple = self.tuples_at.entry(window).or_insert(0);
+        let first = std::mem::replace(tuple, *tuple + count);
+        self.armed
+            .iter()
+            .any(|&(w, t)| w == window && (first..first + count).contains(&t))
     }
 }
 
-/// Panic payload used for injected crashes, so supervisors and tests can
-/// tell an injected fault from an organic bolt bug.
+/// Panic payload used for injected crashes, so tests can tell an injected
+/// fault from an organic bolt bug.
 #[derive(Debug, Clone)]
 pub struct FaultPanic {
     /// Component the fault was armed against.
@@ -250,35 +189,21 @@ pub struct FaultPanic {
     pub window: u64,
 }
 
-thread_local! {
-    static QUIET_PANICS: Cell<bool> = const { Cell::new(false) };
-}
-
 static HOOK: Once = Once::new();
 
-/// Run `f` with the default panic message suppressed on this thread —
-/// used around `catch_unwind` when the supervisor *will* handle the
-/// unwind, so injected crashes don't spray backtraces over test output.
-/// Unhandled panics (no retries left) are not wrapped and print exactly as
-/// before.
-pub(crate) fn quiet_panics<R>(f: impl FnOnce() -> R) -> R {
+/// Fire an injected crash: unwind with `payload`. The default panic message
+/// is left out (the run names the task in its `TaskPanicked`); any other
+/// panic prints as before.
+pub(crate) fn crash(payload: FaultPanic) -> ! {
     HOOK.call_once(|| {
         let prev = panic::take_hook();
         panic::set_hook(Box::new(move |info| {
-            if !QUIET_PANICS.with(|q| q.get()) {
+            if !info.payload().is::<FaultPanic>() {
                 prev(info);
             }
         }));
     });
-    struct Reset;
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            QUIET_PANICS.with(|q| q.set(false));
-        }
-    }
-    QUIET_PANICS.with(|q| q.set(true));
-    let _reset = Reset;
-    f()
+    panic::panic_any(payload)
 }
 
 #[cfg(test)]
@@ -286,13 +211,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn one_shot_fault_fires_once() {
+    fn a_coordinate_fires_on_its_tuple_of_its_window() {
         let plan = FaultPlan::new().crash("b", 0, 1, 3);
         let mut tf = plan.for_task("b", 0);
-        assert!(!tf.on_data(0, 3, 1));
-        assert!(!tf.on_data(1, 0, 3));
-        assert!(tf.on_data(1, 3, 1));
-        assert!(!tf.on_data(1, 3, 1));
+        assert!(!tf.on_data(0, 0, 4));
+        assert!(!tf.on_data(1, 1, 3));
+        assert!(tf.on_data(1, 1, 1));
+        assert!(!tf.on_data(1, 1, 1));
     }
 
     #[test]
@@ -300,15 +225,20 @@ mod tests {
         let plan = FaultPlan::new().crash("b", 2, 0, 10);
         let mut tf = plan.for_task("b", 2);
         assert!(!tf.on_data(0, 0, 10));
-        assert!(tf.on_data(0, 10, 64));
+        assert!(tf.on_data(0, 0, 64));
     }
 
     #[test]
-    fn repeating_fault_refires() {
-        let plan = FaultPlan::new().crash_repeating("b", 0, 0, 0);
-        let mut tf = plan.for_task("b", 0);
-        assert!(tf.on_data(0, 0, 1));
-        assert!(tf.on_data(0, 0, 1));
+    fn later_attempts_meet_only_repeating_crashes() {
+        let plan = FaultPlan::new()
+            .crash("b", 0, 0, 0)
+            .crash_repeating("c", 0, 1, 2);
+        assert_eq!(plan.for_attempt(0).specs(), plan.specs());
+        for attempt in 1..3 {
+            let later = plan.for_attempt(attempt);
+            assert_eq!(later.specs().len(), 1);
+            assert_eq!(later.specs()[0].component, "c");
+        }
     }
 
     #[test]
@@ -332,21 +262,5 @@ mod tests {
             && a.specs()[0].window == c.specs()[0].window
             && a.specs()[0].tuple == c.specs()[0].tuple;
         assert!(!same, "different seeds should move the crash site");
-    }
-
-    #[test]
-    fn backoff_scales_exponentially_with_cap() {
-        let p = RecoveryPolicy::new().backoff(Duration::from_millis(10));
-        assert_eq!(p.backoff_for(1), Duration::from_millis(10));
-        assert_eq!(p.backoff_for(2), Duration::from_millis(20));
-        assert_eq!(p.backoff_for(4), Duration::from_millis(80));
-        assert_eq!(p.backoff_for(40), Duration::from_millis(640));
-    }
-
-    #[test]
-    fn default_policy_is_inert() {
-        let p = RecoveryPolicy::default();
-        assert!(!p.armed());
-        assert!(RecoveryPolicy::new().retries(1).armed());
     }
 }

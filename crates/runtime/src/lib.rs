@@ -46,7 +46,7 @@ pub mod transport;
 pub mod wire;
 
 pub use executor::{run, run_distributed, Outbox, RunError, RunReport};
-pub use fault::{FaultPanic, FaultPlan, FaultSpec, RecoveryPolicy};
+pub use fault::{FaultPanic, FaultPlan, FaultSpec};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, TaskInstruments, TaskSnapshot, TraceEvent,
     TraceKind, WindowSnapshot,
@@ -86,11 +86,6 @@ pub trait Spout<M>: Send {
     fn next(&mut self) -> SpoutEmit<M>;
 }
 
-/// Opaque, owned snapshot of a bolt's cross-window state, produced by
-/// [`Bolt::snapshot`] at a window boundary and handed back to a fresh
-/// instance through [`Bolt::restore`] after a supervised restart.
-pub type BoltState = Box<dyn std::any::Any + Send>;
-
 /// A stream processor. One instance runs per task.
 pub trait Bolt<M>: Send {
     /// Called once before [`Bolt::prepare`] with this task's instrument set
@@ -109,27 +104,6 @@ pub trait Bolt<M>: Send {
     fn on_punct(&mut self, _punct: u64, _out: &mut Outbox<M>) {}
     /// Called once after the last message, before shutdown.
     fn finish(&mut self, _out: &mut Outbox<M>) {}
-
-    /// Capture the bolt's *cross-window* state. The supervisor calls this
-    /// at every window boundary (right after the aligned punctuation has
-    /// been handled); after a crash it rebuilds the task from the latest
-    /// snapshot and replays the envelopes received since, so state local to
-    /// the current window need not be captured — replay reconstructs it.
-    /// The default `None` means "stateless across windows": restart with a
-    /// fresh instance plus replay is already exact.
-    fn snapshot(&self) -> Option<BoltState> {
-        None
-    }
-
-    /// Rebuild cross-window state from a [`Bolt::snapshot`] taken by a
-    /// previous incarnation of this task. Called on a freshly constructed
-    /// instance after `attach_instruments`/`prepare` and before replay.
-    /// Returning `Err` counts as a failed restart attempt (consumes a
-    /// retry). The default accepts anything and restores nothing, matching
-    /// the default `snapshot`.
-    fn restore(&mut self, _state: &BoltState) -> Result<(), String> {
-        Ok(())
-    }
 }
 
 /// A spout replaying a vector, punctuating optionally every `punct_every`

@@ -104,6 +104,8 @@ pub(crate) struct Hub {
     /// Pool-scheduled tasks not yet DONE; the pool shuts down at zero.
     live: AtomicUsize,
     shutdown: AtomicBool,
+    /// A task panicked: the run is over, every task stops at its next step.
+    aborted: AtomicBool,
     /// `(global, label)` of pooled tasks whose step panicked terminally.
     panicked: Mutex<Vec<(usize, String)>>,
 }
@@ -133,6 +135,7 @@ impl Hub {
                 .collect(),
             live: AtomicUsize::new(live),
             shutdown: AtomicBool::new(live == 0),
+            aborted: AtomicBool::new(false),
             panicked: Mutex::new(Vec::new()),
         }
     }
@@ -195,6 +198,19 @@ impl Hub {
         for &d in &self.downstream[global] {
             self.notify(d);
         }
+    }
+
+    /// End the run early (a task panicked, a peer died): every pooled task
+    /// is queued once more and retires at that step, and spouts stop
+    /// reading. No window closes after it that had not closed before.
+    pub(crate) fn abort(&self) {
+        self.aborted.store(true, Ordering::Release);
+        self.seed();
+    }
+
+    /// The run was aborted.
+    pub(crate) fn aborted(&self) -> bool {
+        self.aborted.load(Ordering::Acquire)
     }
 
     /// Labels of pooled tasks that panicked, in global task order.
@@ -393,10 +409,10 @@ fn worker_loop(
     }
 }
 
-/// Claim task `t`, run one step, and resolve its post-step state. Panics
-/// unwinding out of a step are terminal for that task: the body is dropped
-/// (disconnecting its channels) and the label recorded for
-/// [`crate::RunError::TaskPanicked`].
+/// Claim task `t`, run one step, and resolve its post-step state. A panic
+/// unwinding out of a step ends the run: the body is dropped (disconnecting
+/// its channels), the label recorded for [`crate::RunError::TaskPanicked`],
+/// and the hub aborted.
 fn run_one(hub: &Hub, t: usize, local: &Worker<usize>) {
     if hub.states[t]
         .compare_exchange(QUEUED, RUNNING, Ordering::AcqRel, Ordering::Acquire)
@@ -444,6 +460,7 @@ fn run_one(hub: &Hub, t: usize, local: &Worker<usize>) {
                 .lock()
                 .unwrap()
                 .push((t, hub.labels[t].clone()));
+            hub.abort();
             hub.task_done(t);
         }
     }

@@ -16,11 +16,10 @@
 //! participate in end-of-stream accounting or punctuation alignment, and the
 //! forward-edge graph must be acyclic.
 
-use crate::fault::{FaultPlan, RecoveryPolicy};
+use crate::fault::FaultPlan;
 use crate::{Bolt, Spout};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// How a subscription distributes messages over the subscriber's tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,10 +44,8 @@ pub(crate) struct Subscription {
 
 /// Factory producing one spout instance per task.
 pub type SpoutFactory<M> = Box<dyn Fn(usize) -> Box<dyn Spout<M>> + Send>;
-/// Factory producing one bolt instance per task. Shared (`Arc`) so the
-/// supervisor can rebuild a crashed task's bolt from the same factory when
-/// restarting it from a snapshot.
-pub type BoltFactory<M> = Arc<dyn Fn(usize) -> Box<dyn Bolt<M>> + Send + Sync>;
+/// Factory producing one bolt instance per task.
+pub type BoltFactory<M> = Box<dyn Fn(usize) -> Box<dyn Bolt<M>> + Send>;
 
 pub(crate) enum ComponentKind<M> {
     Spout(SpoutFactory<M>),
@@ -117,7 +114,6 @@ pub struct TopologyBuilder<M> {
     batch_size: usize,
     metrics: bool,
     fault_plan: FaultPlan,
-    recovery: RecoveryPolicy,
     pool_workers: usize,
     pin_cores: bool,
 }
@@ -130,7 +126,6 @@ impl<M> Default for TopologyBuilder<M> {
             batch_size: 1,
             metrics: false,
             fault_plan: FaultPlan::new(),
-            recovery: RecoveryPolicy::default(),
             pool_workers: 0,
             pin_cores: false,
         }
@@ -181,15 +176,6 @@ impl<M> TopologyBuilder<M> {
         self
     }
 
-    /// Set the [`RecoveryPolicy`] the executor supervises bolts with:
-    /// retry budget and restart backoff.
-    /// The default policy is inert — no supervision, panics propagate as
-    /// before.
-    pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = policy;
-        self
-    }
-
     /// Worker threads of the pool that schedules the bolt tasks (DESIGN.md
     /// §4e); 0 (the default) = auto: the machine's available parallelism,
     /// capped at the number of bolt tasks.
@@ -228,12 +214,12 @@ impl<M> TopologyBuilder<M> {
         mut self,
         name: impl Into<String>,
         parallelism: usize,
-        factory: impl Fn(usize) -> Box<dyn Bolt<M>> + Send + Sync + 'static,
+        factory: impl Fn(usize) -> Box<dyn Bolt<M>> + Send + 'static,
     ) -> BoltHandle<M> {
         self.components.push(Component {
             name: name.into(),
             parallelism,
-            kind: ComponentKind::Bolt(Arc::new(factory)),
+            kind: ComponentKind::Bolt(Box::new(factory)),
             subscriptions: Vec::new(),
         });
         BoltHandle { builder: self }
@@ -301,7 +287,6 @@ impl<M> TopologyBuilder<M> {
             batch_size: self.batch_size,
             metrics: self.metrics,
             fault_plan: self.fault_plan,
-            recovery: self.recovery,
             pool_workers: self.pool_workers,
             pin_cores: self.pin_cores,
         })
@@ -388,7 +373,6 @@ pub struct Topology<M> {
     pub(crate) batch_size: usize,
     pub(crate) metrics: bool,
     pub(crate) fault_plan: FaultPlan,
-    pub(crate) recovery: RecoveryPolicy,
     pub(crate) pool_workers: usize,
     pub(crate) pin_cores: bool,
 }

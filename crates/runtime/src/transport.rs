@@ -32,11 +32,11 @@
 //! cycle at shutdown (each worker's feedback drain waiting on the other's
 //! writer to close).
 //!
-//! A link EOF with closes still outstanding means the peer died. The
-//! reader then synthesizes `Envelope::Eos(from)` for every still-open
-//! forward (producer, target) pair — the aligner's quorum shrinks exactly
-//! as in the PR 4 EOS-before-punctuation fix — and drops all held senders,
-//! so survivors complete their windows instead of hanging.
+//! A link EOF with closes still outstanding, or a frame cut short, means
+//! the peer died. The reader then aborts the local run — every task stops
+//! at its next step, so no window closes short of the dead peer's share —
+//! and drops all held senders; the run ends in a transport error for its
+//! driver to resume.
 
 use std::fs;
 use std::io::{self, Write};
@@ -386,14 +386,11 @@ pub(crate) struct ReaderPlan<M> {
     pub fwd_closes: Vec<usize>,
     /// Expected `Close` frames per feedback target.
     pub fb_closes: Vec<usize>,
-    /// Forward (remote producer global, local target global) pairs, for
-    /// synthesized EOS on peer death.
-    pub eos_pairs: Vec<(usize, usize)>,
 }
 
 /// Reader side of one peer link. Exits at link EOF (clean or not); on an
-/// unclean EOF synthesizes EOS so local aligners shrink their quorum, and
-/// in all cases drops every held sender so local channels disconnect.
+/// unclean one aborts the local run, and in all cases drops every held
+/// sender so local channels disconnect.
 pub(crate) fn reader_loop<M: Send + 'static>(
     mut stream: UnixStream,
     codec: Arc<dyn WireCodec<M>>,
@@ -479,11 +476,9 @@ pub(crate) fn reader_loop<M: Send + 'static>(
         }
     }
 
-    // Unclean EOF (peer died or stream corrupt) with edges still open:
-    // synthesize EOS for every still-open forward pair so aligners shrink
-    // their punctuation quorum instead of hanging the window. The aligner
-    // treats a duplicate EOS (real EOS already seen, Close not yet) as
-    // idempotent.
+    // Unclean EOF (peer died or stream corrupt) with edges still open: a
+    // window still waiting for the peer's share must not close without it,
+    // so the run stops here.
     let died = plan.fwd_closes.iter().any(|&c| c > 0) || plan.fb_closes.iter().any(|&c| c > 0);
     if died {
         disconnects.inc();
@@ -493,13 +488,7 @@ pub(crate) fn reader_loop<M: Send + 'static>(
                 .unwrap()
                 .push(format!("worker {peer} disconnected mid-run"));
         }
-        for &(from, target) in &plan.eos_pairs {
-            if plan.fwd_closes[target] > 0 {
-                if let Some(tx) = &plan.fwd[target] {
-                    let _ = tx.send(Envelope::Eos(from));
-                }
-            }
-        }
+        hub.abort();
     }
     for target in 0..plan.fwd.len() {
         let had = plan.fwd[target].take().is_some() | plan.fb[target].take().is_some();

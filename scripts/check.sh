@@ -58,14 +58,21 @@ stage "stale-order differential" cargo test -q -p ssj-join --test stale_order
 # bench body once and leaves BENCH_fptree.json alone.
 stage "fptree alloc audit" cargo test -q -p ssj-bench --features count-allocs --bench fptree
 
-# Crash injection + supervised recovery across pool sizes 1/2/8; a task out
-# of retries fails the run (crashes are the only injected fault).
-stage "chaos smoke" cargo test -q -p ssj-runtime --test chaos
+# Crash injection: a crash coordinate fires deterministically and ends the
+# run in TaskPanicked naming its task, fault-free output is identical across
+# pool sizes 1/2/8; then every differential crash case, each resumed at its
+# first undelivered window to the oracle (crashes are the only injected
+# fault).
+chaos_smoke() {
+    cargo test -q -p ssj-runtime --test chaos
+    cargo test -q -p ssj-core --test differential crash
+}
+stage "chaos smoke" chaos_smoke
 stage "partitioner differential" cargo test -q -p ssj-partition --test cross_partitioners
 
 # The one differential harness: every topology run == the brute-force
 # oracle, pane for pane — any window shape, m (up to 64), batch, pool size,
-# partitioner, reader, socket-linked group, spill budget or recovered crash
+# partitioner, reader, socket-linked group, spill budget or resumed crash
 # (joiner after a joined micro-batch, creator before a repartition, reporter
 # mid-window); a group, budget or crash run also == the same case without
 # it; sampled axis table plus pinned regressions.
@@ -82,8 +89,9 @@ stage "histogram accuracy" cargo test -q -p ssj-runtime --test histogram_error
 # id or table width beyond the run's m — or beyond 64 — is a named error),
 # 2-worker Unix-socket CLI run incl. a killed-and-relaunched worker: the
 # streamed --joins-out files byte-identical, one line per window;
-# --joins-out failures, a truncated or malformed --input, an m outside
-# 1..=64 and a snapshot table claiming more partitions are named errors.
+# --joins-out failures, an unusable --spill-dir, a truncated or malformed
+# --input, an m outside 1..=64 and a snapshot table claiming more partitions
+# are named errors.
 stage "wire codec" cargo test -q -p ssj-core --test wire_codec
 stage "distributed CLI" cargo test -q -p ssj-cli --test distributed
 
@@ -92,8 +100,8 @@ stage "route-cache expiry" cargo test -q -p ssj-core --test route_cache_expiry
 
 # The reporter hands each window to the run's sink once, in order, canonical,
 # while the stream is still being read — also across a reporter crashed
-# mid-window (tumbling and sliding); a lock-step run whose reporter dies ends
-# in the reporter's error within seconds.
+# mid-window (tumbling and sliding, the run resumed); a lock-step run whose
+# reporter dies in every attempt ends in the reporter's error within seconds.
 result_path() {
     cargo test -q --test end_to_end results_leave_the_topology_window_by_window
     cargo test -q -p ssj-core --test differential reporter_crash

@@ -11,9 +11,13 @@ use schema_free_stream_joins::ssj_data::{
 use schema_free_stream_joins::ssj_join::JoinAlgo;
 use schema_free_stream_joins::ssj_json::{Dictionary, Document, FxHashSet};
 use schema_free_stream_joins::ssj_partition::PartitionerKind;
-use schema_free_stream_joins::ssj_runtime::FaultPlan;
+use schema_free_stream_joins::ssj_runtime::wire::{decode_hello, encode_hello, read_frame, Hello};
+use schema_free_stream_joins::ssj_runtime::{FaultPlan, RunError};
 use ssj_bench::testutil::{lockstep_reader, oracle, shifting_stream};
+use std::io::Write;
+use std::os::unix::net::UnixListener;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn serverlog(dict: &Dictionary, n: usize) -> Vec<Document> {
     ServerLogGen::new(ServerLogConfig::default(), dict.clone()).take_docs(n)
@@ -122,9 +126,9 @@ fn threaded_topology_matches_pipeline_results() {
     assert_eq!(report.joins_per_window, truth, "lock-step pipeline");
 }
 
-/// Tier-1's one pass through supervised recovery: a joiner crashed in the
-/// middle of window 1 is rebuilt from its window-0 snapshot and replayed,
-/// and every window still equals brute force.
+/// Tier-1's one pass through recovery: a joiner crashed in the middle of
+/// window 1 fails the first attempt, the run resumes at its first
+/// undelivered window, and every window still equals brute force.
 #[test]
 fn crashed_joiner_recovers_to_ground_truth() {
     let dict = Dictionary::new();
@@ -134,19 +138,18 @@ fn crashed_joiner_recovers_to_ground_truth() {
         .with_window_spec(WindowSpec::tumbling(150))
         .with_partition_creators(2)
         .with_assigners(2)
-        .with_retries(2)
-        .with_backoff_ms(1)
         .build()
         .unwrap();
     let plan = FaultPlan::new().crash("joiner", 1, 1, 5);
     let reader = Reader::Docs(docs.iter().cloned().map(Arc::new).collect());
     let report = run_topology_collect(cfg, &dict, reader, plan, None).expect("run");
-    assert!(
-        report.runtime.total_faults() >= 1,
-        "the planned crash never fired"
+    assert_eq!(report.runtime.attempts, 2, "the planned crash never fired");
+    let (delivered, start) = report.runtime.resumed.expect("a resumed attempt");
+    assert_eq!(
+        start, delivered,
+        "a tumbling run resumes at its first undelivered window"
     );
-    assert!(report.runtime.total_recoveries() >= 1);
-    assert_eq!(report.joins_per_window.len(), 3);
+    assert_eq!(report.windows, [0, 1, 2]);
     let truth = oracle(&docs, WindowSpec::tumbling(150)).windows;
     assert_eq!(report.joins_per_window, truth);
 }
@@ -196,6 +199,106 @@ fn two_member_group_matches_single_process() {
     // The reporter lives on member 0.
     assert_eq!(reports[0].joins_per_window, solo.joins_per_window);
     assert!(solo.joins_per_window.iter().any(|w| !w.is_empty()));
+}
+
+/// A peer that dies mid-frame: a fake worker 0 completes the handshake,
+/// writes half a frame and exits. The survivor (worker 1, a group member
+/// with no relaunch step, so it does not resume) stops within seconds, and
+/// its run ends in a transport error naming worker 0 — no panic, no hang.
+#[test]
+fn a_peer_dying_mid_frame_ends_the_run_in_a_transport_error() {
+    let dir = std::env::temp_dir().join(format!("ssj-e2e-dead-peer-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // Worker 0 listens at its attempt-0 socket; worker 1 connects and
+    // speaks first, and gets its own hello back as worker 0's.
+    let listener = UnixListener::bind(dir.join("ssj-w0.a0.sock")).unwrap();
+    let fake = std::thread::spawn(move || {
+        let (mut link, _) = listener.accept().unwrap();
+        let mut body = Vec::new();
+        assert!(read_frame(&mut link, &mut body).unwrap());
+        let hello = decode_hello(&body).unwrap();
+        let mut reply = Vec::new();
+        encode_hello(&Hello { worker: 0, ..hello }, &mut reply);
+        link.write_all(&reply).unwrap();
+        // A length prefix promising 64 bytes, then 10 of them.
+        link.write_all(&64u32.to_le_bytes()).unwrap();
+        link.write_all(&[0; 10]).unwrap();
+    });
+    let cfg = StreamJoinConfig::default()
+        .with_m(3)
+        .with_window_spec(WindowSpec::tumbling(150))
+        .with_workers(2)
+        .build()
+        .unwrap();
+    let dict = Dictionary::new();
+    let reader = Reader::Docs(serverlog(&dict, 450).into_iter().map(Arc::new).collect());
+    let survivor = DistRuntime {
+        workers: 2,
+        my_worker: 1,
+        socket_dir: dir.clone(),
+        attempt: 0,
+    };
+    let t0 = Instant::now();
+    let run = run_topology_collect(cfg, &dict, reader, FaultPlan::new(), Some(&survivor));
+    assert!(t0.elapsed() < Duration::from_secs(10), "{:?}", t0.elapsed());
+    fake.join().expect("fake peer");
+    let _ = std::fs::remove_dir_all(&dir);
+    match run {
+        Err(RunError::Transport(errors)) => {
+            assert!(errors.iter().any(|e| e.contains("worker 0")), "{errors:?}")
+        }
+        other => panic!("expected a transport error, got {other:?}"),
+    }
+}
+
+/// A task that panics on a group member fails the whole attempt, not just
+/// that member: the leader's run ends in a transport error naming the
+/// member (for a driver that can relaunch it to resume), never in windows
+/// without the member's share.
+#[test]
+fn a_member_task_panic_fails_the_leaders_attempt() {
+    let cfg = StreamJoinConfig::default()
+        .with_m(3)
+        .with_window_spec(WindowSpec::tumbling(150))
+        .with_workers(2)
+        .build()
+        .unwrap();
+    let dir = std::env::temp_dir().join(format!("ssj-e2e-member-panic-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let members: Vec<_> = (0..2)
+        .map(|w| {
+            let (cfg, dir) = (cfg.clone(), dir.clone());
+            std::thread::spawn(move || {
+                let dict = Dictionary::new();
+                let docs = serverlog(&dict, 450);
+                let dr = DistRuntime {
+                    workers: 2,
+                    my_worker: w,
+                    socket_dir: dir,
+                    attempt: 0,
+                };
+                // Joiner 1 lives on member 1; window 0 is broadcast to it.
+                let plan = match w {
+                    1 => FaultPlan::new().crash("joiner", 1, 0, 5),
+                    _ => FaultPlan::new(),
+                };
+                let reader = Reader::Docs(docs.into_iter().map(Arc::new).collect());
+                run_topology_collect(cfg, &dict, reader, plan, Some(&dr))
+            })
+        })
+        .collect();
+    let mut runs: Vec<_> = members.into_iter().map(|h| h.join().unwrap()).collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    match runs.pop().unwrap() {
+        Err(RunError::TaskPanicked(tasks)) => assert_eq!(tasks, ["joiner[1]"]),
+        other => panic!("member 1: {other:?}"),
+    }
+    match runs.pop().unwrap() {
+        Err(RunError::Transport(errors)) => {
+            assert!(errors.iter().any(|e| e.contains("worker 1")), "{errors:?}")
+        }
+        other => panic!("leader: {other:?}"),
+    }
 }
 
 /// Tier-1 runs only this package, so this is its one pass through the
