@@ -3,8 +3,8 @@
 //!
 //! The schedules are **logical**: a profile maps tuple index → virtual
 //! arrival time in nanoseconds, computed purely from its parameters and a
-//! seed — no wall clock enters the schedule itself. A paced spout (see
-//! `ssj-runtime`'s `PacedSpout`) later replays a schedule against real
+//! seed — no wall clock enters the schedule itself. The paced reader (see
+//! `ssj-core`'s `Reader::Paced`) later replays a schedule against real
 //! time; the split keeps every experiment reproducible and lets tests
 //! assert on the exact schedule.
 //!

@@ -17,7 +17,7 @@ use ssj_core::{
 };
 use ssj_data::{NoBenchConfig, NoBenchGen, ServerLogConfig, ServerLogGen, TweetConfig, TweetGen};
 use ssj_join::JoinAlgo;
-use ssj_json::{write_documents_jsonl, Dictionary, DocId, DocRef, Document, DocumentReader};
+use ssj_json::{write_documents_jsonl, Dictionary, DocId, Document, DocumentReader};
 use ssj_partition::PartitionerKind;
 use ssj_runtime::{FaultPlan, RunError, RunReport};
 use std::fs::File;
@@ -439,33 +439,33 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             socket_dir: std::path::PathBuf::from(dir),
             attempt: args.get_or("attempt", 0u32)?,
         };
-        let docs = load_docs(args, &dict)?.into_iter().map(Arc::new).collect();
-        // Only worker 0 hosts the reporter, so the sink is never called here.
-        run_topology_with(
-            cfg,
-            &dict,
-            Reader::Docs(docs),
-            FaultPlan::new(),
-            Some(&dr),
-            |_| {},
-        )
-        .map_err(|e| e.to_string())?;
+        // Loaded for the dictionary alone: worker 0 hosts the reader, and the
+        // reporter, so neither the documents nor the sink are used here.
+        load_docs(args, &dict)?;
+        let (reader, plan) = (Reader::Docs(Vec::new()), FaultPlan::new());
+        run_topology_with(cfg, &dict, reader, plan, Some(&dr), |_| {})
+            .map_err(|e| e.to_string())?;
         return Ok(());
     }
 
     // Created before any work, so an unwritable path fails here.
     let joins_out = Arc::new(Mutex::new(JoinsOut::start(args.get("joins-out"))?));
-    // Every process of a `--workers N` group loads the whole input, so the
-    // leader starts the others before it loads: they all load at once
-    // instead of one after the other. (If loading fails, dropping the group
-    // kills them.) A solo run is the group of one.
+    // A solo run (the group of one) streams its file. Every process of a
+    // `--workers N` group loads the whole input before the handshake
+    // (DESIGN.md §4f), so the leader starts the others before it loads and
+    // they all load at once. (If loading fails, dropping the group kills
+    // them.)
     let group = WorkerGroup::launch(cfg.workers)?;
-    let docs: Vec<DocRef> = load_docs(args, &dict)?.into_iter().map(Arc::new).collect();
-    let n = docs.len();
-
     let t0 = Instant::now();
-    let runtime = group.run(cfg, &dict, docs, &joins_out)?;
+    let reader = match args.get("input") {
+        Some(path) if cfg.workers == 1 => Reader::File(path.into()),
+        _ => Reader::Docs(load_docs(args, &dict)?.into_iter().map(Arc::new).collect()),
+    };
+    let runtime = group.run(cfg, &dict, reader, &joins_out)?;
     let elapsed = t0.elapsed();
+    if let Some((delivered, start)) = runtime.resumed {
+        eprintln!("resumed at pane {start}: the first undelivered window was {delivered}");
+    }
     if let Some(path) = args.get("metrics-out") {
         let file = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
         let mut out = BufWriter::new(file);
@@ -484,23 +484,24 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let mut out = joins_out.lock();
     println!(
         "{} documents, {} windows, {} join pairs in {:.3}s ({:.0} docs/s)",
-        n,
+        out.docs,
         out.windows,
         out.pairs,
         elapsed.as_secs_f64(),
-        n as f64 / elapsed.as_secs_f64().max(1e-9)
+        out.docs as f64 / elapsed.as_secs_f64().max(1e-9)
     );
     out.failed.take().map_or(Ok(()), Err)
 }
 
-/// The sink of `ssj run`: counts the windows the reporter hands over and
-/// their pairs, and keeps nothing else of them. With `--joins-out` it first
-/// appends the window to that file as one `w: a-b a-b ...` line, in its
-/// canonical form (two files are byte-comparable).
+/// The sink of `ssj run`: counts the windows the reporter hands over, their
+/// documents and pairs, and keeps nothing else of them. With `--joins-out`
+/// it first appends the window to that file as one `w: a-b a-b ...` line,
+/// in its canonical form (two files are byte-comparable).
 struct JoinsOut {
     /// `--joins-out`: the path and the open file.
     file: Option<(String, File)>,
     windows: usize,
+    docs: usize,
     pairs: usize,
     /// The first write error: no line is written after it (none after a gap).
     failed: Option<String>,
@@ -518,6 +519,7 @@ impl JoinsOut {
         Ok(JoinsOut {
             file: path.map(str::to_owned).zip(file),
             windows: 0,
+            docs: 0,
             pairs: 0,
             failed: None,
         })
@@ -525,6 +527,7 @@ impl JoinsOut {
 
     fn window(&mut self, w: WindowResult) {
         self.windows += 1;
+        self.docs += w.routing.docs;
         self.pairs += w.pairs.len();
         let (Some((path, file)), None) = (&mut self.file, &self.failed) else {
             return;
@@ -626,7 +629,7 @@ impl WorkerGroup {
         mut self,
         cfg: StreamJoinConfig,
         dict: &Dictionary,
-        docs: Vec<DocRef>,
+        reader: Reader,
         joins_out: &Arc<Mutex<JoinsOut>>,
     ) -> Result<RunReport, String> {
         let leader = DistRuntime {
@@ -644,7 +647,6 @@ impl WorkerGroup {
             self.kill();
             self.spawn(attempt)
         };
-        let reader = Reader::Docs(docs);
         let report = run_topology_relaunching(cfg, dict, reader, &leader, &mut relaunch, sink)
             .map_err(|e| e.to_string())?;
         for (w, mut child) in (1..).zip(self.children.drain(..)) {

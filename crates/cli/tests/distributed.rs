@@ -34,16 +34,22 @@ fn ssj_run(seed: u64, m: usize, workers: usize, joins_out: &str) -> Command {
 }
 
 /// Run it and return the `--joins-out` file exactly as the reporter's sink
-/// streamed it: one `w: a-b a-b ...` line per window, in window order.
-fn run_ssj(seed: u64, m: usize, workers: usize, kill: Option<&str>, tag: &str) -> String {
+/// streamed it — one `w: a-b a-b ...` line per window, in window order —
+/// and the run's stderr.
+fn run_ssj(seed: u64, m: usize, workers: usize, kill: Option<&str>, tag: &str) -> (String, String) {
     let path = out_path(tag);
     let mut cmd = ssj_run(seed, m, workers, path.to_str().unwrap());
     if let Some(spec) = kill {
         // Scoped to this run only: the spec names one (worker, attempt).
         cmd.env("SSJ_KILL_WORKER", spec);
     }
-    let status = cmd.status().expect("launch ssj");
-    assert!(status.success(), "ssj run failed: {status}");
+    let out = cmd.output().expect("launch ssj");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(
+        out.status.success(),
+        "ssj run failed: {}\n{stderr}",
+        out.status
+    );
     let joins = std::fs::read_to_string(&path).expect("read joins file");
     let _ = std::fs::remove_file(&path);
     let windows: Vec<&str> = joins
@@ -52,7 +58,7 @@ fn run_ssj(seed: u64, m: usize, workers: usize, kill: Option<&str>, tag: &str) -
         .collect();
     assert_eq!(windows, ["0", "1", "2"], "one line per window, ascending");
     assert!(joins.ends_with('\n'), "last line cut short");
-    joins
+    (joins, stderr)
 }
 
 proptest! {
@@ -62,25 +68,34 @@ proptest! {
     /// Unix-socket group run equals the single-process pooled run.
     #[test]
     fn two_process_run_matches_single_process(seed in 0u64..1 << 32, m in 2usize..5) {
-        let solo = run_ssj(seed, m, 1, None, &format!("solo-{seed}-{m}"));
-        let group = run_ssj(seed, m, 2, None, &format!("group-{seed}-{m}"));
+        let (solo, _) = run_ssj(seed, m, 1, None, &format!("solo-{seed}-{m}"));
+        let (group, _) = run_ssj(seed, m, 2, None, &format!("group-{seed}-{m}"));
         prop_assert!(solo == group, "solo:\n{solo}\ngroup:\n{group}");
     }
 }
 
 /// Killing worker 1 on the group's first attempt forces the leader through
 /// the peer-disconnect path and a full group relaunch; the recovered run's
-/// output must still be byte-identical to the single-process run.
+/// output must still be byte-identical to the single-process run. The
+/// leader names where it resumed: pane `s = max(0, d − (k − 1))` for the
+/// first undelivered window `d` and `k = 1` pane per window.
 #[test]
 fn killed_worker_recovers_with_identical_output() {
-    let solo = run_ssj(99, 3, 1, None, "solo-kill");
-    let group = run_ssj(99, 3, 2, None, "group-nokill");
-    let recovered = run_ssj(99, 3, 2, Some("1:0"), "group-kill");
+    let (solo, _) = run_ssj(99, 3, 1, None, "solo-kill");
+    let (group, _) = run_ssj(99, 3, 2, None, "group-nokill");
+    let (recovered, log) = run_ssj(99, 3, 2, Some("1:0"), "group-kill");
     assert_eq!(solo, group);
     assert_eq!(
         solo, recovered,
         "a dead attempt's lines survived the relaunch"
     );
+    let resumed = log
+        .lines()
+        .find_map(|l| l.strip_prefix("resumed at pane "))
+        .and_then(|l| l.split_once(": the first undelivered window was "))
+        .map(|(s, d)| (s.parse::<u64>().unwrap(), d.parse::<u64>().unwrap()));
+    let (s, d) = resumed.unwrap_or_else(|| panic!("no resume named: {log}"));
+    assert_eq!(s, d.saturating_sub(1 - 1), "{log}");
 }
 
 /// `--joins-out` is created before any work, so a path that cannot be
@@ -135,51 +150,108 @@ fn unusable_spill_dir_is_a_named_error() {
 }
 
 /// A `--input` file that ends mid-document, or carries one malformed line,
-/// fails the run before any window closes — solo and as a 2-process group:
-/// exit 1 with the offending line named, no panic, and no window line in
-/// `--joins-out`.
+/// is exit 1 with the offending line named, no panic and no relaunch. A solo
+/// run streams its input: `--joins-out` holds exactly the windows that end
+/// before the bad line, equal to the same prefix of a clean run, and none
+/// after. A 2-process group loads its input before the handshake, so it
+/// fails before any window.
 #[test]
-fn bad_input_is_a_named_error_before_any_window() {
+fn bad_input_fails_after_exactly_the_windows_before_it() {
     let lines: Vec<String> = (0..300)
         .map(|i| format!("{{\"a\":{},\"b\":\"x{}\"}}", i % 5, i % 3))
         .collect();
+    let clean = lines.join("\n") + "\n";
     let truncated = format!("{}\n{}", lines.join("\n"), &lines[0][..7]);
     let mut malformed = lines.clone();
     malformed[149] = "{\"a\": 1, oops}".into();
     let malformed = malformed.join("\n") + "\n";
-    for (tag, text, line) in [("truncated", truncated, 301), ("malformed", malformed, 150)] {
-        let input = out_path(&format!("{tag}-input"));
+    let run = |tag: &str, text: &str, workers: usize| {
+        let (input, joins) = (out_path(&format!("{tag}-input")), out_path(tag));
         std::fs::write(&input, text).expect("write input");
+        let out = Command::new(bin())
+            .args(["run", "--input", input.to_str().unwrap()])
+            .args(["--m", "3", "--window", "100", "--no-metrics"])
+            .args(["--workers", &workers.to_string()])
+            .args(["--joins-out", joins.to_str().unwrap()])
+            .env_remove("SSJ_KILL_WORKER")
+            .output()
+            .expect("launch ssj");
+        let written = std::fs::read_to_string(&joins).unwrap_or_default();
+        let _ = std::fs::remove_file(&joins);
+        let _ = std::fs::remove_file(&input);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.code(), stderr, written)
+    };
+    let (code, stderr, reference) = run("clean", &clean, 1);
+    assert_eq!(code, Some(0), "{stderr}");
+    let reference: Vec<&str> = reference.split_inclusive('\n').collect();
+    assert_eq!(reference.len(), 3);
+    // The bad line, and the windows wholly before it.
+    for (tag, text, line, before) in [
+        ("truncated", truncated, 301, 3),
+        ("malformed", malformed, 150, 1),
+    ] {
         for workers in [1, 2] {
-            let joins = out_path(&format!("{tag}-{workers}"));
-            let out = Command::new(bin())
-                .args(["run", "--input", input.to_str().unwrap()])
-                .args(["--m", "3", "--window", "100", "--no-metrics"])
-                .args(["--workers", &workers.to_string()])
-                .args(["--joins-out", joins.to_str().unwrap()])
-                .env_remove("SSJ_KILL_WORKER")
-                .output()
-                .expect("launch ssj");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(
-                out.status.code(),
-                Some(1),
-                "{tag}, {workers} workers: {stderr}"
-            );
+            let (code, stderr, written) = run(&format!("{tag}-{workers}"), &text, workers);
+            let case = format!("{tag}, {workers} workers: {stderr}");
+            assert_eq!(code, Some(1), "{case}");
             assert!(
                 stderr.contains(&format!("line {line}: JSON parse error")),
-                "{tag}, {workers} workers: {stderr}"
+                "{case}"
             );
-            assert!(!stderr.contains("panicked"), "{stderr}");
-            let written = std::fs::read_to_string(&joins).unwrap_or_default();
-            let _ = std::fs::remove_file(&joins);
-            assert!(
-                written.is_empty(),
-                "{tag}, {workers} workers wrote {written:?}"
-            );
+            assert!(!stderr.contains("panicked"), "{case}");
+            assert!(!stderr.contains("relaunching"), "{case}");
+            let delivered = if workers == 1 { before } else { 0 };
+            assert_eq!(written, reference[..delivered].concat(), "{case}");
         }
-        let _ = std::fs::remove_file(&input);
     }
+}
+
+/// A solo run streams its input, so its memory does not grow with the
+/// stream: `ssj run`'s own `peak rss` line (metrics on) for a 40 k-document
+/// rwData stream is at most 1.5x that of the first 4 k documents.
+#[test]
+fn solo_run_memory_is_bounded_on_a_longer_stream() {
+    let peak_mib = |count: usize| {
+        let input = out_path(&format!("rss-{count}"));
+        let generated = Command::new(bin())
+            .args(["generate", "--dataset", "rw", "--seed", "1"])
+            .args([
+                "--count",
+                &count.to_string(),
+                "--out",
+                input.to_str().unwrap(),
+            ])
+            .output()
+            .expect("launch ssj");
+        assert!(generated.status.success(), "{generated:?}");
+        let out = Command::new(bin())
+            .args(["run", "--input", input.to_str().unwrap()])
+            .args([
+                "--m",
+                "4",
+                "--creators",
+                "1",
+                "--assigners",
+                "2",
+                "--window",
+                "1500",
+            ])
+            .env_remove("SSJ_KILL_WORKER")
+            .output()
+            .expect("launch ssj");
+        let _ = std::fs::remove_file(&input);
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "{stdout}");
+        let mib = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix("peak rss "))
+            .and_then(|l| l.split_whitespace().next())
+            .and_then(|v| v.parse::<f64>().ok());
+        mib.unwrap_or_else(|| panic!("no peak rss line: {stdout}"))
+    };
+    let (short, long) = (peak_mib(4_000), peak_mib(40_000));
+    assert!(long <= 1.5 * short, "peak rss {short} MiB -> {long} MiB");
 }
 
 /// `m` is capped at 64 (a partition set is one `u64` mask): `run`,

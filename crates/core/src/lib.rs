@@ -9,9 +9,11 @@
 //!   Fig. 2 topology (JsonReader → PartitionCreators → Merger → Assigners → Joiners →
 //!   Reporter) on the Storm-like `ssj-runtime`: one runner
 //!   ([`run_topology_with`]) whose Reporter folds each window once, as it
-//!   closes, into a [`WindowResult`] for the run's sink. Its lock-step
-//!   reader ([`Reader::Lockstep`]) makes a run deterministic: the figures
-//!   and `ssj pipeline` take their numbers from it;
+//!   closes, into a [`WindowResult`] for the run's sink;
+//! * [`reader`] — the one reader spout, at most [`READER_LEAD`] panes ahead
+//!   of the sink. Its lock-step source ([`Reader::Lockstep`], lead 1) makes
+//!   a run deterministic: the figures and `ssj pipeline` take their numbers
+//!   from it;
 //! * [`stats`] — the whole-run aggregates and report sinks over
 //!   [`WindowResult`]s;
 //! * [`msg`] — the tuple type those components exchange.
@@ -52,6 +54,7 @@ pub mod creator;
 pub mod joiner;
 pub mod merger;
 pub mod msg;
+pub mod reader;
 pub mod spill;
 pub mod stats;
 pub mod topology;
@@ -60,14 +63,14 @@ pub mod wire;
 
 pub use config::{ConfigBuilder, ConfigError, StreamJoinConfig};
 pub use msg::{Msg, PaneRouting, TableMsg};
+pub use reader::{Reader, READER_LEAD};
 pub use spill::{SpillSettings, SpillStore};
 pub use ssj_join::{WindowError, WindowSpec};
 pub use stats::{Format, ReportSink, RunSummary};
 pub use topology::{
     canonicalize, ground_truth_pairs, materialize_joins, placement_for, run_topology,
     run_topology_collect, run_topology_paced, run_topology_relaunching, run_topology_with,
-    topology_dot, DistRuntime, LatencyReport, Reader, TopologyRunReport, WindowResult,
-    RUN_ATTEMPTS,
+    topology_dot, DistRuntime, LatencyReport, TopologyRunReport, WindowResult, RUN_ATTEMPTS,
 };
 pub use window::{windows, SegmentSpec};
 pub use wire::MsgCodec;

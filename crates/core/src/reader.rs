@@ -1,0 +1,274 @@
+//! The Fig. 2 JsonReader, the one spout of every run. It begins a pane only
+//! while fewer than [`Reader::lead`] panes are in flight — punctuated but
+//! not yet given to the run's sink, which the Reporter counts back with one
+//! credit per pane — whatever the source (DESIGN.md §7 "Backpressure").
+
+use crate::msg::Msg;
+use parking_lot::Mutex;
+use ssj_json::{Dictionary, DocRef, DocumentReader};
+use ssj_runtime::{Spout, SpoutEmit};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, OnceLock};
+use std::time::{Duration, Instant};
+
+/// Panes a free-running reader may run ahead of the sink; the lock-step
+/// reader runs one.
+pub const READER_LEAD: usize = 4;
+
+/// Where a run's documents come from. Every source but
+/// [`Reader::Lockstep`] punctuates each `config.pane_docs()` documents and
+/// once more after a partial pane.
+pub enum Reader {
+    /// Replay the documents as fast as the credit loop lets them go.
+    Docs(Vec<DocRef>),
+    /// Open-loop pacing: document `i` enters `schedule[i]` ns after the
+    /// first, and [`crate::WindowResult::latency`] charges it from then, so
+    /// a stalled topology (or reader) shows as latency, not a slow source.
+    Paced(Vec<DocRef>, Vec<u64>),
+    /// One pane per inner `Vec`, whatever its length, at a lead of 1: pane
+    /// `p + 1` is read once pane `p` has reached the sink, so every θ signal
+    /// and δ-request of pane `p` lands before pane `p + 1`, every run.
+    Lockstep(Vec<Vec<DocRef>>),
+    /// A JSON Lines file streamed into the run's dictionary, with ids `0, 1,
+    /// …` in file order. A bad line or a read error ends the stream before
+    /// its pane, and the run returns [`ssj_runtime::RunError::Input`].
+    File(PathBuf),
+}
+
+/// A source's panes, in order; a failure ends them.
+type Panes = Box<dyn Iterator<Item = Result<Vec<DocRef>, String>> + Send>;
+
+impl Reader {
+    /// Panes the reader may run ahead of the sink.
+    pub fn lead(&self) -> usize {
+        match self {
+            Reader::Lockstep(_) => 1,
+            _ => READER_LEAD,
+        }
+    }
+
+    /// The reader spout of an attempt that starts at pane `p` of `pane`
+    /// documents, and the Reporter's end of its credit loop. The attempt
+    /// reads documents `[p·pane..]` with the paced schedule rebased to its
+    /// first due time, lock-step panes `[p..]`, or the file reopened with
+    /// its first `p` panes read again and dropped — their pairs are in
+    /// `dict` already, so no id moves.
+    pub(crate) fn spout(&self, p: usize, pane: usize, dict: &Dictionary) -> (ReaderSpout, Credit) {
+        let at = p * pane;
+        let chunks = |docs: &[DocRef]| -> Panes {
+            let panes: Vec<_> = docs[at.min(docs.len())..]
+                .chunks(pane)
+                .map(<[_]>::to_vec)
+                .collect();
+            Box::new(panes.into_iter().map(Ok))
+        };
+        let (panes, schedule) = match self {
+            Reader::Docs(docs) => (chunks(docs), None),
+            Reader::Paced(docs, schedule) => {
+                assert_eq!(docs.len(), schedule.len(), "one arrival time per document");
+                let at = at.min(docs.len());
+                let first = schedule.get(at).copied().unwrap_or(0);
+                let rebased = schedule[at..].iter().map(|t| t.saturating_sub(first));
+                (chunks(docs), Some(rebased.collect()))
+            }
+            Reader::Lockstep(panes) => {
+                let panes: Vec<_> = panes[p.min(panes.len())..].to_vec();
+                (Box::new(panes.into_iter().map(Ok)) as Panes, None)
+            }
+            Reader::File(path) => (streamed(path, dict, p, pane), None),
+        };
+        let (grant, credit) = mpsc::channel();
+        let begun = Arc::new(AtomicU64::new(0));
+        let spout = ReaderSpout {
+            panes,
+            pane: None,
+            credit,
+            allowed: self.lead() as u64,
+            begun: Arc::clone(&begun),
+            schedule,
+            anchor: Arc::default(),
+            emitted: 0,
+            failure: Arc::default(),
+        };
+        (spout, Credit(grant, begun, 0, 0))
+    }
+}
+
+/// The panes of `path` from pane `p` on. The chunk-parallel loader reads
+/// them on a thread of its own, at most a pane ahead of the reader, so
+/// parsing overlaps the run; the panes before `p` are read again and
+/// dropped. A failure ends the stream before its pane.
+fn streamed(path: &Path, dict: &Dictionary, p: usize, pane: usize) -> Panes {
+    let name = path.display().to_string();
+    let file = match std::fs::File::open(path) {
+        Ok(file) => file,
+        Err(e) => return Box::new(std::iter::once(Err(format!("open {name}: {e}")))),
+    };
+    let reader = DocumentReader::new(file, dict.clone(), 0);
+    let (tx, rx) = mpsc::sync_channel(0);
+    std::thread::spawn(move || {
+        let (mut skip, mut docs) = (p * pane, Vec::with_capacity(pane));
+        // Until the file ends or the reader is gone.
+        let read = reader.read_blocks(|block| {
+            let skipped = skip.min(block.len());
+            skip -= skipped;
+            for doc in block.into_iter().skip(skipped) {
+                docs.push(Arc::new(doc));
+                if docs.len() == pane && tx.send(Ok(std::mem::take(&mut docs))).is_err() {
+                    return false;
+                }
+            }
+            true
+        });
+        let last = read.map(|()| docs).map_err(|e| format!("{name}: {e}"));
+        if !matches!(&last, Ok(docs) if docs.is_empty()) {
+            let _ = tx.send(last);
+        }
+    });
+    Box::new(rx.into_iter())
+}
+
+/// The reader spout of one attempt.
+pub(crate) struct ReaderSpout {
+    panes: Panes,
+    /// The rest of the pane being read, if one is.
+    pane: Option<std::vec::IntoIter<DocRef>>,
+    /// One credit per pane the sink got; disconnected once no Reporter is
+    /// left to grant one.
+    credit: mpsc::Receiver<()>,
+    /// Panes the reader may begin: its lead plus the credits it got.
+    allowed: u64,
+    /// Panes begun, read by the Reporter to report the lead.
+    begun: Arc<AtomicU64>,
+    /// [`Reader::Paced`]: document `i` is due `schedule[i]` ns after the
+    /// anchor, set at the first document.
+    pub(crate) schedule: Option<Arc<[u64]>>,
+    pub(crate) anchor: Arc<OnceLock<Instant>>,
+    emitted: usize,
+    /// The failure that ended the stream, which the run then returns.
+    pub(crate) failure: Arc<Mutex<Option<String>>>,
+}
+
+impl Spout<Msg> for ReaderSpout {
+    fn next(&mut self) -> SpoutEmit<Msg> {
+        let begun = self.begun.load(Ordering::Relaxed);
+        if let Some(pane) = &mut self.pane {
+            let Some(doc) = pane.next() else {
+                self.pane = None;
+                return SpoutEmit::Punctuate(begun - 1);
+            };
+            if let Some(schedule) = &self.schedule {
+                let anchor = *self.anchor.get_or_init(Instant::now);
+                let due = Duration::from_nanos(schedule[self.emitted]);
+                if let Some(early) = due.checked_sub(anchor.elapsed()) {
+                    std::thread::sleep(early);
+                }
+                self.emitted += 1;
+            }
+            return SpoutEmit::Message(Msg::Doc(doc));
+        }
+        let pane = match self.panes.next() {
+            None => return SpoutEmit::Done,
+            Some(Err(e)) => {
+                *self.failure.lock() = Some(e);
+                return SpoutEmit::Done;
+            }
+            Some(Ok(pane)) => pane,
+        };
+        while begun == self.allowed {
+            if self.credit.recv().is_err() {
+                // The sink side is gone: end the stream, the run reports why.
+                return SpoutEmit::Done;
+            }
+            self.allowed += 1;
+        }
+        self.begun.store(begun + 1, Ordering::Release);
+        self.pane = Some(pane.into_iter());
+        self.next()
+    }
+}
+
+/// The Reporter's end of the credit loop: the grants' sender, the panes
+/// the reader began, the panes granted and the reader's largest lead.
+pub(crate) struct Credit(mpsc::Sender<()>, Arc<AtomicU64>, u64, u64);
+
+impl Credit {
+    /// A pane reached the sink: let the reader begin one more. Returns how
+    /// many panes the reader's largest lead grew by; its lead only grows
+    /// between grants, so it peaks just before one.
+    pub(crate) fn grant(&mut self) -> u64 {
+        let Credit(grants, begun, granted, largest) = self;
+        let lead = begun.load(Ordering::Acquire) - *granted;
+        *granted += 1;
+        let _ = grants.send(());
+        let grew = lead.saturating_sub(*largest);
+        *largest += grew;
+        grew
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ssj_json::{write_documents_jsonl, DocId, Document};
+
+    /// What the spout of `reader` at pane `p` of 2 documents emits: a
+    /// document's id, or `|` for a punctuation; and its failure. No
+    /// Reporter is left to grant credit, so it ends after its lead.
+    fn emitted(reader: &Reader, p: usize, dict: &Dictionary) -> (String, Option<String>) {
+        let (mut spout, _) = reader.spout(p, 2, dict);
+        let mut out = String::new();
+        loop {
+            match spout.next() {
+                SpoutEmit::Message(Msg::Doc(doc)) => out += &doc.id().0.to_string(),
+                SpoutEmit::Punctuate(_) => out += "|",
+                _ => break,
+            }
+        }
+        let failure = spout.failure.lock().take();
+        (out, failure)
+    }
+
+    #[test]
+    fn every_source_starts_at_a_pane() {
+        let dict = Dictionary::new();
+        let docs: Vec<Document> = (0..5u64)
+            .map(|i| Document::from_json(DocId(i), &format!(r#"{{"a":{i}}}"#), &dict).unwrap())
+            .collect();
+        let refs: Vec<DocRef> = docs.iter().cloned().map(Arc::new).collect();
+        let tail = ("23|4|".to_string(), None);
+        let at = |reader: &Reader, p| emitted(reader, p, &dict);
+        assert_eq!(at(&Reader::Docs(refs.clone()), 1), tail);
+        assert_eq!(at(&Reader::Docs(refs.clone()), 3), (String::new(), None));
+
+        let paced = Reader::Paced(refs.clone(), vec![5, 15, 25, 35, 45]);
+        let (spout, _) = paced.spout(1, 2, &dict);
+        assert_eq!(spout.schedule.as_deref(), Some(&[0, 10, 20][..]));
+        assert_eq!(at(&paced, 1), tail);
+
+        // A lock-step reader stops after one pane without credit.
+        let panes = Reader::Lockstep(vec![refs[..3].to_vec(), Vec::new(), refs[3..].to_vec()]);
+        assert_eq!(at(&panes, 1), ("|".to_string(), None));
+        assert_eq!(at(&panes, 2), ("34|".to_string(), None));
+        assert_eq!((panes.lead(), paced.lead()), (1, READER_LEAD));
+
+        // A file reopened at pane 1: the same ids, through a dictionary that
+        // already holds the skipped documents' pairs or starts empty.
+        let path = std::env::temp_dir().join(format!("ssj-reader-{}.jsonl", std::process::id()));
+        let mut file = std::fs::File::create(&path).unwrap();
+        write_documents_jsonl(&mut file, &docs, &dict).unwrap();
+        let file = Reader::File(path.clone());
+        assert_eq!(at(&file, 1), tail);
+        assert_eq!(emitted(&file, 1, &Dictionary::new()), tail);
+        // A bad line: the panes before its own, then the failure.
+        std::fs::write(&path, "{\"a\":0}\n{\"a\":1}\n{\"a\":2}\n{oops\n{\"a\":4}\n").unwrap();
+        let (out, failure) = at(&file, 0);
+        assert_eq!(out, "01|");
+        let failure = failure.expect("a failure");
+        assert!(failure.starts_with(&format!("{}: line 4: ", path.display())));
+        std::fs::remove_file(&path).unwrap();
+        let (out, failure) = at(&file, 0);
+        assert!(out.is_empty() && failure.unwrap().starts_with("open "));
+    }
+}

@@ -27,11 +27,9 @@
 //! [`run_topology_with`] is the one runner; [`run_topology_collect`] is that
 //! runner with a sink that collects a [`TopologyRunReport`].
 //!
-//! [`Reader::Lockstep`] makes a run deterministic: it reads pane `p + 1` only
-//! once pane `p` has reached the sink, so every θ signal and δ-request of
-//! pane `p` takes effect at boundary `p + 1`. With one Assigner and batch 1
-//! that is the single Router the paper's figures model; the figures and
-//! `ssj pipeline` run it.
+//! The reader ([`crate::reader`]) runs at most its lead of panes ahead of
+//! the sink. Lock-step ([`Reader::Lockstep`], lead 1) with one Assigner and
+//! batch 1 is the single Router the paper's figures model.
 
 use crate::assign::Assigner;
 use crate::config::StreamJoinConfig;
@@ -39,18 +37,18 @@ use crate::creator::PartitionCreator;
 use crate::joiner::Joiner;
 use crate::merger::Merger;
 use crate::msg::{Msg, PaneRouting};
+use crate::reader::{Credit, Reader, ReaderSpout};
 use crate::spill::SpillSettings;
 use crate::wire::{dict_epoch, MsgCodec};
 use parking_lot::Mutex;
-use ssj_json::{Dictionary, DocId, DocRef, Document, FxHashMap};
+use ssj_json::{Dictionary, DocId, Document, FxHashMap};
 use ssj_partition::WindowQuality;
 use ssj_runtime::{
     join_group, metrics::Histogram, run, run_distributed, Bolt, FaultPlan, GroupSetup, Grouping,
-    HistogramSnapshot, Outbox, PacedSpout, RunError, RunReport, Spout, SpoutEmit, TaskInstruments,
-    TopologyBuilder, VecSpout,
+    HistogramSnapshot, Outbox, RunError, RunReport, TaskInstruments, TopologyBuilder,
 };
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// One closed window (pane, under a sliding spec), as the run's sink gets it.
@@ -150,12 +148,13 @@ struct Reporter<S> {
     m: usize,
     pane: usize,
     sink: S,
-    /// [`Reader::Lockstep`] runs: one token per window handed to the sink.
-    /// It goes with the Reporter, so the reader learns when none is left.
-    delivered: Option<mpsc::Sender<()>>,
+    /// One credit per pane handed to the sink; the reader's largest lead is
+    /// counter `reader_lead`. It goes with the Reporter, so the reader
+    /// learns when none is left.
+    credit: Credit,
     /// Paced runs: document `i` is due `schedule[i]` ns after the anchor,
-    /// which the reader sets at its first emission.
-    schedule: Option<Vec<u64>>,
+    /// which the reader sets at its first document.
+    schedule: Option<Arc<[u64]>>,
     anchor: Arc<OnceLock<Instant>>,
     /// Per open window: the joiners' pair lists, held as they arrived so a
     /// `JoinStats` costs nothing before the latency stamp; the result so far.
@@ -216,25 +215,26 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
     }
 
     fn on_punct(&mut self, window: u64, _out: &mut Outbox<Msg>) {
-        let Some((raw, mut result)) = self.open.remove(&window) else {
-            return;
-        };
-        let t0 = Instant::now();
-        result.pairs.reserve(raw.iter().map(Vec::len).sum());
-        for pairs in &raw {
-            result.pairs.extend(pairs.iter().map(|(a, b)| (a.0, b.0)));
+        if let Some((raw, mut result)) = self.open.remove(&window) {
+            let t0 = Instant::now();
+            result.pairs.reserve(raw.iter().map(Vec::len).sum());
+            for pairs in &raw {
+                result.pairs.extend(pairs.iter().map(|(a, b)| (a.0, b.0)));
+            }
+            canonicalize(&mut result.pairs);
+            if let Some(inst) = &self.inst {
+                // emitted / unique: how often a pair is found on several joiners.
+                let emitted: usize = result.pairs_per_joiner.iter().sum();
+                inst.counter("pairs_emitted").add(emitted as u64);
+                inst.counter("pairs_unique").add(result.pairs.len() as u64);
+                inst.histogram("fold_ns").record(t0.elapsed());
+            }
+            (self.sink)(result);
         }
-        canonicalize(&mut result.pairs);
+        // After the sink: the lead counts the panes it has not been given.
+        let grew = self.credit.grant();
         if let Some(inst) = &self.inst {
-            // emitted / unique: how often a pair is found on several joiners.
-            let emitted: usize = result.pairs_per_joiner.iter().sum();
-            inst.counter("pairs_emitted").add(emitted as u64);
-            inst.counter("pairs_unique").add(result.pairs.len() as u64);
-            inst.histogram("fold_ns").record(t0.elapsed());
-        }
-        (self.sink)(result);
-        if let Some(delivered) = &self.delivered {
-            let _ = delivered.send(());
+            inst.counter("reader_lead").add(grew);
         }
     }
 }
@@ -242,53 +242,28 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
 /// Render the Fig. 2 topology (for the given configuration) as Graphviz
 /// DOT without running it.
 pub fn topology_dot(config: StreamJoinConfig) -> String {
-    let (dict, reader) = (Dictionary::new(), Reader::Docs(Vec::new()));
-    build(&config, &dict, reader, FaultPlan::new(), None, |_| {}).to_dot()
+    let dict = Dictionary::new();
+    let spout = Reader::Docs(Vec::new()).spout(0, config.pane_docs(), &dict);
+    let (topology, _) = build(&config, &dict, spout, FaultPlan::new(), None, |_| {});
+    topology.to_dot()
 }
 
-/// The Fig. 2 topology, reading from `reader` and reporting to `sink`.
+/// The Fig. 2 topology, reading with `reader` and reporting to `sink`, and
+/// where the reader leaves the input failure that ends its stream, if one
+/// does.
 fn build(
     config: &StreamJoinConfig,
     dict: &Dictionary,
-    reader: Reader,
+    (reader, credit): (ReaderSpout, Credit),
     plan: FaultPlan,
     spill: Option<Arc<SpillSettings>>,
     sink: impl FnMut(WindowResult) + Send + 'static,
-) -> ssj_runtime::Topology<Msg> {
+) -> (ssj_runtime::Topology<Msg>, Arc<Mutex<Option<String>>>) {
     // Punctuation is pane-granular: tumbling windows punctuate per window
     // (the 1-pane case), sliding windows per pane (DESIGN.md §4g).
     let window = config.pane_docs();
-    let msgs = |docs: Vec<DocRef>| docs.into_iter().map(Msg::Doc).collect::<Vec<_>>();
-    let anchor = Arc::default();
-    let mut delivered = None;
-    let (reader, schedule): (Box<dyn Spout<Msg>>, _) = match reader {
-        Reader::Docs(docs) => (
-            Box::new(VecSpout::with_punctuation(msgs(docs), window)),
-            None,
-        ),
-        Reader::Paced(docs, schedule) => {
-            let spout = PacedSpout::new(msgs(docs), schedule.clone(), window, Arc::clone(&anchor));
-            (Box::new(spout), Some(schedule))
-        }
-        Reader::Lockstep(panes) => {
-            let (tx, delivered_rx) = mpsc::channel();
-            delivered = Some(tx);
-            let emissions: Vec<_> = (0..)
-                .zip(panes)
-                .flat_map(|(p, pane)| {
-                    let docs = pane.into_iter().map(|d| SpoutEmit::Message(Msg::Doc(d)));
-                    docs.chain([SpoutEmit::Punctuate(p)])
-                })
-                .collect();
-            let spout = LockstepSpout {
-                emissions: emissions.into_iter(),
-                closing: false,
-                delivered: delivered_rx,
-            };
-            (Box::new(spout), None)
-        }
-        Reader::Spout(spout) => (spout, None),
-    };
+    let (anchor, failure) = (Arc::clone(&reader.anchor), Arc::clone(&reader.failure));
+    let schedule = reader.schedule.clone();
     // The reader and the Reporter are one task each, built once: they are
     // moved into their tasks.
     let reader = Mutex::new(Some(reader));
@@ -296,7 +271,7 @@ fn build(
         m: config.m,
         pane: window,
         sink,
-        delivered,
+        credit,
         schedule,
         anchor,
         open: FxHashMap::default(),
@@ -311,19 +286,16 @@ fn build(
     let assigner_cfg = config.clone();
     let joiner_cfg = config.clone();
     let joiner_spill = spill;
-    // Backpressure: keep the reader within roughly one window of the
-    // slowest Assigner so the Merger's adaptive feedback loop stays in
-    // (event-time) sync with the data path. Channel capacity counts
-    // envelopes, and with batched transport one envelope holds up to
-    // `batch_size` tuples, so the tuple budget is split between batch
-    // size and slot count. The batch itself is clamped to a fraction of
-    // the per-assigner window share: a batch the size of a whole window
-    // would let the reader run a full window ahead of the repartition
-    // signals, silently disabling §VI-A adaptivity.
+    // The credit loop bounds the reader's lead in panes; these set what
+    // the reader's bounded edges hold within a pane. Capacity counts
+    // envelopes of up to `batch` tuples, so an edge holds about one
+    // Assigner's share of a pane (at most 1024 tuples). The batch is at
+    // most a quarter of that share, so documents reach the Assigners while
+    // their pane is being read, not in one envelope at its end.
     let share = (window / config.assigners.max(1)).clamp(16, 1024);
     let batch = config.batch_size.min((share / 4).max(1));
     let capacity = (share / batch).max(4);
-    TopologyBuilder::new()
+    let topology = TopologyBuilder::new()
         .fault_plan(plan)
         .channel_capacity(capacity)
         .batch_size(batch)
@@ -331,10 +303,8 @@ fn build(
         .pool_workers(config.pool_workers)
         .pin_cores(config.pin_cores)
         .spout("reader", 1, move |_| {
-            reader
-                .lock()
-                .take()
-                .expect("the reader spout is built once")
+            let reader = reader.lock().take();
+            Box::new(reader.expect("the reader spout is built once"))
         })
         .bolt("creator", config.partition_creators, move |_| {
             Box::new(PartitionCreator::new(
@@ -373,7 +343,8 @@ fn build(
         .subscribe("merger", Grouping::Global)
         .done()
         .build()
-        .expect("Fig. 2 topology is valid")
+        .expect("Fig. 2 topology is valid");
+    (topology, failure)
 }
 
 /// Out-of-core tiering (DESIGN.md §4i): with a non-zero budget the stateful
@@ -396,72 +367,6 @@ fn spill_settings(
         dir,
         epoch: dict_epoch(dict),
     })))
-}
-
-/// Where a run's documents come from. Every variant but
-/// [`Reader::Lockstep`] punctuates each `config.pane_docs()` documents and
-/// once more after a partial pane.
-pub enum Reader {
-    /// Replay the documents as fast as the topology takes them.
-    Docs(Vec<DocRef>),
-    /// Open-loop pacing ([`PacedSpout`]): document `i` enters `schedule[i]`
-    /// ns after the first; fills [`WindowResult::latency`].
-    Paced(Vec<DocRef>, Vec<u64>),
-    /// One pane per inner `Vec`, whatever its length: the reader punctuates
-    /// after it and reads the next pane only once this one has reached the
-    /// sink. A free-running reader lets the creators run panes ahead of the
-    /// Assigners (whose inbox, fed by the Merger, is unbounded), so *when* a
-    /// θ signal or δ-request lands is a race; here it lands before the next
-    /// pane, every run. The stream ends early if no Reporter is left to
-    /// deliver a pane; the run then returns the Reporter's error.
-    Lockstep(Vec<Vec<DocRef>>),
-    /// Test seam, not API: a test-built reader spout (root
-    /// `tests/end_to_end.rs` gates one to observe incremental delivery). It
-    /// cannot start at a later pane, so a run over it is not resumed.
-    #[doc(hidden)]
-    Spout(Box<dyn Spout<Msg>>),
-}
-
-impl Reader {
-    /// The reader of an attempt that starts at pane `p` of `pane` documents:
-    /// documents `[p·pane..]`, the paced schedule rebased to its first due
-    /// time, lock-step panes `[p..]`. `None` for [`Reader::Spout`].
-    fn at_pane(&self, p: usize, pane: usize) -> Option<Reader> {
-        Some(match self {
-            Reader::Docs(docs) => Reader::Docs(docs[(p * pane).min(docs.len())..].to_vec()),
-            Reader::Paced(docs, schedule) => {
-                let at = (p * pane).min(docs.len());
-                let first = schedule.get(at).copied().unwrap_or(0);
-                let rebased = schedule[at..].iter().map(|t| t.saturating_sub(first));
-                Reader::Paced(docs[at..].to_vec(), rebased.collect())
-            }
-            Reader::Lockstep(panes) => Reader::Lockstep(panes[p.min(panes.len())..].to_vec()),
-            Reader::Spout(_) => return None,
-        })
-    }
-}
-
-/// The [`Reader::Lockstep`] spout: each pane's documents and punctuation,
-/// and after each punctuation a wait for the pane's result.
-struct LockstepSpout {
-    emissions: std::vec::IntoIter<SpoutEmit<Msg>>,
-    /// A pane was punctuated: wait for its result before reading on.
-    closing: bool,
-    /// One token per result the sink got; disconnected once no Reporter is
-    /// left to send one.
-    delivered: mpsc::Receiver<()>,
-}
-
-impl Spout<Msg> for LockstepSpout {
-    fn next(&mut self) -> SpoutEmit<Msg> {
-        if std::mem::take(&mut self.closing) && self.delivered.recv().is_err() {
-            // The sink side is gone: end the stream, the run reports why.
-            return SpoutEmit::Done;
-        }
-        let emission = self.emissions.next().unwrap_or(SpoutEmit::Done);
-        self.closing = matches!(emission, SpoutEmit::Punctuate(_));
-        emission
-    }
 }
 
 /// How many times a run is attempted before its failure is final: the
@@ -503,11 +408,11 @@ impl<S: FnMut(WindowResult)> Delivery<S> {
 /// A failed attempt — a task panicked ([`RunError::TaskPanicked`]) or a
 /// peer died ([`RunError::Transport`]) — is resumed, up to
 /// [`RUN_ATTEMPTS`] attempts: the topology is built afresh and its reader
-/// starts at the first pane of the first undelivered window's lookback. A window's
-/// pairs depend only on its panes, so the resumed windows are exact; the
-/// ones the sink already has are dropped (DESIGN.md §4d). A run over a
-/// [`Reader::Spout`], or a group member's run, is not resumed (see
-/// [`run_topology_relaunching`]).
+/// starts at the first pane of the first undelivered window's lookback. A
+/// window's pairs depend only on its panes, so the resumed windows are
+/// exact; the ones the sink already has are dropped (DESIGN.md §4d). A group
+/// member's run is not resumed (see [`run_topology_relaunching`]), nor is
+/// one whose input failed ([`RunError::Input`]).
 ///
 /// `plan` injects deterministic crashes ([`FaultPlan::for_attempt`]): tests
 /// crash tasks mid-run and assert the resumed output equals the plain run.
@@ -576,39 +481,34 @@ fn run_resuming(
         let delivery = Arc::clone(&delivery);
         move |w| delivery.lock().deliver(start, w)
     };
-    // A run resumes when all of it can be rebuilt: the reader at any pane,
-    // a group's other members by relaunching them.
-    if matches!(reader, Reader::Spout(_)) || (group.is_some() && relaunch.is_none()) {
-        let topology = build(&config, dict, reader, plan, spill, attempt_sink(0));
-        return run_attempt(&config, dict, topology, group);
-    }
+    // A group member cannot rebuild the others: the leader relaunches it.
+    let attempts = match (group, &relaunch) {
+        (Some(_), None) => 1,
+        _ => RUN_ATTEMPTS,
+    };
     let mut attempt = 0;
     loop {
         let delivered = delivery.lock().next;
         let start = resume_pane(delivered, config.panes_per_window());
-        let reader = reader
-            .at_pane(start as usize, config.pane_docs())
-            .expect("a resumable reader");
+        let spout = reader.spout(start as usize, config.pane_docs(), dict);
         let plan = plan.for_attempt(attempt);
-        let topology = build(
-            &config,
-            dict,
-            reader,
-            plan,
-            spill.clone(),
-            attempt_sink(start),
-        );
+        let sink = attempt_sink(start);
+        let (topology, failure) = build(&config, dict, spout, plan, spill.clone(), sink);
         let member = group.map(|dr| DistRuntime {
             attempt: dr.attempt + attempt,
             ..dr.clone()
         });
-        match run_attempt(&config, dict, topology, member.as_ref()) {
+        let outcome = run_attempt(&config, dict, topology, member.as_ref());
+        if let Some(e) = failure.lock().take() {
+            return Err(RunError::Input(e));
+        }
+        match outcome {
             Ok(mut report) => {
                 report.attempts = attempt + 1;
                 report.resumed = (attempt > 0).then_some((delivered, start));
                 return Ok(report);
             }
-            Err(e) if attempt + 1 < RUN_ATTEMPTS => {
+            Err(e) if attempt + 1 < attempts => {
                 attempt += 1;
                 if let (Some(relaunch), Some(_)) = (relaunch.as_mut(), group) {
                     relaunch(attempt, &e).map_err(RunError::Setup)?;
@@ -886,6 +786,35 @@ mod tests {
         }
     }
 
+    /// Pacing: document `i` enters no earlier than `schedule[i]` after the
+    /// first, and each pane's latency is charged from its documents' due
+    /// times, one sample per document.
+    #[test]
+    fn paced_run_keeps_its_schedule() {
+        let dict = Dictionary::new();
+        let docs = stream(&dict, 40);
+        let cfg = StreamJoinConfig::default()
+            .with_m(2)
+            .with_window_spec(crate::WindowSpec::tumbling(10))
+            .with_expansion(false)
+            .build()
+            .unwrap();
+        let schedule = (0..40).map(|i| i * 500_000).collect();
+        let t0 = Instant::now();
+        let (report, latency) =
+            run_topology_paced(cfg, &dict, docs.clone(), schedule, FaultPlan::new()).unwrap();
+        assert!(t0.elapsed() >= std::time::Duration::from_millis(19));
+        let panes: Vec<_> = latency
+            .per_window
+            .iter()
+            .map(|(w, h)| (*w, h.count))
+            .collect();
+        assert_eq!(panes, [(0, 10), (1, 10), (2, 10), (3, 10)]);
+        for (w, found) in report.joins_per_window.iter().enumerate() {
+            assert_eq!(found, &ground_truth_pairs(&docs[w * 10..(w + 1) * 10]));
+        }
+    }
+
     #[test]
     fn runtime_metrics_reported() {
         let dict = Dictionary::new();
@@ -1006,33 +935,6 @@ mod resume_tests {
             delivery.deliver(start, result(w));
         }
         assert_eq!(*got.lock(), (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn a_reader_starts_at_a_pane_by_slicing() {
-        let dict = Dictionary::new();
-        let docs: Vec<DocRef> = (0..5u64)
-            .map(|i| Arc::new(Document::from_json(DocId(i), r#"{"a":1}"#, &dict).unwrap()))
-            .collect();
-        let ids = |docs: &[DocRef]| docs.iter().map(|d| d.id().0).collect::<Vec<_>>();
-        let Some(Reader::Docs(tail)) = Reader::Docs(docs.clone()).at_pane(1, 2) else {
-            panic!("docs")
-        };
-        assert_eq!(ids(&tail), [2, 3, 4]);
-        let paced = Reader::Paced(docs.clone(), vec![5, 15, 25, 35, 45]);
-        let Some(Reader::Paced(tail, schedule)) = paced.at_pane(1, 2) else {
-            panic!("paced")
-        };
-        assert_eq!((ids(&tail), schedule), (vec![2, 3, 4], vec![0, 10, 20]));
-        let panes = Reader::Lockstep(docs.chunks(2).map(<[_]>::to_vec).collect());
-        let Some(Reader::Lockstep(tail)) = panes.at_pane(2, 2) else {
-            panic!("lockstep")
-        };
-        assert_eq!(tail.len(), 1);
-        assert_eq!(ids(&tail[0]), [4]);
-        assert!(Reader::Spout(Box::new(VecSpout::new(Vec::new())))
-            .at_pane(0, 2)
-            .is_none());
     }
 }
 

@@ -2,8 +2,9 @@
 //! report, pane for pane, exactly the brute-force join of its stream
 //! ([`oracle`]: every joinable pair less than a window apart, in the pane of
 //! its later document) — whatever the window shape, `m`, batch, parallelism,
-//! pool, expansion, partitioner, reader, process group, spill budget or
-//! injected crash — and deliver each window exactly once, in order. A case
+//! pool, expansion, partitioner, reader lead, source, process group, spill
+//! budget or injected crash — and deliver each window exactly once, in order,
+//! with the reader never more than the case's lead ahead of the sink. A case
 //! with a group, a spill budget or a crash must also equal the same case
 //! without it, and passes that axis's own check: a budget engages the spill
 //! tier (and no budget never does), a group's non-leaders report nothing, a
@@ -22,9 +23,10 @@ use ssj_bench::DataSet;
 use ssj_core::joiner::ARRIVAL_BATCH;
 use ssj_core::{
     run_topology_collect, DistRuntime, Reader, StreamJoinConfig, TopologyRunReport, WindowSpec,
+    READER_LEAD,
 };
 use ssj_join::SlidingJoiner;
-use ssj_json::{Dictionary, Document};
+use ssj_json::{write_documents_jsonl, Dictionary, Document};
 use ssj_partition::PartitionerKind::{self, Ag, Sc};
 use ssj_runtime::FaultPlan;
 use std::collections::HashMap;
@@ -45,6 +47,17 @@ enum Stream {
     Sessions(SkewConfig),
     /// `skewed_docs` over rwData: novel pairs force broadcasts.
     Skewed(SkewConfig),
+}
+
+/// How the reader gets a case's stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    /// The generated documents, in memory.
+    Memory,
+    /// The stream written as JSON Lines and streamed back from the file into
+    /// a fresh dictionary, which grows while the topology runs (expansion's
+    /// synthetic pairs included); results compare by `DocId`. Solo only.
+    File,
 }
 
 /// The churn most cases join: a fresh pair on every 7th document.
@@ -82,8 +95,10 @@ struct Case {
     pin: bool,
     expansion: bool,
     partitioner: PartitionerKind,
-    /// [`Reader::Lockstep`] instead of the free-running reader.
-    lockstep: bool,
+    /// Panes the reader may run ahead of the sink: 1 is
+    /// [`Reader::Lockstep`], [`READER_LEAD`] the free-running reader.
+    lead: usize,
+    source: Source,
     /// Members of a socket-linked group, one thread each (1 = solo).
     group: usize,
     /// `mem_budget` in bytes (0 = resident).
@@ -94,8 +109,8 @@ struct Case {
 
 impl Case {
     /// `docs` documents of `stream` under `spec`: m 3, batch 16, two
-    /// creators, two Assigners, expansion off, AG, free-running, solo,
-    /// resident, no crash.
+    /// creators, two Assigners, expansion off, AG, free-running over the
+    /// documents in memory, solo, resident, no crash.
     fn new(stream: Stream, docs: usize, spec: WindowSpec) -> Case {
         Case {
             stream,
@@ -109,7 +124,8 @@ impl Case {
             pin: false,
             expansion: false,
             partitioner: Ag,
-            lockstep: false,
+            lead: READER_LEAD,
+            source: Source::Memory,
             group: 1,
             spill: 0,
             crash: None,
@@ -176,13 +192,26 @@ fn run(case: &Case) -> TopologyRunReport {
                 socket_dir: dir.clone(),
                 attempt: 0,
             };
+            let input = dir.join("input.jsonl");
             std::thread::spawn(move || {
                 let (dict, docs) = case.generate();
-                let reader = if case.lockstep {
-                    lockstep_reader(docs.chunks(case.spec.pane_docs()))
-                } else {
-                    Reader::Docs(docs.into_iter().map(Arc::new).collect())
+                let (dict, reader) = match (case.source, case.lead) {
+                    (Source::File, _) => {
+                        assert_eq!(case.group, 1, "a group loads its input first");
+                        let ids = docs.iter().map(|d| d.id().0);
+                        assert!(ids.eq(0..docs.len() as u64), "file ids are line numbers");
+                        let mut file = std::fs::File::create(&input).unwrap();
+                        write_documents_jsonl(&mut file, &docs, &dict).unwrap();
+                        (Dictionary::new(), Reader::File(input))
+                    }
+                    (Source::Memory, 1) => {
+                        (dict, lockstep_reader(docs.chunks(case.spec.pane_docs())))
+                    }
+                    (Source::Memory, _) => {
+                        (dict, Reader::Docs(docs.into_iter().map(Arc::new).collect()))
+                    }
                 };
+                assert_eq!(reader.lead(), case.lead, "no such reader");
                 run_topology_collect(config, &dict, reader, plan, Some(&member))
             })
         })
@@ -262,6 +291,11 @@ fn check(case: &Case) -> TopologyRunReport {
         assert_runs_equal(&*base, &report);
     }
     let rt = &report.runtime;
+    let lead = rt.component_counter("reporter", "reader_lead");
+    assert!(
+        lead as usize <= case.lead,
+        "the reader ran {lead} panes ahead"
+    );
     if case.spill > 0 {
         assert!(
             rt.counter_total("spill_bytes") > 0,
@@ -396,7 +430,7 @@ fn pane_spanning_pairs_meet_across_a_rebuild() {
         batch: 64,
         creators: 1,
         assigners: 3,
-        lockstep: true,
+        lead: 1,
         ..Case::new(Stream::Sessions(skew), 300, WindowSpec::sliding(60, 3))
     });
     let rebuilt: Vec<bool> = report.routing.iter().map(|r| r.rebuilt).collect();
@@ -498,7 +532,7 @@ fn creator_lookback_crash(crash: Option<(&'static str, usize, u64, u64)>) -> Cas
     Case {
         m: 4,
         batch: 1,
-        lockstep: true,
+        lead: 1,
         crash,
         ..Case::new(Stream::Shifting, 640, WindowSpec::sliding(64, 4))
     }
@@ -548,7 +582,7 @@ fn sliding_repartition_reads_the_creators_spilled_lookback() {
     for spill in [0, BUDGET] {
         let case = Case {
             batch: 1,
-            lockstep: true,
+            lead: 1,
             spill,
             ..Case::new(Stream::Shifting, 960, WindowSpec::sliding(96, 4))
         };
@@ -575,13 +609,49 @@ fn spilled_crash_recovery_matches_resident() {
     });
 }
 
+/// The file source under expansion: the Creators intern synthetic pairs
+/// into the dictionary the reader is still filling, tumbling; and sliding
+/// under a spill budget.
+#[test]
+fn streamed_file_runs_match_the_oracle() {
+    check(&Case {
+        expansion: true,
+        source: Source::File,
+        ..Case::new(churn(31), 400, WindowSpec::tumbling(50))
+    });
+    check(&Case {
+        spill: BUDGET,
+        source: Source::File,
+        ..Case::new(churn(32), 240, WindowSpec::sliding(40, 3))
+    });
+}
+
+/// A crash over the file source: the resumed attempt reopens the file and
+/// skips to its start pane. In pane 1 of 7 the reader has begun its lead
+/// and waits for credit, which the crash must end rather than hang; in
+/// pane 4 the Reporter dies with a window half reported.
+#[test]
+fn file_source_crash_reopens_the_file() {
+    for crash in [
+        ("joiner", 0, 1, 5),
+        ("creator", 1, 4, 3),
+        ("reporter", 0, 4, 1),
+    ] {
+        check(&Case {
+            source: Source::File,
+            ..sliding_crash(33, 40, crash)
+        });
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// The sampled axis table: stream (churn, per-window churn, Zipf
     /// sessions, Zipf-skewed rwData), pane, window shape, `m`, batch,
     /// creators, Assigners, pool size and pinning, expansion, partitioner,
-    /// reader, group size and spill budget.
+    /// reader lead, source (a file only for a solo free-running reader),
+    /// group size and spill budget.
     #[test]
     fn any_case_matches_the_oracle(
         seed in 0u64..1 << 40,
@@ -589,11 +659,13 @@ proptest! {
         width in (2usize..7, 0usize..4, 1usize..3, 1usize..4),
         schedule in (0usize..4, 0usize..4, any::<bool>(), any::<bool>()),
         placement in (0usize..5, 0usize..4, 0usize..3, any::<bool>()),
+        file in any::<bool>(),
     ) {
         let (stream, pane, panes, run_panes) = shape;
         let (m, batch, creators, assigners) = width;
         let (pool, partitioner, expansion, lockstep) = schedule;
         let (group, spill, zipf, pin) = placement;
+        let group = [1, 1, 1, 2, 3][group];
         let pane = [40, 60, 80][pane];
         let skew = SkewConfig { seed, keys: 6, s: [0.0, 0.9, 1.2][zipf], attach: 0.8 };
         let spec = match panes {
@@ -618,8 +690,9 @@ proptest! {
             pin,
             expansion: expansion && !spec.is_sliding(),
             partitioner: PartitionerKind::with_baselines()[partitioner],
-            lockstep,
-            group: [1, 1, 1, 2, 3][group],
+            lead: if lockstep { 1 } else { READER_LEAD },
+            source: if file && !lockstep && group == 1 { Source::File } else { Source::Memory },
+            group,
             spill: if spill == 0 { BUDGET } else { 0 },
             crash: None,
         });

@@ -118,6 +118,12 @@ const BLOCK_BYTES: usize = 256 * 1024;
 /// memory: the loader never holds more input than this, whatever the file.
 const BLOCKS_IN_FLIGHT_PER_WORKER: usize = 3;
 
+/// [`DocumentReader::read_blocks`] keeps what it read ahead until its
+/// caller takes it, so it reads smaller blocks and fewer ahead: 512 KiB of
+/// input on two cores, where `read_all` has 1.5 MiB.
+const STREAM_BLOCK_BYTES: usize = 128 * 1024;
+const STREAM_BLOCKS_IN_FLIGHT_PER_WORKER: usize = 2;
+
 /// Cuts a byte stream into blocks of whole lines.
 struct BlockReader<R> {
     reader: R,
@@ -402,8 +408,22 @@ impl<R: Read> DocumentReader<R> {
     /// Read the rest of the input with one worker thread per available
     /// core. Same documents, ids and error as collecting the iterator.
     pub fn read_all(self) -> Result<Vec<Document>, JsonLinesError> {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.read_all_with(workers, BLOCK_BYTES)
+        self.read_all_with(available_workers(), BLOCK_BYTES)
+    }
+
+    /// [`read_all`](Self::read_all) without holding the documents: each
+    /// block's go to `deliver`, in input order, as soon as they are
+    /// finished, and the read stops early once `deliver` returns `false`.
+    /// Before a failure `deliver` gets exactly the documents before the
+    /// failing line, as the iterator yields them.
+    pub fn read_blocks(
+        mut self,
+        mut deliver: impl FnMut(Vec<Document>) -> bool,
+    ) -> Result<(), JsonLinesError> {
+        self.blocks.block_bytes = STREAM_BLOCK_BYTES;
+        let workers = available_workers();
+        let in_flight = workers * STREAM_BLOCKS_IN_FLIGHT_PER_WORKER;
+        self.read_blocks_on(workers, in_flight, &mut deliver)
     }
 
     /// [`read_all`](Self::read_all) with a given number of worker threads
@@ -418,21 +438,35 @@ impl<R: Read> DocumentReader<R> {
         if workers <= 1 {
             return self.collect();
         }
-        let mut docs: Vec<Document> = self.ready.by_ref().collect();
-        if let Some(failure) = self.failure.take() {
-            return Err(failure);
-        }
-        if !self.finished {
-            for block in self.read_blocks_on(workers)? {
-                docs.extend(block);
-            }
-        }
+        let mut docs = Vec::new();
+        let in_flight = workers * BLOCKS_IN_FLIGHT_PER_WORKER;
+        self.read_blocks_on(workers, in_flight, &mut |block| {
+            docs.extend(block);
+            true
+        })?;
         Ok(docs)
     }
 
     /// The threaded pipeline: this thread reads and merges, `workers`
-    /// threads tokenise and finish. Returns the documents block by block.
-    fn read_blocks_on(&mut self, workers: usize) -> Result<Vec<Vec<Document>>, JsonLinesError> {
+    /// threads tokenise and finish, `max_in_flight` blocks at most. What the
+    /// iterator read already goes to `deliver` first, then the documents
+    /// block by block.
+    fn read_blocks_on(
+        &mut self,
+        workers: usize,
+        max_in_flight: usize,
+        deliver: &mut dyn FnMut(Vec<Document>) -> bool,
+    ) -> Result<(), JsonLinesError> {
+        let ready: Vec<Document> = self.ready.by_ref().collect();
+        if !ready.is_empty() && !deliver(ready) {
+            return Ok(());
+        }
+        if let Some(failure) = self.failure.take() {
+            return Err(failure);
+        }
+        if self.finished {
+            return Ok(());
+        }
         let setup = WorkerSetup {
             lenient: self.lenient,
             #[cfg(test)]
@@ -449,7 +483,7 @@ impl<R: Read> DocumentReader<R> {
             drop(done_tx);
             // `job_tx` goes out of use with this call, which is what lets
             // the workers (and with them the scope) end, error or not.
-            self.coordinate(job_tx, done_rx, workers * BLOCKS_IN_FLIGHT_PER_WORKER)
+            self.coordinate(job_tx, done_rx, max_in_flight, deliver)
         })
     }
 
@@ -458,18 +492,24 @@ impl<R: Read> DocumentReader<R> {
         jobs: mpsc::Sender<Job>,
         done: mpsc::Receiver<Done>,
         max_in_flight: usize,
-    ) -> Result<Vec<Vec<Document>>, JsonLinesError> {
+        deliver: &mut dyn FnMut(Vec<Document>) -> bool,
+    ) -> Result<(), JsonLinesError> {
         let worker_died =
             || JsonLinesError::Io(io::Error::other("a document-ingest worker thread panicked"));
-        let mut finished: Vec<Vec<Document>> = Vec::new();
-        // Tokenised blocks that arrived ahead of their turn to merge.
+        // Tokenised blocks that arrived ahead of their turn to merge, and
+        // finished ones ahead of their turn to be delivered.
         let mut early: BTreeMap<u64, Tokenised> = BTreeMap::new();
-        let (mut next_read, mut next_merge) = (0u64, 0u64);
+        let mut finished: BTreeMap<u64, Vec<Document>> = BTreeMap::new();
+        let (mut next_read, mut next_merge, mut next_out) = (0u64, 0u64, 0u64);
         let mut in_flight = 0;
         let mut input_done = false;
-        // A failed read counts as a failure of the lines after everything
-        // read before it: it is reported if nothing earlier fails.
-        let mut read_failure = None;
+        // The first failure in input order. A failed read counts as a
+        // failure of the lines after everything read before it, so a block
+        // read before it that fails to merge replaces it. After a merge
+        // failure nothing more is read or merged; the blocks before it, and
+        // the good lines of the failing one, are still finished.
+        let mut failure = None;
+        let mut merging = true;
         loop {
             while !input_done && in_flight < max_in_flight {
                 match self.blocks.next_block() {
@@ -482,7 +522,7 @@ impl<R: Read> DocumentReader<R> {
                     Ok(None) => input_done = true,
                     Err(e) => {
                         input_done = true;
-                        read_failure = Some(e);
+                        failure = Some(e.into());
                     }
                 }
             }
@@ -491,34 +531,41 @@ impl<R: Read> DocumentReader<R> {
             }
             match done.recv().map_err(|_| worker_died())? {
                 Done::Panicked => return Err(worker_died()),
+                // A block after a failed one.
+                Done::Tokenised(..) if !merging => in_flight -= 1,
                 Done::Tokenised(seq, block) => {
                     early.insert(seq, block);
                     while let Some(block) = early.remove(&next_merge) {
-                        let (unfinished, failure) = self.merger.merge(block);
-                        if let Some(failure) = failure {
-                            return Err(failure);
-                        }
+                        let (unfinished, failed) = self.merger.merge(block);
                         let job = Job::Finish(next_merge, unfinished);
                         jobs.send(job).map_err(|_| worker_died())?;
                         next_merge += 1;
+                        if failed.is_some() {
+                            (failure, input_done, merging) = (failed, true, false);
+                            in_flight -= std::mem::take(&mut early).len();
+                        }
                     }
                 }
                 Done::Finished(seq, docs) => {
-                    let seq = seq as usize;
-                    if finished.len() <= seq {
-                        finished.resize_with(seq + 1, Vec::new);
-                    }
-                    finished[seq] = docs;
+                    finished.insert(seq, docs);
                     in_flight -= 1;
+                    while let Some(docs) = finished.remove(&next_out) {
+                        next_out += 1;
+                        if !docs.is_empty() && !deliver(docs) {
+                            return Ok(());
+                        }
+                    }
                 }
             }
         }
         self.finished = true;
-        match read_failure {
-            Some(e) => Err(e.into()),
-            None => Ok(finished),
-        }
+        failure.map_or(Ok(()), Err)
     }
+}
+
+/// One worker per available core.
+fn available_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// What the coordinating thread asks of a worker; the number is the
@@ -772,6 +819,51 @@ mod tests {
                 good_lines.read_all_with(workers, 4),
                 Err(JsonLinesError::Io(_))
             ));
+        }
+    }
+
+    /// `read_blocks` hands over the iterator's documents in input order
+    /// block by block, stops when told to, and before a bad line delivers
+    /// exactly the good lines before it, however small the blocks.
+    #[test]
+    fn read_blocks_streams_what_the_iterator_yields() {
+        let lines: Vec<String> = (0..200).map(|i| format!("{{\"k\":{}}}", i % 7)).collect();
+        let ids = |docs: &[Document]| docs.iter().map(|d| d.id().0).collect::<Vec<_>>();
+        for bad in [None, Some(0), Some(57), Some(199)] {
+            let mut input = lines.clone();
+            if let Some(b) = bad {
+                input[b] = "{oops".into();
+            }
+            let input = input.join("\n");
+            let reader = || DocumentReader::new(Cursor::new(&input), Dictionary::new(), 0);
+            let truth: Vec<_> = reader().map_while(Result::ok).collect();
+            // The pipeline `read_blocks` runs, with small blocks.
+            let stream = |block_bytes, deliver: &mut dyn FnMut(Vec<Document>) -> bool| {
+                let mut r = reader();
+                r.blocks.block_bytes = block_bytes;
+                r.read_blocks_on(3, 6, deliver)
+            };
+            for block_bytes in [16, 64, 4096] {
+                let (mut got, mut blocks) = (Vec::new(), 0);
+                let read = stream(block_bytes, &mut |block| {
+                    blocks += 1;
+                    got.extend(block);
+                    true
+                });
+                assert_eq!(ids(&got), ids(&truth), "bad {bad:?}, block {block_bytes}");
+                assert_eq!(read.is_err(), bad.is_some());
+                assert!(blocks > 1 || block_bytes == 4096 || bad.is_some());
+                // Told to stop after the first block, it reads no further.
+                let mut first = None;
+                let _ = stream(block_bytes, &mut |block| first.replace(block).is_some());
+                assert!(first.is_none_or(|b| truth.starts_with(&b) && !b.is_empty()));
+            }
+            let mut got = Vec::new();
+            let read = reader().read_blocks(|block| {
+                got.extend(block);
+                true
+            });
+            assert_eq!((ids(&got), read.is_err()), (ids(&truth), bad.is_some()));
         }
     }
 

@@ -237,6 +237,9 @@ pub enum RunError {
     /// The run could not be set up (a spill directory that cannot be
     /// created, a group that cannot be relaunched): nothing more ran.
     Setup(String),
+    /// The input failed mid-stream (a bad line, a read error): the windows
+    /// before it were delivered, none after. Not resumed.
+    Input(String),
 }
 
 impl fmt::Display for RunError {
@@ -248,7 +251,7 @@ impl fmt::Display for RunError {
             RunError::Transport(errs) => {
                 write!(f, "transport failed: {}", errs.join("; "))
             }
-            RunError::Setup(e) => f.write_str(e),
+            RunError::Setup(e) | RunError::Input(e) => f.write_str(e),
         }
     }
 }

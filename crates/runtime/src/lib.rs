@@ -173,91 +173,6 @@ impl<M: Send + 'static> Spout<M> for VecSpout<M> {
     }
 }
 
-/// A spout replaying items against a precomputed *virtual arrival
-/// schedule* (open-loop traffic): item `i` is held back until
-/// `schedule[i]` nanoseconds after the first emission. The schedule is
-/// pure data computed up front (no wall clock shapes it), so the same
-/// seed always offers the same load; only the pacing against it reads the
-/// clock. The shared `anchor` is set at the first emission — latency
-/// consumers subtract `schedule[i]` from time-since-anchor, charging each
-/// tuple from its *intended* arrival rather than its actual send, so
-/// queueing delay in an overloaded topology shows up as latency instead
-/// of being absorbed by a slowed-down source (no coordinated omission).
-///
-/// Punctuates after every `punct_every` items and once more at the end,
-/// like [`VecSpout::with_punctuation`].
-pub struct PacedSpout<M> {
-    items: std::vec::IntoIter<M>,
-    schedule: std::vec::IntoIter<u64>,
-    punct_every: usize,
-    since_punct: usize,
-    next_punct: u64,
-    done: bool,
-    anchor: Arc<std::sync::OnceLock<std::time::Instant>>,
-}
-
-impl<M: Send + 'static> PacedSpout<M> {
-    /// Pace `items` against `schedule` (same length, non-decreasing
-    /// virtual nanoseconds), punctuating every `punct_every` items.
-    pub fn new(
-        items: Vec<M>,
-        schedule: Vec<u64>,
-        punct_every: usize,
-        anchor: Arc<std::sync::OnceLock<std::time::Instant>>,
-    ) -> Self {
-        assert_eq!(items.len(), schedule.len(), "one arrival time per item");
-        PacedSpout {
-            items: items.into_iter(),
-            schedule: schedule.into_iter(),
-            punct_every: punct_every.max(1),
-            since_punct: 0,
-            next_punct: 0,
-            done: false,
-            anchor,
-        }
-    }
-}
-
-impl<M: Send + 'static> Spout<M> for PacedSpout<M> {
-    fn next(&mut self) -> SpoutEmit<M> {
-        if self.done {
-            return SpoutEmit::Done;
-        }
-        if self.since_punct == self.punct_every {
-            self.since_punct = 0;
-            let p = self.next_punct;
-            self.next_punct += 1;
-            return SpoutEmit::Punctuate(p);
-        }
-        match (self.items.next(), self.schedule.next()) {
-            (Some(m), Some(at)) => {
-                let anchor = *self.anchor.get_or_init(std::time::Instant::now);
-                // Sleep in coarse slices, then let the final slice land us
-                // at (or just past) the scheduled instant.
-                loop {
-                    let elapsed = anchor.elapsed().as_nanos() as u64;
-                    if elapsed >= at {
-                        break;
-                    }
-                    let left = at - elapsed;
-                    std::thread::sleep(std::time::Duration::from_nanos(left.min(200_000)));
-                }
-                self.since_punct += 1;
-                SpoutEmit::Message(m)
-            }
-            _ => {
-                self.done = true;
-                if self.since_punct > 0 {
-                    let p = self.next_punct;
-                    self.next_punct += 1;
-                    return SpoutEmit::Punctuate(p);
-                }
-                SpoutEmit::Done
-            }
-        }
-    }
-}
-
 /// Wrap a closure as a bolt.
 pub fn fn_bolt<M, F>(f: F) -> Box<dyn Bolt<M>>
 where
@@ -842,55 +757,6 @@ mod batch_tests {
             .unwrap();
         let report = run(t).unwrap();
         assert_eq!(report.received_per_task("bcast"), vec![10, 10, 10]);
-    }
-}
-
-#[cfg(test)]
-mod paced_tests {
-    use super::*;
-
-    #[test]
-    fn paced_spout_respects_schedule_and_punctuates() {
-        // 40 items, 0.5 ms apart: the run takes at least ~20 ms and window
-        // contents match the unpaced equivalent.
-        let sink = CollectorBolt::new();
-        let handle = sink.handle();
-        let anchor = Arc::new(std::sync::OnceLock::new());
-        let a2 = Arc::clone(&anchor);
-        let schedule: Vec<u64> = (0..40u64).map(|i| i * 500_000).collect();
-        let t = TopologyBuilder::new()
-            .spout("src", 1, move |_| {
-                Box::new(PacedSpout::new(
-                    (0..40).collect(),
-                    schedule.clone(),
-                    10,
-                    Arc::clone(&a2),
-                ))
-            })
-            .bolt("sink", 1, move |_| Box::new(sink.clone()))
-            .subscribe("src", Grouping::Global)
-            .done()
-            .build()
-            .unwrap();
-        let t0 = std::time::Instant::now();
-        let report = run(t).unwrap();
-        assert!(
-            t0.elapsed() >= std::time::Duration::from_millis(19),
-            "pacing must stretch the run"
-        );
-        let mut got = handle.take();
-        got.sort();
-        assert_eq!(got, (0..40).collect::<Vec<_>>());
-        assert_eq!(
-            report
-                .tasks
-                .iter()
-                .find(|t| t.component == "src")
-                .unwrap()
-                .counter("puncts"),
-            4
-        );
-        assert!(anchor.get().is_some(), "anchor set at first emission");
     }
 }
 

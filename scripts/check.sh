@@ -88,10 +88,13 @@ stage "histogram accuracy" cargo test -q -p ssj-runtime --test histogram_error
 # byte-flipped encodings of every Msg tag: an error, never a panic; a joiner
 # id or table width beyond the run's m — or beyond 64 — is a named error),
 # 2-worker Unix-socket CLI run incl. a killed-and-relaunched worker: the
-# streamed --joins-out files byte-identical, one line per window;
-# --joins-out failures, an unusable --spill-dir, a truncated or malformed
-# --input, an m outside 1..=64 and a snapshot table claiming more partitions
-# are named errors.
+# streamed --joins-out files byte-identical, one line per window, and the
+# resume pane named; --joins-out failures, an unusable --spill-dir, an m
+# outside 1..=64 and a snapshot table claiming more partitions are named
+# errors. A solo run streams its --input: a truncated or malformed file is
+# exit 1 naming the line after exactly the windows before it (a 2-process
+# group, which loads first, before any window), and peak RSS on a 10x longer
+# stream stays within 1.5x.
 stage "wire codec" cargo test -q -p ssj-core --test wire_codec
 stage "distributed CLI" cargo test -q -p ssj-cli --test distributed
 
@@ -99,12 +102,17 @@ stage "distributed CLI" cargo test -q -p ssj-cli --test distributed
 stage "route-cache expiry" cargo test -q -p ssj-core --test route_cache_expiry
 
 # The reporter hands each window to the run's sink once, in order, canonical,
-# while the stream is still being read — also across a reporter crashed
-# mid-window (tumbling and sliding, the run resumed); a lock-step run whose
-# reporter dies in every attempt ends in the reporter's error within seconds.
+# while the stream is still being read: the reader, in memory or streaming a
+# file, never runs more than READER_LEAD panes ahead of the sink (its
+# reported lead; a reader without credit stops at its lead) — also across a
+# reporter crashed mid-window (tumbling and sliding, the run resumed, over
+# the file source too); a lock-step run whose reporter dies in every attempt
+# ends in the reporter's error within seconds.
 result_path() {
     cargo test -q --test end_to_end results_leave_the_topology_window_by_window
+    cargo test -q -p ssj-core --lib reader::
     cargo test -q -p ssj-core --test differential reporter_crash
+    cargo test -q -p ssj-core --test differential file_source
     cargo test -q -p ssj-core --test lockstep reporter_crash
 }
 stage "result path" result_path

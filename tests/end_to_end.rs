@@ -594,125 +594,93 @@ fn event_time_windows_drive_the_pipeline() {
 
 /// The one result path, driven directly: `run_topology_with` hands the sink
 /// each window once, in window order, already canonical, with the joiners'
-/// pre-dedup counts — and does so *while the stream is still being read*.
-/// The reader below will not emit the last window before the sink has seen
-/// window 0 (it gives up after 30 s, which the final assertion reports), so
-/// a result path that held results until end-of-stream cannot pass.
+/// pre-dedup counts — and does so *while the stream is still being read*:
+/// the reader runs at most `READER_LEAD` panes ahead of the sink (the
+/// Reporter's `reader_lead` counter), fewer than the run's 8, so a result
+/// path that held results until end-of-stream would stall it. Documents in
+/// memory and a JSON Lines file streamed into a fresh dictionary, tumbling
+/// and sliding.
 #[test]
 fn results_leave_the_topology_window_by_window() {
-    use schema_free_stream_joins::ssj_core::{run_topology_with, Msg, Reader, WindowResult};
-    use schema_free_stream_joins::ssj_runtime::{Spout, SpoutEmit, VecSpout};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{mpsc, Arc, Mutex};
-    use std::time::Duration;
+    use schema_free_stream_joins::ssj_core::{run_topology_with, WindowResult, READER_LEAD};
+    use schema_free_stream_joins::ssj_json::write_documents_jsonl;
+    use std::sync::Mutex;
 
     const PANE: usize = 120;
     const WINDOWS: usize = 8;
-
-    /// Counts emissions and stops before document `hold_at` until released.
-    struct GatedReader {
-        inner: VecSpout<Msg>,
-        emitted: Arc<AtomicUsize>,
-        hold_at: usize,
-        held: bool,
-        release: mpsc::Receiver<()>,
-    }
-    impl Spout<Msg> for GatedReader {
-        fn next(&mut self) -> SpoutEmit<Msg> {
-            if !self.held && self.emitted.load(Ordering::SeqCst) == self.hold_at {
-                self.held = true;
-                let _ = self.release.recv_timeout(Duration::from_secs(30));
-            }
-            let emission = self.inner.next();
-            if let SpoutEmit::Message(_) = emission {
-                self.emitted.fetch_add(1, Ordering::SeqCst);
-            }
-            emission
-        }
-    }
+    let source = Dictionary::new();
+    let docs = serverlog(&source, PANE * WINDOWS);
+    let path = std::env::temp_dir().join(format!("ssj-e2e-results-{}.jsonl", std::process::id()));
+    let mut file = std::fs::File::create(&path).expect("create input");
+    write_documents_jsonl(&mut file, &docs, &source).expect("write input");
 
     for spec in [WindowSpec::tumbling(PANE), WindowSpec::sliding(PANE, 4)] {
-        let dict = Dictionary::new();
-        let docs = serverlog(&dict, PANE * WINDOWS);
-        let cfg = StreamJoinConfig::default()
-            .with_m(4)
-            .with_window_spec(spec)
-            .with_expansion(false)
-            .with_metrics(true)
-            .build()
-            .unwrap();
-        let msgs = docs
-            .iter()
-            .cloned()
-            .map(|d| Msg::Doc(Arc::new(d)))
-            .collect();
-        let emitted = Arc::new(AtomicUsize::new(0));
-        let (released, release) = mpsc::channel();
-        let reader = GatedReader {
-            inner: VecSpout::with_punctuation(msgs, PANE),
-            emitted: Arc::clone(&emitted),
-            hold_at: PANE * (WINDOWS - 1),
-            held: false,
-            release,
-        };
-        // Per sink call: the result, and how far the reader had got.
-        let calls: Arc<Mutex<Vec<(WindowResult, usize)>>> = Arc::default();
-        let sink = {
-            let (calls, emitted) = (Arc::clone(&calls), Arc::clone(&emitted));
-            move |w: WindowResult| {
-                // Read the reader's position before letting it go on.
-                let at = emitted.load(Ordering::SeqCst);
-                let _ = released.send(());
-                calls.lock().unwrap().push((w, at));
-            }
-        };
-        let reader = Reader::Spout(Box::new(reader));
-        let runtime =
-            run_topology_with(cfg, &dict, reader, FaultPlan::new(), None, sink).expect("run");
-
-        let calls = std::mem::take(&mut *calls.lock().unwrap());
-        let ids: Vec<u64> = calls.iter().map(|(w, _)| w.window).collect();
-        assert_eq!(ids, (0..WINDOWS as u64).collect::<Vec<_>>(), "{spec:?}");
         let truth = oracle(&docs, spec).windows;
-        let (mut emitted_pairs, mut unique_pairs) = (0, 0);
-        for ((w, _), truth) in calls.iter().zip(&truth) {
-            assert!(
-                w.pairs.windows(2).all(|p| p[0] < p[1]) && w.pairs.iter().all(|(a, b)| a < b),
-                "{spec:?} window {}: not canonical",
-                w.window
+        for streamed in [false, true] {
+            let (dict, reader) = if streamed {
+                (Dictionary::new(), Reader::File(path.clone()))
+            } else {
+                let docs = docs.iter().cloned().map(Arc::new).collect();
+                (source.clone(), Reader::Docs(docs))
+            };
+            let cfg = StreamJoinConfig::default()
+                .with_m(4)
+                .with_window_spec(spec)
+                .with_expansion(false)
+                .with_metrics(true)
+                .build()
+                .unwrap();
+            let calls: Arc<Mutex<Vec<WindowResult>>> = Arc::default();
+            let sink = {
+                let calls = Arc::clone(&calls);
+                move |w: WindowResult| calls.lock().unwrap().push(w)
+            };
+            let runtime =
+                run_topology_with(cfg, &dict, reader, FaultPlan::new(), None, sink).expect("run");
+            let calls = std::mem::take(&mut *calls.lock().unwrap());
+            let ids: Vec<u64> = calls.iter().map(|w| w.window).collect();
+            let case = format!("{spec:?}, streamed {streamed}");
+            assert_eq!(ids, (0..WINDOWS as u64).collect::<Vec<_>>(), "{case}");
+            let (mut emitted_pairs, mut unique_pairs) = (0, 0);
+            for (w, truth) in calls.iter().zip(&truth) {
+                assert!(
+                    w.pairs.windows(2).all(|p| p[0] < p[1]) && w.pairs.iter().all(|(a, b)| a < b),
+                    "{case} window {}: not canonical",
+                    w.window
+                );
+                assert_eq!(&w.pairs, truth, "{case} window {}", w.window);
+                assert_eq!(w.docs_per_joiner.len(), 4);
+                emitted_pairs += w.pairs_per_joiner.iter().sum::<usize>() as u64;
+                unique_pairs += w.pairs.len() as u64;
+            }
+            assert!(unique_pairs > 0 && emitted_pairs >= unique_pairs);
+            // The joiners' own count of what they sent, and the reporter's
+            // instruments, agree with what the sink was told.
+            assert_eq!(
+                runtime.component_counter("joiner", "join_pairs"),
+                emitted_pairs
             );
-            assert_eq!(&w.pairs, truth, "{spec:?} window {}", w.window);
-            assert_eq!(w.docs_per_joiner.len(), 4);
-            emitted_pairs += w.pairs_per_joiner.iter().sum::<usize>() as u64;
-            unique_pairs += w.pairs.len() as u64;
+            assert_eq!(
+                runtime.component_counter("reporter", "pairs_emitted"),
+                emitted_pairs
+            );
+            assert_eq!(
+                runtime.component_counter("reporter", "pairs_unique"),
+                unique_pairs
+            );
+            let folds = runtime
+                .tasks
+                .iter()
+                .find(|t| t.component == "reporter")
+                .and_then(|t| t.histogram("fold_ns"))
+                .map(|h| h.count);
+            assert_eq!(folds, Some(WINDOWS as u64), "{case}: one fold per window");
+            let lead = runtime.component_counter("reporter", "reader_lead");
+            assert!(
+                (1..=READER_LEAD as u64).contains(&lead),
+                "{case}: the reader ran {lead} panes ahead of the sink"
+            );
         }
-        assert!(unique_pairs > 0 && emitted_pairs >= unique_pairs);
-        // The joiners' own count of what they sent, and the reporter's
-        // instruments, agree with what the sink was told.
-        assert_eq!(
-            runtime.component_counter("joiner", "join_pairs"),
-            emitted_pairs
-        );
-        assert_eq!(
-            runtime.component_counter("reporter", "pairs_emitted"),
-            emitted_pairs
-        );
-        assert_eq!(
-            runtime.component_counter("reporter", "pairs_unique"),
-            unique_pairs
-        );
-        let folds = runtime
-            .tasks
-            .iter()
-            .find(|t| t.component == "reporter")
-            .and_then(|t| t.histogram("fold_ns"))
-            .map(|h| h.count);
-        assert_eq!(folds, Some(WINDOWS as u64), "{spec:?}: one fold per window");
-        assert!(
-            calls[0].1 <= PANE * (WINDOWS - 1),
-            "{spec:?}: window 0 was delivered only after the reader had emitted {} of {} documents",
-            calls[0].1,
-            PANE * WINDOWS
-        );
     }
+    let _ = std::fs::remove_file(&path);
 }
