@@ -193,7 +193,7 @@ pub mod testutil {
     //! What the differential tests share: the brute-force [`oracle`] every
     //! run is compared with, run-equivalence assertions with a readable
     //! per-window diff, the [`churn_stream`] most of them join, and what the
-    //! tests of the §VI-A feedback loop need: [`shifting_stream`], on which
+    //! tests of the §VI-A control loop need: [`shifting_stream`], on which
     //! a θ signal must fire, and [`lockstep_reader`], which makes its timing
     //! deterministic.
 
@@ -223,7 +223,7 @@ pub mod testutil {
     /// A joinable stream with churn: `n` documents with ids `0..n`, each a
     /// `grp` of three plus either a `user` / `sev` pair or (every
     /// `fresh_every`-th) a fresh pair that keeps the δ-tracker and the
-    /// repartition feedback loop busy.
+    /// repartition control loop busy.
     pub fn churn_stream(dict: &Dictionary, n: usize, churn: Churn) -> Vec<Document> {
         (0..n as u64)
             .map(|id| {

@@ -484,27 +484,69 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let mut out = joins_out.lock();
     println!(
         "{} documents, {} windows, {} join pairs in {:.3}s ({:.0} docs/s)",
-        out.docs,
+        out.routing.docs,
         out.windows,
         out.pairs,
         elapsed.as_secs_f64(),
-        out.docs as f64 / elapsed.as_secs_f64().max(1e-9)
+        out.routing.docs as f64 / elapsed.as_secs_f64().max(1e-9)
     );
+    println!("{}", out.routing);
     out.failed.take().map_or(Ok(()), Err)
 }
 
 /// The sink of `ssj run`: counts the windows the reporter hands over, their
-/// documents and pairs, and keeps nothing else of them. With `--joins-out`
+/// documents, pairs and routing, and keeps nothing else of them. With `--joins-out`
 /// it first appends the window to that file as one `w: a-b a-b ...` line,
 /// in its canonical form (two files are byte-comparable).
 struct JoinsOut {
     /// `--joins-out`: the path and the open file.
     file: Option<(String, File)>,
     windows: usize,
-    docs: usize,
     pairs: usize,
+    routing: RoutingTotals,
     /// The first write error: no line is written after it (none after a gap).
     failed: Option<String>,
+}
+
+/// What the control plane did over a run, summed from the windows'
+/// routing: one line of `ssj run`'s output. The same stream and flags give
+/// the same line, solo or as a group.
+#[derive(Default)]
+struct RoutingTotals {
+    /// Panes whose boundary rebuilt the partitions after a θ signal.
+    rebuilds: usize,
+    /// Panes whose boundary deployed a δ-refreshed table.
+    refreshes: usize,
+    /// δ-updates applied.
+    updates: usize,
+    broadcasts: usize,
+    /// Documents routed.
+    docs: usize,
+}
+
+impl RoutingTotals {
+    fn add(&mut self, r: &ssj_core::PaneRouting) {
+        self.rebuilds += r.rebuilt as usize;
+        self.refreshes += (r.updates > 0) as usize;
+        self.updates += r.updates;
+        self.broadcasts += r.broadcasts;
+        self.docs += r.docs;
+    }
+}
+
+impl std::fmt::Display for RoutingTotals {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "routing: {} tables deployed after the bootstrap ({} rebuilt, {} δ-refreshed), \
+             {} δ-updates, broadcast share {:.4}",
+            self.rebuilds + self.refreshes,
+            self.rebuilds,
+            self.refreshes,
+            self.updates,
+            self.broadcasts as f64 / self.docs.max(1) as f64
+        )
+    }
 }
 
 impl JoinsOut {
@@ -519,16 +561,16 @@ impl JoinsOut {
         Ok(JoinsOut {
             file: path.map(str::to_owned).zip(file),
             windows: 0,
-            docs: 0,
             pairs: 0,
+            routing: RoutingTotals::default(),
             failed: None,
         })
     }
 
     fn window(&mut self, w: WindowResult) {
         self.windows += 1;
-        self.docs += w.routing.docs;
         self.pairs += w.pairs.len();
+        self.routing.add(&w.routing);
         let (Some((path, file)), None) = (&mut self.file, &self.failed) else {
             return;
         };

@@ -295,3 +295,46 @@ fn out_of_range_m_is_a_named_error() {
         "{stderr}"
     );
 }
+
+/// `ssj run`'s routing line — tables deployed, δ-updates, broadcast share —
+/// is a function of the stream: two solo runs and a 2-process group over
+/// one file print the same line. The Assigners' δ-requests ride the
+/// reader's credit and act at a fixed pane, whatever the threads' timing.
+#[test]
+fn the_routing_line_is_the_same_in_every_run() {
+    let input = out_path("routing-input");
+    let generated = Command::new(bin())
+        .args([
+            "generate",
+            "--dataset",
+            "nb",
+            "--seed",
+            "1",
+            "--count",
+            "6000",
+        ])
+        .args(["--out", input.to_str().unwrap()])
+        .output()
+        .expect("launch ssj");
+    assert!(generated.status.success(), "{generated:?}");
+    let routing = |workers: &str| {
+        let out = Command::new(bin())
+            .args(["run", "--input", input.to_str().unwrap()])
+            .args(["--m", "4", "--creators", "1", "--assigners", "2"])
+            .args(["--window", "300", "--no-metrics", "--workers", workers])
+            .env_remove("SSJ_KILL_WORKER")
+            .output()
+            .expect("launch ssj");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "{stdout}");
+        let line = stdout.lines().find(|l| l.starts_with("routing: "));
+        line.unwrap_or_else(|| panic!("no routing line: {stdout}"))
+            .to_owned()
+    };
+    let lines = [routing("1"), routing("1"), routing("2")];
+    let _ = std::fs::remove_file(&input);
+    assert_eq!(lines[0], lines[1], "solo runs differ");
+    assert_eq!(lines[0], lines[2], "the group differs");
+    // Not vacuous: the δ-requests deployed refreshed tables.
+    assert!(!lines[0].starts_with("routing: 0 tables"), "{}", lines[0]);
+}

@@ -7,13 +7,11 @@
 //! the figures and `ssj pipeline` run that topology in lock-step
 //! ([`crate::Reader::Lockstep`]) with one Assigner, which is one `Router`.
 //!
-//! The pairs a pane requests as δ-updates leave with the pane's close, not
-//! one by one: the Merger's boundary `k` cannot wait for an Assigner that
-//! is still routing pane `k` (the Assigner's boundary `k` waits for the
-//! Merger's), so a request sent mid-pane would be applied at boundary `k`
-//! or `k + 1` depending on thread timing. Sent at the close, it is applied
-//! at the Merger's next boundary — in a lock-step run always `k + 1`, so
-//! the refreshed table routes pane `k + 2`.
+//! The pairs a pane requests as δ-updates, and its θ signal, leave with
+//! the pane's close, in the routing counts the Assigner sends the Reporter,
+//! and act at boundary `k + L` over the reader's credit ([`crate::reader`]):
+//! the table built there routes pane `k + L + 1`, in every run. Lock-step
+//! (`L = 1`) is §VI-A's `k → k + 1 → k + 2`.
 //!
 //! A [`TableMsg`] carries the window its partitions were *built* at, and a
 //! δ-refresh from the Merger repeats its build's window, so a deployment
@@ -32,12 +30,12 @@
 //! two routings: it neither becomes the baseline nor is tested against one.
 
 use crate::config::StreamJoinConfig;
-use crate::msg::{Msg, PaneRouting, TableMsg};
+use crate::msg::{Control, Msg, PaneRouting, TableMsg};
 use ssj_json::{AvpId, Dictionary, Document};
 use ssj_partition::{
     fingerprint_view, RepartitionPolicy, RouteScratch, RoutingStats, UnseenTracker, WindowQuality,
 };
-use ssj_runtime::{Bolt, Outbox, TaskInstruments, TraceKind};
+use ssj_runtime::{Bolt, Outbox, TaskInfo, TaskInstruments, TraceKind};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -277,11 +275,12 @@ impl Router {
 
 /// Assigner bolt (§III-A component 3): routes each document to the Joiners
 /// its [`Router`] names — all of them when it names none — and, as it
-/// closes a pane, relays the router's δ-update requests and θ signal to the
-/// Merger and the PartitionCreators, and the pane's counts to the Reporter.
+/// closes a pane, sends the Reporter the pane's counts with the router's
+/// δ-update requests and θ signal. It ignores the reader's broadcasts.
 pub struct Assigner {
     dict: Dictionary,
     router: Router,
+    task: usize,
     inst: Option<Arc<TaskInstruments>>,
 }
 
@@ -291,6 +290,7 @@ impl Assigner {
         Assigner {
             router: Router::new(&config),
             dict,
+            task: 0,
             inst: None,
         }
     }
@@ -299,6 +299,10 @@ impl Assigner {
 impl Bolt<Msg> for Assigner {
     fn attach_instruments(&mut self, inst: &Arc<TaskInstruments>) {
         self.inst = Some(Arc::clone(inst));
+    }
+
+    fn prepare(&mut self, info: &TaskInfo) {
+        self.task = info.task_index;
     }
 
     fn execute(&mut self, msg: Msg, out: &mut Outbox<Msg>) {
@@ -326,12 +330,6 @@ impl Bolt<Msg> for Assigner {
     fn on_punct(&mut self, window: u64, out: &mut Outbox<Msg>) {
         let close = self.router.close_pane(window);
         let requests = close.requests.len();
-        if requests > 0 {
-            out.emit(Msg::UpdateRequest(close.requests));
-        }
-        if close.signal {
-            out.emit(Msg::Repartition);
-        }
         let c = &close.counts;
         out.emit(Msg::Routing {
             window,
@@ -341,6 +339,13 @@ impl Bolt<Msg> for Assigner {
                 broadcasts: c.stats.broadcasts,
                 ..PaneRouting::default()
             },
+            control: Some(Box::new((
+                self.task,
+                Control {
+                    requests: close.requests,
+                    repartition: close.signal,
+                },
+            ))),
         });
         if let Some(inst) = &self.inst {
             inst.counter("routed_sends").add(c.stats.total_sends as u64);

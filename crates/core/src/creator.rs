@@ -3,7 +3,8 @@
 //! (re)partitioning is pending, runs phase 1 of the partitioning algorithm
 //! (equivalence → association groups) on it, forwarding the local groups to
 //! the Merger — or, for a centralized partitioner (SC, DS, Hash), forwards
-//! the share's documents for the Merger to build from.
+//! the share's documents for the Merger to build from. Creator 0 is also
+//! the Merger's one way to hear the reader's δ-requests.
 
 use crate::config::StreamJoinConfig;
 use crate::msg::Msg;
@@ -27,10 +28,11 @@ struct CreatorPane {
 /// PartitionCreator bolt (§IV-A phase 1).
 ///
 /// Runs the (expensive) association-group computation only when asked: on
-/// the very first window, and whenever an Assigner has signalled a
-/// repartition (§VI-A: "they inform the Partition Creators and the Merger
-/// that in the next window a recalculation of the partitions should be
-/// performed"). Between computations a document costs one push of its
+/// the very first window, and in a window the reader began with a
+/// [`Msg::Repartition`] (an Assigner's θ signal; §VI-A: "they inform the
+/// Partition Creators and the Merger that in the next window a
+/// recalculation of the partitions should be performed"). Between
+/// computations a document costs one push of its
 /// shared handle: the creator keeps its share of the lookback as a ring of
 /// panes (tumbling is the 1-pane ring) and builds views and groups from
 /// scratch, over exactly the retained panes, at a boundary that has a
@@ -140,7 +142,7 @@ impl Bolt<Msg> for PartitionCreator {
         }
     }
 
-    fn execute(&mut self, msg: Msg, _out: &mut Outbox<Msg>) {
+    fn execute(&mut self, msg: Msg, out: &mut Outbox<Msg>) {
         self.evicted = None;
         match msg {
             Msg::Doc(doc) => {
@@ -159,6 +161,13 @@ impl Bolt<Msg> for PartitionCreator {
                 }
             }
             Msg::Repartition => self.compute_pending = true,
+            // Shipped at once, not with the boundary's batch: the Merger
+            // applies the requests while the pane is read, off the close
+            // path.
+            Msg::UpdateRequest(_) if self.task == 0 => {
+                out.emit(msg);
+                out.flush();
+            }
             _ => {}
         }
     }

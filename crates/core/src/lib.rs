@@ -11,9 +11,9 @@
 //!   ([`run_topology_with`]) whose Reporter folds each window once, as it
 //!   closes, into a [`WindowResult`] for the run's sink;
 //! * [`reader`] — the one reader spout, at most [`READER_LEAD`] panes ahead
-//!   of the sink. Its lock-step source ([`Reader::Lockstep`], lead 1) makes
-//!   a run deterministic: the figures and `ssj pipeline` take their numbers
-//!   from it;
+//!   of the sink, and the §VI-A control plane. Its lock-step source
+//!   ([`Reader::Lockstep`], lead 1) runs §VI-A's "next window" timing: the
+//!   figures and `ssj pipeline` take their numbers from it;
 //! * [`stats`] — the whole-run aggregates and report sinks over
 //!   [`WindowResult`]s;
 //! * [`msg`] — the tuple type those components exchange.
@@ -62,7 +62,7 @@ pub mod window;
 pub mod wire;
 
 pub use config::{ConfigBuilder, ConfigError, StreamJoinConfig};
-pub use msg::{Msg, PaneRouting, TableMsg};
+pub use msg::{Control, Msg, PaneRouting, TableMsg};
 pub use reader::{Reader, READER_LEAD};
 pub use spill::{SpillSettings, SpillStore};
 pub use ssj_join::{WindowError, WindowSpec};

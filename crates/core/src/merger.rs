@@ -1,8 +1,9 @@
 //! The Merger bolt of the Fig. 2 topology (§IV-A consolidation, §VI-A
 //! updates): consolidates local groups into the global partitions (subset
 //! merging + duplicate elimination + greedy placement) and broadcasts the
-//! table to the Assigners; applies the Assigners' δ-update requests and
-//! broadcasts the refreshed table at the next boundary.
+//! table to the Assigners; applies the δ-update requests the reader
+//! broadcast at the start of the pane (creator 0 forwards them) and
+//! broadcasts the refreshed table at the pane's boundary.
 
 use crate::config::StreamJoinConfig;
 use crate::msg::{Msg, PaneRouting, TableMsg};
@@ -18,10 +19,9 @@ struct MergerState {
     /// window the partitions were built at ([`TableMsg::window`]).
     deployed: Option<Arc<TableMsg>>,
     /// The δ-updates applied since, to a copy of the deployed table taken
-    /// at the first of them. The Assigners send them with their pane's
-    /// close, so the first often arrives with the boundary that broadcasts
-    /// the refresh: the copy is on the close path, and the flat table keeps
-    /// it at O(m) allocations.
+    /// at the first of them. They arrive at the start of the pane whose
+    /// boundary broadcasts the refresh; the flat table keeps the copy at
+    /// O(m) allocations.
     updated: Option<PartitionTable>,
 }
 
@@ -180,6 +180,10 @@ impl Bolt<Msg> for Merger {
                 inst.trace(TraceKind::Table, window, std::time::Duration::ZERO);
             }
         }
-        out.emit(Msg::Routing { window, routing });
+        out.emit(Msg::Routing {
+            window,
+            routing,
+            control: None,
+        });
     }
 }

@@ -25,10 +25,10 @@ pub enum Msg {
     },
     /// The consolidated partition table broadcast by the Merger.
     Table(Arc<TableMsg>),
-    /// An Assigner asking the Merger, as it closes a pane, to add the
-    /// δ-frequent unseen pairs the pane met, in sighting order (never empty).
+    /// The reader, as it begins a pane, passing on [`Control::requests`]
+    /// (never empty); creator 0 forwards it to the Merger.
     UpdateRequest(Vec<AvpId>),
-    /// An Assigner signalling that partition quality degraded past θ.
+    /// The reader, as it begins a pane, passing on [`Control::repartition`].
     Repartition,
     /// One pane's routing counts for the Reporter: an Assigner's as it
     /// closes the pane, or the Merger's boundary.
@@ -37,6 +37,10 @@ pub enum Msg {
         window: u64,
         /// The sender's share of the pane's counts.
         routing: PaneRouting,
+        /// An Assigner's task index and what its pane asks of the control
+        /// plane; `None` from the Merger. Boxed, so that a `Msg` — every
+        /// document in a batch is one — stays as small as before.
+        control: Option<Box<(usize, Control)>>,
     },
     /// One Joiner's results for one window.
     JoinStats {
@@ -61,6 +65,30 @@ pub struct TableMsg {
     pub table: PartitionTable,
     /// The attribute expansion routing must apply, if any.
     pub expansion: Option<Expansion>,
+}
+
+/// What a pane asks of the §VI-A control plane, which its credit carries
+/// back to the reader (DESIGN.md §4 "Control plane").
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Control {
+    /// δ-frequent pairs the deployed table does not know, in request order.
+    pub requests: Vec<AvpId>,
+    /// Quality degraded past θ: recompute the partitions.
+    pub repartition: bool,
+}
+
+impl Control {
+    /// Every Assigner's `(task, control)` of a pane as one: the requests
+    /// concatenated in task order, the signals OR-ed.
+    pub(crate) fn merge(mut parts: Vec<(usize, Control)>) -> Control {
+        parts.sort_unstable_by_key(|part| part.0);
+        let repartition = parts.iter().any(|(_, c)| c.repartition);
+        let requests = parts.into_iter().flat_map(|(_, c)| c.requests).collect();
+        Control {
+            requests,
+            repartition,
+        }
+    }
 }
 
 /// What routing did to one pane. The Reporter sums the Assigners' closes
@@ -120,7 +148,9 @@ impl std::fmt::Debug for Msg {
             Msg::Table(t) => write!(f, "Table(w={})", t.window),
             Msg::UpdateRequest(avps) => write!(f, "UpdateRequest(n={})", avps.len()),
             Msg::Repartition => write!(f, "Repartition"),
-            Msg::Routing { window, routing } => write!(f, "Routing(w={window}, {routing:?})"),
+            Msg::Routing {
+                window, routing, ..
+            } => write!(f, "Routing(w={window}, {routing:?})"),
             Msg::JoinStats {
                 window,
                 joiner,

@@ -2,8 +2,12 @@
 //! while fewer than [`Reader::lead`] panes are in flight — punctuated but
 //! not yet given to the run's sink, which the Reporter counts back with one
 //! credit per pane — whatever the source (DESIGN.md §7 "Backpressure").
+//!
+//! The credit is the control plane too (DESIGN.md §4 "Control plane"): pane
+//! `k`'s credit carries the pane's [`Control`], which the reader broadcasts
+//! as it begins pane `k + L` (`L` its lead), whatever the threads' timing.
 
-use crate::msg::Msg;
+use crate::msg::{Control, Msg};
 use parking_lot::Mutex;
 use ssj_json::{Dictionary, DocRef, DocumentReader};
 use ssj_runtime::{Spout, SpoutEmit};
@@ -27,8 +31,9 @@ pub enum Reader {
     /// a stalled topology (or reader) shows as latency, not a slow source.
     Paced(Vec<DocRef>, Vec<u64>),
     /// One pane per inner `Vec`, whatever its length, at a lead of 1: pane
-    /// `p + 1` is read once pane `p` has reached the sink, so every θ signal
-    /// and δ-request of pane `p` lands before pane `p + 1`, every run.
+    /// `p + 1` is read once pane `p` has reached the sink, so the θ signal
+    /// and δ-requests of pane `p` act at boundary `p + 1` — §VI-A's "next
+    /// window".
     Lockstep(Vec<Vec<DocRef>>),
     /// A JSON Lines file streamed into the run's dictionary, with ids `0, 1,
     /// …` in file order. A bad line or a read error ends the stream before
@@ -83,8 +88,9 @@ impl Reader {
         let spout = ReaderSpout {
             panes,
             pane: None,
+            control: Vec::new(),
             credit,
-            allowed: self.lead() as u64,
+            lead: self.lead() as u64,
             begun: Arc::clone(&begun),
             schedule,
             anchor: Arc::default(),
@@ -134,11 +140,13 @@ pub(crate) struct ReaderSpout {
     panes: Panes,
     /// The rest of the pane being read, if one is.
     pane: Option<std::vec::IntoIter<DocRef>>,
-    /// One credit per pane the sink got; disconnected once no Reporter is
-    /// left to grant one.
-    credit: mpsc::Receiver<()>,
-    /// Panes the reader may begin: its lead plus the credits it got.
-    allowed: u64,
+    /// The control messages still to broadcast before the pane's documents.
+    control: Vec<Msg>,
+    /// One credit per pane the sink got, in pane order, with the pane's
+    /// control; disconnected once no Reporter is left to grant one.
+    credit: mpsc::Receiver<Control>,
+    /// Panes the reader may run ahead of the sink.
+    lead: u64,
     /// Panes begun, read by the Reporter to report the lead.
     begun: Arc<AtomicU64>,
     /// [`Reader::Paced`]: document `i` is due `schedule[i]` ns after the
@@ -152,6 +160,9 @@ pub(crate) struct ReaderSpout {
 
 impl Spout<Msg> for ReaderSpout {
     fn next(&mut self) -> SpoutEmit<Msg> {
+        if let Some(msg) = self.control.pop() {
+            return SpoutEmit::Broadcast(msg);
+        }
         let begun = self.begun.load(Ordering::Relaxed);
         if let Some(pane) = &mut self.pane {
             let Some(doc) = pane.next() else {
@@ -176,12 +187,20 @@ impl Spout<Msg> for ReaderSpout {
             }
             Some(Ok(pane)) => pane,
         };
-        while begun == self.allowed {
-            if self.credit.recv().is_err() {
+        // Pane `begun` needs the credit of pane `begun - lead`, and begins
+        // with its control.
+        if begun >= self.lead {
+            let Ok(control) = self.credit.recv() else {
                 // The sink side is gone: end the stream, the run reports why.
                 return SpoutEmit::Done;
+            };
+            // Popped from the back: the signal goes first.
+            if !control.requests.is_empty() {
+                self.control.push(Msg::UpdateRequest(control.requests));
             }
-            self.allowed += 1;
+            if control.repartition {
+                self.control.push(Msg::Repartition);
+            }
         }
         self.begun.store(begun + 1, Ordering::Release);
         self.pane = Some(pane.into_iter());
@@ -191,17 +210,18 @@ impl Spout<Msg> for ReaderSpout {
 
 /// The Reporter's end of the credit loop: the grants' sender, the panes
 /// the reader began, the panes granted and the reader's largest lead.
-pub(crate) struct Credit(mpsc::Sender<()>, Arc<AtomicU64>, u64, u64);
+pub(crate) struct Credit(mpsc::Sender<Control>, Arc<AtomicU64>, u64, u64);
 
 impl Credit {
-    /// A pane reached the sink: let the reader begin one more. Returns how
-    /// many panes the reader's largest lead grew by; its lead only grows
-    /// between grants, so it peaks just before one.
-    pub(crate) fn grant(&mut self) -> u64 {
+    /// A pane reached the sink: let the reader begin one more, and begin it
+    /// with the pane's `control`. Returns how many panes the reader's
+    /// largest lead grew by; its lead only grows between grants, so it
+    /// peaks just before one.
+    pub(crate) fn grant(&mut self, control: Control) -> u64 {
         let Credit(grants, begun, granted, largest) = self;
         let lead = begun.load(Ordering::Acquire) - *granted;
         *granted += 1;
-        let _ = grants.send(());
+        let _ = grants.send(control);
         let grew = lead.saturating_sub(*largest);
         *largest += grew;
         grew
@@ -270,5 +290,48 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
         let (out, failure) = at(&file, 0);
         assert!(out.is_empty() && failure.unwrap().starts_with("open "));
+    }
+
+    /// Pane `k + lead` begins with pane `k`'s control, broadcast to every
+    /// downstream task before the pane's documents: the signal, then the
+    /// requests. A credit without control begins a pane with none.
+    #[test]
+    fn a_pane_begins_with_the_control_of_the_pane_a_lead_before() {
+        let dict = Dictionary::new();
+        let refs: Vec<DocRef> = (0..3u64)
+            .map(|i| Arc::new(Document::from_json(DocId(i), r#"{"a":1}"#, &dict).unwrap()))
+            .collect();
+        let avp = refs[0].avps().next().unwrap();
+        let reader = Reader::Lockstep(refs.chunks(1).map(<[_]>::to_vec).collect());
+        let (mut spout, credit) = reader.spout(0, 1, &dict);
+        // The sink gets each pane as it is punctuated, and its credit
+        // carries the control the Assigners attached; then it is gone.
+        let mut credit = Some(credit);
+        let mut controls = [
+            Control {
+                requests: vec![avp, avp],
+                repartition: true,
+            },
+            Control::default(),
+        ]
+        .into_iter();
+        let mut out = String::new();
+        loop {
+            match spout.next() {
+                SpoutEmit::Message(Msg::Doc(doc)) => out += &doc.id().0.to_string(),
+                SpoutEmit::Broadcast(Msg::Repartition) => out += "R",
+                SpoutEmit::Broadcast(Msg::UpdateRequest(r)) => out += &format!("U{}", r.len()),
+                SpoutEmit::Punctuate(_) => {
+                    out += "|";
+                    match controls.next() {
+                        Some(control) => _ = credit.as_mut().unwrap().grant(control),
+                        None => credit = None,
+                    }
+                }
+                SpoutEmit::Done => break,
+                _ => panic!("unexpected emission"),
+            }
+        }
+        assert_eq!(out, "0|RU21|2|");
     }
 }

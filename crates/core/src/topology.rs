@@ -4,20 +4,24 @@
 //! ```text
 //!            shuffle                    global
 //! JsonReader ───────► PartitionCreator ───────► Merger (1)
-//!      │                                          │ all
-//!      │ shuffle                                  ▼
-//!      └────────────────────────────────────► Assigner ──direct──► Joiner (m)
-//!                                               │  ▲                  │
-//!                 feedback (updates, repartition)│  │                  │ global
-//!                                               ▼  │                  ▼
-//!                                             Merger              Reporter ──► sink
+//!  ▲   │                                          │ all
+//!  ┆   │ shuffle                                  ▼
+//!  ┆   └────────────────────────────────────► Assigner ──direct──► Joiner (m)
+//!  ┆                                              │ global            │ global
+//!  ┆                                              ▼                   ▼
+//!  └┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄ credit: δ-requests, θ signal ┄┄┄┄┄┄┄┄┄┄┄┄┄ Reporter ──► sink
 //! ```
 //!
-//! Forward edges form a DAG; the Assigner → Merger control traffic rides a
-//! feedback edge. Punctuation alignment gives the run streaming-consistent
-//! semantics: the Assigner routes window *k* documents with the table the
-//! Merger computed from window *k−1* (window 0 is broadcast — no table has
-//! been deployed yet).
+//! The edges form a DAG. Punctuation alignment gives the run
+//! streaming-consistent semantics: the Assigner routes window *k* documents
+//! with the table the Merger built at boundary *k−1* (window 0 is broadcast
+//! — no table has been deployed yet).
+//!
+//! The §VI-A control plane is the reader's credit loop (DESIGN.md §4
+//! "Control plane"): pane *k*'s δ-requests and θ signal go from the
+//! Assigners to the Reporter, back to the reader with pane *k*'s credit,
+//! and out as its broadcast at the start of pane *k + L* (`L` =
+//! [`Reader::lead`]), so they act at boundary *k + L* in every run.
 //!
 //! Results leave the topology as the stream goes: when a window's
 //! punctuation aligns, the Reporter folds its `JoinStats` once into a
@@ -29,14 +33,15 @@
 //!
 //! The reader ([`crate::reader`]) runs at most its lead of panes ahead of
 //! the sink. Lock-step ([`Reader::Lockstep`], lead 1) with one Assigner and
-//! batch 1 is the single Router the paper's figures model.
+//! batch 1 is the single Router the paper's figures model, and §VI-A's
+//! "next window" timing.
 
 use crate::assign::Assigner;
 use crate::config::StreamJoinConfig;
 use crate::creator::PartitionCreator;
 use crate::joiner::Joiner;
 use crate::merger::Merger;
-use crate::msg::{Msg, PaneRouting};
+use crate::msg::{Control, Msg, PaneRouting};
 use crate::reader::{Credit, Reader, ReaderSpout};
 use crate::spill::SpillSettings;
 use crate::wire::{dict_epoch, MsgCodec};
@@ -141,6 +146,9 @@ pub fn materialize_joins(pairs: &[(u64, u64)], docs: &[Document], first_id: u64)
 
 type RawPairs = Vec<(DocId, DocId)>;
 
+/// What the [`Reporter`] holds of a window it has not handed over yet.
+type OpenWindow = (Vec<RawPairs>, WindowResult, Vec<(usize, Control)>);
+
 /// The Fig. 2 Reporter: accumulates a window's `JoinStats` and, when the
 /// window's punctuation aligns (every joiner has reported it), folds them
 /// into the [`WindowResult`], gives that to the sink and keeps nothing.
@@ -157,8 +165,9 @@ struct Reporter<S> {
     schedule: Option<Arc<[u64]>>,
     anchor: Arc<OnceLock<Instant>>,
     /// Per open window: the joiners' pair lists, held as they arrived so a
-    /// `JoinStats` costs nothing before the latency stamp; the result so far.
-    open: FxHashMap<u64, (Vec<RawPairs>, WindowResult)>,
+    /// `JoinStats` costs nothing before the latency stamp; the result so
+    /// far; and the Assigners' controls, for the window's credit.
+    open: FxHashMap<u64, OpenWindow>,
     inst: Option<Arc<TaskInstruments>>,
 }
 
@@ -173,7 +182,7 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
             Msg::JoinStats { window, .. } | Msg::Routing { window, .. } => *window,
             _ => return,
         };
-        let (raw, result) = self.open.entry(window).or_insert_with(|| {
+        let (raw, result, controls) = self.open.entry(window).or_insert_with(|| {
             let result = WindowResult {
                 window,
                 pairs: Vec::new(),
@@ -182,7 +191,7 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
                 routing: PaneRouting::default(),
                 latency: None,
             };
-            (Vec::new(), result)
+            (Vec::new(), result, Vec::new())
         });
         let (joiner, docs, pairs) = match msg {
             Msg::JoinStats {
@@ -192,7 +201,13 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
                 ..
             } => (joiner, docs, pairs),
             // Each Assigner and the Merger report a pane once.
-            Msg::Routing { routing, .. } => return result.routing += routing,
+            Msg::Routing {
+                routing, control, ..
+            } => {
+                result.routing += routing;
+                controls.extend(control.map(|c| *c));
+                return;
+            }
             _ => return,
         };
         result.docs_per_joiner[joiner] = docs;
@@ -215,7 +230,9 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
     }
 
     fn on_punct(&mut self, window: u64, _out: &mut Outbox<Msg>) {
-        if let Some((raw, mut result)) = self.open.remove(&window) {
+        let mut control = Control::default();
+        if let Some((raw, mut result, controls)) = self.open.remove(&window) {
+            control = Control::merge(controls);
             let t0 = Instant::now();
             result.pairs.reserve(raw.iter().map(Vec::len).sum());
             for pairs in &raw {
@@ -232,7 +249,7 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
             (self.sink)(result);
         }
         // After the sink: the lead counts the panes it has not been given.
-        let grew = self.credit.grant();
+        let grew = self.credit.grant(control);
         if let Some(inst) = &self.inst {
             inst.counter("reader_lead").add(grew);
         }
@@ -314,14 +331,11 @@ fn build(
             ))
         })
         .subscribe("reader", Grouping::Shuffle)
-        // Repartition signals from the Assigners (§VI-A).
-        .subscribe_feedback("assigner", Grouping::All)
         .done()
         .bolt("merger", 1, move |_| {
             Box::new(Merger::new(merger_cfg.clone(), dict_merger.clone()))
         })
         .subscribe("creator", Grouping::Global)
-        .subscribe_feedback("assigner", Grouping::Global)
         .done()
         .bolt("assigner", config.assigners, move |_| {
             Box::new(Assigner::new(assigner_cfg.clone(), dict_assigner.clone()))
@@ -338,7 +352,7 @@ fn build(
             Box::new(reporter.lock().take().expect("the reporter is built once"))
         })
         .subscribe("joiner", Grouping::Global)
-        // Each pane's routing counts.
+        // Each pane's routing counts, and the Assigners' control.
         .subscribe("assigner", Grouping::Global)
         .subscribe("merger", Grouping::Global)
         .done()
@@ -826,11 +840,12 @@ mod tests {
             .build()
             .unwrap();
         let report = run_topology(cfg.clone(), &dict, docs).unwrap();
-        // Every document, plus each Assigner's routing counts of each pane
-        // on the feedback edge (window 1 meets no unknown pair, so there is
-        // no δ-request or θ signal).
-        let feedback = cfg.partition_creators * cfg.assigners * 2;
-        assert_eq!(report.runtime.received("creator"), 60 + feedback as u64);
+        // The creators get every document and nothing else: a pane's
+        // control would begin pane `k + READER_LEAD`, past the second and
+        // last. The Merger gets their bootstrap groups, one per creator.
+        assert_eq!(report.runtime.received("creator"), 60);
+        let creators = cfg.partition_creators as u64;
+        assert_eq!(report.runtime.received("merger"), creators);
         assert!(report.runtime.received("joiner") > 0);
         assert!(!report.docs_per_joiner.is_empty());
     }
@@ -852,7 +867,7 @@ mod tests {
         assert_eq!(rt.windows.len(), 3, "one snapshot per punctuated window");
         assert!(!rt.trace.is_empty(), "window-lifecycle trace retained");
         // Conservation through the document path: every doc the reader
-        // emits reaches the creators (plus any feedback control messages),
+        // emits reaches the creators (plus any control it broadcasts),
         // and every doc window-counted by the joiners matches the join
         // results' basis.
         assert!(rt.received("creator") >= 120);

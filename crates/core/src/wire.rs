@@ -26,7 +26,7 @@
 //! instead of a panic. Without a run, [`MsgCodec::new`] bounds them by
 //! [`MAX_PARTITIONS`], so no decoded table is ever wider than that.
 
-use crate::msg::{Msg, PaneRouting, TableMsg};
+use crate::msg::{Control, Msg, PaneRouting, TableMsg};
 use ssj_json::{AttrId, AvpId, Dictionary, DocId, Document, Pair, Scalar};
 use ssj_partition::{AssociationGroup, Expansion, PartitionTable, MAX_PARTITIONS};
 use ssj_runtime::wire::{fnv1a, put_str, put_varint, put_zigzag, Cursor, WireError};
@@ -177,6 +177,23 @@ impl MsgCodec {
         }
     }
 
+    fn put_avps(&self, out: &mut Vec<u8>, avps: &[AvpId]) {
+        put_varint(out, avps.len() as u64);
+        for &avp in avps {
+            self.put_avp(out, avp);
+        }
+    }
+
+    /// A pair list, grown as the pairs decode: never sized by the peer's
+    /// count.
+    fn get_avps(&self, c: &mut Cursor) -> Result<Vec<AvpId>, WireError> {
+        let mut avps = Vec::new();
+        for _ in 0..count(c)? {
+            avps.push(self.get_pair(c)?.avp);
+        }
+        Ok(avps)
+    }
+
     fn put_expansion(&self, out: &mut Vec<u8>, e: &Option<Expansion>) {
         match e {
             None => out.push(0),
@@ -241,10 +258,7 @@ impl WireCodec<Msg> for MsgCodec {
                 put_varint(out, groups.len() as u64);
                 for g in groups {
                     put_varint(out, g.load as u64);
-                    put_varint(out, g.avps.len() as u64);
-                    for &avp in &g.avps {
-                        self.put_avp(out, avp);
-                    }
+                    self.put_avps(out, &g.avps);
                 }
                 self.put_expansion(out, expansion);
             }
@@ -255,23 +269,20 @@ impl WireCodec<Msg> for MsgCodec {
                 put_varint(out, m as u64);
                 for p in 0..m as u32 {
                     put_varint(out, t.table.declared_load(p) as u64);
-                    let members = t.table.members(p);
-                    put_varint(out, members.len() as u64);
-                    for &avp in members {
-                        self.put_avp(out, avp);
-                    }
+                    self.put_avps(out, t.table.members(p));
                 }
                 self.put_expansion(out, &t.expansion);
             }
             Msg::UpdateRequest(avps) => {
                 out.push(TAG_UPDATE_REQUEST);
-                put_varint(out, avps.len() as u64);
-                for &avp in avps {
-                    self.put_avp(out, avp);
-                }
+                self.put_avps(out, avps);
             }
             Msg::Repartition => out.push(TAG_REPARTITION),
-            Msg::Routing { window, routing } => {
+            Msg::Routing {
+                window,
+                routing,
+                control,
+            } => {
                 out.push(TAG_ROUTING);
                 put_varint(out, *window);
                 put_varint(out, routing.docs as u64);
@@ -279,6 +290,15 @@ impl WireCodec<Msg> for MsgCodec {
                 put_varint(out, routing.broadcasts as u64);
                 out.push(routing.rebuilt as u8);
                 put_varint(out, routing.updates as u64);
+                match control {
+                    None => out.push(0),
+                    Some(control) => {
+                        let (task, control) = &**control;
+                        out.push(1 | (control.repartition as u8) << 1);
+                        put_varint(out, *task as u64);
+                        self.put_avps(out, &control.requests);
+                    }
+                }
             }
             Msg::JoinStats {
                 window,
@@ -317,11 +337,7 @@ impl WireCodec<Msg> for MsgCodec {
                 let mut groups = Vec::with_capacity(n);
                 for _ in 0..n {
                     let load = c.varint()? as usize;
-                    let k = count(c)?;
-                    let mut avps = Vec::with_capacity(k);
-                    for _ in 0..k {
-                        avps.push(self.get_pair(c)?.avp);
-                    }
+                    let avps = self.get_avps(c)?;
                     groups.push(AssociationGroup { avps, load });
                 }
                 Ok(Msg::LocalGroups {
@@ -353,14 +369,7 @@ impl WireCodec<Msg> for MsgCodec {
                     expansion: self.get_expansion(c)?,
                 })))
             }
-            TAG_UPDATE_REQUEST => {
-                // Grown as the pairs decode, never sized by the peer's count.
-                let mut avps = Vec::new();
-                for _ in 0..count(c)? {
-                    avps.push(self.get_pair(c)?.avp);
-                }
-                Ok(Msg::UpdateRequest(avps))
-            }
+            TAG_UPDATE_REQUEST => Ok(Msg::UpdateRequest(self.get_avps(c)?)),
             TAG_REPARTITION => Ok(Msg::Repartition),
             TAG_JOIN_STATS => {
                 let window = c.varint()?;
@@ -387,6 +396,19 @@ impl WireCodec<Msg> for MsgCodec {
                     broadcasts: c.varint()? as usize,
                     rebuilt: c.u8()? != 0,
                     updates: c.varint()? as usize,
+                },
+                // A flag byte — bit 0 an Assigner's, bit 1 its θ signal —
+                // then the Assigner's task and its requests.
+                control: match c.u8()? {
+                    0 => None,
+                    flags @ (1 | 3) => Some(Box::new((
+                        c.varint()? as usize,
+                        Control {
+                            requests: self.get_avps(c)?,
+                            repartition: flags == 3,
+                        },
+                    ))),
+                    t => return Err(WireError::BadTag(t)),
                 },
             }),
             t => Err(WireError::BadTag(t)),

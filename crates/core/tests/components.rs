@@ -1,9 +1,11 @@
 //! Component-level behaviour of the Fig. 2 topology, observed through the
 //! runtime's per-component counters.
 
-use ssj_bench::testutil::{lockstep_reader, shifting_stream};
+use ssj_bench::testutil::shifting_stream;
 use ssj_core::creator::PartitionCreator;
-use ssj_core::{run_topology, run_topology_collect, Msg, StreamJoinConfig, WindowSpec};
+use ssj_core::{
+    run_topology, run_topology_collect, Msg, Reader, StreamJoinConfig, WindowSpec, READER_LEAD,
+};
 use ssj_json::{Dictionary, DocId, Document};
 use ssj_partition::{association_groups, batch_views, Expansion, GroupIndex, View};
 use ssj_runtime::{CollectorBolt, FaultPlan, Grouping, TopologyBuilder, VecSpout};
@@ -66,50 +68,65 @@ fn config(m: usize, window: usize) -> StreamJoinConfig {
         .unwrap()
 }
 
+/// `(group computations, table broadcasts, Merger input)` of a run.
+fn control_counts(report: &ssj_core::TopologyRunReport) -> (u64, u64, u64) {
+    let rt = &report.runtime;
+    (
+        rt.component_counter("creator", "group_computations"),
+        rt.component_counter("merger", "table_broadcasts"),
+        rt.received("merger"),
+    )
+}
+
 #[test]
 fn creators_compute_only_when_needed_on_stable_streams() {
     let dict = Dictionary::new();
     let docs = stable_stream(&dict, 5, 100);
     let report = run_topology(config(3, 100), &dict, docs).unwrap();
-    // Merger traffic = LocalGroups + UpdateRequests + Repartition signals,
-    // next to each Assigner's routing counts of each pane (2 × 5). On a
-    // stable stream nothing degrades, so only the bootstrap window's
-    // LocalGroups (one per creator) and at most a few δ-updates arrive.
-    let merger_in = report.runtime.received("merger") - 2 * 5;
-    assert!(
-        merger_in <= 4,
-        "merger received {merger_in} messages on a stable stream"
-    );
+    // Every pane holds every pair, so the bootstrap table knows them all:
+    // no pane requests a δ-update or degrades. Each creator computes once,
+    // the Merger hears their two shares and broadcasts one table.
+    assert_eq!(control_counts(&report), (2, 1, 2));
 }
 
-/// Run in lock-step: a free-running reader lets the creators close panes
-/// before the Assigners' θ signals and δ-requests of the pane before reach
-/// them, so how many of those the Merger hears is a race.
+/// Runs on the free-running reader ([`READER_LEAD`] panes ahead). The θ
+/// signals and δ-requests of pane `k` ride pane `k`'s credit back to the
+/// reader, which broadcasts them as it begins pane `k + READER_LEAD`, so
+/// the builds and tables are a function of the stream. When they rode
+/// feedback edges, a creator could close pane `k + 1` before an Assigner's
+/// signal of pane `k` reached it, and what the Merger heard was a race.
 #[test]
 fn drift_makes_assigners_signal_and_creators_recompute() {
     let dict = Dictionary::new();
-    let docs = drifting_stream(&dict, 5, 100);
-    let mut cfg = config(3, 100);
-    cfg.theta = 0.1;
-    let reader = lockstep_reader(docs.chunks(100));
-    let report = run_topology_collect(cfg, &dict, reader, FaultPlan::new(), None).unwrap();
-    // Drift forces repartition signals; creators then send fresh groups in
-    // later windows, so the merger hears far more than the bootstrap pair
-    // (and the Assigners' routing counts, 2 × 5).
-    let merger_in = report.runtime.received("merger") - 2 * 5;
-    assert!(
-        merger_in > 4,
-        "merger received only {merger_in} messages despite heavy drift"
-    );
-    // And the merger must have broadcast more than one table: each assigner
-    // task receives every table (All grouping), next to the merger's
-    // routing counts of each pane (2 × 5).
-    let assigner_in = report.runtime.received("assigner") - 2 * 5;
-    let docs_received = 500u64; // shuffle share over both tasks sums to all
-    assert!(
-        assigner_in > docs_received + 2,
-        "assigners saw {assigner_in} messages; expected multiple tables"
-    );
+    let docs = drifting_stream(&dict, 12, 100);
+    let counts: Vec<_> = [1, 2, 8]
+        .into_iter()
+        .map(|pool| {
+            let mut cfg = config(3, 100);
+            cfg.theta = 0.1;
+            cfg.pool_workers = pool;
+            let docs = docs.iter().cloned().map(Arc::new).collect();
+            let reader = Reader::Docs(docs);
+            let report = run_topology_collect(cfg, &dict, reader, FaultPlan::new(), None).unwrap();
+            let rebuilt: Vec<u64> = (0..)
+                .zip(&report.routing)
+                .filter(|(_, r)| r.rebuilt)
+                .map(|(w, _)| w)
+                .collect();
+            (control_counts(&report), rebuilt)
+        })
+        .collect();
+    assert_eq!(counts[0], counts[1], "pool 1 vs 2");
+    assert_eq!(counts[0], counts[2], "pool 1 vs 8");
+    // Pane 1 is the baseline and pane 2, half novel, signals: both
+    // creators build a second time at boundary 2 + READER_LEAD = 6. Panes
+    // 2 to 7 each request their recurring novel pairs, forwarded to the
+    // Merger at boundaries 6 to 11: the rebuild drops pane 2's and already
+    // holds pane 6's, so the refreshes are at 7, 8, 9 and 11. The Merger
+    // hears four shares and six requests, and broadcasts the bootstrap,
+    // the rebuild and four refreshes.
+    let signal = 2 + READER_LEAD as u64;
+    assert_eq!(counts[0], ((4, 6, 10), vec![signal]));
 }
 
 #[test]

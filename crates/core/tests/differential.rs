@@ -6,7 +6,9 @@
 //! budget or injected crash — and deliver each window exactly once, in order,
 //! with the reader never more than the case's lead ahead of the sink. A case
 //! with a group, a spill budget or a crash must also equal the same case
-//! without it, and passes that axis's own check: a budget engages the spill
+//! without it — and, without a crash, route every pane exactly as it does:
+//! the control plane rides the reader's credit, so routing is a function of
+//! the stream — and passes that axis's own check: a budget engages the spill
 //! tier (and no budget never does), a group's non-leaders report nothing, a
 //! crash fails an attempt and the run resumes at the first pane of its
 //! first undelivered window's lookback.
@@ -16,14 +18,15 @@
 
 use proptest::prelude::*;
 use ssj_bench::testutil::{
-    assert_runs_equal, churn_stream, lockstep_reader, oracle, shifting_stream, Churn, RunWindows,
+    assert_runs_equal, assert_windows_equal, churn_stream, lockstep_reader, oracle,
+    shifting_stream, Churn, RunWindows,
 };
 use ssj_bench::traffic::{sessionized_docs, skewed_docs, SkewConfig};
 use ssj_bench::DataSet;
 use ssj_core::joiner::ARRIVAL_BATCH;
 use ssj_core::{
-    run_topology_collect, DistRuntime, Reader, StreamJoinConfig, TopologyRunReport, WindowSpec,
-    READER_LEAD,
+    run_topology_collect, DistRuntime, PaneRouting, Reader, StreamJoinConfig, TopologyRunReport,
+    WindowSpec, READER_LEAD,
 };
 use ssj_join::SlidingJoiner;
 use ssj_json::{write_documents_jsonl, Dictionary, Document};
@@ -238,15 +241,11 @@ impl Drop for Describe<'_> {
     }
 }
 
-type Memo = OnceLock<Mutex<HashMap<String, Arc<RunWindows>>>>;
+type Memo<T> = OnceLock<Mutex<HashMap<String, Arc<T>>>>;
 
 /// `windows()` computed once per `key` of `memo`: cases of one stream share
 /// its oracle, and crash coordinates share their plain run.
-fn memoized(
-    memo: &'static Memo,
-    key: String,
-    windows: impl FnOnce() -> RunWindows,
-) -> Arc<RunWindows> {
+fn memoized<T>(memo: &'static Memo<T>, key: String, windows: impl FnOnce() -> T) -> Arc<T> {
     let memo = memo.get_or_init(Default::default);
     if let Some(hit) = memo.lock().unwrap().get(&key) {
         return Arc::clone(hit);
@@ -259,8 +258,8 @@ fn memoized(
 /// Run `case` and hold it to the oracle and to its axes' checks. The
 /// oracle and the plain run are computed next to the case's run.
 fn check(case: &Case) -> TopologyRunReport {
-    static ORACLES: Memo = OnceLock::new();
-    static PLAIN_RUNS: Memo = OnceLock::new();
+    static ORACLES: Memo<RunWindows> = OnceLock::new();
+    static PLAIN_RUNS: Memo<(RunWindows, Vec<PaneRouting>)> = OnceLock::new();
     let _describe = Describe(case);
     // The same case without a group, a spill budget or a crash.
     let plain = Case {
@@ -275,20 +274,28 @@ fn check(case: &Case) -> TopologyRunReport {
             s.spawn(|| memoized(&ORACLES, stream, || oracle(&case.generate().1, case.spec)));
         let base = (case.group > 1 || case.spill > 0 || case.crash.is_some()).then(|| {
             s.spawn(|| {
-                memoized(&PLAIN_RUNS, format!("{plain:?}"), || RunWindows {
-                    windows: run(&plain).joins_per_window,
+                memoized(&PLAIN_RUNS, format!("{plain:?}"), || {
+                    let plain = run(&plain);
+                    let windows = plain.joins_per_window;
+                    (RunWindows { windows }, plain.routing)
                 })
             })
         });
         let report = run(case);
-        let join = |h: std::thread::ScopedJoinHandle<_>| h.join().expect("reference panicked");
+        fn join<T>(h: std::thread::ScopedJoinHandle<T>) -> T {
+            h.join().expect("reference panicked")
+        }
         (report, join(truth), base.map(join))
     });
     let panes = truth.windows.len() as u64;
     assert_eq!(report.windows, (0..panes).collect::<Vec<_>>(), "delivery");
     assert_runs_equal(&*truth, &report);
     if let Some(base) = base {
-        assert_runs_equal(&*base, &report);
+        assert_runs_equal(&base.0, &report);
+        // A resumed attempt bootstraps its routing afresh.
+        if case.crash.is_none() {
+            assert_windows_equal("routing", &base.1, &report.routing);
+        }
     }
     let rt = &report.runtime;
     let lead = rt.component_counter("reporter", "reader_lead");
@@ -500,17 +507,19 @@ fn reporter_crash_mid_window_delivers_every_window_once() {
 /// second time, over its half of every pane in the lookback.
 ///
 /// With a creator crashed in its window `w` (`w ≤ 6`), lock-step has
-/// delivered panes `0..w`, or `0..w − 1` when the crash lands on an
-/// Assigner's routing counts for pane `w − 1` (feedback, counted in the
-/// creator's window `w`, sent before that pane reaches the sink). The run
-/// resumes at pane `max(0, d − 3) ≤ 3`: the last attempt's creators
-/// bootstrap on that pane and re-read the whole lookback before boundary
-/// 6, so their counters are the plain run's.
+/// delivered exactly panes `0..w`: everything a creator gets in window `w`
+/// comes from the reader — the control it broadcasts as it begins pane `w`
+/// (the `Repartition` behind boundary 6, say), then the pane's documents —
+/// and the reader begins pane `w` only once pane
+/// `w − 1` has reached the sink. The run resumes at pane
+/// `max(0, w − 3) ≤ 3`: the last attempt's creators bootstrap on that pane
+/// and re-read the whole lookback before boundary 6, so their counters are
+/// the plain run's.
 fn assert_second_build_over_the_lookback(case: &Case) -> TopologyRunReport {
     let report = check(case);
     if let Some((_, _, window, _)) = case.crash {
         let (delivered, _) = report.runtime.resumed.expect("resumed");
-        assert!((window.saturating_sub(1)..=window).contains(&delivered));
+        assert_eq!(delivered, window, "resumed after the wrong window");
     }
     let (pane, lookback) = (case.spec.pane_docs(), case.spec.panes_per_window());
     let tasks = report.runtime.tasks.iter();

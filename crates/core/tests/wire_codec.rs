@@ -4,7 +4,7 @@
 //! byte-flipped or arbitrary frames are errors, never panics.
 
 use proptest::prelude::*;
-use ssj_core::{Msg, MsgCodec, PaneRouting, TableMsg};
+use ssj_core::{Control, Msg, MsgCodec, PaneRouting, TableMsg};
 use ssj_json::{Dictionary, DocId, Document, Scalar};
 use ssj_partition::{AssociationGroup, Expansion, PartitionTable};
 use ssj_runtime::wire::{decode_frame, encode_frame, Cursor, Frame, Payload, WireError};
@@ -114,6 +114,13 @@ fn every_tag_body(dict: &Dictionary, codec: &MsgCodec) -> Vec<Vec<u8>> {
         Msg::Routing {
             window: 4,
             routing: ROUTING,
+            control: Some(Box::new((
+                1,
+                Control {
+                    requests: vec![late.avp, known.avp],
+                    repartition: true,
+                },
+            ))),
         },
     ];
     msgs.into_iter()
@@ -317,8 +324,8 @@ proptest! {
 /// a `JoinStats` from a joiner `>= m` (the Reporter's per-joiner slot) and a
 /// `Table` wider than `m` (the Assigner's per-machine counts). The default
 /// codec of `MsgCodec::new`, bounded only by the 64-partition cap, accepts
-/// both. A `Routing` carries no task
-/// index (the Reporter sums the counts), so the run's codec takes any.
+/// both. A `Routing`'s Assigner index only orders the Assigners' requests
+/// (the Reporter sorts by it), so the run's codec takes any.
 #[test]
 fn run_codec_rejects_out_of_range_indices() {
     let dict = seeded_dict(10);
@@ -360,6 +367,7 @@ fn run_codec_rejects_out_of_range_indices() {
     let counts = Msg::Routing {
         window: u64::MAX,
         routing: ROUTING,
+        control: Some(Box::new((usize::MAX, Control::default()))),
     };
     assert!(decode(&bounded, &counts).is_ok());
     assert!(decode(&default, &stats(M)).is_ok());
@@ -504,18 +512,37 @@ fn control_plane_messages_roundtrip() {
     assert!(matches!(codec.decode(&mut c).unwrap(), Msg::Repartition));
     c.finish().unwrap();
 
-    let mut buf = Vec::new();
-    codec.encode(
-        &Msg::Routing {
+    // An Assigner's pane close carries its task, its requests and its
+    // signal; the Merger's carries none.
+    let control = Control {
+        requests: requests.clone(),
+        repartition: true,
+    };
+    for control in [
+        None,
+        Some(Box::new((3, control.clone()))),
+        Some(Box::new((0, Control::default()))),
+    ] {
+        let mut buf = Vec::new();
+        let msg = Msg::Routing {
             window: 11,
             routing: ROUTING,
-        },
-        &mut buf,
-    );
-    let mut c = Cursor::new(&buf);
-    let back = codec.decode(&mut c).unwrap();
-    assert!(matches!(back, Msg::Routing { window: 11, routing: r } if r == ROUTING));
-    c.finish().unwrap();
+            control: control.clone(),
+        };
+        codec.encode(&msg, &mut buf);
+        let mut c = Cursor::new(&buf);
+        let back = codec.decode(&mut c).unwrap();
+        let Msg::Routing {
+            window: 11,
+            routing,
+            control: back,
+        } = back
+        else {
+            panic!("kind changed");
+        };
+        assert_eq!((routing, back), (ROUTING, control));
+        c.finish().unwrap();
+    }
 }
 
 /// Steady-state frames carry no strings: a document made entirely of

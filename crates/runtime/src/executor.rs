@@ -18,8 +18,11 @@
 //!   from *every* forward upstream task, then forwards it downstream —
 //!   windows therefore tumble consistently across the whole topology.
 //! * **End of stream**: when every spout finishes, EOS tokens flow along
-//!   forward edges; a bolt task finishes after EOS from all forward
-//!   upstream tasks. Feedback edges carry data but never gate termination.
+//!   the edges; a bolt task finishes after EOS from all upstream tasks.
+//! * A spout's **broadcast** ([`SpoutEmit::Broadcast`]) reaches every
+//!   downstream task the way a punctuation does — pending buffers flushed
+//!   first, the shuffle cursor untouched — so it lands at the start of the
+//!   window the spout is about to open, on every task.
 //! * A panicking task is reported in [`RunError::TaskPanicked`] and aborts
 //!   the run: the remaining tasks stop at their next step, so no window
 //!   closes without the dead task's share.
@@ -31,8 +34,6 @@
 //! Buffers are flushed *before* every punctuation and EOS token, so window
 //! contents are exactly those of an unbatched run and latency is bounded by
 //! window boundaries; [`Outbox::flush`] forces delivery mid-window.
-//! Feedback edges bypass batching entirely — control loops (δ-updates,
-//! repartition signals) stay low-latency.
 
 use crate::fault::{self, FaultPanic, TaskFaults};
 use crate::metrics::{
@@ -55,7 +56,7 @@ use std::time::{Duration, Instant};
 /// its public mirror).
 pub(crate) enum Envelope<M> {
     /// One data message from global task `from` (the unbatched path:
-    /// `batch_size == 1`, feedback edges, and single-message flushes).
+    /// `batch_size == 1`, broadcasts, and single-message flushes).
     Data(M, usize),
     /// A batch of data messages from global task `from`; never empty.
     Batch(Vec<M>, usize),
@@ -270,8 +271,6 @@ pub(crate) enum EdgeTx<M> {
         tx: Sender<WireItem<M>>,
         /// Receiving global task id (carried in the frame header).
         target: usize,
-        /// Routed into the receiver's feedback channel over there.
-        feedback: bool,
     },
 }
 
@@ -295,14 +294,9 @@ fn send_env<M>(tx: &EdgeTx<M>, env: Envelope<M>, hub: &Hub, target_global: usize
         // *receiving* side, where the reader's blocking forward into a
         // bounded local channel stalls the socket. Notification happens on
         // the receiving worker's hub.
-        EdgeTx::Remote {
-            tx,
-            target,
-            feedback,
-        } => tx
+        EdgeTx::Remote { tx, target } => tx
             .send(WireItem::Env {
                 target: *target,
-                feedback: *feedback,
                 env,
             })
             .is_ok(),
@@ -324,15 +318,12 @@ struct OutEdge<M> {
     /// Next shuffle target; always `< targets.len()` so target selection
     /// needs no modulo on the send path.
     cursor: usize,
-    /// Feedback edges bypass batching: control loops stay low-latency and
-    /// their channels unbounded (bounding a cycle could deadlock).
-    feedback: bool,
 }
 
 impl<M> OutEdge<M> {
     /// Queue `msg` for `target`, shipping the buffer once it holds
-    /// `batch_size` messages. Unbatched edges (`batch_size == 1`, feedback)
-    /// send immediately without touching the buffers.
+    /// `batch_size` messages. Unbatched edges (`batch_size == 1`) send
+    /// immediately without touching the buffers.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn push(
@@ -345,7 +336,7 @@ impl<M> OutEdge<M> {
         batches: &mut u64,
         hub: &Hub,
     ) {
-        if batch_size <= 1 || self.feedback {
+        if batch_size <= 1 {
             if send_env(
                 &self.targets[target],
                 Envelope::Data(msg, from),
@@ -504,9 +495,7 @@ impl<M: Clone> Outbox<M> {
                 m.clone()
             };
             edge.push(target, owned, from, bs, emitted, batches, sched);
-            if edge.grouping == Grouping::Shuffle
-                && (bs <= 1 || edge.feedback || edge.bufs[target].is_empty())
-            {
+            if edge.grouping == Grouping::Shuffle && (bs <= 1 || edge.bufs[target].is_empty()) {
                 edge.cursor = if target + 1 == n { 0 } else { target + 1 };
             }
         }
@@ -544,25 +533,35 @@ impl<M: Clone> Outbox<M> {
         }
     }
 
-    /// Data buffered ahead of a punctuation belongs to the closing window:
-    /// flush before sending the token so per-channel FIFO keeps windows
-    /// exactly as an unbatched run would see them.
-    fn punctuate(&mut self, p: u64) {
+    /// Data buffered ahead of a token belongs before it: flush, then send
+    /// `env(from)` to every task of every subscription, so per-channel FIFO
+    /// keeps windows exactly as an unbatched run would see them. Returns
+    /// how many were delivered.
+    fn send_every_task(&mut self, env: impl Fn(usize) -> Envelope<M>) -> u64 {
         self.flush();
+        let mut sent = 0;
         for edge in &self.edges {
             for (t, &g) in edge.targets.iter().zip(&edge.target_globals) {
-                let _ = send_env(t, Envelope::Punct(p, self.my_global), &self.sched, g);
+                sent += send_env(t, env(self.my_global), &self.sched, g) as u64;
             }
         }
+        sent
+    }
+
+    /// A spout's broadcast: `msg` to every task, like a punctuation; the
+    /// shuffle cursors do not move.
+    fn broadcast(&mut self, msg: M) {
+        let sent = self.send_every_task(|from| Envelope::Data(msg.clone(), from));
+        self.emitted += sent;
+        self.batches += sent;
+    }
+
+    fn punctuate(&mut self, p: u64) {
+        self.send_every_task(|from| Envelope::Punct(p, from));
     }
 
     fn eos(&mut self) {
-        self.flush();
-        for edge in &self.edges {
-            for (t, &g) in edge.targets.iter().zip(&edge.target_globals) {
-                let _ = send_env(t, Envelope::Eos(self.my_global), &self.sched, g);
-            }
-        }
+        self.send_every_task(Envelope::Eos);
     }
 }
 
@@ -570,12 +569,11 @@ impl<M: Clone> Outbox<M> {
 // from me" — its channel sender clones disconnect. Remote edges need the
 // same signal explicitly: one `Close` frame per remote (target, edge),
 // which the peer's reader counts down before dropping its local sender
-// clone for that channel. Without this, cross-process *feedback* edges
-// would keep both processes' feedback drains alive in a shutdown cycle.
-// Runs on normal completion and on unwind alike, mirroring channel drops —
-// except in an aborted run: without its `Close` frames the peer sees the
-// link end with closes outstanding, as if this process had died, and its
-// run fails too instead of finishing without this process's share.
+// clone for that channel. Runs on normal completion and on unwind alike,
+// mirroring channel drops — except in an aborted run: without its `Close`
+// frames the peer sees the link end with closes outstanding, as if this
+// process had died, and its run fails too instead of finishing without
+// this process's share.
 impl<M> Drop for Outbox<M> {
     fn drop(&mut self) {
         if self.sched.aborted() {
@@ -583,16 +581,10 @@ impl<M> Drop for Outbox<M> {
         }
         for edge in &self.edges {
             for t in &edge.targets {
-                if let EdgeTx::Remote {
-                    tx,
-                    target,
-                    feedback,
-                } = t
-                {
+                if let EdgeTx::Remote { tx, target } = t {
                     let _ = tx.send(WireItem::Close {
                         target: *target,
                         from: self.my_global,
-                        feedback: *feedback,
                     });
                 }
             }
@@ -604,12 +596,8 @@ struct TaskWiring<M> {
     info: TaskInfo,
     rx: Receiver<Envelope<M>>,
     outbox: Outbox<M>,
-    fb_rx: Receiver<Envelope<M>>,
-    /// Global ids of forward upstream tasks (gate punct/EOS).
-    forward_upstreams: Vec<usize>,
-    /// The component subscribes to at least one feedback edge: after EOS it
-    /// drains in-flight control traffic until every sender disconnects.
-    has_feedback_upstream: bool,
+    /// Global ids of upstream tasks (gate punct/EOS).
+    upstreams: Vec<usize>,
     kind: TaskKind<M>,
     /// This task's instrument set in the run's metrics registry.
     inst: Arc<TaskInstruments>,
@@ -839,32 +827,28 @@ fn run_inner<M: Clone + Send + 'static>(
     let n_pooled = pooled.iter().filter(|&&p| p).count();
     let n_workers = sched::resolve_workers(pool_workers, n_pooled);
 
-    // Two channels per task: a *bounded* one for forward traffic (the
-    // forward graph is a DAG, so bounded sends give deadlock-free
-    // backpressure — a flooding spout is throttled by its slowest consumer;
-    // with batching, in-flight data is bounded by `capacity × batch_size`
-    // per channel) and an *unbounded* one for feedback control traffic
-    // (bounding a cycle could deadlock).
+    // One channel per task. The graph is a DAG, so bounded sends give
+    // deadlock-free backpressure — a flooding spout is throttled by its
+    // slowest consumer; with batching, in-flight data is bounded by
+    // `capacity × batch_size` per channel.
     //
     // A bolt's send must never block its pool worker (a blocked worker
-    // would strand every task queued behind it), so any forward channel
-    // fed by a bolt is unbounded; only purely spout-fed channels keep the
-    // bounded ingress backpressure. In-flight data stays proportional to
+    // would strand every task queued behind it), so any channel fed by a
+    // bolt is unbounded; only purely spout-fed channels keep the bounded
+    // ingress backpressure. In-flight data stays proportional to
     // window contents because bolts only emit in response to input the
     // spout boundary already throttles.
     let mut bolt_fed: Vec<bool> = vec![false; components.len()];
     for (ci, c) in components.iter().enumerate() {
         for s in &c.subscriptions {
-            if !s.feedback && !is_spout[index[&s.source]] {
+            if !is_spout[index[&s.source]] {
                 bolt_fed[ci] = true;
             }
         }
     }
     let cap = channel_capacity;
-    let mut fwd_senders: Vec<Sender<Envelope<M>>> = Vec::with_capacity(total);
-    let mut fwd_receivers: Vec<Option<Receiver<Envelope<M>>>> = Vec::with_capacity(total);
-    let mut fb_senders: Vec<Sender<Envelope<M>>> = Vec::with_capacity(total);
-    let mut fb_receivers: Vec<Option<Receiver<Envelope<M>>>> = Vec::with_capacity(total);
+    let mut senders: Vec<Sender<Envelope<M>>> = Vec::with_capacity(total);
+    let mut receivers: Vec<Option<Receiver<Envelope<M>>>> = Vec::with_capacity(total);
     for (ci, c) in components.iter().enumerate() {
         for _ in 0..c.parallelism {
             let (tx, rx) = if bolt_fed[ci] {
@@ -872,11 +856,8 @@ fn run_inner<M: Clone + Send + 'static>(
             } else {
                 bounded(cap)
             };
-            fwd_senders.push(tx);
-            fwd_receivers.push(Some(rx));
-            let (tx, rx) = unbounded();
-            fb_senders.push(tx);
-            fb_receivers.push(Some(rx));
+            senders.push(tx);
+            receivers.push(Some(rx));
         }
     }
 
@@ -897,33 +878,15 @@ fn run_inner<M: Clone + Send + 'static>(
         }
     }
 
-    // Outgoing edges per component: (grouping, subscriber component index).
-    let mut out_edges: Vec<Vec<(Grouping, usize, bool)>> = vec![Vec::new(); components.len()];
+    // Outgoing edges per component: (grouping, subscriber component index),
+    // and upstream task lists per component.
+    let mut out_edges: Vec<Vec<(Grouping, usize)>> = vec![Vec::new(); components.len()];
+    let mut upstreams: Vec<Vec<usize>> = vec![Vec::new(); components.len()];
     for (ci, c) in components.iter().enumerate() {
-        for Subscription {
-            source,
-            grouping,
-            feedback,
-        } in &c.subscriptions
-        {
+        for Subscription { source, grouping } in &c.subscriptions {
             let si = index[source];
-            out_edges[si].push((*grouping, ci, *feedback));
-        }
-    }
-
-    // Forward upstream task lists per component, and feedback presence.
-    let mut forward_upstreams: Vec<Vec<usize>> = vec![Vec::new(); components.len()];
-    let mut has_feedback: Vec<bool> = vec![false; components.len()];
-    for (ci, c) in components.iter().enumerate() {
-        for s in &c.subscriptions {
-            if s.feedback {
-                has_feedback[ci] = true;
-            } else {
-                let si = index[&s.source];
-                for t in 0..components[si].parallelism {
-                    forward_upstreams[ci].push(base[si] + t);
-                }
-            }
+            out_edges[si].push((*grouping, ci));
+            upstreams[ci].extend((0..components[si].parallelism).map(|t| base[si] + t));
         }
     }
 
@@ -939,7 +902,7 @@ fn run_inner<M: Clone + Send + 'static>(
     for (ci, c) in components.iter().enumerate() {
         let targets: Vec<usize> = out_edges[ci]
             .iter()
-            .flat_map(|(_, target_ci, _)| (0..par[*target_ci]).map(|t| base[*target_ci] + t))
+            .flat_map(|(_, target_ci)| (0..par[*target_ci]).map(|t| base[*target_ci] + t))
             .collect();
         for task in 0..c.parallelism {
             downstream.push(targets.clone());
@@ -963,7 +926,7 @@ fn run_inner<M: Clone + Send + 'static>(
             }
             let edges: Vec<OutEdge<M>> = out_edges[ci]
                 .iter()
-                .map(|(grouping, target_ci, feedback)| {
+                .map(|(grouping, target_ci)| {
                     let n = par[*target_ci];
                     // The builder rejects zero parallelism, so every edge
                     // has at least one target; the shuffle cursor relies on
@@ -975,11 +938,7 @@ fn run_inner<M: Clone + Send + 'static>(
                             .map(|t| {
                                 let g = base[*target_ci] + t;
                                 if local[g] {
-                                    EdgeTx::Local(if *feedback {
-                                        fb_senders[g].clone()
-                                    } else {
-                                        fwd_senders[g].clone()
-                                    })
+                                    EdgeTx::Local(senders[g].clone())
                                 } else {
                                     EdgeTx::Remote {
                                         tx: writer_txs[placement[g]]
@@ -987,7 +946,6 @@ fn run_inner<M: Clone + Send + 'static>(
                                             .expect("writer queue for peer worker")
                                             .clone(),
                                         target: g,
-                                        feedback: *feedback,
                                     }
                                 }
                             })
@@ -997,7 +955,6 @@ fn run_inner<M: Clone + Send + 'static>(
                         // Stagger shuffle cursors per producer so k producers
                         // doing round-robin do not all hit the same target.
                         cursor: global % n,
-                        feedback: *feedback,
                     }
                 })
                 .collect();
@@ -1019,11 +976,9 @@ fn run_inner<M: Clone + Send + 'static>(
                     task_index: task,
                     parallelism,
                 },
-                rx: fwd_receivers[global].take().expect("receiver unclaimed"),
-                fb_rx: fb_receivers[global].take().expect("fb receiver unclaimed"),
+                rx: receivers[global].take().expect("receiver unclaimed"),
                 outbox,
-                forward_upstreams: forward_upstreams[ci].clone(),
-                has_feedback_upstream: has_feedback[ci],
+                upstreams: upstreams[ci].clone(),
                 kind: instance,
                 inst: registry.register(&name, task),
                 notify: None, // filled in below once the collector exists
@@ -1044,10 +999,9 @@ fn run_inner<M: Clone + Send + 'static>(
             if w == my_worker {
                 continue;
             }
-            let mut fwd_closes = vec![0usize; total];
-            let mut fb_closes = vec![0usize; total];
+            let mut closes = vec![0usize; total];
             for (ci, edges) in out_edges.iter().enumerate() {
-                for (_, target_ci, feedback) in edges {
+                for (_, target_ci) in edges {
                     for task in 0..par[ci] {
                         let pg = base[ci] + task;
                         if placement[pg] != w {
@@ -1058,33 +1012,19 @@ fn run_inner<M: Clone + Send + 'static>(
                             if !local[tg] {
                                 continue;
                             }
-                            if *feedback {
-                                fb_closes[tg] += 1;
-                            } else {
-                                fwd_closes[tg] += 1;
-                            }
+                            closes[tg] += 1;
                         }
                     }
                 }
             }
-            let fwd = (0..total)
-                .map(|g| (fwd_closes[g] > 0).then(|| fwd_senders[g].clone()))
+            let senders = (0..total)
+                .map(|g| (closes[g] > 0).then(|| senders[g].clone()))
                 .collect();
-            let fb = (0..total)
-                .map(|g| (fb_closes[g] > 0).then(|| fb_senders[g].clone()))
-                .collect();
-            *plan_slot = Some(ReaderPlan {
-                fwd,
-                fb,
-                fwd_closes,
-                fb_closes,
-            });
+            *plan_slot = Some(ReaderPlan { senders, closes });
         }
     }
-    drop(fwd_senders); // tasks own the only senders now (inside outboxes)
-    drop(fb_senders);
-    drop(fwd_receivers);
-    drop(fb_receivers);
+    drop(senders); // tasks own the only senders now (inside outboxes)
+    drop(receivers);
 
     // Pool workers own a `scheduler_*` instrument family (steals, parks,
     // wakeups, injector-depth gauge), one set per worker under the
@@ -1270,7 +1210,7 @@ fn collect_windows(
     snaps
 }
 
-/// Alignment state for one forward upstream task.
+/// Alignment state for one upstream task.
 struct UpstreamState<M> {
     /// Punctuations processed but not yet aligned; `> 0` means *blocked* —
     /// envelopes from this upstream are buffered, not processed.
@@ -1285,9 +1225,9 @@ struct UpstreamState<M> {
 
 /// Punctuation alignment with per-upstream blocking.
 ///
-/// A forward upstream that has already punctuated the window being aligned
-/// is *blocked*: its subsequent envelopes are buffered until the punctuation
-/// has arrived from every forward upstream. This keeps window contents exact
+/// An upstream that has already punctuated the window being aligned is
+/// *blocked*: its subsequent envelopes are buffered until the punctuation
+/// has arrived from every upstream. This keeps window contents exact
 /// even when upstream tasks run at different speeds — without it, data from
 /// fast upstreams would leak into the previous window.
 ///
@@ -1314,9 +1254,9 @@ struct Aligner<M> {
 }
 
 impl<M: Clone> Aligner<M> {
-    fn new(forward_upstreams: &[usize]) -> Self {
+    fn new(upstreams: &[usize]) -> Self {
         Aligner {
-            states: forward_upstreams
+            states: upstreams
                 .iter()
                 .map(|_| UpstreamState {
                     ahead: 0,
@@ -1325,13 +1265,13 @@ impl<M: Clone> Aligner<M> {
                     closed: false,
                 })
                 .collect(),
-            index_of: forward_upstreams
+            index_of: upstreams
                 .iter()
                 .enumerate()
                 .map(|(slot, &g)| (g, slot))
                 .collect(),
             last: None,
-            needed: forward_upstreams.len(),
+            needed: upstreams.len(),
             punct_counts: HashMap::new(),
             eos_seen: 0,
             closed_count: 0,
@@ -1345,17 +1285,20 @@ impl<M: Clone> Aligner<M> {
         self.needed - self.closed_count
     }
 
-    /// Slot of a forward upstream, `None` for feedback senders.
+    /// Slot of upstream `from`.
     #[inline]
-    fn slot_of(&mut self, from: usize) -> Option<usize> {
+    fn slot_of(&mut self, from: usize) -> usize {
         if let Some((global, slot)) = self.last {
             if global == from {
-                return Some(slot);
+                return slot;
             }
         }
-        let slot = self.index_of.get(&from).copied()?;
+        let slot = *self
+            .index_of
+            .get(&from)
+            .unwrap_or_else(|| panic!("an envelope from task {from}, which is no upstream"));
         self.last = Some((from, slot));
-        Some(slot)
+        slot
     }
 
     /// Punctuations received from `from` but not yet retired by a completed
@@ -1365,23 +1308,17 @@ impl<M: Clone> Aligner<M> {
     /// before the envelope is handed to [`Aligner::handle`]. The fault
     /// clock keys on this: it depends only on the envelope's own upstream
     /// punctuation sequence, not on cross-upstream arrival interleaving.
-    /// `0` for feedback senders (their data flows immediately).
     fn puncts_ahead_of(&mut self, from: usize) -> u64 {
-        match self.slot_of(from) {
-            Some(slot) => {
-                let st = &self.states[slot];
-                st.ahead as u64
-                    + st.queue
-                        .iter()
-                        .filter(|e| matches!(e, Envelope::Punct(..)))
-                        .count() as u64
-            }
-            None => 0,
-        }
+        let slot = self.slot_of(from);
+        let st = &self.states[slot];
+        st.ahead as u64
+            + st.queue
+                .iter()
+                .filter(|e| matches!(e, Envelope::Punct(..)))
+                .count() as u64
     }
 
-    /// Feed one envelope; returns `true` once every forward upstream
-    /// delivered EOS.
+    /// Feed one envelope; returns `true` once every upstream delivered EOS.
     fn handle(
         &mut self,
         env: Envelope<M>,
@@ -1390,23 +1327,7 @@ impl<M: Clone> Aligner<M> {
         m: &mut TaskMeter,
     ) -> bool {
         let from = env.source_task();
-        let Some(slot) = self.slot_of(from) else {
-            // Feedback edge: data flows immediately, control is ignored.
-            match env {
-                Envelope::Data(msg, _) => {
-                    m.received += 1;
-                    bolt.execute(msg, out);
-                }
-                Envelope::Batch(msgs, _) => {
-                    m.received += msgs.len() as u64;
-                    for msg in msgs {
-                        bolt.execute(msg, out);
-                    }
-                }
-                _ => {}
-            }
-            return false;
-        };
+        let slot = self.slot_of(from);
         if self.states[slot].ahead > 0 {
             self.states[slot].queue.push_back(env);
         } else {
@@ -1529,35 +1450,6 @@ impl<M: Clone> Aligner<M> {
     }
 }
 
-/// One receive step: time the envelope into busy and the handle histogram
-/// (scaled to the tuples it carried), and run the window-boundary
-/// bookkeeping when the step closed windows. Returns `true` once every
-/// forward upstream delivered EOS. May unwind out of bolt user code.
-fn process_timed<M: Clone>(
-    env: Envelope<M>,
-    bolt: &mut dyn Bolt<M>,
-    align: &mut Aligner<M>,
-    out: &mut Outbox<M>,
-    meter: &mut TaskMeter,
-    rx: &Receiver<Envelope<M>>,
-    notify: &Option<Sender<u64>>,
-) -> bool {
-    let t0 = Instant::now();
-    let before = meter.received;
-    let done = align.handle(env, bolt, out, meter);
-    let dt = t0.elapsed();
-    meter.busy += dt;
-    if meter.enabled {
-        meter
-            .handle_hist
-            .record_scaled(dt.as_nanos() as u64, meter.received - before);
-        if !meter.closed.is_empty() {
-            meter.flush_windows(out.emitted, out.batches, rx.len(), notify);
-        }
-    }
-    done
-}
-
 /// A spout task's dedicated thread: pull emissions until `Done`, shipping
 /// data, punctuation and finally EOS through the outbox.
 fn run_spout<M: Clone + Send + 'static>(w: TaskWiring<M>) {
@@ -1584,6 +1476,7 @@ fn run_spout<M: Clone + Send + 'static>(w: TaskWiring<M>) {
             SpoutEmit::Message(msg) => {
                 outbox.emit(msg);
             }
+            SpoutEmit::Broadcast(msg) => outbox.broadcast(msg),
             SpoutEmit::Punctuate(p) => {
                 let t0 = meter.enabled.then(Instant::now);
                 meter.puncts += 1;
@@ -1617,17 +1510,15 @@ fn publish_final_metrics<M>(meter: &TaskMeter, outbox: &Outbox<M>) {
 /// A bolt task (DESIGN.md §4e): aligner, meter and crash clock as a
 /// resumable [`TaskStep`] state machine driven by non-blocking receives.
 ///
-/// Phases: `Receive` (windowed phase: feedback and forward envelopes, the
-/// crash clock ticking if a fault targets the task) → `Drain` (after the
-/// forward EOS quorum or disconnect: flush the bolt, send EOS, absorb
-/// residual feedback traffic) → `Done` (publish final metrics, retire).
-/// Once any task has panicked every body retires at its next step. Dropping
+/// It receives envelopes, the crash clock ticking if a fault targets the
+/// task, until the EOS quorum or a disconnect; then it flushes the bolt,
+/// sends EOS, publishes its final metrics and retires. Once any task has
+/// panicked every body retires at its next step. Dropping
 /// the body — on retirement or after a panic — drops its receivers and
 /// outbox senders, which is what downstream and upstream observe as EOS.
 struct CoopBolt<M> {
     info: TaskInfo,
     rx: Receiver<Envelope<M>>,
-    fb_rx: Receiver<Envelope<M>>,
     outbox: Outbox<M>,
     align: Aligner<M>,
     meter: TaskMeter,
@@ -1635,19 +1526,9 @@ struct CoopBolt<M> {
     bolt: Box<dyn Bolt<M>>,
     /// Crashes the run's fault plan aims at this task (usually none).
     faults: TaskFaults,
-    /// Feedback senders still connected (starts false without feedback
-    /// upstreams, so the windowed phase never polls the channel).
-    fb_open: bool,
     /// `attach_instruments` + `prepare` ran (deferred to the first step so
     /// their panics hit the worker's `catch_unwind` like any user code).
     started: bool,
-    phase: CoopPhase,
-}
-
-enum CoopPhase {
-    Receive,
-    Drain,
-    Done,
 }
 
 impl<M: Clone + Send + 'static> CoopBolt<M> {
@@ -1655,10 +1536,8 @@ impl<M: Clone + Send + 'static> CoopBolt<M> {
         let TaskWiring {
             info,
             rx,
-            fb_rx,
             outbox,
-            forward_upstreams,
-            has_feedback_upstream,
+            upstreams,
             kind,
             inst,
             notify,
@@ -1670,21 +1549,21 @@ impl<M: Clone + Send + 'static> CoopBolt<M> {
         CoopBolt {
             info,
             rx,
-            fb_rx,
             outbox,
-            align: Aligner::new(&forward_upstreams),
+            align: Aligner::new(&upstreams),
             meter: TaskMeter::new(inst),
             notify,
             bolt,
             faults,
-            fb_open: has_feedback_upstream,
             started: false,
-            phase: CoopPhase::Receive,
         }
     }
 
-    /// Feed one envelope through the crash clock and the aligner; true when
-    /// every forward upstream has reached EOS.
+    /// Feed one envelope through the crash clock and the aligner, timing it
+    /// into busy and the handle histogram (scaled to the tuples it carried)
+    /// and running the window-boundary bookkeeping when it closed windows;
+    /// true when every upstream has reached EOS. May unwind out of bolt
+    /// user code.
     fn handle(&mut self, env: Envelope<M>) -> bool {
         let n = env.data_len();
         if n > 0 && !self.faults.is_empty() {
@@ -1700,23 +1579,21 @@ impl<M: Clone + Send + 'static> CoopBolt<M> {
                 });
             }
         }
-        process_timed(
-            env,
-            self.bolt.as_mut(),
-            &mut self.align,
-            &mut self.outbox,
-            &mut self.meter,
-            &self.rx,
-            &self.notify,
-        )
-    }
-
-    /// The forward side closed (EOS quorum or disconnect): flush user state,
-    /// send EOS, and switch to draining residual feedback traffic.
-    fn enter_drain(&mut self) {
-        self.bolt.finish(&mut self.outbox);
-        self.outbox.eos();
-        self.phase = CoopPhase::Drain;
+        let (meter, out) = (&mut self.meter, &mut self.outbox);
+        let (t0, before) = (Instant::now(), meter.received);
+        let done = self.align.handle(env, self.bolt.as_mut(), out, meter);
+        let dt = t0.elapsed();
+        meter.busy += dt;
+        if meter.enabled {
+            let tuples = meter.received - before;
+            meter
+                .handle_hist
+                .record_scaled(dt.as_nanos() as u64, tuples);
+            if !meter.closed.is_empty() {
+                meter.flush_windows(out.emitted, out.batches, self.rx.len(), &self.notify);
+            }
+        }
+        done
     }
 }
 
@@ -1730,75 +1607,21 @@ impl<M: Clone + Send + 'static> TaskStep for CoopBolt<M> {
         if self.outbox.sched.aborted() {
             return StepOutcome::Done;
         }
-        let mut budget = sched::TICK_BUDGET;
-        loop {
-            match self.phase {
-                CoopPhase::Receive => {
-                    if budget == 0 {
-                        return StepOutcome::More;
-                    }
-                    // Poll feedback first: control traffic (δ-updates,
-                    // repartition signals) is sparse and latency-sensitive.
-                    if self.fb_open {
-                        match self.fb_rx.try_recv() {
-                            Ok(env) => {
-                                budget -= 1;
-                                // Result ignored: feedback never carries the
-                                // EOS quorum.
-                                let _ = self.handle(env);
-                                continue;
-                            }
-                            Err(TryRecvError::Empty) => {}
-                            Err(TryRecvError::Disconnected) => self.fb_open = false,
-                        }
-                    }
-                    match self.rx.try_recv() {
-                        Ok(env) => {
-                            budget -= 1;
-                            if self.handle(env) {
-                                self.enter_drain();
-                            }
-                        }
-                        Err(TryRecvError::Empty) => return StepOutcome::Idle,
-                        // All forward senders gone (e.g. upstream panicked).
-                        Err(TryRecvError::Disconnected) => self.enter_drain(),
-                    }
-                }
-                CoopPhase::Drain => {
-                    if budget == 0 {
-                        return StepOutcome::More;
-                    }
-                    match self.fb_rx.try_recv() {
-                        Ok(env) => {
-                            budget -= 1;
-                            // Control loops may still be sending while
-                            // their own shutdown propagates; process those
-                            // messages so adaptive state and counters stay
-                            // exact. Feedback senders terminate on forward
-                            // EOS and drop the channel, ending this phase
-                            // (so feedback edges must not form cycles among
-                            // themselves). Faults target the windowed phase
-                            // only.
-                            let _ = process_timed(
-                                env,
-                                self.bolt.as_mut(),
-                                &mut self.align,
-                                &mut self.outbox,
-                                &mut self.meter,
-                                &self.rx,
-                                &self.notify,
-                            );
-                        }
-                        Err(TryRecvError::Empty) => return StepOutcome::Idle,
-                        Err(TryRecvError::Disconnected) => {
-                            publish_final_metrics(&self.meter, &self.outbox);
-                            self.phase = CoopPhase::Done;
-                        }
-                    }
-                }
-                CoopPhase::Done => return StepOutcome::Done,
+        for _ in 0..sched::TICK_BUDGET {
+            let ended = match self.rx.try_recv() {
+                Ok(env) => self.handle(env),
+                Err(TryRecvError::Empty) => return StepOutcome::Idle,
+                // All senders gone (e.g. upstream panicked).
+                Err(TryRecvError::Disconnected) => true,
+            };
+            if ended {
+                self.bolt.finish(&mut self.outbox);
+                self.outbox.eos();
+                publish_final_metrics(&self.meter, &self.outbox);
+                return StepOutcome::Done;
             }
         }
+        StepOutcome::More
     }
 }
 

@@ -6,13 +6,15 @@
 //! (*shuffle*, *all*, *direct*, *global*), executed over crossbeam channels
 //! — one thread per spout task, every bolt task on a fixed work-stealing
 //! pool. Window
-//! boundaries travel as aligned punctuations; control loops (Merger →
-//! Assigner → Merger in Fig. 2) use feedback edges.
+//! boundaries travel as aligned punctuations. The graph is acyclic: a
+//! control loop closes outside it, back to a spout, which broadcasts the
+//! control to every downstream task like a punctuation
+//! ([`SpoutEmit::Broadcast`]).
 //!
-//! Forward-edge transport is micro-batched: producers buffer up to
+//! Transport is micro-batched: producers buffer up to
 //! [`TopologyBuilder::batch_size`] messages per target and ship them as one
 //! envelope, flushing on punctuation and EOS so windows stay exact (see the
-//! module docs of the executor). Feedback edges are never batched.
+//! module docs of the executor).
 //!
 //! ```
 //! use ssj_runtime::{TopologyBuilder, Grouping, VecSpout, CollectorBolt, run};
@@ -73,6 +75,10 @@ pub struct TaskInfo {
 pub enum SpoutEmit<M> {
     /// A data message.
     Message(M),
+    /// A control message for every task of every subscriber, sent like a
+    /// punctuation: after the data emitted before it, unbatched, and
+    /// without moving a shuffle cursor.
+    Broadcast(M),
     /// A punctuation (window boundary) with an id; forwarded and aligned
     /// through the whole topology.
     Punctuate(u64),
@@ -414,49 +420,65 @@ mod tests {
         assert_eq!(*puncts.lock(), 2);
     }
 
+    /// A broadcast reaches every task of every subscriber between the
+    /// windows it was emitted between, and the shuffle deals the documents
+    /// around it as if it were not there.
     #[test]
-    fn feedback_edge_allows_cycles() {
-        // fwd: src -> a -> b ; feedback: b -> a. b echoes messages back to
-        // a once; a counts both originals and echoes.
-        #[derive(Clone)]
-        enum Msg {
-            Fresh(i32),
-            Echo,
+    fn a_spout_broadcast_reaches_every_task_like_a_punctuation() {
+        struct Script(std::vec::IntoIter<SpoutEmit<i32>>);
+        impl Spout<i32> for Script {
+            fn next(&mut self) -> SpoutEmit<i32> {
+                self.0.next().unwrap_or(SpoutEmit::Done)
+            }
         }
-        let count = Arc::new(Mutex::new(0i32));
-        let c2 = Arc::clone(&count);
+        let seen: Arc<Mutex<Vec<(usize, u64, i32)>>> = Arc::default();
+        let mut script = vec![SpoutEmit::Message(1), SpoutEmit::Message(2)];
+        script.push(SpoutEmit::Punctuate(0));
+        script.push(SpoutEmit::Broadcast(-1));
+        script.extend((3..=6).map(SpoutEmit::Message));
+        script.push(SpoutEmit::Punctuate(1));
+        let spout = Mutex::new(Some(script));
+        let probe = Arc::clone(&seen);
         let t = TopologyBuilder::new()
-            .spout("src", 1, |_| {
-                VecSpout::boxed((0..10).map(Msg::Fresh).collect())
+            .batch_size(2)
+            .spout("src", 1, move |_| {
+                Box::new(Script(spout.lock().take().unwrap().into_iter()))
             })
-            .bolt("a", 1, move |_| {
-                let c = Arc::clone(&c2);
-                fn_bolt(move |m: Msg, out: &mut Outbox<Msg>| {
-                    *c.lock() += 1;
-                    if let Msg::Fresh(x) = m {
-                        out.emit(Msg::Fresh(x));
+            .bolt("a", 2, move |task| {
+                struct Log(usize, u64, Arc<Mutex<Vec<(usize, u64, i32)>>>);
+                impl Bolt<i32> for Log {
+                    fn execute(&mut self, x: i32, _: &mut Outbox<i32>) {
+                        self.2.lock().push((self.0, self.1, x));
                     }
-                })
+                    fn on_punct(&mut self, _: u64, _: &mut Outbox<i32>) {
+                        self.1 += 1;
+                    }
+                }
+                Box::new(Log(task, 0, Arc::clone(&probe)))
             })
             .subscribe("src", Grouping::Shuffle)
-            .subscribe_feedback("b", Grouping::Shuffle)
-            .done()
-            .bolt("b", 1, |_| {
-                fn_bolt(|m: Msg, out: &mut Outbox<Msg>| {
-                    if let Msg::Fresh(_x) = m {
-                        out.emit(Msg::Echo);
-                    }
-                })
-            })
-            .subscribe("a", Grouping::Shuffle)
             .done()
             .build()
             .unwrap();
-        run(t).unwrap();
-        // a sees 10 fresh; echoes are best-effort (a may already have shut
-        // down), so the count is between 10 and 20.
-        let seen = *count.lock();
-        assert!((10..=20).contains(&seen), "a saw {seen}");
+        let report = run(t).unwrap();
+        assert_eq!(report.emitted("src"), 8);
+        let mut seen = seen.lock().clone();
+        seen.sort_unstable();
+        // Whole batches of 2 alternate from task 0 (the spout's global id
+        // is 0): the broadcast leaves task 1 next in line.
+        let want = [
+            (0, 0, 1),
+            (0, 0, 2),
+            (0, 1, -1),
+            (0, 1, 5),
+            (0, 1, 6),
+            (1, 1, -1),
+            (1, 1, 3),
+            (1, 1, 4),
+        ];
+        let mut want = want.to_vec();
+        want.sort_unstable();
+        assert_eq!(seen, want);
     }
 
     #[test]
@@ -770,7 +792,6 @@ mod dot_tests {
             .spout("src", 2, |_| VecSpout::boxed(vec![1]))
             .bolt("work", 3, |_| fn_bolt(|_: i32, _| {}))
             .subscribe("src", Grouping::Shuffle)
-            .subscribe_feedback("sink", Grouping::Global)
             .done()
             .bolt("sink", 1, |_| fn_bolt(|_: i32, _| {}))
             .subscribe("work", Grouping::All)
@@ -783,7 +804,7 @@ mod dot_tests {
         assert!(dot.contains("\"work\" [shape=box"));
         assert!(dot.contains("\"src\" -> \"work\" [label=\"Shuffle\"]"));
         assert!(dot.contains("\"work\" -> \"sink\" [label=\"All\"]"));
-        assert!(dot.contains("\"sink\" -> \"work\" [label=\"Global\", style=dashed]"));
+        assert!(!dot.contains("style="));
     }
 }
 

@@ -310,7 +310,7 @@ pub enum TraceKind {
     Flush,
     /// A probe/join batch ran; `dur_ns` is its duration.
     Probe,
-    /// A repartition signal was raised (§VI-A feedback).
+    /// A repartition signal was raised (§VI-A).
     Repartition,
     /// A partition table was (re)broadcast.
     Table,

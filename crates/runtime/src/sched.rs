@@ -92,7 +92,7 @@ pub(crate) struct Hub {
     bodies: Vec<Mutex<Option<Box<dyn TaskStep>>>>,
     /// Per global task: `component[task]` label for panic reporting.
     labels: Vec<String>,
-    /// Per global task: downstream global ids (forward and feedback),
+    /// Per global task: downstream global ids,
     /// nudged when the task retires so its dropped senders are observed
     /// without a blocking receive.
     downstream: Vec<Vec<usize>>,

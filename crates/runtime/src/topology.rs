@@ -11,10 +11,10 @@
 //! * **direct** — the *producer* names the receiving task;
 //! * **global** — everything to task 0.
 //!
-//! Subscriptions may be marked **feedback** for control loops (e.g. Merger →
-//! Assigner → Merger in Fig. 2): feedback edges deliver messages but do not
-//! participate in end-of-stream accounting or punctuation alignment, and the
-//! forward-edge graph must be acyclic.
+//! The graph must be acyclic: every edge takes part in punctuation
+//! alignment and end-of-stream accounting. A control loop is closed outside
+//! the graph, back to a spout, which broadcasts what it is told like a
+//! punctuation ([`crate::SpoutEmit::Broadcast`]).
 
 use crate::fault::FaultPlan;
 use crate::{Bolt, Spout};
@@ -39,7 +39,6 @@ pub enum Grouping {
 pub(crate) struct Subscription {
     pub source: String,
     pub grouping: Grouping,
-    pub feedback: bool,
 }
 
 /// Factory producing one spout instance per task.
@@ -71,13 +70,13 @@ pub enum TopologyError {
         /// The missing source name.
         source: String,
     },
-    /// The forward-edge graph contains a cycle (use `feedback` edges).
+    /// The graph contains a cycle.
     ForwardCycle(Vec<String>),
     /// The topology has no spout.
     NoSpout,
     /// Parallelism must be at least 1.
     ZeroParallelism(String),
-    /// A component subscribed to itself on a forward edge.
+    /// A component subscribed to itself.
     SelfLoop(String),
 }
 
@@ -140,7 +139,7 @@ impl<M> TopologyBuilder<M> {
 
     /// Capacity of the bounded forward channels (default 1024). Smaller
     /// capacities throttle fast producers closer to the pace of the
-    /// slowest consumer; feedback channels stay unbounded regardless.
+    /// slowest consumer.
     pub fn channel_capacity(mut self, capacity: usize) -> Self {
         self.channel_capacity = capacity.max(1);
         self
@@ -151,7 +150,7 @@ impl<M> TopologyBuilder<M> {
     /// them as one envelope, amortizing the per-message channel cost;
     /// buffers always flush before punctuation and EOS, so window contents
     /// are identical to an unbatched run and latency is bounded by window
-    /// boundaries. Feedback edges are never batched.
+    /// boundaries.
     pub fn batch_size(mut self, n: usize) -> Self {
         self.batch_size = n.max(1);
         self
@@ -251,19 +250,17 @@ impl<M> TopologyBuilder<M> {
                         source: s.source.clone(),
                     });
                 }
-                if !s.feedback && s.source == c.name {
+                if s.source == c.name {
                     return Err(TopologyError::SelfLoop(c.name.clone()));
                 }
             }
         }
-        // Cycle detection over forward edges (source → subscriber).
+        // Cycle detection over the edges (source → subscriber).
         let n = self.components.len();
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (ci, c) in self.components.iter().enumerate() {
             for s in &c.subscriptions {
-                if !s.feedback {
-                    adj[index[&s.source]].push(ci);
-                }
+                adj[index[&s.source]].push(ci);
             }
         }
         let mut state = vec![0u8; n]; // 0 unseen, 1 in-stack, 2 done
@@ -339,22 +336,6 @@ impl<M> BoltHandle<M> {
             .push(Subscription {
                 source: source.into(),
                 grouping,
-                feedback: false,
-            });
-        self
-    }
-
-    /// Subscribe via a feedback (control-loop) edge.
-    pub fn subscribe_feedback(mut self, source: impl Into<String>, grouping: Grouping) -> Self {
-        self.builder
-            .components
-            .last_mut()
-            .expect("bolt just added")
-            .subscriptions
-            .push(Subscription {
-                source: source.into(),
-                grouping,
-                feedback: true,
             });
         self
     }
@@ -391,8 +372,8 @@ impl<M> Topology<M> {
     }
 
     /// Render the topology as Graphviz DOT: spouts as double circles, bolts
-    /// as boxes, one edge per subscription labelled with its grouping,
-    /// feedback edges dashed. Paste into `dot -Tsvg` to visualize.
+    /// as boxes, one edge per subscription labelled with its grouping.
+    /// Paste into `dot -Tsvg` to visualize.
     pub fn to_dot(&self) -> String {
         use std::fmt::Write;
         let mut out = String::from("digraph topology {\n  rankdir=LR;\n");
@@ -409,10 +390,9 @@ impl<M> Topology<M> {
         }
         for c in &self.components {
             for s in &c.subscriptions {
-                let style = if s.feedback { ", style=dashed" } else { "" };
                 let _ = writeln!(
                     out,
-                    "  \"{}\" -> \"{}\" [label=\"{:?}\"{style}];",
+                    "  \"{}\" -> \"{}\" [label=\"{:?}\"];",
                     s.source, c.name, s.grouping
                 );
             }

@@ -24,13 +24,15 @@
 //!
 //! Shutdown mirrors in-process channel-disconnect semantics with explicit
 //! `Close` frames: when a producer's `Outbox` drops, it sends one `Close`
-//! per remote (target, edge-kind); the reader holds one local sender clone
-//! per fed channel and drops it when the deterministic expected-close
-//! count (computed from topology + placement on both sides) reaches zero.
-//! Per-link FIFO guarantees no frame follows its producer's close. Without
-//! this, cross-process *feedback* edges would form a process-level wait
-//! cycle at shutdown (each worker's feedback drain waiting on the other's
-//! writer to close).
+//! per remote (target, edge); the reader holds one local sender clone per
+//! fed channel and drops it when the deterministic expected-close count
+//! (computed from topology + placement on both sides) reaches zero.
+//! Per-link FIFO guarantees no frame follows its producer's close, and it
+//! is what keeps a task's input in order when two of its upstreams share a
+//! link: every frame one process sends another travels one writer queue.
+//!
+//! Every edge is a forward edge: a frame with the wire's old feedback flag
+//! set is a named transport error.
 //!
 //! A link EOF with closes still outstanding, or a frame cut short, means
 //! the peer died. The reader then aborts the local run — every task stops
@@ -267,26 +269,14 @@ pub fn join_group(setup: &GroupSetup) -> io::Result<Group> {
 /// One unit on a writer thread's queue.
 pub(crate) enum WireItem<M> {
     /// An envelope bound for remote global task `target`.
-    Env {
-        target: usize,
-        feedback: bool,
-        env: Envelope<M>,
-    },
+    Env { target: usize, env: Envelope<M> },
     /// A producer dropped its senders for this remote edge.
-    Close {
-        target: usize,
-        from: usize,
-        feedback: bool,
-    },
+    Close { target: usize, from: usize },
 }
 
 fn encode_item<M: 'static>(item: WireItem<M>, codec: &dyn WireCodec<M>, out: &mut Vec<u8>) {
     let frame = match item {
-        WireItem::Env {
-            target,
-            feedback,
-            env,
-        } => {
+        WireItem::Env { target, env } => {
             let (from, payload) = match env {
                 Envelope::Data(m, f) => (f, Payload::Data(m)),
                 Envelope::Batch(v, f) => (f, Payload::Batch(v)),
@@ -296,18 +286,14 @@ fn encode_item<M: 'static>(item: WireItem<M>, codec: &dyn WireCodec<M>, out: &mu
             Frame {
                 target,
                 from,
-                feedback,
+                feedback: false,
                 payload,
             }
         }
-        WireItem::Close {
+        WireItem::Close { target, from } => Frame {
             target,
             from,
-            feedback,
-        } => Frame {
-            target,
-            from,
-            feedback,
+            feedback: false,
             payload: Payload::Close,
         },
     };
@@ -373,19 +359,14 @@ pub(crate) fn writer_loop<M: 'static>(
 }
 
 /// What one peer reader needs to dispatch frames locally: sender clones
-/// for every local channel this peer can feed, the deterministic number of
-/// `Close` frames each will receive, and the forward (producer, target)
-/// pairs to synthesize EOS for if the peer dies.
+/// for every local channel this peer can feed, and the deterministic number
+/// of `Close` frames each will receive.
 pub(crate) struct ReaderPlan<M> {
-    /// Forward-channel senders indexed by global target id.
-    pub fwd: Vec<Option<Sender<Envelope<M>>>>,
-    /// Feedback-channel senders indexed by global target id.
-    pub fb: Vec<Option<Sender<Envelope<M>>>>,
-    /// Expected `Close` frames per forward target (one per remote producer
-    /// task with an edge to it).
-    pub fwd_closes: Vec<usize>,
-    /// Expected `Close` frames per feedback target.
-    pub fb_closes: Vec<usize>,
+    /// Channel senders indexed by global target id.
+    pub senders: Vec<Option<Sender<Envelope<M>>>>,
+    /// Expected `Close` frames per target (one per remote producer task
+    /// with an edge to it).
+    pub closes: Vec<usize>,
 }
 
 /// Reader side of one peer link. Exits at link EOF (clean or not); on an
@@ -436,18 +417,23 @@ pub(crate) fn reader_loop<M: Send + 'static>(
         deserialize_ns.add(t0.elapsed().as_nanos() as u64);
         frames_recv.inc();
         let target = frame.target;
-        let (senders, closes) = if frame.feedback {
-            (&mut plan.fb, &mut plan.fb_closes)
-        } else {
-            (&mut plan.fwd, &mut plan.fwd_closes)
-        };
-        if target >= senders.len() {
-            errors.lock().unwrap().push(format!(
+        let rejected = if target >= plan.senders.len() {
+            Some(format!(
                 "worker {peer} sent frame for unknown task {target}"
-            ));
+            ))
+        } else if frame.feedback {
+            Some(format!(
+                "worker {peer} sent a feedback frame for task {target}: there are no feedback edges"
+            ))
+        } else {
+            None
+        };
+        if let Some(e) = rejected {
+            errors.lock().unwrap().push(e);
             clean = false;
             break;
         }
+        let (senders, closes) = (&mut plan.senders, &mut plan.closes);
         let env = match frame.payload {
             Payload::Data(m) => Envelope::Data(m, frame.from),
             Payload::Batch(v) => Envelope::Batch(v, frame.from),
@@ -479,7 +465,7 @@ pub(crate) fn reader_loop<M: Send + 'static>(
     // Unclean EOF (peer died or stream corrupt) with edges still open: a
     // window still waiting for the peer's share must not close without it,
     // so the run stops here.
-    let died = plan.fwd_closes.iter().any(|&c| c > 0) || plan.fb_closes.iter().any(|&c| c > 0);
+    let died = plan.closes.iter().any(|&c| c > 0);
     if died {
         disconnects.inc();
         if clean {
@@ -490,9 +476,8 @@ pub(crate) fn reader_loop<M: Send + 'static>(
         }
         hub.abort();
     }
-    for target in 0..plan.fwd.len() {
-        let had = plan.fwd[target].take().is_some() | plan.fb[target].take().is_some();
-        if had {
+    for target in 0..plan.senders.len() {
+        if plan.senders[target].take().is_some() {
             notify(target);
         }
     }
@@ -555,5 +540,103 @@ mod tests {
             "mismatched topology fingerprints must fail the handshake"
         );
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    struct U64Codec;
+
+    impl WireCodec<u64> for U64Codec {
+        fn encode(&self, msg: &u64, out: &mut Vec<u8>) {
+            crate::wire::put_varint(out, *msg);
+        }
+        fn decode(&self, cur: &mut crate::wire::Cursor) -> Result<u64, crate::wire::WireError> {
+            cur.varint()
+        }
+    }
+
+    /// Feed `frames` from worker 1 to a reader whose one local task, 0,
+    /// expects one `Close`: what the task received, the run's transport
+    /// errors, and whether the run was aborted.
+    fn read_from_peer(frames: &[Frame<u64>]) -> (Vec<u64>, Vec<String>, bool) {
+        let (mut peer, local) = UnixStream::pair().unwrap();
+        let mut bytes = Vec::new();
+        for f in frames {
+            encode_frame(f, &U64Codec, &mut bytes);
+        }
+        peer.write_all(&bytes).unwrap();
+        drop(peer);
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let plan = ReaderPlan {
+            senders: vec![Some(tx)],
+            closes: vec![1],
+        };
+        let hub = Arc::new(Hub::new(
+            vec![false],
+            vec![Vec::new()],
+            vec!["t[0]".into()],
+            0,
+        ));
+        let errors = Arc::new(Mutex::new(Vec::new()));
+        let mut registry = crate::metrics::MetricsRegistry::new(Default::default());
+        let insts = registry.register("transport", 1);
+        let codec = Arc::new(U64Codec);
+        reader_loop(
+            local,
+            codec,
+            plan,
+            Arc::clone(&hub),
+            Arc::clone(&errors),
+            insts,
+            1,
+        );
+        let got = std::iter::from_fn(|| rx.try_recv().ok())
+            .map(|env| match env {
+                Envelope::Data(m, _) => m,
+                _ => u64::MAX,
+            })
+            .collect();
+        let errors = errors.lock().unwrap().clone();
+        (got, errors, hub.aborted())
+    }
+
+    fn frame(target: usize, flagged: bool, payload: Payload<u64>) -> Frame<u64> {
+        Frame {
+            target,
+            from: 5,
+            feedback: flagged,
+            payload,
+        }
+    }
+
+    /// A frame is delivered only to a task the reader feeds and only as a
+    /// forward frame: one for an unknown task, or one with the old feedback
+    /// flag set, ends the link in a named error and aborts the run.
+    #[test]
+    fn unknown_task_and_feedback_frames_are_named_errors() {
+        let ok = [
+            frame(0, false, Payload::Data(7)),
+            frame(0, false, Payload::Close),
+        ];
+        assert_eq!(read_from_peer(&ok), (vec![7], Vec::new(), false));
+
+        let unknown = [
+            frame(0, false, Payload::Data(7)),
+            frame(3, false, Payload::Data(8)),
+        ];
+        let (got, errors, aborted) = read_from_peer(&unknown);
+        assert_eq!(got, [7]);
+        assert_eq!(errors, ["worker 1 sent frame for unknown task 3"]);
+        assert!(aborted);
+
+        let flagged = [
+            frame(0, true, Payload::Data(8)),
+            frame(0, false, Payload::Close),
+        ];
+        let (got, errors, aborted) = read_from_peer(&flagged);
+        assert!(got.is_empty());
+        assert_eq!(
+            errors,
+            ["worker 1 sent a feedback frame for task 0: there are no feedback edges"]
+        );
+        assert!(aborted);
     }
 }

@@ -13,8 +13,9 @@
 //! * `target` / `from` are *global task ids* — the same numbering every
 //!   process derives from the shared topology, so no per-link id mapping is
 //!   needed.
-//! * `flags` bit 0 marks a feedback-edge frame (routed into the receiver's
-//!   unbounded feedback channel, exactly like the in-process split).
+//! * `flags` bit 0 once marked a feedback-edge frame. There are no
+//!   feedback edges any more: a sender leaves the bit clear and a receiving
+//!   link rejects a frame that sets it (`crate::transport`).
 //! * `Data`/`Batch` payloads carry the sender's **dictionary epoch** before
 //!   the message bytes: message encoding is delegated to a [`WireCodec`],
 //!   which serializes interned symbols against an epoch-versioned dictionary
@@ -35,7 +36,7 @@ use std::fmt;
 use std::io::Read;
 
 /// Wire protocol version; bumped on any incompatible layout change.
-pub const WIRE_VERSION: u16 = 4;
+pub const WIRE_VERSION: u16 = 5;
 
 /// Handshake magic: `"SSJW"`.
 pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"SSJW");
@@ -315,8 +316,8 @@ pub struct Frame<M> {
     pub target: usize,
     /// Sending global task id.
     pub from: usize,
-    /// Routed into the receiver's feedback channel instead of the forward
-    /// channel.
+    /// The retired feedback-edge flag: always `false` on the way out, and a
+    /// receiving link rejects a frame that has it set.
     pub feedback: bool,
     /// The payload.
     pub payload: Payload<M>,

@@ -131,6 +131,13 @@ repartition_path() {
 }
 stage "repartition path" repartition_path
 
+# Control-plane determinism: the Assigners' δ-requests and θ signals ride the
+# reader's credit and act at a fixed pane, so routing is a function of the
+# stream. `ssj run`'s routing line (tables deployed, δ-updates, broadcast
+# share) is the same for two solo runs and a 2-process group over one file;
+# in release, where thread timing is tightest.
+stage "control-plane determinism" cargo test -q --release -p ssj-cli --test distributed the_routing_line_is_the_same_in_every_run
+
 # Figs. 6-10 come from the lock-step Fig. 2 topology (one Assigner, batch
 # 1): the committed figures.txt is exactly their stdout (Fig. 11 is
 # wall-clock and lives in EXPERIMENTS.md only).
