@@ -274,7 +274,8 @@ impl Router {
 }
 
 /// Assigner bolt (§III-A component 3): routes each document to the Joiners
-/// its [`Router`] names — all of them when it names none — and, as it
+/// its [`Router`] names — all of them when it names none — as a
+/// [`Msg::Copy`] that carries that target set, and, as it
 /// closes a pane, sends the Reporter the pane's counts with the router's
 /// δ-update requests and θ signal. It ignores the reader's broadcasts.
 pub struct Assigner {
@@ -308,18 +309,18 @@ impl Bolt<Msg> for Assigner {
     fn execute(&mut self, msg: Msg, out: &mut Outbox<Msg>) {
         match msg {
             Msg::Doc(doc) => {
-                let m = self.router.m;
-                match self.router.route(&doc, &self.dict) {
-                    Some(targets) => {
-                        for &p in targets {
-                            out.emit_direct(p as usize, Msg::Doc(Arc::clone(&doc)));
-                        }
-                    }
-                    None => {
-                        for p in 0..m {
-                            out.emit_direct(p, Msg::Doc(Arc::clone(&doc)));
-                        }
-                    }
+                // Every copy carries the whole target set: the joiners find
+                // each pair once by it (the owner rule, `crate::joiner`).
+                let targets = match self.router.route(&doc, &self.dict) {
+                    Some(targets) => targets.iter().fold(0, |mask, &p| mask | 1u64 << p),
+                    None => u64::MAX >> (64 - self.router.m),
+                };
+                let mut rest = targets;
+                while rest != 0 {
+                    let p = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    let doc = Arc::clone(&doc);
+                    out.emit_direct(p, Msg::Copy { doc, targets });
                 }
             }
             Msg::Table(t) => self.router.deploy(t),

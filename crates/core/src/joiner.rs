@@ -1,12 +1,21 @@
 //! The Joiner bolt of the Fig. 2 topology (§V): joins its window share as it
 //! arrives, in micro-batches, and emits the pane's pairs at the boundary.
+//!
+//! A document reaches every joiner its route names, so a pair whose two
+//! documents share several joiners is found on each of them. Every routed
+//! copy carries its target mask ([`Msg::Copy`]), and joiner `j` reports a
+//! found pair `(a, b)` only if `j` is the lowest set bit of
+//! `mask(a) & mask(b)` — the *owner rule*. Both documents reached every
+//! joiner of that intersection, so exactly one joiner reports each pair and
+//! the joiners' lists are disjoint.
 
 use crate::config::StreamJoinConfig;
 use crate::msg::Msg;
 use crate::spill::{BlockCache, Segment, SpillSettings, SpillStore};
 use ssj_join::{FpTree, JoinAlgo};
-use ssj_json::{DocRef, FxHashSet};
+use ssj_json::{DocId, DocRef, FxHashMap};
 use ssj_runtime::{Bolt, Outbox, TaskInfo, TaskInstruments, TraceKind};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,9 +67,9 @@ impl FrozenPane {
         &self,
         docs: &[DocRef],
         scratch: &mut ssj_join::ProbeScratch,
-        probe_buf: &mut Vec<ssj_json::DocId>,
+        probe_buf: &mut Vec<DocId>,
         cache: Option<&mut BlockCache>,
-        pairs: &mut Vec<(ssj_json::DocId, ssj_json::DocId)>,
+        pairs: &mut Vec<(DocId, DocId)>,
         inst: Option<&TaskInstruments>,
     ) {
         match self {
@@ -105,6 +114,58 @@ impl FrozenPane {
     }
 }
 
+/// A closed pane still inside the sliding lookback: its chunks, and the
+/// target mask of every document it holds, which the owner rule reads when a
+/// later document finds a partner in it.
+struct ClosedPane {
+    chunks: Vec<FrozenPane>,
+    masks: FxHashMap<u64, u64>,
+}
+
+/// The owner rule over `pairs[start..]`, each `(earlier, later)`: keep only
+/// the pairs whose documents' masks share no joiner in `below` (the joiners
+/// below this one). Both documents reached this joiner, so it is then the
+/// lowest joiner they share. `earlier` and `later` hold the two sides'
+/// masks. Returns how many candidate pairs it looked at.
+fn keep_owned(
+    pairs: &mut Vec<(DocId, DocId)>,
+    start: usize,
+    below: u64,
+    earlier: &FxHashMap<u64, u64>,
+    later: &FxHashMap<u64, u64>,
+) -> u64 {
+    let found = pairs.len() - start;
+    // Joiner 0 owns whatever it finds; so does any joiner for a later
+    // document sent to no joiner below it. A probing document's pairs are
+    // contiguous, so its mask is looked up once.
+    if below != 0 {
+        let mask = |masks: &FxHashMap<u64, u64>, id: DocId| {
+            *masks
+                .get(&id.0)
+                .expect("a found document was drained with its mask")
+        };
+        let mut kept = start;
+        let mut last: Option<(DocId, u64)> = None;
+        for i in start..pairs.len() {
+            let (a, b) = pairs[i];
+            let shared = match last {
+                Some((id, shared)) if id == b => shared,
+                _ => {
+                    let shared = mask(later, b) & below;
+                    last = Some((b, shared));
+                    shared
+                }
+            };
+            if shared == 0 || mask(earlier, a) & shared == 0 {
+                pairs[kept] = (a, b);
+                kept += 1;
+            }
+        }
+        pairs.truncate(kept);
+    }
+    found as u64
+}
+
 /// Deep copies of shared documents, for the NLJ/HBJ baselines, which take
 /// owned ones.
 fn owned(docs: &[DocRef]) -> Vec<ssj_json::Document> {
@@ -113,10 +174,11 @@ fn owned(docs: &[DocRef]) -> Vec<ssj_json::Document> {
 
 /// Joiner bolt (§V): local window join, computed as the documents arrive.
 ///
-/// Arrivals are collected into micro-batches of [`ARRIVAL_BATCH`]; one
-/// `drain` per micro-batch (and one for the remainder at the boundary)
-/// drops duplicates, probes every earlier chunk with the whole micro-batch,
-/// then probes and inserts each document into the open pane's FP-tree
+/// Arrivals are collected into micro-batches of [`ARRIVAL_BATCH`] (a
+/// document's second copy is dropped on arrival); one `drain` per
+/// micro-batch (and one for the remainder at the boundary) probes every
+/// earlier chunk with the whole micro-batch, then probes and inserts each
+/// document into the open pane's FP-tree
 /// ([`ssj_join::OpenPane`], ordered by the previous pane). A punctuation
 /// therefore has at most one micro-batch left to join: it emits the pane's
 /// pairs and rotates the ring. Tumbling windows drop the pane; sliding
@@ -133,9 +195,14 @@ fn owned(docs: &[DocRef]) -> Vec<ssj_json::Document> {
 /// footprint fits the budget. The pair set is invariant under chunking —
 /// each unordered pair is found exactly once, when its later document is
 /// drained against the chunk (sealed or open) holding the earlier one.
+///
+/// Each probe's pairs pass the owner rule (module docs) right there, in
+/// `drain`, so the boundary emits only the pairs this joiner owns.
 pub struct Joiner {
     config: StreamJoinConfig,
     task: usize,
+    /// The joiners below this one, as a mask (owner rule).
+    below: u64,
     /// Arrivals not joined yet — at most [`ARRIVAL_BATCH`].
     arrivals: Vec<DocRef>,
     /// The open chunk, joined on arrival (FPJ only), and its documents
@@ -146,21 +213,23 @@ pub struct Joiner {
     sealed: Vec<FrozenPane>,
     /// Frozen panes still inside the sliding lookback, oldest first; empty
     /// for tumbling windows. One chunk per pane without a budget.
-    frozen: VecDeque<Vec<FrozenPane>>,
-    /// Pairs of the open pane found so far.
-    pairs: Vec<(ssj_json::DocId, ssj_json::DocId)>,
+    frozen: VecDeque<ClosedPane>,
+    /// Pairs of the open pane found so far that this joiner owns.
+    pairs: Vec<(DocId, DocId)>,
+    /// Candidate pairs of the open pane found so far, owned or not.
+    candidates: u64,
     /// Reused working memory for probes of sealed chunks.
     probe_scratch: ssj_join::ProbeScratch,
-    probe_buf: Vec<ssj_json::DocId>,
+    probe_buf: Vec<DocId>,
     /// Deployment spill settings; `None` when `mem_budget == 0`.
     spill_settings: Option<Arc<SpillSettings>>,
     /// Per-task spill machinery, created in `prepare` (needs the task
     /// index for segment names). `None` when `mem_budget == 0`.
     spill: Option<SpillStore>,
-    /// Ids drained into the open pane: duplicates can arrive when an
-    /// updated table re-routes a pair the broadcast path already delivered;
-    /// one copy per document is kept. Cleared at every pane boundary.
-    pane_seen: FxHashSet<u64>,
+    /// Id → target mask of every document of the open pane. One copy per
+    /// document is kept, should one arrive twice. Handed to the pane's
+    /// [`ClosedPane`] at the boundary.
+    pane_masks: FxHashMap<u64, u64>,
     /// Approximate bytes arrived since the last chunk seal.
     open_bytes: u64,
     /// Join time accumulated across this pane's drains (instrument-gated),
@@ -176,17 +245,19 @@ impl Joiner {
         Joiner {
             config,
             task: 0,
+            below: 0,
             arrivals: Vec::with_capacity(ARRIVAL_BATCH),
             open: ssj_join::OpenPane::new(),
             open_docs: Vec::new(),
             sealed: Vec::new(),
             frozen: VecDeque::new(),
             pairs: Vec::new(),
+            candidates: 0,
             probe_scratch: ssj_join::ProbeScratch::new(),
             probe_buf: Vec::new(),
             spill_settings: spill,
             spill: None,
-            pane_seen: FxHashSet::default(),
+            pane_masks: FxHashMap::default(),
             open_bytes: 0,
             probe_ns_acc: 0,
             inst: None,
@@ -217,18 +288,38 @@ impl Joiner {
             .is_some_and(|s| self.open_bytes >= s.settings().chunk_target())
     }
 
-    /// Join the collected arrivals: drop duplicates, probe every earlier
-    /// chunk — frozen panes oldest first, then this pane's seals — with the
-    /// whole micro-batch (tree-major: one tree stays hot), then probe and
-    /// insert each document into the open tree.
+    /// Join the collected arrivals: probe every earlier chunk — frozen panes
+    /// oldest first, then this pane's seals — with the whole micro-batch
+    /// (tree-major: one tree stays hot), then probe and insert each document
+    /// into the open tree. Every probe keeps only the pairs this joiner owns.
     fn drain(&mut self) {
         let mut docs = std::mem::take(&mut self.arrivals);
-        docs.retain(|d| self.pane_seen.insert(d.id().0));
         if !docs.is_empty() {
             let inst = self.inst.as_deref();
             let t0 = inst.filter(|i| i.enabled()).map(|_| Instant::now());
             let mut cache = self.spill.as_mut().map(|s| &mut s.cache);
-            for chunk in self.frozen.iter().flatten().chain(&self.sealed) {
+            for pane in &self.frozen {
+                let start = self.pairs.len();
+                for chunk in &pane.chunks {
+                    chunk.probe(
+                        &docs,
+                        &mut self.probe_scratch,
+                        &mut self.probe_buf,
+                        cache.as_deref_mut(),
+                        &mut self.pairs,
+                        inst,
+                    );
+                }
+                self.candidates += keep_owned(
+                    &mut self.pairs,
+                    start,
+                    self.below,
+                    &pane.masks,
+                    &self.pane_masks,
+                );
+            }
+            let start = self.pairs.len();
+            for chunk in &self.sealed {
                 chunk.probe(
                     &docs,
                     &mut self.probe_scratch,
@@ -243,6 +334,13 @@ impl Joiner {
                     self.open.join(d, &mut self.pairs);
                 }
             }
+            self.candidates += keep_owned(
+                &mut self.pairs,
+                start,
+                self.below,
+                &self.pane_masks,
+                &self.pane_masks,
+            );
             if let Some(t0) = t0 {
                 self.probe_ns_acc += t0.elapsed().as_nanos() as u64;
             }
@@ -267,8 +365,16 @@ impl Joiner {
         } else {
             let t0 = Instant::now();
             let docs = owned(&self.open_docs);
+            let start = self.pairs.len();
             self.pairs
                 .append(&mut ssj_join::join_batch(self.config.join_algo, &docs));
+            self.candidates += keep_owned(
+                &mut self.pairs,
+                start,
+                self.below,
+                &self.pane_masks,
+                &self.pane_masks,
+            );
             self.probe_ns_acc += t0.elapsed().as_nanos() as u64;
             (keep && !docs.is_empty()).then(|| FpTree::build(&docs))
         };
@@ -295,7 +401,7 @@ impl Joiner {
             let resident: u64 = self
                 .frozen
                 .iter()
-                .flatten()
+                .flat_map(|p| &p.chunks)
                 .chain(&self.sealed)
                 .map(FrozenPane::resident_bytes)
                 .sum();
@@ -305,7 +411,7 @@ impl Joiner {
             let Some(chunk) = self
                 .frozen
                 .iter_mut()
-                .flatten()
+                .flat_map(|p| &mut p.chunks)
                 .chain(&mut self.sealed)
                 .find(|c| matches!(c, FrozenPane::Resident { .. }))
             else {
@@ -344,6 +450,7 @@ impl Joiner {
             for pane in self
                 .frozen
                 .iter_mut()
+                .map(|p| &mut p.chunks)
                 .chain(std::iter::once(&mut self.sealed))
             {
                 let positions: Vec<usize> = pane
@@ -382,7 +489,12 @@ impl Joiner {
         if store.compactions_in_flight() > 0 {
             return;
         }
-        for pane in self.frozen.iter().chain(std::iter::once(&self.sealed)) {
+        for pane in self
+            .frozen
+            .iter()
+            .map(|p| &p.chunks)
+            .chain(std::iter::once(&self.sealed))
+        {
             let runs: Vec<Arc<Segment>> = pane
                 .iter()
                 .filter_map(|c| match c {
@@ -405,6 +517,7 @@ impl Bolt<Msg> for Joiner {
 
     fn prepare(&mut self, info: &TaskInfo) {
         self.task = info.task_index;
+        self.below = (1u64 << info.task_index) - 1;
         if let Some(settings) = &self.spill_settings {
             self.spill = Some(SpillStore::new(
                 Arc::clone(settings),
@@ -414,7 +527,11 @@ impl Bolt<Msg> for Joiner {
     }
 
     fn execute(&mut self, msg: Msg, _out: &mut Outbox<Msg>) {
-        if let Msg::Doc(doc) = msg {
+        if let Msg::Copy { doc, targets } = msg {
+            match self.pane_masks.entry(doc.id().0) {
+                Entry::Occupied(_) => return,
+                Entry::Vacant(slot) => slot.insert(targets),
+            };
             self.open_bytes += doc.approx_bytes() as u64;
             self.arrivals.push(doc);
             if self.arrivals.len() >= ARRIVAL_BATCH || self.chunk_full() {
@@ -434,17 +551,17 @@ impl Bolt<Msg> for Joiner {
             .map(|_| Instant::now());
         self.drain();
         self.seal_open(self.config.panes_per_window() > 1);
-        let docs = self.pane_seen.len();
-        self.pane_seen.clear();
+        let docs = self.pane_masks.len();
         let reserve = self.pairs.len();
         let pairs = std::mem::replace(&mut self.pairs, Vec::with_capacity(reserve));
+        let candidates = std::mem::take(&mut self.candidates);
         if let Some(inst) = &self.inst {
             inst.counter("join_pairs").add(pairs.len() as u64);
             inst.counter("window_docs").add(docs as u64);
-            // Per-window probe load in candidate pairs: the deterministic
-            // straggler measure — unlike probe_ns it is immune to CPU
-            // contention, so benchmarks can gate on it reproducibly.
-            inst.histogram("probe_pairs").record_ns(pairs.len() as u64);
+            // Per-window probe load in candidate pairs, owned or not: the
+            // deterministic straggler measure — unlike probe_ns it is immune
+            // to CPU contention, so benchmarks can gate on it reproducibly.
+            inst.histogram("probe_pairs").record_ns(candidates);
             if inst.enabled() {
                 let dt = std::time::Duration::from_nanos(self.probe_ns_acc);
                 inst.histogram("probe_ns").record_ns(self.probe_ns_acc);
@@ -463,17 +580,26 @@ impl Bolt<Msg> for Joiner {
             docs,
             pairs,
         });
-        self.frozen.push_back(std::mem::take(&mut self.sealed));
+        self.frozen.push_back(ClosedPane {
+            chunks: std::mem::take(&mut self.sealed),
+            masks: std::mem::take(&mut self.pane_masks),
+        });
         while self.frozen.len() >= self.config.panes_per_window() {
-            let dead = self.frozen.pop_front();
+            let Some(dead) = self.frozen.pop_front() else {
+                break;
+            };
             if let Some(store) = self.spill.as_mut() {
                 let ids: Vec<u64> = dead
+                    .chunks
                     .iter()
-                    .flatten()
                     .filter_map(FrozenPane::segment_id)
                     .collect();
                 store.cache.evict_segments(&ids);
             }
+            // The evicted pane's map — a tumbling pane's own — serves the
+            // next pane, so a boundary allocates none.
+            self.pane_masks = dead.masks;
+            self.pane_masks.clear();
         }
         self.tier();
         if let (Some(inst), Some(t0)) = (&self.inst, t0) {

@@ -11,6 +11,17 @@ use std::sync::Arc;
 pub enum Msg {
     /// A schema-free document from the JsonReader.
     Doc(DocRef),
+    /// One routed copy of a document, Assigner → Joiner: `targets` is the
+    /// set of joiners this copy was sent to (bit `j` ⇔ joiner `j`, all `m`
+    /// bits for a broadcast). A pair found on several joiners is reported
+    /// only by the lowest joiner both documents reached (the owner rule,
+    /// [`crate::joiner`]).
+    Copy {
+        /// The document.
+        doc: DocRef,
+        /// Every joiner this document was sent to, never empty.
+        targets: u64,
+    },
     /// Local association groups from one PartitionCreator for one window
     /// (phase 1 of §IV-A), plus the expansion the creator detected.
     LocalGroups {
@@ -50,7 +61,8 @@ pub enum Msg {
         joiner: usize,
         /// Documents the Joiner held in this window.
         docs: usize,
-        /// The joinable pairs found, as `(earlier, later)` ids.
+        /// The joinable pairs found that this Joiner owns, as
+        /// `(earlier, later)` ids: each pair is in one Joiner's list.
         pairs: Vec<(DocId, DocId)>,
     },
 }
@@ -135,6 +147,7 @@ impl std::fmt::Debug for Msg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Msg::Doc(d) => write!(f, "Doc({})", d.id()),
+            Msg::Copy { doc, targets } => write!(f, "Copy({}, {targets:#b})", doc.id()),
             Msg::LocalGroups {
                 window,
                 creator,

@@ -11,7 +11,7 @@ use crate::topology::WindowResult;
 use std::io::{self, Write};
 
 /// Column order shared by the CSV header and rows.
-const CSV_COLUMNS: &str = "window,replication,gini,max_processing_load,broadcast_fraction,repartitioned,updates,join_pairs,unique_join_pairs";
+const CSV_COLUMNS: &str = "window,replication,gini,max_processing_load,broadcast_fraction,repartitioned,updates,unique_join_pairs";
 
 /// Whole-run aggregates over a run's windows, fed one window at a time in
 /// window order. The means are over the windows routed with a table — all
@@ -116,9 +116,9 @@ impl<W: Write> ReportSink<W> {
 
     fn row(&mut self, w: &WindowResult, first: bool) -> io::Result<()> {
         let q = w.quality();
-        // Join pairs summed over joiners (a pair found on several counts on
-        // each), then unique.
-        let (pairs, unique) = (w.pairs_per_joiner.iter().sum::<usize>(), w.pairs.len());
+        // Each pair is reported by one joiner, so the joiners' counts sum to
+        // this.
+        let unique = w.pairs.len();
         let (rebuilt, updates) = (w.routing.rebuilt, w.routing.updates);
         match self.format {
             Format::Csv => {
@@ -127,7 +127,7 @@ impl<W: Write> ReportSink<W> {
                 }
                 writeln!(
                     self.out,
-                    "{},{:.6},{:.6},{:.6},{:.6},{},{updates},{pairs},{unique}",
+                    "{},{:.6},{:.6},{:.6},{:.6},{},{updates},{unique}",
                     w.window,
                     q.replication,
                     q.load_balance,
@@ -138,7 +138,7 @@ impl<W: Write> ReportSink<W> {
             }
             Format::Jsonl => writeln!(
                 self.out,
-                "{{\"window\":{},\"replication\":{:.6},\"gini\":{:.6},\"max_processing_load\":{:.6},\"broadcast_fraction\":{:.6},\"repartitioned\":{rebuilt},\"updates\":{updates},\"join_pairs\":{pairs},\"unique_join_pairs\":{unique}}}",
+                "{{\"window\":{},\"replication\":{:.6},\"gini\":{:.6},\"max_processing_load\":{:.6},\"broadcast_fraction\":{:.6},\"repartitioned\":{rebuilt},\"updates\":{updates},\"unique_join_pairs\":{unique}}}",
                 w.window,
                 q.replication,
                 q.load_balance,

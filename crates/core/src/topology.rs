@@ -65,9 +65,9 @@ pub struct WindowResult {
     pub pairs: Vec<(u64, u64)>,
     /// Documents each joiner held in this window.
     pub docs_per_joiner: Vec<usize>,
-    /// Pairs each joiner reported, before the global dedup (a pair whose
-    /// documents meet on several joiners counts on each): its probe output,
-    /// exact unlike timings.
+    /// Pairs each joiner reported: the pairs it owns, so the counts sum to
+    /// `pairs.len()` (the owner rule, [`crate::joiner`]). Exact, unlike
+    /// timings.
     pub pairs_per_joiner: Vec<usize>,
     /// What routing did to the pane: the Assigners' counts summed, and the
     /// Merger's boundary.
@@ -94,6 +94,39 @@ pub fn canonicalize(pairs: &mut Vec<(u64, u64)>) {
     }
     pairs.sort_unstable();
     pairs.dedup();
+}
+
+/// The canonical form of pairs known to be distinct — the joiners' disjoint
+/// lists — in time linear in their number: [`canonicalize`] without the
+/// `dedup`, sorted by an LSD radix sort over only the bytes in which the
+/// keys differ (a pane's ids share their high bytes).
+fn canonicalize_distinct(pairs: &mut Vec<(u64, u64)>) {
+    let key = |p: &(u64, u64)| (p.0 as u128) << 64 | p.1 as u128;
+    for p in pairs.iter_mut() {
+        *p = (p.0.min(p.1), p.0.max(p.1));
+    }
+    let first = pairs.first().map_or(0, key);
+    let differ = pairs.iter().fold(0, |d, p| d | (key(p) ^ first));
+    let mut from = std::mem::take(pairs);
+    let mut to = vec![(0, 0); from.len()];
+    for shift in (0..128).step_by(8).filter(|s| (differ >> s) & 0xff != 0) {
+        let byte = |p: &(u64, u64)| (key(p) >> shift) as u8 as usize;
+        let mut at = [0usize; 256];
+        for p in &from {
+            at[byte(p)] += 1;
+        }
+        let mut sum = 0;
+        for slot in at.iter_mut() {
+            (*slot, sum) = (sum, sum + *slot);
+        }
+        for p in &from {
+            let slot = &mut at[byte(p)];
+            to[*slot] = *p;
+            *slot += 1;
+        }
+        std::mem::swap(&mut from, &mut to);
+    }
+    *pairs = from;
 }
 
 /// Ground-truth join pairs of one window (NLJ over all documents, canonical
@@ -238,9 +271,10 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
             for pairs in &raw {
                 result.pairs.extend(pairs.iter().map(|(a, b)| (a.0, b.0)));
             }
-            canonicalize(&mut result.pairs);
+            // Each pair has one owner: the joiners' lists are disjoint.
+            canonicalize_distinct(&mut result.pairs);
             if let Some(inst) = &self.inst {
-                // emitted / unique: how often a pair is found on several joiners.
+                // emitted / unique: 1 while each pair is found once.
                 let emitted: usize = result.pairs_per_joiner.iter().sum();
                 inst.counter("pairs_emitted").add(emitted as u64);
                 inst.counter("pairs_unique").add(result.pairs.len() as u64);
@@ -886,10 +920,7 @@ mod tests {
             .map(|t| t.counter("join_pairs"))
             .sum();
         let reported: usize = report.joins_per_window.iter().map(|w| w.len()).sum();
-        assert!(
-            join_pairs as usize >= reported,
-            "join_pairs counter {join_pairs} below reported pairs {reported}"
-        );
+        assert_eq!(join_pairs as usize, reported, "each pair has one owner");
         // Every joiner task's probe histogram accounts for its probes.
         for t in rt.tasks.iter().filter(|t| t.component == "joiner") {
             if let Some(h) = t.histogram("probe_ns") {
@@ -950,6 +981,48 @@ mod resume_tests {
             delivery.deliver(start, result(w));
         }
         assert_eq!(*got.lock(), (0..10).collect::<Vec<_>>());
+    }
+}
+
+#[cfg(test)]
+mod fold_tests {
+    use super::*;
+
+    /// The Reporter's linear fold equals `canonicalize` on distinct pairs in
+    /// either orientation: none, ids that differ only in their low byte, ids
+    /// a pane apart, ids spread over the whole `u64`.
+    #[test]
+    fn the_radix_fold_is_canonicalize_on_distinct_pairs() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for (n, base, spread) in [
+            (0, 0, 1),
+            (1, 7, 1),
+            (300, 1 << 40, 200),
+            (5_000, 240_000, 6_000),
+            (2_000, 0, u64::MAX),
+        ] {
+            let mut pairs: Vec<(u64, u64)> = (0..n)
+                .map(|_| (base + next() % spread, base + next() % spread))
+                .filter(|(a, b)| a != b)
+                .collect();
+            canonicalize(&mut pairs);
+            let want = pairs.clone();
+            // Shuffled and half of them flipped, as the joiners send them.
+            for i in (1..pairs.len()).rev() {
+                pairs.swap(i, next() as usize % (i + 1));
+            }
+            for p in pairs.iter_mut().step_by(2) {
+                *p = (p.1, p.0);
+            }
+            canonicalize_distinct(&mut pairs);
+            assert_eq!(pairs, want, "{n} pairs over {spread} ids at {base}");
+        }
     }
 }
 

@@ -19,15 +19,16 @@
 //! dataset, different interning order) is rejected at decode time as
 //! [`WireError::EpochMismatch`] instead of silently joining on wrong pairs.
 //!
-//! A run's codec also knows the run's `m` ([`MsgCodec::with_m`]): the two
-//! peer-supplied values its tasks index by — a `JoinStats` joiner id and a
-//! `Table`'s partition count — are rejected as [`WireError::OutOfRange`] when
-//! they exceed it, so a corrupt frame ends the run in a transport error
-//! instead of a panic. Without a run, [`MsgCodec::new`] bounds them by
+//! A run's codec also knows the run's `m` ([`MsgCodec::with_m`]): the
+//! peer-supplied values its tasks index by — a `JoinStats` joiner id, a
+//! `Table`'s partition count and a `Copy`'s target mask — are rejected as
+//! [`WireError::OutOfRange`] when they exceed it (or, for a mask, are
+//! empty), so a corrupt frame ends the run in a transport error instead of a
+//! panic. Without a run, [`MsgCodec::new`] bounds them by
 //! [`MAX_PARTITIONS`], so no decoded table is ever wider than that.
 
 use crate::msg::{Control, Msg, PaneRouting, TableMsg};
-use ssj_json::{AttrId, AvpId, Dictionary, DocId, Document, Pair, Scalar};
+use ssj_json::{AttrId, AvpId, Dictionary, DocId, DocRef, Document, Pair, Scalar};
 use ssj_partition::{AssociationGroup, Expansion, PartitionTable, MAX_PARTITIONS};
 use ssj_runtime::wire::{fnv1a, put_str, put_varint, put_zigzag, Cursor, WireError};
 use ssj_runtime::WireCodec;
@@ -41,6 +42,7 @@ const TAG_UPDATE_REQUEST: u8 = 3;
 const TAG_REPARTITION: u8 = 4;
 const TAG_JOIN_STATS: u8 = 5;
 const TAG_ROUTING: u8 = 6;
+const TAG_COPY: u8 = 7;
 
 /// Scalar tags (match [`Scalar`]'s hashing discriminants).
 const SCALAR_NULL: u8 = 0;
@@ -194,6 +196,24 @@ impl MsgCodec {
         Ok(avps)
     }
 
+    fn put_doc(&self, out: &mut Vec<u8>, d: &Document) {
+        put_varint(out, d.id().0);
+        put_varint(out, d.len() as u64);
+        for p in d.pairs() {
+            self.put_avp(out, p.avp);
+        }
+    }
+
+    fn get_doc(&self, c: &mut Cursor) -> Result<DocRef, WireError> {
+        let id = DocId(c.varint()?);
+        let n = count(c)?;
+        let mut pairs = Vec::with_capacity(n);
+        for _ in 0..n {
+            pairs.push(self.get_pair(c)?);
+        }
+        Ok(Arc::new(Document::from_pairs(id, pairs)))
+    }
+
     fn put_expansion(&self, out: &mut Vec<u8>, e: &Option<Expansion>) {
         match e {
             None => out.push(0),
@@ -240,11 +260,12 @@ impl WireCodec<Msg> for MsgCodec {
         match msg {
             Msg::Doc(d) => {
                 out.push(TAG_DOC);
-                put_varint(out, d.id().0);
-                put_varint(out, d.len() as u64);
-                for p in d.pairs() {
-                    self.put_avp(out, p.avp);
-                }
+                self.put_doc(out, d);
+            }
+            Msg::Copy { doc, targets } => {
+                out.push(TAG_COPY);
+                put_varint(out, *targets);
+                self.put_doc(out, doc);
             }
             Msg::LocalGroups {
                 window,
@@ -321,14 +342,22 @@ impl WireCodec<Msg> for MsgCodec {
 
     fn decode(&self, c: &mut Cursor) -> Result<Msg, WireError> {
         match c.u8()? {
-            TAG_DOC => {
-                let id = DocId(c.varint()?);
-                let n = count(c)?;
-                let mut pairs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    pairs.push(self.get_pair(c)?);
+            TAG_DOC => Ok(Msg::Doc(self.get_doc(c)?)),
+            TAG_COPY => {
+                let targets = c.varint()?;
+                // A non-empty set of the run's joiners: 1 ..= 2^m - 1.
+                let all = u64::MAX >> (64 - self.m.clamp(1, MAX_PARTITIONS));
+                if targets == 0 || targets > all {
+                    return Err(WireError::OutOfRange {
+                        field: "copy targets",
+                        value: targets,
+                        max: all,
+                    });
                 }
-                Ok(Msg::Doc(Arc::new(Document::from_pairs(id, pairs))))
+                Ok(Msg::Copy {
+                    doc: self.get_doc(c)?,
+                    targets,
+                })
             }
             TAG_LOCAL_GROUPS => {
                 let window = c.varint()?;

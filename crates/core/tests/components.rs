@@ -3,12 +3,13 @@
 
 use ssj_bench::testutil::shifting_stream;
 use ssj_core::creator::PartitionCreator;
+use ssj_core::joiner::Joiner;
 use ssj_core::{
     run_topology, run_topology_collect, Msg, Reader, StreamJoinConfig, WindowSpec, READER_LEAD,
 };
 use ssj_json::{Dictionary, DocId, Document};
 use ssj_partition::{association_groups, batch_views, Expansion, GroupIndex, View};
-use ssj_runtime::{CollectorBolt, FaultPlan, Grouping, TopologyBuilder, VecSpout};
+use ssj_runtime::{fn_bolt, CollectorBolt, FaultPlan, Grouping, TopologyBuilder, VecSpout};
 use std::sync::Arc;
 
 /// A perfectly stable stream: the same distribution in every window.
@@ -155,6 +156,69 @@ fn steady_state_routes_less_than_broadcast() {
             total < m * 100,
             "window {w} still broadcast everything: {loads:?}"
         );
+    }
+}
+
+/// The owner rule on one pair, at a lone Joiner with task 1: it reports
+/// `(a, b)` when both copies reached joiner 1 alone (masks `0b10` / `0b10`),
+/// and leaves it to joiner 0 when both reached joiner 0 too (`0b11` /
+/// `0b11`).
+#[test]
+fn a_joiner_reports_only_the_pairs_it_owns() {
+    for (targets, owned) in [(0b10u64, true), (0b11, false)] {
+        let dict = Dictionary::new();
+        let copy = |id| Msg::Copy {
+            doc: Arc::new(Document::from_json(DocId(id), r#"{"k":"v"}"#, &dict).unwrap()),
+            targets,
+        };
+        let msgs = vec![copy(0), copy(1)];
+        let cfg = StreamJoinConfig::default()
+            .with_m(2)
+            .with_window_spec(WindowSpec::tumbling(2))
+            .build()
+            .unwrap();
+        let sink = CollectorBolt::new();
+        let got = sink.handle();
+        let topology = TopologyBuilder::new()
+            .spout("feed", 1, move |_| {
+                Box::new(VecSpout::with_punctuation(msgs.clone(), 2))
+            })
+            .bolt("to_joiner_1", 1, |_| {
+                fn_bolt(|msg: Msg, out| out.emit_direct(1, msg))
+            })
+            .subscribe("feed", Grouping::Shuffle)
+            .done()
+            .bolt("joiner", 2, move |_| {
+                Box::new(Joiner::new(cfg.clone(), None))
+            })
+            .subscribe("to_joiner_1", Grouping::Direct)
+            .done()
+            .bolt("sink", 1, move |_| Box::new(sink.clone()))
+            .subscribe("joiner", Grouping::Global)
+            .done()
+            .build()
+            .unwrap();
+        ssj_runtime::run(topology).unwrap();
+
+        let reported: Vec<_> = got
+            .take()
+            .into_iter()
+            .filter_map(|msg| match msg {
+                Msg::JoinStats {
+                    joiner: 1,
+                    docs,
+                    pairs,
+                    ..
+                } => Some((docs, pairs)),
+                _ => None,
+            })
+            .collect();
+        let want = if owned {
+            vec![(DocId(0), DocId(1))]
+        } else {
+            vec![]
+        };
+        assert_eq!(reported, vec![(2, want)], "masks {targets:#b}");
     }
 }
 

@@ -4,7 +4,8 @@
 //! its later document) — whatever the window shape, `m`, batch, parallelism,
 //! pool, expansion, partitioner, reader lead, source, process group, spill
 //! budget or injected crash — and deliver each window exactly once, in order,
-//! with the reader never more than the case's lead ahead of the sink. A case
+//! with the reader never more than the case's lead ahead of the sink, each
+//! pair reported by exactly one joiner (the owner rule). A case
 //! with a group, a spill budget or a crash must also equal the same case
 //! without it — and, without a crash, route every pane exactly as it does:
 //! the control plane rides the reader's credit, so routing is a function of
@@ -290,6 +291,12 @@ fn check(case: &Case) -> TopologyRunReport {
     let panes = truth.windows.len() as u64;
     assert_eq!(report.windows, (0..panes).collect::<Vec<_>>(), "delivery");
     assert_runs_equal(&*truth, &report);
+    // The owner rule: every pair is reported by exactly one joiner.
+    let windows = report.joins_per_window.iter().zip(&report.pairs_per_joiner);
+    for (w, (pairs, per_joiner)) in windows.enumerate() {
+        let emitted: usize = per_joiner.iter().sum();
+        assert_eq!(emitted, pairs.len(), "window {w}: pairs emitted vs unique");
+    }
     if let Some(base) = base {
         assert_runs_equal(&base.0, &report);
         // A resumed attempt bootstraps its routing afresh.

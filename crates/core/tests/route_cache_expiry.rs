@@ -7,7 +7,8 @@
 //!
 //! The scenario drives a bare Assigner through a scripted message
 //! sequence (tables deployed by hand, punctuation at exact points) and
-//! observes the routed targets directly.
+//! observes the routed targets directly — and that every copy's shipped
+//! target mask names exactly the joiners the document reached.
 
 use ssj_core::assign::Assigner;
 use ssj_core::{Msg, StreamJoinConfig, TableMsg, WindowSpec};
@@ -27,10 +28,10 @@ impl Spout<Msg> for ScriptSpout {
     }
 }
 
-/// Records which sink task each document lands on.
+/// Records which sink task each document lands on, with the copy's mask.
 struct RouteSink {
     task: usize,
-    log: Arc<Mutex<Vec<(u64, usize)>>>,
+    log: Arc<Mutex<Vec<(u64, usize, u64)>>>,
 }
 
 impl Bolt<Msg> for RouteSink {
@@ -39,8 +40,11 @@ impl Bolt<Msg> for RouteSink {
     }
 
     fn execute(&mut self, msg: Msg, _out: &mut Outbox<Msg>) {
-        if let Msg::Doc(d) = msg {
-            self.log.lock().unwrap().push((d.id().0, self.task));
+        if let Msg::Copy { doc, targets } = msg {
+            self.log
+                .lock()
+                .unwrap()
+                .push((doc.id().0, self.task, targets));
         }
     }
 }
@@ -55,13 +59,19 @@ fn table_for(m: usize, window: u64, avp: AvpId, partition: u32) -> Msg {
     }))
 }
 
-/// Targets of each document, sorted, keyed by document id.
-fn targets_of(log: &[(u64, usize)], id: u64) -> Vec<usize> {
-    let mut t: Vec<usize> = log
+/// Targets of each document, sorted, keyed by document id. Every copy of
+/// it must carry exactly that set as its mask.
+fn targets_of(log: &[(u64, usize, u64)], id: u64) -> Vec<usize> {
+    let copies: Vec<(usize, u64)> = log
         .iter()
-        .filter(|(d, _)| *d == id)
-        .map(|(_, task)| *task)
+        .filter(|(d, ..)| *d == id)
+        .map(|&(_, task, mask)| (task, mask))
         .collect();
+    let reached = copies.iter().fold(0u64, |m, &(task, _)| m | 1 << task);
+    for &(task, mask) in &copies {
+        assert_eq!(mask, reached, "d{id}: the copy to {task} ships {mask:#b}");
+    }
+    let mut t: Vec<usize> = copies.into_iter().map(|(task, _)| task).collect();
     t.sort_unstable();
     t
 }
@@ -109,7 +119,7 @@ fn pane_expiry_invalidates_cached_route_masks() {
         }
     };
 
-    let log: Arc<Mutex<Vec<(u64, usize)>>> = Arc::new(Mutex::new(Vec::new()));
+    let log: Arc<Mutex<Vec<(u64, usize, u64)>>> = Arc::new(Mutex::new(Vec::new()));
     let sink_log = Arc::clone(&log);
     let topology = TopologyBuilder::new()
         .batch_size(1)

@@ -70,8 +70,8 @@ const ROUTING: PaneRouting = PaneRouting {
 };
 
 /// One Data frame body (length prefix stripped) per `Msg` tag — Doc,
-/// LocalGroups, Table, UpdateRequest, Repartition, JoinStats, Routing — with
-/// snapshot symbols and post-snapshot (inline) ones mixed in.
+/// LocalGroups, Table, UpdateRequest, Repartition, JoinStats, Routing, Copy —
+/// with snapshot symbols and post-snapshot (inline) ones mixed in.
 fn every_tag_body(dict: &Dictionary, codec: &MsgCodec) -> Vec<Vec<u8>> {
     let known = dict.intern("attr0", Scalar::Int(0));
     let late = dict.intern("late", Scalar::Str("x".into()));
@@ -122,6 +122,10 @@ fn every_tag_body(dict: &Dictionary, codec: &MsgCodec) -> Vec<Vec<u8>> {
                 },
             ))),
         },
+        Msg::Copy {
+            doc: Arc::new(Document::from_pairs(DocId(8), vec![late, known])),
+            targets: 0b1010,
+        },
     ];
     msgs.into_iter()
         .map(|msg| {
@@ -143,12 +147,14 @@ proptest! {
 
     /// Data frames with random documents — including pairs interned after
     /// the snapshot, which travel inline and are re-interned — round-trip
-    /// to semantically identical documents.
+    /// to semantically identical documents, bare and as a routed copy with
+    /// its target mask.
     #[test]
     fn document_data_frames_roundtrip(
         id in 0u64..1 << 40,
         picks in proptest::collection::vec((0u8..7, 0i64..11), 1..6),
         fresh in proptest::collection::vec((0u8..20, -50i64..50), 0..4),
+        targets in 1u64..=u64::MAX,
     ) {
         let dict = seeded_dict(40);
         let codec = MsgCodec::new(&dict);
@@ -165,6 +171,17 @@ proptest! {
         let Payload::Data(Msg::Doc(d)) = back.payload else {
             panic!("wrong payload kind");
         };
+        assert_same_doc(&doc, &d, &dict);
+
+        let copy = Frame {
+            payload: Payload::Data(Msg::Copy { doc: Arc::new(doc.clone()), targets }),
+            ..frame
+        };
+        let Payload::Data(Msg::Copy { doc: d, targets: back }) = roundtrip(&codec, &copy).payload
+        else {
+            panic!("wrong payload kind");
+        };
+        prop_assert_eq!(back, targets);
         assert_same_doc(&doc, &d, &dict);
     }
 
@@ -267,12 +284,12 @@ proptest! {
     /// Whatever a peer sends, `decode_frame` returns a frame or a
     /// `WireError`, never a panic. Inputs: arbitrary bodies, bare and behind
     /// a valid Data header (so they reach the message codec), truncated,
-    /// byte-flipped or junk-tailed encodings of all seven `Msg` tags, and a
+    /// byte-flipped or junk-tailed encodings of all eight `Msg` tags, and a
     /// `Table` 65 partitions wide.
     #[test]
     fn decode_never_panics(
         junk in proptest::collection::vec(wire_byte(), 0..96),
-        tag in 0usize..7,
+        tag in 0usize..8,
         cut in 0usize..1 << 16,
         flips in proptest::collection::vec((0usize..1 << 16, 1u8..=255), 1..4),
     ) {
@@ -320,11 +337,12 @@ proptest! {
     }
 }
 
-/// The run's codec rejects the two peer-supplied values its tasks index by:
-/// a `JoinStats` from a joiner `>= m` (the Reporter's per-joiner slot) and a
-/// `Table` wider than `m` (the Assigner's per-machine counts). The default
-/// codec of `MsgCodec::new`, bounded only by the 64-partition cap, accepts
-/// both. A `Routing`'s Assigner index only orders the Assigners' requests
+/// The run's codec rejects the peer-supplied values its tasks index by: a
+/// `JoinStats` from a joiner `>= m` (the Reporter's per-joiner slot), a
+/// `Table` wider than `m` (the Assigner's per-machine counts) and a `Copy`
+/// whose target mask is empty or names a joiner `>= m` (the owner rule reads
+/// it). The default codec of `MsgCodec::new`, bounded only by the
+/// 64-partition cap, accepts the first two and any non-empty mask. A `Routing`'s Assigner index only orders the Assigners' requests
 /// (the Reporter sorts by it), so the run's codec takes any.
 #[test]
 fn run_codec_rejects_out_of_range_indices() {
@@ -372,6 +390,25 @@ fn run_codec_rejects_out_of_range_indices() {
     assert!(decode(&bounded, &counts).is_ok());
     assert!(decode(&default, &stats(M)).is_ok());
     assert!(decode(&default, &wide).is_ok());
+
+    let copy = |targets| Msg::Copy {
+        doc: Arc::new(Document::from_pairs(DocId(1), Vec::new())),
+        targets,
+    };
+    let all = (1u64 << M) - 1;
+    assert!(decode(&bounded, &copy(all)).is_ok());
+    for targets in [0, 1 << M, u64::MAX] {
+        assert_eq!(
+            decode(&bounded, &copy(targets)).unwrap_err(),
+            WireError::OutOfRange {
+                field: "copy targets",
+                value: targets,
+                max: all,
+            }
+        );
+    }
+    assert!(decode(&default, &copy(u64::MAX)).is_ok());
+    assert!(decode(&default, &copy(0)).is_err());
 }
 
 /// Two dictionaries seeded identically produce codecs with equal epochs;

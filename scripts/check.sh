@@ -102,14 +102,17 @@ stage "distributed CLI" cargo test -q -p ssj-cli --test distributed
 stage "route-cache expiry" cargo test -q -p ssj-core --test route_cache_expiry
 
 # The reporter hands each window to the run's sink once, in order, canonical,
-# while the stream is still being read: the reader, in memory or streaming a
-# file, never runs more than READER_LEAD panes ahead of the sink (its
-# reported lead; a reader without credit stops at its lead) — also across a
+# each pair reported by exactly one joiner (the owner rule: a lone joiner 1
+# reports a pair only when the copies' masks leave it to joiner 1), while
+# the stream is still being read: the reader, in memory or streaming a file,
+# never runs more than READER_LEAD panes ahead of the sink (its reported
+# lead; a reader without credit stops at its lead) — also across a
 # reporter crashed mid-window (tumbling and sliding, the run resumed, over
 # the file source too); a lock-step run whose reporter dies in every attempt
 # ends in the reporter's error within seconds.
 result_path() {
     cargo test -q --test end_to_end results_leave_the_topology_window_by_window
+    cargo test -q -p ssj-core --test components a_joiner_reports_only_the_pairs_it_owns
     cargo test -q -p ssj-core --lib reader::
     cargo test -q -p ssj-core --test differential reporter_crash
     cargo test -q -p ssj-core --test differential file_source

@@ -653,7 +653,8 @@ fn results_leave_the_topology_window_by_window() {
                 emitted_pairs += w.pairs_per_joiner.iter().sum::<usize>() as u64;
                 unique_pairs += w.pairs.len() as u64;
             }
-            assert!(unique_pairs > 0 && emitted_pairs >= unique_pairs);
+            // Each pair is found by its owner alone.
+            assert!(unique_pairs > 0 && emitted_pairs == unique_pairs);
             // The joiners' own count of what they sent, and the reporter's
             // instruments, agree with what the sink was told.
             assert_eq!(
