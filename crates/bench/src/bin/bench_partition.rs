@@ -14,10 +14,11 @@
 //!   baseline's. It does *not* run the claim check: only the two modes
 //!   above enforce it;
 //! * `--audit` (requires `--features count-allocs`): route a warmed
-//!   workload and exit non-zero if the route path performs any heap
-//!   allocation per document, or if cloning or dropping a `PartitionTable`
-//!   (5 k and 50 k pairs) allocates or frees more than `m` plus a constant
-//!   blocks.
+//!   workload — table views, then rw documents through the Assigner's
+//!   `Router::route` with a §VI-B expansion deployed — and exit non-zero if
+//!   either route path performs any heap allocation per document, or if
+//!   cloning or dropping a `PartitionTable` (5 k and 50 k pairs) allocates
+//!   or frees more than `m` plus a constant blocks.
 //!
 //! The JSON is one measurement per line (see `ssj_bench::report`); for the
 //! `route/*/fast` rows the `avg_batch` field carries the speedup factor
@@ -291,6 +292,7 @@ fn audit() -> i32 {
         } else {
             eprintln!("route path allocated {allocs} times in {routes} routes");
         }
+        ok &= audit_router();
         // Loads, the member list, the mask map and the SC order: a handful
         // of blocks beside the m member vectors.
         use ssj_partition::MAX_PARTITIONS;
@@ -314,6 +316,50 @@ fn audit() -> i32 {
         }
         i32::from(!ok)
     }
+}
+
+/// The Assigner's path: rw documents through `Router::route` with an
+/// expansion deployed. Once the route scratch has memoised every chain
+/// combination, forming a view renders nothing and allocates nothing.
+#[cfg(feature = "count-allocs")]
+fn audit_router() -> bool {
+    use ssj_core::{assign::Router, StreamJoinConfig, TableMsg};
+    use ssj_partition::{batch_views, Expansion};
+    use std::sync::Arc;
+    let (dict, docs) = DataSet::RwData.generate(2_000, 42);
+    let exp = Expansion::detect(&docs, &dict, M).expect("rwData needs an expansion at m = 8");
+    let views: Vec<View> = batch_views(&docs, Some(&exp), &dict)
+        .into_iter()
+        .flatten()
+        .collect();
+    let table = assign_groups(association_groups(&views), M);
+    let config = StreamJoinConfig::default().with_m(M).build().unwrap();
+    let mut router = Router::new(&config);
+    router.deploy(Arc::new(TableMsg {
+        window: 0,
+        table,
+        expansion: Some(exp),
+    }));
+    // Warm pass: memoises the synthetic pairs, fills the route cache and
+    // the δ-tracker's counts.
+    let mut sends = 0;
+    for d in &docs {
+        sends += router.route(d, &dict).map_or(M, <[u32]>::len);
+    }
+    assert!(sends > 0);
+    let before = alloc_counter::allocations();
+    for _ in 0..10 {
+        for d in &docs {
+            sends += router.route(d, &dict).map_or(M, <[u32]>::len);
+        }
+    }
+    let allocs = alloc_counter::allocations() - before;
+    let routes = docs.len() * 10;
+    println!("audit: {allocs} allocations across {routes} warmed expanded routes ({sends} sends)");
+    if allocs != 0 {
+        eprintln!("the expanded route path allocated {allocs} times in {routes} routes");
+    }
+    allocs == 0
 }
 
 /// A table of `pairs` pairs over 64 partitions, groups of five, with every

@@ -166,7 +166,7 @@ impl Router {
         // Build the routing view into the reusable buffer (no allocation
         // once the buffer has warmed up).
         let have_view = match self.current.as_ref().and_then(|t| t.expansion.as_ref()) {
-            Some(e) => e.view_into(doc, dict, &mut self.view_buf),
+            Some(e) => e.view_cached(doc, dict, &mut self.view_buf, &mut self.scratch),
             None => {
                 self.view_buf.clear();
                 self.view_buf.extend(doc.avps());

@@ -2,20 +2,27 @@
 //! arrives, in micro-batches, and emits the pane's pairs at the boundary.
 //!
 //! A document reaches every joiner its route names, so a pair whose two
-//! documents share several joiners is found on each of them. Every routed
-//! copy carries its target mask ([`Msg::Copy`]), and joiner `j` reports a
-//! found pair `(a, b)` only if `j` is the lowest set bit of
-//! `mask(a) & mask(b)` — the *owner rule*. Both documents reached every
-//! joiner of that intersection, so exactly one joiner reports each pair and
-//! the joiners' lists are disjoint.
+//! documents share several joiners could be found on each of them. Every
+//! routed copy carries its target mask ([`Msg::Copy`]), and joiner `j` finds
+//! a pair `(a, b)` only if `j` is the lowest set bit of `mask(a) & mask(b)` —
+//! the *owner rule*. Both documents reached every joiner of that
+//! intersection, so exactly one joiner reports each pair and the joiners'
+//! lists are disjoint.
+//!
+//! The rule is applied inside the probe. Joiner `j` tags each copy with
+//! `mask & below`, `below` being the joiners under `j`; it owns `(a, b)`
+//! exactly when `tag(a) & tag(b) == 0`. The FP-trees store each document's
+//! tag, and every probe skips the probing copy's tag
+//! ([`ssj_join::fpjoin::probe_absent`]), so it never walks into a subtree
+//! whose documents all belong to a lower joiner. A spilled chunk and the
+//! NLJ/HBJ baselines test the same `tag(a) & tag(b) == 0` on what they find.
 
 use crate::config::StreamJoinConfig;
 use crate::msg::Msg;
 use crate::spill::{BlockCache, Segment, SpillSettings, SpillStore};
-use ssj_join::{FpTree, JoinAlgo};
+use ssj_join::{AttrOrder, FpTree, JoinAlgo, ProbeStats};
 use ssj_json::{DocId, DocRef, FxHashMap};
 use ssj_runtime::{Bolt, Outbox, TaskInfo, TaskInstruments, TraceKind};
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -29,20 +36,34 @@ use std::time::Instant;
 /// 1024 adds 0.5–1.1 ms of close for ~3 % more throughput.
 pub const ARRIVAL_BATCH: usize = 256;
 
+/// A routed copy as the Joiner holds it: the document and its owner-rule
+/// tag (module docs).
+type Tagged = (DocRef, u64);
+
+/// The FP-tree nodes a probe visited, fast-path hops included.
+fn nodes(stats: ProbeStats) -> u64 {
+    stats.visited + stats.fast_levels
+}
+
 /// One sealed chunk of a Joiner pane: either a resident arena (the chunk's
-/// deduplicated documents plus the FP-tree over them) or a spilled immutable
-/// segment file with only its compact header in memory (DESIGN.md §4i).
-/// Without a memory budget every pane is exactly one resident chunk.
+/// tagged documents plus the FP-tree over them) or a spilled immutable
+/// segment file with only its compact header and its documents' tags in
+/// memory (DESIGN.md §4i). Without a memory budget every pane is exactly one
+/// resident chunk.
 // Resident is much larger than Spilled, but a chunk ring holds only a
 // handful of entries and probing goes straight through the tree — boxing
 // would buy nothing except an extra hop on the hot path.
 #[allow(clippy::large_enum_variant)]
 enum FrozenPane {
     /// In-memory arena: documents + FP-tree for cross-chunk probing.
-    Resident { docs: Vec<DocRef>, tree: FpTree },
+    Resident { docs: Vec<Tagged>, tree: FpTree },
     /// Tiered out: only the segment header (Bloom summary + block index)
-    /// stays resident; probes lazily read blocks back through the cache.
-    Spilled { segment: Arc<Segment> },
+    /// and the documents' tags, sorted by id, stay resident; probes lazily
+    /// read blocks back through the cache.
+    Spilled {
+        segment: Arc<Segment>,
+        tags: Vec<(DocId, u64)>,
+    },
 }
 
 impl FrozenPane {
@@ -51,39 +72,50 @@ impl FrozenPane {
     fn resident_bytes(&self) -> u64 {
         match self {
             FrozenPane::Resident { docs, tree } => {
-                (docs.iter().map(|d| d.approx_bytes()).sum::<usize>() + tree.approx_bytes()) as u64
+                (docs.iter().map(|(d, _)| d.approx_bytes()).sum::<usize>() + tree.approx_bytes())
+                    as u64
             }
-            FrozenPane::Spilled { segment } => segment.header_bytes() as u64,
+            FrozenPane::Spilled { segment, tags } => {
+                (segment.header_bytes() + tags.len() * std::mem::size_of::<(DocId, u64)>()) as u64
+            }
         }
     }
 
-    /// Probe every doc in `docs` against this chunk, appending partner
-    /// pairs as `(chunk partner, probing doc)` — chunk docs are always the
-    /// earlier ones. Resident chunks use the FP-tree; spilled chunks gate
-    /// on the Bloom summary and linearly scan cached/read-back blocks with
-    /// `Document::joins_with` — the exact predicate the FP-tree probe
-    /// implements, so the partner set is identical either way.
+    /// Probe every doc in `docs` against this chunk, appending the partner
+    /// pairs this joiner owns as `(chunk partner, probing doc)` — chunk docs
+    /// are always the earlier ones. Resident chunks use the FP-tree, pruned
+    /// by the probing copy's tag; spilled chunks gate on the Bloom summary,
+    /// linearly scan cached/read-back blocks with `Document::joins_with` —
+    /// the exact predicate the FP-tree probe implements — and keep the
+    /// partners whose tag misses the probing copy's, so the pair set is
+    /// identical either way. Returns the FP-tree nodes visited.
     fn probe(
         &self,
-        docs: &[DocRef],
+        docs: &[Tagged],
         scratch: &mut ssj_join::ProbeScratch,
         probe_buf: &mut Vec<DocId>,
         cache: Option<&mut BlockCache>,
         pairs: &mut Vec<(DocId, DocId)>,
         inst: Option<&TaskInstruments>,
-    ) {
+    ) -> u64 {
+        let mut visited = 0;
         match self {
             FrozenPane::Resident { tree, .. } => {
                 // A sealed chunk never holds a later chunk's document.
-                for d in docs {
-                    ssj_join::fp_probe_absent(tree, d, true, scratch, probe_buf);
+                for (d, tag) in docs {
+                    let stats = ssj_join::fp_probe_absent(tree, d, *tag, true, scratch, probe_buf);
+                    visited += nodes(stats);
                     pairs.extend(probe_buf.iter().map(|&p| (p, d.id())));
                 }
             }
-            FrozenPane::Spilled { segment } => {
+            FrozenPane::Spilled { segment, tags } => {
                 let cache = cache.expect("spilled chunk without a spill store");
                 let timed = inst.is_some_and(|i| i.enabled());
-                for d in docs {
+                let tag_of = |id: DocId| {
+                    let at = tags.binary_search_by_key(&id, |&(d, _)| d);
+                    tags[at.expect("a spilled chunk keeps every document's tag")].1
+                };
+                for (d, tag) in docs {
                     if !segment.may_contain_any(d) {
                         continue;
                     }
@@ -99,86 +131,37 @@ impl FrozenPane {
                                 .record_ns(t0.elapsed().as_nanos() as u64);
                         }
                     }
+                    if *tag != 0 {
+                        probe_buf.retain(|&p| tag_of(p) & tag == 0);
+                    }
                     pairs.extend(probe_buf.iter().map(|&p| (p, d.id())));
                 }
             }
         }
+        visited
     }
 
     /// Segment id of a spilled chunk (keys the block cache).
     fn segment_id(&self) -> Option<u64> {
         match self {
-            FrozenPane::Spilled { segment } => Some(segment.id()),
+            FrozenPane::Spilled { segment, .. } => Some(segment.id()),
             FrozenPane::Resident { .. } => None,
         }
     }
 }
 
-/// A closed pane still inside the sliding lookback: its chunks, and the
-/// target mask of every document it holds, which the owner rule reads when a
-/// later document finds a partner in it.
-struct ClosedPane {
-    chunks: Vec<FrozenPane>,
-    masks: FxHashMap<u64, u64>,
-}
-
-/// The owner rule over `pairs[start..]`, each `(earlier, later)`: keep only
-/// the pairs whose documents' masks share no joiner in `below` (the joiners
-/// below this one). Both documents reached this joiner, so it is then the
-/// lowest joiner they share. `earlier` and `later` hold the two sides'
-/// masks. Returns how many candidate pairs it looked at.
-fn keep_owned(
-    pairs: &mut Vec<(DocId, DocId)>,
-    start: usize,
-    below: u64,
-    earlier: &FxHashMap<u64, u64>,
-    later: &FxHashMap<u64, u64>,
-) -> u64 {
-    let found = pairs.len() - start;
-    // Joiner 0 owns whatever it finds; so does any joiner for a later
-    // document sent to no joiner below it. A probing document's pairs are
-    // contiguous, so its mask is looked up once.
-    if below != 0 {
-        let mask = |masks: &FxHashMap<u64, u64>, id: DocId| {
-            *masks
-                .get(&id.0)
-                .expect("a found document was drained with its mask")
-        };
-        let mut kept = start;
-        let mut last: Option<(DocId, u64)> = None;
-        for i in start..pairs.len() {
-            let (a, b) = pairs[i];
-            let shared = match last {
-                Some((id, shared)) if id == b => shared,
-                _ => {
-                    let shared = mask(later, b) & below;
-                    last = Some((b, shared));
-                    shared
-                }
-            };
-            if shared == 0 || mask(earlier, a) & shared == 0 {
-                pairs[kept] = (a, b);
-                kept += 1;
-            }
-        }
-        pairs.truncate(kept);
-    }
-    found as u64
-}
-
 /// Deep copies of shared documents, for the NLJ/HBJ baselines, which take
 /// owned ones.
-fn owned(docs: &[DocRef]) -> Vec<ssj_json::Document> {
-    docs.iter().map(|d| (**d).clone()).collect()
+fn owned(docs: &[Tagged]) -> Vec<ssj_json::Document> {
+    docs.iter().map(|(d, _)| (**d).clone()).collect()
 }
 
 /// Joiner bolt (§V): local window join, computed as the documents arrive.
 ///
-/// Arrivals are collected into micro-batches of [`ARRIVAL_BATCH`] (a
-/// document's second copy is dropped on arrival); one `drain` per
-/// micro-batch (and one for the remainder at the boundary) probes every
-/// earlier chunk with the whole micro-batch, then probes and inserts each
-/// document into the open pane's FP-tree
+/// Arrivals are collected into micro-batches of [`ARRIVAL_BATCH`]; one
+/// `drain` per micro-batch (and one for the remainder at the boundary)
+/// probes every earlier chunk with the whole micro-batch, then probes and
+/// inserts each document into the open pane's FP-tree
 /// ([`ssj_join::OpenPane`], ordered by the previous pane). A punctuation
 /// therefore has at most one micro-batch left to join: it emits the pane's
 /// pairs and rotates the ring. Tumbling windows drop the pane; sliding
@@ -196,28 +179,32 @@ fn owned(docs: &[DocRef]) -> Vec<ssj_json::Document> {
 /// each unordered pair is found exactly once, when its later document is
 /// drained against the chunk (sealed or open) holding the earlier one.
 ///
-/// Each probe's pairs pass the owner rule (module docs) right there, in
-/// `drain`, so the boundary emits only the pairs this joiner owns.
+/// Every probe finds only the pairs this joiner owns (module docs), so the
+/// boundary emits them as they are.
 pub struct Joiner {
     config: StreamJoinConfig,
     task: usize,
     /// The joiners below this one, as a mask (owner rule).
     below: u64,
     /// Arrivals not joined yet — at most [`ARRIVAL_BATCH`].
-    arrivals: Vec<DocRef>,
+    arrivals: Vec<Tagged>,
     /// The open chunk, joined on arrival (FPJ only), and its documents
     /// (only when `keeps_docs`).
     open: ssj_join::OpenPane,
-    open_docs: Vec<DocRef>,
+    open_docs: Vec<Tagged>,
     /// Chunks of the open pane sealed so far (spill mode only).
     sealed: Vec<FrozenPane>,
-    /// Frozen panes still inside the sliding lookback, oldest first; empty
-    /// for tumbling windows. One chunk per pane without a budget.
-    frozen: VecDeque<ClosedPane>,
-    /// Pairs of the open pane found so far that this joiner owns.
+    /// Frozen panes still inside the sliding lookback, oldest first, each
+    /// as its chunks; empty for tumbling windows. One chunk per pane without
+    /// a budget.
+    frozen: VecDeque<Vec<FrozenPane>>,
+    /// Pairs of the open pane found so far (all of them owned).
     pairs: Vec<(DocId, DocId)>,
-    /// Candidate pairs of the open pane found so far, owned or not.
-    candidates: u64,
+    /// Copies of the open pane received so far — one per document: the
+    /// Assigner sends each joiner a document once.
+    docs: usize,
+    /// FP-tree nodes the open pane's probes visited so far.
+    probe_nodes: u64,
     /// Reused working memory for probes of sealed chunks.
     probe_scratch: ssj_join::ProbeScratch,
     probe_buf: Vec<DocId>,
@@ -226,10 +213,6 @@ pub struct Joiner {
     /// Per-task spill machinery, created in `prepare` (needs the task
     /// index for segment names). `None` when `mem_budget == 0`.
     spill: Option<SpillStore>,
-    /// Id → target mask of every document of the open pane. One copy per
-    /// document is kept, should one arrive twice. Handed to the pane's
-    /// [`ClosedPane`] at the boundary.
-    pane_masks: FxHashMap<u64, u64>,
     /// Approximate bytes arrived since the last chunk seal.
     open_bytes: u64,
     /// Join time accumulated across this pane's drains (instrument-gated),
@@ -252,12 +235,12 @@ impl Joiner {
             sealed: Vec::new(),
             frozen: VecDeque::new(),
             pairs: Vec::new(),
-            candidates: 0,
+            docs: 0,
+            probe_nodes: 0,
             probe_scratch: ssj_join::ProbeScratch::new(),
             probe_buf: Vec::new(),
             spill_settings: spill,
             spill: None,
-            pane_masks: FxHashMap::default(),
             open_bytes: 0,
             probe_ns_acc: 0,
             inst: None,
@@ -291,36 +274,15 @@ impl Joiner {
     /// Join the collected arrivals: probe every earlier chunk — frozen panes
     /// oldest first, then this pane's seals — with the whole micro-batch
     /// (tree-major: one tree stays hot), then probe and insert each document
-    /// into the open tree. Every probe keeps only the pairs this joiner owns.
+    /// into the open tree. Every probe finds only the pairs this joiner owns.
     fn drain(&mut self) {
         let mut docs = std::mem::take(&mut self.arrivals);
         if !docs.is_empty() {
             let inst = self.inst.as_deref();
             let t0 = inst.filter(|i| i.enabled()).map(|_| Instant::now());
             let mut cache = self.spill.as_mut().map(|s| &mut s.cache);
-            for pane in &self.frozen {
-                let start = self.pairs.len();
-                for chunk in &pane.chunks {
-                    chunk.probe(
-                        &docs,
-                        &mut self.probe_scratch,
-                        &mut self.probe_buf,
-                        cache.as_deref_mut(),
-                        &mut self.pairs,
-                        inst,
-                    );
-                }
-                self.candidates += keep_owned(
-                    &mut self.pairs,
-                    start,
-                    self.below,
-                    &pane.masks,
-                    &self.pane_masks,
-                );
-            }
-            let start = self.pairs.len();
-            for chunk in &self.sealed {
-                chunk.probe(
+            for chunk in self.frozen.iter().flatten().chain(&self.sealed) {
+                self.probe_nodes += chunk.probe(
                     &docs,
                     &mut self.probe_scratch,
                     &mut self.probe_buf,
@@ -330,17 +292,10 @@ impl Joiner {
                 );
             }
             if self.config.join_algo == JoinAlgo::FpTree {
-                for d in &docs {
-                    self.open.join(d, &mut self.pairs);
+                for (d, tag) in &docs {
+                    self.probe_nodes += nodes(self.open.join(d, *tag, &mut self.pairs));
                 }
             }
-            self.candidates += keep_owned(
-                &mut self.pairs,
-                start,
-                self.below,
-                &self.pane_masks,
-                &self.pane_masks,
-            );
             if let Some(t0) = t0 {
                 self.probe_ns_acc += t0.elapsed().as_nanos() as u64;
             }
@@ -365,18 +320,22 @@ impl Joiner {
         } else {
             let t0 = Instant::now();
             let docs = owned(&self.open_docs);
-            let start = self.pairs.len();
-            self.pairs
-                .append(&mut ssj_join::join_batch(self.config.join_algo, &docs));
-            self.candidates += keep_owned(
-                &mut self.pairs,
-                start,
-                self.below,
-                &self.pane_masks,
-                &self.pane_masks,
-            );
+            let mut found = ssj_join::join_batch(self.config.join_algo, &docs);
+            if self.below != 0 {
+                let tags: FxHashMap<DocId, u64> =
+                    self.open_docs.iter().map(|(d, t)| (d.id(), *t)).collect();
+                found.retain(|(a, b)| tags[a] & tags[b] == 0);
+            }
+            self.pairs.append(&mut found);
             self.probe_ns_acc += t0.elapsed().as_nanos() as u64;
-            (keep && !docs.is_empty()).then(|| FpTree::build(&docs))
+            (keep && !docs.is_empty()).then(|| {
+                let mut tree = FpTree::new(AttrOrder::compute(&docs));
+                for (d, (_, tag)) in docs.iter().zip(&self.open_docs) {
+                    tree.insert_tagged(d, *tag);
+                }
+                tree.seal();
+                tree
+            })
         };
         match tree {
             Some(tree) => self.sealed.push(FrozenPane::Resident {
@@ -401,7 +360,7 @@ impl Joiner {
             let resident: u64 = self
                 .frozen
                 .iter()
-                .flat_map(|p| &p.chunks)
+                .flatten()
                 .chain(&self.sealed)
                 .map(FrozenPane::resident_bytes)
                 .sum();
@@ -411,7 +370,7 @@ impl Joiner {
             let Some(chunk) = self
                 .frozen
                 .iter_mut()
-                .flat_map(|p| &mut p.chunks)
+                .flatten()
                 .chain(&mut self.sealed)
                 .find(|c| matches!(c, FrozenPane::Resident { .. }))
             else {
@@ -420,12 +379,15 @@ impl Joiner {
             let FrozenPane::Resident { docs, .. } = chunk else {
                 unreachable!()
             };
+            let mut tags: Vec<(DocId, u64)> = docs.iter().map(|(d, t)| (d.id(), *t)).collect();
+            tags.sort_unstable();
+            let docs: Vec<DocRef> = std::mem::take(docs).into_iter().map(|(d, _)| d).collect();
             let segment = store
-                .write_segment(std::mem::take(docs))
+                .write_segment(docs)
                 .expect("spill: failed to write segment");
             spilled_bytes += segment.bytes();
             spilled_runs += 1;
-            *chunk = FrozenPane::Spilled { segment };
+            *chunk = FrozenPane::Spilled { segment, tags };
         }
         if let Some(inst) = &self.inst {
             if spilled_runs > 0 {
@@ -450,7 +412,6 @@ impl Joiner {
             for pane in self
                 .frozen
                 .iter_mut()
-                .map(|p| &mut p.chunks)
                 .chain(std::iter::once(&mut self.sealed))
             {
                 let positions: Vec<usize> = pane
@@ -466,7 +427,16 @@ impl Joiner {
                 // runs' (disjoint) doc sets, so probe results are
                 // unchanged; position within the pane does not matter.
                 if let Some(m) = merged.take() {
-                    pane[positions[0]] = FrozenPane::Spilled { segment: m };
+                    let mut tags: Vec<(DocId, u64)> = positions
+                        .iter()
+                        .flat_map(|&i| match &pane[i] {
+                            FrozenPane::Spilled { tags, .. } => tags.as_slice(),
+                            FrozenPane::Resident { .. } => &[],
+                        })
+                        .copied()
+                        .collect();
+                    tags.sort_unstable();
+                    pane[positions[0]] = FrozenPane::Spilled { segment: m, tags };
                 }
                 for &i in positions[1..].iter().rev() {
                     pane.remove(i);
@@ -489,16 +459,11 @@ impl Joiner {
         if store.compactions_in_flight() > 0 {
             return;
         }
-        for pane in self
-            .frozen
-            .iter()
-            .map(|p| &p.chunks)
-            .chain(std::iter::once(&self.sealed))
-        {
+        for pane in self.frozen.iter().chain(std::iter::once(&self.sealed)) {
             let runs: Vec<Arc<Segment>> = pane
                 .iter()
                 .filter_map(|c| match c {
-                    FrozenPane::Spilled { segment } => Some(Arc::clone(segment)),
+                    FrozenPane::Spilled { segment, .. } => Some(Arc::clone(segment)),
                     FrozenPane::Resident { .. } => None,
                 })
                 .collect();
@@ -528,12 +493,9 @@ impl Bolt<Msg> for Joiner {
 
     fn execute(&mut self, msg: Msg, _out: &mut Outbox<Msg>) {
         if let Msg::Copy { doc, targets } = msg {
-            match self.pane_masks.entry(doc.id().0) {
-                Entry::Occupied(_) => return,
-                Entry::Vacant(slot) => slot.insert(targets),
-            };
+            self.docs += 1;
             self.open_bytes += doc.approx_bytes() as u64;
-            self.arrivals.push(doc);
+            self.arrivals.push((doc, targets & self.below));
             if self.arrivals.len() >= ARRIVAL_BATCH || self.chunk_full() {
                 self.drain();
             }
@@ -551,17 +513,17 @@ impl Bolt<Msg> for Joiner {
             .map(|_| Instant::now());
         self.drain();
         self.seal_open(self.config.panes_per_window() > 1);
-        let docs = self.pane_masks.len();
+        let docs = std::mem::take(&mut self.docs);
         let reserve = self.pairs.len();
         let pairs = std::mem::replace(&mut self.pairs, Vec::with_capacity(reserve));
-        let candidates = std::mem::take(&mut self.candidates);
+        let probe_nodes = std::mem::take(&mut self.probe_nodes);
         if let Some(inst) = &self.inst {
             inst.counter("join_pairs").add(pairs.len() as u64);
             inst.counter("window_docs").add(docs as u64);
-            // Per-window probe load in candidate pairs, owned or not: the
+            // Per-window probe load in FP-tree nodes visited: the
             // deterministic straggler measure — unlike probe_ns it is immune
             // to CPU contention, so benchmarks can gate on it reproducibly.
-            inst.histogram("probe_pairs").record_ns(candidates);
+            inst.histogram("probe_nodes").record_ns(probe_nodes);
             if inst.enabled() {
                 let dt = std::time::Duration::from_nanos(self.probe_ns_acc);
                 inst.histogram("probe_ns").record_ns(self.probe_ns_acc);
@@ -580,26 +542,15 @@ impl Bolt<Msg> for Joiner {
             docs,
             pairs,
         });
-        self.frozen.push_back(ClosedPane {
-            chunks: std::mem::take(&mut self.sealed),
-            masks: std::mem::take(&mut self.pane_masks),
-        });
+        self.frozen.push_back(std::mem::take(&mut self.sealed));
         while self.frozen.len() >= self.config.panes_per_window() {
             let Some(dead) = self.frozen.pop_front() else {
                 break;
             };
             if let Some(store) = self.spill.as_mut() {
-                let ids: Vec<u64> = dead
-                    .chunks
-                    .iter()
-                    .filter_map(FrozenPane::segment_id)
-                    .collect();
+                let ids: Vec<u64> = dead.iter().filter_map(FrozenPane::segment_id).collect();
                 store.cache.evict_segments(&ids);
             }
-            // The evicted pane's map — a tumbling pane's own — serves the
-            // next pane, so a boundary allocates none.
-            self.pane_masks = dead.masks;
-            self.pane_masks.clear();
         }
         self.tier();
         if let (Some(inst), Some(t0)) = (&self.inst, t0) {

@@ -297,6 +297,12 @@ fn check(case: &Case) -> TopologyRunReport {
         let emitted: usize = per_joiner.iter().sum();
         assert_eq!(emitted, pairs.len(), "window {w}: pairs emitted vs unique");
     }
+    // One copy per (document, joiner): the joiners hold what was routed.
+    let windows = report.docs_per_joiner.iter().zip(&report.routing);
+    for (w, (per_joiner, routing)) in windows.enumerate() {
+        let held: usize = per_joiner.iter().sum();
+        assert_eq!(held, routing.copies, "window {w}: copies held vs routed");
+    }
     if let Some(base) = base {
         assert_runs_equal(&base.0, &report);
         // A resumed attempt bootstraps its routing afresh.

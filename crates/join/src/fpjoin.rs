@@ -21,6 +21,12 @@
 //! of single-child nodes it stands for: stop at the first conflict, count
 //! shared pairs, report the leaf's documents if the path shares any.
 //!
+//! [`probe_absent`] also takes a *skip* mask over the tree's document tags
+//! (see [`crate::fptree`]): it reports only documents whose tag misses the
+//! mask, and abandons a fast-path node or a child whose subtree's tag AND
+//! meets it. The Joiner probes with its copy's tag, so it walks only towards
+//! the pairs it owns. A skip of 0 is the paper's probe.
+//!
 //! # Zero-allocation probing
 //!
 //! The hot entry point is [`probe_into`]: it takes a reusable
@@ -40,7 +46,8 @@ use std::borrow::Borrow;
 pub struct ProbeStats {
     /// Arena nodes visited during the DFS (excluding fast-path hops).
     pub visited: u64,
-    /// Subtrees pruned due to a value conflict.
+    /// Subtrees pruned due to a value conflict, or because every document
+    /// in them carries a skipped tag bit.
     pub pruned: u64,
     /// Levels skipped through the ubiquitous-attribute fast path.
     pub fast_levels: u64,
@@ -135,7 +142,7 @@ pub fn probe_into(
     scratch: &mut ProbeScratch,
     out: &mut Vec<DocId>,
 ) -> ProbeStats {
-    let stats = probe_absent(tree, probe_doc, fast_path, scratch, out);
+    let stats = probe_absent(tree, probe_doc, 0, fast_path, scratch, out);
     out.retain(|&d| d != probe_doc.id());
     stats
 }
@@ -143,16 +150,21 @@ pub fn probe_into(
 /// [`probe_into`] for a probe document known not to be stored in `tree`
 /// (a batch join probes before it inserts; a frozen pane never holds a
 /// later pane's document): skips the scan that drops the probe's own id.
+/// Only partners whose tag misses `skip` are reported (module docs).
 pub fn probe_absent(
     tree: &FpTree,
     probe_doc: &Document,
+    skip: u64,
     fast_path: bool,
     scratch: &mut ProbeScratch,
     out: &mut Vec<DocId>,
 ) -> ProbeStats {
     out.clear();
-    scratch.load(probe_doc);
     let mut stats = ProbeStats::default();
+    if tree.tags_and(NodeId::ROOT) & skip != 0 {
+        return stats;
+    }
+    scratch.load(probe_doc);
     let mut start = NodeId::ROOT;
     let mut shared = 0u32;
 
@@ -175,18 +187,23 @@ pub fn probe_absent(
             let Some(child) = tree.child(start, AvpId(avp)) else {
                 return stats;
             };
+            // Every candidate lies below `child`.
+            if tree.tags_and(child) & skip != 0 {
+                stats.pruned += 1;
+                return stats;
+            }
             start = child;
             shared += 1;
             stats.fast_levels += 1;
             if !tree.tail(start).is_empty() {
                 // The rest of the ubiquitous prefix sits in this leaf's
                 // tail; the tail walk checks it pair by pair.
-                report_leaf(tree, start, shared, scratch, out);
+                report_leaf(tree, start, shared, skip, scratch, out);
                 return stats;
             }
             // Documents ending inside the ubiquitous prefix match the
             // probe exactly on every attribute they carry.
-            out.extend_from_slice(tree.docs(start));
+            report(tree, start, skip, out);
         }
     }
 
@@ -200,6 +217,10 @@ pub fn probe_absent(
         while let Some(child) = child_it {
             child_it = tree.next_sibling(child);
             stats.visited += 1;
+            if tree.tags_and(child) & skip != 0 {
+                stats.pruned += 1;
+                continue;
+            }
             let Some(shared) = scratch.step(shared, tree.pair(child)) else {
                 // Conflicting value: every document under `child` carries the
                 // conflicting pair — prune the subtree (Alg. 3, l. 5-7).
@@ -208,15 +229,26 @@ pub fn probe_absent(
             };
             if tree.first_child(child).is_some() {
                 if shared > 0 {
-                    out.extend_from_slice(tree.docs(child));
+                    report(tree, child, skip, out);
                 }
                 scratch.stack.push((child, shared));
-            } else if !report_leaf(tree, child, shared, scratch, out) {
+            } else if !report_leaf(tree, child, shared, skip, scratch, out) {
                 stats.pruned += 1;
             }
         }
     }
     stats
+}
+
+/// Report the documents at `node` whose tag misses `skip`.
+#[inline]
+fn report(tree: &FpTree, node: NodeId, skip: u64, out: &mut Vec<DocId>) {
+    if skip == 0 {
+        out.extend_from_slice(tree.docs(node));
+    } else {
+        let tagged = tree.docs(node).iter().zip(tree.tags(node));
+        out.extend(tagged.filter(|&(_, t)| t & skip == 0).map(|(&d, _)| d));
+    }
 }
 
 /// Walk `leaf`'s tail from a path sharing `shared` pairs with the probe and
@@ -227,6 +259,7 @@ fn report_leaf(
     tree: &FpTree,
     leaf: NodeId,
     shared: u32,
+    skip: u64,
     scratch: &ProbeScratch,
     out: &mut Vec<DocId>,
 ) -> bool {
@@ -235,7 +268,7 @@ fn report_leaf(
         .iter()
         .try_fold(shared, |shared, &pair| scratch.step(shared, pair));
     if total.is_some_and(|t| t > 0) {
-        out.extend_from_slice(tree.docs(leaf));
+        report(tree, leaf, skip, out);
     }
     total.is_some()
 }
@@ -251,11 +284,19 @@ pub struct JoinScratch {
 
 impl JoinScratch {
     /// The §V step: report `doc`'s partners among the documents already in
-    /// `tree` as `(earlier, doc)`, then store it.
-    fn join_insert(&mut self, tree: &mut FpTree, doc: &Document, pairs: &mut Vec<(DocId, DocId)>) {
-        probe_absent(tree, doc, true, &mut self.probe, &mut self.partners);
+    /// `tree` whose tag misses `tag` as `(earlier, doc)`, then store it
+    /// under `tag`.
+    fn join_insert(
+        &mut self,
+        tree: &mut FpTree,
+        doc: &Document,
+        tag: u64,
+        pairs: &mut Vec<(DocId, DocId)>,
+    ) -> ProbeStats {
+        let stats = probe_absent(tree, doc, tag, true, &mut self.probe, &mut self.partners);
         pairs.extend(self.partners.iter().map(|&p| (p, doc.id())));
-        tree.insert(doc);
+        tree.insert_tagged(doc, tag);
+        stats
     }
 }
 
@@ -272,7 +313,7 @@ pub fn join_batch_into<D: Borrow<Document>>(
     let order = AttrOrder::compute_with(docs.iter().map(Borrow::borrow), &mut scratch.order);
     let mut tree = FpTree::new(order);
     for doc in docs {
-        scratch.join_insert(&mut tree, doc.borrow(), pairs);
+        scratch.join_insert(&mut tree, doc.borrow(), 0, pairs);
     }
     tree.seal();
     tree
@@ -297,11 +338,17 @@ impl OpenPane {
         Self::default()
     }
 
-    /// Append `doc`'s pairs with the documents already in the pane to
-    /// `pairs` as `(earlier, doc)`, then store it. Ids must be distinct.
-    pub fn join(&mut self, doc: &Document, pairs: &mut Vec<(DocId, DocId)>) {
-        self.scratch.join_insert(&mut self.tree, doc, pairs);
+    /// Append `doc`'s pairs with the documents already in the pane whose
+    /// tag misses `tag` to `pairs` as `(earlier, doc)`, then store it under
+    /// `tag` (tag 0 joins with everything). Ids must be distinct.
+    pub fn join(
+        &mut self,
+        doc: &Document,
+        tag: u64,
+        pairs: &mut Vec<(DocId, DocId)>,
+    ) -> ProbeStats {
         self.scratch.order.observe(doc);
+        self.scratch.join_insert(&mut self.tree, doc, tag, pairs)
     }
 
     /// The pane's tree so far.

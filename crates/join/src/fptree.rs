@@ -1,6 +1,6 @@
 //! The FP-tree document store (§V-A), with lazily expanded leaf tails.
 //!
-//! Nodes live in one arena (`Vec<Node>`, 36 bytes each), children linked
+//! Nodes live in one arena (`Vec<Node>`, 48 bytes each), children linked
 //! first-child/next-sibling, exact child lookup during insertion through a
 //! single open-addressed map keyed by `(parent, label)`. Every node is
 //! labelled with one interned pair and carries the ids of the documents
@@ -46,6 +46,17 @@
 //! pair pool the same way. [`FpTree::seal`] compacts both pools once a
 //! window's build completes, so frozen trees store doc ids and tails densely
 //! in node order.
+//!
+//! # Tags
+//!
+//! Every stored document carries a `u64` tag, in a pool parallel to the
+//! doc-id pool (the same slices), and every node keeps the AND of the tags
+//! of all documents in its subtree, its own and its tail's included. A probe
+//! with a *skip* mask ([`crate::fpjoin::probe_absent`]) reports a document
+//! only if its tag misses the mask, and abandons a subtree whose AND meets
+//! it: every document below carries one of the skipped bits. The Joiner tags
+//! each copy with the lower joiners it reached, so its probes find exactly
+//! the pairs it owns. [`FpTree::insert`] stores tag 0, which no mask skips.
 
 use crate::order::AttrOrder;
 use ssj_json::{DocId, Document, FxHashMap, Pair};
@@ -74,6 +85,9 @@ struct Node {
     label: Pair,
     first_child: u32,
     next_sibling: u32,
+    /// The AND of the tags of every document in the subtree (all ones while
+    /// it holds none).
+    tags_and: u64,
     /// The unexpanded rest of this leaf's path, a slice of `FpTree::tails`.
     tail_off: u32,
     tail_len: u32,
@@ -90,14 +104,15 @@ impl Node {
             attr: ssj_json::AttrId(u32::MAX),
             avp: ssj_json::AvpId(u32::MAX),
         };
-        Node::new(label, NIL)
+        Node::new(label, NIL, u64::MAX)
     }
 
-    fn new(label: Pair, next_sibling: u32) -> Self {
+    fn new(label: Pair, next_sibling: u32, tags_and: u64) -> Self {
         Node {
             label,
             first_child: NIL,
             next_sibling,
+            tags_and,
             tail_off: 0,
             tail_len: 0,
             doc_off: 0,
@@ -118,6 +133,8 @@ pub struct FpTree {
     tails: Vec<Pair>,
     /// Shared pool backing every node's document list.
     pool: Vec<DocId>,
+    /// The documents' tags, parallel to `pool`.
+    doc_tags: Vec<u64>,
     doc_count: usize,
     /// Leading ranks of `order` carried by every stored document — the
     /// depth of the §V-B fast path. See [`FpTree::ubiquitous`].
@@ -145,6 +162,7 @@ impl FpTree {
             child_index: FxHashMap::default(),
             tails: Vec::new(),
             pool: Vec::new(),
+            doc_tags: Vec::new(),
             doc_count: 0,
             reorder_buf: Vec::new(),
         }
@@ -158,6 +176,7 @@ impl FpTree {
         self.child_index.clear();
         self.tails.clear();
         self.pool.clear();
+        self.doc_tags.clear();
         self.doc_count = 0;
         self.ubiquitous = order.ubiquitous();
         self.order = order;
@@ -201,14 +220,21 @@ impl FpTree {
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<FpTree>()
             + self.nodes.len() * std::mem::size_of::<Node>()
-            + self.pool.len() * std::mem::size_of::<DocId>()
+            + self.pool.len() * (std::mem::size_of::<DocId>() + std::mem::size_of::<u64>())
             + self.tails.len() * std::mem::size_of::<Pair>()
             + self.child_index.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>())
     }
 
-    /// Insert one document; returns the arena node holding its id (for a
-    /// leaf with a tail the document logically terminates below it).
+    /// Insert one document with tag 0; returns the arena node holding its
+    /// id (for a leaf with a tail the document logically terminates below
+    /// it).
     pub fn insert(&mut self, doc: &Document) -> NodeId {
+        self.insert_tagged(doc, 0)
+    }
+
+    /// [`insert`](FpTree::insert) with a tag (module docs): ANDed into every
+    /// node on the document's path.
+    pub fn insert_tagged(&mut self, doc: &Document, tag: u64) -> NodeId {
         let mut path = std::mem::take(&mut self.reorder_buf);
         self.order.reorder_into(doc, &mut path);
         // The path is in rank order, so the document carries ranks `0..k`
@@ -224,8 +250,9 @@ impl FpTree {
         let mut at = 0;
         let terminal = loop {
             let n = self.nodes[node as usize];
+            self.nodes[node as usize].tags_and &= tag;
             if n.tail_len > 0 {
-                break self.insert_below_tail(node, &path[at..]);
+                break self.insert_below_tail(node, n.tags_and, &path[at..], tag);
             }
             let Some(&pair) = path.get(at) else {
                 break node;
@@ -238,19 +265,20 @@ impl FpTree {
                     node = child;
                     at += 1;
                 }
-                None => break self.add_leaf(node, &path[at..]),
+                None => break self.add_leaf(node, &path[at..], tag),
             }
         };
         self.reorder_buf = path;
-        self.push_doc(terminal, doc.id());
+        self.push_doc(terminal, doc.id(), tag);
         self.doc_count += 1;
         NodeId(terminal)
     }
 
-    /// `leaf` carries a tail and a new document arrives with `rest` still
-    /// to place. Expands the tail while both agree and returns the node the
-    /// new document's id belongs at (see the module docs for the cases).
-    fn insert_below_tail(&mut self, leaf: u32, rest: &[Pair]) -> u32 {
+    /// `leaf` carries a tail and a new document tagged `tag` arrives with
+    /// `rest` still to place; `old` is the leaf's tag AND before it. Expands
+    /// the tail while both agree and returns the node the new document's id
+    /// belongs at (see the module docs for the cases).
+    fn insert_below_tail(&mut self, leaf: u32, old: u64, rest: &[Pair], tag: u64) -> u32 {
         let Node {
             tail_off,
             tail_len,
@@ -271,41 +299,44 @@ impl FpTree {
         // The leaf turns internal; its documents travel down with the tail.
         let n = &mut self.nodes[leaf as usize];
         (n.tail_len, n.doc_off, n.doc_len, n.doc_cap) = (0, 0, 0, 0);
+        // The agreed prefix lies on both paths; the rest of the old tail
+        // holds only the old documents.
         let mut cur = leaf;
         for i in 0..agreed {
-            cur = self.add_child(cur, self.tails[off + i]);
+            cur = self.add_child(cur, self.tails[off + i], old & tag);
         }
-        let old = if agreed < len {
-            let old = self.add_child(cur, self.tails[off + agreed]);
-            let n = &mut self.nodes[old as usize];
+        let moved = if agreed < len {
+            let moved = self.add_child(cur, self.tails[off + agreed], old);
+            let n = &mut self.nodes[moved as usize];
             n.tail_off = (off + agreed + 1) as u32;
             n.tail_len = (len - agreed - 1) as u32;
-            old
+            moved
         } else {
             cur
         };
-        let n = &mut self.nodes[old as usize];
+        let n = &mut self.nodes[moved as usize];
         (n.doc_off, n.doc_len, n.doc_cap) = (doc_off, doc_len, doc_cap);
         if agreed < rest.len() {
-            self.add_leaf(cur, &rest[agreed..])
+            self.add_leaf(cur, &rest[agreed..], tag)
         } else {
             cur
         }
     }
 
-    fn add_child(&mut self, parent: u32, pair: Pair) -> u32 {
+    fn add_child(&mut self, parent: u32, pair: Pair, tags_and: u64) -> u32 {
         let id = self.nodes.len() as u32;
         // Prepend to the parent's child chain (reverse insertion order).
         let p = &mut self.nodes[parent as usize];
         let sibling = std::mem::replace(&mut p.first_child, id);
-        self.nodes.push(Node::new(pair, sibling));
+        self.nodes.push(Node::new(pair, sibling, tags_and));
         self.child_index.insert(child_key(parent, pair.avp.0), id);
         id
     }
 
-    /// New leaf under `parent` labelled `path[0]` with `path[1..]` as tail.
-    fn add_leaf(&mut self, parent: u32, path: &[Pair]) -> u32 {
-        let id = self.add_child(parent, path[0]);
+    /// New leaf under `parent` labelled `path[0]` with `path[1..]` as tail,
+    /// for a document tagged `tag`.
+    fn add_leaf(&mut self, parent: u32, path: &[Pair], tag: u64) -> u32 {
+        let id = self.add_child(parent, path[0], tag);
         let n = &mut self.nodes[id as usize];
         n.tail_off = self.tails.len() as u32;
         n.tail_len = (path.len() - 1) as u32;
@@ -313,18 +344,22 @@ impl FpTree {
         id
     }
 
-    /// Append `doc` to `node`'s slice of the shared pool: in place when the
-    /// slice has spare capacity or ends the pool, otherwise relocate it to
-    /// the pool's end with geometric over-allocation (amortised O(1)).
-    fn push_doc(&mut self, node: u32, doc: DocId) {
+    /// Append `doc` and its tag to `node`'s slice of the shared pools: in
+    /// place when the slice has spare capacity or ends the pool, otherwise
+    /// relocate it to the pool's end with geometric over-allocation
+    /// (amortised O(1)).
+    fn push_doc(&mut self, node: u32, doc: DocId, tag: u64) {
         let n = &mut self.nodes[node as usize];
         if n.doc_len < n.doc_cap {
-            self.pool[(n.doc_off + n.doc_len) as usize] = doc;
+            let at = (n.doc_off + n.doc_len) as usize;
+            self.pool[at] = doc;
+            self.doc_tags[at] = tag;
         } else if n.doc_len == 0 || (n.doc_off + n.doc_len) as usize == self.pool.len() {
             if n.doc_len == 0 {
                 n.doc_off = self.pool.len() as u32;
             }
             self.pool.push(doc);
+            self.doc_tags.push(tag);
             n.doc_cap = n.doc_len + 1;
         } else {
             let (off, len) = (n.doc_off as usize, n.doc_len as usize);
@@ -334,8 +369,12 @@ impl FpTree {
             self.pool.reserve(n.doc_cap as usize);
             self.pool.extend_from_within(off..off + len);
             self.pool.push(doc);
+            self.doc_tags.reserve(n.doc_cap as usize);
+            self.doc_tags.extend_from_within(off..off + len);
+            self.doc_tags.push(tag);
             // Pad the reserved tail so later appends can write in place.
             self.pool.resize(end, DocId(u64::MAX));
+            self.doc_tags.resize(end, 0);
         }
         self.nodes[node as usize].doc_len += 1;
     }
@@ -346,6 +385,7 @@ impl FpTree {
     /// safe (and cheap) to call again at any time.
     pub fn seal(&mut self) {
         let mut pool = Vec::with_capacity(self.doc_count);
+        let mut doc_tags = Vec::with_capacity(self.doc_count);
         let live_tails = self.nodes.iter().map(|n| n.tail_len as usize).sum();
         let mut tails = Vec::with_capacity(live_tails);
         for n in &mut self.nodes {
@@ -353,11 +393,13 @@ impl FpTree {
             n.doc_off = pool.len() as u32;
             n.doc_cap = n.doc_len;
             pool.extend_from_slice(&self.pool[off..off + len]);
+            doc_tags.extend_from_slice(&self.doc_tags[off..off + len]);
             let (off, len) = (n.tail_off as usize, n.tail_len as usize);
             n.tail_off = tails.len() as u32;
             tails.extend_from_slice(&self.tails[off..off + len]);
         }
         self.pool = pool;
+        self.doc_tags = doc_tags;
         self.tails = tails;
     }
 
@@ -411,6 +453,20 @@ impl FpTree {
     pub fn docs(&self, node: NodeId) -> &[DocId] {
         let n = &self.nodes[node.index()];
         &self.pool[n.doc_off as usize..(n.doc_off + n.doc_len) as usize]
+    }
+
+    /// The tags of [`docs`](FpTree::docs)`(node)`, in the same order.
+    #[inline]
+    pub fn tags(&self, node: NodeId) -> &[u64] {
+        let n = &self.nodes[node.index()];
+        &self.doc_tags[n.doc_off as usize..(n.doc_off + n.doc_len) as usize]
+    }
+
+    /// The AND of the tags of every document in `node`'s subtree (all ones
+    /// for an empty tree's root).
+    #[inline]
+    pub fn tags_and(&self, node: NodeId) -> u64 {
+        self.nodes[node.index()].tags_and
     }
 
     /// Number of inserted documents.

@@ -69,7 +69,7 @@ impl SlidingJoiner {
         let mut partners: Vec<DocId> = Vec::new();
         for pane in &self.frozen {
             // A frozen pane never holds the (later) probing document.
-            fpjoin::probe_absent(pane, &doc, true, &mut self.scratch, &mut self.probe_buf);
+            fpjoin::probe_absent(pane, &doc, 0, true, &mut self.scratch, &mut self.probe_buf);
             partners.extend_from_slice(&self.probe_buf);
         }
         partners.extend(

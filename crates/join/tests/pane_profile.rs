@@ -94,7 +94,7 @@ fn pane_profile() {
             let t0 = Instant::now();
             live_pairs.clear();
             for d in p {
-                open.join(d, &mut live_pairs);
+                open.join(d, 0, &mut live_pairs);
             }
             let live = open.close(true);
             t[5] += t0.elapsed().as_nanos();

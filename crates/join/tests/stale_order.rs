@@ -63,7 +63,7 @@ fn assert_probe_then_insert_is_exact(mut tree: FpTree, stream: &[Document]) -> F
     for (i, d) in stream.iter().enumerate() {
         let want = sorted(nlj::probe(&stream[..i], d));
         for fast in [true, false] {
-            fpjoin::probe_absent(&tree, d, fast, &mut scratch, &mut out);
+            fpjoin::probe_absent(&tree, d, 0, fast, &mut scratch, &mut out);
             assert_eq!(sorted(out.clone()), want, "fast={fast} probe {}", d.id());
         }
         tree.insert(d);
@@ -180,7 +180,7 @@ proptest! {
             prop_assert_eq!(open.tree().order().attrs(), carried.attrs());
             let mut pairs = Vec::new();
             for d in &ds {
-                open.join(d, &mut pairs);
+                open.join(d, 0, &mut pairs);
                 counters.observe(d);
             }
             prop_assert_eq!(sorted(pairs), sorted(nlj::join_batch(&ds)), "pane {}", p);

@@ -15,7 +15,8 @@
 //! is the fraction of such documents.
 
 use crate::groups::View;
-use ssj_json::{AttrId, Dictionary, Document, FxHashMap, FxHashSet};
+use crate::partitions::RouteScratch;
+use ssj_json::{AttrId, AvpId, Dictionary, Document, FxHashMap, FxHashSet};
 use std::borrow::Borrow;
 
 /// A detected expansion: the chain of combined attributes and the synthetic
@@ -149,28 +150,65 @@ impl Expansion {
         Some(view)
     }
 
-    /// Allocation-free [`view`](Self::view): writes the partitioning view
-    /// into `buf` (cleared first) and returns whether the synthetic pair
-    /// could be formed. `false` = a chained attribute is missing, the
-    /// document must be broadcast (`buf` is left empty).
-    pub fn view_into(
-        &self,
-        doc: &Document,
-        dict: &Dictionary,
-        buf: &mut Vec<ssj_json::AvpId>,
-    ) -> bool {
+    /// [`view`](Self::view) into a reused buffer: writes the partitioning
+    /// view into `buf` (cleared first) and returns whether the synthetic
+    /// pair could be formed. `false` = a chained attribute is missing, the
+    /// document must be broadcast (`buf` is left empty). It renders and
+    /// interns the synthetic value every call; the routing path uses
+    /// [`view_cached`](Self::view_cached).
+    pub fn view_into(&self, doc: &Document, dict: &Dictionary, buf: &mut Vec<AvpId>) -> bool {
         buf.clear();
         let Some(synth) = self.synthetic_pair(doc, dict) else {
             return false;
         };
+        self.push_view(doc, synth.avp, buf);
+        true
+    }
+
+    /// [`view_into`](Self::view_into) with the synthetic pair memoised in
+    /// `scratch`, keyed by the document's chained pairs: once those pairs
+    /// were seen since the scratch's last
+    /// [`invalidate_cache`](RouteScratch::invalidate_cache), no value is
+    /// rendered, no dictionary lock taken and nothing allocated.
+    pub fn view_cached(
+        &self,
+        doc: &Document,
+        dict: &Dictionary,
+        buf: &mut Vec<AvpId>,
+        scratch: &mut RouteScratch,
+    ) -> bool {
+        buf.clear();
+        let key = &mut scratch.chain_buf;
+        key.clear();
+        for &attr in &self.chain {
+            let Some(pair) = doc.pair_for_attr(attr) else {
+                return false;
+            };
+            key.push(pair.avp);
+        }
+        let synth = match scratch.synth.get(key.as_slice()) {
+            Some(&avp) => avp,
+            None => {
+                let Some(synth) = self.synthetic_pair(doc, dict) else {
+                    return false;
+                };
+                scratch.synth.insert(key.clone(), synth.avp);
+                synth.avp
+            }
+        };
+        self.push_view(doc, synth, buf);
+        true
+    }
+
+    /// Append `doc`'s pairs outside the chain, then `synth`.
+    fn push_view(&self, doc: &Document, synth: AvpId, buf: &mut Vec<AvpId>) {
         buf.extend(
             doc.pairs()
                 .iter()
                 .filter(|p| !self.chain.contains(&p.attr))
                 .map(|p| p.avp),
         );
-        buf.push(synth.avp);
-        true
+        buf.push(synth);
     }
 }
 
@@ -315,6 +353,32 @@ mod tests {
         }
         let orphan = doc(&dict, 99, r#"{"flag":true,"x":5}"#);
         assert!(!exp.view_into(&orphan, &dict, &mut buf));
+        assert!(buf.is_empty());
+    }
+
+    /// The memoised view is the rendered one: cold, warm (16 documents,
+    /// 8 chain combinations), after an invalidation, and for a document
+    /// missing a chained attribute.
+    #[test]
+    fn view_cached_matches_view() {
+        let dict = Dictionary::new();
+        let docs = bool_dataset(&dict);
+        let exp = Expansion::detect(&docs, &dict, 8).unwrap();
+        let mut scratch = RouteScratch::new();
+        let mut buf = Vec::new();
+        for round in 0..3 {
+            for d in &docs {
+                assert!(exp.view_cached(d, &dict, &mut buf, &mut scratch));
+                assert_eq!(buf, exp.view(d, &dict).unwrap(), "round {round}");
+            }
+            assert_eq!(scratch.synth.len(), 8);
+            if round == 1 {
+                scratch.invalidate_cache();
+                assert!(scratch.synth.is_empty());
+            }
+        }
+        let orphan = doc(&dict, 99, r#"{"flag":true,"x":5}"#);
+        assert!(!exp.view_cached(&orphan, &dict, &mut buf, &mut scratch));
         assert!(buf.is_empty());
     }
 

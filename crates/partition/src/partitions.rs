@@ -70,18 +70,25 @@ pub const MAX_PARTITIONS: usize = 64;
 /// Number of slots in the direct-mapped route cache (power of two).
 const ROUTE_CACHE_SLOTS: usize = 256;
 
-/// Reusable routing state: a target buffer [`route_into`] writes into, and a
+/// Reusable routing state: a target buffer [`route_into`] writes into, a
 /// small direct-mapped cache from view fingerprints to partition bitmasks
-/// for repeated view shapes. Both are allocated once; steady-state routing
-/// performs **zero** heap allocations (audited by `bench_partition --audit`).
+/// for repeated view shapes, and the deployed expansion's synthetic pairs
+/// ([`Expansion::view_cached`]). Once warm, steady-state routing performs
+/// **zero** heap allocations (audited by `bench_partition --audit`).
 ///
 /// [`route_into`]: PartitionTable::route_into
+/// [`Expansion::view_cached`]: crate::Expansion::view_cached
 #[derive(Debug, Clone)]
 pub struct RouteScratch {
     targets: Vec<u32>,
     /// Direct-mapped `fingerprint → partition mask` cache, indexed by the
     /// low fingerprint bits. A `None` slot is empty.
     cache: Vec<Option<(Fp128, u64)>>,
+    /// The chained attributes' pairs of a document → the synthetic pair
+    /// they form (§VI-B), so a view is formed without rendering values.
+    pub(crate) synth: FxHashMap<Vec<AvpId>, AvpId>,
+    /// Reused key buffer for `synth` lookups.
+    pub(crate) chain_buf: Vec<AvpId>,
 }
 
 impl Default for RouteScratch {
@@ -97,6 +104,8 @@ impl RouteScratch {
         RouteScratch {
             targets: Vec::with_capacity(64),
             cache: vec![None; ROUTE_CACHE_SLOTS],
+            synth: FxHashMap::default(),
+            chain_buf: Vec::new(),
         }
     }
 
@@ -135,11 +144,13 @@ impl RouteScratch {
         self.cache[fp.lo as usize & (ROUTE_CACHE_SLOTS - 1)] = Some((fp, mask));
     }
 
-    /// Drop every cached route (call on table deployment/update — and, for
-    /// sliding windows, whenever a retained table expires from the pane
-    /// lookback, since cached masks are unions over the retained set).
+    /// Drop every cached route and synthetic pair (call on table
+    /// deployment/update — its expansion may differ — and, for sliding
+    /// windows, whenever a retained table expires from the pane lookback,
+    /// since cached masks are unions over the retained set).
     pub fn invalidate_cache(&mut self) {
         self.cache.iter_mut().for_each(|slot| *slot = None);
+        self.synth.clear();
     }
 
     /// Append extra route targets and restore the sorted/deduplicated

@@ -48,6 +48,12 @@ stage "ingest equivalence" cargo test -q -p ssj-json --test ingest_equivalence
 # prefix tree, dense attribute order == hash-map reference.
 stage "lazy-tail differential" cargo test -q -p ssj-join --test lazy_tail
 
+# Tagged FP-tree probed with a skip mask == brute force `joins_with && tag &
+# skip == 0` across every lazy-tail case, a stale order, seal and reset;
+# every node's tag AND == the AND over its subtree; panes joined on arrival
+# find exactly the pairs with disjoint tags (the Joiner's owner rule).
+stage "pruned-probe differential" cargo test -q -p ssj-join --test pruned_probe
+
 # FP-tree under another batch's order (the Joiner's open pane runs under the
 # previous pane's) == NLJ oracle, fast path on and off: a predicted-ubiquitous
 # attribute missing from a stored document, attributes the order never saw,
