@@ -423,9 +423,9 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let dict = Dictionary::new();
 
     // Worker-process path: this process was spawned by a group leader with
-    // the internal flags. Run the local shard and exit quietly — the leader
-    // owns all reporting; the shared seed/input makes our dictionary (and
-    // thus the wire dictionary epoch) identical to every peer's.
+    // the internal flags and without the input's. Run the local shard and
+    // exit quietly — the leader owns the reader and all reporting, and our
+    // dictionary fills with the symbols our links bring.
     if let Some(wid) = args.get("worker-id") {
         let wid: usize = wid
             .parse()
@@ -439,9 +439,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             socket_dir: std::path::PathBuf::from(dir),
             attempt: args.get_or("attempt", 0u32)?,
         };
-        // Loaded for the dictionary alone: worker 0 hosts the reader, and the
-        // reporter, so neither the documents nor the sink are used here.
-        load_docs(args, &dict)?;
         let (reader, plan) = (Reader::Docs(Vec::new()), FaultPlan::new());
         run_topology_with(cfg, &dict, reader, plan, Some(&dr), |_| {})
             .map_err(|e| e.to_string())?;
@@ -450,16 +447,13 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 
     // Created before any work, so an unwritable path fails here.
     let joins_out = Arc::new(Mutex::new(JoinsOut::start(args.get("joins-out"))?));
-    // A solo run (the group of one) streams its file. Every process of a
-    // `--workers N` group loads the whole input before the handshake
-    // (DESIGN.md §4f), so the leader starts the others before it loads and
-    // they all load at once. (If loading fails, dropping the group kills
-    // them.)
+    // The leader alone reads: a file streams (solo or as a group), generated
+    // input is in memory.
     let group = WorkerGroup::launch(cfg.workers)?;
     let t0 = Instant::now();
     let reader = match args.get("input") {
-        Some(path) if cfg.workers == 1 => Reader::File(path.into()),
-        _ => Reader::Docs(load_docs(args, &dict)?.into_iter().map(Arc::new).collect()),
+        Some(path) => Reader::File(path.into()),
+        None => Reader::Docs(load_docs(args, &dict)?.into_iter().map(Arc::new).collect()),
     };
     let runtime = group.run(cfg, &dict, reader, &joins_out)?;
     let elapsed = t0.elapsed();
@@ -613,7 +607,8 @@ fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
 /// the directory.
 struct WorkerGroup {
     exe: std::path::PathBuf,
-    /// This process's own arguments, which every worker repeats.
+    /// This process's own arguments, which every worker repeats but for
+    /// the input's ([`member_args`]).
     base: Vec<String>,
     dir: std::path::PathBuf,
     workers: usize,
@@ -630,7 +625,7 @@ impl WorkerGroup {
         }
         let mut group = WorkerGroup {
             exe,
-            base: std::env::args().skip(1).collect(),
+            base: member_args(std::env::args().skip(1)),
             dir,
             workers,
             children: Vec::new(),
@@ -704,6 +699,19 @@ impl WorkerGroup {
     }
 }
 
+/// A member's arguments: the leader's without `--input`, `--dataset`,
+/// `--count` and `--seed`, so a member cannot read or generate the input.
+fn member_args(mut args: impl Iterator<Item = String>) -> Vec<String> {
+    let mut kept = Vec::new();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--input" | "--dataset" | "--count" | "--seed" => drop(args.next()),
+            _ => kept.push(arg),
+        }
+    }
+    kept
+}
+
 impl Drop for WorkerGroup {
     fn drop(&mut self) {
         self.kill();
@@ -733,6 +741,14 @@ mod config_tests {
         // …and rejects a non-divisible split.
         assert!(window_spec(&args(&["run", "--window", "1000", "--slide", "3"])).is_err());
         assert!(window_spec(&args(&["run", "--pane", "0"])).is_err());
+    }
+
+    /// A member is spawned without the input's flags, whatever their place.
+    #[test]
+    fn members_are_spawned_without_the_input() {
+        let leader = "run --input f.jsonl --m 4 --dataset nb --count 9 --seed 3 --workers 2";
+        let member = member_args(leader.split(' ').map(str::to_owned));
+        assert_eq!(member, ["run", "--m", "4", "--workers", "2"]);
     }
 
     #[test]

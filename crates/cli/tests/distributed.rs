@@ -150,11 +150,10 @@ fn unusable_spill_dir_is_a_named_error() {
 }
 
 /// A `--input` file that ends mid-document, or carries one malformed line,
-/// is exit 1 with the offending line named, no panic and no relaunch. A solo
-/// run streams its input: `--joins-out` holds exactly the windows that end
-/// before the bad line, equal to the same prefix of a clean run, and none
-/// after. A 2-process group loads its input before the handshake, so it
-/// fails before any window.
+/// is exit 1 with the offending line named, no panic and no relaunch. The
+/// reader's process streams its input, solo or as a 2-process group:
+/// `--joins-out` holds exactly the windows that end before the bad line,
+/// equal to the same prefix of a clean run, and none after.
 #[test]
 fn bad_input_fails_after_exactly_the_windows_before_it() {
     let lines: Vec<String> = (0..300)
@@ -201,10 +200,63 @@ fn bad_input_fails_after_exactly_the_windows_before_it() {
             );
             assert!(!stderr.contains("panicked"), "{case}");
             assert!(!stderr.contains("relaunching"), "{case}");
-            let delivered = if workers == 1 { before } else { 0 };
-            assert_eq!(written, reference[..delivered].concat(), "{case}");
+            assert_eq!(written, reference[..before].concat(), "{case}");
         }
     }
+}
+
+/// Only the leader reads the input: a group whose `--input` is a pipe
+/// (`/dev/stdin`, which the member inherits) produces the solo run's
+/// `--joins-out` from the file, which it could not if the member read any
+/// of the pipe's bytes.
+#[test]
+fn only_the_leader_reads_the_input() {
+    use std::io::Write;
+    let input = out_path("pipe-input");
+    let generated = Command::new(bin())
+        .args([
+            "generate",
+            "--dataset",
+            "rw",
+            "--seed",
+            "4",
+            "--count",
+            "3000",
+        ])
+        .args(["--out", input.to_str().unwrap()])
+        .output()
+        .expect("launch ssj");
+    assert!(generated.status.success(), "{generated:?}");
+    let run = |path: &str, workers: &str, tag: &str| {
+        let joins = out_path(tag);
+        let mut child = Command::new(bin())
+            .args(["run", "--input", path, "--m", "3", "--window", "500"])
+            .args(["--no-metrics", "--workers", workers])
+            .args(["--joins-out", joins.to_str().unwrap()])
+            .env_remove("SSJ_KILL_WORKER")
+            .stdin(std::process::Stdio::piped())
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("launch ssj");
+        let text = std::fs::read(&input).expect("read input");
+        let mut stdin = child.stdin.take().unwrap();
+        let feed = std::thread::spawn(move || {
+            let _ = stdin.write_all(&text);
+        });
+        let out = child.wait_with_output().expect("wait for ssj");
+        feed.join().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{workers} workers: {stderr}");
+        let written = std::fs::read_to_string(&joins).expect("read joins file");
+        let _ = std::fs::remove_file(&joins);
+        written
+    };
+    let solo = run(input.to_str().unwrap(), "1", "pipe-solo");
+    let group = run("/dev/stdin", "2", "pipe-group");
+    let _ = std::fs::remove_file(&input);
+    assert_eq!(solo.lines().count(), 6);
+    assert_eq!(solo, group);
 }
 
 /// A solo run streams its input, so its memory does not grow with the
@@ -298,8 +350,10 @@ fn out_of_range_m_is_a_named_error() {
 
 /// `ssj run`'s routing line — tables deployed, δ-updates, broadcast share —
 /// is a function of the stream: two solo runs and a 2-process group over
-/// one file print the same line. The Assigners' δ-requests ride the
-/// reader's credit and act at a fixed pane, whatever the threads' timing.
+/// one file print the same line, with one creator and with two, the second
+/// hosted on the member, which interns in its own order. The Assigners'
+/// δ-requests ride the reader's credit and act at a fixed pane, whatever
+/// the threads' timing.
 #[test]
 fn the_routing_line_is_the_same_in_every_run() {
     let input = out_path("routing-input");
@@ -317,10 +371,10 @@ fn the_routing_line_is_the_same_in_every_run() {
         .output()
         .expect("launch ssj");
     assert!(generated.status.success(), "{generated:?}");
-    let routing = |workers: &str| {
+    let routing = |workers: &str, creators: &str| {
         let out = Command::new(bin())
             .args(["run", "--input", input.to_str().unwrap()])
-            .args(["--m", "4", "--creators", "1", "--assigners", "2"])
+            .args(["--m", "4", "--creators", creators, "--assigners", "2"])
             .args(["--window", "300", "--no-metrics", "--workers", workers])
             .env_remove("SSJ_KILL_WORKER")
             .output()
@@ -331,10 +385,15 @@ fn the_routing_line_is_the_same_in_every_run() {
         line.unwrap_or_else(|| panic!("no routing line: {stdout}"))
             .to_owned()
     };
-    let lines = [routing("1"), routing("1"), routing("2")];
+    let lines = [routing("1", "1"), routing("1", "1"), routing("2", "1")];
+    let two = [routing("1", "2"), routing("2", "2")];
     let _ = std::fs::remove_file(&input);
     assert_eq!(lines[0], lines[1], "solo runs differ");
     assert_eq!(lines[0], lines[2], "the group differs");
+    assert_eq!(
+        two[0], two[1],
+        "the group differs with a creator on the member"
+    );
     // Not vacuous: the δ-requests deployed refreshed tables.
     assert!(!lines[0].starts_with("routing: 0 tables"), "{}", lines[0]);
 }

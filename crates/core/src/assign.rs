@@ -188,6 +188,7 @@ impl Router {
                     c.cache_misses += 1;
                     let mut mask = 0u64;
                     let mut unknown = false;
+                    let first = self.requests.len();
                     for &avp in &self.view_buf {
                         let am = t.table.avp_mask(avp);
                         if am == 0 {
@@ -197,6 +198,13 @@ impl Router {
                             }
                         }
                         mask |= am;
+                    }
+                    // One document's requests by attribute name (one pair
+                    // each), not in this process's id order: the Merger
+                    // places them in the order they arrive.
+                    if self.requests.len() > first + 1 {
+                        self.requests[first..]
+                            .sort_by_cached_key(|&a| dict.attr_name(dict.avp_attr(a)));
                     }
                     if unknown || mask == 0 {
                         false

@@ -3,7 +3,7 @@
 //! When a pane/window seals and the configured memory budget is exceeded,
 //! its interned document pool is serialized into an **immutable sorted
 //! segment file** (varint record format built on the §4f wire primitives,
-//! dictionary-epoch-stamped like socket frames), the heap arena is dropped,
+//! stamped with the dictionary's epoch), the heap arena is dropped,
 //! and only a compact header stays resident: doc count, an AVP Bloom
 //! summary, and the block offset index. Probes gate on the Bloom filter and
 //! lazily read segment blocks back through a small direct-mapped block

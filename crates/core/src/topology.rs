@@ -397,9 +397,9 @@ fn build(
 
 /// Out-of-core tiering (DESIGN.md §4i): with a non-zero budget the stateful
 /// bolts get shared spill settings, the directory created — segment files
-/// are stamped with the dictionary's content epoch, exactly like socket
-/// frames, so a file can never be decoded against a different interning
-/// epoch. With `mem_budget == 0` nothing is installed at all.
+/// are stamped with the dictionary's content epoch, so a file can never be
+/// decoded against a different interning epoch. With `mem_budget == 0`
+/// nothing is installed at all.
 fn spill_settings(
     config: &StreamJoinConfig,
     dict: &Dictionary,
@@ -466,11 +466,13 @@ impl<S: FnMut(WindowResult)> Delivery<S> {
 /// crash tasks mid-run and assert the resumed output equals the plain run.
 ///
 /// With `group`, this process runs its shard as one member of a
-/// multi-process group. Every worker must pass the *same* `config`, `dict`
-/// content and documents (enforced by the handshake's topology fingerprint
-/// and dictionary epoch). Tasks are placed by [`placement_for`]; edges
-/// crossing workers become Unix-socket links carrying the [`MsgCodec`] wire
-/// format. Only worker 0, which hosts the reporter, has its sink called.
+/// multi-process group. Every worker must pass the *same* `config`
+/// (enforced by the handshake's topology fingerprint). Only worker 0's
+/// `reader` is read, since it hosts the reader; the others pass an empty
+/// one and an empty `dict`, which fills with the symbols their links bring.
+/// Tasks are placed by [`placement_for`]; edges crossing workers become
+/// Unix-socket links carrying the [`MsgCodec`] wire format. Only worker 0,
+/// which hosts the reporter, has its sink called.
 pub fn run_topology_with(
     config: StreamJoinConfig,
     dict: &Dictionary,
@@ -584,7 +586,6 @@ fn run_attempt(
         socket_dir: dr.socket_dir.clone(),
         attempt: dr.attempt,
         topo_fingerprint: topo_fingerprint(config),
-        dict_epoch: dict_epoch(dict),
     };
     let group = join_group(&setup)
         .map_err(|e| RunError::Transport(vec![format!("worker {}: {e}", dr.my_worker)]))?;
@@ -597,7 +598,7 @@ fn run_attempt(
         }
     }
     let workers = dr.workers;
-    let codec = Arc::new(MsgCodec::new(dict).with_m(config.m));
+    let codec = Box::new(MsgCodec::new(dict).with_m(config.m));
     run_distributed(topology, codec, group, &|component, task| {
         placement_for(component, task, workers)
     })

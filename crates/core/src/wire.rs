@@ -1,23 +1,19 @@
-//! Binary wire codec for [`Msg`] — symbol-interned serialization against
-//! epoch-versioned dictionary snapshots (DESIGN.md §4f).
+//! Binary wire codec for [`Msg`] — symbol-interned serialization with a
+//! symbol table per link direction (DESIGN.md §4f).
 //!
-//! Every worker process of a group builds the same [`Dictionary`] at deploy
-//! time (the dataset and interning order are deterministic), so steady-state
-//! frames carry dense symbol ids instead of strings. The codec snapshots the
-//! dictionary's extent — the *watermarks* — at construction:
-//!
-//! * ids below the watermark travel as a bare varint (`id << 1`, even),
-//!   trusting the peer's identical snapshot to resolve them;
-//! * ids interned *after* the snapshot (the stream grows the dictionary as
-//!   it runs) travel **inline** and self-describing (odd marker followed by
-//!   the attribute name / scalar value), and the decoder re-interns them —
-//!   both sides converge on "equal id ⇔ equal (attribute, value)" without
-//!   any cross-process dictionary synchronization.
-//!
-//! The epoch is a fingerprint of the full snapshot content. It rides in the
-//! handshake and in every Data/Batch frame; a disagreement (different
-//! dataset, different interning order) is rejected at decode time as
-//! [`WireError::EpochMismatch`] instead of silently joining on wrong pairs.
+//! Each process interns into a dictionary of its own, in whatever order
+//! symbols reach it, so a local id means nothing to a peer. Each link
+//! direction therefore keeps a table of its own, the per-link form of
+//! tuple compaction: the first use of an attribute or pair on the link
+//! carries its text (odd marker, then the attribute name, or the attribute
+//! and the scalar) and defines the next link id; every later use is a bare
+//! varint (`id << 1`, even). The writer maps local id → link id, the reader
+//! link id → local id, interning each symbol into its own dictionary the
+//! first time it arrives. A bare id the link never defined is
+//! [`WireError::BadSymbol`]. Both tables are dense `Vec`s, and each belongs
+//! to one thread: the transport gives each link's writer and reader a codec
+//! of its own ([`WireCodec::link`]), and a relaunched attempt starts both
+//! with empty tables at the handshake.
 //!
 //! A run's codec also knows the run's `m` ([`MsgCodec::with_m`]): the
 //! peer-supplied values its tasks index by — a `JoinStats` joiner id, a
@@ -32,6 +28,7 @@ use ssj_json::{AttrId, AvpId, Dictionary, DocId, DocRef, Document, Pair, Scalar}
 use ssj_partition::{AssociationGroup, Expansion, PartitionTable, MAX_PARTITIONS};
 use ssj_runtime::wire::{fnv1a, put_str, put_varint, put_zigzag, Cursor, WireError};
 use ssj_runtime::WireCodec;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Message-kind tags (first byte of every encoded [`Msg`]).
@@ -51,36 +48,57 @@ const SCALAR_INT: u8 = 2;
 const SCALAR_FLOAT: u8 = 3;
 const SCALAR_STR: u8 = 4;
 
-/// The [`Msg`] wire codec: one per process, shared by every socket link.
-///
-/// Holds the process's dictionary plus the watermarks and epoch of the
-/// deploy-time snapshot. Construct it *after* the dictionary is fully
-/// seeded and before the topology starts; all group members must construct
-/// it over identical dictionary content (the handshake enforces this by
-/// comparing epochs).
+/// The [`Msg`] wire codec of one link direction: the process's dictionary,
+/// the run's `m`, and the link's symbol tables — the writer's and the
+/// reader's side in one value, so frames encoded through a codec decode
+/// through the same codec, in order.
 pub struct MsgCodec {
     dict: Dictionary,
-    /// Attribute ids below this travel as bare symbols.
-    attr_watermark: u32,
-    /// Pair ids below this travel as bare symbols.
-    avp_watermark: u32,
-    epoch: u64,
     /// Joiners (= partitions) of the run; [`MAX_PARTITIONS`] until
     /// [`with_m`](Self::with_m) narrows it.
     m: usize,
+    sent: RefCell<Sent>,
+    received: RefCell<Received>,
+}
+
+/// The writer's table: local id → link id + 1 (0: not yet on the link),
+/// and how many link ids are defined, for attributes and for pairs.
+#[derive(Default)]
+struct Sent {
+    attrs: (Vec<u32>, u32),
+    avps: (Vec<u32>, u32),
+}
+
+/// `local`'s link id in `table`, or `None` on its first use on the link,
+/// which defines it as the next link id.
+fn link_id((ids, defined): &mut (Vec<u32>, u32), local: u32) -> Option<u32> {
+    let i = local as usize;
+    if i >= ids.len() {
+        ids.resize(i + 1, 0);
+    }
+    if ids[i] > 0 {
+        return Some(ids[i] - 1);
+    }
+    *defined += 1;
+    ids[i] = *defined;
+    None
+}
+
+/// The reader's table: link id → local symbol, in definition order.
+#[derive(Default)]
+struct Received {
+    attrs: Vec<AttrId>,
+    avps: Vec<Pair>,
 }
 
 impl MsgCodec {
-    /// Snapshot `dict` and fingerprint its content into the codec's epoch.
+    /// A codec over `dict` with empty link tables.
     pub fn new(dict: &Dictionary) -> MsgCodec {
-        let attr_watermark = dict.attr_count() as u32;
-        let avp_watermark = dict.avp_count() as u32;
         MsgCodec {
-            epoch: dict_epoch(dict),
             dict: dict.clone(),
-            attr_watermark,
-            avp_watermark,
             m: MAX_PARTITIONS,
+            sent: RefCell::default(),
+            received: RefCell::default(),
         }
     }
 
@@ -93,12 +111,14 @@ impl MsgCodec {
     }
 
     fn put_attr(&self, out: &mut Vec<u8>, attr: AttrId) {
-        if attr.0 < self.attr_watermark {
-            put_varint(out, (attr.0 as u64) << 1);
-        } else {
-            // Interned after the snapshot: ship the name, peer re-interns.
-            put_varint(out, 1);
-            put_str(out, &self.dict.attr_name(attr));
+        let known = link_id(&mut self.sent.borrow_mut().attrs, attr.0);
+        match known {
+            Some(id) => put_varint(out, (id as u64) << 1),
+            // First use on this link: ship the name, the peer interns it.
+            None => {
+                put_varint(out, 1);
+                put_str(out, &self.dict.attr_name(attr));
+            }
         }
     }
 
@@ -106,13 +126,15 @@ impl MsgCodec {
         let v = c.varint()?;
         if v & 1 == 0 {
             let id = v >> 1;
-            if id >= self.attr_watermark as u64 {
-                return Err(WireError::BadSymbol(id));
-            }
-            Ok(AttrId(id as u32))
-        } else {
-            Ok(self.dict.intern_attr(c.str()?))
+            let attrs = &self.received.borrow().attrs;
+            return attrs
+                .get(id as usize)
+                .copied()
+                .ok_or(WireError::BadSymbol(id));
         }
+        let attr = self.dict.intern_attr(c.str()?);
+        self.received.borrow_mut().attrs.push(attr);
+        Ok(attr)
     }
 
     fn put_scalar(&self, out: &mut Vec<u8>, s: &Scalar) {
@@ -149,13 +171,15 @@ impl MsgCodec {
     }
 
     fn put_avp(&self, out: &mut Vec<u8>, avp: AvpId) {
-        if avp.0 < self.avp_watermark {
-            put_varint(out, (avp.0 as u64) << 1);
-        } else {
-            // Post-snapshot pair: self-describing (attribute + value).
-            put_varint(out, 1);
-            self.put_attr(out, self.dict.avp_attr(avp));
-            self.put_scalar(out, &self.dict.avp_scalar(avp));
+        let known = link_id(&mut self.sent.borrow_mut().avps, avp.0);
+        match known {
+            Some(id) => put_varint(out, (id as u64) << 1),
+            // First use on this link: self-describing (attribute + value).
+            None => {
+                put_varint(out, 1);
+                self.put_attr(out, self.dict.avp_attr(avp));
+                self.put_scalar(out, &self.dict.avp_scalar(avp));
+            }
         }
     }
 
@@ -164,19 +188,16 @@ impl MsgCodec {
         let v = c.varint()?;
         if v & 1 == 0 {
             let id = v >> 1;
-            if id >= self.avp_watermark as u64 {
-                return Err(WireError::BadSymbol(id));
-            }
-            let avp = AvpId(id as u32);
-            Ok(Pair {
-                attr: self.dict.avp_attr(avp),
-                avp,
-            })
-        } else {
-            let attr = self.get_attr(c)?;
-            let scalar = self.get_scalar(c)?;
-            Ok(self.dict.intern_avp(attr, scalar))
+            let avps = &self.received.borrow().avps;
+            return avps
+                .get(id as usize)
+                .copied()
+                .ok_or(WireError::BadSymbol(id));
         }
+        let attr = self.get_attr(c)?;
+        let pair = self.dict.intern_avp(attr, self.get_scalar(c)?);
+        self.received.borrow_mut().avps.push(pair);
+        Ok(pair)
     }
 
     fn put_avps(&self, out: &mut Vec<u8>, avps: &[AvpId]) {
@@ -252,8 +273,8 @@ impl MsgCodec {
 }
 
 impl WireCodec<Msg> for MsgCodec {
-    fn epoch(&self) -> u64 {
-        self.epoch
+    fn link(&self) -> Box<dyn WireCodec<Msg>> {
+        Box::new(MsgCodec::new(&self.dict).with_m(self.m))
     }
 
     fn encode(&self, msg: &Msg, out: &mut Vec<u8>) {
@@ -469,8 +490,8 @@ fn at_most(field: &'static str, value: usize, max: usize) -> Result<(), WireErro
 }
 
 /// Fingerprint the full content of `dict` — attribute names in id order,
-/// then every pair's `(attribute, value)` — so two processes agree on the
-/// epoch iff bare symbol ids resolve identically on both sides.
+/// then every pair's `(attribute, value)` — so two dictionaries agree on
+/// the epoch iff their ids resolve identically. Spilled segments carry it.
 pub fn dict_epoch(dict: &Dictionary) -> u64 {
     let mut h = fnv1a(b"ssj-dict-epoch", 0xcbf2_9ce4_8422_2325);
     let attrs = dict.attr_count();

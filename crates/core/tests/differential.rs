@@ -38,8 +38,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Where a case's documents come from. Every member of a group regenerates
-/// them into its own dictionary, as a process of the group would.
+/// Where a case's documents come from. Only worker 0 of a group reads
+/// them; the other members start with an empty dictionary, as a process of
+/// the group does.
 #[derive(Debug, Clone, Copy)]
 enum Stream {
     /// [`churn_stream`].
@@ -60,7 +61,7 @@ enum Source {
     Memory,
     /// The stream written as JSON Lines and streamed back from the file into
     /// a fresh dictionary, which grows while the topology runs (expansion's
-    /// synthetic pairs included); results compare by `DocId`. Solo only.
+    /// synthetic pairs included); results compare by `DocId`.
     File,
 }
 
@@ -198,10 +199,20 @@ fn run(case: &Case) -> TopologyRunReport {
             };
             let input = dir.join("input.jsonl");
             std::thread::spawn(move || {
+                // A member starts empty: only worker 0 hosts the reader.
+                if w > 0 {
+                    let reader = Reader::Docs(Vec::new());
+                    return run_topology_collect(
+                        config,
+                        &Dictionary::new(),
+                        reader,
+                        plan,
+                        Some(&member),
+                    );
+                }
                 let (dict, docs) = case.generate();
                 let (dict, reader) = match (case.source, case.lead) {
                     (Source::File, _) => {
-                        assert_eq!(case.group, 1, "a group loads its input first");
                         let ids = docs.iter().map(|d| d.id().0);
                         assert!(ids.eq(0..docs.len() as u64), "file ids are line numbers");
                         let mut file = std::fs::File::create(&input).unwrap();
@@ -413,20 +424,30 @@ fn single_pane_sliding_equals_tumbling() {
     assert_runs_equal(&tumbling, &sliding);
 }
 
-/// Socket-linked groups, sliding and tumbling; the last under SC, whose
+/// Socket-linked groups, sliding and tumbling; the third under SC, whose
 /// creators ship their shares' documents to the Merger, and creator 1 sits
-/// on worker 1, so half of every build crosses a socket.
+/// on worker 1, so half of every build crosses a socket; the last streams
+/// its file on worker 0 while worker 1 starts with an empty dictionary.
 #[test]
 fn group_runs_match_single_process() {
-    for (seed, docs, spec, m, partitioner) in [
-        (20260808, 180, WindowSpec::sliding(30, 3), 4, Ag),
-        (12345, 100, WindowSpec::tumbling(50), 3, Ag),
-        (99, 180, WindowSpec::tumbling(60), 3, Sc),
+    for (seed, docs, spec, m, partitioner, source) in [
+        (
+            20260808,
+            180,
+            WindowSpec::sliding(30, 3),
+            4,
+            Ag,
+            Source::Memory,
+        ),
+        (12345, 100, WindowSpec::tumbling(50), 3, Ag, Source::Memory),
+        (99, 180, WindowSpec::tumbling(60), 3, Sc, Source::Memory),
+        (7, 240, WindowSpec::tumbling(60), 3, Ag, Source::File),
     ] {
         check(&Case {
             m,
             assigners: 3,
             partitioner,
+            source,
             group: 2,
             ..Case::new(churn(seed), docs, spec)
         });
@@ -672,7 +693,7 @@ proptest! {
     /// The sampled axis table: stream (churn, per-window churn, Zipf
     /// sessions, Zipf-skewed rwData), pane, window shape, `m`, batch,
     /// creators, Assigners, pool size and pinning, expansion, partitioner,
-    /// reader lead, source (a file only for a solo free-running reader),
+    /// reader lead, source (a file only for a free-running reader),
     /// group size and spill budget.
     #[test]
     fn any_case_matches_the_oracle(
@@ -713,7 +734,7 @@ proptest! {
             expansion: expansion && !spec.is_sliding(),
             partitioner: PartitionerKind::with_baselines()[partitioner],
             lead: if lockstep { 1 } else { READER_LEAD },
-            source: if file && !lockstep && group == 1 { Source::File } else { Source::Memory },
+            source: if file && !lockstep { Source::File } else { Source::Memory },
             group,
             spill: if spill == 0 { BUDGET } else { 0 },
             crash: None,

@@ -1,7 +1,8 @@
 //! Round-trip property tests for the §4f binary wire codec: random
 //! documents and frames of every payload kind survive encode → decode
-//! bit-exactly, dictionary-epoch mismatches are rejected, and truncated,
-//! byte-flipped or arbitrary frames are errors, never panics.
+//! bit-exactly, a symbol's text crosses a link once, a link id the link
+//! never defined is rejected, and truncated, byte-flipped or arbitrary
+//! frames are errors, never panics.
 
 use proptest::prelude::*;
 use ssj_core::{Control, Msg, MsgCodec, PaneRouting, TableMsg};
@@ -12,8 +13,7 @@ use ssj_runtime::WireCodec;
 use std::sync::Arc;
 
 /// Deterministically seed a dictionary: two calls with the same `n` yield
-/// identical content, hence identical ids and epochs — the deploy-time
-/// contract between group members.
+/// identical content, hence identical ids.
 fn seeded_dict(n: usize) -> Dictionary {
     let dict = Dictionary::new();
     for i in 0..n as i64 {
@@ -30,7 +30,7 @@ fn seeded_dict(n: usize) -> Dictionary {
 }
 
 /// A random document over the seeded universe, with `fresh` controlling how
-/// many pairs are interned *after* the codec snapshot (inline symbols).
+/// many pairs are interned after the codec was made.
 fn doc_from(dict: &Dictionary, id: u64, picks: &[(u8, i64)], fresh: &[(u8, i64)]) -> Document {
     let mut pairs = Vec::new();
     for &(a, v) in picks {
@@ -50,11 +50,26 @@ fn assert_same_doc(a: &Document, b: &Document, dict: &Dictionary) {
     }
 }
 
+/// Encode `frame` and decode it through the same codec, whose writer and
+/// reader tables stand for the two ends of one link.
 fn roundtrip(codec: &MsgCodec, frame: &Frame<Msg>) -> Frame<Msg> {
+    // Strip the u32 length prefix: decode_frame takes the frame body.
+    decode_frame(&encode(codec, frame)[4..], codec).expect("roundtrip decode")
+}
+
+fn encode(codec: &MsgCodec, frame: &Frame<Msg>) -> Vec<u8> {
     let mut buf = Vec::new();
     encode_frame(frame, codec, &mut buf);
-    // Strip the u32 length prefix: decode_frame takes the frame body.
-    decode_frame(&buf[4..], codec).expect("roundtrip decode")
+    buf
+}
+
+fn data(msg: Msg) -> Frame<Msg> {
+    Frame {
+        target: 5,
+        from: 2,
+        feedback: false,
+        payload: Payload::Data(msg),
+    }
 }
 
 /// Joiners of the run the fuzzed codec belongs to.
@@ -71,8 +86,9 @@ const ROUTING: PaneRouting = PaneRouting {
 
 /// One Data frame body (length prefix stripped) per `Msg` tag — Doc,
 /// LocalGroups, Table, UpdateRequest, Repartition, JoinStats, Routing, Copy —
-/// with snapshot symbols and post-snapshot (inline) ones mixed in.
-fn every_tag_body(dict: &Dictionary, codec: &MsgCodec) -> Vec<Vec<u8>> {
+/// each the first frame of a fresh link of `M` joiners, so every symbol in
+/// it is a definition or refers to one made earlier in the same body.
+fn every_tag_body(dict: &Dictionary) -> Vec<Vec<u8>> {
     let known = dict.intern("attr0", Scalar::Int(0));
     let late = dict.intern("late", Scalar::Str("x".into()));
     let float = dict.intern("late_f", Scalar::Float(-2.5));
@@ -128,25 +144,15 @@ fn every_tag_body(dict: &Dictionary, codec: &MsgCodec) -> Vec<Vec<u8>> {
         },
     ];
     msgs.into_iter()
-        .map(|msg| {
-            let frame = Frame {
-                target: 5,
-                from: 2,
-                feedback: false,
-                payload: Payload::Data(msg),
-            };
-            let mut buf = Vec::new();
-            encode_frame(&frame, codec, &mut buf);
-            buf.split_off(4)
-        })
+        .map(|msg| encode(&MsgCodec::new(dict).with_m(M), &data(msg)).split_off(4))
         .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Data frames with random documents — including pairs interned after
-    /// the snapshot, which travel inline and are re-interned — round-trip
+    /// Data frames with random documents — the first use of each pair on
+    /// the link defines it, the copy's repeat refers to it bare — round-trip
     /// to semantically identical documents, bare and as a routed copy with
     /// its target mask.
     #[test]
@@ -259,12 +265,11 @@ proptest! {
             feedback: false,
             payload: Payload::Data(Msg::Doc(Arc::new(doc))),
         };
-        let mut buf = Vec::new();
-        encode_frame(&frame, &codec, &mut buf);
+        let buf = encode(&codec, &frame);
         let body = &buf[4..];
         for cut in 0..body.len() {
             prop_assert!(
-                decode_frame(&body[..cut], &codec).is_err(),
+                decode_frame(&body[..cut], &MsgCodec::new(&dict)).is_err(),
                 "prefix of {cut}/{} bytes decoded successfully",
                 body.len()
             );
@@ -283,9 +288,11 @@ proptest! {
 
     /// Whatever a peer sends, `decode_frame` returns a frame or a
     /// `WireError`, never a panic. Inputs: arbitrary bodies, bare and behind
-    /// a valid Data header (so they reach the message codec), truncated,
-    /// byte-flipped or junk-tailed encodings of all eight `Msg` tags, and a
-    /// `Table` 65 partitions wide.
+    /// a valid Data header (so they reach the message codec) or behind a
+    /// Doc whose one pair is a definition (so they reach its text),
+    /// truncated, byte-flipped or junk-tailed encodings of all eight `Msg`
+    /// tags, and a `Table` 65 partitions wide. Each decode is the first
+    /// frame of a fresh link.
     #[test]
     fn decode_never_panics(
         junk in proptest::collection::vec(wire_byte(), 0..96),
@@ -294,31 +301,30 @@ proptest! {
         flips in proptest::collection::vec((0usize..1 << 16, 1u8..=255), 1..4),
     ) {
         let dict = seeded_dict(30);
-        let codec = MsgCodec::new(&dict).with_m(M);
-        let _ = decode_frame::<Msg>(&junk, &codec);
-        let mut behind_header = vec![1, 5, 2, 0]; // Data, target, from, flags
-        behind_header.extend_from_slice(&codec.epoch().to_le_bytes());
-        behind_header.extend_from_slice(&junk);
-        let _ = decode_frame::<Msg>(&behind_header, &codec);
+        let decode = |body: &[u8]| decode_frame::<Msg>(body, &MsgCodec::new(&dict).with_m(M));
+        let _ = decode(&junk);
+        let header = [1, 5, 2, 0]; // Data, target, from, flags
+        let _ = decode(&[&header[..], &junk].concat());
+        // Doc tag, id 1, one pair, the definition marker.
+        let _ = decode(&[&header[..], &[0, 1, 1, 1], &junk].concat());
 
-        let body = every_tag_body(&dict, &codec).swap_remove(tag);
-        prop_assert!(decode_frame::<Msg>(&body, &codec).is_ok(), "tag {tag} must decode intact");
+        let body = every_tag_body(&dict).swap_remove(tag);
+        prop_assert!(decode(&body).is_ok(), "tag {tag} must decode intact");
         let prefix = &body[..cut % body.len()];
-        let _ = decode_frame::<Msg>(prefix, &codec);
-        let _ = decode_frame::<Msg>(&[prefix, &junk[..]].concat(), &codec);
+        let _ = decode(prefix);
+        let _ = decode(&[prefix, &junk[..]].concat());
         let mut flipped = body.clone();
         for &(at, mask) in &flips {
             let i = at % flipped.len();
             flipped[i] ^= mask;
         }
-        let _ = decode_frame::<Msg>(&flipped, &codec);
+        let _ = decode(&flipped);
 
         // A Table one wider than any run allows (Table tag, window 2, 65
         // partitions): a named error even for the default codec, and any
         // cut of it never panics.
         let default = MsgCodec::new(&dict);
-        let epoch = default.epoch().to_le_bytes();
-        let wide = [&[1, 5, 2, 0][..], &epoch, &[2, 2, 65], &junk].concat();
+        let wide = [&header[..], &[2, 2, 65], &junk].concat();
         let rejected = matches!(
             decode_frame::<Msg>(&wide, &default),
             Err(WireError::OutOfRange { value: 65, max: 64, .. })
@@ -328,12 +334,10 @@ proptest! {
 
         // An UpdateRequest whose count promises more pairs than the frame
         // holds (up to 2^63): Truncated, without sizing anything by it.
-        let mut lying = vec![1, 5, 2, 0];
-        lying.extend_from_slice(&codec.epoch().to_le_bytes());
-        lying.push(3); // UpdateRequest tag
+        let mut lying = [&header[..], &[3]].concat(); // UpdateRequest tag
         ssj_runtime::wire::put_varint(&mut lying, (cut as u64 + 1) << 47);
         lying.extend_from_slice(&junk);
-        prop_assert!(decode_frame::<Msg>(&lying, &codec).is_err(), "a lying count must fail");
+        prop_assert!(decode(&lying).is_err(), "a lying count must fail");
     }
 }
 
@@ -411,55 +415,43 @@ fn run_codec_rejects_out_of_range_indices() {
     assert!(decode(&default, &copy(0)).is_err());
 }
 
-/// Two dictionaries seeded identically produce codecs with equal epochs;
-/// different content produces different epochs, and a Data frame encoded
-/// under one epoch is rejected by the other codec as an epoch mismatch.
+/// A bare link id the link never defined — for a pair or for an attribute
+/// — is `BadSymbol`, not a panic and not some other symbol; one it defined
+/// resolves.
 #[test]
-fn epoch_mismatch_is_rejected() {
-    let a = seeded_dict(40);
-    let b = seeded_dict(40);
-    assert_eq!(MsgCodec::new(&a).epoch(), MsgCodec::new(&b).epoch());
-
-    let c = seeded_dict(41); // one extra interning: different universe
-    let codec_a = MsgCodec::new(&a);
-    let codec_c = MsgCodec::new(&c);
-    assert_ne!(codec_a.epoch(), codec_c.epoch());
-
-    let frame = Frame {
-        target: 0,
-        from: 0,
-        feedback: false,
-        payload: Payload::Data(Msg::Doc(Arc::new(doc_from(&a, 1, &[(0, 1)], &[])))),
-    };
-    let mut buf = Vec::new();
-    encode_frame(&frame, &codec_a, &mut buf);
-    match decode_frame::<Msg>(&buf[4..], &codec_c) {
-        Err(WireError::EpochMismatch { expected, got }) => {
-            assert_eq!(expected, codec_c.epoch());
-            assert_eq!(got, codec_a.epoch());
-        }
-        other => panic!("expected EpochMismatch, got {other:?}"),
-    }
-}
-
-/// A bare symbol id at or above the receiver's watermark is data from a
-/// different (larger) snapshot — rejected as BadSymbol, not resolved to
-/// garbage.
-#[test]
-fn out_of_watermark_symbols_are_rejected() {
+fn an_undefined_link_id_is_a_bad_symbol() {
     let dict = seeded_dict(10);
+    let doc = |pair: &[u64]| {
+        let mut body = vec![0, 1, pair.len() as u8]; // Doc tag, id 1, pairs
+        for &v in pair {
+            ssj_runtime::wire::put_varint(&mut body, v);
+        }
+        body
+    };
     let codec = MsgCodec::new(&dict);
-    let mut body = Vec::new();
-    body.push(0); // TAG_DOC
-    ssj_runtime::wire::put_varint(&mut body, 1); // doc id
-    ssj_runtime::wire::put_varint(&mut body, 1); // one pair
-    let bogus = (dict.avp_count() as u64 + 5) << 1; // even: bare symbol
-    ssj_runtime::wire::put_varint(&mut body, bogus);
-    let mut c = Cursor::new(&body);
-    match codec.decode(&mut c) {
-        Err(WireError::BadSymbol(id)) => assert_eq!(id, dict.avp_count() as u64 + 5),
-        other => panic!("expected BadSymbol, got {other:?}"),
-    }
+    let decode = |body: &[u8]| codec.decode(&mut Cursor::new(body));
+    assert_eq!(decode(&doc(&[0])).unwrap_err(), WireError::BadSymbol(0));
+    // Define pair 0 (attribute 0 "attr0", Int 7), then refer to it bare.
+    let mut defined = vec![0, 1, 1, 1, 1, 5];
+    defined.extend_from_slice(b"attr0");
+    defined.extend_from_slice(&[2, 14]); // SCALAR_INT, zigzag(7)
+    let Msg::Doc(d) = decode(&defined).unwrap() else {
+        panic!("kind changed");
+    };
+    assert_eq!(dict.render_avp(d.pairs()[0].avp), "attr0:7");
+    let Msg::Doc(again) = decode(&doc(&[0 << 1])).unwrap() else {
+        panic!("kind changed");
+    };
+    assert_eq!(again.pairs(), d.pairs());
+    assert_eq!(
+        decode(&doc(&[1 << 1])).unwrap_err(),
+        WireError::BadSymbol(1)
+    );
+    // A pair definition naming attribute link id 1, which is undefined.
+    assert_eq!(
+        decode(&[0, 1, 1, 1, 1 << 1, 2, 0]).unwrap_err(),
+        WireError::BadSymbol(1)
+    );
 }
 
 /// The control-plane messages (LocalGroups, Table, UpdateRequest,
@@ -530,7 +522,7 @@ fn control_plane_messages_roundtrip() {
     assert_eq!(t2.table, table);
 
     // A pane's δ-requests travel as one list, in sighting order, with
-    // snapshot and post-snapshot pairs mixed.
+    // pairs the link has defined and a new one mixed.
     let late = dict.intern("late", Scalar::Str("y".into()));
     let requests = vec![p1.avp, late.avp, p0.avp];
     let msg = Msg::UpdateRequest(requests.clone());
@@ -582,27 +574,107 @@ fn control_plane_messages_roundtrip() {
     }
 }
 
-/// Steady-state frames carry no strings: a document made entirely of
-/// snapshot-covered pairs encodes to bare varints (strictly smaller than
-/// its JSON rendering, containing none of the attribute names).
+/// A symbol's text crosses a link once: the second frame carrying the
+/// same document is shorter by exactly the text its first use defined —
+/// per pair the marker, the attribute's marker, length and name, and the
+/// scalar's tag, length and bytes, less the one-byte bare id — and carries
+/// none of the names. Its pairs resolve to the same local pairs.
 #[test]
-fn steady_state_frames_carry_no_strings() {
-    let dict = seeded_dict(40);
+fn a_symbols_text_crosses_a_link_once() {
+    let dict = Dictionary::new();
+    let names = [("user", "u17"), ("severity", "warning"), ("host", "db-3")];
+    let pairs: Vec<_> = names
+        .iter()
+        .map(|&(a, v)| dict.intern(a, Scalar::Str(v.into())))
+        .collect();
+    let doc = Msg::Doc(Arc::new(Document::from_pairs(DocId(42), pairs)));
     let codec = MsgCodec::new(&dict);
-    let doc = doc_from(&dict, 42, &[(0, 1), (1, 2), (2, 3)], &[]);
-    let mut buf = Vec::new();
-    codec.encode(&Msg::Doc(Arc::new(doc.clone())), &mut buf);
-    let json = doc.to_json(&dict);
-    assert!(
-        buf.len() < json.len(),
-        "wire {} bytes >= json {} bytes",
-        buf.len(),
-        json.len()
-    );
-    for name in ["attr0", "attr1", "attr2"] {
+    let first = encode(&codec, &data(doc.clone()));
+    let second = encode(&codec, &data(doc));
+    let text: usize = names
+        .iter()
+        .map(|(a, v)| 1 + 2 + a.len() + 2 + v.len() - 1)
+        .sum();
+    assert_eq!(first.len() - second.len(), text);
+    for (name, value) in names {
+        let has = |buf: &[u8], s: &str| buf.windows(s.len()).any(|w| w == s.as_bytes());
         assert!(
-            !buf.windows(name.len()).any(|w| w == name.as_bytes()),
-            "attribute name {name:?} leaked into a steady-state frame"
+            has(&first, name) && has(&first, value),
+            "{name} not defined"
+        );
+        assert!(
+            !has(&second, name) && !has(&second, value),
+            "{name} sent twice"
         );
     }
+    let decoded: Vec<_> = [first, second]
+        .iter()
+        .map(
+            |buf| match decode_frame(&buf[4..], &codec).unwrap().payload {
+                Payload::Data(Msg::Doc(d)) => d.pairs().to_vec(),
+                other => panic!("kind changed: {other:?}"),
+            },
+        )
+        .collect();
+    assert_eq!(decoded[0], decoded[1]);
+}
+
+/// A 30 000-symbol stream from one process's dictionary reaches an empty
+/// one through a fresh pair of tables: every pair resolves to the same
+/// attribute and value, ids run past the varint's one- and two-byte
+/// ranges, and the stream sent again decodes to the same local pairs.
+#[test]
+fn a_30k_symbol_stream_round_trips_into_an_empty_dictionary() {
+    let (leader, member) = (Dictionary::new(), Dictionary::new());
+    let docs: Vec<Document> = (0..10_000u64)
+        .map(|i| {
+            let pairs = [
+                leader.intern(&format!("a{}", i % 97), Scalar::Int(i as i64)),
+                leader.intern(&format!("b{}", i % 89), Scalar::Str(format!("v{i}"))),
+                leader.intern("f", Scalar::Float(i as f64 / 4.0)),
+            ];
+            Document::from_pairs(DocId(i), pairs.to_vec())
+        })
+        .collect();
+    assert!(leader.avp_count() >= 30_000);
+    let (writer, reader) = (MsgCodec::new(&leader), MsgCodec::new(&member));
+    let mut first = Vec::new();
+    for round in 0..2 {
+        for batch in docs.chunks(64) {
+            let msgs = batch
+                .iter()
+                .map(|d| Msg::Doc(Arc::new(d.clone())))
+                .collect();
+            let frame = Frame {
+                target: 1,
+                from: 0,
+                feedback: false,
+                payload: Payload::Batch(msgs),
+            };
+            let Payload::Batch(got) = decode_frame(&encode(&writer, &frame)[4..], &reader)
+                .unwrap()
+                .payload
+            else {
+                panic!("kind changed");
+            };
+            for (sent, got) in batch.iter().zip(got) {
+                let Msg::Doc(got) = got else {
+                    panic!("kind changed");
+                };
+                let render = |dict: &Dictionary, d: &Document| -> Vec<String> {
+                    let mut r: Vec<_> = d.avps().map(|a| dict.render_avp(a)).collect();
+                    r.sort();
+                    r
+                };
+                assert_eq!(render(&leader, sent), render(&member, &got));
+                if round == 0 {
+                    first.push(got);
+                } else {
+                    assert_eq!(got.pairs(), first[sent.id().0 as usize].pairs());
+                }
+            }
+        }
+    }
+    assert_eq!(member.avp_count(), leader.avp_count());
+    assert_eq!(member.attr_count(), leader.attr_count());
 }

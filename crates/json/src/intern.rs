@@ -38,7 +38,7 @@
 //! file order with `Dictionary::absorb`: one exclusive acquisition per
 //! block, by one thread. What is left are occasional callers — the
 //! generators, [`Document::from_value`](crate::Document::from_value), the
-//! wire codec for ids above its watermark, the assigners' one synthetic pair
+//! wire codec for a symbol's first arrival on a link, the assigners' one synthetic pair
 //! per document — and the reverse getters, which were always behind a single
 //! lock. (Earlier versions striped the forward maps over 16 locks and kept a
 //! per-thread cache of hot pairs for the parser threads that no longer come

@@ -72,25 +72,28 @@ impl Expansion {
         }
         let n = docs.len();
         // Disabling attribute: in all documents, fewer distinct values than
-        // m; pick the one with the fewest values (most limiting).
+        // m; pick the one with the fewest values (most limiting). Ties go by
+        // name, never by id: the processes of a group intern in different
+        // orders.
         let disabling = freq
             .iter()
             .filter(|&(a, &f)| f == n && distinct[a].len() < m)
-            .min_by_key(|&(a, _)| (distinct[a].len(), a.0))
+            .min_by_key(|&(&a, _)| (distinct[&a].len(), dict.attr_name(a)))
             .map(|(&a, _)| a)?;
 
         let mut chain = vec![disabling];
         let mut combined = combined_distinct(docs, &chain);
         while combined < m {
-            // Combining attribute: most frequent, then fewest distinct.
+            // Combining attribute: most frequent, then fewest distinct, then
+            // by name.
             let next = freq
                 .iter()
                 .filter(|&(a, _)| !chain.contains(a))
-                .max_by_key(|&(a, &f)| {
+                .max_by_key(|&(&a, &f)| {
                     (
                         f,
-                        std::cmp::Reverse(distinct[a].len()),
-                        std::cmp::Reverse(a.0),
+                        std::cmp::Reverse(distinct[&a].len()),
+                        std::cmp::Reverse(dict.attr_name(a)),
                     )
                 })
                 .map(|(&a, _)| a);

@@ -716,10 +716,11 @@ pub fn run<M: Clone + Send + 'static>(topology: Topology<M>) -> Result<RunReport
     run_inner(topology, None)
 }
 
-/// This process's slice of a distributed run: the shared-dictionary codec,
-/// the joined process group, and the hosting worker per global task id.
+/// This process's slice of a distributed run: the codec each link direction
+/// gets a copy of, the joined process group, and the hosting worker per
+/// global task id.
 struct DistCtx<M> {
-    codec: Arc<dyn WireCodec<M>>,
+    codec: Box<dyn WireCodec<M>>,
     group: Group,
     placement: Vec<usize>,
 }
@@ -739,7 +740,7 @@ struct DistCtx<M> {
 /// returns [`RunError::Transport`] for its driver to resume.
 pub fn run_distributed<M: Clone + Send + 'static>(
     topology: Topology<M>,
-    codec: Arc<dyn WireCodec<M>>,
+    codec: Box<dyn WireCodec<M>>,
     group: Group,
     placement: &dyn Fn(&str, usize) -> usize,
 ) -> Result<RunReport, RunError> {
@@ -1096,7 +1097,7 @@ fn run_inner<M: Clone + Send + 'static>(
             let insts = transport_insts[w].clone().expect("transport instruments");
             let wstream = stream.try_clone().expect("clone peer stream");
             let wrx = writer_rxs[w].take().expect("writer queue receiver");
-            let wcodec = Arc::clone(&d.codec);
+            let wcodec = d.codec.link();
             let winsts = Arc::clone(&insts);
             transport_handles.push(
                 std::thread::Builder::new()
@@ -1105,7 +1106,7 @@ fn run_inner<M: Clone + Send + 'static>(
                     .expect("spawn transport writer thread"),
             );
             let plan = reader_plans[w].take().expect("reader plan present");
-            let rcodec = Arc::clone(&d.codec);
+            let rcodec = d.codec.link();
             let errors = Arc::clone(&transport_errors);
             let rhub = Arc::clone(&hub);
             transport_handles.push(

@@ -886,6 +886,9 @@ mod no_bolt_tests {
         fn decode(&self, cur: &mut Cursor) -> Result<u64, WireError> {
             cur.varint()
         }
+        fn link(&self) -> Box<dyn WireCodec<u64>> {
+            Box::new(U64Codec)
+        }
     }
 
     /// A 2-member group where member 0 hosts only the spout and member 1
@@ -907,7 +910,6 @@ mod no_bolt_tests {
                         socket_dir: dir,
                         attempt: 0,
                         topo_fingerprint: 1,
-                        dict_epoch: 0,
                     })
                     .unwrap();
                     let t = TopologyBuilder::new()
@@ -921,7 +923,7 @@ mod no_bolt_tests {
                         .build()
                         .unwrap();
                     let place = |c: &str, _task: usize| usize::from(c == "sink");
-                    run_distributed(t, Arc::new(U64Codec), group, &place).unwrap()
+                    run_distributed(t, Box::new(U64Codec), group, &place).unwrap()
                 })
             })
             .collect();

@@ -771,6 +771,10 @@ pub fn write_jsonl<W: Write>(
 
 /// Render a per-component human summary table from final task snapshots:
 /// throughput counters plus handle-latency percentiles when collected.
+/// "busy" is the mean over the component's tasks of `busy_ns`, which is
+/// wall time inside a task's handles, so it counts the time the host
+/// preempted the thread: summed over more tasks than cores it can exceed
+/// the CPU the run used.
 pub fn summary_table(finals: &[TaskSnapshot]) -> String {
     use std::fmt::Write as _;
     let mut components: Vec<&str> = Vec::new();

@@ -6,10 +6,11 @@
 //! (retrying until the peer's listener exists — the OS backlog queues
 //! early connects, so the mesh cannot deadlock), then accepts the
 //! remaining `workers - 1 - i` links. Each link exchanges a [`Hello`] in
-//! both directions and validates the wire version, group shape, topology
-//! fingerprint, and dictionary epoch before any data flows.
+//! both directions and validates the wire version, group shape and
+//! topology fingerprint before any data flows.
 //!
-//! Per peer link the executor runs two threads:
+//! Per peer link the executor runs two threads, each with a codec of its
+//! own ([`WireCodec::link`]), so per-link codec state needs no lock:
 //!
 //! * the **writer** drains an unbounded channel of [`WireItem`]s, encodes
 //!   frames into a cork buffer and flushes when the channel is momentarily
@@ -78,8 +79,6 @@ pub struct GroupSetup {
     /// Fingerprint of the deployed topology + config; all workers must
     /// agree or the handshake fails.
     pub topo_fingerprint: u64,
-    /// Dictionary epoch the group will speak (see `WireCodec::epoch`).
-    pub dict_epoch: u64,
 }
 
 impl GroupSetup {
@@ -144,12 +143,6 @@ fn check_hello(setup: &GroupSetup, hello: &Hello, expect_worker: Option<usize>) 
             setup.topo_fingerprint, hello.topo_fingerprint
         )));
     }
-    if hello.dict_epoch != setup.dict_epoch {
-        return Err(invalid(format!(
-            "dictionary epoch mismatch: ours {:#x}, peer's {:#x}",
-            setup.dict_epoch, hello.dict_epoch
-        )));
-    }
     Ok(())
 }
 
@@ -172,7 +165,6 @@ pub fn join_group(setup: &GroupSetup) -> io::Result<Group> {
         worker: setup.my_worker,
         workers: setup.workers,
         topo_fingerprint: setup.topo_fingerprint,
-        dict_epoch: setup.dict_epoch,
     };
     let mut hello_buf = Vec::new();
     encode_hello(&hello, &mut hello_buf);
@@ -306,7 +298,7 @@ fn encode_item<M: 'static>(item: WireItem<M>, codec: &dyn WireCodec<M>, out: &mu
 pub(crate) fn writer_loop<M: 'static>(
     mut stream: UnixStream,
     rx: Receiver<WireItem<M>>,
-    codec: Arc<dyn WireCodec<M>>,
+    codec: Box<dyn WireCodec<M>>,
     insts: Arc<TaskInstruments>,
 ) {
     let bytes_sent = insts.counter("bytes_sent");
@@ -374,7 +366,7 @@ pub(crate) struct ReaderPlan<M> {
 /// sender so local channels disconnect.
 pub(crate) fn reader_loop<M: Send + 'static>(
     mut stream: UnixStream,
-    codec: Arc<dyn WireCodec<M>>,
+    codec: Box<dyn WireCodec<M>>,
     mut plan: ReaderPlan<M>,
     hub: Arc<Hub>,
     errors: Arc<Mutex<Vec<String>>>,
@@ -495,7 +487,6 @@ mod tests {
             socket_dir: dir.to_path_buf(),
             attempt: 0,
             topo_fingerprint: fp,
-            dict_epoch: 0xabc,
         }
     }
 
@@ -551,6 +542,9 @@ mod tests {
         fn decode(&self, cur: &mut crate::wire::Cursor) -> Result<u64, crate::wire::WireError> {
             cur.varint()
         }
+        fn link(&self) -> Box<dyn WireCodec<u64>> {
+            Box::new(U64Codec)
+        }
     }
 
     /// Feed `frames` from worker 1 to a reader whose one local task, 0,
@@ -578,7 +572,7 @@ mod tests {
         let errors = Arc::new(Mutex::new(Vec::new()));
         let mut registry = crate::metrics::MetricsRegistry::new(Default::default());
         let insts = registry.register("transport", 1);
-        let codec = Arc::new(U64Codec);
+        let codec = Box::new(U64Codec);
         reader_loop(
             local,
             codec,

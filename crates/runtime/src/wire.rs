@@ -16,12 +16,10 @@
 //! * `flags` bit 0 once marked a feedback-edge frame. There are no
 //!   feedback edges any more: a sender leaves the bit clear and a receiving
 //!   link rejects a frame that sets it (`crate::transport`).
-//! * `Data`/`Batch` payloads carry the sender's **dictionary epoch** before
-//!   the message bytes: message encoding is delegated to a [`WireCodec`],
-//!   which serializes interned symbols against an epoch-versioned dictionary
-//!   snapshot agreed at handshake time. A receiver whose codec disagrees
-//!   rejects the frame with [`WireError::EpochMismatch`] instead of decoding
-//!   garbage ids.
+//! * `Data`/`Batch` payloads are message bytes, delegated to a
+//!   [`WireCodec`]. Each link direction has a codec of its own
+//!   ([`WireCodec::link`]), so a codec may keep per-link state: the
+//!   symbols it has defined on the link so far.
 //!
 //! One [`Envelope::Batch`](crate) micro-batch becomes exactly one `Batch`
 //! frame, so the PR 2 batch boundaries — and therefore window contents —
@@ -36,7 +34,7 @@ use std::fmt;
 use std::io::Read;
 
 /// Wire protocol version; bumped on any incompatible layout change.
-pub const WIRE_VERSION: u16 = 6;
+pub const WIRE_VERSION: u16 = 7;
 
 /// Handshake magic: `"SSJW"`.
 pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"SSJW");
@@ -63,15 +61,7 @@ pub enum WireError {
     Trailing(usize),
     /// Unknown frame kind byte.
     BadKind(u8),
-    /// A data frame's dictionary epoch does not match the local codec's.
-    EpochMismatch {
-        /// The receiving codec's epoch.
-        expected: u64,
-        /// The epoch carried by the frame.
-        got: u64,
-    },
-    /// An interned symbol id beyond the epoch's watermark (or otherwise
-    /// unresolvable); carries the raw id.
+    /// A symbol id the link never defined; carries the raw id.
     BadSymbol(u64),
     /// An inline string was not valid UTF-8.
     BadUtf8,
@@ -106,12 +96,6 @@ impl fmt::Display for WireError {
             WireError::Truncated => f.write_str("truncated frame"),
             WireError::Trailing(n) => write!(f, "{n} trailing bytes after payload"),
             WireError::BadKind(k) => write!(f, "unknown frame kind {k}"),
-            WireError::EpochMismatch { expected, got } => {
-                write!(
-                    f,
-                    "dictionary epoch mismatch: local {expected:#x}, frame {got:#x}"
-                )
-            }
             WireError::BadSymbol(id) => write!(f, "unresolvable symbol id {id}"),
             WireError::BadUtf8 => f.write_str("inline string is not valid UTF-8"),
             WireError::BadTag(t) => write!(f, "unknown message tag {t}"),
@@ -266,24 +250,20 @@ impl<'a> Cursor<'a> {
 // Message codec
 // ---------------------------------------------------------------------------
 
-/// Serializes one topology message type against an epoch-versioned
-/// dictionary snapshot. Implementations encode interned symbols as dense
-/// ids when both sides' dictionaries agree (the steady state — frames carry
-/// no strings) and fall back to inline self-describing encodings for
-/// symbols interned after the epoch was taken.
-pub trait WireCodec<M>: Send + Sync + 'static {
-    /// Fingerprint of the dictionary snapshot this codec encodes against.
-    /// Carried on every data frame and checked at decode; exchanged (and
-    /// required equal) at the process-group handshake.
-    fn epoch(&self) -> u64 {
-        0
-    }
-
+/// Serializes one topology message type. A codec may keep state across
+/// the messages of one link direction — what it has told the peer so far —
+/// so the frames of a link decode in the order they were encoded, each
+/// link direction through a codec of its own.
+pub trait WireCodec<M>: Send + 'static {
     /// Append `msg`'s payload bytes to `out`.
     fn encode(&self, msg: &M, out: &mut Vec<u8>);
 
     /// Decode one message payload.
     fn decode(&self, cur: &mut Cursor) -> Result<M, WireError>;
+
+    /// A codec for one more link direction, sharing this one's
+    /// configuration but none of its per-link state.
+    fn link(&self) -> Box<dyn WireCodec<M>>;
 }
 
 // ---------------------------------------------------------------------------
@@ -339,12 +319,8 @@ pub fn encode_frame<M: 'static>(frame: &Frame<M>, codec: &dyn WireCodec<M>, out:
     put_varint(out, frame.from as u64);
     out.push(if frame.feedback { FLAG_FEEDBACK } else { 0 });
     match &frame.payload {
-        Payload::Data(m) => {
-            out.extend_from_slice(&codec.epoch().to_le_bytes());
-            codec.encode(m, out);
-        }
+        Payload::Data(m) => codec.encode(m, out),
         Payload::Batch(ms) => {
-            out.extend_from_slice(&codec.epoch().to_le_bytes());
             put_varint(out, ms.len() as u64);
             for m in ms {
                 codec.encode(m, out);
@@ -358,8 +334,7 @@ pub fn encode_frame<M: 'static>(frame: &Frame<M>, codec: &dyn WireCodec<M>, out:
 }
 
 /// Decode one frame body (the bytes *after* the length prefix). Rejects
-/// data frames whose dictionary epoch differs from the codec's, and bodies
-/// with trailing bytes.
+/// bodies with trailing bytes.
 pub fn decode_frame<M: 'static>(
     body: &[u8],
     codec: &dyn WireCodec<M>,
@@ -370,27 +345,19 @@ pub fn decode_frame<M: 'static>(
     let from = cur.varint()? as usize;
     let feedback = cur.u8()? & FLAG_FEEDBACK != 0;
     let payload = match kind {
-        KIND_DATA | KIND_BATCH => {
-            let got = cur.u64_le()?;
-            let expected = codec.epoch();
-            if got != expected {
-                return Err(WireError::EpochMismatch { expected, got });
+        KIND_DATA => Payload::Data(codec.decode(&mut cur)?),
+        KIND_BATCH => {
+            let n = cur.varint()? as usize;
+            if n > cur.remaining() {
+                // Every message costs at least one byte; reject early so a
+                // corrupt count cannot trigger a huge reservation.
+                return Err(WireError::Truncated);
             }
-            if kind == KIND_DATA {
-                Payload::Data(codec.decode(&mut cur)?)
-            } else {
-                let n = cur.varint()? as usize;
-                if n > cur.remaining() {
-                    // Every message costs at least one byte; reject early so
-                    // a corrupt count cannot trigger a huge reservation.
-                    return Err(WireError::Truncated);
-                }
-                let mut ms = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ms.push(codec.decode(&mut cur)?);
-                }
-                Payload::Batch(ms)
+            let mut ms = Vec::with_capacity(n);
+            for _ in 0..n {
+                ms.push(codec.decode(&mut cur)?);
             }
+            Payload::Batch(ms)
         }
         KIND_PUNCT => Payload::Punct(cur.varint()?),
         KIND_EOS => Payload::Eos,
@@ -442,8 +409,8 @@ pub fn read_frame<R: Read>(r: &mut R, scratch: &mut Vec<u8>) -> std::io::Result<
 // ---------------------------------------------------------------------------
 
 /// The control-plane handshake exchanged once per link at group join:
-/// identifies the peer and pins the wire version, the topology fingerprint,
-/// and the dictionary epoch the link will speak.
+/// identifies the peer and pins the wire version and the topology
+/// fingerprint. Both ends of the link start from here with nothing defined.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hello {
     /// The sending process's worker id.
@@ -452,8 +419,6 @@ pub struct Hello {
     pub workers: usize,
     /// Fingerprint of the deployed topology + placement.
     pub topo_fingerprint: u64,
-    /// The sender's dictionary epoch (see [`WireCodec::epoch`]).
-    pub dict_epoch: u64,
 }
 
 /// Append `hello` as one length-prefixed handshake frame.
@@ -466,7 +431,6 @@ pub fn encode_hello(hello: &Hello, out: &mut Vec<u8>) {
     put_varint(out, hello.worker as u64);
     put_varint(out, hello.workers as u64);
     out.extend_from_slice(&hello.topo_fingerprint.to_le_bytes());
-    out.extend_from_slice(&hello.dict_epoch.to_le_bytes());
     let len = (out.len() - at - 4) as u32;
     out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
@@ -491,18 +455,16 @@ pub fn decode_hello(body: &[u8]) -> Result<Hello, WireError> {
     let worker = cur.varint()? as usize;
     let workers = cur.varint()? as usize;
     let topo_fingerprint = cur.u64_le()?;
-    let dict_epoch = cur.u64_le()?;
     cur.finish()?;
     Ok(Hello {
         worker,
         workers,
         topo_fingerprint,
-        dict_epoch,
     })
 }
 
 /// FNV-1a, the workspace's convention for deterministic fingerprints
-/// (dictionary epochs, topology fingerprints).
+/// (dictionary epochs of spilled segments, topology fingerprints).
 pub fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
     let mut h = if seed == 0 {
         0xcbf2_9ce4_8422_2325
@@ -522,14 +484,14 @@ mod tests {
 
     struct U64Codec;
     impl WireCodec<u64> for U64Codec {
-        fn epoch(&self) -> u64 {
-            7
-        }
         fn encode(&self, msg: &u64, out: &mut Vec<u8>) {
             put_varint(out, *msg);
         }
         fn decode(&self, cur: &mut Cursor) -> Result<u64, WireError> {
             cur.varint()
+        }
+        fn link(&self) -> Box<dyn WireCodec<u64>> {
+            Box::new(U64Codec)
         }
     }
 
@@ -594,53 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_mismatch_rejected() {
-        struct Other;
-        impl WireCodec<u64> for Other {
-            fn epoch(&self) -> u64 {
-                8
-            }
-            fn encode(&self, msg: &u64, out: &mut Vec<u8>) {
-                put_varint(out, *msg);
-            }
-            fn decode(&self, cur: &mut Cursor) -> Result<u64, WireError> {
-                cur.varint()
-            }
-        }
-        let mut buf = Vec::new();
-        encode_frame(
-            &Frame {
-                target: 0,
-                from: 0,
-                feedback: false,
-                payload: Payload::Data(5u64),
-            },
-            &U64Codec,
-            &mut buf,
-        );
-        assert_eq!(
-            decode_frame(&buf[4..], &Other),
-            Err(WireError::EpochMismatch {
-                expected: 8,
-                got: 7
-            })
-        );
-        // Control frames carry no epoch and pass between mismatched codecs.
-        buf.clear();
-        encode_frame(
-            &Frame {
-                target: 0,
-                from: 0,
-                feedback: false,
-                payload: Payload::Punct::<u64>(3),
-            },
-            &U64Codec,
-            &mut buf,
-        );
-        assert!(decode_frame(&buf[4..], &Other).is_ok());
-    }
-
-    #[test]
     fn truncation_and_trailing_are_errors_not_panics() {
         let mut buf = Vec::new();
         encode_frame(
@@ -678,7 +593,6 @@ mod tests {
             worker: 1,
             workers: 4,
             topo_fingerprint: 0xdead_beef,
-            dict_epoch: 0x1234,
         };
         let mut buf = Vec::new();
         encode_hello(&h, &mut buf);

@@ -90,19 +90,23 @@ stage "metrics conservation" cargo test -q -p ssj-runtime --test metrics_conserv
 # Every reported quantile within 12.5% of the exact order statistic.
 stage "histogram accuracy" cargo test -q -p ssj-runtime --test histogram_error
 
-# Wire codec round trips plus a decode fuzz (arbitrary bodies, truncated or
-# byte-flipped encodings of every Msg tag: an error, never a panic; a joiner
-# id or table width beyond the run's m — or beyond 64 — is a named error),
-# 2-worker Unix-socket CLI run incl. a killed-and-relaunched worker: the
-# streamed --joins-out files byte-identical, one line per window, and the
-# resume pane named; --joins-out failures, an unusable --spill-dir, an m
-# outside 1..=64 and a snapshot table claiming more partitions are named
-# errors. A solo run streams its --input: a truncated or malformed file is
-# exit 1 naming the line after exactly the windows before it (a 2-process
-# group, which loads first, before any window), and peak RSS on a 10x longer
-# stream stays within 1.5x.
+# Wire codec round trips through per-link symbol tables (a symbol's text
+# crosses a link once; an undefined link id is BadSymbol; a 30 k-symbol
+# stream reaches an empty dictionary) plus a decode fuzz (arbitrary bodies,
+# definitions, truncated or byte-flipped encodings of every Msg tag: an
+# error, never a panic; a joiner id or table width beyond the run's m — or
+# beyond 64 — is a named error), 2-worker Unix-socket CLI run incl. a
+# killed-and-relaunched worker: the streamed --joins-out files
+# byte-identical, one line per window, and the resume pane named; only the
+# leader reads the input (the binary's unit tests: a member is spawned
+# without the input's flags; a group fed through a pipe == the solo run);
+# --joins-out failures, an unusable --spill-dir, an m outside 1..=64 and a
+# snapshot table claiming more partitions are named errors. The reader's
+# process streams its --input, solo or as a 2-process group: a truncated or
+# malformed file is exit 1 naming the line after exactly the windows before
+# it, and a solo run's peak RSS on a 10x longer stream stays within 1.5x.
 stage "wire codec" cargo test -q -p ssj-core --test wire_codec
-stage "distributed CLI" cargo test -q -p ssj-cli --test distributed
+stage "distributed CLI" cargo test -q -p ssj-cli --bins --test distributed
 
 # Route-cache expiry on pane eviction.
 stage "route-cache expiry" cargo test -q -p ssj-core --test route_cache_expiry
@@ -143,8 +147,9 @@ stage "repartition path" repartition_path
 # Control-plane determinism: the Assigners' δ-requests and θ signals ride the
 # reader's credit and act at a fixed pane, so routing is a function of the
 # stream. `ssj run`'s routing line (tables deployed, δ-updates, broadcast
-# share) is the same for two solo runs and a 2-process group over one file;
-# in release, where thread timing is tightest.
+# share) is the same for two solo runs and a 2-process group over one file,
+# also with a creator on the member, whose dictionary interns in its own
+# order; in release, where thread timing is tightest.
 stage "control-plane determinism" cargo test -q --release -p ssj-cli --test distributed the_routing_line_is_the_same_in_every_run
 
 # Figs. 6-10 come from the lock-step Fig. 2 topology (one Assigner, batch

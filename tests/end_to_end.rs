@@ -156,7 +156,8 @@ fn crashed_joiner_recovers_to_ground_truth() {
 
 /// Tier-1's one pass through the socket mesh: a 2-member group (threads
 /// standing in for processes — own dictionary each, talking only over the
-/// Unix sockets) produces the single-process run's joins.
+/// Unix sockets; member 1's starts empty and reads nothing) produces the
+/// single-process run's joins.
 #[test]
 fn two_member_group_matches_single_process() {
     let cfg = StreamJoinConfig::default()
@@ -178,7 +179,11 @@ fn two_member_group_matches_single_process() {
             let (cfg, dir) = (cfg.clone(), dir.clone());
             std::thread::spawn(move || {
                 let dict = Dictionary::new();
-                let docs = serverlog(&dict, 450);
+                let docs = if w == 0 {
+                    serverlog(&dict, 450)
+                } else {
+                    Vec::new()
+                };
                 let dr = DistRuntime {
                     workers: 2,
                     my_worker: w,
@@ -270,7 +275,11 @@ fn a_member_task_panic_fails_the_leaders_attempt() {
             let (cfg, dir) = (cfg.clone(), dir.clone());
             std::thread::spawn(move || {
                 let dict = Dictionary::new();
-                let docs = serverlog(&dict, 450);
+                let docs = if w == 0 {
+                    serverlog(&dict, 450)
+                } else {
+                    Vec::new()
+                };
                 let dr = DistRuntime {
                     workers: 2,
                     my_worker: w,
