@@ -1,6 +1,6 @@
 //! Beyond the paper: end-to-end throughput of the threaded Fig. 2 topology
-//! on this machine, as a function of the number of Joiners (m) and of the
-//! local join algorithm.
+//! on this machine, as a function of the number of Joiners (m). The local
+//! join baselines are Fig. 11's (`figures`), timed outside the topology.
 //!
 //! ```text
 //! cargo run -p ssj-bench --release --bin scaling [-- docs-per-run]
@@ -8,7 +8,6 @@
 
 use ssj_bench::DataSet;
 use ssj_core::{run_topology, StreamJoinConfig};
-use ssj_join::JoinAlgo;
 use std::time::Instant;
 
 fn main() {
@@ -46,28 +45,5 @@ fn main() {
                 joins
             );
         }
-    }
-
-    println!("\nlocal join algorithm at the Joiners (m=4, rwData)\n");
-    println!("{:<6} {:>12} {:>12}", "algo", "seconds", "docs/sec");
-    for algo in JoinAlgo::all() {
-        let (dict, docs) = DataSet::RwData.generate(docs_per_run, 42);
-        let cfg = StreamJoinConfig::default()
-            .with_m(4)
-            .with_window_spec(ssj_core::WindowSpec::tumbling(window))
-            .with_join(algo)
-            .with_partition_creators(2)
-            .with_assigners(4)
-            .build()
-            .expect("valid scaling config");
-        let t0 = Instant::now();
-        run_topology(cfg, &dict, docs).expect("run");
-        let secs = t0.elapsed().as_secs_f64();
-        println!(
-            "{:<6} {:>12.3} {:>12.0}",
-            algo.name(),
-            secs,
-            docs_per_run as f64 / secs
-        );
     }
 }

@@ -162,7 +162,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             THETA,
             DELTA,
             CREATORS,
-            ALGO,
             opt(
                 "window-by",
                 None,
@@ -220,7 +219,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             CREATORS,
             ASSIGNERS,
             BATCH,
-            ALGO,
             NO_EXPANSION,
             POOL_WORKERS,
             PIN_CORES,

@@ -189,7 +189,6 @@ fn pipeline_config(args: &Args, metrics: bool) -> Result<StreamJoinConfig, Strin
                 .unwrap_or("ag")
                 .parse::<PartitionerKind>()?,
         )
-        .with_join(args.get("algo").unwrap_or("fpj").parse()?)
         // A sliding Assigner routes with the tables of every pane still in
         // the lookback, and those cannot mix expansions — expansion is forced
         // off there (`ConfigError::SlidingWithExpansion` would reject it

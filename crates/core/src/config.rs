@@ -1,6 +1,5 @@
 //! Configuration of the stream-join system (§VII-D).
 
-use ssj_join::JoinAlgo;
 use ssj_join::{WindowError, WindowSpec};
 use ssj_partition::{PartitionerKind, MAX_PARTITIONS};
 use std::fmt;
@@ -35,8 +34,6 @@ pub struct StreamJoinConfig {
     /// at the creators; the others build centrally at the Merger. Only the
     /// figures and `ssj pipeline` choose it: `ssj run` always uses AG.
     pub partitioner: PartitionerKind,
-    /// Local join algorithm at the Joiners (FPJ / NLJ / HBJ).
-    pub join_algo: JoinAlgo,
     /// Enable attribute-value expansion (§VI-B).
     pub expansion: bool,
     /// Parallelism of the PartitionCreator component.
@@ -83,7 +80,6 @@ impl Default for StreamJoinConfig {
             theta: 0.2,
             delta: 3,
             partitioner: PartitionerKind::Ag,
-            join_algo: JoinAlgo::FpTree,
             expansion: true,
             partition_creators: 2,
             assigners: 6,
@@ -207,8 +203,6 @@ macro_rules! builder_setters {
             with_delta(delta: u32);
             /// Override the partitioning algorithm.
             with_partitioner(partitioner: PartitionerKind);
-            /// Override the local join algorithm.
-            with_join(join_algo: JoinAlgo);
             /// Override attribute-value expansion.
             with_expansion(expansion: bool);
             /// Override the PartitionCreator parallelism.
@@ -347,7 +341,6 @@ mod tests {
             .with_theta(0.6)
             .with_delta(5)
             .with_partitioner(PartitionerKind::Ds)
-            .with_join(JoinAlgo::Hbj)
             .with_expansion(false)
             .with_partition_creators(3)
             .with_assigners(4)
@@ -356,9 +349,9 @@ mod tests {
             .unwrap();
         assert_eq!(c.m, 20);
         assert_eq!(c.window_docs(), 3000);
+        assert!((c.theta - 0.6).abs() < 1e-12);
         assert_eq!(c.delta, 5);
         assert_eq!(c.partitioner, PartitionerKind::Ds);
-        assert_eq!(c.join_algo, JoinAlgo::Hbj);
         assert!(!c.expansion);
         assert_eq!(c.partition_creators, 3);
         assert_eq!(c.assigners, 4);

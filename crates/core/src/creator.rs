@@ -4,7 +4,8 @@
 //! (equivalence → association groups) on it, forwarding the local groups to
 //! the Merger — or, for a centralized partitioner (SC, DS, Hash), forwards
 //! the share's documents for the Merger to build from. Creator 0 is also
-//! the Merger's one way to hear the reader's δ-requests.
+//! the Merger's one way to hear the reader's control: the δ-requests and
+//! the §VI-B chain of each build.
 
 use crate::config::StreamJoinConfig;
 use crate::msg::Msg;
@@ -27,11 +28,13 @@ struct CreatorPane {
 
 /// PartitionCreator bolt (§IV-A phase 1).
 ///
-/// Runs the (expensive) association-group computation only when asked: on
-/// the very first window, and in a window the reader began with a
-/// [`Msg::Repartition`] (an Assigner's θ signal; §VI-A: "they inform the
+/// Runs the (expensive) association-group computation only when asked: in a
+/// window the reader began with a [`Msg::Repartition`] — the attempt's
+/// first, and one after an Assigner's θ signal (§VI-A: "they inform the
 /// Partition Creators and the Merger that in the next window a
-/// recalculation of the partitions should be performed"). Between
+/// recalculation of the partitions should be performed"). Its views are
+/// under the §VI-B chain that message carried, which the reader decided
+/// over the whole pane, so every creator builds under the same one. Between
 /// computations a document costs one push of its
 /// shared handle: the creator keeps its share of the lookback as a ring of
 /// panes (tumbling is the 1-pane ring) and builds views and groups from
@@ -51,6 +54,8 @@ pub struct PartitionCreator {
     evicted: Option<CreatorPane>,
     /// Compute local groups at the next window boundary.
     compute_pending: bool,
+    /// The chain of the last [`Msg::Repartition`].
+    expansion: Option<Arc<Expansion>>,
     /// Deployment spill settings; `None` when `mem_budget == 0`.
     spill_settings: Option<Arc<SpillSettings>>,
     /// Per-task spill machinery (created in `prepare`); `None` at budget 0.
@@ -75,7 +80,8 @@ impl PartitionCreator {
             open: CreatorPane::default(),
             ring: VecDeque::new(),
             evicted: None,
-            compute_pending: true, // bootstrap window
+            compute_pending: false,
+            expansion: None,
             spill_settings: spill,
             spill: None,
             open_bytes: 0,
@@ -160,13 +166,18 @@ impl Bolt<Msg> for PartitionCreator {
                     self.seal_run();
                 }
             }
-            Msg::Repartition => self.compute_pending = true,
-            // Shipped at once, not with the boundary's batch: the Merger
-            // applies the requests while the pane is read, off the close
-            // path.
-            Msg::UpdateRequest(_) if self.task == 0 => {
-                out.emit(msg);
-                out.flush();
+            Msg::Repartition(_) | Msg::UpdateRequest(_) => {
+                if let Msg::Repartition(expansion) = &msg {
+                    self.expansion = expansion.clone();
+                    self.compute_pending = true;
+                }
+                // Creator 0 passes the control on to the Merger at once, not
+                // with the boundary's batch: the Merger applies δ-requests
+                // while the pane is read, off the close path.
+                if self.task == 0 {
+                    out.emit(msg);
+                    out.flush();
+                }
             }
             _ => {}
         }
@@ -193,29 +204,22 @@ impl Bolt<Msg> for PartitionCreator {
                     }
                 });
             } else {
+                // Views are all the build needs: under a budget at most one
+                // run of documents is on the heap next to them. A document
+                // that lacks a chained attribute has none.
                 let mut views: Vec<View> = Vec::with_capacity(share);
-                let mut expansion = None;
-                if self.config.expansion {
-                    // §VI-B picks the chain from statistics over the whole
-                    // share, so it is needed at once — one pane: config
-                    // validation keeps expansion to tumbling windows.
-                    let mut docs = Vec::with_capacity(share);
-                    self.for_each_chunk(|chunk| docs.extend_from_slice(chunk));
-                    expansion = Expansion::detect(&docs, &self.dict, self.config.m);
-                    let expanded = batch_views(&docs, expansion.as_ref(), &self.dict);
-                    views.extend(expanded.into_iter().flatten());
-                } else {
-                    // Views are all the build needs: under a budget at most
-                    // one run of documents is on the heap next to them.
-                    self.for_each_chunk(|chunk| {
-                        views.extend(chunk.iter().map(|d| d.avps().collect::<View>()));
-                    });
-                }
+                let expansion = self.expansion.as_deref();
+                self.for_each_chunk(|chunk| {
+                    views.extend(
+                        batch_views(chunk, expansion, &self.dict)
+                            .into_iter()
+                            .flatten(),
+                    );
+                });
                 out.emit(Msg::LocalGroups {
                     window,
                     creator: self.task,
                     groups: association_groups(&views),
-                    expansion,
                 });
             }
             self.compute_pending = false;

@@ -14,14 +14,17 @@
 //! exactly when `tag(a) & tag(b) == 0`. The FP-trees store each document's
 //! tag, and every probe skips the probing copy's tag
 //! ([`ssj_join::fpjoin::probe_absent`]), so it never walks into a subtree
-//! whose documents all belong to a lower joiner. A spilled chunk and the
-//! NLJ/HBJ baselines test the same `tag(a) & tag(b) == 0` on what they find.
+//! whose documents all belong to a lower joiner. A spilled chunk tests the
+//! same `tag(a) & tag(b) == 0` on what it finds.
+//!
+//! The Joiner runs FPTreeJoin only: NLJ and HBJ are Fig. 11's local
+//! baselines, timed through `ssj_join` directly.
 
 use crate::config::StreamJoinConfig;
 use crate::msg::Msg;
 use crate::spill::{BlockCache, Segment, SpillSettings, SpillStore};
-use ssj_join::{AttrOrder, FpTree, JoinAlgo, ProbeStats};
-use ssj_json::{DocId, DocRef, FxHashMap};
+use ssj_join::{FpTree, ProbeStats};
+use ssj_json::{DocId, DocRef};
 use ssj_runtime::{Bolt, Outbox, TaskInfo, TaskInstruments, TraceKind};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -150,12 +153,6 @@ impl FrozenPane {
     }
 }
 
-/// Deep copies of shared documents, for the NLJ/HBJ baselines, which take
-/// owned ones.
-fn owned(docs: &[Tagged]) -> Vec<ssj_json::Document> {
-    docs.iter().map(|(d, _)| (**d).clone()).collect()
-}
-
 /// Joiner bolt (§V): local window join, computed as the documents arrive.
 ///
 /// Arrivals are collected into micro-batches of [`ARRIVAL_BATCH`]; one
@@ -167,9 +164,6 @@ fn owned(docs: &[Tagged]) -> Vec<ssj_json::Document> {
 /// pairs and rotates the ring. Tumbling windows drop the pane; sliding
 /// windows freeze it next to the newest `panes_per_window - 1` and evict
 /// the oldest — O(pane) eviction, never a window rebuild.
-///
-/// The NLJ/HBJ baselines (`--algo`, Fig. 11) have no incremental index:
-/// their open chunk is only buffered and joined when it is sealed.
 ///
 /// With a memory budget (`--mem-budget`, DESIGN.md §4i) the open tree is
 /// additionally sealed as a *chunk* of the open pane whenever the share
@@ -188,8 +182,8 @@ pub struct Joiner {
     below: u64,
     /// Arrivals not joined yet — at most [`ARRIVAL_BATCH`].
     arrivals: Vec<Tagged>,
-    /// The open chunk, joined on arrival (FPJ only), and its documents
-    /// (only when `keeps_docs`).
+    /// The open chunk, joined on arrival, and its documents (only when
+    /// `keeps_docs`).
     open: ssj_join::OpenPane,
     open_docs: Vec<Tagged>,
     /// Chunks of the open pane sealed so far (spill mode only).
@@ -254,14 +248,12 @@ impl Joiner {
     }
 
     /// Whether a later seal needs the open chunk's documents: to freeze
-    /// them (sliding), to spill them, or for a baseline's join. A resident
-    /// tumbling FPJ pane does not — its tree holds ids — and lets each
-    /// micro-batch go as soon as it is joined, so the boundary has no
-    /// pane's worth of `Arc`s to release either.
+    /// them (sliding) or to spill them. A resident tumbling pane does not —
+    /// its tree holds ids — and lets each micro-batch go as soon as it is
+    /// joined, so the boundary has no pane's worth of `Arc`s to release
+    /// either.
     fn keeps_docs(&self) -> bool {
-        self.config.panes_per_window() > 1
-            || self.spill.is_some()
-            || self.config.join_algo != JoinAlgo::FpTree
+        self.config.panes_per_window() > 1 || self.spill.is_some()
     }
 
     /// Spill mode: the share arrived since the last seal fills a chunk.
@@ -291,10 +283,8 @@ impl Joiner {
                     inst,
                 );
             }
-            if self.config.join_algo == JoinAlgo::FpTree {
-                for (d, tag) in &docs {
-                    self.probe_nodes += nodes(self.open.join(d, *tag, &mut self.pairs));
-                }
+            for (d, tag) in &docs {
+                self.probe_nodes += nodes(self.open.join(d, *tag, &mut self.pairs));
             }
             if let Some(t0) = t0 {
                 self.probe_ns_acc += t0.elapsed().as_nanos() as u64;
@@ -312,32 +302,10 @@ impl Joiner {
     }
 
     /// Close the open chunk; `keep` seals it as a resident chunk of the
-    /// open pane. The baselines join their buffered chunk here.
+    /// open pane.
     fn seal_open(&mut self, keep: bool) {
         self.open_bytes = 0;
-        let tree = if self.config.join_algo == JoinAlgo::FpTree {
-            self.open.close(keep)
-        } else {
-            let t0 = Instant::now();
-            let docs = owned(&self.open_docs);
-            let mut found = ssj_join::join_batch(self.config.join_algo, &docs);
-            if self.below != 0 {
-                let tags: FxHashMap<DocId, u64> =
-                    self.open_docs.iter().map(|(d, t)| (d.id(), *t)).collect();
-                found.retain(|(a, b)| tags[a] & tags[b] == 0);
-            }
-            self.pairs.append(&mut found);
-            self.probe_ns_acc += t0.elapsed().as_nanos() as u64;
-            (keep && !docs.is_empty()).then(|| {
-                let mut tree = FpTree::new(AttrOrder::compute(&docs));
-                for (d, (_, tag)) in docs.iter().zip(&self.open_docs) {
-                    tree.insert_tagged(d, *tag);
-                }
-                tree.seal();
-                tree
-            })
-        };
-        match tree {
+        match self.open.close(keep) {
             Some(tree) => self.sealed.push(FrozenPane::Resident {
                 docs: std::mem::take(&mut self.open_docs),
                 tree,

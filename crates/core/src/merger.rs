@@ -1,14 +1,17 @@
 //! The Merger bolt of the Fig. 2 topology (§IV-A consolidation, §VI-A
 //! updates): consolidates local groups into the global partitions (subset
 //! merging + duplicate elimination + greedy placement) and broadcasts the
-//! table to the Assigners; applies the δ-update requests the reader
-//! broadcast at the start of the pane (creator 0 forwards them) and
-//! broadcasts the refreshed table at the pane's boundary.
+//! table, with the §VI-B chain the reader decided for the build, to the
+//! Assigners; applies the δ-update requests the reader broadcast at the
+//! start of the pane (creator 0 forwards both) and broadcasts the refreshed
+//! table at the pane's boundary.
 
 use crate::config::StreamJoinConfig;
 use crate::msg::{Msg, PaneRouting, TableMsg};
 use ssj_json::{Dictionary, DocRef};
-use ssj_partition::{batch_views, merge_and_assign, Expansion, PartitionTable, View};
+use ssj_partition::{
+    batch_views, merge_and_assign, AssociationGroup, Expansion, PartitionTable, View,
+};
 use ssj_runtime::{Bolt, Outbox, TaskInfo, TaskInstruments, TraceKind};
 use std::sync::Arc;
 
@@ -25,14 +28,6 @@ struct MergerState {
     updated: Option<PartitionTable>,
 }
 
-/// One creator's window contribution buffered by the [`Merger`]:
-/// `(creator, groups, expansion)`.
-type PendingGroups = (
-    usize,
-    Vec<ssj_partition::AssociationGroup>,
-    Option<Expansion>,
-);
-
 /// Merger bolt (§IV-A consolidation + §VI-A updates). Exactly one instance.
 ///
 /// Creators send their share only on windows where a (re)computation was
@@ -40,12 +35,16 @@ type PendingGroups = (
 /// a share is the creator's local groups, which the Merger consolidates.
 /// The centralized partitioners (SC, DS, Hash) build over the whole window,
 /// so their creators ship the share's documents: the Merger puts them back
-/// in stream (id) order, detects the expansion over all of them and builds.
+/// in stream (id) order and builds. Either way the table deploys the chain
+/// of the last [`Msg::Repartition`] creator 0 forwarded, the one the
+/// creators built under.
 pub struct Merger {
     config: StreamJoinConfig,
     dict: Dictionary,
-    /// Groups received for the current window, per creator.
-    pending: Vec<PendingGroups>,
+    /// Groups received for the current window, as `(creator, groups)`.
+    pending: Vec<(usize, Vec<AssociationGroup>)>,
+    /// The chain of the last [`Msg::Repartition`].
+    expansion: Option<Arc<Expansion>>,
     /// Documents received for the current window (centralized builds).
     docs: Vec<DocRef>,
     state: MergerState,
@@ -58,6 +57,7 @@ impl Merger {
         Merger {
             state: MergerState::default(),
             pending: Vec::new(),
+            expansion: None,
             docs: Vec::new(),
             inst: None,
             config,
@@ -65,33 +65,26 @@ impl Merger {
         }
     }
 
-    /// Consolidate the creators' local groups (AG).
-    fn merge_groups(&mut self) -> (PartitionTable, Option<Expansion>) {
-        // Deterministic creator order.
-        self.pending.sort_by_key(|(c, _, _)| *c);
-        // Adopt the first creator's expansion proposal (creators see
-        // shuffle-shares of the same window, so they virtually always
-        // agree on the disabling/combining chain).
-        let expansion = self.pending.iter().find_map(|(_, _, e)| e.clone());
-        let locals = self.pending.drain(..).map(|(_, gs, _)| gs).collect();
-        (merge_and_assign(locals, self.config.m), expansion)
-    }
-
-    /// Build centrally over the window's documents (SC, DS, Hash).
-    fn build_central(&mut self) -> (PartitionTable, Option<Expansion>) {
+    /// The table the shares that arrived build, if any did: the creators'
+    /// local groups consolidated (AG), or a central build over the window's
+    /// documents in stream (id) order (SC, DS, Hash).
+    fn build(&mut self) -> Option<PartitionTable> {
+        if !self.pending.is_empty() {
+            // Deterministic creator order.
+            self.pending.sort_by_key(|(c, _)| *c);
+            let locals = self.pending.drain(..).map(|(_, gs)| gs).collect();
+            return Some(merge_and_assign(locals, self.config.m));
+        }
+        if self.docs.is_empty() {
+            return None;
+        }
         let mut docs = std::mem::take(&mut self.docs);
         docs.sort_unstable_by_key(|d| d.id());
-        let m = self.config.m;
-        let expansion = if self.config.expansion {
-            Expansion::detect(&docs, &self.dict, m)
-        } else {
-            None
-        };
-        let views: Vec<View> = batch_views(&docs, expansion.as_ref(), &self.dict)
+        let views: Vec<View> = batch_views(&docs, self.expansion.as_deref(), &self.dict)
             .into_iter()
             .flatten()
             .collect();
-        (self.config.partitioner.create(&views, m), expansion)
+        Some(self.config.partitioner.create(&views, self.config.m))
     }
 }
 
@@ -110,13 +103,9 @@ impl Bolt<Msg> for Merger {
     fn execute(&mut self, msg: Msg, _out: &mut Outbox<Msg>) {
         match msg {
             Msg::LocalGroups {
-                creator,
-                groups,
-                expansion,
-                ..
-            } => {
-                self.pending.push((creator, groups, expansion));
-            }
+                creator, groups, ..
+            } => self.pending.push((creator, groups)),
+            Msg::Repartition(expansion) => self.expansion = expansion,
             Msg::Doc(doc) => self.docs.push(doc),
             Msg::UpdateRequest(avps) => {
                 let s = &mut self.state;
@@ -130,8 +119,6 @@ impl Bolt<Msg> for Merger {
                     inst.counter("delta_updates").add(applied as u64);
                 }
             }
-            // Repartition signals go to the PartitionCreators (which decide
-            // to compute); the Merger reacts to the shares they send.
             _ => {}
         }
     }
@@ -139,23 +126,17 @@ impl Bolt<Msg> for Merger {
     /// A rebuild when a share arrived, else a δ-refresh when updates did;
     /// either way the boundary's counts go to the Reporter.
     fn on_punct(&mut self, window: u64, out: &mut Outbox<Msg>) {
-        let built = if !self.pending.is_empty() {
-            Some(self.merge_groups())
-        } else if !self.docs.is_empty() {
-            Some(self.build_central())
-        } else {
-            None
-        };
+        let built = self.build();
         let s = &mut self.state;
         let mut routing = PaneRouting::default();
-        let table = if let Some((table, expansion)) = built {
+        let table = if let Some(table) = built {
             // The bootstrap build is not a repartition.
             routing.rebuilt = s.deployed.is_some();
             s.updated = None;
             Some(TableMsg {
                 window,
                 table,
-                expansion,
+                expansion: self.expansion.as_deref().cloned(),
             })
         } else if let Some(table) = s.updated.take() {
             let last = s

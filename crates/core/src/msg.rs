@@ -23,7 +23,8 @@ pub enum Msg {
         targets: u64,
     },
     /// Local association groups from one PartitionCreator for one window
-    /// (phase 1 of §IV-A), plus the expansion the creator detected.
+    /// (phase 1 of §IV-A), over views under the chain of the last
+    /// [`Msg::Repartition`].
     LocalGroups {
         /// Window (punctuation) id the groups were computed from.
         window: u64,
@@ -31,16 +32,16 @@ pub enum Msg {
         creator: usize,
         /// The phase-1 association groups over the creator's sample.
         groups: Vec<AssociationGroup>,
-        /// The creator's locally detected attribute expansion, if enabled.
-        expansion: Option<Expansion>,
     },
     /// The consolidated partition table broadcast by the Merger.
     Table(Arc<TableMsg>),
     /// The reader, as it begins a pane, passing on [`Control::requests`]
     /// (never empty); creator 0 forwards it to the Merger.
     UpdateRequest(Vec<AvpId>),
-    /// The reader, as it begins a pane, passing on [`Control::repartition`].
-    Repartition,
+    /// The reader, as it begins a pane the creators build at (the attempt's
+    /// first, or one after [`Control::repartition`]): the §VI-B chain it
+    /// detected over that pane, if any; creator 0 forwards it to the Merger.
+    Repartition(Option<Arc<Expansion>>),
     /// One pane's routing counts for the Reporter: an Assigner's as it
     /// closes the pane, or the Merger's boundary.
     Routing {
@@ -160,7 +161,7 @@ impl std::fmt::Debug for Msg {
             ),
             Msg::Table(t) => write!(f, "Table(w={})", t.window),
             Msg::UpdateRequest(avps) => write!(f, "UpdateRequest(n={})", avps.len()),
-            Msg::Repartition => write!(f, "Repartition"),
+            Msg::Repartition(e) => write!(f, "Repartition(expansion={})", e.is_some()),
             Msg::Routing {
                 window, routing, ..
             } => write!(f, "Routing(w={window}, {routing:?})"),
@@ -175,5 +176,21 @@ impl std::fmt::Debug for Msg {
                 pairs.len()
             ),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every document in a batch is a `Msg`, so its size is per-document
+    /// memory traffic: an inline expansion in `LocalGroups` made it 80 bytes.
+    #[test]
+    fn a_msg_stays_small() {
+        assert!(
+            std::mem::size_of::<Msg>() < 80,
+            "{}",
+            std::mem::size_of::<Msg>()
+        );
     }
 }

@@ -6,10 +6,15 @@
 //! The credit is the control plane too (DESIGN.md §4 "Control plane"): pane
 //! `k`'s credit carries the pane's [`Control`], which the reader broadcasts
 //! as it begins pane `k + L` (`L` its lead), whatever the threads' timing.
+//! As it begins a pane the creators build at — the attempt's first, or one
+//! with a θ signal — it holds the whole pane, so it decides §VI-B's chain
+//! there, once, and broadcasts it as [`Msg::Repartition`].
 
+use crate::config::StreamJoinConfig;
 use crate::msg::{Control, Msg};
 use parking_lot::Mutex;
 use ssj_json::{Dictionary, DocRef, DocumentReader};
+use ssj_partition::Expansion;
 use ssj_runtime::{Spout, SpoutEmit};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,13 +58,19 @@ impl Reader {
         }
     }
 
-    /// The reader spout of an attempt that starts at pane `p` of `pane`
-    /// documents, and the Reporter's end of its credit loop. The attempt
-    /// reads documents `[p·pane..]` with the paced schedule rebased to its
-    /// first due time, lock-step panes `[p..]`, or the file reopened with
-    /// its first `p` panes read again and dropped — their pairs are in
-    /// `dict` already, so no id moves.
-    pub(crate) fn spout(&self, p: usize, pane: usize, dict: &Dictionary) -> (ReaderSpout, Credit) {
+    /// The reader spout of an attempt of `config` that starts at pane `p`,
+    /// and the Reporter's end of its credit loop. The attempt reads
+    /// documents `[p·pane..]` with the paced schedule rebased to its first
+    /// due time, lock-step panes `[p..]`, or the file reopened with its
+    /// first `p` panes read again and dropped — their pairs are in `dict`
+    /// already, so no id moves.
+    pub(crate) fn spout(
+        &self,
+        p: usize,
+        config: &StreamJoinConfig,
+        dict: &Dictionary,
+    ) -> (ReaderSpout, Credit) {
+        let pane = config.pane_docs();
         let at = p * pane;
         let chunks = |docs: &[DocRef]| -> Panes {
             let panes: Vec<_> = docs[at.min(docs.len())..]
@@ -89,6 +100,7 @@ impl Reader {
             panes,
             pane: None,
             control: Vec::new(),
+            expand: config.expansion.then(|| (dict.clone(), config.m)),
             credit,
             lead: self.lead() as u64,
             begun: Arc::clone(&begun),
@@ -142,6 +154,9 @@ pub(crate) struct ReaderSpout {
     pane: Option<std::vec::IntoIter<DocRef>>,
     /// The control messages still to broadcast before the pane's documents.
     control: Vec<Msg>,
+    /// With expansion on: the run's dictionary and `m`, to detect a build
+    /// pane's chain.
+    expand: Option<(Dictionary, usize)>,
     /// One credit per pane the sink got, in pane order, with the pane's
     /// control; disconnected once no Reporter is left to grant one.
     credit: mpsc::Receiver<Control>,
@@ -188,7 +203,8 @@ impl Spout<Msg> for ReaderSpout {
             Some(Ok(pane)) => pane,
         };
         // Pane `begun` needs the credit of pane `begun - lead`, and begins
-        // with its control.
+        // with its control. The attempt's first pane is a build.
+        let mut build = begun == 0;
         if begun >= self.lead {
             let Ok(control) = self.credit.recv() else {
                 // The sink side is gone: end the stream, the run reports why.
@@ -198,9 +214,20 @@ impl Spout<Msg> for ReaderSpout {
             if !control.requests.is_empty() {
                 self.control.push(Msg::UpdateRequest(control.requests));
             }
-            if control.repartition {
-                self.control.push(Msg::Repartition);
-            }
+            build = control.repartition;
+        }
+        if build {
+            // The chain's synthetic pairs get their ids here, in document
+            // order: the tables break ties by pair id, so the ids must not
+            // depend on which creator interns first.
+            let chain = self.expand.as_ref().and_then(|(dict, m)| {
+                let chain = Expansion::detect(&pane, dict, *m)?;
+                for doc in &pane {
+                    chain.synthetic_pair(doc, dict);
+                }
+                Some(Arc::new(chain))
+            });
+            self.control.push(Msg::Repartition(chain));
         }
         self.begun.store(begun + 1, Ordering::Release);
         self.pane = Some(pane.into_iter());
@@ -233,16 +260,27 @@ mod tests {
     use super::*;
     use ssj_json::{write_documents_jsonl, DocId, Document};
 
+    /// A run of `pane`-document tumbling windows on the default 8 joiners.
+    fn config(pane: usize, expansion: bool) -> StreamJoinConfig {
+        StreamJoinConfig::default()
+            .with_window_spec(crate::WindowSpec::tumbling(pane))
+            .with_expansion(expansion)
+            .build()
+            .unwrap()
+    }
+
     /// What the spout of `reader` at pane `p` of 2 documents emits: a
-    /// document's id, or `|` for a punctuation; and its failure. No
-    /// Reporter is left to grant credit, so it ends after its lead.
+    /// document's id, `|` for a punctuation or `R` for the bootstrap
+    /// build's broadcast; and its failure. No Reporter is left to grant
+    /// credit, so it ends after its lead.
     fn emitted(reader: &Reader, p: usize, dict: &Dictionary) -> (String, Option<String>) {
-        let (mut spout, _) = reader.spout(p, 2, dict);
+        let (mut spout, _) = reader.spout(p, &config(2, false), dict);
         let mut out = String::new();
         loop {
             match spout.next() {
                 SpoutEmit::Message(Msg::Doc(doc)) => out += &doc.id().0.to_string(),
                 SpoutEmit::Punctuate(_) => out += "|",
+                SpoutEmit::Broadcast(Msg::Repartition(None)) => out += "R",
                 _ => break,
             }
         }
@@ -257,20 +295,20 @@ mod tests {
             .map(|i| Document::from_json(DocId(i), &format!(r#"{{"a":{i}}}"#), &dict).unwrap())
             .collect();
         let refs: Vec<DocRef> = docs.iter().cloned().map(Arc::new).collect();
-        let tail = ("23|4|".to_string(), None);
+        let tail = ("R23|4|".to_string(), None);
         let at = |reader: &Reader, p| emitted(reader, p, &dict);
         assert_eq!(at(&Reader::Docs(refs.clone()), 1), tail);
         assert_eq!(at(&Reader::Docs(refs.clone()), 3), (String::new(), None));
 
         let paced = Reader::Paced(refs.clone(), vec![5, 15, 25, 35, 45]);
-        let (spout, _) = paced.spout(1, 2, &dict);
+        let (spout, _) = paced.spout(1, &config(2, false), &dict);
         assert_eq!(spout.schedule.as_deref(), Some(&[0, 10, 20][..]));
         assert_eq!(at(&paced, 1), tail);
 
         // A lock-step reader stops after one pane without credit.
         let panes = Reader::Lockstep(vec![refs[..3].to_vec(), Vec::new(), refs[3..].to_vec()]);
-        assert_eq!(at(&panes, 1), ("|".to_string(), None));
-        assert_eq!(at(&panes, 2), ("34|".to_string(), None));
+        assert_eq!(at(&panes, 1), ("R|".to_string(), None));
+        assert_eq!(at(&panes, 2), ("R34|".to_string(), None));
         assert_eq!((panes.lead(), paced.lead()), (1, READER_LEAD));
 
         // A file reopened at pane 1: the same ids, through a dictionary that
@@ -284,7 +322,7 @@ mod tests {
         // A bad line: the panes before its own, then the failure.
         std::fs::write(&path, "{\"a\":0}\n{\"a\":1}\n{\"a\":2}\n{oops\n{\"a\":4}\n").unwrap();
         let (out, failure) = at(&file, 0);
-        assert_eq!(out, "01|");
+        assert_eq!(out, "R01|");
         let failure = failure.expect("a failure");
         assert!(failure.starts_with(&format!("{}: line 4: ", path.display())));
         std::fs::remove_file(&path).unwrap();
@@ -303,7 +341,7 @@ mod tests {
             .collect();
         let avp = refs[0].avps().next().unwrap();
         let reader = Reader::Lockstep(refs.chunks(1).map(<[_]>::to_vec).collect());
-        let (mut spout, credit) = reader.spout(0, 1, &dict);
+        let (mut spout, credit) = reader.spout(0, &config(1, false), &dict);
         // The sink gets each pane as it is punctuated, and its credit
         // carries the control the Assigners attached; then it is gone.
         let mut credit = Some(credit);
@@ -319,7 +357,7 @@ mod tests {
         loop {
             match spout.next() {
                 SpoutEmit::Message(Msg::Doc(doc)) => out += &doc.id().0.to_string(),
-                SpoutEmit::Broadcast(Msg::Repartition) => out += "R",
+                SpoutEmit::Broadcast(Msg::Repartition(None)) => out += "R",
                 SpoutEmit::Broadcast(Msg::UpdateRequest(r)) => out += &format!("U{}", r.len()),
                 SpoutEmit::Punctuate(_) => {
                     out += "|";
@@ -332,6 +370,76 @@ mod tests {
                 _ => panic!("unexpected emission"),
             }
         }
-        assert_eq!(out, "0|RU21|2|");
+        assert_eq!(out, "R0|RU21|2|");
+    }
+
+    /// With expansion on, the reader decides §VI-B's chain over the whole
+    /// pane of each build — the attempt's first pane and a pane begun with a
+    /// θ signal — and broadcasts it before the pane's first document, with
+    /// the pane's synthetic pairs already interned. Other panes begin with
+    /// no `Repartition`.
+    #[test]
+    fn a_build_pane_begins_with_the_chain_detected_over_it() {
+        const PANE: usize = 8;
+        let dict = Dictionary::new();
+        // A ubiquitous Boolean and a 4-valued attribute: 8 combinations.
+        let refs: Vec<DocRef> = (0..4 * PANE as u64)
+            .map(|i| {
+                let json = format!(
+                    r#"{{"flag":{},"grp":"g{}","id":{i}}}"#,
+                    i % 2 == 0,
+                    i / 2 % 4
+                );
+                Arc::new(Document::from_json(DocId(i), &json, &dict).unwrap())
+            })
+            .collect();
+        let panes: Vec<Vec<DocRef>> = refs.chunks(PANE).map(<[_]>::to_vec).collect();
+        let want = |pane: &[DocRef]| Expansion::detect(pane, &dict, 8).unwrap().chain;
+        let reader = Reader::Lockstep(panes.clone());
+        for start in [0, 1] {
+            let (mut spout, credit) = reader.spout(start, &config(PANE, true), &dict);
+            // Pane `start + 1` signals, so pane `start + 2` is a build.
+            let mut signals = [false, true, false, false].into_iter();
+            let (mut credit, mut pane, mut out) = (Some(credit), start, String::new());
+            loop {
+                match spout.next() {
+                    SpoutEmit::Message(Msg::Doc(doc)) => {
+                        assert_eq!(doc.id().0 as usize / PANE, pane);
+                        out += "d";
+                    }
+                    SpoutEmit::Broadcast(Msg::Repartition(Some(e))) => {
+                        assert_eq!(e.chain, want(&panes[pane]), "pane {pane}");
+                        let interned = dict.avp_count();
+                        for d in &panes[pane] {
+                            e.synthetic_pair(d, &dict).unwrap();
+                        }
+                        assert_eq!(dict.avp_count(), interned, "pane {pane}");
+                        out += &format!("E{pane}");
+                    }
+                    SpoutEmit::Punctuate(_) => {
+                        out += "|";
+                        pane += 1;
+                        let repartition = signals.next().unwrap_or(false);
+                        match credit.as_mut() {
+                            Some(c) if pane < panes.len() => {
+                                _ = c.grant(Control {
+                                    requests: Vec::new(),
+                                    repartition,
+                                })
+                            }
+                            _ => credit = None,
+                        }
+                    }
+                    SpoutEmit::Done => break,
+                    _ => panic!("unexpected emission"),
+                }
+            }
+            let d = "d".repeat(PANE);
+            let want = match start {
+                0 => format!("E0{d}|{d}|E2{d}|{d}|"),
+                _ => format!("E1{d}|{d}|E3{d}|"),
+            };
+            assert_eq!(out, want, "attempt starting at pane {start}");
+        }
     }
 }

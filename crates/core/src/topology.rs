@@ -294,7 +294,7 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
 /// DOT without running it.
 pub fn topology_dot(config: StreamJoinConfig) -> String {
     let dict = Dictionary::new();
-    let spout = Reader::Docs(Vec::new()).spout(0, config.pane_docs(), &dict);
+    let spout = Reader::Docs(Vec::new()).spout(0, &config, &dict);
     let (topology, _) = build(&config, &dict, spout, FaultPlan::new(), None, |_| {});
     topology.to_dot()
 }
@@ -540,7 +540,7 @@ fn run_resuming(
     loop {
         let delivered = delivery.lock().next;
         let start = resume_pane(delivered, config.panes_per_window());
-        let spout = reader.spout(start as usize, config.pane_docs(), dict);
+        let spout = reader.spout(start as usize, &config, dict);
         let plan = plan.for_attempt(attempt);
         let sink = attempt_sink(start);
         let (topology, failure) = build(&config, dict, spout, plan, spill.clone(), sink);
@@ -875,12 +875,13 @@ mod tests {
             .build()
             .unwrap();
         let report = run_topology(cfg.clone(), &dict, docs).unwrap();
-        // The creators get every document and nothing else: a pane's
-        // control would begin pane `k + READER_LEAD`, past the second and
-        // last. The Merger gets their bootstrap groups, one per creator.
-        assert_eq!(report.runtime.received("creator"), 60);
+        // The creators get every document and the bootstrap's
+        // `Repartition`, one each: a pane's control would begin pane
+        // `k + READER_LEAD`, past the second and last. The Merger gets their
+        // bootstrap groups, one per creator, and creator 0's forward.
         let creators = cfg.partition_creators as u64;
-        assert_eq!(report.runtime.received("merger"), creators);
+        assert_eq!(report.runtime.received("creator"), 60 + creators);
+        assert_eq!(report.runtime.received("merger"), creators + 1);
         assert!(report.runtime.received("joiner") > 0);
         assert!(!report.docs_per_joiner.is_empty());
     }

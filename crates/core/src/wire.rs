@@ -235,7 +235,7 @@ impl MsgCodec {
         Ok(Arc::new(Document::from_pairs(id, pairs)))
     }
 
-    fn put_expansion(&self, out: &mut Vec<u8>, e: &Option<Expansion>) {
+    fn put_expansion(&self, out: &mut Vec<u8>, e: Option<&Expansion>) {
         match e {
             None => out.push(0),
             Some(e) => {
@@ -292,7 +292,6 @@ impl WireCodec<Msg> for MsgCodec {
                 window,
                 creator,
                 groups,
-                expansion,
             } => {
                 out.push(TAG_LOCAL_GROUPS);
                 put_varint(out, *window);
@@ -302,7 +301,6 @@ impl WireCodec<Msg> for MsgCodec {
                     put_varint(out, g.load as u64);
                     self.put_avps(out, &g.avps);
                 }
-                self.put_expansion(out, expansion);
             }
             Msg::Table(t) => {
                 out.push(TAG_TABLE);
@@ -313,13 +311,16 @@ impl WireCodec<Msg> for MsgCodec {
                     put_varint(out, t.table.declared_load(p) as u64);
                     self.put_avps(out, t.table.members(p));
                 }
-                self.put_expansion(out, &t.expansion);
+                self.put_expansion(out, t.expansion.as_ref());
             }
             Msg::UpdateRequest(avps) => {
                 out.push(TAG_UPDATE_REQUEST);
                 self.put_avps(out, avps);
             }
-            Msg::Repartition => out.push(TAG_REPARTITION),
+            Msg::Repartition(expansion) => {
+                out.push(TAG_REPARTITION);
+                self.put_expansion(out, expansion.as_deref());
+            }
             Msg::Routing {
                 window,
                 routing,
@@ -394,7 +395,6 @@ impl WireCodec<Msg> for MsgCodec {
                     window,
                     creator,
                     groups,
-                    expansion: self.get_expansion(c)?,
                 })
             }
             TAG_TABLE => {
@@ -420,7 +420,7 @@ impl WireCodec<Msg> for MsgCodec {
                 })))
             }
             TAG_UPDATE_REQUEST => Ok(Msg::UpdateRequest(self.get_avps(c)?)),
-            TAG_REPARTITION => Ok(Msg::Repartition),
+            TAG_REPARTITION => Ok(Msg::Repartition(self.get_expansion(c)?.map(Arc::new))),
             TAG_JOIN_STATS => {
                 let window = c.varint()?;
                 let joiner = c.varint()? as usize;

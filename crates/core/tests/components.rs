@@ -4,12 +4,17 @@
 use ssj_bench::testutil::shifting_stream;
 use ssj_core::creator::PartitionCreator;
 use ssj_core::joiner::Joiner;
+use ssj_core::merger::Merger;
 use ssj_core::{
     run_topology, run_topology_collect, Msg, Reader, StreamJoinConfig, WindowSpec, READER_LEAD,
 };
 use ssj_json::{Dictionary, DocId, Document};
-use ssj_partition::{association_groups, batch_views, Expansion, GroupIndex, View};
-use ssj_runtime::{fn_bolt, CollectorBolt, FaultPlan, Grouping, TopologyBuilder, VecSpout};
+use ssj_partition::{
+    association_groups, batch_views, merge_and_assign, Expansion, GroupIndex, View,
+};
+use ssj_runtime::{
+    fn_bolt, CollectorBolt, FaultPlan, Grouping, Spout, SpoutEmit, TopologyBuilder, VecSpout,
+};
 use std::sync::Arc;
 
 /// A perfectly stable stream: the same distribution in every window.
@@ -86,8 +91,9 @@ fn creators_compute_only_when_needed_on_stable_streams() {
     let report = run_topology(config(3, 100), &dict, docs).unwrap();
     // Every pane holds every pair, so the bootstrap table knows them all:
     // no pane requests a δ-update or degrades. Each creator computes once,
-    // the Merger hears their two shares and broadcasts one table.
-    assert_eq!(control_counts(&report), (2, 1, 2));
+    // the Merger hears creator 0 forward the bootstrap's `Repartition` and
+    // the two shares, and broadcasts one table.
+    assert_eq!(control_counts(&report), (2, 1, 3));
 }
 
 /// Runs on the free-running reader ([`READER_LEAD`] panes ahead). The θ
@@ -124,10 +130,11 @@ fn drift_makes_assigners_signal_and_creators_recompute() {
     // 2 to 7 each request their recurring novel pairs, forwarded to the
     // Merger at boundaries 6 to 11: the rebuild drops pane 2's and already
     // holds pane 6's, so the refreshes are at 7, 8, 9 and 11. The Merger
-    // hears four shares and six requests, and broadcasts the bootstrap,
-    // the rebuild and four refreshes.
+    // hears two `Repartition`s (the bootstrap's and the rebuild's), four
+    // shares and six requests, and broadcasts the bootstrap, the rebuild
+    // and four refreshes.
     let signal = 2 + READER_LEAD as u64;
-    assert_eq!(counts[0], ((4, 6, 10), vec![signal]));
+    assert_eq!(counts[0], ((4, 6, 12), vec![signal]));
 }
 
 #[test]
@@ -236,7 +243,8 @@ fn single_creator_single_assigner_still_exact() {
 
 /// The one group build, differentially. A `PartitionCreator` bolt is driven
 /// directly — 13 panes of a stream whose vocabulary shifts at pane 6, a
-/// `Repartition` injected as the first message of pane 7 — and must send
+/// `Repartition` as the first message of pane 0 and of pane 7, each with the
+/// chain detected over its pane, as the reader sends them — and must send
 /// local groups exactly twice: the bootstrap over pane 0, and at boundary 7
 /// over the views of exactly the last `panes_per_window` panes. Not the open
 /// pane alone, not the stream so far. With expansion off the same groups
@@ -256,23 +264,31 @@ fn creator_builds_over_exactly_its_lookback() {
         let panes = spec.panes_per_window();
         assert!(RUN_PANES >= 3 * panes);
         let dict = Dictionary::new();
-        // A pane is PANE messages: the signal takes one document's place.
+        // A pane is PANE messages: a build's `Repartition` takes its first
+        // document's place.
         let docs = shifting_stream(&dict, RUN_PANES, PANE, SIGNAL - 1);
-        let msgs: Vec<Msg> = docs
-            .iter()
-            .enumerate()
-            .map(|(i, d)| match i == SIGNAL * PANE {
-                true => Msg::Repartition,
-                false => Msg::Doc(Arc::new(d.clone())),
-            })
-            .collect();
+        let builds = [0, SIGNAL * PANE];
         let in_panes = |lo: usize, hi: usize| -> Vec<Document> {
-            let held = |i: &usize| *i != SIGNAL * PANE;
             (lo * PANE..hi * PANE)
-                .filter(held)
+                .filter(|i| !builds.contains(i))
                 .map(|i| docs[i].clone())
                 .collect()
         };
+        let chain = |pane: usize| {
+            let detected = Expansion::detect(&in_panes(pane, pane + 1), &dict, 4);
+            detected.filter(|_| expansion)
+        };
+        let chains = [chain(0), chain(SIGNAL)];
+        // `Mode` has two values per vocabulary: both builds must expand.
+        assert!(chains.iter().all(|c| c.is_some() == expansion), "{what}");
+        let msgs: Vec<Msg> = docs
+            .iter()
+            .enumerate()
+            .map(|(i, d)| match builds.iter().position(|&b| b == i) {
+                Some(b) => Msg::Repartition(chains[b].clone().map(Arc::new)),
+                None => Msg::Doc(Arc::new(d.clone())),
+            })
+            .collect();
 
         let cfg = StreamJoinConfig::default()
             .with_m(4)
@@ -300,40 +316,32 @@ fn creator_builds_over_exactly_its_lookback() {
             .unwrap();
         let report = ssj_runtime::run(topology).unwrap();
 
-        // From scratch over a lookback: the expansion chain, the groups.
-        let scratch = |lookback: &[Document]| {
-            let detected = match expansion {
-                true => Expansion::detect(lookback, &dict, cfg.m),
-                false => None,
-            };
-            let views: Vec<View> = batch_views(lookback, detected.as_ref(), &dict)
+        // From scratch over a lookback, under a build's chain.
+        let scratch = |build: usize, lookback: &[Document]| {
+            let views: Vec<View> = batch_views(lookback, chains[build].as_ref(), &dict)
                 .into_iter()
                 .flatten()
                 .collect();
-            let chain = detected.map(|e| (e.chain, e.synth_attr));
-            (chain, association_groups(&views))
+            association_groups(&views)
         };
         let sent: Vec<_> = sent
             .take()
             .into_iter()
-            .map(|msg| match msg {
-                Msg::LocalGroups {
-                    window,
-                    groups,
-                    expansion,
-                    ..
-                } => (window, (expansion.map(|e| (e.chain, e.synth_attr)), groups)),
+            .filter_map(|msg| match msg {
+                Msg::LocalGroups { window, groups, .. } => Some((window, groups)),
+                // Creator 0 passes each build's chain on to the Merger.
+                Msg::Repartition(_) => None,
                 other => panic!("{what}: creator sent {other:?}"),
             })
             .collect();
         let lookbacks = [in_panes(0, 1), in_panes(SIGNAL + 1 - panes, SIGNAL + 1)];
         assert_eq!(sent.len(), 2, "{what}");
-        // `Mode` has two values per vocabulary: both builds must expand.
-        assert!(sent
-            .iter()
-            .all(|(_, (chain, _))| chain.is_some() == expansion));
-        assert_eq!(sent[0], (0, scratch(&lookbacks[0])), "{what}");
-        assert_eq!(sent[1], (SIGNAL as u64, scratch(&lookbacks[1])), "{what}");
+        assert_eq!(sent[0], (0, scratch(0, &lookbacks[0])), "{what}");
+        assert_eq!(
+            sent[1],
+            (SIGNAL as u64, scratch(1, &lookbacks[1])),
+            "{what}"
+        );
         assert_eq!(
             report.component_counter("creator", "group_build_docs") as usize,
             lookbacks[0].len() + lookbacks[1].len(),
@@ -341,9 +349,13 @@ fn creator_builds_over_exactly_its_lookback() {
         );
         // The second build is neither of the two wrong lookbacks.
         if panes > 1 {
-            assert_ne!(sent[1].1, scratch(&in_panes(SIGNAL, SIGNAL + 1)), "{what}");
+            assert_ne!(
+                sent[1].1,
+                scratch(1, &in_panes(SIGNAL, SIGNAL + 1)),
+                "{what}"
+            );
         }
-        assert_ne!(sent[1].1, scratch(&in_panes(0, SIGNAL + 1)), "{what}");
+        assert_ne!(sent[1].1, scratch(1, &in_panes(0, SIGNAL + 1)), "{what}");
 
         if !expansion {
             // The parent's path: every view pushed on arrival, a pane expired
@@ -367,13 +379,126 @@ fn creator_builds_over_exactly_its_lookback() {
                     }
                 }
             }
-            let groups: Vec<_> = sent.into_iter().map(|(_, (_, groups))| groups).collect();
+            let groups: Vec<_> = sent.into_iter().map(|(_, groups)| groups).collect();
             assert_eq!(
                 groups, derived,
                 "{what}: differs from the incremental index"
             );
         }
     }
+}
+
+/// A spout that emits its script in order, then ends.
+struct Script(std::vec::IntoIter<SpoutEmit<Msg>>);
+
+impl Spout<Msg> for Script {
+    fn next(&mut self) -> SpoutEmit<Msg> {
+        self.0.next().unwrap_or(SpoutEmit::Done)
+    }
+}
+
+/// §VI-B is decided once per build, over the whole pane. Two creators
+/// whose shares would each detect a chain of their own get the one the
+/// reader detected over the pane, build their groups under it, and the
+/// Merger deploys it with the consolidated groups.
+#[test]
+fn creators_build_and_the_merger_deploys_the_panes_chain() {
+    const M: usize = 4;
+    let dict = Dictionary::new();
+    // Batch 1: creator 0 gets the even documents, creator 1 the odd ones.
+    // `a` is constant on the even ones and `b` on the odd ones.
+    let docs: Vec<Document> = (0..16usize)
+        .map(|i| {
+            let (a, b) = match i % 2 {
+                0 => ("x", ["p", "q"][i / 2 % 2]),
+                _ => (["x", "y", "z"][i / 2 % 3], "p"),
+            };
+            let json = format!(r#"{{"a":"{a}","b":"{b}","c":{}}}"#, i % 4);
+            Document::from_json(DocId(i as u64), &json, &dict).unwrap()
+        })
+        .collect();
+    let shares: Vec<Vec<Document>> = (0..2)
+        .map(|c| docs.iter().skip(c).step_by(2).cloned().collect())
+        .collect();
+    let pane = Arc::new(Expansion::detect(&docs, &dict, M).unwrap());
+    for share in &shares {
+        let own = Expansion::detect(share, &dict, M).unwrap();
+        assert_ne!(
+            own.chain, pane.chain,
+            "the shares must disagree with the pane"
+        );
+    }
+
+    let cfg = StreamJoinConfig::default()
+        .with_m(M)
+        .with_window_spec(WindowSpec::tumbling(docs.len()))
+        .with_partition_creators(2)
+        .build()
+        .unwrap();
+    let script = {
+        let (pane, docs) = (Arc::clone(&pane), docs.clone());
+        move || {
+            let build = Msg::Repartition(Some(Arc::clone(&pane)));
+            let docs = docs.iter().map(|d| Msg::Doc(Arc::new(d.clone())));
+            let emits = std::iter::once(SpoutEmit::Broadcast(build))
+                .chain(docs.map(SpoutEmit::Message))
+                .chain([SpoutEmit::Punctuate(0)]);
+            Script(emits.collect::<Vec<_>>().into_iter())
+        }
+    };
+    let sink = CollectorBolt::new();
+    let got = sink.handle();
+    let (creator_cfg, creator_dict) = (cfg.clone(), dict.clone());
+    let (merger_cfg, merger_dict) = (cfg.clone(), dict.clone());
+    let topology = TopologyBuilder::new()
+        .batch_size(1)
+        .spout("reader", 1, move |_| Box::new(script()))
+        .bolt("creator", 2, move |_| {
+            let (cfg, dict) = (creator_cfg.clone(), creator_dict.clone());
+            Box::new(PartitionCreator::new(cfg, dict, None))
+        })
+        .subscribe("reader", Grouping::Shuffle)
+        .done()
+        .bolt("merger", 1, move |_| {
+            Box::new(Merger::new(merger_cfg.clone(), merger_dict.clone()))
+        })
+        .subscribe("creator", Grouping::Global)
+        .done()
+        .bolt("sink", 1, move |_| Box::new(sink.clone()))
+        .subscribe("creator", Grouping::Global)
+        .subscribe("merger", Grouping::Global)
+        .done()
+        .build()
+        .unwrap();
+    ssj_runtime::run(topology).unwrap();
+
+    let (mut groups, mut tables) = (vec![None, None], Vec::new());
+    for msg in got.take() {
+        match msg {
+            Msg::LocalGroups {
+                creator, groups: g, ..
+            } => groups[creator] = Some(g),
+            Msg::Table(t) => tables.push(t),
+            _ => {}
+        }
+    }
+    let groups: Vec<_> = groups.into_iter().map(Option::unwrap).collect();
+    for (c, share) in shares.iter().enumerate() {
+        let views: Vec<View> = batch_views(share, Some(&*pane), &dict)
+            .into_iter()
+            .flatten()
+            .collect();
+        assert_eq!(groups[c], association_groups(&views), "creator {c}");
+    }
+    let [table] = &tables[..] else {
+        panic!("{} tables deployed", tables.len())
+    };
+    let deployed = table.expansion.as_ref().expect("a chain deployed");
+    assert_eq!(
+        (&deployed.chain, deployed.synth_attr),
+        (&pane.chain, pane.synth_attr)
+    );
+    assert_eq!(table.table, merge_and_assign(groups, M));
 }
 
 /// `(after a boundary?, live documents per pane)`, in handling order.

@@ -454,6 +454,30 @@ fn group_runs_match_single_process() {
     }
 }
 
+/// Expansion's synthetic pairs get their ids where the chain is decided, in
+/// document order: the tables break ties by pair id, so a group — whose
+/// creator 1 interns into its own dictionary and ships its views back — must
+/// route every pane as the solo run does, whichever creator meets a
+/// synthetic value first. When each creator interned its own, the order
+/// was a race between them, and a group's pane 1 routed a few copies more
+/// or fewer than the solo run's (seeds 4 and 16 at m 4 to 8): the loop
+/// repeats each case ten times, which failed every time then.
+#[test]
+fn expansion_routes_a_group_like_a_solo_run() {
+    for _ in 0..10 {
+        for seed in [4, 16] {
+            for m in [4, 6, 8] {
+                check(&Case {
+                    m,
+                    expansion: true,
+                    group: 2,
+                    ..Case::new(churn(seed), 1200, WindowSpec::tumbling(300))
+                });
+            }
+        }
+    }
+}
+
 /// A θ signal rebuilds the partitions mid-run (pane 3's boundary) under a
 /// sliding lock-step run: pairs spanning the rebuild meet only through the
 /// table each Assigner retains for the lookback. Found by the sampled table
@@ -652,9 +676,9 @@ fn spilled_crash_recovery_matches_resident() {
     });
 }
 
-/// The file source under expansion: the Creators intern synthetic pairs
-/// into the dictionary the reader is still filling, tumbling; and sliding
-/// under a spill budget.
+/// The file source under expansion: the reader interns a build pane's
+/// synthetic pairs into the dictionary its loader is still filling,
+/// tumbling; and sliding under a spill budget.
 #[test]
 fn streamed_file_runs_match_the_oracle() {
     check(&Case {

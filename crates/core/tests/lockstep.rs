@@ -10,7 +10,6 @@ use ssj_bench::testutil::{lockstep_reader, oracle};
 use ssj_core::{
     run_topology, run_topology_collect, StreamJoinConfig, TopologyRunReport, WindowSpec,
 };
-use ssj_join::JoinAlgo;
 use ssj_json::{Dictionary, DocId, Document};
 use ssj_partition::{PartitionerKind, WindowQuality};
 use ssj_runtime::{FaultPlan, RunError};
@@ -65,8 +64,7 @@ fn exactness_every_joinable_pair_colocated() {
     let cfg = pipeline_config(
         StreamJoinConfig::default()
             .with_m(4)
-            .with_window_spec(WindowSpec::tumbling(40))
-            .with_join(JoinAlgo::FpTree),
+            .with_window_spec(WindowSpec::tumbling(40)),
     );
     let windows: Vec<_> = (0..3).map(|w| window(&dict, w * 1000, 40)).collect();
     let report = run(cfg, &dict, windows.clone());

@@ -85,9 +85,10 @@ const ROUTING: PaneRouting = PaneRouting {
 };
 
 /// One Data frame body (length prefix stripped) per `Msg` tag — Doc,
-/// LocalGroups, Table, UpdateRequest, Repartition, JoinStats, Routing, Copy —
-/// each the first frame of a fresh link of `M` joiners, so every symbol in
-/// it is a definition or refers to one made earlier in the same body.
+/// LocalGroups, Table, UpdateRequest, Repartition with and without a chain,
+/// JoinStats, Routing, Copy — each the first frame of a fresh link of `M`
+/// joiners, so every symbol in it is a definition or refers to one made
+/// earlier in the same body.
 fn every_tag_body(dict: &Dictionary) -> Vec<Vec<u8>> {
     let known = dict.intern("attr0", Scalar::Int(0));
     let late = dict.intern("late", Scalar::Str("x".into()));
@@ -108,11 +109,6 @@ fn every_tag_body(dict: &Dictionary) -> Vec<Vec<u8>> {
                 avps: vec![known.avp, late.avp],
                 load: 5,
             }],
-            expansion: Some(Expansion {
-                chain: vec![known.attr, late.attr],
-                synth_attr: float.attr,
-                pna: 0.25,
-            }),
         },
         Msg::Table(Arc::new(TableMsg {
             window: 2,
@@ -120,7 +116,12 @@ fn every_tag_body(dict: &Dictionary) -> Vec<Vec<u8>> {
             expansion: None,
         })),
         Msg::UpdateRequest(vec![late.avp, known.avp, float.avp]),
-        Msg::Repartition,
+        Msg::Repartition(None),
+        Msg::Repartition(Some(Arc::new(Expansion {
+            chain: vec![known.attr, late.attr],
+            synth_attr: float.attr,
+            pna: 0.25,
+        }))),
         Msg::JoinStats {
             window: 4,
             joiner: M - 1,
@@ -290,13 +291,14 @@ proptest! {
     /// `WireError`, never a panic. Inputs: arbitrary bodies, bare and behind
     /// a valid Data header (so they reach the message codec) or behind a
     /// Doc whose one pair is a definition (so they reach its text),
-    /// truncated, byte-flipped or junk-tailed encodings of all eight `Msg`
-    /// tags, and a `Table` 65 partitions wide. Each decode is the first
+    /// truncated, byte-flipped or junk-tailed encodings of every `Msg` tag
+    /// (`Repartition` with and without a chain), and a `Table` 65 partitions
+    /// wide. Each decode is the first
     /// frame of a fresh link.
     #[test]
     fn decode_never_panics(
         junk in proptest::collection::vec(wire_byte(), 0..96),
-        tag in 0usize..8,
+        tag in 0usize..9,
         cut in 0usize..1 << 16,
         flips in proptest::collection::vec((0usize..1 << 16, 1u8..=255), 1..4),
     ) {
@@ -455,7 +457,7 @@ fn an_undefined_link_id_is_a_bad_symbol() {
 }
 
 /// The control-plane messages (LocalGroups, Table, UpdateRequest,
-/// Repartition, Routing) round-trip with loads, members, and expansions intact.
+/// Repartition, Routing) round-trip with loads, members, and chains intact.
 #[test]
 fn control_plane_messages_roundtrip() {
     let dict = seeded_dict(40);
@@ -478,7 +480,6 @@ fn control_plane_messages_roundtrip() {
         window: 7,
         creator: 1,
         groups: groups.clone(),
-        expansion: None,
     };
     let mut buf = Vec::new();
     codec.encode(&msg, &mut buf);
@@ -487,14 +488,12 @@ fn control_plane_messages_roundtrip() {
         window,
         creator,
         groups: g2,
-        expansion,
     } = codec.decode(&mut c).unwrap()
     else {
         panic!("kind changed");
     };
     c.finish().unwrap();
     assert_eq!((window, creator), (7, 1));
-    assert!(expansion.is_none());
     assert_eq!(g2.len(), 2);
     assert_eq!(g2[0].avps, groups[0].avps);
     assert_eq!(g2[0].load, 17);
@@ -535,11 +534,28 @@ fn control_plane_messages_roundtrip() {
     c.finish().unwrap();
     assert_eq!(avps, requests);
 
-    let mut buf = Vec::new();
-    codec.encode(&Msg::Repartition, &mut buf);
-    let mut c = Cursor::new(&buf);
-    assert!(matches!(codec.decode(&mut c).unwrap(), Msg::Repartition));
-    c.finish().unwrap();
+    // A build's chain, or none; a chained attribute the link has not
+    // defined yet travels as its name.
+    let synth = dict.intern_attr("attr0+attr9");
+    let chain = Expansion {
+        chain: vec![p0.attr, dict.intern_attr("attr9")],
+        synth_attr: synth,
+        pna: 0.125,
+    };
+    for expansion in [None, Some(Arc::new(chain))] {
+        let mut buf = Vec::new();
+        codec.encode(&Msg::Repartition(expansion.clone()), &mut buf);
+        let mut c = Cursor::new(&buf);
+        let Msg::Repartition(back) = codec.decode(&mut c).unwrap() else {
+            panic!("kind changed");
+        };
+        c.finish().unwrap();
+        let fields = |e: &Expansion| (e.chain.clone(), e.synth_attr, e.pna);
+        assert_eq!(
+            back.as_deref().map(fields),
+            expansion.as_deref().map(fields)
+        );
+    }
 
     // An Assigner's pane close carries its task, its requests and its
     // signal; the Merger's carries none.

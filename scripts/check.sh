@@ -136,11 +136,24 @@ stage "result path" result_path
 # deployed, output == brute force; the lock-step pipeline that makes the
 # figures rebuilds exactly one window after the one that signalled; a
 # creator bolt's LocalGroups == association_groups over exactly its retained
-# panes == what a GroupIndex derives from the same deltas.
+# panes, under the chain its build's Repartition carried == what a
+# GroupIndex derives from the same deltas. §VI-B's chain is decided once per
+# build, by the reader over the whole pane: broadcast before the first
+# document of the attempt's first pane and of a θ pane, and of no other, the
+# pane's synthetic pairs interned in document order; two creators whose
+# shares would detect other chains build under it and the Merger deploys it;
+# `ssj pipeline --window-by Hour:1`'s δ-updates are the same at 1, 2 and 4
+# creators; a 2-process group with expansion routes every pane as the solo
+# run does (ten repetitions per case: the synthetic pairs' ids no longer
+# depend on which creator meets them first).
 repartition_path() {
     cargo test -q --test end_to_end vocabulary_shift_forces_a_repartition
     cargo test -q -p ssj-core --test lockstep drifting_stream_triggers_repartition
     cargo test -q -p ssj-core --test components creator_builds_over_exactly_its_lookback
+    cargo test -q -p ssj-core --lib reader::tests::a_build_pane_begins_with_the_chain_detected_over_it
+    cargo test -q -p ssj-core --test components creators_build_and_the_merger_deploys_the_panes_chain
+    cargo test -q -p ssj-cli --test pipeline pipeline_updates_do_not_depend_on_the_creator_count
+    cargo test -q -p ssj-core --test differential expansion_routes_a_group_like_a_solo_run
 }
 stage "repartition path" repartition_path
 
