@@ -90,16 +90,6 @@ const POOL_WORKERS: FlagSpec = opt(
     "pool worker threads scheduling the bolt tasks (0 = one per core)",
 );
 const PIN_CORES: FlagSpec = flag("pin-cores", "pin pool workers to CPU cores (Linux)");
-const MEM_BUDGET: FlagSpec = opt(
-    "mem-budget",
-    Some("0"),
-    "spill sealed window state to disk above this many bytes (0 = resident)",
-);
-const SPILL_DIR: FlagSpec = opt(
-    "spill-dir",
-    None,
-    "directory for spilled segment files (with --mem-budget; default: tmp)",
-);
 const WORKERS: FlagSpec = opt(
     "workers",
     Some("1"),
@@ -222,8 +212,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             NO_EXPANSION,
             POOL_WORKERS,
             PIN_CORES,
-            MEM_BUDGET,
-            SPILL_DIR,
             WORKERS,
             METRICS_OUT,
             NO_METRICS,
@@ -488,14 +476,12 @@ mod tests {
     }
 
     #[test]
-    fn spill_flags_parse_on_run() {
-        let a = parse(&["run", "--mem-budget", "67108864", "--spill-dir", "/tmp/s"]);
-        assert_eq!(a.get_or("mem-budget", 0u64).unwrap(), 67_108_864);
-        assert_eq!(a.get("spill-dir"), Some("/tmp/s"));
-        // `pipeline` keeps every window resident: no spill knobs.
-        assert!(Args::parse(["pipeline".into(), "--mem-budget".into(), "1".into()]).is_err());
+    fn spill_flags_are_gone() {
+        // Window state stays resident: there is no budget to spill above.
         for f in ["--mem-budget", "--spill-dir"] {
-            assert!(usage().contains(f), "usage misses {f}");
+            let err = Args::parse(["run".into(), f.into(), "1".into()]).unwrap_err();
+            assert!(err.starts_with(&format!("unknown option {f}")), "{err}");
+            assert!(!usage().contains(f), "usage still lists {f}");
         }
     }
 

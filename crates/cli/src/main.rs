@@ -180,7 +180,7 @@ fn window_spec(args: &Args) -> Result<ssj_core::WindowSpec, String> {
 
 fn pipeline_config(args: &Args, metrics: bool) -> Result<StreamJoinConfig, String> {
     let window = window_spec(args)?;
-    let cfg = StreamJoinConfig::default()
+    Ok(StreamJoinConfig::default()
         .with_m(args.get_or("m", 8)?)
         .with_window_spec(window)
         .with_theta(args.get_or("theta", 0.2)?)
@@ -202,13 +202,7 @@ fn pipeline_config(args: &Args, metrics: bool) -> Result<StreamJoinConfig, Strin
         .with_pool_workers(args.get_or("pool-workers", 0)?)
         .with_pin_cores(args.flag("pin-cores"))
         .with_workers(args.get_or("workers", 1)?)
-        .with_mem_budget(args.get_or("mem-budget", 0)?);
-    let cfg = match args.get("spill-dir") {
-        Some(dir) => cfg.with_spill_dir(dir),
-        None => cfg,
-    }
-    .build()?;
-    Ok(cfg)
+        .build()?)
 }
 
 /// The deterministic window pipeline: the Fig. 2 topology in lock-step

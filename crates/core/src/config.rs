@@ -3,7 +3,6 @@
 use ssj_join::{WindowError, WindowSpec};
 use ssj_partition::{PartitionerKind, MAX_PARTITIONS};
 use std::fmt;
-use std::path::PathBuf;
 
 /// All tunables of the topology, with the paper's defaults
 /// (`m = 8`, `w = 6`, `θ = 0.2`, `δ = 3`, six Assigners).
@@ -14,9 +13,8 @@ use std::path::PathBuf;
 /// `Result<StreamJoinConfig, ConfigError>`. A constructed config is
 /// therefore always valid.
 ///
-/// The config is `Clone` but deliberately not `Copy` since the out-of-core
-/// knobs landed: `spill_dir` carries a heap-allocated path, and silent
-/// implicit copies of a many-field config were already a code smell.
+/// The config is `Clone` but deliberately not `Copy`: silent implicit
+/// copies of a many-field config are a code smell.
 #[derive(Debug, Clone)]
 pub struct StreamJoinConfig {
     /// Number of partitions = number of Joiner instances (`m`).
@@ -58,18 +56,6 @@ pub struct StreamJoinConfig {
     /// topology's tasks across `N` worker processes linked by Unix-socket
     /// transports.
     pub workers: usize,
-    /// Out-of-core window state (DESIGN.md §4i): per-stateful-task memory
-    /// budget in bytes for sealed pane/window state. `0` (the default)
-    /// disables tiering entirely — no spill store is installed and the hot
-    /// path is byte-identical to before the feature existed. When set,
-    /// sealed document pools exceeding the budget are serialized into
-    /// immutable sorted segment files under [`Self::spill_dir`] and probed
-    /// lazily through a block cache.
-    pub mem_budget: u64,
-    /// Directory for spilled segment files; `None` resolves to the system
-    /// temp directory at deploy time. Only meaningful with a non-zero
-    /// [`Self::mem_budget`] (validation rejects the dir without a budget).
-    pub spill_dir: Option<PathBuf>,
 }
 
 impl Default for StreamJoinConfig {
@@ -88,8 +74,6 @@ impl Default for StreamJoinConfig {
             pool_workers: 0,
             pin_cores: false,
             workers: 1,
-            mem_budget: 0,
-            spill_dir: None,
         }
     }
 }
@@ -120,10 +104,6 @@ pub enum ConfigError {
     /// `workers` must lie in `1..=64` (a process group needs at least this
     /// process, and the mesh is all-pairs); carries the rejected value.
     WorkersOutOfRange(usize),
-    /// A spill directory was configured without a memory budget; the dir
-    /// is only read when `mem_budget > 0`, so this is almost certainly a
-    /// misconfiguration (the caller expected spilling and got none).
-    SpillDirWithoutBudget,
 }
 
 impl fmt::Display for ConfigError {
@@ -147,9 +127,6 @@ impl fmt::Display for ConfigError {
             ConfigError::WorkersOutOfRange(n) => {
                 write!(f, "workers {n} out of range (expected 1..=64)")
             }
-            ConfigError::SpillDirWithoutBudget => f.write_str(
-                "spill_dir is only used with a non-zero mem_budget (set --mem-budget too)",
-            ),
         }
     }
 }
@@ -219,16 +196,6 @@ macro_rules! builder_setters {
             with_pin_cores(pin_cores: bool);
             /// Override the process-group size for shared-nothing scale-out.
             with_workers(workers: usize);
-            /// Override the per-task memory budget in bytes for sealed window
-            /// state (0 = out-of-core tiering off, DESIGN.md §4i).
-            with_mem_budget(mem_budget: u64);
-        }
-
-        /// Override the directory spilled segment files are written to.
-        pub fn with_spill_dir(self, dir: impl Into<std::path::PathBuf>) -> ConfigBuilder {
-            let mut b = self.into_builder();
-            b.cfg.spill_dir = Some(dir.into());
-            b
         }
     };
 }
@@ -291,16 +258,7 @@ impl StreamJoinConfig {
         if !(1..=64).contains(&self.workers) {
             return Err(ConfigError::WorkersOutOfRange(self.workers));
         }
-        if self.spill_dir.is_some() && self.mem_budget == 0 {
-            return Err(ConfigError::SpillDirWithoutBudget);
-        }
         Ok(())
-    }
-
-    /// The directory spilled segments land in when tiering is active:
-    /// [`Self::spill_dir`] if set, the system temp directory otherwise.
-    pub fn resolved_spill_dir(&self) -> PathBuf {
-        self.spill_dir.clone().unwrap_or_else(std::env::temp_dir)
     }
 }
 
@@ -435,37 +393,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(c.pin_cores);
-    }
-
-    #[test]
-    fn spill_knobs_validate() {
-        let c = StreamJoinConfig::default();
-        assert_eq!(c.mem_budget, 0);
-        assert!(c.spill_dir.is_none());
-
-        let c = StreamJoinConfig::default()
-            .with_mem_budget(64 << 20)
-            .with_spill_dir("/tmp/ssj-spill")
-            .build()
-            .unwrap();
-        assert_eq!(c.mem_budget, 64 << 20);
-        assert_eq!(c.resolved_spill_dir(), PathBuf::from("/tmp/ssj-spill"));
-
-        // No dir configured: segments fall back to the system temp dir.
-        let c = StreamJoinConfig::default()
-            .with_mem_budget(1024)
-            .build()
-            .unwrap();
-        assert_eq!(c.resolved_spill_dir(), std::env::temp_dir());
-
-        // A dir without a budget is a misconfiguration, not a silent no-op.
-        assert_eq!(
-            StreamJoinConfig::default()
-                .with_spill_dir("/tmp/ssj-spill")
-                .build()
-                .unwrap_err(),
-            ConfigError::SpillDirWithoutBudget
-        );
     }
 
     #[test]

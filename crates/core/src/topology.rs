@@ -43,8 +43,7 @@ use crate::joiner::Joiner;
 use crate::merger::Merger;
 use crate::msg::{Control, Msg, PaneRouting};
 use crate::reader::{Credit, Reader, ReaderSpout};
-use crate::spill::SpillSettings;
-use crate::wire::{dict_epoch, MsgCodec};
+use crate::wire::MsgCodec;
 use parking_lot::Mutex;
 use ssj_json::{Dictionary, DocId, Document, FxHashMap};
 use ssj_partition::WindowQuality;
@@ -295,7 +294,7 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
 pub fn topology_dot(config: StreamJoinConfig) -> String {
     let dict = Dictionary::new();
     let spout = Reader::Docs(Vec::new()).spout(0, &config, &dict);
-    let (topology, _) = build(&config, &dict, spout, FaultPlan::new(), None, |_| {});
+    let (topology, _) = build(&config, &dict, spout, FaultPlan::new(), |_| {});
     topology.to_dot()
 }
 
@@ -307,7 +306,6 @@ fn build(
     dict: &Dictionary,
     (reader, credit): (ReaderSpout, Credit),
     plan: FaultPlan,
-    spill: Option<Arc<SpillSettings>>,
     sink: impl FnMut(WindowResult) + Send + 'static,
 ) -> (ssj_runtime::Topology<Msg>, Arc<Mutex<Option<String>>>) {
     // Punctuation is pane-granular: tumbling windows punctuate per window
@@ -331,12 +329,10 @@ fn build(
     let dict_creator = dict.clone();
     let dict_assigner = dict.clone();
     let creator_cfg = config.clone();
-    let creator_spill = spill.clone();
     let merger_cfg = config.clone();
     let dict_merger = dict.clone();
     let assigner_cfg = config.clone();
     let joiner_cfg = config.clone();
-    let joiner_spill = spill;
     // The credit loop bounds the reader's lead in panes; these set what
     // the reader's bounded edges hold within a pane. Capacity counts
     // envelopes of up to `batch` tuples, so an edge holds about one
@@ -361,7 +357,6 @@ fn build(
             Box::new(PartitionCreator::new(
                 creator_cfg.clone(),
                 dict_creator.clone(),
-                creator_spill.clone(),
             ))
         })
         .subscribe("reader", Grouping::Shuffle)
@@ -378,7 +373,7 @@ fn build(
         .subscribe("merger", Grouping::All)
         .done()
         .bolt("joiner", config.m, move |_| {
-            Box::new(Joiner::new(joiner_cfg.clone(), joiner_spill.clone()))
+            Box::new(Joiner::new(joiner_cfg.clone()))
         })
         .subscribe("assigner", Grouping::Direct)
         .done()
@@ -393,28 +388,6 @@ fn build(
         .build()
         .expect("Fig. 2 topology is valid");
     (topology, failure)
-}
-
-/// Out-of-core tiering (DESIGN.md §4i): with a non-zero budget the stateful
-/// bolts get shared spill settings, the directory created — segment files
-/// are stamped with the dictionary's content epoch, so a file can never be
-/// decoded against a different interning epoch. With `mem_budget == 0`
-/// nothing is installed at all.
-fn spill_settings(
-    config: &StreamJoinConfig,
-    dict: &Dictionary,
-) -> Result<Option<Arc<SpillSettings>>, RunError> {
-    if config.mem_budget == 0 {
-        return Ok(None);
-    }
-    let dir = config.resolved_spill_dir();
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| RunError::Setup(format!("create spill directory {}: {e}", dir.display())))?;
-    Ok(Some(Arc::new(SpillSettings {
-        budget: config.mem_budget,
-        dir,
-        epoch: dict_epoch(dict),
-    })))
 }
 
 /// How many times a run is attempted before its failure is final: the
@@ -524,7 +497,6 @@ fn run_resuming(
     sink: impl FnMut(WindowResult) + Send + 'static,
 ) -> Result<RunReport, RunError> {
     config.validate().expect("invalid configuration");
-    let spill = spill_settings(&config, dict)?;
     let group = group.filter(|dr| dr.workers > 1);
     let delivery = Arc::new(Mutex::new(Delivery { next: 0, sink }));
     let attempt_sink = |start: u64| {
@@ -543,7 +515,7 @@ fn run_resuming(
         let spout = reader.spout(start as usize, &config, dict);
         let plan = plan.for_attempt(attempt);
         let sink = attempt_sink(start);
-        let (topology, failure) = build(&config, dict, spout, plan, spill.clone(), sink);
+        let (topology, failure) = build(&config, dict, spout, plan, sink);
         let member = group.map(|dr| DistRuntime {
             attempt: dr.attempt + attempt,
             ..dr.clone()

@@ -491,7 +491,8 @@ fn at_most(field: &'static str, value: usize, max: usize) -> Result<(), WireErro
 
 /// Fingerprint the full content of `dict` — attribute names in id order,
 /// then every pair's `(attribute, value)` — so two dictionaries agree on
-/// the epoch iff their ids resolve identically. Spilled segments carry it.
+/// the epoch iff their ids resolve identically. Segment files
+/// ([`crate::spill`]) carry it.
 pub fn dict_epoch(dict: &Dictionary) -> u64 {
     let mut h = fnv1a(b"ssj-dict-epoch", 0xcbf2_9ce4_8422_2325);
     let attrs = dict.attr_count();

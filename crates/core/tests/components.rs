@@ -195,9 +195,7 @@ fn a_joiner_reports_only_the_pairs_it_owns() {
             })
             .subscribe("feed", Grouping::Shuffle)
             .done()
-            .bolt("joiner", 2, move |_| {
-                Box::new(Joiner::new(cfg.clone(), None))
-            })
+            .bolt("joiner", 2, move |_| Box::new(Joiner::new(cfg.clone())))
             .subscribe("to_joiner_1", Grouping::Direct)
             .done()
             .bolt("sink", 1, move |_| Box::new(sink.clone()))
@@ -305,7 +303,7 @@ fn creator_builds_over_exactly_its_lookback() {
             })
             .bolt("creator", 1, move |_| {
                 let (cfg, dict) = (creator_cfg.clone(), creator_dict.clone());
-                Box::new(PartitionCreator::new(cfg, dict, None))
+                Box::new(PartitionCreator::new(cfg, dict))
             })
             .subscribe("reader", Grouping::Shuffle)
             .done()
@@ -455,7 +453,7 @@ fn creators_build_and_the_merger_deploys_the_panes_chain() {
         .spout("reader", 1, move |_| Box::new(script()))
         .bolt("creator", 2, move |_| {
             let (cfg, dict) = (creator_cfg.clone(), creator_dict.clone());
-            Box::new(PartitionCreator::new(cfg, dict, None))
+            Box::new(PartitionCreator::new(cfg, dict))
         })
         .subscribe("reader", Grouping::Shuffle)
         .done()
@@ -567,7 +565,7 @@ fn a_creator_frees_its_evicted_pane_on_the_next_message() {
             })
             .bolt("creator", 1, move |_| {
                 Box::new(Watched {
-                    inner: PartitionCreator::new(cfg.clone(), dict.clone(), None),
+                    inner: PartitionCreator::new(cfg.clone(), dict.clone()),
                     docs: Arc::clone(&watch_docs),
                     log: Arc::clone(&watch_log),
                     pane: PANE,
@@ -603,4 +601,107 @@ fn a_creator_frees_its_evicted_pane_on_the_next_message() {
         }
         assert!(boundaries >= 4, "{spec:?}: {boundaries} boundaries");
     }
+}
+
+/// A [`Joiner`] that, after every boundary, records how many handles each
+/// routed document has left.
+struct CountedJoiner {
+    inner: Joiner,
+    docs: Arc<Vec<Arc<Document>>>,
+    log: Arc<std::sync::Mutex<Vec<Vec<usize>>>>,
+}
+
+impl ssj_runtime::Bolt<Msg> for CountedJoiner {
+    fn prepare(&mut self, info: &ssj_runtime::TaskInfo) {
+        self.inner.prepare(info);
+    }
+
+    fn execute(&mut self, msg: Msg, out: &mut ssj_runtime::Outbox<Msg>) {
+        self.inner.execute(msg, out);
+    }
+
+    fn on_punct(&mut self, window: u64, out: &mut ssj_runtime::Outbox<Msg>) {
+        self.inner.on_punct(window, out);
+        let counts = self.docs.iter().map(Arc::strong_count).collect();
+        self.log.lock().unwrap().push(counts);
+    }
+}
+
+/// A frozen pane is a bare FP-tree of ids: once a sliding joiner has
+/// drained its copies, every routed handle is released, though the pane
+/// stays in the lookback and still joins the later panes.
+#[test]
+fn a_sliding_joiner_releases_each_copy_after_its_drain() {
+    const PANE: usize = 3;
+    let dict = Dictionary::new();
+    let docs: Arc<Vec<Arc<Document>>> = Arc::new(
+        (0..4 * PANE as u64)
+            .map(|id| Arc::new(Document::from_json(DocId(id), r#"{"k":"v"}"#, &dict).unwrap()))
+            .collect(),
+    );
+    let msgs = docs
+        .iter()
+        .map(|doc| Msg::Copy {
+            doc: Arc::clone(doc),
+            targets: 1,
+        })
+        .collect();
+    let feed = std::sync::Mutex::new(Some(msgs));
+    let cfg = StreamJoinConfig::default()
+        .with_m(1)
+        .with_window_spec(WindowSpec::sliding(PANE, 3))
+        .with_expansion(false)
+        .build()
+        .unwrap();
+    let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let (joiner_docs, joiner_log) = (Arc::clone(&docs), Arc::clone(&log));
+    let sink = CollectorBolt::new();
+    let got = sink.handle();
+    let topology = TopologyBuilder::new()
+        .batch_size(1)
+        .spout("feed", 1, move |_| {
+            let msgs = feed.lock().unwrap().take().expect("one feed");
+            Box::new(VecSpout::with_punctuation(msgs, PANE))
+        })
+        .bolt("joiner", 1, move |_| {
+            Box::new(CountedJoiner {
+                inner: Joiner::new(cfg.clone()),
+                docs: Arc::clone(&joiner_docs),
+                log: Arc::clone(&joiner_log),
+            })
+        })
+        .subscribe("feed", Grouping::Shuffle)
+        .done()
+        .bolt("sink", 1, move |_| Box::new(sink.clone()))
+        .subscribe("joiner", Grouping::Global)
+        .done()
+        .build()
+        .unwrap();
+    ssj_runtime::run(topology).unwrap();
+
+    let log = log.lock().unwrap();
+    assert!(log.len() >= 4, "{} boundaries", log.len());
+    for (b, counts) in log.iter().take(4).enumerate() {
+        let drained = &counts[..(b + 1) * PANE];
+        assert!(
+            drained.iter().all(|&n| n == 1),
+            "boundary {b}: handles left {counts:?}"
+        );
+    }
+    // Pane 3 still joins pane 1, two panes back: its tree is in the ring.
+    let pane_3: Vec<_> = got
+        .take()
+        .into_iter()
+        .filter_map(|msg| match msg {
+            Msg::JoinStats {
+                window: 3, pairs, ..
+            } => Some(pairs),
+            _ => None,
+        })
+        .flatten()
+        .collect();
+    assert!(
+        pane_3.contains(&(DocId(PANE as u64), DocId(3 * PANE as u64))),
+        "{pane_3:?}"
+    );
 }

@@ -2,17 +2,16 @@
 //! report, pane for pane, exactly the brute-force join of its stream
 //! ([`oracle`]: every joinable pair less than a window apart, in the pane of
 //! its later document) — whatever the window shape, `m`, batch, parallelism,
-//! pool, expansion, partitioner, reader lead, source, process group, spill
-//! budget or injected crash — and deliver each window exactly once, in order,
-//! with the reader never more than the case's lead ahead of the sink, each
-//! pair reported by exactly one joiner (the owner rule). A case
-//! with a group, a spill budget or a crash must also equal the same case
-//! without it — and, without a crash, route every pane exactly as it does:
-//! the control plane rides the reader's credit, so routing is a function of
-//! the stream — and passes that axis's own check: a budget engages the spill
-//! tier (and no budget never does), a group's non-leaders report nothing, a
-//! crash fails an attempt and the run resumes at the first pane of its
-//! first undelivered window's lookback.
+//! pool, expansion, partitioner, reader lead, source, process group or
+//! injected crash — and deliver each window exactly once, in order, with the
+//! reader never more than the case's lead ahead of the sink, each pair
+//! reported by exactly one joiner (the owner rule). A case with a group or a
+//! crash must also equal the same case without it — and, without a crash,
+//! route every pane exactly as it does: the control plane rides the reader's
+//! credit, so routing is a function of the stream — and passes that axis's
+//! own check: a group's non-leaders report nothing, a crash fails an attempt
+//! and the run resumes at the first pane of its first undelivered window's
+//! lookback.
 //!
 //! The axes are [`Case`]'s fields. The named tests pin regressions; the
 //! proptests sample the axis table.
@@ -34,7 +33,6 @@ use ssj_json::{write_documents_jsonl, Dictionary, Document};
 use ssj_partition::PartitionerKind::{self, Ag, Sc};
 use ssj_runtime::FaultPlan;
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -106,8 +104,6 @@ struct Case {
     source: Source,
     /// Members of a socket-linked group, one thread each (1 = solo).
     group: usize,
-    /// `mem_budget` in bytes (0 = resident).
-    spill: u64,
     /// `(component, task, window, tuple)` of one crash in the first attempt.
     crash: Option<(&'static str, usize, u64, u64)>,
 }
@@ -115,7 +111,7 @@ struct Case {
 impl Case {
     /// `docs` documents of `stream` under `spec`: m 3, batch 16, two
     /// creators, two Assigners, expansion off, AG, free-running over the
-    /// documents in memory, solo, resident, no crash.
+    /// documents in memory, solo, no crash.
     fn new(stream: Stream, docs: usize, spec: WindowSpec) -> Case {
         Case {
             stream,
@@ -132,7 +128,6 @@ impl Case {
             lead: READER_LEAD,
             source: Source::Memory,
             group: 1,
-            spill: 0,
             crash: None,
         }
     }
@@ -151,8 +146,8 @@ impl Case {
         (dict, docs)
     }
 
-    fn config(&self, spill_dir: &Path) -> StreamJoinConfig {
-        let config = StreamJoinConfig::default()
+    fn config(&self) -> StreamJoinConfig {
+        StreamJoinConfig::default()
             .with_m(self.m)
             .with_window_spec(self.spec)
             .with_batch_size(self.batch)
@@ -163,25 +158,20 @@ impl Case {
             .with_expansion(self.expansion)
             .with_partitioner(self.partitioner)
             .with_workers(self.group)
-            .with_mem_budget(self.spill);
-        let config = if self.spill > 0 {
-            config.with_spill_dir(spill_dir)
-        } else {
-            config
-        };
-        config.build().unwrap()
+            .build()
+            .unwrap()
     }
 }
 
 /// Run `case`, one thread per group member; returns worker 0's report (the
 /// Reporter lives there) after checking that the others reported nothing.
 fn run(case: &Case) -> TopologyRunReport {
-    // A fresh directory for the run's sockets and spilled segments.
+    // A fresh directory for the run's sockets and input file.
     static RUNS: AtomicUsize = AtomicUsize::new(0);
     let run = RUNS.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("ssj-differential-{}-{run}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let config = case.config(&dir.join("spill"));
+    let config = case.config();
     let plan = match case.crash {
         Some((component, task, window, tuple)) => {
             FaultPlan::new().crash(component, task, window, tuple)
@@ -273,10 +263,9 @@ fn check(case: &Case) -> TopologyRunReport {
     static ORACLES: Memo<RunWindows> = OnceLock::new();
     static PLAIN_RUNS: Memo<(RunWindows, Vec<PaneRouting>)> = OnceLock::new();
     let _describe = Describe(case);
-    // The same case without a group, a spill budget or a crash.
+    // The same case without a group or a crash.
     let plain = Case {
         group: 1,
-        spill: 0,
         crash: None,
         ..case.clone()
     };
@@ -284,7 +273,7 @@ fn check(case: &Case) -> TopologyRunReport {
     let (report, truth, base) = std::thread::scope(|s| {
         let truth =
             s.spawn(|| memoized(&ORACLES, stream, || oracle(&case.generate().1, case.spec)));
-        let base = (case.group > 1 || case.spill > 0 || case.crash.is_some()).then(|| {
+        let base = (case.group > 1 || case.crash.is_some()).then(|| {
             s.spawn(|| {
                 memoized(&PLAIN_RUNS, format!("{plain:?}"), || {
                     let plain = run(&plain);
@@ -327,15 +316,6 @@ fn check(case: &Case) -> TopologyRunReport {
         lead as usize <= case.lead,
         "the reader ran {lead} panes ahead"
     );
-    if case.spill > 0 {
-        assert!(
-            rt.counter_total("spill_bytes") > 0,
-            "the tier never spilled"
-        );
-        assert!(rt.counter_total("segment_reads") > 0, "nothing read back");
-    } else {
-        assert_eq!(rt.counter_total("spill_bytes"), 0, "spilled without budget");
-    }
     if case.crash.is_some() {
         assert!(rt.attempts >= 2, "the crash never fired");
         let (delivered, start) = rt.resumed.expect("the last attempt resumed");
@@ -613,72 +593,21 @@ fn creator_crash_before_a_repartition_keeps_the_lookback() {
     assert_second_build_over_the_lookback(&creator_lookback_crash(Some(("creator", 1, 3, 9))));
 }
 
-/// A budget small enough that every pane spills several chunks but large
-/// enough that a chunk holds a handful of documents, so cross-chunk probes
-/// are exercised, not just within-chunk joins.
-const BUDGET: u64 = 2048;
-
-/// Sealed window state spilled to segments and probed back through the
-/// block cache, tumbling and sliding, batch 1 and 64; with expansion, the
-/// creators' share of the bootstrap window spills too and is read back
-/// wholesale for the one group build.
+/// The creators' retained panes: the second build covers the whole
+/// 4-pane lookback, and its groups — hence tables, routing and join output —
+/// are those of the oracle.
 #[test]
-fn spilled_runs_match_resident() {
-    for (spec, batch, expansion, seed) in [
-        (WindowSpec::tumbling(40), 1, true, 21),
-        (WindowSpec::tumbling(40), 64, false, 22),
-        (WindowSpec::sliding(40, 3), 1, false, 23),
-        (WindowSpec::sliding(40, 3), 64, false, 24),
-    ] {
-        check(&Case {
-            batch,
-            expansion,
-            spill: BUDGET,
-            ..Case::new(churn(seed), 240, spec)
-        });
-    }
-}
-
-/// The creators' retained panes under a budget: by the second build the
-/// 4-pane lookback lives in sealed runs only (a creator's half pane is 1.3x
-/// the budget: one run sealed mid-pane, one at the boundary). The runs are
-/// read back, and the groups — hence tables, routing and join output — are
-/// those of the resident run.
-#[test]
-fn sliding_repartition_reads_the_creators_spilled_lookback() {
-    for spill in [0, BUDGET] {
-        let case = Case {
-            batch: 1,
-            lead: 1,
-            spill,
-            ..Case::new(Stream::Shifting, 960, WindowSpec::sliding(96, 4))
-        };
-        let report = assert_second_build_over_the_lookback(&case);
-        let tasks = report.runtime.tasks.iter();
-        for c in tasks.filter(|t| t.component == "creator") {
-            // Every pane was sealed in two runs, and the second build read
-            // those of the three retained panes back.
-            let spilled = spill > 0;
-            assert_eq!(c.counter("spill_segments") >= 2 * 10, spilled);
-            assert_eq!(c.counter("segment_reads") >= 2 * 3, spilled);
-        }
-    }
-}
-
-/// A joiner crashed mid-pane under a spilling budget: the resumed attempt
-/// spills its re-read lookback afresh.
-#[test]
-fn spilled_crash_recovery_matches_resident() {
-    check(&Case {
-        docs: 240,
-        spill: BUDGET,
-        ..sliding_crash(25, 40, ("joiner", 1, 3, 5))
+fn sliding_repartition_reads_the_creators_lookback() {
+    assert_second_build_over_the_lookback(&Case {
+        batch: 1,
+        lead: 1,
+        ..Case::new(Stream::Shifting, 960, WindowSpec::sliding(96, 4))
     });
 }
 
 /// The file source under expansion: the reader interns a build pane's
 /// synthetic pairs into the dictionary its loader is still filling,
-/// tumbling; and sliding under a spill budget.
+/// tumbling; and sliding.
 #[test]
 fn streamed_file_runs_match_the_oracle() {
     check(&Case {
@@ -687,7 +616,6 @@ fn streamed_file_runs_match_the_oracle() {
         ..Case::new(churn(31), 400, WindowSpec::tumbling(50))
     });
     check(&Case {
-        spill: BUDGET,
         source: Source::File,
         ..Case::new(churn(32), 240, WindowSpec::sliding(40, 3))
     });
@@ -717,21 +645,21 @@ proptest! {
     /// The sampled axis table: stream (churn, per-window churn, Zipf
     /// sessions, Zipf-skewed rwData), pane, window shape, `m`, batch,
     /// creators, Assigners, pool size and pinning, expansion, partitioner,
-    /// reader lead, source (a file only for a free-running reader),
-    /// group size and spill budget.
+    /// reader lead, source (a file only for a free-running reader) and
+    /// group size.
     #[test]
     fn any_case_matches_the_oracle(
         seed in 0u64..1 << 40,
         shape in (0usize..4, 0usize..3, 0usize..5, 3usize..7),
         width in (2usize..7, 0usize..4, 1usize..3, 1usize..4),
         schedule in (0usize..4, 0usize..4, any::<bool>(), any::<bool>()),
-        placement in (0usize..5, 0usize..4, 0usize..3, any::<bool>()),
+        placement in (0usize..5, 0usize..3, any::<bool>()),
         file in any::<bool>(),
     ) {
         let (stream, pane, panes, run_panes) = shape;
         let (m, batch, creators, assigners) = width;
         let (pool, partitioner, expansion, lockstep) = schedule;
-        let (group, spill, zipf, pin) = placement;
+        let (group, zipf, pin) = placement;
         let group = [1, 1, 1, 2, 3][group];
         let pane = [40, 60, 80][pane];
         let skew = SkewConfig { seed, keys: 6, s: [0.0, 0.9, 1.2][zipf], attach: 0.8 };
@@ -760,7 +688,6 @@ proptest! {
             lead: if lockstep { 1 } else { READER_LEAD },
             source: if file && !lockstep { Source::File } else { Source::Memory },
             group,
-            spill: if spill == 0 { BUDGET } else { 0 },
             crash: None,
         });
     }

@@ -214,9 +214,8 @@ impl FpTree {
 
     /// Approximate heap footprint of the tree as stored, in bytes: the node
     /// arena, the document and tail pools, and the child index (counted at
-    /// entry size, ignoring table load factor). Used by the out-of-core
-    /// tiering layer for budget accounting — an estimate, not an allocator
-    /// measurement.
+    /// entry size, ignoring table load factor) — an estimate, not an
+    /// allocator measurement.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<FpTree>()
             + self.nodes.len() * std::mem::size_of::<Node>()

@@ -143,15 +143,6 @@ impl Document {
         self.pairs.iter().map(|p| p.avp)
     }
 
-    /// Approximate heap + inline footprint in bytes: the struct itself plus
-    /// the boxed pair slice. Used by the out-of-core tiering layer
-    /// (DESIGN.md §4i) for budget accounting — an estimate, not an exact
-    /// allocator measurement.
-    #[inline]
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Document>() + std::mem::size_of_val::<[Pair]>(&self.pairs)
-    }
-
     /// Binary-search for the pair carried for `attr`.
     pub fn pair_for_attr(&self, attr: AttrId) -> Option<Pair> {
         self.pairs

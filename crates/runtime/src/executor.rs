@@ -100,9 +100,7 @@ pub struct RunReport {
     /// Retained window-lifecycle trace events, oldest first.
     pub trace: Vec<TraceEvent>,
     /// Peak resident-set size of this process in bytes, sampled when the
-    /// run finished (`VmHWM`; 0 on platforms without `/proc`). A run that
-    /// spills should show this staying near the configured budget while
-    /// `spill_bytes` grows.
+    /// run finished (`VmHWM`; 0 on platforms without `/proc`).
     pub peak_rss: u64,
     /// Attempts a driver that re-runs failed topologies made: 1 unless an
     /// attempt failed (see `ssj_core::run_topology_with`). The report's
@@ -176,11 +174,6 @@ impl RunReport {
         v.into_iter().map(|(_, r)| r).collect()
     }
 
-    /// Sum of one (named or core) counter across every task.
-    pub fn counter_total(&self, name: &str) -> u64 {
-        self.tasks.iter().map(|t| t.counter(name)).sum()
-    }
-
     /// Sum of one counter over one component's tasks.
     pub fn component_counter(&self, component: &str, name: &str) -> u64 {
         self.sum(component, name)
@@ -191,36 +184,17 @@ impl RunReport {
     /// per retained trace event.
     pub fn write_jsonl<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
         metrics::write_jsonl(out, &self.windows, &self.tasks, &self.trace)?;
-        writeln!(
-            out,
-            "{{\"run\":{{\"peak_rss_bytes\":{},\"spill_bytes\":{},\"spill_segments\":{},\"compactions\":{}}}}}",
-            self.peak_rss,
-            self.counter_total("spill_bytes"),
-            self.counter_total("spill_segments"),
-            self.counter_total("compactions"),
-        )
+        writeln!(out, "{{\"run\":{{\"peak_rss_bytes\":{}}}}}", self.peak_rss)
     }
 
     /// Render the per-component human summary table, with a run-level
-    /// memory footer (peak RSS and, when the out-of-core tier engaged,
-    /// total spilled bytes and read-back traffic).
+    /// memory footer (peak RSS).
     pub fn summary_table(&self) -> String {
         let mut out = metrics::summary_table(&self.tasks);
         out.push_str(&format!(
-            "peak rss {:.1} MiB",
+            "peak rss {:.1} MiB\n",
             self.peak_rss as f64 / (1024.0 * 1024.0)
         ));
-        let spilled = self.counter_total("spill_bytes");
-        if spilled > 0 {
-            out.push_str(&format!(
-                " | spilled {:.1} MiB in {} segments, {} block reads, {} compactions",
-                spilled as f64 / (1024.0 * 1024.0),
-                self.counter_total("spill_segments"),
-                self.counter_total("segment_reads"),
-                self.counter_total("compactions"),
-            ));
-        }
-        out.push('\n');
         out
     }
 }
@@ -235,8 +209,8 @@ pub enum RunError {
     /// (no window closes without the dead peer's share) and the run
     /// reports this for its driver to resume.
     Transport(Vec<String>),
-    /// The run could not be set up (a spill directory that cannot be
-    /// created, a group that cannot be relaunched): nothing more ran.
+    /// The run could not be set up (a group that cannot be relaunched):
+    /// nothing more ran.
     Setup(String),
     /// The input failed mid-stream (a bad line, a read error): the windows
     /// before it were delivered, none after. Not resumed.

@@ -464,7 +464,7 @@ pub fn decode_hello(body: &[u8]) -> Result<Hello, WireError> {
 }
 
 /// FNV-1a, the workspace's convention for deterministic fingerprints
-/// (dictionary epochs of spilled segments, topology fingerprints).
+/// (dictionary epochs, topology fingerprints).
 pub fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
     let mut h = if seed == 0 {
         0xcbf2_9ce4_8422_2325

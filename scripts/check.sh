@@ -78,10 +78,10 @@ stage "partitioner differential" cargo test -q -p ssj-partition --test cross_par
 
 # The one differential harness: every topology run == the brute-force
 # oracle, pane for pane — any window shape, m (up to 64), batch, pool size,
-# partitioner, reader, socket-linked group, spill budget or resumed crash
-# (joiner after a joined micro-batch, creator before a repartition, reporter
-# mid-window); a group, budget or crash run also == the same case without
-# it; sampled axis table plus pinned regressions.
+# partitioner, reader, socket-linked group or resumed crash (joiner after a
+# joined micro-batch, creator before a repartition, reporter mid-window); a
+# group or crash run also == the same case without it; sampled axis table
+# plus pinned regressions.
 stage "differential harness" cargo test -q -p ssj-core --test differential
 
 # Metric conservation laws and the scheduler_* counter family.
@@ -100,8 +100,8 @@ stage "histogram accuracy" cargo test -q -p ssj-runtime --test histogram_error
 # byte-identical, one line per window, and the resume pane named; only the
 # leader reads the input (the binary's unit tests: a member is spawned
 # without the input's flags; a group fed through a pipe == the solo run);
-# --joins-out failures, an unusable --spill-dir, an m outside 1..=64 and a
-# snapshot table claiming more partitions are named errors. The reader's
+# --joins-out failures, an m outside 1..=64 and a snapshot table claiming
+# more partitions are named errors. The reader's
 # process streams its --input, solo or as a 2-process group: a truncated or
 # malformed file is exit 1 naming the line after exactly the windows before
 # it, and a solo run's peak RSS on a 10x longer stream stays within 1.5x.
@@ -199,12 +199,6 @@ stage "bench_latency build" cargo build --release -q -p ssj-bench --bin bench_la
 # Open-loop paced runs (constant, zipf, bursty): the constant profile's
 # end-to-end p99 <= 4x the committed baseline's.
 stage "bench_latency gate" ./target/release/bench_latency --check BENCH_latency.json
-
-stage "bench_spill build" cargo build --release -q -p ssj-bench --bin bench_spill
-# Out-of-core runs: window state >= 10x budget, tier engaged in both
-# directions, spilled probe p99 bounded vs a fresh resident baseline;
-# spilled and resident join output asserted equal inside the binary.
-stage "bench_spill gate" ./target/release/bench_spill --check BENCH_spill.json
 
 # The end-to-end benchmark on 10 % streams: fails when a pinned input or
 # `--joins-out` hash (benchmark/expected.json), the brute-force oracle or an
