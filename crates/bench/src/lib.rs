@@ -222,7 +222,7 @@ pub mod testutil {
 
     /// A joinable stream with churn: `n` documents with ids `0..n`, each a
     /// `grp` of three plus either a `user` / `sev` pair or (every
-    /// `fresh_every`-th) a fresh pair that keeps the δ-tracker and the
+    /// `fresh_every`-th) a fresh pair that keeps the hash homes and the
     /// repartition control loop busy.
     pub fn churn_stream(dict: &Dictionary, n: usize, churn: Churn) -> Vec<Document> {
         (0..n as u64)
@@ -279,7 +279,7 @@ pub mod testutil {
     /// the same multiset of documents (the routing quality the Assigners
     /// measure is constant, so nothing is signalled by accident); a table
     /// computed before the shift knows none of the later values, so every
-    /// later document is broadcast until the partitions are recomputed.
+    /// later document is homed until the partitions are recomputed.
     ///
     /// A document carries a `Host` and a `Rack` that determine each other
     /// (8 values) and a `Mode` (2 values — with `m > 2` it forces §VI-B

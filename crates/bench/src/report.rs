@@ -110,6 +110,37 @@ pub const RATIO_FLOOR: f64 = 0.75;
 /// left a ratio under the floor.
 pub const CHECK_RUNS: usize = 2;
 
+/// Alternated pairs of runs a paired gate measures.
+pub const PAIRS: usize = 5;
+
+/// The quartiles `[q1, median, q3]` of `num() / den()` over `pairs` pairs
+/// of runs, alternated — `den`, `num`, `den`, `num`, … — so a slow spell of
+/// the host falls on both sides. A gate reads the median: the best of a
+/// few short runs passes or fails by luck.
+pub fn paired_quartiles(
+    pairs: usize,
+    mut num: impl FnMut() -> f64,
+    mut den: impl FnMut() -> f64,
+) -> [f64; 3] {
+    let mut r: Vec<f64> = (0..pairs)
+        .map(|_| {
+            let d = den();
+            num() / d
+        })
+        .collect();
+    r.sort_by(f64::total_cmp);
+    let at = |q: f64| r[((r.len() - 1) as f64 * q).round() as usize];
+    [at(0.25), at(0.5), at(0.75)]
+}
+
+/// The committed `rows[num] / rows[den]` of `baseline_path`'s smoke
+/// section; NaN, which passes no floor, when a row or the file is missing.
+pub fn baseline_ratio(baseline_path: &str, num: &str, den: &str) -> f64 {
+    let text = std::fs::read_to_string(baseline_path).unwrap_or_default();
+    let pair = [(num.to_owned(), den.to_owned())];
+    ratios(&parse_section(&text, "smoke"), &pair)[0]
+}
+
 /// `rows[num] / rows[den]` per pair. A missing row makes its ratio NaN,
 /// which passes no floor.
 fn ratios(rows: &[(String, f64)], pairs: &[(String, String)]) -> Vec<f64> {
@@ -189,6 +220,24 @@ pub fn check_ratios(
 
 #[cfg(test)]
 mod tests {
+    #[test]
+    fn paired_quartiles_alternate_and_sort() {
+        let calls = std::cell::RefCell::new(Vec::new());
+        let q = super::paired_quartiles(
+            5,
+            || {
+                calls.borrow_mut().push('n');
+                [2.0, 9.0, 4.0, 3.0, 5.0][calls.borrow().len() / 2 - 1]
+            },
+            || {
+                calls.borrow_mut().push('d');
+                1.0
+            },
+        );
+        assert_eq!(calls.into_inner().iter().collect::<String>(), "dndndndndn");
+        assert_eq!(q, [3.0, 4.0, 5.0]);
+    }
+
     use super::*;
 
     fn m(id: &str, rate: f64) -> Measurement {

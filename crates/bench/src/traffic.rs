@@ -217,10 +217,10 @@ pub fn skewed_docs(
 /// Two properties matter for the skew experiments:
 ///
 /// * The vocabulary is tiny and fixed, so a routing table built over any
-///   window prefix covers the whole stream — no unknown-pair broadcasts,
-///   so documents really are routed by the table (the open datasets'
-///   novelty churn makes every view partially unknown and forces the
-///   exactness broadcast instead).
+///   window prefix covers the whole stream — no pair is homed, so
+///   documents really are routed by the table (the open datasets' novelty
+///   churn makes every view partially unknown and sends its new pairs to
+///   their hash homes instead).
 /// * Filler values are namespaced by session, so documents join exactly
 ///   within their session: the hot session IS the hot association group,
 ///   and its quadratic probe load lands on the joiner it is placed on.

@@ -72,7 +72,6 @@ const SLIDE: FlagSpec = opt(
 const WINDOWS: FlagSpec = opt("windows", None, "truncate the stream to K windows");
 const PARTITIONER: FlagSpec = opt("partitioner", Some("ag"), "ag|sc|ds|hash");
 const THETA: FlagSpec = opt("theta", Some("0.2"), "repartitioning threshold");
-const DELTA: FlagSpec = opt("delta", Some("3"), "unseen-pair update threshold");
 const CREATORS: FlagSpec = opt("creators", Some("2"), "PartitionCreator parallelism");
 const ASSIGNERS: FlagSpec = opt("assigners", Some("6"), "Assigner parallelism");
 const BATCH: FlagSpec = opt("batch", Some("64"), "transport micro-batch size (1 = off)");
@@ -150,7 +149,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             WINDOWS,
             PARTITIONER,
             THETA,
-            DELTA,
             CREATORS,
             opt(
                 "window-by",
@@ -205,7 +203,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             PANE,
             SLIDE,
             THETA,
-            DELTA,
             CREATORS,
             ASSIGNERS,
             BATCH,
@@ -402,6 +399,16 @@ mod tests {
             parse(&["partition", "--partitioner", "ds"]).get("partitioner"),
             Some("ds")
         );
+    }
+
+    #[test]
+    fn delta_is_gone() {
+        // A pair the table does not know goes to its hash home: there is no
+        // δ-update loop left to tune.
+        for cmd in ["run", "pipeline"] {
+            let err = Args::parse([cmd.into(), "--delta".into(), "3".into()]).unwrap_err();
+            assert!(err.starts_with("unknown option --delta"), "{cmd}: {err}");
+        }
     }
 
     #[test]

@@ -194,7 +194,6 @@ fn pipeline_config(args: &Args, metrics: bool) -> Result<StreamJoinConfig, Strin
         // off there (`ConfigError::SlidingWithExpansion` would reject it
         // anyway).
         .with_expansion(!args.flag("no-expansion") && !window.is_sliding())
-        .with_delta(args.get_or("delta", 3)?)
         .with_partition_creators(args.get_or("creators", 2)?)
         .with_assigners(args.get_or("assigners", 6)?)
         .with_batch_size(args.get_or("batch", 64)?)
@@ -314,7 +313,9 @@ fn cmd_partition(args: &Args) -> Result<(), String> {
 }
 
 /// Route documents with a previously saved partition snapshot: one line per
-/// document listing the machines it is sent to.
+/// document listing the machines it is sent to, by the Assigners' rule —
+/// each pair's partitions, or the home of a pair the table does not know
+/// (`(homed)` after the list).
 fn cmd_route(args: &Args) -> Result<(), String> {
     let path = args.get("load").ok_or("route requires --load FILE")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
@@ -330,25 +331,28 @@ fn cmd_route(args: &Args) -> Result<(), String> {
     .map_err(|e| format!("{path}: snapshot table: {e}"))?;
     let docs = load_docs(args, &dict)?;
     let m = table.m();
-    let mut broadcasts = 0usize;
-    let mut scratch = ssj_partition::RouteScratch::new();
+    let mut homed_docs = 0usize;
+    let (mut view, mut targets) = (Vec::new(), Vec::new());
+    let hashes = dict.content_hashes();
     let stdout = io::stdout();
     let mut out = BufWriter::new(stdout.lock());
     for d in &docs {
-        let view: Vec<ssj_json::AvpId> = d.avps().collect();
-        if table.route_into(&view, &mut scratch).is_broadcast() {
-            broadcasts += 1;
-            writeln!(out, "{} -> broadcast", d.id()).map_err(|e| e.to_string())?;
-        } else {
-            writeln!(out, "{} -> {:?}", d.id(), scratch.targets()).map_err(|e| e.to_string())?;
-        }
+        view.clear();
+        view.extend(d.avps());
+        let (mask, homed) =
+            table.route_mask(&view, |avp| ssj_partition::home_bit(hashes.of(avp), m));
+        targets.clear();
+        targets.extend((0..m as u32).filter(|&p| mask & 1 << p != 0));
+        homed_docs += homed as usize;
+        let note = if homed { " (homed)" } else { "" };
+        writeln!(out, "{} -> {targets:?}{note}", d.id()).map_err(|e| e.to_string())?;
     }
     out.flush().map_err(|e| e.to_string())?;
     eprintln!(
-        "routed {} documents over {} machines ({} broadcast)",
+        "routed {} documents over {} machines ({} homed)",
         docs.len(),
         m,
-        broadcasts
+        homed_docs
     );
     Ok(())
 }
@@ -502,11 +506,8 @@ struct JoinsOut {
 struct RoutingTotals {
     /// Panes whose boundary rebuilt the partitions after a θ signal.
     rebuilds: usize,
-    /// Panes whose boundary deployed a δ-refreshed table.
-    refreshes: usize,
-    /// δ-updates applied.
-    updates: usize,
-    broadcasts: usize,
+    /// Documents with a pair the table did not know, or with no view.
+    homed: usize,
     /// Documents routed.
     docs: usize,
 }
@@ -514,24 +515,20 @@ struct RoutingTotals {
 impl RoutingTotals {
     fn add(&mut self, r: &ssj_core::PaneRouting) {
         self.rebuilds += r.rebuilt as usize;
-        self.refreshes += (r.updates > 0) as usize;
-        self.updates += r.updates;
-        self.broadcasts += r.broadcasts;
+        self.homed += r.homed;
         self.docs += r.docs;
     }
 }
 
 impl std::fmt::Display for RoutingTotals {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Every table deployed after the bootstrap is a rebuild.
         write!(
             f,
-            "routing: {} tables deployed after the bootstrap ({} rebuilt, {} δ-refreshed), \
-             {} δ-updates, broadcast share {:.4}",
-            self.rebuilds + self.refreshes,
+            "routing: {} tables deployed after the bootstrap ({} rebuilt), homed share {:.4}",
             self.rebuilds,
-            self.refreshes,
-            self.updates,
-            self.broadcasts as f64 / self.docs.max(1) as f64
+            self.rebuilds,
+            self.homed as f64 / self.docs.max(1) as f64
         )
     }
 }

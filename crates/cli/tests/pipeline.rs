@@ -3,9 +3,10 @@
 
 use std::process::Command;
 
-/// The `updates` column of `ssj pipeline --csv` over the default stream's
-/// first 3 000 documents in event-time hours, at `--creators creators`.
-fn hourly_updates(creators: usize) -> Vec<String> {
+/// The `homed_fraction` column of `ssj pipeline --csv` over the default
+/// stream's first 3 000 documents in event-time hours, at `--creators
+/// creators`.
+fn hourly_homed(creators: usize) -> Vec<String> {
     let out = Command::new(env!("CARGO_BIN_EXE_ssj"))
         .args([
             "pipeline",
@@ -14,6 +15,10 @@ fn hourly_updates(creators: usize) -> Vec<String> {
             "--count",
             "3000",
             "--csv",
+            // θ signals follow replication, which the creator count changes
+            // (below): a θ no signal reaches keeps the bootstrap build.
+            "--theta",
+            "10",
         ])
         .args(["--creators", &creators.to_string()])
         .output()
@@ -24,7 +29,7 @@ fn hourly_updates(creators: usize) -> Vec<String> {
     let header: Vec<&str> = lines.next().expect("a header").split(',').collect();
     let at = header
         .iter()
-        .position(|&h| h == "updates")
+        .position(|&h| h == "homed_fraction")
         .expect("the column");
     lines
         .map(|row| row.split(',').nth(at).unwrap().to_owned())
@@ -32,17 +37,36 @@ fn hourly_updates(creators: usize) -> Vec<String> {
 }
 
 /// §VI-B's chain is decided once per build, over the whole pane, so the
-/// creator count cannot change routing's control plane: the δ-updates
-/// applied at every boundary are the same at 1, 2 and 4 creators. When
-/// each creator detected a chain over its own share, 8 of the 60 hours
-/// differed between 1 and 2 creators. (Replication may differ: §IV-A's
-/// two-phase grouping runs over different shares.)
+/// creator count cannot change what the deployed table knows: the share
+/// of documents homed in every hour — those with a view pair the table
+/// lacks, or with no view under the chain — is the same at 1, 2 and 4
+/// creators. When each creator detected a chain over its own share, the
+/// δ-updates of 8 of the 60 hours differed between 1 and 2 creators.
+/// Every hour brings a new `Hour` value, so most hours are homed whole.
+/// (Replication may differ: §IV-A's two-phase grouping runs over
+/// different shares.)
 #[test]
-fn pipeline_updates_do_not_depend_on_the_creator_count() {
-    let one = hourly_updates(1);
+fn pipeline_homed_share_does_not_depend_on_the_creator_count() {
+    let one = hourly_homed(1);
     assert_eq!(one.len(), 60, "one row per hour");
-    assert!(one.iter().any(|u| u != "0"), "no hour applied an update");
+    let routed = |h: &String| h != "0.000000" && h != "1.000000";
+    assert!(one[1..].iter().any(routed), "no hour both routed and homed");
     for creators in [2, 4] {
-        assert_eq!(hourly_updates(creators), one, "{creators} creators");
+        assert_eq!(hourly_homed(creators), one, "{creators} creators");
+    }
+}
+
+/// There is no δ-update loop to tune: `--delta` is an unknown option, which
+/// exits 2 with the usage.
+#[test]
+fn delta_is_an_unknown_option() {
+    for cmd in ["run", "pipeline"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ssj"))
+            .args([cmd, "--delta", "3"])
+            .output()
+            .expect("launch ssj");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {stderr}");
+        assert!(stderr.contains("unknown option --delta"), "{cmd}: {stderr}");
     }
 }

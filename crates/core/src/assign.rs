@@ -2,51 +2,47 @@
 //!
 //! A [`Router`] holds what an Assigner decides with: the deployed table
 //! (plus, under sliding windows, the superseded tables whose panes are
-//! still in the lookback), the δ-tracker, the θ-baseline and the pane's
-//! routing counts. The [`Assigner`] bolt of the Fig. 2 topology runs it;
-//! the figures and `ssj pipeline` run that topology in lock-step
+//! still in the lookback), the θ-baseline and the pane's routing counts.
+//! The [`Assigner`] bolt of the Fig. 2 topology runs it; the figures and
+//! `ssj pipeline` run that topology in lock-step
 //! ([`crate::Reader::Lockstep`]) with one Assigner, which is one `Router`.
 //!
-//! The pairs a pane requests as δ-updates, and its θ signal, leave with
-//! the pane's close, in the routing counts the Assigner sends the Reporter,
-//! and act at boundary `k + L` over the reader's credit ([`crate::reader`]):
-//! the table built there routes pane `k + L + 1`, in every run. Lock-step
-//! (`L = 1`) is §VI-A's `k → k + 1 → k + 2`.
+//! Routing has one outcome, a mask of joiners: each pair of a document's
+//! view contributes its partitions in the table or, if the table does not
+//! know it, its hash *home* ([`PartitionTable::route_mask`]). Before the
+//! first deploy the table is empty, so pane 0 is homed.
 //!
-//! A [`TableMsg`] carries the window its partitions were *built* at, and a
-//! δ-refresh from the Merger repeats its build's window, so a deployment
-//! tells a rebuild from a refresh by that window alone:
+//! A pane's θ signal leaves with the pane's close, in the routing counts
+//! the Assigner sends the Reporter, and acts at boundary `k + L` over the
+//! reader's credit ([`crate::reader`]): the table built there routes pane
+//! `k + L + 1`, in every run. Lock-step (`L = 1`) is §VI-A's
+//! `k → k + 1 → k + 2`.
 //!
-//! * a **rebuild** resets the θ-baseline, the one-signal latch, the
-//!   δ-counts and the route cache; under sliding windows the superseded
-//!   table is retained while panes it routed are in the lookback;
-//! * a **δ-refresh** — the same partitions plus single pairs, a superset of
-//!   the table it replaces — only swaps the table and drops the route
-//!   cache. The baseline survives: a degraded pane is compared against the
-//!   quality measured right after the partitions were created (§VI-A), not
-//!   against one taken after the last refresh.
-//!
-//! A pane that had already routed documents when a rebuild arrived mixes
-//! two routings: it neither becomes the baseline nor is tested against one.
+//! Every deploy is a rebuild: it resets the θ-baseline, the one-signal
+//! latch and the route cache; under sliding windows the superseded table
+//! is retained while panes it routed are in the lookback. A pane that had
+//! already routed documents when a rebuild arrived mixes two routings: it
+//! neither becomes the baseline nor is tested against one.
 
 use crate::config::StreamJoinConfig;
-use crate::msg::{Control, Msg, PaneRouting, TableMsg};
+use crate::msg::{Msg, PaneRouting, TableMsg};
 use ssj_json::{AvpId, Dictionary, Document};
 use ssj_partition::{
-    fingerprint_view, RepartitionPolicy, RouteScratch, RoutingStats, UnseenTracker, WindowQuality,
+    fingerprint_view, home_bit, PartitionTable, RepartitionPolicy, RouteScratch, RoutingStats,
+    WindowQuality,
 };
-use ssj_runtime::{Bolt, Outbox, TaskInfo, TaskInstruments, TraceKind};
+use ssj_runtime::{Bolt, Outbox, TaskInstruments, TraceKind};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One pane's routing counts.
 #[derive(Debug, Clone)]
 pub struct PaneCounts {
-    /// Documents routed, copies sent per joiner, broadcasts.
+    /// Documents routed, copies sent per joiner, homed documents.
     pub stats: RoutingStats,
     /// Routes answered by the fingerprint cache.
     pub routes_cached: usize,
-    /// Views routed against a table that missed the cache.
+    /// Views routed against the tables that missed the cache.
     pub cache_misses: usize,
 }
 
@@ -56,7 +52,7 @@ impl PaneCounts {
             stats: RoutingStats {
                 per_machine: vec![0; m],
                 total_sends: 0,
-                broadcasts: 0,
+                homed: 0,
                 docs: 0,
             },
             routes_cached: 0,
@@ -72,9 +68,6 @@ pub struct PaneClose {
     pub quality: WindowQuality,
     /// Quality degraded past θ against the baseline: ask for a rebuild.
     pub signal: bool,
-    /// Pairs the table does not know that reached their δ-th sighting in
-    /// the pane: ask the Merger to add them.
-    pub requests: Vec<AvpId>,
     /// The pane's routing counts.
     pub counts: PaneCounts,
 }
@@ -82,19 +75,22 @@ pub struct PaneClose {
 /// The Assigner's routing and adaptation state.
 pub struct Router {
     m: usize,
+    /// Every joiner's bit.
+    all: u64,
     /// `panes_per_window`: how long a superseded table keeps routing.
     lookback: u64,
-    current: Option<Arc<TableMsg>>,
+    /// The deployed table; an empty one, which homes every pair, before the
+    /// first deploy.
+    current: Arc<TableMsg>,
     /// Sliding windows only: tables superseded by a rebuild while some pane
     /// they routed is still inside the lookback, tagged with the last pane
-    /// they were current in. The current table alone governs the broadcast
-    /// / unknown-pair / δ decisions; retained tables contribute *extra*
-    /// route targets, which is what makes pane-spanning pairs exact
-    /// (DESIGN.md §4g). Empty for tumbling windows.
+    /// they were current in. The current table alone decides whether a
+    /// document was homed; a retained table adds its masks or homes, which
+    /// is what makes pane-spanning pairs exact (DESIGN.md §4g). Empty for
+    /// tumbling windows.
     retired: VecDeque<(Arc<TableMsg>, u64)>,
     /// The pane being routed (= panes closed so far).
     pane: u64,
-    unseen: UnseenTracker,
     policy: RepartitionPolicy,
     /// Quality of the first pane fully routed with the current build — the
     /// §VI-A baseline the θ-threshold compares against.
@@ -110,19 +106,23 @@ pub struct Router {
     /// Reusable view buffer (the pairs of the document being routed).
     view_buf: Vec<AvpId>,
     counts: PaneCounts,
-    requests: Vec<AvpId>,
 }
 
 impl Router {
-    /// A router with no table yet: it broadcasts until the first deploy.
+    /// A router with an empty table: it homes every pair until the first
+    /// deploy.
     pub fn new(config: &StreamJoinConfig) -> Router {
         Router {
             m: config.m,
+            all: u64::MAX >> (64 - config.m),
             lookback: config.panes_per_window() as u64,
-            current: None,
+            current: Arc::new(TableMsg {
+                window: 0,
+                table: PartitionTable::empty(config.m),
+                expansion: None,
+            }),
             retired: VecDeque::new(),
             pane: 0,
-            unseen: UnseenTracker::new(config.delta),
             policy: RepartitionPolicy::new(config.theta),
             baseline: None,
             table_fresh: false,
@@ -130,42 +130,32 @@ impl Router {
             scratch: RouteScratch::new(),
             view_buf: Vec::new(),
             counts: PaneCounts::new(config.m),
-            requests: Vec::new(),
         }
     }
 
-    /// Deploy a table from the Merger: a rebuild or a δ-refresh (module
-    /// docs).
+    /// Deploy a table the Merger rebuilt (module docs).
     pub fn deploy(&mut self, table: Arc<TableMsg>) {
-        let rebuild = self
-            .current
-            .as_ref()
-            .is_none_or(|t| t.window != table.window);
-        if rebuild {
-            if self.lookback > 1 {
-                if let Some(old) = self.current.take() {
-                    self.retired.push_back((old, self.pane));
-                }
-            }
-            self.unseen.reset();
-            self.baseline = None;
-            self.signalled = false;
-            self.table_fresh = self.counts.stats.docs > 0;
+        let old = std::mem::replace(&mut self.current, table);
+        if self.lookback > 1 {
+            self.retired.push_back((old, self.pane));
         }
-        self.current = Some(table);
+        self.baseline = None;
+        self.signalled = false;
+        self.table_fresh = self.counts.stats.docs > 0;
         // Cached routes reference the old table.
         self.scratch.invalidate_cache();
     }
 
-    /// Route one document: its joiners, or `None` to broadcast it (no table
-    /// yet, expansion failed, a pair the table does not know, or nothing
-    /// matched). An unknown pair's δ-th sighting becomes a request.
-    pub fn route(&mut self, doc: &Document, dict: &Dictionary) -> Option<&[u32]> {
+    /// Route one document: the mask of the joiners it goes to — each view
+    /// pair's partitions or home under the current table and every
+    /// retained one ([`PartitionTable::route_mask`]). Zero only for a
+    /// document without pairs, which joins nothing.
+    pub fn route(&mut self, doc: &Document, dict: &Dictionary) -> u64 {
         let c = &mut self.counts;
         c.stats.docs += 1;
         // Build the routing view into the reusable buffer (no allocation
         // once the buffer has warmed up).
-        let have_view = match self.current.as_ref().and_then(|t| t.expansion.as_ref()) {
+        let have_view = match &self.current.expansion {
             Some(e) => e.view_cached(doc, dict, &mut self.view_buf, &mut self.scratch),
             None => {
                 self.view_buf.clear();
@@ -173,69 +163,43 @@ impl Router {
                 true
             }
         };
-        let matched = match &self.current {
-            Some(t) if have_view => {
-                // One u64 OR per pair, where a zero pair mask doubles as the
-                // unknown-pair test. Repeated view shapes hit the fingerprint
-                // cache and skip the table walk entirely; only fully known
-                // views are cached, so δ-tracking sees every unknown pair.
-                let fp = fingerprint_view(self.view_buf.iter().copied());
-                if let Some(mask) = self.scratch.cache_get(fp) {
-                    c.routes_cached += 1;
-                    self.scratch.set_targets_from_mask(mask);
-                    true
-                } else {
-                    c.cache_misses += 1;
-                    let mut mask = 0u64;
-                    let mut unknown = false;
-                    let first = self.requests.len();
-                    for &avp in &self.view_buf {
-                        let am = t.table.avp_mask(avp);
-                        if am == 0 {
-                            unknown = true;
-                            if self.unseen.observe(avp) {
-                                self.requests.push(avp);
-                            }
-                        }
-                        mask |= am;
-                    }
-                    // One document's requests by attribute name (one pair
-                    // each), not in this process's id order: the Merger
-                    // places them in the order they arrive.
-                    if self.requests.len() > first + 1 {
-                        self.requests[first..]
-                            .sort_by_cached_key(|&a| dict.attr_name(dict.avp_attr(a)));
-                    }
-                    if unknown || mask == 0 {
-                        false
-                    } else {
-                        // Retained pane tables (sliding only) add targets so
-                        // a pane-spanning pair meets wherever its earlier
-                        // document was routed; they never influence the
-                        // broadcast/unknown decision above.
-                        for (rt, _) in &self.retired {
-                            mask |= rt.table.view_mask(&self.view_buf);
-                        }
-                        self.scratch.cache_put(fp, mask);
-                        self.scratch.set_targets_from_mask(mask);
-                        true
-                    }
-                }
-            }
-            _ => false,
-        };
-        if matched {
-            for &p in self.scratch.targets() {
-                c.stats.per_machine[p as usize] += 1;
-            }
-            c.stats.total_sends += self.scratch.targets().len();
-            Some(self.scratch.targets())
+        let (mask, homed) = if !have_view {
+            // A chained attribute is missing, so there is no §VI-B view. The
+            // document can still join an expanded one through any synthetic
+            // pair that carries its value, so no single home covers it: it
+            // goes to every joiner.
+            (self.all, true)
         } else {
-            c.stats.broadcasts += 1;
-            c.stats.per_machine.iter_mut().for_each(|n| *n += 1);
-            c.stats.total_sends += self.m;
-            None
+            let fp = fingerprint_view(self.view_buf.iter().copied());
+            if let Some(hit) = self.scratch.cache_get(fp) {
+                c.routes_cached += 1;
+                hit
+            } else {
+                c.cache_misses += 1;
+                let m = self.m;
+                // One shared acquisition of the dictionary, at the first
+                // pair some table does not know.
+                let mut hashes = None;
+                let mut home = |avp| {
+                    let hashes = hashes.get_or_insert_with(|| dict.content_hashes());
+                    home_bit(hashes.of(avp), m)
+                };
+                let (mut mask, homed) = self.current.table.route_mask(&self.view_buf, &mut home);
+                for (rt, _) in &self.retired {
+                    mask |= rt.table.route_mask(&self.view_buf, &mut home).0;
+                }
+                self.scratch.cache_put(fp, mask, homed);
+                (mask, homed)
+            }
+        };
+        c.stats.homed += homed as usize;
+        c.stats.total_sends += mask.count_ones() as usize;
+        let mut rest = mask;
+        while rest != 0 {
+            c.stats.per_machine[rest.trailing_zeros() as usize] += 1;
+            rest &= rest - 1;
         }
+        mask
     }
 
     /// Close pane `pane`: measure it, test it against the θ-baseline (or
@@ -276,20 +240,17 @@ impl Router {
             quality,
             signal,
             counts,
-            requests: std::mem::take(&mut self.requests),
         }
     }
 }
 
 /// Assigner bolt (§III-A component 3): routes each document to the Joiners
-/// its [`Router`] names — all of them when it names none — as a
-/// [`Msg::Copy`] that carries that target set, and, as it
-/// closes a pane, sends the Reporter the pane's counts with the router's
-/// δ-update requests and θ signal. It ignores the reader's broadcasts.
+/// its [`Router`] names, as a [`Msg::Copy`] that carries that target set,
+/// and, as it closes a pane, sends the Reporter the pane's counts with the
+/// router's θ signal. It ignores the reader's broadcasts.
 pub struct Assigner {
     dict: Dictionary,
     router: Router,
-    task: usize,
     inst: Option<Arc<TaskInstruments>>,
 }
 
@@ -299,7 +260,6 @@ impl Assigner {
         Assigner {
             router: Router::new(&config),
             dict,
-            task: 0,
             inst: None,
         }
     }
@@ -310,19 +270,12 @@ impl Bolt<Msg> for Assigner {
         self.inst = Some(Arc::clone(inst));
     }
 
-    fn prepare(&mut self, info: &TaskInfo) {
-        self.task = info.task_index;
-    }
-
     fn execute(&mut self, msg: Msg, out: &mut Outbox<Msg>) {
         match msg {
             Msg::Doc(doc) => {
                 // Every copy carries the whole target set: the joiners find
                 // each pair once by it (the owner rule, `crate::joiner`).
-                let targets = match self.router.route(&doc, &self.dict) {
-                    Some(targets) => targets.iter().fold(0, |mask, &p| mask | 1u64 << p),
-                    None => u64::MAX >> (64 - self.router.m),
-                };
+                let targets = self.router.route(&doc, &self.dict);
                 let mut rest = targets;
                 while rest != 0 {
                     let p = rest.trailing_zeros() as usize;
@@ -338,29 +291,20 @@ impl Bolt<Msg> for Assigner {
 
     fn on_punct(&mut self, window: u64, out: &mut Outbox<Msg>) {
         let close = self.router.close_pane(window);
-        let requests = close.requests.len();
         let c = &close.counts;
         out.emit(Msg::Routing {
             window,
             routing: PaneRouting {
                 docs: c.stats.docs,
                 copies: c.stats.total_sends,
-                broadcasts: c.stats.broadcasts,
+                homed: c.stats.homed,
                 ..PaneRouting::default()
             },
-            control: Some(Box::new((
-                self.task,
-                Control {
-                    requests: close.requests,
-                    repartition: close.signal,
-                },
-            ))),
+            repartition: close.signal,
         });
         if let Some(inst) = &self.inst {
             inst.counter("routed_sends").add(c.stats.total_sends as u64);
-            inst.counter("broadcast_docs")
-                .add(c.stats.broadcasts as u64);
-            inst.counter("update_requests").add(requests as u64);
+            inst.counter("homed_docs").add(c.stats.homed as u64);
             inst.counter("routes_cached").add(c.routes_cached as u64);
             inst.counter("route_cache_misses")
                 .add(c.cache_misses as u64);
@@ -419,27 +363,66 @@ mod tests {
         r.close_pane(pane)
     }
 
+    /// The home of pair `v`.
+    fn home(dict: &Dictionary, v: u64) -> u64 {
+        home_bit(dict.content_hashes().of(avp(dict, v)), M)
+    }
+
     #[test]
-    fn the_baseline_survives_a_delta_refresh() {
+    fn a_pair_the_table_does_not_know_goes_to_its_home() {
         let dict = Dictionary::new();
         let mut r = Router::new(&config());
+        // Before the first deploy the table is empty: everything is homed.
+        assert_eq!(r.route(&doc(&dict, 1), &dict), home(&dict, 1));
         r.deploy(table(&dict, 0, 2));
-        // Pane 0 sets the baseline: one copy per document.
-        assert!(!pane(&mut r, &dict, 0, 1, 8).signal);
-        // Pane 1 meets a new pair: every copy is a broadcast, and its δ-th
-        // sighting is requested with the pane's close.
-        for _ in 0..8 {
-            assert!(r.route(&doc(&dict, 7), &dict).is_none());
-        }
-        // A refresh (same build window) that arrives before the pane closes
-        // does not wipe the baseline the pane is measured against.
-        r.deploy(table(&dict, 0, 3));
-        let close = r.close_pane(1);
-        assert_eq!(close.counts.stats.broadcasts, 8);
-        assert_eq!(close.requests, vec![avp(&dict, 7)]);
-        assert!(close.signal, "a δ-refresh swallowed the θ signal");
-        // The refreshed table routes what it added.
-        assert!(r.route(&doc(&dict, 2), &dict).is_some());
+        assert_eq!(r.route(&doc(&dict, 1), &dict), 1);
+        // A known pair and an unknown one: the partition and the home; the
+        // repeat is the route cache's, and it is still counted as homed.
+        let two = Document::from_json(DocId(9), r#"{"k":"v1","j":"v7"}"#, &dict).unwrap();
+        let seven = home_bit(dict.content_hashes().of(two.avps().nth(1).unwrap()), M);
+        assert_eq!(r.route(&two, &dict), 1 | seven);
+        assert_eq!(r.route(&two, &dict), 1 | seven);
+        let close = r.close_pane(0);
+        assert_eq!(
+            (
+                close.counts.stats.docs,
+                close.counts.stats.homed,
+                close.counts.routes_cached
+            ),
+            (4, 3, 1)
+        );
+        assert_eq!(
+            close.counts.stats.total_sends,
+            2 + 2 * (1 | seven).count_ones() as usize
+        );
+    }
+
+    #[test]
+    fn a_retained_table_adds_its_masks_or_homes() {
+        let dict = Dictionary::new();
+        let sliding = StreamJoinConfig::default()
+            .with_m(M)
+            .with_window_spec(crate::WindowSpec::sliding(4, 2))
+            .with_expansion(false)
+            .build()
+            .unwrap();
+        let mut r = Router::new(&sliding);
+        // Pane 0 is homed by the empty bootstrap table, which the rebuild
+        // at its boundary retains for pane 1: a pair homed in pane 0 and
+        // known to the new table meets its pane-0 partner at the home.
+        assert_eq!(r.route(&doc(&dict, 3), &dict), home(&dict, 3));
+        r.close_pane(0);
+        let mut t = PartitionTable::empty(M);
+        t.add_avp(2, avp(&dict, 3));
+        r.deploy(Arc::new(TableMsg {
+            window: 0,
+            table: t,
+            expansion: None,
+        }));
+        assert_eq!(r.route(&doc(&dict, 3), &dict), 1 << 2 | home(&dict, 3));
+        // Once pane 0 leaves the lookback, the empty table goes with it.
+        r.close_pane(1);
+        assert_eq!(r.route(&doc(&dict, 3), &dict), 1 << 2);
     }
 
     #[test]
@@ -449,11 +432,11 @@ mod tests {
         r.deploy(table(&dict, 0, 2));
         assert!(!pane(&mut r, &dict, 0, 1, 8).signal);
         // A rebuild at window 1 between panes: the next pane is the new
-        // baseline, so a broadcast pane after the rebuild is not compared
+        // baseline, so a homed pane after the rebuild is not compared
         // with the old build's quality…
         r.deploy(table(&dict, 1, 2));
         assert!(!pane(&mut r, &dict, 1, 9, 8).signal);
-        // …and neither a routed nor a broadcast pane degrades from it.
+        // …and neither a routed nor a homed pane degrades from it.
         assert!(!pane(&mut r, &dict, 2, 1, 8).signal);
         assert!(!pane(&mut r, &dict, 3, 9, 8).signal);
     }
@@ -462,18 +445,18 @@ mod tests {
     fn table_fresh_only_on_a_straddled_pane() {
         let dict = Dictionary::new();
         let mut r = Router::new(&config());
-        // The bootstrap arrives after pane 0 routed (broadcast) documents:
-        // pane 0 is no baseline, so a broadcast pane 1 becomes it and a
-        // routed pane 2 cannot degrade from it.
+        // The bootstrap arrives after pane 0 routed (homed) documents:
+        // pane 0 is no baseline, so a homed pane 1 becomes it and a routed
+        // pane 2 cannot degrade from it.
         for _ in 0..8 {
-            assert!(r.route(&doc(&dict, 1), &dict).is_none());
+            r.route(&doc(&dict, 1), &dict);
         }
         r.deploy(table(&dict, 0, 2));
         assert!(!r.close_pane(0).signal);
         assert!(!pane(&mut r, &dict, 1, 9, 8).signal);
         assert!(!pane(&mut r, &dict, 2, 1, 8).signal);
         // A rebuild deployed into an empty pane leaves that pane whole: it
-        // is the baseline, and the broadcast pane after it signals.
+        // is the baseline, and the homed pane after it signals.
         r.deploy(table(&dict, 3, 2));
         assert!(!pane(&mut r, &dict, 3, 1, 8).signal);
         assert!(pane(&mut r, &dict, 4, 9, 8).signal);
@@ -486,9 +469,8 @@ mod tests {
         r.deploy(table(&dict, 0, 2));
         assert!(!pane(&mut r, &dict, 0, 1, 8).signal);
         assert!(pane(&mut r, &dict, 1, 9, 8).signal);
-        // Still degraded, refreshed or not: no second signal.
+        // Still degraded: no second signal.
         assert!(!pane(&mut r, &dict, 2, 9, 8).signal);
-        r.deploy(table(&dict, 0, 3));
         assert!(!pane(&mut r, &dict, 3, 8, 8).signal);
         // A rebuild rearms it.
         r.deploy(table(&dict, 4, 2));

@@ -5,7 +5,8 @@ use ssj_partition::{PartitionerKind, MAX_PARTITIONS};
 use std::fmt;
 
 /// All tunables of the topology, with the paper's defaults
-/// (`m = 8`, `w = 6`, `θ = 0.2`, `δ = 3`, six Assigners).
+/// (`m = 8`, `w = 6`, `θ = 0.2`, six Assigners). The paper's δ-updates
+/// are gone: a pair the table does not know is routed to its hash home.
 ///
 /// Construct via the builder — `StreamJoinConfig::default().with_m(4)`
 /// starts a [`ConfigBuilder`], and every chain terminates in
@@ -26,8 +27,6 @@ pub struct StreamJoinConfig {
     pub window: WindowSpec,
     /// Repartitioning threshold `θ` (§VI-A).
     pub theta: f64,
-    /// Unseen-pair update threshold `δ` (§VI-A).
-    pub delta: u32,
     /// Partitioning algorithm (AG / SC / DS / hash). AG builds local groups
     /// at the creators; the others build centrally at the Merger. Only the
     /// figures and `ssj pipeline` choose it: `ssj run` always uses AG.
@@ -64,7 +63,6 @@ impl Default for StreamJoinConfig {
             m: 8,
             window: WindowSpec::tumbling(6_000),
             theta: 0.2,
-            delta: 3,
             partitioner: PartitionerKind::Ag,
             expansion: true,
             partition_creators: 2,
@@ -176,8 +174,6 @@ macro_rules! builder_setters {
             with_window_spec(window: WindowSpec);
             /// Override the repartitioning threshold `θ`.
             with_theta(theta: f64);
-            /// Override the unseen-pair update threshold `δ`.
-            with_delta(delta: u32);
             /// Override the partitioning algorithm.
             with_partitioner(partitioner: PartitionerKind);
             /// Override attribute-value expansion.
@@ -284,7 +280,6 @@ mod tests {
     fn defaults_match_paper() {
         let c = StreamJoinConfig::default();
         assert_eq!(c.m, 8);
-        assert_eq!(c.delta, 3);
         assert!((c.theta - 0.2).abs() < 1e-12);
         assert_eq!(c.assigners, 6);
         assert!(!c.metrics);
@@ -297,7 +292,6 @@ mod tests {
             .with_m(20)
             .with_window_spec(WindowSpec::tumbling(3000))
             .with_theta(0.6)
-            .with_delta(5)
             .with_partitioner(PartitionerKind::Ds)
             .with_expansion(false)
             .with_partition_creators(3)
@@ -308,7 +302,6 @@ mod tests {
         assert_eq!(c.m, 20);
         assert_eq!(c.window_docs(), 3000);
         assert!((c.theta - 0.6).abs() < 1e-12);
-        assert_eq!(c.delta, 5);
         assert_eq!(c.partitioner, PartitionerKind::Ds);
         assert!(!c.expansion);
         assert_eq!(c.partition_creators, 3);

@@ -62,7 +62,7 @@ pub mod window;
 pub mod wire;
 
 pub use config::{ConfigBuilder, ConfigError, StreamJoinConfig};
-pub use msg::{Control, Msg, PaneRouting, TableMsg};
+pub use msg::{Msg, PaneRouting, TableMsg};
 pub use reader::{Reader, READER_LEAD};
 pub use spill::{SpillSettings, SpillStore};
 pub use ssj_join::{WindowError, WindowSpec};

@@ -1,10 +1,7 @@
-//! The Merger bolt of the Fig. 2 topology (§IV-A consolidation, §VI-A
-//! updates): consolidates local groups into the global partitions (subset
-//! merging + duplicate elimination + greedy placement) and broadcasts the
-//! table, with the §VI-B chain the reader decided for the build, to the
-//! Assigners; applies the δ-update requests the reader broadcast at the
-//! start of the pane (creator 0 forwards both) and broadcasts the refreshed
-//! table at the pane's boundary.
+//! The Merger bolt of the Fig. 2 topology (§IV-A consolidation):
+//! consolidates local groups into the global partitions (subset merging +
+//! duplicate elimination + greedy placement) and broadcasts the table, with
+//! the §VI-B chain the reader decided for the build, to the Assigners.
 
 use crate::config::StreamJoinConfig;
 use crate::msg::{Msg, PaneRouting, TableMsg};
@@ -15,20 +12,7 @@ use ssj_partition::{
 use ssj_runtime::{Bolt, Outbox, TaskInfo, TaskInstruments, TraceKind};
 use std::sync::Arc;
 
-/// The [`Merger`]'s cross-window state.
-#[derive(Default)]
-struct MergerState {
-    /// The last table broadcast. A δ-refresh repeats its window id, the
-    /// window the partitions were built at ([`TableMsg::window`]).
-    deployed: Option<Arc<TableMsg>>,
-    /// The δ-updates applied since, to a copy of the deployed table taken
-    /// at the first of them. They arrive at the start of the pane whose
-    /// boundary broadcasts the refresh; the flat table keeps the copy at
-    /// O(m) allocations.
-    updated: Option<PartitionTable>,
-}
-
-/// Merger bolt (§IV-A consolidation + §VI-A updates). Exactly one instance.
+/// Merger bolt (§IV-A consolidation). Exactly one instance.
 ///
 /// Creators send their share only on windows where a (re)computation was
 /// requested, so the Merger rebuilds exactly when a share arrived. Under AG
@@ -47,7 +31,8 @@ pub struct Merger {
     expansion: Option<Arc<Expansion>>,
     /// Documents received for the current window (centralized builds).
     docs: Vec<DocRef>,
-    state: MergerState,
+    /// A table was built already: the next one is a rebuild.
+    built: bool,
     inst: Option<Arc<TaskInstruments>>,
 }
 
@@ -55,7 +40,7 @@ impl Merger {
     /// The single Merger task.
     pub fn new(config: StreamJoinConfig, dict: Dictionary) -> Self {
         Merger {
-            state: MergerState::default(),
+            built: false,
             pending: Vec::new(),
             expansion: None,
             docs: Vec::new(),
@@ -107,55 +92,22 @@ impl Bolt<Msg> for Merger {
             } => self.pending.push((creator, groups)),
             Msg::Repartition(expansion) => self.expansion = expansion,
             Msg::Doc(doc) => self.docs.push(doc),
-            Msg::UpdateRequest(avps) => {
-                let s = &mut self.state;
-                let Some(deployed) = &s.deployed else { return };
-                if avps.iter().all(|&a| deployed.table.avp_mask(a) != 0) {
-                    return;
-                }
-                let table = s.updated.get_or_insert_with(|| deployed.table.clone());
-                let applied = avps.into_iter().filter(|&a| table.apply_update(a)).count();
-                if let Some(inst) = &self.inst {
-                    inst.counter("delta_updates").add(applied as u64);
-                }
-            }
             _ => {}
         }
     }
 
-    /// A rebuild when a share arrived, else a δ-refresh when updates did;
-    /// either way the boundary's counts go to the Reporter.
+    /// A build when a share arrived; either way the boundary's counts go
+    /// to the Reporter.
     fn on_punct(&mut self, window: u64, out: &mut Outbox<Msg>) {
-        let built = self.build();
-        let s = &mut self.state;
         let mut routing = PaneRouting::default();
-        let table = if let Some(table) = built {
+        if let Some(table) = self.build() {
             // The bootstrap build is not a repartition.
-            routing.rebuilt = s.deployed.is_some();
-            s.updated = None;
-            Some(TableMsg {
+            routing.rebuilt = std::mem::replace(&mut self.built, true);
+            out.emit(Msg::Table(Arc::new(TableMsg {
                 window,
                 table,
                 expansion: self.expansion.as_deref().cloned(),
-            })
-        } else if let Some(table) = s.updated.take() {
-            let last = s
-                .deployed
-                .as_ref()
-                .expect("updates follow a deployed table");
-            routing.updates = table.pair_count() - last.table.pair_count();
-            Some(TableMsg {
-                window: last.window,
-                table,
-                expansion: last.expansion.clone(),
-            })
-        } else {
-            None
-        };
-        if let Some(table) = table {
-            let table = Arc::new(table);
-            s.deployed = Some(Arc::clone(&table));
-            out.emit(Msg::Table(table));
+            })));
             if let Some(inst) = &self.inst {
                 inst.counter("table_broadcasts").inc();
                 inst.trace(TraceKind::Table, window, std::time::Duration::ZERO);
@@ -164,7 +116,7 @@ impl Bolt<Msg> for Merger {
         out.emit(Msg::Routing {
             window,
             routing,
-            control: None,
+            repartition: false,
         });
     }
 }

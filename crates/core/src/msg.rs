@@ -1,6 +1,6 @@
 //! The tuple type flowing through the Fig. 2 topology.
 
-use ssj_json::{AvpId, DocId, DocRef};
+use ssj_json::{DocId, DocRef};
 use ssj_partition::{AssociationGroup, Expansion, PartitionTable, RoutingStats, WindowQuality};
 use std::sync::Arc;
 
@@ -12,8 +12,7 @@ pub enum Msg {
     /// A schema-free document from the JsonReader.
     Doc(DocRef),
     /// One routed copy of a document, Assigner → Joiner: `targets` is the
-    /// set of joiners this copy was sent to (bit `j` ⇔ joiner `j`, all `m`
-    /// bits for a broadcast). A pair found on several joiners is reported
+    /// set of joiners this copy was sent to (bit `j` ⇔ joiner `j`). A pair found on several joiners is reported
     /// only by the lowest joiner both documents reached (the owner rule,
     /// [`crate::joiner`]).
     Copy {
@@ -35,11 +34,8 @@ pub enum Msg {
     },
     /// The consolidated partition table broadcast by the Merger.
     Table(Arc<TableMsg>),
-    /// The reader, as it begins a pane, passing on [`Control::requests`]
-    /// (never empty); creator 0 forwards it to the Merger.
-    UpdateRequest(Vec<AvpId>),
     /// The reader, as it begins a pane the creators build at (the attempt's
-    /// first, or one after [`Control::repartition`]): the §VI-B chain it
+    /// first, or one after a θ signal): the §VI-B chain it
     /// detected over that pane, if any; creator 0 forwards it to the Merger.
     Repartition(Option<Arc<Expansion>>),
     /// One pane's routing counts for the Reporter: an Assigner's as it
@@ -49,10 +45,10 @@ pub enum Msg {
         window: u64,
         /// The sender's share of the pane's counts.
         routing: PaneRouting,
-        /// An Assigner's task index and what its pane asks of the control
-        /// plane; `None` from the Merger. Boxed, so that a `Msg` — every
-        /// document in a batch is one — stays as small as before.
-        control: Option<Box<(usize, Control)>>,
+        /// An Assigner's θ signal: quality degraded past θ, so recompute
+        /// the partitions (DESIGN.md §4 "Control plane"). Never the
+        /// Merger's.
+        repartition: bool,
     },
     /// One Joiner's results for one window.
     JoinStats {
@@ -71,8 +67,8 @@ pub enum Msg {
 /// The Merger's broadcast: the deployed table and the active expansion.
 #[derive(Debug)]
 pub struct TableMsg {
-    /// Window id the partitions were built at. A δ-refresh repeats its
-    /// build's id, so a new id means a rebuild ([`crate::assign`]).
+    /// Window id the partitions were built at. Every deployed table is a
+    /// rebuild ([`crate::assign`]).
     pub window: u64,
     /// The partition table.
     pub table: PartitionTable,
@@ -80,46 +76,21 @@ pub struct TableMsg {
     pub expansion: Option<Expansion>,
 }
 
-/// What a pane asks of the §VI-A control plane, which its credit carries
-/// back to the reader (DESIGN.md §4 "Control plane").
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Control {
-    /// δ-frequent pairs the deployed table does not know, in request order.
-    pub requests: Vec<AvpId>,
-    /// Quality degraded past θ: recompute the partitions.
-    pub repartition: bool,
-}
-
-impl Control {
-    /// Every Assigner's `(task, control)` of a pane as one: the requests
-    /// concatenated in task order, the signals OR-ed.
-    pub(crate) fn merge(mut parts: Vec<(usize, Control)>) -> Control {
-        parts.sort_unstable_by_key(|part| part.0);
-        let repartition = parts.iter().any(|(_, c)| c.repartition);
-        let requests = parts.into_iter().flat_map(|(_, c)| c.requests).collect();
-        Control {
-            requests,
-            repartition,
-        }
-    }
-}
-
 /// What routing did to one pane. The Reporter sums the Assigners' closes
-/// (documents, copies, broadcasts) and the Merger's boundary (rebuild,
-/// δ-updates) into `WindowResult::routing`.
+/// (documents, copies, homed documents) and the Merger's boundary
+/// (rebuild) into `WindowResult::routing`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PaneRouting {
     /// Documents routed.
     pub docs: usize,
     /// Copies sent to the joiners.
     pub copies: usize,
-    /// Documents broadcast to every joiner.
-    pub broadcasts: usize,
+    /// Documents with a pair the table did not know, or with no §VI-B
+    /// view.
+    pub homed: usize,
     /// The Merger rebuilt the partitions at this pane's boundary after a θ
     /// signal (never the bootstrap build).
     pub rebuilt: bool,
-    /// δ-updates the Merger applied at this pane's boundary.
-    pub updates: usize,
 }
 
 impl PaneRouting {
@@ -128,7 +99,7 @@ impl PaneRouting {
         WindowQuality::from_stats(&RoutingStats {
             per_machine: docs_per_joiner.to_vec(),
             total_sends: self.copies,
-            broadcasts: self.broadcasts,
+            homed: self.homed,
             docs: self.docs,
         })
     }
@@ -138,9 +109,8 @@ impl std::ops::AddAssign for PaneRouting {
     fn add_assign(&mut self, other: PaneRouting) {
         self.docs += other.docs;
         self.copies += other.copies;
-        self.broadcasts += other.broadcasts;
+        self.homed += other.homed;
         self.rebuilt |= other.rebuilt;
-        self.updates += other.updates;
     }
 }
 
@@ -160,7 +130,6 @@ impl std::fmt::Debug for Msg {
                 groups.len()
             ),
             Msg::Table(t) => write!(f, "Table(w={})", t.window),
-            Msg::UpdateRequest(avps) => write!(f, "UpdateRequest(n={})", avps.len()),
             Msg::Repartition(e) => write!(f, "Repartition(expansion={})", e.is_some()),
             Msg::Routing {
                 window, routing, ..

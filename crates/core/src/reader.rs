@@ -4,14 +4,14 @@
 //! credit per pane — whatever the source (DESIGN.md §7 "Backpressure").
 //!
 //! The credit is the control plane too (DESIGN.md §4 "Control plane"): pane
-//! `k`'s credit carries the pane's [`Control`], which the reader broadcasts
-//! as it begins pane `k + L` (`L` its lead), whatever the threads' timing.
+//! `k`'s credit carries the pane's θ signal, and the reader begins pane
+//! `k + L` (`L` its lead) as a build on it, whatever the threads' timing.
 //! As it begins a pane the creators build at — the attempt's first, or one
 //! with a θ signal — it holds the whole pane, so it decides §VI-B's chain
 //! there, once, and broadcasts it as [`Msg::Repartition`].
 
 use crate::config::StreamJoinConfig;
-use crate::msg::{Control, Msg};
+use crate::msg::Msg;
 use parking_lot::Mutex;
 use ssj_json::{Dictionary, DocRef, DocumentReader};
 use ssj_partition::Expansion;
@@ -37,8 +37,7 @@ pub enum Reader {
     Paced(Vec<DocRef>, Vec<u64>),
     /// One pane per inner `Vec`, whatever its length, at a lead of 1: pane
     /// `p + 1` is read once pane `p` has reached the sink, so the θ signal
-    /// and δ-requests of pane `p` act at boundary `p + 1` — §VI-A's "next
-    /// window".
+    /// of pane `p` acts at boundary `p + 1` — §VI-A's "next window".
     Lockstep(Vec<Vec<DocRef>>),
     /// A JSON Lines file streamed into the run's dictionary, with ids `0, 1,
     /// …` in file order. A bad line or a read error ends the stream before
@@ -99,7 +98,7 @@ impl Reader {
         let spout = ReaderSpout {
             panes,
             pane: None,
-            control: Vec::new(),
+            control: None,
             expand: config.expansion.then(|| (dict.clone(), config.m)),
             credit,
             lead: self.lead() as u64,
@@ -152,14 +151,15 @@ pub(crate) struct ReaderSpout {
     panes: Panes,
     /// The rest of the pane being read, if one is.
     pane: Option<std::vec::IntoIter<DocRef>>,
-    /// The control messages still to broadcast before the pane's documents.
-    control: Vec<Msg>,
+    /// The build's [`Msg::Repartition`], still to broadcast before the
+    /// pane's documents.
+    control: Option<Msg>,
     /// With expansion on: the run's dictionary and `m`, to detect a build
     /// pane's chain.
     expand: Option<(Dictionary, usize)>,
-    /// One credit per pane the sink got, in pane order, with the pane's
-    /// control; disconnected once no Reporter is left to grant one.
-    credit: mpsc::Receiver<Control>,
+    /// One credit per pane the sink got, in pane order, with the pane's θ
+    /// signal; disconnected once no Reporter is left to grant one.
+    credit: mpsc::Receiver<bool>,
     /// Panes the reader may run ahead of the sink.
     lead: u64,
     /// Panes begun, read by the Reporter to report the lead.
@@ -175,7 +175,7 @@ pub(crate) struct ReaderSpout {
 
 impl Spout<Msg> for ReaderSpout {
     fn next(&mut self) -> SpoutEmit<Msg> {
-        if let Some(msg) = self.control.pop() {
+        if let Some(msg) = self.control.take() {
             return SpoutEmit::Broadcast(msg);
         }
         let begun = self.begun.load(Ordering::Relaxed);
@@ -202,19 +202,15 @@ impl Spout<Msg> for ReaderSpout {
             }
             Some(Ok(pane)) => pane,
         };
-        // Pane `begun` needs the credit of pane `begun - lead`, and begins
-        // with its control. The attempt's first pane is a build.
+        // Pane `begun` needs the credit of pane `begun - lead`, and is a
+        // build on its signal. The attempt's first pane is a build.
         let mut build = begun == 0;
         if begun >= self.lead {
-            let Ok(control) = self.credit.recv() else {
+            let Ok(repartition) = self.credit.recv() else {
                 // The sink side is gone: end the stream, the run reports why.
                 return SpoutEmit::Done;
             };
-            // Popped from the back: the signal goes first.
-            if !control.requests.is_empty() {
-                self.control.push(Msg::UpdateRequest(control.requests));
-            }
-            build = control.repartition;
+            build = repartition;
         }
         if build {
             // The chain's synthetic pairs get their ids here, in document
@@ -227,7 +223,7 @@ impl Spout<Msg> for ReaderSpout {
                 }
                 Some(Arc::new(chain))
             });
-            self.control.push(Msg::Repartition(chain));
+            self.control = Some(Msg::Repartition(chain));
         }
         self.begun.store(begun + 1, Ordering::Release);
         self.pane = Some(pane.into_iter());
@@ -237,18 +233,18 @@ impl Spout<Msg> for ReaderSpout {
 
 /// The Reporter's end of the credit loop: the grants' sender, the panes
 /// the reader began, the panes granted and the reader's largest lead.
-pub(crate) struct Credit(mpsc::Sender<Control>, Arc<AtomicU64>, u64, u64);
+pub(crate) struct Credit(mpsc::Sender<bool>, Arc<AtomicU64>, u64, u64);
 
 impl Credit {
-    /// A pane reached the sink: let the reader begin one more, and begin it
-    /// with the pane's `control`. Returns how many panes the reader's
+    /// A pane reached the sink: let the reader begin one more, a build if
+    /// the pane signalled `repartition`. Returns how many panes the reader's
     /// largest lead grew by; its lead only grows between grants, so it
     /// peaks just before one.
-    pub(crate) fn grant(&mut self, control: Control) -> u64 {
+    pub(crate) fn grant(&mut self, repartition: bool) -> u64 {
         let Credit(grants, begun, granted, largest) = self;
         let lead = begun.load(Ordering::Acquire) - *granted;
         *granted += 1;
-        let _ = grants.send(control);
+        let _ = grants.send(repartition);
         let grew = lead.saturating_sub(*largest);
         *largest += grew;
         grew
@@ -330,39 +326,30 @@ mod tests {
         assert!(out.is_empty() && failure.unwrap().starts_with("open "));
     }
 
-    /// Pane `k + lead` begins with pane `k`'s control, broadcast to every
-    /// downstream task before the pane's documents: the signal, then the
-    /// requests. A credit without control begins a pane with none.
+    /// Pane `k + lead` is a build exactly when pane `k`'s credit carried a
+    /// θ signal: it begins with a `Repartition`, broadcast to every
+    /// downstream task before the pane's documents.
     #[test]
-    fn a_pane_begins_with_the_control_of_the_pane_a_lead_before() {
+    fn a_pane_begins_with_the_signal_of_the_pane_a_lead_before() {
         let dict = Dictionary::new();
         let refs: Vec<DocRef> = (0..3u64)
             .map(|i| Arc::new(Document::from_json(DocId(i), r#"{"a":1}"#, &dict).unwrap()))
             .collect();
-        let avp = refs[0].avps().next().unwrap();
         let reader = Reader::Lockstep(refs.chunks(1).map(<[_]>::to_vec).collect());
         let (mut spout, credit) = reader.spout(0, &config(1, false), &dict);
         // The sink gets each pane as it is punctuated, and its credit
-        // carries the control the Assigners attached; then it is gone.
+        // carries the signal the Assigners attached; then it is gone.
         let mut credit = Some(credit);
-        let mut controls = [
-            Control {
-                requests: vec![avp, avp],
-                repartition: true,
-            },
-            Control::default(),
-        ]
-        .into_iter();
+        let mut signals = [true, false].into_iter();
         let mut out = String::new();
         loop {
             match spout.next() {
                 SpoutEmit::Message(Msg::Doc(doc)) => out += &doc.id().0.to_string(),
                 SpoutEmit::Broadcast(Msg::Repartition(None)) => out += "R",
-                SpoutEmit::Broadcast(Msg::UpdateRequest(r)) => out += &format!("U{}", r.len()),
                 SpoutEmit::Punctuate(_) => {
                     out += "|";
-                    match controls.next() {
-                        Some(control) => _ = credit.as_mut().unwrap().grant(control),
+                    match signals.next() {
+                        Some(signal) => _ = credit.as_mut().unwrap().grant(signal),
                         None => credit = None,
                     }
                 }
@@ -370,7 +357,7 @@ mod tests {
                 _ => panic!("unexpected emission"),
             }
         }
-        assert_eq!(out, "R0|RU21|2|");
+        assert_eq!(out, "R0|R1|2|");
     }
 
     /// With expansion on, the reader decides §VI-B's chain over the whole
@@ -421,12 +408,7 @@ mod tests {
                         pane += 1;
                         let repartition = signals.next().unwrap_or(false);
                         match credit.as_mut() {
-                            Some(c) if pane < panes.len() => {
-                                _ = c.grant(Control {
-                                    requests: Vec::new(),
-                                    repartition,
-                                })
-                            }
+                            Some(c) if pane < panes.len() => _ = c.grant(repartition),
                             _ => credit = None,
                         }
                     }

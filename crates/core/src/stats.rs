@@ -11,11 +11,12 @@ use crate::topology::WindowResult;
 use std::io::{self, Write};
 
 /// Column order shared by the CSV header and rows.
-const CSV_COLUMNS: &str = "window,replication,gini,max_processing_load,broadcast_fraction,repartitioned,updates,unique_join_pairs";
+const CSV_COLUMNS: &str =
+    "window,replication,gini,max_processing_load,homed_fraction,repartitioned,unique_join_pairs";
 
 /// Whole-run aggregates over a run's windows, fed one window at a time in
 /// window order. The means are over the windows routed with a table — all
-/// but the first, which is broadcast.
+/// but the first, which is routed by hash homes alone.
 #[derive(Debug, Clone, Default)]
 pub struct RunSummary {
     /// Windows seen.
@@ -119,7 +120,7 @@ impl<W: Write> ReportSink<W> {
         // Each pair is reported by one joiner, so the joiners' counts sum to
         // this.
         let unique = w.pairs.len();
-        let (rebuilt, updates) = (w.routing.rebuilt, w.routing.updates);
+        let rebuilt = w.routing.rebuilt;
         match self.format {
             Format::Csv => {
                 if first {
@@ -127,39 +128,40 @@ impl<W: Write> ReportSink<W> {
                 }
                 writeln!(
                     self.out,
-                    "{},{:.6},{:.6},{:.6},{:.6},{},{updates},{unique}",
+                    "{},{:.6},{:.6},{:.6},{:.6},{},{unique}",
                     w.window,
                     q.replication,
                     q.load_balance,
                     q.max_processing_load,
-                    q.broadcast_fraction,
+                    q.homed_fraction,
                     rebuilt as u8,
                 )
             }
             Format::Jsonl => writeln!(
                 self.out,
-                "{{\"window\":{},\"replication\":{:.6},\"gini\":{:.6},\"max_processing_load\":{:.6},\"broadcast_fraction\":{:.6},\"repartitioned\":{rebuilt},\"updates\":{updates},\"unique_join_pairs\":{unique}}}",
+                "{{\"window\":{},\"replication\":{:.6},\"gini\":{:.6},\"max_processing_load\":{:.6},\"homed_fraction\":{:.6},\"repartitioned\":{rebuilt},\"unique_join_pairs\":{unique}}}",
                 w.window,
                 q.replication,
                 q.load_balance,
                 q.max_processing_load,
-                q.broadcast_fraction,
+                q.homed_fraction,
             ),
             Format::Human => {
                 if first {
                     writeln!(
                         self.out,
                         "{:<7} {:>12} {:>8} {:>10} {:>8} {:>8} {:>10}",
-                        "window", "replication", "gini", "max load", "repart", "updates", "join pairs"
+                        "window", "replication", "gini", "max load", "homed", "repart", "join pairs"
                     )?;
                 }
                 writeln!(
                     self.out,
-                    "{:<7} {:>12.3} {:>8.3} {:>10.3} {:>8} {updates:>8} {unique:>10}",
+                    "{:<7} {:>12.3} {:>8.3} {:>10.3} {:>8.3} {:>8} {unique:>10}",
                     w.window,
                     q.replication,
                     q.load_balance,
                     q.max_processing_load,
+                    q.homed_fraction,
                     if rebuilt { "yes" } else { "-" },
                 )
             }

@@ -9,19 +9,19 @@
 //!  ┆   └────────────────────────────────────► Assigner ──direct──► Joiner (m)
 //!  ┆                                              │ global            │ global
 //!  ┆                                              ▼                   ▼
-//!  └┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄ credit: δ-requests, θ signal ┄┄┄┄┄┄┄┄┄┄┄┄┄ Reporter ──► sink
+//!  └┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄ credit: θ signal ┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄┄ Reporter ──► sink
 //! ```
 //!
 //! The edges form a DAG. Punctuation alignment gives the run
 //! streaming-consistent semantics: the Assigner routes window *k* documents
-//! with the table the Merger built at boundary *k−1* (window 0 is broadcast
-//! — no table has been deployed yet).
+//! with the table the Merger built at boundary *k−1* (window 0 is routed by
+//! hash homes alone — no table has been deployed yet).
 //!
 //! The §VI-A control plane is the reader's credit loop (DESIGN.md §4
-//! "Control plane"): pane *k*'s δ-requests and θ signal go from the
-//! Assigners to the Reporter, back to the reader with pane *k*'s credit,
-//! and out as its broadcast at the start of pane *k + L* (`L` =
-//! [`Reader::lead`]), so they act at boundary *k + L* in every run.
+//! "Control plane"): pane *k*'s θ signal goes from the Assigners to the
+//! Reporter, back to the reader with pane *k*'s credit, and out as its
+//! `Repartition` broadcast at the start of pane *k + L* (`L` =
+//! [`Reader::lead`]), so it acts at boundary *k + L* in every run.
 //!
 //! Results leave the topology as the stream goes: when a window's
 //! punctuation aligns, the Reporter folds its `JoinStats` once into a
@@ -41,7 +41,7 @@ use crate::config::StreamJoinConfig;
 use crate::creator::PartitionCreator;
 use crate::joiner::Joiner;
 use crate::merger::Merger;
-use crate::msg::{Control, Msg, PaneRouting};
+use crate::msg::{Msg, PaneRouting};
 use crate::reader::{Credit, Reader, ReaderSpout};
 use crate::wire::MsgCodec;
 use parking_lot::Mutex;
@@ -179,7 +179,7 @@ pub fn materialize_joins(pairs: &[(u64, u64)], docs: &[Document], first_id: u64)
 type RawPairs = Vec<(DocId, DocId)>;
 
 /// What the [`Reporter`] holds of a window it has not handed over yet.
-type OpenWindow = (Vec<RawPairs>, WindowResult, Vec<(usize, Control)>);
+type OpenWindow = (Vec<RawPairs>, WindowResult, bool);
 
 /// The Fig. 2 Reporter: accumulates a window's `JoinStats` and, when the
 /// window's punctuation aligns (every joiner has reported it), folds them
@@ -198,7 +198,7 @@ struct Reporter<S> {
     anchor: Arc<OnceLock<Instant>>,
     /// Per open window: the joiners' pair lists, held as they arrived so a
     /// `JoinStats` costs nothing before the latency stamp; the result so
-    /// far; and the Assigners' controls, for the window's credit.
+    /// far; and whether an Assigner signalled, for the window's credit.
     open: FxHashMap<u64, OpenWindow>,
     inst: Option<Arc<TaskInstruments>>,
 }
@@ -214,7 +214,7 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
             Msg::JoinStats { window, .. } | Msg::Routing { window, .. } => *window,
             _ => return,
         };
-        let (raw, result, controls) = self.open.entry(window).or_insert_with(|| {
+        let (raw, result, signalled) = self.open.entry(window).or_insert_with(|| {
             let result = WindowResult {
                 window,
                 pairs: Vec::new(),
@@ -223,7 +223,7 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
                 routing: PaneRouting::default(),
                 latency: None,
             };
-            (Vec::new(), result, Vec::new())
+            (Vec::new(), result, false)
         });
         let (joiner, docs, pairs) = match msg {
             Msg::JoinStats {
@@ -234,10 +234,12 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
             } => (joiner, docs, pairs),
             // Each Assigner and the Merger report a pane once.
             Msg::Routing {
-                routing, control, ..
+                routing,
+                repartition,
+                ..
             } => {
                 result.routing += routing;
-                controls.extend(control.map(|c| *c));
+                *signalled |= repartition;
                 return;
             }
             _ => return,
@@ -262,9 +264,9 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
     }
 
     fn on_punct(&mut self, window: u64, _out: &mut Outbox<Msg>) {
-        let mut control = Control::default();
-        if let Some((raw, mut result, controls)) = self.open.remove(&window) {
-            control = Control::merge(controls);
+        let mut repartition = false;
+        if let Some((raw, mut result, signalled)) = self.open.remove(&window) {
+            repartition = signalled;
             let t0 = Instant::now();
             result.pairs.reserve(raw.iter().map(Vec::len).sum());
             for pairs in &raw {
@@ -282,7 +284,7 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
             (self.sink)(result);
         }
         // After the sink: the lead counts the panes it has not been given.
-        let grew = self.credit.grant(control);
+        let grew = self.credit.grant(repartition);
         if let Some(inst) = &self.inst {
             inst.counter("reader_lead").add(grew);
         }

@@ -23,7 +23,7 @@
 //! panic. Without a run, [`MsgCodec::new`] bounds them by
 //! [`MAX_PARTITIONS`], so no decoded table is ever wider than that.
 
-use crate::msg::{Control, Msg, PaneRouting, TableMsg};
+use crate::msg::{Msg, PaneRouting, TableMsg};
 use ssj_json::{AttrId, AvpId, Dictionary, DocId, DocRef, Document, Pair, Scalar};
 use ssj_partition::{AssociationGroup, Expansion, PartitionTable, MAX_PARTITIONS};
 use ssj_runtime::wire::{fnv1a, put_str, put_varint, put_zigzag, Cursor, WireError};
@@ -35,7 +35,6 @@ use std::sync::Arc;
 const TAG_DOC: u8 = 0;
 const TAG_LOCAL_GROUPS: u8 = 1;
 const TAG_TABLE: u8 = 2;
-const TAG_UPDATE_REQUEST: u8 = 3;
 const TAG_REPARTITION: u8 = 4;
 const TAG_JOIN_STATS: u8 = 5;
 const TAG_ROUTING: u8 = 6;
@@ -313,10 +312,6 @@ impl WireCodec<Msg> for MsgCodec {
                 }
                 self.put_expansion(out, t.expansion.as_ref());
             }
-            Msg::UpdateRequest(avps) => {
-                out.push(TAG_UPDATE_REQUEST);
-                self.put_avps(out, avps);
-            }
             Msg::Repartition(expansion) => {
                 out.push(TAG_REPARTITION);
                 self.put_expansion(out, expansion.as_deref());
@@ -324,24 +319,14 @@ impl WireCodec<Msg> for MsgCodec {
             Msg::Routing {
                 window,
                 routing,
-                control,
+                repartition,
             } => {
                 out.push(TAG_ROUTING);
                 put_varint(out, *window);
                 put_varint(out, routing.docs as u64);
                 put_varint(out, routing.copies as u64);
-                put_varint(out, routing.broadcasts as u64);
-                out.push(routing.rebuilt as u8);
-                put_varint(out, routing.updates as u64);
-                match control {
-                    None => out.push(0),
-                    Some(control) => {
-                        let (task, control) = &**control;
-                        out.push(1 | (control.repartition as u8) << 1);
-                        put_varint(out, *task as u64);
-                        self.put_avps(out, &control.requests);
-                    }
-                }
+                put_varint(out, routing.homed as u64);
+                out.push(routing.rebuilt as u8 | (*repartition as u8) << 1);
             }
             Msg::JoinStats {
                 window,
@@ -419,7 +404,6 @@ impl WireCodec<Msg> for MsgCodec {
                     expansion: self.get_expansion(c)?,
                 })))
             }
-            TAG_UPDATE_REQUEST => Ok(Msg::UpdateRequest(self.get_avps(c)?)),
             TAG_REPARTITION => Ok(Msg::Repartition(self.get_expansion(c)?.map(Arc::new))),
             TAG_JOIN_STATS => {
                 let window = c.varint()?;
@@ -438,29 +422,26 @@ impl WireCodec<Msg> for MsgCodec {
                     pairs,
                 })
             }
-            TAG_ROUTING => Ok(Msg::Routing {
-                window: c.varint()?,
-                routing: PaneRouting {
-                    docs: c.varint()? as usize,
-                    copies: c.varint()? as usize,
-                    broadcasts: c.varint()? as usize,
-                    rebuilt: c.u8()? != 0,
-                    updates: c.varint()? as usize,
-                },
-                // A flag byte — bit 0 an Assigner's, bit 1 its θ signal —
-                // then the Assigner's task and its requests.
-                control: match c.u8()? {
-                    0 => None,
-                    flags @ (1 | 3) => Some(Box::new((
-                        c.varint()? as usize,
-                        Control {
-                            requests: self.get_avps(c)?,
-                            repartition: flags == 3,
-                        },
-                    ))),
-                    t => return Err(WireError::BadTag(t)),
-                },
-            }),
+            TAG_ROUTING => {
+                let window = c.varint()?;
+                let (docs, copies, homed) = (c.varint()?, c.varint()?, c.varint()?);
+                // A flag byte: bit 0 the Merger's rebuild, bit 1 an
+                // Assigner's θ signal.
+                let flags = c.u8()?;
+                if flags > 3 {
+                    return Err(WireError::BadTag(flags));
+                }
+                Ok(Msg::Routing {
+                    window,
+                    routing: PaneRouting {
+                        docs: docs as usize,
+                        copies: copies as usize,
+                        homed: homed as usize,
+                        rebuilt: flags & 1 != 0,
+                    },
+                    repartition: flags & 2 != 0,
+                })
+            }
             t => Err(WireError::BadTag(t)),
         }
     }

@@ -10,7 +10,7 @@ use ssj_core::{
 };
 use ssj_json::{Dictionary, DocId, Document};
 use ssj_partition::{
-    association_groups, batch_views, merge_and_assign, Expansion, GroupIndex, View,
+    association_groups, batch_views, home_bit, merge_and_assign, Expansion, GroupIndex, View,
 };
 use ssj_runtime::{
     fn_bolt, CollectorBolt, FaultPlan, Grouping, Spout, SpoutEmit, TopologyBuilder, VecSpout,
@@ -90,16 +90,16 @@ fn creators_compute_only_when_needed_on_stable_streams() {
     let docs = stable_stream(&dict, 5, 100);
     let report = run_topology(config(3, 100), &dict, docs).unwrap();
     // Every pane holds every pair, so the bootstrap table knows them all:
-    // no pane requests a δ-update or degrades. Each creator computes once,
+    // no pane homes a document or degrades. Each creator computes once,
     // the Merger hears creator 0 forward the bootstrap's `Repartition` and
     // the two shares, and broadcasts one table.
     assert_eq!(control_counts(&report), (2, 1, 3));
 }
 
 /// Runs on the free-running reader ([`READER_LEAD`] panes ahead). The θ
-/// signals and δ-requests of pane `k` ride pane `k`'s credit back to the
-/// reader, which broadcasts them as it begins pane `k + READER_LEAD`, so
-/// the builds and tables are a function of the stream. When they rode
+/// signal of pane `k` rides pane `k`'s credit back to the reader, which
+/// begins pane `k + READER_LEAD` as a build on it, so the builds and
+/// tables are a function of the stream. When they rode
 /// feedback edges, a creator could close pane `k + 1` before an Assigner's
 /// signal of pane `k` reached it, and what the Merger heard was a race.
 #[test]
@@ -126,42 +126,49 @@ fn drift_makes_assigners_signal_and_creators_recompute() {
     assert_eq!(counts[0], counts[1], "pool 1 vs 2");
     assert_eq!(counts[0], counts[2], "pool 1 vs 8");
     // Pane 1 is the baseline and pane 2, half novel, signals: both
-    // creators build a second time at boundary 2 + READER_LEAD = 6. Panes
-    // 2 to 7 each request their recurring novel pairs, forwarded to the
-    // Merger at boundaries 6 to 11: the rebuild drops pane 2's and already
-    // holds pane 6's, so the refreshes are at 7, 8, 9 and 11. The Merger
-    // hears two `Repartition`s (the bootstrap's and the rebuild's), four
-    // shares and six requests, and broadcasts the bootstrap, the rebuild
-    // and four refreshes.
+    // creators build a second time at boundary 2 + READER_LEAD = 6. The
+    // Merger hears two `Repartition`s (the bootstrap's and the rebuild's)
+    // and four shares, and broadcasts the bootstrap and the rebuild: the
+    // novel pairs of the panes in between go to their homes.
     let signal = 2 + READER_LEAD as u64;
-    assert_eq!(counts[0], ((4, 6, 12), vec![signal]));
+    assert_eq!(counts[0], ((4, 2, 6), vec![signal]));
 }
 
 #[test]
-fn bootstrap_window_is_broadcast_to_all_joiners() {
+fn bootstrap_window_is_homed() {
     let dict = Dictionary::new();
     let docs = stable_stream(&dict, 1, 80);
     let m = 4;
-    let report = run_topology(config(m, 80), &dict, docs).unwrap();
-    // No table exists during window 0, so every document reaches every
-    // joiner: per-window joiner doc counts must all equal the window size.
-    let loads = &report.docs_per_joiner[0];
-    assert_eq!(loads, &vec![80; m]);
+    let report = run_topology(config(m, 80), &dict, docs.clone()).unwrap();
+    // No table exists during window 0, so every document goes to the homes
+    // of its pairs, and no further.
+    let mut want = vec![0; m];
+    let hashes = dict.content_hashes();
+    for doc in &docs {
+        let mask = doc
+            .avps()
+            .fold(0, |mask, avp| mask | home_bit(hashes.of(avp), m));
+        (0..m)
+            .filter(|&j| mask >> j & 1 != 0)
+            .for_each(|j| want[j] += 1);
+    }
+    assert_eq!(report.docs_per_joiner[0], want);
+    assert_eq!(report.routing[0].homed, 80);
 }
 
 #[test]
-fn steady_state_routes_less_than_broadcast() {
+fn steady_state_routes_fewer_than_m_copies() {
     let dict = Dictionary::new();
     let docs = stable_stream(&dict, 4, 100);
     let m = 4;
     let report = run_topology(config(m, 100), &dict, docs).unwrap();
     // After the bootstrap window the table routes documents; total joiner
-    // load per window must drop below the full broadcast volume.
+    // load per window stays below `m` copies per document.
     for (w, loads) in report.docs_per_joiner.iter().enumerate().skip(1) {
         let total: usize = loads.iter().sum();
         assert!(
             total < m * 100,
-            "window {w} still broadcast everything: {loads:?}"
+            "window {w} still sends every document everywhere: {loads:?}"
         );
     }
 }

@@ -29,7 +29,7 @@ use ssj_core::{
     WindowSpec, READER_LEAD,
 };
 use ssj_join::SlidingJoiner;
-use ssj_json::{write_documents_jsonl, Dictionary, Document};
+use ssj_json::{write_documents_jsonl, Dictionary, DocId, Document};
 use ssj_partition::PartitionerKind::{self, Ag, Sc};
 use ssj_runtime::FaultPlan;
 use std::collections::HashMap;
@@ -48,8 +48,11 @@ enum Stream {
     /// `sessionized_docs`: every pair recurs, so documents route through
     /// the table (closed world).
     Sessions(SkewConfig),
-    /// `skewed_docs` over rwData: novel pairs force broadcasts.
+    /// `skewed_docs` over rwData: novel pairs are homed.
     Skewed(SkewConfig),
+    /// [`handover_stream`] in the case's panes, its second vocabulary
+    /// arriving at pane 3.
+    Handover,
 }
 
 /// How the reader gets a case's stream.
@@ -71,6 +74,28 @@ fn churn(seed: u64) -> Stream {
         window: None,
         window_shift: 0,
     })
+}
+
+/// `n` documents in panes of `pane`: every pane the same multiset, of one
+/// vocabulary before pane `from` and of two after it (odd positions switch
+/// to the second). A document has a `Host`, its `Rack` and a `Mode`, and
+/// joins the documents that agree on all three, in its pane and the panes
+/// around it.
+fn handover_stream(dict: &Dictionary, n: usize, pane: usize, from: usize) -> Vec<Document> {
+    (0..n as u64)
+        .map(|i| {
+            let j = i % pane as u64;
+            let era = if i as usize / pane >= from && j % 2 == 1 {
+                'b'
+            } else {
+                'a'
+            };
+            let (host, mode) = (j / 2 % 8, j / 16 % 2);
+            let json =
+                format!(r#"{{"Host":"{era}h{host}","Rack":"{era}r{host}","Mode":"{era}m{mode}"}}"#);
+            Document::from_json(DocId(i), &json, dict).expect("generated JSON is valid")
+        })
+        .collect()
 }
 
 /// Churn whose fresh pairs (every 5th document) are new in every window.
@@ -142,6 +167,7 @@ impl Case {
             }
             Stream::Sessions(skew) => return sessionized_docs(self.docs, skew),
             Stream::Skewed(skew) => return skewed_docs(DataSet::RwData, self.docs, skew),
+            Stream::Handover => handover_stream(&dict, self.docs, self.spec.pane_docs(), 3),
         };
         (dict, docs)
     }
@@ -369,9 +395,9 @@ fn pinned_run_stays_exact() {
     });
 }
 
-/// The mask's full width: window 0 is broadcast to all 64 joiners, and
-/// once a table is deployed the 64th partition (the mask's top bit) gets
-/// routed documents of its own.
+/// The mask's full width: window 0 is homed over the 64 joiners, and once
+/// a table is deployed the 64th partition (the mask's top bit) gets routed
+/// documents of its own.
 #[test]
 fn sixty_four_joiners_use_the_whole_mask() {
     let skew = SkewConfig {
@@ -385,10 +411,10 @@ fn sixty_four_joiners_use_the_whole_mask() {
         pool: 2,
         ..Case::new(Stream::Sessions(skew), 1600, WindowSpec::tumbling(400))
     });
-    assert_eq!(report.routing[0].broadcasts, 400);
-    assert_eq!(report.docs_per_joiner[0], vec![400; 64]);
+    assert_eq!(report.routing[0].homed, 400);
+    assert!(report.docs_per_joiner[0].iter().all(|&docs| docs > 0));
     let routed_to_the_top_bit =
-        |w: usize| report.routing[w].broadcasts < 400 && report.docs_per_joiner[w][63] > 0;
+        |w: usize| report.routing[w].homed < 400 && report.docs_per_joiner[w][63] > 0;
     assert!((1..4).any(routed_to_the_top_bit));
 }
 
@@ -406,31 +432,70 @@ fn single_pane_sliding_equals_tumbling() {
 
 /// Socket-linked groups, sliding and tumbling; the third under SC, whose
 /// creators ship their shares' documents to the Merger, and creator 1 sits
-/// on worker 1, so half of every build crosses a socket; the last streams
+/// on worker 1, so half of every build crosses a socket; the fourth streams
 /// its file on worker 0 while worker 1 starts with an empty dictionary.
+/// The last two bring pairs no table knows in every pane: the Assigners on
+/// worker 1 intern them in their own order, and route them to the same
+/// homes as the solo run's, which `check` holds pane for pane.
 #[test]
 fn group_runs_match_single_process() {
-    for (seed, docs, spec, m, partitioner, source) in [
+    for (stream, docs, spec, m, partitioner, source) in [
         (
-            20260808,
+            churn(20260808),
             180,
             WindowSpec::sliding(30, 3),
             4,
             Ag,
             Source::Memory,
         ),
-        (12345, 100, WindowSpec::tumbling(50), 3, Ag, Source::Memory),
-        (99, 180, WindowSpec::tumbling(60), 3, Sc, Source::Memory),
-        (7, 240, WindowSpec::tumbling(60), 3, Ag, Source::File),
+        (
+            churn(12345),
+            100,
+            WindowSpec::tumbling(50),
+            3,
+            Ag,
+            Source::Memory,
+        ),
+        (
+            churn(99),
+            180,
+            WindowSpec::tumbling(60),
+            3,
+            Sc,
+            Source::Memory,
+        ),
+        (churn(7), 240, WindowSpec::tumbling(60), 3, Ag, Source::File),
+        (
+            windowed_churn(5, 60),
+            240,
+            WindowSpec::tumbling(60),
+            8,
+            Ag,
+            Source::Memory,
+        ),
+        (
+            windowed_churn(6, 30),
+            180,
+            WindowSpec::sliding(30, 3),
+            8,
+            Ag,
+            Source::File,
+        ),
     ] {
-        check(&Case {
+        let report = check(&Case {
             m,
             assigners: 3,
             partitioner,
             source,
             group: 2,
-            ..Case::new(churn(seed), docs, spec)
+            ..Case::new(stream, docs, spec)
         });
+        if let Stream::Churn(Churn {
+            window: Some(_), ..
+        }) = stream
+        {
+            assert!(report.routing.iter().all(|r| r.homed > 0));
+        }
     }
 }
 
@@ -458,28 +523,36 @@ fn expansion_routes_a_group_like_a_solo_run() {
     }
 }
 
-/// A θ signal rebuilds the partitions mid-run (pane 3's boundary) under a
-/// sliding lock-step run: pairs spanning the rebuild meet only through the
-/// table each Assigner retains for the lookback. Found by the sampled table
-/// with that retention removed.
+/// A θ signal rebuilds the partitions mid-run under a sliding lock-step
+/// run, and pairs span the rebuild both ways: the second vocabulary is
+/// homed in panes 3 and 4 and known to the table rebuilt at boundary 4,
+/// and the first, known to the old table, may sit elsewhere in the new one.
+/// Either way the pair meets only through the table each Assigner retains
+/// for the lookback — the old one's homes or partitions. (A pair the
+/// rebuild forgets cannot span it: the build covers the whole lookback.)
+/// Found, on sessionized streams, by the sampled table with that retention
+/// removed.
 #[test]
 fn pane_spanning_pairs_meet_across_a_rebuild() {
-    let skew = SkewConfig {
-        seed: 114538025574,
-        keys: 6,
-        s: 0.9,
-        attach: 0.8,
-    };
     let report = check(&Case {
         m: 4,
         batch: 64,
         creators: 1,
         assigners: 3,
         lead: 1,
-        ..Case::new(Stream::Sessions(skew), 300, WindowSpec::sliding(60, 3))
+        ..Case::new(Stream::Handover, 420, WindowSpec::sliding(60, 3))
     });
+    // Pane 3 signals; the table built at boundary 4 routes pane 5 on.
     let rebuilt: Vec<bool> = report.routing.iter().map(|r| r.rebuilt).collect();
-    assert_eq!(rebuilt, [false, false, false, true, false]);
+    assert_eq!(rebuilt, [false, false, false, false, true, false, false]);
+    let homed: Vec<usize> = report.routing.iter().map(|r| r.homed).collect();
+    assert_eq!(homed, [60, 0, 0, 30, 30, 0, 0]);
+    // Pane 5 joins pane 4's homed documents.
+    let spanning = report.joins_per_window[5]
+        .iter()
+        .filter(|&&(a, _)| (240..300).contains(&a) && a % 2 == 1)
+        .count();
+    assert!(spanning > 0);
 }
 
 /// A sliding run of 7 panes of `pane` with one crash: the resumed attempt

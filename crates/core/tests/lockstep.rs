@@ -1,10 +1,10 @@
 //! The lock-step topology as the figures and `ssj pipeline` run it: one
 //! Assigner, batch 1, pane `p + 1` read only once pane `p` reached the sink.
 //! Each window is routed with the table deployed at the close of the one
-//! before (window 0 is broadcast), a θ signal at window `k` rebuilds at the
-//! close of `k + 1`, and a pair requested in window `k` is added at the
-//! close of `k + 1` and routed in `k + 2`. Every window carries its routing
-//! quality, and its join output equals brute force.
+//! before (window 0 is homed by an empty one), a θ signal at window `k`
+//! rebuilds at the close of `k + 1`, and a pair no table knows goes to its
+//! hash home. Every window carries its routing quality, and its join output
+//! equals brute force.
 
 use ssj_bench::testutil::{lockstep_reader, oracle};
 use ssj_core::{
@@ -85,7 +85,7 @@ fn all_partitioners_preserve_exactness() {
                 .with_window_spec(WindowSpec::tumbling(30))
                 .with_partitioner(kind),
         );
-        // Window 0 is broadcast; window 1 is routed with its table.
+        // Window 0 is homed; window 1 is routed with its table.
         let windows: Vec<_> = [500, 530].map(|base| window(&dict, base, 30)).into();
         let report = run(cfg, &dict, windows.clone());
         let truth = oracle(&windows.concat(), WindowSpec::tumbling(30));
@@ -111,9 +111,14 @@ fn replication_bounded_by_m() {
         &dict,
         vec![window(&dict, 0, 50), window(&dict, 50, 50)],
     );
-    // No table yet: everything is broadcast.
-    assert_eq!(quality(&report, 0).replication, 4.0);
-    assert_eq!(report.docs_per_joiner[0], vec![50; 4]);
+    // No table yet: everything is homed, one copy per distinct home.
+    let q = quality(&report, 0);
+    assert_eq!(q.homed_fraction, 1.0);
+    assert!((1.0..=4.0).contains(&q.replication));
+    assert_eq!(
+        report.docs_per_joiner[0].iter().sum::<usize>(),
+        report.routing[0].copies
+    );
     let q = quality(&report, 1);
     assert!(q.replication >= 1.0);
     assert!(q.replication < 4.0);
@@ -125,7 +130,7 @@ fn replication_bounded_by_m() {
 
 /// Window 0 establishes partitions on users u0..u4; window 1, routed with
 /// them, is the baseline. Later windows use entirely new attribute values →
-/// broadcasts → replication explodes → window 2 signals, and the partitions
+/// every document is homed → window 2 signals, and the partitions
 /// are rebuilt from window 3's documents at its close.
 #[test]
 fn drifting_stream_triggers_repartition() {
@@ -178,10 +183,10 @@ fn stable_stream_does_not_repartition() {
     );
 }
 
-/// A new pair recurring ≥ δ (= 3) times is requested in window 1, added at
-/// the close of window 2 and routed in window 3.
+/// A new pair that recurs is homed in every window it appears in — one
+/// copy per document, never all `m` — and no table is deployed for it.
 #[test]
-fn delta_updates_fire_for_recurring_unseen_pairs() {
+fn recurring_unseen_pairs_stay_at_their_home() {
     let dict = Dictionary::new();
     let cfg = pipeline_config(
         StreamJoinConfig::default()
@@ -197,18 +202,13 @@ fn delta_updates_fire_for_recurring_unseen_pairs() {
     };
     let windows = vec![window(&dict, 0, 20), brand(1), brand(2), brand(3)];
     let report = run(cfg, &dict, windows);
-    assert_eq!(report.routing[1].updates, 0);
-    assert_eq!(
-        (
-            report.routing[2].updates,
-            quality(&report, 2).broadcast_fraction
-        ),
-        (1, 1.0)
-    );
-    assert_eq!(
-        (report.routing[3].updates, quality(&report, 3).replication),
-        (0, 1.0)
-    );
+    for w in 1..4 {
+        let q = quality(&report, w);
+        assert_eq!((q.homed_fraction, q.replication), (1.0, 1.0), "window {w}");
+        assert!(!report.routing[w].rebuilt);
+    }
+    // Every copy goes to the one home.
+    assert!(report.docs_per_joiner[1..].windows(2).all(|w| w[0] == w[1]));
 }
 
 /// A stream that does not fill its last window still closes it.

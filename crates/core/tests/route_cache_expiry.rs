@@ -13,7 +13,7 @@
 use ssj_core::assign::Assigner;
 use ssj_core::{Msg, StreamJoinConfig, TableMsg, WindowSpec};
 use ssj_json::{AvpId, Dictionary, DocId, Document};
-use ssj_partition::PartitionTable;
+use ssj_partition::{home_bit, PartitionTable};
 use ssj_runtime::{run, Bolt, Grouping, Outbox, Spout, SpoutEmit, TaskInfo, TopologyBuilder};
 use std::sync::{Arc, Mutex};
 
@@ -91,9 +91,11 @@ fn pane_expiry_invalidates_cached_route_masks() {
         .unwrap();
 
     let dict = Dictionary::new();
+    let probe = dict.clone();
 
-    // Pane 0: T1 maps the pair to partition 0; d0 routes there and the
-    // view's mask is cached. Pane 1: T2 (pair → partition 1) supersedes
+    // Pane 0: T1 maps the pair to partition 0 and supersedes the empty
+    // bootstrap table, which is retained and adds the pair's home; d0
+    // routes to both and the view's mask is cached. Pane 1: T2 (pair → partition 1) supersedes
     // T1, which is retained; d1 and d2 route to the union {0, 1}. After
     // punctuation 2, T1's last pane (1) leaves the 2-pane lookback, so d3
     // must route to partition 1 alone — a stale cached union would still
@@ -146,7 +148,14 @@ fn pane_expiry_invalidates_cached_route_masks() {
     run(topology).unwrap();
 
     let log = log.lock().unwrap();
-    assert_eq!(targets_of(&log, 0), vec![0], "d0: current table T1 only");
+    let v = Document::from_json(DocId(0), r#"{"k":"v"}"#, &probe).unwrap();
+    let home = home_bit(probe.content_hashes().of(v.avps().next().unwrap()), m);
+    let d0: Vec<usize> = (0..m).filter(|&p| (1 | home) >> p & 1 != 0).collect();
+    assert_eq!(
+        targets_of(&log, 0),
+        d0,
+        "d0: T1 plus the empty table's home"
+    );
     assert_eq!(
         targets_of(&log, 1),
         vec![0, 1],

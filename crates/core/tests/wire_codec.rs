@@ -5,7 +5,7 @@
 //! frames are errors, never panics.
 
 use proptest::prelude::*;
-use ssj_core::{Control, Msg, MsgCodec, PaneRouting, TableMsg};
+use ssj_core::{Msg, MsgCodec, PaneRouting, TableMsg};
 use ssj_json::{Dictionary, DocId, Document, Scalar};
 use ssj_partition::{AssociationGroup, Expansion, PartitionTable};
 use ssj_runtime::wire::{decode_frame, encode_frame, Cursor, Frame, Payload, WireError};
@@ -79,13 +79,12 @@ const M: usize = 4;
 const ROUTING: PaneRouting = PaneRouting {
     docs: 300,
     copies: 700,
-    broadcasts: 100,
+    homed: 100,
     rebuilt: true,
-    updates: 2,
 };
 
 /// One Data frame body (length prefix stripped) per `Msg` tag — Doc,
-/// LocalGroups, Table, UpdateRequest, Repartition with and without a chain,
+/// LocalGroups, Table, Repartition with and without a chain,
 /// JoinStats, Routing, Copy — each the first frame of a fresh link of `M`
 /// joiners, so every symbol in it is a definition or refers to one made
 /// earlier in the same body.
@@ -115,7 +114,6 @@ fn every_tag_body(dict: &Dictionary) -> Vec<Vec<u8>> {
             table,
             expansion: None,
         })),
-        Msg::UpdateRequest(vec![late.avp, known.avp, float.avp]),
         Msg::Repartition(None),
         Msg::Repartition(Some(Arc::new(Expansion {
             chain: vec![known.attr, late.attr],
@@ -131,13 +129,7 @@ fn every_tag_body(dict: &Dictionary) -> Vec<Vec<u8>> {
         Msg::Routing {
             window: 4,
             routing: ROUTING,
-            control: Some(Box::new((
-                1,
-                Control {
-                    requests: vec![late.avp, known.avp],
-                    repartition: true,
-                },
-            ))),
+            repartition: true,
         },
         Msg::Copy {
             doc: Arc::new(Document::from_pairs(DocId(8), vec![late, known])),
@@ -298,7 +290,7 @@ proptest! {
     #[test]
     fn decode_never_panics(
         junk in proptest::collection::vec(wire_byte(), 0..96),
-        tag in 0usize..9,
+        tag in 0usize..8,
         cut in 0usize..1 << 16,
         flips in proptest::collection::vec((0usize..1 << 16, 1u8..=255), 1..4),
     ) {
@@ -334,9 +326,9 @@ proptest! {
         prop_assert!(rejected, "a 65-partition table must be out of range");
         let _ = decode_frame::<Msg>(&wide[..cut % wide.len()], &default);
 
-        // An UpdateRequest whose count promises more pairs than the frame
+        // A LocalGroups whose count promises more groups than the frame
         // holds (up to 2^63): Truncated, without sizing anything by it.
-        let mut lying = [&header[..], &[3]].concat(); // UpdateRequest tag
+        let mut lying = [&header[..], &[1, 3, 0]].concat(); // tag, window, creator
         ssj_runtime::wire::put_varint(&mut lying, (cut as u64 + 1) << 47);
         lying.extend_from_slice(&junk);
         prop_assert!(decode(&lying).is_err(), "a lying count must fail");
@@ -348,8 +340,8 @@ proptest! {
 /// `Table` wider than `m` (the Assigner's per-machine counts) and a `Copy`
 /// whose target mask is empty or names a joiner `>= m` (the owner rule reads
 /// it). The default codec of `MsgCodec::new`, bounded only by the
-/// 64-partition cap, accepts the first two and any non-empty mask. A `Routing`'s Assigner index only orders the Assigners' requests
-/// (the Reporter sorts by it), so the run's codec takes any.
+/// 64-partition cap, accepts the first two and any non-empty mask. A
+/// `Routing` names no task, so the run's codec takes any window's.
 #[test]
 fn run_codec_rejects_out_of_range_indices() {
     let dict = seeded_dict(10);
@@ -391,7 +383,7 @@ fn run_codec_rejects_out_of_range_indices() {
     let counts = Msg::Routing {
         window: u64::MAX,
         routing: ROUTING,
-        control: Some(Box::new((usize::MAX, Control::default()))),
+        repartition: false,
     };
     assert!(decode(&bounded, &counts).is_ok());
     assert!(decode(&default, &stats(M)).is_ok());
@@ -456,8 +448,8 @@ fn an_undefined_link_id_is_a_bad_symbol() {
     );
 }
 
-/// The control-plane messages (LocalGroups, Table, UpdateRequest,
-/// Repartition, Routing) round-trip with loads, members, and chains intact.
+/// The control-plane messages (LocalGroups, Table, Repartition, Routing)
+/// round-trip with loads, members, and chains intact.
 #[test]
 fn control_plane_messages_roundtrip() {
     let dict = seeded_dict(40);
@@ -520,20 +512,6 @@ fn control_plane_messages_roundtrip() {
     assert_eq!(t2.window, 9);
     assert_eq!(t2.table, table);
 
-    // A pane's δ-requests travel as one list, in sighting order, with
-    // pairs the link has defined and a new one mixed.
-    let late = dict.intern("late", Scalar::Str("y".into()));
-    let requests = vec![p1.avp, late.avp, p0.avp];
-    let msg = Msg::UpdateRequest(requests.clone());
-    let mut buf = Vec::new();
-    codec.encode(&msg, &mut buf);
-    let mut c = Cursor::new(&buf);
-    let Msg::UpdateRequest(avps) = codec.decode(&mut c).unwrap() else {
-        panic!("kind changed");
-    };
-    c.finish().unwrap();
-    assert_eq!(avps, requests);
-
     // A build's chain, or none; a chained attribute the link has not
     // defined yet travels as its name.
     let synth = dict.intern_attr("attr0+attr9");
@@ -557,35 +535,28 @@ fn control_plane_messages_roundtrip() {
         );
     }
 
-    // An Assigner's pane close carries its task, its requests and its
-    // signal; the Merger's carries none.
-    let control = Control {
-        requests: requests.clone(),
-        repartition: true,
-    };
-    for control in [
-        None,
-        Some(Box::new((3, control.clone()))),
-        Some(Box::new((0, Control::default()))),
-    ] {
+    // A pane close carries its counts and, from an Assigner, its signal;
+    // the Merger's carries none. A rebuild and a signal share one byte.
+    for (rebuilt, repartition) in [(false, false), (true, false), (false, true), (true, true)] {
         let mut buf = Vec::new();
+        let routing = PaneRouting { rebuilt, ..ROUTING };
         let msg = Msg::Routing {
             window: 11,
-            routing: ROUTING,
-            control: control.clone(),
+            routing,
+            repartition,
         };
         codec.encode(&msg, &mut buf);
         let mut c = Cursor::new(&buf);
         let back = codec.decode(&mut c).unwrap();
         let Msg::Routing {
             window: 11,
-            routing,
-            control: back,
+            routing: back,
+            repartition: signal,
         } = back
         else {
             panic!("kind changed");
         };
-        assert_eq!((routing, back), (ROUTING, control));
+        assert_eq!((back, signal), (routing, repartition));
         c.finish().unwrap();
     }
 }

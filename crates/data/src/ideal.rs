@@ -4,8 +4,8 @@
 //! and repeating it, injecting only "a predefined, small number of
 //! previously unseen documents" into every repetition. With stable
 //! co-occurrence characteristics, the measured replication and load are a
-//! direct product of the partitioning algorithm rather than of novelty
-//! broadcasts.
+//! direct product of the partitioning algorithm rather than of novel pairs
+//! routed to their hash homes.
 
 use ssj_json::{Dictionary, DocId, Document, Scalar};
 

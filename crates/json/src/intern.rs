@@ -122,6 +122,8 @@ struct Span {
 #[derive(Clone, Copy)]
 struct StoredPair {
     attr: AttrId,
+    /// [`content_hash`] of the pair: it sits in the padding after `attr`.
+    content: u32,
     value: StoredScalar,
 }
 
@@ -246,6 +248,25 @@ impl IdIndex {
     }
 }
 
+/// A hash of a pair's attribute name and scalar that no id enters, so
+/// every process that interns the pair computes the same value, whatever
+/// order its symbols arrived in ([`ContentHashes`]).
+fn content_hash(attr_name: &str, value: ScalarRef<'_>) -> u32 {
+    let mut h = FxHasher::default();
+    h.write(attr_name.as_bytes());
+    h.write_u8(0xff);
+    value.hash(&mut h);
+    // Fx's low bits depend on few input bits: finish with a full mix
+    // (MurmurHash3's fmix64) before the caller reduces modulo `m`.
+    let mut x = h.finish();
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^= x >> 33;
+    x as u32
+}
+
 #[inline]
 fn hash_avp(attr: AttrId, value: ScalarRef<'_>) -> u64 {
     let mut h = FxHasher::default();
@@ -358,6 +379,12 @@ impl Table {
 
     /// Add a pair known to be absent.
     fn add_avp(&mut self, attr: AttrId, value: ScalarRef<'_>) -> AvpId {
+        let content = content_hash(self.store.attr_name(attr), value);
+        self.push_avp(attr, value, content)
+    }
+
+    /// [`add_avp`](Self::add_avp) with the pair's content hash in hand.
+    fn push_avp(&mut self, attr: AttrId, value: ScalarRef<'_>, content: u32) -> AvpId {
         let id = next_id(self.store.avps.len());
         self.store.attr_distinct[attr.index()] += 1;
         self.avps.insert(hash_avp(attr, value), id);
@@ -368,7 +395,11 @@ impl Table {
             ScalarRef::Float(f) => StoredScalar::Float(f),
             ScalarRef::Str(s) => StoredScalar::Str(self.store.push_str(s)),
         };
-        self.store.avps.push(StoredPair { attr, value });
+        self.store.avps.push(StoredPair {
+            attr,
+            content,
+            value,
+        });
         AvpId(id)
     }
 
@@ -515,11 +546,19 @@ impl Dictionary {
             }
             let mut found = [None; LOOKAHEAD];
             table.find_avps(&keys[..run.len()], &mut found[..run.len()]);
-            for (&(attr, value), found) in keys.iter().zip(found).take(run.len()) {
-                avps.push(found.unwrap_or_else(|| table.add_avp(attr, value)));
+            // The block's worker hashed each pair's content already.
+            for ((&(attr, value), found), pair) in keys.iter().zip(found).zip(run) {
+                avps.push(found.unwrap_or_else(|| table.push_avp(attr, value, pair.content)));
             }
         }
         Translation { attrs, avps }
+    }
+
+    /// The pairs' content hashes under one shared acquisition, held until
+    /// the returned view is dropped: intern nothing through this dictionary
+    /// meanwhile.
+    pub fn content_hashes(&self) -> ContentHashes<'_> {
+        ContentHashes(self.inner.read())
     }
 
     /// Look up a pair without interning; `None` when unseen.
@@ -634,6 +673,21 @@ impl Dictionary {
     }
 }
 
+/// A shared view of a [`Dictionary`]'s pair content hashes: a hash of the
+/// attribute name and the scalar, computed once as the pair is interned.
+/// Two processes, or two dictionaries that interned the same pairs in
+/// different orders, agree on every pair's hash; they need not agree on
+/// its [`AvpId`].
+pub struct ContentHashes<'a>(parking_lot::RwLockReadGuard<'a, Table>);
+
+impl ContentHashes<'_> {
+    /// The content hash of an interned pair. Panics on foreign ids.
+    #[inline]
+    pub fn of(&self, avp: AvpId) -> u32 {
+        self.0.store.avps[avp.index()].content
+    }
+}
+
 impl fmt::Debug for Dictionary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let store = &self.inner.read().store;
@@ -647,6 +701,13 @@ impl fmt::Debug for Dictionary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A pair's content hash sits in the padding after its attribute id:
+    /// homes cost the dictionary no memory.
+    #[test]
+    fn a_stored_pair_stays_32_bytes() {
+        assert_eq!(std::mem::size_of::<StoredPair>(), 32);
+    }
 
     #[test]
     fn interning_is_idempotent() {

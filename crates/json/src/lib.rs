@@ -32,7 +32,7 @@ mod value;
 pub use document::{DocError, DocId, DocRef, Document, JoinCheck};
 pub use flatten::{flatten, flatten_value, unflatten};
 pub use hash::{FxHashMap, FxHashSet};
-pub use intern::{AttrId, AvpId, Dictionary, Pair};
+pub use intern::{AttrId, AvpId, ContentHashes, Dictionary, Pair};
 pub use io::{
     documents_from_jsonl, write_documents_jsonl, write_jsonl, DocumentReader, JsonLinesError,
     JsonLinesReader,

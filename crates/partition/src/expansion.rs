@@ -11,8 +11,10 @@
 //! the combining attribute either agree on it (same synthetic value → same
 //! partition) or conflict on it (not joinable anyway). A document *missing*
 //! a chained attribute cannot form the synthetic value and must be broadcast
-//! to all machines; the expected extra replication is `pna · m` where `pna`
-//! is the fraction of such documents.
+//! to all machines — it can join an expanded document through any synthetic
+//! pair that carries its value, so no single home covers it; the expected
+//! extra replication is `pna · m` where `pna` is the fraction of such
+//! documents.
 
 use crate::groups::View;
 use crate::partitions::RouteScratch;

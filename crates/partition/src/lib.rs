@@ -50,10 +50,10 @@ pub use hashpart::HashPartitioner;
 pub use incremental::{GroupIndex, IndexStats};
 pub use merger::{consolidate, merge_and_assign};
 pub use partitions::{
-    assign_groups, route_batch, PartitionTable, Route, RouteOutcome, RouteScratch, RoutingStats,
-    MAX_PARTITIONS,
+    assign_groups, home_bit, route_batch, PartitionTable, Route, RouteOutcome, RouteScratch,
+    RoutingStats, MAX_PARTITIONS,
 };
-pub use quality::{gini, RepartitionPolicy, UnseenTracker, WindowQuality};
+pub use quality::{gini, RepartitionPolicy, WindowQuality};
 pub use sc::ScPartitioner;
 
 /// A partitioning algorithm: turn one batch of document views into `m`

@@ -2,7 +2,13 @@
 //!
 //! A partition is a set of attribute-value pairs; a document *matches* a
 //! partition when the two share at least one pair. [`PartitionTable`] owns
-//! the `m` partitions and answers routing queries; [`assign_groups`]
+//! the `m` partitions and answers routing queries: the running system's
+//! [`PartitionTable::route_mask`], which sends a pair the table does not
+//! know to its hash home ([`home_bit`]), and the static
+//! [`PartitionTable::route`] / [`PartitionTable::route_into`], which
+//! broadcast a view that matches nothing (`ssj partition`'s evaluation and
+//! the benchmark's replay read them);
+//! [`assign_groups`]
 //! implements the paper's greedy placement of association groups ("populate
 //! with the first m groups by load, then always give the largest remaining
 //! group to the least-loaded partition").
@@ -62,6 +68,14 @@ impl RouteOutcome {
     }
 }
 
+/// The partition a pair the deployed table does not know is routed to —
+/// its *home* — as a one-bit mask: `content_hash` is the pair's
+/// [`ssj_json::ContentHashes`] value, so every process homes a pair alike.
+#[inline]
+pub fn home_bit(content_hash: u32, m: usize) -> u64 {
+    1u64 << (content_hash as usize % m)
+}
+
 /// The most partitions a table holds: a partition set is one `u64` mask
 /// (bit `p` ⇔ partition `p`), which covers every deployment the paper
 /// considers.
@@ -81,9 +95,9 @@ const ROUTE_CACHE_SLOTS: usize = 256;
 #[derive(Debug, Clone)]
 pub struct RouteScratch {
     targets: Vec<u32>,
-    /// Direct-mapped `fingerprint → partition mask` cache, indexed by the
-    /// low fingerprint bits. A `None` slot is empty.
-    cache: Vec<Option<(Fp128, u64)>>,
+    /// Direct-mapped `fingerprint → (partition mask, homed)` cache,
+    /// indexed by the low fingerprint bits. A `None` slot is empty.
+    cache: Vec<Option<(Fp128, u64, bool)>>,
     /// The chained attributes' pairs of a document → the synthetic pair
     /// they form (§VI-B), so a view is formed without rendering values.
     pub(crate) synth: FxHashMap<Vec<AvpId>, AvpId>,
@@ -126,22 +140,23 @@ impl RouteScratch {
         }
     }
 
-    /// Look up a cached partition mask for a view fingerprint.
+    /// Look up a view fingerprint's cached partition mask, and whether the
+    /// view was homed ([`PartitionTable::route_mask`]).
     #[inline]
-    pub fn cache_get(&self, fp: Fp128) -> Option<u64> {
+    pub fn cache_get(&self, fp: Fp128) -> Option<(u64, bool)> {
         match self.cache[fp.lo as usize & (ROUTE_CACHE_SLOTS - 1)] {
-            Some((cached_fp, mask)) if cached_fp == fp => Some(mask),
+            Some((cached_fp, mask, homed)) if cached_fp == fp => Some((mask, homed)),
             _ => None,
         }
     }
 
-    /// Remember a view fingerprint's partition mask (evicts whatever shared
-    /// its slot). Callers must only cache views whose pairs are all known to
-    /// the current table, and must [`invalidate_cache`](Self::invalidate_cache)
-    /// whenever the table changes.
+    /// Remember a view fingerprint's partition mask and whether the view was
+    /// homed (evicts whatever shared its slot). Callers must
+    /// [`invalidate_cache`](Self::invalidate_cache) whenever the tables the
+    /// mask was computed from change.
     #[inline]
-    pub fn cache_put(&mut self, fp: Fp128, mask: u64) {
-        self.cache[fp.lo as usize & (ROUTE_CACHE_SLOTS - 1)] = Some((fp, mask));
+    pub fn cache_put(&mut self, fp: Fp128, mask: u64, homed: bool) {
+        self.cache[fp.lo as usize & (ROUTE_CACHE_SLOTS - 1)] = Some((fp, mask, homed));
     }
 
     /// Drop every cached route and synthetic pair (call on table
@@ -195,8 +210,9 @@ pub struct PartitionTable {
 }
 
 impl PartitionTable {
-    /// An empty table of `m ≤` [`MAX_PARTITIONS`] partitions (routes
-    /// everything to Broadcast).
+    /// An empty table of `m ≤` [`MAX_PARTITIONS`] partitions: it homes
+    /// every pair ([`route_mask`](Self::route_mask)) and broadcasts every
+    /// view ([`route`](Self::route)).
     pub fn empty(m: usize) -> Self {
         assert!(
             m <= MAX_PARTITIONS,
@@ -247,6 +263,26 @@ impl PartitionTable {
         view.iter().fold(0u64, |m, &a| m | self.avp_mask(a))
     }
 
+    /// Where a document with this view goes (§VI-A with hash homes): the
+    /// OR over its pairs of each pair's partitions, or, for a pair the
+    /// table does not know, its home (`home`, asked for those pairs only);
+    /// and whether some pair was homed. Two documents join only if they
+    /// share a pair, so they meet at that pair's partitions or its home.
+    #[inline]
+    pub fn route_mask(&self, view: &[AvpId], mut home: impl FnMut(AvpId) -> u64) -> (u64, bool) {
+        let (mut mask, mut homed) = (0u64, false);
+        for &avp in view {
+            let known = self.avp_mask(avp);
+            if known == 0 {
+                homed = true;
+                mask |= home(avp);
+            } else {
+                mask |= known;
+            }
+        }
+        (mask, homed)
+    }
+
     /// The partitions that carry `avp`, in the order they were added.
     pub fn partitions_of(&self, avp: AvpId) -> &[u32] {
         let mask = self.avp_mask(avp);
@@ -278,20 +314,6 @@ impl PartitionTable {
     /// Increase the declared load of `p`.
     pub fn bump_load(&mut self, p: u32, by: usize) {
         self.loads[p as usize] += by;
-    }
-
-    /// The Merger's single-pair update (§VI-A): put a pair the table does
-    /// not know into the least-loaded partition and count one unit of load
-    /// there. `false`, and no change, when the pair is known already —
-    /// several Assigners may ask for the same one.
-    pub fn apply_update(&mut self, avp: AvpId) -> bool {
-        if self.avp_mask(avp) != 0 {
-            return false;
-        }
-        let p = self.least_loaded();
-        self.add_avp(p, avp);
-        self.bump_load(p, 1);
-        true
     }
 
     /// Number of distinct pairs across all partitions.
@@ -466,12 +488,12 @@ pub fn route_batch(table: &PartitionTable, views: &[View]) -> RoutingStats {
     let m = table.m();
     let mut per_machine = vec![0usize; m];
     let mut total_sends = 0usize;
-    let mut broadcasts = 0usize;
+    let mut homed = 0usize;
     let mut scratch = RouteScratch::new();
     for view in views {
         match table.route_into(view, &mut scratch) {
             RouteOutcome::Broadcast => {
-                broadcasts += 1;
+                homed += 1;
                 for slot in per_machine.iter_mut() {
                     *slot += 1;
                 }
@@ -488,7 +510,7 @@ pub fn route_batch(table: &PartitionTable, views: &[View]) -> RoutingStats {
     RoutingStats {
         per_machine,
         total_sends,
-        broadcasts,
+        homed,
         docs: views.len(),
     }
 }
@@ -500,8 +522,10 @@ pub struct RoutingStats {
     pub per_machine: Vec<usize>,
     /// Total document transmissions (sum over machines).
     pub total_sends: usize,
-    /// Documents that matched no partition and were broadcast.
-    pub broadcasts: usize,
+    /// Documents with a pair the table does not know: the Assigner homes
+    /// them ([`PartitionTable::route_mask`]); [`route_batch`], a static
+    /// evaluation with no dictionary, broadcasts those that match nothing.
+    pub homed: usize,
     /// Number of documents routed.
     pub docs: usize,
 }
@@ -570,17 +594,59 @@ mod tests {
         assert_eq!(table.pair_count(), 1);
     }
 
+    /// A pair's home is a function of its attribute name and scalar: two
+    /// dictionaries that interned the same pairs in opposite orders — so
+    /// that no pair has the same id in both — home every pair alike, and
+    /// the homes spread over the partitions.
     #[test]
-    fn apply_update_fills_the_least_loaded_partition_once() {
-        let mut table = assign_groups(vec![ag(&[1], 5), ag(&[2], 2)], 2);
-        let light = table.partitions_of(AvpId(2))[0];
-        assert!(table.apply_update(AvpId(9)));
-        assert_eq!(table.partitions_of(AvpId(9)), &[light]);
-        assert_eq!(table.declared_load(light), 3);
-        // Known pairs — old or just added — are left alone.
-        assert!(!table.apply_update(AvpId(9)));
-        assert!(!table.apply_update(AvpId(1)));
-        assert_eq!(table.declared_load(light), 3);
+    fn homes_are_content_stable() {
+        use ssj_json::{Dictionary, Scalar};
+        let pairs: Vec<(String, Scalar)> = (0..200i64)
+            .map(|i| match i % 3 {
+                0 => (format!("a{}", i % 7), Scalar::Int(i)),
+                1 => (format!("b{}", i % 5), Scalar::Str(format!("v{i}"))),
+                _ => ("c".to_owned(), Scalar::Float(i as f64 / 4.0)),
+            })
+            .collect();
+        let (one, two) = (Dictionary::new(), Dictionary::new());
+        let ids_one: Vec<AvpId> = pairs
+            .iter()
+            .map(|(a, v)| one.intern(a, v.clone()).avp)
+            .collect();
+        let mut ids_two: Vec<AvpId> = pairs
+            .iter()
+            .rev()
+            .map(|(a, v)| two.intern(a, v.clone()).avp)
+            .collect();
+        ids_two.reverse();
+        assert!(ids_one.iter().zip(&ids_two).all(|(a, b)| a != b));
+        let (h1, h2) = (one.content_hashes(), two.content_hashes());
+        for m in [4, 8, 64] {
+            let mut used = 0u64;
+            for (&a, &b) in ids_one.iter().zip(&ids_two) {
+                let home = home_bit(h1.of(a), m);
+                assert_eq!(home, home_bit(h2.of(b), m), "m {m}");
+                used |= home;
+            }
+            // 200 pairs leave ~3 of 64 partitions empty by chance.
+            assert!(used.count_ones() as usize >= m * 7 / 8, "m {m}: {used:#x}");
+        }
+    }
+
+    #[test]
+    fn route_mask_takes_partitions_or_homes() {
+        let table = assign_groups(vec![ag(&[1, 2], 4), ag(&[3], 2)], 2);
+        let p12 = table.avp_mask(AvpId(1));
+        let home = |avp: AvpId| 1u64 << (avp.0 % 2);
+        assert_eq!(table.route_mask(&[AvpId(1), AvpId(2)], home), (p12, false));
+        assert_eq!(
+            table.route_mask(&[AvpId(1), AvpId(8)], home),
+            (p12 | 1, true)
+        );
+        assert_eq!(table.route_mask(&[AvpId(9)], home), (2, true));
+        assert_eq!(table.route_mask(&[], home), (0, false));
+        let empty = PartitionTable::empty(2);
+        assert_eq!(empty.route_mask(&[AvpId(1), AvpId(2)], home), (3, true));
     }
 
     #[test]
@@ -594,7 +660,7 @@ mod tests {
         ];
         let stats = route_batch(&table, &views);
         assert_eq!(stats.docs, 4);
-        assert_eq!(stats.broadcasts, 1);
+        assert_eq!(stats.homed, 1);
         // sends: 1 + 1 + 2 + 2 = 6
         assert_eq!(stats.total_sends, 6);
         assert_eq!(stats.per_machine.iter().sum::<usize>(), 6);
@@ -674,8 +740,8 @@ mod tests {
         let mut scratch = RouteScratch::new();
         let fp = crate::fingerprint::fingerprint_view([AvpId(1), AvpId(2)].into_iter());
         assert_eq!(scratch.cache_get(fp), None);
-        scratch.cache_put(fp, 0b101);
-        assert_eq!(scratch.cache_get(fp), Some(0b101));
+        scratch.cache_put(fp, 0b101, true);
+        assert_eq!(scratch.cache_get(fp), Some((0b101, true)));
         scratch.invalidate_cache();
         assert_eq!(scratch.cache_get(fp), None);
     }

@@ -6,11 +6,10 @@
 //! * **Maximal processing load** — the largest share of *emitted* documents
 //!   any single Joiner receives.
 //!
-//! [`UnseenTracker`] implements the δ-threshold for partition updates and
-//! [`RepartitionPolicy`] the θ-threshold that triggers recomputation.
+//! [`RepartitionPolicy`] implements the θ-threshold that triggers
+//! recomputation.
 
 use crate::partitions::RoutingStats;
-use ssj_json::{AvpId, FxHashMap};
 
 /// Gini coefficient of a load distribution. Zero for empty or all-zero
 /// input; 0 when perfectly balanced.
@@ -43,8 +42,9 @@ pub struct WindowQuality {
     pub load_balance: f64,
     /// Largest per-machine share of the emitted documents.
     pub max_processing_load: f64,
-    /// Fraction of documents that had to be broadcast.
-    pub broadcast_fraction: f64,
+    /// Fraction of documents with a pair the table did not know, or with
+    /// no §VI-B view: those routed by hash homes.
+    pub homed_fraction: f64,
 }
 
 impl WindowQuality {
@@ -57,7 +57,7 @@ impl WindowQuality {
             // §VII-C: the share of the window's emitted documents assigned
             // to the busiest Joiner — 1.0 when one machine sees everything.
             max_processing_load: stats.per_machine.iter().copied().max().unwrap_or(0) as f64 / docs,
-            broadcast_fraction: stats.broadcasts as f64 / docs,
+            homed_fraction: stats.homed as f64 / docs,
         }
     }
 
@@ -67,46 +67,17 @@ impl WindowQuality {
             replication: 0.0,
             load_balance: 0.0,
             max_processing_load: 0.0,
-            broadcast_fraction: 0.0,
+            homed_fraction: 0.0,
         }
-    }
-}
-
-/// δ-threshold tracking of previously unseen attribute-value pairs (§VI-A):
-/// a pair becomes an *update candidate* once seen `delta` times since the
-/// partitions were built.
-#[derive(Debug, Clone)]
-pub struct UnseenTracker {
-    delta: u32,
-    counts: FxHashMap<AvpId, u32>,
-}
-
-impl UnseenTracker {
-    /// Track with threshold `delta` (the paper's default is 3).
-    pub fn new(delta: u32) -> Self {
-        UnseenTracker {
-            delta: delta.max(1),
-            counts: FxHashMap::default(),
-        }
-    }
-
-    /// Record one sighting of an unseen pair; `true` exactly when the count
-    /// reaches δ — the moment the Assigner asks the Merger for an update.
-    pub fn observe(&mut self, avp: AvpId) -> bool {
-        let c = self.counts.entry(avp).or_insert(0);
-        *c += 1;
-        *c == self.delta
-    }
-
-    /// Drop all state (on a rebuilt table).
-    pub fn reset(&mut self) {
-        self.counts.clear();
     }
 }
 
 /// θ-threshold repartitioning (§VI-A): recompute partitions when replication
 /// or the processing-load imbalance has degraded by more than `theta`
-/// relative to the values measured right after the partitions were created.
+/// relative to the values measured right after the partitions were created,
+/// or when the homed share has risen by more than `theta` over its value
+/// then. The share is a fraction, compared as a difference: a ratio against
+/// a share near 0 would fire on a handful of new pairs.
 #[derive(Debug, Clone, Copy)]
 pub struct RepartitionPolicy {
     /// The relative degradation threshold (paper: 0.2 and 0.6).
@@ -124,7 +95,8 @@ impl RepartitionPolicy {
         let repl_worse = relative_increase(baseline.replication, current.replication);
         let load_worse =
             relative_increase(baseline.max_processing_load, current.max_processing_load);
-        repl_worse > self.theta || load_worse > self.theta
+        let homed_rise = current.homed_fraction - baseline.homed_fraction;
+        repl_worse > self.theta || load_worse > self.theta || homed_rise > self.theta
     }
 }
 
@@ -176,32 +148,13 @@ mod tests {
         let stats = RoutingStats {
             per_machine: vec![3, 1],
             total_sends: 4,
-            broadcasts: 1,
+            homed: 1,
             docs: 3,
         };
         let q = WindowQuality::from_stats(&stats);
         assert!((q.replication - 4.0 / 3.0).abs() < 1e-9);
         assert!((q.max_processing_load - 1.0).abs() < 1e-9);
-        assert!((q.broadcast_fraction - 1.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn unseen_tracker_fires_at_delta() {
-        let mut t = UnseenTracker::new(3);
-        let avp = AvpId(7);
-        assert!(!t.observe(avp));
-        assert!(!t.observe(avp));
-        assert!(t.observe(avp)); // third sighting
-        assert!(!t.observe(avp)); // fires exactly once
-        t.reset();
-        assert!(!t.observe(avp)); // counts again from scratch
-    }
-
-    #[test]
-    fn unseen_tracker_delta_one() {
-        let mut t = UnseenTracker::new(1);
-        assert!(t.observe(AvpId(1)));
-        assert!(!t.observe(AvpId(1)));
+        assert!((q.homed_fraction - 1.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -211,7 +164,7 @@ mod tests {
             replication: 2.0,
             load_balance: 0.1,
             max_processing_load: 0.3,
-            broadcast_fraction: 0.0,
+            homed_fraction: 0.0,
         };
         let mut cur = base;
         cur.replication = 2.3; // +15% — below θ
@@ -227,10 +180,26 @@ mod tests {
             replication: 2.0,
             load_balance: 0.1,
             max_processing_load: 0.3,
-            broadcast_fraction: 0.0,
+            homed_fraction: 0.0,
         };
         let mut cur = base;
         cur.max_processing_load = 0.45; // +50%
+        assert!(policy.should_repartition(&base, &cur));
+    }
+
+    #[test]
+    fn repartition_triggers_on_homed_share_growth() {
+        let policy = RepartitionPolicy::new(0.2);
+        let base = WindowQuality {
+            replication: 1.0,
+            load_balance: 0.1,
+            max_processing_load: 0.3,
+            homed_fraction: 0.1,
+        };
+        let mut cur = base;
+        cur.homed_fraction = 0.25; // +0.15: below θ, though 1.5x the base
+        assert!(!policy.should_repartition(&base, &cur));
+        cur.homed_fraction = 0.35; // +0.25
         assert!(policy.should_repartition(&base, &cur));
     }
 
@@ -240,7 +209,7 @@ mod tests {
             replication: 2.0,
             load_balance: 0.1,
             max_processing_load: 0.3,
-            broadcast_fraction: 0.0,
+            homed_fraction: 0.0,
         };
         let mut cur = base;
         cur.replication = 2.8; // +40%

@@ -144,12 +144,12 @@ proptest! {
             let all_known = !view.is_empty()
                 && view.iter().all(|&a| table.avp_mask(a) != 0);
             if all_known && mask != 0 {
-                scratch.cache_put(fingerprint_view(view.iter().copied()), mask);
+                scratch.cache_put(fingerprint_view(view.iter().copied()), mask, false);
             }
         }
         for view in &probes {
             let fp = fingerprint_view(view.iter().copied());
-            if let Some(mask) = scratch.cache_get(fp) {
+            if let Some((mask, _)) = scratch.cache_get(fp) {
                 scratch.set_targets_from_mask(mask);
                 let legacy = table.route(view);
                 prop_assert!(!legacy.is_broadcast());

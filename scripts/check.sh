@@ -101,12 +101,14 @@ stage "histogram accuracy" cargo test -q -p ssj-runtime --test histogram_error
 # leader reads the input (the binary's unit tests: a member is spawned
 # without the input's flags; a group fed through a pipe == the solo run);
 # --joins-out failures, an m outside 1..=64 and a snapshot table claiming
-# more partitions are named errors. The reader's
+# more partitions are named errors; `ssj route` prints a snapshot's
+# targets by the Assigners' rule, an unknown pair's content-derived home
+# included. The reader's
 # process streams its --input, solo or as a 2-process group: a truncated or
 # malformed file is exit 1 naming the line after exactly the windows before
 # it, and a solo run's peak RSS on a 10x longer stream stays within 1.5x.
 stage "wire codec" cargo test -q -p ssj-core --test wire_codec
-stage "distributed CLI" cargo test -q -p ssj-cli --bins --test distributed
+stage "distributed CLI" cargo test -q -p ssj-cli --bins --test distributed --test route
 
 # Route-cache expiry on pane eviction.
 stage "route-cache expiry" cargo test -q -p ssj-core --test route_cache_expiry
@@ -130,39 +132,43 @@ result_path() {
 }
 stage "result path" result_path
 
-# A repartition that fires: a vocabulary shift makes the Assigners signal at
-# the default δ, every creator builds groups a second time over its whole
-# lookback (tumbling with and without expansion, sliding), a second table is
-# deployed, output == brute force; the lock-step pipeline that makes the
-# figures rebuilds exactly one window after the one that signalled; a
-# creator bolt's LocalGroups == association_groups over exactly its retained
-# panes, under the chain its build's Repartition carried == what a
+# A repartition that fires: a vocabulary shift sends every new pair to its
+# hash home, so the Assigners' homed share jumps past θ and they signal;
+# every creator builds groups a second time over its whole lookback
+# (tumbling with and without expansion, sliding), a second table is
+# deployed, documents are routed by it again, output == brute force; the
+# lock-step pipeline that makes the figures rebuilds exactly one window
+# after the one that signalled; a sliding lock-step rebuild keeps pairs
+# homed before it and known after it exact through the retained table; a
+# creator bolt's LocalGroups == association_groups over exactly its
+# retained panes, under the chain its build's Repartition carried == what a
 # GroupIndex derives from the same deltas. §VI-B's chain is decided once per
 # build, by the reader over the whole pane: broadcast before the first
 # document of the attempt's first pane and of a θ pane, and of no other, the
 # pane's synthetic pairs interned in document order; two creators whose
 # shares would detect other chains build under it and the Merger deploys it;
-# `ssj pipeline --window-by Hour:1`'s δ-updates are the same at 1, 2 and 4
+# `ssj pipeline --window-by Hour:1`'s homed share is the same at 1, 2 and 4
 # creators; a 2-process group with expansion routes every pane as the solo
 # run does (ten repetitions per case: the synthetic pairs' ids no longer
 # depend on which creator meets them first).
 repartition_path() {
     cargo test -q --test end_to_end vocabulary_shift_forces_a_repartition
     cargo test -q -p ssj-core --test lockstep drifting_stream_triggers_repartition
+    cargo test -q -p ssj-core --test differential pane_spanning_pairs_meet_across_a_rebuild
     cargo test -q -p ssj-core --test components creator_builds_over_exactly_its_lookback
     cargo test -q -p ssj-core --lib reader::tests::a_build_pane_begins_with_the_chain_detected_over_it
     cargo test -q -p ssj-core --test components creators_build_and_the_merger_deploys_the_panes_chain
-    cargo test -q -p ssj-cli --test pipeline pipeline_updates_do_not_depend_on_the_creator_count
+    cargo test -q -p ssj-cli --test pipeline pipeline_homed_share_does_not_depend_on_the_creator_count
     cargo test -q -p ssj-core --test differential expansion_routes_a_group_like_a_solo_run
 }
 stage "repartition path" repartition_path
 
-# Control-plane determinism: the Assigners' δ-requests and θ signals ride the
-# reader's credit and act at a fixed pane, so routing is a function of the
-# stream. `ssj run`'s routing line (tables deployed, δ-updates, broadcast
-# share) is the same for two solo runs and a 2-process group over one file,
-# also with a creator on the member, whose dictionary interns in its own
-# order; in release, where thread timing is tightest.
+# Control-plane determinism: the Assigners' θ signals ride the reader's
+# credit and act at a fixed pane, so routing is a function of the stream.
+# `ssj run`'s routing line (tables deployed, rebuilds, homed share) is the
+# same for two solo runs and a 2-process group over one file, also with a
+# creator on the member, whose dictionary interns in its own order; in
+# release, where thread timing is tightest.
 stage "control-plane determinism" cargo test -q --release -p ssj-cli --test distributed the_routing_line_is_the_same_in_every_run
 
 # Figs. 6-10 come from the lock-step Fig. 2 topology (one Assigner, batch
