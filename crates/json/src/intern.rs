@@ -18,11 +18,21 @@
 //! `(AttrId, ScalarRef)` — and a hit is one hash and one probe with no
 //! allocation. The store keeps names and string values back to back in one
 //! text buffer, so a miss is an append: no allocation of its own either,
-//! beyond the buffers' amortised growth. Callers with many keys in hand (a
-//! document's leaves, a block's new keys) look them up 32 at a time,
-//! step by step across the batch (`Table::find_avps`), because in a table
-//! larger than the cache a lookup is a chain of misses and only misses of
-//! different keys can overlap.
+//! beyond the buffers' amortised growth.
+//!
+//! A leaf is hashed once. One Fx pass over its attribute name gives the
+//! attribute index's hash and, carried on over the value, the pair's
+//! content hash ([`ContentHashes`]): the pair index's tag and home slot, in
+//! a worker's private table and in the dictionary alike, and the pair's
+//! home partition. The stored pair keeps it, so folding a block into the
+//! dictionary hashes nothing.
+//!
+//! Callers with many keys in hand (a document's leaves, a block's keys)
+//! look them up 32 at a time, step by step across the batch
+//! (`IdIndex::find_many`): every key's home slot, then every key's walk
+//! along its probe cluster to its tag or a free slot, then every
+//! comparison. In a table larger than the cache a lookup is a chain of
+//! misses, and only misses of different keys can overlap.
 //!
 //! # Concurrency and locking protocol
 //!
@@ -45,7 +55,7 @@
 //! here; EXPERIMENTS.md, "Document ingest", has the measurement that retired
 //! both.)
 
-use crate::hash::{hash_str, FxHasher};
+use crate::hash::FxHasher;
 use crate::scalar::ScalarRef;
 use crate::Scalar;
 use parking_lot::RwLock;
@@ -106,10 +116,19 @@ pub struct Pair {
 #[derive(Default)]
 pub(crate) struct Store {
     text: String,
-    attr_names: Vec<Span>,
-    /// Per-attribute count of distinct values seen so far.
-    attr_distinct: Vec<u32>,
+    attrs: Vec<StoredAttr>,
     avps: Vec<StoredPair>,
+}
+
+/// An attribute: its name in [`Store::text`] and what is kept with it.
+#[derive(Clone, Copy)]
+struct StoredAttr {
+    name: Span,
+    /// The name's tag in the attribute index, kept so that absorbing a
+    /// block's attributes hashes none of them again.
+    tag: u32,
+    /// Count of distinct values seen so far.
+    distinct: u32,
 }
 
 /// A piece of [`Store::text`].
@@ -152,7 +171,7 @@ impl Store {
     }
 
     fn attr_name(&self, id: AttrId) -> &str {
-        self.str(self.attr_names[id.index()])
+        self.str(self.attrs[id.index()].name)
     }
 
     fn value(&self, id: AvpId) -> ScalarRef<'_> {
@@ -172,13 +191,13 @@ impl Store {
     /// Attributes plus pairs held.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.attr_names.len() + self.avps.len()
+        self.attrs.len() + self.avps.len()
     }
 }
 
 /// Hash → id index by open addressing with linear probing. A slot is
-/// `(hash's high 32 bits) << 32 | (id + 1)`, zero when free; the same 32
-/// bits choose the home slot, so growing needs no key.
+/// `tag << 32 | (id + 1)`, zero when free, where the tag is 32 bits of the
+/// key's hash; the tag also chooses the home slot, so growing needs no key.
 #[derive(Default)]
 struct IdIndex {
     /// Power-of-two length (or empty), at most half full.
@@ -187,39 +206,82 @@ struct IdIndex {
 }
 
 impl IdIndex {
-    /// The id among those stored under `hash` for which `is_key` holds.
+    /// The id among those stored under `tag` for which `is_key` holds.
     #[inline]
-    fn find(&self, hash: u64, is_key: impl Fn(u32) -> bool) -> Option<u32> {
+    fn find(&self, tag: u32, is_key: impl Fn(u32) -> bool) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
         }
+        self.find_from(tag as usize, tag, is_key)
+    }
+
+    /// [`find`](Self::find) walking on from slot `at` (the home slot, or
+    /// one past it); the index must not be empty.
+    fn find_from(&self, mut at: usize, tag: u32, is_key: impl Fn(u32) -> bool) -> Option<u32> {
         let mask = self.slots.len() - 1;
-        let tag = hash >> 32;
-        let mut at = tag as usize & mask;
         loop {
+            at &= mask;
             let slot = self.slots[at];
             if slot == 0 {
                 return None;
             }
             let id = (slot as u32).wrapping_sub(1);
-            if slot >> 32 == tag && is_key(id) {
+            if (slot >> 32) as u32 == tag && is_key(id) {
                 return Some(id);
             }
-            at = (at + 1) & mask;
+            at += 1;
         }
     }
 
-    /// The slot a probe for `hash` looks at first (0: the index is empty).
-    #[inline]
-    fn home_slot(&self, hash: u64) -> u64 {
-        match self.slots.len() {
-            0 => 0,
-            len => self.slots[(hash >> 32) as usize & (len - 1)],
+    /// [`find`](Self::find) for up to [`LOOKAHEAD`] keys at once:
+    /// `found[i]` is the id stored under `tags[i]` for which `is_key(i, id)`
+    /// holds.
+    ///
+    /// One probe in an index that has outgrown the cache is a chain of
+    /// dependent misses: the home slot, then what the caller loads to
+    /// compare the key. Done key after key the chains run back to back.
+    /// Here each step is taken for all keys before the next step of any, so
+    /// the misses of a step are independent loads the processor overlaps:
+    /// first every key's home slot; then, for each key, the walk along its
+    /// cluster up to the first slot with its tag or a free one (mostly in
+    /// the home slot's cache line); then the comparisons. Only a tag that
+    /// a different key shares walks on alone, from where it stopped.
+    fn find_many(
+        &self,
+        tags: &[u32],
+        is_key: impl Fn(usize, u32) -> bool,
+        found: &mut [Option<u32>],
+    ) {
+        assert!(tags.len() <= LOOKAHEAD && tags.len() == found.len());
+        if self.slots.is_empty() {
+            found.fill(None);
+            return;
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = [0; LOOKAHEAD];
+        let mut slots = [0; LOOKAHEAD];
+        for (i, &tag) in tags.iter().enumerate() {
+            at[i] = tag as usize & mask;
+            slots[i] = self.slots[at[i]];
+        }
+        for (i, &tag) in tags.iter().enumerate() {
+            while slots[i] != 0 && (slots[i] >> 32) as u32 != tag {
+                at[i] = (at[i] + 1) & mask;
+                slots[i] = self.slots[at[i]];
+            }
+        }
+        for (i, &tag) in tags.iter().enumerate() {
+            let id = (slots[i] as u32).wrapping_sub(1);
+            found[i] = match slots[i] {
+                0 => None,
+                _ if is_key(i, id) => Some(id),
+                _ => self.find_from(at[i] + 1, tag, |id| is_key(i, id)),
+            };
         }
     }
 
-    /// Add `id` under `hash`; the key must not be present.
-    fn insert(&mut self, hash: u64, id: u32) {
+    /// Add `id` under `tag`; the key must not be present.
+    fn insert(&mut self, tag: u32, id: u32) {
         if (self.len + 1) * 2 > self.slots.len() {
             let grown = vec![0; (self.slots.len() * 2).max(16)];
             for slot in std::mem::replace(&mut self.slots, grown) {
@@ -228,7 +290,7 @@ impl IdIndex {
                 }
             }
         }
-        self.place(hash >> 32 << 32 | (u64::from(id) + 1));
+        self.place(u64::from(tag) << 32 | (u64::from(id) + 1));
         self.len += 1;
     }
 
@@ -248,34 +310,69 @@ impl IdIndex {
     }
 }
 
+/// One Fx pass over an attribute name. It is the attribute index's hash,
+/// and carried on over a value it is the pair's [`content_hash`]: a leaf is
+/// hashed once for both indexes and for its home.
+#[derive(Clone, Copy)]
+struct NameHash(FxHasher);
+
+impl NameHash {
+    #[inline]
+    fn new(name: &str) -> Self {
+        let mut h = FxHasher::default();
+        h.write(name.as_bytes());
+        NameHash(h)
+    }
+
+    /// The attribute index's tag.
+    #[inline]
+    fn attr_tag(self) -> u32 {
+        (self.0.finish() >> 32) as u32
+    }
+
+    /// The [`content_hash`] of the name with `value`.
+    #[inline]
+    fn content(self, value: ScalarRef<'_>) -> u32 {
+        let mut h = self.0;
+        h.write_u8(0xff);
+        value.hash(&mut h);
+        // Fx's low bits depend on few input bits: finish with a full mix
+        // (MurmurHash3's fmix64) before the caller reduces modulo `m`.
+        let mut x = h.finish();
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        x ^= x >> 33;
+        x as u32
+    }
+}
+
 /// A hash of a pair's attribute name and scalar that no id enters, so
 /// every process that interns the pair computes the same value, whatever
-/// order its symbols arrived in ([`ContentHashes`]).
+/// order its symbols arrived in ([`ContentHashes`]). It is also the tag
+/// and home slot of the pair in every `Table`'s pair index.
 fn content_hash(attr_name: &str, value: ScalarRef<'_>) -> u32 {
-    let mut h = FxHasher::default();
-    h.write(attr_name.as_bytes());
-    h.write_u8(0xff);
-    value.hash(&mut h);
-    // Fx's low bits depend on few input bits: finish with a full mix
-    // (MurmurHash3's fmix64) before the caller reduces modulo `m`.
-    let mut x = h.finish();
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    x ^= x >> 33;
-    x as u32
+    NameHash::new(attr_name).content(value)
 }
 
-#[inline]
-fn hash_avp(attr: AttrId, value: ScalarRef<'_>) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u32(attr.0);
-    value.hash(&mut h);
-    h.finish()
+/// A pair as the pair index looks it up: by its attribute's id, with its
+/// content hash in hand.
+#[derive(Clone, Copy)]
+struct AvpKey<'a> {
+    attr: AttrId,
+    value: ScalarRef<'a>,
+    content: u32,
 }
 
-/// How many lookups [`Table::find_avps`] takes through each step together:
+/// A key no pair has: its attribute id is free (see [`next_id`]).
+const NO_KEY: AvpKey<'static> = AvpKey {
+    attr: AttrId(u32::MAX),
+    value: ScalarRef::Null,
+    content: 0,
+};
+
+/// How many lookups [`IdIndex::find_many`] takes through each step together:
 /// more than the cache misses one core sustains at once, and enough for the
 /// leaves of a typical wide document to go in one batch (measured on the
 /// 448 k-pair nbData dictionary: 32 is ~1.4x faster than 16, 64 no better).
@@ -300,95 +397,93 @@ pub(crate) struct Table {
 }
 
 impl Table {
-    fn find_attr(&self, name: &str) -> Option<AttrId> {
+    fn find_attr(&self, name: &str, tag: u32) -> Option<AttrId> {
         self.attrs
-            .find(hash_str(name), |id| {
-                self.store.attr_name(AttrId(id)) == name
-            })
+            .find(tag, |id| self.store.attr_name(AttrId(id)) == name)
             .map(AttrId)
     }
 
-    fn find_avp(&self, attr: AttrId, value: ScalarRef<'_>) -> Option<AvpId> {
+    /// The key of `(attr, value)`: its content hash comes from the stored
+    /// attribute name. Panics when `attr` is not of this table.
+    fn avp_key<'v>(&self, attr: AttrId, value: ScalarRef<'v>) -> AvpKey<'v> {
+        AvpKey {
+            attr,
+            value,
+            content: content_hash(self.store.attr_name(attr), value),
+        }
+    }
+
+    fn is_avp(&self, id: u32, key: &AvpKey<'_>) -> bool {
+        let pair = &self.store.avps[id as usize];
+        pair.attr == key.attr && self.store.scalar(pair.value) == key.value
+    }
+
+    fn find_avp(&self, key: AvpKey<'_>) -> Option<AvpId> {
         self.avps
-            .find(hash_avp(attr, value), |id| {
-                self.store.avps[id as usize].attr == attr && self.store.value(AvpId(id)) == value
-            })
+            .find(key.content, |id| self.is_avp(id, &key))
             .map(AvpId)
     }
 
-    /// [`find_avp`](Self::find_avp) for up to [`LOOKAHEAD`] keys at once.
-    ///
-    /// One lookup in a table that has outgrown the cache is a chain of
-    /// dependent misses: index slot, then the stored pair, then its text.
-    /// Done key after key the chains run back to back. Here each step is
-    /// taken for all keys before the next step of any, so the misses of a
-    /// step are independent loads the processor overlaps. Keys whose home
-    /// slot is taken by another key fall back to the ordinary probe.
-    fn find_avps(&self, keys: &[(AttrId, ScalarRef<'_>)], found: &mut [Option<AvpId>]) {
-        assert!(keys.len() <= LOOKAHEAD && keys.len() == found.len());
-        let mut slots = [0u64; LOOKAHEAD];
-        let mut same_tag = [false; LOOKAHEAD];
-        for (i, &(attr, value)) in keys.iter().enumerate() {
-            let hash = hash_avp(attr, value);
-            slots[i] = self.avps.home_slot(hash);
-            same_tag[i] = slots[i] >> 32 == hash >> 32;
+    /// [`find_avp`](Self::find_avp) for up to [`LOOKAHEAD`] keys at once,
+    /// through [`IdIndex::find_many`].
+    fn find_avps(&self, keys: &[AvpKey<'_>], found: &mut [Option<AvpId>]) {
+        let mut tags = [0; LOOKAHEAD];
+        for (tag, key) in tags.iter_mut().zip(keys) {
+            *tag = key.content;
         }
-        let mut stored = [None; LOOKAHEAD];
-        for i in 0..keys.len() {
-            if slots[i] != 0 && same_tag[i] {
-                stored[i] = Some(self.store.avps[(slots[i] as u32 - 1) as usize]);
-            }
-        }
-        for (i, &(attr, value)) in keys.iter().enumerate() {
-            found[i] = match stored[i] {
-                _ if slots[i] == 0 => None, // nothing hashes here: absent
-                Some(pair) if pair.attr == attr && self.store.scalar(pair.value) == value => {
-                    Some(AvpId(slots[i] as u32 - 1))
-                }
-                _ => self.find_avp(attr, value),
-            };
+        let mut ids = [None; LOOKAHEAD];
+        self.avps.find_many(
+            &tags[..keys.len()],
+            |i, id| self.is_avp(id, &keys[i]),
+            &mut ids[..keys.len()],
+        );
+        for (found, id) in found.iter_mut().zip(ids) {
+            *found = id.map(AvpId);
         }
     }
 
     fn find_pair(&self, attr_name: &str, value: ScalarRef<'_>) -> Option<Pair> {
-        let attr = self.find_attr(attr_name)?;
-        let avp = self.find_avp(attr, value)?;
+        let hash = NameHash::new(attr_name);
+        let attr = self.find_attr(attr_name, hash.attr_tag())?;
+        let avp = self.find_avp(AvpKey {
+            attr,
+            value,
+            content: hash.content(value),
+        })?;
         Some(Pair { attr, avp })
     }
 
-    /// Find or add an attribute.
-    fn attr(&mut self, name: &str) -> AttrId {
-        if let Some(id) = self.find_attr(name) {
+    /// Find or add an attribute; `tag` is its name's
+    /// [`NameHash::attr_tag`].
+    fn attr(&mut self, name: &str, tag: u32) -> AttrId {
+        if let Some(id) = self.find_attr(name, tag) {
             return id;
         }
-        let id = next_id(self.store.attr_names.len());
-        self.attrs.insert(hash_str(name), id);
+        let id = next_id(self.store.attrs.len());
+        self.attrs.insert(tag, id);
         let name = self.store.push_str(name);
-        self.store.attr_names.push(name);
-        self.store.attr_distinct.push(0);
+        self.store.attrs.push(StoredAttr {
+            name,
+            tag,
+            distinct: 0,
+        });
         AttrId(id)
     }
 
-    /// Find or add a pair. Panics when `attr` is not of this table.
-    fn avp(&mut self, attr: AttrId, value: ScalarRef<'_>) -> AvpId {
-        match self.find_avp(attr, value) {
+    /// Find or add a pair.
+    fn avp(&mut self, key: AvpKey<'_>) -> AvpId {
+        match self.find_avp(key) {
             Some(id) => id,
-            None => self.add_avp(attr, value),
+            None => self.push_avp(key),
         }
     }
 
     /// Add a pair known to be absent.
-    fn add_avp(&mut self, attr: AttrId, value: ScalarRef<'_>) -> AvpId {
-        let content = content_hash(self.store.attr_name(attr), value);
-        self.push_avp(attr, value, content)
-    }
-
-    /// [`add_avp`](Self::add_avp) with the pair's content hash in hand.
-    fn push_avp(&mut self, attr: AttrId, value: ScalarRef<'_>, content: u32) -> AvpId {
+    fn push_avp(&mut self, key: AvpKey<'_>) -> AvpId {
         let id = next_id(self.store.avps.len());
-        self.store.attr_distinct[attr.index()] += 1;
-        self.avps.insert(hash_avp(attr, value), id);
-        let value = match value {
+        self.store.attrs[key.attr.index()].distinct += 1;
+        self.avps.insert(key.content, id);
+        let value = match key.value {
             ScalarRef::Null => StoredScalar::Null,
             ScalarRef::Bool(b) => StoredScalar::Bool(b),
             ScalarRef::Int(i) => StoredScalar::Int(i),
@@ -396,17 +491,22 @@ impl Table {
             ScalarRef::Str(s) => StoredScalar::Str(self.store.push_str(s)),
         };
         self.store.avps.push(StoredPair {
-            attr,
-            content,
+            attr: key.attr,
+            content: key.content,
             value,
         });
         AvpId(id)
     }
 
-    /// Find or add `(attribute name, value)`.
+    /// Find or add `(attribute name, value)`, hashing the leaf once.
     pub(crate) fn pair(&mut self, attr_name: &str, value: ScalarRef<'_>) -> Pair {
-        let attr = self.attr(attr_name);
-        let avp = self.avp(attr, value);
+        let hash = NameHash::new(attr_name);
+        let attr = self.attr(attr_name, hash.attr_tag());
+        let avp = self.avp(AvpKey {
+            attr,
+            value,
+            content: hash.content(value),
+        });
         Pair { attr, avp }
     }
 
@@ -453,20 +553,26 @@ impl Dictionary {
 
     /// Intern an attribute name, returning its stable id.
     pub fn intern_attr(&self, name: &str) -> AttrId {
-        if let Some(id) = self.inner.read().find_attr(name) {
+        let tag = NameHash::new(name).attr_tag();
+        if let Some(id) = self.inner.read().find_attr(name, tag) {
             return id;
         }
-        self.inner.write().attr(name)
+        self.inner.write().attr(name, tag)
     }
 
-    /// Intern an attribute-value pair, returning a [`Pair`].
+    /// Intern an attribute-value pair, returning a [`Pair`]. Panics when
+    /// `attr` is not of this dictionary.
     pub fn intern_avp(&self, attr: AttrId, value: Scalar) -> Pair {
         // NB: bind the read result first — an `if let` on the guarded
         // expression would keep the read guard alive into the write.
-        let hit = self.inner.read().find_avp(attr, value.as_ref());
+        let (key, hit) = {
+            let table = self.inner.read();
+            let key = table.avp_key(attr, value.as_ref());
+            (key, table.find_avp(key))
+        };
         let avp = match hit {
             Some(avp) => avp,
-            None => self.inner.write().avp(attr, value.as_ref()),
+            None => self.inner.write().avp(key),
         };
         Pair { attr, avp }
     }
@@ -490,7 +596,7 @@ impl Dictionary {
     ) {
         // No pair has these ids: see `next_id`.
         const UNKNOWN: Pair = Pair {
-            attr: AttrId(u32::MAX),
+            attr: NO_KEY.attr,
             avp: AvpId(u32::MAX),
         };
         let first = out.len();
@@ -498,11 +604,18 @@ impl Dictionary {
             let table = self.inner.read();
             let mut rest = leaves.clone();
             loop {
-                // An unknown attribute stays `u32::MAX`, which no pair has.
-                let mut keys = [(UNKNOWN.attr, ScalarRef::Null); LOOKAHEAD];
+                // A leaf of an unknown attribute looks up `NO_KEY`.
+                let mut keys = [NO_KEY; LOOKAHEAD];
                 let mut n = 0;
                 for (path, value) in rest.by_ref().take(LOOKAHEAD) {
-                    keys[n] = (table.find_attr(path).unwrap_or(UNKNOWN.attr), value);
+                    let hash = NameHash::new(path);
+                    if let Some(attr) = table.find_attr(path, hash.attr_tag()) {
+                        keys[n] = AvpKey {
+                            attr,
+                            value,
+                            content: hash.content(value),
+                        };
+                    }
                     n += 1;
                 }
                 if n == 0 {
@@ -510,12 +623,12 @@ impl Dictionary {
                 }
                 let mut found = [None; LOOKAHEAD];
                 table.find_avps(&keys[..n], &mut found[..n]);
-                out.extend(
-                    keys.iter()
-                        .zip(found)
-                        .take(n)
-                        .map(|(&(attr, _), avp)| avp.map_or(UNKNOWN, |avp| Pair { attr, avp })),
-                );
+                out.extend(keys.iter().zip(found).take(n).map(|(key, avp)| {
+                    avp.map_or(UNKNOWN, |avp| Pair {
+                        attr: key.attr,
+                        avp,
+                    })
+                }));
             }
         }
         if out[first..].contains(&UNKNOWN) {
@@ -534,21 +647,26 @@ impl Dictionary {
     pub(crate) fn absorb(&self, block: &Store) -> Translation {
         let mut table = self.inner.write();
         let attrs: Vec<AttrId> = block
-            .attr_names
+            .attrs
             .iter()
-            .map(|&name| table.attr(block.str(name)))
+            .map(|attr| table.attr(block.str(attr.name), attr.tag))
             .collect();
         let mut avps = Vec::with_capacity(block.avps.len());
         for run in block.avps.chunks(LOOKAHEAD) {
-            let mut keys = [(AttrId(0), ScalarRef::Null); LOOKAHEAD];
-            for (key, pair) in keys.iter_mut().zip(run) {
-                *key = (attrs[pair.attr.index()], block.scalar(pair.value));
-            }
-            let mut found = [None; LOOKAHEAD];
-            table.find_avps(&keys[..run.len()], &mut found[..run.len()]);
             // The block's worker hashed each pair's content already.
-            for ((&(attr, value), found), pair) in keys.iter().zip(found).zip(run) {
-                avps.push(found.unwrap_or_else(|| table.push_avp(attr, value, pair.content)));
+            let mut keys = [NO_KEY; LOOKAHEAD];
+            for (key, pair) in keys.iter_mut().zip(run) {
+                *key = AvpKey {
+                    attr: attrs[pair.attr.index()],
+                    value: block.scalar(pair.value),
+                    content: pair.content,
+                };
+            }
+            let keys = &keys[..run.len()];
+            let mut found = [None; LOOKAHEAD];
+            table.find_avps(keys, &mut found[..run.len()]);
+            for (&key, found) in keys.iter().zip(found) {
+                avps.push(found.unwrap_or_else(|| table.push_avp(key)));
             }
         }
         Translation { attrs, avps }
@@ -590,12 +708,12 @@ impl Dictionary {
 
     /// Number of distinct values interned for `attr` so far.
     pub fn attr_distinct_values(&self, attr: AttrId) -> usize {
-        self.inner.read().store.attr_distinct[attr.index()] as usize
+        self.inner.read().store.attrs[attr.index()].distinct as usize
     }
 
     /// Total number of interned attributes.
     pub fn attr_count(&self) -> usize {
-        self.inner.read().store.attr_names.len()
+        self.inner.read().store.attrs.len()
     }
 
     /// Total number of interned attribute-value pairs.
@@ -611,9 +729,9 @@ impl Dictionary {
         let store = &self.inner.read().store;
         let attrs = crate::Value::Array(
             store
-                .attr_names
+                .attrs
                 .iter()
-                .map(|&name| crate::Value::Str(store.str(name).to_owned()))
+                .map(|attr| crate::Value::Str(store.str(attr.name).to_owned()))
                 .collect(),
         );
         let avps = crate::Value::Array(
@@ -692,7 +810,7 @@ impl fmt::Debug for Dictionary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let store = &self.inner.read().store;
         f.debug_struct("Dictionary")
-            .field("attrs", &store.attr_names.len())
+            .field("attrs", &store.attrs.len())
             .field("avps", &store.avps.len())
             .finish()
     }
@@ -913,22 +1031,111 @@ mod bulk_tests {
         assert_eq!(batched.export(), one_by_one.export());
     }
 
+    /// 64 distinct tags only: most keys end up away from their home slot.
+    fn crafted_tag(id: u32) -> u32 {
+        id % 64
+    }
+
     /// The index finds every key again across many doublings, and keys
     /// whose hashes agree in the stored 32 bits are told apart by the store.
     #[test]
     fn index_survives_growth_and_tag_collisions() {
         let mut index = IdIndex::default();
-        let hash = |id: u32| u64::from(id % 64) << 32 | u64::from(id); // 64 distinct tags only
         for id in 0..5000 {
-            assert_eq!(index.find(hash(id), |found| found == id), None);
-            index.insert(hash(id), id);
+            assert_eq!(index.find(crafted_tag(id), |found| found == id), None);
+            index.insert(crafted_tag(id), id);
         }
         for id in 0..5000 {
-            assert_eq!(index.find(hash(id), |found| found == id), Some(id));
+            assert_eq!(index.find(crafted_tag(id), |found| found == id), Some(id));
         }
         assert!(index.slots.len() >= 2 * 5000);
         index.clear();
-        assert_eq!(index.find(hash(7), |found| found == 7), None);
+        assert_eq!(index.find(crafted_tag(7), |found| found == 7), None);
+    }
+
+    /// `find_many` answers as `find` key for key, in batches that mix
+    /// present keys displaced from their home slot, absent keys whose home
+    /// slot is taken, absent keys under a tag present keys have, and absent
+    /// keys with a free home slot; checked each time the index has doubled.
+    #[test]
+    fn batched_find_agrees_with_one_key_find() {
+        let mut index = IdIndex::default();
+        let (mut displaced, mut home_taken, mut tag_shared) = (0, 0, 0);
+        for len in 1..=5000u32 {
+            index.insert(crafted_tag(len - 1), len - 1);
+            if !len.is_power_of_two() && len != 5000 {
+                continue;
+            }
+            let present = (0..len).map(|id| (crafted_tag(id), id));
+            let absent = (len..len + 100).map(|id| (crafted_tag(id), id));
+            let free_tags = (64..200)
+                .chain(20_000..20_100)
+                .map(|tag| (tag, u32::MAX - tag));
+            let mut queries: Vec<(u32, u32)> = present.chain(absent).chain(free_tags).collect();
+            // A fixed shuffle, so that every batch mixes the kinds.
+            queries.sort_by_key(|&(_, id)| id.wrapping_mul(0x9e37_79b9));
+            let mask = index.slots.len() - 1;
+            for batch in queries.chunks(LOOKAHEAD) {
+                let tags: Vec<u32> = batch.iter().map(|&(tag, _)| tag).collect();
+                let mut found = [None; LOOKAHEAD];
+                let found = &mut found[..batch.len()];
+                index.find_many(&tags, |i, id| id == batch[i].1, found);
+                for (&(tag, key), &found) in batch.iter().zip(found.iter()) {
+                    assert_eq!(
+                        found,
+                        index.find(tag, |id| id == key),
+                        "len {len}, key {key}"
+                    );
+                    assert_eq!(found, (key < len).then_some(key), "len {len}, key {key}");
+                    let home = index.slots[tag as usize & mask];
+                    match found {
+                        Some(_) if home as u32 != key + 1 => displaced += 1,
+                        None if home != 0 && tag < 64 => tag_shared += 1,
+                        None if home != 0 => home_taken += 1,
+                        _ => {}
+                    }
+                }
+            }
+        }
+        assert!(displaced > 1000 && home_taken > 100 && tag_shared > 100);
+    }
+
+    /// `Table::find_avps` answers as `find_avp` key for key on a table
+    /// grown past several doublings, for pairs present and absent.
+    #[test]
+    fn batched_pair_lookup_agrees_with_one_key_lookup() {
+        let name = |i: usize| format!("attr{}", i % 23);
+        let value = |i: usize| match i % 3 {
+            0 => Scalar::Int(i as i64),
+            1 => Scalar::Str(format!("v{i}")),
+            _ => Scalar::Float(i as f64 / 8.0),
+        };
+        let mut table = Table::default();
+        for i in (0..6000).step_by(2) {
+            table.pair(&name(i), value(i).as_ref());
+        }
+        assert!(table.avps.slots.len() >= 16 << 8);
+        let values: Vec<(AttrId, Scalar)> = (0..6000)
+            .map(|i| {
+                let name = name(i);
+                let tag = NameHash::new(&name).attr_tag();
+                (table.find_attr(&name, tag).unwrap(), value(i))
+            })
+            .collect();
+        let mut hits = 0;
+        for batch in values.chunks(LOOKAHEAD) {
+            let keys: Vec<AvpKey<'_>> = batch
+                .iter()
+                .map(|(attr, value)| table.avp_key(*attr, value.as_ref()))
+                .collect();
+            let mut found = [None; LOOKAHEAD];
+            table.find_avps(&keys, &mut found[..keys.len()]);
+            for (key, found) in keys.iter().zip(found) {
+                assert_eq!(found, table.find_avp(*key));
+                hits += usize::from(found.is_some());
+            }
+        }
+        assert_eq!(hits, 3000);
     }
 }
 

@@ -867,8 +867,85 @@ mod tests {
         }
     }
 
+    /// A pair's content hash is its home: it must be the hash of its
+    /// attribute name and value (written out here as first defined),
+    /// whichever way the pair was interned — streamed blocks on one or two
+    /// workers, `Document::from_value`, `Dictionary::intern`.
+    #[test]
+    fn homes_are_hashes_of_the_content_however_interned() {
+        use crate::hash::FxHasher;
+        use crate::{flatten_value, Scalar};
+        use std::hash::{Hash, Hasher};
+        fn reference_content_hash(name: &str, value: &Scalar) -> u32 {
+            let mut h = FxHasher::default();
+            h.write(name.as_bytes());
+            h.write_u8(0xff);
+            value.as_ref().hash(&mut h);
+            let mut x = h.finish();
+            x ^= x >> 33;
+            x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+            x ^= x >> 33;
+            x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+            x ^= x >> 33;
+            x as u32
+        }
+        fn check(dict: &Dictionary, how: &str) {
+            let content: Vec<(String, Scalar)> = (0..dict.avp_count() as u32)
+                .map(|id| {
+                    let avp = crate::AvpId(id);
+                    (dict.attr_name(dict.avp_attr(avp)), dict.avp_scalar(avp))
+                })
+                .collect();
+            let hashes = dict.content_hashes();
+            for (id, (name, value)) in content.iter().enumerate() {
+                let of = hashes.of(crate::AvpId(id as u32));
+                assert_eq!(
+                    of,
+                    reference_content_hash(name, value),
+                    "{how}: {name}={value:?}"
+                );
+            }
+        }
+        let lines: Vec<String> = (0..4000)
+            .map(|i| {
+                format!(
+                    r#"{{"id":{i},"s":"v{}","f":{}.5,"b":{},"n":null,"o":{{"k{}":[{},"x"]}},"sparse_{}":"w{}"}}"#,
+                    i % 97,
+                    i % 31,
+                    i % 3 == 0,
+                    i % 11,
+                    i % 5,
+                    i % 40,
+                    i % 13
+                )
+            })
+            .collect();
+        let input = lines.join("\n");
+        assert!(input.len() > 2 * STREAM_BLOCK_BYTES);
+        for workers in [1, 2] {
+            let dict = Dictionary::new();
+            DocumentReader::new(Cursor::new(&input), dict.clone(), 0)
+                .read_all_with(workers, STREAM_BLOCK_BYTES)
+                .unwrap();
+            check(&dict, &format!("{workers} worker(s)"));
+        }
+        let (from_value, interned) = (Dictionary::new(), Dictionary::new());
+        for line in &lines {
+            let value = parse(line).unwrap();
+            Document::from_value(DocId(0), &value, &from_value).unwrap();
+            for (name, scalar) in flatten_value(&value).unwrap() {
+                interned.intern(&name, scalar);
+            }
+        }
+        check(&from_value, "from_value");
+        check(&interned, "intern");
+        assert!(interned.avp_count() > 4000);
+    }
+
     /// Not a test: prints what each stage of loading `$SSJ_PROFILE_INPUT`
-    /// costs on one thread (the numbers of EXPERIMENTS.md §ingest).
+    /// costs on one thread (the numbers of EXPERIMENTS.md §ingest), in the
+    /// blocks `ssj run` streams (`read_blocks`) unless `$SSJ_PROFILE_BLOCK`
+    /// gives another size in bytes.
     /// `SSJ_PROFILE_INPUT=f.jsonl cargo test --release -p ssj-json --lib stage_profile -- --ignored --nocapture`
     #[test]
     #[ignore]
@@ -877,7 +954,7 @@ mod tests {
         let path = std::env::var("SSJ_PROFILE_INPUT").expect("set SSJ_PROFILE_INPUT");
         let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
         let block_bytes: usize =
-            std::env::var("SSJ_PROFILE_BLOCK").map_or(BLOCK_BYTES, |v| v.parse().unwrap());
+            std::env::var("SSJ_PROFILE_BLOCK").map_or(STREAM_BLOCK_BYTES, |v| v.parse().unwrap());
 
         let t = Instant::now();
         let mut blocks = BlockReader::new(std::fs::File::open(&path).unwrap(), block_bytes);
@@ -912,16 +989,22 @@ mod tests {
         for block in &tokenised {
             scratch.absorb(&block.keys);
         }
+        let per_key = |t: Instant| t.elapsed().as_nanos() as f64 / keys as f64;
         println!(
-            "merge     {:8.1} ms  ({} pairs in the dictionary)",
+            "merge     {:8.1} ms  ({:.0} ns per block-local key, {} pairs in the dictionary)",
             ms(t),
+            per_key(t),
             scratch.avp_count()
         );
         let t = Instant::now();
         for block in &tokenised {
             scratch.absorb(&block.keys);
         }
-        println!("  again   {:8.1} ms  (every key already known)", ms(t));
+        println!(
+            "  again   {:8.1} ms  ({:.0} ns per block-local key, every key already known)",
+            ms(t),
+            per_key(t)
+        );
         let mut merger = Merger {
             dict: Dictionary::new(),
             next_id: 0,

@@ -64,6 +64,12 @@ stage "stale-order differential" cargo test -q -p ssj-join --test stale_order
 # bench body once and leaves BENCH_fptree.json alone.
 stage "fptree alloc audit" cargo test -q -p ssj-bench --features count-allocs --bench fptree
 
+# Count-allocs build of the json layer bench: the pairs of 20 000 nbData
+# lines interned through `Dictionary::intern`, twice. A hit never allocates,
+# a miss at most once (the store's buffers doubling); test mode runs every
+# bench body once and writes nothing.
+stage "dictionary alloc audit" cargo test -q -p ssj-bench --features count-allocs --bench json_layer
+
 # Crash injection: a crash coordinate fires deterministically and ends the
 # run in TaskPanicked naming its task, fault-free output is identical across
 # pool sizes 1/2/8; then every differential crash case, each resumed at its
