@@ -81,7 +81,7 @@ fn paced_run(id: &str, skew: SkewConfig, profile: ArrivalProfile, jitter: f64) -
     let rt = &report.runtime;
     println!(
         "{id}: repartition_signals {}, group_computations {}",
-        rt.component_counter("assigner", "repartition_signals"),
+        rt.component_counter("reporter", "repartition_signals"),
         rt.component_counter("creator", "group_computations"),
     );
 

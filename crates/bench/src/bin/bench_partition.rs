@@ -1,7 +1,14 @@
 //! Partitioning-pipeline benchmark: the from-scratch group build a
 //! PartitionCreator runs when a (re)partitioning is pending, Merger
-//! consolidation, and document routing (the legacy allocating route vs the
-//! zero-alloc `route_into()` + fingerprint-cache fast path).
+//! consolidation, and static-table routing (the legacy allocating route vs
+//! the zero-alloc `route_into()` + fingerprint-cache fast path).
+//!
+//! The `route/*` rows time `PartitionTable::route_into`, a table's static
+//! path, which only this benchmark's replay calls. They are not the
+//! Assigner's routing cost: the Assigner routes through `Router::route`
+//! (`PartitionTable::route_mask` plus hash homes for the pairs the table
+//! does not know), which only `--audit` exercises here, for allocations,
+//! not for time.
 //!
 //! Modes:
 //! * no args: run the smoke *and* full suites, verify the claim that fast

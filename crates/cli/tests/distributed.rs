@@ -327,9 +327,10 @@ fn out_of_range_m_is_a_named_error() {
 /// `ssj run`'s routing line — tables deployed, rebuilds, homed share — is
 /// a function of the stream: two solo runs and a 2-process group over one
 /// file print the same line, with one creator and with two, the second
-/// hosted on the member, which interns in its own order. The Assigners'
-/// θ signals ride the reader's credit and act at a fixed pane, whatever the
-/// threads' timing.
+/// hosted on the member, which interns in its own order; and so do 1 and 8
+/// Assigners. The Reporter judges θ once over each whole pane, and its
+/// signal rides the reader's credit and acts at a fixed pane, whatever the
+/// threads' timing. `--theta` decides whether anything is rebuilt.
 #[test]
 fn the_routing_line_is_the_same_in_every_run() {
     let input = out_path("routing-input");
@@ -347,11 +348,11 @@ fn the_routing_line_is_the_same_in_every_run() {
         .output()
         .expect("launch ssj");
     assert!(generated.status.success(), "{generated:?}");
-    let routing = |workers: &str, creators: &str| {
+    let routing = |args: &[&str]| {
         let out = Command::new(bin())
             .args(["run", "--input", input.to_str().unwrap()])
-            .args(["--m", "4", "--creators", creators, "--assigners", "2"])
-            .args(["--window", "300", "--no-metrics", "--workers", workers])
+            .args(["--m", "4", "--window", "300", "--no-metrics"])
+            .args(args)
             .env_remove("SSJ_KILL_WORKER")
             .output()
             .expect("launch ssj");
@@ -361,8 +362,31 @@ fn the_routing_line_is_the_same_in_every_run() {
         line.unwrap_or_else(|| panic!("no routing line: {stdout}"))
             .to_owned()
     };
-    let lines = [routing("1", "1"), routing("1", "1"), routing("2", "1")];
-    let two = [routing("1", "2"), routing("2", "2")];
+    let run = |workers, creators, assigners| {
+        routing(&[
+            "--workers",
+            workers,
+            "--creators",
+            creators,
+            "--assigners",
+            assigners,
+        ])
+    };
+    let theta = |theta, assigners| {
+        routing(&[
+            "--creators",
+            "1",
+            "--assigners",
+            assigners,
+            "--theta",
+            theta,
+        ])
+    };
+    let lines = [run("1", "1", "2"), run("1", "1", "2"), run("2", "1", "2")];
+    let two = [run("1", "2", "2"), run("2", "2", "2")];
+    let assigners = [run("1", "1", "1"), run("1", "1", "8")];
+    let eager = [theta("0", "1"), theta("0", "8")];
+    let never = theta("10", "1");
     let _ = std::fs::remove_file(&input);
     assert_eq!(lines[0], lines[1], "solo runs differ");
     assert_eq!(lines[0], lines[2], "the group differs");
@@ -370,7 +394,14 @@ fn the_routing_line_is_the_same_in_every_run() {
         two[0], two[1],
         "the group differs with a creator on the member"
     );
+    assert_eq!(lines[0], assigners[0], "1 Assigner differs from 2");
+    assert_eq!(lines[0], assigners[1], "8 Assigners differ from 2");
     // Not vacuous: the tables route some documents and home others.
     let homed = lines[0].rsplit(' ').next().unwrap();
     assert!(homed != "0.0000" && homed != "1.0000", "{}", lines[0]);
+    // θ = 0 rebuilds on any degradation, the same at 1 and 8 Assigners;
+    // θ = 10 never rebuilds.
+    assert!(!eager[0].starts_with("routing: 0 "), "{}", eager[0]);
+    assert_eq!(eager[0], eager[1], "--theta 0: 1 Assigner differs from 8");
+    assert!(never.starts_with("routing: 0 tables"), "{never}");
 }

@@ -2,7 +2,7 @@
 //!
 //! A [`Router`] holds what an Assigner decides with: the deployed table
 //! (plus, under sliding windows, the superseded tables whose panes are
-//! still in the lookback), the θ-baseline and the pane's routing counts.
+//! still in the lookback) and the pane's routing counts.
 //! The [`Assigner`] bolt of the Fig. 2 topology runs it; the figures and
 //! `ssj pipeline` run that topology in lock-step
 //! ([`crate::Reader::Lockstep`]) with one Assigner, which is one `Router`.
@@ -12,67 +12,37 @@
 //! know it, its hash *home* ([`PartitionTable::route_mask`]). Before the
 //! first deploy the table is empty, so pane 0 is homed.
 //!
-//! A pane's θ signal leaves with the pane's close, in the routing counts
-//! the Assigner sends the Reporter, and acts at boundary `k + L` over the
-//! reader's credit ([`crate::reader`]): the table built there routes pane
-//! `k + L + 1`, in every run. Lock-step (`L = 1`) is §VI-A's
-//! `k → k + 1 → k + 2`.
+//! An Assigner only routes. As it closes a pane it sends the Reporter its
+//! share of the pane's counts; the Reporter sums every Assigner's and
+//! judges θ once over the whole pane (DESIGN.md §4 "Control plane"), so
+//! the number of Assigners does not change what is rebuilt, or when.
 //!
-//! Every deploy is a rebuild: it resets the θ-baseline, the one-signal
-//! latch and the route cache; under sliding windows the superseded table
-//! is retained while panes it routed are in the lookback. A pane that had
-//! already routed documents when a rebuild arrived mixes two routings: it
-//! neither becomes the baseline nor is tested against one.
+//! Every deploy is a rebuild: it drops the route cache; under sliding
+//! windows the superseded table is retained while panes it routed are in
+//! the lookback. The table built at boundary `k` reaches an Assigner after
+//! its whole share of pane `k` (each task has one FIFO input), so it
+//! routes from pane `k + 1` on and no pane mixes two routings.
 
 use crate::config::StreamJoinConfig;
 use crate::msg::{Msg, PaneRouting, TableMsg};
 use ssj_json::{AvpId, Dictionary, Document};
-use ssj_partition::{
-    fingerprint_view, home_bit, PartitionTable, RepartitionPolicy, RouteScratch, RoutingStats,
-    WindowQuality,
-};
-use ssj_runtime::{Bolt, Outbox, TaskInstruments, TraceKind};
+use ssj_partition::{fingerprint_view, home_bit, PartitionTable, RouteScratch};
+use ssj_runtime::{Bolt, Outbox, TaskInstruments};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One pane's routing counts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PaneCounts {
-    /// Documents routed, copies sent per joiner, homed documents.
-    pub stats: RoutingStats,
+    /// Documents routed, copies sent, homed documents.
+    pub routing: PaneRouting,
     /// Routes answered by the fingerprint cache.
     pub routes_cached: usize,
     /// Views routed against the tables that missed the cache.
     pub cache_misses: usize,
 }
 
-impl PaneCounts {
-    fn new(m: usize) -> PaneCounts {
-        PaneCounts {
-            stats: RoutingStats {
-                per_machine: vec![0; m],
-                total_sends: 0,
-                homed: 0,
-                docs: 0,
-            },
-            routes_cached: 0,
-            cache_misses: 0,
-        }
-    }
-}
-
-/// What [`Router::close_pane`] reports about the pane it closed.
-#[derive(Debug, Clone)]
-pub struct PaneClose {
-    /// The pane's §VII-C quality.
-    pub quality: WindowQuality,
-    /// Quality degraded past θ against the baseline: ask for a rebuild.
-    pub signal: bool,
-    /// The pane's routing counts.
-    pub counts: PaneCounts,
-}
-
-/// The Assigner's routing and adaptation state.
+/// The Assigner's routing state.
 pub struct Router {
     m: usize,
     /// Every joiner's bit.
@@ -91,14 +61,6 @@ pub struct Router {
     retired: VecDeque<(Arc<TableMsg>, u64)>,
     /// The pane being routed (= panes closed so far).
     pane: u64,
-    policy: RepartitionPolicy,
-    /// Quality of the first pane fully routed with the current build — the
-    /// §VI-A baseline the θ-threshold compares against.
-    baseline: Option<WindowQuality>,
-    /// The open pane had routed documents when the current build arrived.
-    table_fresh: bool,
-    /// A repartition was signalled for the current build already.
-    signalled: bool,
     /// Reusable routing buffers + view-fingerprint route cache: the steady
     /// state document path performs zero heap allocations (audited by
     /// `bench_partition --audit`).
@@ -123,13 +85,9 @@ impl Router {
             }),
             retired: VecDeque::new(),
             pane: 0,
-            policy: RepartitionPolicy::new(config.theta),
-            baseline: None,
-            table_fresh: false,
-            signalled: false,
             scratch: RouteScratch::new(),
             view_buf: Vec::new(),
-            counts: PaneCounts::new(config.m),
+            counts: PaneCounts::default(),
         }
     }
 
@@ -139,9 +97,6 @@ impl Router {
         if self.lookback > 1 {
             self.retired.push_back((old, self.pane));
         }
-        self.baseline = None;
-        self.signalled = false;
-        self.table_fresh = self.counts.stats.docs > 0;
         // Cached routes reference the old table.
         self.scratch.invalidate_cache();
     }
@@ -152,7 +107,7 @@ impl Router {
     /// document without pairs, which joins nothing.
     pub fn route(&mut self, doc: &Document, dict: &Dictionary) -> u64 {
         let c = &mut self.counts;
-        c.stats.docs += 1;
+        c.routing.docs += 1;
         // Build the routing view into the reusable buffer (no allocation
         // once the buffer has warmed up).
         let have_view = match &self.current.expansion {
@@ -192,35 +147,15 @@ impl Router {
                 (mask, homed)
             }
         };
-        c.stats.homed += homed as usize;
-        c.stats.total_sends += mask.count_ones() as usize;
-        let mut rest = mask;
-        while rest != 0 {
-            c.stats.per_machine[rest.trailing_zeros() as usize] += 1;
-            rest &= rest - 1;
-        }
+        c.routing.homed += homed as usize;
+        c.routing.copies += mask.count_ones() as usize;
         mask
     }
 
-    /// Close pane `pane`: measure it, test it against the θ-baseline (or
-    /// make it the baseline), and retire the tables whose last routed pane
-    /// has left the lookback.
-    pub fn close_pane(&mut self, pane: u64) -> PaneClose {
-        let counts = std::mem::replace(&mut self.counts, PaneCounts::new(self.m));
-        let quality = WindowQuality::from_stats(&counts.stats);
-        let mut signal = false;
-        // A pane that straddled a rebuild mixes two routings.
-        if counts.stats.docs > 0 && !std::mem::take(&mut self.table_fresh) {
-            match &self.baseline {
-                None => self.baseline = Some(quality),
-                // One signal per build: the creators recompute and the
-                // Merger deploys a rebuild, which rearms the detector.
-                Some(base) => {
-                    signal = !self.signalled && self.policy.should_repartition(base, &quality);
-                    self.signalled |= signal;
-                }
-            }
-        }
+    /// Close pane `pane`: take its counts, and retire the tables whose
+    /// last routed pane has left the lookback.
+    pub fn close_pane(&mut self, pane: u64) -> PaneCounts {
+        let counts = std::mem::take(&mut self.counts);
         // Cached route masks are unions over the retained set, so any expiry
         // must also drop the cache — a stale union mask must never route to
         // a partition only an evicted pane's table justified.
@@ -236,18 +171,14 @@ impl Router {
         if self.retired.len() < before {
             self.scratch.invalidate_cache();
         }
-        PaneClose {
-            quality,
-            signal,
-            counts,
-        }
+        counts
     }
 }
 
 /// Assigner bolt (§III-A component 3): routes each document to the Joiners
 /// its [`Router`] names, as a [`Msg::Copy`] that carries that target set,
-/// and, as it closes a pane, sends the Reporter the pane's counts with the
-/// router's θ signal. It ignores the reader's broadcasts.
+/// and, as it closes a pane, sends the Reporter its share of the pane's
+/// counts. It ignores the reader's broadcasts.
 pub struct Assigner {
     dict: Dictionary,
     router: Router,
@@ -290,28 +221,17 @@ impl Bolt<Msg> for Assigner {
     }
 
     fn on_punct(&mut self, window: u64, out: &mut Outbox<Msg>) {
-        let close = self.router.close_pane(window);
-        let c = &close.counts;
+        let c = self.router.close_pane(window);
         out.emit(Msg::Routing {
             window,
-            routing: PaneRouting {
-                docs: c.stats.docs,
-                copies: c.stats.total_sends,
-                homed: c.stats.homed,
-                ..PaneRouting::default()
-            },
-            repartition: close.signal,
+            routing: c.routing,
         });
         if let Some(inst) = &self.inst {
-            inst.counter("routed_sends").add(c.stats.total_sends as u64);
-            inst.counter("homed_docs").add(c.stats.homed as u64);
+            inst.counter("routed_sends").add(c.routing.copies as u64);
+            inst.counter("homed_docs").add(c.routing.homed as u64);
             inst.counter("routes_cached").add(c.routes_cached as u64);
             inst.counter("route_cache_misses")
                 .add(c.cache_misses as u64);
-            if close.signal {
-                inst.counter("repartition_signals").inc();
-                inst.trace(TraceKind::Repartition, window, std::time::Duration::ZERO);
-            }
         }
     }
 }
@@ -355,14 +275,6 @@ mod tests {
         })
     }
 
-    /// Route `docs` documents of pair `v` through a closed pane.
-    fn pane(r: &mut Router, dict: &Dictionary, pane: u64, v: u64, docs: usize) -> PaneClose {
-        for _ in 0..docs {
-            r.route(&doc(dict, v), dict);
-        }
-        r.close_pane(pane)
-    }
-
     /// The home of pair `v`.
     fn home(dict: &Dictionary, v: u64) -> u64 {
         home_bit(dict.content_hashes().of(avp(dict, v)), M)
@@ -382,19 +294,12 @@ mod tests {
         let seven = home_bit(dict.content_hashes().of(two.avps().nth(1).unwrap()), M);
         assert_eq!(r.route(&two, &dict), 1 | seven);
         assert_eq!(r.route(&two, &dict), 1 | seven);
-        let close = r.close_pane(0);
+        let c = r.close_pane(0);
         assert_eq!(
-            (
-                close.counts.stats.docs,
-                close.counts.stats.homed,
-                close.counts.routes_cached
-            ),
+            (c.routing.docs, c.routing.homed, c.routes_cached),
             (4, 3, 1)
         );
-        assert_eq!(
-            close.counts.stats.total_sends,
-            2 + 2 * (1 | seven).count_ones() as usize
-        );
+        assert_eq!(c.routing.copies, 2 + 2 * (1 | seven).count_ones() as usize);
     }
 
     #[test]
@@ -423,58 +328,5 @@ mod tests {
         // Once pane 0 leaves the lookback, the empty table goes with it.
         r.close_pane(1);
         assert_eq!(r.route(&doc(&dict, 3), &dict), 1 << 2);
-    }
-
-    #[test]
-    fn a_rebuild_resets_the_baseline() {
-        let dict = Dictionary::new();
-        let mut r = Router::new(&config());
-        r.deploy(table(&dict, 0, 2));
-        assert!(!pane(&mut r, &dict, 0, 1, 8).signal);
-        // A rebuild at window 1 between panes: the next pane is the new
-        // baseline, so a homed pane after the rebuild is not compared
-        // with the old build's quality…
-        r.deploy(table(&dict, 1, 2));
-        assert!(!pane(&mut r, &dict, 1, 9, 8).signal);
-        // …and neither a routed nor a homed pane degrades from it.
-        assert!(!pane(&mut r, &dict, 2, 1, 8).signal);
-        assert!(!pane(&mut r, &dict, 3, 9, 8).signal);
-    }
-
-    #[test]
-    fn table_fresh_only_on_a_straddled_pane() {
-        let dict = Dictionary::new();
-        let mut r = Router::new(&config());
-        // The bootstrap arrives after pane 0 routed (homed) documents:
-        // pane 0 is no baseline, so a homed pane 1 becomes it and a routed
-        // pane 2 cannot degrade from it.
-        for _ in 0..8 {
-            r.route(&doc(&dict, 1), &dict);
-        }
-        r.deploy(table(&dict, 0, 2));
-        assert!(!r.close_pane(0).signal);
-        assert!(!pane(&mut r, &dict, 1, 9, 8).signal);
-        assert!(!pane(&mut r, &dict, 2, 1, 8).signal);
-        // A rebuild deployed into an empty pane leaves that pane whole: it
-        // is the baseline, and the homed pane after it signals.
-        r.deploy(table(&dict, 3, 2));
-        assert!(!pane(&mut r, &dict, 3, 1, 8).signal);
-        assert!(pane(&mut r, &dict, 4, 9, 8).signal);
-    }
-
-    #[test]
-    fn one_signal_per_build() {
-        let dict = Dictionary::new();
-        let mut r = Router::new(&config());
-        r.deploy(table(&dict, 0, 2));
-        assert!(!pane(&mut r, &dict, 0, 1, 8).signal);
-        assert!(pane(&mut r, &dict, 1, 9, 8).signal);
-        // Still degraded: no second signal.
-        assert!(!pane(&mut r, &dict, 2, 9, 8).signal);
-        assert!(!pane(&mut r, &dict, 3, 8, 8).signal);
-        // A rebuild rearms it.
-        r.deploy(table(&dict, 4, 2));
-        assert!(!pane(&mut r, &dict, 4, 1, 8).signal);
-        assert!(pane(&mut r, &dict, 5, 9, 8).signal);
     }
 }

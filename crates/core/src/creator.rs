@@ -20,7 +20,7 @@ use std::time::Instant;
 ///
 /// Runs the (expensive) association-group computation only when asked: in a
 /// window the reader began with a [`Msg::Repartition`] — the attempt's
-/// first, and one after an Assigner's θ signal (§VI-A: "they inform the
+/// first, and one after the Reporter's θ signal (§VI-A: "they inform the
 /// Partition Creators and the Merger that in the next window a
 /// recalculation of the partitions should be performed"). Its views are
 /// under the §VI-B chain that message carried, which the reader decided

@@ -31,8 +31,6 @@ pub struct Merger {
     expansion: Option<Arc<Expansion>>,
     /// Documents received for the current window (centralized builds).
     docs: Vec<DocRef>,
-    /// A table was built already: the next one is a rebuild.
-    built: bool,
     inst: Option<Arc<TaskInstruments>>,
 }
 
@@ -40,7 +38,6 @@ impl Merger {
     /// The single Merger task.
     pub fn new(config: StreamJoinConfig, dict: Dictionary) -> Self {
         Merger {
-            built: false,
             pending: Vec::new(),
             expansion: None,
             docs: Vec::new(),
@@ -97,12 +94,12 @@ impl Bolt<Msg> for Merger {
     }
 
     /// A build when a share arrived; either way the boundary's counts go
-    /// to the Reporter.
+    /// to the Reporter, which tells the bootstrap from a rebuild.
     fn on_punct(&mut self, window: u64, out: &mut Outbox<Msg>) {
         let mut routing = PaneRouting::default();
         if let Some(table) = self.build() {
-            // The bootstrap build is not a repartition.
-            routing.rebuilt = std::mem::replace(&mut self.built, true);
+            // Every build: the Reporter clears it on the bootstrap.
+            routing.rebuilt = true;
             out.emit(Msg::Table(Arc::new(TableMsg {
                 window,
                 table,
@@ -113,10 +110,6 @@ impl Bolt<Msg> for Merger {
                 inst.trace(TraceKind::Table, window, std::time::Duration::ZERO);
             }
         }
-        out.emit(Msg::Routing {
-            window,
-            routing,
-            repartition: false,
-        });
+        out.emit(Msg::Routing { window, routing });
     }
 }

@@ -39,16 +39,13 @@ pub enum Msg {
     /// detected over that pane, if any; creator 0 forwards it to the Merger.
     Repartition(Option<Arc<Expansion>>),
     /// One pane's routing counts for the Reporter: an Assigner's as it
-    /// closes the pane, or the Merger's boundary.
+    /// closes the pane, or the Merger's boundary. The Reporter judges θ
+    /// over their sum (DESIGN.md §4 "Control plane").
     Routing {
         /// Window (punctuation) id.
         window: u64,
         /// The sender's share of the pane's counts.
         routing: PaneRouting,
-        /// An Assigner's θ signal: quality degraded past θ, so recompute
-        /// the partitions (DESIGN.md §4 "Control plane"). Never the
-        /// Merger's.
-        repartition: bool,
     },
     /// One Joiner's results for one window.
     JoinStats {
@@ -77,8 +74,8 @@ pub struct TableMsg {
 }
 
 /// What routing did to one pane. The Reporter sums the Assigners' closes
-/// (documents, copies, homed documents) and the Merger's boundary
-/// (rebuild) into `WindowResult::routing`.
+/// (documents, copies, homed documents) and the Merger's boundary (a
+/// build) into `WindowResult::routing`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PaneRouting {
     /// Documents routed.
@@ -88,8 +85,9 @@ pub struct PaneRouting {
     /// Documents with a pair the table did not know, or with no §VI-B
     /// view.
     pub homed: usize,
-    /// The Merger rebuilt the partitions at this pane's boundary after a θ
-    /// signal (never the bootstrap build).
+    /// The partitions were rebuilt at this pane's boundary after a θ
+    /// signal. The Merger sets it on every build; the Reporter, which
+    /// judges θ, clears it on the bootstrap.
     pub rebuilt: bool,
 }
 

@@ -18,10 +18,12 @@
 //! hash homes alone — no table has been deployed yet).
 //!
 //! The §VI-A control plane is the reader's credit loop (DESIGN.md §4
-//! "Control plane"): pane *k*'s θ signal goes from the Assigners to the
-//! Reporter, back to the reader with pane *k*'s credit, and out as its
-//! `Repartition` broadcast at the start of pane *k + L* (`L` =
-//! [`Reader::lead`]), so it acts at boundary *k + L* in every run.
+//! "Control plane"): the Reporter judges θ once over the whole of pane
+//! *k* — every Assigner's counts, every joiner's load — and its signal goes
+//! back to the reader with pane *k*'s credit, and out as its `Repartition`
+//! broadcast at the start of pane *k + L* (`L` = [`Reader::lead`]), so it
+//! acts at boundary *k + L* in every run, whatever the number of
+//! Assigners.
 //!
 //! Results leave the topology as the stream goes: when a window's
 //! punctuation aligns, the Reporter folds its `JoinStats` once into a
@@ -46,10 +48,10 @@ use crate::reader::{Credit, Reader, ReaderSpout};
 use crate::wire::MsgCodec;
 use parking_lot::Mutex;
 use ssj_json::{Dictionary, DocId, Document, FxHashMap};
-use ssj_partition::WindowQuality;
+use ssj_partition::{RepartitionPolicy, WindowQuality};
 use ssj_runtime::{
     join_group, metrics::Histogram, run, run_distributed, Bolt, FaultPlan, GroupSetup, Grouping,
-    HistogramSnapshot, Outbox, RunError, RunReport, TaskInstruments, TopologyBuilder,
+    HistogramSnapshot, Outbox, RunError, RunReport, TaskInstruments, TopologyBuilder, TraceKind,
 };
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -179,11 +181,12 @@ pub fn materialize_joins(pairs: &[(u64, u64)], docs: &[Document], first_id: u64)
 type RawPairs = Vec<(DocId, DocId)>;
 
 /// What the [`Reporter`] holds of a window it has not handed over yet.
-type OpenWindow = (Vec<RawPairs>, WindowResult, bool);
+type OpenWindow = (Vec<RawPairs>, WindowResult);
 
 /// The Fig. 2 Reporter: accumulates a window's `JoinStats` and, when the
-/// window's punctuation aligns (every joiner has reported it), folds them
-/// into the [`WindowResult`], gives that to the sink and keeps nothing.
+/// window's punctuation aligns (every joiner has reported it), judges the
+/// pane's θ, folds them into the [`WindowResult`], gives that to the sink
+/// and keeps nothing of it.
 struct Reporter<S> {
     m: usize,
     pane: usize,
@@ -197,9 +200,11 @@ struct Reporter<S> {
     schedule: Option<Arc<[u64]>>,
     anchor: Arc<OnceLock<Instant>>,
     /// Per open window: the joiners' pair lists, held as they arrived so a
-    /// `JoinStats` costs nothing before the latency stamp; the result so
-    /// far; and whether an Assigner signalled, for the window's credit.
+    /// `JoinStats` costs nothing before the latency stamp, and the result
+    /// so far.
     open: FxHashMap<u64, OpenWindow>,
+    /// §VI-A's θ judgement, once per pane, over the whole pane.
+    policy: RepartitionPolicy,
     inst: Option<Arc<TaskInstruments>>,
 }
 
@@ -214,7 +219,7 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
             Msg::JoinStats { window, .. } | Msg::Routing { window, .. } => *window,
             _ => return,
         };
-        let (raw, result, signalled) = self.open.entry(window).or_insert_with(|| {
+        let (raw, result) = self.open.entry(window).or_insert_with(|| {
             let result = WindowResult {
                 window,
                 pairs: Vec::new(),
@@ -223,7 +228,7 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
                 routing: PaneRouting::default(),
                 latency: None,
             };
-            (Vec::new(), result, false)
+            (Vec::new(), result)
         });
         let (joiner, docs, pairs) = match msg {
             Msg::JoinStats {
@@ -233,13 +238,8 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
                 ..
             } => (joiner, docs, pairs),
             // Each Assigner and the Merger report a pane once.
-            Msg::Routing {
-                routing,
-                repartition,
-                ..
-            } => {
+            Msg::Routing { routing, .. } => {
                 result.routing += routing;
-                *signalled |= repartition;
                 return;
             }
             _ => return,
@@ -265,8 +265,14 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
 
     fn on_punct(&mut self, window: u64, _out: &mut Outbox<Msg>) {
         let mut repartition = false;
-        if let Some((raw, mut result, signalled)) = self.open.remove(&window) {
-            repartition = signalled;
+        if let Some((raw, mut result)) = self.open.remove(&window) {
+            // Panes close in order, each after every Assigner's counts and
+            // the Merger's build flag reached this task.
+            if result.routing.rebuilt {
+                result.routing.rebuilt = self.policy.built();
+            } else if result.routing.docs > 0 {
+                repartition = self.policy.judge(result.quality());
+            }
             let t0 = Instant::now();
             result.pairs.reserve(raw.iter().map(Vec::len).sum());
             for pairs in &raw {
@@ -280,6 +286,10 @@ impl<S: FnMut(WindowResult) + Send + 'static> Bolt<Msg> for Reporter<S> {
                 inst.counter("pairs_emitted").add(emitted as u64);
                 inst.counter("pairs_unique").add(result.pairs.len() as u64);
                 inst.histogram("fold_ns").record(t0.elapsed());
+                if repartition {
+                    inst.counter("repartition_signals").inc();
+                    inst.trace(TraceKind::Repartition, window, std::time::Duration::ZERO);
+                }
             }
             (self.sink)(result);
         }
@@ -326,6 +336,7 @@ fn build(
         schedule,
         anchor,
         open: FxHashMap::default(),
+        policy: RepartitionPolicy::new(config.theta),
         inst: None,
     }));
     let dict_creator = dict.clone();
@@ -383,7 +394,7 @@ fn build(
             Box::new(reporter.lock().take().expect("the reporter is built once"))
         })
         .subscribe("joiner", Grouping::Global)
-        // Each pane's routing counts, and the Assigners' control.
+        // Each pane's routing counts.
         .subscribe("assigner", Grouping::Global)
         .subscribe("merger", Grouping::Global)
         .done()

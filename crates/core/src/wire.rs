@@ -316,17 +316,13 @@ impl WireCodec<Msg> for MsgCodec {
                 out.push(TAG_REPARTITION);
                 self.put_expansion(out, expansion.as_deref());
             }
-            Msg::Routing {
-                window,
-                routing,
-                repartition,
-            } => {
+            Msg::Routing { window, routing } => {
                 out.push(TAG_ROUTING);
                 put_varint(out, *window);
                 put_varint(out, routing.docs as u64);
                 put_varint(out, routing.copies as u64);
                 put_varint(out, routing.homed as u64);
-                out.push(routing.rebuilt as u8 | (*repartition as u8) << 1);
+                out.push(routing.rebuilt as u8);
             }
             Msg::JoinStats {
                 window,
@@ -425,10 +421,9 @@ impl WireCodec<Msg> for MsgCodec {
             TAG_ROUTING => {
                 let window = c.varint()?;
                 let (docs, copies, homed) = (c.varint()?, c.varint()?, c.varint()?);
-                // A flag byte: bit 0 the Merger's rebuild, bit 1 an
-                // Assigner's θ signal.
+                // A flag byte: bit 0 the Merger's build.
                 let flags = c.u8()?;
-                if flags > 3 {
+                if flags > 1 {
                     return Err(WireError::BadTag(flags));
                 }
                 Ok(Msg::Routing {
@@ -437,9 +432,8 @@ impl WireCodec<Msg> for MsgCodec {
                         docs: docs as usize,
                         copies: copies as usize,
                         homed: homed as usize,
-                        rebuilt: flags & 1 != 0,
+                        rebuilt: flags != 0,
                     },
-                    repartition: flags & 2 != 0,
                 })
             }
             t => Err(WireError::BadTag(t)),

@@ -103,7 +103,7 @@ fn creators_compute_only_when_needed_on_stable_streams() {
 /// feedback edges, a creator could close pane `k + 1` before an Assigner's
 /// signal of pane `k` reached it, and what the Merger heard was a race.
 #[test]
-fn drift_makes_assigners_signal_and_creators_recompute() {
+fn drift_signals_once_and_creators_recompute() {
     let dict = Dictionary::new();
     let docs = drifting_stream(&dict, 12, 100);
     let counts: Vec<_> = [1, 2, 8]

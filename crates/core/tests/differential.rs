@@ -614,7 +614,7 @@ fn reporter_crash_mid_window_delivers_every_window_once() {
 
 /// [`check`] a lock-step run of a [`shifting_stream`] (batch 1, as in root
 /// `vocabulary_shift_forces_a_repartition`): the vocabulary shifts at pane
-/// 5, both Assigners signal, and at boundary 6 each creator builds groups a
+/// 5, pane 5 signals, and at boundary 6 each creator builds groups a
 /// second time, over its half of every pane in the lookback.
 ///
 /// With a creator crashed in its window `w` (`w ≤ 6`), lock-step has

@@ -129,7 +129,6 @@ fn every_tag_body(dict: &Dictionary) -> Vec<Vec<u8>> {
         Msg::Routing {
             window: 4,
             routing: ROUTING,
-            repartition: true,
         },
         Msg::Copy {
             doc: Arc::new(Document::from_pairs(DocId(8), vec![late, known])),
@@ -383,7 +382,6 @@ fn run_codec_rejects_out_of_range_indices() {
     let counts = Msg::Routing {
         window: u64::MAX,
         routing: ROUTING,
-        repartition: false,
     };
     assert!(decode(&bounded, &counts).is_ok());
     assert!(decode(&default, &stats(M)).is_ok());
@@ -535,29 +533,33 @@ fn control_plane_messages_roundtrip() {
         );
     }
 
-    // A pane close carries its counts and, from an Assigner, its signal;
-    // the Merger's carries none. A rebuild and a signal share one byte.
-    for (rebuilt, repartition) in [(false, false), (true, false), (false, true), (true, true)] {
+    // A pane close carries its counts and, from the Merger, its build in
+    // a flag byte. No θ signal crosses a link: the Reporter judges θ.
+    for rebuilt in [false, true] {
         let mut buf = Vec::new();
         let routing = PaneRouting { rebuilt, ..ROUTING };
-        let msg = Msg::Routing {
-            window: 11,
-            routing,
-            repartition,
-        };
-        codec.encode(&msg, &mut buf);
+        codec.encode(
+            &Msg::Routing {
+                window: 11,
+                routing,
+            },
+            &mut buf,
+        );
         let mut c = Cursor::new(&buf);
         let back = codec.decode(&mut c).unwrap();
         let Msg::Routing {
             window: 11,
             routing: back,
-            repartition: signal,
         } = back
         else {
             panic!("kind changed");
         };
-        assert_eq!((back, signal), (routing, repartition));
+        assert_eq!(back, routing);
         c.finish().unwrap();
+        // The flag byte is last; the bit that once carried a signal is not
+        // a flag.
+        *buf.last_mut().unwrap() = 2;
+        assert!(codec.decode(&mut Cursor::new(&buf)).is_err());
     }
 }
 

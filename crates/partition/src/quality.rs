@@ -6,8 +6,8 @@
 //! * **Maximal processing load** — the largest share of *emitted* documents
 //!   any single Joiner receives.
 //!
-//! [`RepartitionPolicy`] implements the θ-threshold that triggers
-//! recomputation.
+//! [`RepartitionPolicy`] is §VI-A's θ judgement over a run's panes: the
+//! baseline, the θ-threshold test and the one-signal-per-build latch.
 
 use crate::partitions::RoutingStats;
 
@@ -72,26 +72,63 @@ impl WindowQuality {
     }
 }
 
-/// θ-threshold repartitioning (§VI-A): recompute partitions when replication
-/// or the processing-load imbalance has degraded by more than `theta`
-/// relative to the values measured right after the partitions were created,
-/// or when the homed share has risen by more than `theta` over its value
-/// then. The share is a fraction, compared as a difference: a ratio against
-/// a share near 0 would fire on a handful of new pairs.
-#[derive(Debug, Clone, Copy)]
+/// θ-threshold repartitioning (§VI-A), judged once per pane over the whole
+/// pane: recompute partitions when replication or the processing-load
+/// imbalance has degraded by more than `theta` relative to the values
+/// measured right after the partitions were created, or when the homed
+/// share has risen by more than `theta` over its value then. The share is a
+/// fraction, compared as a difference: a ratio against a share near 0 would
+/// fire on a handful of new pairs.
+///
+/// Panes are given in order. The pane at whose boundary a build happened
+/// ([`RepartitionPolicy::built`], the bootstrap included) is neither the
+/// baseline nor tested: the next non-empty pane is the baseline, and every
+/// one after it is tested ([`RepartitionPolicy::judge`]) until one signals.
+/// After that nothing signals until the next build.
+#[derive(Debug, Clone)]
 pub struct RepartitionPolicy {
     /// The relative degradation threshold (paper: 0.2 and 0.6).
-    pub theta: f64,
+    theta: f64,
+    /// The quality of the first non-empty pane after the last build.
+    baseline: Option<WindowQuality>,
+    /// A pane signalled since the last build.
+    signalled: bool,
 }
 
 impl RepartitionPolicy {
-    /// Create a policy with threshold `theta`.
+    /// A policy with threshold `theta` that has seen no pane.
     pub fn new(theta: f64) -> Self {
-        RepartitionPolicy { theta }
+        RepartitionPolicy {
+            theta,
+            baseline: None,
+            signalled: false,
+        }
+    }
+
+    /// The partitions were built at the boundary of the pane being closed.
+    /// Returns whether that was a rebuild, the build a signal asked for,
+    /// rather than the bootstrap. Either way it drops the baseline and
+    /// rearms the signal.
+    pub fn built(&mut self) -> bool {
+        self.baseline = None;
+        std::mem::take(&mut self.signalled)
+    }
+
+    /// Close a non-empty pane at whose boundary nothing was built: it is
+    /// the baseline if there is none, and otherwise tested against it.
+    /// Returns the θ signal, at most once per build.
+    pub fn judge(&mut self, quality: WindowQuality) -> bool {
+        let Some(base) = &self.baseline else {
+            self.baseline = Some(quality);
+            return false;
+        };
+        let signal = !self.signalled && self.degraded(base, &quality);
+        self.signalled |= signal;
+        signal
     }
 
     /// `true` when `current` degraded more than θ past `baseline`.
-    pub fn should_repartition(&self, baseline: &WindowQuality, current: &WindowQuality) -> bool {
+    fn degraded(&self, baseline: &WindowQuality, current: &WindowQuality) -> bool {
         let repl_worse = relative_increase(baseline.replication, current.replication);
         let load_worse =
             relative_increase(baseline.max_processing_load, current.max_processing_load);
@@ -168,9 +205,9 @@ mod tests {
         };
         let mut cur = base;
         cur.replication = 2.3; // +15% — below θ
-        assert!(!policy.should_repartition(&base, &cur));
+        assert!(!policy.degraded(&base, &cur));
         cur.replication = 2.5; // +25% — above θ
-        assert!(policy.should_repartition(&base, &cur));
+        assert!(policy.degraded(&base, &cur));
     }
 
     #[test]
@@ -184,7 +221,7 @@ mod tests {
         };
         let mut cur = base;
         cur.max_processing_load = 0.45; // +50%
-        assert!(policy.should_repartition(&base, &cur));
+        assert!(policy.degraded(&base, &cur));
     }
 
     #[test]
@@ -198,9 +235,74 @@ mod tests {
         };
         let mut cur = base;
         cur.homed_fraction = 0.25; // +0.15: below θ, though 1.5x the base
-        assert!(!policy.should_repartition(&base, &cur));
+        assert!(!policy.degraded(&base, &cur));
         cur.homed_fraction = 0.35; // +0.25
-        assert!(policy.should_repartition(&base, &cur));
+        assert!(policy.degraded(&base, &cur));
+    }
+
+    /// A pane whose every document the table routed to one joiner.
+    fn routed() -> WindowQuality {
+        WindowQuality {
+            replication: 1.0,
+            load_balance: 0.75,
+            max_processing_load: 1.0,
+            homed_fraction: 0.0,
+        }
+    }
+
+    /// The same pane with every document sent to its home instead.
+    fn homed() -> WindowQuality {
+        WindowQuality {
+            homed_fraction: 1.0,
+            ..routed()
+        }
+    }
+
+    #[test]
+    fn a_rebuild_resets_the_baseline() {
+        let mut p = RepartitionPolicy::new(0.2);
+        // Pane 0's boundary builds the bootstrap, pane 1 is the baseline,
+        // pane 2 signals and pane 3's boundary rebuilds.
+        assert!(!p.built());
+        assert!(!p.judge(routed()));
+        assert!(p.judge(homed()));
+        assert!(p.built());
+        // Pane 4 is the new baseline, so a homed pane is not compared
+        // with the old build's quality…
+        assert!(!p.judge(homed()));
+        // …and neither a routed nor a homed pane degrades from it.
+        assert!(!p.judge(routed()));
+        assert!(!p.judge(homed()));
+    }
+
+    #[test]
+    fn the_build_pane_is_neither_baseline_nor_tested() {
+        let mut p = RepartitionPolicy::new(0.2);
+        // Pane 0 (the bootstrap's, homed) is no baseline: a homed pane 1
+        // becomes it, and a routed pane 2 cannot degrade from it.
+        assert!(!p.built());
+        assert!(!p.judge(homed()));
+        assert!(!p.judge(routed()));
+        // A build at pane 3, whatever the pane held: pane 4 is the
+        // baseline, and the homed pane after it signals.
+        assert!(!p.built());
+        assert!(!p.judge(routed()));
+        assert!(p.judge(homed()));
+    }
+
+    #[test]
+    fn one_signal_per_build() {
+        let mut p = RepartitionPolicy::new(0.2);
+        assert!(!p.built());
+        assert!(!p.judge(routed()));
+        assert!(p.judge(homed()));
+        // Still degraded: no second signal.
+        assert!(!p.judge(homed()));
+        assert!(!p.judge(homed()));
+        // A rebuild rearms it.
+        assert!(p.built());
+        assert!(!p.judge(routed()));
+        assert!(p.judge(homed()));
     }
 
     #[test]
@@ -213,7 +315,7 @@ mod tests {
         };
         let mut cur = base;
         cur.replication = 2.8; // +40%
-        assert!(RepartitionPolicy::new(0.2).should_repartition(&base, &cur));
-        assert!(!RepartitionPolicy::new(0.6).should_repartition(&base, &cur));
+        assert!(RepartitionPolicy::new(0.2).degraded(&base, &cur));
+        assert!(!RepartitionPolicy::new(0.6).degraded(&base, &cur));
     }
 }

@@ -34,7 +34,7 @@ use std::fmt;
 use std::io::Read;
 
 /// Wire protocol version; bumped on any incompatible layout change.
-pub const WIRE_VERSION: u16 = 9;
+pub const WIRE_VERSION: u16 = 10;
 
 /// Handshake magic: `"SSJW"`.
 pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"SSJW");

@@ -139,7 +139,8 @@ result_path() {
 stage "result path" result_path
 
 # A repartition that fires: a vocabulary shift sends every new pair to its
-# hash home, so the Assigners' homed share jumps past θ and they signal;
+# hash home, so the pane's homed share jumps past θ and the Reporter
+# signals, once;
 # every creator builds groups a second time over its whole lookback
 # (tumbling with and without expansion, sliding), a second table is
 # deployed, documents are routed by it again, output == brute force; the
@@ -169,12 +170,15 @@ repartition_path() {
 }
 stage "repartition path" repartition_path
 
-# Control-plane determinism: the Assigners' θ signals ride the reader's
-# credit and act at a fixed pane, so routing is a function of the stream.
-# `ssj run`'s routing line (tables deployed, rebuilds, homed share) is the
-# same for two solo runs and a 2-process group over one file, also with a
-# creator on the member, whose dictionary interns in its own order; in
-# release, where thread timing is tightest.
+# Control-plane determinism: the Reporter judges θ once over each whole
+# pane, and its signal rides the reader's credit and acts at a fixed pane,
+# so routing is a function of the stream. `ssj run`'s routing line (tables
+# deployed, rebuilds, homed share) is the same for two solo runs and a
+# 2-process group over one file, also with a creator on the member, whose
+# dictionary interns in its own order, and the same at 1 and 8 Assigners;
+# --theta 0 rebuilds, --theta 10 never does, and the --theta 0 line is the
+# same at 1 and 8 Assigners too; in release, where thread timing is
+# tightest.
 stage "control-plane determinism" cargo test -q --release -p ssj-cli --test distributed the_routing_line_is_the_same_in_every_run
 
 # Figs. 6-10 come from the lock-step Fig. 2 topology (one Assigner, batch

@@ -367,9 +367,10 @@ fn joins_on_arrival_across_micro_batches_and_shifting_attributes() {
 
 /// The rare path: a repartition that fires. The value vocabulary changes at
 /// pane 5 of 10, so the bootstrap table knows none of the later pairs, every
-/// document of pane 5 is homed, and both Assigners see the homed share jump
-/// past θ over the (constant) baseline of panes 1–4. As they close pane 5
-/// they signal. Both creators build groups a second time — at boundary 6,
+/// document of pane 5 is homed, and the Reporter sees the homed share of
+/// the whole pane jump past θ over the (constant) baseline of panes 1–4. As
+/// it closes pane 5 it signals, once, whatever the number of Assigners.
+/// Both creators build groups a second time — at boundary 6,
 /// over their share of the whole lookback, not of one pane — so the
 /// Merger's boundary 6 deploys a rebuild, and from pane 7 on documents are
 /// routed by the table again. The run is in lock-step so the signals reach
@@ -402,8 +403,8 @@ fn vocabulary_shift_forces_a_repartition() {
         let report = run_topology_collect(cfg, &dict, reader, FaultPlan::new(), None).expect("run");
         let rt = &report.runtime;
 
-        let signals = rt.component_counter("assigner", "repartition_signals");
-        assert_eq!(signals, 2, "{what}: one signal per assigner");
+        let signals = rt.component_counter("reporter", "repartition_signals");
+        assert_eq!(signals, 1, "{what}: one signal per pane");
         let creators: Vec<_> = rt
             .tasks
             .iter()
