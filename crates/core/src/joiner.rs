@@ -21,7 +21,7 @@
 
 use crate::config::StreamJoinConfig;
 use crate::msg::Msg;
-use ssj_join::{FpTree, ProbeStats};
+use ssj_join::{FrozenPane, ProbeStats};
 use ssj_json::{DocId, DocRef};
 use ssj_runtime::{Bolt, Outbox, TaskInfo, TaskInstruments, TraceKind};
 use std::collections::VecDeque;
@@ -52,13 +52,16 @@ fn nodes(stats: ProbeStats) -> u64 {
 /// `drain` per micro-batch (and one for the remainder at the boundary)
 /// probes every frozen pane with the whole micro-batch, then probes and
 /// inserts each document into the open pane's FP-tree
-/// ([`ssj_join::OpenPane`], ordered by the previous pane). A punctuation
-/// therefore has at most one micro-batch left to join: it emits the pane's
-/// pairs and rotates the ring. Tumbling windows drop the pane; sliding
-/// windows freeze its tree next to the newest `panes_per_window - 1` and
-/// evict the oldest — O(pane) eviction, never a window rebuild. A tree
-/// holds ids, tags and pairs only, so each micro-batch's document handles
-/// are released as soon as it is joined.
+/// ([`ssj_join::OpenPane`], ordered by the previous pane). A copy probes a
+/// frozen pane only if [`FrozenPane::may_join`] admits it: the pane's pair
+/// set holds one of its pairs and each of its values for the tree's
+/// ubiquitous attributes. A punctuation therefore has at most one
+/// micro-batch left to join: it emits the pane's pairs and rotates the
+/// ring. Tumbling windows drop the pane; sliding windows freeze its tree
+/// and pair set next to the newest `panes_per_window - 1` and evict the
+/// oldest — O(pane) eviction, never a window rebuild. A tree holds ids,
+/// tags and pairs only, so each micro-batch's document handles are
+/// released as soon as it is joined.
 ///
 /// Every probe finds only the pairs this joiner owns (module docs), so the
 /// boundary emits them as they are.
@@ -73,7 +76,7 @@ pub struct Joiner {
     open: ssj_join::OpenPane,
     /// Frozen panes still inside the sliding lookback, oldest first; empty
     /// for tumbling windows.
-    frozen: VecDeque<FpTree>,
+    frozen: VecDeque<FrozenPane>,
     /// Pairs of the open pane found so far (all of them owned).
     pairs: Vec<(DocId, DocId)>,
     /// Copies of the open pane received so far — one per document: the
@@ -81,6 +84,10 @@ pub struct Joiner {
     docs: usize,
     /// FP-tree nodes the open pane's probes visited so far.
     probe_nodes: u64,
+    /// Copies probed against a frozen pane, and copies a frozen pane's
+    /// pair set turned away, so far in the open pane.
+    frozen_probes: u64,
+    frozen_skipped: u64,
     /// Reused working memory for probes of frozen panes.
     probe_scratch: ssj_join::ProbeScratch,
     probe_buf: Vec<DocId>,
@@ -103,6 +110,8 @@ impl Joiner {
             pairs: Vec::new(),
             docs: 0,
             probe_nodes: 0,
+            frozen_probes: 0,
+            frozen_skipped: 0,
             probe_scratch: ssj_join::ProbeScratch::new(),
             probe_buf: Vec::new(),
             probe_ns_acc: 0,
@@ -111,9 +120,10 @@ impl Joiner {
     }
 
     /// Join the collected arrivals: probe every frozen pane, oldest first,
-    /// with the whole micro-batch (tree-major: one tree stays hot), then
-    /// probe and insert each document into the open tree, and release the
-    /// handles. Every probe finds only the pairs this joiner owns.
+    /// with the copies of the micro-batch it may join (tree-major: one tree
+    /// stays hot), then probe and insert each document into the open tree,
+    /// and release the handles. Every probe finds only the pairs this
+    /// joiner owns.
     fn drain(&mut self) {
         if self.arrivals.is_empty() {
             return;
@@ -123,11 +133,16 @@ impl Joiner {
             .as_deref()
             .filter(|i| i.enabled())
             .map(|_| Instant::now());
-        for tree in &self.frozen {
+        for pane in &self.frozen {
             // A frozen pane never holds a later pane's document.
             for (d, tag) in &self.arrivals {
+                if !pane.may_join(d) {
+                    self.frozen_skipped += 1;
+                    continue;
+                }
+                self.frozen_probes += 1;
                 let stats = ssj_join::fp_probe_absent(
-                    tree,
+                    pane.tree(),
                     d,
                     *tag,
                     true,
@@ -184,9 +199,13 @@ impl Bolt<Msg> for Joiner {
         let reserve = self.pairs.len();
         let pairs = std::mem::replace(&mut self.pairs, Vec::with_capacity(reserve));
         let probe_nodes = std::mem::take(&mut self.probe_nodes);
+        let frozen_probes = std::mem::take(&mut self.frozen_probes);
+        let frozen_skipped = std::mem::take(&mut self.frozen_skipped);
         if let Some(inst) = &self.inst {
             inst.counter("join_pairs").add(pairs.len() as u64);
             inst.counter("window_docs").add(docs as u64);
+            inst.counter("frozen_probes").add(frozen_probes);
+            inst.counter("frozen_skipped").add(frozen_skipped);
             // Per-window probe load in FP-tree nodes visited: the
             // deterministic straggler measure — unlike probe_ns it is immune
             // to CPU contention, so benchmarks can gate on it reproducibly.

@@ -712,3 +712,108 @@ fn a_sliding_joiner_releases_each_copy_after_its_drain() {
         "{pane_3:?}"
     );
 }
+
+/// A [`Joiner`] that logs, after every boundary, the FP-tree nodes its
+/// probes have visited so far (the `probe_nodes` histogram's sum).
+struct ProbedJoiner {
+    inner: Joiner,
+    inst: Option<Arc<ssj_runtime::TaskInstruments>>,
+    log: Arc<std::sync::Mutex<Vec<u64>>>,
+}
+
+impl ssj_runtime::Bolt<Msg> for ProbedJoiner {
+    fn attach_instruments(&mut self, inst: &Arc<ssj_runtime::TaskInstruments>) {
+        self.inst = Some(Arc::clone(inst));
+        self.inner.attach_instruments(inst);
+    }
+
+    fn prepare(&mut self, info: &ssj_runtime::TaskInfo) {
+        self.inner.prepare(info);
+    }
+
+    fn execute(&mut self, msg: Msg, out: &mut ssj_runtime::Outbox<Msg>) {
+        self.inner.execute(msg, out);
+    }
+
+    fn on_punct(&mut self, window: u64, out: &mut ssj_runtime::Outbox<Msg>) {
+        self.inner.on_punct(window, out);
+        let inst = self.inst.as_ref().expect("instruments attached");
+        let visited = inst.histogram("probe_nodes").snapshot().sum_ns;
+        self.log.lock().unwrap().push(visited);
+    }
+}
+
+/// A frozen pane whose documents all carry `h:1` — `h` one of its tree's
+/// ubiquitous attributes — cannot join a copy carrying `h:2`: its pair set
+/// turns the copy away before the tree is read, so the window's probes
+/// visit no node (a probe of the tree hops `s:x` on the fast path first).
+#[test]
+fn a_frozen_pane_without_the_copys_ubiquitous_value_is_not_probed() {
+    let dict = Dictionary::new();
+    let copy = |id, json: &str| {
+        SpoutEmit::Message(Msg::Copy {
+            doc: Arc::new(Document::from_json(DocId(id), json, &dict).unwrap()),
+            targets: 1,
+        })
+    };
+    // Pane 0 orders pane 1's tree: `s` (one value) first, then `h`, both
+    // ubiquitous.
+    let emits = vec![
+        copy(0, r#"{"s":"x","h":1}"#),
+        copy(1, r#"{"s":"x","h":3}"#),
+        SpoutEmit::Punctuate(0),
+        copy(2, r#"{"s":"x","h":1}"#),
+        SpoutEmit::Punctuate(1),
+        copy(3, r#"{"s":"x","h":2}"#),
+        SpoutEmit::Punctuate(2),
+    ];
+    let feed = std::sync::Mutex::new(Some(emits));
+    let cfg = StreamJoinConfig::default()
+        .with_m(1)
+        .with_window_spec(WindowSpec::sliding(2, 2))
+        .with_expansion(false)
+        .build()
+        .unwrap();
+    let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let joiner_log = Arc::clone(&log);
+    let sink = CollectorBolt::new();
+    let got = sink.handle();
+    let topology = TopologyBuilder::new()
+        .batch_size(1)
+        .spout("feed", 1, move |_| {
+            let emits = feed.lock().unwrap().take().expect("one feed");
+            Box::new(Script(emits.into_iter()))
+        })
+        .bolt("joiner", 1, move |_| {
+            Box::new(ProbedJoiner {
+                inner: Joiner::new(cfg.clone()),
+                inst: None,
+                log: Arc::clone(&joiner_log),
+            })
+        })
+        .subscribe("feed", Grouping::Shuffle)
+        .done()
+        .bolt("sink", 1, move |_| Box::new(sink.clone()))
+        .subscribe("joiner", Grouping::Global)
+        .done()
+        .build()
+        .unwrap();
+    let report = ssj_runtime::run(topology).unwrap();
+
+    let log = log.lock().unwrap();
+    assert_eq!(log.len(), 3, "{log:?}");
+    assert_eq!(log[2] - log[1], 0, "window 2 probed a tree: {log:?}");
+    // Pane 1 shares `s:x` with pane 0 and is probed; pane 2 is turned away.
+    assert_eq!(report.component_counter("joiner", "frozen_probes"), 1);
+    assert_eq!(report.component_counter("joiner", "frozen_skipped"), 1);
+    let pairs: Vec<_> = got
+        .take()
+        .into_iter()
+        .filter_map(|msg| match msg {
+            Msg::JoinStats { pairs, .. } => Some(pairs),
+            _ => None,
+        })
+        .flatten()
+        .collect();
+    assert_eq!(pairs, vec![(DocId(0), DocId(2))]);
+}

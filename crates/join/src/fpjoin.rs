@@ -27,6 +27,11 @@
 //! meets it. The Joiner probes with its copy's tag, so it walks only towards
 //! the pairs it owns. A skip of 0 is the paper's probe.
 //!
+//! A sliding window's closed pane is a [`FrozenPane`]: the sealed tree and
+//! the set of pairs its documents carry. [`FrozenPane::may_join`] tests a
+//! probe document against that set before any tree node is read, and skips
+//! the panes that cannot hold a partner.
+//!
 //! # Zero-allocation probing
 //!
 //! The hot entry point is [`probe_into`]: it takes a reusable
@@ -37,7 +42,7 @@
 //! allocating conveniences over it.
 
 use crate::fptree::{FpTree, NodeId};
-use crate::order::{AttrOrder, OrderScratch};
+use crate::order::{AttrOrder, OrderScratch, PairSet};
 use ssj_json::{AttrId, AvpId, DocId, Document, Pair};
 use std::borrow::Borrow;
 
@@ -358,21 +363,62 @@ impl OpenPane {
 
     /// Close the pane and open the next one, empty, under the order of the
     /// documents this one held (one sort over the attribute list). `keep`
-    /// hands the sealed tree back, for a sliding window to freeze; otherwise
-    /// its arenas are reused. An empty pane teaches nothing and keeps its
-    /// order.
-    pub fn close(&mut self, keep: bool) -> Option<FpTree> {
+    /// hands the sealed tree back with the pairs its documents carry, for a
+    /// sliding window to freeze, and sizes the next tree's arenas to this
+    /// one's; otherwise its arenas are reused. An empty pane teaches
+    /// nothing and keeps its order.
+    pub fn close(&mut self, keep: bool) -> Option<FrozenPane> {
         if self.tree.doc_count() == 0 {
             return None;
         }
-        let order = self.scratch.order.finish();
         if !keep {
-            self.tree.reset(order);
+            self.tree.reset(self.scratch.order.finish());
             return None;
         }
-        let mut tree = std::mem::replace(&mut self.tree, FpTree::new(order));
+        let (order, pairs) = self.scratch.order.finish_with_pairs();
+        let next = FpTree::sized_like(order, &self.tree);
+        let mut tree = std::mem::replace(&mut self.tree, next);
         tree.seal();
-        Some(tree)
+        Some(FrozenPane { tree, pairs })
+    }
+}
+
+/// A closed pane of a sliding window: its sealed tree and the set of pairs
+/// its documents carry. The default is the empty pane, which joins nothing.
+#[derive(Debug, Default)]
+pub struct FrozenPane {
+    tree: FpTree,
+    pairs: PairSet,
+}
+
+impl FrozenPane {
+    /// The pane's sealed tree.
+    pub fn tree(&self) -> &FpTree {
+        &self.tree
+    }
+
+    /// The pairs the pane's documents carry.
+    pub fn pairs(&self) -> &PairSet {
+        &self.pairs
+    }
+
+    /// Whether a probe of the pane with `doc` can find anything: `doc`
+    /// shares a pair with the pane, and each of its values for the tree's
+    /// ubiquitous attributes is one the pane holds. A `false` is exact: if
+    /// `doc` shares no pair with the pane, no stored document joins it; if
+    /// it has a value no stored document has for an attribute all of them
+    /// carry, every stored document conflicts with it.
+    pub fn may_join(&self, doc: &Document) -> bool {
+        let (order, ubiquitous) = (self.tree.order(), self.tree.ubiquitous());
+        let mut shared = false;
+        for &Pair { attr, avp } in doc.pairs() {
+            if self.pairs.contains(avp) {
+                shared = true;
+            } else if (order.rank(attr) as usize) < ubiquitous {
+                return false;
+            }
+        }
+        shared
     }
 }
 

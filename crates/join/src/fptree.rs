@@ -168,6 +168,19 @@ impl FpTree {
         }
     }
 
+    /// An empty tree under `order` whose arenas are sized to what `like`
+    /// holds now — the next sliding pane starts where this one ended,
+    /// instead of regrowing every arena from empty.
+    pub(crate) fn sized_like(order: AttrOrder, like: &FpTree) -> Self {
+        let mut tree = FpTree::new(order);
+        tree.nodes.reserve(like.nodes.len());
+        tree.child_index.reserve(like.child_index.len());
+        tree.tails.reserve(like.tails.len());
+        tree.pool.reserve(like.pool.len());
+        tree.doc_tags.reserve(like.doc_tags.len());
+        tree
+    }
+
     /// Empty the tree and put it under `order`, keeping every arena's
     /// capacity — a tumbling pane reuses one tree.
     pub fn reset(&mut self, order: AttrOrder) {

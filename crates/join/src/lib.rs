@@ -41,11 +41,11 @@ pub mod windowspec;
 
 pub use fpjoin::{
     join_batch as fp_join_batch, probe as fp_probe, probe_absent as fp_probe_absent,
-    probe_into as fp_probe_into, OpenPane, ProbeScratch, ProbeStats,
+    probe_into as fp_probe_into, FrozenPane, OpenPane, ProbeScratch, ProbeStats,
 };
 pub use fptree::{FpTree, NodeId};
 pub use joiner::{join_batch, split_timings, BatchJoiner, JoinAlgo, JoinTimings};
-pub use order::AttrOrder;
+pub use order::{AttrOrder, PairSet};
 pub use sliding::SlidingJoiner;
 pub use tree_stats::TreeStats;
 pub use windowspec::{WindowError, WindowSpec};

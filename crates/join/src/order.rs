@@ -7,7 +7,7 @@
 //! batch are *ubiquitous* — they occupy the first [`AttrOrder::ubiquitous`]
 //! ranks and enable the FPTreeJoin fast path of §V-B.
 
-use ssj_json::{AttrId, Document, Pair};
+use ssj_json::{AttrId, AvpId, Document, Pair};
 
 /// A frozen attribute ordering computed from one batch (window) of documents.
 /// The default is the empty order: every attribute unseen, ranked by id.
@@ -33,7 +33,8 @@ pub struct AttrOrder {
 /// `AvpId` identifies attribute *and* value, so one bit per pair counts
 /// distinct values without a per-attribute set). The bitmap is sized by the
 /// largest pair id met — one bit per dictionary entry, e.g. 56 KB for a
-/// 448 k-pair dictionary — and is cleared per batch.
+/// 448 k-pair dictionary — and is cleared per batch, or handed out as the
+/// batch's [`PairSet`] by [`finish_with_pairs`](OrderScratch::finish_with_pairs).
 #[derive(Debug, Default)]
 pub struct OrderScratch {
     /// Per attribute: documents of the batch carrying it, and its distinct
@@ -64,6 +65,15 @@ impl OrderScratch {
             *distinct += u32::from(seen[word] & bit == 0);
             seen[word] |= bit;
         }
+    }
+
+    /// [`finish`](OrderScratch::finish), also handing out the pairs the
+    /// batch's documents carried; the next batch starts from a zeroed
+    /// bitmap of the same size.
+    pub fn finish_with_pairs(&mut self) -> (AttrOrder, PairSet) {
+        let zeroed = vec![0; self.seen.len()];
+        let pairs = PairSet(std::mem::replace(&mut self.seen, zeroed));
+        (self.finish(), pairs)
     }
 
     /// The order of the documents observed since the last `finish`; the
@@ -97,6 +107,34 @@ impl OrderScratch {
         seen.fill(0);
         *docs = 0;
         order
+    }
+}
+
+/// The pairs one batch's documents carried, one bit per pair id (see
+/// [`OrderScratch`]); the empty set by default.
+#[derive(Debug, Clone, Default)]
+pub struct PairSet(Vec<u64>);
+
+impl PairSet {
+    /// Whether some document of the batch carried `avp`.
+    #[inline]
+    pub fn contains(&self, avp: AvpId) -> bool {
+        let word = self.0.get(avp.0 as usize / 64).copied().unwrap_or(0);
+        word & (1u64 << (avp.0 % 64)) != 0
+    }
+
+    /// The pairs in the set, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = AvpId> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &bits)| {
+            (0..64)
+                .filter(move |b| bits & (1u64 << b) != 0)
+                .map(move |b| AvpId((w * 64 + b) as u32))
+        })
+    }
+
+    /// Heap bytes of the bitmap.
+    pub fn approx_bytes(&self) -> usize {
+        self.0.len() * std::mem::size_of::<u64>()
     }
 }
 

@@ -13,9 +13,11 @@
 //! `SSJ_PROFILE_SHARE` of its documents (1.0: a broadcast pane). The last
 //! column joins each pane on arrival ([`OpenPane`], tree ordered by the pane
 //! before) and reports how many arena nodes that stale order costs against
-//! the batch-ordered tree.
+//! the batch-ordered tree. The frozen column probes the panes that column
+//! closed, as the Joiner does: only where [`FrozenPane::may_join`] admits
+//! the copy; it reports the probes that remain per copy.
 
-use ssj_join::{fpjoin, AttrOrder, FpTree, OpenPane};
+use ssj_join::{fpjoin, AttrOrder, FpTree, FrozenPane, OpenPane};
 use ssj_json::{Dictionary, DocId, Document};
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -49,12 +51,15 @@ fn pane_profile() {
     // Three passes; the minimum per column is reported.
     let mut best = [f64::MAX; 6];
     let (mut nodes, mut live_nodes, mut bytes, mut pairs) = (0usize, 0usize, 0usize, 0usize);
+    let (mut probes, mut unfiltered, mut disjoint, mut set_bytes) = (0usize, 0usize, 0usize, 0);
     for _ in 0..3 {
         let mut t = [0u128; 6];
-        (nodes, live_nodes, bytes, pairs) = (0, 0, 0, 0);
+        (
+            nodes, live_nodes, bytes, pairs, probes, unfiltered, disjoint,
+        ) = (0, 0, 0, 0, 0, 0, 0);
         let mut open = OpenPane::new();
         let mut live_pairs = Vec::new();
-        let mut ring: VecDeque<FpTree> = VecDeque::new();
+        let mut ring: VecDeque<FrozenPane> = VecDeque::new();
         let mut scratch = fpjoin::ProbeScratch::new();
         let mut partners: Vec<DocId> = Vec::new();
         for p in &panes {
@@ -78,13 +83,19 @@ fn pane_profile() {
             pairs += found.len();
 
             let t0 = Instant::now();
-            for tree in &ring {
-                for d in p {
-                    fpjoin::probe_into(tree, d, true, &mut scratch, &mut partners);
+            for pane in &ring {
+                for d in p.iter().filter(|d| pane.may_join(d)) {
+                    fpjoin::probe_absent(pane.tree(), d, 0, true, &mut scratch, &mut partners);
                     pairs += partners.len();
+                    probes += 1;
                 }
             }
             t[3] += t0.elapsed().as_nanos();
+            unfiltered += ring.len() * p.len();
+            for pane in &ring {
+                let shares = |d: &&Document| d.pairs().iter().any(|q| pane.pairs().contains(q.avp));
+                disjoint += p.iter().filter(|d| !shares(d)).count();
+            }
 
             let t0 = Instant::now();
             let rebuilt = FpTree::build(p);
@@ -99,10 +110,11 @@ fn pane_profile() {
             let live = open.close(true);
             t[5] += t0.elapsed().as_nanos();
             assert_eq!(live_pairs.len(), found.len());
-            live_nodes += live.map_or(0, |t| t.node_count() - 1);
+            live_nodes += live.as_ref().map_or(0, |l| l.tree().node_count() - 1);
+            set_bytes = set_bytes.max(live.as_ref().map_or(0, |l| l.pairs().approx_bytes()));
 
             if frozen_panes > 0 {
-                ring.push_back(joined);
+                ring.push_back(live.unwrap_or_default());
                 if ring.len() > frozen_panes {
                     ring.pop_front();
                 }
@@ -131,5 +143,12 @@ fn pane_profile() {
         live_nodes as f64 / copies as f64,
         bytes as f64 / copies as f64,
         panes.iter().flatten().map(Document::len).sum::<usize>() as f64 / copies as f64,
+    );
+    println!(
+        "frozen probes/copy {:.2} of {:.2} without the pair-set test ({:.2} share no pair) | \
+         pair set {set_bytes} B/pane",
+        probes as f64 / copies as f64,
+        unfiltered as f64 / copies as f64,
+        disjoint as f64 / copies as f64,
     );
 }

@@ -8,11 +8,15 @@
 //! case (equal, ends inside, diverges, outruns); a punched-out attribute
 //! (`hole`) and an attribute no order ranks (`extra`) make the order a stale
 //! prediction. Tags and masks come from three bits, so they meet often.
+//!
+//! A frozen pane's pair set ([`FrozenPane::may_join`]) is held to the same
+//! standard: it turns a probe away only where every skip mask finds nothing.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use ssj_join::{fpjoin, AttrOrder, FpTree, NodeId, OpenPane};
-use ssj_json::{Dictionary, DocId, Document, Scalar};
+use ssj_join::{fpjoin, AttrOrder, FpTree, FrozenPane, NodeId, OpenPane};
+use ssj_json::{AvpId, Dictionary, DocId, Document, Scalar};
+use std::collections::BTreeSet;
 
 const CHAIN: usize = 6;
 
@@ -171,7 +175,7 @@ proptest! {
         let mut open = OpenPane::new();
         let mut scratch = fpjoin::ProbeScratch::new();
         let mut out = Vec::new();
-        let mut frozen: Option<(FpTree, Vec<(Document, u64)>)> = None;
+        let mut frozen: Option<(FrozenPane, Vec<(Document, u64)>)> = None;
         for (k, specs) in panes.iter().enumerate() {
             let pane = docs(&dict, 100 * k as u64, specs);
             let mut pairs = Vec::new();
@@ -183,7 +187,8 @@ proptest! {
                 want.extend(brute(&pane[..i], b, *tb).into_iter().map(|a| (a, b.id())));
             }
             prop_assert_eq!(sorted(pairs), sorted(want), "pane {}", k);
-            if let Some((tree, stored)) = &frozen {
+            if let Some((frozen, stored)) = &frozen {
+                let tree = frozen.tree();
                 assert_ands(tree, NodeId::ROOT);
                 for (d, tag) in &pane {
                     fpjoin::probe_absent(tree, d, *tag, true, &mut scratch, &mut out);
@@ -192,6 +197,50 @@ proptest! {
             }
             // Alternate the reset (tumbling) and the kept, sealed tree.
             frozen = open.close(k % 2 == 0).map(|tree| (tree, pane));
+        }
+    }
+
+    /// Panes joined on arrival and closed as a tumbling (reset) or sliding
+    /// (kept) window would, empty ones included: a kept pane's pair set is
+    /// exactly the pairs its documents carry, and whenever the set turns a
+    /// document away, the pane's tree reports nothing to it under any skip
+    /// mask, fast path on or off, and brute force finds no partner.
+    #[test]
+    fn a_frozen_pane_turns_away_only_probes_that_find_nothing(
+        panes in vec((vec(tagged(), 0..16), any::<bool>()), 1..6),
+        probes in vec(spec(), 1..8),
+    ) {
+        let dict = Dictionary::new();
+        let probes: Vec<Document> =
+            probes.iter().enumerate().map(|(i, s)| doc(&dict, 9_000 + i as u64, s)).collect();
+        let mut open = OpenPane::new();
+        let mut scratch = fpjoin::ProbeScratch::new();
+        let mut out = Vec::new();
+        let mut sink = Vec::new();
+        for (k, (specs, keep)) in panes.iter().enumerate() {
+            let pane = docs(&dict, 100 * k as u64, specs);
+            for (d, tag) in &pane {
+                open.join(d, *tag, &mut sink);
+            }
+            let Some(frozen) = open.close(*keep) else {
+                prop_assert!(!keep || pane.is_empty());
+                continue;
+            };
+            let carried: BTreeSet<AvpId> =
+                pane.iter().flat_map(|(d, _)| d.pairs().iter().map(|p| p.avp)).collect();
+            prop_assert_eq!(frozen.pairs().iter().collect::<BTreeSet<_>>(), carried, "pane {}", k);
+            for p in &probes {
+                if frozen.may_join(p) {
+                    continue;
+                }
+                prop_assert_eq!(brute(&pane, p, 0), Vec::<DocId>::new(), "pane {} probe {:?}", k, p.pairs());
+                for skip in 0..8 {
+                    for fast in [true, false] {
+                        fpjoin::probe_absent(frozen.tree(), p, skip, fast, &mut scratch, &mut out);
+                        prop_assert!(out.is_empty(), "pane {} skip {:#b} fast={} probe {:?}", k, skip, fast, p.pairs());
+                    }
+                }
+            }
         }
     }
 }

@@ -186,11 +186,12 @@ proptest! {
             prop_assert_eq!(sorted(pairs), sorted(nlj::join_batch(&ds)), "pane {}", p);
             let kept = open.close(*keep);
             prop_assert_eq!(kept.is_some(), *keep && !ds.is_empty());
-            if let Some(tree) = kept {
+            if let Some(kept) = kept {
+                let tree = kept.tree();
                 prop_assert_eq!(tree.doc_count(), ds.len());
                 for s in &probes {
                     let probe = doc(&dict, 9_999, s);
-                    let got = fpjoin::probe_with_stats(&tree, &probe, true).0;
+                    let got = fpjoin::probe_with_stats(tree, &probe, true).0;
                     prop_assert_eq!(sorted(got), sorted(nlj::probe(&ds, &probe)));
                 }
             }

@@ -51,7 +51,10 @@ stage "lazy-tail differential" cargo test -q -p ssj-join --test lazy_tail
 # Tagged FP-tree probed with a skip mask == brute force `joins_with && tag &
 # skip == 0` across every lazy-tail case, a stale order, seal and reset;
 # every node's tag AND == the AND over its subtree; panes joined on arrival
-# find exactly the pairs with disjoint tags (the Joiner's owner rule).
+# find exactly the pairs with disjoint tags (the Joiner's owner rule). A
+# frozen pane's pair set == the pairs its documents carry (after resets and
+# empty panes too), and where `FrozenPane::may_join` turns a probe away, the
+# tree reports nothing under every skip mask.
 stage "pruned-probe differential" cargo test -q -p ssj-join --test pruned_probe
 
 # FP-tree under another batch's order (the Joiner's open pane runs under the
