@@ -1,7 +1,7 @@
 //! Partitioning-pipeline benchmark: the from-scratch group build a
 //! PartitionCreator runs when a (re)partitioning is pending, Merger
 //! consolidation, and static-table routing (the legacy allocating route vs
-//! the zero-alloc `route_into()` + fingerprint-cache fast path).
+//! the zero-alloc `route_into()` fast path).
 //!
 //! The `route/*` rows time `PartitionTable::route_into`, a table's static
 //! path, which only this benchmark's replay calls. They are not the
@@ -35,8 +35,8 @@ use ssj_bench::report::{best_of, check_ratios, write_report, Measurement};
 use ssj_bench::DataSet;
 use ssj_json::AvpId;
 use ssj_partition::{
-    assign_groups, association_groups, fingerprint_view, merge_and_assign, PartitionTable,
-    RouteOutcome, RouteScratch, View,
+    assign_groups, association_groups, merge_and_assign, PartitionTable, RouteOutcome,
+    RouteScratch, View,
 };
 use std::time::Instant;
 
@@ -121,8 +121,8 @@ fn route_legacy(table: &PartitionTable, views: &[View], passes: usize) -> (u64, 
     (sends, t0.elapsed().as_secs_f64())
 }
 
-/// The Assigner's fast path: fingerprint cache, bitmask accumulation, and
-/// the reusable scratch buffer. Zero allocations per document once warm.
+/// The fast path: bitmask accumulation decoded into the reusable scratch
+/// buffer. Zero allocations per document once warm.
 fn route_fast(
     table: &PartitionTable,
     views: &[View],
@@ -141,21 +141,8 @@ fn route_fast(
 
 /// One fast-path route; returns the fanout.
 fn route_one_fast(table: &PartitionTable, view: &[AvpId], scratch: &mut RouteScratch) -> u64 {
-    let fp = fingerprint_view(view.iter().copied());
-    if let Some((mask, _)) = scratch.cache_get(fp) {
-        scratch.set_targets_from_mask(mask);
-        return scratch.targets().len() as u64;
-    }
     match table.route_into(view, scratch) {
-        RouteOutcome::Matched => {
-            let mask = table.view_mask(view);
-            // Only fully-known views are cacheable; the creation batch is
-            // fully covered, so every view here qualifies.
-            if view.iter().all(|&a| table.avp_mask(a) != 0) {
-                scratch.cache_put(fp, mask, false);
-            }
-            scratch.targets().len() as u64
-        }
+        RouteOutcome::Matched => scratch.targets().len() as u64,
         RouteOutcome::Broadcast => M as u64,
     }
 }
@@ -271,7 +258,7 @@ fn check(baseline_path: &str) -> i32 {
 }
 
 /// Allocation audit: the route fast path must not touch the heap once the
-/// scratch and cache are warm, and a table copy or drop (a `Table`
+/// scratch is warm, and a table copy or drop (a `Table`
 /// decoded off the wire, the Assigner swapping tables) must cost O(m) heap blocks
 /// whatever the pair count.
 fn audit() -> i32 {
@@ -285,7 +272,7 @@ fn audit() -> i32 {
         let views = dataset_views(DataSet::RwData, 2_000);
         let table = assign_groups(association_groups(&views), M);
         let mut scratch = RouteScratch::new();
-        // Warm pass: fills the cache and grows the scratch buffers.
+        // Warm pass: grows the scratch buffers.
         let _ = route_fast(&table, &views, 1, &mut scratch);
         let routes = (views.len() * 10) as u64;
         let before = alloc_counter::allocations();
@@ -349,7 +336,7 @@ fn audit_router() -> bool {
         table,
         expansion: Some(exp),
     }));
-    // Warm pass: memoises the synthetic pairs and fills the route cache.
+    // Warm pass: memoises the synthetic pairs.
     let mut sends = 0;
     for d in &docs {
         sends += router.route(d, &dict).count_ones() as usize;

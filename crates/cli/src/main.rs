@@ -525,8 +525,7 @@ impl std::fmt::Display for RoutingTotals {
         // Every table deployed after the bootstrap is a rebuild.
         write!(
             f,
-            "routing: {} tables deployed after the bootstrap ({} rebuilt), homed share {:.4}",
-            self.rebuilds,
+            "routing: {} tables deployed after the bootstrap, homed share {:.4}",
             self.rebuilds,
             self.homed as f64 / self.docs.max(1) as f64
         )

@@ -17,30 +17,21 @@
 //! judges θ once over the whole pane (DESIGN.md §4 "Control plane"), so
 //! the number of Assigners does not change what is rebuilt, or when.
 //!
-//! Every deploy is a rebuild: it drops the route cache; under sliding
-//! windows the superseded table is retained while panes it routed are in
-//! the lookback. The table built at boundary `k` reaches an Assigner after
-//! its whole share of pane `k` (each task has one FIFO input), so it
-//! routes from pane `k + 1` on and no pane mixes two routings.
+//! A route is a function of the document's view and the tables in the
+//! lookback; nothing of it is remembered. Every deploy is a rebuild: it
+//! drops the memoised §VI-B synthetic pairs; under sliding windows the
+//! superseded table is retained while panes it routed are in the
+//! lookback. The table built at boundary `k` reaches an Assigner after its
+//! whole share of pane `k` (each task has one FIFO input), so it routes
+//! from pane `k + 1` on and no pane mixes two routings.
 
 use crate::config::StreamJoinConfig;
 use crate::msg::{Msg, PaneRouting, TableMsg};
 use ssj_json::{AvpId, Dictionary, Document};
-use ssj_partition::{fingerprint_view, home_bit, PartitionTable, RouteScratch};
+use ssj_partition::{home_bit, PartitionTable, RouteScratch};
 use ssj_runtime::{Bolt, Outbox, TaskInstruments};
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// One pane's routing counts.
-#[derive(Debug, Clone, Default)]
-pub struct PaneCounts {
-    /// Documents routed, copies sent, homed documents.
-    pub routing: PaneRouting,
-    /// Routes answered by the fingerprint cache.
-    pub routes_cached: usize,
-    /// Views routed against the tables that missed the cache.
-    pub cache_misses: usize,
-}
 
 /// The Assigner's routing state.
 pub struct Router {
@@ -61,13 +52,14 @@ pub struct Router {
     retired: VecDeque<(Arc<TableMsg>, u64)>,
     /// The pane being routed (= panes closed so far).
     pane: u64,
-    /// Reusable routing buffers + view-fingerprint route cache: the steady
-    /// state document path performs zero heap allocations (audited by
-    /// `bench_partition --audit`).
+    /// Reusable routing buffers and the memoised synthetic pairs: the
+    /// steady state document path performs zero heap allocations (audited
+    /// by `bench_partition --audit`).
     scratch: RouteScratch,
     /// Reusable view buffer (the pairs of the document being routed).
     view_buf: Vec<AvpId>,
-    counts: PaneCounts,
+    /// The pane's routing counts so far.
+    counts: PaneRouting,
 }
 
 impl Router {
@@ -87,7 +79,7 @@ impl Router {
             pane: 0,
             scratch: RouteScratch::new(),
             view_buf: Vec::new(),
-            counts: PaneCounts::default(),
+            counts: PaneRouting::default(),
         }
     }
 
@@ -97,7 +89,7 @@ impl Router {
         if self.lookback > 1 {
             self.retired.push_back((old, self.pane));
         }
-        // Cached routes reference the old table.
+        // The memoised synthetic pairs belong to the old expansion.
         self.scratch.invalidate_cache();
     }
 
@@ -107,7 +99,7 @@ impl Router {
     /// document without pairs, which joins nothing.
     pub fn route(&mut self, doc: &Document, dict: &Dictionary) -> u64 {
         let c = &mut self.counts;
-        c.routing.docs += 1;
+        c.docs += 1;
         // Build the routing view into the reusable buffer (no allocation
         // once the buffer has warmed up).
         let have_view = match &self.current.expansion {
@@ -125,42 +117,29 @@ impl Router {
             // goes to every joiner.
             (self.all, true)
         } else {
-            let fp = fingerprint_view(self.view_buf.iter().copied());
-            if let Some(hit) = self.scratch.cache_get(fp) {
-                c.routes_cached += 1;
-                hit
-            } else {
-                c.cache_misses += 1;
-                let m = self.m;
-                // One shared acquisition of the dictionary, at the first
-                // pair some table does not know.
-                let mut hashes = None;
-                let mut home = |avp| {
-                    let hashes = hashes.get_or_insert_with(|| dict.content_hashes());
-                    home_bit(hashes.of(avp), m)
-                };
-                let (mut mask, homed) = self.current.table.route_mask(&self.view_buf, &mut home);
-                for (rt, _) in &self.retired {
-                    mask |= rt.table.route_mask(&self.view_buf, &mut home).0;
-                }
-                self.scratch.cache_put(fp, mask, homed);
-                (mask, homed)
+            let m = self.m;
+            // One shared acquisition of the dictionary, at the first pair
+            // some table does not know.
+            let mut hashes = None;
+            let mut home = |avp| {
+                let hashes = hashes.get_or_insert_with(|| dict.content_hashes());
+                home_bit(hashes.of(avp), m)
+            };
+            let (mut mask, homed) = self.current.table.route_mask(&self.view_buf, &mut home);
+            for (rt, _) in &self.retired {
+                mask |= rt.table.route_mask(&self.view_buf, &mut home).0;
             }
+            (mask, homed)
         };
-        c.routing.homed += homed as usize;
-        c.routing.copies += mask.count_ones() as usize;
+        c.homed += homed as usize;
+        c.copies += mask.count_ones() as usize;
         mask
     }
 
     /// Close pane `pane`: take its counts, and retire the tables whose
     /// last routed pane has left the lookback.
-    pub fn close_pane(&mut self, pane: u64) -> PaneCounts {
-        let counts = std::mem::take(&mut self.counts);
-        // Cached route masks are unions over the retained set, so any expiry
-        // must also drop the cache — a stale union mask must never route to
-        // a partition only an evicted pane's table justified.
+    pub fn close_pane(&mut self, pane: u64) -> PaneRouting {
         self.pane = pane + 1;
-        let before = self.retired.len();
         while self
             .retired
             .front()
@@ -168,10 +147,7 @@ impl Router {
         {
             self.retired.pop_front();
         }
-        if self.retired.len() < before {
-            self.scratch.invalidate_cache();
-        }
-        counts
+        std::mem::take(&mut self.counts)
     }
 }
 
@@ -221,18 +197,12 @@ impl Bolt<Msg> for Assigner {
     }
 
     fn on_punct(&mut self, window: u64, out: &mut Outbox<Msg>) {
-        let c = self.router.close_pane(window);
-        out.emit(Msg::Routing {
-            window,
-            routing: c.routing,
-        });
+        let routing = self.router.close_pane(window);
         if let Some(inst) = &self.inst {
-            inst.counter("routed_sends").add(c.routing.copies as u64);
-            inst.counter("homed_docs").add(c.routing.homed as u64);
-            inst.counter("routes_cached").add(c.routes_cached as u64);
-            inst.counter("route_cache_misses")
-                .add(c.cache_misses as u64);
+            inst.counter("routed_sends").add(routing.copies as u64);
+            inst.counter("homed_docs").add(routing.homed as u64);
         }
+        out.emit(Msg::Routing { window, routing });
     }
 }
 
@@ -275,9 +245,11 @@ mod tests {
         })
     }
 
-    /// The home of pair `v`.
+    /// The home of pair `v`. The pair is interned before the content
+    /// hashes are read: an intern under their guard would deadlock.
     fn home(dict: &Dictionary, v: u64) -> u64 {
-        home_bit(dict.content_hashes().of(avp(dict, v)), M)
+        let avp = avp(dict, v);
+        home_bit(dict.content_hashes().of(avp), M)
     }
 
     #[test]
@@ -288,18 +260,15 @@ mod tests {
         assert_eq!(r.route(&doc(&dict, 1), &dict), home(&dict, 1));
         r.deploy(table(&dict, 0, 2));
         assert_eq!(r.route(&doc(&dict, 1), &dict), 1);
-        // A known pair and an unknown one: the partition and the home; the
-        // repeat is the route cache's, and it is still counted as homed.
+        // A known pair and an unknown one: the partition and the home,
+        // counted as homed each time.
         let two = Document::from_json(DocId(9), r#"{"k":"v1","j":"v7"}"#, &dict).unwrap();
         let seven = home_bit(dict.content_hashes().of(two.avps().nth(1).unwrap()), M);
         assert_eq!(r.route(&two, &dict), 1 | seven);
         assert_eq!(r.route(&two, &dict), 1 | seven);
         let c = r.close_pane(0);
-        assert_eq!(
-            (c.routing.docs, c.routing.homed, c.routes_cached),
-            (4, 3, 1)
-        );
-        assert_eq!(c.routing.copies, 2 + 2 * (1 | seven).count_ones() as usize);
+        assert_eq!((c.docs, c.homed), (4, 3));
+        assert_eq!(c.copies, 2 + 2 * (1 | seven).count_ones() as usize);
     }
 
     #[test]
@@ -314,19 +283,25 @@ mod tests {
         let mut r = Router::new(&sliding);
         // Pane 0 is homed by the empty bootstrap table, which the rebuild
         // at its boundary retains for pane 1: a pair homed in pane 0 and
-        // known to the new table meets its pane-0 partner at the home.
-        assert_eq!(r.route(&doc(&dict, 3), &dict), home(&dict, 3));
-        r.close_pane(0);
+        // known to the new table meets its pane-0 partner at the home. The
+        // table arrives before pane 0 closes, as in the topology, where
+        // the Merger's table precedes its punctuation.
+        let home = home(&dict, 3);
+        assert_eq!(r.route(&doc(&dict, 3), &dict), home);
+        // The new table puts the pair on the partition after its home, so
+        // the home is the retained table's alone.
+        let p = (home.trailing_zeros() + 1) % M as u32;
         let mut t = PartitionTable::empty(M);
-        t.add_avp(2, avp(&dict, 3));
+        t.add_avp(p, avp(&dict, 3));
         r.deploy(Arc::new(TableMsg {
             window: 0,
             table: t,
             expansion: None,
         }));
-        assert_eq!(r.route(&doc(&dict, 3), &dict), 1 << 2 | home(&dict, 3));
+        r.close_pane(0);
+        assert_eq!(r.route(&doc(&dict, 3), &dict), 1 << p | home);
         // Once pane 0 leaves the lookback, the empty table goes with it.
         r.close_pane(1);
-        assert_eq!(r.route(&doc(&dict, 3), &dict), 1 << 2);
+        assert_eq!(r.route(&doc(&dict, 3), &dict), 1 << p);
     }
 }

@@ -34,11 +34,6 @@ pub struct Fp128 {
 const K1: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 const K2: u64 = 0x94_d0_49_bb_13_31_11_eb;
 
-#[inline]
-fn lane(h: u64, word: u64, k: u64) -> u64 {
-    (h.rotate_left(5) ^ word).wrapping_mul(k)
-}
-
 /// SplitMix64 finalizer: a bijective avalanche of one id, so the per-lane
 /// sums of distinct docsets agree only by 64-bit accident per lane.
 #[inline]
@@ -80,25 +75,6 @@ pub fn fingerprint_docs(docs: &[u32]) -> Fp128 {
         fp.add_doc(d);
     }
     fp
-}
-
-/// Fingerprint a document *view* (its attribute-value pair ids) — the
-/// routing cache key. Views need not be sorted; the fingerprint is
-/// order-sensitive, which is fine because a document always renders its
-/// pairs in the same order.
-#[inline]
-pub fn fingerprint_view(avps: impl Iterator<Item = ssj_json::AvpId>) -> Fp128 {
-    let mut hi = 0x9e37_79b9_7f4a_7c15;
-    let mut lo = 0xc2b2_ae3d_27d4_eb4f;
-    let mut n = 0u64;
-    for avp in avps {
-        hi = lane(hi, avp.0 as u64, K1);
-        lo = lane(lo, avp.0 as u64, K2);
-        n += 1;
-    }
-    hi = lane(hi, n, K1);
-    lo = lane(lo, n, K2);
-    Fp128 { hi, lo }
 }
 
 #[cfg(test)]

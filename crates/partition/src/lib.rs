@@ -41,7 +41,7 @@ pub mod sc;
 pub use ag::AgPartitioner;
 pub use ds::{component_count, DsPartitioner, UnionFind};
 pub use expansion::{batch_views, Expansion};
-pub use fingerprint::{fingerprint_docs, fingerprint_view, Fp128};
+pub use fingerprint::{fingerprint_docs, Fp128};
 pub use groups::{
     association_groups, association_groups_from, equivalence_groups, AssociationGroup,
     EquivalenceGroup, View,

@@ -13,7 +13,6 @@
 //! with the first m groups by load, then always give the largest remaining
 //! group to the least-loaded partition").
 
-use crate::fingerprint::Fp128;
 use crate::groups::{AssociationGroup, View};
 use ssj_json::{AvpId, FxHashMap};
 
@@ -81,23 +80,16 @@ pub fn home_bit(content_hash: u32, m: usize) -> u64 {
 /// considers.
 pub const MAX_PARTITIONS: usize = 64;
 
-/// Number of slots in the direct-mapped route cache (power of two).
-const ROUTE_CACHE_SLOTS: usize = 256;
-
-/// Reusable routing state: a target buffer [`route_into`] writes into, a
-/// small direct-mapped cache from view fingerprints to partition bitmasks
-/// for repeated view shapes, and the deployed expansion's synthetic pairs
-/// ([`Expansion::view_cached`]). Once warm, steady-state routing performs
-/// **zero** heap allocations (audited by `bench_partition --audit`).
+/// Reusable routing state: a target buffer [`route_into`] writes into and
+/// the deployed expansion's synthetic pairs ([`Expansion::view_cached`]).
+/// Once warm, steady-state routing performs **zero** heap allocations
+/// (audited by `bench_partition --audit`).
 ///
 /// [`route_into`]: PartitionTable::route_into
 /// [`Expansion::view_cached`]: crate::Expansion::view_cached
 #[derive(Debug, Clone)]
 pub struct RouteScratch {
     targets: Vec<u32>,
-    /// Direct-mapped `fingerprint → (partition mask, homed)` cache,
-    /// indexed by the low fingerprint bits. A `None` slot is empty.
-    cache: Vec<Option<(Fp128, u64, bool)>>,
     /// The chained attributes' pairs of a document → the synthetic pair
     /// they form (§VI-B), so a view is formed without rendering values.
     pub(crate) synth: FxHashMap<Vec<AvpId>, AvpId>,
@@ -117,7 +109,6 @@ impl RouteScratch {
     pub fn new() -> Self {
         RouteScratch {
             targets: Vec::with_capacity(64),
-            cache: vec![None; ROUTE_CACHE_SLOTS],
             synth: FxHashMap::default(),
             chain_buf: Vec::new(),
         }
@@ -140,31 +131,9 @@ impl RouteScratch {
         }
     }
 
-    /// Look up a view fingerprint's cached partition mask, and whether the
-    /// view was homed ([`PartitionTable::route_mask`]).
-    #[inline]
-    pub fn cache_get(&self, fp: Fp128) -> Option<(u64, bool)> {
-        match self.cache[fp.lo as usize & (ROUTE_CACHE_SLOTS - 1)] {
-            Some((cached_fp, mask, homed)) if cached_fp == fp => Some((mask, homed)),
-            _ => None,
-        }
-    }
-
-    /// Remember a view fingerprint's partition mask and whether the view was
-    /// homed (evicts whatever shared its slot). Callers must
-    /// [`invalidate_cache`](Self::invalidate_cache) whenever the tables the
-    /// mask was computed from change.
-    #[inline]
-    pub fn cache_put(&mut self, fp: Fp128, mask: u64, homed: bool) {
-        self.cache[fp.lo as usize & (ROUTE_CACHE_SLOTS - 1)] = Some((fp, mask, homed));
-    }
-
-    /// Drop every cached route and synthetic pair (call on table
-    /// deployment/update — its expansion may differ — and, for sliding
-    /// windows, whenever a retained table expires from the pane lookback,
-    /// since cached masks are unions over the retained set).
+    /// Drop every memoised synthetic pair (call on table deployment: its
+    /// expansion may differ).
     pub fn invalidate_cache(&mut self) {
-        self.cache.iter_mut().for_each(|slot| *slot = None);
         self.synth.clear();
     }
 
@@ -733,17 +702,6 @@ mod tests {
         assert_eq!(sc.members(2), &[AvpId(1)]);
         assert_eq!(sc.pair_count(), 3);
         assert_eq!(sc.clone(), sc);
-    }
-
-    #[test]
-    fn scratch_cache_roundtrip_and_invalidation() {
-        let mut scratch = RouteScratch::new();
-        let fp = crate::fingerprint::fingerprint_view([AvpId(1), AvpId(2)].into_iter());
-        assert_eq!(scratch.cache_get(fp), None);
-        scratch.cache_put(fp, 0b101, true);
-        assert_eq!(scratch.cache_get(fp), Some((0b101, true)));
-        scratch.invalidate_cache();
-        assert_eq!(scratch.cache_get(fp), None);
     }
 
     #[test]

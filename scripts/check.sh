@@ -119,8 +119,15 @@ stage "histogram accuracy" cargo test -q -p ssj-runtime --test histogram_error
 stage "wire codec" cargo test -q -p ssj-core --test wire_codec
 stage "distributed CLI" cargo test -q -p ssj-cli --bins --test distributed --test route
 
-# Route-cache expiry on pane eviction.
-stage "route-cache expiry" cargo test -q -p ssj-core --test route_cache_expiry
+# A retained sliding table stops routing once its last pane leaves the
+# lookback, with no deploy to mark the moment, and every copy ships exactly
+# the joiners it reached; then the Router's own unit tests (homes, retained
+# tables' masks and homes, a table's expiry).
+retained_table_expiry() {
+    cargo test -q -p ssj-core --test retained_table_expiry
+    cargo test -q -p ssj-core --lib assign::
+}
+stage "retained-table expiry" retained_table_expiry
 
 # The reporter hands each window to the run's sink once, in order, canonical,
 # each pair reported by exactly one joiner (the owner rule: a lone joiner 1
