@@ -335,6 +335,7 @@ fn audit_router() -> bool {
         window: 0,
         table,
         expansion: Some(exp),
+        key: None,
     }));
     // Warm pass: memoises the synthetic pairs.
     let mut sends = 0;

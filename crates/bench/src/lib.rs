@@ -149,6 +149,9 @@ pub fn partition_experiment(
         .with_theta(theta)
         .with_partitioner(kind)
         .with_expansion(true)
+        // Figs. 6–9 compare the partitioners' replication and load, which
+        // a routing key would flatten to about 1.0 for all of them.
+        .with_key_routing(false)
         .build()
         .expect("valid experiment config");
     let panes = docs.chunks(window_docs).map(<[Document]>::to_vec).collect();

@@ -207,9 +207,12 @@ fn pipeline_config(args: &Args, metrics: bool) -> Result<StreamJoinConfig, Strin
 /// The deterministic window pipeline: the Fig. 2 topology in lock-step
 /// ([`Reader::Lockstep`]) with one Assigner and batch 1, one row per window.
 fn cmd_pipeline(args: &Args) -> Result<(), String> {
+    // Its rows report the partitioner's replication and load, so it routes
+    // by the paper's view: no routing key.
     let cfg = StreamJoinConfig {
         assigners: 1,
         batch_size: 1,
+        key_routing: false,
         ..pipeline_config(args, false)?
     };
     let dict = Dictionary::new();
@@ -506,10 +509,13 @@ struct JoinsOut {
 struct RoutingTotals {
     /// Panes whose boundary rebuilt the partitions after a θ signal.
     rebuilds: usize,
-    /// Documents with a pair the table did not know, or with no view.
+    /// Documents with a pair the table did not know, with no view, or
+    /// without the table's routing key.
     homed: usize,
     /// Documents routed.
     docs: usize,
+    /// Copies sent to the joiners.
+    copies: usize,
 }
 
 impl RoutingTotals {
@@ -517,6 +523,7 @@ impl RoutingTotals {
         self.rebuilds += r.rebuilt as usize;
         self.homed += r.homed;
         self.docs += r.docs;
+        self.copies += r.copies;
     }
 }
 
@@ -525,8 +532,9 @@ impl std::fmt::Display for RoutingTotals {
         // Every table deployed after the bootstrap is a rebuild.
         write!(
             f,
-            "routing: {} tables deployed after the bootstrap, homed share {:.4}",
+            "routing: {} tables deployed after the bootstrap, {:.4} copies per document, homed share {:.4}",
             self.rebuilds,
+            self.copies as f64 / self.docs.max(1) as f64,
             self.homed as f64 / self.docs.max(1) as f64
         )
     }

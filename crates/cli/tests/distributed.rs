@@ -324,13 +324,16 @@ fn out_of_range_m_is_a_named_error() {
     );
 }
 
-/// `ssj run`'s routing line — tables deployed, rebuilds, homed share — is
-/// a function of the stream: two solo runs and a 2-process group over one
-/// file print the same line, with one creator and with two, the second
-/// hosted on the member, which interns in its own order; and so do 1 and 8
-/// Assigners. The Reporter judges θ once over each whole pane, and its
-/// signal rides the reader's credit and acts at a fixed pane, whatever the
-/// threads' timing. `--theta` decides whether anything is rebuilt.
+/// `ssj run`'s routing line — tables deployed, rebuilds, copies per
+/// document, homed share — is a function of the stream: two solo runs and a
+/// 2-process group over one file print the same line, with one creator and
+/// with two, the second hosted on the member, which interns in its own
+/// order; and so do 1 and 8 Assigners. The Reporter judges θ once over each
+/// whole pane, and its signal rides the reader's credit and acts at a fixed
+/// pane, whatever the threads' timing. `--theta` decides whether anything
+/// is rebuilt. The tables are keyed: after the bootstrap pane each document
+/// reaches the one joiner of its key tuple, the same one in every process
+/// of the group.
 #[test]
 fn the_routing_line_is_the_same_in_every_run() {
     let input = out_path("routing-input");
@@ -399,6 +402,14 @@ fn the_routing_line_is_the_same_in_every_run() {
     // Not vacuous: the tables route some documents and home others.
     let homed = lines[0].rsplit(' ').next().unwrap();
     assert!(homed != "0.0000" && homed != "1.0000", "{}", lines[0]);
+    // Keyed tables: the homed bootstrap pane sends a document to about
+    // three joiners, every later one to one.
+    let copies = lines[0]
+        .split(", ")
+        .nth(1)
+        .and_then(|c| c.split(' ').next());
+    let copies: f64 = copies.unwrap().parse().unwrap();
+    assert!((1.0..1.2).contains(&copies), "{}", lines[0]);
     // θ = 0 rebuilds on any degradation, the same at 1 and 8 Assigners;
     // θ = 10 never rebuilds.
     assert!(!eager[0].starts_with("routing: 0 "), "{}", eager[0]);

@@ -10,7 +10,10 @@
 //! Routing has one outcome, a mask of joiners: each pair of a document's
 //! view contributes its partitions in the table or, if the table does not
 //! know it, its hash *home* ([`PartitionTable::route_mask`]). Before the
-//! first deploy the table is empty, so pane 0 is homed.
+//! first deploy the table is empty, so pane 0 is homed. A table deployed
+//! with a routing key ([`ssj_partition::RouteKey`]) is not read: a document
+//! that carries the key goes to the home of its key tuple alone, and one
+//! that lacks an attribute of it to every joiner.
 //!
 //! An Assigner only routes. As it closes a pane it sends the Reporter its
 //! share of the pane's counts; the Reporter sums every Assigner's and
@@ -46,9 +49,9 @@ pub struct Router {
     /// Sliding windows only: tables superseded by a rebuild while some pane
     /// they routed is still inside the lookback, tagged with the last pane
     /// they were current in. The current table alone decides whether a
-    /// document was homed; a retained table adds its masks or homes, which
-    /// is what makes pane-spanning pairs exact (DESIGN.md §4g). Empty for
-    /// tumbling windows.
+    /// document was homed; a retained table adds its masks or homes, or its
+    /// own key's home or every joiner, which is what makes pane-spanning
+    /// pairs exact (DESIGN.md §4g). Empty for tumbling windows.
     retired: VecDeque<(Arc<TableMsg>, u64)>,
     /// The pane being routed (= panes closed so far).
     pane: u64,
@@ -74,6 +77,7 @@ impl Router {
                 window: 0,
                 table: PartitionTable::empty(config.m),
                 expansion: None,
+                key: None,
             }),
             retired: VecDeque::new(),
             pane: 0,
@@ -93,44 +97,50 @@ impl Router {
         self.scratch.invalidate_cache();
     }
 
-    /// Route one document: the mask of the joiners it goes to — each view
-    /// pair's partitions or home under the current table and every
-    /// retained one ([`PartitionTable::route_mask`]). Zero only for a
+    /// Route one document: the mask of the joiners it goes to under the
+    /// current table and every retained one — its key tuple's home or every
+    /// joiner under a keyed table, each view pair's partitions or home
+    /// under another ([`PartitionTable::route_mask`]). Zero only for a
     /// document without pairs, which joins nothing.
     pub fn route(&mut self, doc: &Document, dict: &Dictionary) -> u64 {
         let c = &mut self.counts;
         c.docs += 1;
         // Build the routing view into the reusable buffer (no allocation
-        // once the buffer has warmed up).
-        let have_view = match &self.current.expansion {
-            Some(e) => e.view_cached(doc, dict, &mut self.view_buf, &mut self.scratch),
-            None => {
-                self.view_buf.clear();
-                self.view_buf.extend(doc.avps());
-                true
-            }
-        };
-        let (mask, homed) = if !have_view {
+        // once the buffer has warmed up), if a table without a key reads it.
+        let by_pairs =
+            self.current.key.is_none() || self.retired.iter().any(|(t, _)| t.key.is_none());
+        let have_view = by_pairs
+            && match &self.current.expansion {
+                Some(e) => e.view_cached(doc, dict, &mut self.view_buf, &mut self.scratch),
+                None => {
+                    self.view_buf.clear();
+                    self.view_buf.extend(doc.avps());
+                    true
+                }
+            };
+        let (m, all, view) = (self.m, self.all, &self.view_buf);
+        // One shared acquisition of the dictionary, at the first content
+        // hash a route needs.
+        let mut hashes = None;
+        let mut hash = |avp| hashes.get_or_insert_with(|| dict.content_hashes()).of(avp);
+        let mut route = |t: &TableMsg| match &t.key {
+            Some(key) => match key.hash(doc, &mut hash) {
+                Some(h) => (home_bit(h, m), false),
+                // An attribute of the key is missing: the document can join
+                // a keyed one whatever its tuple, so it goes to every joiner.
+                None => (all, true),
+            },
             // A chained attribute is missing, so there is no §VI-B view. The
             // document can still join an expanded one through any synthetic
             // pair that carries its value, so no single home covers it: it
             // goes to every joiner.
-            (self.all, true)
-        } else {
-            let m = self.m;
-            // One shared acquisition of the dictionary, at the first pair
-            // some table does not know.
-            let mut hashes = None;
-            let mut home = |avp| {
-                let hashes = hashes.get_or_insert_with(|| dict.content_hashes());
-                home_bit(hashes.of(avp), m)
-            };
-            let (mut mask, homed) = self.current.table.route_mask(&self.view_buf, &mut home);
-            for (rt, _) in &self.retired {
-                mask |= rt.table.route_mask(&self.view_buf, &mut home).0;
-            }
-            (mask, homed)
+            None if !have_view => (all, true),
+            None => t.table.route_mask(view, |avp| home_bit(hash(avp), m)),
         };
+        let (mut mask, homed) = route(&self.current);
+        for (rt, _) in &self.retired {
+            mask |= route(rt).0;
+        }
         c.homed += homed as usize;
         c.copies += mask.count_ones() as usize;
         mask
@@ -210,7 +220,7 @@ impl Bolt<Msg> for Assigner {
 mod tests {
     use super::*;
     use ssj_json::DocId;
-    use ssj_partition::PartitionTable;
+    use ssj_partition::{PartitionTable, RouteKey};
 
     const M: usize = 4;
 
@@ -242,6 +252,7 @@ mod tests {
             window,
             table,
             expansion: None,
+            key: None,
         })
     }
 
@@ -271,6 +282,47 @@ mod tests {
         assert_eq!(c.copies, 2 + 2 * (1 | seven).count_ones() as usize);
     }
 
+    /// Under a keyed table a document that carries the key goes to its key
+    /// tuple's home alone and is not homed, whatever the table's
+    /// partitions; one that lacks an attribute of the key goes to every
+    /// joiner and is homed.
+    #[test]
+    fn a_keyed_table_sends_a_document_to_its_key_home() {
+        let dict = Dictionary::new();
+        let mut r = Router::new(&config());
+        let keyed = |v: u64, n: u64| {
+            let json = format!(r#"{{"k":"v{v}","n":{n}}}"#);
+            Document::from_json(DocId(v), &json, &dict).unwrap()
+        };
+        let key = RouteKey {
+            attrs: vec![dict.intern_attr("k")],
+        };
+        let mut t = PartitionTable::empty(M);
+        t.add_avp(0, avp(&dict, 1));
+        r.deploy(Arc::new(TableMsg {
+            window: 0,
+            table: t,
+            expansion: None,
+            key: Some(key.clone()),
+        }));
+        let mut copies = 0;
+        for (v, n) in [(1, 0), (1, 5), (2, 7)] {
+            let d = keyed(v, n);
+            let hashes = dict.content_hashes();
+            let want = home_bit(key.hash(&d, |p| hashes.of(p)).unwrap(), M);
+            drop(hashes);
+            assert_eq!(r.route(&d, &dict), want, "k = v{v}, n = {n}");
+            copies += 1;
+        }
+        // Documents that agree on the key meet, whatever else they carry.
+        assert_eq!(r.route(&keyed(1, 0), &dict), r.route(&keyed(1, 9), &dict));
+        copies += 2;
+        let lacking = Document::from_json(DocId(9), r#"{"n":1}"#, &dict).unwrap();
+        assert_eq!(r.route(&lacking, &dict), 0b1111);
+        let c = r.close_pane(0);
+        assert_eq!((c.docs, c.homed, c.copies), (6, 1, copies + M));
+    }
+
     #[test]
     fn a_retained_table_adds_its_masks_or_homes() {
         let dict = Dictionary::new();
@@ -297,6 +349,7 @@ mod tests {
             window: 0,
             table: t,
             expansion: None,
+            key: None,
         }));
         r.close_pane(0);
         assert_eq!(r.route(&doc(&dict, 3), &dict), 1 << p | home);

@@ -33,6 +33,12 @@ pub struct StreamJoinConfig {
     pub partitioner: PartitionerKind,
     /// Enable attribute-value expansion (§VI-B).
     pub expansion: bool,
+    /// Route by a key the reader finds at each build pane
+    /// ([`ssj_partition::RouteKey`]; DESIGN.md §4): a document that carries
+    /// the attributes every document of the pane carried goes to the one
+    /// joiner of its key tuple. Exact either way; off, every table routes
+    /// by the paper's view, which the figures and `ssj pipeline` report.
+    pub key_routing: bool,
     /// Parallelism of the PartitionCreator component.
     pub partition_creators: usize,
     /// Parallelism of the Assigner component.
@@ -65,6 +71,7 @@ impl Default for StreamJoinConfig {
             theta: 0.2,
             partitioner: PartitionerKind::Ag,
             expansion: true,
+            key_routing: true,
             partition_creators: 2,
             assigners: 6,
             batch_size: 64,
@@ -178,6 +185,8 @@ macro_rules! builder_setters {
             with_partitioner(partitioner: PartitionerKind);
             /// Override attribute-value expansion.
             with_expansion(expansion: bool);
+            /// Override key routing.
+            with_key_routing(key_routing: bool);
             /// Override the PartitionCreator parallelism.
             with_partition_creators(partition_creators: usize);
             /// Override the Assigner parallelism.
@@ -282,6 +291,7 @@ mod tests {
         assert_eq!(c.m, 8);
         assert!((c.theta - 0.2).abs() < 1e-12);
         assert_eq!(c.assigners, 6);
+        assert!(c.key_routing);
         assert!(!c.metrics);
         c.validate().unwrap();
     }

@@ -4,8 +4,8 @@
 //! (equivalence → association groups) on it, forwarding the local groups to
 //! the Merger — or, for a centralized partitioner (SC, DS, Hash), forwards
 //! the share's documents for the Merger to build from. Creator 0 is also
-//! the Merger's one way to hear the reader's control: the §VI-B chain of
-//! each build.
+//! the Merger's one way to hear the reader's control: the §VI-B chain and
+//! the routing key of each build.
 
 use crate::config::StreamJoinConfig;
 use crate::msg::Msg;
@@ -85,13 +85,13 @@ impl Bolt<Msg> for PartitionCreator {
         self.evicted = None;
         match msg {
             Msg::Doc(doc) => self.open.push(doc),
-            Msg::Repartition(expansion) => {
+            Msg::Repartition(expansion, key) => {
                 self.expansion = expansion.clone();
                 self.compute_pending = true;
-                // Creator 0 passes the chain on to the Merger at once, not
-                // with the boundary's batch.
+                // Creator 0 passes the chain and the key on to the Merger at
+                // once, not with the boundary's batch.
                 if self.task == 0 {
-                    out.emit(Msg::Repartition(expansion));
+                    out.emit(Msg::Repartition(expansion, key));
                     out.flush();
                 }
             }

@@ -29,13 +29,18 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// How many arrivals a [`Joiner`] collects before one `drain` joins them.
-/// 1 walks every frozen tree once per document; 256 walks each once per
+/// 1 walks every frozen tree once per document; 128 walks each once per
 /// micro-batch (tree-major, the tree stays cache-hot) and still leaves a
-/// boundary at most 255 documents to join. Swept on the repository
-/// benchmark at 1 / 64 / 256 / 1024 (EXPERIMENTS.md "Join on arrival"): 64
-/// closes 0.13 ms sooner, 256 moves ~6 % more documents on `rw-tumbling`,
-/// 1024 adds 0.5–1.1 ms of close for ~3 % more throughput.
-pub const ARRIVAL_BATCH: usize = 256;
+/// boundary at most 127 documents to join. Swept on the repository
+/// benchmark at 1 / 64 / 256 / 1024 (EXPERIMENTS.md "Join on arrival") when
+/// a document reached 3–4 joiners: 64 closed 0.13 ms sooner, 256 moved ~6 %
+/// more documents on `rw-tumbling`, 1024 added 0.5–1.1 ms of close for ~3 %
+/// more throughput. Key routing sends a keyed document to one joiner, so a
+/// joiner fills a batch about three times slower and every copy left at
+/// the boundary is one it joins in full: at 256 `close_ms_p50` read ×1.21
+/// against routing by the paper's view, at 128 it reads below it for the
+/// same CPU per document (EXPERIMENTS.md "Key routing").
+pub const ARRIVAL_BATCH: usize = 128;
 
 /// A routed copy as the Joiner holds it: the document and its owner-rule
 /// tag (module docs).

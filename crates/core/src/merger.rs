@@ -1,13 +1,14 @@
 //! The Merger bolt of the Fig. 2 topology (§IV-A consolidation):
 //! consolidates local groups into the global partitions (subset merging +
 //! duplicate elimination + greedy placement) and broadcasts the table, with
-//! the §VI-B chain the reader decided for the build, to the Assigners.
+//! the §VI-B chain and the routing key the reader decided for the build, to
+//! the Assigners.
 
 use crate::config::StreamJoinConfig;
 use crate::msg::{Msg, PaneRouting, TableMsg};
 use ssj_json::{Dictionary, DocRef};
 use ssj_partition::{
-    batch_views, merge_and_assign, AssociationGroup, Expansion, PartitionTable, View,
+    batch_views, merge_and_assign, AssociationGroup, Expansion, PartitionTable, RouteKey, View,
 };
 use ssj_runtime::{Bolt, Outbox, TaskInfo, TaskInstruments, TraceKind};
 use std::sync::Arc;
@@ -20,8 +21,8 @@ use std::sync::Arc;
 /// The centralized partitioners (SC, DS, Hash) build over the whole window,
 /// so their creators ship the share's documents: the Merger puts them back
 /// in stream (id) order and builds. Either way the table deploys the chain
-/// of the last [`Msg::Repartition`] creator 0 forwarded, the one the
-/// creators built under.
+/// and the key of the last [`Msg::Repartition`] creator 0 forwarded, the
+/// chain the creators built under.
 pub struct Merger {
     config: StreamJoinConfig,
     dict: Dictionary,
@@ -29,6 +30,8 @@ pub struct Merger {
     pending: Vec<(usize, Vec<AssociationGroup>)>,
     /// The chain of the last [`Msg::Repartition`].
     expansion: Option<Arc<Expansion>>,
+    /// The routing key of the last [`Msg::Repartition`].
+    key: Option<Arc<RouteKey>>,
     /// Documents received for the current window (centralized builds).
     docs: Vec<DocRef>,
     inst: Option<Arc<TaskInstruments>>,
@@ -40,6 +43,7 @@ impl Merger {
         Merger {
             pending: Vec::new(),
             expansion: None,
+            key: None,
             docs: Vec::new(),
             inst: None,
             config,
@@ -87,7 +91,7 @@ impl Bolt<Msg> for Merger {
             Msg::LocalGroups {
                 creator, groups, ..
             } => self.pending.push((creator, groups)),
-            Msg::Repartition(expansion) => self.expansion = expansion,
+            Msg::Repartition(expansion, key) => (self.expansion, self.key) = (expansion, key),
             Msg::Doc(doc) => self.docs.push(doc),
             _ => {}
         }
@@ -104,9 +108,11 @@ impl Bolt<Msg> for Merger {
                 window,
                 table,
                 expansion: self.expansion.as_deref().cloned(),
+                key: self.key.as_deref().cloned(),
             })));
             if let Some(inst) = &self.inst {
                 inst.counter("table_broadcasts").inc();
+                inst.counter("keyed_tables").add(self.key.is_some() as u64);
                 inst.trace(TraceKind::Table, window, std::time::Duration::ZERO);
             }
         }

@@ -1,7 +1,9 @@
 //! The tuple type flowing through the Fig. 2 topology.
 
 use ssj_json::{DocId, DocRef};
-use ssj_partition::{AssociationGroup, Expansion, PartitionTable, RoutingStats, WindowQuality};
+use ssj_partition::{
+    AssociationGroup, Expansion, PartitionTable, RouteKey, RoutingStats, WindowQuality,
+};
 use std::sync::Arc;
 
 /// Everything the topology's components exchange. Documents travel behind
@@ -35,9 +37,10 @@ pub enum Msg {
     /// The consolidated partition table broadcast by the Merger.
     Table(Arc<TableMsg>),
     /// The reader, as it begins a pane the creators build at (the attempt's
-    /// first, or one after a θ signal): the §VI-B chain it
-    /// detected over that pane, if any; creator 0 forwards it to the Merger.
-    Repartition(Option<Arc<Expansion>>),
+    /// first, or one after a θ signal): the §VI-B chain and the routing key
+    /// it detected over that pane, if any; creator 0 forwards both to the
+    /// Merger, which deploys them with the table.
+    Repartition(Option<Arc<Expansion>>, Option<Arc<RouteKey>>),
     /// One pane's routing counts for the Reporter: an Assigner's as it
     /// closes the pane, or the Merger's boundary. The Reporter judges θ
     /// over their sum (DESIGN.md §4 "Control plane").
@@ -71,6 +74,10 @@ pub struct TableMsg {
     pub table: PartitionTable,
     /// The attribute expansion routing must apply, if any.
     pub expansion: Option<Expansion>,
+    /// The routing key, if the build pane had one that spreads: a document
+    /// that carries it goes to its key tuple's home only, one that lacks an
+    /// attribute of it to every joiner, and `table` is not read.
+    pub key: Option<RouteKey>,
 }
 
 /// What routing did to one pane. The Reporter sums the Assigners' closes
@@ -82,8 +89,9 @@ pub struct PaneRouting {
     pub docs: usize,
     /// Copies sent to the joiners.
     pub copies: usize,
-    /// Documents with a pair the table did not know, or with no §VI-B
-    /// view.
+    /// Documents with a pair the table did not know, with no §VI-B view,
+    /// or without the table's routing key. A document routed by the key
+    /// read no table and is not counted.
     pub homed: usize,
     /// The partitions were rebuilt at this pane's boundary after a θ
     /// signal. The Merger sets it on every build; the Reporter, which
@@ -128,7 +136,12 @@ impl std::fmt::Debug for Msg {
                 groups.len()
             ),
             Msg::Table(t) => write!(f, "Table(w={})", t.window),
-            Msg::Repartition(e) => write!(f, "Repartition(expansion={})", e.is_some()),
+            Msg::Repartition(e, k) => write!(
+                f,
+                "Repartition(expansion={}, key={})",
+                e.is_some(),
+                k.is_some()
+            ),
             Msg::Routing {
                 window, routing, ..
             } => write!(f, "Routing(w={window}, {routing:?})"),

@@ -8,13 +8,14 @@
 //! `k + L` (`L` its lead) as a build on it, whatever the threads' timing.
 //! As it begins a pane the creators build at — the attempt's first, or one
 //! with a θ signal — it holds the whole pane, so it decides §VI-B's chain
-//! there, once, and broadcasts it as [`Msg::Repartition`].
+//! and the routing key ([`RouteKey`]) there, once, and broadcasts them as
+//! [`Msg::Repartition`].
 
 use crate::config::StreamJoinConfig;
 use crate::msg::Msg;
 use parking_lot::Mutex;
 use ssj_json::{Dictionary, DocRef, DocumentReader};
-use ssj_partition::Expansion;
+use ssj_partition::{Expansion, RouteKey};
 use ssj_runtime::{Spout, SpoutEmit};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,7 +100,10 @@ impl Reader {
             panes,
             pane: None,
             control: None,
-            expand: config.expansion.then(|| (dict.clone(), config.m)),
+            dict: dict.clone(),
+            m: config.m,
+            expansion: config.expansion,
+            key_routing: config.key_routing,
             credit,
             lead: self.lead() as u64,
             begun: Arc::clone(&begun),
@@ -154,9 +158,14 @@ pub(crate) struct ReaderSpout {
     /// The build's [`Msg::Repartition`], still to broadcast before the
     /// pane's documents.
     control: Option<Msg>,
-    /// With expansion on: the run's dictionary and `m`, to detect a build
-    /// pane's chain.
-    expand: Option<(Dictionary, usize)>,
+    /// The run's dictionary and `m`, to decide a build pane's chain and
+    /// key.
+    dict: Dictionary,
+    m: usize,
+    /// Detect §VI-B's chain at a build pane.
+    expansion: bool,
+    /// Detect the routing key at a build pane.
+    key_routing: bool,
     /// One credit per pane the sink got, in pane order, with the pane's θ
     /// signal; disconnected once no Reporter is left to grant one.
     credit: mpsc::Receiver<bool>,
@@ -216,14 +225,17 @@ impl Spout<Msg> for ReaderSpout {
             // The chain's synthetic pairs get their ids here, in document
             // order: the tables break ties by pair id, so the ids must not
             // depend on which creator interns first.
-            let chain = self.expand.as_ref().and_then(|(dict, m)| {
-                let chain = Expansion::detect(&pane, dict, *m)?;
+            let (dict, m) = (&self.dict, self.m);
+            let chain = self.expansion.then(|| {
+                let chain = Expansion::detect(&pane, dict, m)?;
                 for doc in &pane {
                     chain.synthetic_pair(doc, dict);
                 }
                 Some(Arc::new(chain))
             });
-            self.control = Some(Msg::Repartition(chain));
+            let key = self.key_routing.then(|| RouteKey::detect(&pane, dict, m));
+            let key = key.flatten().map(Arc::new);
+            self.control = Some(Msg::Repartition(chain.flatten(), key));
         }
         self.begun.store(begun + 1, Ordering::Release);
         self.pane = Some(pane.into_iter());
@@ -276,7 +288,7 @@ mod tests {
             match spout.next() {
                 SpoutEmit::Message(Msg::Doc(doc)) => out += &doc.id().0.to_string(),
                 SpoutEmit::Punctuate(_) => out += "|",
-                SpoutEmit::Broadcast(Msg::Repartition(None)) => out += "R",
+                SpoutEmit::Broadcast(Msg::Repartition(None, None)) => out += "R",
                 _ => break,
             }
         }
@@ -345,7 +357,7 @@ mod tests {
         loop {
             match spout.next() {
                 SpoutEmit::Message(Msg::Doc(doc)) => out += &doc.id().0.to_string(),
-                SpoutEmit::Broadcast(Msg::Repartition(None)) => out += "R",
+                SpoutEmit::Broadcast(Msg::Repartition(None, None)) => out += "R",
                 SpoutEmit::Punctuate(_) => {
                     out += "|";
                     match signals.next() {
@@ -360,8 +372,8 @@ mod tests {
         assert_eq!(out, "R0|R1|2|");
     }
 
-    /// With expansion on, the reader decides §VI-B's chain over the whole
-    /// pane of each build — the attempt's first pane and a pane begun with a
+    /// With expansion on, the reader decides §VI-B's chain and the routing
+    /// key over the whole pane of each build — the attempt's first pane and a pane begun with a
     /// θ signal — and broadcasts it before the pane's first document, with
     /// the pane's synthetic pairs already interned. Other panes begin with
     /// no `Repartition`.
@@ -394,8 +406,10 @@ mod tests {
                         assert_eq!(doc.id().0 as usize / PANE, pane);
                         out += "d";
                     }
-                    SpoutEmit::Broadcast(Msg::Repartition(Some(e))) => {
+                    SpoutEmit::Broadcast(Msg::Repartition(Some(e), key)) => {
                         assert_eq!(e.chain, want(&panes[pane]), "pane {pane}");
+                        let want_key = RouteKey::detect(&panes[pane], &dict, 8);
+                        assert_eq!(key.as_deref(), want_key.as_ref(), "pane {pane}");
                         let interned = dict.avp_count();
                         for d in &panes[pane] {
                             e.synthetic_pair(d, &dict).unwrap();

@@ -25,7 +25,7 @@
 
 use crate::msg::{Msg, PaneRouting, TableMsg};
 use ssj_json::{AttrId, AvpId, Dictionary, DocId, DocRef, Document, Pair, Scalar};
-use ssj_partition::{AssociationGroup, Expansion, PartitionTable, MAX_PARTITIONS};
+use ssj_partition::{AssociationGroup, Expansion, PartitionTable, RouteKey, MAX_PARTITIONS};
 use ssj_runtime::wire::{fnv1a, put_str, put_varint, put_zigzag, Cursor, WireError};
 use ssj_runtime::WireCodec;
 use std::cell::RefCell;
@@ -269,6 +269,25 @@ impl MsgCodec {
             t => Err(WireError::BadTag(t)),
         }
     }
+
+    /// A routing key as its attribute count (0: none), then its attributes
+    /// in key order, through the link's symbol table.
+    fn put_key(&self, out: &mut Vec<u8>, key: Option<&RouteKey>) {
+        let attrs = key.map_or(&[][..], |k| &k.attrs);
+        put_varint(out, attrs.len() as u64);
+        for &a in attrs {
+            self.put_attr(out, a);
+        }
+    }
+
+    fn get_key(&self, c: &mut Cursor) -> Result<Option<RouteKey>, WireError> {
+        let n = count(c)?;
+        let mut attrs = Vec::with_capacity(n);
+        for _ in 0..n {
+            attrs.push(self.get_attr(c)?);
+        }
+        Ok((n > 0).then_some(RouteKey { attrs }))
+    }
 }
 
 impl WireCodec<Msg> for MsgCodec {
@@ -311,10 +330,12 @@ impl WireCodec<Msg> for MsgCodec {
                     self.put_avps(out, t.table.members(p));
                 }
                 self.put_expansion(out, t.expansion.as_ref());
+                self.put_key(out, t.key.as_ref());
             }
-            Msg::Repartition(expansion) => {
+            Msg::Repartition(expansion, key) => {
                 out.push(TAG_REPARTITION);
                 self.put_expansion(out, expansion.as_deref());
+                self.put_key(out, key.as_deref());
             }
             Msg::Routing { window, routing } => {
                 out.push(TAG_ROUTING);
@@ -398,9 +419,13 @@ impl WireCodec<Msg> for MsgCodec {
                     window,
                     table,
                     expansion: self.get_expansion(c)?,
+                    key: self.get_key(c)?,
                 })))
             }
-            TAG_REPARTITION => Ok(Msg::Repartition(self.get_expansion(c)?.map(Arc::new))),
+            TAG_REPARTITION => {
+                let expansion = self.get_expansion(c)?.map(Arc::new);
+                Ok(Msg::Repartition(expansion, self.get_key(c)?.map(Arc::new)))
+            }
             TAG_JOIN_STATS => {
                 let window = c.varint()?;
                 let joiner = c.varint()? as usize;

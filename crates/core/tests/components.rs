@@ -10,7 +10,8 @@ use ssj_core::{
 };
 use ssj_json::{Dictionary, DocId, Document};
 use ssj_partition::{
-    association_groups, batch_views, home_bit, merge_and_assign, Expansion, GroupIndex, View,
+    association_groups, batch_views, home_bit, merge_and_assign, Expansion, GroupIndex, RouteKey,
+    View,
 };
 use ssj_runtime::{
     fn_bolt, CollectorBolt, FaultPlan, Grouping, Spout, SpoutEmit, TopologyBuilder, VecSpout,
@@ -290,7 +291,7 @@ fn creator_builds_over_exactly_its_lookback() {
             .iter()
             .enumerate()
             .map(|(i, d)| match builds.iter().position(|&b| b == i) {
-                Some(b) => Msg::Repartition(chains[b].clone().map(Arc::new)),
+                Some(b) => Msg::Repartition(chains[b].clone().map(Arc::new), None),
                 None => Msg::Doc(Arc::new(d.clone())),
             })
             .collect();
@@ -335,7 +336,7 @@ fn creator_builds_over_exactly_its_lookback() {
             .filter_map(|msg| match msg {
                 Msg::LocalGroups { window, groups, .. } => Some((window, groups)),
                 // Creator 0 passes each build's chain on to the Merger.
-                Msg::Repartition(_) => None,
+                Msg::Repartition(..) => None,
                 other => panic!("{what}: creator sent {other:?}"),
             })
             .collect();
@@ -405,7 +406,8 @@ impl Spout<Msg> for Script {
 /// §VI-B is decided once per build, over the whole pane. Two creators
 /// whose shares would each detect a chain of their own get the one the
 /// reader detected over the pane, build their groups under it, and the
-/// Merger deploys it with the consolidated groups.
+/// Merger deploys it, and the build's routing key, with the consolidated
+/// groups.
 #[test]
 fn creators_build_and_the_merger_deploys_the_panes_chain() {
     const M: usize = 4;
@@ -441,9 +443,12 @@ fn creators_build_and_the_merger_deploys_the_panes_chain() {
         .build()
         .unwrap();
     let script = {
-        let (pane, docs) = (Arc::clone(&pane), docs.clone());
+        let (pane, docs, dict) = (Arc::clone(&pane), docs.clone(), dict.clone());
         move || {
-            let build = Msg::Repartition(Some(Arc::clone(&pane)));
+            let key = RouteKey {
+                attrs: vec![dict.intern_attr("c")],
+            };
+            let build = Msg::Repartition(Some(Arc::clone(&pane)), Some(Arc::new(key)));
             let docs = docs.iter().map(|d| Msg::Doc(Arc::new(d.clone())));
             let emits = std::iter::once(SpoutEmit::Broadcast(build))
                 .chain(docs.map(SpoutEmit::Message))
@@ -503,6 +508,8 @@ fn creators_build_and_the_merger_deploys_the_panes_chain() {
         (&deployed.chain, deployed.synth_attr),
         (&pane.chain, pane.synth_attr)
     );
+    let key = table.key.as_ref().expect("a key deployed");
+    assert_eq!(key.attrs, [dict.intern_attr("c")]);
     assert_eq!(table.table, merge_and_assign(groups, M));
 }
 

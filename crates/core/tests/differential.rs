@@ -53,6 +53,11 @@ enum Stream {
     /// [`handover_stream`] in the case's panes, its second vocabulary
     /// arriving at pane 3.
     Handover,
+    /// [`partial_key_stream`] in the case's panes.
+    PartialKey,
+    /// [`rekey_stream`] in the case's panes, `Node` replacing `Host` at
+    /// pane 4.
+    Rekey,
 }
 
 /// How the reader gets a case's stream.
@@ -98,6 +103,50 @@ fn handover_stream(dict: &Dictionary, n: usize, pane: usize, from: usize) -> Vec
         .collect()
 }
 
+/// `n` documents in panes of `pane`, every pane the same multiset: each
+/// carries a `Host`, a `Rack` and a `Mode`, except that from pane 1 on the
+/// documents at pane positions divisible by 7 lack `Mode`. Pane 0's routing
+/// key is all three attributes, so those documents must reach every joiner:
+/// each joins the documents that agree with it on `Host` and `Rack`,
+/// whatever their `Mode`.
+fn partial_key_stream(dict: &Dictionary, n: usize, pane: usize) -> Vec<Document> {
+    (0..n as u64)
+        .map(|i| {
+            let j = i % pane as u64;
+            let (host, rack, mode) = (j % 8, j / 8 % 3, j / 24 % 2);
+            let mode = if i as usize >= pane && j.is_multiple_of(7) {
+                String::new()
+            } else {
+                format!(r#","Mode":"m{mode}""#)
+            };
+            let json = format!(r#"{{"Host":"h{host}","Rack":"r{rack}"{mode}}}"#);
+            Document::from_json(DocId(i), &json, dict).expect("generated JSON is valid")
+        })
+        .collect()
+}
+
+/// `n` documents in panes of `pane`, every pane the same multiset of
+/// `Rack` and `Mode` values: before pane `from` each document carries a
+/// `Host`, from it on a `Node` in its place. A document joins an earlier one
+/// that agrees with it on `Rack` and `Mode` across the change, so the
+/// routing key changes from `Host,Mode,Rack` to `Mode,Node,Rack` at the
+/// rebuild the change signals, and pairs span it.
+fn rekey_stream(dict: &Dictionary, n: usize, pane: usize, from: usize) -> Vec<Document> {
+    (0..n as u64)
+        .map(|i| {
+            let j = i % pane as u64;
+            let (host, rack, mode) = (j % 8, j / 8 % 4, j / 32 % 2);
+            let host = if i as usize / pane < from {
+                format!(r#""Host":"h{host}""#)
+            } else {
+                format!(r#""Node":"n{host}""#)
+            };
+            let json = format!(r#"{{{host},"Rack":"r{rack}","Mode":"m{mode}"}}"#);
+            Document::from_json(DocId(i), &json, dict).expect("generated JSON is valid")
+        })
+        .collect()
+}
+
 /// Churn whose fresh pairs (every 5th document) are new in every window.
 fn windowed_churn(seed: u64, window: usize) -> Stream {
     Stream::Churn(Churn {
@@ -122,6 +171,8 @@ struct Case {
     pool: usize,
     pin: bool,
     expansion: bool,
+    /// Route by the key each build pane has, if it spreads.
+    key_routing: bool,
     partitioner: PartitionerKind,
     /// Panes the reader may run ahead of the sink: 1 is
     /// [`Reader::Lockstep`], [`READER_LEAD`] the free-running reader.
@@ -135,8 +186,8 @@ struct Case {
 
 impl Case {
     /// `docs` documents of `stream` under `spec`: m 3, batch 16, two
-    /// creators, two Assigners, expansion off, AG, free-running over the
-    /// documents in memory, solo, no crash.
+    /// creators, two Assigners, expansion off, key routing on, AG,
+    /// free-running over the documents in memory, solo, no crash.
     fn new(stream: Stream, docs: usize, spec: WindowSpec) -> Case {
         Case {
             stream,
@@ -149,6 +200,7 @@ impl Case {
             pool: 0,
             pin: false,
             expansion: false,
+            key_routing: true,
             partitioner: Ag,
             lead: READER_LEAD,
             source: Source::Memory,
@@ -168,6 +220,8 @@ impl Case {
             Stream::Sessions(skew) => return sessionized_docs(self.docs, skew),
             Stream::Skewed(skew) => return skewed_docs(DataSet::RwData, self.docs, skew),
             Stream::Handover => handover_stream(&dict, self.docs, self.spec.pane_docs(), 3),
+            Stream::PartialKey => partial_key_stream(&dict, self.docs, self.spec.pane_docs()),
+            Stream::Rekey => rekey_stream(&dict, self.docs, self.spec.pane_docs(), 4),
         };
         (dict, docs)
     }
@@ -182,6 +236,7 @@ impl Case {
             .with_pool_workers(self.pool)
             .with_pin_cores(self.pin)
             .with_expansion(self.expansion)
+            .with_key_routing(self.key_routing)
             .with_partitioner(self.partitioner)
             .with_workers(self.group)
             .build()
@@ -531,7 +586,8 @@ fn expansion_routes_a_group_like_a_solo_run() {
 /// for the lookback — the old one's homes or partitions. (A pair the
 /// rebuild forgets cannot span it: the build covers the whole lookback.)
 /// Found, on sessionized streams, by the sampled table with that retention
-/// removed.
+/// removed. Without a routing key: the stream keeps its attributes, so a key
+/// would route every pane alike and nothing would signal.
 #[test]
 fn pane_spanning_pairs_meet_across_a_rebuild() {
     let report = check(&Case {
@@ -540,6 +596,7 @@ fn pane_spanning_pairs_meet_across_a_rebuild() {
         creators: 1,
         assigners: 3,
         lead: 1,
+        key_routing: false,
         ..Case::new(Stream::Handover, 420, WindowSpec::sliding(60, 3))
     });
     // Pane 3 signals; the table built at boundary 4 routes pane 5 on.
@@ -551,6 +608,70 @@ fn pane_spanning_pairs_meet_across_a_rebuild() {
     let spanning = report.joins_per_window[5]
         .iter()
         .filter(|&&(a, _)| (240..300).contains(&a) && a % 2 == 1)
+        .count();
+    assert!(spanning > 0);
+}
+
+/// Key routing: pane 0's key is `Host,Mode,Rack`, and from pane 1 on a
+/// seventh of every pane lacks `Mode`. Those documents are homed and reach
+/// every joiner, and each other document reaches the one joiner of its key
+/// tuple; every pane is the same multiset, so nothing signals. Tumbling,
+/// and sliding, where the bootstrap table adds its homes while pane 0 is
+/// in the lookback.
+#[test]
+fn documents_without_the_key_reach_every_joiner() {
+    const PANE: usize = 60;
+    let lacking = (0..PANE).filter(|j| j.is_multiple_of(7)).count();
+    for spec in [WindowSpec::tumbling(PANE), WindowSpec::sliding(PANE, 3)] {
+        let case = Case {
+            m: 4,
+            ..Case::new(Stream::PartialKey, 6 * PANE, spec)
+        };
+        let report = check(&case);
+        let keyed = report.runtime.component_counter("merger", "keyed_tables");
+        assert_eq!(keyed, 1, "the bootstrap table is keyed");
+        for (w, r) in report.routing.iter().enumerate() {
+            assert!(!r.rebuilt, "pane {w}");
+            if w < spec.panes_per_window() {
+                continue;
+            }
+            assert_eq!(r.homed, lacking, "pane {w}");
+            assert_eq!(r.copies, PANE - lacking + 4 * lacking, "pane {w}");
+        }
+    }
+}
+
+/// The key changes at a θ rebuild under a sliding lock-step run: pane 4
+/// drops `Host` for `Node`, so every document of panes 4 and 5 lacks the
+/// bootstrap build's key and is homed to every joiner; pane 4 signals, and
+/// pane 5's build keys on `Mode,Node,Rack`. Until the key-`Host` table
+/// leaves the lookback (pane 9), it adds every joiner for a document
+/// without `Host`, which is how a document after the rebuild meets its
+/// partners before the change: they agree on `Rack` and `Mode`, but were
+/// homed by another key. A router that ignored a retained table's own key
+/// and used the current one loses those pairs.
+#[test]
+fn pairs_meet_across_a_change_of_key() {
+    const PANE: usize = 64;
+    let report = check(&Case {
+        m: 4,
+        lead: 1,
+        ..Case::new(Stream::Rekey, 10 * PANE, WindowSpec::sliding(PANE, 4))
+    });
+    let rebuilt: Vec<usize> = (0..10).filter(|&w| report.routing[w].rebuilt).collect();
+    assert_eq!(rebuilt, [5]);
+    let keyed = report.runtime.component_counter("merger", "keyed_tables");
+    assert_eq!(keyed, 2, "both builds are keyed");
+    let homed: Vec<usize> = report.routing.iter().map(|r| r.homed).collect();
+    assert_eq!(homed, [PANE, 0, 0, 0, PANE, PANE, 0, 0, 0, 0]);
+    // Panes 6-8 reach every joiner through the retained table; once it
+    // has left the lookback, pane 9 reaches one joiner a document.
+    let copies: Vec<usize> = report.routing[6..].iter().map(|r| r.copies).collect();
+    assert_eq!(copies, [4 * PANE, 4 * PANE, 4 * PANE, PANE]);
+    // Pane 6 joins pane 3's documents, which were routed by the old key.
+    let spanning = report.joins_per_window[6]
+        .iter()
+        .filter(|&&(a, _)| (3 * PANE as u64..4 * PANE as u64).contains(&a))
         .count();
     assert!(spanning > 0);
 }
@@ -612,8 +733,9 @@ fn reporter_crash_mid_window_delivers_every_window_once() {
     check(&reporter_crash(WindowSpec::sliding(40, 4), 17, 3, 2));
 }
 
-/// [`check`] a lock-step run of a [`shifting_stream`] (batch 1, as in root
-/// `vocabulary_shift_forces_a_repartition`): the vocabulary shifts at pane
+/// [`check`] a lock-step run of a [`shifting_stream`] (batch 1 and no
+/// routing key, as in root `vocabulary_shift_forces_a_repartition`): the
+/// vocabulary shifts at pane
 /// 5, pane 5 signals, and at boundary 6 each creator builds groups a
 /// second time, over its half of every pane in the lookback.
 ///
@@ -653,6 +775,7 @@ fn creator_lookback_crash(crash: Option<(&'static str, usize, u64, u64)>) -> Cas
         m: 4,
         batch: 1,
         lead: 1,
+        key_routing: false,
         crash,
         ..Case::new(Stream::Shifting, 640, WindowSpec::sliding(64, 4))
     }
@@ -674,6 +797,7 @@ fn sliding_repartition_reads_the_creators_lookback() {
     assert_second_build_over_the_lookback(&Case {
         batch: 1,
         lead: 1,
+        key_routing: false,
         ..Case::new(Stream::Shifting, 960, WindowSpec::sliding(96, 4))
     });
 }
@@ -717,7 +841,8 @@ proptest! {
 
     /// The sampled axis table: stream (churn, per-window churn, Zipf
     /// sessions, Zipf-skewed rwData), pane, window shape, `m`, batch,
-    /// creators, Assigners, pool size and pinning, expansion, partitioner,
+    /// creators, Assigners, pool size and pinning, expansion, key routing,
+    /// partitioner,
     /// reader lead, source (a file only for a free-running reader) and
     /// group size.
     #[test]
@@ -728,6 +853,7 @@ proptest! {
         schedule in (0usize..4, 0usize..4, any::<bool>(), any::<bool>()),
         placement in (0usize..5, 0usize..3, any::<bool>()),
         file in any::<bool>(),
+        key_routing in any::<bool>(),
     ) {
         let (stream, pane, panes, run_panes) = shape;
         let (m, batch, creators, assigners) = width;
@@ -757,6 +883,7 @@ proptest! {
             pool: [0, 1, 2, 8][pool],
             pin,
             expansion: expansion && !spec.is_sliding(),
+            key_routing,
             partitioner: PartitionerKind::with_baselines()[partitioner],
             lead: if lockstep { 1 } else { READER_LEAD },
             source: if file && !lockstep { Source::File } else { Source::Memory },

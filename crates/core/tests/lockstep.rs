@@ -37,9 +37,14 @@ fn window(dict: &Dictionary, base: u64, n: usize) -> Vec<Document> {
         .collect()
 }
 
-/// `cfg` with the one Assigner and batch 1 of the lock-step pipeline.
+/// `cfg` with the one Assigner, batch 1 and no routing key of the
+/// lock-step pipeline.
 fn pipeline_config(cfg: ssj_core::ConfigBuilder) -> StreamJoinConfig {
-    cfg.with_assigners(1).with_batch_size(1).build().unwrap()
+    cfg.with_assigners(1)
+        .with_batch_size(1)
+        .with_key_routing(false)
+        .build()
+        .unwrap()
 }
 
 fn run(cfg: StreamJoinConfig, dict: &Dictionary, windows: Vec<Vec<Document>>) -> TopologyRunReport {

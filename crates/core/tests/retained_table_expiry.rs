@@ -56,6 +56,7 @@ fn table_for(m: usize, window: u64, avp: AvpId, partition: u32) -> Msg {
         window,
         table,
         expansion: None,
+        key: None,
     }))
 }
 

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use ssj_core::{Msg, MsgCodec, PaneRouting, TableMsg};
 use ssj_json::{Dictionary, DocId, Document, Scalar};
-use ssj_partition::{AssociationGroup, Expansion, PartitionTable};
+use ssj_partition::{AssociationGroup, Expansion, PartitionTable, RouteKey};
 use ssj_runtime::wire::{decode_frame, encode_frame, Cursor, Frame, Payload, WireError};
 use ssj_runtime::WireCodec;
 use std::sync::Arc;
@@ -84,8 +84,9 @@ const ROUTING: PaneRouting = PaneRouting {
 };
 
 /// One Data frame body (length prefix stripped) per `Msg` tag — Doc,
-/// LocalGroups, Table, Repartition with and without a chain,
-/// JoinStats, Routing, Copy — each the first frame of a fresh link of `M`
+/// LocalGroups, Table without and with a routing key, Repartition with
+/// neither a chain nor a key, with a chain, and with both, JoinStats,
+/// Routing, Copy — each the first frame of a fresh link of `M`
 /// joiners, so every symbol in it is a definition or refers to one made
 /// earlier in the same body.
 fn every_tag_body(dict: &Dictionary) -> Vec<Vec<u8>> {
@@ -96,6 +97,11 @@ fn every_tag_body(dict: &Dictionary) -> Vec<Vec<u8>> {
     table.add_avp(0, known.avp);
     table.add_avp(3, late.avp);
     table.bump_load(3, 9);
+    let chain = Expansion {
+        chain: vec![known.attr, late.attr],
+        synth_attr: float.attr,
+        pna: 0.25,
+    };
     let msgs = [
         Msg::Doc(Arc::new(Document::from_pairs(
             DocId(7),
@@ -111,15 +117,26 @@ fn every_tag_body(dict: &Dictionary) -> Vec<Vec<u8>> {
         },
         Msg::Table(Arc::new(TableMsg {
             window: 2,
+            table: table.clone(),
+            expansion: None,
+            key: None,
+        })),
+        Msg::Table(Arc::new(TableMsg {
+            window: 2,
             table,
             expansion: None,
+            key: Some(RouteKey {
+                attrs: vec![late.attr, known.attr],
+            }),
         })),
-        Msg::Repartition(None),
-        Msg::Repartition(Some(Arc::new(Expansion {
-            chain: vec![known.attr, late.attr],
-            synth_attr: float.attr,
-            pna: 0.25,
-        }))),
+        Msg::Repartition(None, None),
+        Msg::Repartition(Some(Arc::new(chain.clone())), None),
+        Msg::Repartition(
+            Some(Arc::new(chain)),
+            Some(Arc::new(RouteKey {
+                attrs: vec![float.attr],
+            })),
+        ),
         Msg::JoinStats {
             window: 4,
             joiner: M - 1,
@@ -283,13 +300,14 @@ proptest! {
     /// a valid Data header (so they reach the message codec) or behind a
     /// Doc whose one pair is a definition (so they reach its text),
     /// truncated, byte-flipped or junk-tailed encodings of every `Msg` tag
-    /// (`Repartition` with and without a chain), and a `Table` 65 partitions
+    /// (`Table` with and without a routing key, `Repartition` with neither,
+    /// either or both of a chain and a key), and a `Table` 65 partitions
     /// wide. Each decode is the first
     /// frame of a fresh link.
     #[test]
     fn decode_never_panics(
         junk in proptest::collection::vec(wire_byte(), 0..96),
-        tag in 0usize..8,
+        tag in 0usize..10,
         cut in 0usize..1 << 16,
         flips in proptest::collection::vec((0usize..1 << 16, 1u8..=255), 1..4),
     ) {
@@ -356,6 +374,7 @@ fn run_codec_rejects_out_of_range_indices() {
         window: 0,
         table: PartitionTable::empty(M + 1),
         expansion: None,
+        key: None,
     }));
     let decode = |codec: &MsgCodec, msg: &Msg| {
         let mut buf = Vec::new();
@@ -447,7 +466,7 @@ fn an_undefined_link_id_is_a_bad_symbol() {
 }
 
 /// The control-plane messages (LocalGroups, Table, Repartition, Routing)
-/// round-trip with loads, members, and chains intact.
+/// round-trip with loads, members, chains and routing keys intact.
 #[test]
 fn control_plane_messages_roundtrip() {
     let dict = seeded_dict(40);
@@ -495,42 +514,57 @@ fn control_plane_messages_roundtrip() {
     table.add_avp(2, p2.avp);
     table.bump_load(0, 12);
     table.bump_load(2, 4);
-    let msg = Msg::Table(Arc::new(TableMsg {
-        window: 9,
-        table: table.clone(),
-        expansion: None,
-    }));
-    let mut buf = Vec::new();
-    codec.encode(&msg, &mut buf);
-    let mut c = Cursor::new(&buf);
-    let Msg::Table(t2) = codec.decode(&mut c).unwrap() else {
-        panic!("kind changed");
+    // A routing key, or none; a key attribute the link has not defined yet
+    // travels as its name, and the key keeps its order.
+    let key = RouteKey {
+        attrs: vec![dict.intern_attr("attr8"), p2.attr, p0.attr],
     };
-    c.finish().unwrap();
-    assert_eq!(t2.window, 9);
-    assert_eq!(t2.table, table);
-
-    // A build's chain, or none; a chained attribute the link has not
-    // defined yet travels as its name.
-    let synth = dict.intern_attr("attr0+attr9");
-    let chain = Expansion {
-        chain: vec![p0.attr, dict.intern_attr("attr9")],
-        synth_attr: synth,
-        pna: 0.125,
-    };
-    for expansion in [None, Some(Arc::new(chain))] {
+    for key in [None, Some(key.clone())] {
+        let msg = Msg::Table(Arc::new(TableMsg {
+            window: 9,
+            table: table.clone(),
+            expansion: None,
+            key: key.clone(),
+        }));
         let mut buf = Vec::new();
-        codec.encode(&Msg::Repartition(expansion.clone()), &mut buf);
+        codec.encode(&msg, &mut buf);
         let mut c = Cursor::new(&buf);
-        let Msg::Repartition(back) = codec.decode(&mut c).unwrap() else {
+        let Msg::Table(t2) = codec.decode(&mut c).unwrap() else {
             panic!("kind changed");
         };
         c.finish().unwrap();
-        let fields = |e: &Expansion| (e.chain.clone(), e.synth_attr, e.pna);
-        assert_eq!(
-            back.as_deref().map(fields),
-            expansion.as_deref().map(fields)
-        );
+        assert_eq!(t2.window, 9);
+        assert_eq!(t2.table, table);
+        assert_eq!(t2.key, key);
+    }
+
+    // A build's chain and key, or neither, or one; a chained attribute the
+    // link has not defined yet travels as its name.
+    let synth = dict.intern_attr("attr0+attr9");
+    let chain = Arc::new(Expansion {
+        chain: vec![p0.attr, dict.intern_attr("attr9")],
+        synth_attr: synth,
+        pna: 0.125,
+    });
+    let key = Arc::new(RouteKey {
+        attrs: vec![dict.intern_attr("attr10"), p1.attr],
+    });
+    for expansion in [None, Some(chain)] {
+        for key in [None, Some(Arc::clone(&key))] {
+            let mut buf = Vec::new();
+            codec.encode(&Msg::Repartition(expansion.clone(), key.clone()), &mut buf);
+            let mut c = Cursor::new(&buf);
+            let Msg::Repartition(back, back_key) = codec.decode(&mut c).unwrap() else {
+                panic!("kind changed");
+            };
+            c.finish().unwrap();
+            let fields = |e: &Expansion| (e.chain.clone(), e.synth_attr, e.pna);
+            assert_eq!(
+                back.as_deref().map(fields),
+                expansion.as_deref().map(fields)
+            );
+            assert_eq!(back_key, key);
+        }
     }
 
     // A pane close carries its counts and, from the Merger, its build in

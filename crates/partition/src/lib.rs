@@ -3,8 +3,10 @@
 //! The partitioning half of the paper: the Association-Groups algorithm
 //! (§IV) plus the two competitors it is evaluated against (set cover and
 //! disjoint sets, §VII-A), attribute-value expansion for low value variety
-//! (§VI-B), the Merger's consolidation of locally computed groups (§IV-A),
-//! and the quality metrics / adaptation thresholds of §VI-A and §VII-C.
+//! (§VI-B) and the routing key that carries its argument further
+//! ([`RouteKey`]), the Merger's consolidation of locally computed groups
+//! (§IV-A), and the quality metrics / adaptation thresholds of §VI-A and
+//! §VII-C.
 //!
 //! ```
 //! use ssj_partition::{AgPartitioner, Partitioner, RouteOutcome, RouteScratch};
@@ -33,6 +35,7 @@ pub mod fingerprint;
 pub mod groups;
 pub mod hashpart;
 pub mod incremental;
+pub mod key;
 pub mod merger;
 pub mod partitions;
 pub mod quality;
@@ -48,6 +51,7 @@ pub use groups::{
 };
 pub use hashpart::HashPartitioner;
 pub use incremental::{GroupIndex, IndexStats};
+pub use key::RouteKey;
 pub use merger::{consolidate, merge_and_assign};
 pub use partitions::{
     assign_groups, home_bit, route_batch, PartitionTable, Route, RouteOutcome, RouteScratch,

@@ -771,10 +771,10 @@ pub fn write_jsonl<W: Write>(
 
 /// Render a per-component human summary table from final task snapshots:
 /// throughput counters plus handle-latency percentiles when collected.
-/// "busy" is the mean over the component's tasks of `busy_ns`, which is
-/// wall time inside a task's handles, so it counts the time the host
-/// preempted the thread: summed over more tasks than cores it can exceed
-/// the CPU the run used.
+/// "busy/task" is the mean over the component's tasks of `busy_ns`, and
+/// "busy sum" its sum over them. `busy_ns` is wall time inside a task's
+/// handles, so it counts the time the host preempted the thread: summed
+/// over more tasks than cores it can exceed the CPU the run used.
 pub fn summary_table(finals: &[TaskSnapshot]) -> String {
     use std::fmt::Write as _;
     let mut components: Vec<&str> = Vec::new();
@@ -786,8 +786,16 @@ pub fn summary_table(finals: &[TaskSnapshot]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<12} {:>5} {:>12} {:>12} {:>9} {:>10} {:>12} {:>12}",
-        "component", "tasks", "received", "emitted", "windows", "busy", "handle p50", "handle p99"
+        "{:<12} {:>5} {:>12} {:>12} {:>9} {:>10} {:>10} {:>12} {:>12}",
+        "component",
+        "tasks",
+        "received",
+        "emitted",
+        "windows",
+        "busy/task",
+        "busy sum",
+        "handle p50",
+        "handle p99"
     );
     for comp in components {
         let tasks: Vec<&TaskSnapshot> = finals.iter().filter(|t| t.component == comp).collect();
@@ -813,7 +821,8 @@ pub fn summary_table(finals: &[TaskSnapshot]) -> String {
             .filter_map(|(i, &c)| (c != 0).then_some((i as u16, c)))
             .collect();
         let windows = tasks.iter().map(|t| t.counter("puncts")).max().unwrap_or(0);
-        let busy = Duration::from_nanos(sum("busy_ns") / tasks.len().max(1) as u64);
+        let busy = Duration::from_nanos(sum("busy_ns"));
+        let per_task = busy / tasks.len().max(1) as u32;
         let (p50, p99) = if merged.count > 0 {
             (
                 format!("{:?}", Duration::from_nanos(merged.quantile_ns(0.50))),
@@ -824,12 +833,13 @@ pub fn summary_table(finals: &[TaskSnapshot]) -> String {
         };
         let _ = writeln!(
             out,
-            "{:<12} {:>5} {:>12} {:>12} {:>9} {:>10} {:>12} {:>12}",
+            "{:<12} {:>5} {:>12} {:>12} {:>9} {:>10} {:>10} {:>12} {:>12}",
             comp,
             tasks.len(),
             sum("received"),
             sum("emitted"),
             windows,
+            format!("{:.2?}", per_task),
             format!("{:.2?}", busy),
             p50,
             p99
@@ -985,11 +995,18 @@ mod tests {
             trace_capacity: 16,
         });
         reg.register("reader", 0).emitted.store(100);
-        reg.register("joiner", 0).received.store(60);
-        reg.register("joiner", 1).received.store(40);
+        for (task, received, busy_ns) in [(0, 60, 3_000_000), (1, 40, 1_000_000)] {
+            let joiner = reg.register("joiner", task);
+            joiner.received.store(received);
+            joiner.busy_ns.store(busy_ns);
+        }
         let table = summary_table(&reg.snapshot_tasks());
         assert!(table.contains("reader"));
-        assert!(table.contains("joiner"));
         assert!(table.contains("100"));
+        // The joiners' busy time per task, then summed over both.
+        let joiner = table.lines().find(|l| l.starts_with("joiner")).unwrap();
+        let cols: Vec<&str> = joiner.split_whitespace().collect();
+        assert_eq!(cols[5..7], ["2.00ms", "4.00ms"], "{table}");
+        assert!(table.lines().next().unwrap().contains("busy/task"));
     }
 }

@@ -180,6 +180,21 @@ repartition_path() {
 }
 stage "repartition path" repartition_path
 
+# Key routing: a build pane's routing key is the attributes every document
+# of the pane carries, adopted only if its tuples spread the pane over the
+# m joiners (a ubiquitous constant or Boolean alone is not), and mixed in
+# name order, so two dictionaries home a document alike. A keyed table
+# sends a document to its key tuple's home and one without the key to
+# every joiner (homed); a retained table's own key keeps the pairs that
+# span a change of key at a θ rebuild exact.
+key_routing() {
+    cargo test -q -p ssj-partition --lib key::
+    cargo test -q -p ssj-core --lib assign::tests::a_keyed_table_sends_a_document_to_its_key_home
+    cargo test -q -p ssj-core --test differential documents_without_the_key_reach_every_joiner
+    cargo test -q -p ssj-core --test differential pairs_meet_across_a_change_of_key
+}
+stage "key routing" key_routing
+
 # Control-plane determinism: the Reporter judges θ once over each whole
 # pane, and its signal rides the reader's credit and acts at a fixed pane,
 # so routing is a function of the stream. `ssj run`'s routing line (tables

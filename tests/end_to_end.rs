@@ -323,7 +323,9 @@ fn sliding_topology_matches_pane_filtered_brute_force() {
 /// order. In pane 2 `Location`, ubiquitous until then, vanishes from every
 /// fifth document (the carried-over fast-path depth is wrong); in pane 3 a
 /// `Trace` attribute appears that no earlier order ranked. Tumbling and
-/// 4-pane sliding, against pane-filtered brute force.
+/// 4-pane sliding, against pane-filtered brute force. Without a routing
+/// key, so each joiner holds more than a micro-batch of every pane: keyed,
+/// a joiner holds about a quarter of one.
 #[test]
 fn joins_on_arrival_across_micro_batches_and_shifting_attributes() {
     use schema_free_stream_joins::ssj_core::joiner::ARRIVAL_BATCH;
@@ -352,6 +354,7 @@ fn joins_on_arrival_across_micro_batches_and_shifting_attributes() {
             .with_m(4)
             .with_window_spec(spec)
             .with_expansion(false)
+            .with_key_routing(false)
             .build()
             .unwrap();
         let report = run_topology(cfg, &dict, docs.clone()).expect("run");
@@ -376,6 +379,8 @@ fn joins_on_arrival_across_micro_batches_and_shifting_attributes() {
 /// routed by the table again. The run is in lock-step so the signals reach
 /// their targets before pane 6 does, every time; `batch_size` 1 makes the
 /// shuffle per-document, so each creator holds exactly half of every pane.
+/// Without a routing key: the stream keeps its attributes, so a key would
+/// route every pane alike and nothing would signal.
 #[test]
 fn vocabulary_shift_forces_a_repartition() {
     const PANE: usize = 128;
@@ -394,6 +399,7 @@ fn vocabulary_shift_forces_a_repartition() {
             .with_m(M)
             .with_window_spec(spec)
             .with_expansion(expansion)
+            .with_key_routing(false)
             .with_partition_creators(2)
             .with_assigners(2)
             .with_batch_size(1)
